@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race short soak cover bench overload failover fleet mvcc plancache fuzz race-parallel race-overload race-failover race-fleet race-mvcc race-plancache ci clean
+.PHONY: all build vet test race short soak cover bench bench-test fuzz ci clean
 
 all: build
 
@@ -35,58 +35,17 @@ cover:
 	@echo "full per-function report: $(GO) tool cover -func=coverage.out"
 	@echo "html report:              $(GO) tool cover -html=coverage.out"
 
-# Benchmark the three figure stacks with observability attached: each
-# figure runs serial (workers=1) and parallel (-parallel workers) through
-# the instance scheduler; instances/sec, speedup, statement-cache hit
-# rate, and the per-layer counter/histogram summaries land in
-# BENCH_PR4.json.
+# The repo's one benchmark (bench/README.md): six closed-loop workloads,
+# drift-compensated end-to-end metrics and a per-layer budget, built
+# into .bench_build/. Pass arguments through ARGS, e.g.
+#   make bench ARGS="--workload bis-fig4 --seconds 2"
 bench:
-	$(GO) run ./cmd/wfbench -instances 32 -parallel 8 -orders 120 -items 8 -out BENCH_PR4.json
+	bash bench/run.sh $(ARGS)
 
-# Goodput vs offered load: a closed-loop saturation run, then open-loop
-# arrivals at 1x/2x/4x saturation — protected (Shed admission +
-# per-instance deadline budget) against the unbounded baseline (Block,
-# queue = burst, no budget). On-time goodput and p99 queue wait per
-# point land in BENCH_PR5.json.
-overload:
-	$(GO) run ./cmd/wfbench -overload -orders 24 -items 3 -parallel 4 -svclat 5ms -loaddur 1500ms -out BENCH_PR5.json
-
-# Warm-standby failover series: per stack, a journaled burst with a
-# standby tailing the WAL, primary killed mid-burst, lease-fenced
-# takeover, second burst as the new primary. Downtime breakdown
-# (detect/catchup/takeover), replica lag at kill (records + ms), and
-# goodput retention over the failover window vs the pre-crash
-# steady-state rate land in BENCH_PR6.json.
-failover:
-	$(GO) run ./cmd/wfbench -failover -out BENCH_PR6.json
-
-# Sharded-fleet chaos series: per stack, paired bursts over a
-# self-driving fleet of lease-fenced shard primaries — one undisturbed,
-# one with a seed-chosen shard primary crash-injected mid-burst
-# (supervisor detects via lease staleness, promotes the shard's warm
-# standby, router buffers the victim's submissions). Fleet-wide
-# conservation, failover timings, and goodput retention land in
-# BENCH_PR7.json.
-fleet:
-	$(GO) run ./cmd/wfbench -fleet -out BENCH_PR7.json
-
-# MVCC worker series: the Figure 4/6/8 workloads at 1/2/4/8 scheduler
-# workers (instances/sec + sqldb.lock_wait_ms per point, per-table
-# breakdown at 8 workers, BENCH_PR4 8-worker baseline embedded), plus a
-# raw-engine mixed read/write series over disjoint tables vs the same
-# 8-worker load forced onto one table — the old global-write-lock
-# contention floor. Lands in BENCH_PR8.json.
-mvcc:
-	$(GO) run ./cmd/wfbench -mvcc -instances 32 -orders 120 -items 8 -out BENCH_PR8.json
-
-# Plan-cache series: the Figure 4/6/8 workloads at 1/8 workers, with
-# the 8-worker statement-cache outcome (hit rate, evictions, the
-# sqldb.stmtcache.size gauge), the parse-vs-exec time breakdown, and
-# instances/sec vs the PR 8 baselines. Parse-time literal
-# normalization takes all three stacks above 95% hits. Lands in
-# BENCH_PR9.json.
-plancache:
-	$(GO) run ./cmd/wfbench -plancache -instances 32 -orders 120 -items 8 -out BENCH_PR9.json
+# The benchmark's own tests. bench/ is a module of its own, so the root
+# `go test ./...` does not reach it.
+bench-test:
+	cd bench && $(GO) test ./...
 
 # Fuzz smoke: a bounded run of the WAL-scanner fuzzer (recovery must
 # survive arbitrary bytes). CI-friendly; raise -fuzztime manually for
@@ -94,58 +53,10 @@ plancache:
 fuzz:
 	$(GO) test -fuzz=FuzzScan -fuzztime=15s ./internal/journal/
 
-# The parallel race gate: the scheduler-driven chaos/crash/parallel
-# matrices under the race detector (what the race-parallel CI job runs).
-race-parallel:
-	$(GO) test -race -run 'TestParallel|TestChaos|TestCrash' .
-	$(GO) test -race ./internal/sched/ ./internal/sqldb/ ./internal/resilience/
-
-# The overload race gate: admission/limiter/brownout unit suites, the
-# streaming pool, and the burst chaos matrix under the race detector
-# (what the overload CI job runs).
-race-overload:
-	$(GO) test -race ./internal/admit/ ./internal/sched/
-	$(GO) test -race -run 'TestOverload' .
-
-# The failover race gate: lease/standby/replica unit suites, the tailer
-# rotation races, and the failover chaos matrix (kill mid-burst at each
-# crash point × 3 stacks, standby takeover, exactly-once effects) under
-# the race detector (what the failover CI job runs).
-race-failover:
-	$(GO) test -race ./internal/replica/ ./internal/journal/
-	$(GO) test -race -run 'TestFailover' .
-
-# The fleet race gate: ring/health/router/supervisor unit suites plus
-# the fleet chaos matrix (1-of-N shard primary killed mid-burst × 3
-# stacks, lease-fenced per-shard takeover, fleet-wide conservation,
-# hot-shard isolation) under the race detector (what the fleet CI job
-# runs).
-race-fleet:
-	$(GO) test -race ./internal/shard/
-	$(GO) test -race -run 'TestFleet' .
-
-# The MVCC race gate: the §13 concurrency property tests (torn-scan,
-# first-writer-wins, disjoint non-blocking, lock-wait attribution,
-# EXPLAIN/executor agreement), the scoped cache-invalidation and
-# committed-only-dump regressions, and the replica suite (primed
-# bootstrap, dense CDC) under the race detector.
-race-mvcc:
-	$(GO) test -race -run 'TestSnapshot|TestSameRowWriters|TestAutocommitConflict|TestDisjointTable|TestExplainExecutorAgreement|TestDDLInvalidation|TestLockWaitAttributed|TestBootstrapStatePrimed|TestApplierStraddled|TestConcurrent' ./internal/sqldb/
-	$(GO) test -race ./internal/replica/
-
-# The plan-cache race gate: the §14 property tests (normalized-plan
-# reuse ≡ unparameterized results, DDL invalidation of parameterized
-# plans, named-vs-positional agreement, CDC round-trip, the prepared
-# parse-charge protocol, the two-goroutine parse race) plus the LRU /
-# invalidation suites under the race detector.
-race-plancache:
-	$(GO) test -race -run 'TestNormaliz|TestNamedVsPositional|TestDDLScoped|TestOrderByLiterals|TestBatchedInsert|TestUndersupplied|TestChangeStreamRoundTrip|TestPreparedParse|TestCachedParseRace|TestStmtCacheLRU|TestDDLInvalidation' ./internal/sqldb/
-	$(GO) test -race ./internal/bis/ ./internal/orasoa/
-
 # The gate: build, vet, the full race-enabled suite (soak included),
 # then the WAL-scanner fuzz smoke.
 ci: build vet race fuzz
 
 clean:
 	$(GO) clean ./...
-	rm -f coverage.out BENCH_PR3.json BENCH_PR4.json BENCH_PR5.json BENCH_PR6.json BENCH_PR7.json BENCH_PR8.json BENCH_PR9.json
+	rm -rf coverage.out .bench_build

@@ -204,13 +204,13 @@ func BenchmarkFig7_OracleDeployExecute(b *testing.B) {
 
 // --- Figures 4, 6, 8: the running example on each stack ---
 
-func benchRunningExample(b *testing.B, run func(env *Environment) error) {
+func benchRunningExample(b *testing.B, stack Stack) {
 	for _, orders := range []int{10, 100, 1000} {
 		b.Run(fmt.Sprintf("orders=%d", orders), func(b *testing.B) {
 			env := NewEnvironment(Workload{Orders: orders, Items: orders / 5, ApprovalPercent: 60, Seed: 1})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := run(env); err != nil {
+				if err := env.Run(stack, ResilienceConfig{}); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()
@@ -223,17 +223,17 @@ func benchRunningExample(b *testing.B, run func(env *Environment) error) {
 
 // BenchmarkFig4_BISExample runs the Figure 4 workflow (IBM BIS stack).
 func BenchmarkFig4_BISExample(b *testing.B) {
-	benchRunningExample(b, func(env *Environment) error { return env.RunFigure4BIS() })
+	benchRunningExample(b, StackBIS)
 }
 
 // BenchmarkFig6_WFExample runs the Figure 6 workflow (Microsoft WF stack).
 func BenchmarkFig6_WFExample(b *testing.B) {
-	benchRunningExample(b, func(env *Environment) error { return env.RunFigure6WF() })
+	benchRunningExample(b, StackWF)
 }
 
 // BenchmarkFig8_OracleExample runs the Figure 8 workflow (Oracle stack).
 func BenchmarkFig8_OracleExample(b *testing.B) {
-	benchRunningExample(b, func(env *Environment) error { return env.RunFigure8Oracle() })
+	benchRunningExample(b, StackOracle)
 }
 
 // --- Ablations (DESIGN.md §4) ---
@@ -544,7 +544,7 @@ func BenchmarkAblation_ServiceLatency(b *testing.B) {
 			env.Bus.SetLatency(lat)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := env.RunFigure4BIS(); err != nil {
+				if err := env.Run(StackBIS, ResilienceConfig{}); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()

@@ -1,6 +1,7 @@
 package wfsql
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -37,15 +38,33 @@ func confirmationRows(t *testing.T, env *Environment) []string {
 	return rows
 }
 
-// baselineRows runs the given figure on a fresh, fault-free environment
-// with the same workload and returns its confirmation rows.
-func baselineRows(t *testing.T, w Workload, run func(env *Environment) error) []string {
+// baselineRows runs one plain instance of the stack on a fresh,
+// fault-free environment with the same workload and returns its
+// confirmation rows.
+func baselineRows(t *testing.T, w Workload, s Stack) []string {
 	t.Helper()
 	env := NewEnvironment(w)
-	if err := run(env); err != nil {
+	if err := env.Run(s, ResilienceConfig{}); err != nil {
 		t.Fatalf("baseline run: %v", err)
 	}
 	return confirmationRows(t, env)
+}
+
+// injectSupplierFaults puts the fault plan in front of the supplier
+// service where the stack reaches it: the BPEL stacks invoke it over the
+// bus, WF calls its registered service directly.
+func injectSupplierFaults(t *testing.T, env *Environment, s Stack, plan *chaos.FaultPlan) {
+	t.Helper()
+	if s.Name == "WF" {
+		env.Runtime.RegisterService("OrderFromSupplier", plan.WrapService(
+			func(req map[string]string) (map[string]string, error) {
+				return env.Supplier.Handle(req)
+			}))
+		return
+	}
+	if err := chaos.Inject(env.Bus, "OrderFromSupplier", plan); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func sameRows(a, b []string) bool {
@@ -78,63 +97,31 @@ func TestChaosTransientServiceFaultsConverge(t *testing.T) {
 	w := Workload{Orders: 18, Items: 4, ApprovalPercent: 100, Seed: 3}
 	cfg := ResilienceConfig{Invoke: quickPolicy(8)}
 
-	t.Run("BIS", func(t *testing.T) {
-		want := baselineRows(t, w, func(env *Environment) error { return env.RunFigure4BIS() })
-		env := NewEnvironment(w)
-		plan := chaosWindow()
-		if err := chaos.Inject(env.Bus, "OrderFromSupplier", plan); err != nil {
-			t.Fatal(err)
-		}
-		if err := env.RunFigure4BISResilient(cfg); err != nil {
-			t.Fatalf("resilient run under chaos: %v", err)
-		}
-		if got := confirmationRows(t, env); !sameRows(got, want) {
-			t.Fatalf("rows diverged from baseline:\n got %v\nwant %v", got, want)
-		}
-		if plan.Injected() == 0 {
-			t.Fatal("fault plan injected nothing — test proved nothing")
-		}
-		if env.Engine.DeadLetters.Len() != 0 {
-			t.Fatalf("transient window should not dead-letter, got %d", env.Engine.DeadLetters.Len())
-		}
-	})
-
-	t.Run("WF", func(t *testing.T) {
-		want := baselineRows(t, w, func(env *Environment) error { return env.RunFigure6WF() })
-		env := NewEnvironment(w)
-		plan := chaosWindow()
-		env.Runtime.RegisterService("OrderFromSupplier", plan.WrapService(
-			func(req map[string]string) (map[string]string, error) {
-				return env.Supplier.Handle(req)
-			}))
-		if err := env.RunFigure6WFResilient(cfg); err != nil {
-			t.Fatalf("resilient run under chaos: %v", err)
-		}
-		if got := confirmationRows(t, env); !sameRows(got, want) {
-			t.Fatalf("rows diverged from baseline:\n got %v\nwant %v", got, want)
-		}
-		if plan.Injected() == 0 {
-			t.Fatal("fault plan injected nothing")
-		}
-	})
-
-	t.Run("Oracle", func(t *testing.T) {
-		want := baselineRows(t, w, func(env *Environment) error { return env.RunFigure8Oracle() })
-		env := NewEnvironment(w)
-		plan := chaosWindow()
-		if err := chaos.Inject(env.Bus, "OrderFromSupplier", plan); err != nil {
-			t.Fatal(err)
-		}
-		if err := env.RunFigure8OracleResilient(cfg); err != nil {
-			t.Fatalf("resilient run under chaos: %v", err)
-		}
-		if got := confirmationRows(t, env); !sameRows(got, want) {
-			t.Fatalf("rows diverged from baseline:\n got %v\nwant %v", got, want)
-		}
-		if plan.Injected() == 0 {
-			t.Fatal("fault plan injected nothing")
-		}
-	})
+	for _, stack := range Stacks() {
+		stack := stack
+		t.Run(stack.Name, func(t *testing.T) {
+			want := baselineRows(t, w, stack)
+			env := NewEnvironment(w)
+			plan := chaosWindow()
+			injectSupplierFaults(t, env, stack, plan)
+			p, err := stack.Prepare(env, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Run(context.Background()); err != nil {
+				t.Fatalf("resilient run under chaos: %v", err)
+			}
+			if got := confirmationRows(t, env); !sameRows(got, want) {
+				t.Fatalf("rows diverged from baseline:\n got %v\nwant %v", got, want)
+			}
+			if plan.Injected() == 0 {
+				t.Fatal("fault plan injected nothing — test proved nothing")
+			}
+			if n := p.DeadLetters.Len(); n != 0 {
+				t.Fatalf("transient window should not dead-letter, got %d", n)
+			}
+		})
+	}
 }
 
 // TestChaosSQLFaultLongRunningRetries injects a transient fault into the
@@ -145,29 +132,15 @@ func TestChaosSQLFaultLongRunningRetries(t *testing.T) {
 	w := Workload{Orders: 18, Items: 4, ApprovalPercent: 100, Seed: 3}
 	cfg := ResilienceConfig{SQL: quickPolicy(4)}
 
-	cases := []struct {
-		name     string
-		baseline func(env *Environment) error
-		run      func(env *Environment) error
-	}{
-		{"BIS",
-			func(env *Environment) error { return env.RunFigure4BIS() },
-			func(env *Environment) error { return env.RunFigure4BISResilient(cfg) }},
-		{"WF",
-			func(env *Environment) error { return env.RunFigure6WF() },
-			func(env *Environment) error { return env.RunFigure6WFResilient(cfg) }},
-		{"Oracle",
-			func(env *Environment) error { return env.RunFigure8Oracle() },
-			func(env *Environment) error { return env.RunFigure8OracleResilient(cfg) }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			want := baselineRows(t, w, tc.baseline)
+	for _, stack := range Stacks() {
+		stack := stack
+		t.Run(stack.Name, func(t *testing.T) {
+			want := baselineRows(t, w, stack)
 			env := NewEnvironment(w)
 			plan := &chaos.SQLFaultPlan{Kinds: []string{"INSERT"}, FailNth: []int{1, 3}}
 			chaos.InstallSQL(env.DB, plan)
 			defer chaos.InstallSQL(env.DB, nil)
-			if err := tc.run(env); err != nil {
+			if err := env.Run(stack, cfg); err != nil {
 				t.Fatalf("resilient run under SQL chaos: %v", err)
 			}
 			if got := confirmationRows(t, env); !sameRows(got, want) {
@@ -177,6 +150,40 @@ func TestChaosSQLFaultLongRunningRetries(t *testing.T) {
 				t.Fatalf("injected = %d, want 2", plan.Injected())
 			}
 		})
+	}
+}
+
+// TestChaosSQLRetryPolicyDoesNotOutliveItsRun: the Oracle stack's SQL
+// retry policy is installed on the environment-wide extension-function
+// library, so a zero-config Figure 8 prepared after a resilient one must
+// clear it — a plain run faults on an injected SQL error exactly as it
+// does on a fresh environment, instead of silently retrying.
+func TestChaosSQLRetryPolicyDoesNotOutliveItsRun(t *testing.T) {
+	w := Workload{Orders: 18, Items: 4, ApprovalPercent: 100, Seed: 3}
+	plainRunUnderFault := func(env *Environment) (retries int, err error) {
+		plan := &chaos.SQLFaultPlan{Kinds: []string{"INSERT"}, FailNth: []int{1}}
+		chaos.InstallSQL(env.DB, plan)
+		defer chaos.InstallSQL(env.DB, nil)
+		before := env.Funcs.Retries()
+		err = env.Run(StackOracle, ResilienceConfig{})
+		if plan.Injected() != 1 {
+			t.Fatalf("injected = %d, want 1", plan.Injected())
+		}
+		return env.Funcs.Retries() - before, err
+	}
+
+	if _, err := plainRunUnderFault(NewEnvironment(w)); err == nil {
+		t.Fatal("fresh environment: a plain run must fault on the injected INSERT error")
+	}
+
+	env := NewEnvironment(w)
+	if err := env.Run(StackOracle, ResilienceConfig{SQL: quickPolicy(4)}); err != nil {
+		t.Fatalf("resilient run: %v", err)
+	}
+	env.ResetConfirmations()
+	retries, err := plainRunUnderFault(env)
+	if err == nil || retries != 0 {
+		t.Fatalf("plain run after a resilient one: err = %v with %d retries — the earlier run's SQL retry policy is still installed", err, retries)
 	}
 }
 
@@ -222,7 +229,7 @@ func TestChaosSQLFaultShortRunningAllOrNothing(t *testing.T) {
 // waiting out the injected delay.
 func TestChaosLatencyPerAttemptTimeout(t *testing.T) {
 	w := Workload{Orders: 12, Items: 3, ApprovalPercent: 100, Seed: 1}
-	want := baselineRows(t, w, func(env *Environment) error { return env.RunFigure4BIS() })
+	want := baselineRows(t, w, StackBIS)
 
 	env := NewEnvironment(w)
 	plan := chaos.NewFaultPlan(1)
@@ -235,7 +242,7 @@ func TestChaosLatencyPerAttemptTimeout(t *testing.T) {
 	pol.PerAttemptTimeout = 5 * time.Millisecond
 
 	start := time.Now()
-	if err := env.RunFigure4BISResilient(ResilienceConfig{Invoke: pol}); err != nil {
+	if err := env.Run(StackBIS, ResilienceConfig{Invoke: pol}); err != nil {
 		t.Fatalf("resilient run under latency chaos: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
@@ -262,7 +269,7 @@ func TestChaosPermanentFaultDeadLettersAndDegrades(t *testing.T) {
 	}
 
 	cfg := ResilienceConfig{Invoke: quickPolicy(3), DeadLetterAbsorb: true}
-	if err := env.RunFigure4BISResilient(cfg); err != nil {
+	if err := env.Run(StackBIS, cfg); err != nil {
 		t.Fatalf("degraded completion expected, got fault: %v", err)
 	}
 	if n := env.ConfirmationCount(); n != env.ApprovedItemTypes() {
@@ -381,48 +388,25 @@ func TestChaosSoak(t *testing.T) {
 	w := Workload{Orders: 24, Items: 5, ApprovalPercent: 100, Seed: 11}
 	cfg := ResilienceConfig{Invoke: quickPolicy(10), SQL: quickPolicy(10)}
 
-	baseBIS := baselineRows(t, w, func(env *Environment) error { return env.RunFigure4BIS() })
-	baseWF := baselineRows(t, w, func(env *Environment) error { return env.RunFigure6WF() })
-	baseORA := baselineRows(t, w, func(env *Environment) error { return env.RunFigure8Oracle() })
+	base := map[string][]string{}
+	for _, stack := range Stacks() {
+		base[stack.Name] = baselineRows(t, w, stack)
+	}
 
 	for seed := int64(1); seed <= 5; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			// BIS and Oracle share the bus-level injector.
-			for _, tc := range []struct {
-				name string
-				want []string
-				run  func(env *Environment) error
-			}{
-				{"BIS", baseBIS, func(env *Environment) error { return env.RunFigure4BISResilient(cfg) }},
-				{"Oracle", baseORA, func(env *Environment) error { return env.RunFigure8OracleResilient(cfg) }},
-			} {
+			for _, stack := range Stacks() {
 				env := NewEnvironment(w)
 				plan := chaos.NewFaultPlan(seed)
 				plan.FailRate = 0.3
-				if err := chaos.Inject(env.Bus, "OrderFromSupplier", plan); err != nil {
-					t.Fatal(err)
+				injectSupplierFaults(t, env, stack, plan)
+				if err := env.Run(stack, cfg); err != nil {
+					t.Fatalf("%s seed %d: %v", stack.Name, seed, err)
 				}
-				if err := tc.run(env); err != nil {
-					t.Fatalf("%s seed %d: %v", tc.name, seed, err)
+				if got, want := confirmationRows(t, env), base[stack.Name]; !sameRows(got, want) {
+					t.Fatalf("%s seed %d diverged:\n got %v\nwant %v", stack.Name, seed, got, want)
 				}
-				if got := confirmationRows(t, env); !sameRows(got, tc.want) {
-					t.Fatalf("%s seed %d diverged:\n got %v\nwant %v", tc.name, seed, got, tc.want)
-				}
-			}
-			// WF wraps its registered service directly.
-			env := NewEnvironment(w)
-			plan := chaos.NewFaultPlan(seed)
-			plan.FailRate = 0.3
-			env.Runtime.RegisterService("OrderFromSupplier", plan.WrapService(
-				func(req map[string]string) (map[string]string, error) {
-					return env.Supplier.Handle(req)
-				}))
-			if err := env.RunFigure6WFResilient(cfg); err != nil {
-				t.Fatalf("WF seed %d: %v", seed, err)
-			}
-			if got := confirmationRows(t, env); !sameRows(got, baseWF) {
-				t.Fatalf("WF seed %d diverged:\n got %v\nwant %v", seed, got, baseWF)
 			}
 		})
 	}

@@ -51,79 +51,25 @@ func ledgerMatches(t *testing.T, env *Environment, baseline []string) {
 	}
 }
 
-// crashStack describes one product stack for the matrix: how to run the
-// figure journaled, how to recover it on a rebuilt host, and which
-// activity names are the mid-loop invoke and SQL (insert) effects.
-type crashStack struct {
-	name      string
+// crashTarget names, for one product stack, the mid-loop invoke and SQL
+// (insert) effects the crash matrices kill, and whether supplier
+// invocations go through the wsbus (BPEL stacks) — the only per-stack
+// knowledge the matrices need beyond the Stack descriptor itself.
+type crashTarget struct {
 	invokeAct string
 	sqlAct    string
-	useBus    bool // supplier invocations go through the wsbus (BPEL stacks)
-	baseline  func(env *Environment) error
-	run       func(env *Environment, rec *journal.Recorder) error
-	recover   func(env *Environment, rec *journal.Recorder) error
+	useBus    bool
 }
 
-func crashStacks() []crashStack {
-	return []crashStack{
-		{
-			name: "BIS_Figure4", invokeAct: "invoke", sqlAct: "SQL2", useBus: true,
-			baseline: func(env *Environment) error { return env.RunFigure4BIS() },
-			run: func(env *Environment, rec *journal.Recorder) error {
-				env.Engine.AttachJournal(rec)
-				return env.RunFigure4BISResilient(ResilienceConfig{})
-			},
-			recover: func(env *Environment, rec *journal.Recorder) error {
-				env.Engine.AttachJournal(rec)
-				d, err := env.Engine.Deploy(env.BuildFigure4BISResilient(ResilienceConfig{}))
-				if err != nil {
-					return err
-				}
-				_, err = engine.Recover(rec, map[string]*engine.Deployment{"Figure4": d})
-				return err
-			},
-		},
-		{
-			name: "WF_Figure6", invokeAct: "invoke", sqlAct: "SQLDatabase2", useBus: false,
-			baseline: func(env *Environment) error { return env.RunFigure6WF() },
-			run: func(env *Environment, rec *journal.Recorder) error {
-				env.Runtime.AttachJournal(rec)
-				return env.RunFigure6WFResilient(ResilienceConfig{})
-			},
-			recover: func(env *Environment, rec *journal.Recorder) error {
-				env.Runtime.AttachJournal(rec)
-				root := env.BuildFigure6WFResilient(ResilienceConfig{})
-				for _, ij := range rec.InFlight() {
-					if _, err := env.Runtime.Resume(root, ij); err != nil {
-						return err
-					}
-				}
-				return nil
-			},
-		},
-		{
-			name: "Oracle_Figure8", invokeAct: "Invoke", sqlAct: "Assign2", useBus: true,
-			baseline: func(env *Environment) error { return env.RunFigure8Oracle() },
-			run: func(env *Environment, rec *journal.Recorder) error {
-				env.Engine.AttachJournal(rec)
-				return env.RunFigure8OracleResilient(ResilienceConfig{})
-			},
-			recover: func(env *Environment, rec *journal.Recorder) error {
-				env.Engine.AttachJournal(rec)
-				p, err := env.BuildFigure8OracleResilient(ResilienceConfig{})
-				if err != nil {
-					return err
-				}
-				d, err := env.Engine.Deploy(p)
-				if err != nil {
-					return err
-				}
-				_, err = engine.Recover(rec, map[string]*engine.Deployment{"Figure8": d})
-				return err
-			},
-		},
-	}
+var crashTargets = map[string]crashTarget{
+	"BIS":    {invokeAct: "invoke", sqlAct: "SQL2", useBus: true},
+	"WF":     {invokeAct: "invoke", sqlAct: "SQLDatabase2", useBus: false},
+	"Oracle": {invokeAct: "Invoke", sqlAct: "Assign2", useBus: true},
 }
+
+// matrixName is the stack's label in the crash and failover matrices
+// ("BIS_Figure4", ...).
+func matrixName(s Stack) string { return s.Name + "_" + s.Figure }
 
 var crashPoints = []journal.CrashPoint{
 	journal.CrashBeforeJournal,
@@ -137,20 +83,20 @@ var crashPoints = []journal.CrashPoint{
 // baseline with exactly-once visible effects.
 func TestCrashRecoveryMatrix(t *testing.T) {
 	w := Workload{Orders: 18, Items: 4, ApprovalPercent: 100, Seed: 3}
-	for _, stack := range crashStacks() {
-		stack := stack
-		want := baselineRows(t, w, stack.baseline)
+	for _, stack := range Stacks() {
+		stack, tgt := stack, crashTargets[stack.Name]
+		want := baselineRows(t, w, stack)
 		items := len(want)
 		if items < 3 {
 			t.Fatalf("workload too small for a mid-loop crash: %d item types", items)
 		}
 		for _, point := range crashPoints {
 			for _, target := range []struct{ label, activity string }{
-				{"invoke", stack.invokeAct},
-				{"sql", stack.sqlAct},
+				{"invoke", tgt.invokeAct},
+				{"sql", tgt.sqlAct},
 			} {
 				point, target := point, target
-				t.Run(stack.name+"/"+point.String()+"/"+target.label, func(t *testing.T) {
+				t.Run(matrixName(stack)+"/"+point.String()+"/"+target.label, func(t *testing.T) {
 					env := NewEnvironment(w)
 					inserts := &chaos.SQLFaultPlan{Kinds: []string{"INSERT"}}
 					chaos.InstallSQL(env.DB, inserts)
@@ -161,7 +107,8 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 					plan := &chaos.CrashPlan{Point: point, Activity: target.activity, AtEffect: 2}
 					chaos.Crash(rec, plan)
 
-					err := stack.run(env, rec)
+					env.AttachJournal(rec)
+					err := env.Run(stack, ResilienceConfig{})
 					if !journal.IsCrash(err) {
 						t.Fatalf("crash run: want a crash error, got %v", err)
 					}
@@ -180,7 +127,12 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 						t.Fatalf("re-opened journal holds %d in-flight instances, want 1", n)
 					}
 					host := env.Rebuild()
-					if err := stack.recover(host, rec2); err != nil {
+					host.AttachJournal(rec2)
+					p, err := stack.Prepare(host, ResilienceConfig{})
+					if err != nil {
+						t.Fatalf("prepare on rebuilt host: %v", err)
+					}
+					if err := p.Recover(rec2); err != nil {
 						t.Fatalf("recovery: %v", err)
 					}
 
@@ -191,7 +143,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 					if got := inserts.Seen(); got != items {
 						t.Fatalf("%d INSERT executions across crash+recovery, want %d (memoized replay must not re-run SQL)", got, items)
 					}
-					if stack.useBus {
+					if tgt.useBus {
 						if got := env.Bus.Attempts(); got != int64(items) {
 							t.Fatalf("%d supplier invocations dispatched, want %d (memoized replay must not re-invoke)", got, items)
 						}
@@ -213,7 +165,7 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 // memos still replay (an external service's effects do not roll back).
 func TestCrashRecoveryBISShortRunning(t *testing.T) {
 	w := Workload{Orders: 18, Items: 4, ApprovalPercent: 100, Seed: 3}
-	want := baselineRows(t, w, func(env *Environment) error { return env.RunFigure4BIS() })
+	want := baselineRows(t, w, StackBIS)
 	items := len(want)
 
 	env := NewEnvironment(w)
@@ -295,7 +247,7 @@ func TestCrashRecoveryBISShortRunning(t *testing.T) {
 // committed, so recovery discards it and re-runs the whole atomic unit.
 func TestCrashRecoveryBISAtomicSequence(t *testing.T) {
 	w := Workload{Orders: 18, Items: 4, ApprovalPercent: 100, Seed: 3}
-	want := baselineRows(t, w, func(env *Environment) error { return env.RunFigure4BIS() })
+	want := baselineRows(t, w, StackBIS)
 	items := len(want)
 
 	build := func(env *Environment) *engine.Process {

@@ -16,24 +16,15 @@ import (
 func main() {
 	w := wfsql.Workload{Orders: 30, Items: 5, ApprovalPercent: 60, Seed: 7}
 
-	stacks := []struct {
-		name string
-		run  func(env *wfsql.Environment) error
-	}{
-		{"IBM BIS (Figure 4)", func(env *wfsql.Environment) error { return env.RunFigure4BIS() }},
-		{"Microsoft WF (Figure 6)", func(env *wfsql.Environment) error { return env.RunFigure6WF() }},
-		{"Oracle SOA Suite (Figure 8)", func(env *wfsql.Environment) error { return env.RunFigure8Oracle() }},
-	}
-
 	var reference string
-	for _, s := range stacks {
+	for _, s := range wfsql.Stacks() {
 		env := wfsql.NewEnvironment(w)
-		if err := s.run(env); err != nil {
-			log.Fatalf("%s: %v", s.name, err)
+		if err := env.Run(s, wfsql.ResilienceConfig{}); err != nil {
+			log.Fatalf("%s: %v", s.Name, err)
 		}
 		res := env.DB.MustExec(
 			"SELECT ItemID, Quantity, Confirmation FROM OrderConfirmations ORDER BY ItemID")
-		fmt.Printf("=== %s ===\n%s\n", s.name, res)
+		fmt.Printf("=== %s (%s) ===\n%s\n", s.Name, s.Figure, res)
 
 		var rows []string
 		for _, row := range res.Rows {
@@ -43,7 +34,7 @@ func main() {
 		if reference == "" {
 			reference = effects
 		} else if effects != reference {
-			log.Fatalf("%s produced different effects than the first stack", s.name)
+			log.Fatalf("%s produced different effects than the first stack", s.Name)
 		}
 	}
 	fmt.Println("all three stacks produced identical order confirmations ✔")

@@ -49,11 +49,7 @@ func (env *Environment) StartPrimary(dir, holder string, ttl time.Duration) (*Pr
 		rec.Close()
 		return nil, err
 	}
-	if env.obs != nil {
-		rec.SetObservability(env.obs)
-	}
-	env.Engine.AttachJournal(rec)
-	env.Runtime.AttachJournal(rec)
+	env.AttachJournal(rec)
 	replica.CaptureSQL(env.DB, rec)
 	return &Primary{Env: env, Rec: rec, Lease: lease, State: st}, nil
 }
@@ -242,37 +238,39 @@ func (ws *WarmStandby) StopHeartbeat() {
 // Takeover is the full facade-level failover: lease-fenced promotion
 // (refused with replica.ErrLeaseHeld while the primary's heartbeat is
 // live), host rebuild via Environment.Rebuild, journal attachment, and
-// stack-specific recovery of the in-flight instances via recover —
-// the same closure shape the crash-recovery tests use (deploy the
-// process on the rebuilt host, then engine.Recover / Runtime.Resume).
-// If a SQL replica is attached, its orphaned transactions are aborted
-// and it opens for writes (the promoted side's reporting store).
+// — unless stack is the zero Stack — preparing the stack on the rebuilt
+// host and resuming its in-flight instances, exactly as the
+// crash-recovery tests do. If a SQL replica is attached, its orphaned
+// transactions are aborted and it opens for writes (the promoted
+// side's reporting store).
 //
 // On success the returned environment is the new primary's, with the
 // promoted recorder attached to its hosts and the database change
-// stream re-captured into it.
-func (ws *WarmStandby) Takeover(env *Environment, holder string, recover func(host *Environment, rec *journal.Recorder) error) (*Environment, *journal.Recorder, error) {
+// stream re-captured into it; the returned Prepared (nil without a
+// stack) runs further instances there.
+func (ws *WarmStandby) Takeover(env *Environment, holder string, stack Stack) (*Environment, *journal.Recorder, *Prepared, error) {
 	rec, err := ws.Standby.Promote(holder)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if ws.HeartbeatEvery > 0 {
 		ws.stopHB = ws.Lease.StartHeartbeat(holder, rec.Epoch(), ws.HeartbeatEvery, nil)
 	}
 	host := env.Rebuild()
-	if host.obs != nil {
-		rec.SetObservability(host.obs)
-	}
-	host.Engine.AttachJournal(rec)
-	host.Runtime.AttachJournal(rec)
+	host.AttachJournal(rec)
 	if ws.SQL != nil {
 		ws.SQL.Promote()
 	}
 	replica.CaptureSQL(host.DB, rec)
-	if recover != nil {
-		if err := recover(host, rec); err != nil {
-			return nil, nil, fmt.Errorf("wfsql: takeover recovery: %w", err)
-		}
+	if stack.Prepare == nil {
+		return host, rec, nil, nil
 	}
-	return host, rec, nil
+	p, err := stack.Prepare(host, ResilienceConfig{})
+	if err == nil {
+		err = p.Recover(rec)
+	}
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("wfsql: takeover recovery: %w", err)
+	}
+	return host, rec, p, nil
 }

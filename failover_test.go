@@ -75,24 +75,6 @@ func burstLedgerMatches(t *testing.T, env *Environment, baseline []string, n int
 	}
 }
 
-// failoverBursts maps each crash stack to its multi-instance burst.
-func failoverBursts() map[string]func(env *Environment, n int) error {
-	return map[string]func(env *Environment, n int) error{
-		"BIS_Figure4": func(env *Environment, n int) error {
-			_, err := env.RunFigure4BISParallel(ParallelConfig{Instances: n, Workers: 2})
-			return err
-		},
-		"WF_Figure6": func(env *Environment, n int) error {
-			_, err := env.RunFigure6WFParallel(ParallelConfig{Instances: n, Workers: 2})
-			return err
-		},
-		"Oracle_Figure8": func(env *Environment, n int) error {
-			_, err := env.RunFigure8OracleParallel(ParallelConfig{Instances: n, Workers: 2})
-			return err
-		},
-	}
-}
-
 // TestFailoverChaosMatrix kills each product stack at every crash point
 // mid-burst — once on a supplier invocation, once on a confirmation
 // insert — and proves the standby's takeover converges to the
@@ -101,10 +83,9 @@ func failoverBursts() map[string]func(env *Environment, n int) error {
 func TestFailoverChaosMatrix(t *testing.T) {
 	w := Workload{Orders: 18, Items: 4, ApprovalPercent: 100, Seed: 3}
 	const burst = 4
-	bursts := failoverBursts()
-	for _, stack := range crashStacks() {
-		stack := stack
-		want := baselineRows(t, w, stack.baseline)
+	for _, stack := range Stacks() {
+		stack, tgt := stack, crashTargets[stack.Name]
+		want := baselineRows(t, w, stack)
 		items := len(want)
 		if items < 3 {
 			t.Fatalf("workload too small for a mid-loop crash: %d item types", items)
@@ -112,11 +93,11 @@ func TestFailoverChaosMatrix(t *testing.T) {
 		wantAll := repeatRows(want, burst)
 		for _, point := range crashPoints {
 			for _, target := range []struct{ label, activity string }{
-				{"invoke", stack.invokeAct},
-				{"sql", stack.sqlAct},
+				{"invoke", tgt.invokeAct},
+				{"sql", tgt.sqlAct},
 			} {
 				point, target := point, target
-				t.Run(stack.name+"/"+point.String()+"/"+target.label, func(t *testing.T) {
+				t.Run(matrixName(stack)+"/"+point.String()+"/"+target.label, func(t *testing.T) {
 					clock := newFailoverClock()
 					env := NewEnvironment(w)
 					inserts := &chaos.SQLFaultPlan{Kinds: []string{"INSERT"}}
@@ -143,7 +124,7 @@ func TestFailoverChaosMatrix(t *testing.T) {
 					plan := &chaos.CrashPlan{Point: point, Activity: target.activity, AtEffect: 2*items + 2}
 					chaos.Crash(pri.Rec, plan)
 
-					err = bursts[stack.name](env, burst)
+					_, err = env.RunParallel(stack, ParallelConfig{Instances: burst, Workers: 2})
 					if !journal.IsCrash(err) {
 						t.Fatalf("burst: want a crash error, got %v", err)
 					}
@@ -166,7 +147,7 @@ func TestFailoverChaosMatrix(t *testing.T) {
 					if n := len(ws.Standby.InFlight()); n != 1 {
 						t.Fatalf("standby sees %d in-flight instances, want 1", n)
 					}
-					host, rec2, err := ws.Takeover(env, "standby-b", stack.recover)
+					host, rec2, _, err := ws.Takeover(env, "standby-b", stack)
 					if err != nil {
 						t.Fatalf("takeover: %v", err)
 					}
@@ -179,7 +160,7 @@ func TestFailoverChaosMatrix(t *testing.T) {
 					if got, wantN := inserts.Seen(), burst*items; got != wantN {
 						t.Fatalf("%d INSERT executions across burst+failover, want %d (memoized replay must not re-run SQL)", got, wantN)
 					}
-					if stack.useBus {
+					if tgt.useBus {
 						if got := env.Bus.Attempts(); got != int64(burst*items) {
 							t.Fatalf("%d supplier invocations dispatched, want %d (memoized replay must not re-invoke)", got, burst*items)
 						}
@@ -339,7 +320,7 @@ func TestFailoverSQLReplicaOffload(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := env.RunFigure4BISParallel(ParallelConfig{Instances: 3, Workers: 2}); err != nil {
+	if _, err := env.RunParallel(StackBIS, ParallelConfig{Instances: 3, Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ws.CatchUp(); err != nil {
@@ -367,7 +348,7 @@ func TestFailoverSQLReplicaOffload(t *testing.T) {
 	// Primary dies; takeover opens the replica for writes.
 	pri.Pause()
 	clock.Advance(5 * time.Second)
-	if _, _, err := ws.Takeover(env, "standby-b", nil); err != nil {
+	if _, _, _, err := ws.Takeover(env, "standby-b", Stack{}); err != nil {
 		t.Fatalf("takeover: %v", err)
 	}
 	if _, err := ws.SQL.DB().Exec("DELETE FROM OrderConfirmations"); err != nil {

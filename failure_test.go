@@ -22,7 +22,7 @@ func TestSupplierRejectionPath(t *testing.T) {
 	limited := wsbus.NewOrderFromSupplier(50)
 	env.Bus.Register("OrderFromSupplier", limited.Handle)
 
-	if err := env.RunFigure4BIS(); err != nil {
+	if err := env.Run(StackBIS, ResilienceConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	res := env.DB.MustExec("SELECT Confirmation FROM OrderConfirmations ORDER BY ItemID")
@@ -131,7 +131,7 @@ func TestServiceFaultKeepsCommittedWorkInLongRunningProcess(t *testing.T) {
 		}
 		return wsbus.Message{"OrderConfirmation": "CONFIRMED"}, nil
 	})
-	if err := env.RunFigure4BIS(); err == nil {
+	if err := env.Run(StackBIS, ResilienceConfig{}); err == nil {
 		t.Fatal("expected service fault to propagate")
 	}
 	if n := env.ConfirmationCount(); n != 2 {
@@ -157,7 +157,7 @@ func TestPermanentSupplierFailureDeadLetters(t *testing.T) {
 	}
 
 	cfg := ResilienceConfig{Invoke: quickPolicy(3), DeadLetterAbsorb: true}
-	if err := env.RunFigure4BISResilient(cfg); err != nil {
+	if err := env.Run(StackBIS, cfg); err != nil {
 		t.Fatalf("process should complete degraded, got fault: %v", err)
 	}
 
@@ -210,7 +210,7 @@ func TestPermanentSupplierFailureDeadLetters(t *testing.T) {
 func TestBusLatencyAffectsInvokeOnly(t *testing.T) {
 	env := NewEnvironment(DefaultWorkload())
 	env.Bus.SetLatency(0)
-	if err := env.RunFigure4BIS(); err != nil {
+	if err := env.Run(StackBIS, ResilienceConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if env.Bus.Calls() != int64(env.ApprovedItemTypes()) {

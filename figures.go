@@ -26,16 +26,6 @@ func (env *Environment) BuildFigure4BIS() *engine.Process {
 	return env.BuildFigure4BISResilient(ResilienceConfig{})
 }
 
-// RunFigure4BIS deploys and executes the Figure 4 process.
-func (env *Environment) RunFigure4BIS() error {
-	d, err := env.Engine.Deploy(env.BuildFigure4BIS())
-	if err != nil {
-		return err
-	}
-	_, err = d.Run(nil)
-	return err
-}
-
 // BuildFigure6WF builds the Figure 6 workflow on the WF stack:
 // SQLDatabase₁ materializes the aggregation into a DataSet, a while
 // activity iterates it, invoke calls the supplier, SQLDatabase₂ records
@@ -45,12 +35,6 @@ func (env *Environment) BuildFigure6WF() mswf.Activity {
 	return env.BuildFigure6WFResilient(ResilienceConfig{})
 }
 
-// RunFigure6WF executes the Figure 6 workflow.
-func (env *Environment) RunFigure6WF() error {
-	_, err := env.Runtime.Run(env.BuildFigure6WF(), map[string]any{"Index": 0})
-	return err
-}
-
 // BuildFigure8Oracle builds the Figure 8 process on the Oracle SOA stack:
 // Assign₁ calls ora:query-database, a while+Java-Snippet cursor iterates
 // the XML RowSet, invoke calls the supplier, Assign₂ calls
@@ -58,20 +42,6 @@ func (env *Environment) RunFigure6WF() error {
 // BuildFigure8OracleResilient.
 func (env *Environment) BuildFigure8Oracle() (*engine.Process, error) {
 	return env.BuildFigure8OracleResilient(ResilienceConfig{})
-}
-
-// RunFigure8Oracle deploys and executes the Figure 8 process.
-func (env *Environment) RunFigure8Oracle() error {
-	p, err := env.BuildFigure8Oracle()
-	if err != nil {
-		return err
-	}
-	d, err := env.Engine.Deploy(p)
-	if err != nil {
-		return err
-	}
-	_, err = d.Run(nil)
-	return err
 }
 
 // RunFigure4BISQueryOnly executes only the Figure 4 query step on the BIS

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"wfsql/internal/admit"
-	"wfsql/internal/engine"
 	"wfsql/internal/journal"
 	"wfsql/internal/obsv"
 	"wfsql/internal/replica"
@@ -30,94 +29,6 @@ import (
 // erroring. The PR 5 conservation invariant extends fleet-wide:
 // Completed + Failed + Shed == Submitted across every shard plus the
 // router's own refusals.
-
-// FleetStack adapts one product stack to the fleet: Prepare deploys the
-// stack's process on an environment and returns a single-instance run
-// closure plus a recovery closure that resumes the in-flight instances
-// recorded in a journal (against the same deployment). Prepare is
-// called once per shard at startup and again on the rebuilt host at
-// each takeover.
-type FleetStack struct {
-	Name    string
-	Prepare func(env *Environment) (run func(ctx context.Context) error, recover func(rec *journal.Recorder) error, err error)
-}
-
-// FleetStackBIS runs the Figure 4 BIS process on every shard.
-func FleetStackBIS() FleetStack {
-	return FleetStack{
-		Name: "BIS",
-		Prepare: func(env *Environment) (func(ctx context.Context) error, func(rec *journal.Recorder) error, error) {
-			d, err := env.Engine.Deploy(env.BuildFigure4BISResilient(ResilienceConfig{}))
-			if err != nil {
-				return nil, nil, err
-			}
-			run := func(ctx context.Context) error {
-				_, err := d.RunCtx(ctx, nil)
-				return err
-			}
-			recover := func(rec *journal.Recorder) error {
-				_, err := engine.Recover(rec, map[string]*engine.Deployment{"Figure4": d})
-				return err
-			}
-			return run, recover, nil
-		},
-	}
-}
-
-// FleetStackWF runs the Figure 6 WF workflow on every shard.
-func FleetStackWF() FleetStack {
-	return FleetStack{
-		Name: "WF",
-		Prepare: func(env *Environment) (func(ctx context.Context) error, func(rec *journal.Recorder) error, error) {
-			root := env.BuildFigure6WFResilient(ResilienceConfig{})
-			run := func(ctx context.Context) error {
-				_, err := env.Runtime.RunCtx(ctx, root, map[string]any{"Index": 0})
-				return err
-			}
-			recover := func(rec *journal.Recorder) error {
-				for _, ij := range rec.InFlight() {
-					if _, err := env.Runtime.Resume(root, ij); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			return run, recover, nil
-		},
-	}
-}
-
-// FleetStackOracle runs the Figure 8 Oracle process on every shard.
-func FleetStackOracle() FleetStack {
-	return FleetStack{
-		Name: "Oracle",
-		Prepare: func(env *Environment) (func(ctx context.Context) error, func(rec *journal.Recorder) error, error) {
-			p, err := env.BuildFigure8OracleResilient(ResilienceConfig{})
-			if err != nil {
-				return nil, nil, err
-			}
-			d, err := env.Engine.Deploy(p)
-			if err != nil {
-				return nil, nil, err
-			}
-			run := func(ctx context.Context) error {
-				_, err := d.RunCtx(ctx, nil)
-				return err
-			}
-			recover := func(rec *journal.Recorder) error {
-				_, err := engine.Recover(rec, map[string]*engine.Deployment{"Figure8": d})
-				return err
-			}
-			return run, recover, nil
-		},
-	}
-}
-
-// FleetStacks returns the three product stacks the fleet chaos matrix
-// and wfbench -fleet iterate over.
-func FleetStacks() []FleetStack {
-	return []FleetStack{FleetStackBIS(), FleetStackWF(), FleetStackOracle()}
-}
 
 // FleetConfig parameterizes StartFleet.
 type FleetConfig struct {
@@ -160,8 +71,8 @@ type FleetConfig struct {
 	// Dir is the fleet root directory holding one journal directory per
 	// shard ("" = a temp directory removed on Close).
 	Dir string
-	// Stack is the product stack every shard runs.
-	Stack FleetStack
+	// Stack is the product stack every shard runs (required).
+	Stack Stack
 	// Obs receives shard.*, sched.*, and admit.* metrics (nil-safe).
 	Obs *obsv.Observability
 }
@@ -209,8 +120,8 @@ type Fleet struct {
 // StartFleet brings up cfg.Shards independent primaries — each with its
 // own journal directory, fencing lease, database, and warm standby —
 // and the router/supervisor pair that fronts them. With Heartbeat and
-// CheckEvery set the fleet is fully self-driving (wfbench mode); with
-// both zero the caller owns time and the health sweep (test mode).
+// CheckEvery set the fleet is fully self-driving; with both zero the
+// caller owns time and the health sweep (deterministic tests).
 func StartFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.Shards < 1 {
 		cfg.Shards = 3
@@ -265,7 +176,7 @@ func StartFleet(cfg FleetConfig) (*Fleet, error) {
 			f.Close()
 			return nil, fmt.Errorf("wfsql: start shard %d: %w", i, err)
 		}
-		run, _, err := cfg.Stack.Prepare(env)
+		prepared, err := cfg.Stack.Prepare(env, ResilienceConfig{})
 		if err != nil {
 			pri.Close()
 			f.Close()
@@ -282,7 +193,7 @@ func StartFleet(cfg FleetConfig) (*Fleet, error) {
 			pri.Heartbeat(cfg.Heartbeat)
 			sh.stopFollow = ws.Follow(cfg.Heartbeat)
 		}
-		sh.env, sh.run, sh.pri, sh.ws, sh.rec = env, run, pri, ws, pri.Rec
+		sh.env, sh.run, sh.pri, sh.ws, sh.rec = env, prepared.Run, pri, ws, pri.Rec
 		sh.holder, sh.epoch = pri.State.Holder, pri.State.Epoch
 		sh.pool = sched.NewPool(sched.PoolConfig{
 			Workers:    cfg.Workers,
@@ -418,10 +329,10 @@ func (f *Fleet) probe(i int) bool {
 
 // failoverShard promotes shard i's warm standby: stop the follower,
 // take over (lease-fenced — retried briefly while the dead primary's
-// lease drains its TTL), re-prepare the stack on the rebuilt host,
-// resume in-flight instances, and swap the shard to the new
-// environment. The old primary is probed once to latch the fencing
-// evidence as a shard-level event.
+// lease drains its TTL; the takeover re-prepares the stack on the
+// rebuilt host and resumes in-flight instances), and swap the shard to
+// the new environment. The old primary is probed once to latch the
+// fencing evidence as a shard-level event.
 func (f *Fleet) failoverShard(i int) error {
 	sh := f.shards[i]
 	sh.mu.Lock()
@@ -438,28 +349,15 @@ func (f *Fleet) failoverShard(i int) error {
 	}
 
 	holder := fmt.Sprintf("shard%d-standby", i)
-	recoverFn := func(host *Environment, rec *journal.Recorder) error {
-		run, recov, err := f.cfg.Stack.Prepare(host)
-		if err != nil {
-			return err
-		}
-		if recov != nil {
-			if err := recov(rec); err != nil {
-				return err
-			}
-		}
-		sh.mu.Lock()
-		sh.run = run
-		sh.mu.Unlock()
-		return nil
-	}
-
-	var host *Environment
-	var rec *journal.Recorder
+	var (
+		host     *Environment
+		rec      *journal.Recorder
+		prepared *Prepared
+	)
 	deadline := time.Now().Add(2*f.cfg.TTL + 2*time.Second)
 	for {
 		var err error
-		host, rec, err = sh.ws.Takeover(env, holder, recoverFn)
+		host, rec, prepared, err = sh.ws.Takeover(env, holder, f.cfg.Stack)
 		if err == nil {
 			break
 		}
@@ -474,6 +372,7 @@ func (f *Fleet) failoverShard(i int) error {
 
 	sh.mu.Lock()
 	sh.env = host
+	sh.run = prepared.Run
 	sh.rec = rec
 	sh.holder = holder
 	sh.epoch = rec.Epoch()

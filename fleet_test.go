@@ -21,26 +21,6 @@ import (
 // and invoke effects, no cross-shard instance duplication, and fencing
 // of the zombie primary are all asserted per cell.
 
-// fleetMatrixStacks pairs each fleet stack with its crash-matrix
-// metadata (baseline runner, activity names, bus usage).
-func fleetMatrixStacks() []struct {
-	fleet FleetStack
-	crash crashStack
-} {
-	crash := map[string]crashStack{}
-	for _, cs := range crashStacks() {
-		crash[cs.name] = cs
-	}
-	return []struct {
-		fleet FleetStack
-		crash crashStack
-	}{
-		{FleetStackBIS(), crash["BIS_Figure4"]},
-		{FleetStackWF(), crash["WF_Figure6"]},
-		{FleetStackOracle(), crash["Oracle_Figure8"]},
-	}
-}
-
 // fleetKeys generates instance keys until every shard is placed at
 // least min instances and some shard (the victim) at least min+1,
 // returning the keys, per-shard placement counts, and the victim.
@@ -99,20 +79,20 @@ func victimKeysAfter(f *Fleet, victim, from, n int) []string {
 func TestFleetChaosMatrix(t *testing.T) {
 	w := Workload{Orders: 18, Items: 4, ApprovalPercent: 100, Seed: 3}
 	const shards = 3
-	for _, entry := range fleetMatrixStacks() {
-		entry := entry
-		want := baselineRows(t, w, entry.crash.baseline)
+	for _, stack := range Stacks() {
+		stack, tgt := stack, crashTargets[stack.Name]
+		want := baselineRows(t, w, stack)
 		items := len(want)
 		if items < 3 {
 			t.Fatalf("workload too small for a mid-loop crash: %d item types", items)
 		}
 		for _, point := range crashPoints {
 			for _, target := range []struct{ label, activity string }{
-				{"invoke", entry.crash.invokeAct},
-				{"sql", entry.crash.sqlAct},
+				{"invoke", tgt.invokeAct},
+				{"sql", tgt.sqlAct},
 			} {
 				point, target := point, target
-				t.Run(entry.fleet.Name+"/"+point.String()+"/"+target.label, func(t *testing.T) {
+				t.Run(stack.Name+"/"+point.String()+"/"+target.label, func(t *testing.T) {
 					f, err := StartFleet(FleetConfig{
 						Shards:       shards,
 						Workers:      1, // one worker per shard: the victim's crash is deterministic
@@ -121,7 +101,7 @@ func TestFleetChaosMatrix(t *testing.T) {
 						FailoverWait: 30 * time.Second,
 						Workload:     w,
 						Dir:          t.TempDir(),
-						Stack:        entry.fleet,
+						Stack:        stack,
 					})
 					if err != nil {
 						t.Fatalf("start fleet: %v", err)
@@ -235,7 +215,7 @@ func TestFleetChaosMatrix(t *testing.T) {
 						if got, wantN := inserts[i].Seen(), placed[i]*items; got != wantN {
 							t.Fatalf("shard %d: %d INSERT executions, want %d (memoized replay must not re-run SQL)", i, got, wantN)
 						}
-						if entry.crash.useBus {
+						if tgt.useBus {
 							if got := env.Bus.Attempts(); got != int64(placed[i]*items) {
 								t.Fatalf("shard %d: %d supplier invocations, want %d", i, got, placed[i]*items)
 							}
@@ -305,14 +285,14 @@ func TestFleetSelfDriving(t *testing.T) {
 		FailoverWait: 30 * time.Second,
 		Workload:     w,
 		Dir:          t.TempDir(),
-		Stack:        FleetStackBIS(),
+		Stack:        StackBIS,
 	})
 	if err != nil {
 		t.Fatalf("start fleet: %v", err)
 	}
 	defer f.Close()
 
-	want := baselineRows(t, w, func(env *Environment) error { return env.RunFigure4BIS() })
+	want := baselineRows(t, w, StackBIS)
 	items := len(want)
 	keys, placed, victim := fleetKeys(t, f, 2, 2)
 	plan := &chaos.CrashPlan{Point: journal.CrashAfterJournalBeforeEffect, Activity: "invoke", AtEffect: items + 2}
@@ -374,7 +354,7 @@ func TestFleetHotShardIsolation(t *testing.T) {
 		TTL:        time.Second,
 		Workload:   w,
 		Dir:        t.TempDir(),
-		Stack:      FleetStackBIS(),
+		Stack:      StackBIS,
 	})
 	if err != nil {
 		t.Fatalf("start fleet: %v", err)

@@ -70,13 +70,11 @@ type Instance struct {
 	input   map[string]string
 	output  map[string]string
 
-	// Durable-execution state: replay queues (memoized effect results
-	// loaded from the journal on Resume, consumed FIFO per activity),
-	// per-activity occurrence counters, and crash hooks (run on
+	// Durable-execution state: the journal-then-effect protocol's
+	// replay queues and occurrence counters, and crash hooks (run on
 	// simulated process death to model server-side rollback of the
 	// instance's open database transactions).
-	replay     map[string][]journal.Memo
-	occs       map[string]int
+	effects    journal.Effects
 	crashHooks []func()
 
 	// xpctx is the instance's shared XPath evaluation context. Its
@@ -220,47 +218,6 @@ func (in *Instance) OnCrash(fn func()) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.crashHooks = append(in.crashHooks, fn)
-}
-
-// takeReplay pops the next memoized result for the activity, if the
-// instance is replaying recovered history. Memos are consumed FIFO per
-// activity name so loop iterations line up in execution order.
-func (in *Instance) takeReplay(activity string) (journal.Memo, bool) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	q := in.replay[activity]
-	if len(q) == 0 {
-		return journal.Memo{}, false
-	}
-	m := q[0]
-	in.replay[activity] = q[1:]
-	return m, true
-}
-
-// nextOccurrence increments and returns the per-activity occurrence
-// counter (1-based), used to label journal records across loop
-// iterations.
-func (in *Instance) nextOccurrence(activity string) int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.occs == nil {
-		in.occs = map[string]int{}
-	}
-	in.occs[activity]++
-	return in.occs[activity]
-}
-
-// Replaying reports whether any memoized results remain queued (the
-// instance is still in the replay phase of recovery).
-func (in *Instance) Replaying() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for _, q := range in.replay {
-		if len(q) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Trace returns a copy of the recorded trace events.

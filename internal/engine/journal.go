@@ -6,7 +6,6 @@ import (
 
 	"wfsql/internal/journal"
 	"wfsql/internal/obsv"
-	"wfsql/internal/resilience"
 	"wfsql/internal/xdm"
 )
 
@@ -27,16 +26,9 @@ func (e *Engine) AttachJournal(rec *journal.Recorder) {
 	e.jrec = rec
 	obs := e.obs
 	e.mu.Unlock()
-	if rec == nil {
-		return
+	if rec != nil {
+		rec.BindHost(obs, e.DeadLetters)
 	}
-	if obs != nil {
-		rec.SetObservability(obs)
-	}
-	if e.DeadLetters == nil {
-		return
-	}
-	restoreDeadLetters(e.DeadLetters, rec)
 }
 
 // Journal returns the attached recorder (nil when running purely in
@@ -47,96 +39,20 @@ func (e *Engine) Journal() *journal.Recorder {
 	return e.jrec
 }
 
-// restoreDeadLetters seeds a dead-letter log from the journal's
-// persisted records and installs the persist/remove hooks. Shared by
-// the BPEL engine and the WF runtime.
-func restoreDeadLetters(log *resilience.DeadLetterLog, rec *journal.Recorder) {
-	var entries []resilience.DeadLetter
-	for _, d := range rec.DeadLetters() {
-		entries = append(entries, resilience.DeadLetter{
-			Seq:      int(d.Seq),
-			Activity: d.Activity,
-			Target:   d.Target,
-			Key:      d.Key,
-			Attempts: d.Attempts,
-			Reason:   d.Reason,
-			LastErr:  d.LastErr,
-		})
-	}
-	log.Restore(entries)
-	log.SetPersistence(
-		func(dl resilience.DeadLetter) {
-			_ = rec.DeadLetter(0, journal.DeadLetterRecord{
-				Seq:      int64(dl.Seq),
-				Time:     dl.Time.UTC().Format("2006-01-02T15:04:05.999999999Z"),
-				Activity: dl.Activity,
-				Target:   dl.Target,
-				Key:      dl.Key,
-				Attempts: dl.Attempts,
-				Reason:   dl.Reason,
-				LastErr:  dl.LastErr,
-			})
-		},
-		func(key string) { _ = rec.RequeueDeadLetter(key) },
-	)
-}
-
-// RunEffect is the journal-then-effect protocol every effectful
-// activity (invoke, SQL) routes through.
-//
-// Replay mode: if the instance was resumed from a journal and a memo
-// for this activity is queued, the effect is NOT executed; replay
-// re-applies the memoized result and the activity completes with
-// identical visible state and zero repeated side effects.
-//
-// Live mode: the three chaos crash points bracket the two writes —
-//
-//	crash?(before-journal)
-//	journal activity-start
-//	crash?(after-journal-before-effect)
-//	effect()                      -> memo
-//	journal activity-complete(memo)
-//	crash?(after-effect)
-//
-// so recovery semantics are exercised at every interleaving a real
-// crash can produce. With no journal attached the effect runs bare.
+// RunEffect routes an effectful activity (invoke, SQL) through the
+// journal-then-effect protocol (journal.Effects.Run): a resumed
+// instance replays the memoized result instead of executing the effect,
+// a live one journals around it, and with no journal attached the
+// effect runs bare.
 func (c *Ctx) RunEffect(activity, effectKind string, effect func() (map[string]string, error), replay func(memo map[string]string) error) error {
 	in := c.Inst
-	occ := in.nextOccurrence(activity)
-	if m, ok := in.takeReplay(activity); ok {
-		if err := replay(m.Data); err != nil {
-			return fmt.Errorf("%s: replay: %w", activity, err)
-		}
+	occ, replayed, err := in.effects.Run(in.Engine.Journal(), in.ID, activity, effectKind, effect, replay)
+	if replayed && err == nil {
 		in.recordTrace(activity, "replayed", fmt.Sprintf("occurrence %d from journal", occ))
 		c.span.Set("effect", effectKind).SetOutcome(obsv.OutcomeReplayed)
 		c.Engine.Obs().M().Counter("journal.replays").Inc()
-		return nil
 	}
-	rec := in.Engine.Journal()
-	if rec == nil {
-		_, err := effect()
-		return err
-	}
-	if ce := rec.ShouldCrash(in.ID, activity, journal.CrashBeforeJournal); ce != nil {
-		return ce
-	}
-	if err := rec.ActivityStart(in.ID, activity, occ, effectKind); err != nil {
-		return err
-	}
-	if ce := rec.ShouldCrash(in.ID, activity, journal.CrashAfterJournalBeforeEffect); ce != nil {
-		return ce
-	}
-	memo, err := effect()
-	if err != nil {
-		return err
-	}
-	if err := rec.ActivityComplete(in.ID, activity, occ, effectKind, memo); err != nil {
-		return err
-	}
-	if ce := rec.ShouldCrash(in.ID, activity, journal.CrashAfterEffect); ce != nil {
-		return ce
-	}
-	return nil
+	return err
 }
 
 // JournaledActivity wraps an arbitrary activity as a journaled effect:
@@ -223,14 +139,7 @@ func (d *Deployment) Resume(ij *journal.InstanceJournal) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	in.mu.Lock()
-	in.replay = make(map[string][]journal.Memo, len(ij.Memos))
-	total := 0
-	for act, memos := range ij.Memos {
-		in.replay[act] = append([]journal.Memo(nil), memos...)
-		total += len(memos)
-	}
-	in.mu.Unlock()
+	total := in.effects.Load(ij)
 	in.recordTrace(d.Process.Name, "recovering", fmt.Sprintf("instance %d: %d memoized effect(s)", ij.ID, total))
 	return in, d.Engine.execute(in)
 }

@@ -1,0 +1,150 @@
+package journal
+
+import (
+	"fmt"
+	"sync"
+
+	"wfsql/internal/obsv"
+	"wfsql/internal/resilience"
+)
+
+// Effects is one workflow instance's side of the journal-then-effect
+// protocol: the per-activity occurrence counters that label journal
+// records across loop iterations, and the queues of memoized effect
+// results a resumed instance replays instead of re-executing. Both
+// workflow hosts (engine.Instance, mswf.Context) embed one by value, so
+// the ordering exactly-once recovery depends on is written once, in Run.
+// The zero value is ready to use.
+type Effects struct {
+	mu     sync.Mutex
+	replay map[string][]Memo
+	occs   map[string]int
+}
+
+// Load queues a recovered instance's memoized effect results for replay
+// (FIFO per activity name, so loop iterations line up in execution
+// order) and returns how many there are.
+func (p *Effects) Load(ij *InstanceJournal) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.replay = cloneMemos(ij.Memos)
+	return ij.MemoCount()
+}
+
+// next advances the activity's occurrence counter (1-based) and pops
+// its next queued memo, if any remain from a Load.
+func (p *Effects) next(activity string) (occ int, m Memo, ok bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.occs == nil {
+		p.occs = map[string]int{}
+	}
+	p.occs[activity]++
+	occ = p.occs[activity]
+	if q := p.replay[activity]; len(q) > 0 {
+		m, ok = q[0], true
+		p.replay[activity] = q[1:]
+	}
+	return occ, m, ok
+}
+
+// Run routes one effectful activity (invoke, SQL) of instance id
+// through the protocol and reports the activity's occurrence number
+// and whether it was replayed.
+//
+// Replay mode: if a memo for this activity is queued, the effect is
+// NOT executed; replay re-applies the memoized result and the activity
+// completes with identical visible state and zero repeated side
+// effects.
+//
+// Live mode: the three chaos crash points bracket the two writes —
+//
+//	crash?(before-journal)
+//	journal activity-start
+//	crash?(after-journal-before-effect)
+//	effect()                      -> memo
+//	journal activity-complete(memo)
+//	crash?(after-effect)
+//
+// so recovery semantics are exercised at every interleaving a real
+// crash can produce. With no journal attached (rec == nil) the effect
+// runs bare.
+func (p *Effects) Run(rec *Recorder, id int64, activity, effectKind string,
+	effect func() (map[string]string, error), replay func(memo map[string]string) error) (occ int, replayed bool, err error) {
+	occ, m, ok := p.next(activity)
+	if ok {
+		if err := replay(m.Data); err != nil {
+			return occ, true, fmt.Errorf("%s: replay: %w", activity, err)
+		}
+		return occ, true, nil
+	}
+	if rec == nil {
+		_, err := effect()
+		return occ, false, err
+	}
+	crash := func(point CrashPoint) error {
+		if ce := rec.ShouldCrash(id, activity, point); ce != nil {
+			return ce
+		}
+		return nil
+	}
+	if err := crash(CrashBeforeJournal); err != nil {
+		return occ, false, err
+	}
+	if err := rec.ActivityStart(id, activity, occ, effectKind); err != nil {
+		return occ, false, err
+	}
+	if err := crash(CrashAfterJournalBeforeEffect); err != nil {
+		return occ, false, err
+	}
+	memo, err := effect()
+	if err != nil {
+		return occ, false, err
+	}
+	if err := rec.ActivityComplete(id, activity, occ, effectKind, memo); err != nil {
+		return occ, false, err
+	}
+	return occ, false, crash(CrashAfterEffect)
+}
+
+// BindHost prepares the recorder for a workflow host it is being
+// attached to: it joins the host's observability bundle (when one is
+// attached), seeds the host's dead-letter log from the journal's
+// persisted records, and installs persistence hooks so future dead
+// letters and requeues are journaled.
+func (r *Recorder) BindHost(obs *obsv.Observability, log *resilience.DeadLetterLog) {
+	if obs != nil {
+		r.SetObservability(obs)
+	}
+	if log == nil {
+		return
+	}
+	var entries []resilience.DeadLetter
+	for _, d := range r.DeadLetters() {
+		entries = append(entries, resilience.DeadLetter{
+			Seq:      int(d.Seq),
+			Activity: d.Activity,
+			Target:   d.Target,
+			Key:      d.Key,
+			Attempts: d.Attempts,
+			Reason:   d.Reason,
+			LastErr:  d.LastErr,
+		})
+	}
+	log.Restore(entries)
+	log.SetPersistence(
+		func(dl resilience.DeadLetter) {
+			_ = r.DeadLetter(0, DeadLetterRecord{
+				Seq:      int64(dl.Seq),
+				Time:     dl.Time.UTC().Format("2006-01-02T15:04:05.999999999Z"),
+				Activity: dl.Activity,
+				Target:   dl.Target,
+				Key:      dl.Key,
+				Attempts: dl.Attempts,
+				Reason:   dl.Reason,
+				LastErr:  dl.LastErr,
+			})
+		},
+		func(key string) { _ = r.RequeueDeadLetter(key) },
+	)
+}

@@ -251,14 +251,18 @@ func (a *InvokeWebServiceActivity) Execute(c *Context) error {
 
 // executeLive performs the actual invocation (no journaling).
 func (a *InvokeWebServiceActivity) executeLive(c *Context) error {
-	if a.Service == nil && a.ServiceName != "" {
-		svc, err := c.Runtime.service(a.ServiceName)
+	// Resolved per execution, never stored: the activity tree is shared
+	// by every concurrent instance of the workflow and must stay
+	// read-only.
+	svc := a.Service
+	if svc == nil && a.ServiceName != "" {
+		var err error
+		svc, err = c.Runtime.service(a.ServiceName)
 		if err != nil {
 			return fmt.Errorf("%s: %w", a.ActivityName, err)
 		}
-		a.Service = svc
 	}
-	if a.Service == nil {
+	if svc == nil {
 		return fmt.Errorf("%s: no service bound", a.ActivityName)
 	}
 	req := map[string]string{}
@@ -266,7 +270,7 @@ func (a *InvokeWebServiceActivity) executeLive(c *Context) error {
 		req[part] = c.GetString(hv)
 	}
 
-	call := func(int) (map[string]string, error) { return a.safeCall(req) }
+	call := func(int) (map[string]string, error) { return safeCall(svc, req) }
 	var resp map[string]string
 	var err error
 	if a.Retry == nil {
@@ -315,15 +319,15 @@ func (a *InvokeWebServiceActivity) executeLive(c *Context) error {
 	return nil
 }
 
-// safeCall invokes the bound service, converting a panic into a transient
+// safeCall invokes the service, converting a panic into a transient
 // error (the WF host must survive a misbehaving proxy).
-func (a *InvokeWebServiceActivity) safeCall(req map[string]string) (resp map[string]string, err error) {
+func safeCall(svc func(map[string]string) (map[string]string, error), req map[string]string) (resp map[string]string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			resp, err = nil, wsbus.Transient(fmt.Errorf("service panicked: %v", r))
 		}
 	}()
-	return a.Service(req)
+	return svc(req)
 }
 
 func (a *InvokeWebServiceActivity) serviceLabel() string {

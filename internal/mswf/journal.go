@@ -5,7 +5,6 @@ import (
 
 	"wfsql/internal/journal"
 	"wfsql/internal/obsv"
-	"wfsql/internal/resilience"
 )
 
 // This file wires the WF runtime to the durable instance journal. WF's
@@ -25,43 +24,9 @@ func (rt *Runtime) AttachJournal(rec *journal.Recorder) {
 	rt.jrec = rec
 	obs := rt.obs
 	rt.mu.Unlock()
-	if rec == nil {
-		return
+	if rec != nil {
+		rec.BindHost(obs, rt.DeadLetters)
 	}
-	if obs != nil {
-		rec.SetObservability(obs)
-	}
-	if rt.DeadLetters == nil {
-		return
-	}
-	var entries []resilience.DeadLetter
-	for _, d := range rec.DeadLetters() {
-		entries = append(entries, resilience.DeadLetter{
-			Seq:      int(d.Seq),
-			Activity: d.Activity,
-			Target:   d.Target,
-			Key:      d.Key,
-			Attempts: d.Attempts,
-			Reason:   d.Reason,
-			LastErr:  d.LastErr,
-		})
-	}
-	rt.DeadLetters.Restore(entries)
-	rt.DeadLetters.SetPersistence(
-		func(dl resilience.DeadLetter) {
-			_ = rec.DeadLetter(0, journal.DeadLetterRecord{
-				Seq:      int64(dl.Seq),
-				Time:     dl.Time.UTC().Format("2006-01-02T15:04:05.999999999Z"),
-				Activity: dl.Activity,
-				Target:   dl.Target,
-				Key:      dl.Key,
-				Attempts: dl.Attempts,
-				Reason:   dl.Reason,
-				LastErr:  dl.LastErr,
-			})
-		},
-		func(key string) { _ = rec.RequeueDeadLetter(key) },
-	)
 }
 
 // Journal returns the attached recorder (nil when in-memory only).
@@ -75,70 +40,17 @@ func (rt *Runtime) Journal() *journal.Recorder {
 // running without a journal).
 func (c *Context) InstanceID() int64 { return c.instID }
 
-// takeReplay pops the next memoized result for the activity (FIFO per
-// activity name), if any remain from a Resume.
-func (c *Context) takeReplay(activity string) (journal.Memo, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	q := c.replay[activity]
-	if len(q) == 0 {
-		return journal.Memo{}, false
-	}
-	m := q[0]
-	c.replay[activity] = q[1:]
-	return m, true
-}
-
-func (c *Context) nextOccurrence(activity string) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.occs == nil {
-		c.occs = map[string]int{}
-	}
-	c.occs[activity]++
-	return c.occs[activity]
-}
-
-// RunEffect is the WF runtime's journal-then-effect protocol, mirroring
-// engine.Ctx.RunEffect: replay memoized results when resuming, and in
-// live mode bracket the journal append and the effect with the three
-// chaos crash points.
+// RunEffect routes an effectful activity (SQL database activity,
+// web-service invoke) through the journal-then-effect protocol
+// (journal.Effects.Run), exactly as engine.Ctx.RunEffect does.
 func (c *Context) RunEffect(activity, effectKind string, effect func() (map[string]string, error), replay func(memo map[string]string) error) error {
-	occ := c.nextOccurrence(activity)
-	if m, ok := c.takeReplay(activity); ok {
-		if err := replay(m.Data); err != nil {
-			return fmt.Errorf("%s: replay: %w", activity, err)
-		}
+	_, replayed, err := c.effects.Run(c.jrec, c.instID, activity, effectKind, effect, replay)
+	if replayed && err == nil {
 		c.Track(activity, "Replayed")
 		c.currentSpan().Set("effect", effectKind).SetOutcome(obsv.OutcomeReplayed)
 		c.Runtime.Obs().M().Counter("journal.replays").Inc()
-		return nil
 	}
-	rec := c.jrec
-	if rec == nil {
-		_, err := effect()
-		return err
-	}
-	if ce := rec.ShouldCrash(c.instID, activity, journal.CrashBeforeJournal); ce != nil {
-		return ce
-	}
-	if err := rec.ActivityStart(c.instID, activity, occ, effectKind); err != nil {
-		return err
-	}
-	if ce := rec.ShouldCrash(c.instID, activity, journal.CrashAfterJournalBeforeEffect); ce != nil {
-		return ce
-	}
-	memo, err := effect()
-	if err != nil {
-		return err
-	}
-	if err := rec.ActivityComplete(c.instID, activity, occ, effectKind, memo); err != nil {
-		return err
-	}
-	if ce := rec.ShouldCrash(c.instID, activity, journal.CrashAfterEffect); ce != nil {
-		return ce
-	}
-	return nil
+	return err
 }
 
 // Resume rebuilds a crashed instance from its journal — host variables
@@ -157,14 +69,7 @@ func (rt *Runtime) Resume(root Activity, ij *journal.InstanceJournal) (*Context,
 	}
 	c.jrec = rt.Journal()
 	c.instID = ij.ID
-	c.mu.Lock()
-	c.replay = make(map[string][]journal.Memo, len(ij.Memos))
-	total := 0
-	for act, memos := range ij.Memos {
-		c.replay[act] = append([]journal.Memo(nil), memos...)
-		total += len(memos)
-	}
-	c.mu.Unlock()
+	total := c.effects.Load(ij)
 	c.Track(root.Name(), fmt.Sprintf("Recovering instance %d (%d memoized effects)", ij.ID, total))
 	err := rt.runRoot(c, root)
 	c.finishJournal(err)

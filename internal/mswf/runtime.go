@@ -231,12 +231,11 @@ type Context struct {
 	sessions map[*sqldb.DB]*sqldb.Session // one session per DB per instance
 
 	// Durable-execution state (see journal.go): the durable instance
-	// ID, the attached recorder, replay queues of memoized effect
-	// results, and per-activity occurrence counters.
-	instID int64
-	jrec   *journal.Recorder
-	replay map[string][]journal.Memo
-	occs   map[string]int
+	// ID, the attached recorder, and the journal-then-effect protocol's
+	// replay queues and occurrence counters.
+	instID  int64
+	jrec    *journal.Recorder
+	effects journal.Effects
 
 	// Observability spans: the instance span for the whole run and the
 	// innermost activity span currently executing (a serial

@@ -323,10 +323,8 @@ func compileUnary(t *UnaryExpr) evalFn {
 			return Bool(!v.B), nil
 		}
 	}
-	op := t.Op
-	return func(*env) (Value, error) {
-		return Null(), fmt.Errorf("sqldb: unknown unary operator %s", op)
-	}
+	// Unknown operator: keep eval's error path (operand errors first).
+	return func(e *env) (Value, error) { return eval(t, e) }
 }
 
 func compileInList(t *InExpr) evalFn {

@@ -1,0 +1,328 @@
+package sqldb
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"testing"
+)
+
+// This file is the mechanical check that the two expression evaluators
+// agree: the closure compiler (compile.go) that cached plans execute and
+// the tree-walking interpreter (expr.go) that everything else — and every
+// shape the compiler does not specialize — goes through. Both stay
+// because each pays on the traffic it serves (DESIGN.md, "measured and
+// kept"), so their agreement is asserted here instead of promised:
+// seeded random expression trees over random rows must produce the same
+// value and the same error text from compileExpr(x)(e) and eval(x, e).
+
+// exprGen draws random expression trees over a fixed column layout.
+// Generation is loosely typed — boolean operators mostly get boolean
+// operands, arithmetic mostly numbers — so most trees evaluate deep
+// instead of dying at the first ill-typed leaf, while a steady trickle of
+// ill-typed, unknown, ambiguous and out-of-range nodes keeps the error
+// paths (and their texts) under comparison too.
+type exprGen struct{ rng *rand.Rand }
+
+// The layout: a is ambiguous unqualified (in both t and u), b, c and d
+// are unique, and o is visible only in the outer scope, so compiled
+// references resolve at depth 1 too. Columns are typed (with NULLs):
+// a and o integers, b strings, c booleans, d floats.
+var (
+	diffCols      = []colMeta{{"t", "a"}, {"t", "b"}, {"u", "a"}, {"u", "c"}, {"", "d"}}
+	diffKinds     = []Kind{KindInt, KindString, KindInt, KindBool, KindFloat}
+	diffOuterCols = []colMeta{{"x", "o"}, {"x", "b"}}
+	diffOuterKind = []Kind{KindInt, KindString}
+
+	diffNumRefs  = []ColumnRef{{"t", "a"}, {"u", "a"}, {"T", "A"}, {"", "d"}, {"", "D"}, {"", "o"}, {"x", "o"}}
+	diffStrRefs  = []ColumnRef{{"", "b"}, {"t", "b"}, {"x", "b"}}
+	diffBoolRefs = []ColumnRef{{"", "c"}, {"u", "c"}}
+	// Ambiguous, unknown column, unknown column in a known table, unknown table.
+	diffBadRefs = []ColumnRef{{"", "a"}, {"", "zz"}, {"t", "zz"}, {"q", "a"}}
+
+	diffStrings = []string{"", "a", "ab", "abc", "item001", "Item001", "%", "a%", "%b%", "_b", "a_c", "12", "1.5"}
+	diffFloats  = []float64{0, 0.5, -1.5, 2, 1e9}
+)
+
+func (g *exprGen) oneIn(n int) bool { return g.rng.Intn(n) == 0 }
+
+// value draws a value of the kind, NULL one time in six.
+func (g *exprGen) value(k Kind) Value {
+	if g.oneIn(6) {
+		return Null()
+	}
+	switch k {
+	case KindInt:
+		return Int(int64(g.rng.Intn(7) - 3)) // includes 0 for /0 and %0
+	case KindFloat:
+		return Float(diffFloats[g.rng.Intn(len(diffFloats))])
+	case KindString:
+		return Str(diffStrings[g.rng.Intn(len(diffStrings))])
+	}
+	return Bool(g.oneIn(2))
+}
+
+func (g *exprGen) anyKind() Kind {
+	return []Kind{KindInt, KindInt, KindFloat, KindString, KindBool}[g.rng.Intn(5)]
+}
+
+func (g *exprGen) row(kinds []Kind) []Value {
+	row := make([]Value, len(kinds))
+	for i, k := range kinds {
+		row[i] = g.value(k)
+	}
+	return row
+}
+
+// leaf draws a literal, column or parameter, usually of the wanted kind.
+func (g *exprGen) leaf(k Kind) Expr {
+	if g.oneIn(8) {
+		k = g.anyKind()
+	}
+	ref := func(refs []ColumnRef) Expr { r := refs[g.rng.Intn(len(refs))]; return &r }
+	switch n := g.rng.Intn(60); {
+	case n == 0:
+		return ref(diffBadRefs)
+	case n == 1:
+		if g.oneIn(2) {
+			return &ParamRef{Name: "missing"}
+		}
+		return &ParamRef{Index: []int{-1, 3}[g.rng.Intn(2)]} // out of range
+	case n < 8:
+		return &ParamRef{Index: g.rng.Intn(3)} // ?0 int, ?1 string, ?2 bool
+	case n < 12:
+		return &ParamRef{Name: []string{"n", "N", "m"}[g.rng.Intn(3)]} // :n int, :m bool
+	case n < 32:
+		return &Literal{Val: g.value(k)}
+	}
+	switch k {
+	case KindString:
+		return ref(diffStrRefs)
+	case KindBool:
+		return ref(diffBoolRefs)
+	}
+	return ref(diffNumRefs)
+}
+
+var (
+	diffCompareOps = []string{"=", "<>", "<", "<=", ">", ">="}
+	diffArithOps   = []string{"+", "-", "*", "/", "%"}
+	diffFuncs      = map[Kind][]string{
+		KindInt:    {"LENGTH", "ABS", "COALESCE", "NULLIF"},
+		KindFloat:  {"ABS", "COALESCE"},
+		KindString: {"UPPER", "COALESCE", "NULLIF"},
+		KindBool:   {"COALESCE"},
+	}
+)
+
+// expr draws an expression that usually evaluates to the wanted kind.
+func (g *exprGen) expr(depth int, k Kind) Expr {
+	if depth <= 0 || g.oneIn(5) {
+		return g.leaf(k)
+	}
+	if g.oneIn(10) {
+		k = g.anyKind()
+	}
+	sub := func(k Kind) Expr { return g.expr(depth-1, k) }
+	not := g.oneIn(2)
+	switch g.rng.Intn(10) {
+	case 0:
+		c := &CaseExpr{}
+		whenKind := KindBool // searched CASE
+		if g.oneIn(2) {
+			whenKind = g.anyKind()
+			c.Operand = sub(whenKind)
+		}
+		for i := 1 + g.rng.Intn(3); i > 0; i-- {
+			c.Whens = append(c.Whens, CaseWhen{When: sub(whenKind), Then: sub(k)})
+		}
+		if g.oneIn(2) {
+			c.Else = sub(k)
+		}
+		return c
+	case 1:
+		// A scalar function: the compiler defers the whole subtree to eval.
+		names := diffFuncs[k]
+		f := &FuncCall{Name: names[g.rng.Intn(len(names))]}
+		argKind, args := k, 1
+		switch f.Name {
+		case "LENGTH":
+			argKind = KindString
+		case "COALESCE", "NULLIF":
+			args = 2
+		}
+		if g.oneIn(15) {
+			f.Name = "NOSUCHFN"
+		}
+		if g.oneIn(15) {
+			args = 3 - args // an arity error, except for COALESCE
+		}
+		for ; args > 0; args-- {
+			f.Args = append(f.Args, sub(argKind))
+		}
+		return f
+	}
+	switch k {
+	case KindBool:
+		operand := g.anyKind()
+		switch g.rng.Intn(9) {
+		case 0, 1:
+			return &BinaryExpr{Op: []string{"AND", "OR"}[g.rng.Intn(2)], L: sub(KindBool), R: sub(KindBool)}
+		case 2:
+			return &UnaryExpr{Op: "NOT", X: sub(KindBool)}
+		case 3, 4:
+			return &BinaryExpr{Op: diffCompareOps[g.rng.Intn(len(diffCompareOps))], L: sub(operand), R: sub(operand)}
+		case 5:
+			return &IsNullExpr{X: sub(operand), Not: not}
+		case 6:
+			return &BetweenExpr{X: sub(operand), Lo: sub(operand), Hi: sub(operand), Not: not}
+		case 7:
+			in := &InExpr{X: sub(operand), Not: not}
+			for i := g.rng.Intn(4); i > 0; i-- { // an empty list is legal in the AST
+				in.List = append(in.List, sub(operand))
+			}
+			return in
+		}
+		like := &BinaryExpr{Op: "LIKE", L: sub(KindString), R: sub(KindString)}
+		if not { // how the parser represents NOT LIKE
+			return &UnaryExpr{Op: "NOT", X: like}
+		}
+		return like
+	case KindString:
+		return &BinaryExpr{Op: []string{"||", "+"}[g.rng.Intn(2)], L: sub(KindString), R: sub(g.anyKind())}
+	}
+	switch g.rng.Intn(40) {
+	case 0, 1, 2, 3, 4:
+		return &UnaryExpr{Op: "-", X: sub(k)}
+	case 5:
+		// Operators the parser never produces: both evaluators must
+		// fail the same way, operand errors first.
+		if g.oneIn(2) {
+			return &UnaryExpr{Op: "~", X: sub(k)}
+		}
+		return &BinaryExpr{Op: "^", L: sub(k), R: sub(k)}
+	}
+	other := []Kind{KindInt, KindInt, KindFloat}[g.rng.Intn(3)]
+	return &BinaryExpr{Op: diffArithOps[g.rng.Intn(len(diffArithOps))], L: sub(k), R: sub(other)}
+}
+
+// exprText renders an expression for failure messages.
+func exprText(x Expr) string {
+	join := func(xs []Expr) string {
+		parts := make([]string, len(xs))
+		for i, a := range xs {
+			parts[i] = exprText(a)
+		}
+		return strings.Join(parts, ", ")
+	}
+	not := func(b bool) string {
+		if b {
+			return "NOT "
+		}
+		return ""
+	}
+	switch t := x.(type) {
+	case nil:
+		return "<nil>"
+	case *Literal:
+		return fmt.Sprintf("%s:%q", t.Val.K, t.Val.String())
+	case *ColumnRef:
+		if t.Table != "" {
+			return t.Table + "." + t.Column
+		}
+		return t.Column
+	case *ParamRef:
+		if t.Name != "" {
+			return ":" + t.Name
+		}
+		return fmt.Sprintf("?%d", t.Index)
+	case *BinaryExpr:
+		return "(" + exprText(t.L) + " " + t.Op + " " + exprText(t.R) + ")"
+	case *UnaryExpr:
+		return "(" + t.Op + " " + exprText(t.X) + ")"
+	case *IsNullExpr:
+		return "(" + exprText(t.X) + " IS " + not(t.Not) + "NULL)"
+	case *BetweenExpr:
+		return "(" + exprText(t.X) + " " + not(t.Not) + "BETWEEN " + exprText(t.Lo) + " AND " + exprText(t.Hi) + ")"
+	case *InExpr:
+		return "(" + exprText(t.X) + " " + not(t.Not) + "IN (" + join(t.List) + "))"
+	case *CaseExpr:
+		s := "CASE"
+		if t.Operand != nil {
+			s += " " + exprText(t.Operand)
+		}
+		for _, w := range t.Whens {
+			s += " WHEN " + exprText(w.When) + " THEN " + exprText(w.Then)
+		}
+		if t.Else != nil {
+			s += " ELSE " + exprText(t.Else)
+		}
+		return s + " END"
+	case *FuncCall:
+		return t.Name + "(" + join(t.Args) + ")"
+	}
+	return fmt.Sprintf("%T", x)
+}
+
+func sameValue(a, b Value) bool {
+	return a.K == b.K && a.I == b.I && a.S == b.S && a.B == b.B &&
+		math.Float64bits(a.F) == math.Float64bits(b.F)
+}
+
+func errText(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
+}
+
+func TestCompiledAndInterpretedExpressionsAgree(t *testing.T) {
+	const (
+		seeds        = 8
+		exprsPerSeed = 1500
+		rowsPerExpr  = 6
+	)
+	var errs, nulls, total int
+	for seed := int64(1); seed <= seeds; seed++ {
+		g := &exprGen{rng: rand.New(rand.NewSource(seed))}
+		for i := 0; i < exprsPerSeed; i++ {
+			x := g.expr(4, g.anyKind())
+			// One compiled tree serves one statement execution: many rows,
+			// one column layout — the contract column memoization relies on.
+			fn := compileExpr(x)
+			params := g.row([]Kind{KindInt, KindString, KindBool})
+			named := map[string]Value{"n": g.value(KindInt), "m": g.value(KindBool)}
+			for r := 0; r < rowsPerExpr; r++ {
+				e := &env{
+					cols: diffCols, row: g.row(diffKinds), params: params, named: named,
+					outer: &env{cols: diffOuterCols, row: g.row(diffOuterKind)},
+				}
+				if r == rowsPerExpr-1 {
+					e.row = nil // same layout, no current row
+				}
+				want, wantErr := eval(x, e)
+				got, gotErr := fn(e)
+				if errText(gotErr) != errText(wantErr) || (wantErr == nil && !sameValue(got, want)) {
+					t.Fatalf("seed %d expr %d row %d: evaluators disagree on %s\n"+
+						"  row      %v\n  outer    %v\n  params   %v named %v\n"+
+						"  eval     -> %s:%q, err %s\n  compiled -> %s:%q, err %s",
+						seed, i, r, exprText(x), e.row, e.outer.row, params, named,
+						want.K, want.String(), errText(wantErr), got.K, got.String(), errText(gotErr))
+				}
+				total++
+				switch {
+				case wantErr != nil:
+					errs++
+				case want.IsNull():
+					nulls++
+				}
+			}
+		}
+	}
+	// The generator must keep exercising all three outcome classes, or the
+	// agreement above says less than it seems to.
+	if ok := total - errs - nulls; errs < total/10 || nulls < total/10 || ok < total/5 {
+		t.Fatalf("degenerate generator: %d evaluations, %d errors, %d NULLs, %d values", total, errs, nulls, ok)
+	}
+}

@@ -308,9 +308,12 @@ func (db *DB) cachedParse(sql string) (parsedStmt, error) {
 		if !re.ce.dead {
 			db.rawList.MoveToFront(el)
 			db.lruList.MoveToFront(re.ce.el)
+			// Read the entry under the lock: insertRawLocked refreshes
+			// these fields in place for a concurrent parser of this text.
+			ps := parsedStmt{st: re.ce.st, fp: &re.ce.fp, norm: re.ce.sql, consts: re.consts, pattern: re.pattern, hit: true}
 			db.cacheMu.Unlock()
 			db.cacheHits.Add(1)
-			return parsedStmt{st: re.ce.st, fp: &re.ce.fp, norm: re.ce.sql, consts: re.consts, pattern: re.pattern, hit: true}, nil
+			return ps, nil
 		}
 		db.rawList.Remove(el)
 		delete(db.rawCache, sql)

@@ -63,23 +63,18 @@ func assertTreeWellFormed(t *testing.T, spans []*obsv.Span) {
 func TestObservabilityFigureTraces(t *testing.T) {
 	w := Workload{Orders: 12, Items: 3, ApprovalPercent: 100, Seed: 5}
 	stacks := []struct {
-		name    string
-		stack   string
+		Stack
 		wantBus bool
 		instCtr string // counter that must read 1
 		actCtr  string // counter that must equal the activity-span count
-		run     func(env *Environment) error
 	}{
-		{"BIS_Figure4", "BIS", true, "engine.instances", "engine.activities",
-			func(env *Environment) error { return env.RunFigure4BIS() }},
-		{"WF_Figure6", "WF", false, "wf.instances", "wf.activities",
-			func(env *Environment) error { return env.RunFigure6WF() }},
-		{"Oracle_Figure8", "Oracle", true, "engine.instances", "engine.activities",
-			func(env *Environment) error { return env.RunFigure8Oracle() }},
+		{StackBIS, true, "engine.instances", "engine.activities"},
+		{StackWF, false, "wf.instances", "wf.activities"},
+		{StackOracle, true, "engine.instances", "engine.activities"},
 	}
 	for _, st := range stacks {
 		st := st
-		t.Run(st.name, func(t *testing.T) {
+		t.Run(matrixName(st.Stack), func(t *testing.T) {
 			env := NewEnvironment(w)
 			o := env.EnableObservability(nil)
 			col := obsv.NewCollector()
@@ -88,7 +83,7 @@ func TestObservabilityFigureTraces(t *testing.T) {
 			jw := obsv.NewJSONLWriter(&jsonl)
 			o.T().AddSink(jw)
 
-			if err := st.run(env); err != nil {
+			if err := env.Run(st.Stack, ResilienceConfig{}); err != nil {
 				t.Fatalf("run: %v", err)
 			}
 			if jw.Err() != nil {
@@ -108,8 +103,8 @@ func TestObservabilityFigureTraces(t *testing.T) {
 				t.Fatalf("%d instance spans, want 1:\n%s", len(insts), col.TreeString())
 			}
 			root := insts[0]
-			if root.Stack != st.stack {
-				t.Errorf("instance span stack = %q, want %q", root.Stack, st.stack)
+			if root.Stack != st.Name {
+				t.Errorf("instance span stack = %q, want %q", root.Stack, st.Name)
 			}
 			if root.Outcome != obsv.OutcomeOK {
 				t.Errorf("instance span outcome = %q, want %q", root.Outcome, obsv.OutcomeOK)
@@ -125,8 +120,8 @@ func TestObservabilityFigureTraces(t *testing.T) {
 				t.Fatal("no activity spans")
 			}
 			for _, a := range acts {
-				if a.Stack != st.stack {
-					t.Errorf("activity %q stack = %q, want %q", a.Name, a.Stack, st.stack)
+				if a.Stack != st.Name {
+					t.Errorf("activity %q stack = %q, want %q", a.Name, a.Stack, st.Name)
 				}
 			}
 			if got := o.M().Counter(st.actCtr).Value(); got != int64(len(acts)) {
@@ -221,7 +216,7 @@ func TestObservabilityRetryCountersMatchChaos(t *testing.T) {
 	if err := chaos.Inject(env.Bus, "OrderFromSupplier", plan); err != nil {
 		t.Fatal(err)
 	}
-	if err := env.RunFigure4BISResilient(ResilienceConfig{Invoke: quickPolicy(8)}); err != nil {
+	if err := env.Run(StackBIS, ResilienceConfig{Invoke: quickPolicy(8)}); err != nil {
 		t.Fatalf("resilient run under chaos: %v", err)
 	}
 	injected := int64(plan.Injected())
@@ -298,7 +293,7 @@ func TestObservabilityJournalReplayCounters(t *testing.T) {
 	chaos.Crash(rec, plan)
 	env.Engine.AttachJournal(rec)
 
-	err := env.RunFigure4BISResilient(ResilienceConfig{})
+	err := env.Run(StackBIS, ResilienceConfig{})
 	if !journal.IsCrash(err) {
 		t.Fatalf("crash run: want a crash error, got %v", err)
 	}

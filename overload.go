@@ -51,12 +51,6 @@ type OverloadConfig struct {
 	// BrownoutWindow is how long depth must stay at the watermark
 	// before degrading.
 	BrownoutWindow time.Duration
-	// Pace, when > 0, spaces submissions by this interval — an
-	// open-loop arrival process offering 1/Pace instances per second
-	// regardless of completion rate (the load shape that distinguishes
-	// goodput collapse from graceful shedding). Zero submits the whole
-	// burst as fast as admission allows.
-	Pace time.Duration
 	// DeferrableEvery, when > 0, marks every Nth submitted instance
 	// Deferrable (modelling warm-up / data-setup work): under brown-out
 	// those are shed first while Normal work keeps flowing.
@@ -88,9 +82,10 @@ func (c OverloadConfig) classFor(i int) admit.Class {
 }
 
 // newOverloadPool assembles a streaming pool from the config, wiring
-// shed instances into the given dead-letter log (Reason "SHED") and the
-// brown-out controller into the engine journal's sync policy.
-func (env *Environment) newOverloadPool(cfg OverloadConfig, stack string, letters *resilience.DeadLetterLog) *sched.Pool {
+// shed instances into the prepared stack's dead-letter log (Reason
+// "SHED") and the brown-out controller into the sync policy of the
+// journal attached to the stack's own host.
+func (env *Environment) newOverloadPool(cfg OverloadConfig, prepared *Prepared) *sched.Pool {
 	pc := sched.PoolConfig{
 		Workers:    cfg.Workers,
 		QueueBound: cfg.QueueBound,
@@ -113,7 +108,7 @@ func (env *Environment) newOverloadPool(cfg OverloadConfig, stack string, letter
 			Window: cfg.BrownoutWindow,
 		}
 	}
-	if letters != nil {
+	if letters := prepared.DeadLetters; letters != nil {
 		pc.OnShed = func(name, stack string, class admit.Class, reason string) {
 			letters.Add(resilience.DeadLetter{
 				Activity: "Admission",
@@ -130,7 +125,7 @@ func (env *Environment) newOverloadPool(cfg OverloadConfig, stack string, letter
 	// active, a journal running in SyncAlways relaxes to SyncCritical
 	// (commit-critical records still sync; chatty ones batch). The
 	// previous policy is restored when pressure subsides.
-	if rec := env.Engine.Journal(); rec != nil && p.Brownout() != nil {
+	if rec := prepared.Journal(); rec != nil && p.Brownout() != nil {
 		var mu sync.Mutex
 		var saved *journal.SyncPolicy
 		p.Brownout().OnChange(func(active bool) {
@@ -151,88 +146,26 @@ func (env *Environment) newOverloadPool(cfg OverloadConfig, stack string, letter
 	return p
 }
 
-// RunFigure4BISOverload deploys the Figure 4 BIS process once and pushes
-// cfg.Instances instances through the overload-protected pool. The
-// returned report accounts every submitted instance exactly once:
-// Completed + Failed + Shed == Submitted. The error is the first
-// non-shed instance failure (sheds are an expected overload outcome,
-// recorded in the report and the dead-letter log, not an error).
-func (env *Environment) RunFigure4BISOverload(cfg OverloadConfig) (sched.PoolReport, error) {
+// RunOverload prepares the stack once and pushes cfg.Instances instances
+// through the overload-protected pool. The returned report accounts every
+// submitted instance exactly once: Completed + Failed + Shed == Submitted.
+// The error is the first non-shed instance failure (sheds are an expected
+// overload outcome, recorded in the report and the stack's dead-letter
+// log, not an error).
+func (env *Environment) RunOverload(s Stack, cfg OverloadConfig) (sched.PoolReport, error) {
 	cfg = cfg.normalized()
-	d, err := env.Engine.Deploy(env.BuildFigure4BISResilient(cfg.Resilience))
+	p, err := s.Prepare(env, cfg.Resilience)
 	if err != nil {
 		return sched.PoolReport{}, err
 	}
-	pool := env.newOverloadPool(cfg, "BIS", env.Engine.DeadLetters)
+	pool := env.newOverloadPool(cfg, p)
 	for i := 0; i < cfg.Instances; i++ {
 		pool.Submit(context.Background(), sched.CtxJob{
-			Stack: "BIS",
-			Name:  fmt.Sprintf("Figure4_BIS#%d", i),
+			Stack: s.Name,
+			Name:  s.instanceName(i),
 			Class: cfg.classFor(i),
-			Run: func(ctx context.Context) error {
-				_, err := d.RunCtx(ctx, nil)
-				return err
-			},
+			Run:   p.Run,
 		})
-		if cfg.Pace > 0 {
-			time.Sleep(cfg.Pace)
-		}
-	}
-	rep := pool.Drain()
-	return rep, firstRunError(rep)
-}
-
-// RunFigure6WFOverload pushes cfg.Instances instances of the Figure 6 WF
-// workflow through the overload-protected pool; shed instances land in
-// the WF runtime's dead-letter log.
-func (env *Environment) RunFigure6WFOverload(cfg OverloadConfig) (sched.PoolReport, error) {
-	cfg = cfg.normalized()
-	root := env.BuildFigure6WFResilient(cfg.Resilience)
-	pool := env.newOverloadPool(cfg, "WF", env.Runtime.DeadLetters)
-	for i := 0; i < cfg.Instances; i++ {
-		pool.Submit(context.Background(), sched.CtxJob{
-			Stack: "WF",
-			Name:  fmt.Sprintf("Figure6_WF#%d", i),
-			Class: cfg.classFor(i),
-			Run: func(ctx context.Context) error {
-				_, err := env.Runtime.RunCtx(ctx, root, map[string]any{"Index": 0})
-				return err
-			},
-		})
-		if cfg.Pace > 0 {
-			time.Sleep(cfg.Pace)
-		}
-	}
-	rep := pool.Drain()
-	return rep, firstRunError(rep)
-}
-
-// RunFigure8OracleOverload pushes cfg.Instances instances of the
-// Figure 8 Oracle process through the overload-protected pool.
-func (env *Environment) RunFigure8OracleOverload(cfg OverloadConfig) (sched.PoolReport, error) {
-	cfg = cfg.normalized()
-	p, err := env.BuildFigure8OracleResilient(cfg.Resilience)
-	if err != nil {
-		return sched.PoolReport{}, err
-	}
-	d, err := env.Engine.Deploy(p)
-	if err != nil {
-		return sched.PoolReport{}, err
-	}
-	pool := env.newOverloadPool(cfg, "Oracle", env.Engine.DeadLetters)
-	for i := 0; i < cfg.Instances; i++ {
-		pool.Submit(context.Background(), sched.CtxJob{
-			Stack: "Oracle",
-			Name:  fmt.Sprintf("Figure8_Oracle#%d", i),
-			Class: cfg.classFor(i),
-			Run: func(ctx context.Context) error {
-				_, err := d.RunCtx(ctx, nil)
-				return err
-			},
-		})
-		if cfg.Pace > 0 {
-			time.Sleep(cfg.Pace)
-		}
 	}
 	rep := pool.Drain()
 	return rep, firstRunError(rep)

@@ -39,7 +39,7 @@ func TestOverloadBurstShedConservation(t *testing.T) {
 	env.Bus.SetLatency(supplierLatency)
 
 	const bound = 8
-	rep, err := env.RunFigure4BISOverload(OverloadConfig{
+	rep, err := env.RunOverload(StackBIS, OverloadConfig{
 		Instances:  overloadInstances,
 		Workers:    overloadWorkers,
 		QueueBound: bound,
@@ -126,7 +126,7 @@ func TestOverloadShedBeatsUnboundedQueueWait(t *testing.T) {
 	run := func(policy admit.Policy, bound int) time.Duration {
 		env := NewEnvironment(overloadWorkload())
 		env.Bus.SetLatency(supplierLatency)
-		rep, err := env.RunFigure4BISOverload(OverloadConfig{
+		rep, err := env.RunOverload(StackBIS, OverloadConfig{
 			Instances:  overloadInstances,
 			Workers:    overloadWorkers,
 			QueueBound: bound,
@@ -154,7 +154,7 @@ func TestOverloadBudgetCancelsAtBoundaries(t *testing.T) {
 	env := NewEnvironment(overloadWorkload())
 	env.Bus.SetLatency(supplierLatency)
 
-	rep, err := env.RunFigure4BISOverload(OverloadConfig{
+	rep, err := env.RunOverload(StackBIS, OverloadConfig{
 		Instances:  64,
 		Workers:    2,
 		QueueBound: 64,
@@ -185,70 +185,102 @@ func TestOverloadBudgetCancelsAtBoundaries(t *testing.T) {
 	}
 }
 
+// slowSupplier makes every supplier call cost d where the stack reaches
+// the supplier: over the bus on the BPEL stacks, through the registered
+// service on WF.
+func slowSupplier(env *Environment, s Stack, d time.Duration) {
+	env.Bus.SetLatency(d)
+	if s.Name == "WF" {
+		env.Runtime.RegisterService("OrderFromSupplier", func(req map[string]string) (map[string]string, error) {
+			time.Sleep(d)
+			return env.Supplier.Handle(req)
+		})
+	}
+}
+
 // TestOverloadBrownoutDegradesAndRecovers: sustained pressure over the
 // watermark activates the brown-out — deferrable instances are shed with
 // a brownout reason and the journal sync policy relaxes always→critical
-// — and draining the queue deactivates it, restoring the policy.
+// — and draining the queue deactivates it, restoring the policy. The
+// recorder is attached only to the host the stack runs on, so the
+// relaxation must reach that host's journal: on WF that is the runtime's,
+// not the BPEL engine's.
 func TestOverloadBrownoutDegradesAndRecovers(t *testing.T) {
-	env := NewEnvironment(overloadWorkload())
-	o := env.EnableObservability(nil)
-	env.Bus.SetLatency(supplierLatency)
+	for _, stack := range []Stack{StackBIS, StackWF} {
+		stack := stack
+		t.Run(stack.Name, func(t *testing.T) {
+			env := NewEnvironment(overloadWorkload())
+			o := env.EnableObservability(nil)
+			slowSupplier(env, stack, supplierLatency)
 
-	rec, err := journal.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	rec.SetSyncPolicy(journal.SyncPolicy{Mode: journal.SyncAlways})
-	env.Engine.AttachJournal(rec)
+			rec, err := journal.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			rec.SetSyncPolicy(journal.SyncPolicy{Mode: journal.SyncAlways})
+			if stack.Name == "WF" {
+				env.Runtime.AttachJournal(rec)
+			} else {
+				env.Engine.AttachJournal(rec)
+			}
 
-	rep, err := env.RunFigure4BISOverload(OverloadConfig{
-		Instances:       128,
-		Workers:         overloadWorkers,
-		QueueBound:      16,
-		Policy:          admit.Block,
-		BrownoutHigh:    8,
-		BrownoutWindow:  time.Millisecond,
-		DeferrableEvery: 4,
-	})
-	if err != nil {
-		t.Fatalf("overload run: %v", err)
-	}
-	if rep.Completed+rep.Shed != rep.Submitted {
-		t.Fatalf("conservation violated: %+v", rep)
-	}
+			rep, err := env.RunOverload(stack, OverloadConfig{
+				Instances:       128,
+				Workers:         overloadWorkers,
+				QueueBound:      16,
+				Policy:          admit.Block,
+				BrownoutHigh:    8,
+				BrownoutWindow:  time.Millisecond,
+				DeferrableEvery: 4,
+			})
+			if err != nil {
+				t.Fatalf("overload run: %v", err)
+			}
+			if rep.Completed+rep.Shed != rep.Submitted {
+				t.Fatalf("conservation violated: %+v", rep)
+			}
 
-	if acts := o.M().Counter("brownout.activations").Value(); acts == 0 {
-		t.Fatal("brown-out never activated under sustained pressure")
-	}
-	if high := o.M().Gauge("brownout.active").High(); high != 1 {
-		t.Fatalf("brownout.active high = %v, want 1", high)
-	}
+			if acts := o.M().Counter("brownout.activations").Value(); acts == 0 {
+				t.Fatal("brown-out never activated under sustained pressure")
+			}
+			if high := o.M().Gauge("brownout.active").High(); high != 1 {
+				t.Fatalf("brownout.active high = %v, want 1", high)
+			}
 
-	// Only deferrable instances were shed, with the brownout reason.
-	brownoutSheds := 0
-	for _, r := range rep.Results {
-		if !r.Shed {
-			continue
-		}
-		if r.Class != admit.Deferrable {
-			t.Fatalf("brown-out shed a %v-class instance: %+v", r.Class, r)
-		}
-		if r.ShedReason != admit.ReasonBrownout {
-			t.Fatalf("shed reason = %q, want %q", r.ShedReason, admit.ReasonBrownout)
-		}
-		brownoutSheds++
-	}
-	if brownoutSheds == 0 {
-		t.Fatal("no deferrable instances shed during brown-out")
-	}
+			// Only deferrable instances were shed, with the brownout reason.
+			brownoutSheds := 0
+			for _, r := range rep.Results {
+				if !r.Shed {
+					continue
+				}
+				if r.Class != admit.Deferrable {
+					t.Fatalf("brown-out shed a %v-class instance: %+v", r.Class, r)
+				}
+				if r.ShedReason != admit.ReasonBrownout {
+					t.Fatalf("shed reason = %q, want %q", r.ShedReason, admit.ReasonBrownout)
+				}
+				brownoutSheds++
+			}
+			if brownoutSheds == 0 {
+				t.Fatal("no deferrable instances shed during brown-out")
+			}
 
-	// After the queue drained, the degradation must be rolled back.
-	if got := rec.SyncPolicy().Mode; got != journal.SyncAlways {
-		t.Fatalf("journal sync policy not restored after brown-out: %v", got)
-	}
-	if o.M().Gauge("brownout.active").Value() != 0 {
-		t.Fatal("brown-out still active after drain")
+			// The sync policy really relaxed while the brown-out was
+			// active: under SyncAlways every append is fsynced, so fewer
+			// syncs than appends means non-critical records were batched.
+			if syncs, appends := rec.SyncCount(), o.M().Counter("journal.appends").Value(); syncs >= appends {
+				t.Fatalf("%d fsyncs for %d appends: the brown-out never relaxed this host's journal", syncs, appends)
+			}
+
+			// After the queue drained, the degradation must be rolled back.
+			if got := rec.SyncPolicy().Mode; got != journal.SyncAlways {
+				t.Fatalf("journal sync policy not restored after brown-out: %v", got)
+			}
+			if o.M().Gauge("brownout.active").Value() != 0 {
+				t.Fatal("brown-out still active after drain")
+			}
+		})
 	}
 }
 
@@ -260,7 +292,7 @@ func TestOverloadAIMDLimiterAdapts(t *testing.T) {
 	o := env.EnableObservability(nil)
 	env.Bus.SetLatency(supplierLatency)
 
-	rep, err := env.RunFigure4BISOverload(OverloadConfig{
+	rep, err := env.RunOverload(StackBIS, OverloadConfig{
 		Instances:  64,
 		Workers:    overloadWorkers,
 		QueueBound: 64,
@@ -286,36 +318,27 @@ func TestOverloadAIMDLimiterAdapts(t *testing.T) {
 // product stack's overload runner: conservation and serial equivalence
 // hold on WF and Oracle exactly as on BIS.
 func TestOverloadAllStacksConserve(t *testing.T) {
-	cases := []struct {
-		name string
-	}{{"WF"}, {"Oracle"}}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+	for _, stack := range Stacks() {
+		stack := stack
+		t.Run(stack.Name, func(t *testing.T) {
 			env := NewEnvironment(overloadWorkload())
 			env.Bus.SetLatency(supplierLatency)
-			cfg := OverloadConfig{
+			p, err := stack.Prepare(env, ResilienceConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := env.RunOverload(stack, OverloadConfig{
 				Instances:  64,
 				Workers:    overloadWorkers,
 				QueueBound: 8,
 				Policy:     admit.Shed,
+			})
+			if err != nil {
+				t.Fatalf("run: %v", err)
 			}
-			var completed, shed, submitted int64
-			switch tc.name {
-			case "WF":
-				rep, err := env.RunFigure6WFOverload(cfg)
-				if err != nil {
-					t.Fatalf("run: %v", err)
-				}
-				completed, shed, submitted = rep.Completed, rep.Shed, rep.Submitted
-				if n := len(env.Runtime.DeadLetters.Entries()); int64(n) != shed {
-					t.Fatalf("WF dead letters = %d, want %d", n, shed)
-				}
-			case "Oracle":
-				rep, err := env.RunFigure8OracleOverload(cfg)
-				if err != nil {
-					t.Fatalf("run: %v", err)
-				}
-				completed, shed, submitted = rep.Completed, rep.Shed, rep.Submitted
+			completed, shed, submitted := rep.Completed, rep.Shed, rep.Submitted
+			if n := len(p.DeadLetters.Entries()); int64(n) != shed {
+				t.Fatalf("%s dead letters = %d, want %d", stack.Name, n, shed)
 			}
 			if completed+shed != submitted {
 				t.Fatalf("conservation violated: %d + %d != %d", completed, shed, submitted)

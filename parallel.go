@@ -1,7 +1,7 @@
 package wfsql
 
 import (
-	"fmt"
+	"context"
 
 	"wfsql/internal/sched"
 )
@@ -15,8 +15,8 @@ import (
 //
 // Every instance appends one confirmation per approved item type, so
 // after a parallel run ConfirmationCount() must equal
-// Instances × ApprovedItemTypes() — the invariant the parallel tests and
-// wfbench assert.
+// Instances × ApprovedItemTypes() — the invariant the parallel tests
+// assert.
 
 // ParallelConfig parameterizes a multi-instance figure run.
 type ParallelConfig struct {
@@ -26,7 +26,7 @@ type ParallelConfig struct {
 	// 1 reproduces serial execution on the scheduler's code path).
 	Workers int
 	// Resilience applies the usual reliability policies to every
-	// instance (zero value = plain figure builders).
+	// instance (zero value = the plain figures).
 	Resilience ResilienceConfig
 }
 
@@ -48,78 +48,22 @@ func (env *Environment) newScheduler(workers int) *sched.Scheduler {
 	return s
 }
 
-// RunFigure4BISParallel deploys the Figure 4 BIS process once and runs
-// cfg.Instances instances of it on cfg.Workers workers. The returned
-// report carries per-instance queue-wait/run-time and aggregate
-// throughput; the error is the first instance failure (nil when all
-// instances completed).
-func (env *Environment) RunFigure4BISParallel(cfg ParallelConfig) (sched.Report, error) {
+// RunParallel prepares the stack once and runs cfg.Instances instances
+// of it on cfg.Workers workers. The returned report carries per-instance
+// queue-wait/run-time and aggregate throughput; the error is the first
+// instance failure (nil when all instances completed).
+func (env *Environment) RunParallel(s Stack, cfg ParallelConfig) (sched.Report, error) {
 	cfg = cfg.normalized()
-	d, err := env.Engine.Deploy(env.BuildFigure4BISResilient(cfg.Resilience))
+	p, err := s.Prepare(env, cfg.Resilience)
 	if err != nil {
 		return sched.Report{}, err
 	}
 	jobs := make([]sched.Job, cfg.Instances)
 	for i := range jobs {
 		jobs[i] = sched.Job{
-			Stack: "BIS",
-			Name:  fmt.Sprintf("Figure4_BIS#%d", i),
-			Run: func() error {
-				_, err := d.Run(nil)
-				return err
-			},
-		}
-	}
-	rep := env.newScheduler(cfg.Workers).Run(jobs)
-	return rep, rep.FirstError()
-}
-
-// RunFigure6WFParallel runs cfg.Instances instances of the Figure 6 WF
-// workflow on cfg.Workers workers. The activity tree is built once and
-// shared — WF activities are immutable configuration; all per-instance
-// state lives in each run's Context (host variables, per-instance
-// sqldb sessions via Context.SessionFor).
-func (env *Environment) RunFigure6WFParallel(cfg ParallelConfig) (sched.Report, error) {
-	cfg = cfg.normalized()
-	root := env.BuildFigure6WFResilient(cfg.Resilience)
-	jobs := make([]sched.Job, cfg.Instances)
-	for i := range jobs {
-		jobs[i] = sched.Job{
-			Stack: "WF",
-			Name:  fmt.Sprintf("Figure6_WF#%d", i),
-			Run: func() error {
-				_, err := env.Runtime.Run(root, map[string]any{"Index": 0})
-				return err
-			},
-		}
-	}
-	rep := env.newScheduler(cfg.Workers).Run(jobs)
-	return rep, rep.FirstError()
-}
-
-// RunFigure8OracleParallel deploys the Figure 8 Oracle process once and
-// runs cfg.Instances instances of it on cfg.Workers workers. The
-// extension-function library serves all instances concurrently, leasing
-// pooled sqldb sessions per call.
-func (env *Environment) RunFigure8OracleParallel(cfg ParallelConfig) (sched.Report, error) {
-	cfg = cfg.normalized()
-	p, err := env.BuildFigure8OracleResilient(cfg.Resilience)
-	if err != nil {
-		return sched.Report{}, err
-	}
-	d, err := env.Engine.Deploy(p)
-	if err != nil {
-		return sched.Report{}, err
-	}
-	jobs := make([]sched.Job, cfg.Instances)
-	for i := range jobs {
-		jobs[i] = sched.Job{
-			Stack: "Oracle",
-			Name:  fmt.Sprintf("Figure8_Oracle#%d", i),
-			Run: func() error {
-				_, err := d.Run(nil)
-				return err
-			},
+			Stack: s.Name,
+			Name:  s.instanceName(i),
+			Run:   func() error { return p.Run(context.Background()) },
 		}
 	}
 	rep := env.newScheduler(cfg.Workers).Run(jobs)

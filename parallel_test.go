@@ -5,7 +5,6 @@ import (
 
 	"wfsql/internal/chaos"
 	"wfsql/internal/obsv"
-	"wfsql/internal/sched"
 )
 
 // This file is the parallel-execution matrix for the tentpole scheduler:
@@ -19,38 +18,17 @@ const (
 	parWorkers   = 4
 )
 
-// parallelStacks enumerates the three product stacks' parallel runners.
-func parallelStacks() []struct {
-	name string
-	run  func(env *Environment, cfg ParallelConfig) (sched.Report, error)
-} {
-	return []struct {
-		name string
-		run  func(env *Environment, cfg ParallelConfig) (sched.Report, error)
-	}{
-		{"BIS", func(env *Environment, cfg ParallelConfig) (sched.Report, error) {
-			return env.RunFigure4BISParallel(cfg)
-		}},
-		{"WF", func(env *Environment, cfg ParallelConfig) (sched.Report, error) {
-			return env.RunFigure6WFParallel(cfg)
-		}},
-		{"Oracle", func(env *Environment, cfg ParallelConfig) (sched.Report, error) {
-			return env.RunFigure8OracleParallel(cfg)
-		}},
-	}
-}
-
 // TestParallelFiguresAllStacks runs N instances of each figure on a
 // 4-worker pool and checks the multiplicative confirmation invariant,
 // the report shape, and the scheduler's obsv counters.
 func TestParallelFiguresAllStacks(t *testing.T) {
 	w := Workload{Orders: 18, Items: 4, ApprovalPercent: 100, Seed: 3}
-	for _, tc := range parallelStacks() {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
+	for _, stack := range Stacks() {
+		stack := stack
+		t.Run(stack.Name, func(t *testing.T) {
 			env := NewEnvironment(w)
 			o := env.EnableObservability(nil)
-			rep, err := tc.run(env, ParallelConfig{Instances: parInstances, Workers: parWorkers})
+			rep, err := env.RunParallel(stack, ParallelConfig{Instances: parInstances, Workers: parWorkers})
 			if err != nil {
 				t.Fatalf("parallel run: %v", err)
 			}
@@ -79,17 +57,17 @@ func TestParallelFiguresAllStacks(t *testing.T) {
 // (Workers=1) — concurrency must not change visible effects.
 func TestParallelMatchesSerial(t *testing.T) {
 	w := Workload{Orders: 18, Items: 4, ApprovalPercent: 100, Seed: 3}
-	for _, tc := range parallelStacks() {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
+	for _, stack := range Stacks() {
+		stack := stack
+		t.Run(stack.Name, func(t *testing.T) {
 			serialEnv := NewEnvironment(w)
-			if _, err := tc.run(serialEnv, ParallelConfig{Instances: parInstances, Workers: 1}); err != nil {
+			if _, err := serialEnv.RunParallel(stack, ParallelConfig{Instances: parInstances, Workers: 1}); err != nil {
 				t.Fatalf("serial run: %v", err)
 			}
 			want := confirmationRows(t, serialEnv)
 
 			parEnv := NewEnvironment(w)
-			if _, err := tc.run(parEnv, ParallelConfig{Instances: parInstances, Workers: parWorkers}); err != nil {
+			if _, err := parEnv.RunParallel(stack, ParallelConfig{Instances: parInstances, Workers: parWorkers}); err != nil {
 				t.Fatalf("parallel run: %v", err)
 			}
 			if got := confirmationRows(t, parEnv); !sameRows(got, want) {
@@ -111,60 +89,24 @@ func TestParallelUnderChaos(t *testing.T) {
 		Resilience: ResilienceConfig{Invoke: quickPolicy(10), SQL: quickPolicy(10)},
 	}
 
-	t.Run("BIS", func(t *testing.T) {
-		env := NewEnvironment(w)
-		plan := chaos.NewFaultPlan(7)
-		plan.FailRate = 0.2
-		if err := chaos.Inject(env.Bus, "OrderFromSupplier", plan); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := env.RunFigure4BISParallel(cfg); err != nil {
-			t.Fatalf("parallel run under chaos: %v", err)
-		}
-		if plan.Injected() == 0 {
-			t.Fatal("fault plan injected nothing — test proved nothing")
-		}
-		if got, want := env.ConfirmationCount(), parInstances*env.ApprovedItemTypes(); got != want {
-			t.Fatalf("confirmations = %d, want %d", got, want)
-		}
-	})
-
-	t.Run("WF", func(t *testing.T) {
-		env := NewEnvironment(w)
-		plan := chaos.NewFaultPlan(7)
-		plan.FailRate = 0.2
-		env.Runtime.RegisterService("OrderFromSupplier", plan.WrapService(
-			func(req map[string]string) (map[string]string, error) {
-				return env.Supplier.Handle(req)
-			}))
-		if _, err := env.RunFigure6WFParallel(cfg); err != nil {
-			t.Fatalf("parallel run under chaos: %v", err)
-		}
-		if plan.Injected() == 0 {
-			t.Fatal("fault plan injected nothing")
-		}
-		if got, want := env.ConfirmationCount(), parInstances*env.ApprovedItemTypes(); got != want {
-			t.Fatalf("confirmations = %d, want %d", got, want)
-		}
-	})
-
-	t.Run("Oracle", func(t *testing.T) {
-		env := NewEnvironment(w)
-		plan := chaos.NewFaultPlan(7)
-		plan.FailRate = 0.2
-		if err := chaos.Inject(env.Bus, "OrderFromSupplier", plan); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := env.RunFigure8OracleParallel(cfg); err != nil {
-			t.Fatalf("parallel run under chaos: %v", err)
-		}
-		if plan.Injected() == 0 {
-			t.Fatal("fault plan injected nothing")
-		}
-		if got, want := env.ConfirmationCount(), parInstances*env.ApprovedItemTypes(); got != want {
-			t.Fatalf("confirmations = %d, want %d", got, want)
-		}
-	})
+	for _, stack := range Stacks() {
+		stack := stack
+		t.Run(stack.Name, func(t *testing.T) {
+			env := NewEnvironment(w)
+			plan := chaos.NewFaultPlan(7)
+			plan.FailRate = 0.2
+			injectSupplierFaults(t, env, stack, plan)
+			if _, err := env.RunParallel(stack, cfg); err != nil {
+				t.Fatalf("parallel run under chaos: %v", err)
+			}
+			if plan.Injected() == 0 {
+				t.Fatal("fault plan injected nothing — test proved nothing")
+			}
+			if got, want := env.ConfirmationCount(), parInstances*env.ApprovedItemTypes(); got != want {
+				t.Fatalf("confirmations = %d, want %d", got, want)
+			}
+		})
+	}
 }
 
 // TestParallelJournaledInstancesComplete attaches the durable journal to
@@ -174,16 +116,15 @@ func TestParallelUnderChaos(t *testing.T) {
 // interleaved appends).
 func TestParallelJournaledInstancesComplete(t *testing.T) {
 	w := Workload{Orders: 18, Items: 4, ApprovalPercent: 100, Seed: 3}
-	for _, tc := range parallelStacks() {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
+	for _, stack := range Stacks() {
+		stack := stack
+		t.Run(stack.Name, func(t *testing.T) {
 			env := NewEnvironment(w)
 			rec := openJournal(t, t.TempDir())
 			defer rec.Close()
-			env.Engine.AttachJournal(rec)
-			env.Runtime.AttachJournal(rec)
+			env.AttachJournal(rec)
 
-			if _, err := tc.run(env, ParallelConfig{Instances: parInstances, Workers: parWorkers}); err != nil {
+			if _, err := env.RunParallel(stack, ParallelConfig{Instances: parInstances, Workers: parWorkers}); err != nil {
 				t.Fatalf("journaled parallel run: %v", err)
 			}
 			if n := len(rec.InFlight()); n != 0 {
@@ -203,7 +144,7 @@ func TestParallelJournaledInstancesComplete(t *testing.T) {
 func TestParallelStatementCacheAndLockWait(t *testing.T) {
 	env := NewEnvironment(Workload{Orders: 18, Items: 4, ApprovalPercent: 100, Seed: 3})
 	o := env.EnableObservability(obsv.New())
-	if _, err := env.RunFigure6WFParallel(ParallelConfig{Instances: parInstances, Workers: parWorkers}); err != nil {
+	if _, err := env.RunParallel(StackWF, ParallelConfig{Instances: parInstances, Workers: parWorkers}); err != nil {
 		t.Fatal(err)
 	}
 	cs := env.DB.StmtCacheStats()

@@ -82,17 +82,6 @@ func (env *Environment) BuildFigure4BISResilient(cfg ResilienceConfig) *engine.P
 		Build()
 }
 
-// RunFigure4BISResilient deploys and executes the resilient Figure 4
-// process.
-func (env *Environment) RunFigure4BISResilient(cfg ResilienceConfig) error {
-	d, err := env.Engine.Deploy(env.BuildFigure4BISResilient(cfg))
-	if err != nil {
-		return err
-	}
-	_, err = d.Run(nil)
-	return err
-}
-
 // BuildFigure6WFResilient builds the Figure 6 WF workflow with the given
 // reliability policies on both SQL database activities and the supplier
 // invocation. Initial host variables must include Index=0.
@@ -152,20 +141,14 @@ func (env *Environment) BuildFigure6WFResilient(cfg ResilienceConfig) mswf.Activ
 	)
 }
 
-// RunFigure6WFResilient executes the resilient Figure 6 workflow.
-func (env *Environment) RunFigure6WFResilient(cfg ResilienceConfig) error {
-	_, err := env.Runtime.Run(env.BuildFigure6WFResilient(cfg), map[string]any{"Index": 0})
-	return err
-}
-
 // BuildFigure8OracleResilient builds the Figure 8 Oracle process with the
 // given reliability policies: the SQL policy installs on the extension
 // function library (covering query-database and processXSQL statements),
 // the invoke policy/breaker attach to the supplier invocation.
 func (env *Environment) BuildFigure8OracleResilient(cfg ResilienceConfig) (*engine.Process, error) {
-	if cfg.SQL != nil {
-		env.Funcs.SetRetryPolicy(cfg.SQL)
-	}
+	// Unconditional: the policy is library-wide state, so a nil config
+	// must clear what an earlier resilient build on this environment set.
+	env.Funcs.SetRetryPolicy(cfg.SQL)
 	if err := env.Funcs.XSQL().RegisterPage("insertConfirmation", `
 		<xsql:page>
 			<xsql:dml>INSERT INTO OrderConfirmations (ItemID, Quantity, Confirmation)
@@ -217,19 +200,4 @@ func (env *Environment) BuildFigure8OracleResilient(cfg ResilienceConfig) (*engi
 			orasoa.CursorLoop("cursor", "SV_ItemList", "CurrentItem", "pos", body),
 		)).
 		Build(), nil
-}
-
-// RunFigure8OracleResilient deploys and executes the resilient Figure 8
-// process.
-func (env *Environment) RunFigure8OracleResilient(cfg ResilienceConfig) error {
-	p, err := env.BuildFigure8OracleResilient(cfg)
-	if err != nil {
-		return err
-	}
-	d, err := env.Engine.Deploy(p)
-	if err != nil {
-		return err
-	}
-	_, err = d.Run(nil)
-	return err
 }

@@ -28,6 +28,7 @@ import (
 	"math/rand"
 
 	"wfsql/internal/engine"
+	"wfsql/internal/journal"
 	"wfsql/internal/mswf"
 	"wfsql/internal/obsv"
 	"wfsql/internal/orasoa"
@@ -95,7 +96,13 @@ func NewEnvironment(w Workload) *Environment {
 	supplier := wsbus.NewOrderFromSupplier(0)
 	bus.Register("OrderFromSupplier", supplier.Handle)
 	wsbus.RegisterSQLAdapter(bus, "SQLAdapter", db)
+	return newHosts(db, bus, supplier, w)
+}
 
+// newHosts constructs fresh workflow hosts — the BPEL engine, the WF
+// runtime and the Oracle extension-function library — over the given
+// external systems.
+func newHosts(db *sqldb.DB, bus *wsbus.Bus, supplier *wsbus.OrderFromSupplierService, w Workload) *Environment {
 	e := engine.New(bus)
 	e.RegisterDataSource(DataSourceName, db)
 
@@ -117,26 +124,19 @@ func NewEnvironment(w Workload) *Environment {
 // are constructed fresh, with no in-memory state. Recovery tests attach
 // the journal to the rebuilt hosts and resume the in-flight instances.
 func (env *Environment) Rebuild() *Environment {
-	e := engine.New(env.Bus)
-	e.RegisterDataSource(DataSourceName, env.DB)
-
-	rt := mswf.NewRuntime()
-	rt.RegisterDatabase(DataSourceName, mswf.SQLServer, env.DB)
-	supplier := env.Supplier
-	rt.RegisterService("OrderFromSupplier", func(req map[string]string) (map[string]string, error) {
-		return supplier.Handle(req)
-	})
-
-	out := &Environment{
-		DB: env.DB, Bus: env.Bus, Engine: e, Runtime: rt,
-		Supplier: supplier, Funcs: orasoa.NewFunctions(env.DB), Workload: env.Workload,
-	}
+	out := newHosts(env.DB, env.Bus, env.Supplier, env.Workload)
 	if env.obs != nil {
 		// The surviving external systems (DB, bus) keep their attachment;
 		// re-attach the rebuilt hosts to the same bundle.
 		out.EnableObservability(env.obs)
 	}
 	return out
+}
+
+// AttachJournal attaches the recorder to both workflow hosts.
+func (env *Environment) AttachJournal(rec *journal.Recorder) {
+	env.Engine.AttachJournal(rec)
+	env.Runtime.AttachJournal(rec)
 }
 
 // SeedOrders creates and fills the running example's schema on a database.

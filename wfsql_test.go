@@ -13,21 +13,12 @@ import (
 func TestRunningExampleEquivalence(t *testing.T) {
 	w := Workload{Orders: 40, Items: 7, ApprovalPercent: 60, Seed: 42}
 
-	type runner struct {
-		name string
-		run  func(env *Environment) error
-	}
-	runners := []runner{
-		{"Figure4-BIS", func(env *Environment) error { return env.RunFigure4BIS() }},
-		{"Figure6-WF", func(env *Environment) error { return env.RunFigure6WF() }},
-		{"Figure8-Oracle", func(env *Environment) error { return env.RunFigure8Oracle() }},
-	}
-
 	var reference []string
-	for _, r := range runners {
-		t.Run(r.name, func(t *testing.T) {
+	for _, stack := range Stacks() {
+		stack := stack
+		t.Run(stack.Figure+"-"+stack.Name, func(t *testing.T) {
 			env := NewEnvironment(w)
-			if err := r.run(env); err != nil {
+			if err := env.Run(stack, ResilienceConfig{}); err != nil {
 				t.Fatal(err)
 			}
 			res := env.DB.MustExec(
@@ -71,9 +62,9 @@ func TestEquivalenceAcrossSeeds(t *testing.T) {
 	for _, w := range shapes {
 		w := w
 		t.Run(fmt.Sprintf("orders=%d items=%d approve=%d", w.Orders, w.Items, w.ApprovalPercent), func(t *testing.T) {
-			effects := func(run func(env *Environment) error) string {
+			effects := func(s Stack) string {
 				env := NewEnvironment(w)
-				if err := run(env); err != nil {
+				if err := env.Run(s, ResilienceConfig{}); err != nil {
 					t.Fatal(err)
 				}
 				res := env.DB.MustExec(
@@ -84,9 +75,7 @@ func TestEquivalenceAcrossSeeds(t *testing.T) {
 				}
 				return strings.Join(rows, "\n")
 			}
-			bisOut := effects(func(e *Environment) error { return e.RunFigure4BIS() })
-			wfOut := effects(func(e *Environment) error { return e.RunFigure6WF() })
-			oraOut := effects(func(e *Environment) error { return e.RunFigure8Oracle() })
+			bisOut, wfOut, oraOut := effects(StackBIS), effects(StackWF), effects(StackOracle)
 			if bisOut != wfOut || bisOut != oraOut {
 				t.Fatalf("stacks diverged:\nBIS:\n%s\nWF:\n%s\nOracle:\n%s", bisOut, wfOut, oraOut)
 			}
@@ -156,7 +145,7 @@ func TestDefaultWorkloadFallback(t *testing.T) {
 
 func TestResetConfirmations(t *testing.T) {
 	env := NewEnvironment(DefaultWorkload())
-	if err := env.RunFigure6WF(); err != nil {
+	if err := env.Run(StackWF, ResilienceConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if env.ConfirmationCount() == 0 {
@@ -177,7 +166,7 @@ func TestLargeWorkloadSoak(t *testing.T) {
 	}
 	w := Workload{Orders: 5000, Items: 40, ApprovalPercent: 55, Seed: 123}
 	env := NewEnvironment(w)
-	if err := env.RunFigure6WF(); err != nil {
+	if err := env.Run(StackWF, ResilienceConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	// Every confirmation must equal the independently computed total

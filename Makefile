@@ -47,14 +47,18 @@ bench:
 bench-test:
 	cd bench && $(GO) test ./...
 
-# Fuzz smoke: a bounded run of the WAL-scanner fuzzer (recovery must
-# survive arbitrary bytes). CI-friendly; raise -fuzztime manually for
-# longer campaigns.
+# Fuzz smoke: bounded runs of the WAL-scanner fuzzer (recovery must
+# survive arbitrary bytes), the script splitter behind ExecScript
+# (statement texts re-parse alone and cover the input) and normalizeStmt
+# (idempotent on its own rendering). CI-friendly; raise -fuzztime
+# manually for longer campaigns.
 fuzz:
-	$(GO) test -fuzz=FuzzScan -fuzztime=15s ./internal/journal/
+	$(GO) test -fuzz='^FuzzScan$$' -fuzztime=15s ./internal/journal/
+	$(GO) test -fuzz='^FuzzParseScript$$' -fuzztime=15s ./internal/sqldb/
+	$(GO) test -fuzz='^FuzzNormalizeStmt$$' -fuzztime=15s ./internal/sqldb/
 
 # The gate: build, vet, the full race-enabled suite (soak included),
-# then the WAL-scanner fuzz smoke.
+# then the fuzz smoke.
 ci: build vet race fuzz
 
 clean:

@@ -563,9 +563,9 @@ func BenchmarkAblation_IndexVsScan(b *testing.B) {
 			db := sqldb.Open("bench")
 			db.MustExec("CREATE TABLE t (id INTEGER, v VARCHAR)")
 			s := db.Session()
-			stmt, _ := sqldb.Parse("INSERT INTO t VALUES (?, ?)")
+			stmt, _ := s.Prepare("INSERT INTO t VALUES (?, ?)")
 			for i := 0; i < rows; i++ {
-				s.ExecStmt(stmt, []sqldb.Value{sqldb.Int(int64(i)), sqldb.Str("v")}, nil)
+				stmt.Exec(sqldb.Int(int64(i)), sqldb.Str("v"))
 			}
 			if index {
 				db.MustExec("CREATE INDEX t_id ON t (id)")

@@ -1,6 +1,12 @@
 package wfsql
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -154,6 +160,132 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// parentFormatWAL rewrites a journal into the format written before
+// variable-write records and the audit-only state fields were dropped: a
+// variable-write record after every memo, and — after the first memo — a
+// checkpoint whose JSON lists completed ids and deployments and gives each
+// instance vars, started and compensations.
+func parentFormatWAL(t *testing.T, path string) {
+	t.Helper()
+	frame := func(payload []byte) []byte {
+		buf := make([]byte, 8, 8+len(payload))
+		binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
+		binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
+		return append(buf, payload...)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, err := journal.Scan(bytes.NewReader(raw))
+	if err != nil || scan.Torn {
+		t.Fatalf("scan crashed journal: %v torn=%v", err, scan.Torn)
+	}
+	var out []byte
+	checkpointed := false
+	for i := range scan.Records {
+		r := &scan.Records[i]
+		b, err := journal.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b...)
+		if r.Kind != journal.KindActivityComplete {
+			continue
+		}
+		vw, err := journal.Marshal(&journal.Record{Kind: "variable-write", Instance: r.Instance,
+			Data: map[string]string{"x:" + r.Activity: "<RowSet/>"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, vw...)
+		if checkpointed {
+			continue
+		}
+		checkpointed = true
+		cp, err := json.Marshal(journal.Record{Kind: journal.KindCheckpoint, Checkpoint: journal.Replay(scan.Records[:i+1])})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(cp, &m); err != nil {
+			t.Fatal(err)
+		}
+		st := m["s"].(map[string]any)
+		st["completed"] = []int64{901, 902}
+		st["deployments"] = []string{"P", "P", "P"}
+		for _, ij := range st["instances"].(map[string]any) {
+			inst := ij.(map[string]any)
+			inst["vars"] = map[string]string{"s:pos": "2"}
+			inst["started"] = true
+			inst["compensations"] = []string{"scope"}
+		}
+		if cp, err = json.Marshal(m); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, frame(cp)...)
+	}
+	if !checkpointed {
+		t.Fatal("crashed journal holds no memo to checkpoint after")
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCrashRecoveryFromParentFormatJournal: a journal written in the
+// previous format — variable-write records, checkpoints carrying the
+// dropped fields — still recovers every stack to the baseline.
+func TestCrashRecoveryFromParentFormatJournal(t *testing.T) {
+	w := Workload{Orders: 18, Items: 4, ApprovalPercent: 100, Seed: 3}
+	for _, stack := range Stacks() {
+		stack, tgt := stack, crashTargets[stack.Name]
+		t.Run(matrixName(stack), func(t *testing.T) {
+			want := baselineRows(t, w, stack)
+			env := NewEnvironment(w)
+			rec := openJournal(t, t.TempDir())
+			path := rec.Path()
+			chaos.Crash(rec, &chaos.CrashPlan{Point: journal.CrashAfterEffect, Activity: tgt.invokeAct, AtEffect: 2})
+			env.AttachJournal(rec)
+			if err := env.Run(stack, ResilienceConfig{}); !journal.IsCrash(err) {
+				t.Fatalf("crash run: want a crash error, got %v", err)
+			}
+			if err := rec.Close(); err != nil {
+				t.Fatal(err)
+			}
+			parentFormatWAL(t, path)
+
+			rec2 := openJournal(t, filepath.Dir(path))
+			defer rec2.Close()
+			if rec2.TornTail {
+				t.Fatalf("rewritten journal reads torn: %s", rec2.TornTailReason)
+			}
+			if n := len(rec2.InFlight()); n != 1 {
+				t.Fatalf("re-opened journal holds %d in-flight instances, want 1", n)
+			}
+			if n := len(rec2.State().Completed); n != 2 {
+				t.Fatalf("completed = %d, want the old checkpoint's 2", n)
+			}
+			host := env.Rebuild()
+			host.AttachJournal(rec2)
+			p, err := stack.Prepare(host, ResilienceConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Recover(rec2); err != nil {
+				t.Fatalf("recovery: %v", err)
+			}
+			if got := confirmationRows(t, host); !sameRows(got, want) {
+				t.Fatalf("recovered confirmations diverge from baseline:\n got %v\nwant %v", got, want)
+			}
+			ledgerMatches(t, host, want)
+			if n := len(rec2.InFlight()); n != 0 {
+				t.Fatalf("journal still holds %d in-flight instances after recovery", n)
+			}
+		})
 	}
 }
 

@@ -19,36 +19,7 @@ import (
 // snippet, then runs the given body. posVar is a scalar variable holding
 // the 1-based cursor position and must be declared by the process.
 func CursorLoop(name, setVar, currentVar, posVar string, body engine.Activity) engine.Activity {
-	bind := engine.NewSnippet(name+"_bind", func(ctx *engine.Ctx) error {
-		sv, err := ctx.Variable(setVar)
-		if err != nil {
-			return err
-		}
-		pos, err := ctx.Inst.MustVariable(posVar).Int()
-		if err != nil {
-			return err
-		}
-		row := rowset.Row(sv.Node(), int(pos)-1)
-		if row == nil {
-			return fmt.Errorf("bis: cursor position %d out of range in %s", pos, setVar)
-		}
-		return ctx.SetNode(currentVar, row.Clone())
-	})
-	advance := engine.NewSnippet(name+"_advance", func(ctx *engine.Ctx) error {
-		pos, err := ctx.Inst.MustVariable(posVar).Int()
-		if err != nil {
-			return err
-		}
-		return ctx.SetScalar(posVar, fmt.Sprint(pos+1))
-	})
-	cond := engine.Cond(fmt.Sprintf("$%s <= count($%s/Row)", posVar, setVar))
-	return engine.NewSequence(name,
-		engine.NewSnippet(name+"_init", func(ctx *engine.Ctx) error {
-			return ctx.SetScalar(posVar, "1")
-		}),
-		engine.NewWhile(name+"_while", cond,
-			engine.NewSequence(name+"_iteration", bind, body, advance)),
-	)
+	return engine.CursorLoop("bis", name, setVar, currentVar, posVar, body)
 }
 
 // InsertTuple appends a tuple to a set variable (snippet workaround for

@@ -10,6 +10,7 @@ import (
 	"wfsql/internal/journal"
 	"wfsql/internal/obsv"
 	"wfsql/internal/resilience"
+	"wfsql/internal/rowset"
 	"wfsql/internal/wsbus"
 	"wfsql/internal/xdm"
 	"wfsql/internal/xpath"
@@ -921,4 +922,41 @@ func ActivityNames(a Activity) []string {
 func describeActivity(a Activity) string {
 	names := ActivityNames(a)
 	return strings.Join(names, " > ")
+}
+
+// CursorLoop is the one implementation behind bis.CursorLoop and
+// orasoa.CursorLoop: a while activity whose body first binds the Row of
+// the XML RowSet in setVar at the 1-based position in posVar to
+// currentVar, then runs body. product prefixes the out-of-range error.
+func CursorLoop(product, name, setVar, currentVar, posVar string, body Activity) Activity {
+	bind := NewSnippet(name+"_bind", func(ctx *Ctx) error {
+		sv, err := ctx.Variable(setVar)
+		if err != nil {
+			return err
+		}
+		pos, err := ctx.Inst.MustVariable(posVar).Int()
+		if err != nil {
+			return err
+		}
+		row := rowset.Row(sv.Node(), int(pos)-1)
+		if row == nil {
+			return fmt.Errorf("%s: cursor position %d out of range in %s", product, pos, setVar)
+		}
+		return ctx.SetNode(currentVar, row.Clone())
+	})
+	advance := NewSnippet(name+"_advance", func(ctx *Ctx) error {
+		pos, err := ctx.Inst.MustVariable(posVar).Int()
+		if err != nil {
+			return err
+		}
+		return ctx.SetScalar(posVar, fmt.Sprint(pos+1))
+	})
+	cond := Cond(fmt.Sprintf("$%s <= count($%s/Row)", posVar, setVar))
+	return NewSequence(name,
+		NewSnippet(name+"_init", func(ctx *Ctx) error {
+			return ctx.SetScalar(posVar, "1")
+		}),
+		NewWhile(name+"_while", cond,
+			NewSequence(name+"_iteration", bind, body, advance)),
+	)
 }

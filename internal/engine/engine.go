@@ -343,10 +343,6 @@ func (d *Deployment) RunCtx(ctx context.Context, input map[string]string) (*Inst
 // never Crashed — a deadline is an orderly cancellation, not a death.
 var ErrBudgetExceeded = errors.New("engine: instance budget exceeded")
 
-// IsBudgetExceeded reports whether err stems from an expired instance
-// budget.
-func IsBudgetExceeded(err error) bool { return errors.Is(err, ErrBudgetExceeded) }
-
 // execute runs an instance's body, firing start hooks and completion
 // callbacks.
 func (e *Engine) execute(in *Instance) error {

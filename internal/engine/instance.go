@@ -290,15 +290,14 @@ type scopeFrame struct {
 func (c *Ctx) Variable(name string) (*Variable, error) { return c.Inst.Variable(name) }
 
 // SetScalar sets a scalar variable (declaring it if necessary is an error;
-// BPEL requires declaration). With a journal attached the write is
-// recorded as a variable-write audit record.
+// BPEL requires declaration). Variable writes are not journaled: replay
+// recomputes variables deterministically from the memoized effects.
 func (c *Ctx) SetScalar(name, value string) error {
 	v, err := c.Inst.Variable(name)
 	if err != nil {
 		return err
 	}
 	v.SetString(value)
-	c.journalVar("s:"+name, value)
 	return nil
 }
 
@@ -309,18 +308,7 @@ func (c *Ctx) SetNode(name string, n *xdm.Node) error {
 		return err
 	}
 	v.SetNode(n)
-	if n != nil {
-		c.journalVar("x:"+name, n.String())
-	}
 	return nil
-}
-
-// journalVar appends a variable-write record (best effort; the write
-// is an audit trail — replay recomputes variables deterministically).
-func (c *Ctx) journalVar(name, value string) {
-	if rec := c.Inst.Engine.Journal(); rec != nil {
-		_ = rec.VariableWrite(c.Inst.ID, name, value)
-	}
 }
 
 // XPathContext builds an XPath evaluation context over the instance's

@@ -12,9 +12,9 @@ import (
 // This file wires the engine to the durable instance journal
 // (internal/journal): the runtime-database role the paper ascribes to
 // BIS's navigator. With a journal attached, every instance creation,
-// effectful activity result, variable write, compensation, dead letter
-// and completion is written ahead to the WAL, and crashed instances
-// can be resumed by deterministic replay: completed effects are
+// effectful activity result, compensation, dead letter and completion
+// is written ahead to the WAL, and crashed instances can be resumed by
+// deterministic replay: completed effects are
 // re-applied from their memoized results (no duplicated side effects),
 // and execution picks up live at the first un-journaled activity.
 

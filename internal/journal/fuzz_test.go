@@ -2,6 +2,8 @@ package journal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"io"
 	"testing"
 )
@@ -44,6 +46,18 @@ func FuzzScan(f *testing.F) {
 	huge := append([]byte(nil), valid...)
 	huge = append(huge, 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0) // implausible length header
 	f.Add(huge)
+	// Checkpoints with the completed count in its current form, as the id
+	// list older journals hold, and corrupt.
+	for _, cp := range []string{
+		`{"k":"checkpoint","s":{"completed":3}}`,
+		`{"k":"checkpoint","s":{"completed":[4,5]}}`,
+		`{"k":"checkpoint","s":{"completed":-1}}`,
+	} {
+		b := make([]byte, frameHeaderLen, frameHeaderLen+len(cp))
+		binary.LittleEndian.PutUint32(b[0:4], uint32(len(cp)))
+		binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum([]byte(cp), crcTable))
+		f.Add(append(b, cp...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := Scan(bytes.NewReader(data))

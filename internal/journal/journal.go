@@ -7,8 +7,8 @@
 // persists instance state in its runtime database so processes survive
 // middleware failure. This package plays the role of that runtime
 // database for all three product layers. Every effectful step an
-// instance takes (invoke, SQL, variable write, transaction boundary,
-// compensation, dead-letter) is journaled *with its result* before the
+// instance takes (invoke, SQL, transaction boundary, compensation,
+// dead-letter) is journaled *with its result* before the
 // instance proceeds, so that after a crash the recovery manager can
 // replay completed activities from their memoized results -- without
 // re-executing their side effects -- and resume execution at the first
@@ -37,9 +37,8 @@ import (
 type Kind string
 
 // Record kinds. The set mirrors the instance lifecycle: creation,
-// per-activity start/complete (with memoized results), variable
-// writes, product-layer transaction boundaries, compensation,
-// dead-lettering, and completion. Checkpoint records carry a full
+// per-activity start/complete (with memoized results), product-layer
+// transaction boundaries, compensation, dead-lettering, and completion. Checkpoint records carry a full
 // state snapshot so recovery need not scan from the beginning of
 // time; deploy records are an audit trail.
 const (
@@ -47,7 +46,6 @@ const (
 	KindInstanceCreated   Kind = "instance-created"
 	KindActivityStart     Kind = "activity-start"
 	KindActivityComplete  Kind = "activity-complete"
-	KindVariableWrite     Kind = "variable-write"
 	KindTxnBegin          Kind = "txn-begin"
 	KindTxnCommit         Kind = "txn-commit"
 	KindTxnRollback       Kind = "txn-rollback"

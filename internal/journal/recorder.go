@@ -412,14 +412,8 @@ func (r *Recorder) Append(rec *Record) error {
 	// that serializes the write itself: once a guard observes a newer
 	// lease epoch, no further record leaves this recorder.
 	rec.Epoch = r.epoch
-	if r.guard != nil {
-		if err := r.guard(rec); err != nil {
-			if IsFenced(err) {
-				r.fencedWrites++
-				r.obs.M().Counter("replica.fenced_writes").Inc()
-			}
-			return err
-		}
+	if err := r.guardLocked(rec); err != nil {
+		return err
 	}
 	buf, err := Marshal(rec)
 	if err != nil {
@@ -428,7 +422,7 @@ func (r *Recorder) Append(rec *Record) error {
 	if _, err := r.f.Write(buf); err != nil {
 		return fmt.Errorf("journal: append: %w", err)
 	}
-	r.state.apply(rec)
+	r.state.Apply(rec)
 	r.appended++
 	if err := r.maybeSyncLocked(rec.Kind); err != nil {
 		return err
@@ -440,6 +434,20 @@ func (r *Recorder) Append(rec *Record) error {
 		return r.checkpointLocked()
 	}
 	return nil
+}
+
+// guardLocked runs the append guard (if any) on a record about to be
+// written, counting fenced refusals. Caller holds r.mu.
+func (r *Recorder) guardLocked(rec *Record) error {
+	if r.guard == nil {
+		return nil
+	}
+	err := r.guard(rec)
+	if IsFenced(err) {
+		r.fencedWrites++
+		r.obs.M().Counter("replica.fenced_writes").Inc()
+	}
+	return err
 }
 
 // maybeSyncLocked applies the sync policy after a record of kind k was
@@ -672,14 +680,8 @@ func (r *Recorder) checkpointLocked() error {
 		// drain-before-switch protocol cannot absorb (see Tailer).
 		rec.Occurrence = int(r.rotations) + 1
 	}
-	if r.guard != nil {
-		if err := r.guard(rec); err != nil {
-			if IsFenced(err) {
-				r.fencedWrites++
-				r.obs.M().Counter("replica.fenced_writes").Inc()
-			}
-			return err
-		}
+	if err := r.guardLocked(rec); err != nil {
+		return err
 	}
 	buf, err := Marshal(rec)
 	if err != nil {
@@ -793,11 +795,6 @@ func (r *Recorder) ActivityComplete(id int64, activity string, occurrence int, e
 	return r.Append(&Record{Kind: KindActivityComplete, Instance: id, Activity: activity, Occurrence: occurrence, EffectKind: effectKind, Data: memo})
 }
 
-// VariableWrite journals a variable assignment.
-func (r *Recorder) VariableWrite(id int64, name, value string) error {
-	return r.Append(&Record{Kind: KindVariableWrite, Instance: id, Data: map[string]string{name: value}})
-}
-
 // TxnBegin journals the opening of a product-layer transaction.
 func (r *Recorder) TxnBegin(id int64, label string) error {
 	return r.Append(&Record{Kind: KindTxnBegin, Instance: id, Activity: label})
@@ -890,11 +887,10 @@ func DecodeSQLEffect(rec *Record) (e SQLEffectRecord, ok bool) {
 	}
 	e.SQL = sql
 	e.Kind = rec.Data["kind"]
-	fmtSscan(rec.Data["seq"], &e.Seq)
-	fmtSscan(rec.Data["sess"], &e.Session)
-	var np, nn int
-	fmtSscanInt(rec.Data["np"], &np)
-	fmtSscanInt(rec.Data["nn"], &nn)
+	e.Seq, _ = strconv.ParseInt(rec.Data["seq"], 10, 64) // absent or malformed: 0
+	e.Session, _ = strconv.ParseInt(rec.Data["sess"], 10, 64)
+	np, _ := strconv.Atoi(rec.Data["np"])
+	nn, _ := strconv.Atoi(rec.Data["nn"])
 	if np > 0 {
 		e.Params = make([]string, np)
 		for i := 0; i < np; i++ {

@@ -1,9 +1,19 @@
 package journal
 
-// State is the materialized view of a journal: everything the recovery
-// manager needs to resume work after a crash. It is rebuilt by folding
-// records in order (see apply), and snapshotted wholesale into
-// checkpoint records so recovery need not re-read the full history.
+import (
+	"encoding/json"
+	"fmt"
+	"strconv"
+)
+
+// State is the materialized view of a journal: what the recovery
+// manager needs to resume work after a crash, and nothing else — every
+// field is folded on each append and cloned and serialized into each
+// checkpoint, so a field no reader consumes is pure cost. It is rebuilt
+// by folding records in order (see Apply); records that carry no
+// recovery state (deploy, activity-start, compensation, and kinds this
+// reader does not know, such as older journals' variable-write) fold
+// to nothing.
 type State struct {
 	// NextID is one past the highest instance ID ever allocated, so
 	// recovered engines keep IDs unique across restarts.
@@ -11,15 +21,40 @@ type State struct {
 	// Instances maps instance ID to its journal, for every instance
 	// that has been created and not yet completed (in-flight).
 	Instances map[int64]*InstanceJournal `json:"instances,omitempty"`
-	// Completed lists instance IDs that ran to completion (or
+	// Completed counts the instances that ran to completion (or
 	// faulted terminally); they need no recovery.
-	Completed []int64 `json:"completed,omitempty"`
+	Completed Completed `json:"completed,omitempty"`
 	// DeadLetters is the persisted dead-letter log, in order.
 	// Requeued entries are removed.
 	DeadLetters []DeadLetterRecord `json:"dead_letters,omitempty"`
-	// Deployments records process names seen in deploy records
-	// (audit only; the process definitions themselves live in code).
-	Deployments []string `json:"deployments,omitempty"`
+}
+
+// Completed is a count shaped as a slice of nothing: len is the number
+// of finished instances, and it occupies no memory and one number in a
+// checkpoint however many instances have run (a list of their ids made
+// every checkpoint grow with the journal's whole history). It keeps the
+// slice shape because bench/ reads len(rec.State().Completed).
+type Completed []struct{}
+
+func (c Completed) MarshalJSON() ([]byte, error) {
+	return strconv.AppendInt(nil, int64(len(c)), 10), nil
+}
+
+// UnmarshalJSON accepts the count, or the id list older checkpoints hold.
+func (c *Completed) UnmarshalJSON(b []byte) error {
+	var n int
+	if err := json.Unmarshal(b, &n); err != nil {
+		var ids []int64
+		if err := json.Unmarshal(b, &ids); err != nil {
+			return err
+		}
+		n = len(ids)
+	}
+	if n < 0 {
+		return fmt.Errorf("journal: completed count %d", n)
+	}
+	*c = make(Completed, n)
+	return nil
 }
 
 // InstanceJournal is the durable state of one instance.
@@ -28,9 +63,6 @@ type InstanceJournal struct {
 	Process string            `json:"process"`
 	Mode    string            `json:"mode,omitempty"` // product transaction mode label
 	Input   map[string]string `json:"input,omitempty"`
-	// Data carries product-layer snapshot state recorded at
-	// creation (e.g. the WF runtime's serialized host variables).
-	Data map[string]string `json:"data,omitempty"`
 	// Memos holds committed activity results keyed by activity
 	// name, each a FIFO queue in execution order. On replay the
 	// recovered instance consumes them front-to-back, so repeated
@@ -47,13 +79,6 @@ type InstanceJournal struct {
 	// OpenTxns counts journaled txn-begin records without a
 	// matching commit/rollback.
 	OpenTxns int `json:"open_txns,omitempty"`
-	// Vars records the last journaled value of each scalar/XML
-	// variable write ("s:" / "x:" prefixed), for audit and for
-	// tools; replay itself recomputes variables deterministically.
-	Vars map[string]string `json:"vars,omitempty"`
-	// Compensations counts journaled compensation executions.
-	Compensations []string `json:"compensations,omitempty"`
-	Started       bool     `json:"started,omitempty"`
 }
 
 // Memo is one memoized activity result.
@@ -89,12 +114,12 @@ func (s *State) instance(id int64) *InstanceJournal {
 	return ij
 }
 
-// apply folds one record into the state. Unknown kinds are ignored so
-// newer writers do not break older readers.
-func (s *State) apply(r *Record) {
+// Apply folds one record into the state — the incremental form of
+// Replay, and what keeps a warm standby driving it from a Tailer
+// byte-equivalent to a fresh Replay of the whole journal. Unknown kinds
+// are ignored so newer (and older) writers do not break this reader.
+func (s *State) Apply(r *Record) {
 	switch r.Kind {
-	case KindDeploy:
-		s.Deployments = append(s.Deployments, r.Process)
 	case KindInstanceCreated:
 		ij := s.instance(r.Instance)
 		ij.Process = r.Process
@@ -105,8 +130,6 @@ func (s *State) apply(r *Record) {
 		if r.Instance >= s.NextID {
 			s.NextID = r.Instance + 1
 		}
-	case KindActivityStart:
-		s.instance(r.Instance).Started = true
 	case KindActivityComplete:
 		ij := s.instance(r.Instance)
 		m := Memo{Occurrence: r.Occurrence, Kind: r.EffectKind, Data: copyMap(r.Data)}
@@ -120,14 +143,6 @@ func (s *State) apply(r *Record) {
 				ij.Memos = map[string][]Memo{}
 			}
 			ij.Memos[r.Activity] = append(ij.Memos[r.Activity], m)
-		}
-	case KindVariableWrite:
-		ij := s.instance(r.Instance)
-		if ij.Vars == nil {
-			ij.Vars = map[string]string{}
-		}
-		for k, v := range r.Data {
-			ij.Vars[k] = v
 		}
 	case KindTxnBegin:
 		s.instance(r.Instance).OpenTxns++
@@ -153,9 +168,6 @@ func (s *State) apply(r *Record) {
 		// Rolled back: the statements never happened as far as the
 		// database is concerned, so they must re-run on replay.
 		ij.Pending = nil
-	case KindCompensation:
-		ij := s.instance(r.Instance)
-		ij.Compensations = append(ij.Compensations, r.Activity)
 	case KindDeadLetter:
 		s.DeadLetters = append(s.DeadLetters, deadLetterFromData(r.Data))
 	case KindDeadLetterRequeue:
@@ -169,7 +181,7 @@ func (s *State) apply(r *Record) {
 		s.DeadLetters = out
 	case KindInstanceComplete:
 		delete(s.Instances, r.Instance)
-		s.Completed = append(s.Completed, r.Instance)
+		s.Completed = append(s.Completed, struct{}{})
 	case KindCheckpoint:
 		if r.Checkpoint != nil {
 			*s = *r.Checkpoint.Clone()
@@ -177,17 +189,11 @@ func (s *State) apply(r *Record) {
 	}
 }
 
-// Apply folds one record into the state — the incremental form of
-// Replay. A warm standby drives it from a Tailer to replay-to-follow:
-// folding each tailed record keeps the standby's state byte-equivalent
-// to what a fresh Replay of the whole journal would produce.
-func (s *State) Apply(r *Record) { s.apply(r) }
-
 // Replay folds a sequence of scanned records into a fresh state.
 func Replay(records []Record) *State {
 	s := NewState()
 	for i := range records {
-		s.apply(&records[i])
+		s.Apply(&records[i])
 	}
 	return s
 }
@@ -217,9 +223,8 @@ func (s *State) Clone() *State {
 	c := &State{
 		NextID:      s.NextID,
 		Instances:   make(map[int64]*InstanceJournal, len(s.Instances)),
-		Completed:   append([]int64(nil), s.Completed...),
+		Completed:   s.Completed,
 		DeadLetters: append([]DeadLetterRecord(nil), s.DeadLetters...),
-		Deployments: append([]string(nil), s.Deployments...),
 	}
 	for id, ij := range s.Instances {
 		c.Instances[id] = ij.Clone()
@@ -230,15 +235,11 @@ func (s *State) Clone() *State {
 // Clone deep-copies an instance journal.
 func (ij *InstanceJournal) Clone() *InstanceJournal {
 	c := &InstanceJournal{
-		ID:            ij.ID,
-		Process:       ij.Process,
-		Mode:          ij.Mode,
-		Input:         copyMap(ij.Input),
-		Data:          copyMap(ij.Data),
-		OpenTxns:      ij.OpenTxns,
-		Vars:          copyMap(ij.Vars),
-		Compensations: append([]string(nil), ij.Compensations...),
-		Started:       ij.Started,
+		ID:       ij.ID,
+		Process:  ij.Process,
+		Mode:     ij.Mode,
+		Input:    copyMap(ij.Input),
+		OpenTxns: ij.OpenTxns,
 	}
 	c.Memos = cloneMemos(ij.Memos)
 	c.Pending = cloneMemos(ij.Pending)
@@ -290,27 +291,7 @@ func deadLetterFromData(d map[string]string) DeadLetterRecord {
 		LastErr:  d["last_err"],
 		Time:     d["time"],
 	}
-	fmtSscan(d["seq"], &rec.Seq)
-	fmtSscanInt(d["attempts"], &rec.Attempts)
+	rec.Seq, _ = strconv.ParseInt(d["seq"], 10, 64) // absent or malformed: 0
+	rec.Attempts, _ = strconv.Atoi(d["attempts"])
 	return rec
-}
-
-func fmtSscan(s string, out *int64) {
-	if s == "" {
-		return
-	}
-	var v int64
-	for _, c := range s {
-		if c < '0' || c > '9' {
-			return
-		}
-		v = v*10 + int64(c-'0')
-	}
-	*out = v
-}
-
-func fmtSscanInt(s string, out *int) {
-	var v int64
-	fmtSscan(s, &v)
-	*out = int(v)
 }

@@ -1,8 +1,6 @@
 package orasoa
 
 import (
-	"fmt"
-
 	"wfsql/internal/engine"
 	"wfsql/internal/rowset"
 	"wfsql/internal/xdm"
@@ -73,36 +71,7 @@ func JavaSnippet(name string, fn func(ctx *engine.Ctx) error) engine.Activity {
 // while activity plus a Java-Snippet that stores the next row of an XML
 // RowSet variable into currentVar on each iteration.
 func CursorLoop(name, rowSetVar, currentVar, posVar string, body engine.Activity) engine.Activity {
-	bind := JavaSnippet(name+"_bind", func(ctx *engine.Ctx) error {
-		rv, err := ctx.Variable(rowSetVar)
-		if err != nil {
-			return err
-		}
-		pos, err := ctx.Inst.MustVariable(posVar).Int()
-		if err != nil {
-			return err
-		}
-		row := rowset.Row(rv.Node(), int(pos)-1)
-		if row == nil {
-			return fmt.Errorf("orasoa: cursor position %d out of range in %s", pos, rowSetVar)
-		}
-		return ctx.SetNode(currentVar, row.Clone())
-	})
-	advance := JavaSnippet(name+"_advance", func(ctx *engine.Ctx) error {
-		pos, err := ctx.Inst.MustVariable(posVar).Int()
-		if err != nil {
-			return err
-		}
-		return ctx.SetScalar(posVar, fmt.Sprint(pos+1))
-	})
-	cond := engine.Cond(fmt.Sprintf("$%s <= count($%s/Row)", posVar, rowSetVar))
-	return engine.NewSequence(name,
-		JavaSnippet(name+"_init", func(ctx *engine.Ctx) error {
-			return ctx.SetScalar(posVar, "1")
-		}),
-		engine.NewWhile(name+"_while", cond,
-			engine.NewSequence(name+"_iteration", bind, body, advance)),
-	)
+	return engine.CursorLoop("orasoa", name, rowSetVar, currentVar, posVar, body)
 }
 
 // EmptyRowSet returns a fresh empty RowSet document (for declaring XML

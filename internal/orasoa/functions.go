@@ -273,12 +273,8 @@ type XSQLFramework struct {
 	retries int
 }
 
-// NewXSQLFramework creates an empty framework bound to a database.
-func NewXSQLFramework(db *sqldb.DB) *XSQLFramework {
-	return newXSQLFramework(db, sqldb.NewSessionPool(db))
-}
-
-// newXSQLFramework shares a session pool with the owning function library.
+// newXSQLFramework creates an empty framework bound to a database,
+// sharing a session pool with the owning function library.
 func newXSQLFramework(db *sqldb.DB, pool *sqldb.SessionPool) *XSQLFramework {
 	return &XSQLFramework{db: db, pool: pool, pages: map[string]*xdm.Node{}}
 }

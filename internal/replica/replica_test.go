@@ -544,9 +544,6 @@ func TestSQLReplicaEndToEnd(t *testing.T) {
 	if pd, rd := primary.Dump(), rep.DB().Dump(); pd != rd {
 		t.Fatalf("replica diverged after rotation:\nprimary:\n%s\nreplica:\n%s", pd, rd)
 	}
-	if primary.ChangesMissed() != 0 {
-		t.Fatalf("primary missed %d changes on text-carrying paths", primary.ChangesMissed())
-	}
 
 	// Promotion lifts read-only mode.
 	if n := rep.Promote(); n != 0 {

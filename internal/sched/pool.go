@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wfsql/internal/admit"
@@ -41,6 +42,8 @@ type PoolResult struct {
 	Err        error
 	Shed       bool
 	ShedReason string
+
+	seq int64 // submission order, for Scheduler.Run
 }
 
 // PoolReport aggregates one pool run. Conservation holds by
@@ -113,22 +116,23 @@ type PoolConfig struct {
 // poolItem is what rides the admission queue.
 type poolItem struct {
 	job CtxJob
+	seq int64
 }
 
 // Pool is a streaming instance scheduler: jobs are submitted one at a
 // time (from open-loop generators, request handlers, ...) and flow
 // through a bounded admission queue to a fixed worker pool, optionally
 // gated by an AIMD concurrency limiter and degraded by a brown-out
-// controller. Contrast Scheduler.Run, which executes a pre-built batch
-// with none of the overload machinery.
+// controller. Scheduler.Run is the batch helper over it.
 type Pool struct {
 	cfg      PoolConfig
 	queue    *admit.Queue[poolItem]
 	limiter  *admit.Limiter
 	brownout *admit.Brownout
 
-	wg    sync.WaitGroup
-	start time.Time
+	wg      sync.WaitGroup
+	start   time.Time
+	submits atomic.Int64
 
 	mu        sync.Mutex
 	results   []PoolResult
@@ -160,7 +164,7 @@ func NewPool(cfg PoolConfig) *Pool {
 		Obs:      cfg.Obs,
 		OnShed: func(item any, class admit.Class, reason string) {
 			it := item.(poolItem)
-			p.recordShed(it.job, reason)
+			p.recordShed(it, reason)
 		},
 	})
 
@@ -176,20 +180,13 @@ func NewPool(cfg PoolConfig) *Pool {
 // journal sync policy while the brown-out is active.
 func (p *Pool) Brownout() *admit.Brownout { return p.brownout }
 
-// Limiter returns the adaptive concurrency limiter (nil when not
-// configured).
-func (p *Pool) Limiter() *admit.Limiter { return p.limiter }
-
-// QueueDepth returns the current admission-queue depth.
-func (p *Pool) QueueDepth() int { return p.queue.Depth() }
-
 // Submit offers a job under the configured admission policy. A
 // *admit.ShedError return means the job was refused and will never run
 // (it is already accounted in the report). A nil return means the job
 // was admitted — it will either run or be shed at dequeue if its budget
 // expires in the queue; both outcomes land in the report.
 func (p *Pool) Submit(ctx context.Context, job CtxJob) error {
-	t := admit.Ticket[poolItem]{Item: poolItem{job: job}, Class: job.Class}
+	t := admit.Ticket[poolItem]{Item: poolItem{job: job, seq: p.submits.Add(1) - 1}, Class: job.Class}
 	if p.cfg.JobBudget > 0 {
 		t.Deadline = time.Now().Add(p.cfg.JobBudget)
 	}
@@ -250,7 +247,7 @@ func (p *Pool) worker() {
 			// admission queue.
 			obs.M().Counter("admit.shed").Inc()
 			obs.M().Counter("admit.shed." + admit.ReasonExpiredInQueue).Inc()
-			p.recordShed(job, admit.ReasonExpiredInQueue)
+			p.recordShed(tk.Item, admit.ReasonExpiredInQueue)
 			if cancel != nil {
 				cancel()
 			}
@@ -291,13 +288,15 @@ func (p *Pool) worker() {
 			QueueWait: queueWait,
 			RunTime:   runTime,
 			Err:       err,
+			seq:       tk.Item.seq,
 		})
 		p.mu.Unlock()
 	}
 }
 
 // recordShed accounts one shed job and forwards it to the OnShed hook.
-func (p *Pool) recordShed(job CtxJob, reason string) {
+func (p *Pool) recordShed(it poolItem, reason string) {
+	job := it.job
 	p.mu.Lock()
 	p.shed++
 	p.results = append(p.results, PoolResult{
@@ -306,6 +305,7 @@ func (p *Pool) recordShed(job CtxJob, reason string) {
 		Class:      job.Class,
 		Shed:       true,
 		ShedReason: reason,
+		seq:        it.seq,
 	})
 	p.mu.Unlock()
 	if p.cfg.OnShed != nil {

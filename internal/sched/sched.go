@@ -8,8 +8,9 @@
 package sched
 
 import (
+	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"wfsql/internal/obsv"
@@ -31,8 +32,7 @@ type Job struct {
 type Result struct {
 	Name      string
 	Stack     string
-	Worker    int           // worker index that executed the job
-	QueueWait time.Duration // enqueue -> dequeue
+	QueueWait time.Duration // admission -> dequeue
 	RunTime   time.Duration // Run() wall clock
 	Err       error
 }
@@ -47,12 +47,10 @@ type Report struct {
 	Results    []Result
 }
 
-// Scheduler runs jobs on a fixed-size worker pool.
+// Scheduler runs batches of jobs on a fixed-size worker pool.
 type Scheduler struct {
 	workers int
-
-	mu  sync.Mutex
-	obs *obsv.Observability
+	obs     atomic.Pointer[obsv.Observability]
 }
 
 // New builds a scheduler with the given worker count (values < 1 mean 1).
@@ -63,101 +61,40 @@ func New(workers int) *Scheduler {
 	return &Scheduler{workers: workers}
 }
 
-// Workers returns the pool size.
-func (s *Scheduler) Workers() int { return s.workers }
-
 // SetObservability attaches (or with nil detaches) a metrics bundle:
 // runs then emit sched.jobs / sched.ok / sched.failed counters and
 // sched.queue_wait_ms / sched.run_ms latency histograms.
-func (s *Scheduler) SetObservability(o *obsv.Observability) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.obs = o
-}
+func (s *Scheduler) SetObservability(o *obsv.Observability) { s.obs.Store(o) }
 
-func (s *Scheduler) observability() *obsv.Observability {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.obs
-}
-
-// Run executes all jobs on the worker pool and blocks until every job
-// has finished. Job errors are collected, not short-circuited: an
-// instance failing must not keep sibling instances from completing
-// (matching how a workflow server isolates instance faults).
+// Run executes all jobs and blocks until every job has finished. It is
+// a batch helper over Pool — Block admission, no budget, no limiter:
+// submit all, drain, and map the results back to submission order. Job
+// errors (and panics) are collected, not short-circuited: an instance
+// failing must not keep sibling instances from completing (matching how
+// a workflow server isolates instance faults).
 func (s *Scheduler) Run(jobs []Job) Report {
-	obs := s.observability()
-	queue := make(chan int)
-	results := make([]Result, len(jobs))
-	start := time.Now()
-
-	var wg sync.WaitGroup
-	for w := 0; w < s.workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for idx := range queue {
-				job := jobs[idx]
-				dequeued := time.Now()
-				queueWait := dequeued.Sub(start)
-				err := runJob(job)
-				runTime := time.Since(dequeued)
-				results[idx] = Result{
-					Name:      job.Name,
-					Stack:     job.Stack,
-					Worker:    worker,
-					QueueWait: queueWait,
-					RunTime:   runTime,
-					Err:       err,
-				}
-				m := obs.M()
-				m.Counter("sched.jobs").Inc()
-				if job.Stack != "" {
-					m.Counter("sched.jobs." + job.Stack).Inc()
-				}
-				if err != nil {
-					m.Counter("sched.failed").Inc()
-				} else {
-					m.Counter("sched.ok").Inc()
-				}
-				m.Histogram("sched.queue_wait_ms").ObserveDuration(queueWait)
-				m.Histogram("sched.run_ms").ObserveDuration(runTime)
-			}
-		}(w)
+	p := NewPool(PoolConfig{Workers: s.workers, Obs: s.obs.Load()})
+	for _, job := range jobs {
+		run := job.Run
+		// Block admission without a deadline never sheds.
+		_ = p.Submit(context.Background(), CtxJob{Stack: job.Stack, Name: job.Name,
+			Run: func(context.Context) error { return run() }})
 	}
-	for i := range jobs {
-		queue <- i
-	}
-	close(queue)
-	wg.Wait()
-
+	pr := p.Drain()
 	rep := Report{
 		Workers: s.workers,
 		Jobs:    len(jobs),
-		Elapsed: time.Since(start),
-		Results: results,
+		Failed:  int(pr.Failed),
+		Elapsed: pr.Elapsed,
+		Results: make([]Result, len(jobs)),
 	}
-	for _, r := range results {
-		if r.Err != nil {
-			rep.Failed++
-		}
+	for _, r := range pr.Results {
+		rep.Results[r.seq] = Result{Name: r.Name, Stack: r.Stack, QueueWait: r.QueueWait, RunTime: r.RunTime, Err: r.Err}
 	}
 	if secs := rep.Elapsed.Seconds(); secs > 0 {
 		rep.Throughput = float64(rep.Jobs-rep.Failed) / secs
 	}
 	return rep
-}
-
-// runJob executes one job, converting a panic into an error so a
-// faulting instance cannot take down its worker (and with it every job
-// still queued).
-func runJob(job Job) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("sched: job %s panicked: %v", job.Name, r)
-		}
-	}()
-	return job.Run()
 }
 
 // FirstError returns the first job error in submission order (nil if

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,12 +17,17 @@ func TestRunAllJobsComplete(t *testing.T) {
 	var ran atomic.Int64
 	jobs := make([]Job, n)
 	for i := range jobs {
-		jobs[i] = Job{Stack: "BIS", Name: "j", Run: func() error {
+		jobs[i] = Job{Stack: "BIS", Name: fmt.Sprintf("j%d", i), Run: func() error {
 			ran.Add(1)
 			return nil
 		}}
 	}
 	rep := New(4).Run(jobs)
+	for i, r := range rep.Results {
+		if r.Name != jobs[i].Name {
+			t.Fatalf("Results[%d] = %s: not in submission order", i, r.Name)
+		}
+	}
 	if got := ran.Load(); got != n {
 		t.Fatalf("ran %d jobs, want %d", got, n)
 	}
@@ -60,12 +66,11 @@ func TestRunBoundsConcurrency(t *testing.T) {
 	if p := peak.Load(); p > workers {
 		t.Fatalf("peak in-flight %d exceeds %d workers", p, workers)
 	}
-	seen := map[int]bool{}
-	for _, r := range rep.Results {
-		seen[r.Worker] = true
+	if p := peak.Load(); p < 2 {
+		t.Fatalf("peak in-flight %d: jobs never overlapped, want >= 2 workers running", p)
 	}
-	if len(seen) < 2 {
-		t.Fatalf("only %d worker(s) executed jobs, want >= 2", len(seen))
+	if len(rep.Results) != len(jobs) {
+		t.Fatalf("results = %d, want %d", len(rep.Results), len(jobs))
 	}
 }
 

@@ -125,8 +125,8 @@ func (a *Applier) session(origin int64) *Session {
 //     a bare ROLLBACK has nothing to undo — either way the replica no
 //     longer matches the primary.
 //   - A BEGIN while the origin session already holds an open
-//     transaction (an uncaptured rollback on a textless path); refused
-//     rather than guessed at.
+//     transaction (a rollback lost upstream); refused rather than
+//     guessed at.
 func (a *Applier) Apply(c Change) error {
 	if a.fatal != nil {
 		return a.fatal

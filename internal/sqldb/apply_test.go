@@ -140,7 +140,7 @@ func TestApplierAbortOpen(t *testing.T) {
 }
 
 // TestBootstrapFloorSkipsDumpedChanges: a replica bootstrapped from
-// DumpWithSeq must not re-apply changes already contained in the dump.
+// BootstrapState must not re-apply changes already contained in the dump.
 func TestBootstrapFloorSkipsDumpedChanges(t *testing.T) {
 	primary := Open("p")
 	changes := captureChanges(primary)
@@ -148,7 +148,7 @@ func TestBootstrapFloorSkipsDumpedChanges(t *testing.T) {
 	s.Exec("CREATE TABLE t (id INTEGER)")
 	s.Exec("INSERT INTO t VALUES (1)")
 
-	script, seq := primary.DumpWithSeq()
+	script, seq, _ := primary.BootstrapState()
 	if seq != 2 {
 		t.Fatalf("bootstrap seq = %d, want 2", seq)
 	}
@@ -232,28 +232,6 @@ func TestChangeStreamCapturesPreparedAndCall(t *testing.T) {
 	}
 	if pd, rd := primary.Dump(), replica.Dump(); pd != rd {
 		t.Fatalf("replica diverged:\nprimary:\n%s\nreplica:\n%s", pd, rd)
-	}
-	if primary.ChangesMissed() != 0 {
-		t.Fatalf("ChangesMissed = %d on text-carrying paths", primary.ChangesMissed())
-	}
-}
-
-// TestChangesMissedCountsTextlessWrites: the pre-parsed ExecStmt path
-// cannot be captured; with a sink installed the miss must be counted.
-func TestChangesMissedCountsTextlessWrites(t *testing.T) {
-	db := Open("p")
-	db.MustExec("CREATE TABLE t (id INTEGER)")
-	captureChanges(db)
-	st, err := Parse("INSERT INTO t VALUES (1)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := db.Session()
-	if _, err := s.ExecStmt(st, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if db.ChangesMissed() != 1 {
-		t.Fatalf("ChangesMissed = %d, want 1", db.ChangesMissed())
 	}
 }
 
@@ -366,7 +344,7 @@ func TestApplierStreamStartPastFloorDiverges(t *testing.T) {
 // TestApplierStraddledTransactionRollbackDiverges: a transaction open
 // across the bootstrap point contributes nothing to the committed-only
 // dump, and its post-floor statements auto-commit on a replica that was
-// not primed (raw DumpWithSeq bootstrap, no BootstrapState/Prime). By
+// not primed (BootstrapState's pending statements dropped, no Prime). By
 // the time its COMMIT or ROLLBACK arrives, the replica has no open
 // transaction to resolve — and has already committed writes the
 // primary's COMMIT would make visible atomically (or its ROLLBACK would
@@ -383,7 +361,7 @@ func TestApplierStraddledTransactionRollbackDiverges(t *testing.T) {
 
 		// Bootstrap mid-transaction WITHOUT priming: the committed-only
 		// dump excludes the open transaction's row.
-		script, seq := primary.DumpWithSeq()
+		script, seq, _ := primary.BootstrapState()
 		if strings.Contains(script, "INSERT") {
 			t.Fatalf("uncommitted row leaked into the dump:\n%s", script)
 		}
@@ -486,9 +464,8 @@ func TestBootstrapStatePrimedStraddleConverges(t *testing.T) {
 }
 
 // TestApplierBeginWhileOpenDiverges: a BEGIN for an origin session the
-// replica still holds open means a rollback was lost upstream (e.g. a
-// textless path the sink cannot capture); guessing would risk undoing a
-// lost COMMIT instead, so the applier refuses.
+// replica still holds open means a rollback was lost upstream; guessing
+// would risk undoing a lost COMMIT instead, so the applier refuses.
 func TestApplierBeginWhileOpenDiverges(t *testing.T) {
 	db := Open("r")
 	db.MustExec("CREATE TABLE t (id INTEGER)")

@@ -75,16 +75,15 @@ type DB struct {
 	//     entry plus that text's extracted constants, so a literal-
 	//     identical repeat skips even the lexer. Raw entries hold no
 	//     plan of their own; one whose plan entry died (eviction,
-	//     DDL-scoped invalidation, flush) is dropped lazily on lookup.
-	cacheMu        sync.Mutex
-	stmtCache      map[string]*list.Element // normalized text -> lruList element
-	lruList        *list.List               // of *cacheEntry, front = hottest
-	rawCache       map[string]*list.Element // raw text -> rawList element
-	rawList        *list.List               // of *rawEntry, front = hottest
-	cacheSize      atomic.Int64             // len(stmtCache) mirror for the gauge
+	//     DDL-scoped invalidation) is dropped lazily on lookup.
+	cacheMu            sync.Mutex
+	stmtCache          map[string]*list.Element // normalized text -> lruList element
+	lruList            *list.List               // of *cacheEntry, front = hottest
+	rawCache           map[string]*list.Element // raw text -> rawList element
+	rawList            *list.List               // of *rawEntry, front = hottest
+	cacheSize          atomic.Int64             // len(stmtCache) mirror for the gauge
 	cacheHits          atomic.Int64
 	cacheMisses        atomic.Int64
-	cacheFlushes       atomic.Int64
 	cacheEvictions     atomic.Int64
 	cacheInvalidations atomic.Int64
 
@@ -99,15 +98,12 @@ type DB struct {
 	// the per-session origin ids the stream is keyed by, changeSeq is the
 	// global change sequence (advanced under commitMu while the emitting
 	// statement still holds its table latches, so it orders exactly like
-	// execution on every table), changesMissed counts mutating
-	// statements that executed without capturable SQL text, and readOnly
-	// puts the database in replica mode (only applier sessions may
-	// write).
-	changeSink    ChangeSink
-	sessionIDs    atomic.Int64
-	changeSeq     atomic.Int64
-	changesMissed atomic.Int64
-	readOnly      atomic.Bool
+	// execution on every table), and readOnly puts the database in
+	// replica mode (only applier sessions may write).
+	changeSink ChangeSink
+	sessionIDs atomic.Int64
+	changeSeq  atomic.Int64
+	readOnly   atomic.Bool
 
 	// footGen versions cached statement footprints (see fpSlot). Only
 	// view and procedure changes bump it: table names re-resolve against
@@ -266,7 +262,6 @@ type StmtCacheStats struct {
 	Size          int   // statements currently cached
 	Hits          int64 // Exec/ExecNamed calls served from the cache
 	Misses        int64 // calls that had to parse
-	Flushes       int64 // whole-cache flushes (none in normal operation)
 	Evictions     int64 // single LRU evictions (capacity pressure)
 	Invalidations int64 // entries dropped by DDL-scoped invalidation
 }
@@ -280,7 +275,6 @@ func (db *DB) StmtCacheStats() StmtCacheStats {
 		Size:          size,
 		Hits:          db.cacheHits.Load(),
 		Misses:        db.cacheMisses.Load(),
-		Flushes:       db.cacheFlushes.Load(),
 		Evictions:     db.cacheEvictions.Load(),
 		Invalidations: db.cacheInvalidations.Load(),
 	}
@@ -482,9 +476,8 @@ func (db *DB) ddlAffected(st Stmt) []string {
 }
 
 // invalidateStmtCacheFor drops the cached statements whose reference
-// sets intersect the affected object names — the DDL-scoped
-// replacement for the old whole-cache flush, so DDL on one table no
-// longer costs unrelated hot statements their parse. Each dropped entry
+// sets intersect the affected object names, so DDL on one table does
+// not cost unrelated hot statements their parse. Each dropped entry
 // counts as one Invalidation.
 func (db *DB) invalidateStmtCacheFor(affected []string) {
 	if len(affected) == 0 {
@@ -506,25 +499,6 @@ func (db *DB) invalidateStmtCacheFor(affected []string) {
 		el = next
 	}
 	db.cacheSize.Store(int64(len(db.stmtCache)))
-	db.cacheMu.Unlock()
-}
-
-// invalidateStmtCache drops every cached statement — kept for paths
-// that change object resolution wholesale (none in normal operation;
-// scoped DDL invalidation uses invalidateStmtCacheFor).
-func (db *DB) invalidateStmtCache() {
-	db.cacheMu.Lock()
-	if len(db.stmtCache) > 0 {
-		for el := db.lruList.Front(); el != nil; el = el.Next() {
-			el.Value.(*cacheEntry).dead = true
-		}
-		db.stmtCache = map[string]*list.Element{}
-		db.lruList.Init()
-		db.rawCache = map[string]*list.Element{}
-		db.rawList.Init()
-		db.cacheSize.Store(0)
-		db.cacheFlushes.Add(1)
-	}
 	db.cacheMu.Unlock()
 }
 
@@ -618,11 +592,10 @@ type Change struct {
 type ChangeSink func(Change)
 
 // SetChangeSink installs (or with nil removes) the change-stream
-// capture hook. Statements executed through Exec, ExecNamed, and
-// prepared statements are captured; the pre-parsed ExecStmt/ExecScript
-// paths carry no SQL text and are only counted in ChangesMissed, so a
-// replicated database should receive its writes through the text-
-// carrying paths once the sink is installed.
+// capture hook. Every entry point — Exec, ExecNamed, prepared
+// statements, ExecScript and Session.Rollback — executes with its
+// statement text attached, so every mutating top-level statement is
+// captured.
 func (db *DB) SetChangeSink(fn ChangeSink) {
 	db.hookMu.Lock()
 	defer db.hookMu.Unlock()
@@ -636,27 +609,12 @@ func (db *DB) currentChangeSink() ChangeSink {
 	return db.changeSink
 }
 
-// ChangeSeq returns the sequence number of the most recent captured
-// change. Together with Dump it defines a replica bootstrap point: the
-// pair (Dump(), ChangeSeq()) taken back-to-back is consistent because
-// Dump holds the engine lock that change capture also runs under.
-func (db *DB) ChangeSeq() int64 { return db.changeSeq.Load() }
-
-// ChangesMissed counts mutating statements that executed while a change
-// sink was installed but carried no SQL text (ExecStmt/ExecScript). A
-// non-zero delta during replication means the replica stream is
-// incomplete and downstream replicas should re-bootstrap.
-func (db *DB) ChangesMissed() int64 { return db.changesMissed.Load() }
-
 // SetReadOnly switches the database in or out of replica mode: when
 // read-only, every mutating statement from a normal session is refused
 // at the session boundary with an error wrapping ErrReadOnly, while
 // applier sessions (NewApplier) still write. SELECT and EXPLAIN are
 // unaffected — serving those is the point of a read replica.
 func (db *DB) SetReadOnly(on bool) { db.readOnly.Store(on) }
-
-// ReadOnly reports whether the database is in replica mode.
-func (db *DB) ReadOnly() bool { return db.readOnly.Load() }
 
 // Exec is a convenience that runs a statement on a throwaway session.
 func (db *DB) Exec(sql string, params ...Value) (*Result, error) {
@@ -675,16 +633,19 @@ func (db *DB) MustExec(sql string, params ...Value) *Result {
 
 // ExecScript executes a semicolon-separated script atomically with respect
 // to each statement (no surrounding transaction). It returns the result of
-// the last statement.
+// the last statement. Each statement executes with its own source text
+// attached (so a change sink captures it) and, like a prepared
+// statement, without touching the plan cache — loading a dump cannot
+// evict hot entries.
 func (db *DB) ExecScript(script string) (*Result, error) {
-	stmts, err := ParseScript(script)
+	stmts, err := parseScript(script)
 	if err != nil {
 		return nil, err
 	}
 	s := db.Session()
 	var last *Result
 	for _, st := range stmts {
-		last, err = s.ExecStmt(st, nil, nil)
+		last, _, err = s.execStmt(st.st, nil, 0, "", st.text, nil, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -24,31 +24,14 @@ func (db *DB) Dump() string {
 	return db.dumpLocked()
 }
 
-// DumpWithSeq returns the committed-only dump together with the change
-// sequence number it is consistent with (see ChangeSeq): both are read
-// under one hold of the exclusive engine lock, and change capture
-// advances the sequence only inside statements (which hold the shared
-// lock), so no change can slip between them. The pair is a replica
-// bootstrap point: execute the script, then apply only changes with Seq
-// greater than the returned sequence.
-//
-// If any session holds an open explicit transaction at dump time, its
-// already-streamed statements (Seq <= floor) are NOT in the dump —
-// their rows are uncommitted. A replica bootstrapped from this pair
-// alone would lose those writes when the transaction later commits; use
-// BootstrapState, which also returns the pending statements for
-// priming.
-func (db *DB) DumpWithSeq() (string, int64) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.dumpLocked(), db.changeSeq.Load()
-}
-
-// BootstrapState is the full replica bootstrap point: the committed-only
+// BootstrapState is the replica bootstrap point: the committed-only
 // dump script, the change-sequence floor it is consistent with, and the
 // statements of transactions still open at the floor — every change
 // those transactions have already put on the stream (Seq <= floor),
-// whose effects the committed-only dump deliberately excludes. A new
+// whose effects the committed-only dump deliberately excludes. All
+// three are read under one hold of the exclusive engine lock, and
+// change capture advances the sequence only inside statements (which
+// hold the shared lock), so no change can slip between them. A new
 // replica executes the script, primes the pending statements
 // (Applier.Prime), and then applies the live stream from floor+1; the
 // open transactions resolve when their COMMIT or ROLLBACK arrives.

@@ -1,0 +1,310 @@
+package sqldb
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// Entry-point equivalence: the same figure-shaped statement mix executed
+// through Exec (plan cache), Prepare+Exec (no cache) and one ExecScript
+// of the rendered script must be indistinguishable — same results, same
+// error text, same table contents, same change stream. There is one
+// statement path; the entry points only differ in how they resolve text
+// to a plan.
+
+// equivStep is one statement of the mix. Only SELECT/INSERT/UPDATE/DELETE
+// steps carry params: for those the normalizer makes bound and inlined
+// values comparable; everything else is written with literals.
+type equivStep struct {
+	sql    string
+	params []Value
+}
+
+// equivMix generates a seeded mix over orders/audit: DDL, literal and
+// bound IUD, explicit transactions ended by COMMIT, ROLLBACK, or a native
+// procedure rolling back its child session, a SQL-bodied CALL, a native
+// CALL that issues SQL, and statements that fail without effect
+// (duplicate key, transaction control out of place).
+func equivMix(seed int64) []equivStep {
+	rng := rand.New(rand.NewSource(seed))
+	step := func(sql string, params ...Value) equivStep { return equivStep{sql, params} }
+	mix := []equivStep{
+		step("CREATE TABLE orders (id INTEGER PRIMARY KEY, item VARCHAR, qty INTEGER)"),
+		step("CREATE TABLE audit (id INTEGER, note VARCHAR)"),
+		step("CREATE INDEX orders_item ON orders (item)"),
+		step("CREATE PROCEDURE restock(p, n) AS 'UPDATE orders SET qty = qty + :n WHERE id = :p; INSERT INTO audit VALUES (:p, ''restock''); SELECT qty FROM orders WHERE id = :p'"),
+	}
+	items := []string{"bolt", "nut", "it's", "washer; x"}
+	iud := func() equivStep {
+		id, qty := int64(rng.Intn(12)), int64(rng.Intn(50))
+		item := items[rng.Intn(len(items))]
+		switch rng.Intn(7) {
+		case 0:
+			return step(fmt.Sprintf("INSERT INTO orders VALUES (%d, %s, %d)", id, Str(item).SQLLiteral(), qty))
+		case 1:
+			return step("INSERT INTO orders (id, item, qty) VALUES (?, ?, ?)", Int(id), Str(item), Int(qty))
+		case 2:
+			return step("UPDATE orders SET qty = ? WHERE item = ?", Int(qty), Str(item))
+		case 3:
+			return step(fmt.Sprintf("UPDATE orders SET qty = qty + 1 WHERE id = %d", id))
+		case 4:
+			return step("DELETE FROM orders WHERE id = ? AND qty < 25", Int(id))
+		case 5:
+			return step(fmt.Sprintf("CALL restock(%d, %d)", id, qty))
+		default:
+			return step(fmt.Sprintf("CALL note(%d, 'seen')", id))
+		}
+	}
+	for i := 0; i < 60; i++ {
+		switch rng.Intn(6) {
+		case 0: // explicit transaction
+			mix = append(mix, step("BEGIN"))
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				mix = append(mix, iud())
+			}
+			switch rng.Intn(4) {
+			case 0:
+				mix = append(mix, step("ROLLBACK"))
+			case 1:
+				// The native procedure closes the transaction; the COMMIT
+				// after it fails with "no transaction open".
+				mix = append(mix, step("CALL abort()"), step("COMMIT"))
+			default:
+				mix = append(mix, step("COMMIT"))
+			}
+		case 1: // out-of-place transaction control fails without effect
+			mix = append(mix, step([]string{"COMMIT", "ROLLBACK"}[rng.Intn(2)]))
+		case 2:
+			mix = append(mix, step("SELECT id, item, qty FROM orders WHERE qty >= ? ORDER BY id", Int(int64(rng.Intn(30)))))
+		default:
+			mix = append(mix, iud())
+		}
+	}
+	return append(mix,
+		step("DROP INDEX orders_item"),
+		step("SELECT COUNT(*), SUM(qty) FROM orders"),
+		step("SELECT id, note FROM audit ORDER BY id, note"))
+}
+
+// equivDB opens a database with the mix's native procedures and a
+// change capture installed.
+func equivDB() (*DB, *[]Change) {
+	db := Open("equiv")
+	db.RegisterProcedure("note", func(s *Session, args []Value) (*Result, error) {
+		return s.Exec("INSERT INTO audit VALUES (?, ?)", args...)
+	})
+	db.RegisterProcedure("abort", func(s *Session, _ []Value) (*Result, error) {
+		s.Rollback()
+		return &Result{}, nil
+	})
+	return db, captureChanges(db)
+}
+
+// outcome is what one statement produced, in comparable form.
+type outcome struct {
+	res *Result
+	err string
+}
+
+func outcomeOf(res *Result, err error) outcome {
+	if err != nil {
+		return outcome{err: err.Error()}
+	}
+	return outcome{res: res}
+}
+
+// canonicalChanges brings a change stream to the form all entry points
+// must agree on: normalized text with the extracted literals merged into
+// the parameter vector.
+func canonicalChanges(t *testing.T, changes []Change) []Change {
+	t.Helper()
+	out := make([]Change, len(changes))
+	for i, c := range changes {
+		if n, ok := normalizeStmt(c.SQL); ok {
+			merged, ok := mergeParams(c.Params, n.consts, n.pattern)
+			if !ok {
+				t.Fatalf("seq %d: %q carries too few params %v", c.Seq, c.SQL, c.Params)
+			}
+			c.SQL, c.Params = n.text, merged
+		}
+		if len(c.Params) == 0 {
+			c.Params = nil
+		}
+		out[i] = c
+	}
+	return out
+}
+
+// renderScript inlines each step's params as SQL literals.
+func renderScript(t *testing.T, steps []equivStep) string {
+	t.Helper()
+	var b strings.Builder
+	for _, st := range steps {
+		sql := st.sql
+		for _, p := range st.params {
+			if !strings.Contains(sql, "?") {
+				t.Fatalf("%q: more params than placeholders", st.sql)
+			}
+			sql = strings.Replace(sql, "?", p.SQLLiteral(), 1)
+		}
+		b.WriteString(sql)
+		b.WriteString(";\n")
+	}
+	return b.String()
+}
+
+func TestEntryPointsAreEquivalent(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			mix := equivMix(seed)
+
+			cachedDB, cachedChanges := equivDB()
+			cached := cachedDB.Session()
+			preparedDB, preparedChanges := equivDB()
+			prepared := preparedDB.Session()
+			var ok []equivStep // the steps that succeeded: the script
+			var last outcome
+			sawErr, sawAbort := false, false
+			for i, st := range mix {
+				a := outcomeOf(cached.Exec(st.sql, st.params...))
+				var b outcome
+				if ps, err := prepared.Prepare(st.sql); err != nil {
+					b = outcomeOf(nil, err)
+				} else {
+					b = outcomeOf(ps.Exec(st.params...))
+				}
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("step %d %q %v:\n   Exec: %+v %q\nPrepare: %+v %q", i, st.sql, st.params, a.res, a.err, b.res, b.err)
+				}
+				if a.err != "" {
+					sawErr = true
+					continue
+				}
+				sawAbort = sawAbort || st.sql == "CALL abort()"
+				ok = append(ok, st)
+				last = a
+			}
+			if !sawErr || !sawAbort {
+				t.Fatalf("mix exercised no failing statement (%v) or no native rollback (%v)", sawErr, sawAbort)
+			}
+
+			// ExecScript stops at the first error, so its script is the
+			// statements that succeeded; the ones that failed had no effect
+			// and emitted no change.
+			scriptDB, scriptChanges := equivDB()
+			res, err := scriptDB.ExecScript(renderScript(t, ok))
+			if c := outcomeOf(res, err); !reflect.DeepEqual(c, last) {
+				t.Fatalf("ExecScript: %+v %q, want the last statement's %+v", c.res, c.err, last.res)
+			}
+
+			want := cachedDB.Dump()
+			if got := preparedDB.Dump(); got != want {
+				t.Fatalf("Prepare arm diverged:\n%s\nwant:\n%s", got, want)
+			}
+			if got := scriptDB.Dump(); got != want {
+				t.Fatalf("ExecScript arm diverged:\n%s\nwant:\n%s", got, want)
+			}
+
+			wantChanges := canonicalChanges(t, *cachedChanges)
+			if len(wantChanges) == 0 {
+				t.Fatal("no changes captured")
+			}
+			for i, c := range wantChanges {
+				if c.Seq != int64(i+1) {
+					t.Fatalf("change %d has seq %d: stream not dense", i, c.Seq)
+				}
+			}
+			for arm, got := range map[string][]Change{
+				"Prepare":    canonicalChanges(t, *preparedChanges),
+				"ExecScript": canonicalChanges(t, *scriptChanges),
+			} {
+				if len(got) != len(wantChanges) {
+					t.Fatalf("%s arm streamed %d changes, Exec arm %d", arm, len(got), len(wantChanges))
+				}
+				for i := range got {
+					if !reflect.DeepEqual(got[i], wantChanges[i]) {
+						t.Fatalf("%s arm change %d:\n got %+v\nwant %+v", arm, i, got[i], wantChanges[i])
+					}
+				}
+			}
+
+			// And the stream is sufficient: a replica fed it converges.
+			replica, _ := equivDB()
+			ap := NewApplier(replica, 0)
+			for _, c := range *scriptChanges {
+				if err := ap.Apply(c); err != nil {
+					t.Fatalf("replay of the ExecScript stream: %v", err)
+				}
+			}
+			if got := replica.Dump(); got != want {
+				t.Fatalf("replica of the ExecScript stream diverged:\n%s\nwant:\n%s", got, want)
+			}
+		})
+	}
+}
+
+// TestRollbackAPIBypassesStatementGates: Session.Rollback is a ROLLBACK
+// run below the statement boundary. An abort must always go through, so
+// neither a refusing ExecHook, nor an expired budget, nor replica mode
+// may stop it — and the change stream still gets exactly one ROLLBACK.
+func TestRollbackAPIBypassesStatementGates(t *testing.T) {
+	db := Open("p")
+	db.MustExec("CREATE TABLE t (id INTEGER)")
+	changes := captureChanges(db)
+	s := db.Session()
+	for _, sql := range []string{"BEGIN", "INSERT INTO t VALUES (1)"} {
+		if _, err := s.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stmts := db.Stats().Statements
+
+	refused := 0
+	db.SetExecHook(func(string) error { refused++; return errors.New("refused") })
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.BindContext(ctx)
+	db.SetReadOnly(true)
+	if _, err := s.Exec("ROLLBACK"); err == nil {
+		t.Fatal("the gates let a ROLLBACK statement through; the test proves nothing")
+	}
+
+	s.Rollback()
+
+	if s.InTransaction() {
+		t.Fatal("transaction still open after Rollback")
+	}
+	if refused != 0 {
+		t.Fatalf("ExecHook consulted %d times", refused)
+	}
+	if got := db.Stats().Statements - stmts; got != 1 {
+		t.Fatalf("Rollback counted as %d statements, want 1", got)
+	}
+	var kinds []string
+	for _, c := range *changes {
+		kinds = append(kinds, c.Kind)
+	}
+	if want := []string{"BEGIN", "INSERT", "ROLLBACK"}; !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("change stream = %v, want %v", kinds, want)
+	}
+	if c := (*changes)[2]; c.SQL != "ROLLBACK" || c.Session != s.ID() {
+		t.Fatalf("rollback change = %+v", c)
+	}
+	s.Rollback() // nothing open: no second record
+	if len(*changes) != 3 {
+		t.Fatalf("idle Rollback emitted a change: %d", len(*changes))
+	}
+
+	db.SetExecHook(nil)
+	db.SetReadOnly(false)
+	s.BindContext(nil)
+	res, err := s.Exec("SELECT COUNT(*) FROM t")
+	if err != nil || res.Rows[0][0].I != 0 {
+		t.Fatalf("rolled-back insert visible: %v %v", res, err)
+	}
+}

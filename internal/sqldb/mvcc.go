@@ -133,26 +133,6 @@ type txn struct {
 	aborted bool
 }
 
-// writeTables returns the sorted, deduplicated lowercased names of the
-// tables the transaction has written — the latch set of its COMMIT or
-// ROLLBACK.
-func (tx *txn) writeTables() []string {
-	if tx == nil || len(tx.ws) == 0 {
-		return nil
-	}
-	seen := map[string]bool{}
-	var names []string
-	for _, w := range tx.ws {
-		lc := strings.ToLower(w.t.Name)
-		if !seen[lc] {
-			seen[lc] = true
-			names = append(names, lc)
-		}
-	}
-	sort.Strings(names)
-	return names
-}
-
 // stampCommit resolves the write set as committed at the next commit
 // sequence and publishes that sequence. The caller holds commitMu and
 // the write set's table latches; readers that observe the new commit
@@ -472,10 +452,13 @@ func (db *DB) stmtFootprint(st Stmt, tx *txn, fpc *fpSlot) (fp []latchTarget, ok
 	case *BeginStmt:
 		return nil, true
 	case *CommitStmt, *RollbackStmt:
-		// Transaction-dependent: latch the open write set, never cached.
+		// Transaction-dependent: latch the tables of the open write set
+		// (tx is nil when the statement is about to fail); never cached.
 		write := map[string]bool{}
-		for _, n := range tx.writeTables() {
-			write[n] = true
+		if tx != nil {
+			for _, w := range tx.ws {
+				write[strings.ToLower(w.t.Name)] = true
+			}
 		}
 		return db.resolveFootprint(footprintNames(write, nil)), true
 	case *InsertStmt, *UpdateStmt, *DeleteStmt, *TruncateStmt, *CallStmt:
@@ -631,20 +614,6 @@ func acquireLatches(fp []latchTarget, record bool) map[string]time.Duration {
 		}
 	}
 	return waits
-}
-
-// writeSetLatches resolves a transaction's write set into latch targets
-// (sorted by writeTables), for the Rollback API path that must latch
-// without a statement. Tables dropped since the write happened resolve
-// to nothing — their versions are unreachable anyway.
-func (db *DB) writeSetLatches(tx *txn) []latchTarget {
-	var fp []latchTarget
-	for _, n := range tx.writeTables() {
-		if t := db.tables[n]; t != nil {
-			fp = append(fp, latchTarget{name: n, t: t, write: true})
-		}
-	}
-	return fp
 }
 
 func releaseLatches(fp []latchTarget) {

@@ -15,24 +15,44 @@ type parser struct {
 
 // Parse parses a single SQL statement.
 func Parse(sql string) (Stmt, error) {
-	stmts, err := ParseScript(sql)
+	stmts, err := parseScript(sql)
 	if err != nil {
 		return nil, err
 	}
 	if len(stmts) != 1 {
 		return nil, fmt.Errorf("sqldb: expected exactly one statement, got %d", len(stmts))
 	}
-	return stmts[0], nil
+	return stmts[0].st, nil
 }
 
 // ParseScript parses a semicolon-separated sequence of SQL statements.
 func ParseScript(sql string) ([]Stmt, error) {
+	parts, err := parseScript(sql)
+	if err != nil {
+		return nil, err
+	}
+	stmts := make([]Stmt, len(parts))
+	for i, p := range parts {
+		stmts[i] = p.st
+	}
+	return stmts, nil
+}
+
+// scriptStmt is one statement of a script with its source text: the
+// span from its first token to its last, taken from token offsets —
+// never by splitting on ';', which procedure bodies contain.
+type scriptStmt struct {
+	st   Stmt
+	text string
+}
+
+func parseScript(sql string) ([]scriptStmt, error) {
 	toks, err := newLexer(sql).lexAll()
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{src: sql, toks: toks}
-	var stmts []Stmt
+	var stmts []scriptStmt
 	for {
 		for p.peekSym(";") {
 			p.pos++
@@ -40,11 +60,12 @@ func ParseScript(sql string) ([]Stmt, error) {
 		if p.peek().kind == tokEOF {
 			break
 		}
+		first := p.peek().pos
 		s, err := p.parseStmt()
 		if err != nil {
 			return nil, err
 		}
-		stmts = append(stmts, s)
+		stmts = append(stmts, scriptStmt{st: s, text: sql[first:p.toks[p.pos-1].end]})
 		if !p.peekSym(";") && p.peek().kind != tokEOF {
 			return nil, p.errorf("expected ';' or end of input")
 		}

@@ -692,9 +692,6 @@ func TestConcurrentStatementCacheSafety(t *testing.T) {
 	if cs.Invalidations == 0 {
 		t.Fatalf("DDL never invalidated cache entries: %+v", cs)
 	}
-	if cs.Flushes != 0 {
-		t.Fatalf("scoped DDL invalidation must not full-flush: %+v", cs)
-	}
 	if cs.Hits == 0 {
 		t.Fatalf("repeated identical statement produced no cache hits: %+v", cs)
 	}

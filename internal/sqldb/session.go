@@ -243,21 +243,14 @@ func (p *PreparedStmt) restoreParse(parse time.Duration) {
 }
 
 // Exec runs the prepared statement with positional parameters.
-func (p *PreparedStmt) Exec(params ...Value) (*Result, error) {
-	parse := p.takeParse()
-	res, executed, err := p.s.execStmt(p.stmt, &p.fp, parse, "", p.src, params, nil)
-	if executed {
-		p.consumeParse(parse)
-	} else {
-		p.restoreParse(parse)
-	}
-	return res, err
-}
+func (p *PreparedStmt) Exec(params ...Value) (*Result, error) { return p.exec(params, nil) }
 
 // ExecNamed runs the prepared statement with named parameters.
-func (p *PreparedStmt) ExecNamed(named map[string]Value) (*Result, error) {
+func (p *PreparedStmt) ExecNamed(named map[string]Value) (*Result, error) { return p.exec(nil, named) }
+
+func (p *PreparedStmt) exec(params []Value, named map[string]Value) (*Result, error) {
 	parse := p.takeParse()
-	res, executed, err := p.s.execStmt(p.stmt, &p.fp, parse, "", p.src, nil, named)
+	res, executed, err := p.s.execStmt(p.stmt, &p.fp, parse, "", p.src, params, named)
 	if executed {
 		p.consumeParse(parse)
 	} else {
@@ -276,22 +269,6 @@ func (s *Session) Query(sql string, params ...Value) (*Result, error) {
 		return nil, fmt.Errorf("sqldb: statement did not return rows")
 	}
 	return r, nil
-}
-
-// ExecStmt executes a pre-parsed statement. Top-level executions (not
-// re-entrant ones) first pass through the database's ExecHook, so fault
-// injection sees the same statement stream every session sends; they also
-// emit per-statement StmtStats to the session's (or database's) sink
-// after the engine lock is released. A pre-parsed statement carries no
-// parse cost (StmtStats.Parse == 0).
-//
-// A pre-parsed statement also carries no SQL text, so a mutating
-// ExecStmt is invisible to an installed change sink (SetChangeSink) —
-// the miss is counted in ChangesMissed. Replication-facing callers use
-// Exec/ExecNamed/Prepare, which capture the text.
-func (s *Session) ExecStmt(st Stmt, params []Value, named map[string]Value) (*Result, error) {
-	res, _, err := s.execStmt(st, nil, 0, "", "", params, named)
-	return res, err
 }
 
 // readOnlyStmt reports whether a statement only reads database state and
@@ -326,8 +303,8 @@ func isDDL(st Stmt) bool {
 // shared read, per-table latches, or the exclusive engine lock),
 // statement execution, then stats emission. parse and cache describe
 // how the statement text was resolved (see Exec/cachedParse) and flow
-// into the emitted StmtStats; src is the original SQL text when the
-// caller has it (change-stream capture needs it). executed is false
+// into the emitted StmtStats; src is the statement's SQL text, which
+// every caller has (change-stream capture needs it). executed is false
 // only when the ExecHook refused the statement before any work happened
 // — prepared statements use that to re-arm their one-time parse charge.
 //
@@ -342,7 +319,7 @@ func (s *Session) execStmt(st Stmt, fpc *fpSlot, parse time.Duration, cache stri
 		// Re-entrant execution (native procedure bodies running on a
 		// child session): no hook, no stats — the enclosing statement
 		// accounts for it.
-		res, err = s.execStmtLocked(st, params, named)
+		res, err = s.execStmtLocked(st, params, named, nil)
 		return res, true, err
 	}
 	s.mu.Lock()
@@ -478,13 +455,20 @@ func (s *Session) runStmt(st Stmt, fpc *fpSlot, parse time.Duration, cache, src 
 		// while the index still exists.
 		s.ddlAffected = s.db.ddlAffected(st)
 	}
+	var start time.Time
+	if wantStats {
+		s.planTable, s.planIndex, s.rowsScanned = "", "", 0
+		start = time.Now()
+	}
+	// The shared dispatch with the change-stream record as its emit
+	// step, then an opportunistic vacuum while the latches are held.
+	res, err = s.execStmtLocked(st, params, named, func() { s.emitChange(st, src, params, named) })
+	if err == nil {
+		s.vacuumFootprint(fp)
+	}
 	if !wantStats {
-		res, err = s.execTop(st, src, params, named, fp)
 		return nil, res, err
 	}
-	s.planTable, s.planIndex, s.rowsScanned = "", "", 0
-	start := time.Now()
-	res, err = s.execTop(st, src, params, named, fp)
 	stat = &StmtStats{
 		Start:           start,
 		Kind:            StmtKind(st),
@@ -515,89 +499,6 @@ func (s *Session) runStmt(st Stmt, fpc *fpSlot, parse time.Duration, cache, src 
 		stat.Err = err.Error()
 	}
 	return stat, res, err
-}
-
-// execTop runs one top-level statement inside runStmt's locks: it
-// handles transaction control, wraps other statements in a
-// statement-local transaction when none is open (statement atomicity),
-// resolves version stamps on completion, and emits the change-stream
-// record. Commit stamping, change-sequence assignment, sink delivery,
-// and open-transaction bookkeeping share one commitMu critical section
-// — the invariant that keeps the change stream dense and exactly paired
-// with BootstrapState floors.
-func (s *Session) execTop(st Stmt, src string, params []Value, named map[string]Value, fp []latchTarget) (*Result, error) {
-	switch st.(type) {
-	case *BeginStmt:
-		s.db.stmtCount.Add(1)
-		if s.txn != nil {
-			return nil, fmt.Errorf("sqldb: transaction already open")
-		}
-		s.txn = &txn{id: s.db.txnIDs.Add(1), explicit: true}
-		s.db.commitMu.Lock()
-		s.emitChange(st, src, params, named) // registers the open-txn buffer
-		s.db.commitMu.Unlock()
-		return &Result{}, nil
-	case *CommitStmt:
-		s.db.stmtCount.Add(1)
-		if s.txn == nil {
-			return nil, fmt.Errorf("sqldb: no transaction open")
-		}
-		tx := s.txn
-		s.txn = nil
-		s.db.commitMu.Lock()
-		s.db.stampCommit(tx)
-		s.emitChange(st, src, params, named)
-		delete(s.db.openTxns, s.id)
-		s.db.commitMu.Unlock()
-		s.vacuumFootprint(fp)
-		return &Result{}, nil
-	case *RollbackStmt:
-		s.db.stmtCount.Add(1)
-		if s.txn == nil {
-			return nil, fmt.Errorf("sqldb: no transaction open")
-		}
-		tx := s.txn
-		s.txn = nil
-		rollbackStamps(tx)
-		s.db.commitMu.Lock()
-		s.emitChange(st, src, params, named)
-		delete(s.db.openTxns, s.id)
-		s.db.commitMu.Unlock()
-		s.vacuumFootprint(fp)
-		return &Result{}, nil
-	}
-
-	local := s.txn == nil
-	if local {
-		s.txn = &txn{id: s.db.txnIDs.Add(1)}
-	}
-	res, err := s.execStmtLocked(st, params, named)
-	tx := s.txn
-	switch {
-	case local && tx != nil:
-		if err != nil {
-			rollbackStamps(tx)
-		} else {
-			s.db.commitMu.Lock()
-			s.db.stampCommit(tx) // no-op if a child session rolled back
-			s.emitChange(st, src, params, named)
-			s.db.commitMu.Unlock()
-		}
-		s.txn = nil
-	case err == nil:
-		// Explicit transaction (or a procedure body closed the local
-		// one): effects stay pending; the statement is still captured.
-		s.db.commitMu.Lock()
-		s.emitChange(st, src, params, named)
-		s.db.commitMu.Unlock()
-		if tx != nil && tx.aborted {
-			s.txn = nil // a child session's Rollback closed it
-		}
-	}
-	if err == nil {
-		s.vacuumFootprint(fp)
-	}
-	return res, err
 }
 
 // vacuumFootprint opportunistically vacuums the statement's
@@ -633,19 +534,13 @@ func (s *Session) vacuumFootprint(fp []latchTarget) {
 // bootstrap script already carries.
 //
 // Applier sessions are skipped — re-capturing the replication stream on
-// a replica would loop it. Mutating statements executed without source
-// text (pre-parsed ExecStmt/ExecScript paths) cannot be captured and
-// are counted in ChangesMissed instead.
+// a replica would loop it.
 func (s *Session) emitChange(st Stmt, src string, params []Value, named map[string]Value) {
 	if s.applier || readOnlyStmt(st) {
 		return
 	}
 	sink := s.db.currentChangeSink()
 	if sink == nil {
-		return
-	}
-	if src == "" {
-		s.db.changesMissed.Add(1)
 		return
 	}
 	c := Change{
@@ -673,72 +568,110 @@ func (s *Session) emitChange(st Stmt, src string, params []Value, named map[stri
 }
 
 // execStmtLocked executes one statement with the engine locks already
-// held — the dispatch body shared by the top-level path and re-entrant
-// execution (native-procedure child sessions, SQL procedure bodies).
-// When no transaction is open — only possible re-entrantly, after a
-// procedure body closed one — the statement runs in its own local
-// transaction resolved here.
-func (s *Session) execStmtLocked(st Stmt, params []Value, named map[string]Value) (res *Result, err error) {
+// held — the one path shared by top-level execution (runStmt) and
+// re-entrant execution (native-procedure child sessions, SQL procedure
+// bodies). emit is the change-stream step: the top-level caller's runs
+// inside the same commitMu hold as the commit stamp, which keeps the
+// stream dense and exactly paired with BootstrapState floors;
+// re-entrant callers pass nil (the stream carries the enclosing
+// statement).
+func (s *Session) execStmtLocked(st Stmt, params []Value, named map[string]Value, emit func()) (*Result, error) {
 	s.db.stmtCount.Add(1)
-	lower := func(m map[string]Value) map[string]Value {
-		if m == nil {
-			return nil
-		}
-		out := make(map[string]Value, len(m))
-		for k, v := range m {
-			out[strings.ToLower(k)] = v
-		}
-		return out
-	}
-	named = lower(named)
-
 	switch st.(type) {
-	case *BeginStmt:
-		if s.txn != nil {
-			return nil, fmt.Errorf("sqldb: transaction already open")
-		}
-		s.txn = &txn{id: s.db.txnIDs.Add(1), explicit: true}
-		return &Result{}, nil
-	case *CommitStmt:
-		if s.txn == nil {
-			return nil, fmt.Errorf("sqldb: no transaction open")
-		}
-		s.db.commitMu.Lock()
-		s.db.stampCommit(s.txn)
-		delete(s.db.openTxns, s.id)
-		s.db.commitMu.Unlock()
-		s.txn = nil
-		return &Result{}, nil
-	case *RollbackStmt:
-		if s.txn == nil {
-			return nil, fmt.Errorf("sqldb: no transaction open")
-		}
-		rollbackStamps(s.txn)
-		s.db.commitMu.Lock()
-		delete(s.db.openTxns, s.id)
-		s.db.commitMu.Unlock()
-		s.txn = nil
-		return &Result{}, nil
+	case *BeginStmt, *CommitStmt, *RollbackStmt:
+		return s.txnControl(st, emit)
 	}
-
-	local := false
-	if s.txn == nil {
+	// Statement atomicity: with no transaction open the statement runs
+	// in a local one, resolved by finishStmt.
+	local := s.txn == nil
+	if local {
 		s.txn = &txn{id: s.db.txnIDs.Add(1)}
-		local = true
 	}
-	defer func() {
-		if local && s.txn != nil {
-			if err != nil {
-				rollbackStamps(s.txn)
-			} else {
-				s.db.commitMu.Lock()
-				s.db.stampCommit(s.txn)
-				s.db.commitMu.Unlock()
-			}
+	res, err := s.dispatch(st, params, lowerKeys(named))
+	s.finishStmt(local, err, emit)
+	return res, err
+}
+
+// txnControl performs BEGIN, COMMIT or ROLLBACK on the session. Commit
+// stamping, the emit step and the open-transaction bookkeeping share
+// one commitMu critical section. BEGIN emits with the new transaction
+// already set (which registers its bootstrap buffer); COMMIT and
+// ROLLBACK emit with it already cleared.
+func (s *Session) txnControl(st Stmt, emit func()) (*Result, error) {
+	_, begin := st.(*BeginStmt)
+	_, commit := st.(*CommitStmt)
+	tx := s.txn
+	switch {
+	case begin && tx != nil:
+		return nil, fmt.Errorf("sqldb: transaction already open")
+	case !begin && tx == nil:
+		return nil, fmt.Errorf("sqldb: no transaction open")
+	case begin:
+		s.txn = &txn{id: s.db.txnIDs.Add(1), explicit: true}
+	default:
+		s.txn = nil
+		if !commit {
+			rollbackStamps(tx)
+		}
+	}
+	s.db.commitMu.Lock()
+	if commit {
+		s.db.stampCommit(tx)
+	}
+	if emit != nil {
+		emit()
+	}
+	if !begin {
+		delete(s.db.openTxns, s.id)
+	}
+	s.db.commitMu.Unlock()
+	return &Result{}, nil
+}
+
+// finishStmt resolves a statement once its dispatch returned. A local
+// transaction still open is rolled back on error and stamp-committed on
+// success (a no-op if a child session rolled it back); inside an
+// explicit transaction the effects stay pending. A successful statement
+// is handed to emit in the same commitMu hold as its commit stamp.
+func (s *Session) finishStmt(local bool, err error, emit func()) {
+	tx := s.txn
+	own := local && tx != nil // false when a procedure body closed it
+	if err != nil {
+		if own {
+			rollbackStamps(tx)
 			s.txn = nil
 		}
-	}()
+		return
+	}
+	if own || emit != nil {
+		s.db.commitMu.Lock()
+		if own {
+			s.db.stampCommit(tx)
+		}
+		if emit != nil {
+			emit()
+		}
+		s.db.commitMu.Unlock()
+	}
+	if own || (tx != nil && tx.aborted) {
+		s.txn = nil // resolved here, or closed by a child session's Rollback
+	}
+}
 
+func lowerKeys(m map[string]Value) map[string]Value {
+	if m == nil {
+		return nil
+	}
+	out := make(map[string]Value, len(m))
+	for k, v := range m {
+		out[strings.ToLower(k)] = v
+	}
+	return out
+}
+
+// dispatch executes one non-transaction-control statement inside the
+// session's open transaction.
+func (s *Session) dispatch(st Stmt, params []Value, named map[string]Value) (res *Result, err error) {
 	switch t := st.(type) {
 	case *SelectStmt:
 		base := &env{params: params, named: named, session: s}
@@ -875,35 +808,25 @@ func (s *Session) Rollback() {
 		// Re-entrant (child session): the enclosing statement already
 		// holds the engine lock and the write set's latches. Flipping
 		// the stamps marks the shared transaction aborted, which the
-		// parent's statement-finalize observes and skips committing.
+		// parent's finishStmt observes and skips committing.
 		if s.txn != nil && !s.txn.aborted {
-			rollbackStamps(s.txn)
-			s.db.commitMu.Lock()
-			s.emitChange(&RollbackStmt{}, "ROLLBACK", nil, nil)
-			delete(s.db.openTxns, s.id)
-			s.db.commitMu.Unlock()
+			s.txnControl(rollbackStmt, func() { s.emitChange(rollbackStmt, "ROLLBACK", nil, nil) })
 		}
 		s.txn = nil
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.txn == nil {
-		return
+	if s.txn != nil {
+		// A ROLLBACK statement run below the statement boundary: runStmt
+		// latches the write set, but the ExecHook, the budget and
+		// read-only gates and stats emission (all in execStmt) are
+		// bypassed — an abort must always go through.
+		s.runStmt(rollbackStmt, nil, 0, "", "ROLLBACK", nil, nil, false)
 	}
-	tx := s.txn
-	s.txn = nil
-	s.db.mu.RLock()
-	fp := s.db.writeSetLatches(tx)
-	acquireLatches(fp, false)
-	rollbackStamps(tx)
-	s.db.commitMu.Lock()
-	s.emitChange(&RollbackStmt{}, "ROLLBACK", nil, nil)
-	delete(s.db.openTxns, s.id)
-	s.db.commitMu.Unlock()
-	releaseLatches(fp)
-	s.db.mu.RUnlock()
 }
+
+var rollbackStmt Stmt = &RollbackStmt{}
 
 func (s *Session) nextSequenceValue(name string) (Value, error) {
 	seq, ok := s.db.sequences[strings.ToLower(name)]
@@ -1269,7 +1192,7 @@ func (s *Session) execCall(t *CallStmt, params []Value, named map[string]Value) 
 	}
 	var last *Result
 	for _, st := range proc.Body {
-		r, err := s.execStmtLocked(st, nil, bound)
+		r, err := s.execStmtLocked(st, nil, bound, nil)
 		if err != nil {
 			return nil, fmt.Errorf("sqldb: procedure %s: %w", proc.Name, err)
 		}

@@ -90,15 +90,6 @@ func (t *Table) ColumnIndex(name string) int {
 	return -1
 }
 
-// ColumnNames returns the column names in declaration order.
-func (t *Table) ColumnNames() []string {
-	names := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		names[i] = c.Name
-	}
-	return names
-}
-
 // RowCount returns the number of live rows: committed versions not yet
 // committed-deleted, plus the creators' own uncommitted inserts. It is
 // a heap statistic (planner labels, EXPLAIN), not a snapshot count.

@@ -49,13 +49,15 @@ bench-test:
 
 # Fuzz smoke: bounded runs of the WAL-scanner fuzzer (recovery must
 # survive arbitrary bytes), the script splitter behind ExecScript
-# (statement texts re-parse alone and cover the input) and normalizeStmt
-# (idempotent on its own rendering). CI-friendly; raise -fuzztime
-# manually for longer campaigns.
+# (statement texts re-parse alone and cover the input), normalizeStmt
+# (idempotent on its own rendering) and the index key encoder (same key
+# iff equal under compareValues). CI-friendly; raise -fuzztime manually
+# for longer campaigns.
 fuzz:
 	$(GO) test -fuzz='^FuzzScan$$' -fuzztime=15s ./internal/journal/
 	$(GO) test -fuzz='^FuzzParseScript$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzNormalizeStmt$$' -fuzztime=15s ./internal/sqldb/
+	$(GO) test -fuzz='^FuzzIndexKey$$' -fuzztime=15s ./internal/sqldb/
 
 # The gate: build, vet, the full race-enabled suite (soak included),
 # then the fuzz smoke.

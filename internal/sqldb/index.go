@@ -2,19 +2,25 @@ package sqldb
 
 import (
 	"fmt"
-	"strings"
+	"slices"
+	"strconv"
 )
 
 // Index is a hash index over one or more columns. Unique indexes enforce
-// key uniqueness (NULL keys are exempt, as in standard SQL). Buckets
-// hold every non-aborted version of a key — visibility filtering
-// happens at scan time — so the structure needs no maintenance on
-// commit or rollback, only on vacuum.
+// key uniqueness (NULL keys are exempt, as in standard SQL). A bucket
+// holds, in heap order, every version of its key still in the heap —
+// visibility filtering happens at scan time — so the structure needs no
+// maintenance on commit or rollback, only on vacuum, which takes the
+// versions it drops from the heap out of their buckets (remove). No
+// bucket is left empty. Keys are encoded into a stack buffer and the
+// map is probed with string(buf), which does not allocate: only insert
+// pays for a key.
 //
-// Structural access is guarded by the owning table's rowsMu: insert and
-// rebuild run under the write half (inside insertVersion/maybeVacuum),
-// lookup copies its bucket under the read half so latch-free snapshot
-// readers never alias a bucket being spliced.
+// Structural access is guarded by the owning table's rowsMu: insert,
+// checkInsert and remove run under the write half (inside
+// insertVersion/maybeVacuum), lookup copies its bucket under the read
+// half so latch-free snapshot readers never alias a bucket being
+// filtered.
 type Index struct {
 	Name    string
 	Table   *Table
@@ -56,22 +62,42 @@ func newIndex(name string, t *Table, cols []string, unique bool) (*Index, error)
 	return idx, nil
 }
 
-// key encodes the indexed column values of a row. hasNull reports whether
-// any key column is NULL (such keys never violate uniqueness).
-func (idx *Index) key(vals []Value) (key string, hasNull bool) {
-	var b strings.Builder
-	for _, ci := range idx.colIdx {
-		v := vals[ci]
-		if v.IsNull() {
-			hasNull = true
-		}
-		// Normalize numerics so 1 and 1.0 collide, matching compareValues.
-		if v.K == KindFloat && v.F == float64(int64(v.F)) {
-			v = Int(int64(v.F))
-		}
-		fmt.Fprintf(&b, "%d:%s\x00", int(v.K), v.String())
+// keyBuf is the stack buffer keys are encoded into (longer ones spill).
+type keyBuf [64]byte
+
+// appendKey appends the key encoding of one column value: a kind byte,
+// then digits closed by NUL or a length-prefixed string. Each is
+// self-delimiting, so a composite key is injective. Integral floats
+// encode as integers so 1 and 1.0 collide, matching compareValues.
+func appendKey(b []byte, v Value) []byte {
+	if v.K == KindFloat && v.F == float64(int64(v.F)) {
+		v = Int(int64(v.F))
 	}
-	return b.String(), hasNull
+	switch v.K {
+	case KindInt:
+		return append(strconv.AppendInt(append(b, 'i'), v.I, 10), 0)
+	case KindFloat:
+		return append(strconv.AppendFloat(append(b, 'f'), v.F, 'g', -1, 64), 0)
+	case KindString:
+		b = append(strconv.AppendInt(append(b, 's'), int64(len(v.S)), 10), ':')
+		return append(b, v.S...)
+	case KindBool:
+		if v.B {
+			return append(b, 'T')
+		}
+		return append(b, 'F')
+	}
+	return append(b, 'n')
+}
+
+// rowKey encodes the indexed column values of a row into b. hasNull
+// reports a NULL key column (such keys never violate uniqueness).
+func (idx *Index) rowKey(b []byte, vals []Value) (key []byte, hasNull bool) {
+	for _, ci := range idx.colIdx {
+		hasNull = hasNull || vals[ci].IsNull()
+		b = appendKey(b, vals[ci])
+	}
+	return b, hasNull
 }
 
 // checkInsert decides whether txnID may add a version with r's key.
@@ -86,11 +112,12 @@ func (idx *Index) checkInsert(r *Row, txnID int64) error {
 	if !idx.Unique {
 		return nil
 	}
-	k, hasNull := idx.key(r.Values)
+	var buf keyBuf
+	k, hasNull := idx.rowKey(buf[:0], r.Values)
 	if hasNull {
 		return nil
 	}
-	for _, o := range idx.buckets[k] {
+	for _, o := range idx.buckets[string(k)] {
 		if o == r {
 			continue
 		}
@@ -116,34 +143,57 @@ func (idx *Index) checkInsert(r *Row, txnID int64) error {
 }
 
 func (idx *Index) insert(r *Row) {
-	k, _ := idx.key(r.Values)
-	idx.buckets[k] = append(idx.buckets[k], r)
+	var buf keyBuf
+	k, _ := idx.rowKey(buf[:0], r.Values)
+	idx.buckets[string(k)] = append(idx.buckets[string(k)], r)
 }
 
-// rebuild repopulates the buckets from a vacuumed heap. The caller
-// holds the table's rowsMu write lock; the old bucket map is abandoned
-// so in-flight readers holding copied buckets are unaffected.
-func (idx *Index) rebuild(rows []*Row) {
-	idx.buckets = make(map[string][]*Row, len(idx.buckets))
-	for _, r := range rows {
-		idx.insert(r)
+// remove takes the reclaimed versions — every version of the heap that
+// gone reports — out of their buckets. A bucket is filtered whole on the
+// first of its versions met, so one that gave up several is remembered
+// by its first survivor and not walked again: the cost is linear in the
+// buckets touched however many versions share a key. A version the
+// index never held (aborted before CREATE INDEX) takes nothing out. The
+// caller holds the table's rowsMu write lock.
+func (idx *Index) remove(reclaimed []*Row, gone func(*Row) bool) {
+	var swept map[*Row]bool
+	var buf keyBuf
+	for _, r := range reclaimed {
+		k, _ := idx.rowKey(buf[:0], r.Values)
+		b := idx.buckets[string(k)]
+		if len(b) == 0 || swept[b[0]] {
+			continue
+		}
+		kept := slices.DeleteFunc(b, gone)
+		if len(kept) == 0 {
+			delete(idx.buckets, string(k))
+			continue
+		}
+		idx.buckets[string(k)] = kept
+		if len(b)-len(kept) > 1 { // more of this key are coming
+			if swept == nil {
+				swept = map[*Row]bool{}
+			}
+			swept[kept[0]] = true
+		}
 	}
 }
 
 // lookup returns the versions whose indexed columns equal the given
-// values — a copy, safe to filter and iterate after the structural lock
-// is released. Callers apply visibility.
+// values, one per index column in order — a copy, safe to filter and
+// iterate after the structural lock is released. Callers apply
+// visibility.
 func (idx *Index) lookup(vals []Value) []*Row {
-	probe := make([]Value, len(idx.Table.Columns))
-	for i, ci := range idx.colIdx {
-		probe[ci] = vals[i]
-	}
-	k, hasNull := idx.key(probe)
-	if hasNull {
-		return nil // NULL never equals anything
+	var buf keyBuf
+	k := buf[:0]
+	for _, v := range vals {
+		if v.IsNull() {
+			return nil // NULL never equals anything
+		}
+		k = appendKey(k, v)
 	}
 	idx.Table.rowsMu.RLock()
-	b := idx.buckets[k]
+	b := idx.buckets[string(k)]
 	out := make([]*Row, len(b))
 	copy(out, b)
 	idx.Table.rowsMu.RUnlock()

@@ -92,6 +92,7 @@ func TestSameRowWritersFirstWriterWins(t *testing.T) {
 	if res := db.MustExec("SELECT COUNT(*) FROM t"); res.Rows[0][0].I != 1 {
 		t.Fatalf("row count = %v, want 1 (no duplicate versions visible)", res.Rows[0][0])
 	}
+	checkDBIndexes(t, db)
 }
 
 // TestAutocommitConflictRetryBothSucceed: autocommit statements retry
@@ -126,6 +127,7 @@ func TestAutocommitConflictRetryBothSucceed(t *testing.T) {
 	if v, _ := res.Rows[0][1].AsInt(); v != 1049 && v != 2049 {
 		t.Fatalf("final v = %d, want one writer's last value (1049 or 2049)", v)
 	}
+	checkDBIndexes(t, db)
 }
 
 // TestDisjointTableWritersDoNotBlock: holding table a's write latch
@@ -302,6 +304,7 @@ func TestExplainExecutorAgreementUnderContention(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	checkDBIndexes(t, db)
 }
 
 // TestDDLInvalidationScopedToTable is the regression test for the

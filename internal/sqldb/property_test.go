@@ -153,6 +153,7 @@ func TestQuickRollbackRestoresState(t *testing.T) {
 		if _, err := s.Exec("ROLLBACK"); err != nil {
 			return false
 		}
+		checkDBIndexes(t, db)
 		return snapshot(db) == before
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -187,6 +188,7 @@ func TestQuickIndexEquivalence(t *testing.T) {
 				}
 			}
 		}
+		checkDBIndexes(t, indexed)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -545,6 +547,7 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 	if res.Rows[0][0].I != writes || res.Rows[0][1].I != writes {
 		t.Fatalf("lost updates: SUM(a)=%d SUM(b)=%d, want %d", res.Rows[0][0].I, res.Rows[0][1].I, writes)
 	}
+	checkDBIndexes(t, db)
 }
 
 // TestConcurrentUniqueInsertOneWinner races goroutines inserting the
@@ -588,6 +591,7 @@ func TestConcurrentUniqueInsertOneWinner(t *testing.T) {
 	if got := db.MustExec("SELECT COUNT(*) FROM t").Rows[0][0].I; got != keys {
 		t.Fatalf("table holds %d rows, want %d", got, keys)
 	}
+	checkDBIndexes(t, db)
 }
 
 // TestConcurrentExplainMatchesExecutor re-checks the EXPLAIN/executor

@@ -507,14 +507,14 @@ func (s *Session) vacuumFootprint(fp []latchTarget) {
 	var minSnap int64
 	computed := false
 	for _, lt := range fp {
-		if !lt.write || lt.t.dead.Load() < vacuumDeadThreshold {
+		if !lt.write || !lt.t.vacuumDue() {
 			continue
 		}
 		if !computed {
 			minSnap = s.db.minActiveSnapshot()
 			computed = true
 		}
-		lt.t.maybeVacuum(minSnap)
+		lt.t.maybeVacuum(minSnap, minSnap < s.snap)
 	}
 }
 

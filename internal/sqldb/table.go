@@ -38,7 +38,7 @@ type Row struct {
 // do not take it at all. `rowsMu` is a short-hold structural lock
 // guarding the rows slice header and the index buckets so those
 // latch-free readers can copy them safely; writers hold it only for the
-// append/rebuild itself. Schema fields (Name, Columns, indexes) change
+// append/vacuum itself. Schema fields (Name, Columns, indexes) change
 // only under the exclusive engine lock.
 type Table struct {
 	Name    string
@@ -51,6 +51,8 @@ type Table struct {
 	rowsMu sync.RWMutex
 	live   atomic.Int64 // versions visible to at least their creator
 	dead   atomic.Int64 // aborted or committed-deleted versions awaiting vacuum
+
+	vacuumFloor int64 // dead the last vacuum left to an older snapshot; under the exclusive latch
 }
 
 func newTable(name string, cols []Column) (*Table, error) {
@@ -171,40 +173,53 @@ func (t *Table) unclaimRow(r *Row, txnID int64) {
 }
 
 // vacuumDeadThreshold is how many dead versions a table accumulates
-// before a mutating statement rebuilds its heap in passing.
+// before a mutating statement vacuums it in passing.
 const vacuumDeadThreshold = 64
+
+// vacuumDue reports whether a threshold's worth of versions has died
+// since the last vacuum; counting from what that one had to leave
+// behind keeps a table whose dead an older snapshot pins from being
+// re-scanned on every statement. The caller holds the exclusive latch.
+func (t *Table) vacuumDue() bool {
+	return t.dead.Load() >= t.vacuumFloor+vacuumDeadThreshold
+}
 
 // maybeVacuum drops versions no present or future snapshot can see:
 // aborted inserts and deletes committed at or before the oldest active
-// snapshot. The caller holds the table's exclusive latch. The heap and
-// every index bucket map are rebuilt fresh — latch-free readers keep
-// scanning the slices they already copied.
-func (t *Table) maybeVacuum(minSnap int64) {
-	if t.dead.Load() < vacuumDeadThreshold {
+// snapshot. The caller holds the table's exclusive latch, so stamps on
+// its versions do not change underneath. The heap is copied without
+// them — latch-free readers keep scanning the slice they hold — and
+// each index filters them out of the buckets they sat in: keys are
+// encoded for the reclaimed versions only, never for the survivors.
+// pinned says a snapshot older than the caller's own set minSnap; if
+// not, what is left is free once the caller returns: no reason to wait.
+func (t *Table) maybeVacuum(minSnap int64, pinned bool) {
+	if !t.vacuumDue() {
 		return
+	}
+	gone := func(r *Row) bool {
+		x := r.xmax.Load()
+		return r.xmin.Load() == abortedStamp || (x > 0 && x <= minSnap)
 	}
 	t.rowsMu.Lock()
 	fresh := make([]*Row, 0, len(t.rows))
-	removed := 0
+	var reclaimed []*Row
 	for _, r := range t.rows {
-		if r.xmin.Load() == abortedStamp {
-			removed++
-			continue
+		if gone(r) {
+			reclaimed = append(reclaimed, r)
+		} else {
+			fresh = append(fresh, r)
 		}
-		if x := r.xmax.Load(); x > 0 && x <= minSnap {
-			removed++
-			continue
+	}
+	if len(reclaimed) > 0 {
+		t.rows = fresh
+		for _, idx := range t.indexes {
+			idx.remove(reclaimed, gone)
 		}
-		fresh = append(fresh, r)
-	}
-	if removed == 0 {
-		t.rowsMu.Unlock()
-		return
-	}
-	t.rows = fresh
-	for _, idx := range t.indexes {
-		idx.rebuild(fresh)
 	}
 	t.rowsMu.Unlock()
-	t.dead.Add(int64(-removed))
+	t.vacuumFloor = 0
+	if left := t.dead.Add(int64(-len(reclaimed))); pinned {
+		t.vacuumFloor = left
+	}
 }

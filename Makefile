@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race short soak cover bench bench-test fuzz ci clean
+.PHONY: all build vet test race short soak cover bench bench-test fuzz ci loc clean
 
 all: build
 
@@ -62,6 +62,11 @@ fuzz:
 # The gate: build, vet, the full race-enabled suite (soak included),
 # then the fuzz smoke.
 ci: build vet race fuzz
+
+# Non-test Go lines outside bench/: the size ROADMAP item 2 tracks and
+# every PR reports before/after.
+loc:
+	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

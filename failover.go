@@ -17,9 +17,10 @@ import (
 // the replicated log transport), replaying lifecycle records into a
 // hot materialized state and SQL effects into a read replica. On
 // primary death the standby performs the lease-fenced takeover and a
-// rebuilt environment resumes the in-flight instances exactly-once —
-// the crash-recovery guarantees of PR 2, now with a warm follower
-// instead of a cold restart.
+// rebuilt environment resumes the in-flight instances with the
+// crash-recovery guarantee of journal.Effects.Run (exactly-once from
+// each memo onward, one repeat of an effect caught between running and
+// its memo), now with a warm follower instead of a cold restart.
 
 // Primary bundles a running environment with its lease-fenced journal.
 type Primary struct {

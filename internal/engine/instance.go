@@ -70,7 +70,7 @@ type Instance struct {
 	input   map[string]string
 	output  map[string]string
 
-	// Durable-execution state: the journal-then-effect protocol's
+	// Durable-execution state: the effect-then-memo protocol's
 	// replay queues and occurrence counters, and crash hooks (run on
 	// simulated process death to model server-side rollback of the
 	// instance's open database transactions).

@@ -40,9 +40,9 @@ func (e *Engine) Journal() *journal.Recorder {
 }
 
 // RunEffect routes an effectful activity (invoke, SQL) through the
-// journal-then-effect protocol (journal.Effects.Run): a resumed
+// effect-then-memo protocol (journal.Effects.Run): a resumed
 // instance replays the memoized result instead of executing the effect,
-// a live one journals around it, and with no journal attached the
+// a live one journals its memo after it, and with no journal attached the
 // effect runs bare.
 func (c *Ctx) RunEffect(activity, effectKind string, effect func() (map[string]string, error), replay func(memo map[string]string) error) error {
 	in := c.Inst
@@ -59,7 +59,7 @@ func (c *Ctx) RunEffect(activity, effectKind string, effect func() (map[string]s
 // on completion the listed variables are captured into the memo, and on
 // replay they are restored without re-executing the inner activity.
 // This is how effects embedded in otherwise-generic activities (e.g.
-// Oracle's ora:processXSQL inside an Assign) become exactly-once.
+// Oracle's ora:processXSQL inside an Assign) get RunEffect's guarantee.
 type JournaledActivity struct {
 	Inner      Activity
 	EffectKind string

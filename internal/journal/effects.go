@@ -8,13 +8,13 @@ import (
 	"wfsql/internal/resilience"
 )
 
-// Effects is one workflow instance's side of the journal-then-effect
+// Effects is one workflow instance's side of the effect-then-memo
 // protocol: the per-activity occurrence counters that label journal
 // records across loop iterations, and the queues of memoized effect
 // results a resumed instance replays instead of re-executing. Both
 // workflow hosts (engine.Instance, mswf.Context) embed one by value, so
-// the ordering exactly-once recovery depends on is written once, in Run.
-// The zero value is ready to use.
+// the ordering recovery depends on is written once, in Run. The zero
+// value is ready to use.
 type Effects struct {
 	mu     sync.Mutex
 	replay map[string][]Memo
@@ -57,18 +57,20 @@ func (p *Effects) next(activity string) (occ int, m Memo, ok bool) {
 // completes with identical visible state and zero repeated side
 // effects.
 //
-// Live mode: the three chaos crash points bracket the two writes —
+// Live mode: one journal append per effect, the memo, bracketed by the
+// three chaos crash points —
 //
-//	crash?(before-journal)
-//	journal activity-start
-//	crash?(after-journal-before-effect)
+//	crash?(before-journal)        neither write has happened
 //	effect()                      -> memo
+//	crash?(after-effect-before-journal)
 //	journal activity-complete(memo)
 //	crash?(after-effect)
 //
-// so recovery semantics are exercised at every interleaving a real
-// crash can produce. With no journal attached (rec == nil) the effect
-// runs bare.
+// so recovery is exercised at every interleaving a real crash can
+// produce. The effect is exactly-once from its memo onward; a crash
+// between the effect and its memo leaves that one effect in doubt and
+// recovery repeats it (at-least-once inside the window, never a loss).
+// With no journal attached (rec == nil) the effect runs bare.
 func (p *Effects) Run(rec *Recorder, id int64, activity, effectKind string,
 	effect func() (map[string]string, error), replay func(memo map[string]string) error) (occ int, replayed bool, err error) {
 	occ, m, ok := p.next(activity)
@@ -91,14 +93,11 @@ func (p *Effects) Run(rec *Recorder, id int64, activity, effectKind string,
 	if err := crash(CrashBeforeJournal); err != nil {
 		return occ, false, err
 	}
-	if err := rec.ActivityStart(id, activity, occ, effectKind); err != nil {
-		return occ, false, err
-	}
-	if err := crash(CrashAfterJournalBeforeEffect); err != nil {
-		return occ, false, err
-	}
 	memo, err := effect()
 	if err != nil {
+		return occ, false, err
+	}
+	if err := crash(CrashAfterEffectBeforeJournal); err != nil {
 		return occ, false, err
 	}
 	if err := rec.ActivityComplete(id, activity, occ, effectKind, memo); err != nil {

@@ -37,10 +37,11 @@ import (
 type Kind string
 
 // Record kinds. The set mirrors the instance lifecycle: creation,
-// per-activity start/complete (with memoized results), product-layer
-// transaction boundaries, compensation, dead-lettering, and completion. Checkpoint records carry a full
-// state snapshot so recovery need not scan from the beginning of
-// time; deploy records are an audit trail.
+// per-effect completion (with memoized results), product-layer
+// transaction boundaries, compensation, dead-lettering, and completion.
+// Checkpoint records carry a full state snapshot so recovery need not
+// scan from the beginning of time; deploy records are an audit trail;
+// activity-start is read (and folded to nothing) but no longer written.
 const (
 	KindDeploy            Kind = "deploy"
 	KindInstanceCreated   Kind = "instance-created"

@@ -32,17 +32,21 @@ func IsFenced(err error) bool { return errors.Is(err, ErrFenced) }
 // the writer; any other error also refuses the append.
 type AppendGuard func(rec *Record) error
 
-// CrashPoint identifies where in the journal-then-effect protocol a
-// simulated crash fires. The three points bracket the two writes an
-// effectful activity performs (the journal append and the effect
-// itself), covering every interleaving a real crash can produce:
+// CrashPoint identifies where in the effect-then-memo protocol
+// (Effects.Run) a simulated crash fires. An effectful activity performs
+// two writes, the effect itself and then the journal append of its
+// memo; the three points cover every interleaving a real crash can
+// produce:
 //
-//	CrashBeforeJournal            -- neither journal nor effect happened;
-//	                                 recovery re-runs the activity.
-//	CrashAfterJournalBeforeEffect -- activity-start journaled, effect not
-//	                                 performed; recovery sees no
-//	                                 activity-complete and re-runs it.
-//	CrashAfterEffect              -- effect performed and its result
+//	CrashBeforeJournal            -- before the effect, so before its
+//	                                 memo too: neither happened;
+//	                                 recovery runs the activity.
+//	CrashAfterEffectBeforeJournal -- effect performed, memo not
+//	                                 journaled: the in-doubt window.
+//	                                 Recovery cannot tell it from the
+//	                                 point above and repeats this one
+//	                                 effect (never loses it).
+//	CrashAfterEffect              -- effect performed and its memo
 //	                                 journaled (activity-complete);
 //	                                 recovery replays the memo and must
 //	                                 NOT repeat the side effect.
@@ -52,7 +56,7 @@ type CrashPoint int
 const (
 	CrashNone CrashPoint = iota
 	CrashBeforeJournal
-	CrashAfterJournalBeforeEffect
+	CrashAfterEffectBeforeJournal
 	CrashAfterEffect
 )
 
@@ -63,8 +67,8 @@ func (p CrashPoint) String() string {
 		return "none"
 	case CrashBeforeJournal:
 		return "before-journal"
-	case CrashAfterJournalBeforeEffect:
-		return "after-journal-before-effect"
+	case CrashAfterEffectBeforeJournal:
+		return "after-effect-before-journal"
 	case CrashAfterEffect:
 		return "after-effect"
 	}
@@ -131,8 +135,8 @@ const (
 	// SyncCritical (the default) fsyncs after commit-critical records:
 	// txn-commit, activity-complete memos, checkpoints, dead letters and
 	// instance completion. These are the records whose loss breaks
-	// exactly-once replay — a crash after "journal-then-effect" must not
-	// lose the journal half while the effect's side effect survives.
+	// exactly-once replay — once an effect's memo is appended, a crash
+	// must not lose the memo while the effect's side effect survives.
 	SyncCritical SyncMode = iota
 	// SyncAlways fsyncs after every append.
 	SyncAlways
@@ -192,8 +196,8 @@ type Recorder struct {
 	epoch           int64       // fencing epoch stamped on every record
 	guard           AppendGuard // pre-write fence check (nil = none)
 	fencedWrites    int64       // appends refused by the guard
-	pendingSync     int   // unsynced commit-critical records
-	syncCount       int64 // fsyncs issued (tests, metrics)
+	pendingSync     int         // unsynced commit-critical records
+	syncCount       int64       // fsyncs issued (tests, metrics)
 	obs             *obsv.Observability
 
 	// rotate, when set, makes every checkpoint rewrite the WAL as a
@@ -395,9 +399,9 @@ func (r *Recorder) FencedWrites() int64 {
 // Append writes one record durably and folds it into the state.
 // Commit-critical records (txn-commit, activity-complete memos,
 // checkpoints, dead letters, instance completion) are fsynced according
-// to the recorder's SyncPolicy before Append returns, closing the
-// crash window in which the journal half of "journal-then-effect" is
-// lost while the effect's side effect survives.
+// to the recorder's SyncPolicy before Append returns, so a memo that
+// Append acknowledged is not lost while the effect's side effect
+// survives.
 func (r *Recorder) Append(rec *Record) error {
 	if rec.Time.IsZero() {
 		rec.Time = time.Now().UTC()
@@ -786,6 +790,9 @@ func (r *Recorder) InstanceCreated(id int64, process, mode string, input map[str
 }
 
 // ActivityStart journals intent to execute an effectful activity.
+// Effects.Run does not write it: no fold, replica or tailer reads the
+// record. It remains because older journals hold the record and
+// bench/ times this append.
 func (r *Recorder) ActivityStart(id int64, activity string, occurrence int, effectKind string) error {
 	return r.Append(&Record{Kind: KindActivityStart, Instance: id, Activity: activity, Occurrence: occurrence, EffectKind: effectKind})
 }

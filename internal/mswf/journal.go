@@ -41,7 +41,7 @@ func (rt *Runtime) Journal() *journal.Recorder {
 func (c *Context) InstanceID() int64 { return c.instID }
 
 // RunEffect routes an effectful activity (SQL database activity,
-// web-service invoke) through the journal-then-effect protocol
+// web-service invoke) through the effect-then-memo protocol
 // (journal.Effects.Run), exactly as engine.Ctx.RunEffect does.
 func (c *Context) RunEffect(activity, effectKind string, effect func() (map[string]string, error), replay func(memo map[string]string) error) error {
 	_, replayed, err := c.effects.Run(c.jrec, c.instID, activity, effectKind, effect, replay)

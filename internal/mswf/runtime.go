@@ -231,7 +231,7 @@ type Context struct {
 	sessions map[*sqldb.DB]*sqldb.Session // one session per DB per instance
 
 	// Durable-execution state (see journal.go): the durable instance
-	// ID, the attached recorder, and the journal-then-effect protocol's
+	// ID, the attached recorder, and the effect-then-memo protocol's
 	// replay queues and occurrence counters.
 	instID  int64
 	jrec    *journal.Recorder

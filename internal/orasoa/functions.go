@@ -384,12 +384,7 @@ func queryResultName(el *xdm.Node) string {
 	return "result"
 }
 
-// substitutePageParams replaces {@name} placeholders with ? bind slots
-// and returns the bound values in placeholder order. Binding instead of
-// inlining SQL-quoted literals keeps one plan-cache entry per page
-// statement regardless of parameter values (it also removes the quoting
-// path entirely). The same page parameter may appear more than once; each
-// occurrence gets its own slot.
+// leadByte returns the first byte of s, 0 when s is empty.
 func leadByte(s string) byte {
 	if s == "" {
 		return 0
@@ -397,6 +392,12 @@ func leadByte(s string) byte {
 	return s[0]
 }
 
+// substitutePageParams replaces {@name} placeholders with ? bind slots
+// and returns the bound values in placeholder order. Binding instead of
+// inlining SQL-quoted literals keeps one plan-cache entry per page
+// statement regardless of parameter values (it also removes the quoting
+// path entirely). The same page parameter may appear more than once; each
+// occurrence gets its own slot.
 func substitutePageParams(sql string, params map[string]string) (string, []sqldb.Value, error) {
 	if !strings.Contains(sql, "{@") {
 		return sql, nil, nil

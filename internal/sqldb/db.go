@@ -74,25 +74,26 @@ type DB struct {
 	//   - rawCache is a front cache from exact raw text to the plan
 	//     entry plus that text's extracted constants, so a literal-
 	//     identical repeat skips even the lexer. Raw entries hold no
-	//     plan of their own; one whose plan entry died (eviction,
-	//     DDL-scoped invalidation) is dropped lazily on lookup.
-	cacheMu            sync.Mutex
-	stmtCache          map[string]*list.Element // normalized text -> lruList element
-	lruList            *list.List               // of *cacheEntry, front = hottest
-	rawCache           map[string]*list.Element // raw text -> rawList element
-	rawList            *list.List               // of *rawEntry, front = hottest
-	cacheSize          atomic.Int64             // len(stmtCache) mirror for the gauge
-	cacheHits          atomic.Int64
-	cacheMisses        atomic.Int64
-	cacheEvictions     atomic.Int64
-	cacheInvalidations atomic.Int64
+	//     plan of their own; one whose plan entry was evicted is
+	//     dropped lazily on lookup.
+	//
+	// DDL invalidates nothing here: a cached statement is a parse tree
+	// whose names bind at execution, against the catalog as it then is.
+	cacheMu        sync.Mutex
+	stmtCache      map[string]*list.Element // normalized text -> lruList element
+	lruList        *list.List               // of *cacheEntry, front = hottest
+	rawCache       map[string]*list.Element // raw text -> rawList element
+	rawList        *list.List               // of *rawEntry, front = hottest
+	cacheSize      atomic.Int64             // len(stmtCache) mirror for the gauge
+	cacheHits      atomic.Int64
+	cacheMisses    atomic.Int64
+	cacheEvictions atomic.Int64
 
-	// hookMu guards execHook and statsSink separately from mu so the hook
-	// can sleep (latency injection) without serializing against statement
-	// execution.
-	hookMu    sync.Mutex
-	execHook  ExecHook
-	statsSink StatsSink
+	// execHook and statsSink are read on every top-level statement and
+	// are called without any engine lock held, so the hook can sleep
+	// (latency injection) without serializing statement execution.
+	execHook  atomic.Pointer[ExecHook]
+	statsSink atomic.Pointer[StatsSink]
 
 	// Change-data-capture plumbing (see SetChangeSink): sessionIDs mints
 	// the per-session origin ids the stream is keyed by, changeSeq is the
@@ -100,7 +101,7 @@ type DB struct {
 	// statement still holds its table latches, so it orders exactly like
 	// execution on every table), and readOnly puts the database in
 	// replica mode (only applier sessions may write).
-	changeSink ChangeSink
+	changeSink atomic.Pointer[ChangeSink]
 	sessionIDs atomic.Int64
 	changeSeq  atomic.Int64
 	readOnly   atomic.Bool
@@ -125,15 +126,12 @@ const stmtCacheCap = 1024
 const rawCacheCap = 4096
 
 // cacheEntry is one plan-cache LRU slot: the normalized SQL text (the
-// map key, to unlink on eviction), its parsed statement, and the
-// lowercased object names the statement references syntactically — the
-// key DDL-scoped invalidation matches against. dead marks an entry
-// removed from the plan cache while raw front-cache entries may still
-// point at it; those drop lazily (all under cacheMu).
+// map key, to unlink on eviction) and its parsed statement. dead marks
+// an entry evicted from the plan cache while raw front-cache entries
+// may still point at it; those drop lazily (all under cacheMu).
 type cacheEntry struct {
 	sql  string
 	st   Stmt
-	refs map[string]bool
 	fp   fpSlot // lazily computed latch footprint (see stmtFootprint)
 	el   *list.Element
 	dead bool
@@ -169,20 +167,6 @@ type parsedStmt struct {
 // concurrent parser of the same plan can win the insert race.
 var parseRaceHook func()
 
-// stmtRefSet computes a statement's reference set for cache
-// invalidation: every table, view, sequence, and procedure name its AST
-// mentions, lowercased. Purely syntactic, so it is computed once at
-// parse time and cached with the entry.
-func stmtRefSet(st Stmt) map[string]bool {
-	w := map[string]bool{}
-	r := map[string]bool{}
-	stmtRefs(st, w, r)
-	for n := range r {
-		w[n] = true
-	}
-	return w
-}
-
 // ExecHook intercepts every top-level statement executed against the
 // database, before the engine lock is taken. kind is the statement kind
 // (see StmtKind: "SELECT", "INSERT", "COMMIT", ...). A non-nil return
@@ -193,17 +177,14 @@ func stmtRefSet(st Stmt) map[string]bool {
 type ExecHook func(kind string) error
 
 // SetExecHook installs (or, with nil, removes) the statement interceptor.
-func (db *DB) SetExecHook(h ExecHook) {
-	db.hookMu.Lock()
-	defer db.hookMu.Unlock()
-	db.execHook = h
-}
+func (db *DB) SetExecHook(h ExecHook) { db.execHook.Store(&h) }
 
-// currentExecHook returns the installed hook (nil if none).
-func (db *DB) currentExecHook() ExecHook {
-	db.hookMu.Lock()
-	defer db.hookMu.Unlock()
-	return db.execHook
+// installed returns the func a Set* call last stored in p, nil if none.
+func installed[F any](p *atomic.Pointer[F]) (f F) {
+	if q := p.Load(); q != nil {
+		f = *q
+	}
+	return f
 }
 
 // Stats is a snapshot of the engine's activity counters.
@@ -259,11 +240,10 @@ func (db *DB) ResetStats() {
 
 // StmtCacheStats is a snapshot of the parsed-statement cache counters.
 type StmtCacheStats struct {
-	Size          int   // statements currently cached
-	Hits          int64 // Exec/ExecNamed calls served from the cache
-	Misses        int64 // calls that had to parse
-	Evictions     int64 // single LRU evictions (capacity pressure)
-	Invalidations int64 // entries dropped by DDL-scoped invalidation
+	Size      int   // statements currently cached
+	Hits      int64 // Exec/ExecNamed calls served from the cache
+	Misses    int64 // calls that had to parse
+	Evictions int64 // single LRU evictions (capacity pressure)
 }
 
 // StmtCacheStats returns a snapshot of the parsed-statement cache.
@@ -272,11 +252,10 @@ func (db *DB) StmtCacheStats() StmtCacheStats {
 	size := len(db.stmtCache)
 	db.cacheMu.Unlock()
 	return StmtCacheStats{
-		Size:          size,
-		Hits:          db.cacheHits.Load(),
-		Misses:        db.cacheMisses.Load(),
-		Evictions:     db.cacheEvictions.Load(),
-		Invalidations: db.cacheInvalidations.Load(),
+		Size:      size,
+		Hits:      db.cacheHits.Load(),
+		Misses:    db.cacheMisses.Load(),
+		Evictions: db.cacheEvictions.Load(),
 	}
 }
 
@@ -345,7 +324,6 @@ func (db *DB) cachedParse(sql string) (parsedStmt, error) {
 	if parseRaceHook != nil {
 		parseRaceHook()
 	}
-	refs := stmtRefSet(st)
 	db.cacheMu.Lock()
 	var ce *cacheEntry
 	hit := false
@@ -368,7 +346,7 @@ func (db *DB) cachedParse(sql string) (parsedStmt, error) {
 			delete(db.stmtCache, dead.sql)
 			db.cacheEvictions.Add(1)
 		}
-		ce = &cacheEntry{sql: key, st: st, refs: refs}
+		ce = &cacheEntry{sql: key, st: st}
 		ce.el = db.lruList.PushFront(ce)
 		db.stmtCache[key] = ce.el
 		db.cacheSize.Store(int64(len(db.stmtCache)))
@@ -402,104 +380,6 @@ func (db *DB) insertRawLocked(sql string, ce *cacheEntry, consts []Value, patter
 		delete(db.rawCache, coldest.Value.(*rawEntry).sql)
 	}
 	db.rawCache[sql] = db.rawList.PushFront(&rawEntry{sql: sql, ce: ce, consts: consts, pattern: pattern})
-}
-
-// ddlAffected resolves the lowercased object names a DDL statement
-// invalidates cached statements for: its direct target(s), plus every
-// view that (transitively) references an affected object. Called before
-// the DDL executes, under the exclusive engine lock — DROP INDEX needs
-// the owner table while the index still exists, and the view closure
-// needs the pre-DDL view set.
-func (db *DB) ddlAffected(st Stmt) []string {
-	affected := map[string]bool{}
-	add := func(n string) {
-		if n != "" {
-			affected[strings.ToLower(n)] = true
-		}
-	}
-	switch t := st.(type) {
-	case *CreateTableStmt:
-		add(t.Table)
-	case *DropTableStmt:
-		add(t.Table)
-	case *AlterTableStmt:
-		add(t.Table)
-		add(t.Name) // RENAME: both old and new names are affected
-	case *CreateIndexStmt:
-		add(t.Name)
-		add(t.Table)
-	case *DropIndexStmt:
-		add(t.Name)
-		if owner, ok := db.indexOwner[strings.ToLower(t.Name)]; ok {
-			add(owner.Name)
-		}
-	case *CreateViewStmt:
-		add(t.Name)
-	case *DropViewStmt:
-		add(t.Name)
-	case *CreateSequenceStmt:
-		add(t.Name)
-	case *DropSequenceStmt:
-		add(t.Name)
-	case *CreateProcedureStmt:
-		add(t.Name)
-	case *DropProcedureStmt:
-		add(t.Name)
-	default:
-		return nil
-	}
-	// Close over views: a view whose query references an affected object
-	// is itself affected (statements scanning the view must drop too).
-	for changed := true; changed; {
-		changed = false
-		for name, v := range db.views {
-			if affected[name] {
-				continue
-			}
-			refs := map[string]bool{}
-			selectRefs(v.Query, refs)
-			for n := range refs {
-				if affected[n] {
-					affected[name] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	out := make([]string, 0, len(affected))
-	for n := range affected {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// invalidateStmtCacheFor drops the cached statements whose reference
-// sets intersect the affected object names, so DDL on one table does
-// not cost unrelated hot statements their parse. Each dropped entry
-// counts as one Invalidation.
-func (db *DB) invalidateStmtCacheFor(affected []string) {
-	if len(affected) == 0 {
-		return
-	}
-	db.cacheMu.Lock()
-	for el := db.lruList.Front(); el != nil; {
-		next := el.Next()
-		ce := el.Value.(*cacheEntry)
-		for _, n := range affected {
-			if ce.refs[n] {
-				db.lruList.Remove(el)
-				ce.dead = true // raw front-cache entries drop lazily
-				delete(db.stmtCache, ce.sql)
-				db.cacheInvalidations.Add(1)
-				break
-			}
-		}
-		el = next
-	}
-	db.cacheSize.Store(int64(len(db.stmtCache)))
-	db.cacheMu.Unlock()
 }
 
 // TableNames returns the names of all tables, sorted.
@@ -596,18 +476,7 @@ type ChangeSink func(Change)
 // statements, ExecScript and Session.Rollback — executes with its
 // statement text attached, so every mutating top-level statement is
 // captured.
-func (db *DB) SetChangeSink(fn ChangeSink) {
-	db.hookMu.Lock()
-	defer db.hookMu.Unlock()
-	db.changeSink = fn
-}
-
-// currentChangeSink returns the installed change sink (nil if none).
-func (db *DB) currentChangeSink() ChangeSink {
-	db.hookMu.Lock()
-	defer db.hookMu.Unlock()
-	return db.changeSink
-}
+func (db *DB) SetChangeSink(fn ChangeSink) { db.changeSink.Store(&fn) }
 
 // SetReadOnly switches the database in or out of replica mode: when
 // read-only, every mutating statement from a normal session is refused
@@ -645,7 +514,7 @@ func (db *DB) ExecScript(script string) (*Result, error) {
 	s := db.Session()
 	var last *Result
 	for _, st := range stmts {
-		last, _, err = s.execStmt(st.st, nil, 0, "", st.text, nil, nil)
+		last, err = s.execStmt(st.st, nil, nil, 0, "", st.text, nil, nil)
 		if err != nil {
 			return nil, err
 		}

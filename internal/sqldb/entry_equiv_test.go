@@ -308,3 +308,99 @@ func TestRollbackAPIBypassesStatementGates(t *testing.T) {
 		t.Fatalf("rolled-back insert visible: %v %v", res, err)
 	}
 }
+
+// TestCachedTextAcrossDDLMatchesUncachedPrepare: DDL invalidates nothing
+// in the statement cache, because a cached plan is a parse tree whose
+// names bind at execution. So the same cached text — re-executed
+// byte-identically (raw front-cache hit) and with a fresh literal
+// (normalized-plan hit) — must, after any DDL on the objects it names,
+// return what an uncached Prepare of that text returns on a database
+// that went through the same history: results, error text, contents.
+func TestCachedTextAcrossDDLMatchesUncachedPrepare(t *testing.T) {
+	probes := []string{ // one literal slot each
+		"SELECT * FROM t WHERE a >= %d ORDER BY 1, 2",
+		"SELECT a, b FROM t WHERE b = %d ORDER BY a",
+		"INSERT INTO t VALUES (%d, 2)",
+		"INSERT INTO t (a, b) VALUES (%d, 2)",
+		"UPDATE t SET b = b + 1 WHERE a = %d",
+		"DELETE FROM t WHERE a = %d AND b > 100",
+		"SELECT * FROM v WHERE a >= %d ORDER BY 1",
+		"SELECT * FROM x WHERE n >= %d ORDER BY 1",
+		"INSERT INTO x VALUES (%d)",
+	}
+	rounds := [][]string{
+		{ // warm the cache
+			"CREATE TABLE t (a INTEGER, b INTEGER)",
+			"INSERT INTO t VALUES (1, 2), (2, 2), (3, 4)",
+			"CREATE VIEW v AS SELECT a FROM t",
+			"CREATE TABLE x (n INTEGER)",
+			"INSERT INTO x VALUES (5)",
+		},
+		{"CREATE INDEX it ON t (b)"},
+		{"DROP INDEX it"},
+		{"ALTER TABLE t ADD COLUMN c INTEGER"},
+		{ // same name, other column order
+			"DROP VIEW v",
+			"DROP TABLE t",
+			"CREATE TABLE t (b INTEGER, a INTEGER)",
+			"INSERT INTO t VALUES (2, 1), (4, 3)",
+			"CREATE VIEW v AS SELECT a FROM t",
+		},
+		{ // view redefinition
+			"DROP VIEW v",
+			"CREATE VIEW v AS SELECT b, a FROM t WHERE a > 1",
+		},
+		{ // a table's name reused by a view, then by another table
+			"DROP TABLE x",
+			"CREATE VIEW x AS SELECT a AS n FROM t",
+		},
+		{
+			"DROP VIEW x",
+			"CREATE TABLE x (n INTEGER, m INTEGER)",
+		},
+	}
+
+	cachedDB, refDB := Open("cached"), Open("ref")
+	cached, ref := cachedDB.Session(), refDB.Session()
+	uncached := func(sql string) outcome {
+		ps, err := ref.Prepare(sql)
+		if err != nil {
+			return outcomeOf(nil, err)
+		}
+		return outcomeOf(ps.Exec())
+	}
+	sawErr := false
+	for round, ddl := range rounds {
+		for _, sql := range ddl {
+			if a, b := outcomeOf(cached.Exec(sql)), uncached(sql); a.err != "" || b.err != "" {
+				t.Fatalf("round %d %q: %q / %q", round, sql, a.err, b.err)
+			}
+		}
+		base := cachedDB.StmtCacheStats()
+		for _, probe := range probes {
+			// Literal 1 every round: byte-identical text, a raw hit from
+			// round 1 on. Literal 10+round: never seen, so it can only
+			// resolve through the normalized plan.
+			for _, sql := range []string{fmt.Sprintf(probe, 1), fmt.Sprintf(probe, 10+round)} {
+				a, b := outcomeOf(cached.Exec(sql)), uncached(sql)
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("round %d %q:\n cached: %+v %q\nPrepare: %+v %q", round, sql, a.res, a.err, b.res, b.err)
+				}
+				sawErr = sawErr || a.err != ""
+			}
+		}
+		if round == 0 {
+			continue
+		}
+		cs := cachedDB.StmtCacheStats()
+		if hits, misses := cs.Hits-base.Hits, cs.Misses-base.Misses; hits != int64(2*len(probes)) || misses != 0 {
+			t.Fatalf("round %d: %d hits, %d misses; want every probe served from the cache across %v", round, hits, misses, ddl)
+		}
+	}
+	if !sawErr {
+		t.Fatal("no probe ever failed at execution (shape mismatch, write to a view): the rounds lost their teeth")
+	}
+	if got, want := cachedDB.Dump(), refDB.Dump(); got != want {
+		t.Fatalf("cached arm diverged:\n%s\nwant:\n%s", got, want)
+	}
+}

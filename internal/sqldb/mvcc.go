@@ -237,13 +237,12 @@ type latchTarget struct {
 	write bool
 }
 
-// stmtRefs walks a statement syntactically and records every object
-// name it references, split into mutation targets (write) and
-// everything else (read): tables, views, sequences (NEXTVAL),
-// procedures (CALL), and DDL targets. It needs no database state, so
-// the result is cacheable alongside the parsed AST — the statement
-// cache uses it for table-scoped DDL invalidation, and the executor
-// derives its latch footprint from it.
+// stmtRefs walks a query or DML statement syntactically and records
+// every table or view name it references, split into mutation targets
+// (write) and everything else (read). It needs no database state, so the
+// result is cacheable alongside the parsed AST: the executor derives its
+// latch footprint from it (stmtFootprint, which routes CALL through
+// callFootprint and gives DDL the exclusive lock instead).
 func stmtRefs(st Stmt, write, read map[string]bool) {
 	name := func(m map[string]bool, n string) {
 		if n != "" {
@@ -276,41 +275,6 @@ func stmtRefs(st Stmt, write, read map[string]bool) {
 		exprRefs(t.Where, read)
 	case *TruncateStmt:
 		name(write, t.Table)
-	case *CreateTableStmt:
-		name(write, t.Table)
-		if t.AsQuery != nil {
-			selectRefs(t.AsQuery, read)
-		}
-	case *DropTableStmt:
-		name(write, t.Table)
-	case *AlterTableStmt:
-		name(write, t.Table)
-		if t.Kind == AlterRenameTable {
-			name(write, t.Name)
-		}
-	case *CreateIndexStmt:
-		name(write, t.Name)
-		name(write, t.Table)
-	case *DropIndexStmt:
-		name(write, t.Name)
-	case *CreateViewStmt:
-		name(write, t.Name)
-		selectRefs(t.Query, read)
-	case *DropViewStmt:
-		name(write, t.Name)
-	case *CreateSequenceStmt:
-		name(write, t.Name)
-	case *DropSequenceStmt:
-		name(write, t.Name)
-	case *CreateProcedureStmt:
-		name(write, t.Name)
-	case *DropProcedureStmt:
-		name(write, t.Name)
-	case *CallStmt:
-		name(read, t.Name)
-		for _, a := range t.Args {
-			exprRefs(a, read)
-		}
 	}
 }
 
@@ -390,8 +354,6 @@ func exprRefs(x Expr, read map[string]bool) {
 			exprRefs(w.Then, read)
 		}
 		exprRefs(t.Else, read)
-	case *NextValueExpr:
-		read[strings.ToLower(t.Sequence)] = true
 	}
 }
 

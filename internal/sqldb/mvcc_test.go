@@ -307,48 +307,6 @@ func TestExplainExecutorAgreementUnderContention(t *testing.T) {
 	checkDBIndexes(t, db)
 }
 
-// TestDDLInvalidationScopedToTable is the regression test for the
-// full-cache-flush bug: DDL evicts only cached statements whose AST
-// references the altered table (directly or through a view over it);
-// statements on other tables stay cached, and the full-flush counter
-// never moves.
-func TestDDLInvalidationScopedToTable(t *testing.T) {
-	db := Open("inv")
-	db.MustExec("CREATE TABLE a (x INTEGER)")
-	db.MustExec("CREATE TABLE b (x INTEGER)")
-	db.MustExec("CREATE VIEW va AS SELECT x FROM a")
-	s := db.Session()
-	var stats []StmtStats
-	s.SetStatsSink(func(st StmtStats) { stats = append(stats, st) })
-
-	for _, q := range []string{"SELECT * FROM a", "SELECT * FROM b", "SELECT * FROM va"} {
-		if _, err := s.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-	}
-	base := db.StmtCacheStats()
-
-	db.MustExec("ALTER TABLE a ADD COLUMN y INTEGER")
-	cs := db.StmtCacheStats()
-	if cs.Invalidations <= base.Invalidations {
-		t.Fatalf("DDL on a invalidated nothing (invalidations %d -> %d)", base.Invalidations, cs.Invalidations)
-	}
-
-	probe := func(q, want string) {
-		t.Helper()
-		stats = nil
-		if _, err := s.Exec(q); err != nil {
-			t.Fatal(err)
-		}
-		if stats[0].Cache != want {
-			t.Fatalf("%s after DDL on a: cache = %q, want %q", q, stats[0].Cache, want)
-		}
-	}
-	probe("SELECT * FROM b", CacheHit)   // unrelated table: survives
-	probe("SELECT * FROM a", CacheMiss)  // altered table: evicted
-	probe("SELECT * FROM va", CacheMiss) // view over altered table: evicted
-}
-
 // TestLockWaitAttributedToTable: time a statement spends blocked on a
 // table's write latch surfaces in StmtStats.LockWait and is attributed
 // to that table in LockWaitByTable.

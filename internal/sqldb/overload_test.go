@@ -234,17 +234,4 @@ func TestStmtCacheLRUHotStatementSurvives(t *testing.T) {
 	if after := db.StmtCacheStats().Hits; after != before+1 {
 		t.Fatalf("hot statement was evicted: hits %d -> %d", before, after)
 	}
-
-	// DDL evicts the entries referencing the altered table — here that is
-	// every cached statement, since they all read t — via per-entry
-	// invalidation, never a full flush.
-	preInv := db.StmtCacheStats().Invalidations
-	db.MustExec("CREATE INDEX it ON t (b)")
-	cs = db.StmtCacheStats()
-	if cs.Invalidations <= preInv {
-		t.Fatalf("DDL on t must invalidate cached statements referencing t (invalidations %d, base %d)", cs.Invalidations, preInv)
-	}
-	if cs.Size != 0 {
-		t.Fatalf("cache size after DDL on t = %d, want 0 (every cached statement references t)", cs.Size)
-	}
 }

@@ -16,8 +16,7 @@ func directExec(t *testing.T, s *Session, sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, _, eerr := s.execStmt(st, nil, 0, CacheMiss, sql, nil, nil)
-	return res, eerr
+	return s.execStmt(st, nil, nil, 0, CacheMiss, sql, nil, nil)
 }
 
 func seedFigureTables(t *testing.T, db *DB) {
@@ -111,46 +110,6 @@ func TestNamedVsPositionalBindingAgree(t *testing.T) {
 	}
 	if len(inline.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(inline.Rows))
-	}
-}
-
-// TestDDLScopedInvalidationDropsParameterizedPlans: a plan cached under
-// normalized (literal-extracted) text must still be invalidated by DDL
-// on the table it references.
-func TestDDLScopedInvalidationDropsParameterizedPlans(t *testing.T) {
-	db := Open("inv")
-	db.MustExec("CREATE TABLE t (a INT, b INT)")
-	s := db.Session()
-
-	if _, err := s.Exec("INSERT INTO t VALUES (1, 2)"); err != nil {
-		t.Fatal(err)
-	}
-	base := db.StmtCacheStats()
-	if _, err := s.Exec("INSERT INTO t VALUES (3, 4)"); err != nil {
-		t.Fatal(err)
-	}
-	if cs := db.StmtCacheStats(); cs.Hits != base.Hits+1 {
-		t.Fatalf("literal variant missed the normalized plan: hits %d -> %d", base.Hits, cs.Hits)
-	}
-
-	db.MustExec("CREATE INDEX ia ON t (a)")
-	cs := db.StmtCacheStats()
-	if cs.Invalidations <= base.Invalidations {
-		t.Fatalf("DDL on t did not invalidate the parameterized plan (invalidations %d)", cs.Invalidations)
-	}
-	// The next literal variant re-parses (miss), then variants hit again.
-	preMiss := cs.Misses
-	if _, err := s.Exec("INSERT INTO t VALUES (5, 6)"); err != nil {
-		t.Fatal(err)
-	}
-	if cs = db.StmtCacheStats(); cs.Misses != preMiss+1 {
-		t.Fatalf("invalidated plan was still served: misses %d -> %d", preMiss, cs.Misses)
-	}
-	if _, err := s.Exec("INSERT INTO t VALUES (7, 8)"); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.StmtCacheStats().Hits; got != cs.Hits+1 {
-		t.Fatalf("re-cached plan not shared: hits %d -> %d", cs.Hits, got)
 	}
 }
 
@@ -336,11 +295,10 @@ func TestChangeStreamRoundTripWithLiterals(t *testing.T) {
 	}
 }
 
-// TestPreparedParseChargeNotRearmedAfterConsume pins the satellite-1
-// fix: once a successful execution has consumed the one-time parse
-// charge, a stale restore from a concurrently refused attempt must not
-// re-arm it — the old single-flag protocol re-armed unconditionally and
-// double-counted parse time on the next execution.
+// TestPreparedParseChargeNotRearmedAfterConsume: once a successful
+// execution has reported the one-time parse charge, a later refused
+// attempt must not bring it back — the execution after the refusal
+// reports zero parse.
 func TestPreparedParseChargeNotRearmedAfterConsume(t *testing.T) {
 	db := Open("prep-rearm")
 	db.MustExec("CREATE TABLE t (a INT)")
@@ -352,14 +310,17 @@ func TestPreparedParseChargeNotRearmedAfterConsume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale := ps.parse // what a refused concurrent attempt would hold
-	if stale <= 0 {
+	if ps.parse.Load() <= 0 {
 		t.Fatal("prepared statement carries no parse charge")
 	}
 	if _, err := ps.Exec(); err != nil { // consumes the charge
 		t.Fatal(err)
 	}
-	ps.restoreParse(stale) // the loser's restore lands after the consume
+	db.SetExecHook(func(string) error { return fmt.Errorf("chaos: refused") })
+	if _, err := ps.Exec(); err == nil {
+		t.Fatal("hook refusal did not surface")
+	}
+	db.SetExecHook(nil)
 	if _, err := ps.Exec(); err != nil {
 		t.Fatal(err)
 	}
@@ -370,13 +331,12 @@ func TestPreparedParseChargeNotRearmedAfterConsume(t *testing.T) {
 		t.Fatalf("first execution must carry the parse charge, got %v", stats[0].Parse)
 	}
 	if stats[1].Parse != 0 {
-		t.Fatalf("parse charge double-counted after stale restore: %v", stats[1].Parse)
+		t.Fatalf("parse charge double-counted after a refusal: %v", stats[1].Parse)
 	}
 }
 
-// TestPreparedParseChargeSurvivesRefusal: the legitimate re-arm — a
-// refused holder restores an unconsumed charge — still works under the
-// pending/charged protocol.
+// TestPreparedParseChargeSurvivesRefusal: a refused execution never
+// takes the charge, so the first execution that runs still reports it.
 func TestPreparedParseChargeSurvivesRefusal(t *testing.T) {
 	db := Open("prep-refuse")
 	db.MustExec("CREATE TABLE t (a INT)")

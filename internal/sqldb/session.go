@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -58,12 +59,6 @@ type Session struct {
 	planTable   string    // primary access-path table of current stmt
 	planIndex   string    // index probed by the current stmt ("" = scan)
 	rowsScanned int64     // candidate rows read by the current stmt
-
-	// ddlAffected is set by runStmt for successful DDL: the lowercased
-	// object names whose cached statements must be invalidated after the
-	// engine lock is released. Computed before execution so DROP INDEX
-	// can still resolve its owner table.
-	ddlAffected []string
 
 	// runCtx, when bound, is the session's execution budget (the owning
 	// workflow instance's deadline). Guarded by mu; checked at every
@@ -151,11 +146,9 @@ func (s *Session) execSQL(sql string, params []Value, named map[string]Value) (*
 		if perr != nil {
 			return nil, perr
 		}
-		res, _, eerr := s.execStmt(st, nil, time.Since(start), CacheMiss, sql, params, named)
-		return res, eerr
+		return s.execStmt(st, nil, nil, time.Since(start), CacheMiss, sql, params, named)
 	}
-	res, _, err := s.execStmt(ps.st, ps.fp, ps.parse, cacheLabel(ps.hit), ps.norm, merged, named)
-	return res, err
+	return s.execStmt(ps.st, ps.fp, nil, ps.parse, cacheLabel(ps.hit), ps.norm, merged, named)
 }
 
 func cacheLabel(hit bool) string {
@@ -175,17 +168,11 @@ type PreparedStmt struct {
 	src  string // original SQL text, for the change stream
 	fp   fpSlot // cached latch footprint (see stmtFootprint)
 
-	// One-time parse-charge handoff: pending marks the charge handed to
-	// an in-flight execution (outcome unknown), charged marks it
-	// consumed by an execution that ran. The split is what makes a
-	// stale restoreParse after the charge was consumed a no-op —
-	// a single "reported" flag re-armed unconditionally, letting a
-	// hook-refused attempt resurrect a charge a concurrent successful
-	// attempt had already reported, double-counting parse time.
-	mu      sync.Mutex
-	parse   time.Duration
-	pending bool
-	charged bool
+	// parse is the one-time parse cost in nanoseconds, zero once an
+	// execution has reported it. execStmt takes it (one swap) only after
+	// the budget, read-only and ExecHook gates have let the statement
+	// through, so a refused execution never held the charge.
+	parse atomic.Int64
 }
 
 // Prepare parses a statement once for repeated execution.
@@ -195,51 +182,9 @@ func (s *Session) Prepare(sql string) (*PreparedStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PreparedStmt{s: s, stmt: st, src: sql, parse: time.Since(start)}, nil
-}
-
-// takeParse returns the one-time parse cost if no execution has carried
-// or consumed it yet, marking it in-flight (later executions report zero
-// parse time — the point of preparing).
-func (p *PreparedStmt) takeParse() time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.pending || p.charged {
-		return 0
-	}
-	p.pending = true
-	return p.parse
-}
-
-// consumeParse settles an in-flight charge after its execution actually
-// ran: the parse cost is now in some StmtStats, permanently. parse is
-// the value takeParse handed this execution — zero means it carried no
-// charge and there is nothing to settle.
-func (p *PreparedStmt) consumeParse(parse time.Duration) {
-	if parse == 0 {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.pending = false
-	p.charged = true
-}
-
-// restoreParse re-arms the parse charge when the execution it was handed
-// to was refused before running (ExecHook fault injection): the next
-// execution that actually runs must still account for the parse.
-// Without this, a statement whose first attempt was chaos-refused would
-// lose its parse cost forever and every StmtStats it ever emitted would
-// claim Parse == 0. A restore arriving after the charge was consumed
-// does nothing — charged stays set, so no later execution reports the
-// parse a second time.
-func (p *PreparedStmt) restoreParse(parse time.Duration) {
-	if parse == 0 {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.pending = false
+	p := &PreparedStmt{s: s, stmt: st, src: sql}
+	p.parse.Store(int64(time.Since(start)))
+	return p, nil
 }
 
 // Exec runs the prepared statement with positional parameters.
@@ -249,14 +194,7 @@ func (p *PreparedStmt) Exec(params ...Value) (*Result, error) { return p.exec(pa
 func (p *PreparedStmt) ExecNamed(named map[string]Value) (*Result, error) { return p.exec(nil, named) }
 
 func (p *PreparedStmt) exec(params []Value, named map[string]Value) (*Result, error) {
-	parse := p.takeParse()
-	res, executed, err := p.s.execStmt(p.stmt, &p.fp, parse, "", p.src, params, named)
-	if executed {
-		p.consumeParse(parse)
-	} else {
-		p.restoreParse(parse)
-	}
-	return res, err
+	return p.s.execStmt(p.stmt, &p.fp, p, 0, "", p.src, params, named)
 }
 
 // Query executes a statement and requires it to produce a result set.
@@ -284,8 +222,7 @@ func readOnlyStmt(st Stmt) bool {
 }
 
 // isDDL reports whether a statement changes schema objects (tables,
-// indexes, views, sequences, procedures). Successful DDL invalidates the
-// cached statements that reference the affected objects.
+// indexes, views, sequences, procedures).
 func isDDL(st Stmt) bool {
 	switch st.(type) {
 	case *CreateTableStmt, *DropTableStmt, *AlterTableStmt,
@@ -303,10 +240,10 @@ func isDDL(st Stmt) bool {
 // shared read, per-table latches, or the exclusive engine lock),
 // statement execution, then stats emission. parse and cache describe
 // how the statement text was resolved (see Exec/cachedParse) and flow
-// into the emitted StmtStats; src is the statement's SQL text, which
-// every caller has (change-stream capture needs it). executed is false
-// only when the ExecHook refused the statement before any work happened
-// — prepared statements use that to re-arm their one-time parse charge.
+// into the emitted StmtStats; a prepared statement passes itself as prep
+// (nil on the text path) and its one-time parse charge is taken here,
+// past the gates that can refuse the statement. src is the statement's
+// SQL text, which every caller has (change-stream capture needs it).
 //
 // Autocommit statements that lose a first-writer-wins race are retried
 // here against a fresh snapshot with exponential backoff before the
@@ -314,40 +251,40 @@ func isDDL(st Stmt) bool {
 // Statements inside an explicit transaction are not retried — earlier
 // statements of the transaction saw older snapshots, so the decision
 // belongs to the caller.
-func (s *Session) execStmt(st Stmt, fpc *fpSlot, parse time.Duration, cache string, src string, params []Value, named map[string]Value) (res *Result, executed bool, err error) {
+func (s *Session) execStmt(st Stmt, fpc *fpSlot, prep *PreparedStmt, parse time.Duration, cache string, src string, params []Value, named map[string]Value) (res *Result, err error) {
 	if s.locked {
 		// Re-entrant execution (native procedure bodies running on a
 		// child session): no hook, no stats — the enclosing statement
 		// accounts for it.
-		res, err = s.execStmtLocked(st, params, named, nil)
-		return res, true, err
+		return s.execStmtLocked(st, params, named, nil)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	// Deadline propagation: a session whose bound budget has expired
-	// refuses the statement at the boundary. Like an ExecHook refusal,
-	// nothing has executed (executed == false), so prepared statements
-	// re-arm their one-time parse charge.
+	// refuses the statement at the boundary, before anything executes.
 	if s.runCtx != nil {
 		if cerr := s.runCtx.Err(); cerr != nil {
 			s.db.deadlineRefusals.Add(1)
-			return nil, false, &budgetError{cause: cerr}
+			return nil, &budgetError{cause: cerr}
 		}
 	}
 	// Read-only replica gate: only applier sessions (the replication
 	// stream itself) may mutate a database in replica mode. Refused at
 	// the boundary like a hook refusal — nothing has executed.
 	if !readOnlyStmt(st) && !s.applier && s.db.readOnly.Load() {
-		return nil, false, &readOnlyError{kind: StmtKind(st)}
+		return nil, &readOnlyError{kind: StmtKind(st)}
 	}
-	if h := s.db.currentExecHook(); h != nil {
+	if h := installed(&s.db.execHook); h != nil {
 		if err := h(StmtKind(st)); err != nil {
-			return nil, false, err
+			return nil, err
 		}
+	}
+	if prep != nil {
+		parse = time.Duration(prep.parse.Swap(0))
 	}
 	sink := s.sink
 	if sink == nil {
-		sink = s.db.currentStatsSink()
+		sink = installed(&s.db.statsSink)
 	}
 	var stat *StmtStats
 	var backoff time.Duration
@@ -369,10 +306,6 @@ func (s *Session) execStmt(st Stmt, fpc *fpSlot, parse time.Duration, cache stri
 		conflictTable = table
 		time.Sleep(d)
 	}
-	if err == nil && isDDL(st) {
-		s.db.invalidateStmtCacheFor(s.ddlAffected)
-		s.ddlAffected = nil
-	}
 	if stat != nil {
 		if backoff > 0 {
 			stat.LockWait += backoff
@@ -385,7 +318,7 @@ func (s *Session) execStmt(st Stmt, fpc *fpSlot, parse time.Duration, cache stri
 		}
 		sink(*stat)
 	}
-	return res, true, err
+	return res, err
 }
 
 // runStmt executes one attempt of a statement under the locking regime
@@ -450,11 +383,6 @@ func (s *Session) runStmt(st Stmt, fpc *fpSlot, parse time.Duration, cache, src 
 			s.db.mu.RUnlock()
 		}
 	}()
-	if exclusive && isDDL(st) {
-		// Resolved before execution: DROP INDEX needs the owner table
-		// while the index still exists.
-		s.ddlAffected = s.db.ddlAffected(st)
-	}
 	var start time.Time
 	if wantStats {
 		s.planTable, s.planIndex, s.rowsScanned = "", "", 0
@@ -539,7 +467,7 @@ func (s *Session) emitChange(st Stmt, src string, params []Value, named map[stri
 	if s.applier || readOnlyStmt(st) {
 		return
 	}
-	sink := s.db.currentChangeSink()
+	sink := installed(&s.db.changeSink)
 	if sink == nil {
 		return
 	}

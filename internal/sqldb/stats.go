@@ -53,17 +53,7 @@ func (s *Session) SetStatsSink(sink StatsSink) { s.sink = sink }
 
 // SetStatsSink installs a database-level default sink inherited by every
 // session without its own. Nil removes it.
-func (db *DB) SetStatsSink(sink StatsSink) {
-	db.hookMu.Lock()
-	defer db.hookMu.Unlock()
-	db.statsSink = sink
-}
-
-func (db *DB) currentStatsSink() StatsSink {
-	db.hookMu.Lock()
-	defer db.hookMu.Unlock()
-	return db.statsSink
-}
+func (db *DB) SetStatsSink(sink StatsSink) { db.statsSink.Store(&sink) }
 
 // planLabel is the single source of truth for access-path labels: both
 // EXPLAIN output and executor-side StmtStats.Plan render through it, so

@@ -3,6 +3,8 @@ package sqldb
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"wfsql/internal/obsv"
@@ -361,25 +363,61 @@ func TestStmtCacheHitStats(t *testing.T) {
 		t.Fatalf("cache counters: hits+%d misses+%d, want +2/+1", cs.Hits-base.Hits, cs.Misses-base.Misses)
 	}
 
-	// DDL on an unrelated table must NOT evict the cached Orders
-	// statement: invalidation is scoped to entries referencing the
-	// altered table.
-	db.MustExec("CREATE TABLE flush_probe (x INTEGER)")
-	stats = nil
-	if _, err := s.Exec(q, Int(1)); err != nil {
-		t.Fatal(err)
+	// DDL costs a cached statement nothing — the plan is a parse tree
+	// whose names bind at execution — whether it touches the statement's
+	// table or another.
+	for _, ddl := range []string{
+		"CREATE TABLE flush_probe (x INTEGER)",
+		"CREATE INDEX probe_idx ON Orders (Quantity)",
+	} {
+		db.MustExec(ddl)
+		stats = nil
+		if _, err := s.Exec(q, Int(1)); err != nil {
+			t.Fatal(err)
+		}
+		if stats[0].Cache != CacheHit {
+			t.Fatalf("%s evicted the cached statement: %q", ddl, stats[0].Cache)
+		}
 	}
-	if stats[0].Cache != CacheHit {
-		t.Fatalf("DDL on an unrelated table evicted the cached statement: %q", stats[0].Cache)
-	}
+}
 
-	// DDL on Orders itself evicts it; the same text parses again.
-	db.MustExec("CREATE INDEX probe_idx ON Orders (Quantity)")
-	stats = nil
-	if _, err := s.Exec(q, Int(1)); err != nil {
-		t.Fatal(err)
+// TestHooksSwapUnderLoad: the exec hook and the stats and change sinks
+// are lock-free pointers read by every top-level statement; installing
+// and removing them while sessions execute must be race-free (run under
+// -race) and each statement must see either the old or the new value.
+func TestHooksSwapUnderLoad(t *testing.T) {
+	db := Open("hooks")
+	db.MustExec("CREATE TABLE t (x INTEGER)")
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := db.Session()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := s.Exec("INSERT INTO t VALUES (1)"); err != nil {
+					t.Errorf("insert: %v", err)
+					return
+				}
+			}
+		}()
 	}
-	if stats[0].Cache != CacheMiss {
-		t.Fatalf("DDL on Orders left a stale plan cached: %q", stats[0].Cache)
+	var hooked, stats, changes atomic.Int64
+	for i := 0; i < 200; i++ {
+		db.SetExecHook(func(string) error { hooked.Add(1); return nil })
+		db.SetStatsSink(func(StmtStats) { stats.Add(1) })
+		db.SetChangeSink(func(Change) { changes.Add(1) })
+		db.SetExecHook(nil)
+		db.SetStatsSink(nil)
+		db.SetChangeSink(nil)
 	}
+	close(stop)
+	wg.Wait()
+	t.Logf("observed by %d hooks, %d stats sinks, %d change sinks", hooked.Load(), stats.Load(), changes.Load())
 }

@@ -11,7 +11,7 @@ type Expr interface{ exprNode() }
 
 // --- Statements ---
 
-// SelectStmt is a SELECT query, possibly the left arm of a UNION chain.
+// SelectStmt is a SELECT query, possibly the first arm of a UNION chain.
 type SelectStmt struct {
 	Distinct bool
 	Items    []SelectItem
@@ -23,10 +23,12 @@ type SelectStmt struct {
 	Limit    Expr // nil if absent
 	Offset   Expr // nil if absent
 
-	// Union chains another SELECT after this one; UnionAll keeps
-	// duplicates. Each arm's ORDER BY/LIMIT applies to that arm; the
-	// combined result preserves arm order (first arm's rows first) and,
-	// for plain UNION, removes duplicates across the whole result.
+	// Union chains another SELECT after this one; UnionAll says the
+	// operator between the two keeps duplicates. The chain is
+	// left-associative — each plain UNION removes duplicates from
+	// everything combined so far — and preserves arm order. On the first
+	// arm of a chain, OrderBy, Limit and Offset apply to the combined
+	// result; the later arms have none.
 	Union    *SelectStmt
 	UnionAll bool
 }
@@ -39,13 +41,18 @@ type SelectItem struct {
 	Alias     string
 }
 
-// TableRef is an entry of a FROM clause: a base table or derived table
-// (subquery) with optional joins.
-type TableRef struct {
+// Source is what FROM and JOIN range over: a base table or view by name,
+// or a derived table (subquery).
+type Source struct {
 	Table    string
 	Subquery *SelectStmt // derived table; requires Alias
 	Alias    string
-	Joins    []JoinClause
+}
+
+// TableRef is an entry of a FROM clause: a source with optional joins.
+type TableRef struct {
+	Source
+	Joins []JoinClause
 }
 
 // JoinKind distinguishes join types.
@@ -58,14 +65,11 @@ const (
 	JoinCross
 )
 
-// JoinClause is one JOIN ... ON ... attached to a TableRef. The right
-// side is a base table or a derived table.
+// JoinClause is one JOIN ... ON ... attached to a TableRef.
 type JoinClause struct {
-	Kind     JoinKind
-	Table    string
-	Subquery *SelectStmt // derived table; requires Alias
-	Alias    string
-	On       Expr // nil for CROSS JOIN
+	Kind JoinKind
+	Source
+	On Expr // nil for CROSS JOIN
 }
 
 // OrderItem is one ORDER BY key.

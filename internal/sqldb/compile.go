@@ -2,59 +2,242 @@ package sqldb
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
-// Compiled expression execution: predicates and projections of a
-// statement are compiled once per execution into closure trees, so the
-// per-row cost is a closure call instead of a type-switched AST walk.
-// The cached plan's AST stays immutable and shared; compilation output
-// is private to one statement execution (a single goroutine), which is
-// what lets column references memoize their resolved coordinates.
+// Compiled expression execution: every per-row expression of a statement
+// is compiled once per execution into a closure tree, private to that
+// execution (one goroutine); the cached plan's AST stays immutable and
+// shared. Names resolve when the tree is built, against the scope's
+// layout and its outer chain: an unknown or ambiguous column is an error
+// whether or not a row ever reaches it, and a column read is one index.
 
 // evalFn is one compiled expression: closed over its operator and
 // operands, open over the row environment.
 type evalFn func(*env) (Value, error)
 
-// compileExpr compiles an expression to a closure tree. Compilation
-// never fails: shapes the compiler does not specialize (subqueries,
-// aggregates, function calls, NEXT VALUE) fall back to a closure around
-// eval, preserving its behavior exactly — including for expressions the
-// row loop never reaches (short-circuits, empty inputs).
-func compileExpr(x Expr) evalFn {
+// predFn is an expression compiled for its truth only (WHERE, ON,
+// HAVING): NULL and non-boolean results are false.
+type predFn func(*env) (bool, error)
+
+// compiler compiles the expressions of one scope. The first resolution
+// error sticks in err (the closures built after it are never run); lo,
+// hi and unsafe describe what has been compiled since the last reset.
+type compiler struct {
+	e     *env       // scope: layout, outer chain, and the parameters constants fold from
+	cols  []colMeta  // the part of the layout names resolve against (a join's ON sees only its own FROM entry)
+	shift int        // row position of cols[0]
+	srcs  []source   // FROM entries, to attribute a column to its source
+	aggs  *[]aggSpec // set while compiling a grouped SELECT's output: aggregates become slots
+	err   error
+
+	lo, hi int  // lowest and highest source referenced at depth 0 (hi < 0: none)
+	unsafe bool // may raise a data-dependent error, or runs a subquery: evaluate it no earlier than written
+	sawAgg bool // an aggregate call was compiled
+}
+
+func newCompiler(e *env) compiler { return compiler{e: e, cols: e.cols, lo: math.MaxInt, hi: -1} }
+
+func (c *compiler) reset() { c.lo, c.hi, c.unsafe = math.MaxInt, -1, false }
+
+func (c *compiler) fail(err error) evalFn {
+	if c.err == nil {
+		c.err = err
+	}
+	return func(*env) (Value, error) { return Null(), err }
+}
+
+// resolve finds a reference's scope depth and row position, booking a
+// depth-0 column to its source.
+func (c *compiler) resolve(t *ColumnRef) (depth, idx int, err error) {
+	if depth, idx, err = resolveColumn(c.cols, c.e.outer, t.Table, t.Column); err != nil || depth > 0 {
+		return depth, idx, err
+	}
+	idx += c.shift
+	k := 0
+	for k+1 < len(c.srcs) && c.srcs[k+1].off <= idx {
+		k++
+	}
+	c.lo, c.hi = min(c.lo, k), max(c.hi, k)
+	return 0, idx, nil
+}
+
+// column matches a plain reference to a column of this scope's own row
+// (not a correlated one) and returns its position.
+func (c *compiler) column(x Expr) (int, bool) {
+	if t, isRef := x.(*ColumnRef); isRef {
+		depth, idx, err := c.resolve(t)
+		return idx, err == nil && depth == 0
+	}
+	return 0, false
+}
+
+// constant folds a literal or a bound parameter.
+func (c *compiler) constant(x Expr) (Value, bool) {
+	switch t := x.(type) {
+	case *Literal:
+		return t.Val, true
+	case *ParamRef:
+		if t.Name != "" {
+			v, ok := c.e.named[strings.ToLower(t.Name)]
+			return v, ok
+		}
+		if t.Index >= 0 && t.Index < len(c.e.params) {
+			return c.e.params[t.Index], true
+		}
+	}
+	return Value{}, false
+}
+
+// colConst matches `column <op> constant` either way round; flip reports
+// that the column was the right operand.
+func (c *compiler) colConst(t *BinaryExpr) (idx int, k Value, flip, ok bool) {
+	if k, ok = c.constant(t.R); ok {
+		idx, ok = c.column(t.L)
+	} else if k, ok = c.constant(t.L); ok {
+		idx, ok = c.column(t.R)
+		flip = true
+	}
+	return idx, k, flip, ok
+}
+
+func errRowContext(t *ColumnRef) error {
+	return fmt.Errorf("sqldb: column %s referenced outside row context", t.Column)
+}
+
+// resolveColumn finds a reference's (scope depth, column index):
+// innermost scope first, ambiguity within a scope is an error.
+func resolveColumn(cols []colMeta, outer *env, table, name string) (depth, idx int, err error) {
+	for {
+		found := -1
+		for i, c := range cols {
+			if !strings.EqualFold(c.name, name) {
+				continue
+			}
+			if table != "" && !strings.EqualFold(c.table, table) {
+				continue
+			}
+			if found >= 0 {
+				return 0, 0, fmt.Errorf("sqldb: ambiguous column %s", name)
+			}
+			found = i
+		}
+		if found >= 0 {
+			return depth, found, nil
+		}
+		if outer == nil {
+			break
+		}
+		cols, outer = outer.cols, outer.outer
+		depth++
+	}
+	if table != "" {
+		return 0, 0, fmt.Errorf("sqldb: unknown column %s.%s", table, name)
+	}
+	return 0, 0, fmt.Errorf("sqldb: unknown column %s", name)
+}
+
+// cmpMask encodes a comparison operator as the set of compareValues
+// outcomes it accepts: bit 0 less, bit 1 equal, bit 2 greater.
+func cmpMask(op string) uint8 {
+	switch op {
+	case "=":
+		return 2
+	case "<>":
+		return 5
+	case "<":
+		return 1
+	case "<=":
+		return 3
+	case ">":
+		return 4
+	}
+	return 6 // >=
+}
+
+// pred compiles an expression for its truth. AND and OR short-circuit on
+// truth alone — a NULL left operand already decides an AND — and a
+// comparison of a column with a constant reads the row in place.
+func (c *compiler) pred(x Expr) predFn {
+	if t, ok := x.(*BinaryExpr); ok {
+		switch t.Op {
+		case "AND", "OR":
+			l, r := c.pred(t.L), c.pred(t.R)
+			and := t.Op == "AND"
+			return func(e *env) (bool, error) {
+				if ok, err := l(e); err != nil || ok != and {
+					return ok, err
+				}
+				return r(e)
+			}
+		case "=", "<>", "<", "<=", ">", ">=":
+			idx, k, flip, ok := c.colConst(t)
+			if !ok {
+				break
+			}
+			ref, _ := t.L.(*ColumnRef)
+			mask := cmpMask(t.Op)
+			if flip {
+				ref = t.R.(*ColumnRef)
+				mask = mask&2 | mask>>2 | (mask&1)<<2 // swap less and greater
+			}
+			return func(e *env) (bool, error) {
+				if e.row == nil {
+					return false, errRowContext(ref)
+				}
+				cmp, ok := e.row[idx].compare(&k)
+				return ok && mask&(1<<(cmp+1)) != 0, nil
+			}
+		}
+	}
+	fn := c.compile(x)
+	return func(e *env) (bool, error) {
+		v, err := fn(e)
+		return v.Truth(), err
+	}
+}
+
+// compile compiles an expression to a closure tree.
+func (c *compiler) compile(x Expr) evalFn {
 	switch t := x.(type) {
 	case *Literal:
 		v := t.Val
 		return func(*env) (Value, error) { return v, nil }
-	case *boundCol:
-		idx := t.idx
+	case *ColumnRef:
+		depth, idx, err := c.resolve(t)
+		if err != nil {
+			return c.fail(err)
+		}
 		return func(e *env) (Value, error) {
-			if e.row == nil || idx >= len(e.row) {
-				return Null(), fmt.Errorf("sqldb: column referenced outside row context")
+			for d := depth; d > 0; d-- {
+				e = e.outer
+			}
+			if e.row == nil {
+				return Null(), errRowContext(t)
 			}
 			return e.row[idx], nil
 		}
-	case *ColumnRef:
-		return compileColumnRef(t)
 	case *ParamRef:
-		return compileParamRef(t)
+		if _, ok := c.constant(t); !ok {
+			c.unsafe = true
+		}
+		return func(e *env) (Value, error) { return eval(t, e) }
 	case *BinaryExpr:
-		return compileBinary(t)
+		return c.binary(t)
 	case *UnaryExpr:
-		return compileUnary(t)
+		return c.unary(t)
 	case *IsNullExpr:
-		xf := compileExpr(t.X)
-		not := t.Not
+		xf := c.compile(t.X)
 		return func(e *env) (Value, error) {
 			v, err := xf(e)
 			if err != nil {
 				return Null(), err
 			}
-			return Bool(v.IsNull() != not), nil
+			return Bool(v.IsNull() != t.Not), nil
 		}
 	case *BetweenExpr:
-		xf, lof, hif := compileExpr(t.X), compileExpr(t.Lo), compileExpr(t.Hi)
-		not := t.Not
+		xf, lof, hif := c.compile(t.X), c.compile(t.Lo), c.compile(t.Hi)
 		return func(e *env) (Value, error) {
 			v, err := xf(e)
 			if err != nil {
@@ -68,361 +251,294 @@ func compileExpr(x Expr) evalFn {
 			if err != nil {
 				return Null(), err
 			}
-			c1, ok1 := compareValues(v, lo)
-			c2, ok2 := compareValues(v, hi)
-			if !ok1 || !ok2 {
-				return Null(), nil
-			}
-			return Bool((c1 >= 0 && c2 <= 0) != not), nil
+			return between(v, lo, hi, t.Not), nil
 		}
 	case *InExpr:
-		if t.Query == nil {
-			return compileInList(t)
-		}
+		return c.in(t)
 	case *CaseExpr:
-		return compileCase(t)
+		return c.caseExpr(t)
+	case *ExistsExpr:
+		return c.subquery(t.Query, func(res *Result) (Value, error) { return Bool((len(res.Rows) > 0) != t.Not), nil })
+	case *SubqueryExpr:
+		return c.subquery(t.Query, scalarResult)
+	case *FuncCall:
+		if aggregateNames[t.Name] {
+			return c.aggregate(t)
+		}
+		c.unsafe = true
+		args := c.compileAll(t.Args)
+		return func(e *env) (Value, error) {
+			vals := make([]Value, len(args))
+			for i, fn := range args {
+				v, err := fn(e)
+				if err != nil {
+					return Null(), err
+				}
+				vals[i] = v
+			}
+			return callScalarFunc(t.Name, vals, e.session)
+		}
 	}
+	// NEXT VALUE FOR, and nodes only a hand-built tree can hold.
+	c.unsafe = true
 	return func(e *env) (Value, error) { return eval(x, e) }
 }
 
-// compileColumnRef resolves the reference's (scope depth, column index)
-// coordinates once, on first evaluation, then reads by position. The
-// memoization is sound because one compiled tree serves one statement
-// execution, within which the environment's column layout (and its
-// outer chain for correlated subqueries) is fixed; resolution failures
-// (unknown, ambiguous) are equally permanent for that execution.
-func compileColumnRef(t *ColumnRef) evalFn {
-	table, name := t.Table, t.Column
-	depth, idx := 0, 0
-	var resolveErr error
-	resolved := false
+func (c *compiler) compileAll(xs []Expr) []evalFn {
+	fns := make([]evalFn, len(xs))
+	for i, x := range xs {
+		fns[i] = c.compile(x)
+	}
+	return fns
+}
+
+// plan plans a subquery once, with this scope as its outer; the closure
+// around it runs the plan per evaluation.
+func (c *compiler) plan(q *SelectStmt) (*selectPlan, error) {
+	c.unsafe = true
+	return c.e.session.planSelect(q, c.e)
+}
+
+// subquery is an expression computed from a subquery's result.
+func (c *compiler) subquery(q *SelectStmt, use func(*Result) (Value, error)) evalFn {
+	sub, err := c.plan(q)
+	if err != nil {
+		return c.fail(err)
+	}
 	return func(e *env) (Value, error) {
-		if !resolved {
-			depth, idx, resolveErr = resolveColumn(e, table, name)
-			resolved = true
+		res, err := sub.run(e)
+		if err != nil {
+			return Null(), err
 		}
-		if resolveErr != nil {
-			return Null(), resolveErr
-		}
-		scope := e
-		for d := 0; d < depth; d++ {
-			scope = scope.outer
-		}
-		if scope.row == nil {
-			return Null(), fmt.Errorf("sqldb: column %s referenced outside row context", name)
-		}
-		return scope.row[idx], nil
+		return use(res)
 	}
 }
 
-// resolveColumn mirrors env.lookupColumn's scoping rules — innermost
-// scope first, ambiguity within a scope is an error — but returns the
-// coordinates instead of the value.
-func resolveColumn(e *env, table, name string) (depth, idx int, err error) {
-	d := 0
-	for scope := e; scope != nil; scope = scope.outer {
-		found := -1
-		for i, c := range scope.cols {
-			if !strings.EqualFold(c.name, name) {
-				continue
-			}
-			if table != "" && !strings.EqualFold(c.table, table) {
-				continue
-			}
-			if found >= 0 {
-				return 0, 0, fmt.Errorf("sqldb: ambiguous column %s", name)
-			}
-			found = i
-		}
-		if found >= 0 {
-			return d, found, nil
-		}
-		d++
+func (c *compiler) binary(t *BinaryExpr) evalFn {
+	l, r, op := c.compile(t.L), c.compile(t.R), t.Op
+	switch op {
+	case "AND", "OR", "=", "<>", "<", "<=", ">", ">=", "||", "LIKE":
+	default: // arithmetic, or an operator only a hand-built tree can hold
+		c.unsafe = true
 	}
-	if table != "" {
-		return 0, 0, fmt.Errorf("sqldb: unknown column %s.%s", table, name)
-	}
-	return 0, 0, fmt.Errorf("sqldb: unknown column %s", name)
-}
-
-func compileParamRef(t *ParamRef) evalFn {
-	if t.Name != "" {
-		name := t.Name
-		key := strings.ToLower(name)
-		return func(e *env) (Value, error) {
-			if e.named != nil {
-				if v, ok := e.named[key]; ok {
-					return v, nil
-				}
-			}
-			return Null(), fmt.Errorf("sqldb: unbound named parameter :%s", name)
-		}
-	}
-	idx := t.Index
 	return func(e *env) (Value, error) {
-		if idx < 0 || idx >= len(e.params) {
-			return Null(), fmt.Errorf("sqldb: missing value for parameter %d", idx+1)
+		lv, err := l(e)
+		if err != nil || decides(op, lv) {
+			return lv, err
 		}
-		return e.params[idx], nil
+		rv, err := r(e)
+		if err != nil {
+			return Null(), err
+		}
+		return applyBinary(op, lv, rv)
 	}
 }
 
-func compileBinary(t *BinaryExpr) evalFn {
-	l, r := compileExpr(t.L), compileExpr(t.R)
-	switch t.Op {
-	case "AND":
-		return func(e *env) (Value, error) {
-			lv, err := l(e)
-			if err != nil {
-				return Null(), err
-			}
-			if lv.K == KindBool && !lv.B {
-				return Bool(false), nil
-			}
-			rv, err := r(e)
-			if err != nil {
-				return Null(), err
-			}
-			if rv.K == KindBool && !rv.B {
-				return Bool(false), nil
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return Null(), nil
-			}
-			return Bool(lv.Truth() && rv.Truth()), nil
-		}
-	case "OR":
-		return func(e *env) (Value, error) {
-			lv, err := l(e)
-			if err != nil {
-				return Null(), err
-			}
-			if lv.Truth() {
-				return Bool(true), nil
-			}
-			rv, err := r(e)
-			if err != nil {
-				return Null(), err
-			}
-			if rv.Truth() {
-				return Bool(true), nil
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return Null(), nil
-			}
-			return Bool(false), nil
-		}
-	case "=", "<>", "<", "<=", ">", ">=":
-		op := t.Op
-		return func(e *env) (Value, error) {
-			lv, err := l(e)
-			if err != nil {
-				return Null(), err
-			}
-			rv, err := r(e)
-			if err != nil {
-				return Null(), err
-			}
-			c, ok := compareValues(lv, rv)
-			if !ok {
-				return Null(), nil
-			}
-			switch op {
-			case "=":
-				return Bool(c == 0), nil
-			case "<>":
-				return Bool(c != 0), nil
-			case "<":
-				return Bool(c < 0), nil
-			case "<=":
-				return Bool(c <= 0), nil
-			case ">":
-				return Bool(c > 0), nil
-			}
-			return Bool(c >= 0), nil
-		}
-	case "||":
-		return func(e *env) (Value, error) {
-			lv, err := l(e)
-			if err != nil {
-				return Null(), err
-			}
-			rv, err := r(e)
-			if err != nil {
-				return Null(), err
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return Null(), nil
-			}
-			return Str(lv.String() + rv.String()), nil
-		}
-	case "LIKE":
-		return func(e *env) (Value, error) {
-			lv, err := l(e)
-			if err != nil {
-				return Null(), err
-			}
-			rv, err := r(e)
-			if err != nil {
-				return Null(), err
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return Null(), nil
-			}
-			return Bool(likeMatch(lv.String(), rv.String())), nil
-		}
-	case "+", "-", "*", "/", "%":
-		op := t.Op
-		return func(e *env) (Value, error) {
-			lv, err := l(e)
-			if err != nil {
-				return Null(), err
-			}
-			rv, err := r(e)
-			if err != nil {
-				return Null(), err
-			}
-			return evalArith(op, lv, rv)
-		}
-	}
-	// Unknown operator: keep eval's error path.
-	return func(e *env) (Value, error) { return evalBinary(t, e) }
-}
-
-func compileUnary(t *UnaryExpr) evalFn {
-	xf := compileExpr(t.X)
-	switch t.Op {
-	case "-":
-		return func(e *env) (Value, error) {
-			v, err := xf(e)
-			if err != nil {
-				return Null(), err
-			}
-			switch v.K {
-			case KindInt:
-				return Int(-v.I), nil
-			case KindFloat:
-				return Float(-v.F), nil
-			case KindNull:
-				return Null(), nil
-			}
-			return Null(), fmt.Errorf("sqldb: cannot negate %s", v.K)
-		}
-	case "NOT":
-		return func(e *env) (Value, error) {
-			v, err := xf(e)
-			if err != nil {
-				return Null(), err
-			}
-			if v.IsNull() {
-				return Null(), nil
-			}
-			if v.K != KindBool {
-				return Null(), fmt.Errorf("sqldb: NOT requires a boolean")
-			}
-			return Bool(!v.B), nil
-		}
-	}
-	// Unknown operator: keep eval's error path (operand errors first).
-	return func(e *env) (Value, error) { return eval(t, e) }
-}
-
-func compileInList(t *InExpr) evalFn {
-	xf := compileExpr(t.X)
-	list := make([]evalFn, len(t.List))
-	for i, le := range t.List {
-		list[i] = compileExpr(le)
-	}
-	not := t.Not
+func (c *compiler) unary(t *UnaryExpr) evalFn {
+	xf, op := c.compile(t.X), t.Op
+	c.unsafe = true // a NOT over a non-boolean, a minus over a string
 	return func(e *env) (Value, error) {
 		v, err := xf(e)
 		if err != nil {
 			return Null(), err
 		}
-		// Candidates are evaluated before the NULL test, like evalIn: a
-		// candidate error surfaces even when the probe is NULL.
-		candidates := make([]Value, len(list))
-		for i, lf := range list {
-			cv, err := lf(e)
-			if err != nil {
-				return Null(), err
-			}
-			candidates[i] = cv
-		}
-		if v.IsNull() {
-			return Null(), nil
-		}
-		sawNull := false
-		for _, c := range candidates {
-			if c.IsNull() {
-				sawNull = true
-				continue
-			}
-			if cmp, ok := compareValues(v, c); ok && cmp == 0 {
-				return Bool(!not), nil
-			}
-		}
-		if sawNull {
-			return Null(), nil
-		}
-		return Bool(not), nil
+		return applyUnary(op, v)
 	}
 }
 
-func compileCase(t *CaseExpr) evalFn {
-	type arm struct{ when, then evalFn }
-	arms := make([]arm, len(t.Whens))
-	for i, w := range t.Whens {
-		arms[i] = arm{when: compileExpr(w.When), then: compileExpr(w.Then)}
-	}
-	var elsef evalFn
-	if t.Else != nil {
-		elsef = compileExpr(t.Else)
-	}
-	if t.Operand != nil {
-		opf := compileExpr(t.Operand)
+func (c *compiler) in(t *InExpr) evalFn {
+	xf := c.compile(t.X)
+	if t.Query != nil {
+		sub, err := c.plan(t.Query)
+		if err != nil {
+			return c.fail(err)
+		}
 		return func(e *env) (Value, error) {
-			op, err := opf(e)
+			v, err := xf(e)
 			if err != nil {
 				return Null(), err
 			}
-			for _, a := range arms {
-				wv, err := a.when(e)
-				if err != nil {
-					return Null(), err
-				}
-				if c, ok := compareValues(op, wv); ok && c == 0 {
-					return a.then(e)
-				}
+			res, err := sub.run(e)
+			if err != nil {
+				return Null(), err
 			}
-			if elsef != nil {
-				return elsef(e)
-			}
-			return Null(), nil
+			candidates, err := inCandidates(res)
+			return inMatch(v, candidates, t.Not), err
 		}
 	}
+	list := c.compileAll(t.List)
 	return func(e *env) (Value, error) {
+		v, err := xf(e)
+		if err != nil {
+			return Null(), err
+		}
+		// As in evalIn, a candidate's error surfaces even for a NULL probe.
+		candidates := make([]Value, len(list))
+		for i, lf := range list {
+			if candidates[i], err = lf(e); err != nil {
+				return Null(), err
+			}
+		}
+		return inMatch(v, candidates, t.Not), nil
+	}
+}
+
+func (c *compiler) caseExpr(t *CaseExpr) evalFn {
+	type arm struct{ when, then evalFn }
+	arms := make([]arm, len(t.Whens))
+	for i, w := range t.Whens {
+		arms[i] = arm{when: c.compile(w.When), then: c.compile(w.Then)}
+	}
+	elsef := func(*env) (Value, error) { return Null(), nil }
+	if t.Else != nil {
+		elsef = c.compile(t.Else)
+	}
+	opf := func(*env) (Value, error) { return Bool(true), nil } // a searched CASE compares each WHEN with TRUE
+	if t.Operand != nil {
+		opf = c.compile(t.Operand)
+	}
+	return func(e *env) (Value, error) {
+		op, err := opf(e)
+		if err != nil {
+			return Null(), err
+		}
 		for _, a := range arms {
 			wv, err := a.when(e)
 			if err != nil {
 				return Null(), err
 			}
-			if wv.Truth() {
+			if cmp, ok := compareValues(op, wv); ok && cmp == 0 {
 				return a.then(e)
 			}
 		}
-		if elsef != nil {
-			return elsef(e)
-		}
-		return Null(), nil
+		return elsef(e)
 	}
 }
 
-// compileExprs compiles a projection list.
-func compileExprs(items []Expr) []evalFn {
-	fns := make([]evalFn, len(items))
-	for i, it := range items {
-		fns[i] = compileExpr(it)
+// Aggregates. Every aggregate call of a grouped SELECT's output clauses
+// gets an accumulator slot; each group carries one aggState per slot, fed
+// as rows stream past and read through the group's env by HAVING, the
+// projection and ORDER BY.
+
+// aggSpec is one aggregate call of a grouped SELECT.
+type aggSpec struct {
+	name     string
+	star     bool
+	distinct bool
+	arg      getter
+}
+
+// aggState is one slot of one group.
+type aggState struct {
+	n      int64 // rows for COUNT(*), else the non-NULL (DISTINCT) values met
+	floats bool  // SUM met a non-integer
+	fi     int64
+	ff     float64
+	best   Value
+	seen   map[string]struct{}
+	err    error // first argument error; raised when the slot is read
+	bad    bool  // a value SUM/AVG cannot add or MIN/MAX cannot compare
+}
+
+// aggregate compiles an aggregate call: a slot read in group context, the
+// per-row misuse error anywhere else (raised only if a row gets there).
+func (c *compiler) aggregate(t *FuncCall) evalFn {
+	c.unsafe, c.sawAgg = true, true
+	if c.aggs == nil {
+		return func(*env) (Value, error) { return Null(), errAggregateContext(t.Name) }
 	}
-	return fns
+	sp := aggSpec{name: t.Name, star: t.Name == "COUNT" && t.Star, distinct: t.Distinct}
+	if !sp.star {
+		if len(t.Args) != 1 {
+			return func(*env) (Value, error) {
+				return Null(), fmt.Errorf("sqldb: aggregate %s requires one argument", t.Name)
+			}
+		}
+		aggs := c.aggs
+		c.aggs = nil // the argument is evaluated per row
+		if col, ok := c.column(t.Args[0]); ok {
+			sp.arg.col = col
+		} else {
+			sp.arg.fn = c.compile(t.Args[0])
+		}
+		c.aggs = aggs
+	}
+	slot := len(*c.aggs)
+	*c.aggs = append(*c.aggs, sp)
+	return func(e *env) (Value, error) { return e.aggs[slot].result(t.Name) }
+}
+
+// add feeds the slot the row in e.
+func (a *aggState) add(sp *aggSpec, e *env, kb *[]byte) {
+	if sp.star {
+		a.n++
+		return
+	}
+	if a.err != nil {
+		return
+	}
+	var val Value
+	v := &val
+	if sp.arg.fn == nil {
+		v = &e.row[sp.arg.col]
+	} else if val, a.err = sp.arg.fn(e); a.err != nil {
+		return
+	}
+	if v.IsNull() {
+		return
+	}
+	if sp.distinct {
+		*kb = appendValueKey((*kb)[:0], *v)
+		if _, dup := a.seen[string(*kb)]; dup {
+			return
+		}
+		if a.seen == nil {
+			a.seen = map[string]struct{}{}
+		}
+		a.seen[string(*kb)] = struct{}{}
+	}
+	a.n++
+	switch sp.name {
+	case "SUM", "AVG":
+		f, ok := v.AsFloat()
+		a.bad = a.bad || !ok
+		a.ff += f
+		if v.K == KindInt {
+			a.fi += v.I
+		} else {
+			a.floats = true
+		}
+	case "MIN", "MAX":
+		if a.n == 1 {
+			a.best = *v
+			return
+		}
+		cmp, ok := v.compare(&a.best)
+		a.bad = a.bad || !ok
+		if (sp.name == "MIN" && cmp < 0) || (sp.name == "MAX" && cmp > 0) {
+			a.best = *v
+		}
+	}
+}
+
+func (a *aggState) result(name string) (Value, error) {
+	switch {
+	case a.err != nil:
+		return Null(), a.err
+	case name == "COUNT":
+		return Int(a.n), nil
+	case a.n == 0:
+		return Null(), nil
+	case a.bad && name[0] == 'M':
+		return Null(), fmt.Errorf("sqldb: %s over incomparable values", name)
+	case a.bad:
+		return Null(), fmt.Errorf("sqldb: %s over non-numeric value", name)
+	case name == "AVG":
+		return Float(a.ff / float64(a.n)), nil
+	case name == "SUM" && a.floats:
+		return Float(a.ff), nil
+	case name == "SUM":
+		return Int(a.fi), nil
+	}
+	return a.best, nil
 }

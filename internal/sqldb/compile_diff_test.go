@@ -9,13 +9,18 @@ import (
 )
 
 // This file is the mechanical check that the two expression evaluators
-// agree: the closure compiler (compile.go) that cached plans execute and
-// the tree-walking interpreter (expr.go) that everything else — and every
-// shape the compiler does not specialize — goes through. Both stay
-// because each pays on the traffic it serves (DESIGN.md, "measured and
-// kept"), so their agreement is asserted here instead of promised:
-// seeded random expression trees over random rows must produce the same
-// value and the same error text from compileExpr(x)(e) and eval(x, e).
+// agree: the closure compiler (compile.go) that every SELECT, UPDATE and
+// DELETE filter runs through and the tree-walking interpreter (expr.go)
+// that one-shot expressions go through. Both stay because each pays on
+// the traffic it serves (DESIGN.md, "measured and kept"), so their
+// agreement is asserted here instead of promised: seeded random
+// expression trees over random rows must produce the same value and the
+// same error text from compile(x)(e) and eval(x, e), and the same truth
+// from pred(x)(e). Two differences are the compiler's by design: it
+// resolves names when the tree is built (a tree holding a bad reference
+// fails to compile, whatever the rows), and a predicate stops at the
+// first operand that decides it (it may succeed where eval, which reads
+// on past a NULL, raises an error — never the reverse).
 
 // exprGen draws random expression trees over a fixed column layout.
 // Generation is loosely typed — boolean operators mostly get boolean
@@ -265,6 +270,57 @@ func exprText(x Expr) string {
 	return fmt.Sprintf("%T", x)
 }
 
+// walkExpr calls f on x and every expression below it (not into
+// subqueries).
+func walkExpr(x Expr, f func(Expr)) {
+	if x == nil {
+		return
+	}
+	f(x)
+	switch t := x.(type) {
+	case *BinaryExpr:
+		walkExpr(t.L, f)
+		walkExpr(t.R, f)
+	case *UnaryExpr:
+		walkExpr(t.X, f)
+	case *IsNullExpr:
+		walkExpr(t.X, f)
+	case *BetweenExpr:
+		walkExpr(t.X, f)
+		walkExpr(t.Lo, f)
+		walkExpr(t.Hi, f)
+	case *InExpr:
+		walkExpr(t.X, f)
+		for _, a := range t.List {
+			walkExpr(a, f)
+		}
+	case *CaseExpr:
+		walkExpr(t.Operand, f)
+		for _, w := range t.Whens {
+			walkExpr(w.When, f)
+			walkExpr(w.Then, f)
+		}
+		walkExpr(t.Else, f)
+	case *FuncCall:
+		for _, a := range t.Args {
+			walkExpr(a, f)
+		}
+	}
+}
+
+// hasBadRef reports a reference from diffBadRefs anywhere in x.
+func hasBadRef(x Expr) bool {
+	bad := false
+	walkExpr(x, func(n Expr) {
+		if cr, ok := n.(*ColumnRef); ok {
+			for _, b := range diffBadRefs {
+				bad = bad || *cr == b
+			}
+		}
+	})
+	return bad
+}
+
 func sameValue(a, b Value) bool {
 	return a.K == b.K && a.I == b.I && a.S == b.S && a.B == b.B &&
 		math.Float64bits(a.F) == math.Float64bits(b.F)
@@ -283,16 +339,25 @@ func TestCompiledAndInterpretedExpressionsAgree(t *testing.T) {
 		exprsPerSeed = 1500
 		rowsPerExpr  = 6
 	)
-	var errs, nulls, total int
+	var errs, nulls, total, unresolved int
 	for seed := int64(1); seed <= seeds; seed++ {
 		g := &exprGen{rng: rand.New(rand.NewSource(seed))}
 		for i := 0; i < exprsPerSeed; i++ {
 			x := g.expr(4, g.anyKind())
-			// One compiled tree serves one statement execution: many rows,
-			// one column layout — the contract column memoization relies on.
-			fn := compileExpr(x)
 			params := g.row([]Kind{KindInt, KindString, KindBool})
 			named := map[string]Value{"n": g.value(KindInt), "m": g.value(KindBool)}
+			// One compiled tree serves one statement execution: many rows,
+			// one column layout, one set of parameters.
+			scope := &env{cols: diffCols, params: params, named: named, outer: &env{cols: diffOuterCols}}
+			c, pc := newCompiler(scope), newCompiler(scope)
+			fn, pred := c.compile(x), pc.pred(x)
+			if bad := hasBadRef(x); bad != (c.err != nil) || bad != (pc.err != nil) {
+				t.Fatalf("seed %d expr %d: %s: bad reference %v, compile error %v, pred error %v",
+					seed, i, exprText(x), bad, c.err, pc.err)
+			} else if bad {
+				unresolved++
+				continue
+			}
 			for r := 0; r < rowsPerExpr; r++ {
 				e := &env{
 					cols: diffCols, row: g.row(diffKinds), params: params, named: named,
@@ -310,6 +375,12 @@ func TestCompiledAndInterpretedExpressionsAgree(t *testing.T) {
 						seed, i, r, exprText(x), e.row, e.outer.row, params, named,
 						want.K, want.String(), errText(wantErr), got.K, got.String(), errText(gotErr))
 				}
+				if truth, err := pred(e); err != nil && wantErr == nil || err == nil && wantErr == nil && truth != want.Truth() {
+					t.Fatalf("seed %d expr %d row %d: predicate disagrees on %s\n  row %v outer %v params %v named %v\n"+
+						"  eval -> %s:%q, err %s\n  pred -> %v, err %s",
+						seed, i, r, exprText(x), e.row, e.outer.row, params, named,
+						want.K, want.String(), errText(wantErr), truth, errText(err))
+				}
 				total++
 				switch {
 				case wantErr != nil:
@@ -322,7 +393,7 @@ func TestCompiledAndInterpretedExpressionsAgree(t *testing.T) {
 	}
 	// The generator must keep exercising all three outcome classes, or the
 	// agreement above says less than it seems to.
-	if ok := total - errs - nulls; errs < total/10 || nulls < total/10 || ok < total/5 {
-		t.Fatalf("degenerate generator: %d evaluations, %d errors, %d NULLs, %d values", total, errs, nulls, ok)
+	if ok := total - errs - nulls; errs < total/10 || nulls < total/10 || ok < total/5 || unresolved == 0 {
+		t.Fatalf("degenerate generator: %d evaluations, %d errors, %d NULLs, %d values, %d unresolved trees", total, errs, nulls, ok, unresolved)
 	}
 }

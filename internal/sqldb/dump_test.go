@@ -111,7 +111,7 @@ func TestExplain(t *testing.T) {
 
 	db.MustExec("CREATE TABLE Items (ItemID VARCHAR, Price FLOAT)")
 	p = plan("EXPLAIN SELECT o.OrderID FROM Orders o JOIN Items i ON o.ItemID = i.ItemID ORDER BY o.OrderID LIMIT 2")
-	for _, want := range []string{"NESTED LOOP INNER JOIN Items", "SORT (1 keys)", "LIMIT/OFFSET"} {
+	for _, want := range []string{"INNER HASH JOIN Items", "SORT (1 keys)", "LIMIT/OFFSET"} {
 		if !strings.Contains(p, want) {
 			t.Fatalf("join plan missing %q: %s", want, p)
 		}

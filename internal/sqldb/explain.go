@@ -5,161 +5,86 @@ import (
 	"strings"
 )
 
-// execExplain renders the access plan the executor would choose for a
-// SELECT: full scans, index probes (with the chosen index), join
-// strategies, and post-processing steps. It makes the engine's planning
-// observable for tests and the index-vs-scan ablation.
+// execExplain plans a SELECT exactly as execSelect does and renders the
+// plan instead of running it: what EXPLAIN names — access paths and the
+// index probed, join strategies, where each filter sits — is what the
+// next execution does, because both read the same selectPlan.
 func (s *Session) execExplain(t *ExplainStmt, params []Value, named map[string]Value) (*Result, error) {
-	base := &env{params: params, named: named, session: s}
-	var lines []string
-	if err := s.explainSelect(t.Query, base, 0, &lines); err != nil {
+	p, err := s.planSelect(t.Query, &env{params: params, named: named, session: s})
+	if err != nil {
 		return nil, err
 	}
 	res := &Result{Columns: []string{"plan"}}
-	for _, l := range lines {
-		res.Rows = append(res.Rows, []Value{Str(l)})
-	}
+	p.explain(0, func(line string) { res.Rows = append(res.Rows, []Value{Str(line)}) })
 	return res, nil
 }
 
-func (s *Session) explainSelect(q *SelectStmt, base *env, depth int, lines *[]string) error {
-	pad := strings.Repeat("  ", depth)
+func (p *selectPlan) explain(depth int, emit func(string)) {
 	add := func(format string, args ...any) {
-		*lines = append(*lines, pad+fmt.Sprintf(format, args...))
+		emit(strings.Repeat("  ", depth) + fmt.Sprintf(format, args...))
 	}
-
-	switch {
-	case len(q.From) == 0:
+	if len(p.srcs) == 0 {
 		add("CONSTANT ROW")
-	case len(q.From) == 1 && len(q.From[0].Joins) == 0 && q.From[0].Subquery != nil:
-		add("DERIVED TABLE %s", q.From[0].Alias)
-		if err := s.explainSelect(q.From[0].Subquery, base, depth+1, lines); err != nil {
-			return err
+	}
+	for k := range p.srcs {
+		src := &p.srcs[k]
+		var label string
+		switch {
+		case src.viewEnv != nil && k == 0:
+			label = "VIEW " + src.name + " (expanded)"
+		case src.viewEnv != nil:
+			label = "view " + src.name
+		case src.sub != nil && k == 0:
+			label = "DERIVED TABLE " + src.name
+		case src.sub != nil:
+			label = "derived table " + src.name
+		case k > 0 && src.strategy == joinIndex:
+			label = planLabel(src.tbl, src.jidx)
+		default:
+			label = planLabel(src.tbl, src.idx)
 		}
-	case len(q.From) == 1 && len(q.From[0].Joins) == 0:
-		tbl, err := s.db.table(q.From[0].Table)
-		if err != nil {
-			if v, ok := s.db.views[strings.ToLower(q.From[0].Table)]; ok {
-				add("VIEW %s (expanded)", v.Name)
-				if verr := s.explainSelect(v.Query, base, depth+1, lines); verr != nil {
-					return verr
-				}
-				goto post
-			}
-			return err
+		if k > 0 {
+			label = strings.TrimPrefix(strings.TrimPrefix(label, "SCAN "), "INDEX PROBE ")
+			label = [...]string{JoinInner: "INNER ", JoinLeft: "LEFT OUTER ", JoinCross: "CROSS "}[src.kind] +
+				[...]string{joinLoop: "NESTED LOOP", joinHash: "HASH", joinIndex: "INDEX NESTED LOOP"}[src.strategy] +
+				" JOIN " + label
 		}
-		if q.Where != nil {
-			if idx := s.chooseIndex(tbl, q.Where, base); idx != nil {
-				add("%s", planLabel(tbl, idx))
-				goto post
-			}
+		add("%s", label)
+		if src.sub != nil {
+			src.sub.explain(depth+1, emit)
 		}
-		add("%s", planLabel(tbl, nil))
-	default:
-		describe := func(table string, sub *SelectStmt, alias string) (string, error) {
-			if sub != nil {
-				return fmt.Sprintf("derived table %s", alias), nil
-			}
-			if tbl, err := s.db.table(table); err == nil {
-				return fmt.Sprintf("%s (%d rows)", tbl.Name, tbl.RowCount()), nil
-			}
-			if v, ok := s.db.views[strings.ToLower(table)]; ok {
-				return fmt.Sprintf("view %s", v.Name), nil
-			}
-			return "", fmt.Errorf("sqldb: no such table %s", table)
-		}
-		for i, tr := range q.From {
-			desc, err := describe(tr.Table, tr.Subquery, tr.Alias)
-			if err != nil {
-				return err
-			}
-			if i == 0 {
-				add("SCAN %s", desc)
-			} else {
-				add("CROSS PRODUCT SCAN %s", desc)
-			}
-			for _, jc := range tr.Joins {
-				jdesc, err := describe(jc.Table, jc.Subquery, jc.Alias)
-				if err != nil {
-					return err
-				}
-				kind := "INNER"
-				switch jc.Kind {
-				case JoinLeft:
-					kind = "LEFT OUTER"
-				case JoinCross:
-					kind = "CROSS"
-				}
-				add("NESTED LOOP %s JOIN %s", kind, jdesc)
-			}
+		if len(src.filter) > 0 && len(p.srcs) > 1 {
+			add("FILTER (pushed to %s)", src.name)
+		} else if len(src.filter) > 0 {
+			add("FILTER")
 		}
 	}
-
-post:
-	if q.Where != nil {
+	if len(p.where) > 0 {
 		add("FILTER")
 	}
-	if len(q.GroupBy) > 0 {
-		add("GROUP BY (%d keys)", len(q.GroupBy))
-	} else if selectHasAggregate(q) {
-		add("AGGREGATE")
+	if len(p.groupBy) > 0 {
+		add("HASH GROUP BY (%d keys)", len(p.groupBy))
+	} else if p.grouped {
+		add("STREAM AGGREGATE")
 	}
-	if q.Having != nil {
+	if p.having != nil {
 		add("HAVING FILTER")
 	}
-	if q.Distinct {
+	if p.q.Distinct {
 		add("DISTINCT")
 	}
-	if len(q.OrderBy) > 0 {
-		add("SORT (%d keys)", len(q.OrderBy))
+	if p.union != nil {
+		if p.q.UnionAll {
+			add("UNION ALL")
+		} else {
+			add("UNION")
+		}
+		p.union.explain(depth+1, emit)
 	}
-	if q.Limit != nil || q.Offset != nil {
+	if len(p.order) > 0 {
+		add("SORT (%d keys)", len(p.order))
+	}
+	if p.q.Limit != nil || p.q.Offset != nil {
 		add("LIMIT/OFFSET")
 	}
-	if q.Union != nil {
-		op := "UNION"
-		if q.UnionAll {
-			op = "UNION ALL"
-		}
-		add(op)
-		return s.explainSelect(q.Union, base, depth+1, lines)
-	}
-	return nil
-}
-
-// chooseIndex is the single planner entry point shared by the executor
-// (Session.indexCandidates) and EXPLAIN (explainSelect): it returns the
-// index whose columns are fully bound by the predicate's equality
-// conjuncts, or nil for a scan.
-//
-// Selection is deterministic: among applicable indexes the most specific
-// one (most columns) wins, with the lexicographically smallest name
-// breaking ties. (Historically this ranged over the table's index map,
-// whose iteration order is randomized per call — so with two applicable
-// indexes EXPLAIN could name one index while the very next execution
-// probed the other.)
-func (s *Session) chooseIndex(tbl *Table, where Expr, base *env) *Index {
-	eq := map[string]Value{}
-	if !collectEqualities(where, base, eq) || len(eq) == 0 {
-		return nil
-	}
-	var best *Index
-	for _, idx := range tbl.indexes {
-		ok := true
-		for _, c := range idx.Columns {
-			if _, found := eq[strings.ToLower(c)]; !found {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		if best == nil ||
-			len(idx.Columns) > len(best.Columns) ||
-			(len(idx.Columns) == len(best.Columns) && idx.Name < best.Name) {
-			best = idx
-		}
-	}
-	return best
 }

@@ -13,57 +13,23 @@ type colMeta struct {
 	name  string // column name, original case
 }
 
-// relation is an intermediate row set flowing through the executor.
-type relation struct {
-	cols []colMeta
-	rows [][]Value
-}
-
 // env is the expression evaluation environment: the current row (if any),
-// the group rows (during aggregation), statement parameters, and a link to
-// the outer environment for correlated subqueries.
+// the current group's aggregate slots (while a grouped SELECT projects),
+// statement parameters, and a link to the outer environment for
+// correlated subqueries. Its cols and outer chain are also the scope
+// compiled expressions resolve their column references against.
 type env struct {
-	cols      []colMeta
-	row       []Value
-	groupRows [][]Value // non-nil while evaluating aggregate context
-	params    []Value
-	named     map[string]Value
-	session   *Session
-	outer     *env
+	cols    []colMeta
+	row     []Value
+	aggs    []aggState // the group being projected; nil outside one
+	params  []Value
+	named   map[string]Value
+	session *Session
+	outer   *env
 }
 
 func (e *env) child(cols []colMeta, row []Value) *env {
 	return &env{cols: cols, row: row, params: e.params, named: e.named, session: e.session, outer: e.outer}
-}
-
-// lookupColumn resolves a (possibly qualified) column reference against this
-// environment, then outer environments.
-func (e *env) lookupColumn(table, name string) (Value, error) {
-	for scope := e; scope != nil; scope = scope.outer {
-		found := -1
-		for i, c := range scope.cols {
-			if !strings.EqualFold(c.name, name) {
-				continue
-			}
-			if table != "" && !strings.EqualFold(c.table, table) {
-				continue
-			}
-			if found >= 0 {
-				return Null(), fmt.Errorf("sqldb: ambiguous column %s", name)
-			}
-			found = i
-		}
-		if found >= 0 {
-			if scope.row == nil {
-				return Null(), fmt.Errorf("sqldb: column %s referenced outside row context", name)
-			}
-			return scope.row[found], nil
-		}
-	}
-	if table != "" {
-		return Null(), fmt.Errorf("sqldb: unknown column %s.%s", table, name)
-	}
-	return Null(), fmt.Errorf("sqldb: unknown column %s", name)
 }
 
 // aggregateNames are function names treated as aggregates.
@@ -71,75 +37,31 @@ var aggregateNames = map[string]bool{
 	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
 }
 
-// exprHasAggregate reports whether the expression contains an aggregate call.
-func exprHasAggregate(x Expr) bool {
-	switch t := x.(type) {
-	case nil:
-		return false
-	case *Literal, *ColumnRef, *ParamRef, *NextValueExpr:
-		return false
-	case *BinaryExpr:
-		return exprHasAggregate(t.L) || exprHasAggregate(t.R)
-	case *UnaryExpr:
-		return exprHasAggregate(t.X)
-	case *IsNullExpr:
-		return exprHasAggregate(t.X)
-	case *BetweenExpr:
-		return exprHasAggregate(t.X) || exprHasAggregate(t.Lo) || exprHasAggregate(t.Hi)
-	case *InExpr:
-		if exprHasAggregate(t.X) {
-			return true
-		}
-		for _, e := range t.List {
-			if exprHasAggregate(e) {
-				return true
-			}
-		}
-		return false
-	case *ExistsExpr, *SubqueryExpr:
-		return false // aggregates inside a subquery belong to the subquery
-	case *FuncCall:
-		if aggregateNames[t.Name] {
-			return true
-		}
-		for _, a := range t.Args {
-			if exprHasAggregate(a) {
-				return true
-			}
-		}
-		return false
-	case *CaseExpr:
-		if exprHasAggregate(t.Operand) || exprHasAggregate(t.Else) {
-			return true
-		}
-		for _, w := range t.Whens {
-			if exprHasAggregate(w.When) || exprHasAggregate(w.Then) {
-				return true
-			}
-		}
-		return false
-	}
-	return false
-}
-
-// eval evaluates an expression in the given environment.
+// eval evaluates an expression in the given environment by walking the
+// tree: the evaluator of one-shot expressions (VALUES, SET, DEFAULT, CALL
+// arguments, LIMIT). Names resolve as they are met. Everything evaluated
+// once per row goes through the compiler (compile.go), which shares the
+// value-level operators below.
 func eval(x Expr, e *env) (Value, error) {
 	switch t := x.(type) {
 	case *Literal:
 		return t.Val, nil
-	case *boundCol:
-		if e.row == nil || t.idx >= len(e.row) {
-			return Null(), fmt.Errorf("sqldb: column referenced outside row context")
-		}
-		return e.row[t.idx], nil
 	case *ColumnRef:
-		return e.lookupColumn(t.Table, t.Column)
+		depth, idx, err := resolveColumn(e.cols, e.outer, t.Table, t.Column)
+		if err != nil {
+			return Null(), err
+		}
+		for ; depth > 0; depth-- {
+			e = e.outer
+		}
+		if e.row == nil {
+			return Null(), errRowContext(t)
+		}
+		return e.row[idx], nil
 	case *ParamRef:
 		if t.Name != "" {
-			if e.named != nil {
-				if v, ok := e.named[strings.ToLower(t.Name)]; ok {
-					return v, nil
-				}
+			if v, ok := e.named[strings.ToLower(t.Name)]; ok {
+				return v, nil
 			}
 			return Null(), fmt.Errorf("sqldb: unbound named parameter :%s", t.Name)
 		}
@@ -148,33 +70,21 @@ func eval(x Expr, e *env) (Value, error) {
 		}
 		return e.params[t.Index], nil
 	case *BinaryExpr:
-		return evalBinary(t, e)
+		l, err := eval(t.L, e)
+		if err != nil || decides(t.Op, l) {
+			return l, err
+		}
+		r, err := eval(t.R, e)
+		if err != nil {
+			return Null(), err
+		}
+		return applyBinary(t.Op, l, r)
 	case *UnaryExpr:
 		v, err := eval(t.X, e)
 		if err != nil {
 			return Null(), err
 		}
-		switch t.Op {
-		case "-":
-			switch v.K {
-			case KindInt:
-				return Int(-v.I), nil
-			case KindFloat:
-				return Float(-v.F), nil
-			case KindNull:
-				return Null(), nil
-			}
-			return Null(), fmt.Errorf("sqldb: cannot negate %s", v.K)
-		case "NOT":
-			if v.IsNull() {
-				return Null(), nil
-			}
-			if v.K != KindBool {
-				return Null(), fmt.Errorf("sqldb: NOT requires a boolean")
-			}
-			return Bool(!v.B), nil
-		}
-		return Null(), fmt.Errorf("sqldb: unknown unary operator %s", t.Op)
+		return applyUnary(t.Op, v)
 	case *IsNullExpr:
 		v, err := eval(t.X, e)
 		if err != nil {
@@ -194,12 +104,7 @@ func eval(x Expr, e *env) (Value, error) {
 		if err != nil {
 			return Null(), err
 		}
-		c1, ok1 := compareValues(v, lo)
-		c2, ok2 := compareValues(v, hi)
-		if !ok1 || !ok2 {
-			return Null(), nil
-		}
-		return Bool((c1 >= 0 && c2 <= 0) != t.Not), nil
+		return between(v, lo, hi, t.Not), nil
 	case *InExpr:
 		return evalIn(t, e)
 	case *ExistsExpr:
@@ -213,21 +118,20 @@ func eval(x Expr, e *env) (Value, error) {
 		if err != nil {
 			return Null(), err
 		}
-		if len(res.Rows) == 0 {
-			return Null(), nil
-		}
-		if len(res.Rows) > 1 {
-			return Null(), fmt.Errorf("sqldb: scalar subquery returned %d rows", len(res.Rows))
-		}
-		if len(res.Columns) != 1 {
-			return Null(), fmt.Errorf("sqldb: scalar subquery returned %d columns", len(res.Columns))
-		}
-		return res.Rows[0][0], nil
+		return scalarResult(res)
 	case *FuncCall:
 		if aggregateNames[t.Name] {
-			return evalAggregate(t, e)
+			return Null(), errAggregateContext(t.Name)
 		}
-		return evalScalarFunc(t, e)
+		args := make([]Value, len(t.Args))
+		for i, a := range t.Args {
+			v, err := eval(a, e)
+			if err != nil {
+				return Null(), err
+			}
+			args[i] = v
+		}
+		return callScalarFunc(t.Name, args, e.session)
 	case *CaseExpr:
 		return evalCase(t, e)
 	case *NextValueExpr:
@@ -236,90 +140,72 @@ func eval(x Expr, e *env) (Value, error) {
 	return Null(), fmt.Errorf("sqldb: cannot evaluate %T", x)
 }
 
-func evalBinary(t *BinaryExpr, e *env) (Value, error) {
-	// AND/OR use SQL three-valued logic with short-circuiting where sound.
-	switch t.Op {
-	case "AND":
-		l, err := eval(t.L, e)
-		if err != nil {
-			return Null(), err
-		}
-		if l.K == KindBool && !l.B {
-			return Bool(false), nil
-		}
-		r, err := eval(t.R, e)
-		if err != nil {
-			return Null(), err
-		}
-		if r.K == KindBool && !r.B {
-			return Bool(false), nil
-		}
-		if l.IsNull() || r.IsNull() {
+// Value-level operators, shared by eval and the compiled closures.
+
+// decides reports that AND / OR need not evaluate their right operand:
+// a FALSE left decides an AND, a TRUE left an OR (and is the result).
+func decides(op string, l Value) bool {
+	return l.K == KindBool && (op == "AND" && !l.B || op == "OR" && l.B)
+}
+
+// applyBinary applies a binary operator to its evaluated operands; for
+// AND and OR, to a left operand that did not decide.
+func applyBinary(op string, l, r Value) (Value, error) {
+	switch op {
+	case "AND", "OR":
+		// SQL three-valued logic.
+		switch {
+		case decides(op, r):
+			return r, nil
+		case l.IsNull() || r.IsNull():
 			return Null(), nil
 		}
-		return Bool(l.Truth() && r.Truth()), nil
-	case "OR":
-		l, err := eval(t.L, e)
-		if err != nil {
-			return Null(), err
-		}
-		if l.Truth() {
-			return Bool(true), nil
-		}
-		r, err := eval(t.R, e)
-		if err != nil {
-			return Null(), err
-		}
-		if r.Truth() {
-			return Bool(true), nil
-		}
-		if l.IsNull() || r.IsNull() {
-			return Null(), nil
-		}
-		return Bool(false), nil
-	}
-	l, err := eval(t.L, e)
-	if err != nil {
-		return Null(), err
-	}
-	r, err := eval(t.R, e)
-	if err != nil {
-		return Null(), err
-	}
-	switch t.Op {
+		return Bool(l.Truth() && r.Truth()), nil // AND of two non-FALSE, OR of two non-TRUE
 	case "=", "<>", "<", "<=", ">", ">=":
 		c, ok := compareValues(l, r)
 		if !ok {
 			return Null(), nil
 		}
-		switch t.Op {
-		case "=":
-			return Bool(c == 0), nil
-		case "<>":
-			return Bool(c != 0), nil
-		case "<":
-			return Bool(c < 0), nil
-		case "<=":
-			return Bool(c <= 0), nil
-		case ">":
-			return Bool(c > 0), nil
-		case ">=":
-			return Bool(c >= 0), nil
-		}
-	case "||":
+		return Bool(cmpMask(op)&(1<<(c+1)) != 0), nil
+	case "||", "LIKE":
 		if l.IsNull() || r.IsNull() {
 			return Null(), nil
+		}
+		if op == "LIKE" {
+			return Bool(likeMatch(l.String(), r.String())), nil
 		}
 		return Str(l.String() + r.String()), nil
-	case "LIKE":
-		if l.IsNull() || r.IsNull() {
-			return Null(), nil
-		}
-		return Bool(likeMatch(l.String(), r.String())), nil
 	case "+", "-", "*", "/", "%":
-		return evalArith(t.Op, l, r)
+		return evalArith(op, l, r)
 	}
-	return Null(), fmt.Errorf("sqldb: unknown operator %s", t.Op)
+	return Null(), fmt.Errorf("sqldb: unknown operator %s", op)
+}
+
+func applyUnary(op string, v Value) (Value, error) {
+	switch {
+	case op != "-" && op != "NOT":
+		return Null(), fmt.Errorf("sqldb: unknown unary operator %s", op)
+	case v.IsNull():
+		return Null(), nil
+	case op == "NOT" && v.K == KindBool:
+		return Bool(!v.B), nil
+	case op == "NOT":
+		return Null(), fmt.Errorf("sqldb: NOT requires a boolean")
+	case v.K == KindInt:
+		return Int(-v.I), nil
+	case v.K == KindFloat:
+		return Float(-v.F), nil
+	}
+	return Null(), fmt.Errorf("sqldb: cannot negate %s", v.K)
+}
+
+func between(v, lo, hi Value, not bool) Value {
+	c1, ok1 := compareValues(v, lo)
+	c2, ok2 := compareValues(v, hi)
+	if !ok1 || !ok2 {
+		return Null()
+	}
+	return Bool((c1 >= 0 && c2 <= 0) != not)
 }
 
 func evalArith(op string, l, r Value) (Value, error) {
@@ -329,58 +215,42 @@ func evalArith(op string, l, r Value) (Value, error) {
 	if op == "+" && (l.K == KindString || r.K == KindString) {
 		return Str(l.String() + r.String()), nil
 	}
-	if l.K == KindInt && r.K == KindInt {
-		switch op {
-		case "+":
-			return Int(l.I + r.I), nil
-		case "-":
-			return Int(l.I - r.I), nil
-		case "*":
-			return Int(l.I * r.I), nil
-		case "/":
-			if r.I == 0 {
-				return Null(), fmt.Errorf("sqldb: division by zero")
-			}
-			return Int(l.I / r.I), nil
-		case "%":
-			if r.I == 0 {
-				return Null(), fmt.Errorf("sqldb: division by zero")
-			}
-			return Int(l.I % r.I), nil
-		}
-	}
 	lf, ok1 := l.AsFloat()
 	rf, ok2 := r.AsFloat()
 	if !ok1 || !ok2 {
 		return Null(), fmt.Errorf("sqldb: arithmetic on non-numeric values (%s %s %s)", l.K, op, r.K)
 	}
-	switch op {
-	case "+":
+	if (op == "/" || op == "%") && rf == 0 {
+		return Null(), fmt.Errorf("sqldb: division by zero")
+	}
+	ints := l.K == KindInt && r.K == KindInt
+	switch {
+	case op == "+" && ints:
+		return Int(l.I + r.I), nil
+	case op == "-" && ints:
+		return Int(l.I - r.I), nil
+	case op == "*" && ints:
+		return Int(l.I * r.I), nil
+	case op == "/" && ints:
+		return Int(l.I / r.I), nil
+	case op == "%" && ints:
+		return Int(l.I % r.I), nil
+	case op == "+":
 		return Float(lf + rf), nil
-	case "-":
+	case op == "-":
 		return Float(lf - rf), nil
-	case "*":
+	case op == "*":
 		return Float(lf * rf), nil
-	case "/":
-		if rf == 0 {
-			return Null(), fmt.Errorf("sqldb: division by zero")
-		}
+	case op == "/":
 		return Float(lf / rf), nil
-	case "%":
-		if rf == 0 {
-			return Null(), fmt.Errorf("sqldb: division by zero")
-		}
+	case op == "%":
 		return Float(math.Mod(lf, rf)), nil
 	}
 	return Null(), fmt.Errorf("sqldb: unknown arithmetic operator %s", op)
 }
 
 // likeMatch implements SQL LIKE with % (any run) and _ (any single char).
-func likeMatch(s, pattern string) bool {
-	return likeRec(s, pattern)
-}
-
-func likeRec(s, p string) bool {
+func likeMatch(s, p string) bool {
 	for len(p) > 0 {
 		switch p[0] {
 		case '%':
@@ -392,7 +262,7 @@ func likeRec(s, p string) bool {
 				return true
 			}
 			for i := 0; i <= len(s); i++ {
-				if likeRec(s[i:], p) {
+				if likeMatch(s[i:], p) {
 					return true
 				}
 			}
@@ -423,11 +293,8 @@ func evalIn(t *InExpr, e *env) (Value, error) {
 		if err != nil {
 			return Null(), err
 		}
-		if len(res.Columns) != 1 {
-			return Null(), fmt.Errorf("sqldb: IN subquery must return one column")
-		}
-		for _, row := range res.Rows {
-			candidates = append(candidates, row[0])
+		if candidates, err = inCandidates(res); err != nil {
+			return Null(), err
 		}
 	} else {
 		for _, le := range t.List {
@@ -438,8 +305,41 @@ func evalIn(t *InExpr, e *env) (Value, error) {
 			candidates = append(candidates, lv)
 		}
 	}
-	if v.IsNull() {
+	return inMatch(v, candidates, t.Not), nil
+}
+
+// scalarResult is the value of a scalar subquery: its single cell, NULL
+// when it returned no row.
+func scalarResult(res *Result) (Value, error) {
+	if len(res.Rows) == 0 {
 		return Null(), nil
+	}
+	if len(res.Rows) > 1 {
+		return Null(), fmt.Errorf("sqldb: scalar subquery returned %d rows", len(res.Rows))
+	}
+	if len(res.Columns) != 1 {
+		return Null(), fmt.Errorf("sqldb: scalar subquery returned %d columns", len(res.Columns))
+	}
+	return res.Rows[0][0], nil
+}
+
+// inCandidates is the candidate list an IN subquery's result supplies.
+func inCandidates(res *Result) ([]Value, error) {
+	if len(res.Columns) != 1 {
+		return nil, fmt.Errorf("sqldb: IN subquery must return one column")
+	}
+	candidates := make([]Value, len(res.Rows))
+	for i, row := range res.Rows {
+		candidates[i] = row[0]
+	}
+	return candidates, nil
+}
+
+// inMatch is x [NOT] IN (candidates) in three-valued logic: NULL when x
+// is NULL, or when nothing matched and a candidate was NULL.
+func inMatch(v Value, candidates []Value, not bool) Value {
+	if v.IsNull() {
+		return Null()
 	}
 	sawNull := false
 	for _, c := range candidates {
@@ -448,39 +348,29 @@ func evalIn(t *InExpr, e *env) (Value, error) {
 			continue
 		}
 		if cmp, ok := compareValues(v, c); ok && cmp == 0 {
-			return Bool(!t.Not), nil
+			return Bool(!not)
 		}
 	}
 	if sawNull {
-		return Null(), nil
+		return Null()
 	}
-	return Bool(t.Not), nil
+	return Bool(not)
 }
 
 func evalCase(t *CaseExpr, e *env) (Value, error) {
+	op, err := Bool(true), error(nil) // a searched CASE compares each WHEN with TRUE
 	if t.Operand != nil {
-		op, err := eval(t.Operand, e)
+		if op, err = eval(t.Operand, e); err != nil {
+			return Null(), err
+		}
+	}
+	for _, w := range t.Whens {
+		wv, err := eval(w.When, e)
 		if err != nil {
 			return Null(), err
 		}
-		for _, w := range t.Whens {
-			wv, err := eval(w.When, e)
-			if err != nil {
-				return Null(), err
-			}
-			if c, ok := compareValues(op, wv); ok && c == 0 {
-				return eval(w.Then, e)
-			}
-		}
-	} else {
-		for _, w := range t.Whens {
-			wv, err := eval(w.When, e)
-			if err != nil {
-				return Null(), err
-			}
-			if wv.Truth() {
-				return eval(w.Then, e)
-			}
+		if c, ok := compareValues(op, wv); ok && c == 0 {
+			return eval(w.Then, e)
 		}
 	}
 	if t.Else != nil {
@@ -489,187 +379,131 @@ func evalCase(t *CaseExpr, e *env) (Value, error) {
 	return Null(), nil
 }
 
-func evalAggregate(t *FuncCall, e *env) (Value, error) {
-	if e.groupRows == nil {
-		return Null(), fmt.Errorf("sqldb: aggregate %s used outside GROUP BY/aggregate context", t.Name)
-	}
-	if t.Name == "COUNT" && t.Star {
-		return Int(int64(len(e.groupRows))), nil
-	}
-	if len(t.Args) != 1 {
-		return Null(), fmt.Errorf("sqldb: aggregate %s requires one argument", t.Name)
-	}
-	vals := make([]Value, 0, len(e.groupRows))
-	var seen map[string]bool
-	var kb []byte
-	if t.Distinct {
-		seen = map[string]bool{}
-	}
-	// One scratch row environment serves every group row, and the
-	// argument compiles once per aggregate invocation — the per-row
-	// work inside a large group is a closure call, not an AST walk.
-	rowEnv := e.child(e.cols, nil)
-	argFn := compileExpr(t.Args[0])
-	for _, row := range e.groupRows {
-		rowEnv.row = row
-		v, err := argFn(rowEnv)
-		if err != nil {
-			return Null(), err
-		}
-		if v.IsNull() {
-			continue
-		}
-		if t.Distinct {
-			kb = appendValueKey(kb[:0], v)
-			if seen[string(kb)] {
-				continue
-			}
-			seen[string(kb)] = true
-		}
-		vals = append(vals, v)
-	}
-	switch t.Name {
-	case "COUNT":
-		return Int(int64(len(vals))), nil
-	case "SUM", "AVG":
-		if len(vals) == 0 {
-			return Null(), nil
-		}
-		allInt := true
-		var fi int64
-		var ff float64
-		for _, v := range vals {
-			if v.K != KindInt {
-				allInt = false
-			}
-			f, ok := v.AsFloat()
-			if !ok {
-				return Null(), fmt.Errorf("sqldb: %s over non-numeric value", t.Name)
-			}
-			ff += f
-			if v.K == KindInt {
-				fi += v.I
-			}
-		}
-		if t.Name == "AVG" {
-			return Float(ff / float64(len(vals))), nil
-		}
-		if allInt {
-			return Int(fi), nil
-		}
-		return Float(ff), nil
-	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return Null(), nil
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c, ok := compareValues(v, best)
-			if !ok {
-				return Null(), fmt.Errorf("sqldb: %s over incomparable values", t.Name)
-			}
-			if (t.Name == "MIN" && c < 0) || (t.Name == "MAX" && c > 0) {
-				best = v
-			}
-		}
-		return best, nil
-	}
-	return Null(), fmt.Errorf("sqldb: unknown aggregate %s", t.Name)
+// errAggregateContext is what an aggregate raises when it is evaluated
+// per row (WHERE, a join condition, another aggregate's argument, or any
+// statement that is not a grouped SELECT).
+func errAggregateContext(name string) error {
+	return fmt.Errorf("sqldb: aggregate %s used outside GROUP BY/aggregate context", name)
 }
 
-func evalScalarFunc(t *FuncCall, e *env) (Value, error) {
-	args := make([]Value, len(t.Args))
-	for i, a := range t.Args {
-		v, err := eval(a, e)
-		if err != nil {
-			return Null(), err
+// strictFuncs are the scalar functions of fixed arity that yield NULL on
+// any NULL argument; fn sees the arguments only past both checks.
+var strictFuncs = map[string]struct {
+	arity int
+	fn    func(a []Value) (Value, error)
+}{
+	"UPPER":  {1, func(a []Value) (Value, error) { return Str(strings.ToUpper(a[0].String())), nil }},
+	"LOWER":  {1, func(a []Value) (Value, error) { return Str(strings.ToLower(a[0].String())), nil }},
+	"LENGTH": {1, func(a []Value) (Value, error) { return Int(int64(len(a[0].String()))), nil }},
+	"TRIM":   {1, func(a []Value) (Value, error) { return Str(strings.TrimSpace(a[0].String())), nil }},
+	"ABS": {1, func(a []Value) (Value, error) {
+		if a[0].K == KindInt {
+			return Int(max(a[0].I, -a[0].I)), nil
 		}
-		args[i] = v
-	}
-	arity := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("sqldb: %s expects %d argument(s), got %d", t.Name, n, len(args))
+		return numeric("ABS of non-numeric value", math.Abs, a[0])
+	}},
+	"MOD": {2, func(a []Value) (Value, error) { return evalArith("%", a[0], a[1]) }},
+	"REPLACE": {3, func(a []Value) (Value, error) {
+		return Str(strings.ReplaceAll(a[0].String(), a[1].String(), a[2].String())), nil
+	}},
+	// POSITION(needle, haystack): 1-based, 0 when absent.
+	"POSITION": {2, func(a []Value) (Value, error) {
+		return Int(int64(strings.Index(a[1].String(), a[0].String()) + 1)), nil
+	}},
+	"LEFT": {2, func(a []Value) (Value, error) {
+		s, n := a[0].String(), clampLen(a[1], len(a[0].String()))
+		return Str(s[:n]), nil
+	}},
+	"RIGHT": {2, func(a []Value) (Value, error) {
+		s, n := a[0].String(), clampLen(a[1], len(a[0].String()))
+		return Str(s[len(s)-n:]), nil
+	}},
+	"SIGN": {1, func(a []Value) (Value, error) {
+		f, ok := a[0].AsFloat()
+		switch {
+		case !ok:
+			return Null(), fmt.Errorf("sqldb: SIGN of non-numeric value")
+		case f > 0:
+			return Int(1), nil
+		case f < 0:
+			return Int(-1), nil
 		}
-		return nil
-	}
-	switch t.Name {
-	case "UPPER":
-		if err := arity(1); err != nil {
-			return Null(), err
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		return Str(strings.ToUpper(args[0].String())), nil
-	case "LOWER":
-		if err := arity(1); err != nil {
-			return Null(), err
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		return Str(strings.ToLower(args[0].String())), nil
-	case "LENGTH":
-		if err := arity(1); err != nil {
-			return Null(), err
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		return Int(int64(len(args[0].String()))), nil
-	case "TRIM":
-		if err := arity(1); err != nil {
-			return Null(), err
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		return Str(strings.TrimSpace(args[0].String())), nil
-	case "ABS":
-		if err := arity(1); err != nil {
-			return Null(), err
-		}
-		switch args[0].K {
-		case KindNull:
-			return Null(), nil
-		case KindInt:
-			if args[0].I < 0 {
-				return Int(-args[0].I), nil
-			}
-			return args[0], nil
-		case KindFloat:
-			return Float(math.Abs(args[0].F)), nil
-		}
-		return Null(), fmt.Errorf("sqldb: ABS of non-numeric value")
-	case "ROUND":
-		if len(args) == 1 {
-			f, ok := args[0].AsFloat()
-			if !ok {
-				if args[0].IsNull() {
-					return Null(), nil
-				}
-				return Null(), fmt.Errorf("sqldb: ROUND of non-numeric value")
-			}
-			return Float(math.Round(f)), nil
-		}
-		if err := arity(2); err != nil {
-			return Null(), err
-		}
-		f, ok1 := args[0].AsFloat()
-		d, ok2 := args[1].AsInt()
+		return Int(0), nil
+	}},
+	"POWER": {2, func(a []Value) (Value, error) {
+		x, ok1 := a[0].AsFloat()
+		y, ok2 := a[1].AsFloat()
 		if !ok1 || !ok2 {
-			if args[0].IsNull() || args[1].IsNull() {
+			return Null(), fmt.Errorf("sqldb: POWER of non-numeric value")
+		}
+		return Float(math.Pow(x, y)), nil
+	}},
+	"SQRT": {1, func(a []Value) (Value, error) {
+		if f, ok := a[0].AsFloat(); ok && f >= 0 {
+			return Float(math.Sqrt(f)), nil
+		}
+		return Null(), fmt.Errorf("sqldb: SQRT requires a non-negative number")
+	}},
+	"FLOOR": {1, func(a []Value) (Value, error) { return numeric("FLOOR of non-numeric value", math.Floor, a[0]) }},
+	"CEIL":  {1, func(a []Value) (Value, error) { return numeric("CEILING of non-numeric value", math.Ceil, a[0]) }},
+}
+
+// numeric applies f to a numeric value; what is the error for any other.
+func numeric(what string, f func(float64) float64, v Value) (Value, error) {
+	x, ok := v.AsFloat()
+	if !ok {
+		return Null(), fmt.Errorf("sqldb: %s", what)
+	}
+	return Float(f(x)), nil
+}
+
+// clampLen reads a length argument, clamped to [0, limit].
+func clampLen(v Value, limit int) int {
+	n, _ := v.AsInt()
+	return int(min(max(n, 0), int64(limit)))
+}
+
+// callScalarFunc applies a scalar function to its evaluated arguments;
+// both evaluators call it.
+func callScalarFunc(name string, args []Value, s *Session) (Value, error) {
+	canon := name
+	switch name {
+	case "INSTR":
+		canon = "POSITION"
+	case "CEILING":
+		canon = "CEIL"
+	case "SUBSTRING":
+		canon = "SUBSTR"
+	}
+	if f, ok := strictFuncs[canon]; ok {
+		if len(args) != f.arity {
+			return Null(), fmt.Errorf("sqldb: %s expects %d argument(s), got %d", name, f.arity, len(args))
+		}
+		for _, a := range args {
+			if a.IsNull() {
+				return Null(), nil
+			}
+		}
+		return f.fn(args)
+	}
+	switch canon {
+	case "ROUND":
+		if len(args) != 1 && len(args) != 2 {
+			return Null(), fmt.Errorf("sqldb: ROUND expects 2 argument(s), got %d", len(args))
+		}
+		f, ok := args[0].AsFloat()
+		p := 1.0
+		if len(args) == 2 {
+			d, ok2 := args[1].AsInt()
+			ok, p = ok && ok2, math.Pow(10, float64(d))
+		}
+		if !ok {
+			if args[0].IsNull() || len(args) == 2 && args[1].IsNull() {
 				return Null(), nil
 			}
 			return Null(), fmt.Errorf("sqldb: ROUND of non-numeric value")
 		}
-		p := math.Pow(10, float64(d))
 		return Float(math.Round(f*p) / p), nil
-	case "MOD":
-		if err := arity(2); err != nil {
-			return Null(), err
-		}
-		return evalArith("%", args[0], args[1])
 	case "COALESCE":
 		for _, a := range args {
 			if !a.IsNull() {
@@ -678,8 +512,8 @@ func evalScalarFunc(t *FuncCall, e *env) (Value, error) {
 		}
 		return Null(), nil
 	case "NULLIF":
-		if err := arity(2); err != nil {
-			return Null(), err
+		if len(args) != 2 {
+			return Null(), fmt.Errorf("sqldb: NULLIF expects 2 argument(s), got %d", len(args))
 		}
 		if c, ok := compareValues(args[0], args[1]); ok && c == 0 {
 			return Null(), nil
@@ -693,7 +527,7 @@ func evalScalarFunc(t *FuncCall, e *env) (Value, error) {
 			}
 		}
 		return Str(b.String()), nil
-	case "SUBSTR", "SUBSTRING":
+	case "SUBSTR":
 		if len(args) != 2 && len(args) != 3 {
 			return Null(), fmt.Errorf("sqldb: SUBSTR expects 2 or 3 arguments")
 		}
@@ -702,78 +536,20 @@ func evalScalarFunc(t *FuncCall, e *env) (Value, error) {
 		}
 		s := args[0].String()
 		start, _ := args[1].AsInt()
-		if start < 1 {
-			start = 1
-		}
 		if int(start) > len(s) {
 			return Str(""), nil
 		}
-		out := s[start-1:]
+		out := s[max(start, 1)-1:]
 		if len(args) == 3 {
 			if args[2].IsNull() {
 				return Null(), nil
 			}
-			n, _ := args[2].AsInt()
-			if n < 0 {
-				n = 0
-			}
-			if int(n) < len(out) {
-				out = out[:n]
-			}
+			out = out[:clampLen(args[2], len(out))]
 		}
 		return Str(out), nil
-	case "REPLACE":
-		if err := arity(3); err != nil {
-			return Null(), err
-		}
-		if args[0].IsNull() || args[1].IsNull() || args[2].IsNull() {
-			return Null(), nil
-		}
-		return Str(strings.ReplaceAll(args[0].String(), args[1].String(), args[2].String())), nil
-	case "POSITION", "INSTR":
-		if err := arity(2); err != nil {
-			return Null(), err
-		}
-		if args[0].IsNull() || args[1].IsNull() {
-			return Null(), nil
-		}
-		// POSITION(needle, haystack): 1-based, 0 when absent.
-		return Int(int64(strings.Index(args[1].String(), args[0].String()) + 1)), nil
-	case "LEFT":
-		if err := arity(2); err != nil {
-			return Null(), err
-		}
-		if args[0].IsNull() || args[1].IsNull() {
-			return Null(), nil
-		}
-		s := args[0].String()
-		n, _ := args[1].AsInt()
-		if n < 0 {
-			n = 0
-		}
-		if int(n) < len(s) {
-			s = s[:n]
-		}
-		return Str(s), nil
-	case "RIGHT":
-		if err := arity(2); err != nil {
-			return Null(), err
-		}
-		if args[0].IsNull() || args[1].IsNull() {
-			return Null(), nil
-		}
-		s := args[0].String()
-		n, _ := args[1].AsInt()
-		if n < 0 {
-			n = 0
-		}
-		if int(n) < len(s) {
-			s = s[len(s)-int(n):]
-		}
-		return Str(s), nil
 	case "GREATEST", "LEAST":
 		if len(args) == 0 {
-			return Null(), fmt.Errorf("sqldb: %s expects at least one argument", t.Name)
+			return Null(), fmt.Errorf("sqldb: %s expects at least one argument", name)
 		}
 		best := args[0]
 		for _, v := range args[1:] {
@@ -782,88 +558,21 @@ func evalScalarFunc(t *FuncCall, e *env) (Value, error) {
 			}
 			c, ok := compareValues(v, best)
 			if !ok {
-				return Null(), fmt.Errorf("sqldb: %s over incomparable values", t.Name)
+				return Null(), fmt.Errorf("sqldb: %s over incomparable values", name)
 			}
-			if (t.Name == "GREATEST" && c > 0) || (t.Name == "LEAST" && c < 0) {
+			if (name == "GREATEST" && c > 0) || (name == "LEAST" && c < 0) {
 				best = v
 			}
 		}
 		return best, nil
-	case "SIGN":
-		if err := arity(1); err != nil {
-			return Null(), err
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		f, ok := args[0].AsFloat()
-		if !ok {
-			return Null(), fmt.Errorf("sqldb: SIGN of non-numeric value")
-		}
-		switch {
-		case f > 0:
-			return Int(1), nil
-		case f < 0:
-			return Int(-1), nil
-		}
-		return Int(0), nil
-	case "POWER":
-		if err := arity(2); err != nil {
-			return Null(), err
-		}
-		if args[0].IsNull() || args[1].IsNull() {
-			return Null(), nil
-		}
-		a, ok1 := args[0].AsFloat()
-		b, ok2 := args[1].AsFloat()
-		if !ok1 || !ok2 {
-			return Null(), fmt.Errorf("sqldb: POWER of non-numeric value")
-		}
-		return Float(math.Pow(a, b)), nil
-	case "SQRT":
-		if err := arity(1); err != nil {
-			return Null(), err
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		f, ok := args[0].AsFloat()
-		if !ok || f < 0 {
-			return Null(), fmt.Errorf("sqldb: SQRT requires a non-negative number")
-		}
-		return Float(math.Sqrt(f)), nil
-	case "FLOOR":
-		if err := arity(1); err != nil {
-			return Null(), err
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		f, ok := args[0].AsFloat()
-		if !ok {
-			return Null(), fmt.Errorf("sqldb: FLOOR of non-numeric value")
-		}
-		return Float(math.Floor(f)), nil
-	case "CEIL", "CEILING":
-		if err := arity(1); err != nil {
-			return Null(), err
-		}
-		if args[0].IsNull() {
-			return Null(), nil
-		}
-		f, ok := args[0].AsFloat()
-		if !ok {
-			return Null(), fmt.Errorf("sqldb: CEILING of non-numeric value")
-		}
-		return Float(math.Ceil(f)), nil
 	case "NEXTVAL":
-		if err := arity(1); err != nil {
-			return Null(), err
+		if len(args) != 1 {
+			return Null(), fmt.Errorf("sqldb: NEXTVAL expects 1 argument(s), got %d", len(args))
 		}
 		if args[0].K != KindString {
 			return Null(), fmt.Errorf("sqldb: NEXTVAL expects a sequence name string")
 		}
-		return e.session.nextSequenceValue(args[0].S)
+		return s.nextSequenceValue(args[0].S)
 	}
-	return Null(), fmt.Errorf("sqldb: unknown function %s", t.Name)
+	return Null(), fmt.Errorf("sqldb: unknown function %s", name)
 }

@@ -83,7 +83,7 @@ func normalizeStmt(sql string) (normalized, bool) {
 	}
 
 	depth := 0
-	suppressAt := -1 // paren depth of the active ORDER BY clause; -1 = none
+	suppressAt := -1 // paren depth of the active ORDER BY or GROUP BY clause; -1 = none
 	for i := range toks {
 		t := &toks[i]
 		switch t.kind {
@@ -98,11 +98,11 @@ func normalizeStmt(sql string) (normalized, bool) {
 			}
 		case tokKeyword:
 			switch t.text {
-			case "ORDER":
+			case "ORDER", "GROUP":
 				if suppressAt < 0 && i+1 < len(toks) && toks[i+1].kind == tokKeyword && toks[i+1].text == "BY" {
 					suppressAt = depth
 				}
-			case "LIMIT", "OFFSET", "UNION":
+			case "HAVING", "LIMIT", "OFFSET", "UNION":
 				if suppressAt >= 0 && depth == suppressAt {
 					suppressAt = -1
 				}

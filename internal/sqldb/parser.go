@@ -241,7 +241,56 @@ func (p *parser) parseStmt() (Stmt, error) {
 	return nil, p.errorf("unsupported statement %s", t.text)
 }
 
+// parseSelect parses a SELECT or a UNION chain of them. ORDER BY, LIMIT
+// and OFFSET come once, after the last arm, and belong to the combined
+// result: they are recorded on the first arm, the head of the chain.
 func (p *parser) parseSelect() (*SelectStmt, error) {
+	s, err := p.parseSelectArm()
+	if err != nil {
+		return nil, err
+	}
+	for arm := s; p.acceptKw("UNION"); arm = arm.Union {
+		arm.UnionAll = p.acceptKw("ALL")
+		if arm.Union, err = p.parseSelectArm(); err != nil {
+			return nil, err
+		}
+	}
+	if p.acceptKw("ORDER") {
+		if err := p.expectKw("BY"); err != nil {
+			return nil, err
+		}
+		for {
+			e, err := p.parseExpr()
+			if err != nil {
+				return nil, err
+			}
+			oi := OrderItem{Expr: e}
+			if p.acceptKw("DESC") {
+				oi.Desc = true
+			} else {
+				p.acceptKw("ASC")
+			}
+			s.OrderBy = append(s.OrderBy, oi)
+			if !p.acceptSym(",") {
+				break
+			}
+		}
+	}
+	if p.acceptKw("LIMIT") {
+		if s.Limit, err = p.parseExpr(); err != nil {
+			return nil, err
+		}
+	}
+	if p.acceptKw("OFFSET") {
+		if s.Offset, err = p.parseExpr(); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// parseSelectArm parses one SELECT up to and including HAVING.
+func (p *parser) parseSelectArm() (*SelectStmt, error) {
 	if err := p.expectKw("SELECT"); err != nil {
 		return nil, err
 	}
@@ -285,15 +334,9 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		if err := p.expectKw("BY"); err != nil {
 			return nil, err
 		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			s.GroupBy = append(s.GroupBy, e)
-			if !p.acceptSym(",") {
-				break
-			}
+		var err error
+		if s.GroupBy, err = p.parseExprList(); err != nil {
+			return nil, err
 		}
 	}
 	if p.acceptKw("HAVING") {
@@ -302,49 +345,6 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			return nil, err
 		}
 		s.Having = e
-	}
-	if p.acceptKw("ORDER") {
-		if err := p.expectKw("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			oi := OrderItem{Expr: e}
-			if p.acceptKw("DESC") {
-				oi.Desc = true
-			} else {
-				p.acceptKw("ASC")
-			}
-			s.OrderBy = append(s.OrderBy, oi)
-			if !p.acceptSym(",") {
-				break
-			}
-		}
-	}
-	if p.acceptKw("LIMIT") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		s.Limit = e
-	}
-	if p.acceptKw("OFFSET") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		s.Offset = e
-	}
-	if p.acceptKw("UNION") {
-		s.UnionAll = p.acceptKw("ALL")
-		u, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		s.Union = u
 	}
 	return s, nil
 }
@@ -378,37 +378,54 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 	return item, nil
 }
 
-func (p *parser) parseTableRef() (TableRef, error) {
-	tr := TableRef{}
-	if p.peekSym("(") {
-		p.pos++
-		q, err := p.parseSelect()
+// parseExprList parses one or more comma-separated expressions.
+func (p *parser) parseExprList() ([]Expr, error) {
+	var list []Expr
+	for {
+		e, err := p.parseExpr()
 		if err != nil {
-			return TableRef{}, err
+			return nil, err
 		}
-		if err := p.expectSym(")"); err != nil {
-			return TableRef{}, err
+		if list = append(list, e); !p.acceptSym(",") {
+			return list, nil
 		}
-		tr.Subquery = q
+	}
+}
+
+// parseSource parses what FROM and JOIN range over: a table (or view)
+// name or a parenthesized subquery, and its alias.
+func (p *parser) parseSource() (Source, error) {
+	var src Source
+	var err error
+	if p.acceptSym("(") {
+		if src.Subquery, err = p.parseSelect(); err == nil {
+			err = p.expectSym(")")
+		}
 	} else {
-		name, err := p.ident()
-		if err != nil {
-			return TableRef{}, err
-		}
-		tr.Table = name
+		src.Table, err = p.ident()
+	}
+	if err != nil {
+		return Source{}, err
 	}
 	if p.acceptKw("AS") {
-		a, err := p.ident()
-		if err != nil {
-			return TableRef{}, err
+		if src.Alias, err = p.ident(); err != nil {
+			return Source{}, err
 		}
-		tr.Alias = a
 	} else if p.peek().kind == tokIdent {
-		tr.Alias = p.next().text
+		src.Alias = p.next().text
 	}
-	if tr.Subquery != nil && tr.Alias == "" {
-		return TableRef{}, p.errorf("derived table requires an alias")
+	if src.Subquery != nil && src.Alias == "" {
+		return Source{}, p.errorf("derived table requires an alias")
 	}
+	return src, nil
+}
+
+func (p *parser) parseTableRef() (TableRef, error) {
+	src, err := p.parseSource()
+	if err != nil {
+		return TableRef{}, err
+	}
+	tr := TableRef{Source: src}
 	for {
 		var kind JoinKind
 		switch {
@@ -433,44 +450,16 @@ func (p *parser) parseTableRef() (TableRef, error) {
 			return tr, nil
 		}
 		jc := JoinClause{Kind: kind}
-		if p.peekSym("(") {
-			p.pos++
-			q, err := p.parseSelect()
-			if err != nil {
-				return TableRef{}, err
-			}
-			if err := p.expectSym(")"); err != nil {
-				return TableRef{}, err
-			}
-			jc.Subquery = q
-		} else {
-			jt, err := p.ident()
-			if err != nil {
-				return TableRef{}, err
-			}
-			jc.Table = jt
-		}
-		if p.acceptKw("AS") {
-			a, err := p.ident()
-			if err != nil {
-				return TableRef{}, err
-			}
-			jc.Alias = a
-		} else if p.peek().kind == tokIdent {
-			jc.Alias = p.next().text
-		}
-		if jc.Subquery != nil && jc.Alias == "" {
-			return TableRef{}, p.errorf("derived table requires an alias")
+		if jc.Source, err = p.parseSource(); err != nil {
+			return TableRef{}, err
 		}
 		if kind != JoinCross {
 			if err := p.expectKw("ON"); err != nil {
 				return TableRef{}, err
 			}
-			on, err := p.parseExpr()
-			if err != nil {
+			if jc.On, err = p.parseExpr(); err != nil {
 				return TableRef{}, err
 			}
-			jc.On = on
 		}
 		tr.Joins = append(tr.Joins, jc)
 	}
@@ -518,16 +507,9 @@ func (p *parser) parseInsert() (Stmt, error) {
 		if err := p.expectSym("("); err != nil {
 			return nil, err
 		}
-		var row []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, e)
-			if !p.acceptSym(",") {
-				break
-			}
+		row, err := p.parseExprList()
+		if err != nil {
+			return nil, err
 		}
 		if err := p.expectSym(")"); err != nil {
 			return nil, err
@@ -1012,15 +994,9 @@ func (p *parser) parseCall() (Stmt, error) {
 	c := &CallStmt{Name: name}
 	if p.acceptSym("(") {
 		if !p.peekSym(")") {
-			for {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				c.Args = append(c.Args, e)
-				if !p.acceptSym(",") {
-					break
-				}
+			var err error
+			if c.Args, err = p.parseExprList(); err != nil {
+				return nil, err
 			}
 		}
 		if err := p.expectSym(")"); err != nil {
@@ -1145,15 +1121,9 @@ func (p *parser) parsePredicate() (Expr, error) {
 					}
 					ie.Query = q
 				} else {
-					for {
-						e, err := p.parseExpr()
-						if err != nil {
-							return nil, err
-						}
-						ie.List = append(ie.List, e)
-						if !p.acceptSym(",") {
-							break
-						}
+					var err error
+					if ie.List, err = p.parseExprList(); err != nil {
+						return nil, err
 					}
 				}
 				if err := p.expectSym(")"); err != nil {
@@ -1369,15 +1339,9 @@ func (p *parser) parseFuncCall(name string) (Expr, error) {
 		fc.Distinct = true
 	}
 	if !p.peekSym(")") {
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			fc.Args = append(fc.Args, e)
-			if !p.acceptSym(",") {
-				break
-			}
+		var err error
+		if fc.Args, err = p.parseExprList(); err != nil {
+			return nil, err
 		}
 	}
 	if err := p.expectSym(")"); err != nil {

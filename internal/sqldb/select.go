@@ -3,449 +3,482 @@ package sqldb
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 )
 
-// execSelect executes a SELECT (or UNION chain) in the given environment
-// (which supplies parameters and, for correlated subqueries, outer row
-// bindings).
-func (s *Session) execSelect(q *SelectStmt, outer *env) (*Result, error) {
-	res, err := s.execSelectArm(q, outer)
-	if err != nil || q.Union == nil {
-		return res, err
-	}
-	more, err := s.execSelect(q.Union, outer)
-	if err != nil {
-		return nil, err
-	}
-	if len(more.Columns) != len(res.Columns) {
-		return nil, fmt.Errorf("sqldb: UNION arms have %d and %d columns", len(res.Columns), len(more.Columns))
-	}
-	combined := &Result{Columns: res.Columns, Rows: append(res.Rows, more.Rows...)}
-	if !q.UnionAll {
-		seen := map[string]bool{}
-		var rows [][]Value
-		var kb []byte
-		for _, row := range combined.Rows {
-			kb = appendRowKey(kb[:0], row)
-			if seen[string(kb)] {
-				continue
-			}
-			seen[string(kb)] = true
-			rows = append(rows, row)
-		}
-		combined.Rows = rows
-	}
-	return combined, nil
+// A SELECT runs as one pull pipeline, planned once per execution:
+//
+//	scan → filter → join → group/accumulate → project → distinct → sort → offset/limit
+//
+// next() pulls the next joined row out of the FROM entries (sources) by
+// backtracking over them left to right; no intermediate relation is built
+// and a row is copied only into the joined-row buffer and, once, into the
+// output. DESIGN.md §14 has the planner's rules (push-down, join choice);
+// EXPLAIN prints this plan (explain.go).
+
+// joinStrategy is how a source after the first finds its matches.
+type joinStrategy uint8
+
+const (
+	joinLoop  joinStrategy = iota // rescan the filtered inner rows: CROSS/comma, or no usable equality in ON
+	joinHash                      // probe a hash table built once over the filtered inner rows
+	joinIndex                     // probe the inner table's index per outer row
+)
+
+// source is one FROM entry, in join order.
+type source struct {
+	name       string // table or view name, or the derived table's alias
+	tbl        *Table
+	sub        *selectPlan // derived table or view body
+	viewEnv    *env        // a view runs in its own scope, not the statement's
+	off, width int         // its columns' span in the joined row
+	group      int         // first source of its comma-separated FROM entry: the scope its ON resolves in
+
+	filter []predFn // WHERE conjuncts pushed down to this source
+	idx    *Index   // the index their equalities probe (nil: heap scan) ...
+	key    []Value  // ... and the key; for an index join, the scratch key
+	kind   JoinKind
+	on     Expr
+
+	// Run state. A streamed source (first base table, index join) walks
+	// row versions, checking visibility and filter as it goes; the others
+	// walk the rows that passed both when the source was materialized.
+	stream  bool
+	heap    []*Row
+	vals    [][]Value
+	pos     int
+	matched bool
+	*join   // nil for a first source that is a base table
 }
 
-// execSelectArm executes one arm of a SELECT without union handling.
-func (s *Session) execSelectArm(q *SelectStmt, outer *env) (*Result, error) {
-	rel, err := s.buildFrom(q, outer)
+// join is how a source after the first finds its matches, and the rows
+// of a source that is read once.
+type join struct {
+	strategy joinStrategy
+	keys     []evalFn // hash/index: key expressions over the sources before
+	keyCols  []int    // hash: the inner columns they equal
+	jidx     *Index   // index: the index whose columns they equal
+	residual []predFn // ON conjuncts the keys do not cover
+	built    bool
+	all      [][]Value
+	hash     map[string]int // join key → its bucket
+	buckets  [][][]Value
+}
+
+// getter reads a value off the input row: a plain column in place,
+// anything else through its closure.
+type getter struct {
+	col int
+	fn  evalFn // nil: col
+}
+
+type orderKey struct {
+	col  int    // output column ...
+	fn   evalFn // ... or an expression over the input row (nil: col)
+	desc bool
+}
+
+// group is one GROUP BY bin: its first row, for columns read outside an
+// aggregate, and one accumulator per aggregate call.
+type group struct {
+	row  []Value
+	aggs []aggState
+}
+
+// selectPlan is one SELECT (and, through union, the arms after it) ready
+// to run — again and again, for a correlated subquery.
+type selectPlan struct {
+	s    *Session
+	q    *SelectStmt
+	env  env // the environment every closure of the plan runs in
+	srcs []source
+	buf  []Value // the joined row, when there is more than one source
+
+	where    []predFn // WHERE conjuncts not pushed down
+	items    []evalFn
+	colNames []string
+	grouped  bool
+	groupBy  []getter
+	aggs     []aggSpec
+	having   predFn
+	order    []orderKey
+	union    *selectPlan
+
+	level    int // deepest open source; levelNew, levelDone
+	rows     [][]Value
+	keys     []Value // ORDER BY keys of rows, len(order) each
+	groups   []*group
+	groupIdx map[string]*group
+	seen     map[string]struct{} // DISTINCT
+	kb       []byte
+	nread    int64
+}
+
+const levelNew, levelDone = -1, -2
+
+// execSelect plans and runs a SELECT (or UNION chain); outer supplies
+// parameters and, for correlated subqueries, the outer row bindings.
+func (s *Session) execSelect(q *SelectStmt, outer *env) (*Result, error) {
+	p, err := s.planSelect(q, outer)
 	if err != nil {
 		return nil, err
 	}
+	return p.run(outer)
+}
 
-	// WHERE. One scratch environment serves every row, and the predicate
-	// is compiled once into a closure tree instead of AST-walked per row
-	// (see compileExpr); mutating .row per iteration is safe because
-	// compiled closures, like eval, never retain the environment.
-	if q.Where != nil {
-		filtered := rel.rows[:0:0]
-		pred := compileExpr(q.Where)
-		e := &env{cols: rel.cols, params: outer.params, named: outer.named, session: s, outer: outer}
-		for _, row := range rel.rows {
-			e.row = row
-			v, err := pred(e)
-			if err != nil {
+func (s *Session) planSelect(q *SelectStmt, outer *env) (*selectPlan, error) {
+	p := &selectPlan{s: s, q: q, env: env{params: outer.params, named: outer.named, session: s, outer: outer}}
+	for _, tr := range q.From {
+		g := len(p.srcs)
+		if err := p.addSource(tr.Source, JoinCross, nil, g); err != nil {
+			return nil, err
+		}
+		for _, jc := range tr.Joins {
+			if err := p.addSource(jc.Source, jc.Kind, jc.On, g); err != nil {
 				return nil, err
 			}
-			if v.Truth() {
-				filtered = append(filtered, row)
-			}
 		}
-		rel.rows = filtered
 	}
-
-	grouped := len(q.GroupBy) > 0 || q.Having != nil || selectHasAggregate(q)
-
-	var outRows [][]Value
-	var rowEnvs []*env // parallel to outRows, for ORDER BY over input columns
-
-	makeEnv := func(row []Value, group [][]Value) *env {
-		return &env{cols: rel.cols, row: row, groupRows: group, params: outer.params, named: outer.named, session: s, outer: outer}
+	if len(p.srcs) > 1 {
+		p.buf = make([]Value, len(p.env.cols))
 	}
-
-	// Expand projection items, resolving stars.
-	items, colNames, err := expandItems(q, rel)
-	if err != nil {
+	c := newCompiler(&p.env)
+	c.srcs = p.srcs
+	p.planWhere(&c)
+	p.planJoins(&c)
+	c.cols, c.shift = p.env.cols, 0
+	if err := p.planOutput(&c); err != nil {
 		return nil, err
 	}
-
-	// Projection items compile once per execution; aggregates inside
-	// them fall back to eval (compileExpr), so group semantics are
-	// untouched.
-	itemFns := compileExprs(items)
-
-	if grouped {
-		groups, err := s.groupRows(q, rel, outer)
+	if c.err != nil {
+		return nil, c.err
+	}
+	if q.Union != nil {
+		u, err := s.planSelect(q.Union, outer)
 		if err != nil {
 			return nil, err
 		}
-		var havingFn evalFn
-		if q.Having != nil {
-			havingFn = compileExpr(q.Having)
+		if len(u.colNames) != len(p.colNames) {
+			return nil, fmt.Errorf("sqldb: UNION arms have %d and %d columns", len(p.colNames), len(u.colNames))
 		}
-		for _, g := range groups {
-			if g == nil {
-				g = [][]Value{}
-			}
-			var first []Value
-			if len(g) > 0 {
-				first = g[0]
-			}
-			e := makeEnv(first, g)
-			if havingFn != nil {
-				hv, err := havingFn(e)
-				if err != nil {
-					return nil, err
-				}
-				if !hv.Truth() {
-					continue
-				}
-			}
-			out := make([]Value, len(items))
-			for i, fn := range itemFns {
-				v, err := fn(e)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = v
-			}
-			outRows = append(outRows, out)
-			rowEnvs = append(rowEnvs, e)
+		p.union = u
+	}
+	return p, nil
+}
+
+// addSource appends one FROM entry: a base table, or a view or derived
+// table, whose body is planned here and run when the source is opened.
+func (p *selectPlan) addSource(from Source, kind JoinKind, on Expr, group int) error {
+	s, alias := p.s, from.Alias
+	src := source{name: alias, kind: kind, on: on, group: group}
+	var cols []colMeta
+	var err error
+	if from.Subquery != nil {
+		src.sub, err = s.planSelect(from.Subquery, p.env.outer)
+	} else if src.tbl, err = s.db.table(from.Table); err == nil {
+		src.name = src.tbl.Name
+		cols = tableColMeta(src.tbl, alias)
+	} else if v, ok := s.db.views[strings.ToLower(from.Table)]; ok {
+		// Views see the database, not the referencing statement's rows.
+		src.name = v.Name
+		src.viewEnv = &env{session: s, params: p.env.params, named: p.env.named}
+		if src.sub, err = s.planSelect(v.Query, src.viewEnv); err != nil {
+			err = fmt.Errorf("sqldb: view %s: %w", v.Name, err)
 		}
-	} else if len(q.OrderBy) > 0 {
-		// ORDER BY may evaluate key expressions in each row's input
-		// environment, so every row keeps its own.
-		for _, row := range rel.rows {
-			e := makeEnv(row, nil)
-			out := make([]Value, len(items))
-			for i, fn := range itemFns {
-				v, err := fn(e)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = v
-			}
-			outRows = append(outRows, out)
-			rowEnvs = append(rowEnvs, e)
+		if alias == "" {
+			alias = v.Name
 		}
+	}
+	if err != nil {
+		return err
+	}
+	if src.sub != nil {
+		qual := strings.ToLower(alias)
+		for _, n := range src.sub.colNames {
+			cols = append(cols, colMeta{table: qual, name: n})
+		}
+	}
+	// The first base table is streamed: its row versions are read,
+	// checked and filtered as the pipeline pulls.
+	src.off, src.width = len(p.env.cols), len(cols)
+	if src.stream = src.tbl != nil && len(p.srcs) == 0; !src.stream {
+		src.join = new(join)
+	}
+	if len(p.srcs) == 0 {
+		p.env.cols = cols
 	} else {
-		// No ORDER BY: project through one scratch environment.
-		e := makeEnv(nil, nil)
-		for _, row := range rel.rows {
-			e.row = row
-			out := make([]Value, len(items))
-			for i, fn := range itemFns {
-				v, err := fn(e)
-				if err != nil {
-					return nil, err
-				}
-				out[i] = v
-			}
-			outRows = append(outRows, out)
-		}
+		p.env.cols = append(p.env.cols, cols...)
 	}
-
-	// DISTINCT. rowEnvs is populated only when ORDER BY needs per-row
-	// input environments; keep it aligned when present.
-	if q.Distinct {
-		seen := map[string]bool{}
-		var dr [][]Value
-		var de []*env
-		var kb []byte
-		for i, row := range outRows {
-			kb = appendRowKey(kb[:0], row)
-			if seen[string(kb)] {
-				continue
-			}
-			seen[string(kb)] = true
-			dr = append(dr, row)
-			if rowEnvs != nil {
-				de = append(de, rowEnvs[i])
-			}
-		}
-		outRows, rowEnvs = dr, de
-	}
-
-	// ORDER BY.
-	if len(q.OrderBy) > 0 {
-		if err := s.orderRows(q, items, colNames, outRows, rowEnvs); err != nil {
-			return nil, err
-		}
-	}
-
-	// OFFSET / LIMIT.
-	if q.Offset != nil {
-		n, err := evalNonNegInt(q.Offset, outer, "OFFSET")
-		if err != nil {
-			return nil, err
-		}
-		if n >= len(outRows) {
-			outRows = nil
-		} else {
-			outRows = outRows[n:]
-		}
-	}
-	if q.Limit != nil {
-		n, err := evalNonNegInt(q.Limit, outer, "LIMIT")
-		if err != nil {
-			return nil, err
-		}
-		if n < len(outRows) {
-			outRows = outRows[:n]
-		}
-	}
-
-	return &Result{Columns: colNames, Rows: outRows}, nil
+	p.srcs = append(p.srcs, src)
+	return nil
 }
 
-func evalNonNegInt(x Expr, outer *env, what string) (int, error) {
-	v, err := eval(x, outer)
-	if err != nil {
-		return 0, err
+// splitAnd appends the conjuncts of x, in order.
+func splitAnd(x Expr, out []Expr) []Expr {
+	if b, ok := x.(*BinaryExpr); ok && b.Op == "AND" {
+		return splitAnd(b.R, splitAnd(b.L, out))
 	}
-	n, ok := v.AsInt()
-	if !ok || n < 0 {
-		return 0, fmt.Errorf("sqldb: %s must be a non-negative integer", what)
-	}
-	return int(n), nil
-}
-
-func selectHasAggregate(q *SelectStmt) bool {
-	for _, it := range q.Items {
-		if !it.Star && exprHasAggregate(it.Expr) {
-			return true
-		}
-	}
-	return exprHasAggregate(q.Having)
-}
-
-// buildFrom assembles the working relation from the FROM clause (cross
-// product of table refs, each with its joins applied). Single-table
-// queries with equality predicates probe a matching index instead of
-// scanning.
-func (s *Session) buildFrom(q *SelectStmt, outer *env) (*relation, error) {
-	if len(q.From) == 0 {
-		return &relation{rows: [][]Value{nil}}, nil
-	}
-	if len(q.From) == 1 && len(q.From[0].Joins) == 0 && q.Where != nil && q.From[0].Subquery == nil {
-		if tbl, err := s.db.table(q.From[0].Table); err == nil {
-			if candidates := s.indexCandidates(tbl, q.Where, outer); candidates != nil {
-				qual := q.From[0].Alias
-				if qual == "" {
-					qual = tbl.Name
-				}
-				rel := &relation{cols: tableColMeta(tbl, qual)}
-				rel.rows = make([][]Value, 0, len(candidates))
-				n := 0
-				for _, r := range candidates {
-					if !s.rowVisible(r) {
-						continue
-					}
-					rel.rows = append(rel.rows, r.Values)
-					n++
-				}
-				s.db.rowsRead.Add(int64(n))
-				s.rowsScanned += int64(n)
-				return rel, nil
-			}
-		}
-	}
-	var rel *relation
-	for _, tr := range q.From {
-		r, err := s.buildTableRef(tr, outer)
-		if err != nil {
-			return nil, err
-		}
-		if rel == nil {
-			rel = r
-		} else {
-			rel = crossProduct(rel, r)
-		}
-	}
-	return rel, nil
-}
-
-func (s *Session) scanBase(table, alias string, outer *env) (*relation, error) {
-	tbl, err := s.db.table(table)
-	if err != nil {
-		if v, ok := s.db.views[strings.ToLower(table)]; ok {
-			return s.scanView(v, alias, outer)
-		}
-		return nil, err
-	}
-	qual := alias
-	if qual == "" {
-		qual = tbl.Name
-	}
-	s.notePlan(tbl, nil)
-	// Latch-free snapshot scan: copy the heap slice header under the
-	// structural lock, then filter versions through the statement's
-	// snapshot — concurrent writers append new versions past the copied
-	// length and never mutate the ones we see.
-	heap := tbl.snapshotRows()
-	rel := &relation{cols: tableColMeta(tbl, qual)}
-	rel.rows = make([][]Value, 0, len(heap))
-	n := 0
-	for _, r := range heap {
-		if !s.rowVisible(r) {
-			continue
-		}
-		rel.rows = append(rel.rows, r.Values)
-		n++
-	}
-	s.db.rowsRead.Add(int64(n))
-	s.rowsScanned += int64(n)
-	return rel, nil
-}
-
-func (s *Session) buildTableRef(tr TableRef, outer *env) (*relation, error) {
-	rel, err := s.scanSource(tr.Table, tr.Subquery, tr.Alias, outer)
-	if err != nil {
-		return nil, err
-	}
-	for _, jc := range tr.Joins {
-		right, err := s.scanSource(jc.Table, jc.Subquery, jc.Alias, outer)
-		if err != nil {
-			return nil, err
-		}
-		rel, err = s.joinRelations(rel, right, jc, outer)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rel, nil
-}
-
-// scanSource produces the relation for one FROM entry: a base table, a
-// view, or a derived table (subquery).
-func (s *Session) scanSource(table string, sub *SelectStmt, alias string, outer *env) (*relation, error) {
-	if sub == nil {
-		return s.scanBase(table, alias, outer)
-	}
-	res, err := s.execSelect(sub, outer)
-	if err != nil {
-		return nil, err
-	}
-	rel := &relation{}
-	for _, c := range res.Columns {
-		rel.cols = append(rel.cols, colMeta{table: strings.ToLower(alias), name: c})
-	}
-	rel.rows = res.Rows
-	return rel, nil
-}
-
-func crossProduct(l, r *relation) *relation {
-	out := &relation{cols: append(append([]colMeta{}, l.cols...), r.cols...)}
-	for _, lr := range l.rows {
-		for _, rr := range r.rows {
-			row := make([]Value, 0, len(lr)+len(rr))
-			row = append(row, lr...)
-			row = append(row, rr...)
-			out.rows = append(out.rows, row)
-		}
+	if x != nil {
+		out = append(out, x)
 	}
 	return out
 }
 
-func (s *Session) joinRelations(l, r *relation, jc JoinClause, outer *env) (*relation, error) {
-	out := &relation{cols: append(append([]colMeta{}, l.cols...), r.cols...)}
-	if jc.Kind == JoinCross {
-		return crossProduct(l, r), nil
+// planWhere compiles WHERE conjunct by conjunct. One that reads a single
+// source and cannot fail is pushed down to it — one that can (arithmetic,
+// a function, a subquery) must not meet rows the written order would
+// have kept from it, and a filter below a LEFT JOIN's inner side would
+// turn its misses into NULL rows. With one source everything is its filter.
+func (p *selectPlan) planWhere(c *compiler) {
+	var stack [8]Expr
+	var eqStack [4]equalities
+	eqs := eqStack[:] // per source
+	if len(p.srcs) > len(eqs) {
+		eqs = make([]equalities, len(p.srcs))
 	}
-	e := &env{cols: out.cols, params: outer.params, named: outer.named, session: s, outer: outer}
-	onFn := compileExpr(jc.On)
-	for _, lr := range l.rows {
-		matched := false
-		for _, rr := range r.rows {
-			row := make([]Value, 0, len(lr)+len(rr))
-			row = append(row, lr...)
-			row = append(row, rr...)
-			e.row = row
-			v, err := onFn(e)
-			if err != nil {
-				return nil, err
-			}
-			if v.Truth() {
-				out.rows = append(out.rows, row)
-				matched = true
+	for _, cj := range splitAnd(p.q.Where, stack[:0]) {
+		c.reset()
+		fn := c.pred(cj)
+		k := 0
+		if len(p.srcs) != 1 {
+			if k = c.lo; c.lo != c.hi || c.unsafe || p.srcs[k].kind == JoinLeft {
+				p.where = append(p.where, fn)
+				continue
 			}
 		}
-		if jc.Kind == JoinLeft && !matched {
-			row := make([]Value, len(lr)+len(r.cols))
-			copy(row, lr)
-			out.rows = append(out.rows, row)
+		src := &p.srcs[k]
+		src.filter = append(src.filter, fn)
+		eqs[k].note(c, cj, src.off)
+	}
+	for k := range p.srcs {
+		if src := &p.srcs[k]; src.tbl != nil {
+			src.idx, src.key = eqs[k].probe(src.tbl)
 		}
 	}
-	return out, nil
 }
 
-// expandItems resolves * and t.* and returns the projection expressions and
-// output column names.
-func expandItems(q *SelectStmt, rel *relation) ([]Expr, []string, error) {
-	items := make([]Expr, 0, len(q.Items)+len(rel.cols))
-	names := make([]string, 0, cap(items))
-	for _, it := range q.Items {
-		if it.Star {
-			qual := strings.ToLower(it.StarTable)
-			matched := false
-			for i, c := range rel.cols {
-				if qual != "" && c.table != qual {
+// equalities collects the `column = constant` conjuncts of one table's
+// filter, the ones an index probe can answer.
+type equalities struct {
+	cols []int // column positions in the table ...
+	vals []Value
+}
+
+// note records cj if it is such a conjunct; off is the table's position
+// in the compiler's row.
+func (q *equalities) note(c *compiler, cj Expr, off int) {
+	if t, ok := cj.(*BinaryExpr); ok && t.Op == "=" {
+		if col, v, _, ok := c.colConst(t); ok {
+			q.cols, q.vals = append(q.cols, col-off), append(q.vals, v)
+		}
+	}
+}
+
+// probe picks the index the equalities bind (nil: scan) and orders their
+// constants as its key.
+func (q *equalities) probe(tbl *Table) (*Index, []Value) {
+	idx := chooseIndex(tbl, q.cols)
+	if idx == nil {
+		return nil, nil
+	}
+	key := make([]Value, len(idx.colIdx))
+	for i, ci := range idx.colIdx {
+		key[i] = q.vals[slices.Index(q.cols, ci)]
+	}
+	return idx, key
+}
+
+// planJoins picks each join's strategy. estimate is the planner's guess
+// at how many rows reach the join from the sources before it.
+func (p *selectPlan) planJoins(c *compiler) {
+	if len(p.srcs) < 2 {
+		return
+	}
+	estimate := p.srcs[0].rowEstimate()
+	for k := 1; k < len(p.srcs); k++ {
+		src := &p.srcs[k]
+		var stack [8]Expr
+		conjuncts := splitAnd(src.on, stack[:0])
+		c.shift = p.srcs[src.group].off
+		c.cols = p.env.cols[c.shift : src.off+src.width]
+		// An equality between an inner column and an error-free expression
+		// over the sources before can serve as a join key.
+		keyOf := make([]int, len(conjuncts)) // conjunct → its position in keys, or -1
+		for i, cj := range conjuncts {
+			keyOf[i] = -1
+			t, ok := cj.(*BinaryExpr)
+			if !ok || t.Op != "=" {
+				continue
+			}
+			for _, side := range [2][2]Expr{{t.L, t.R}, {t.R, t.L}} {
+				c.reset()
+				col, ok := c.column(side[0])
+				if !ok || c.lo != k {
 					continue
 				}
-				matched = true
-				items = append(items, boundColFor(i))
-				names = append(names, c.name)
-			}
-			if !matched {
-				if qual == "" {
-					return nil, nil, fmt.Errorf("sqldb: SELECT * with no FROM clause")
+				c.reset()
+				if fn := c.compile(side[1]); !c.unsafe && c.hi < k {
+					keyOf[i] = len(src.keys)
+					src.keys, src.keyCols = append(src.keys, fn), append(src.keyCols, col-src.off)
+					break
 				}
-				return nil, nil, fmt.Errorf("sqldb: unknown table %s in %s.*", it.StarTable, it.StarTable)
 			}
-			continue
 		}
-		items = append(items, it.Expr)
-		names = append(names, itemName(it))
+		if len(src.keys) > 0 && src.tbl != nil && estimate < src.tbl.RowCount() {
+			src.jidx = chooseIndex(src.tbl, src.keyCols)
+		}
+		switch {
+		case len(src.keys) == 0:
+			estimate *= max(src.rowEstimate(), 1)
+		case src.jidx != nil:
+			// Probing per outer row reads less than scanning the inner once.
+			// Keys follow the index's columns; an equality it does not use
+			// stays in the join condition.
+			src.strategy, src.stream = joinIndex, true
+			keys := make([]evalFn, len(src.jidx.colIdx))
+			for i, ki := range keyOf {
+				if ki < 0 {
+					continue
+				}
+				if j := slices.Index(src.jidx.colIdx, src.keyCols[ki]); j >= 0 && keys[j] == nil {
+					keys[j] = src.keys[ki]
+				} else {
+					keyOf[i] = -1
+				}
+			}
+			src.keys, src.keyCols, src.idx, src.key = keys, nil, nil, make([]Value, len(keys))
+		default:
+			src.strategy = joinHash
+		}
+		for i, cj := range conjuncts {
+			if keyOf[i] < 0 {
+				src.residual = append(src.residual, c.pred(cj))
+			}
+		}
 	}
-	return items, names, nil
 }
 
-// boundCol is an internal expression that reads a fixed position of the
-// current row; it implements star expansion without name re-resolution.
-type boundCol struct{ idx int }
-
-func (*boundCol) exprNode() {}
-
-// smallBoundCols interns the low column indexes: boundCol is immutable
-// after construction, so every star expansion can share one node per
-// index instead of allocating a fresh one per execution.
-var smallBoundCols = func() [64]*boundCol {
-	var s [64]*boundCol
-	for i := range s {
-		s[i] = &boundCol{idx: i}
+// rowEstimate bounds how many rows a source yields before its filter:
+// the probed bucket's versions, a table's live rows, and for a derived
+// table — unknown until it runs — more than any table holds.
+func (src *source) rowEstimate() int {
+	switch {
+	case src.tbl == nil:
+		return 1 << 30
+	case src.idx != nil:
+		return len(src.idx.lookup(src.key))
 	}
-	return s
-}()
+	return src.tbl.RowCount()
+}
 
-func boundColFor(i int) Expr {
-	if i < len(smallBoundCols) {
-		return smallBoundCols[i]
+// chooseIndex is the one index choice, shared by SELECT sources, join
+// inners, UPDATE/DELETE (filterRows) and, through the plan, EXPLAIN: the
+// index whose columns are all among the bound ones, nil for a scan.
+// Deterministic — most columns wins, smallest name breaks ties — so
+// EXPLAIN cannot name one index and the next execution probe another.
+func chooseIndex(tbl *Table, bound []int) *Index {
+	var best *Index
+	for _, idx := range tbl.indexes {
+		covered := true
+		for _, ci := range idx.colIdx {
+			covered = covered && slices.Contains(bound, ci)
+		}
+		if covered && (best == nil || len(idx.Columns) > len(best.Columns) ||
+			(len(idx.Columns) == len(best.Columns) && idx.Name < best.Name)) {
+			best = idx
+		}
 	}
-	return &boundCol{idx: i}
+	return best
+}
+
+// planOutput compiles the select list, GROUP BY, HAVING and ORDER BY.
+func (p *selectPlan) planOutput(c *compiler) error {
+	q := p.q
+	c.aggs = &p.aggs
+	// Expand * and t.* by position.
+	p.items = make([]evalFn, 0, len(q.Items)+len(p.env.cols))
+	p.colNames = make([]string, 0, cap(p.items))
+	for _, it := range q.Items {
+		if !it.Star {
+			p.items = append(p.items, c.compile(it.Expr))
+			p.colNames = append(p.colNames, itemName(it))
+			continue
+		}
+		qual := strings.ToLower(it.StarTable)
+		matched := false
+		for i, col := range p.env.cols {
+			if qual != "" && col.table != qual {
+				continue
+			}
+			matched = true
+			p.items = append(p.items, func(e *env) (Value, error) {
+				if e.row == nil {
+					return Null(), fmt.Errorf("sqldb: column referenced outside row context")
+				}
+				return e.row[i], nil
+			})
+			p.colNames = append(p.colNames, col.name)
+		}
+		if !matched && qual == "" {
+			return fmt.Errorf("sqldb: SELECT * with no FROM clause")
+		} else if !matched {
+			return fmt.Errorf("sqldb: unknown table %s in %s.*", it.StarTable, it.StarTable)
+		}
+	}
+	if q.Having != nil {
+		p.having = c.pred(q.Having)
+	}
+	// An aggregate in the select list or HAVING makes the SELECT grouped
+	// (one group, without GROUP BY); only then are there slots to read.
+	if p.grouped = len(q.GroupBy) > 0 || q.Having != nil || c.sawAgg; !p.grouped {
+		c.aggs = nil
+	}
+	// ORDER BY <n> and a bare name matching an output column sort by that
+	// output column; anything else is evaluated over the input row (the
+	// group's, in a grouped SELECT). Over a UNION only the former exist.
+	for _, oi := range q.OrderBy {
+		k := orderKey{col: -1, desc: oi.Desc}
+		if n, ok := ordinal(oi.Expr); ok {
+			if k.col = n - 1; n < 1 || n > len(p.items) {
+				return fmt.Errorf("sqldb: ORDER BY position %d out of range", n)
+			}
+		} else if cr, ok := oi.Expr.(*ColumnRef); ok && cr.Table == "" {
+			k.col = slices.IndexFunc(p.colNames, func(n string) bool { return strings.EqualFold(n, cr.Column) })
+		}
+		if k.col < 0 && q.Union != nil {
+			return fmt.Errorf("sqldb: ORDER BY over a UNION must name an output column")
+		} else if k.col < 0 {
+			k.fn = c.compile(oi.Expr)
+		}
+		p.order = append(p.order, k)
+	}
+	// GROUP BY keys are read per input row; <n> names a select-list item
+	// (not one a star expands to, or one after a star).
+	c.aggs = nil
+	for _, x := range q.GroupBy {
+		if n, ok := ordinal(x); ok {
+			if n < 1 || n > len(q.Items) || slices.ContainsFunc(q.Items[:n], func(it SelectItem) bool { return it.Star }) {
+				return fmt.Errorf("sqldb: GROUP BY position %d out of range", n)
+			}
+			x = q.Items[n-1].Expr
+		}
+		col, ok := c.column(x)
+		if !ok {
+			p.groupBy = append(p.groupBy, getter{fn: c.compile(x)})
+			continue
+		}
+		p.groupBy = append(p.groupBy, getter{col: col})
+	}
+	return nil
+}
+
+// ordinal matches the integer literal of ORDER BY <n> / GROUP BY <n>.
+func ordinal(x Expr) (int, bool) {
+	lit, ok := x.(*Literal)
+	if !ok || lit.Val.K != KindInt {
+		return 0, false
+	}
+	return int(lit.Val.I), true
 }
 
 func itemName(it SelectItem) string {
@@ -461,136 +494,475 @@ func itemName(it SelectItem) string {
 	return "expr"
 }
 
-// groupRows partitions the relation rows by the GROUP BY key. With no
-// GROUP BY (pure aggregate query), all rows form one group — including the
-// empty group, so that COUNT(*) over an empty table yields 0.
-func (s *Session) groupRows(q *SelectStmt, rel *relation, outer *env) ([][][]Value, error) {
-	if len(q.GroupBy) == 0 {
-		return [][][]Value{rel.rows}, nil
+// --- running the plan ---
+
+// run executes the plan with outer as the enclosing row environment.
+// ORDER BY, OFFSET and LIMIT written after a UNION chain belong to the
+// combined result; the chain is left-associative.
+func (p *selectPlan) run(outer *env) (*Result, error) {
+	offset, limit := 0, -1
+	var err error
+	if p.q.Offset != nil {
+		if offset, err = evalNonNegInt(p.q.Offset, outer, "OFFSET"); err != nil {
+			return nil, err
+		}
 	}
-	// bins holds the groups in first-seen order; idx maps a group key to
-	// its bin. Lookups convert the scratch key with string(kb), which the
-	// compiler keeps off the heap — only a newly seen group pays for a
-	// string copy.
-	idx := map[string]int{}
-	var bins [][][]Value
-	e := &env{cols: rel.cols, params: outer.params, named: outer.named, session: s, outer: outer}
-	keyFns := compileExprs(q.GroupBy)
-	var kb []byte
-	for _, row := range rel.rows {
-		e.row = row
-		kb = kb[:0]
-		for _, fn := range keyFns {
-			v, err := fn(e)
+	if p.q.Limit != nil {
+		if limit, err = evalNonNegInt(p.q.Limit, outer, "LIMIT"); err != nil {
+			return nil, err
+		}
+	}
+	stopAt := -1
+	if limit >= 0 && len(p.order) == 0 && p.union == nil {
+		stopAt = offset + limit // nothing downstream needs the rows past it
+	}
+	rows, err := p.runArm(outer, stopAt)
+	if err != nil {
+		return nil, err
+	}
+	keys := p.keys
+	if p.union != nil {
+		for arm := p; arm.union != nil; arm = arm.union {
+			more, err := arm.union.runArm(outer, -1)
 			if err != nil {
 				return nil, err
 			}
-			kb = appendValueKey(kb, v)
-		}
-		p, ok := idx[string(kb)]
-		if !ok {
-			p = len(bins)
-			idx[string(kb)] = p
-			bins = append(bins, nil)
-		}
-		bins[p] = append(bins[p], row)
-	}
-	return bins, nil
-}
-
-// appendValueKey appends one value's collision-free key segment —
-// kind, ':', rendered value, NUL — without intermediate string
-// allocations.
-func appendValueKey(b []byte, v Value) []byte {
-	b = strconv.AppendInt(b, int64(v.K), 10)
-	b = append(b, ':')
-	switch v.K {
-	case KindInt:
-		b = strconv.AppendInt(b, v.I, 10)
-	case KindFloat:
-		b = strconv.AppendFloat(b, v.F, 'g', -1, 64)
-	case KindString:
-		b = append(b, v.S...)
-	case KindBool:
-		if v.B {
-			b = append(b, "TRUE"...)
-		} else {
-			b = append(b, "FALSE"...)
-		}
-	}
-	return append(b, 0)
-}
-
-// appendRowKey appends every value's key segment; used by the DISTINCT
-// and UNION dedup loops with one reusable scratch buffer.
-func appendRowKey(b []byte, row []Value) []byte {
-	for _, v := range row {
-		b = appendValueKey(b, v)
-	}
-	return b
-}
-
-// orderRows sorts outRows (and keeps rowEnvs aligned) by the ORDER BY keys.
-// A bare column name that matches an output column name sorts by that
-// output column; otherwise the key expression is evaluated in the row's
-// input environment.
-func (s *Session) orderRows(q *SelectStmt, items []Expr, colNames []string, outRows [][]Value, rowEnvs []*env) error {
-	type keyed struct {
-		keys []Value
-		idx  int
-	}
-	nk := len(q.OrderBy)
-	flat := make([]Value, len(outRows)*nk) // one backing array for every row's keys
-	ks := make([]keyed, len(outRows))
-	for i := range outRows {
-		ks[i] = keyed{idx: i, keys: flat[i*nk : (i+1)*nk : (i+1)*nk]}
-		for j, oi := range q.OrderBy {
-			v, err := evalOrderKey(oi.Expr, colNames, outRows[i], rowEnvs[i])
-			if err != nil {
-				return err
+			rows = append(rows, more...)
+			if !arm.q.UnionAll {
+				seen := map[string]struct{}{}
+				rows = slices.DeleteFunc(rows, func(row []Value) bool { return p.duplicate(seen, row) })
 			}
-			ks[i].keys[j] = v
+		}
+		keys = make([]Value, 0, len(rows)*len(p.order))
+		for _, row := range rows {
+			for _, k := range p.order {
+				keys = append(keys, row[k.col])
+			}
 		}
 	}
-	slices.SortStableFunc(ks, func(a, b keyed) int {
-		for j, oi := range q.OrderBy {
-			c := sortCompare(a.keys[j], b.keys[j])
-			if c == 0 {
+	if nk := len(p.order); nk > 0 {
+		perm := make([]int, len(rows))
+		for i := range perm {
+			perm[i] = i
+		}
+		slices.SortStableFunc(perm, func(a, b int) int {
+			for j, k := range p.order {
+				if c := sortCompare(keys[a*nk+j], keys[b*nk+j]); c != 0 && k.desc {
+					return -c
+				} else if c != 0 {
+					return c
+				}
+			}
+			return 0
+		})
+		sorted := make([][]Value, len(rows))
+		for i, j := range perm {
+			sorted[i] = rows[j]
+		}
+		rows = sorted
+	}
+	rows = rows[min(offset, len(rows)):]
+	if limit >= 0 && limit < len(rows) {
+		rows = rows[:limit]
+	}
+	return &Result{Columns: p.colNames, Rows: rows}, nil
+}
+
+func evalNonNegInt(x Expr, outer *env, what string) (int, error) {
+	v, err := eval(x, outer)
+	if err != nil {
+		return 0, err
+	}
+	n, ok := v.AsInt()
+	if !ok || n < 0 {
+		return 0, fmt.Errorf("sqldb: %s must be a non-negative integer", what)
+	}
+	return int(n), nil
+}
+
+// runArm runs this SELECT alone, up to and including DISTINCT, leaving
+// the ORDER BY keys of its rows in p.keys. stopAt >= 0 ends it once that
+// many rows are out.
+func (p *selectPlan) runArm(outer *env, stopAt int) ([][]Value, error) {
+	e := &p.env
+	e.outer, e.row, e.aggs = outer, p.buf, nil
+	p.level, p.rows, p.keys, p.groups, p.groupIdx, p.seen = levelNew, nil, p.keys[:0], nil, nil, nil
+	for k := range p.srcs {
+		if j := p.srcs[k].join; j != nil {
+			j.built = false
+		}
+	}
+	if p.grouped && len(p.groupBy) == 0 {
+		// No GROUP BY: one group, present even over no rows (COUNT(*) = 0).
+		p.groups = []*group{{aggs: make([]aggState, len(p.aggs))}}
+	}
+	defer p.countRows()
+	full := func() bool { return stopAt >= 0 && len(p.rows) >= stopAt }
+	for !full() {
+		if ok, err := p.next(); err != nil {
+			return nil, err
+		} else if !ok {
+			break
+		}
+		if ok, err := allTrue(p.where, e); err != nil {
+			return nil, err
+		} else if !ok {
+			continue
+		}
+		if !p.grouped {
+			if err := p.emit(); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		g, err := p.groupOf()
+		if err != nil {
+			return nil, err
+		}
+		for i := range p.aggs {
+			g.aggs[i].add(&p.aggs[i], e, &p.kb)
+		}
+	}
+	for _, g := range p.groups {
+		if full() {
+			break
+		}
+		e.row, e.aggs = g.row, g.aggs
+		if p.having != nil {
+			if ok, err := p.having(e); err != nil {
+				return nil, err
+			} else if !ok {
 				continue
 			}
-			if oi.Desc {
-				return -c
-			}
-			return c
 		}
-		return 0
-	})
-	tmpRows := make([][]Value, len(outRows))
-	tmpEnvs := make([]*env, len(rowEnvs))
-	for i, k := range ks {
-		tmpRows[i] = outRows[k.idx]
-		tmpEnvs[i] = rowEnvs[k.idx]
+		if err := p.emit(); err != nil {
+			return nil, err
+		}
 	}
-	copy(outRows, tmpRows)
-	copy(rowEnvs, tmpEnvs)
+	return p.rows, nil
+}
+
+// countRows books the rows the plan's scans and probes read — visible
+// row versions, counted before any filter — to the statement and the
+// database.
+func (p *selectPlan) countRows() {
+	p.s.db.rowsRead.Add(p.nread)
+	p.s.rowsScanned += p.nread
+	p.nread = 0
+}
+
+func allTrue(preds []predFn, e *env) (bool, error) {
+	for _, pred := range preds {
+		if ok, err := pred(e); err != nil || !ok {
+			return false, err
+		}
+	}
+	return true, nil
+}
+
+// next advances the join to its next row, left in the environment:
+// advance the deepest open source, back up to the one before when it is
+// exhausted, open the one after when it is not the last.
+func (p *selectPlan) next() (bool, error) {
+	k := p.level
+	switch {
+	case k == levelDone:
+		return false, nil
+	case k == levelNew && len(p.srcs) == 0:
+		p.level = levelDone // a FROM-less SELECT has one empty input row
+		return true, nil
+	case k == levelNew:
+		k = 0
+		if err := p.open(0); err != nil {
+			return false, err
+		}
+	}
+	for k >= 0 {
+		ok, err := p.advance(k)
+		if err != nil {
+			return false, err
+		}
+		if !ok {
+			k--
+			continue
+		}
+		if k == len(p.srcs)-1 {
+			p.level = k
+			return true, nil
+		}
+		k++
+		if err := p.open(k); err != nil {
+			return false, err
+		}
+	}
+	p.level = levelDone
+	return false, nil
+}
+
+// open positions source k before its first candidate for the row the
+// sources before it currently hold.
+func (p *selectPlan) open(k int) error {
+	src := &p.srcs[k]
+	src.pos, src.matched, src.heap, src.vals = 0, false, nil, nil
+	if src.join == nil {
+		src.heap = p.candidates(src)
+		return nil
+	}
+	if !src.stream && !src.built {
+		if err := p.materialize(src); err != nil {
+			return err
+		}
+	}
+	if src.strategy == joinLoop {
+		src.vals = src.all
+		return nil
+	}
+	kb := p.kb[:0]
+	for i, fn := range src.keys {
+		v, err := fn(&p.env)
+		if err != nil {
+			return err
+		}
+		if src.strategy == joinIndex {
+			src.key[i] = v // a NULL finds nothing: lookup refuses it ...
+		} else {
+			kb = appendKey(kb, v) // ... and no hashed key holds one
+		}
+	}
+	if p.kb = kb; src.strategy == joinIndex {
+		src.heap = src.jidx.lookup(src.key)
+	} else if i, ok := src.hash[string(kb)]; ok {
+		src.vals = src.buckets[i]
+	}
 	return nil
 }
 
-func evalOrderKey(x Expr, colNames []string, outRow []Value, rowEnv *env) (Value, error) {
-	// ORDER BY <n>: positional reference to the select list.
-	if lit, ok := x.(*Literal); ok && lit.Val.K == KindInt {
-		n := int(lit.Val.I)
-		if n >= 1 && n <= len(outRow) {
-			return outRow[n-1], nil
-		}
-		return Null(), fmt.Errorf("sqldb: ORDER BY position %d out of range", n)
+// candidates fetches a base table's row versions: the probed index
+// bucket or the heap snapshot (latch-free; versions are filtered through
+// the statement's snapshot as they are read).
+func (p *selectPlan) candidates(src *source) []*Row {
+	p.s.notePlan(src.tbl, src.idx)
+	if src.idx != nil {
+		return src.idx.lookup(src.key)
 	}
-	if cr, ok := x.(*ColumnRef); ok && cr.Table == "" {
-		for i, n := range colNames {
-			if strings.EqualFold(n, cr.Column) {
-				return outRow[i], nil
+	return src.tbl.snapshotRows()
+}
+
+// place makes vals source src's part of the current row.
+func (p *selectPlan) place(src *source, vals []Value) {
+	if p.buf == nil {
+		p.env.row = vals
+	} else {
+		copy(p.buf[src.off:], vals)
+	}
+}
+
+// materialize reads a source that is rescanned or hashed once: its
+// visible rows that pass its pushed-down filter, and for a hash join the
+// table from key to rows.
+func (p *selectPlan) materialize(src *source) error {
+	src.built = true
+	var rows [][]Value
+	if src.sub != nil {
+		outer := p.env.outer
+		if src.viewEnv != nil {
+			outer = src.viewEnv
+		}
+		res, err := src.sub.run(outer)
+		if err != nil && src.viewEnv != nil {
+			err = fmt.Errorf("sqldb: view %s: %w", src.name, err)
+		}
+		if err != nil {
+			return err
+		}
+		rows = res.Rows
+	} else {
+		for _, r := range p.candidates(src) {
+			if p.s.rowVisible(r) {
+				rows = append(rows, r.Values)
 			}
 		}
+		p.nread += int64(len(rows))
 	}
-	return eval(x, rowEnv)
+	if len(src.filter) > 0 {
+		kept := rows[:0]
+		for _, vals := range rows {
+			p.place(src, vals)
+			if ok, err := allTrue(src.filter, &p.env); err != nil {
+				return err
+			} else if ok {
+				kept = append(kept, vals)
+			}
+		}
+		rows = kept
+	}
+	if src.all = rows; src.strategy != joinHash {
+		return nil
+	}
+	src.hash, src.buckets = make(map[string]int, len(rows)), nil
+rows:
+	for _, vals := range rows {
+		kb := p.kb[:0]
+		for _, ci := range src.keyCols {
+			if vals[ci].IsNull() {
+				continue rows // NULL equals nothing
+			}
+			kb = appendKey(kb, vals[ci])
+		}
+		p.kb = kb
+		i, ok := src.hash[string(kb)]
+		if !ok {
+			i = len(src.buckets)
+			src.hash[string(kb)] = i
+			src.buckets = append(src.buckets, nil)
+		}
+		src.buckets[i] = append(src.buckets[i], vals)
+	}
+	return nil
+}
+
+// advance moves source k to its next candidate that is visible and
+// passes its filter and join condition, and makes it part of the current
+// row. A LEFT JOIN's inner side that had none yields NULLs once.
+func (p *selectPlan) advance(k int) (bool, error) {
+	src, e := &p.srcs[k], &p.env
+	for src.pos < max(len(src.heap), len(src.vals)) {
+		var vals []Value
+		if src.pos++; src.stream {
+			r := src.heap[src.pos-1]
+			if !p.s.rowVisible(r) {
+				continue
+			}
+			p.nread++
+			vals = r.Values
+		} else {
+			vals = src.vals[src.pos-1]
+		}
+		p.place(src, vals)
+		if src.stream {
+			if ok, err := allTrue(src.filter, e); err != nil {
+				return false, err
+			} else if !ok {
+				continue
+			}
+		}
+		if src.join != nil {
+			if ok, err := allTrue(src.residual, e); err != nil {
+				return false, err
+			} else if !ok {
+				continue
+			}
+		}
+		src.matched = true
+		return true, nil
+	}
+	if src.kind == JoinLeft && !src.matched {
+		src.matched = true
+		clear(p.buf[src.off : src.off+src.width])
+		return true, nil
+	}
+	return false, nil
+}
+
+// groupOf finds or starts the current row's group.
+func (p *selectPlan) groupOf() (*group, error) {
+	e := &p.env
+	if len(p.groupBy) == 0 {
+		g := p.groups[0]
+		if g.row == nil {
+			g.row = p.stableRow()
+		}
+		return g, nil
+	}
+	kb := p.kb[:0]
+	for _, k := range p.groupBy {
+		if k.fn == nil {
+			kb = appendValueKey(kb, e.row[k.col])
+			continue
+		}
+		v, err := k.fn(e)
+		if err != nil {
+			return nil, err
+		}
+		kb = appendValueKey(kb, v)
+	}
+	p.kb = kb
+	// Lookups convert the scratch key with string(kb), which the compiler
+	// keeps off the heap — only a new group pays for a string copy.
+	g, ok := p.groupIdx[string(kb)]
+	if !ok {
+		if p.groupIdx == nil {
+			p.groupIdx = map[string]*group{}
+		}
+		g = &group{row: p.stableRow(), aggs: make([]aggState, len(p.aggs))}
+		p.groupIdx[string(kb)] = g
+		p.groups = append(p.groups, g)
+	}
+	return g, nil
+}
+
+// stableRow is the current row in a form that outlives the next one.
+func (p *selectPlan) stableRow() []Value {
+	if p.buf != nil {
+		return slices.Clone(p.buf)
+	}
+	return p.env.row // a stored row version or a subquery's result row: never overwritten
+}
+
+// emit projects the current row (or group) into the output, unless
+// DISTINCT has seen it, and computes its ORDER BY keys while the input
+// is at hand.
+func (p *selectPlan) emit() error {
+	e := &p.env
+	out := make([]Value, len(p.items))
+	var err error
+	for i, fn := range p.items {
+		if out[i], err = fn(e); err != nil {
+			return err
+		}
+	}
+	if p.q.Distinct {
+		if p.seen == nil {
+			p.seen = map[string]struct{}{}
+		}
+		if p.duplicate(p.seen, out) {
+			return nil
+		}
+	}
+	for _, k := range p.order {
+		if p.union != nil {
+			break // a UNION's keys are read off the combined rows
+		}
+		v := Value{}
+		if k.fn == nil {
+			v = out[k.col]
+		} else if v, err = k.fn(e); err != nil {
+			return err
+		}
+		p.keys = append(p.keys, v)
+	}
+	p.rows = append(p.rows, out)
+	return nil
+}
+
+// duplicate reports, and remembers, whether seen holds an equal row
+// (DISTINCT, UNION).
+func (p *selectPlan) duplicate(seen map[string]struct{}, row []Value) bool {
+	kb := p.kb[:0]
+	for _, v := range row {
+		kb = appendValueKey(kb, v)
+	}
+	p.kb = kb
+	if _, dup := seen[string(kb)]; dup {
+		return true
+	}
+	seen[string(kb)] = struct{}{}
+	return false
+}
+
+// appendValueKey appends one value's self-delimiting key segment for
+// GROUP BY, DISTINCT and UNION, which — unlike an index probe — keep 1
+// and 1.0 apart: the kind, then the index key encoding.
+func appendValueKey(b []byte, v Value) []byte {
+	return appendKey(append(b, '0'+byte(v.K)), v)
 }

@@ -923,9 +923,8 @@ func (s *Session) execDelete(t *DeleteStmt, params []Value, named map[string]Val
 	if err != nil {
 		return nil, err
 	}
-	cols := tableColMeta(tbl, "")
 	base := &env{params: params, named: named, session: s}
-	matched, err := s.filterRows(tbl, cols, t.Where, base)
+	matched, err := s.filterRows(tbl, tableColMeta(tbl, ""), t.Where, base)
 	if err != nil {
 		return nil, err
 	}
@@ -961,125 +960,46 @@ func (s *Session) execTruncate(t *TruncateStmt) (*Result, error) {
 	return &Result{RowsAffected: n}, nil
 }
 
-// filterRows returns the visible rows of tbl matching the predicate,
-// using an index for simple equality predicates when one applies.
+// filterRows returns the visible rows of tbl matching the predicate: the
+// one-table case of the SELECT pipeline's scan (same conjunct split,
+// compiled predicates and index choice), kept apart because UPDATE and
+// DELETE want row versions, not values, and cannot pay for a plan.
 func (s *Session) filterRows(tbl *Table, cols []colMeta, where Expr, base *env) ([]*Row, error) {
-	candidates := s.indexCandidates(tbl, where, base)
-	if candidates == nil {
-		s.notePlan(tbl, nil)
-		candidates = tbl.snapshotRows()
+	// One scratch row environment serves every candidate.
+	rowEnv := base.child(cols, nil)
+	c := newCompiler(rowEnv)
+	var stack [8]Expr
+	var eq equalities
+	conjuncts := splitAnd(where, stack[:0])
+	preds := make([]predFn, len(conjuncts))
+	for i, cj := range conjuncts {
+		preds[i] = c.pred(cj)
+		eq.note(&c, cj, 0)
+	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	idx, key := eq.probe(tbl)
+	s.notePlan(tbl, idx)
+	candidates := tbl.snapshotRows()
+	if idx != nil {
+		candidates = idx.lookup(key)
 	}
 	var matched []*Row
-	// One scratch row environment serves every candidate, and the
-	// predicate is compiled once into a closure tree instead of being
-	// AST-walked per row (see compileExpr).
-	rowEnv := base.child(cols, nil)
-	var pred evalFn
-	if where != nil {
-		pred = compileExpr(where)
-	}
 	for _, r := range candidates {
 		if !s.rowVisible(r) {
 			continue
 		}
 		s.db.rowsRead.Add(1)
 		s.rowsScanned++
-		if pred != nil {
-			rowEnv.row = r.Values
-			v, err := pred(rowEnv)
-			if err != nil {
-				return nil, err
-			}
-			if !v.Truth() {
-				continue
-			}
+		rowEnv.row = r.Values
+		if ok, err := allTrue(preds, rowEnv); err != nil {
+			return nil, err
+		} else if ok {
+			matched = append(matched, r)
 		}
-		matched = append(matched, r)
 	}
 	return matched, nil
-}
-
-// indexCandidates inspects an AND-decomposed predicate for equality
-// comparisons against constants/params and probes a matching index (the
-// same choice EXPLAIN reports). It returns nil when no index applies
-// (meaning: scan all rows). The returned slice is a private copy;
-// callers still apply visibility filtering.
-func (s *Session) indexCandidates(tbl *Table, where Expr, base *env) []*Row {
-	if where == nil {
-		return nil
-	}
-	eq := map[string]Value{}
-	if !collectEqualities(where, base, eq) || len(eq) == 0 {
-		// Collected equalities are valid necessary conditions only if
-		// the whole predicate is a conjunction.
-		return nil
-	}
-	idx := s.chooseIndex(tbl, where, base)
-	if idx == nil {
-		return nil
-	}
-	s.notePlan(tbl, idx)
-	vals := make([]Value, 0, len(idx.Columns))
-	for _, c := range idx.Columns {
-		vals = append(vals, eq[strings.ToLower(c)])
-	}
-	return idx.lookup(vals)
-}
-
-// collectEqualities walks a conjunction and records column = constant
-// bindings. It returns false if the expression contains disjunctions or
-// other shapes that make index probing unsound.
-func collectEqualities(x Expr, base *env, out map[string]Value) bool {
-	switch t := x.(type) {
-	case *BinaryExpr:
-		switch t.Op {
-		case "AND":
-			return collectEqualities(t.L, base, out) && collectEqualities(t.R, base, out)
-		case "=":
-			col, val, ok := constEquality(t, base)
-			if ok {
-				out[strings.ToLower(col)] = val
-			}
-			return true
-		case "OR":
-			return false
-		default:
-			return true // other comparisons narrow further; scan handles them
-		}
-	case *UnaryExpr:
-		if t.Op == "NOT" {
-			return false
-		}
-		return true
-	default:
-		return true
-	}
-}
-
-// constEquality matches col = <constant> or <constant> = col where the
-// constant side is a literal or parameter.
-func constEquality(b *BinaryExpr, base *env) (string, Value, bool) {
-	try := func(l, r Expr) (string, Value, bool) {
-		cr, ok := l.(*ColumnRef)
-		if !ok {
-			return "", Value{}, false
-		}
-		switch c := r.(type) {
-		case *Literal:
-			return cr.Column, c.Val, true
-		case *ParamRef:
-			v, err := eval(c, base)
-			if err != nil {
-				return "", Value{}, false
-			}
-			return cr.Column, v, true
-		}
-		return "", Value{}, false
-	}
-	if col, v, ok := try(b.L, b.R); ok {
-		return col, v, true
-	}
-	return try(b.R, b.L)
 }
 
 func (s *Session) execCall(t *CallStmt, params []Value, named map[string]Value) (*Result, error) {

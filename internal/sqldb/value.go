@@ -138,8 +138,12 @@ func (v Value) Equal(o Value) bool {
 // compareValues compares two values, returning -1, 0, or 1 and whether the
 // comparison is defined (false if either side is NULL or the kinds are
 // incomparable).
-func compareValues(a, b Value) (int, bool) {
-	if a.IsNull() || b.IsNull() {
+func compareValues(a, b Value) (int, bool) { return a.compare(&b) }
+
+// compare is compareValues on values in place: row loops compare a stored
+// value with a constant without copying either.
+func (a *Value) compare(b *Value) (int, bool) {
+	if a.K == KindNull || b.K == KindNull {
 		return 0, false
 	}
 	// Numeric cross-kind comparison.

@@ -42,24 +42,3 @@ func (s *Session) execDropView(t *DropViewStmt) (*Result, error) {
 	delete(s.db.views, lc)
 	return &Result{}, nil
 }
-
-// scanView materializes a view reference as a relation, evaluated fresh
-// on each use.
-func (s *Session) scanView(v *view, alias string, outer *env) (*relation, error) {
-	// Views see the database, not the referencing statement's parameters.
-	base := &env{session: s, params: outer.params, named: outer.named}
-	res, err := s.execSelect(v.Query, base)
-	if err != nil {
-		return nil, fmt.Errorf("sqldb: view %s: %w", v.Name, err)
-	}
-	qual := alias
-	if qual == "" {
-		qual = v.Name
-	}
-	rel := &relation{}
-	for _, c := range res.Columns {
-		rel.cols = append(rel.cols, colMeta{table: strings.ToLower(qual), name: c})
-	}
-	rel.rows = res.Rows
-	return rel, nil
-}

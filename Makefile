@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race short soak cover bench bench-test fuzz ci loc clean
+.PHONY: all build vet fmt test race short soak cover bench bench-test fuzz ci loc clean
 
 all: build
 
@@ -9,6 +9,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails, listing them, if any file is not gofmt-formatted.
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 # Full test suite (includes the multi-seed chaos soak).
 test:
@@ -59,9 +63,11 @@ fuzz:
 	$(GO) test -fuzz='^FuzzNormalizeStmt$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzIndexKey$$' -fuzztime=15s ./internal/sqldb/
 
-# The gate: build, vet, the full race-enabled suite (soak included),
-# then the fuzz smoke.
-ci: build vet race fuzz
+# The gate: build, vet, formatting, the suite without the race detector
+# (the allocation gates — TestAllocBudget, TestCursorLoopScalesLinearly —
+# skip under it), the full race-enabled suite (soak included), then the
+# fuzz smoke.
+ci: build vet fmt test race fuzz
 
 # Non-test Go lines outside bench/: the size ROADMAP item 2 tracks and
 # every PR reports before/after.

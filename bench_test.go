@@ -8,7 +8,9 @@ package wfsql
 // who bundles transactions, where workarounds cost.
 
 import (
+	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -234,6 +236,42 @@ func BenchmarkFig6_WFExample(b *testing.B) {
 // BenchmarkFig8_OracleExample runs the Figure 8 workflow (Oracle stack).
 func BenchmarkFig8_OracleExample(b *testing.B) {
 	benchRunningExample(b, StackOracle)
+}
+
+// figureScale is the benchmark's figure workload (bench/workloads.go):
+// one aggregate over 120 orders, 8 supplier calls and 8 inserts per
+// instance.
+var figureScale = Workload{Orders: 120, Items: 8, ApprovalPercent: 80, Seed: 42}
+
+// BenchmarkFigureInstance times one warmed instance per stack at the
+// benchmark's scale, deployed once and detached (no journal, no
+// observability) — the shape `bench/run.sh` measures, profilable without
+// the harness:
+//
+//	go test -run '^$' -bench FigureInstance/bis -cpu 1 -cpuprofile /root/scratch/cpu.out .
+func BenchmarkFigureInstance(b *testing.B) {
+	for _, stack := range Stacks() {
+		b.Run(strings.ToLower(stack.Name), func(b *testing.B) {
+			env := NewEnvironment(figureScale)
+			p, err := stack.Prepare(env, ResilienceConfig{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.Run(ctx); err != nil {
+					b.Fatal(err)
+				}
+				if i%256 == 255 { // the harness's slice: keep the table bounded
+					b.StopTimer()
+					env.ResetConfirmations()
+					b.StartTimer()
+				}
+			}
+		})
+	}
 }
 
 // --- Ablations (DESIGN.md §4) ---

@@ -4,10 +4,13 @@ import (
 	"context"
 	"os"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"wfsql/internal/journal"
 	"wfsql/internal/obsv"
+	"wfsql/internal/sqldb"
 )
 
 // TestCountBudget is the machine-independent half of the benchmark's
@@ -84,5 +87,131 @@ func TestCountBudget(t *testing.T) {
 				t.Errorf("journal records = %v, want %v", records, tc.records)
 			}
 		})
+	}
+}
+
+// instanceAllocs deploys the stack's figure once on a fresh environment
+// of the given workload, detached (no journal, no observability), and
+// returns what one warmed instance allocates: objects and bytes.
+func instanceAllocs(t *testing.T, stack Stack, w Workload) (objects float64, bytes uint64) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	env := NewEnvironment(w)
+	p, err := stack.Prepare(env, ResilienceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		if err := p.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // the first instance sizes the deployment's buffers and parses its query
+	const runs = 5
+	objects = testing.AllocsPerRun(runs, run)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	return objects, (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// TestAllocBudget gates the benchmark's allocs_per_op without the
+// harness: objects per warmed instance at the benchmark's scale and seed,
+// per stack. The ceilings are the counts measured when they were last
+// moved on purpose, plus 3 %.
+func TestAllocBudget(t *testing.T) {
+	for _, tc := range []struct {
+		stack   Stack
+		ceiling float64
+	}{
+		{StackBIS, 682},    // 662 measured (was 848 before PR 18)
+		{StackWF, 645},     // 626
+		{StackOracle, 820}, // 796 (was 912)
+	} {
+		t.Run(tc.stack.Name, func(t *testing.T) {
+			objects, bytes := instanceAllocs(t, tc.stack, figureScale)
+			t.Logf("%.0f objects, %d bytes per instance", objects, bytes)
+			if objects > tc.ceiling {
+				t.Errorf("%.0f objects per instance, budget %.0f", objects, tc.ceiling)
+			}
+		})
+	}
+}
+
+// TestCursorLoopScalesLinearly pins the Sequential Set Access workaround
+// to linear cost by counts: ten times the orders (and item types, the
+// cursor's tuples) may allocate about ten times the objects and bytes per
+// instance, not the 27× in bytes a cursor that rebuilds its set per step
+// did.
+func TestCursorLoopScalesLinearly(t *testing.T) {
+	for _, stack := range []Stack{StackBIS, StackOracle} {
+		t.Run(stack.Name, func(t *testing.T) {
+			w := func(orders int) Workload {
+				return Workload{Orders: orders, Items: orders / 5, ApprovalPercent: 60, Seed: 1}
+			}
+			objects100, bytes100 := instanceAllocs(t, stack, w(100))
+			objects1000, bytes1000 := instanceAllocs(t, stack, w(1000))
+			t.Logf("objects %.0f → %.0f (×%.1f), bytes %d → %d (×%.1f)", objects100, objects1000, objects1000/objects100,
+				bytes100, bytes1000, float64(bytes1000)/float64(bytes100))
+			if objects1000 > 10.5*objects100 {
+				t.Errorf("1 000 orders allocate %.0f objects, %.1f× the %.0f of 100 orders (limit 10.5×)", objects1000, objects1000/objects100, objects100)
+			}
+			if float64(bytes1000) > 12*float64(bytes100) {
+				t.Errorf("1 000 orders allocate %d bytes, %.1f× the %d of 100 orders (limit 12×)", bytes1000, float64(bytes1000)/float64(bytes100), bytes100)
+			}
+		})
+	}
+}
+
+// TestBISInstanceParsesNothing: once a Figure 4 deployment has run an
+// instance, no later instance lexes or parses SQL — the result table's
+// statements are built from its name, the activity's SELECT is parsed
+// once per text — and nothing instance-unique (SR_ItemList_i<N>) enters
+// the shared plan cache.
+func TestBISInstanceParsesNothing(t *testing.T) {
+	env := NewEnvironment(figureScale)
+	p, err := StackBIS.Prepare(env, ResilienceConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var stats []sqldb.StmtStats
+	env.DB.SetStatsSink(func(st sqldb.StmtStats) { stats = append(stats, st) })
+	cache := env.DB.StmtCacheStats()
+	for instance := 2; instance <= 4; instance++ {
+		stats = stats[:0]
+		if err := p.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if len(stats) != 12 {
+			t.Fatalf("instance %d ran %d statements, want 12", instance, len(stats))
+		}
+		uncached := 0
+		for _, st := range stats {
+			if st.Parse != 0 || st.Cache == sqldb.CacheMiss {
+				t.Errorf("instance %d: %s on %q parsed for %v (cache %q)", instance, st.Kind, st.Table, st.Parse, st.Cache)
+			}
+			if st.Cache == "" {
+				uncached++
+			}
+		}
+		if uncached != 4 { // drop-before-create, CREATE … AS, SELECT *, cleanup drop
+			t.Errorf("instance %d: %d statements bypassed the plan cache, want the result table's 4", instance, uncached)
+		}
+	}
+	if after := env.DB.StmtCacheStats(); after.Size != cache.Size || after.Misses != cache.Misses || after.Evictions != cache.Evictions {
+		t.Errorf("plan cache moved across instances: %+v → %+v", cache, after)
+	}
+	for _, name := range env.DB.TableNames() {
+		if strings.HasPrefix(name, "SR_") {
+			t.Errorf("result table %s left behind", name)
+		}
 	}
 }

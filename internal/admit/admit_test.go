@@ -126,7 +126,10 @@ func TestDeadlineShedAtSubmit(t *testing.T) {
 	var shedReasons []string
 	q := NewQueue[int](Options{
 		Capacity: 4,
-		OnShed:   func(item any, _ Class, reason string) { shedItems = append(shedItems, item); shedReasons = append(shedReasons, reason) },
+		OnShed: func(item any, _ Class, reason string) {
+			shedItems = append(shedItems, item)
+			shedReasons = append(shedReasons, reason)
+		},
 	})
 	err := q.Submit(context.Background(), Ticket[int]{Item: 7, Deadline: time.Now().Add(-time.Millisecond)})
 	if got := ShedReason(err); got != ReasonDeadline {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"wfsql/internal/engine"
@@ -20,8 +21,17 @@ import (
 type SQLActivity struct {
 	ActivityName string
 	DataSource   string // data source variable name
-	SQL          string // statement with #var# / #setref# placeholders
+	SQL          string // statement with #var# / #setref# placeholders (set by NewSQL)
 	ResultRef    string // result set reference receiving a query/CALL result ("" for none)
+
+	// What NewSQL resolves once, for every instance: the text split at its
+	// '#' markers and its upper-cased opening, which says whether it may
+	// fill a result set reference. query memoizes the parse of the last
+	// substituted SELECT that did — one entry, since the text only changes
+	// when BindSetReference re-points a #setref# it names.
+	parts []string
+	lead  string
+	query atomic.Pointer[sqldb.ParsedQuery]
 
 	// Retry, when set, re-executes the statement on transient database
 	// errors. Retries only apply while the activity runs in autocommit
@@ -35,7 +45,8 @@ type SQLActivity struct {
 
 // NewSQL builds a SQL activity against a data source variable.
 func NewSQL(name, dataSourceVar, sql string) *SQLActivity {
-	return &SQLActivity{ActivityName: name, DataSource: dataSourceVar, SQL: sql}
+	return &SQLActivity{ActivityName: name, DataSource: dataSourceVar, SQL: sql,
+		parts: strings.Split(sql, "#"), lead: strings.ToUpper(strings.TrimSpace(sql))}
 }
 
 // Into directs the activity's result set into a result set reference.
@@ -84,17 +95,14 @@ func (a *SQLActivity) Execute(ctx *engine.Ctx) error {
 			return nil
 		}
 		// The result table survived the crash (tables are entities, not
-		// transaction-scoped rows): re-bind the reference and restore
-		// the default cleanup so normal completion still drops it.
+		// transaction-scoped rows): re-bind the reference to it, on the
+		// activity's data source, so normal completion still drops it.
 		ref, err := SetReference(ctx, a.ResultRef)
 		if err != nil {
 			return err
 		}
 		st.mu.Lock()
-		ref.Table = memo["table"]
-		if ref.Cleanup == "" {
-			ref.Cleanup = "DROP TABLE IF EXISTS {TABLE}"
-		}
+		ref.Table, ref.generated, ref.dataSource = memo["table"], true, st.dsvars[a.DataSource]
 		st.mu.Unlock()
 		return nil
 	}
@@ -107,7 +115,7 @@ func (a *SQLActivity) executeLive(ctx *engine.Ctx, st *state) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", a.ActivityName, err)
 	}
-	sql, params, err := substituteSQL(ctx, st, a.SQL)
+	sql, params, err := substituteSQL(ctx, st, a.SQL, a.parts)
 	if err != nil {
 		return fmt.Errorf("%s: %w", a.ActivityName, err)
 	}
@@ -157,36 +165,36 @@ func (a *SQLActivity) runOnce(ctx *engine.Ctx, st *state, sess *sqldb.Session, s
 	if ref.Kind != ResultSetRef {
 		return fmt.Errorf("%s: %s is not a result set reference", a.ActivityName, a.ResultRef)
 	}
-	// The generated table's name is instance-unique, so its statements
-	// can never hit the shared plan cache — run them as one-shot
-	// prepared statements, which bypass the cache (and its LRU churn)
-	// while still carrying text to the change stream.
+	// The generated table's statements are fixed shapes around an
+	// instance-unique name: sqldb builds them from the name — no text to
+	// lex, nothing for the shared plan cache to hold — and the activity's
+	// own SELECT is parsed once per text, not once per instance.
 	gen := ref.Name + "_i" + strconv.FormatInt(ctx.Inst.ID, 10)
-	if err := execPrepared(sess, "DROP TABLE IF EXISTS "+gen); err != nil {
+	_, err = sess.DropTable(gen, true)
+	switch {
+	case err != nil: // the drop failed
+	case strings.HasPrefix(a.lead, "SELECT"):
+		q := a.query.Load()
+		if q == nil || q.SQL() != sql {
+			if q, err = sqldb.ParseQuery(sql); err != nil {
+				break
+			}
+			a.query.Store(q)
+		}
+		_, err = sess.CreateTableAs(gen, q, params...)
+	case strings.HasPrefix(a.lead, "CALL"):
+		var res *sqldb.Result
+		if res, err = sess.Exec(sql, params...); err == nil {
+			err = materializeAsTable(sess, gen, res)
+		}
+	default:
+		err = fmt.Errorf("only queries and CALLs can fill a result set reference")
+	}
+	if err != nil {
 		return fmt.Errorf("%s: %w", a.ActivityName, err)
 	}
-	trimmed := strings.TrimSpace(strings.ToUpper(sql))
-	if strings.HasPrefix(trimmed, "SELECT") {
-		ctas := "CREATE TABLE " + gen + " AS " + sql
-		if err := execPrepared(sess, ctas, params...); err != nil {
-			return fmt.Errorf("%s: %w", a.ActivityName, err)
-		}
-	} else if strings.HasPrefix(trimmed, "CALL") {
-		res, err := sess.Exec(sql, params...)
-		if err != nil {
-			return fmt.Errorf("%s: %w", a.ActivityName, err)
-		}
-		if err := materializeAsTable(sess, gen, res); err != nil {
-			return fmt.Errorf("%s: %w", a.ActivityName, err)
-		}
-	} else {
-		return fmt.Errorf("%s: only queries and CALLs can fill a result set reference", a.ActivityName)
-	}
 	st.mu.Lock()
-	ref.Table = gen
-	if ref.Cleanup == "" {
-		ref.Cleanup = "DROP TABLE IF EXISTS {TABLE}"
-	}
+	ref.Table, ref.generated, ref.dataSource = gen, true, st.dsvars[a.DataSource]
 	st.mu.Unlock()
 	return nil
 }
@@ -310,19 +318,11 @@ func (a *RetrieveSetActivity) Execute(ctx *engine.Ctx) error {
 	if ref.Table == "" {
 		return fmt.Errorf("%s: set reference %s is unbound", a.ActivityName, a.SetRefName)
 	}
-	sess := st.sessionFor(db)
-	// The bound table is instance-unique (see runOnce): a prepared
-	// one-shot keeps this retrieval out of the shared plan cache.
-	ps, err := sess.Prepare("SELECT * FROM " + ref.Table)
+	// The bound table is usually instance-unique (see runOnce): built
+	// from its name, the retrieval is neither parsed nor plan-cached.
+	res, err := st.sessionFor(db).SelectAll(ref.Table)
 	if err != nil {
 		return fmt.Errorf("%s: %w", a.ActivityName, err)
-	}
-	res, err := ps.Exec()
-	if err != nil {
-		return fmt.Errorf("%s: %w", a.ActivityName, err)
-	}
-	if !res.IsQuery() {
-		return fmt.Errorf("%s: statement did not return rows", a.ActivityName)
 	}
 	doc, err := rowset.FromResult(res)
 	if err != nil {

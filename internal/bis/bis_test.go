@@ -637,3 +637,43 @@ func TestUnterminatedHostVariable(t *testing.T) {
 		t.Fatal("expected unterminated placeholder error")
 	}
 }
+
+// TestGeneratedTableCleanupFollowsItsDataSource: a result table is
+// dropped on the data source it was created on, not on whichever data
+// source variable a map iteration yields first — with two variables the
+// DROP used to go to the wrong database and SR_R_i<N> survived.
+func TestGeneratedTableCleanupFollowsItsDataSource(t *testing.T) {
+	a, b := sqldb.Open("a"), ordersDB()
+	e := engine.New(nil)
+	e.RegisterDataSource("a", a)
+	e.RegisterDataSource("b", b)
+	d, err := e.Deploy(NewProcess("two").
+		DataSourceVariable("DSA", "a").
+		DataSourceVariable("DSB", "b").
+		InputSetReference("SR_Orders", "Orders").
+		ResultSetReference("SR_R").
+		XMLVariable("SV", "").
+		Body(engine.NewSequence("main",
+			NewSQL("q", "DSB", "SELECT ItemID FROM #SR_Orders# WHERE Approved = TRUE").Into("SR_R"),
+			NewRetrieveSet("r", "DSB", "SR_R", "SV"))).
+		Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		in, err := d.Run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := rowset.Count(in.MustVariable("SV").Node()); n != 4 {
+			t.Fatalf("run %d retrieved %d rows, want 4", i, n)
+		}
+		for _, db := range []*sqldb.DB{a, b} {
+			for _, name := range db.TableNames() {
+				if strings.HasPrefix(strings.ToUpper(name), "SR_") {
+					t.Fatalf("run %d left %s behind in data source %s", i, name, db.Name())
+				}
+			}
+		}
+	}
+}

@@ -18,6 +18,7 @@ type ProcessBuilder struct {
 	vars        []engine.VarDecl
 	refs        []*SetRef
 	dsvars      map[string]string
+	defaultDS   string // first declared data source variable
 	preparation []dsStatement
 	cleanup     []dsStatement
 	body        engine.Activity
@@ -56,6 +57,9 @@ func (b *ProcessBuilder) XMLVariable(name, initXML string) *ProcessBuilder {
 // connection reference; the bound data source can be changed at deploy
 // time or runtime without redeploying the process.
 func (b *ProcessBuilder) DataSourceVariable(name, dataSource string) *ProcessBuilder {
+	if len(b.dsvars) == 0 {
+		b.defaultDS = name
+	}
 	b.dsvars[name] = dataSource
 	return b
 }
@@ -170,7 +174,7 @@ func (b *ProcessBuilder) Build() *engine.Process {
 		Pattern:   b.pattern,
 	}
 	refs := b.refs
-	dsvars := b.dsvars
+	dsvars, defaultDS := b.dsvars, b.defaultDS
 	prep, clean := b.preparation, b.cleanup
 	p.OnInstanceStart = append(p.OnInstanceStart, func(ctx *engine.Ctx) error {
 		st := &state{
@@ -205,7 +209,7 @@ func (b *ProcessBuilder) Build() *engine.Process {
 		}
 		for _, r := range st.refs {
 			if r.Preparation != "" && r.Table != "" {
-				if err := runLifecycleStatement(ctx, st, dsStatement{dsVar: firstDSVar(st), sql: r.Preparation}, r); err != nil {
+				if err := runLifecycleStatement(ctx, st, dsStatement{dsVar: defaultDS, sql: r.Preparation}, r); err != nil {
 					return fmt.Errorf("bis: set reference %s preparation: %w", r.Name, err)
 				}
 			}
@@ -215,8 +219,8 @@ func (b *ProcessBuilder) Build() *engine.Process {
 		ctx.Inst.OnComplete(func(fault error) {
 			st.finish(fault)
 			for _, r := range st.refs {
-				if r.Cleanup != "" && r.Table != "" {
-					runLifecycleStatement(ctx, st, dsStatement{dsVar: firstDSVar(st), sql: r.Cleanup}, r)
+				if r.Table != "" && (r.Cleanup != "" || r.generated) {
+					runLifecycleStatement(ctx, st, dsStatement{dsVar: defaultDS, sql: r.Cleanup}, r)
 				}
 			}
 			for _, cs := range clean {
@@ -228,21 +232,21 @@ func (b *ProcessBuilder) Build() *engine.Process {
 	return p
 }
 
-// firstDSVar returns an arbitrary data source variable name (set-reference
-// lifecycle statements run against the process's data source; processes
-// in this reproduction use one data source variable per source).
-func firstDSVar(st *state) string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for k := range st.dsvars {
-		return k
-	}
-	return ""
-}
-
+// runLifecycleStatement runs a process-level lifecycle statement on its
+// data source variable, or a set reference's on the data source its table
+// was generated on (else on stmt.dsVar, the first declared variable). A
+// generated table's default cleanup is a property of the reference, not
+// SQL text: with no statement, the table is dropped.
 func runLifecycleStatement(ctx *engine.Ctx, st *state, stmt dsStatement, ref *SetRef) error {
 	db, err := st.resolveDB(ctx, stmt.dsVar)
+	if ref != nil && ref.dataSource != "" {
+		db, err = ctx.Engine.DataSource(ref.dataSource)
+	}
 	if err != nil {
+		return err
+	}
+	if ref != nil && stmt.sql == "" {
+		_, err = db.Session().DropTable(ref.Table, true)
 		return err
 	}
 	sql := stmt.sql

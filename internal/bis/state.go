@@ -50,6 +50,13 @@ type SetRef struct {
 	// name. Cleanup runs at the end of the workflow.
 	Preparation string
 	Cleanup     string
+
+	// generated marks a table the engine created for this reference: with
+	// no Cleanup statement it is dropped at the end of the workflow.
+	// dataSource is the data source it was created on, where its lifecycle
+	// statements run ("" = the first declared data source variable's).
+	generated  bool
+	dataSource string
 }
 
 // state is the per-instance BIS runtime state.
@@ -303,28 +310,25 @@ func (st *state) abort() {
 	}
 }
 
-// substituteSQL rewrites #name# placeholders: set references become their
-// bound table names; scalar process variables become bound parameters.
-func substituteSQL(ctx *engine.Ctx, st *state, sql string) (string, []sqldb.Value, error) {
-	if strings.IndexByte(sql, '#') < 0 {
-		return sql, nil, nil // nothing to substitute; keep the cached text
+// substituteSQL renders a statement split at its #name# markers (even
+// parts are text, odd parts names — see NewSQL): set references become
+// their bound table names; scalar process variables become bound
+// parameters.
+func substituteSQL(ctx *engine.Ctx, st *state, sql string, parts []string) (string, []sqldb.Value, error) {
+	if len(parts) == 1 {
+		return parts[0], nil, nil // nothing to substitute; keep the cached text
+	}
+	if len(parts)%2 == 0 {
+		return "", nil, fmt.Errorf("bis: unterminated #variable# reference in SQL")
 	}
 	var out strings.Builder
 	out.Grow(len(sql))
-	var params []sqldb.Value
-	for {
-		i := strings.IndexByte(sql, '#')
-		if i < 0 {
-			out.WriteString(sql)
-			break
+	params := make([]sqldb.Value, 0, len(parts)/2)
+	for i, name := range parts {
+		if i%2 == 0 {
+			out.WriteString(name)
+			continue
 		}
-		j := strings.IndexByte(sql[i+1:], '#')
-		if j < 0 {
-			return "", nil, fmt.Errorf("bis: unterminated #variable# reference in SQL")
-		}
-		name := sql[i+1 : i+1+j]
-		out.WriteString(sql[:i])
-		sql = sql[i+j+2:]
 		st.mu.Lock()
 		ref, isRef := st.refs[name]
 		st.mu.Unlock()

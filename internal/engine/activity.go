@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -949,7 +950,7 @@ func CursorLoop(product, name, setVar, currentVar, posVar string, body Activity)
 		if err != nil {
 			return err
 		}
-		return ctx.SetScalar(posVar, fmt.Sprint(pos+1))
+		return ctx.SetScalar(posVar, strconv.FormatInt(pos+1, 10))
 	})
 	cond := Cond(fmt.Sprintf("$%s <= count($%s/Row)", posVar, setVar))
 	return NewSequence(name,

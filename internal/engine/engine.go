@@ -166,6 +166,11 @@ func (e *Engine) DataSourceNames() []string {
 type Deployment struct {
 	Process *Process
 	Engine  *Engine
+
+	// traceLen is the longest trace an instance of the deployment has
+	// recorded: the capacity the next instance's trace starts at, instead
+	// of a hundred-odd events being appended into a slice grown from nil.
+	traceLen atomic.Int64
 }
 
 // Deploy validates a process model and installs it. Validation mirrors
@@ -224,9 +229,10 @@ func (d *Deployment) newInstance(id int64, input map[string]string, journalCreat
 		ID:      id,
 		Process: d.Process,
 		Engine:  d.Engine,
-		vars:    map[string]*Variable{},
+		vars:    make(map[string]*Variable, len(d.Process.Variables)),
 		context: map[string]any{},
 		state:   StateReady,
+		trace:   make([]TraceEvent, 0, d.traceLen.Load()),
 	}
 	for _, vd := range d.Process.Variables {
 		switch vd.Kind {
@@ -334,7 +340,19 @@ func (d *Deployment) RunCtx(ctx context.Context, input map[string]string) (*Inst
 	if err != nil {
 		return nil, err
 	}
-	return in, d.Engine.executeCtx(ctx, in)
+	return in, d.execute(ctx, in)
+}
+
+// execute runs an instance of the deployment and remembers how long its
+// trace grew (a sizing hint: a lost race only costs a regrowth).
+func (d *Deployment) execute(ctx context.Context, in *Instance) error {
+	err := d.Engine.executeCtx(ctx, in)
+	in.mu.Lock()
+	if n := int64(len(in.trace)); n > d.traceLen.Load() {
+		d.traceLen.Store(n)
+	}
+	in.mu.Unlock()
+	return err
 }
 
 // ErrBudgetExceeded wraps the context error when an instance's
@@ -342,12 +360,6 @@ func (d *Deployment) RunCtx(ctx context.Context, input map[string]string) (*Inst
 // completion callbacks run, so product-layer transactions roll back),
 // never Crashed — a deadline is an orderly cancellation, not a death.
 var ErrBudgetExceeded = errors.New("engine: instance budget exceeded")
-
-// execute runs an instance's body, firing start hooks and completion
-// callbacks.
-func (e *Engine) execute(in *Instance) error {
-	return e.executeCtx(context.Background(), in)
-}
 
 // executeCtx runs an instance's body under an execution budget.
 func (e *Engine) executeCtx(runCtx context.Context, in *Instance) error {

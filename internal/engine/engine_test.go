@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -329,10 +330,10 @@ func TestInstanceRunTwiceFails(t *testing.T) {
 	p := &Process{Name: "once", Body: &Empty{ActivityName: "e"}}
 	d, _ := New(nil).Deploy(p)
 	in, _ := d.NewInstance(nil)
-	if err := d.Engine.execute(in); err != nil {
+	if err := d.execute(context.Background(), in); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Engine.execute(in); err == nil {
+	if err := d.execute(context.Background(), in); err == nil {
 		t.Fatal("expected error on re-execution")
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -141,7 +142,7 @@ func (d *Deployment) Resume(ij *journal.InstanceJournal) (*Instance, error) {
 	}
 	total := in.effects.Load(ij)
 	in.recordTrace(d.Process.Name, "recovering", fmt.Sprintf("instance %d: %d memoized effect(s)", ij.ID, total))
-	return in, d.Engine.execute(in)
+	return in, d.execute(context.Background(), in)
 }
 
 // Recover resumes every in-flight instance found in the recorder,

@@ -37,9 +37,9 @@ func FuzzScan(f *testing.F) {
 		return buf.Bytes()
 	}()
 	f.Add(valid)
-	f.Add(valid[:len(valid)-3])          // partial payload
-	f.Add(valid[:5])                     // partial header
-	f.Add(append(valid, 0xFF, 0xFF))     // trailing garbage
+	f.Add(valid[:len(valid)-3])      // partial payload
+	f.Add(valid[:5])                 // partial header
+	f.Add(append(valid, 0xFF, 0xFF)) // trailing garbage
 	corrupt := append([]byte(nil), valid...)
 	corrupt[len(corrupt)/2] ^= 0x40 // flip a bit mid-log
 	f.Add(corrupt)

@@ -81,8 +81,8 @@ func ToValues(root *xdm.Node) (columns []string, rows [][]sqldb.Value, err error
 // Count returns the number of tuples in the RowSet.
 func Count(root *xdm.Node) int {
 	n := 0
-	for _, c := range root.ChildElements() {
-		if c.Name == RowElement {
+	for _, c := range root.Children {
+		if c.Kind == xdm.ElementNode && c.Name == RowElement {
 			n++
 		}
 	}
@@ -100,13 +100,21 @@ func Rows(root *xdm.Node) []*xdm.Node {
 	return out
 }
 
-// Row returns the i-th (0-based) tuple element, or nil.
+// Row returns the i-th (0-based) tuple element, or nil, without building
+// the row list: a cursor calls it once per tuple.
 func Row(root *xdm.Node, i int) *xdm.Node {
-	rows := Rows(root)
-	if i < 0 || i >= len(rows) {
+	if i < 0 {
 		return nil
 	}
-	return rows[i]
+	for _, c := range root.Children {
+		if c.Kind == xdm.ElementNode && c.Name == RowElement {
+			if i == 0 {
+				return c
+			}
+			i--
+		}
+	}
+	return nil
 }
 
 // Field returns the text of the named cell of a tuple element.

@@ -404,3 +404,173 @@ func TestCachedTextAcrossDDLMatchesUncachedPrepare(t *testing.T) {
 		t.Fatalf("cached arm diverged:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestConstructorsAreEquivalentToText is the typed constructors' arm of
+// the entry-point equivalence: a result-table lifecycle run through
+// DropTable / CreateTableAs / SelectAll must be indistinguishable from
+// the same statements handed to Exec and to Prepare as text — results,
+// error text, contents, change stream (text and params) — and a replica
+// fed the constructors' stream converges. Their stats read like a
+// prepared statement's: same Kind, Cache == "", and no parse time beyond
+// the one parse of the shared query.
+func TestConstructorsAreEquivalentToText(t *testing.T) {
+	type step struct {
+		text   string
+		params []Value
+		typed  func(s *Session) (*Result, error)
+	}
+	agg, err := ParseQuery("SELECT item, SUM(qty) AS qty FROM orders WHERE qty >= ? GROUP BY item ORDER BY item")
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := ParseQuery("SELECT * FROM orders WHERE item <> 'nut'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	drop := func(name string, ifExists bool) step {
+		text := "DROP TABLE " + name
+		if ifExists {
+			text = "DROP TABLE IF EXISTS " + name
+		}
+		return step{text: text, typed: func(s *Session) (*Result, error) { return s.DropTable(name, ifExists) }}
+	}
+	ctas := func(name string, q *ParsedQuery, params ...Value) step {
+		return step{text: "CREATE TABLE " + name + " AS " + q.SQL(), params: params,
+			typed: func(s *Session) (*Result, error) { return s.CreateTableAs(name, q, params...) }}
+	}
+	selectAll := func(name string) step {
+		return step{text: "SELECT * FROM " + name, typed: func(s *Session) (*Result, error) { return s.SelectAll(name) }}
+	}
+	plain := func(text string) step { // not a constructor shape: prepared in the typed arm
+		return step{text: text, typed: func(s *Session) (*Result, error) {
+			ps, err := s.Prepare(text)
+			if err != nil {
+				return nil, err
+			}
+			return ps.Exec()
+		}}
+	}
+	steps := []step{
+		plain("CREATE TABLE orders (id INTEGER PRIMARY KEY, item VARCHAR, qty INTEGER)"),
+		plain("INSERT INTO orders VALUES (1, 'bolt', 5), (2, 'nut', 7), (3, 'bolt', 9), (4, 'washer', 1)"),
+		drop("SR_R_i1", true), // nothing to drop
+		ctas("SR_R_i1", agg, Int(2)),
+		selectAll("SR_R_i1"),
+		ctas("SR_R_i1", agg, Int(2)), // already exists: fails without effect
+		drop("SR_R_i1", true),        // the retry's drop
+		ctas("SR_R_i1", agg, Int(6)),
+		selectAll("SR_R_i1"),
+		ctas("SR_R_i2", agg), // too few params: fails at execution
+		plain("BEGIN"),
+		ctas("SR_S_i1", all),
+		selectAll("SR_S_i1"),
+		plain("COMMIT"),
+		drop("SR_R_i1", false),
+		drop("SR_R_i1", false), // no such table
+		selectAll("SR_R_i1"),   // no such table
+		drop("SR_S_i1", true),
+		drop("not a name", true), // refused by the constructor, a parse error as text
+	}
+
+	type arm struct {
+		db      *DB
+		s       *Session
+		changes *[]Change
+		stats   []StmtStats
+		run     func(st step) (*Result, error)
+	}
+	newArm := func(run func(a *arm, st step) (*Result, error)) *arm {
+		a := &arm{db: Open("equiv")}
+		a.s = a.db.Session()
+		a.changes = captureChanges(a.db)
+		a.db.SetStatsSink(func(st StmtStats) { a.stats = append(a.stats, st) })
+		a.run = func(st step) (*Result, error) { return run(a, st) }
+		return a
+	}
+	typed := newArm(func(a *arm, st step) (*Result, error) { return st.typed(a.s) })
+	text := newArm(func(a *arm, st step) (*Result, error) { return a.s.Exec(st.text, st.params...) })
+	prepared := newArm(func(a *arm, st step) (*Result, error) {
+		ps, err := a.s.Prepare(st.text)
+		if err != nil {
+			return nil, err
+		}
+		return ps.Exec(st.params...)
+	})
+
+	sawErr := 0
+	for i, st := range steps {
+		want := outcomeOf(text.run(st))
+		got, prep := outcomeOf(typed.run(st)), outcomeOf(prepared.run(st))
+		if i == len(steps)-1 {
+			// The one place the arms may differ in wording: the constructor
+			// refuses the name before there is a text to parse.
+			if got.err == "" || want.err == "" || prep.err == "" {
+				t.Fatalf("step %d %q: a bad name went through: %q / %q / %q", i, st.text, got.err, want.err, prep.err)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(prep, want) {
+			t.Fatalf("step %d %q %v:\n  typed: %+v %q\n   Exec: %+v %q\nPrepare: %+v %q",
+				i, st.text, st.params, got.res, got.err, want.res, want.err, prep.res, prep.err)
+		}
+		if want.err != "" {
+			sawErr++
+		}
+	}
+	if sawErr != 4 {
+		t.Fatalf("%d steps failed, want the 4 written to", sawErr)
+	}
+
+	want := text.db.Dump()
+	for name, a := range map[string]*arm{"typed": typed, "Prepare": prepared} {
+		if got := a.db.Dump(); got != want {
+			t.Fatalf("%s arm diverged:\n%s\nwant:\n%s", name, got, want)
+		}
+	}
+	// The typed arm's stream carries the rendered text verbatim — what
+	// Prepare of that text carries — and canonically what Exec carries.
+	if !reflect.DeepEqual(*typed.changes, *prepared.changes) {
+		t.Fatalf("typed stream differs from the Prepare stream:\n got %+v\nwant %+v", *typed.changes, *prepared.changes)
+	}
+	if got, want := canonicalChanges(t, *typed.changes), canonicalChanges(t, *text.changes); !reflect.DeepEqual(got, want) {
+		t.Fatalf("typed stream differs canonically from the Exec stream:\n got %+v\nwant %+v", got, want)
+	}
+	replica := Open("equiv")
+	ap := NewApplier(replica, 0)
+	for _, c := range *typed.changes {
+		if err := ap.Apply(c); err != nil {
+			t.Fatalf("replay of the typed stream: %v", err)
+		}
+	}
+	if got := replica.Dump(); got != want {
+		t.Fatalf("replica of the typed stream diverged:\n%s\nwant:\n%s", got, want)
+	}
+
+	// Stats: one record per statement that passed the gates, in every arm;
+	// the typed arm labels like Prepare and parses nothing but each shared
+	// query once, charged to its first execution.
+	if len(typed.stats) != len(text.stats) || len(typed.stats) != len(prepared.stats) {
+		t.Fatalf("stats records: typed %d, Exec %d, Prepare %d", len(typed.stats), len(text.stats), len(prepared.stats))
+	}
+	parsed := 0
+	for i, st := range typed.stats {
+		if st.Kind != text.stats[i].Kind || st.Err != text.stats[i].Err || st.RowsReturned != text.stats[i].RowsReturned {
+			t.Fatalf("stat %d: typed %+v, Exec %+v", i, st, text.stats[i])
+		}
+		if i < 2 || st.Kind == "BEGIN" || st.Kind == "COMMIT" {
+			continue // the plain steps
+		}
+		if st.Cache != prepared.stats[i].Cache || st.Cache != "" {
+			t.Fatalf("stat %d (%s): Cache = %q, Prepare's %q", i, st.Kind, st.Cache, prepared.stats[i].Cache)
+		}
+		if st.Parse != 0 {
+			if st.Kind != "CREATE TABLE" {
+				t.Fatalf("stat %d (%s) reports parse time %v", i, st.Kind, st.Parse)
+			}
+			parsed++
+		}
+	}
+	if parsed != 2 {
+		t.Fatalf("%d constructor statements reported parse time, want 2 (one per shared query)", parsed)
+	}
+}

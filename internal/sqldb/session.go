@@ -194,7 +194,7 @@ func (p *PreparedStmt) Exec(params ...Value) (*Result, error) { return p.exec(pa
 func (p *PreparedStmt) ExecNamed(named map[string]Value) (*Result, error) { return p.exec(nil, named) }
 
 func (p *PreparedStmt) exec(params []Value, named map[string]Value) (*Result, error) {
-	return p.s.execStmt(p.stmt, &p.fp, p, 0, "", p.src, params, named)
+	return p.s.execStmt(p.stmt, &p.fp, &p.parse, 0, "", p.src, params, named)
 }
 
 // Query executes a statement and requires it to produce a result set.
@@ -240,10 +240,10 @@ func isDDL(st Stmt) bool {
 // shared read, per-table latches, or the exclusive engine lock),
 // statement execution, then stats emission. parse and cache describe
 // how the statement text was resolved (see Exec/cachedParse) and flow
-// into the emitted StmtStats; a prepared statement passes itself as prep
-// (nil on the text path) and its one-time parse charge is taken here,
-// past the gates that can refuse the statement. src is the statement's
-// SQL text, which every caller has (change-stream capture needs it).
+// into the emitted StmtStats; a pre-parsed statement passes its one-time
+// parse cost as charge (nil on the text path), and it is taken here, past
+// the gates that can refuse the statement. src is the statement's SQL
+// text, which every caller has (change-stream capture needs it).
 //
 // Autocommit statements that lose a first-writer-wins race are retried
 // here against a fresh snapshot with exponential backoff before the
@@ -251,7 +251,7 @@ func isDDL(st Stmt) bool {
 // Statements inside an explicit transaction are not retried — earlier
 // statements of the transaction saw older snapshots, so the decision
 // belongs to the caller.
-func (s *Session) execStmt(st Stmt, fpc *fpSlot, prep *PreparedStmt, parse time.Duration, cache string, src string, params []Value, named map[string]Value) (res *Result, err error) {
+func (s *Session) execStmt(st Stmt, fpc *fpSlot, charge *atomic.Int64, parse time.Duration, cache string, src string, params []Value, named map[string]Value) (res *Result, err error) {
 	if s.locked {
 		// Re-entrant execution (native procedure bodies running on a
 		// child session): no hook, no stats — the enclosing statement
@@ -279,8 +279,8 @@ func (s *Session) execStmt(st Stmt, fpc *fpSlot, prep *PreparedStmt, parse time.
 			return nil, err
 		}
 	}
-	if prep != nil {
-		parse = time.Duration(prep.parse.Swap(0))
+	if charge != nil {
+		parse = time.Duration(charge.Swap(0))
 	}
 	sink := s.sink
 	if sink == nil {

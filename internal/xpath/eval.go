@@ -264,68 +264,94 @@ func (p *pathExpr) evalNode(ctx *Context) (Value, error) {
 
 func (p *pathExpr) evalSteps(current []*xdm.Node, steps []step, ctx *Context) (Value, error) {
 	for _, st := range steps {
-		var next []*xdm.Node
-		seen := map[*xdm.Node]bool{}
-		add := func(n *xdm.Node) {
-			if !seen[n] {
-				seen[n] = true
-				next = append(next, n)
-			}
-		}
-		for _, n := range current {
-			switch st.axis {
-			case axisChild:
-				for _, c := range n.Children {
-					if c.Kind == xdm.ElementNode && nameMatches(c, st.name) {
-						add(c)
-					}
-				}
-			case axisDescendant:
-				var walk func(*xdm.Node)
-				walk = func(m *xdm.Node) {
-					for _, c := range m.Children {
-						if c.Kind == xdm.ElementNode {
-							if nameMatches(c, st.name) {
-								add(c)
-							}
-							walk(c)
-						}
-					}
-				}
-				if nameMatches(n, st.name) {
-					add(n)
-				}
-				walk(n)
-			case axisSelf:
-				add(n)
-			case axisParent:
-				if pn := n.Parent(); pn != nil {
-					add(pn)
-				}
-			case axisAttribute:
-				if st.name == "*" {
-					for _, a := range n.Attrs {
-						add(attrNode(a.Name, a.Value))
-					}
-				} else if v, ok := n.Attr(st.name); ok {
-					add(attrNode(st.name, v))
-				}
-			case axisText:
-				for _, c := range n.Children {
-					if c.Kind == xdm.TextNode {
-						add(c)
-					}
-				}
-			}
-		}
-		var err error
-		next, err = applyStepPredicates(next, st, ctx)
+		next, err := applyStepPredicates(stepNodes(current, st), st, ctx)
 		if err != nil {
 			return Value{}, err
 		}
 		current = next
 	}
 	return NodeSet(current...), nil
+}
+
+// stepNodes applies one step's axis and name test to every context node,
+// in order. From a single context node no axis reaches a node twice, so
+// the de-duplication set is only built for a longer list (where `..` from
+// siblings or `//` from nested nodes does): a cursor's $set/Row and
+// $row/Field steps, evaluated per tuple, always start from one node.
+func stepNodes(current []*xdm.Node, st step) []*xdm.Node {
+	switch len(current) {
+	case 0:
+		return nil
+	case 1:
+		var next []*xdm.Node
+		if st.axis == axisChild || st.axis == axisText {
+			next = make([]*xdm.Node, 0, len(current[0].Children))
+		}
+		return axisNodes(next, current[0], st)
+	}
+	var next, reached []*xdm.Node
+	seen := map[*xdm.Node]bool{}
+	for _, n := range current {
+		reached = axisNodes(reached[:0], n, st)
+		for _, m := range reached {
+			if !seen[m] {
+				seen[m] = true
+				next = append(next, m)
+			}
+		}
+	}
+	return next
+}
+
+// axisNodes appends to dst the nodes the step's axis and name test reach
+// from n, in document order.
+func axisNodes(dst []*xdm.Node, n *xdm.Node, st step) []*xdm.Node {
+	switch st.axis {
+	case axisChild:
+		for _, c := range n.Children {
+			if c.Kind == xdm.ElementNode && nameMatches(c, st.name) {
+				dst = append(dst, c)
+			}
+		}
+	case axisDescendant:
+		if nameMatches(n, st.name) {
+			dst = append(dst, n)
+		}
+		dst = appendDescendants(dst, n, st.name)
+	case axisSelf:
+		dst = append(dst, n)
+	case axisParent:
+		if pn := n.Parent(); pn != nil {
+			dst = append(dst, pn)
+		}
+	case axisAttribute:
+		if st.name == "*" {
+			for _, a := range n.Attrs {
+				dst = append(dst, attrNode(a.Name, a.Value))
+			}
+		} else if v, ok := n.Attr(st.name); ok {
+			dst = append(dst, attrNode(st.name, v))
+		}
+	case axisText:
+		for _, c := range n.Children {
+			if c.Kind == xdm.TextNode {
+				dst = append(dst, c)
+			}
+		}
+	}
+	return dst
+}
+
+func appendDescendants(dst []*xdm.Node, n *xdm.Node, name string) []*xdm.Node {
+	for _, c := range n.Children {
+		if c.Kind == xdm.ElementNode {
+			if nameMatches(c, name) {
+				dst = append(dst, c)
+			}
+			dst = appendDescendants(dst, c, name)
+		}
+	}
+	return dst
 }
 
 func applyStepPredicates(nodes []*xdm.Node, st step, ctx *Context) ([]*xdm.Node, error) {

@@ -52,13 +52,16 @@ bench-test:
 	cd bench && $(GO) test ./...
 
 # Fuzz smoke: bounded runs of the WAL-scanner fuzzer (recovery must
-# survive arbitrary bytes), the script splitter behind ExecScript
+# survive arbitrary bytes), the record codec behind it (any payload in a
+# valid frame decodes or reads as torn, within its size, and what decodes
+# survives the live encoder), the script splitter behind ExecScript
 # (statement texts re-parse alone and cover the input), normalizeStmt
 # (idempotent on its own rendering) and the index key encoder (same key
 # iff equal under compareValues). CI-friendly; raise -fuzztime manually
 # for longer campaigns.
 fuzz:
 	$(GO) test -fuzz='^FuzzScan$$' -fuzztime=15s ./internal/journal/
+	$(GO) test -fuzz='^FuzzRecordCodec$$' -fuzztime=15s ./internal/journal/
 	$(GO) test -fuzz='^FuzzParseScript$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzNormalizeStmt$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzIndexKey$$' -fuzztime=15s ./internal/sqldb/

@@ -17,6 +17,7 @@ import (
 	"wfsql/internal/bis"
 	"wfsql/internal/dataset"
 	"wfsql/internal/engine"
+	"wfsql/internal/journal"
 	"wfsql/internal/mswf"
 	"wfsql/internal/orasoa"
 	"wfsql/internal/patterns"
@@ -271,6 +272,52 @@ func BenchmarkFigureInstance(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkDurableRound times the shape of the benchmark's mix-durable
+// workload without the harness: one instance each of BIS, WF and Oracle on
+// one environment with the WAL attached to both hosts, unsynced; every 40
+// rounds, with the timer stopped, the confirmations are cleared and a
+// checkpoint rewrites the WAL as a fresh segment.
+//
+//	go test -run '^$' -bench DurableRound -cpu 1 -cpuprofile /root/scratch/cpu.out -o /root/scratch/wfsql.test .
+func BenchmarkDurableRound(b *testing.B) {
+	env := NewEnvironment(figureScale)
+	rec, err := journal.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rec.Close()
+	rec.SetSyncPolicy(journal.SyncPolicy{Mode: journal.SyncNever})
+	rec.SetCheckpointEvery(0)
+	rec.SetRotateAtCheckpoint(true)
+	env.AttachJournal(rec)
+	var stacks []*Prepared
+	for _, stack := range Stacks() {
+		p, err := stack.Prepare(env, ResilienceConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		stacks = append(stacks, p)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range stacks {
+			if err := p.Run(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if i%40 == 39 {
+			b.StopTimer()
+			env.ResetConfirmations()
+			if err := rec.Checkpoint(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
 	}
 }
 

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -255,20 +258,35 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 	}
 }
 
+// frameJSON frames a JSON payload as the WAL does: [length][CRC32][payload].
+func frameJSON(payload []byte) []byte {
+	buf := make([]byte, 8, 8+len(payload))
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
+	return append(buf, payload...)
+}
+
+// legacyFrame frames rec as every build before the binary record encoding
+// did, as JSON: a parent-format journal is made of these bytes, whatever
+// the live encoder writes.
+func legacyFrame(t *testing.T, rec *journal.Record) []byte {
+	t.Helper()
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frameJSON(payload)
+}
+
 // parentFormatWAL rewrites a journal into the formats written before
 // activity-start records, variable-write records and the audit-only
-// state fields were dropped: an activity-start record before every memo,
+// state fields were dropped, and before records were binary: every record
+// as JSON, an activity-start record before every memo,
 // a variable-write record after it, and — after the first memo — a
 // checkpoint whose JSON lists completed ids and deployments and gives each
 // instance vars, started and compensations.
 func parentFormatWAL(t *testing.T, path string) {
 	t.Helper()
-	frame := func(payload []byte) []byte {
-		buf := make([]byte, 8, 8+len(payload))
-		binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-		return append(buf, payload...)
-	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -282,27 +300,15 @@ func parentFormatWAL(t *testing.T, path string) {
 	for i := range scan.Records {
 		r := &scan.Records[i]
 		if r.Kind == journal.KindActivityComplete {
-			as, err := journal.Marshal(&journal.Record{Kind: journal.KindActivityStart, Instance: r.Instance,
-				Activity: r.Activity, Occurrence: r.Occurrence, EffectKind: r.EffectKind})
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, as...)
+			out = append(out, legacyFrame(t, &journal.Record{Kind: journal.KindActivityStart, Instance: r.Instance,
+				Activity: r.Activity, Occurrence: r.Occurrence, EffectKind: r.EffectKind})...)
 		}
-		b, err := journal.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, b...)
+		out = append(out, legacyFrame(t, r)...)
 		if r.Kind != journal.KindActivityComplete {
 			continue
 		}
-		vw, err := journal.Marshal(&journal.Record{Kind: "variable-write", Instance: r.Instance,
-			Data: map[string]string{"x:" + r.Activity: "<RowSet/>"}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, vw...)
+		out = append(out, legacyFrame(t, &journal.Record{Kind: "variable-write", Instance: r.Instance,
+			Data: map[string]string{"x:" + r.Activity: "<RowSet/>"}})...)
 		if checkpointed {
 			continue
 		}
@@ -327,7 +333,7 @@ func parentFormatWAL(t *testing.T, path string) {
 		if cp, err = json.Marshal(m); err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, frame(cp)...)
+		out = append(out, frameJSON(cp)...)
 	}
 	if !checkpointed {
 		t.Fatal("crashed journal holds no memo to checkpoint after")
@@ -388,6 +394,169 @@ func TestCrashRecoveryFromParentFormatJournal(t *testing.T) {
 				t.Fatalf("journal still holds %d in-flight instances after recovery", n)
 			}
 		})
+	}
+}
+
+// recoverOn rebuilds env's host on the re-opened journal and resumes what
+// the journal holds in flight.
+func recoverOn(t *testing.T, env *Environment, stack Stack, rec *journal.Recorder) *Environment {
+	t.Helper()
+	host := env.Rebuild()
+	host.AttachJournal(rec)
+	p, err := stack.Prepare(host, ResilienceConfig{})
+	if err != nil {
+		t.Fatalf("prepare on rebuilt host: %v", err)
+	}
+	if err := p.Recover(rec); err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	if n := len(rec.InFlight()); n != 0 {
+		t.Fatalf("journal still holds %d in-flight instances after recovery", n)
+	}
+	return host
+}
+
+// TestJournalFormatsRecoverAlike: the same records in the binary encoding
+// and, transcoded one by one, in the JSON encoding of every earlier build
+// open to the same state and recover to the same baseline. Two
+// environments make the same crash run (after the second invoke's memo);
+// the second one's journal is replaced by the transcoding of the first's.
+func TestJournalFormatsRecoverAlike(t *testing.T) {
+	w := Workload{Orders: 18, Items: 4, ApprovalPercent: 100, Seed: 3}
+	for _, stack := range Stacks() {
+		stack, tgt := stack, crashTargets[stack.Name]
+		t.Run(matrixName(stack), func(t *testing.T) {
+			want := baselineRows(t, w, stack)
+			crashed := func() (*Environment, string) {
+				env := NewEnvironment(w)
+				rec := openJournal(t, t.TempDir())
+				chaos.Crash(rec, &chaos.CrashPlan{Point: journal.CrashAfterEffect, Activity: tgt.invokeAct, AtEffect: 2})
+				env.AttachJournal(rec)
+				if err := env.Run(stack, ResilienceConfig{}); !journal.IsCrash(err) {
+					t.Fatalf("crash run: want a crash error, got %v", err)
+				}
+				if err := rec.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return env, rec.Path()
+			}
+			binEnv, binPath := crashed()
+			jsonEnv, jsonPath := crashed()
+
+			raw, err := os.ReadFile(binPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan, err := journal.Scan(bytes.NewReader(raw))
+			if err != nil || scan.Torn || len(scan.Records) == 0 {
+				t.Fatalf("scan crashed journal: %v torn=%v records=%d", err, scan.Torn, len(scan.Records))
+			}
+			var transcoded []byte
+			for i := range scan.Records {
+				transcoded = append(transcoded, legacyFrame(t, &scan.Records[i])...)
+			}
+			if bytes.HasPrefix(raw[8:], []byte("{")) || len(transcoded) <= len(raw) {
+				t.Fatalf("the live journal (%d bytes) is not the binary one (JSON: %d bytes)", len(raw), len(transcoded))
+			}
+			if err := os.WriteFile(jsonPath, transcoded, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			binRec, jsonRec := openJournal(t, filepath.Dir(binPath)), openJournal(t, filepath.Dir(jsonPath))
+			defer binRec.Close()
+			defer jsonRec.Close()
+			if binRec.TornTail || jsonRec.TornTail || binRec.RecoveredRecords != jsonRec.RecoveredRecords {
+				t.Fatalf("binary: torn=%v, %d records; JSON: torn=%v, %d records",
+					binRec.TornTail, binRec.RecoveredRecords, jsonRec.TornTail, jsonRec.RecoveredRecords)
+			}
+			if b, j := binRec.State(), jsonRec.State(); !reflect.DeepEqual(b, j) {
+				t.Fatalf("states differ:\nbinary %+v\n  JSON %+v", b, j)
+			}
+			if b, j := binRec.InFlight(), jsonRec.InFlight(); len(b) != 1 || !reflect.DeepEqual(b, j) {
+				t.Fatalf("in-flight instances differ:\nbinary %+v\n  JSON %+v", b, j)
+			}
+			if b, j := binRec.DeadLetters(), jsonRec.DeadLetters(); !reflect.DeepEqual(b, j) {
+				t.Fatalf("dead letters differ:\nbinary %+v\n  JSON %+v", b, j)
+			}
+			for _, side := range []struct {
+				name string
+				env  *Environment
+				rec  *journal.Recorder
+			}{{"binary", binEnv, binRec}, {"JSON", jsonEnv, jsonRec}} {
+				host := recoverOn(t, side.env, stack, side.rec)
+				if got := confirmationRows(t, host); !sameRows(got, want) {
+					t.Fatalf("%s journal: recovered confirmations diverge from baseline:\n got %v\nwant %v", side.name, got, want)
+				}
+				ledgerMatches(t, host, want)
+			}
+		})
+	}
+}
+
+// TestRecoveryFromFailedMemoWrite: the write of an activity-complete
+// record fails half-way, and the host stops like a dead process — no fault
+// handler, no cleanup of what the journal still holds in flight (a BIS
+// instance that dropped its result table could not be resumed). The
+// recorder's file cannot be made to fail from here, so the failure is put
+// together from its halves: an append guard refuses the record, and like
+// the latch every record after it, with the error a failed write returns,
+// and the first half of the frame is then appended to the closed WAL.
+// (That the recorder itself acknowledges nothing behind such a frame is
+// internal/journal's TestWriteErrorLatches.) The
+// effect ran and its memo is torn, which is the in-doubt window: recovery
+// repeats that one effect, and only it.
+func TestRecoveryFromFailedMemoWrite(t *testing.T) {
+	w := Workload{Orders: 18, Items: 4, ApprovalPercent: 100, Seed: 3}
+	for _, stack := range Stacks() {
+		stack, tgt := stack, crashTargets[stack.Name]
+		want := baselineRows(t, w, stack)
+		for _, target := range []struct{ label, activity string }{{"invoke", tgt.invokeAct}, {"sql", tgt.sqlAct}} {
+			target := target
+			t.Run(matrixName(stack)+"/"+target.label, func(t *testing.T) {
+				env := NewEnvironment(w)
+				inserts := &chaos.SQLFaultPlan{Kinds: []string{"INSERT"}}
+				chaos.InstallSQL(env.DB, inserts)
+				defer chaos.InstallSQL(env.DB, nil)
+
+				dir := t.TempDir()
+				rec := openJournal(t, dir)
+				diskFull := fmt.Errorf("%w: append: no space left on device", journal.ErrWriteFailed)
+				var lost []byte
+				rec.SetAppendGuard(func(r *journal.Record) error {
+					if lost != nil { // latched: the instance's faulted completion is refused too
+						return diskFull
+					}
+					if r.Kind != journal.KindActivityComplete || r.Activity != target.activity || r.Occurrence != 2 {
+						return nil
+					}
+					lost = legacyFrame(t, r)
+					return diskFull
+				})
+				env.AttachJournal(rec)
+				if err := env.Run(stack, ResilienceConfig{}); !errors.Is(err, diskFull) {
+					t.Fatalf("run: want the write error, got %v", err)
+				}
+				if err := rec.Close(); err != nil {
+					t.Fatal(err)
+				}
+				f, err := os.OpenFile(rec.Path(), os.O_WRONLY|os.O_APPEND, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.Write(lost[:len(lost)/2]); err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
+
+				rec2 := openJournal(t, dir)
+				defer rec2.Close()
+				if !rec2.TornTail || len(rec2.InFlight()) != 1 {
+					t.Fatalf("re-opened journal: torn=%v, %d in flight; want the half frame cut off and 1 instance", rec2.TornTail, len(rec2.InFlight()))
+				}
+				host := recoverOn(t, env, stack, rec2)
+				expectRecovered(t, host, tgt, want, 1, inserts.Seen(), target.label, 1)
+			})
+		}
 	}
 }
 

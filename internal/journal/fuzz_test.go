@@ -2,8 +2,6 @@ package journal
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"io"
 	"testing"
 )
@@ -18,7 +16,7 @@ func FuzzScan(f *testing.F) {
 	// Seed corpus: an empty log, a well-formed log, and mutations of it
 	// covering every torn-tail class Scan distinguishes.
 	f.Add([]byte{})
-	valid := func() []byte {
+	log := func(frame func(testing.TB, *Record) []byte) []byte {
 		var buf bytes.Buffer
 		for _, rec := range []*Record{
 			{Kind: KindInstanceCreated, Instance: 1, Process: "P", Data: map[string]string{"k": "v"}},
@@ -28,18 +26,17 @@ func FuzzScan(f *testing.F) {
 			{Kind: KindTxnCommit, Instance: 1, Activity: "t"},
 			{Kind: KindInstanceComplete, Instance: 1},
 		} {
-			b, err := Marshal(rec)
-			if err != nil {
-				f.Fatal(err)
-			}
-			buf.Write(b)
+			buf.Write(frame(f, rec))
 		}
 		return buf.Bytes()
-	}()
+	}
+	valid := log(binaryFrame)
 	f.Add(valid)
-	f.Add(valid[:len(valid)-3])      // partial payload
-	f.Add(valid[:5])                 // partial header
-	f.Add(append(valid, 0xFF, 0xFF)) // trailing garbage
+	f.Add(log(legacyFrame))
+	f.Add(append(log(legacyFrame), valid...)) // a journal upgraded in place
+	f.Add(valid[:len(valid)-3])               // partial payload
+	f.Add(valid[:5])                          // partial header
+	f.Add(append(valid, 0xFF, 0xFF))          // trailing garbage
 	corrupt := append([]byte(nil), valid...)
 	corrupt[len(corrupt)/2] ^= 0x40 // flip a bit mid-log
 	f.Add(corrupt)
@@ -53,10 +50,7 @@ func FuzzScan(f *testing.F) {
 		`{"k":"checkpoint","s":{"completed":[4,5]}}`,
 		`{"k":"checkpoint","s":{"completed":-1}}`,
 	} {
-		b := make([]byte, frameHeaderLen, frameHeaderLen+len(cp))
-		binary.LittleEndian.PutUint32(b[0:4], uint32(len(cp)))
-		binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum([]byte(cp), crcTable))
-		f.Add(append(b, cp...))
+		f.Add(frameOf([]byte(cp)))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

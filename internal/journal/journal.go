@@ -14,10 +14,13 @@
 // re-executing their side effects -- and resume execution at the first
 // un-journaled activity.
 //
-// The journal is a single file of length- and CRC32-framed JSON
-// records. Torn tails (a partial record written at the moment of the
-// crash) are detected by the checksum and discarded; recovery stops
-// cleanly at the last valid record.
+// The journal is a single file of length- and CRC32-framed records:
+// binary tuples for everything an instance writes as it runs, JSON for
+// checkpoints (and for every record of a journal written before the
+// binary encoding existed, which still reads). Torn tails (a partial
+// record written at the moment of the crash) are detected by the
+// checksum and discarded; recovery stops cleanly at the last valid
+// record.
 //
 // The package deliberately depends only on the standard library so
 // every layer of the system (engine, product stacks, resilience, CLI)
@@ -27,9 +30,11 @@ package journal
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"time"
 )
 
@@ -77,8 +82,10 @@ const (
 	EffectStep   = "step"
 )
 
-// Record is one journal entry. JSON field names are terse because a
-// busy instance writes one record per effectful activity.
+// Record is one journal entry: a flat tuple of kind, instance, activity,
+// occurrence and key/value data. The JSON tags are the encoding of
+// checkpoint records and of journals written before the binary encoding
+// (appendRecord), which is what every other record is written in.
 type Record struct {
 	Kind       Kind              `json:"k"`
 	Instance   int64             `json:"i,omitempty"`
@@ -100,27 +107,144 @@ type Record struct {
 }
 
 // Framing: each record is [uint32 payload length][uint32 CRC32-IEEE of
-// payload][payload JSON]. Little-endian, to match the typical WAL
-// idiom. maxRecordLen guards against interpreting garbage as an
-// enormous length and allocating accordingly.
+// payload][payload], little-endian. A payload is JSON — checkpoints,
+// which hold a whole State and are written once per several hundred
+// records, and everything in a journal older than the binary encoding —
+// or the binary tuple
+//
+//	0x01 kind instance occurrence epoch seconds nanos process activity
+//	effect-kind pair-count (key value)*
+//
+// with integers as varints (signed ones zigzag), strings length-prefixed,
+// the time as Unix seconds and nanoseconds (read back in UTC) and the
+// data pairs in key order, so that equal records give equal bytes. JSON
+// starts with '{': the first payload byte is the whole format switch.
+// maxRecordLen guards against interpreting garbage as an enormous length.
 const (
 	frameHeaderLen = 8
 	maxRecordLen   = 64 << 20 // 64 MiB; a record is normally < 4 KiB
+	binaryRecord   = 0x01
 )
 
 var crcTable = crc32.MakeTable(crc32.IEEE)
 
-// Marshal frames a record for appending to the log.
-func Marshal(r *Record) ([]byte, error) {
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return nil, fmt.Errorf("journal: marshal record: %w", err)
+// kindCodes numbers the kinds for the binary encoding: a kind is written
+// as its index here, one this writer does not know as 0 and its name.
+// The numbers are file format: append only.
+var kindCodes = [...]Kind{"", KindDeploy, KindInstanceCreated, KindActivityStart, KindActivityComplete,
+	KindTxnBegin, KindTxnCommit, KindTxnRollback, KindCompensation, KindDeadLetter, KindDeadLetterRequeue,
+	KindInstanceComplete, KindCheckpoint, KindSQLEffect}
+
+// frameEncoder frames records in a buffer it keeps, so a writer that
+// holds one allocates nothing per record. The zero value is ready.
+type frameEncoder struct {
+	buf  []byte
+	keys []string // a record's data keys, sorted
+}
+
+// frame encodes r as one frame, valid until the next call: binary unless
+// r carries a checkpoint.
+func (e *frameEncoder) frame(r *Record) ([]byte, error) {
+	b := append(e.buf[:0], make([]byte, frameHeaderLen)...)
+	if r.Checkpoint != nil {
+		payload, err := json.Marshal(r)
+		if err != nil {
+			return nil, fmt.Errorf("journal: marshal checkpoint: %w", err)
+		}
+		b = append(b, payload...)
+	} else {
+		code := slices.Index(kindCodes[1:], r.Kind) + 1
+		b = append(b, binaryRecord, byte(code))
+		if code == 0 {
+			b = appendString(b, string(r.Kind))
+		}
+		b = binary.AppendVarint(b, r.Instance)
+		b = binary.AppendVarint(b, int64(r.Occurrence))
+		b = binary.AppendVarint(b, r.Epoch)
+		b = binary.AppendVarint(b, r.Time.Unix())
+		b = binary.AppendUvarint(b, uint64(r.Time.Nanosecond()))
+		b = appendString(b, r.Process)
+		b = appendString(b, r.Activity)
+		b = appendString(b, r.EffectKind)
+		e.keys = e.keys[:0]
+		for k := range r.Data {
+			e.keys = append(e.keys, k)
+		}
+		slices.Sort(e.keys)
+		b = binary.AppendUvarint(b, uint64(len(e.keys)))
+		for _, k := range e.keys {
+			b = appendString(appendString(b, k), r.Data[k])
+		}
 	}
-	buf := make([]byte, frameHeaderLen+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
-	copy(buf[frameHeaderLen:], payload)
-	return buf, nil
+	binary.LittleEndian.PutUint32(b[0:4], uint32(len(b)-frameHeaderLen))
+	binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(b[frameHeaderLen:], crcTable))
+	e.buf = b
+	return b, nil
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+var errMalformed = errors.New("malformed binary record")
+
+// decodeRecord decodes a frame's payload in either encoding. A binary
+// payload must be exactly one well-formed tuple, and nothing is allocated
+// on a length or count it claims beyond the bytes it has.
+func decodeRecord(b []byte) (*Record, error) {
+	rec := &Record{}
+	if len(b) == 0 || b[0] != binaryRecord {
+		return rec, json.Unmarshal(b, rec)
+	}
+	b = b[1:]
+	bad := false
+	uvarint := func() uint64 {
+		v, n := binary.Uvarint(b)
+		if n <= 0 {
+			bad, n = true, len(b)
+		}
+		b = b[n:]
+		return v
+	}
+	varint := func() int64 {
+		u := uvarint()
+		return int64(u>>1) ^ -int64(u&1)
+	}
+	str := func() string {
+		n := uvarint()
+		if n > uint64(len(b)) {
+			bad, n = true, 0
+		}
+		s := string(b[:n])
+		b = b[n:]
+		return s
+	}
+	if code := uvarint(); code == 0 {
+		rec.Kind = Kind(str())
+	} else if code < uint64(len(kindCodes)) {
+		rec.Kind = kindCodes[code]
+	} else {
+		bad = true
+	}
+	rec.Instance, rec.Occurrence, rec.Epoch = varint(), int(varint()), varint()
+	sec, nsec := varint(), uvarint()
+	rec.Time = time.Unix(sec, int64(nsec)).UTC()
+	rec.Process, rec.Activity, rec.EffectKind = str(), str(), str()
+	pairs := uvarint()
+	if bad || nsec >= uint64(time.Second) || pairs > uint64(len(b)/2) { // a pair is two length bytes at least
+		return nil, errMalformed
+	}
+	if pairs > 0 {
+		rec.Data = make(map[string]string, pairs)
+	}
+	for ; pairs > 0; pairs-- {
+		k := str()
+		rec.Data[k] = str()
+	}
+	if bad || len(b) > 0 {
+		return nil, errMalformed
+	}
+	return rec, nil
 }
 
 // ScanResult reports what a Scan found.

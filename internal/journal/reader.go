@@ -2,11 +2,11 @@ package journal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // This file is the incremental WAL frame reader: the one decoder both
@@ -44,9 +44,10 @@ func IsTorn(err error) bool {
 // (Next returns the record, Offset advances) or not at all (Next
 // returns io.EOF or a *TornError, Offset stays put).
 type FrameReader struct {
-	r      io.Reader
-	off    int64
-	header [frameHeaderLen]byte
+	r       io.Reader
+	off     int64
+	header  [frameHeaderLen]byte
+	payload []byte // reused between frames; a Record never points into it
 }
 
 // NewFrameReader returns a FrameReader decoding from r. The reader's
@@ -83,24 +84,34 @@ func (fr *FrameReader) Next() (*Record, error) {
 	if length > maxRecordLen {
 		return nil, &TornError{Reason: fmt.Sprintf("implausible record length %d", length)}
 	}
-	payload := make([]byte, length)
-	n, err = io.ReadFull(fr.r, payload)
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		return nil, &TornError{Reason: fmt.Sprintf("partial payload (%d of %d bytes)", n, length)}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("journal: read frame payload: %w", err)
+	// The buffer grows as bytes arrive (4 KiB, then doubling), never to
+	// the length the header claims: a tailer parked on a torn tail reads
+	// the same garbage length on every poll.
+	payload, want := fr.payload[:0], int(length)
+	for len(payload) < want {
+		if len(payload) == cap(payload) {
+			payload = slices.Grow(payload, min(want-len(payload), max(len(payload), 4<<10)))
+			fr.payload = payload
+		}
+		n, err = io.ReadFull(fr.r, payload[len(payload):min(cap(payload), want)])
+		payload = payload[:len(payload)+n]
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return nil, &TornError{Reason: fmt.Sprintf("partial payload (%d of %d bytes)", len(payload), length)}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("journal: read frame payload: %w", err)
+		}
 	}
 	if crc32.Checksum(payload, crcTable) != sum {
 		return nil, &TornError{Reason: "checksum mismatch"}
 	}
-	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		// Passing the checksum but failing to parse means a writer bug
+	rec, err := decodeRecord(payload)
+	if err != nil {
+		// Passing the checksum but failing to decode means a writer bug
 		// or version skew, not a torn write; still stop cleanly rather
 		// than hand garbage to replay.
 		return nil, &TornError{Reason: fmt.Sprintf("undecodable record: %v", err)}
 	}
 	fr.off += int64(frameHeaderLen) + int64(length)
-	return &rec, nil
+	return rec, nil
 }

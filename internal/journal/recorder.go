@@ -93,10 +93,20 @@ func (e *CrashError) Error() string {
 // Temporary reports false: crashes are not retryable in-process.
 func (e *CrashError) Temporary() bool { return false }
 
-// IsCrash reports whether err is (or wraps) a simulated crash.
+// ErrWriteFailed is returned (wrapped) by Append, Checkpoint and Sync once
+// a write to the WAL has failed: the file may end in a partial frame,
+// where recovery stops, so a record written behind it would be
+// acknowledged and lost. The recorder accepts nothing more, and its host
+// is as good as dead — see IsCrash.
+var ErrWriteFailed = errors.New("journal: WAL write failed")
+
+// IsCrash reports whether err is (or wraps) a simulated crash, or the
+// real thing: a host that has lost its journal must stop the way a dead
+// process does, without fault handlers or cleanup, because the journal
+// still holds its instances in flight and recovery needs what they left.
 func IsCrash(err error) bool {
 	var ce *CrashError
-	return errors.As(err, &ce)
+	return errors.As(err, &ce) || errors.Is(err, ErrWriteFailed)
 }
 
 // AsCrash extracts the crash error if present.
@@ -199,6 +209,9 @@ type Recorder struct {
 	pendingSync     int         // unsynced commit-critical records
 	syncCount       int64       // fsyncs issued (tests, metrics)
 	obs             *obsv.Observability
+	kindAppends     map[Kind]*obsv.Counter // journal.appends.<kind>, as obs resolved them
+	enc             frameEncoder           // Append's frames; checkpoints do not go through it
+	writeErr        error                  // the first failed write, wrapping ErrWriteFailed; latched
 
 	// rotate, when set, makes every checkpoint rewrite the WAL as a
 	// fresh segment that starts at the checkpoint (SetRotateAtCheckpoint);
@@ -307,6 +320,7 @@ func (r *Recorder) SetObservability(o *obsv.Observability) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.obs = o
+	r.kindAppends = map[Kind]*obsv.Counter{}
 	if o != nil {
 		o.M().Counter("journal.recover.records").Add(int64(r.RecoveredRecords))
 		o.M().Histogram("journal.recover_ms").ObserveDuration(r.RecoverDuration)
@@ -402,15 +416,22 @@ func (r *Recorder) FencedWrites() int64 {
 // to the recorder's SyncPolicy before Append returns, so a memo that
 // Append acknowledged is not lost while the effect's side effect
 // survives.
+//
+// The state keeps an activity-complete record's Data as the memo without
+// copying it: the caller hands the map over and must not write to it
+// again. (An instance-created record's Data, the caller's input, is copied.)
 func (r *Recorder) Append(rec *Record) error {
-	if rec.Time.IsZero() {
-		rec.Time = time.Now().UTC()
-	}
 	start := time.Now()
+	if rec.Time.IsZero() {
+		rec.Time = start.UTC()
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
 		return fmt.Errorf("journal: append on closed recorder")
+	}
+	if r.writeErr != nil {
+		return r.writeErr
 	}
 	// Epoch stamping and the fence check happen under the same mutex
 	// that serializes the write itself: once a guard observes a newer
@@ -419,21 +440,29 @@ func (r *Recorder) Append(rec *Record) error {
 	if err := r.guardLocked(rec); err != nil {
 		return err
 	}
-	buf, err := Marshal(rec)
+	buf, err := r.enc.frame(rec)
 	if err != nil {
 		return err
 	}
 	if _, err := r.f.Write(buf); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
+		r.writeErr = fmt.Errorf("%w: append: %v", ErrWriteFailed, err)
+		return r.writeErr
 	}
 	r.state.Apply(rec)
 	r.appended++
 	if err := r.maybeSyncLocked(rec.Kind); err != nil {
 		return err
 	}
-	r.obs.M().Counter("journal.appends").Inc()
-	r.obs.M().Counter("journal.appends." + string(rec.Kind)).Inc()
-	r.obs.M().Histogram("journal.append_ms").ObserveDuration(time.Since(start))
+	if r.obs != nil {
+		byKind := r.kindAppends[rec.Kind]
+		if byKind == nil {
+			byKind = r.obs.M().Counter("journal.appends." + string(rec.Kind))
+			r.kindAppends[rec.Kind] = byKind
+		}
+		byKind.Inc()
+		r.obs.M().Counter("journal.appends").Inc()
+		r.obs.M().Histogram("journal.append_ms").ObserveDuration(time.Since(start))
+	}
 	if r.checkpointEvery > 0 && r.appended >= r.checkpointEvery && rec.Kind != KindCheckpoint {
 		return r.checkpointLocked()
 	}
@@ -670,6 +699,9 @@ func (r *Recorder) Checkpoint() error {
 	if r.closed {
 		return fmt.Errorf("journal: checkpoint on closed recorder")
 	}
+	if r.writeErr != nil {
+		return r.writeErr
+	}
 	return r.checkpointLocked()
 }
 
@@ -687,7 +719,7 @@ func (r *Recorder) checkpointLocked() error {
 	if err := r.guardLocked(rec); err != nil {
 		return err
 	}
-	buf, err := Marshal(rec)
+	buf, err := new(frameEncoder).frame(rec) // not r.enc: a snapshot's buffer is not one to keep
 	if err != nil {
 		return err
 	}
@@ -705,7 +737,8 @@ func (r *Recorder) checkpointLocked() error {
 		// Not a real file: fall through to the append-only checkpoint.
 	}
 	if _, err := r.f.Write(buf); err != nil {
-		return fmt.Errorf("journal: checkpoint: %w", err)
+		r.writeErr = fmt.Errorf("%w: checkpoint: %v", ErrWriteFailed, err)
+		return r.writeErr
 	}
 	r.appended = 0
 	if err := r.maybeSyncLocked(KindCheckpoint); err != nil {
@@ -723,6 +756,9 @@ func (r *Recorder) Sync() error {
 	defer r.mu.Unlock()
 	if r.closed {
 		return nil
+	}
+	if r.writeErr != nil {
+		return r.writeErr
 	}
 	return r.syncLocked()
 }
@@ -798,6 +834,7 @@ func (r *Recorder) ActivityStart(id int64, activity string, occurrence int, effe
 }
 
 // ActivityComplete journals an effectful activity's memoized result.
+// The journal keeps memo (see Append): the caller must not write to it again.
 func (r *Recorder) ActivityComplete(id int64, activity string, occurrence int, effectKind string, memo map[string]string) error {
 	return r.Append(&Record{Kind: KindActivityComplete, Instance: id, Activity: activity, Occurrence: occurrence, EffectKind: effectKind, Data: memo})
 }

@@ -132,7 +132,9 @@ func (s *State) Apply(r *Record) {
 		}
 	case KindActivityComplete:
 		ij := s.instance(r.Instance)
-		m := Memo{Occurrence: r.Occurrence, Kind: r.EffectKind, Data: copyMap(r.Data)}
+		// Kept, not copied: its producer (an effect, the decoder) built the
+		// map for this record, and readers outside get clones.
+		m := Memo{Occurrence: r.Occurrence, Kind: r.EffectKind, Data: r.Data}
 		if r.EffectKind == EffectSQL && ij.OpenTxns > 0 {
 			if ij.Pending == nil {
 				ij.Pending = map[string][]Memo{}

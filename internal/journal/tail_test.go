@@ -76,43 +76,44 @@ func TestTailerFollowsLiveAppends(t *testing.T) {
 // completing the frame later delivers the record exactly once — the
 // live analogue of Scan's torn-tail handling.
 func TestTailerTornTailRetry(t *testing.T) {
-	dir := t.TempDir()
-	r, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	must(t, r.InstanceCreated(1, "P", "", map[string]string{"id": "r1"}))
-	must(t, r.Close())
+	for name, frame := range map[string]func(testing.TB, *Record) []byte{"binary": binaryFrame, "legacy": legacyFrame} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			r, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			must(t, r.InstanceCreated(1, "P", "", map[string]string{"id": "r1"}))
+			must(t, r.Close())
 
-	buf, err := Marshal(&Record{Kind: KindActivityStart, Instance: 1, Activity: "A", Data: map[string]string{"id": "r2"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, WALName)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	half := len(buf) / 2
-	if _, err := f.Write(buf[:half]); err != nil {
-		t.Fatal(err)
-	}
+			buf := frame(t, &Record{Kind: KindActivityStart, Instance: 1, Activity: "A", Data: map[string]string{"id": "r2"}})
+			path := filepath.Join(dir, WALName)
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			half := len(buf) / 2
+			if _, err := f.Write(buf[:half]); err != nil {
+				t.Fatal(err)
+			}
 
-	tl := NewTailer(dir)
-	defer tl.Close()
-	got := map[string]int{}
-	pollIDs(t, tl, got)
-	if got["r1"] != 1 || got["r2"] != 0 {
-		t.Fatalf("torn poll delivered %v, want only r1", got)
-	}
+			tl := NewTailer(dir)
+			defer tl.Close()
+			got := map[string]int{}
+			pollIDs(t, tl, got)
+			if got["r1"] != 1 || got["r2"] != 0 {
+				t.Fatalf("torn poll delivered %v, want only r1", got)
+			}
 
-	if _, err := f.Write(buf[half:]); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	pollIDs(t, tl, got)
-	if got["r2"] != 1 {
-		t.Fatalf("completed frame delivered %d times, want 1", got["r2"])
+			if _, err := f.Write(buf[half:]); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			pollIDs(t, tl, got)
+			if got["r2"] != 1 {
+				t.Fatalf("completed frame delivered %d times, want 1", got["r2"])
+			}
+		})
 	}
 }
 

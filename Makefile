@@ -68,9 +68,10 @@ fuzz:
 
 # The gate: build, vet, formatting, the suite without the race detector
 # (the allocation gates — TestAllocBudget, TestCursorLoopScalesLinearly —
-# skip under it), the full race-enabled suite (soak included), then the
-# fuzz smoke.
-ci: build vet fmt test race fuzz
+# skip under it), the benchmark module's own tests (so an API the harness
+# pins cannot break unseen), the full race-enabled suite (soak included),
+# then the fuzz smoke.
+ci: build vet fmt test bench-test race fuzz
 
 # Non-test Go lines outside bench/: the size ROADMAP item 2 tracks and
 # every PR reports before/after.

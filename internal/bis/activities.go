@@ -65,21 +65,18 @@ func (a *SQLActivity) WithRetry(p *resilience.Policy) *SQLActivity {
 func (a *SQLActivity) Name() string { return a.ActivityName }
 
 // Execute implements engine.Activity. The statement (with its retry
-// policy) runs as one journaled SQL effect: the memo records the bound
-// result table (if any), so a recovered instance re-binds the set
-// reference without re-executing the statement. The memo is durable
-// immediately in autocommit mode; inside a transaction it stays pending
-// in the journal until the COMMIT record lands, so un-committed work
-// re-runs as a whole on recovery (unit-of-work semantics).
+// policy) runs as one journaled SQL effect that publishes the table its
+// result set reference is bound to, memo key "table" (bis state, not a
+// process variable, so not in the engine's variable dialect). The memo is
+// durable immediately in autocommit mode; inside a transaction it stays
+// pending in the journal until the COMMIT record lands, so un-committed
+// work re-runs as a whole on recovery (unit-of-work semantics).
 func (a *SQLActivity) Execute(ctx *engine.Ctx) error {
 	st, err := getState(ctx)
 	if err != nil {
 		return err
 	}
-	effect := func() (map[string]string, error) {
-		if err := a.executeLive(ctx, st); err != nil {
-			return nil, err
-		}
+	save := func() (map[string]string, error) {
 		memo := map[string]string{}
 		if a.ResultRef != "" {
 			if ref, err := SetReference(ctx, a.ResultRef); err == nil {
@@ -90,7 +87,7 @@ func (a *SQLActivity) Execute(ctx *engine.Ctx) error {
 		}
 		return memo, nil
 	}
-	replay := func(memo map[string]string) error {
+	restore := func(memo map[string]string) error {
 		if a.ResultRef == "" || memo["table"] == "" {
 			return nil
 		}
@@ -106,7 +103,8 @@ func (a *SQLActivity) Execute(ctx *engine.Ctx) error {
 		st.mu.Unlock()
 		return nil
 	}
-	return ctx.RunEffect(a.ActivityName, journal.EffectSQL, effect, replay)
+	return ctx.RunEffect(a.ActivityName, journal.EffectSQL,
+		func() error { return a.executeLive(ctx, st) }, journal.Outcome{Save: save, Restore: restore})
 }
 
 // executeLive performs the statement with retry handling (no journaling).

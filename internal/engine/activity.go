@@ -469,40 +469,13 @@ func (iv *Invoke) Name() string { return iv.ActivityName }
 
 // Execute implements Activity. The whole call — input evaluation, bus
 // invocation under the retry policy, dead-letter handling, and output
-// binding — runs as one journaled effect: its memo records the final
-// output variable values (including degraded DEADLETTERED markers), so
-// a recovered instance replays the response without re-invoking the
-// service. Exactly-once for external effects means exactly-once
-// *visible* effects: the memo is written only after the call returned,
-// so a crash between effect and journal re-runs the call on recovery —
-// the same at-least-once window every durable-execution system has —
-// while a crash after journaling replays without touching the bus.
+// binding — runs as one journaled effect that publishes the output
+// variables (including degraded DEADLETTERED markers), so a recovered
+// instance replays the response without re-invoking the service.
 func (iv *Invoke) Execute(ctx *Ctx) error {
-	effect := func() (map[string]string, error) {
-		if err := iv.executeLive(ctx); err != nil {
-			return nil, err
-		}
-		memo := map[string]string{}
-		for _, varName := range iv.Outputs {
-			v, err := ctx.Variable(varName)
-			if err != nil {
-				return nil, err
-			}
-			memo["out:"+varName] = v.String()
-		}
-		return memo, nil
-	}
-	replay := func(memo map[string]string) error {
-		for k, v := range memo {
-			if strings.HasPrefix(k, "out:") {
-				if err := ctx.SetScalar(strings.TrimPrefix(k, "out:"), v); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	return ctx.RunEffect(iv.ActivityName, journal.EffectInvoke, effect, replay)
+	v := variables{ctx: ctx, parts: iv.Outputs}
+	return ctx.RunEffect(iv.ActivityName, journal.EffectInvoke,
+		func() error { return iv.executeLive(ctx) }, journal.Outcome{Save: v.save, Restore: v.restore})
 }
 
 // executeLive performs the actual service invocation (no journaling).
@@ -762,11 +735,6 @@ func (c *Compensate) Execute(ctx *Ctx) error {
 				return err
 			}
 			return fmt.Errorf("%s: compensating %s: %w", c.ActivityName, scopeName, err)
-		}
-		if rec := ctx.Inst.Engine.Journal(); rec != nil {
-			if err := rec.Compensation(ctx.Inst.ID, scopeName); err != nil {
-				return err
-			}
 		}
 	}
 }

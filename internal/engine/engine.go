@@ -198,11 +198,6 @@ func (e *Engine) Deploy(p *Process) (*Deployment, error) {
 			return nil, fmt.Errorf("engine: process %s contains an unnamed activity", p.Name)
 		}
 	}
-	if rec := e.Journal(); rec != nil {
-		if err := rec.Deploy(p.Name); err != nil {
-			return nil, err
-		}
-	}
 	return &Deployment{Process: p, Engine: e}, nil
 }
 
@@ -221,14 +216,16 @@ func (d *Deployment) NewInstance(input map[string]string) (*Instance, error) {
 	return d.newInstance(id, input, true)
 }
 
-// newInstance builds an instance with a fixed ID; journalCreate
-// controls whether an instance-created record is appended (false when
-// resuming a recovered instance whose creation is already journaled).
+// newInstance builds an instance with a fixed ID, under the recorder
+// attached to the engine now; journalCreate controls whether an
+// instance-created record is appended (false when resuming a recovered
+// instance whose creation is already journaled).
 func (d *Deployment) newInstance(id int64, input map[string]string, journalCreate bool) (*Instance, error) {
 	in := &Instance{
 		ID:      id,
 		Process: d.Process,
 		Engine:  d.Engine,
+		jrec:    d.Engine.Journal(),
 		vars:    make(map[string]*Variable, len(d.Process.Variables)),
 		context: map[string]any{},
 		state:   StateReady,
@@ -266,11 +263,9 @@ func (d *Deployment) newInstance(id int64, input map[string]string, journalCreat
 			pv.SetString(v)
 		}
 	}
-	if journalCreate {
-		if rec := d.Engine.Journal(); rec != nil {
-			if err := rec.InstanceCreated(in.ID, d.Process.Name, d.Process.Mode.String(), in.input); err != nil {
-				return nil, err
-			}
+	if journalCreate && in.jrec != nil {
+		if err := in.jrec.InstanceCreated(in.ID, d.Process.Name, d.Process.Mode.String(), in.input); err != nil {
+			return nil, err
 		}
 	}
 	return in, nil
@@ -441,7 +436,7 @@ func (e *Engine) executeCtx(runCtx context.Context, in *Instance) error {
 		obs.M().Counter("engine.instances.completed").Inc()
 		span.End(obsv.OutcomeOK)
 	}
-	if rec := e.Journal(); rec != nil {
+	if rec := in.jrec; rec != nil {
 		fault := ""
 		if err != nil {
 			fault = err.Error()

@@ -70,10 +70,11 @@ type Instance struct {
 	input   map[string]string
 	output  map[string]string
 
-	// Durable-execution state: the effect-then-memo protocol's
-	// replay queues and occurrence counters, and crash hooks (run on
-	// simulated process death to model server-side rollback of the
-	// instance's open database transactions).
+	// Durable-execution state: the recorder the instance was created
+	// under (nil: none), the effect-then-memo protocol's replay queues and
+	// occurrence counters, and crash hooks (run on simulated process death
+	// to model server-side rollback of the instance's open transactions).
+	jrec       *journal.Recorder
 	effects    journal.Effects
 	crashHooks []func()
 

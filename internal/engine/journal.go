@@ -13,11 +13,11 @@ import (
 // This file wires the engine to the durable instance journal
 // (internal/journal): the runtime-database role the paper ascribes to
 // BIS's navigator. With a journal attached, every instance creation,
-// effectful activity result, compensation, dead letter and completion
-// is written ahead to the WAL, and crashed instances can be resumed by
-// deterministic replay: completed effects are
-// re-applied from their memoized results (no duplicated side effects),
-// and execution picks up live at the first un-journaled activity.
+// effectful activity result, dead letter and completion is written to
+// the WAL, and crashed instances are resumed by deterministic replay:
+// completed effects are re-applied from their memoized results (no
+// duplicated side effects), and execution picks up live at the first
+// un-journaled activity.
 
 // AttachJournal connects a recorder to the engine. It restores the
 // persisted dead-letter log and installs persistence hooks so future
@@ -41,19 +41,80 @@ func (e *Engine) Journal() *journal.Recorder {
 }
 
 // RunEffect routes an effectful activity (invoke, SQL) through the
-// effect-then-memo protocol (journal.Effects.Run): a resumed
-// instance replays the memoized result instead of executing the effect,
-// a live one journals its memo after it, and with no journal attached the
-// effect runs bare.
-func (c *Ctx) RunEffect(activity, effectKind string, effect func() (map[string]string, error), replay func(memo map[string]string) error) error {
+// effect-then-memo protocol (journal.Effects.Run) on the recorder the
+// instance was created under: a resumed instance restores the memoized
+// outcome instead of executing the effect, a live one journals what out
+// saves after it, and with no journal attached the effect runs bare.
+func (c *Ctx) RunEffect(activity, effectKind string, effect func() error, out journal.Outcome) error {
 	in := c.Inst
-	occ, replayed, err := in.effects.Run(in.Engine.Journal(), in.ID, activity, effectKind, effect, replay)
+	occ, replayed, err := in.effects.Run(in.jrec, in.ID, activity, effectKind, effect, out)
 	if replayed && err == nil {
 		in.recordTrace(activity, "replayed", fmt.Sprintf("occurrence %d from journal", occ))
 		c.span.Set("effect", effectKind).SetOutcome(obsv.OutcomeReplayed)
 		c.Engine.Obs().M().Counter("journal.replays").Inc()
 	}
 	return err
+}
+
+// variables is the engine's one memo dialect and the outcome of every
+// effect whose visible result is process variables — Journaled's captures
+// (names), Invoke's outputs (the values of parts): an XML variable as
+// "x:<name>" (its serialized document, "" when unset), a scalar as
+// "s:<name>".
+type variables struct {
+	ctx   *Ctx
+	names []string
+	parts map[string]string
+}
+
+func (v variables) save() (map[string]string, error) {
+	memo := make(map[string]string, len(v.names)+len(v.parts))
+	put := func(name string) error {
+		pv, err := v.ctx.Variable(name)
+		if err != nil {
+			return err
+		}
+		if pv.Kind() != XMLVar {
+			memo["s:"+name] = pv.String()
+		} else if n := pv.Node(); n != nil {
+			memo["x:"+name] = n.String()
+		} else {
+			memo["x:"+name] = ""
+		}
+		return nil
+	}
+	for _, name := range v.names {
+		if err := put(name); err != nil {
+			return nil, err
+		}
+	}
+	for _, name := range v.parts {
+		if err := put(name); err != nil {
+			return nil, err
+		}
+	}
+	return memo, nil
+}
+
+func (v variables) restore(memo map[string]string) error {
+	for k, val := range memo {
+		prefix, name, _ := strings.Cut(k, ":")
+		switch {
+		case prefix == "s" || prefix == "out": // "out:<name>" is how Invoke wrote its outputs before it shared this codec
+			if err := v.ctx.SetScalar(name, val); err != nil {
+				return err
+			}
+		case prefix == "x" && val != "":
+			n, err := xdm.Parse(val)
+			if err != nil {
+				return fmt.Errorf("memoized document for %s: %w", name, err)
+			}
+			if err := v.ctx.SetNode(name, n); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // JournaledActivity wraps an arbitrary activity as a journaled effect:
@@ -79,51 +140,9 @@ func (j *JournaledActivity) Name() string { return j.Inner.Name() }
 
 // Execute implements Activity.
 func (j *JournaledActivity) Execute(ctx *Ctx) error {
-	effect := func() (map[string]string, error) {
-		if err := j.Inner.Execute(ctx); err != nil {
-			return nil, err
-		}
-		memo := map[string]string{}
-		for _, name := range j.Captures {
-			v, err := ctx.Variable(name)
-			if err != nil {
-				return nil, err
-			}
-			if v.Kind() == XMLVar {
-				if n := v.Node(); n != nil {
-					memo["x:"+name] = n.String()
-				} else {
-					memo["x:"+name] = ""
-				}
-			} else {
-				memo["s:"+name] = v.String()
-			}
-		}
-		return memo, nil
-	}
-	replay := func(memo map[string]string) error {
-		for k, val := range memo {
-			switch {
-			case strings.HasPrefix(k, "s:"):
-				if err := ctx.SetScalar(k[2:], val); err != nil {
-					return err
-				}
-			case strings.HasPrefix(k, "x:"):
-				if val == "" {
-					continue
-				}
-				n, err := xdm.Parse(val)
-				if err != nil {
-					return fmt.Errorf("memoized document for %s: %w", k[2:], err)
-				}
-				if err := ctx.SetNode(k[2:], n); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	return ctx.RunEffect(j.Inner.Name(), j.EffectKind, effect, replay)
+	v := variables{ctx: ctx, names: j.Captures}
+	return ctx.RunEffect(j.Inner.Name(), j.EffectKind,
+		func() error { return j.Inner.Execute(ctx) }, journal.Outcome{Save: v.save, Restore: v.restore})
 }
 
 // Resume rebuilds an instance from its journal and executes it to

@@ -89,7 +89,7 @@ func randomRecord(rng *rand.Rand) *Record {
 		Process:    str(),
 		Activity:   str(),
 		Occurrence: int(num()),
-		EffectKind: []string{"", EffectSQL, EffectInvoke, EffectStep, "long-running"}[rng.Intn(5)],
+		EffectKind: []string{"", EffectSQL, EffectInvoke, "step", "long-running"}[rng.Intn(5)],
 		Epoch:      num(),
 	}
 	switch rng.Intn(4) {

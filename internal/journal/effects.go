@@ -48,62 +48,70 @@ func (p *Effects) next(activity string) (occ int, m Memo, ok bool) {
 	return occ, m, ok
 }
 
+// Outcome is what an effect publishes: the visible state an activity
+// leaves behind (output variables, a bound result table, a DataSet).
+// Save captures it into a fresh memo, which Run hands to the journal and
+// drops (see Recorder.Append); Restore re-applies a journaled memo. A pair
+// of funcs, not an interface: Run only calls them, so the closures and
+// method values a call site passes stay on its stack.
+type Outcome struct {
+	Save    func() (map[string]string, error)
+	Restore func(memo map[string]string) error
+}
+
 // Run routes one effectful activity (invoke, SQL) of instance id
 // through the protocol and reports the activity's occurrence number
 // and whether it was replayed.
 //
-// Replay mode: if a memo for this activity is queued, the effect is
-// NOT executed; replay re-applies the memoized result and the activity
-// completes with identical visible state and zero repeated side
-// effects.
+// Replay: if a memo for this activity is queued, the effect is NOT
+// executed; out.Restore re-applies the memoized result, so the activity
+// completes with identical visible state and no repeated side effect.
 //
-// Live mode: one journal append per effect, the memo, bracketed by the
-// three chaos crash points —
+// Live: the effect, then one journal append — the memo out.Save builds —
+// bracketed by the three chaos crash points (see CrashPoint):
 //
-//	crash?(before-journal)        neither write has happened
-//	effect()                      -> memo
+//	crash?(before-journal)
+//	effect()
 //	crash?(after-effect-before-journal)
-//	journal activity-complete(memo)
+//	journal activity-complete(out.Save())
 //	crash?(after-effect)
 //
-// so recovery is exercised at every interleaving a real crash can
-// produce. The effect is exactly-once from its memo onward; a crash
-// between the effect and its memo leaves that one effect in doubt and
-// recovery repeats it (at-least-once inside the window, never a loss).
-// With no journal attached (rec == nil) the effect runs bare.
-func (p *Effects) Run(rec *Recorder, id int64, activity, effectKind string,
-	effect func() (map[string]string, error), replay func(memo map[string]string) error) (occ int, replayed bool, err error) {
+// The effect is exactly-once from its memo onward; a crash between the
+// two leaves that one effect in doubt and recovery repeats it
+// (at-least-once inside the window, never a loss). With no journal
+// attached (rec == nil) the effect runs bare: nobody would write a memo,
+// so none is built.
+func (p *Effects) Run(rec *Recorder, id int64, activity, effectKind string, effect func() error, out Outcome) (occ int, replayed bool, err error) {
 	occ, m, ok := p.next(activity)
 	if ok {
-		if err := replay(m.Data); err != nil {
+		if err := out.Restore(m.Data); err != nil {
 			return occ, true, fmt.Errorf("%s: replay: %w", activity, err)
 		}
 		return occ, true, nil
 	}
 	if rec == nil {
-		_, err := effect()
+		return occ, false, effect()
+	}
+	if ce := rec.ShouldCrash(id, activity, CrashBeforeJournal); ce != nil {
+		return occ, false, ce
+	}
+	if err := effect(); err != nil {
 		return occ, false, err
 	}
-	crash := func(point CrashPoint) error {
-		if ce := rec.ShouldCrash(id, activity, point); ce != nil {
-			return ce
-		}
-		return nil
+	if ce := rec.ShouldCrash(id, activity, CrashAfterEffectBeforeJournal); ce != nil {
+		return occ, false, ce
 	}
-	if err := crash(CrashBeforeJournal); err != nil {
-		return occ, false, err
-	}
-	memo, err := effect()
+	memo, err := out.Save()
 	if err != nil {
-		return occ, false, err
-	}
-	if err := crash(CrashAfterEffectBeforeJournal); err != nil {
 		return occ, false, err
 	}
 	if err := rec.ActivityComplete(id, activity, occ, effectKind, memo); err != nil {
 		return occ, false, err
 	}
-	return occ, false, crash(CrashAfterEffect)
+	if ce := rec.ShouldCrash(id, activity, CrashAfterEffect); ce != nil {
+		return occ, false, ce
+	}
+	return occ, false, nil
 }
 
 // BindHost prepares the recorder for a workflow host it is being

@@ -43,10 +43,10 @@ type Kind string
 
 // Record kinds. The set mirrors the instance lifecycle: creation,
 // per-effect completion (with memoized results), product-layer
-// transaction boundaries, compensation, dead-lettering, and completion.
-// Checkpoint records carry a full state snapshot so recovery need not
-// scan from the beginning of time; deploy records are an audit trail;
-// activity-start is read (and folded to nothing) but no longer written.
+// transaction boundaries, dead-lettering, and completion. Checkpoint
+// records carry a full state snapshot so recovery need not scan from
+// the beginning of time; deploy, activity-start and compensation are
+// read (and folded to nothing) but no host writes them any more.
 const (
 	KindDeploy            Kind = "deploy"
 	KindInstanceCreated   Kind = "instance-created"
@@ -79,7 +79,6 @@ const (
 const (
 	EffectSQL    = "sql"
 	EffectInvoke = "invoke"
-	EffectStep   = "step"
 )
 
 // Record is one journal entry: a flat tuple of kind, instance, activity,

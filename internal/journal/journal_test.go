@@ -425,7 +425,7 @@ func TestCheckpointSizeIndependentOfHistory(t *testing.T) {
 			must(t, r.InstanceCreated(id, "P", "", map[string]string{"k": "v"}))
 			must(t, r.ActivityStart(id, "A", 1, EffectInvoke))
 			must(t, r.ActivityComplete(id, "A", 1, EffectInvoke, map[string]string{"out": "x"}))
-			must(t, r.Compensation(id, "scope"))
+			must(t, r.Append(&Record{Kind: KindCompensation, Instance: id, Activity: "scope"}))
 			must(t, r.InstanceComplete(id, ""))
 		}
 	}

@@ -34,22 +34,18 @@ type AppendGuard func(rec *Record) error
 
 // CrashPoint identifies where in the effect-then-memo protocol
 // (Effects.Run) a simulated crash fires. An effectful activity performs
-// two writes, the effect itself and then the journal append of its
-// memo; the three points cover every interleaving a real crash can
-// produce:
+// two writes, the effect and then the journal append of its memo; the
+// three points cover every interleaving a real crash can produce:
 //
-//	CrashBeforeJournal            -- before the effect, so before its
-//	                                 memo too: neither happened;
-//	                                 recovery runs the activity.
+//	CrashBeforeJournal            -- neither happened; recovery runs the
+//	                                 activity.
 //	CrashAfterEffectBeforeJournal -- effect performed, memo not
 //	                                 journaled: the in-doubt window.
 //	                                 Recovery cannot tell it from the
 //	                                 point above and repeats this one
 //	                                 effect (never loses it).
-//	CrashAfterEffect              -- effect performed and its memo
-//	                                 journaled (activity-complete);
-//	                                 recovery replays the memo and must
-//	                                 NOT repeat the side effect.
+//	CrashAfterEffect              -- both happened; recovery replays the
+//	                                 memo and must NOT repeat the effect.
 type CrashPoint int
 
 // Crash points.
@@ -464,7 +460,11 @@ func (r *Recorder) Append(rec *Record) error {
 		r.obs.M().Histogram("journal.append_ms").ObserveDuration(time.Since(start))
 	}
 	if r.checkpointEvery > 0 && r.appended >= r.checkpointEvery && rec.Kind != KindCheckpoint {
-		return r.checkpointLocked()
+		// The record is written, folded and synced, and that is all Append
+		// reports. A checkpoint the guard refuses or whose write fails is
+		// the next append's to report (fenced, or writeErr); one whose
+		// rotation fails left the WAL as it was and is tried again then.
+		_ = r.checkpointLocked()
 	}
 	return nil
 }
@@ -814,7 +814,7 @@ func (r *Recorder) DeadLetters() []DeadLetterRecord {
 
 // --- typed append helpers -------------------------------------------------
 
-// Deploy journals a process deployment (audit trail).
+// Deploy appends a record the state does not fold: the fenced-append probe of fleet.go and the failover tests.
 func (r *Recorder) Deploy(process string) error {
 	return r.Append(&Record{Kind: KindDeploy, Process: process})
 }
@@ -853,11 +853,6 @@ func (r *Recorder) TxnCommit(id int64, label string) error {
 // TxnRollback journals a ROLLBACK; pending SQL memos are discarded.
 func (r *Recorder) TxnRollback(id int64, label string) error {
 	return r.Append(&Record{Kind: KindTxnRollback, Instance: id, Activity: label})
-}
-
-// Compensation journals the execution of a compensation handler.
-func (r *Recorder) Compensation(id int64, scope string) error {
-	return r.Append(&Record{Kind: KindCompensation, Instance: id, Activity: scope})
 }
 
 // DeadLetter journals a dead-lettered unit of work.

@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"wfsql/internal/obsv"
@@ -236,5 +237,43 @@ func TestDiskRecorderStillWorks(t *testing.T) {
 	ij := st.Instances[1]
 	if ij == nil || ij.MemoCount() != 1 {
 		t.Fatalf("memo lost across reopen: %+v", ij)
+	}
+}
+
+// TestAppendReportsItsOwnOutcome: the automatic checkpoint an append
+// triggers is not that append's business. With the guard refusing only
+// checkpoints, the append that reaches the checkpoint interval has
+// written, folded and synced its record and says so; the refusal is
+// counted, and it is the next append the guard fences. (Append used to
+// return the checkpoint's error, so a standby that took over counted one
+// record more than the old primary had acknowledged.)
+func TestAppendReportsItsOwnOutcome(t *testing.T) {
+	dir := t.TempDir()
+	r, err := Open(dir)
+	must(t, err)
+	r.SetCheckpointEvery(1)
+	r.SetAppendGuard(func(rec *Record) error {
+		if rec.Kind == KindCheckpoint {
+			return fmt.Errorf("checkpoint at epoch 2: %w", ErrFenced)
+		}
+		return nil
+	})
+	if err := r.InstanceCreated(1, "P", "", nil); err != nil {
+		t.Fatalf("append whose automatic checkpoint was refused: %v, want nil", err)
+	}
+	if got := r.FencedWrites(); got != 1 {
+		t.Fatalf("FencedWrites = %d, want the 1 refused checkpoint", got)
+	}
+	r.SetAppendGuard(func(*Record) error { return ErrFenced })
+	if err := r.InstanceCreated(2, "P", "", nil); !IsFenced(err) {
+		t.Fatalf("next append under a guard that fences everything: %v, want ErrFenced", err)
+	}
+	must(t, r.Close())
+
+	r2, err := Open(dir)
+	must(t, err)
+	defer r2.Close()
+	if st := r2.State(); st.Instances[1] == nil || st.Instances[2] != nil {
+		t.Fatalf("reopened state holds %v, want the acknowledged instance 1 only", st.Instances)
 	}
 }

@@ -2,7 +2,6 @@ package mswf
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -222,31 +221,14 @@ func (a *InvokeWebServiceActivity) WithDeadLetter(keyPart string, absorb bool) *
 func (a *InvokeWebServiceActivity) Name() string { return a.ActivityName }
 
 // Execute implements Activity. The call runs as one journaled invoke
-// effect whose memo records the final output host-variable values
-// (including degraded DEADLETTERED markers): a resumed instance
-// replays the response without re-invoking the service. Invoke memos
-// are durable as soon as they are journaled — an external service's
-// side effects do not roll back with any database transaction.
+// effect that publishes the output host variables (including degraded
+// DEADLETTERED markers): a resumed instance replays the response without
+// re-invoking the service. Invoke memos are durable as soon as they are
+// journaled — a service's side effects do not roll back with a transaction.
 func (a *InvokeWebServiceActivity) Execute(c *Context) error {
-	effect := func() (map[string]string, error) {
-		if err := a.executeLive(c); err != nil {
-			return nil, err
-		}
-		memo := map[string]string{}
-		for _, hv := range a.Outputs {
-			memo["out:"+hv] = c.GetString(hv)
-		}
-		return memo, nil
-	}
-	replay := func(memo map[string]string) error {
-		for k, v := range memo {
-			if strings.HasPrefix(k, "out:") {
-				c.Set(strings.TrimPrefix(k, "out:"), v)
-			}
-		}
-		return nil
-	}
-	return c.RunEffect(a.ActivityName, journal.EffectInvoke, effect, replay)
+	h := hostVars{c: c, outputs: a.Outputs}
+	return c.RunEffect(a.ActivityName, journal.EffectInvoke,
+		func() error { return a.executeLive(c) }, journal.Outcome{Save: h.save, Restore: h.restore})
 }
 
 // executeLive performs the actual invocation (no journaling).

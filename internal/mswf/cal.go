@@ -2,7 +2,6 @@ package mswf
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -11,7 +10,6 @@ import (
 	"wfsql/internal/journal"
 	"wfsql/internal/resilience"
 	"wfsql/internal/sqldb"
-	"wfsql/internal/xdm"
 )
 
 // This file is the Custom Activity Library (CAL): the customized SQL
@@ -98,23 +96,21 @@ func (a *SQLDatabaseActivity) WithRetry(p *resilience.Policy) *SQLDatabaseActivi
 func (a *SQLDatabaseActivity) Name() string { return a.ActivityName }
 
 // Execute implements Activity. The statement execution and result
-// materialization run as one journaled SQL effect: the memo records the
-// materialized DataSet (serialized with the same XML codec the
-// persistence service uses) or the DML row count, so a resumed instance
-// restores the result without touching the database. The activity runs
-// in autocommit (each execution opens and closes its own connection),
-// so its memo is durable the moment it is journaled. The before/after
-// event handlers are plain code — deterministic, so they re-run on
-// replay rather than being memoized.
+// materialization run as one journaled SQL effect that publishes the
+// result host variable (the DataSet) and the row-count host variable, so
+// a resumed instance restores them without touching the database. The
+// activity runs in autocommit, so its memo is durable the moment it is
+// journaled. The before/after event handlers are plain code —
+// deterministic, so they re-run on replay rather than being memoized.
 func (a *SQLDatabaseActivity) Execute(c *Context) error {
 	if a.BeforeExecute != nil {
 		if err := a.BeforeExecute(c); err != nil {
 			return fmt.Errorf("%s: before-execute: %w", a.ActivityName, err)
 		}
 	}
-	effect := func() (map[string]string, error) { return a.executeLive(c) }
-	replay := func(memo map[string]string) error { return a.applyMemo(c, memo) }
-	if err := c.RunEffect(a.ActivityName, journal.EffectSQL, effect, replay); err != nil {
+	h := hostVars{c: c, dataSet: a.ResultSetVar, rows: a.RowsAffectedVar}
+	if err := c.RunEffect(a.ActivityName, journal.EffectSQL, func() error { return a.executeLive(c) },
+		journal.Outcome{Save: h.save, Restore: h.restore}); err != nil {
 		return err
 	}
 	if a.AfterExecute != nil {
@@ -125,16 +121,16 @@ func (a *SQLDatabaseActivity) Execute(c *Context) error {
 	return nil
 }
 
-// executeLive runs the statement and materializes its result, returning
-// the memo describing the visible outcome.
-func (a *SQLDatabaseActivity) executeLive(c *Context) (map[string]string, error) {
+// executeLive runs the statement and materializes its result into the
+// activity's host variables.
+func (a *SQLDatabaseActivity) executeLive(c *Context) error {
 	db, err := c.Runtime.openConnection(a.ConnectionString)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", a.ActivityName, err)
+		return fmt.Errorf("%s: %w", a.ActivityName, err)
 	}
 	sql, named, err := a.bindParameters(c)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", a.ActivityName, err)
+		return fmt.Errorf("%s: %w", a.ActivityName, err)
 	}
 
 	// Statements run in autocommit on the instance's session (one session
@@ -153,14 +149,13 @@ func (a *SQLDatabaseActivity) executeLive(c *Context) (map[string]string, error)
 		res, err = resilience.Do(a.Retry, a.trackObserver(c), execOnce)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", a.ActivityName, err)
+		return fmt.Errorf("%s: %w", a.ActivityName, err)
 	}
 	// (The connection closes here: each activity opens and closes its own.)
 
-	memo := map[string]string{}
 	if res.IsQuery() {
 		if a.ResultSetVar == "" {
-			return nil, fmt.Errorf("%s: query result requires a result host variable", a.ActivityName)
+			return fmt.Errorf("%s: query result requires a result host variable", a.ActivityName)
 		}
 		tableName := a.ResultTable
 		if tableName == "" {
@@ -173,39 +168,13 @@ func (a *SQLDatabaseActivity) executeLive(c *Context) (map[string]string, error)
 		for _, row := range res.Rows {
 			vals := append([]sqldb.Value(nil), row...)
 			if _, err := t.AddRow(vals...); err != nil {
-				return nil, fmt.Errorf("%s: %w", a.ActivityName, err)
+				return fmt.Errorf("%s: %w", a.ActivityName, err)
 			}
 		}
 		t.AcceptChanges() // materialized rows are Unchanged
 		c.Set(a.ResultSetVar, ds)
-		memo["dataset"] = persistDataSet(ds).String()
 	} else if a.RowsAffectedVar != "" {
 		c.Set(a.RowsAffectedVar, int64(res.RowsAffected))
-		memo["rows"] = strconv.FormatInt(int64(res.RowsAffected), 10)
-	}
-	return memo, nil
-}
-
-// applyMemo restores the activity's visible outcome from a journaled
-// memo (replay path — no database access).
-func (a *SQLDatabaseActivity) applyMemo(c *Context, memo map[string]string) error {
-	if xmlDS, ok := memo["dataset"]; ok && a.ResultSetVar != "" {
-		el, err := xdm.Parse(xmlDS)
-		if err != nil {
-			return fmt.Errorf("%s: memoized dataset: %w", a.ActivityName, err)
-		}
-		ds, err := restoreDataSet(el)
-		if err != nil {
-			return fmt.Errorf("%s: memoized dataset: %w", a.ActivityName, err)
-		}
-		c.Set(a.ResultSetVar, ds)
-	}
-	if rows, ok := memo["rows"]; ok && a.RowsAffectedVar != "" {
-		n, err := strconv.ParseInt(rows, 10, 64)
-		if err != nil {
-			return fmt.Errorf("%s: memoized row count: %w", a.ActivityName, err)
-		}
-		c.Set(a.RowsAffectedVar, n)
 	}
 	return nil
 }

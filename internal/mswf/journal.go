@@ -2,9 +2,13 @@ package mswf
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
+	"wfsql/internal/dataset"
 	"wfsql/internal/journal"
 	"wfsql/internal/obsv"
+	"wfsql/internal/xdm"
 )
 
 // This file wires the WF runtime to the durable instance journal. WF's
@@ -36,21 +40,72 @@ func (rt *Runtime) Journal() *journal.Recorder {
 	return rt.jrec
 }
 
-// InstanceID returns the durable instance ID of a journaled run (0 when
-// running without a journal).
-func (c *Context) InstanceID() int64 { return c.instID }
-
 // RunEffect routes an effectful activity (SQL database activity,
 // web-service invoke) through the effect-then-memo protocol
 // (journal.Effects.Run), exactly as engine.Ctx.RunEffect does.
-func (c *Context) RunEffect(activity, effectKind string, effect func() (map[string]string, error), replay func(memo map[string]string) error) error {
-	_, replayed, err := c.effects.Run(c.jrec, c.instID, activity, effectKind, effect, replay)
+func (c *Context) RunEffect(activity, effectKind string, effect func() error, out journal.Outcome) error {
+	_, replayed, err := c.effects.Run(c.jrec, c.instID, activity, effectKind, effect, out)
 	if replayed && err == nil {
 		c.Track(activity, "Replayed")
 		c.currentSpan().Set("effect", effectKind).SetOutcome(obsv.OutcomeReplayed)
 		c.Runtime.Obs().M().Counter("journal.replays").Inc()
 	}
 	return err
+}
+
+// hostVars is the WF runtime's one memo dialect: the host variables an
+// effectful activity publishes. A web-service invoke publishes strings
+// (outputs, part -> variable) as "out:<name>"; the SQL database activity
+// the DataSet a query materialized (in the persistence service's XML) as
+// "dataset", or a DML row count as "rows" — two keys that carry no name,
+// since the restoring activity knows it.
+type hostVars struct {
+	c       *Context
+	outputs map[string]string
+	dataSet string
+	rows    string
+}
+
+func (h hostVars) save() (map[string]string, error) {
+	memo := make(map[string]string, len(h.outputs)+1)
+	for _, hv := range h.outputs {
+		memo["out:"+hv] = h.c.GetString(hv)
+	}
+	v, _ := h.c.Get(h.dataSet)
+	if ds, ok := v.(*dataset.DataSet); ok {
+		memo["dataset"] = persistDataSet(ds).String()
+	}
+	v, _ = h.c.Get(h.rows)
+	if n, ok := v.(int64); ok {
+		memo["rows"] = strconv.FormatInt(n, 10)
+	}
+	return memo, nil
+}
+
+func (h hostVars) restore(memo map[string]string) error {
+	for k, v := range memo {
+		switch {
+		case strings.HasPrefix(k, "out:"):
+			h.c.Set(k[4:], v)
+		case k == "dataset" && h.dataSet != "":
+			el, err := xdm.Parse(v)
+			if err != nil {
+				return fmt.Errorf("memoized dataset: %w", err)
+			}
+			ds, err := restoreDataSet(el)
+			if err != nil {
+				return fmt.Errorf("memoized dataset: %w", err)
+			}
+			h.c.Set(h.dataSet, ds)
+		case k == "rows" && h.rows != "":
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				return fmt.Errorf("memoized row count: %w", err)
+			}
+			h.c.Set(h.rows, n)
+		}
+	}
+	return nil
 }
 
 // Resume rebuilds a crashed instance from its journal — host variables

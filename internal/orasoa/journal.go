@@ -7,19 +7,13 @@ import (
 
 // SQLEffect marks an activity that performs database work through the
 // Oracle extension-function library (ora:query-database,
-// ora:processXSQL, ora:sequence-next-val, ...) as a journaled SQL
-// effect. Oracle BPEL embeds SQL in otherwise-generic activities — an
-// Assign whose XPath expression calls ora:processXSQL — so the
-// exactly-once boundary is the enclosing activity: on completion the
-// listed variables (the activity's visible outcome, e.g. the query
-// result document or the DML status) are memoized, and a recovered
-// instance restores them without re-evaluating the expression, i.e.
-// without re-running the SQL.
-//
-// Extension-function statements run in per-statement autocommit (the
-// XSQL framework commits each page), so their memos are durable as
-// soon as they are journaled — the long-running transaction-mode row
-// of the recovery matrix.
+// ora:processXSQL, ...) as a journaled SQL effect. Oracle BPEL embeds SQL
+// in otherwise-generic activities — an Assign whose XPath expression
+// calls ora:processXSQL — so the exactly-once boundary is the enclosing
+// activity and what it publishes is the listed variables (the query
+// result document, the DML status), in the engine's variable dialect.
+// Extension-function statements run in per-statement autocommit, so the
+// memo is durable as soon as it is journaled.
 func SQLEffect(inner engine.Activity, captures ...string) engine.Activity {
 	return engine.Journaled(inner, journal.EffectSQL, captures...)
 }

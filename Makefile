@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race short soak cover bench bench-test fuzz ci loc clean
+.PHONY: all build vet fmt test race short soak cover bench bench-test fuzz smoke ci loc clean
 
 all: build
 
@@ -66,12 +66,26 @@ fuzz:
 	$(GO) test -fuzz='^FuzzNormalizeStmt$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzIndexKey$$' -fuzztime=15s ./internal/sqldb/
 
+# The figure runners end to end: cmd/wfrun and cmd/bpelrun on their
+# testdata, each writing its span trace (JSONL) and metrics snapshot
+# into ARTIFACTS (a fresh temporary directory when unset), e.g.
+#   make smoke ARTIFACTS=artifacts
+smoke:
+	@set -e; dir="$(ARTIFACTS)"; [ -n "$$dir" ] || dir=$$(mktemp -d); mkdir -p "$$dir"; \
+	$(GO) run ./cmd/wfrun -xoml cmd/wfrun/testdata/sample.xoml \
+		-seed cmd/wfrun/testdata/seed.sql -var minTotal=5 \
+		-trace "$$dir/wfrun-trace.jsonl" -metrics "$$dir/wfrun-metrics.json"; \
+	$(GO) run ./cmd/bpelrun -bpel cmd/bpelrun/testdata/figure4.bpel \
+		-seed cmd/bpelrun/testdata/seed.sql \
+		-trace "$$dir/bpelrun-trace.jsonl" -metrics "$$dir/bpelrun-metrics.json"; \
+	echo "smoke: artifacts in $$dir"
+
 # The gate: build, vet, formatting, the suite without the race detector
 # (the allocation gates — TestAllocBudget, TestCursorLoopScalesLinearly —
 # skip under it), the benchmark module's own tests (so an API the harness
-# pins cannot break unseen), the full race-enabled suite (soak included),
-# then the fuzz smoke.
-ci: build vet fmt test bench-test race fuzz
+# pins cannot break unseen), the two figure runners, the full
+# race-enabled suite (soak included), then the fuzz smoke.
+ci: build vet fmt test bench-test smoke race fuzz
 
 # Non-test Go lines outside bench/: the size ROADMAP item 2 tracks and
 # every PR reports before/after.

@@ -3,6 +3,7 @@ package wfsql
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"wfsql/internal/bis"
 	"wfsql/internal/chaos"
 	"wfsql/internal/engine"
+	"wfsql/internal/obsv"
 	"wfsql/internal/resilience"
 )
 
@@ -189,9 +191,9 @@ func TestChaosSQLRetryPolicyDoesNotOutliveItsRun(t *testing.T) {
 
 // TestChaosSQLFaultShortRunningAllOrNothing is the transaction-mode
 // counterpart: in a short-running process the statements share one
-// transaction, so the retry policy is suppressed (a "retry-suppressed"
-// trace event records the decision), the fault propagates, and the
-// rollback leaves zero confirmations — all-or-nothing.
+// transaction, so the retry policy is suppressed (retry=suppressed on the
+// SQL activities' spans, see TestChaosReliabilityNotes), the fault
+// propagates, and the rollback leaves zero confirmations — all-or-nothing.
 func TestChaosSQLFaultShortRunningAllOrNothing(t *testing.T) {
 	env := NewEnvironment(Workload{Orders: 18, Items: 4, ApprovalPercent: 100, Seed: 3})
 	p := env.BuildFigure4BISResilient(ResilienceConfig{SQL: quickPolicy(4)})
@@ -205,22 +207,11 @@ func TestChaosSQLFaultShortRunningAllOrNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := d.Run(nil)
-	if err == nil {
+	if _, err := d.Run(nil); err == nil {
 		t.Fatal("short-running process should fault on the injected SQL error")
 	}
 	if n := env.ConfirmationCount(); n != 0 {
 		t.Fatalf("rollback leaked %d confirmations (first insert committed despite fault)", n)
-	}
-	suppressed := false
-	for _, ev := range inst.Trace() {
-		if ev.Kind == "retry-suppressed" {
-			suppressed = true
-			break
-		}
-	}
-	if !suppressed {
-		t.Fatal("expected a retry-suppressed trace event in short-running mode")
 	}
 }
 
@@ -301,7 +292,8 @@ func TestChaosPermanentFaultDeadLettersAndDegrades(t *testing.T) {
 // TestChaosBreakerOpensUnderPersistentFailure: with the supplier down hard,
 // the circuit breaker opens after its failure threshold and subsequent
 // invokes are refused without touching the bus; dead-lettering absorbs the
-// failures so the process still completes (degraded).
+// failures so the process still completes (degraded). The transition is
+// noted on the invoke's span (TestChaosReliabilityNotes).
 func TestChaosBreakerOpensUnderPersistentFailure(t *testing.T) {
 	env := NewEnvironment(Workload{Orders: 30, Items: 6, ApprovalPercent: 100, Seed: 9})
 	plan := chaos.NewFaultPlan(1)
@@ -316,8 +308,7 @@ func TestChaosBreakerOpensUnderPersistentFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := d.Run(nil)
-	if err != nil {
+	if _, err := d.Run(nil); err != nil {
 		t.Fatalf("absorbed failures should not fault the process: %v", err)
 	}
 	if br.State() != resilience.Open {
@@ -336,16 +327,122 @@ func TestChaosBreakerOpensUnderPersistentFailure(t *testing.T) {
 	if env.Bus.Attempts() >= maxAttempts {
 		t.Fatalf("bus attempts = %d, want < %d (breaker should refuse calls once open)", env.Bus.Attempts(), maxAttempts)
 	}
-	// The breaker transition surfaced on the monitoring trace.
-	sawBreaker := false
-	for _, ev := range inst.Trace() {
-		if ev.Kind == "breaker" && strings.Contains(ev.Detail, "open") {
-			sawBreaker = true
-			break
+}
+
+// TestChaosReliabilityNotes: what the resilience layer decided about an
+// activity — a suppressed retry, its attempts and backoff waits, a breaker
+// transition, a dead letter — is noted on that activity's span and on no
+// other span, in one vocabulary for both engines.
+func TestChaosReliabilityNotes(t *testing.T) {
+	vocabulary := []string{"retry", "attempt", "backoff", "breaker", "deadletter_key", "memos"}
+	w := Workload{Orders: 18, Items: 4, ApprovalPercent: 100, Seed: 3}
+	const victim = "item001"
+	run := func(s Stack, cfg ResilienceConfig) func(*testing.T, *Environment) error {
+		return func(_ *testing.T, env *Environment) error { return env.Run(s, cfg) }
+	}
+	transient := func(s Stack) func(*testing.T, *Environment) {
+		return func(t *testing.T, env *Environment) { injectSupplierFaults(t, env, s, chaosWindow()) }
+	}
+	permanent := func(s Stack) func(*testing.T, *Environment) {
+		return func(t *testing.T, env *Environment) {
+			plan := chaos.NewFaultPlan(1)
+			plan.FailFirst = 1 << 30
+			plan.Permanent = true
+			plan.Match = func(req map[string]string) bool { return req["ItemID"] == victim }
+			injectSupplierFaults(t, env, s, plan)
 		}
 	}
-	if !sawBreaker {
-		t.Fatal("expected a breaker trace event recording the open transition")
+	sqlFaults := func(plan *chaos.SQLFaultPlan) func(*testing.T, *Environment) {
+		return func(t *testing.T, env *Environment) {
+			chaos.InstallSQL(env.DB, plan)
+			t.Cleanup(func() { chaos.InstallSQL(env.DB, nil) })
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		fault func(*testing.T, *Environment)
+		run   func(*testing.T, *Environment) error
+		fails bool
+		on    []string          // the only activities whose spans carry notes
+		notes map[string]string // every note key expected, with a value one span must carry ("" = any)
+	}{
+		{name: "BIS/short-running-suppressed",
+			fault: sqlFaults(&chaos.SQLFaultPlan{Kinds: []string{"INSERT"}, FailNth: []int{2}, Permanent: true}),
+			run: func(t *testing.T, env *Environment) error {
+				p := env.BuildFigure4BISResilient(ResilienceConfig{SQL: quickPolicy(4)})
+				p.Mode = engine.ShortRunning
+				d, err := env.Engine.Deploy(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = d.Run(nil)
+				return err
+			},
+			fails: true, on: []string{"SQL1", "SQL2"}, notes: map[string]string{"retry": "suppressed"}},
+		{name: "BIS/invoke-transient", fault: transient(StackBIS),
+			run: run(StackBIS, ResilienceConfig{Invoke: quickPolicy(8)}),
+			on:  []string{"invoke"}, notes: map[string]string{"attempt": "", "backoff": ""}},
+		{name: "BIS/breaker-opens",
+			fault: func(t *testing.T, env *Environment) {
+				plan := chaos.NewFaultPlan(1)
+				plan.FailFirst = 1 << 30
+				injectSupplierFaults(t, env, StackBIS, plan)
+			},
+			run: run(StackBIS, ResilienceConfig{Invoke: quickPolicy(2), Breaker: resilience.NewBreaker(3, time.Hour), DeadLetterAbsorb: true}),
+			on:  []string{"invoke"}, notes: map[string]string{"attempt": "", "backoff": "", "breaker": "closed->open", "deadletter_key": ""}},
+		{name: "BIS/dead-letter", fault: permanent(StackBIS),
+			run: run(StackBIS, ResilienceConfig{Invoke: quickPolicy(3), DeadLetterAbsorb: true}),
+			on:  []string{"invoke"}, notes: map[string]string{"attempt": "", "deadletter_key": victim}},
+		{name: "WF/sql-retry", fault: sqlFaults(&chaos.SQLFaultPlan{Kinds: []string{"INSERT"}, FailNth: []int{1, 3}}),
+			run: run(StackWF, ResilienceConfig{SQL: quickPolicy(4)}),
+			on:  []string{"SQLDatabase1", "SQLDatabase2"}, notes: map[string]string{"attempt": "2/4", "backoff": ""}},
+		{name: "WF/dead-letter", fault: permanent(StackWF),
+			run: run(StackWF, ResilienceConfig{Invoke: quickPolicy(3), DeadLetterAbsorb: true}),
+			on:  []string{"invoke"}, notes: map[string]string{"attempt": "", "deadletter_key": victim}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := NewEnvironment(w)
+			col := obsv.NewCollector()
+			o := obsv.New()
+			o.Tracer.AddSink(col)
+			env.EnableObservability(o)
+			tc.fault(t, env)
+			if err := tc.run(t, env); (err != nil) != tc.fails {
+				t.Fatalf("run: %v, want failure %v", err, tc.fails)
+			}
+			seen := map[string]bool{}
+			for _, s := range col.Spans() {
+				for _, k := range vocabulary {
+					v, ok := s.Attrs[k]
+					if !ok {
+						continue
+					}
+					want, expected := tc.notes[k]
+					switch {
+					case !expected:
+						t.Errorf("unexpected note %s=%s on %s %q", k, v, s.Kind, s.Name)
+					case s.Kind != obsv.KindActivity || !slices.Contains(tc.on, s.Name):
+						t.Errorf("%s=%s on %s %q, want it only on %v", k, v, s.Kind, s.Name, tc.on)
+					case want == "" || v == want:
+						seen[k] = true
+					}
+					if k == "deadletter_key" && s.Outcome != obsv.OutcomeDeadLettered {
+						t.Errorf("span %q notes deadletter_key=%s with outcome %q, want %q", s.Name, v, s.Outcome, obsv.OutcomeDeadLettered)
+					}
+					if _, _, ok := strings.Cut(v, "/"); k == "attempt" && !ok {
+						t.Errorf("attempt=%s on %q, want <n>/<max>", v, s.Name)
+					}
+					if _, err := time.ParseDuration(v); k == "backoff" && err != nil {
+						t.Errorf("backoff=%s on %q: %v", v, s.Name, err)
+					}
+				}
+			}
+			for k, v := range tc.notes {
+				if !seen[k] {
+					t.Errorf("no span of %v carries %s=%q:\n%s", tc.on, k, v, col.TreeString())
+				}
+			}
+		})
 	}
 }
 

@@ -12,7 +12,11 @@
 // With -instances N (and -parallel W workers) the deployed process runs
 // as N concurrent instances on the worker-pool instance scheduler — the
 // multi-tenant execution shape of a BPEL server — and the run reports
-// aggregate throughput (per-activity trace printing is suppressed).
+// aggregate throughput (per-activity line printing is suppressed).
+//
+// A single-instance run prints one line per finished activity —
+// instance, activity, outcome and the activity span's attributes
+// (retry=suppressed, attempt, backoff, breaker, deadletter_key, ...).
 //
 // With -trace FILE every finished span (instance → activity → SQL
 // statement / bus call) is appended to FILE as one JSON line; -metrics
@@ -131,8 +135,13 @@ func main() {
 		obs    *obsv.Observability
 		traceW *obsv.JSONLWriter
 	)
-	if *tracePath != "" || *metricsPath != "" {
+	if *tracePath != "" || *metricsPath != "" || *instances <= 1 {
 		obs = obsv.New()
+		if *instances <= 1 {
+			// Per-activity lines are single-instance chrome; a
+			// multi-instance run would interleave them beyond usefulness.
+			obs.Tracer.AddSink(obsv.NewActivityLog(os.Stdout))
+		}
 		if *tracePath != "" {
 			f, closeF, terr := openSink(*tracePath)
 			if terr != nil {
@@ -155,13 +164,6 @@ func main() {
 		}
 		defer rec.Close()
 		e.AttachJournal(rec)
-	}
-	if *instances <= 1 {
-		// Per-activity trace printing is single-instance chrome; a
-		// multi-instance run would interleave it beyond usefulness.
-		e.AddTraceListener(func(id int64, ev engine.TraceEvent) {
-			fmt.Printf("  [%d] %-30s %s %s\n", id, ev.Activity, ev.Kind, ev.Detail)
-		})
 	}
 
 	// flushObs reports trace write errors and dumps the metrics

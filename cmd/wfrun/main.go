@@ -6,8 +6,10 @@
 // (default "db", reachable from markup connection strings as
 // "Provider=SqlServer;Data Source=db") and optionally seeded from a SQL
 // script via -seed. Initial host variables are set with repeated
-// -var name=value flags. After the run, tracking events and final host
-// variables are printed.
+// -var name=value flags. A single-instance run prints one line per
+// finished activity (instance, activity, outcome and the activity span's
+// attributes: attempt, backoff, deadletter_key, ...) and, after the run,
+// the final host variables.
 //
 // With -journal DIR the run is durable: every effectful activity is
 // written ahead to DIR's write-ahead log, and a run killed mid-flight
@@ -134,8 +136,11 @@ func main() {
 		obs    *obsv.Observability
 		traceW *obsv.JSONLWriter
 	)
-	if *tracePath != "" || *metricsPath != "" {
+	if *tracePath != "" || *metricsPath != "" || *instances <= 1 {
 		obs = obsv.New()
+		if *instances <= 1 {
+			obs.Tracer.AddSink(obsv.NewActivityLog(os.Stdout))
+		}
 		if *tracePath != "" {
 			f, closeF, err := openSink(*tracePath)
 			if err != nil {
@@ -218,10 +223,6 @@ func main() {
 	}
 	if ctx == nil {
 		fatal(err)
-	}
-	fmt.Println("tracking:")
-	for _, ev := range ctx.Events() {
-		fmt.Printf("  %-30s %s\n", ev.Activity, ev.Status)
 	}
 	fmt.Println("host variables:")
 	for _, name := range ctx.VarNames() {

@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"wfsql/internal/engine"
 	"wfsql/internal/journal"
@@ -38,8 +37,8 @@ type SQLActivity struct {
 	// mode (long-running process, outside any atomic SQL sequence): once
 	// the statement participates in a surrounding transaction, a failed
 	// statement poisons that transaction and recovery belongs to the
-	// transaction boundary, so the policy is suppressed and a
-	// "retry-suppressed" trace event records the decision.
+	// transaction boundary, so the policy is suppressed and the activity's
+	// span notes the decision (retry=suppressed).
 	Retry *resilience.Policy
 }
 
@@ -129,12 +128,10 @@ func (a *SQLActivity) executeLive(ctx *engine.Ctx, st *state) error {
 		// legal: the statement's effects (and the fault) belong to the
 		// enclosing unit of work, which must roll back first. Defer to
 		// the transaction boundary (atomic sequence or process end).
-		ctx.Inst.RecordTrace(a.ActivityName, "retry-suppressed",
-			fmt.Sprintf("statement participates in a transaction (%s mode)", st.modeLabel()))
+		ctx.Span().Set("retry", "suppressed")
 		return run()
 	}
-	obs := sqlObserver(ctx, a.ActivityName, a.Retry)
-	err = a.Retry.DoErr(obs, func(attempt int) error { return run() })
+	err = a.Retry.DoErr(resilience.Notes(ctx.Span()), func(attempt int) error { return run() })
 	if ab := resilience.Abandoned(err); ab != nil {
 		return &engine.Fault{Name: engine.FaultRetryExhausted, Activity: a.ActivityName, Wrapped: ab}
 	}
@@ -195,25 +192,6 @@ func (a *SQLActivity) runOnce(ctx *engine.Ctx, st *state, sess *sqldb.Session, s
 	ref.Table, ref.generated, ref.dataSource = gen, true, st.dsvars[a.DataSource]
 	st.mu.Unlock()
 	return nil
-}
-
-// sqlObserver surfaces retry attempts and backoff waits of an information
-// service activity through the instance trace, mirroring what the engine's
-// Invoke does for service calls.
-func sqlObserver(ctx *engine.Ctx, name string, p *resilience.Policy) resilience.Observer {
-	return resilience.Observer{
-		OnAttempt: func(n, max int) {
-			if max > 1 {
-				ctx.Inst.RecordTrace(name, "attempt", fmt.Sprintf("%d/%d", n, max))
-			}
-		},
-		OnFailure: func(n int, err error) {
-			ctx.Inst.RecordTrace(name, "attempt-failed", fmt.Sprintf("attempt %d: %v", n, err))
-		},
-		OnBackoff: func(n int, d time.Duration) {
-			ctx.Inst.RecordTrace(name, "backoff", fmt.Sprintf("after attempt %d, waiting %s", n, d))
-		},
-	}
 }
 
 // execPrepared runs one statement as a throwaway prepared statement:
@@ -387,13 +365,11 @@ func (a *AtomicSQLSequence) Execute(ctx *engine.Ctx) error {
 	var fault error
 	if a.Retry == nil || st.transactional() {
 		if a.Retry != nil {
-			ctx.Inst.RecordTrace(a.ActivityName, "retry-suppressed",
-				fmt.Sprintf("sequence participates in a wider transaction (%s mode)", st.modeLabel()))
+			ctx.Span().Set("retry", "suppressed")
 		}
 		fault = run()
 	} else {
-		obs := sqlObserver(ctx, a.ActivityName, a.Retry)
-		fault = a.Retry.DoErr(obs, func(attempt int) error { return run() })
+		fault = a.Retry.DoErr(resilience.Notes(ctx.Span()), func(attempt int) error { return run() })
 		// A simulated crash classifies as permanent (the process is
 		// dead, not retrying); surface the raw crash error so the
 		// engine treats it as process death rather than a fault.

@@ -192,7 +192,7 @@ func (st *state) sessionFor(db *sqldb.DB) *sqldb.Session {
 	if needTxn && !st.inTxn[db] {
 		if _, err := s.Exec("BEGIN"); err == nil {
 			st.inTxn[db] = true
-			st.journalTxn(journal.KindTxnBegin, st.modeLabelLocked())
+			st.journalTxn(journal.KindTxnBegin, st.modeLabel())
 		}
 	}
 	return s
@@ -207,14 +207,9 @@ func (st *state) transactional() bool {
 	return st.mode == engine.ShortRunning || st.atomic > 0
 }
 
-// modeLabel describes the reason SQL statements are transactional right now.
+// modeLabel describes the reason SQL statements are transactional right
+// now (caller holds st.mu).
 func (st *state) modeLabel() string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.modeLabelLocked()
-}
-
-func (st *state) modeLabelLocked() string {
 	if st.mode == engine.ShortRunning {
 		return "short-running"
 	}

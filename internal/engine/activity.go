@@ -26,11 +26,12 @@ type Activity interface {
 	Execute(ctx *Ctx) error
 }
 
-// execChild runs an activity with trace recording and, when an
-// observability bundle is attached, an activity span parented under the
-// enclosing span. While the activity runs, the tracer's ambient parent
-// is pointed at its span so context-free layers (sqldb statement spans,
-// the Oracle XPath extension functions) attach underneath it.
+// execChild runs an activity and, when an observability bundle is
+// attached, records it as an activity span parented under the enclosing
+// span — the instance's one history. While the activity runs, the
+// tracer's ambient parent is pointed at its span so context-free layers
+// (sqldb statement spans, the Oracle XPath extension functions) attach
+// underneath it.
 func execChild(ctx *Ctx, a Activity) error {
 	obs := ctx.Engine.Obs()
 	// Deadline propagation: an instance whose budget expired is stopped
@@ -42,7 +43,6 @@ func execChild(ctx *Ctx, a Activity) error {
 	// through execChild too, and the budget stays expired.)
 	if err := ctx.Context().Err(); err != nil {
 		obs.M().Counter("engine.deadline_expired").Inc()
-		ctx.Inst.recordTrace(a.Name(), "deadline", err.Error())
 		return fmt.Errorf("%s: %w: %w", a.Name(), ErrBudgetExceeded, err)
 	}
 	if sp := obs.T().Start(ctx.span.SpanID(), obsv.KindActivity, a.Name()); sp != nil {
@@ -61,10 +61,8 @@ func execChild(ctx *Ctx, a Activity) error {
 	}
 	obs.M().Counter("engine.activities").Inc()
 
-	ctx.Inst.recordTrace(a.Name(), "start", "")
 	err := a.Execute(ctx)
 	if err != nil {
-		ctx.Inst.recordTrace(a.Name(), "fault", err.Error())
 		obs.M().Counter("engine.activity_faults").Inc()
 		if journal.IsCrash(err) {
 			ctx.span.End(obsv.OutcomeCrashed)
@@ -73,7 +71,6 @@ func execChild(ctx *Ctx, a Activity) error {
 		}
 		return err
 	}
-	ctx.Inst.recordTrace(a.Name(), "end", "")
 	// End("") keeps an outcome set earlier by the replay or dead-letter
 	// paths (OutcomeReplayed / OutcomeDeadLettered), defaulting to OK.
 	ctx.span.End("")
@@ -402,10 +399,10 @@ const FaultRetryExhausted = "retryExhausted"
 //
 // An optional retry policy, circuit breaker, and dead-letter wiring turn
 // the invoke into the resilient middleware call the surveyed products
-// sell: attempts, backoff waits, and breaker transitions are surfaced as
-// trace events ("attempt", "backoff", "breaker"); exhausted retries raise
-// a retryExhausted fault — or, with AbsorbExhausted, degrade into the
-// engine's dead-letter log and let the process continue.
+// sell: attempts, backoff waits, and breaker transitions are noted on the
+// invoke's activity span ("attempt", "backoff", "breaker"); exhausted
+// retries raise a retryExhausted fault — or, with AbsorbExhausted,
+// degrade into the engine's dead-letter log and let the process continue.
 type Invoke struct {
 	ActivityName string
 	Service      string
@@ -523,10 +520,11 @@ func (iv *Invoke) call(ctx *Ctx, req wsbus.Message) (wsbus.Message, error) {
 		return attempt(1)
 	}
 
-	// Breaker accounting and trace recording both run in the observer —
-	// i.e. in this goroutine, never in the abandoned goroutine of a
-	// timed-out attempt.
+	// Breaker accounting and span notes both run in the observer — i.e.
+	// in this goroutine, never in the abandoned goroutine of a timed-out
+	// attempt.
 	m := ctx.Engine.Obs().M()
+	notes := resilience.Notes(ctx.span)
 	account := func(err error) {
 		if iv.Breaker == nil {
 			return
@@ -542,7 +540,7 @@ func (iv *Invoke) call(ctx *Ctx, req wsbus.Message) (wsbus.Message, error) {
 			iv.Breaker.OnFailure()
 		}
 		if after := iv.Breaker.State(); after != before {
-			ctx.Inst.RecordTrace(iv.ActivityName, "breaker", before.String()+"->"+after.String())
+			ctx.span.Set("breaker", before.String()+"->"+after.String())
 			m.Counter("breaker.transitions").Inc()
 			m.Counter("breaker.transitions." + after.String()).Inc()
 		}
@@ -550,9 +548,7 @@ func (iv *Invoke) call(ctx *Ctx, req wsbus.Message) (wsbus.Message, error) {
 	obs := resilience.Observer{
 		OnAttempt: func(n, max int) {
 			m.Counter("retry.attempts").Inc()
-			if max > 1 {
-				ctx.Inst.RecordTrace(iv.ActivityName, "attempt", fmt.Sprintf("%d/%d %s", n, max, iv.Service))
-			}
+			notes.OnAttempt(n, max)
 		},
 		OnSuccess: func(n int) {
 			account(nil)
@@ -563,7 +559,7 @@ func (iv *Invoke) call(ctx *Ctx, req wsbus.Message) (wsbus.Message, error) {
 			m.Counter("retry.failures").Inc()
 		},
 		OnBackoff: func(n int, d time.Duration) {
-			ctx.Inst.RecordTrace(iv.ActivityName, "backoff", d.String())
+			notes.OnBackoff(n, d)
 			m.Counter("retry.backoffs").Inc()
 			m.Histogram("retry.backoff_ms").ObserveDuration(d)
 		},
@@ -595,8 +591,6 @@ func (iv *Invoke) deadLetter(ctx *Ctx, ab *resilience.AbandonedError) error {
 			LastErr:  fmt.Sprint(ab.Err),
 		})
 	}
-	ctx.Inst.RecordTrace(iv.ActivityName, "dead-letter",
-		fmt.Sprintf("%s after %d attempt(s) (%s): %v", key, ab.Attempts, ab.Reason, ab.Err))
 	ctx.span.Set("deadletter_key", key).SetOutcome(obsv.OutcomeDeadLettered)
 	if iv.AbsorbExhausted {
 		for _, varName := range iv.Outputs {
@@ -696,7 +690,6 @@ func (s *Scope) Execute(ctx *Ctx) error {
 	}
 	faulted := err != nil
 	if err != nil && s.FaultHandler != nil {
-		ctx.Inst.recordTrace(s.ActivityName, "fault-handled", err.Error())
 		err = execChild(sub, s.FaultHandler)
 	}
 	if s.Finally != nil {
@@ -729,7 +722,6 @@ func (c *Compensate) Execute(ctx *Ctx) error {
 		if !ok {
 			return nil
 		}
-		ctx.Inst.recordTrace(c.ActivityName, "compensating", scopeName)
 		if err := execChild(ctx, handler); err != nil {
 			if journal.IsCrash(err) {
 				return err

@@ -66,13 +66,12 @@ type Engine struct {
 
 	// DeadLetters collects invocations whose retries were exhausted and
 	// that no fault handler absorbed — the engine-wide reliability audit
-	// trail complementing the per-instance trace.
+	// trail complementing the per-instance span tree.
 	DeadLetters *resilience.DeadLetterLog
 
 	mu          sync.RWMutex
 	dataSources map[string]*sqldb.DB
 	nextID      atomic.Int64
-	listeners   []func(instanceID int64, ev TraceEvent)
 	jrec        *journal.Recorder
 	obs         *obsv.Observability
 }
@@ -102,25 +101,6 @@ func (e *Engine) Obs() *obsv.Observability {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.obs
-}
-
-// AddTraceListener registers a monitoring callback invoked for every
-// activity trace event of every instance (the monitoring surface the
-// product architectures expose). Listeners must be fast and must not
-// re-enter the engine.
-func (e *Engine) AddTraceListener(fn func(instanceID int64, ev TraceEvent)) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.listeners = append(e.listeners, fn)
-}
-
-func (e *Engine) notifyTrace(instanceID int64, ev TraceEvent) {
-	e.mu.RLock()
-	ls := e.listeners
-	e.mu.RUnlock()
-	for _, fn := range ls {
-		fn(instanceID, ev)
-	}
 }
 
 // New creates an engine with the given bus (nil is allowed for processes
@@ -166,11 +146,6 @@ func (e *Engine) DataSourceNames() []string {
 type Deployment struct {
 	Process *Process
 	Engine  *Engine
-
-	// traceLen is the longest trace an instance of the deployment has
-	// recorded: the capacity the next instance's trace starts at, instead
-	// of a hundred-odd events being appended into a slice grown from nil.
-	traceLen atomic.Int64
 }
 
 // Deploy validates a process model and installs it. Validation mirrors
@@ -229,7 +204,6 @@ func (d *Deployment) newInstance(id int64, input map[string]string, journalCreat
 		vars:    make(map[string]*Variable, len(d.Process.Variables)),
 		context: map[string]any{},
 		state:   StateReady,
-		trace:   make([]TraceEvent, 0, d.traceLen.Load()),
 	}
 	for _, vd := range d.Process.Variables {
 		switch vd.Kind {
@@ -335,19 +309,7 @@ func (d *Deployment) RunCtx(ctx context.Context, input map[string]string) (*Inst
 	if err != nil {
 		return nil, err
 	}
-	return in, d.execute(ctx, in)
-}
-
-// execute runs an instance of the deployment and remembers how long its
-// trace grew (a sizing hint: a lost race only costs a regrowth).
-func (d *Deployment) execute(ctx context.Context, in *Instance) error {
-	err := d.Engine.executeCtx(ctx, in)
-	in.mu.Lock()
-	if n := int64(len(in.trace)); n > d.traceLen.Load() {
-		d.traceLen.Store(n)
-	}
-	in.mu.Unlock()
-	return err
+	return in, d.Engine.executeCtx(ctx, in)
 }
 
 // ErrBudgetExceeded wraps the context error when an instance's

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"wfsql/internal/obsv"
 	"wfsql/internal/wsbus"
 	"wfsql/internal/xdm"
 )
@@ -242,6 +243,16 @@ func TestScopeFinallyRunsOnFault(t *testing.T) {
 	}
 }
 
+// collect attaches an observability bundle to e and returns the
+// collector its spans land in.
+func collect(e *Engine) *obsv.Collector {
+	col := obsv.NewCollector()
+	o := obsv.New()
+	o.Tracer.AddSink(col)
+	e.SetObservability(o)
+	return col
+}
+
 func TestInstanceStateAndTrace(t *testing.T) {
 	p := &Process{
 		Name: "traced",
@@ -250,18 +261,22 @@ func TestInstanceStateAndTrace(t *testing.T) {
 			&Empty{ActivityName: "e2"},
 		),
 	}
-	in := deployAndRun(t, New(nil), p, nil)
+	e := New(nil)
+	col := collect(e)
+	in := deployAndRun(t, e, p, nil)
 	if in.State() != StateCompleted {
 		t.Fatalf("state: %s", in.State())
 	}
-	tr := in.Trace()
-	var names []string
-	for _, ev := range tr {
-		names = append(names, ev.Activity+":"+ev.Kind)
+	seq := col.ByName("main")
+	if len(seq) != 1 || col.ByName("traced")[0].ID != seq[0].Parent {
+		t.Fatalf("want main under the instance span:\n%s", col.TreeString())
 	}
-	joined := strings.Join(names, " ")
-	if !strings.Contains(joined, "e1:start") || !strings.Contains(joined, "e2:end") {
-		t.Fatalf("trace: %s", joined)
+	var names []string
+	for _, s := range col.Children(seq[0].ID) {
+		names = append(names, s.Name+":"+string(s.Outcome))
+	}
+	if got := strings.Join(names, " "); got != "e1:ok e2:ok" {
+		t.Fatalf("activity spans under main: %s", got)
 	}
 }
 
@@ -328,12 +343,13 @@ func TestInputBinding(t *testing.T) {
 
 func TestInstanceRunTwiceFails(t *testing.T) {
 	p := &Process{Name: "once", Body: &Empty{ActivityName: "e"}}
-	d, _ := New(nil).Deploy(p)
+	e := New(nil)
+	d, _ := e.Deploy(p)
 	in, _ := d.NewInstance(nil)
-	if err := d.execute(context.Background(), in); err != nil {
+	if err := e.executeCtx(context.Background(), in); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.execute(context.Background(), in); err == nil {
+	if err := e.executeCtx(context.Background(), in); err == nil {
 		t.Fatal("expected error on re-execution")
 	}
 }
@@ -357,27 +373,27 @@ func TestVariableDeclarationAtRuntime(t *testing.T) {
 	}
 }
 
+// TestTraceListener: a span sink added to the engine's tracer sees every
+// activity of every instance, labelled with its instance.
 func TestTraceListener(t *testing.T) {
 	e := New(nil)
-	var events []string
-	e.AddTraceListener(func(id int64, ev TraceEvent) {
-		events = append(events, fmt.Sprintf("%d:%s:%s", id, ev.Activity, ev.Kind))
-	})
+	col := collect(e)
 	p := &Process{Name: "mon", Body: &Empty{ActivityName: "x"}}
 	d, _ := e.Deploy(p)
-	in, err := d.Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fmt.Sprintf("%d:x:start", in.ID)
-	found := false
-	for _, ev := range events {
-		if ev == want {
-			found = true
+	var want []string
+	for i := 0; i < 2; i++ {
+		in, err := d.Run(nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		want = append(want, fmt.Sprintf("%d:x", in.ID))
 	}
-	if !found {
-		t.Fatalf("listener missed %q in %v", want, events)
+	var got []string
+	for _, s := range col.ByKind(obsv.KindActivity) {
+		got = append(got, fmt.Sprintf("%d:%s", s.Instance, s.Name))
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("sink saw %v, want %v", got, want)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"wfsql/internal/obsv"
 )
 
 // TestFlowFaultPropagation pins down the flow activity's fault semantics
@@ -12,9 +14,10 @@ import (
 // faults mid-flight every sibling still runs to completion, the flow
 // returns the first fault (in child order), and the trace stays coherent.
 // The test is meaningful under -race: branches concurrently write process
-// variables and emit trace events.
+// variables and end their spans.
 func TestFlowFaultPropagation(t *testing.T) {
 	e := New(nil)
+	col := collect(e)
 
 	var completed atomic.Int32
 	children := make([]Activity, 0, 9)
@@ -64,29 +67,31 @@ func TestFlowFaultPropagation(t *testing.T) {
 		t.Fatalf("%d siblings completed, want 8 (flow must not cancel in-flight branches)", n)
 	}
 
-	// Trace integrity: one start per branch, 8 ends, exactly one branch
-	// fault plus the flow's own fault record, and strictly increasing
-	// sequence numbers despite concurrent emission.
-	starts, ends, faults := 0, 0, 0
-	lastSeq := 0
-	for _, ev := range inst.Trace() {
-		if ev.Seq <= lastSeq {
-			t.Fatalf("trace sequence not strictly increasing at %+v", ev)
+	// Trace integrity despite concurrent emission: one ended span per
+	// branch, each parented under the flow's span, eight ok and the bad
+	// branch faulted — and the flow's own span faulted too.
+	flow := col.ByName("flow")
+	if len(flow) != 1 || flow[0].Outcome != obsv.OutcomeFault {
+		t.Fatalf("want one faulted flow span:\n%s", col.TreeString())
+	}
+	outcomes := map[string]obsv.Outcome{}
+	for _, s := range col.Children(flow[0].ID) {
+		if _, dup := outcomes[s.Name]; dup {
+			t.Fatalf("branch %s has two spans", s.Name)
 		}
-		lastSeq = ev.Seq
-		if strings.HasPrefix(ev.Activity, "branch") || ev.Activity == "badBranch" {
-			switch ev.Kind {
-			case "start":
-				starts++
-			case "end":
-				ends++
-			case "fault":
-				faults++
-			}
+		outcomes[s.Name] = s.Outcome
+	}
+	for _, c := range children {
+		want := obsv.OutcomeOK
+		if c.Name() == "badBranch" {
+			want = obsv.OutcomeFault
+		}
+		if outcomes[c.Name()] != want {
+			t.Fatalf("branch %s outcome %q, want %q:\n%s", c.Name(), outcomes[c.Name()], want, col.TreeString())
 		}
 	}
-	if starts != 9 || ends != 8 || faults != 1 {
-		t.Fatalf("branch trace starts=%d ends=%d faults=%d, want 9/8/1", starts, ends, faults)
+	if len(outcomes) != len(children) {
+		t.Fatalf("%d branch spans under the flow, want %d", len(outcomes), len(children))
 	}
 }
 

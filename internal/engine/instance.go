@@ -44,14 +44,6 @@ func (s InstanceState) String() string {
 	return "unknown"
 }
 
-// TraceEvent records one activity execution for monitoring.
-type TraceEvent struct {
-	Activity string
-	Kind     string // "start", "end", "fault"
-	Detail   string
-	Seq      int
-}
-
 // Instance is one execution of a deployed process.
 type Instance struct {
 	ID      int64
@@ -62,8 +54,6 @@ type Instance struct {
 	vars    map[string]*Variable
 	state   InstanceState
 	fault   error
-	trace   []TraceEvent
-	seq     int
 	context map[string]any // product-layer state (set references, sessions, ...)
 	done    []func(err error)
 	comp    []compensation // completed scopes' compensation handlers (LIFO)
@@ -221,33 +211,6 @@ func (in *Instance) OnCrash(fn func()) {
 	in.crashHooks = append(in.crashHooks, fn)
 }
 
-// Trace returns a copy of the recorded trace events.
-func (in *Instance) Trace() []TraceEvent {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([]TraceEvent, len(in.trace))
-	copy(out, in.trace)
-	return out
-}
-
-// RecordTrace appends a custom trace event. Product layers and the
-// resilience wiring use it to surface retry attempts, backoff waits,
-// circuit breaker transitions, and dead-letter records through the same
-// monitoring surface the activity lifecycle uses, so a trace listener
-// doubles as a reliability audit trail.
-func (in *Instance) RecordTrace(activity, kind, detail string) {
-	in.recordTrace(activity, kind, detail)
-}
-
-func (in *Instance) recordTrace(activity, kind, detail string) {
-	in.mu.Lock()
-	in.seq++
-	ev := TraceEvent{Activity: activity, Kind: kind, Detail: detail, Seq: in.seq}
-	in.trace = append(in.trace, ev)
-	in.mu.Unlock()
-	in.Engine.notifyTrace(in.ID, ev)
-}
-
 // Ctx is the execution context passed to activities.
 type Ctx struct {
 	Inst   *Instance
@@ -269,7 +232,8 @@ type Ctx struct {
 
 // Span returns the span enclosing the current activity (nil-safe to
 // use; nil when observability is detached). Product layers use it to
-// parent their own spans under the running activity.
+// parent their own spans under the running activity and to note on it
+// what happened inside (retry=suppressed, attempt, backoff).
 func (c *Ctx) Span() *obsv.Span { return c.span }
 
 // Context returns the instance's execution context (its deadline

@@ -47,9 +47,8 @@ func (e *Engine) Journal() *journal.Recorder {
 // saves after it, and with no journal attached the effect runs bare.
 func (c *Ctx) RunEffect(activity, effectKind string, effect func() error, out journal.Outcome) error {
 	in := c.Inst
-	occ, replayed, err := in.effects.Run(in.jrec, in.ID, activity, effectKind, effect, out)
+	replayed, err := in.effects.Run(in.jrec, in.ID, activity, effectKind, effect, out)
 	if replayed && err == nil {
-		in.recordTrace(activity, "replayed", fmt.Sprintf("occurrence %d from journal", occ))
 		c.span.Set("effect", effectKind).SetOutcome(obsv.OutcomeReplayed)
 		c.Engine.Obs().M().Counter("journal.replays").Inc()
 	}
@@ -159,9 +158,8 @@ func (d *Deployment) Resume(ij *journal.InstanceJournal) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	total := in.effects.Load(ij)
-	in.recordTrace(d.Process.Name, "recovering", fmt.Sprintf("instance %d: %d memoized effect(s)", ij.ID, total))
-	return in, d.execute(context.Background(), in)
+	in.effects.Load(ij)
+	return in, d.Engine.executeCtx(context.Background(), in)
 }
 
 // Recover resumes every in-flight instance found in the recorder,

@@ -60,8 +60,7 @@ type Outcome struct {
 }
 
 // Run routes one effectful activity (invoke, SQL) of instance id
-// through the protocol and reports the activity's occurrence number
-// and whether it was replayed.
+// through the protocol and reports whether it was replayed.
 //
 // Replay: if a memo for this activity is queued, the effect is NOT
 // executed; out.Restore re-applies the memoized result, so the activity
@@ -81,37 +80,37 @@ type Outcome struct {
 // (at-least-once inside the window, never a loss). With no journal
 // attached (rec == nil) the effect runs bare: nobody would write a memo,
 // so none is built.
-func (p *Effects) Run(rec *Recorder, id int64, activity, effectKind string, effect func() error, out Outcome) (occ int, replayed bool, err error) {
+func (p *Effects) Run(rec *Recorder, id int64, activity, effectKind string, effect func() error, out Outcome) (replayed bool, err error) {
 	occ, m, ok := p.next(activity)
 	if ok {
 		if err := out.Restore(m.Data); err != nil {
-			return occ, true, fmt.Errorf("%s: replay: %w", activity, err)
+			return true, fmt.Errorf("%s: replay: %w", activity, err)
 		}
-		return occ, true, nil
+		return true, nil
 	}
 	if rec == nil {
-		return occ, false, effect()
+		return false, effect()
 	}
 	if ce := rec.ShouldCrash(id, activity, CrashBeforeJournal); ce != nil {
-		return occ, false, ce
+		return false, ce
 	}
 	if err := effect(); err != nil {
-		return occ, false, err
+		return false, err
 	}
 	if ce := rec.ShouldCrash(id, activity, CrashAfterEffectBeforeJournal); ce != nil {
-		return occ, false, ce
+		return false, ce
 	}
 	memo, err := out.Save()
 	if err != nil {
-		return occ, false, err
+		return false, err
 	}
 	if err := rec.ActivityComplete(id, activity, occ, effectKind, memo); err != nil {
-		return occ, false, err
+		return false, err
 	}
 	if ce := rec.ShouldCrash(id, activity, CrashAfterEffect); ce != nil {
-		return occ, false, ce
+		return false, ce
 	}
-	return occ, false, nil
+	return false, nil
 }
 
 // BindHost prepares the recorder for a workflow host it is being

@@ -163,13 +163,11 @@ func (m SyncMode) String() string {
 	return "unknown"
 }
 
-// SyncPolicy bundles the mode with a batching knob: with BatchSize N>1,
-// commit-critical appends are coalesced and the fsync is issued once N
-// unsynced critical records have accumulated (Sync/Close still force a
-// flush). BatchSize<=1 syncs each critical record immediately.
+// SyncPolicy says when appends are fsynced: every record the mode covers
+// is synced before Append returns, so an acknowledged commit-critical
+// record is durable (the effect-then-memo guarantee).
 type SyncPolicy struct {
-	Mode      SyncMode
-	BatchSize int
+	Mode SyncMode
 }
 
 // criticalKind reports whether losing a record of this kind can break
@@ -202,7 +200,6 @@ type Recorder struct {
 	epoch           int64       // fencing epoch stamped on every record
 	guard           AppendGuard // pre-write fence check (nil = none)
 	fencedWrites    int64       // appends refused by the guard
-	pendingSync     int         // unsynced commit-critical records
 	syncCount       int64       // fsyncs issued (tests, metrics)
 	obs             *obsv.Observability
 	kindAppends     map[Kind]*obsv.Counter // journal.appends.<kind>, as obs resolved them
@@ -279,7 +276,7 @@ func Open(dir string) (*Recorder, error) {
 		path:            path,
 		state:           Replay(res.Records),
 		checkpointEvery: DefaultCheckpointEvery,
-		sync:            SyncPolicy{Mode: SyncCritical, BatchSize: 1},
+		sync:            SyncPolicy{Mode: SyncCritical},
 		TornTail:        res.Torn,
 		TornTailReason:  res.TornReason,
 	}
@@ -289,14 +286,11 @@ func Open(dir string) (*Recorder, error) {
 }
 
 // SetSyncPolicy tunes when appends are fsynced. The default is
-// SyncCritical with BatchSize 1 (every commit-critical record is synced
-// before Append returns).
+// SyncCritical (every commit-critical record is synced before Append
+// returns).
 func (r *Recorder) SetSyncPolicy(p SyncPolicy) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if p.BatchSize < 1 {
-		p.BatchSize = 1
-	}
 	r.sync = p
 }
 
@@ -486,35 +480,18 @@ func (r *Recorder) guardLocked(rec *Record) error {
 // maybeSyncLocked applies the sync policy after a record of kind k was
 // written. Caller holds r.mu.
 func (r *Recorder) maybeSyncLocked(k Kind) error {
-	switch r.sync.Mode {
-	case SyncNever:
-		return nil
-	case SyncAlways:
-		r.pendingSync++
-	case SyncCritical:
-		if !criticalKind(k) {
-			return nil
-		}
-		r.pendingSync++
-	}
-	batch := r.sync.BatchSize
-	if batch < 1 {
-		batch = 1
-	}
-	if r.pendingSync < batch {
+	if r.sync.Mode == SyncNever || (r.sync.Mode == SyncCritical && !criticalKind(k)) {
 		return nil
 	}
 	return r.syncLocked()
 }
 
-// syncLocked issues the fsync and resets the pending-batch counter.
-// Caller holds r.mu.
+// syncLocked issues the fsync. Caller holds r.mu.
 func (r *Recorder) syncLocked() error {
 	start := time.Now()
 	if err := r.f.Sync(); err != nil {
 		return fmt.Errorf("journal: sync: %w", err)
 	}
-	r.pendingSync = 0
 	r.syncCount++
 	r.obs.M().Counter("journal.syncs").Inc()
 	r.obs.M().Histogram("journal.sync_ms").ObserveDuration(time.Since(start))
@@ -683,7 +660,6 @@ func (r *Recorder) rotateLocked(buf []byte) (handled bool, err error) {
 	// superseded.
 	old.Close()
 	r.f = nf
-	r.pendingSync = 0
 	r.syncCount++
 	r.rotations++
 	r.obs.M().Counter("journal.syncs").Inc()
@@ -749,8 +725,7 @@ func (r *Recorder) checkpointLocked() error {
 	return nil
 }
 
-// Sync flushes the WAL to stable storage, regardless of the batch
-// policy's pending count.
+// Sync flushes the WAL to stable storage, whatever the sync policy.
 func (r *Recorder) Sync() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -894,8 +869,8 @@ type SQLEffectRecord struct {
 
 // SQLEffect journals one CDC record — the change-stream entry a sqldb
 // read replica consumes. SQL-effect records are not commit-critical:
-// they ride the sync batch, which is exactly the replica staleness
-// window the contract documents.
+// under SyncCritical they become durable with the next critical record,
+// which is exactly the replica staleness window the contract documents.
 func (r *Recorder) SQLEffect(e SQLEffectRecord) error {
 	d := map[string]string{
 		"sql":  e.SQL,

@@ -39,7 +39,7 @@ func newFakeRecorder(f *fakeWAL) *Recorder {
 		f:     f,
 		path:  "fake://wal",
 		state: Replay(nil),
-		sync:  SyncPolicy{Mode: SyncCritical, BatchSize: 1},
+		sync:  SyncPolicy{Mode: SyncCritical},
 	}
 }
 
@@ -113,45 +113,11 @@ func TestCheckpointIsSynced(t *testing.T) {
 	}
 }
 
-func TestSyncBatchingCoalesces(t *testing.T) {
-	f := &fakeWAL{}
-	r := newFakeRecorder(f)
-	r.SetSyncPolicy(SyncPolicy{Mode: SyncCritical, BatchSize: 3})
-
-	for i := 0; i < 2; i++ {
-		if err := r.ActivityComplete(1, "A", i, "sql", nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if f.syncs != 0 {
-		t.Fatalf("batch of 3: fsynced after %d records", f.syncs)
-	}
-	if err := r.ActivityComplete(1, "A", 2, "sql", nil); err != nil {
-		t.Fatal(err)
-	}
-	if f.syncs != 1 {
-		t.Fatalf("batch full: want 1 coalesced fsync, got %d", f.syncs)
-	}
-	// A forced Sync flushes a partial batch.
-	if err := r.ActivityComplete(1, "A", 3, "sql", nil); err != nil {
-		t.Fatal(err)
-	}
-	if f.syncs != 1 {
-		t.Fatalf("partial batch should not fsync, got %d", f.syncs)
-	}
-	if err := r.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if f.syncs != 2 {
-		t.Fatalf("forced Sync: want 2 fsyncs, got %d", f.syncs)
-	}
-}
-
 func TestSyncModes(t *testing.T) {
 	// SyncAlways: every record is synced.
 	f := &fakeWAL{}
 	r := newFakeRecorder(f)
-	r.SetSyncPolicy(SyncPolicy{Mode: SyncAlways, BatchSize: 1})
+	r.SetSyncPolicy(SyncPolicy{Mode: SyncAlways})
 	if err := r.Deploy("P"); err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,9 @@ package mswf
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"wfsql/internal/journal"
+	"wfsql/internal/obsv"
 	"wfsql/internal/resilience"
 	"wfsql/internal/wsbus"
 )
@@ -192,7 +192,7 @@ type InvokeWebServiceActivity struct {
 	Outputs      map[string]string // message part -> host variable name
 
 	// Retry re-invokes the service on transient errors; attempts and
-	// backoff waits surface as tracking events. A panicking service is
+	// backoff waits are noted on the activity's span. A panicking service is
 	// recovered into a transient error instead of tearing down the host.
 	Retry *resilience.Policy
 	// DeadLetterKeyPart names the request message part whose value keys a
@@ -258,17 +258,7 @@ func (a *InvokeWebServiceActivity) executeLive(c *Context) error {
 	if a.Retry == nil {
 		resp, err = call(0)
 	} else {
-		obs := resilience.Observer{
-			OnAttempt: func(n, max int) {
-				if n > 1 {
-					c.Track(a.ActivityName, fmt.Sprintf("Retrying %d/%d", n, max))
-				}
-			},
-			OnBackoff: func(n int, d time.Duration) {
-				c.Track(a.ActivityName, fmt.Sprintf("Backoff %s after attempt %d", d, n))
-			},
-		}
-		resp, err = resilience.Do(a.Retry, obs, call)
+		resp, err = resilience.Do(a.Retry, resilience.Notes(c.currentSpan()), call)
 	}
 	if ab := resilience.Abandoned(err); ab != nil {
 		key := req[a.DeadLetterKeyPart]
@@ -280,7 +270,7 @@ func (a *InvokeWebServiceActivity) executeLive(c *Context) error {
 			Reason:   ab.Reason,
 			LastErr:  ab.Err.Error(),
 		})
-		c.Track(a.ActivityName, fmt.Sprintf("DeadLettered key=%s after %d attempts", key, ab.Attempts))
+		c.currentSpan().Set("deadletter_key", key).SetOutcome(obsv.OutcomeDeadLettered)
 		if a.AbsorbExhausted {
 			for _, hv := range a.Outputs {
 				c.Set(hv, "DEADLETTERED:"+key)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"wfsql/internal/dataset"
 	"wfsql/internal/journal"
@@ -51,7 +50,8 @@ type SQLDatabaseActivity struct {
 	// Retry re-executes the statement on transient database errors. WF's
 	// SQL database activity opens and closes its own connection per
 	// execution (autocommit), so a retried attempt never replays inside a
-	// wider transaction. Attempts surface as "Retrying" tracking events.
+	// wider transaction. Attempts and backoff waits are noted on the
+	// activity's span.
 	Retry *resilience.Policy
 
 	// The @name→:name statement rewrite depends only on Statement and
@@ -146,7 +146,7 @@ func (a *SQLDatabaseActivity) executeLive(c *Context) error {
 	if a.Retry == nil {
 		res, err = execOnce(0)
 	} else {
-		res, err = resilience.Do(a.Retry, a.trackObserver(c), execOnce)
+		res, err = resilience.Do(a.Retry, resilience.Notes(c.currentSpan()), execOnce)
 	}
 	if err != nil {
 		return fmt.Errorf("%s: %w", a.ActivityName, err)
@@ -177,21 +177,6 @@ func (a *SQLDatabaseActivity) executeLive(c *Context) error {
 		c.Set(a.RowsAffectedVar, int64(res.RowsAffected))
 	}
 	return nil
-}
-
-// trackObserver surfaces retry attempts and backoff waits through the
-// tracking service, the WF-idiomatic monitoring surface.
-func (a *SQLDatabaseActivity) trackObserver(c *Context) resilience.Observer {
-	return resilience.Observer{
-		OnAttempt: func(n, max int) {
-			if n > 1 {
-				c.Track(a.ActivityName, fmt.Sprintf("Retrying %d/%d", n, max))
-			}
-		},
-		OnBackoff: func(n int, d time.Duration) {
-			c.Track(a.ActivityName, fmt.Sprintf("Backoff %s after attempt %d", d, n))
-		},
-	}
 }
 
 // bindParameters rewrites @name parameters to the engine's :name form and

@@ -44,9 +44,8 @@ func (rt *Runtime) Journal() *journal.Recorder {
 // web-service invoke) through the effect-then-memo protocol
 // (journal.Effects.Run), exactly as engine.Ctx.RunEffect does.
 func (c *Context) RunEffect(activity, effectKind string, effect func() error, out journal.Outcome) error {
-	_, replayed, err := c.effects.Run(c.jrec, c.instID, activity, effectKind, effect, out)
+	replayed, err := c.effects.Run(c.jrec, c.instID, activity, effectKind, effect, out)
 	if replayed && err == nil {
-		c.Track(activity, "Replayed")
 		c.currentSpan().Set("effect", effectKind).SetOutcome(obsv.OutcomeReplayed)
 		c.Runtime.Obs().M().Counter("journal.replays").Inc()
 	}
@@ -124,9 +123,7 @@ func (rt *Runtime) Resume(root Activity, ij *journal.InstanceJournal) (*Context,
 	}
 	c.jrec = rt.Journal()
 	c.instID = ij.ID
-	total := c.effects.Load(ij)
-	c.Track(root.Name(), fmt.Sprintf("Recovering instance %d (%d memoized effects)", ij.ID, total))
-	err := rt.runRoot(c, root)
+	err := rt.runRoot(c, root, c.effects.Load(ij))
 	c.finishJournal(err)
 	return c, err
 }

@@ -1,14 +1,17 @@
 package mswf
 
 import (
+	"reflect"
 	"testing"
 
 	"wfsql/internal/journal"
+	"wfsql/internal/obsv"
 )
 
 // TestSaveRunsOnlyForAJournal is the WF runtime's half of the engine test
 // of the same name: a detached run never calls Save, a journaled run once
-// per effect, a resumed one restores instead of running the effect.
+// per effect, a resumed one restores instead of running the effect — and
+// its instance span, alone, notes how many memos it was handed.
 func TestSaveRunsOnlyForAJournal(t *testing.T) {
 	var effects, saves, restores int
 	out := journal.Outcome{
@@ -16,6 +19,10 @@ func TestSaveRunsOnlyForAJournal(t *testing.T) {
 		Restore: func(memo map[string]string) error { restores += len(memo); return nil },
 	}
 	rt := NewRuntime()
+	col := obsv.NewCollector()
+	o := obsv.New()
+	o.Tracer.AddSink(col)
+	rt.SetObservability(o)
 	root := NewCode("step", func(c *Context) error {
 		return c.RunEffect("step", journal.EffectSQL, func() error { effects++; return nil }, out)
 	})
@@ -49,4 +56,12 @@ func TestSaveRunsOnlyForAJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("resumed", 2, 1, 1)
+
+	var memos []string
+	for _, s := range col.ByKind(obsv.KindInstance) {
+		memos = append(memos, s.Attrs["memos"])
+	}
+	if want := []string{"", "", "1"}; !reflect.DeepEqual(memos, want) {
+		t.Fatalf("memos notes on the detached, journaled and resumed instance spans: %q, want %q", memos, want)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wfsql/internal/dataset"
+	"wfsql/internal/obsv"
 	"wfsql/internal/sqldb"
 	"wfsql/internal/wsbus"
 )
@@ -249,20 +250,22 @@ func TestFigure6Workflow(t *testing.T) {
 func TestTrackingService(t *testing.T) {
 	db := ordersDB()
 	rt := newRuntime(db)
+	col := obsv.NewCollector()
+	o := obsv.New()
+	o.Tracer.AddSink(col)
+	rt.SetObservability(o)
 	svc := wsbus.NewOrderFromSupplier(0)
-	c, err := rt.Run(figure6Workflow(svc), map[string]any{"Index": 0})
-	if err != nil {
+	if _, err := rt.Run(figure6Workflow(svc), map[string]any{"Index": 0}); err != nil {
 		t.Fatal(err)
 	}
-	events := c.Events()
 	var closed int
-	for _, ev := range events {
-		if ev.Activity == "SQLDatabase2" && ev.Status == "Closed" {
+	for _, s := range col.ByName("SQLDatabase2") {
+		if s.Kind == obsv.KindActivity && s.Outcome == obsv.OutcomeOK {
 			closed++
 		}
 	}
 	if closed != 3 {
-		t.Fatalf("SQLDatabase2 closed events: %d", closed)
+		t.Fatalf("SQLDatabase2 closed activity spans: %d", closed)
 	}
 }
 

@@ -3,7 +3,8 @@
 // BPEL-based: workflows are authored in a .NET language (code-only), in
 // XOML markup (markup-only), or both (code-separation), and executed by a
 // runtime engine hosted in an ordinary process, backed by pluggable
-// runtime services (tracking, persistence).
+// runtime services (persistence; the tracking service's role is played
+// by the observability span tree).
 //
 // This package therefore has its own small activity model and runtime —
 // deliberately separate from internal/engine — plus the Base Activity
@@ -17,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -52,14 +54,13 @@ type Runtime struct {
 	handlers  map[string]func(*Context) error
 	rules     map[string]func(*Context) (bool, error)
 	services  map[string]func(map[string]string) (map[string]string, error)
-	tracking  bool
 	jrec      *journal.Recorder
 	obs       *obsv.Observability
 }
 
 // SetObservability attaches (or with nil detaches) a tracing/metrics
 // bundle: each Run then emits an instance span (stack "WF") with one
-// activity span per executed activity, mirroring the tracking service,
+// activity span per executed activity — WF's tracking service role —
 // and the bundle is propagated to the dead-letter log and any attached
 // journal recorder.
 func (rt *Runtime) SetObservability(o *obsv.Observability) {
@@ -96,7 +97,6 @@ func NewRuntime() *Runtime {
 		handlers:    map[string]func(*Context) error{},
 		rules:       map[string]func(*Context) (bool, error){},
 		services:    map[string]func(map[string]string) (map[string]string, error){},
-		tracking:    true,
 	}
 }
 
@@ -213,12 +213,6 @@ func (rt *Runtime) openConnection(connStr string) (*sqldb.DB, error) {
 	return reg.db, nil
 }
 
-// TrackEvent is one tracking-service record.
-type TrackEvent struct {
-	Activity string
-	Status   string // "Executing", "Closed", "Faulted"
-}
-
 // Context is the execution context of a workflow instance: host variables
 // plus runtime access. WF host variables are fields of the workflow class;
 // here they are a typed map.
@@ -227,7 +221,6 @@ type Context struct {
 
 	mu       sync.Mutex
 	vars     map[string]any
-	events   []TrackEvent
 	sessions map[*sqldb.DB]*sqldb.Session // one session per DB per instance
 
 	// Durable-execution state (see journal.go): the durable instance
@@ -359,23 +352,6 @@ func (c *Context) VarNames() []string {
 	return names
 }
 
-// Track appends a tracking event (no-op when tracking is disabled).
-func (c *Context) Track(activity, status string) {
-	if !c.Runtime.tracking {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.events = append(c.events, TrackEvent{Activity: activity, Status: status})
-}
-
-// Events returns the tracking-service records.
-func (c *Context) Events() []TrackEvent {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]TrackEvent(nil), c.events...)
-}
-
 // Activity is one node of a WF workflow.
 type Activity interface {
 	Name() string
@@ -414,19 +390,23 @@ func (rt *Runtime) RunCtx(ctx context.Context, root Activity, initial map[string
 			return c, err
 		}
 	}
-	err := rt.runRoot(c, root)
+	err := rt.runRoot(c, root, -1)
 	c.finishJournal(err)
 	return c, err
 }
 
 // runRoot executes the workflow root under an instance span (stack
-// "WF"), shared by Run and Resume.
-func (rt *Runtime) runRoot(c *Context, root Activity) error {
+// "WF"), shared by Run and Resume; a resumed run (memos >= 0) notes on
+// it how many memoized effects it was handed.
+func (rt *Runtime) runRoot(c *Context, root Activity, memos int) error {
 	obs := rt.Obs()
 	span := obs.T().Start(0, obsv.KindInstance, root.Name())
 	if span != nil {
 		span.Stack = "WF"
 		span.Instance = c.instID
+		if memos >= 0 {
+			span.Set("memos", strconv.Itoa(memos))
+		}
 		c.mu.Lock()
 		c.span = span
 		c.mu.Unlock()
@@ -452,7 +432,6 @@ func runActivity(c *Context, a Activity) error {
 	// before it starts (mirrors engine.execChild).
 	if err := c.Context().Err(); err != nil {
 		obs.M().Counter("wf.deadline_expired").Inc()
-		c.Track(a.Name(), "Faulted")
 		return fmt.Errorf("%s: %w: %w", a.Name(), ErrBudgetExceeded, err)
 	}
 	var sp *obsv.Span
@@ -474,9 +453,7 @@ func runActivity(c *Context, a Activity) error {
 		}()
 	}
 	obs.M().Counter("wf.activities").Inc()
-	c.Track(a.Name(), "Executing")
 	if err := a.Execute(c); err != nil {
-		c.Track(a.Name(), "Faulted")
 		if journal.IsCrash(err) {
 			sp.End(obsv.OutcomeCrashed)
 		} else {
@@ -484,7 +461,6 @@ func runActivity(c *Context, a Activity) error {
 		}
 		return err
 	}
-	c.Track(a.Name(), "Closed")
 	// End("") keeps an outcome recorded earlier (e.g. OutcomeReplayed
 	// from the journal replay path), defaulting to OK.
 	sp.End("")

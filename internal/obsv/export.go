@@ -158,6 +158,38 @@ func (j *JSONLWriter) Err() error {
 	return j.err
 }
 
+// ActivityLog prints one line per finished activity span — instance,
+// activity, outcome, then the span's attributes in key order — the
+// per-activity console output of cmd/wfrun and cmd/bpelrun.
+type ActivityLog struct {
+	mu sync.Mutex
+	w  io.Writer
+}
+
+// NewActivityLog returns a sink printing activity lines to w.
+func NewActivityLog(w io.Writer) *ActivityLog { return &ActivityLog{w: w} }
+
+// ExportSpan implements SpanSink.
+func (l *ActivityLog) ExportSpan(s *Span) {
+	if s.Kind != KindActivity {
+		return
+	}
+	s.mu.Lock()
+	line := fmt.Sprintf("  [%d] %-30s %s", s.Instance, s.Name, s.Outcome)
+	keys := make([]string, 0, len(s.Attrs))
+	for k := range s.Attrs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		line += " " + k + "=" + s.Attrs[k]
+	}
+	s.mu.Unlock()
+	l.mu.Lock()
+	fmt.Fprintln(l.w, line)
+	l.mu.Unlock()
+}
+
 // WriteMetricsJSON serializes a registry snapshot as indented JSON — the
 // payload behind the -metrics flag and the bench fold.
 func WriteMetricsJSON(w io.Writer, r *Registry) error {

@@ -125,7 +125,7 @@ func (s *Span) End(o Outcome) {
 		return
 	}
 	s.ended = true
-	s.EndTime = s.tracer.now()
+	s.EndTime = time.Now()
 	if o != "" {
 		s.Outcome = o
 	} else if s.Outcome == "" {
@@ -144,21 +144,21 @@ type SpanSink interface {
 	ExportSpan(*Span)
 }
 
-// Tracer creates spans and fans finished ones out to sinks. The zero
-// value is unusable; use NewTracer. A nil *Tracer is safe everywhere —
+// Tracer creates spans and fans finished ones out to sinks; spans are
+// stamped with time.Now. The zero value has no sinks. A nil *Tracer is
+// safe everywhere —
 // Start returns a nil span and every Span method no-ops — so call sites
 // never need to guard on whether observability is attached.
 type Tracer struct {
-	mu      sync.Mutex                 // serializes sink-list writers and guards clock
+	mu      sync.Mutex                 // serializes sink-list writers
 	sinks   atomic.Pointer[[]SpanSink] // copy-on-write: export reads lock- and alloc-free
 	nextID  atomic.Uint64
-	clock   func() time.Time
 	ambient atomic.Uint64 // fallback parent for context-free layers (orasoa)
 }
 
 // NewTracer returns a tracer exporting to the given sinks.
 func NewTracer(sinks ...SpanSink) *Tracer {
-	t := &Tracer{clock: time.Now}
+	t := &Tracer{}
 	for _, s := range sinks {
 		t.AddSink(s)
 	}
@@ -180,29 +180,6 @@ func (t *Tracer) AddSink(s SpanSink) {
 	t.mu.Unlock()
 }
 
-// SetClock overrides the tracer's time source (tests).
-func (t *Tracer) SetClock(now func() time.Time) {
-	if t == nil || now == nil {
-		return
-	}
-	t.mu.Lock()
-	t.clock = now
-	t.mu.Unlock()
-}
-
-func (t *Tracer) now() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	t.mu.Lock()
-	c := t.clock
-	t.mu.Unlock()
-	if c == nil {
-		return time.Now()
-	}
-	return c()
-}
-
 // Start opens a span under parent (0 = root). Nil-safe.
 func (t *Tracer) Start(parent uint64, kind SpanKind, name string) *Span {
 	if t == nil {
@@ -213,7 +190,7 @@ func (t *Tracer) Start(parent uint64, kind SpanKind, name string) *Span {
 		Parent: parent,
 		Kind:   kind,
 		Name:   name,
-		Start:  t.now(),
+		Start:  time.Now(),
 		tracer: t,
 	}
 	return s

@@ -169,9 +169,7 @@ func TestRegistryConcurrency(t *testing.T) {
 func TestJSONLWriter(t *testing.T) {
 	var buf bytes.Buffer
 	jw := NewJSONLWriter(&buf)
-	fixed := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
 	tr := NewTracer(jw)
-	tr.SetClock(func() time.Time { return fixed })
 
 	root := tr.Start(0, KindInstance, "Figure6")
 	root.Stack = "WF"

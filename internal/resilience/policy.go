@@ -7,8 +7,8 @@
 // The package is deliberately substrate-agnostic: it knows nothing about
 // the service bus, the SQL engine, or the workflow engine. The product
 // layers (engine.Invoke, bis.SQLActivity, mswf, orasoa) wire policies into
-// their activities and surface every attempt, backoff, breaker transition,
-// and dead-letter record through their monitoring surfaces, so the paper's
+// their activities and note every attempt, backoff, breaker transition,
+// and dead letter on the activity's span (Notes), so the paper's
 // transaction-mode discussion (short-running vs long-running processes,
 // atomic SQL sequences, fault handlers) becomes an executable and testable
 // reliability matrix.
@@ -18,8 +18,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"time"
+
+	"wfsql/internal/obsv"
 )
 
 // Policy describes how an operation is retried. The zero value means
@@ -185,13 +188,33 @@ func DefaultClassify(err error) bool {
 // Observer receives the retry loop's lifecycle events. All callbacks are
 // optional and are invoked from the caller's goroutine (never from the
 // abandoned goroutine of a timed-out attempt), so observers may safely
-// touch instance state and trace recorders.
+// touch instance state and spans.
 type Observer struct {
 	OnAttempt func(attempt, max int)
 	OnSuccess func(attempt int)
 	OnFailure func(attempt int, err error)
 	OnBackoff func(attempt int, d time.Duration)
 	OnGiveUp  func(attempt int, err error, reason string)
+}
+
+// Notes returns an observer that records a retry loop's progress on sp,
+// the span of the activity it runs in, in the vocabulary both workflow
+// engines share: attempt=<n>/<max> (multi-attempt policies only) and
+// backoff=<d>, the last of each winning. Both callbacks are set, so a
+// caller with its own observer can chain them; a nil sp records nothing.
+func Notes(sp *obsv.Span) Observer {
+	return Observer{
+		OnAttempt: func(n, max int) {
+			if max > 1 && sp != nil {
+				sp.Set("attempt", strconv.Itoa(n)+"/"+strconv.Itoa(max))
+			}
+		},
+		OnBackoff: func(_ int, d time.Duration) {
+			if sp != nil {
+				sp.Set("backoff", d.String())
+			}
+		},
+	}
 }
 
 func (o Observer) attempt(n, max int) {

@@ -68,7 +68,6 @@ type Event struct {
 type Health struct {
 	onEvent      func(Event)
 	suspectAfter int
-	now          func() time.Time
 
 	mu     sync.Mutex
 	states []State
@@ -87,16 +86,11 @@ func NewHealth(n, suspectAfter int, onEvent func(Event)) *Health {
 	return &Health{
 		onEvent:      onEvent,
 		suspectAfter: suspectAfter,
-		now:          time.Now,
 		states:       make([]State, n),
 		misses:       make([]int, n),
 		fenced:       make([]int64, n),
 	}
 }
-
-// SetClock injects the time source used to stamp events (tests share
-// the fleet's manual clock).
-func (h *Health) SetClock(now func() time.Time) { h.now = now }
 
 // State returns shard i's current state.
 func (h *Health) State(i int) State {
@@ -177,7 +171,7 @@ func (h *Health) Fenced(i int) {
 	h.mu.Lock()
 	h.fenced[i]++
 	s := h.states[i]
-	ev := &Event{Shard: i, From: s, To: s, Reason: "zombie append fenced", Time: h.now()}
+	ev := &Event{Shard: i, From: s, To: s, Reason: "zombie append fenced", Time: time.Now()}
 	h.events = append(h.events, *ev)
 	h.mu.Unlock()
 	h.emit(ev)
@@ -200,7 +194,7 @@ func (h *Health) Events() []Event {
 // transition records a state change under h.mu and returns the event
 // for post-unlock emission.
 func (h *Health) transition(i int, to State, reason string) *Event {
-	ev := &Event{Shard: i, From: h.states[i], To: to, Reason: reason, Time: h.now()}
+	ev := &Event{Shard: i, From: h.states[i], To: to, Reason: reason, Time: time.Now()}
 	h.states[i] = to
 	h.events = append(h.events, *ev)
 	return ev

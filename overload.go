@@ -123,8 +123,8 @@ func (env *Environment) newOverloadPool(cfg OverloadConfig, prepared *Prepared) 
 
 	// Graceful degradation of durability cost: while the brown-out is
 	// active, a journal running in SyncAlways relaxes to SyncCritical
-	// (commit-critical records still sync; chatty ones batch). The
-	// previous policy is restored when pressure subsides.
+	// (commit-critical records still sync; the others ride along with
+	// them). The previous policy is restored when pressure subsides.
 	if rec := prepared.Journal(); rec != nil && p.Brownout() != nil {
 		var mu sync.Mutex
 		var saved *journal.SyncPolicy
@@ -135,7 +135,7 @@ func (env *Environment) newOverloadPool(cfg OverloadConfig, prepared *Prepared) 
 				cur := rec.SyncPolicy()
 				if cur.Mode == journal.SyncAlways {
 					saved = &cur
-					rec.SetSyncPolicy(journal.SyncPolicy{Mode: journal.SyncCritical, BatchSize: cur.BatchSize})
+					rec.SetSyncPolicy(journal.SyncPolicy{Mode: journal.SyncCritical})
 				}
 			} else if saved != nil {
 				rec.SetSyncPolicy(*saved)

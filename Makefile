@@ -66,10 +66,14 @@ fuzz:
 	$(GO) test -fuzz='^FuzzNormalizeStmt$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzIndexKey$$' -fuzztime=15s ./internal/sqldb/
 
-# The figure runners end to end: cmd/wfrun and cmd/bpelrun on their
-# testdata, each writing its span trace (JSONL) and metrics snapshot
-# into ARTIFACTS (a fresh temporary directory when unset), e.g.
+# The CLIs end to end, writing into ARTIFACTS (a fresh temporary
+# directory when unset), e.g.
 #   make smoke ARTIFACTS=artifacts
+# cmd/wfrun and cmd/bpelrun run on their testdata and write their span
+# traces (JSONL) and metrics snapshots; cmd/sqlsh runs a script whose
+# cached SELECT and EXPLAIN must move onto an index created between two
+# executions; cmd/tables -verify and cmd/patterncheck execute every
+# conformance case.
 smoke:
 	@set -e; dir="$(ARTIFACTS)"; [ -n "$$dir" ] || dir=$$(mktemp -d); mkdir -p "$$dir"; \
 	$(GO) run ./cmd/wfrun -xoml cmd/wfrun/testdata/sample.xoml \
@@ -78,12 +82,17 @@ smoke:
 	$(GO) run ./cmd/bpelrun -bpel cmd/bpelrun/testdata/figure4.bpel \
 		-seed cmd/bpelrun/testdata/seed.sql \
 		-trace "$$dir/bpelrun-trace.jsonl" -metrics "$$dir/bpelrun-metrics.json"; \
+	$(GO) run ./cmd/sqlsh -f cmd/sqlsh/testdata/replan.sql > "$$dir/sqlsh.txt"; \
+	grep -q "INDEX PROBE Orders USING orders_cust" "$$dir/sqlsh.txt" || \
+		{ echo "smoke: EXPLAIN did not move onto the new index (see $$dir/sqlsh.txt)"; exit 1; }; \
+	$(GO) run ./cmd/tables -verify > "$$dir/tables.txt"; \
+	$(GO) run ./cmd/patterncheck > "$$dir/patterncheck.txt"; \
 	echo "smoke: artifacts in $$dir"
 
 # The gate: build, vet, formatting, the suite without the race detector
 # (the allocation gates — TestAllocBudget, TestCursorLoopScalesLinearly —
 # skip under it), the benchmark module's own tests (so an API the harness
-# pins cannot break unseen), the two figure runners, the full
+# pins cannot break unseen), the CLIs (smoke), the full
 # race-enabled suite (soak included), then the fuzz smoke.
 ci: build vet fmt test bench-test smoke race fuzz
 

@@ -57,6 +57,8 @@ func main() {
 		fmt.Print(res.String())
 		if res.IsQuery() {
 			fmt.Printf("(%d rows)\n", len(res.Rows))
+		} else {
+			fmt.Println()
 		}
 		return true
 	}

@@ -22,7 +22,6 @@ type ProcessBuilder struct {
 	preparation []dsStatement
 	cleanup     []dsStatement
 	body        engine.Activity
-	pattern     string
 }
 
 type dsStatement struct {
@@ -110,14 +109,6 @@ func (b *ProcessBuilder) Body(a engine.Activity) *ProcessBuilder {
 	return b
 }
 
-// Pattern labels the process with the paper's SQL-support pattern id it
-// exercises (e.g. "P4"); spans emitted for its instances carry the
-// label.
-func (b *ProcessBuilder) Pattern(id string) *ProcessBuilder {
-	b.pattern = id
-	return b
-}
-
 // ProcessName returns the process name.
 func (b *ProcessBuilder) ProcessName() string { return b.name }
 
@@ -171,7 +162,6 @@ func (b *ProcessBuilder) Build() *engine.Process {
 		Body:      b.body,
 		Mode:      b.mode,
 		Stack:     "BIS",
-		Pattern:   b.pattern,
 	}
 	refs := b.refs
 	dsvars, defaultDS := b.dsvars, b.defaultDS

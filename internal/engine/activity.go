@@ -47,7 +47,6 @@ func execChild(ctx *Ctx, a Activity) error {
 	}
 	if sp := obs.T().Start(ctx.span.SpanID(), obsv.KindActivity, a.Name()); sp != nil {
 		sp.Stack = ctx.Inst.Process.Stack
-		sp.Pattern = ctx.Inst.Process.Pattern
 		sp.Instance = ctx.Inst.ID
 		prev := obs.T().Ambient()
 		obs.T().SetAmbient(sp.SpanID())

@@ -47,12 +47,9 @@ type Process struct {
 	Mode      TransactionMode
 
 	// Stack names the product architecture the process models ("BIS",
-	// "WF", "Oracle") and Pattern the paper's SQL-support pattern the
-	// process exercises (e.g. "P4 retrieve-set"). Both are carried on
-	// every span the instance emits so traces can be sliced per stack
-	// and per pattern.
-	Stack   string
-	Pattern string
+	// "WF", "Oracle"). It is carried on every span the instance emits so
+	// traces can be sliced per stack.
+	Stack string
 
 	// OnInstanceStart hooks run before the body (the BIS layer installs
 	// preparation statements and transaction setup here).
@@ -332,7 +329,6 @@ func (e *Engine) executeCtx(runCtx context.Context, in *Instance) error {
 	span := obs.T().Start(0, obsv.KindInstance, in.Process.Name)
 	if span != nil {
 		span.Stack = in.Process.Stack
-		span.Pattern = in.Process.Pattern
 		span.Instance = in.ID
 		span.Set("mode", in.Process.Mode.String())
 		obs.T().SetAmbient(span.SpanID())

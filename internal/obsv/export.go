@@ -107,9 +107,6 @@ func (c *Collector) TreeString() string {
 			if s.Stack != "" {
 				line += " stack=" + s.Stack
 			}
-			if s.Pattern != "" {
-				line += " pattern=" + s.Pattern
-			}
 			b = append(b, line...)
 			b = append(b, '\n')
 			walk(s.ID, depth+1)

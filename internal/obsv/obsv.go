@@ -57,7 +57,6 @@ type Span struct {
 	Kind     SpanKind          `json:"kind"`
 	Name     string            `json:"name"`
 	Stack    string            `json:"stack,omitempty"`    // BIS | WF | Oracle
-	Pattern  string            `json:"pattern,omitempty"`  // paper pattern id
 	Instance int64             `json:"instance,omitempty"` // engine instance id
 	Start    time.Time         `json:"start"`
 	EndTime  time.Time         `json:"end"`

@@ -16,7 +16,6 @@ func TestSpanTreeAndCollector(t *testing.T) {
 
 	root := tr.Start(0, KindInstance, "Figure4")
 	root.Stack = "BIS"
-	root.Pattern = "Query"
 	act := tr.Start(root.SpanID(), KindActivity, "RetrieveOrder")
 	sql := tr.Start(act.SpanID(), KindSQL, "SELECT")
 	sql.Set("table", "Orders").End(OutcomeOK)
@@ -42,7 +41,7 @@ func TestSpanTreeAndCollector(t *testing.T) {
 		t.Fatalf("attrs = %v", grand[0].Attrs)
 	}
 	tree := col.TreeString()
-	if !strings.Contains(tree, "instance Figure4 [ok] stack=BIS pattern=Query") {
+	if !strings.Contains(tree, "instance Figure4 [ok] stack=BIS") {
 		t.Fatalf("tree rendering:\n%s", tree)
 	}
 }

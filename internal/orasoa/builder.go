@@ -10,11 +10,10 @@ import (
 // BPEL process whose assign activities can call the Oracle XPath extension
 // functions, and produces an engine.Process for the Core BPEL Engine.
 type ProcessBuilder struct {
-	name    string
-	funcs   *Functions
-	vars    []engine.VarDecl
-	body    engine.Activity
-	pattern string
+	name  string
+	funcs *Functions
+	vars  []engine.VarDecl
+	body  engine.Activity
 }
 
 // NewProcess starts building an Oracle SOA process over the given
@@ -41,13 +40,6 @@ func (b *ProcessBuilder) Body(a engine.Activity) *ProcessBuilder {
 	return b
 }
 
-// Pattern labels the process with the paper's SQL-support pattern id it
-// exercises; spans emitted for its instances carry the label.
-func (b *ProcessBuilder) Pattern(id string) *ProcessBuilder {
-	b.pattern = id
-	return b
-}
-
 // Build produces the deployable process model with the extension functions
 // installed.
 func (b *ProcessBuilder) Build() *engine.Process {
@@ -57,7 +49,6 @@ func (b *ProcessBuilder) Build() *engine.Process {
 		Body:      b.body,
 		Funcs:     b.funcs,
 		Stack:     "Oracle",
-		Pattern:   b.pattern,
 	}
 }
 

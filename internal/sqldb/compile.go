@@ -7,11 +7,14 @@ import (
 )
 
 // Compiled expression execution: every per-row expression of a statement
-// is compiled once per execution into a closure tree, private to that
-// execution (one goroutine); the cached plan's AST stays immutable and
-// shared. Names resolve when the tree is built, against the scope's
-// layout and its outer chain: an unknown or ambiguous column is an error
-// whether or not a row ever reaches it, and a column read is one index.
+// is compiled into a closure tree when its plan is built — once per
+// statement slot (slot.go), or per execution without one — and run by
+// one execution at a time; the AST stays immutable and shared. Names
+// resolve when the tree is built, against the scope's layout and its
+// outer chain: an unknown or ambiguous column is an error whether or not
+// a row ever reaches it, and a column read is one index. A parameter
+// folded into a comparison or a probe key is a bind: its cell is re-filled
+// per execution, like every parameter the closures read through env.
 
 // evalFn is one compiled expression: closed over its operator and
 // operands, open over the row environment.
@@ -30,6 +33,7 @@ type compiler struct {
 	shift int        // row position of cols[0]
 	srcs  []source   // FROM entries, to attribute a column to its source
 	aggs  *[]aggSpec // set while compiling a grouped SELECT's output: aggregates become slots
+	tree  *planTree  // a slotted plan's binds (nil: planned for one execution)
 	err   error
 
 	lo, hi int  // lowest and highest source referenced at depth 0 (hi < 0: none)
@@ -37,7 +41,9 @@ type compiler struct {
 	sawAgg bool // an aggregate call was compiled
 }
 
-func newCompiler(e *env) compiler { return compiler{e: e, cols: e.cols, lo: math.MaxInt, hi: -1} }
+func newCompiler(e *env, tree *planTree) compiler {
+	return compiler{e: e, cols: e.cols, tree: tree, lo: math.MaxInt, hi: -1}
+}
 
 func (c *compiler) reset() { c.lo, c.hi, c.unsafe = math.MaxInt, -1, false }
 
@@ -79,27 +85,42 @@ func (c *compiler) constant(x Expr) (Value, bool) {
 	case *Literal:
 		return t.Val, true
 	case *ParamRef:
-		if t.Name != "" {
-			v, ok := c.e.named[strings.ToLower(t.Name)]
-			return v, ok
-		}
-		if t.Index >= 0 && t.Index < len(c.e.params) {
-			return c.e.params[t.Index], true
-		}
+		return paramValue(t, c.e.params, c.e.named)
 	}
 	return Value{}, false
 }
 
-// colConst matches `column <op> constant` either way round; flip reports
-// that the column was the right operand.
-func (c *compiler) colConst(t *BinaryExpr) (idx int, k Value, flip, ok bool) {
+// paramValue reads a parameter's bound value.
+func paramValue(t *ParamRef, params []Value, named map[string]Value) (Value, bool) {
+	if t.Name != "" {
+		v, ok := named[strings.ToLower(t.Name)]
+		return v, ok
+	}
+	if t.Index >= 0 && t.Index < len(params) {
+		return params[t.Index], true
+	}
+	return Value{}, false
+}
+
+// need records, for a slotted plan, that x — when a parameter — was read
+// at planning, into dst when its value was folded there (see bind).
+func (c *compiler) need(x Expr, dst *Value) {
+	if ref, ok := x.(*ParamRef); ok && c.tree != nil {
+		c.tree.binds = append(c.tree.binds, bind{ref, dst})
+	}
+}
+
+// colConst matches `column <op> constant` either way round; kx is the
+// constant's operand (t.L when the column was the right one).
+func (c *compiler) colConst(t *BinaryExpr) (idx int, k Value, kx Expr, ok bool) {
 	if k, ok = c.constant(t.R); ok {
 		idx, ok = c.column(t.L)
+		kx = t.R
 	} else if k, ok = c.constant(t.L); ok {
 		idx, ok = c.column(t.R)
-		flip = true
+		kx = t.L
 	}
-	return idx, k, flip, ok
+	return idx, k, kx, ok
 }
 
 func errRowContext(t *ColumnRef) error {
@@ -172,23 +193,23 @@ func (c *compiler) pred(x Expr) predFn {
 				return r(e)
 			}
 		case "=", "<>", "<", "<=", ">", ">=":
-			idx, k, flip, ok := c.colConst(t)
+			idx, k, kx, ok := c.colConst(t)
 			if !ok {
 				break
 			}
 			ref, _ := t.L.(*ColumnRef)
 			mask := cmpMask(t.Op)
-			if flip {
+			if kx == t.L {
 				ref = t.R.(*ColumnRef)
 				mask = mask&2 | mask>>2 | (mask&1)<<2 // swap less and greater
 			}
-			return func(e *env) (bool, error) {
-				if e.row == nil {
-					return false, errRowContext(ref)
-				}
-				cmp, ok := e.row[idx].compare(&k)
-				return ok && mask&(1<<(cmp+1)) != 0, nil
+			if _, param := kx.(*ParamRef); param && c.tree != nil {
+				cell := new(Value)
+				*cell = k
+				c.need(kx, cell)
+				return func(e *env) (bool, error) { return colCmp(e, idx, cell, mask, ref) }
 			}
+			return func(e *env) (bool, error) { return colCmp(e, idx, &k, mask, ref) }
 		}
 	}
 	fn := c.compile(x)
@@ -196,6 +217,16 @@ func (c *compiler) pred(x Expr) predFn {
 		v, err := fn(e)
 		return v.Truth(), err
 	}
+}
+
+// colCmp compares the row's column idx with *k, accepting the outcomes
+// in mask (see cmpMask).
+func colCmp(e *env, idx int, k *Value, mask uint8, ref *ColumnRef) (bool, error) {
+	if e.row == nil {
+		return false, errRowContext(ref)
+	}
+	cmp, ok := e.row[idx].compare(k)
+	return ok && mask&(1<<(cmp+1)) != 0, nil
 }
 
 // compile compiles an expression to a closure tree.
@@ -221,7 +252,11 @@ func (c *compiler) compile(x Expr) evalFn {
 	case *ParamRef:
 		if _, ok := c.constant(t); !ok {
 			c.unsafe = true
+			if c.tree != nil {
+				c.tree.unbound = true
+			}
 		}
+		c.need(t, nil)
 		return func(e *env) (Value, error) { return eval(t, e) }
 	case *BinaryExpr:
 		return c.binary(t)
@@ -296,7 +331,7 @@ func (c *compiler) compileAll(xs []Expr) []evalFn {
 // around it runs the plan per evaluation.
 func (c *compiler) plan(q *SelectStmt) (*selectPlan, error) {
 	c.unsafe = true
-	return c.e.session.planSelect(q, c.e)
+	return c.e.session.planSelect(q, c.e, c.tree)
 }
 
 // subquery is an expression computed from a subquery's result.

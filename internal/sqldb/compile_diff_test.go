@@ -349,7 +349,7 @@ func TestCompiledAndInterpretedExpressionsAgree(t *testing.T) {
 			// One compiled tree serves one statement execution: many rows,
 			// one column layout, one set of parameters.
 			scope := &env{cols: diffCols, params: params, named: named, outer: &env{cols: diffOuterCols}}
-			c, pc := newCompiler(scope), newCompiler(scope)
+			c, pc := newCompiler(scope, nil), newCompiler(scope, nil)
 			fn, pred := c.compile(x), pc.pred(x)
 			if bad := hasBadRef(x); bad != (c.err != nil) || bad != (pc.err != nil) {
 				t.Fatalf("seed %d expr %d: %s: bad reference %v, compile error %v, pred error %v",

@@ -77,8 +77,8 @@ type DB struct {
 	//     plan of their own; one whose plan entry was evicted is
 	//     dropped lazily on lookup.
 	//
-	// DDL invalidates nothing here: a cached statement is a parse tree
-	// whose names bind at execution, against the catalog as it then is.
+	// DDL evicts nothing here: an entry's plan re-checks the catalog each
+	// time it is lent (slot.go) and is rebuilt when what it read changed.
 	cacheMu        sync.Mutex
 	stmtCache      map[string]*list.Element // normalized text -> lruList element
 	lruList        *list.List               // of *cacheEntry, front = hottest
@@ -106,12 +106,14 @@ type DB struct {
 	changeSeq  atomic.Int64
 	readOnly   atomic.Bool
 
-	// footGen versions cached statement footprints (see fpSlot). Only
-	// view and procedure changes bump it: table names re-resolve against
-	// db.tables on every execution, so table DDL cannot stale a cached
-	// footprint, but view/procedure bodies are expanded *into* the
-	// cached name list and must invalidate it.
+	// footGen versions what a statement slot caches (slot.go): footprints
+	// and plans. Only view and procedure changes bump it: table names
+	// re-resolve against db.tables on every execution and a plan checks
+	// each table's schemaVer, but view/procedure bodies are expanded
+	// *into* the cached name list and plan.
 	footGen atomic.Int64
+
+	compiles atomic.Int64 // plans built (StmtCacheStats.Compiles)
 }
 
 // stmtCacheCap bounds the parsed-statement cache. When an insert would
@@ -126,13 +128,14 @@ const stmtCacheCap = 1024
 const rawCacheCap = 4096
 
 // cacheEntry is one plan-cache LRU slot: the normalized SQL text (the
-// map key, to unlink on eviction) and its parsed statement. dead marks
-// an entry evicted from the plan cache while raw front-cache entries
-// may still point at it; those drop lazily (all under cacheMu).
+// map key, to unlink on eviction), its parsed statement and that
+// statement's slot. dead marks an entry evicted from the plan cache
+// while raw front-cache entries may still point at it; those drop
+// lazily (all under cacheMu).
 type cacheEntry struct {
 	sql  string
 	st   Stmt
-	fp   fpSlot // lazily computed latch footprint (see stmtFootprint)
+	slot stmtSlot // footprint and idle plan, filled by executions
 	el   *list.Element
 	dead bool
 }
@@ -148,13 +151,13 @@ type rawEntry struct {
 	pattern []uint8
 }
 
-// parsedStmt is a cachedParse resolution: the plan, its footprint slot,
+// parsedStmt is a cachedParse resolution: the statement, its slot,
 // the normalized text it is cached under (== the input when the
 // normalizer declined), the constants extracted from this exact text
 // with their slot pattern, and the parse accounting for StmtStats.
 type parsedStmt struct {
 	st      Stmt
-	fp      *fpSlot
+	slot    *stmtSlot
 	norm    string
 	consts  []Value
 	pattern []uint8
@@ -244,6 +247,7 @@ type StmtCacheStats struct {
 	Hits      int64 // Exec/ExecNamed calls served from the cache
 	Misses    int64 // calls that had to parse
 	Evictions int64 // single LRU evictions (capacity pressure)
+	Compiles  int64 // plans built: SELECTs and UPDATE/DELETE row filters, slotted or not
 }
 
 // StmtCacheStats returns a snapshot of the parsed-statement cache.
@@ -256,6 +260,7 @@ func (db *DB) StmtCacheStats() StmtCacheStats {
 		Hits:      db.cacheHits.Load(),
 		Misses:    db.cacheMisses.Load(),
 		Evictions: db.cacheEvictions.Load(),
+		Compiles:  db.compiles.Load(),
 	}
 }
 
@@ -283,7 +288,7 @@ func (db *DB) cachedParse(sql string) (parsedStmt, error) {
 			db.lruList.MoveToFront(re.ce.el)
 			// Read the entry under the lock: insertRawLocked refreshes
 			// these fields in place for a concurrent parser of this text.
-			ps := parsedStmt{st: re.ce.st, fp: &re.ce.fp, norm: re.ce.sql, consts: re.consts, pattern: re.pattern, hit: true}
+			ps := parsedStmt{st: re.ce.st, slot: &re.ce.slot, norm: re.ce.sql, consts: re.consts, pattern: re.pattern, hit: true}
 			db.cacheMu.Unlock()
 			db.cacheHits.Add(1)
 			return ps, nil
@@ -306,7 +311,7 @@ func (db *DB) cachedParse(sql string) (parsedStmt, error) {
 		db.insertRawLocked(sql, ce, n.consts, n.pattern)
 		db.cacheMu.Unlock()
 		db.cacheHits.Add(1)
-		return parsedStmt{st: ce.st, fp: &ce.fp, norm: key, consts: n.consts, pattern: n.pattern, hit: true}, nil
+		return parsedStmt{st: ce.st, slot: &ce.slot, norm: key, consts: n.consts, pattern: n.pattern, hit: true}, nil
 	}
 	db.cacheMu.Unlock()
 
@@ -358,7 +363,7 @@ func (db *DB) cachedParse(sql string) (parsedStmt, error) {
 	} else {
 		db.cacheMisses.Add(1)
 	}
-	return parsedStmt{st: ce.st, fp: &ce.fp, norm: key, consts: n.consts, pattern: n.pattern, parse: parse, hit: hit}, nil
+	return parsedStmt{st: ce.st, slot: &ce.slot, norm: key, consts: n.consts, pattern: n.pattern, parse: parse, hit: hit}, nil
 }
 
 // insertRawLocked records (or refreshes) the raw-text front-cache entry

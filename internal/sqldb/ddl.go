@@ -6,7 +6,7 @@ import (
 )
 
 // execCreateTable handles CREATE TABLE, including CREATE TABLE ... AS SELECT.
-func (s *Session) execCreateTable(t *CreateTableStmt, params []Value, named map[string]Value) (*Result, error) {
+func (s *Session) execCreateTable(t *CreateTableStmt, slot *stmtSlot, base *env) (*Result, error) {
 	lc := strings.ToLower(t.Table)
 	if _, exists := s.db.tables[lc]; exists {
 		if t.IfNotExists {
@@ -18,8 +18,7 @@ func (s *Session) execCreateTable(t *CreateTableStmt, params []Value, named map[
 		return nil, fmt.Errorf("sqldb: a view named %s already exists", t.Table)
 	}
 	if t.AsQuery != nil {
-		base := &env{params: params, named: named, session: s}
-		qres, err := s.execSelect(t.AsQuery, base)
+		qres, err := s.execSelect(t.AsQuery, base, slot)
 		if err != nil {
 			return nil, err
 		}
@@ -65,11 +64,12 @@ func (s *Session) execCreateTable(t *CreateTableStmt, params []Value, named map[
 
 // execAlterTable handles ALTER TABLE ADD COLUMN / DROP COLUMN / RENAME TO.
 // Like the other DDL statements, alterations are not transactional.
-func (s *Session) execAlterTable(t *AlterTableStmt, params []Value, named map[string]Value) (*Result, error) {
+func (s *Session) execAlterTable(t *AlterTableStmt, base *env) (*Result, error) {
 	tbl, err := s.db.table(t.Table)
 	if err != nil {
 		return nil, err
 	}
+	tbl.schemaVer++
 	switch t.Kind {
 	case AlterAddColumn:
 		if tbl.ColumnIndex(t.Column.Name) >= 0 {
@@ -80,7 +80,6 @@ func (s *Session) execAlterTable(t *AlterTableStmt, params []Value, named map[st
 		}
 		var def Value
 		if t.Column.Default != nil {
-			base := &env{params: params, named: named, session: s}
 			def, err = eval(t.Column.Default, base)
 			if err != nil {
 				return nil, err

@@ -5,17 +5,19 @@ import (
 	"strings"
 )
 
-// execExplain plans a SELECT exactly as execSelect does and renders the
-// plan instead of running it: what EXPLAIN names — access paths and the
-// index probed, join strategies, where each filter sits — is what the
-// next execution does, because both read the same selectPlan.
-func (s *Session) execExplain(t *ExplainStmt, params []Value, named map[string]Value) (*Result, error) {
-	p, err := s.planSelect(t.Query, &env{params: params, named: named, session: s})
+// execExplain takes a plan for the SELECT exactly as execSelect does —
+// through the statement's slot, re-checked or rebuilt — and renders it
+// instead of running it: what EXPLAIN names — access paths and the index
+// probed, join strategies, where each filter sits — is what the next
+// execution does, because both read the same selectPlan.
+func (s *Session) execExplain(t *ExplainStmt, slot *stmtSlot, base *env) (*Result, error) {
+	p, err := s.lend(slot, t.Query, base)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Columns: []string{"plan"}}
 	p.explain(0, func(line string) { res.Rows = append(res.Rows, []Value{Str(line)}) })
+	slot.put(p)
 	return res, nil
 }
 

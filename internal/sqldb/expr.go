@@ -108,13 +108,13 @@ func eval(x Expr, e *env) (Value, error) {
 	case *InExpr:
 		return evalIn(t, e)
 	case *ExistsExpr:
-		res, err := e.session.execSelect(t.Query, e)
+		res, err := e.session.execSelect(t.Query, e, nil)
 		if err != nil {
 			return Null(), err
 		}
 		return Bool((len(res.Rows) > 0) != t.Not), nil
 	case *SubqueryExpr:
-		res, err := e.session.execSelect(t.Query, e)
+		res, err := e.session.execSelect(t.Query, e, nil)
 		if err != nil {
 			return Null(), err
 		}
@@ -289,7 +289,7 @@ func evalIn(t *InExpr, e *env) (Value, error) {
 	}
 	var candidates []Value
 	if t.Query != nil {
-		res, err := e.session.execSelect(t.Query, e)
+		res, err := e.session.execSelect(t.Query, e, nil)
 		if err != nil {
 			return Null(), err
 		}

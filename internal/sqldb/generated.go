@@ -16,11 +16,12 @@ import (
 // latches, stats and change record, Cache == "".
 
 // ParsedQuery is a SELECT parsed once and shared, like a plan-cache AST,
-// by every CreateTableAs around it.
+// by every CreateTableAs around it — and so is its slot (slot.go).
 type ParsedQuery struct {
 	sel   *SelectStmt
 	src   string
 	parse atomic.Int64 // one-time parse cost, charged to the first execution
+	slot  stmtSlot
 }
 
 // ParseQuery parses a SELECT for CreateTableAs.
@@ -61,7 +62,7 @@ func createTableAsStmt(name string, q *ParsedQuery) (Stmt, string) {
 
 // execBuilt executes a constructor's statement. Names render unquoted, so
 // one the lexer would not read back as that identifier is refused.
-func (s *Session) execBuilt(name string, st Stmt, src string, charge *atomic.Int64, params []Value) (*Result, error) {
+func (s *Session) execBuilt(name string, st Stmt, src string, slot *stmtSlot, charge *atomic.Int64, params []Value) (*Result, error) {
 	ok := name != "" && isIdentStart(rune(name[0])) && !keywords[strings.ToUpper(name)]
 	for i := 1; ok && i < len(name); i++ {
 		ok = isIdentPart(rune(name[i]))
@@ -69,23 +70,23 @@ func (s *Session) execBuilt(name string, st Stmt, src string, charge *atomic.Int
 	if !ok {
 		return nil, fmt.Errorf("sqldb: %q is not a plain identifier", name)
 	}
-	return s.execStmt(st, nil, charge, 0, "", src, params, nil)
+	return s.execStmt(st, slot, charge, 0, "", src, params, nil)
 }
 
 // DropTable executes DROP TABLE [IF EXISTS] name.
 func (s *Session) DropTable(name string, ifExists bool) (*Result, error) {
 	st, src := dropTableStmt(name, ifExists)
-	return s.execBuilt(name, st, src, nil, nil)
+	return s.execBuilt(name, st, src, nil, nil, nil)
 }
 
 // SelectAll executes SELECT * FROM name.
 func (s *Session) SelectAll(name string) (*Result, error) {
 	st, src := selectAllStmt(name)
-	return s.execBuilt(name, st, src, nil, nil)
+	return s.execBuilt(name, st, src, nil, nil, nil)
 }
 
 // CreateTableAs executes CREATE TABLE name AS q with q's parameters.
 func (s *Session) CreateTableAs(name string, q *ParsedQuery, params ...Value) (*Result, error) {
 	st, src := createTableAsStmt(name, q)
-	return s.execBuilt(name, st, src, &q.parse, params)
+	return s.execBuilt(name, st, src, &q.slot, &q.parse, params)
 }

@@ -184,18 +184,29 @@ func (idx *Index) remove(reclaimed []*Row, gone func(*Row) bool) {
 // iterate after the structural lock is released. Callers apply
 // visibility.
 func (idx *Index) lookup(vals []Value) []*Row {
+	var out []*Row
+	idx.bucket(vals, func(b []*Row) { out = slices.Clone(b) })
+	return out
+}
+
+// count is len(lookup(vals)) without the copy.
+func (idx *Index) count(vals []Value) (n int) {
+	idx.bucket(vals, func(b []*Row) { n = len(b) })
+	return n
+}
+
+// bucket hands vals' bucket to use under the structural read lock; a
+// NULL in vals finds nothing (NULL never equals anything).
+func (idx *Index) bucket(vals []Value, use func([]*Row)) {
 	var buf keyBuf
 	k := buf[:0]
 	for _, v := range vals {
 		if v.IsNull() {
-			return nil // NULL never equals anything
+			return
 		}
 		k = appendKey(k, v)
 	}
 	idx.Table.rowsMu.RLock()
-	b := idx.buckets[string(k)]
-	out := make([]*Row, len(b))
-	copy(out, b)
+	use(idx.buckets[string(k)])
 	idx.Table.rowsMu.RUnlock()
-	return out
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
@@ -374,15 +373,6 @@ type fpEntry struct {
 	names []fpName
 }
 
-// fpSlot caches a statement's footprint alongside its parsed AST (in
-// the statement cache entry or the PreparedStmt). Many sessions may
-// execute the same cached AST concurrently; the slot is a single atomic
-// pointer, and racing recomputations are benign (last writer wins, all
-// compute the same value for a given generation).
-type fpSlot struct {
-	p atomic.Pointer[fpEntry]
-}
-
 // resolveFootprint turns a footprint name list into latch targets
 // against the current table set. The caller holds db.mu.
 func (db *DB) resolveFootprint(names []fpName) []latchTarget {
@@ -405,11 +395,12 @@ func (db *DB) resolveFootprint(names []fpName) []latchTarget {
 // nothing. The caller holds db.mu (shared suffices: only schema
 // stability is needed).
 //
-// fpc, when non-nil, caches the computed name list across executions of
+// slot, when non-nil, caches the computed name list across executions of
 // the same AST; it is invalidated by footGen (bumped on view/procedure
 // changes — the only DDL that alters the expansion, since table names
-// re-resolve on every call).
-func (db *DB) stmtFootprint(st Stmt, tx *txn, fpc *fpSlot) (fp []latchTarget, ok bool) {
+// re-resolve on every call). Racing recomputations are benign: all
+// compute the same value for a generation, and the last store wins.
+func (db *DB) stmtFootprint(st Stmt, tx *txn, slot *stmtSlot) (fp []latchTarget, ok bool) {
 	switch st.(type) {
 	case *BeginStmt:
 		return nil, true
@@ -428,8 +419,8 @@ func (db *DB) stmtFootprint(st Stmt, tx *txn, fpc *fpSlot) (fp []latchTarget, ok
 		return nil, false // DDL and unknown shapes: exclusive lock
 	}
 	gen := db.footGen.Load()
-	if fpc != nil {
-		if e := fpc.p.Load(); e != nil && e.gen == gen {
+	if slot != nil {
+		if e := slot.fp.Load(); e != nil && e.gen == gen {
 			if !e.ok {
 				return nil, false
 			}
@@ -450,8 +441,8 @@ func (db *DB) stmtFootprint(st Stmt, tx *txn, fpc *fpSlot) (fp []latchTarget, ok
 		db.expandViewRefs(read)
 		names = footprintNames(write, read)
 	}
-	if fpc != nil {
-		fpc.p.Store(&fpEntry{gen: gen, ok: computed, names: names})
+	if slot != nil {
+		slot.fp.Store(&fpEntry{gen: gen, ok: computed, names: names})
 	}
 	if !computed {
 		return nil, false

@@ -260,7 +260,7 @@ func TestExplainNamesJoinInnerIndex(t *testing.T) {
 	var probed string
 	db.RegisterProcedure("run_plan", func(s *Session, _ []Value) (*Result, error) {
 		base := &env{session: s}
-		p, err := s.planSelect(st.(*SelectStmt), base)
+		p, err := s.planSelect(st.(*SelectStmt), base, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -14,5 +14,6 @@ type Procedure struct {
 	Params []string
 	Body   []Stmt
 	Native NativeProc
-	src    string // original body text, for Dump
+	slots  []stmtSlot // one per Body statement
+	src    string     // original body text, for Dump
 }

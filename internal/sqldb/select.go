@@ -6,14 +6,16 @@ import (
 	"strings"
 )
 
-// A SELECT runs as one pull pipeline, planned once per execution:
+// A SELECT runs as one pull pipeline:
 //
 //	scan → filter → join → group/accumulate → project → distinct → sort → offset/limit
 //
 // next() pulls the next joined row out of the FROM entries (sources) by
 // backtracking over them left to right; no intermediate relation is built
 // and a row is copied only into the joined-row buffer and, once, into the
-// output. DESIGN.md §14 has the planner's rules (push-down, join choice);
+// output. A plan is built once per statement slot and re-bound per
+// execution (slot.go); a statement without a slot plans per execution.
+// DESIGN.md §14 has the planner's rules (push-down, join choice, reuse);
 // EXPLAIN prints this plan (explain.go).
 
 // joinStrategy is how a source after the first finds its matches.
@@ -59,6 +61,7 @@ type join struct {
 	keyCols  []int    // hash: the inner columns they equal
 	jidx     *Index   // index: the index whose columns they equal
 	residual []predFn // ON conjuncts the keys do not cover
+	fewer    bool     // hash/index: planned while fewer rows reached the join than the inner holds
 	built    bool
 	all      [][]Value
 	hash     map[string]int // join key → its bucket
@@ -90,12 +93,14 @@ type group struct {
 type selectPlan struct {
 	s    *Session
 	q    *SelectStmt
-	env  env // the environment every closure of the plan runs in
+	tree *planTree // what a slotted plan re-binds (nil: planned for one execution)
+	env  env       // the environment every closure of the plan runs in
 	srcs []source
 	buf  []Value // the joined row, when there is more than one source
 
 	where    []predFn // WHERE conjuncts not pushed down
-	items    []evalFn
+	items    []evalFn // select list; UPDATE's SET values
+	sets     []int    // UPDATE: the column each item assigns
 	colNames []string
 	grouped  bool
 	groupBy  []getter
@@ -116,18 +121,26 @@ type selectPlan struct {
 
 const levelNew, levelDone = -1, -2
 
-// execSelect plans and runs a SELECT (or UNION chain); outer supplies
-// parameters and, for correlated subqueries, the outer row bindings.
-func (s *Session) execSelect(q *SelectStmt, outer *env) (*Result, error) {
-	p, err := s.planSelect(q, outer)
+// execSelect runs a SELECT (or UNION chain) on the slot's plan, or on
+// one planned for this execution; outer supplies parameters and, for a
+// subquery the interpreter runs, the outer row bindings.
+func (s *Session) execSelect(q *SelectStmt, outer *env, slot *stmtSlot) (*Result, error) {
+	p, err := s.lend(slot, q, outer)
 	if err != nil {
 		return nil, err
 	}
-	return p.run(outer)
+	res, err := p.run(outer)
+	slot.put(p)
+	return res, err
 }
 
-func (s *Session) planSelect(q *SelectStmt, outer *env) (*selectPlan, error) {
-	p := &selectPlan{s: s, q: q, env: env{params: outer.params, named: outer.named, session: s, outer: outer}}
+// planSelect plans q; with a tree, what an execution re-binds is recorded
+// in it.
+func (s *Session) planSelect(q *SelectStmt, outer *env, tree *planTree) (*selectPlan, error) {
+	p := &selectPlan{s: s, q: q, tree: tree, env: env{params: outer.params, named: outer.named, session: s, outer: outer}}
+	if tree != nil {
+		tree.plans = append(tree.plans, p)
+	}
 	for _, tr := range q.From {
 		g := len(p.srcs)
 		if err := p.addSource(tr.Source, JoinCross, nil, g); err != nil {
@@ -142,9 +155,9 @@ func (s *Session) planSelect(q *SelectStmt, outer *env) (*selectPlan, error) {
 	if len(p.srcs) > 1 {
 		p.buf = make([]Value, len(p.env.cols))
 	}
-	c := newCompiler(&p.env)
+	c := newCompiler(&p.env, tree)
 	c.srcs = p.srcs
-	p.planWhere(&c)
+	p.planWhere(&c, q.Where)
 	p.planJoins(&c)
 	c.cols, c.shift = p.env.cols, 0
 	if err := p.planOutput(&c); err != nil {
@@ -154,7 +167,7 @@ func (s *Session) planSelect(q *SelectStmt, outer *env) (*selectPlan, error) {
 		return nil, c.err
 	}
 	if q.Union != nil {
-		u, err := s.planSelect(q.Union, outer)
+		u, err := s.planSelect(q.Union, outer, tree)
 		if err != nil {
 			return nil, err
 		}
@@ -174,15 +187,19 @@ func (p *selectPlan) addSource(from Source, kind JoinKind, on Expr, group int) e
 	var cols []colMeta
 	var err error
 	if from.Subquery != nil {
-		src.sub, err = s.planSelect(from.Subquery, p.env.outer)
+		src.sub, err = s.planSelect(from.Subquery, p.env.outer, p.tree)
 	} else if src.tbl, err = s.db.table(from.Table); err == nil {
 		src.name = src.tbl.Name
 		cols = tableColMeta(src.tbl, alias)
+		p.tree.stamp(src.tbl)
 	} else if v, ok := s.db.views[strings.ToLower(from.Table)]; ok {
 		// Views see the database, not the referencing statement's rows.
 		src.name = v.Name
 		src.viewEnv = &env{session: s, params: p.env.params, named: p.env.named}
-		if src.sub, err = s.planSelect(v.Query, src.viewEnv); err != nil {
+		if p.tree != nil {
+			p.tree.views = append(p.tree.views, src.viewEnv)
+		}
+		if src.sub, err = s.planSelect(v.Query, src.viewEnv, p.tree); err != nil {
 			err = fmt.Errorf("sqldb: view %s: %w", v.Name, err)
 		}
 		if alias == "" {
@@ -229,14 +246,14 @@ func splitAnd(x Expr, out []Expr) []Expr {
 // a function, a subquery) must not meet rows the written order would
 // have kept from it, and a filter below a LEFT JOIN's inner side would
 // turn its misses into NULL rows. With one source everything is its filter.
-func (p *selectPlan) planWhere(c *compiler) {
+func (p *selectPlan) planWhere(c *compiler, where Expr) {
 	var stack [8]Expr
 	var eqStack [4]equalities
 	eqs := eqStack[:] // per source
 	if len(p.srcs) > len(eqs) {
 		eqs = make([]equalities, len(p.srcs))
 	}
-	for _, cj := range splitAnd(p.q.Where, stack[:0]) {
+	for _, cj := range splitAnd(where, stack[:0]) {
 		c.reset()
 		fn := c.pred(cj)
 		k := 0
@@ -252,7 +269,7 @@ func (p *selectPlan) planWhere(c *compiler) {
 	}
 	for k := range p.srcs {
 		if src := &p.srcs[k]; src.tbl != nil {
-			src.idx, src.key = eqs[k].probe(src.tbl)
+			src.idx, src.key = eqs[k].probe(c, src.tbl)
 		}
 	}
 }
@@ -260,30 +277,38 @@ func (p *selectPlan) planWhere(c *compiler) {
 // equalities collects the `column = constant` conjuncts of one table's
 // filter, the ones an index probe can answer.
 type equalities struct {
-	cols []int // column positions in the table ...
-	vals []Value
+	cols  []int // column positions in the table ...
+	vals  []Value
+	exprs []Expr // ... and, for a slotted plan, what each constant was folded from
 }
 
 // note records cj if it is such a conjunct; off is the table's position
 // in the compiler's row.
 func (q *equalities) note(c *compiler, cj Expr, off int) {
 	if t, ok := cj.(*BinaryExpr); ok && t.Op == "=" {
-		if col, v, _, ok := c.colConst(t); ok {
+		if col, v, kx, ok := c.colConst(t); ok {
 			q.cols, q.vals = append(q.cols, col-off), append(q.vals, v)
+			if c.tree != nil {
+				q.exprs = append(q.exprs, kx)
+			}
 		}
 	}
 }
 
 // probe picks the index the equalities bind (nil: scan) and orders their
 // constants as its key.
-func (q *equalities) probe(tbl *Table) (*Index, []Value) {
+func (q *equalities) probe(c *compiler, tbl *Table) (*Index, []Value) {
 	idx := chooseIndex(tbl, q.cols)
 	if idx == nil {
 		return nil, nil
 	}
 	key := make([]Value, len(idx.colIdx))
 	for i, ci := range idx.colIdx {
-		key[i] = q.vals[slices.Index(q.cols, ci)]
+		j := slices.Index(q.cols, ci)
+		key[i] = q.vals[j]
+		if c.tree != nil {
+			c.need(q.exprs[j], &key[i])
+		}
 	}
 	return idx, key
 }
@@ -324,7 +349,7 @@ func (p *selectPlan) planJoins(c *compiler) {
 				}
 			}
 		}
-		if len(src.keys) > 0 && src.tbl != nil && estimate < src.tbl.RowCount() {
+		if src.fewer = src.tbl != nil && estimate < src.tbl.RowCount(); src.fewer && len(src.keys) > 0 {
 			src.jidx = chooseIndex(src.tbl, src.keyCols)
 		}
 		switch {
@@ -358,6 +383,24 @@ func (p *selectPlan) planJoins(c *compiler) {
 	}
 }
 
+// joinsHold re-checks, for a re-bound plan, the comparison planJoins
+// based each keyed join's choice on.
+func (p *selectPlan) joinsHold() bool {
+	if len(p.srcs) < 2 {
+		return true
+	}
+	estimate := p.srcs[0].rowEstimate()
+	for k := 1; k < len(p.srcs); k++ {
+		src := &p.srcs[k]
+		if src.strategy == joinLoop {
+			estimate *= max(src.rowEstimate(), 1)
+		} else if src.fewer != (src.tbl != nil && estimate < src.tbl.RowCount()) {
+			return false
+		}
+	}
+	return true
+}
+
 // rowEstimate bounds how many rows a source yields before its filter:
 // the probed bucket's versions, a table's live rows, and for a derived
 // table — unknown until it runs — more than any table holds.
@@ -366,13 +409,13 @@ func (src *source) rowEstimate() int {
 	case src.tbl == nil:
 		return 1 << 30
 	case src.idx != nil:
-		return len(src.idx.lookup(src.key))
+		return src.idx.count(src.key)
 	}
 	return src.tbl.RowCount()
 }
 
 // chooseIndex is the one index choice, shared by SELECT sources, join
-// inners, UPDATE/DELETE (filterRows) and, through the plan, EXPLAIN: the
+// inners, UPDATE/DELETE (planRows) and, through the plan, EXPLAIN: the
 // index whose columns are all among the bound ones, nil for a scan.
 // Deterministic — most columns wins, smallest name breaks ties — so
 // EXPLAIN cannot name one index and the next execution probe another.

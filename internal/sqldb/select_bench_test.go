@@ -7,7 +7,8 @@ import (
 
 // The four statement classes of the repo benchmark's sql-read workload
 // (bench/workloads.go), over the same tables, so each can be timed and
-// profiled without the harness:
+// profiled without the harness. Each runs one cached text, so after the
+// first iteration it times a re-bound plan (slot.go), not planning:
 //
 //	go test -run '^$' -bench Select -benchmem ./internal/sqldb/
 const (

@@ -148,7 +148,7 @@ func (s *Session) execSQL(sql string, params []Value, named map[string]Value) (*
 		}
 		return s.execStmt(st, nil, nil, time.Since(start), CacheMiss, sql, params, named)
 	}
-	return s.execStmt(ps.st, ps.fp, nil, ps.parse, cacheLabel(ps.hit), ps.norm, merged, named)
+	return s.execStmt(ps.st, ps.slot, nil, ps.parse, cacheLabel(ps.hit), ps.norm, merged, named)
 }
 
 func cacheLabel(hit bool) string {
@@ -165,8 +165,8 @@ func cacheLabel(hit bool) string {
 type PreparedStmt struct {
 	s    *Session
 	stmt Stmt
-	src  string // original SQL text, for the change stream
-	fp   fpSlot // cached latch footprint (see stmtFootprint)
+	src  string   // original SQL text, for the change stream
+	slot stmtSlot // footprint and idle plan (slot.go)
 
 	// parse is the one-time parse cost in nanoseconds, zero once an
 	// execution has reported it. execStmt takes it (one swap) only after
@@ -194,7 +194,7 @@ func (p *PreparedStmt) Exec(params ...Value) (*Result, error) { return p.exec(pa
 func (p *PreparedStmt) ExecNamed(named map[string]Value) (*Result, error) { return p.exec(nil, named) }
 
 func (p *PreparedStmt) exec(params []Value, named map[string]Value) (*Result, error) {
-	return p.s.execStmt(p.stmt, &p.fp, &p.parse, 0, "", p.src, params, named)
+	return p.s.execStmt(p.stmt, &p.slot, &p.parse, 0, "", p.src, params, named)
 }
 
 // Query executes a statement and requires it to produce a result set.
@@ -251,12 +251,12 @@ func isDDL(st Stmt) bool {
 // Statements inside an explicit transaction are not retried — earlier
 // statements of the transaction saw older snapshots, so the decision
 // belongs to the caller.
-func (s *Session) execStmt(st Stmt, fpc *fpSlot, charge *atomic.Int64, parse time.Duration, cache string, src string, params []Value, named map[string]Value) (res *Result, err error) {
+func (s *Session) execStmt(st Stmt, slot *stmtSlot, charge *atomic.Int64, parse time.Duration, cache string, src string, params []Value, named map[string]Value) (res *Result, err error) {
 	if s.locked {
 		// Re-entrant execution (native procedure bodies running on a
 		// child session): no hook, no stats — the enclosing statement
 		// accounts for it.
-		return s.execStmtLocked(st, params, named, nil)
+		return s.execStmtLocked(st, slot, params, named, nil)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -291,7 +291,7 @@ func (s *Session) execStmt(st Stmt, fpc *fpSlot, charge *atomic.Int64, parse tim
 	var conflictTable string
 	canRetry := s.txn == nil
 	for attempt := 0; ; attempt++ {
-		stat, res, err = s.runStmt(st, fpc, parse, cache, src, params, named, sink != nil)
+		stat, res, err = s.runStmt(st, slot, parse, cache, src, params, named, sink != nil)
 		if err == nil || !canRetry || attempt >= conflictRetryLimit {
 			break
 		}
@@ -337,7 +337,7 @@ func (s *Session) execStmt(st Stmt, fpc *fpSlot, charge *atomic.Int64, parse tim
 //
 // Every attempt registers a snapshot for its lifetime (vacuum safety)
 // and fully releases locks before returning.
-func (s *Session) runStmt(st Stmt, fpc *fpSlot, parse time.Duration, cache, src string, params []Value, named map[string]Value, wantStats bool) (stat *StmtStats, res *Result, err error) {
+func (s *Session) runStmt(st Stmt, slot *stmtSlot, parse time.Duration, cache, src string, params []Value, named map[string]Value, wantStats bool) (stat *StmtStats, res *Result, err error) {
 	shared := readOnlyStmt(st)
 	exclusive := false
 	var fp []latchTarget
@@ -354,7 +354,7 @@ func (s *Session) runStmt(st Stmt, fpc *fpSlot, parse time.Duration, cache, src 
 	}
 	if !shared {
 		var ok bool
-		fp, ok = s.db.stmtFootprint(st, s.txn, fpc)
+		fp, ok = s.db.stmtFootprint(st, s.txn, slot)
 		if !ok {
 			s.db.mu.RUnlock()
 			if !s.db.mu.TryLock() {
@@ -390,7 +390,7 @@ func (s *Session) runStmt(st Stmt, fpc *fpSlot, parse time.Duration, cache, src 
 	}
 	// The shared dispatch with the change-stream record as its emit
 	// step, then an opportunistic vacuum while the latches are held.
-	res, err = s.execStmtLocked(st, params, named, func() { s.emitChange(st, src, params, named) })
+	res, err = s.execStmtLocked(st, slot, params, named, func() { s.emitChange(st, src, params, named) })
 	if err == nil {
 		s.vacuumFootprint(fp)
 	}
@@ -498,12 +498,13 @@ func (s *Session) emitChange(st Stmt, src string, params []Value, named map[stri
 // execStmtLocked executes one statement with the engine locks already
 // held — the one path shared by top-level execution (runStmt) and
 // re-entrant execution (native-procedure child sessions, SQL procedure
-// bodies). emit is the change-stream step: the top-level caller's runs
+// bodies); slot is the statement's, nil for one planned per execution.
+// emit is the change-stream step: the top-level caller's runs
 // inside the same commitMu hold as the commit stamp, which keeps the
 // stream dense and exactly paired with BootstrapState floors;
 // re-entrant callers pass nil (the stream carries the enclosing
 // statement).
-func (s *Session) execStmtLocked(st Stmt, params []Value, named map[string]Value, emit func()) (*Result, error) {
+func (s *Session) execStmtLocked(st Stmt, slot *stmtSlot, params []Value, named map[string]Value, emit func()) (*Result, error) {
 	s.db.stmtCount.Add(1)
 	switch st.(type) {
 	case *BeginStmt, *CommitStmt, *RollbackStmt:
@@ -515,7 +516,7 @@ func (s *Session) execStmtLocked(st Stmt, params []Value, named map[string]Value
 	if local {
 		s.txn = &txn{id: s.db.txnIDs.Add(1)}
 	}
-	res, err := s.dispatch(st, params, lowerKeys(named))
+	res, err := s.dispatch(st, slot, params, lowerKeys(named))
 	s.finishStmt(local, err, emit)
 	return res, err
 }
@@ -598,25 +599,28 @@ func lowerKeys(m map[string]Value) map[string]Value {
 }
 
 // dispatch executes one non-transaction-control statement inside the
-// session's open transaction.
-func (s *Session) dispatch(st Stmt, params []Value, named map[string]Value) (res *Result, err error) {
+// session's open transaction. The slot's plan serves the statement's
+// SELECT (also under EXPLAIN, INSERT and CREATE TABLE … AS) or its
+// UPDATE/DELETE row filter.
+func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value, named map[string]Value) (res *Result, err error) {
+	// The statement's scope, built only by the statements that read it.
+	base := func() *env { return &env{params: params, named: named, session: s} }
 	switch t := st.(type) {
 	case *SelectStmt:
-		base := &env{params: params, named: named, session: s}
-		res, err = s.execSelect(t, base)
+		res, err = s.execSelect(t, base(), slot)
 		if err == nil {
 			b := res.approxBytes()
 			s.db.bytesReturned.Add(b)
 		}
 		return res, err
 	case *InsertStmt:
-		return s.execInsert(t, params, named)
+		return s.execInsert(t, slot, base())
 	case *UpdateStmt:
-		return s.execUpdate(t, params, named)
+		return s.execUpdate(t, slot, base())
 	case *DeleteStmt:
-		return s.execDelete(t, params, named)
+		return s.execDelete(t, slot, base())
 	case *CreateTableStmt:
-		return s.execCreateTable(t, params, named)
+		return s.execCreateTable(t, slot, base())
 	case *DropTableStmt:
 		lc := strings.ToLower(t.Table)
 		tbl, ok := s.db.tables[lc]
@@ -630,6 +634,7 @@ func (s *Session) dispatch(st Stmt, params []Value, named map[string]Value) (res
 			delete(s.db.indexOwner, in)
 		}
 		delete(s.db.tables, lc)
+		tbl.schemaVer++
 		return &Result{}, nil
 	case *TruncateStmt:
 		return s.execTruncate(t)
@@ -648,6 +653,7 @@ func (s *Session) dispatch(st Stmt, params []Value, named map[string]Value) (res
 		}
 		tbl.indexes[lc] = idx
 		s.db.indexOwner[lc] = tbl
+		tbl.schemaVer++
 		return &Result{}, nil
 	case *DropIndexStmt:
 		lc := strings.ToLower(t.Name)
@@ -660,6 +666,7 @@ func (s *Session) dispatch(st Stmt, params []Value, named map[string]Value) (res
 		}
 		delete(tbl.indexes, lc)
 		delete(s.db.indexOwner, lc)
+		tbl.schemaVer++
 		return &Result{}, nil
 	case *CreateSequenceStmt:
 		lc := strings.ToLower(t.Name)
@@ -687,7 +694,7 @@ func (s *Session) dispatch(st Stmt, params []Value, named map[string]Value) (res
 		if _, exists := s.db.procs[lc]; exists {
 			return nil, fmt.Errorf("sqldb: procedure %s already exists", t.Name)
 		}
-		s.db.procs[lc] = &Procedure{Name: t.Name, Params: t.Params, Body: body, src: t.Body}
+		s.db.procs[lc] = &Procedure{Name: t.Name, Params: t.Params, Body: body, slots: make([]stmtSlot, len(body)), src: t.Body}
 		s.db.footGen.Add(1) // CALL footprints expand procedure bodies
 		return &Result{}, nil
 	case *DropProcedureStmt:
@@ -702,11 +709,11 @@ func (s *Session) dispatch(st Stmt, params []Value, named map[string]Value) (res
 		s.db.footGen.Add(1)
 		return &Result{}, nil
 	case *CallStmt:
-		return s.execCall(t, params, named)
+		return s.execCall(t, base())
 	case *ExplainStmt:
-		return s.execExplain(t, params, named)
+		return s.execExplain(t, slot, base())
 	case *AlterTableStmt:
-		return s.execAlterTable(t, params, named)
+		return s.execAlterTable(t, base())
 	case *CreateViewStmt:
 		res, err = s.execCreateView(t)
 		if err == nil {
@@ -764,7 +771,7 @@ func (s *Session) nextSequenceValue(name string) (Value, error) {
 	return Int(seq.Next()), nil
 }
 
-func (s *Session) execInsert(t *InsertStmt, params []Value, named map[string]Value) (*Result, error) {
+func (s *Session) execInsert(t *InsertStmt, slot *stmtSlot, base *env) (*Result, error) {
 	tbl, err := s.db.table(t.Table)
 	if err != nil {
 		return nil, err
@@ -784,7 +791,6 @@ func (s *Session) execInsert(t *InsertStmt, params []Value, named map[string]Val
 			targets = append(targets, ci)
 		}
 	}
-	base := &env{params: params, named: named, session: s}
 	// assigned marks target positions once — it is identical for every
 	// row — and fullRow completes one source row into table order (the
 	// per-row slice lives on as the row's values, so it cannot be reused).
@@ -822,7 +828,7 @@ func (s *Session) execInsert(t *InsertStmt, params []Value, named map[string]Val
 	}
 	n := 0
 	if t.Query != nil {
-		qres, err := s.execSelect(t.Query, base)
+		qres, err := s.execSelect(t.Query, base, slot)
 		if err != nil {
 			return nil, err
 		}
@@ -860,41 +866,30 @@ func (s *Session) execInsert(t *InsertStmt, params []Value, named map[string]Val
 	return &Result{RowsAffected: n}, nil
 }
 
-func (s *Session) execUpdate(t *UpdateStmt, params []Value, named map[string]Value) (*Result, error) {
-	tbl, err := s.db.table(t.Table)
+func (s *Session) execUpdate(t *UpdateStmt, slot *stmtSlot, base *env) (*Result, error) {
+	p, err := s.lend(slot, t, base)
 	if err != nil {
 		return nil, err
 	}
-	cols := tableColMeta(tbl, "")
-	setIdx := make([]int, len(t.Sets))
-	for i, sc := range t.Sets {
-		ci := tbl.ColumnIndex(sc.Column)
-		if ci < 0 {
-			return nil, fmt.Errorf("sqldb: no column %s in table %s", sc.Column, t.Table)
-		}
-		setIdx[i] = ci
-	}
-	base := &env{params: params, named: named, session: s}
+	defer slot.put(p)
 	// Snapshot matching rows first: predicates must see pre-update state.
-	matched, err := s.filterRows(tbl, cols, t.Where, base)
+	matched, err := p.matchRows()
 	if err != nil {
 		return nil, err
 	}
+	tbl, e := p.srcs[0].tbl, &p.env
 	tid := s.txn.id
 	n := 0
-	// One scratch row environment serves every matched row — eval never
-	// retains its environment past the call.
-	rowEnv := base.child(cols, nil)
 	for _, r := range matched {
-		rowEnv.row = r.Values
+		e.row = r.Values
 		newVals := make([]Value, len(r.Values))
 		copy(newVals, r.Values)
-		for i, sc := range t.Sets {
-			v, err := eval(sc.Value, rowEnv)
+		for i, fn := range p.items {
+			v, err := fn(e)
 			if err != nil {
 				return nil, err
 			}
-			newVals[setIdx[i]] = v
+			newVals[p.sets[i]] = v
 		}
 		// An update is a claim of the old version plus an insert of the
 		// new one. If the insert fails (constraint, coercion), release
@@ -918,17 +913,17 @@ func (s *Session) execUpdate(t *UpdateStmt, params []Value, named map[string]Val
 	return &Result{RowsAffected: n}, nil
 }
 
-func (s *Session) execDelete(t *DeleteStmt, params []Value, named map[string]Value) (*Result, error) {
-	tbl, err := s.db.table(t.Table)
+func (s *Session) execDelete(t *DeleteStmt, slot *stmtSlot, base *env) (*Result, error) {
+	p, err := s.lend(slot, t, base)
 	if err != nil {
 		return nil, err
 	}
-	base := &env{params: params, named: named, session: s}
-	matched, err := s.filterRows(tbl, tableColMeta(tbl, ""), t.Where, base)
+	defer slot.put(p)
+	matched, err := p.matchRows()
 	if err != nil {
 		return nil, err
 	}
-	tid := s.txn.id
+	tbl, tid := p.srcs[0].tbl, s.txn.id
 	for _, r := range matched {
 		if err := tbl.claimRow(r, tid); err != nil {
 			return nil, err
@@ -960,40 +955,50 @@ func (s *Session) execTruncate(t *TruncateStmt) (*Result, error) {
 	return &Result{RowsAffected: n}, nil
 }
 
-// filterRows returns the visible rows of tbl matching the predicate: the
-// one-table case of the SELECT pipeline's scan (same conjunct split,
-// compiled predicates and index choice), kept apart because UPDATE and
-// DELETE want row versions, not values, and cannot pay for a plan.
-func (s *Session) filterRows(tbl *Table, cols []colMeta, where Expr, base *env) ([]*Row, error) {
-	// One scratch row environment serves every candidate.
-	rowEnv := base.child(cols, nil)
-	c := newCompiler(rowEnv)
-	var stack [8]Expr
-	var eq equalities
-	conjuncts := splitAnd(where, stack[:0])
-	preds := make([]predFn, len(conjuncts))
-	for i, cj := range conjuncts {
-		preds[i] = c.pred(cj)
-		eq.note(&c, cj, 0)
+// planRows plans UPDATE/DELETE's read of one table as a one-source
+// plan: the SELECT pipeline's conjunct split, compiled predicates and
+// index choice, with UPDATE's SET values compiled over the table's row as
+// its items.
+func (s *Session) planRows(table string, where Expr, sets []SetClause, outer *env, tree *planTree) (*selectPlan, error) {
+	tbl, err := s.db.table(table)
+	if err != nil {
+		return nil, err
 	}
-	if c.err != nil {
-		return nil, c.err
+	p := &selectPlan{s: s, tree: tree, env: env{cols: tableColMeta(tbl, ""), params: outer.params, named: outer.named, session: s, outer: outer.outer}}
+	if tree != nil {
+		tree.plans = append(tree.plans, p)
+		tree.stamp(tbl)
 	}
-	idx, key := eq.probe(tbl)
-	s.notePlan(tbl, idx)
-	candidates := tbl.snapshotRows()
-	if idx != nil {
-		candidates = idx.lookup(key)
+	p.sets = make([]int, len(sets))
+	for i, sc := range sets {
+		if p.sets[i] = tbl.ColumnIndex(sc.Column); p.sets[i] < 0 {
+			return nil, fmt.Errorf("sqldb: no column %s in table %s", sc.Column, table)
+		}
 	}
+	p.srcs = []source{{name: tbl.Name, tbl: tbl, stream: true, width: len(tbl.Columns)}}
+	c := newCompiler(&p.env, tree)
+	c.srcs = p.srcs
+	p.planWhere(&c, where)
+	p.items = make([]evalFn, len(sets))
+	for i, sc := range sets {
+		p.items[i] = c.compile(sc.Value)
+	}
+	return p, c.err
+}
+
+// matchRows returns the visible row versions of a planRows plan's table
+// that pass its WHERE: UPDATE and DELETE want versions, not values.
+func (p *selectPlan) matchRows() ([]*Row, error) {
+	src, e := &p.srcs[0], &p.env
+	defer p.countRows()
 	var matched []*Row
-	for _, r := range candidates {
-		if !s.rowVisible(r) {
+	for _, r := range p.candidates(src) {
+		if !p.s.rowVisible(r) {
 			continue
 		}
-		s.db.rowsRead.Add(1)
-		s.rowsScanned++
-		rowEnv.row = r.Values
-		if ok, err := allTrue(preds, rowEnv); err != nil {
+		p.nread++
+		e.row = r.Values
+		if ok, err := allTrue(src.filter, e); err != nil {
 			return nil, err
 		} else if ok {
 			matched = append(matched, r)
@@ -1002,12 +1007,11 @@ func (s *Session) filterRows(tbl *Table, cols []colMeta, where Expr, base *env) 
 	return matched, nil
 }
 
-func (s *Session) execCall(t *CallStmt, params []Value, named map[string]Value) (*Result, error) {
+func (s *Session) execCall(t *CallStmt, base *env) (*Result, error) {
 	proc, ok := s.db.procs[strings.ToLower(t.Name)]
 	if !ok {
 		return nil, fmt.Errorf("sqldb: no such procedure %s", t.Name)
 	}
-	base := &env{params: params, named: named, session: s}
 	args := make([]Value, len(t.Args))
 	for i, a := range t.Args {
 		v, err := eval(a, base)
@@ -1039,8 +1043,8 @@ func (s *Session) execCall(t *CallStmt, params []Value, named map[string]Value) 
 		bound[strings.ToLower(p)] = args[i]
 	}
 	var last *Result
-	for _, st := range proc.Body {
-		r, err := s.execStmtLocked(st, nil, bound, nil)
+	for i, st := range proc.Body {
+		r, err := s.execStmtLocked(st, &proc.slots[i], nil, bound, nil)
 		if err != nil {
 			return nil, fmt.Errorf("sqldb: procedure %s: %w", proc.Name, err)
 		}

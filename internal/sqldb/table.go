@@ -47,6 +47,11 @@ type Table struct {
 	indexes map[string]*Index // by lowercased index name
 	pkIndex *Index            // non-nil if the table has a primary key
 
+	// schemaVer counts the changes a slotted plan that resolved the table
+	// must not outlive: CREATE/DROP INDEX, ALTER TABLE, DROP TABLE. Under
+	// the exclusive engine lock, like the fields it versions.
+	schemaVer int64
+
 	latch  sync.RWMutex
 	rowsMu sync.RWMutex
 	live   atomic.Int64 // versions visible to at least their creator

@@ -24,7 +24,7 @@ func (s *Session) execCreateView(t *CreateViewStmt) (*Result, error) {
 		return nil, fmt.Errorf("sqldb: view %s already exists", t.Name)
 	}
 	base := &env{session: s}
-	if _, err := s.execSelect(t.Query, base); err != nil {
+	if _, err := s.execSelect(t.Query, base, nil); err != nil {
 		return nil, fmt.Errorf("sqldb: view %s definition: %w", t.Name, err)
 	}
 	s.db.views[lc] = &view{Name: t.Name, Query: t.Query, src: t.Src}

@@ -56,15 +56,17 @@ bench-test:
 # valid frame decodes or reads as torn, within its size, and what decodes
 # survives the live encoder), the script splitter behind ExecScript
 # (statement texts re-parse alone and cover the input), normalizeStmt
-# (idempotent on its own rendering) and the index key encoder (same key
-# iff equal under compareValues). CI-friendly; raise -fuzztime manually
-# for longer campaigns.
+# (idempotent on its own rendering), the index key encoder (same key
+# iff equal under compareValues) and xdm's block clone (equal to its
+# source, and a write to it never reaches the source). CI-friendly; raise
+# -fuzztime manually for longer campaigns.
 fuzz:
 	$(GO) test -fuzz='^FuzzScan$$' -fuzztime=15s ./internal/journal/
 	$(GO) test -fuzz='^FuzzRecordCodec$$' -fuzztime=15s ./internal/journal/
 	$(GO) test -fuzz='^FuzzParseScript$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzNormalizeStmt$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzIndexKey$$' -fuzztime=15s ./internal/sqldb/
+	$(GO) test -fuzz='^FuzzClone$$' -fuzztime=15s ./internal/xdm/
 
 # The CLIs end to end, writing into ARTIFACTS (a fresh temporary
 # directory when unset), e.g.

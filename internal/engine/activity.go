@@ -341,11 +341,18 @@ func (a *Assign) execCopy(ctx *Ctx, cp CopySpec) error {
 		return err
 	}
 	if cp.ToPath == nil {
-		// Replace the whole variable.
-		if n := fromVal.FirstNode(); n != nil && fromVal.Kind == xpath.KindNodeSet {
-			target.SetNode(n.Clone())
-		} else {
+		// Replace the whole variable. A scalar target takes the string
+		// value (WS-BPEL's copy to a simple-typed variable); a fresh
+		// detached tree is kept as is; any other node is copied, since
+		// another holder could observe a later write to it.
+		n := fromVal.FirstNode()
+		switch {
+		case n == nil || target.Kind() == ScalarVar:
 			target.SetString(fromVal.AsString())
+		case fromVal.Fresh && n.Parent() == nil:
+			target.SetNode(n)
+		default:
+			target.SetNode(n.Clone())
 		}
 		return nil
 	}
@@ -365,21 +372,17 @@ func (a *Assign) execCopy(ctx *Ctx, cp CopySpec) error {
 	if tn == nil {
 		return fmt.Errorf("assign: to-path %q selected no node in %s", cp.ToPath.Source(), cp.ToVar)
 	}
-	replaceContent(tn, fromVal)
+	ReplaceContent(tn, fromVal)
 	return nil
 }
 
-// replaceContent implements BPEL copy semantics: the target node's content
-// is replaced by the source value (element content for node sources,
-// string content otherwise).
-func replaceContent(target *xdm.Node, from xpath.Value) {
-	if n := from.FirstNode(); n != nil && from.Kind == xpath.KindNodeSet && n.Kind == xdm.ElementNode {
-		clone := n.Clone()
-		target.Children = nil
-		target.Attrs = append([]xdm.Attr(nil), clone.Attrs...)
-		for _, c := range clone.Children {
-			target.AppendChild(c)
-		}
+// ReplaceContent implements BPEL copy semantics, for assign and bpelx
+// copy alike: the target node's content is replaced by the source value
+// (a copy of an element source's attributes and children, the string
+// value of anything else), and its old children are detached.
+func ReplaceContent(target *xdm.Node, from xpath.Value) {
+	if n := from.FirstNode(); n != nil && n.Kind == xdm.ElementNode {
+		target.ReplaceContent(n.Clone())
 		return
 	}
 	target.SetText(from.AsString())

@@ -10,7 +10,6 @@ import (
 
 	"wfsql/internal/obsv"
 	"wfsql/internal/wsbus"
-	"wfsql/internal/xdm"
 )
 
 func deployAndRun(t *testing.T, e *Engine, p *Process, input map[string]string) *Instance {
@@ -358,18 +357,6 @@ func TestDataSourceRegistry(t *testing.T) {
 	e := New(nil)
 	if _, err := e.DataSource("missing"); err == nil {
 		t.Fatal("expected error for unknown data source")
-	}
-}
-
-func TestVariableDeclarationAtRuntime(t *testing.T) {
-	p := &Process{Name: "dyn", Body: NewSnippet("declare", func(ctx *Ctx) error {
-		ctx.Inst.DeclareVariable(NewXMLVariable("generated", xdm.NewElement("r")))
-		return nil
-	})}
-	in := deployAndRun(t, New(nil), p, nil)
-	v, err := in.Variable("generated")
-	if err != nil || v.Node() == nil {
-		t.Fatalf("runtime variable: %v %v", v, err)
 	}
 }
 

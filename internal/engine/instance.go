@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 
 	"wfsql/internal/journal"
 	"wfsql/internal/obsv"
@@ -51,7 +50,7 @@ type Instance struct {
 	Engine  *Engine
 
 	mu      sync.Mutex
-	vars    map[string]*Variable
+	vars    map[string]*Variable // the declared variables, fixed at creation
 	state   InstanceState
 	fault   error
 	context map[string]any // product-layer state (set references, sessions, ...)
@@ -165,14 +164,6 @@ func (in *Instance) MustVariable(name string) *Variable {
 		panic(err)
 	}
 	return v
-}
-
-// DeclareVariable adds a variable at runtime (used by product layers for
-// generated variables such as result-set references).
-func (in *Instance) DeclareVariable(v *Variable) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.vars[v.Name] = v
 }
 
 // SetContext stores product-layer state under a key.
@@ -354,6 +345,3 @@ func (r instanceVars) ResolveVariable(name string) (xpath.Value, error) {
 	}
 	return v.XPathValue(), nil
 }
-
-// Sleep is a convenience for snippets that model waiting.
-func (c *Ctx) Sleep(d time.Duration) { time.Sleep(d) }

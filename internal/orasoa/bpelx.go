@@ -108,16 +108,17 @@ func (a *BpelxAssign) execOp(ctx *engine.Ctx, op BpelxOp) error {
 		return err
 	}
 
-	var fromNode *xdm.Node
 	var fromVal xpath.Value
 	if op.From != nil {
 		fromVal, err = ctx.EvalXPath(op.From)
 		if err != nil {
 			return err
 		}
-		if n := fromVal.FirstNode(); n != nil && fromVal.Kind == xpath.KindNodeSet {
-			fromNode = n.Clone()
-		}
+	}
+	// Insert and append place a copy of the source node itself.
+	var fromNode *xdm.Node
+	if n := fromVal.FirstNode(); n != nil && op.Kind != OpCopy {
+		fromNode = n.Clone()
 	}
 
 	switch op.Kind {
@@ -126,15 +127,7 @@ func (a *BpelxAssign) execOp(ctx *engine.Ctx, op BpelxOp) error {
 		if tn == nil {
 			return fmt.Errorf("bpelx: copy target path selected no node")
 		}
-		if fromNode != nil {
-			tn.Children = nil
-			tn.Attrs = append([]xdm.Attr(nil), fromNode.Attrs...)
-			for _, c := range fromNode.Children {
-				tn.AppendChild(c)
-			}
-		} else {
-			tn.SetText(fromVal.AsString())
-		}
+		engine.ReplaceContent(tn, fromVal)
 	case OpInsertAfter:
 		tn := sel.FirstNode()
 		if tn == nil {

@@ -161,7 +161,7 @@ func (f *Functions) queryDatabase(args []xpath.Value) (xpath.Value, error) {
 	if err != nil {
 		return xpath.Value{}, err
 	}
-	return xpath.NodeSet(doc), nil
+	return xpath.Value{Kind: xpath.KindNodeSet, Nodes: []*xdm.Node{doc}, Fresh: true}, nil
 }
 
 // sequenceNextVal returns the next value of a predefined sequence of
@@ -225,7 +225,7 @@ func (f *Functions) processXSQL(args []xpath.Value) (xpath.Value, error) {
 	if err != nil {
 		return xpath.Value{}, err
 	}
-	return xpath.NodeSet(doc), nil
+	return xpath.Value{Kind: xpath.KindNodeSet, Nodes: []*xdm.Node{doc}, Fresh: true}, nil
 }
 
 func validIdent(s string) bool {
@@ -268,15 +268,27 @@ type XSQLFramework struct {
 	db      *sqldb.DB
 	pool    *sqldb.SessionPool
 	mu      sync.RWMutex
-	pages   map[string]*xdm.Node
+	pages   map[string][]xsqlStmt
 	retry   *resilience.Policy
 	retries int
+}
+
+// xsqlStmt is one xsql:query or xsql:dml element of a registered page,
+// split once: its text with every {@name} turned into a ? bind slot, and
+// the parameter names in slot order. Binding instead of inlining
+// SQL-quoted literals keeps one plan-cache entry per page statement
+// whatever the values; a parameter used twice gets two slots.
+type xsqlStmt struct {
+	elem   string // element name, e.g. "xsql:query"
+	result string // a query's wrapper element in the result document
+	sql    string
+	params []string
 }
 
 // newXSQLFramework creates an empty framework bound to a database,
 // sharing a session pool with the owning function library.
 func newXSQLFramework(db *sqldb.DB, pool *sqldb.SessionPool) *XSQLFramework {
-	return &XSQLFramework{db: db, pool: pool, pages: map[string]*xdm.Node{}}
+	return &XSQLFramework{db: db, pool: pool, pages: map[string][]xsqlStmt{}}
 }
 
 // SetRetryPolicy applies a retry policy to every statement executed by a
@@ -315,16 +327,41 @@ func (x *XSQLFramework) exec(sess *sqldb.Session, sql string, params ...sqldb.Va
 	})
 }
 
-// RegisterPage parses and installs a page under a name (the "XML file"
+// RegisterPage parses a page, splits each of its statements into SQL
+// text and parameter names, and installs it under a name (the "XML file"
 // processXSQL accesses).
 func (x *XSQLFramework) RegisterPage(name, pageXML string) error {
 	doc, err := xdm.Parse(pageXML)
 	if err != nil {
 		return fmt.Errorf("orasoa: xsql page %s: %w", name, err)
 	}
+	var stmts []xsqlStmt
+	for _, el := range doc.ChildElements() {
+		st := xsqlStmt{elem: el.Name, result: "result"}
+		if v, ok := el.Attr("name"); ok {
+			st.result = v
+		}
+		var b strings.Builder
+		for sql := el.TextContent(); ; {
+			before, after, found := strings.Cut(sql, "{@")
+			b.WriteString(before)
+			if !found {
+				break
+			}
+			param, rest, ok := strings.Cut(after, "}")
+			if !ok {
+				return fmt.Errorf("orasoa: xsql page %s: unterminated {@param}", name)
+			}
+			st.params = append(st.params, param)
+			b.WriteByte('?')
+			sql = rest
+		}
+		st.sql = b.String()
+		stmts = append(stmts, st)
+	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	x.pages[name] = doc
+	x.pages[name] = stmts
 	return nil
 }
 
@@ -333,7 +370,7 @@ func (x *XSQLFramework) RegisterPage(name, pageXML string) error {
 // xsql:dml (a rowsAffected element).
 func (x *XSQLFramework) Execute(page string, params map[string]string) (*xdm.Node, error) {
 	x.mu.RLock()
-	doc, ok := x.pages[page]
+	stmts, ok := x.pages[page]
 	x.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("orasoa: no XSQL page %q", page)
@@ -344,14 +381,18 @@ func (x *XSQLFramework) Execute(page string, params map[string]string) (*xdm.Nod
 	// it, and it returns to the pool (transactionally clean) afterwards.
 	sess := x.pool.Acquire()
 	defer x.pool.Release(sess)
-	for _, el := range doc.ChildElements() {
-		sql, binds, err := substitutePageParams(el.TextContent(), params)
-		if err != nil {
-			return nil, fmt.Errorf("orasoa: xsql page %s: %w", page, err)
+	for _, st := range stmts {
+		binds := make([]sqldb.Value, len(st.params))
+		for i, name := range st.params {
+			v, ok := params[name]
+			if !ok {
+				return nil, fmt.Errorf("orasoa: xsql page %s: unbound page parameter %q", page, name)
+			}
+			binds[i] = pageValue(v)
 		}
-		switch localName(el.Name) {
+		switch localName(st.elem) {
 		case "query":
-			res, err := x.exec(sess, sql, binds...)
+			res, err := x.exec(sess, st.sql, binds...)
 			if err != nil {
 				return nil, fmt.Errorf("orasoa: xsql page %s: %w", page, err)
 			}
@@ -362,86 +403,35 @@ func (x *XSQLFramework) Execute(page string, params map[string]string) (*xdm.Nod
 			if err != nil {
 				return nil, err
 			}
-			wrapper := out.Element(queryResultName(el))
-			wrapper.AppendChild(rs)
+			out.Element(st.result).AppendChild(rs)
 		case "dml":
-			res, err := x.exec(sess, sql, binds...)
+			res, err := x.exec(sess, st.sql, binds...)
 			if err != nil {
 				return nil, fmt.Errorf("orasoa: xsql page %s: %w", page, err)
 			}
-			out.ElementWithText("rowsAffected", fmt.Sprint(res.RowsAffected))
+			out.ElementWithText("rowsAffected", strconv.Itoa(res.RowsAffected))
 		default:
-			return nil, fmt.Errorf("orasoa: xsql page %s: unknown element %s", page, el.Name)
+			return nil, fmt.Errorf("orasoa: xsql page %s: unknown element %s", page, st.elem)
 		}
 	}
 	return out, nil
 }
 
-func queryResultName(el *xdm.Node) string {
-	if v, ok := el.Attr("name"); ok {
-		return v
+// pageValue binds a page parameter: numeric-looking values as numbers, so
+// they compare naturally against numeric columns. The lead-byte gate keeps
+// the common non-numeric case from allocating strconv syntax errors;
+// ParseInt/ParseFloat only accept the full string, so "12abc" stays a
+// string.
+func pageValue(v string) sqldb.Value {
+	if v != "" && strings.IndexByte("+-.0123456789", v[0]) >= 0 {
+		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
+			return sqldb.Int(n)
+		}
+		if f, err := strconv.ParseFloat(v, 64); err == nil {
+			return sqldb.Float(f)
+		}
 	}
-	return "result"
-}
-
-// leadByte returns the first byte of s, 0 when s is empty.
-func leadByte(s string) byte {
-	if s == "" {
-		return 0
-	}
-	return s[0]
-}
-
-// substitutePageParams replaces {@name} placeholders with ? bind slots
-// and returns the bound values in placeholder order. Binding instead of
-// inlining SQL-quoted literals keeps one plan-cache entry per page
-// statement regardless of parameter values (it also removes the quoting
-// path entirely). The same page parameter may appear more than once; each
-// occurrence gets its own slot.
-func substitutePageParams(sql string, params map[string]string) (string, []sqldb.Value, error) {
-	if !strings.Contains(sql, "{@") {
-		return sql, nil, nil
-	}
-	var b strings.Builder
-	b.Grow(len(sql))
-	var binds []sqldb.Value
-	for {
-		i := strings.Index(sql, "{@")
-		if i < 0 {
-			b.WriteString(sql)
-			return b.String(), binds, nil
-		}
-		j := strings.Index(sql[i:], "}")
-		if j < 0 {
-			return "", nil, fmt.Errorf("unterminated {@param}")
-		}
-		name := sql[i+2 : i+j]
-		v, ok := params[name]
-		if !ok {
-			return "", nil, fmt.Errorf("unbound page parameter %q", name)
-		}
-		b.WriteString(sql[:i])
-		b.WriteByte('?')
-		// Numeric-looking parameters bind as numbers so they compare
-		// naturally against numeric columns. The lead-byte gate keeps the
-		// common non-numeric case from allocating strconv syntax errors;
-		// ParseInt/ParseFloat only accept the full string, so "12abc"
-		// stays a string.
-		bound := false
-		if c := leadByte(v); c == '-' || c == '+' || c == '.' || (c >= '0' && c <= '9') {
-			if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-				binds = append(binds, sqldb.Int(n))
-				bound = true
-			} else if fv, err := strconv.ParseFloat(v, 64); err == nil {
-				binds = append(binds, sqldb.Float(fv))
-				bound = true
-			}
-		}
-		if !bound {
-			binds = append(binds, sqldb.Str(v))
-		}
-		sql = sql[i+j+1:]
-	}
+	return sqldb.Str(v)
 }
 
 func localName(n string) string {

@@ -9,6 +9,7 @@ import (
 	"wfsql/internal/rowset"
 	"wfsql/internal/sqldb"
 	"wfsql/internal/wsbus"
+	"wfsql/internal/xdm"
 	"wfsql/internal/xpath"
 )
 
@@ -147,12 +148,22 @@ func TestXSQLErrors(t *testing.T) {
 	if _, err := f.CallFunction("ora:processXSQL", []xpath.Value{xpath.String("missing")}); err == nil {
 		t.Fatal("expected missing page error")
 	}
-	f.XSQL().RegisterPage("badparam", `<xsql:page><xsql:dml>DELETE FROM Orders WHERE ItemID = {@x}</xsql:dml></xsql:page>`)
-	if _, err := f.CallFunction("ora:processXSQL", []xpath.Value{xpath.String("badparam")}); err == nil {
-		t.Fatal("expected unbound parameter error")
+	if err := f.XSQL().RegisterPage("badparam", `<xsql:page><xsql:dml>DELETE FROM Orders WHERE ItemID = {@x}</xsql:dml></xsql:page>`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.CallFunction("ora:processXSQL", []xpath.Value{xpath.String("badparam")}); err == nil ||
+		!strings.Contains(err.Error(), "badparam") || !strings.Contains(err.Error(), `"x"`) {
+		t.Fatalf("want an unbound parameter error naming the page, got %v", err)
 	}
 	if err := f.XSQL().RegisterPage("notxml", "<oops"); err == nil {
 		t.Fatal("expected parse error")
+	}
+	if err := f.XSQL().RegisterPage("open", `<xsql:page><xsql:dml>DELETE FROM Orders WHERE ItemID = {@x</xsql:dml></xsql:page>`); err == nil ||
+		!strings.Contains(err.Error(), "open") {
+		t.Fatalf("want an unterminated parameter to fail registration naming the page, got %v", err)
+	}
+	if _, err := f.CallFunction("ora:processXSQL", []xpath.Value{xpath.String("open")}); err == nil {
+		t.Fatal("a page that failed to register must not run")
 	}
 	if _, err := f.CallFunction("ora:processXSQL", []xpath.Value{
 		xpath.String("confirmations"), xpath.String("odd")}); err == nil {
@@ -283,6 +294,45 @@ func TestBpelxTupleIUD(t *testing.T) {
 	}
 	if rowset.Field(rows[1], "ItemID") != "washer" {
 		t.Fatalf("insert position: %s", rows[1])
+	}
+}
+
+// TestBpelxCopyMatchesAssignCopy: bpelx copy and the standard assign copy
+// are one operation, whatever the source: an element, a text node, a
+// string or a number.
+func TestBpelxCopyMatchesAssignCopy(t *testing.T) {
+	const (
+		src = `<Row><ItemID>b</ItemID><Quantity>5</Quantity></Row>`
+		rs  = `<RowSet><Row><ItemID>a</ItemID><Quantity>1</Quantity></Row></RowSet>`
+	)
+	e := engine.New(nil)
+	funcs := NewFunctions(ordersDB())
+	run := func(body engine.Activity) string {
+		t.Helper()
+		d, err := e.Deploy(NewProcess("cp", funcs).XMLVariable("src", src).XMLVariable("rs", rs).Body(body).Build())
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := d.Run(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return in.MustVariable("rs").Node().String()
+	}
+	for _, from := range []string{"$src/Quantity", "$src/Quantity/text()", "'7'", "3 + 4"} {
+		bpelx := run(NewBpelxAssign("cp").Copy(from, "rs", "Row[1]/Quantity"))
+		bpel := run(engine.NewAssign("cp").CopyTo(from, "rs", "Row[1]/Quantity"))
+		if bpelx != bpel {
+			t.Errorf("from %s: bpelx copy wrote %s, assign copy %s", from, bpelx, bpel)
+		}
+	}
+
+	// The target's old children are detached.
+	target := xdm.MustParse(`<Quantity><old/></Quantity>`)
+	old := target.Children[0]
+	engine.ReplaceContent(target, xpath.NodeSet(xdm.MustParse(`<q><new/></q>`)))
+	if old.Parent() != nil || target.String() != "<Quantity><new/></Quantity>" || target.Children[0].Parent() != target {
+		t.Fatalf("replaced content %s, old child's parent %v", target, old.Parent())
 	}
 }
 

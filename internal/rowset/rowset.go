@@ -27,21 +27,32 @@ const RootElement = "RowSet"
 // NumAttr is the attribute carrying the 1-based tuple number.
 const NumAttr = "num"
 
-// FromResult materializes a sqldb result set as an XML RowSet document.
+// FromResult materializes a sqldb result set as an XML RowSet document,
+// built in one xdm.Block.
 func FromResult(r *sqldb.Result) (*xdm.Node, error) {
 	if r == nil || !r.IsQuery() {
 		return nil, fmt.Errorf("rowset: statement returned no result set")
 	}
-	root := xdm.NewElement(RootElement)
+	// The root, a Row per tuple, an element per cell and a text node per
+	// non-NULL cell; a num per Row and a null marker per NULL cell.
+	cells, nulls := len(r.Rows)*len(r.Columns), 0
+	for _, row := range r.Rows {
+		for ci := range r.Columns {
+			if row[ci].IsNull() {
+				nulls++
+			}
+		}
+	}
+	b := xdm.NewBlock(1+len(r.Rows)+2*cells-nulls, len(r.Rows)+nulls)
+	root := b.Element(nil, RootElement, len(r.Rows), 0)
 	for i, row := range r.Rows {
-		el := root.Element(RowElement)
+		el := b.Element(root, RowElement, len(r.Columns), 1)
 		el.SetAttr(NumAttr, strconv.Itoa(i+1))
 		for ci, col := range r.Columns {
-			cell := el.Element(col)
-			if !row[ci].IsNull() {
-				cell.SetText(row[ci].String())
+			if row[ci].IsNull() {
+				b.Element(el, col, 0, 1).SetAttr("null", "true")
 			} else {
-				cell.SetAttr("null", "true")
+				b.Text(b.Element(el, col, 1, 0), row[ci].String())
 			}
 		}
 	}
@@ -161,18 +172,4 @@ func Renumber(root *xdm.Node) {
 	for i, r := range Rows(root) {
 		r.SetAttr(NumAttr, strconv.Itoa(i+1))
 	}
-}
-
-// Columns returns the cell names of the first tuple (the set's schema as
-// far as the process space knows it).
-func Columns(root *xdm.Node) []string {
-	rows := Rows(root)
-	if len(rows) == 0 {
-		return nil
-	}
-	var cols []string
-	for _, c := range rows[0].ChildElements() {
-		cols = append(cols, c.Name)
-	}
-	return cols
 }

@@ -97,13 +97,6 @@ func TestRowAccess(t *testing.T) {
 	if Count(rs) != 3 {
 		t.Fatalf("count: %d", Count(rs))
 	}
-	cols := Columns(rs)
-	if len(cols) != 2 || cols[1] != "Quantity" {
-		t.Fatalf("columns: %v", cols)
-	}
-	if Columns(xdm.NewElement(RootElement)) != nil {
-		t.Fatal("empty set has no columns")
-	}
 }
 
 func TestAppendDeleteRenumber(t *testing.T) {

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -194,17 +193,90 @@ func (n *Node) ChildText(name string) string {
 	return ""
 }
 
-// Clone returns a deep copy of the node (detached from any parent).
+// Clone returns a deep copy of the node (detached from any parent), built
+// in one Block.
 func (n *Node) Clone() *Node {
-	out := &Node{Kind: n.Kind, Name: n.Name, Text: n.Text}
-	out.Attrs = append([]Attr(nil), n.Attrs...)
-	if len(n.Children) > 0 {
-		out.Children = make([]*Node, 0, len(n.Children))
-	}
+	b := NewBlock(n.size())
+	return b.copyOf(nil, n)
+}
+
+// size counts the subtree's nodes and attributes.
+func (n *Node) size() (nodes, attrs int) {
+	nodes, attrs = 1, len(n.Attrs)
 	for _, c := range n.Children {
-		out.AppendChild(c.Clone())
+		cn, ca := c.size()
+		nodes, attrs = nodes+cn, attrs+ca
+	}
+	return nodes, attrs
+}
+
+func (b *Block) copyOf(parent, src *Node) *Node {
+	out := b.take(parent, src.Kind, src.Name, src.Text, len(src.Children), len(src.Attrs))
+	out.Attrs = append(out.Attrs, src.Attrs...)
+	for _, c := range src.Children {
+		b.copyOf(out, c)
 	}
 	return out
+}
+
+// Block carves the nodes, child lists and attributes of one tree out of
+// three slices sized up front: three allocations per tree instead of two
+// or three per node. Each child list and attribute list is capped at what
+// was reserved for it, so growing one node's list reallocates instead of
+// overwriting its neighbour's. A node taken from a block keeps the whole
+// block alive while anything references it.
+type Block struct {
+	nodes []Node
+	kids  []*Node
+	attrs []Attr
+}
+
+// NewBlock reserves room for a tree of the given number of nodes (at
+// least one) and attributes. Every node but the root is one child pointer.
+func NewBlock(nodes, attrs int) Block {
+	return Block{nodes: make([]Node, nodes), kids: make([]*Node, nodes-1), attrs: make([]Attr, attrs)}
+}
+
+// Element takes an element node with room for kids children and attrs
+// attributes and appends it to parent (when not nil).
+func (b *Block) Element(parent *Node, name string, kids, attrs int) *Node {
+	return b.take(parent, ElementNode, name, "", kids, attrs)
+}
+
+// Text takes a text node and appends it to parent.
+func (b *Block) Text(parent *Node, text string) *Node {
+	return b.take(parent, TextNode, "", text, 0, 0)
+}
+
+func (b *Block) take(parent *Node, kind Kind, name, text string, kids, attrs int) *Node {
+	n := &b.nodes[0]
+	b.nodes = b.nodes[1:]
+	n.Kind, n.Name, n.Text = kind, name, text
+	if kids > 0 {
+		n.Children = b.kids[:0:kids]
+		b.kids = b.kids[kids:]
+	}
+	if attrs > 0 {
+		n.Attrs = b.attrs[:0:attrs]
+		b.attrs = b.attrs[attrs:]
+	}
+	if parent != nil {
+		parent.AppendChild(n)
+	}
+	return n
+}
+
+// ReplaceContent detaches n's children and gives n src's attributes and
+// children instead, leaving src empty.
+func (n *Node) ReplaceContent(src *Node) {
+	for _, c := range n.Children {
+		c.parent = nil
+	}
+	n.Attrs, n.Children = src.Attrs, src.Children
+	src.Attrs, src.Children = nil, nil
+	for _, c := range n.Children {
+		c.parent = n
+	}
 }
 
 // Root returns the topmost ancestor of n (n itself if detached).
@@ -438,15 +510,4 @@ func MustParse(src string) *Node {
 		panic(err)
 	}
 	return n
-}
-
-// Number converts the node's text content to a float64 following XPath
-// number() semantics (NaN is reported as an error here for clarity).
-func (n *Node) Number() (float64, error) {
-	s := strings.TrimSpace(n.TextContent())
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("xdm: %q is not a number", s)
-	}
-	return f, nil
 }

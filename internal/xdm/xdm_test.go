@@ -141,19 +141,6 @@ func TestSetAttrReplaces(t *testing.T) {
 	}
 }
 
-func TestNumber(t *testing.T) {
-	n := NewElement("q")
-	n.SetText(" 42.5 ")
-	f, err := n.Number()
-	if err != nil || f != 42.5 {
-		t.Fatalf("Number: %v %v", f, err)
-	}
-	n.SetText("abc")
-	if _, err := n.Number(); err == nil {
-		t.Fatal("expected error for non-number")
-	}
-}
-
 func TestIndentOutput(t *testing.T) {
 	n := MustParse("<a><b>x</b></a>")
 	out := n.Indent()

@@ -37,6 +37,12 @@ type Value struct {
 	Str   string
 	Num   float64
 	Bool  bool
+
+	// Fresh marks a node-set whose trees the call that returned it built,
+	// and that nothing else references, so a consumer may keep them
+	// without copying. Extension functions that build results set it;
+	// path steps, filters, unions and variable references never do.
+	Fresh bool
 }
 
 // NodeSet wraps nodes as a node-set value.

@@ -56,7 +56,9 @@ bench-test:
 # valid frame decodes or reads as torn, within its size, and what decodes
 # survives the live encoder), the script splitter behind ExecScript
 # (statement texts re-parse alone and cover the input), normalizeStmt
-# (idempotent on its own rendering), the index key encoder (same key
+# (idempotent on its own rendering), the parser's slot numbering (named
+# placeholders after every `?`, the same names raw and normalized), the
+# index key encoder (same key
 # iff equal under compareValues) and xdm's block clone (equal to its
 # source, and a write to it never reaches the source). CI-friendly; raise
 # -fuzztime manually for longer campaigns.
@@ -65,6 +67,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzRecordCodec$$' -fuzztime=15s ./internal/journal/
 	$(GO) test -fuzz='^FuzzParseScript$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzNormalizeStmt$$' -fuzztime=15s ./internal/sqldb/
+	$(GO) test -fuzz='^FuzzParamNames$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzIndexKey$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzClone$$' -fuzztime=15s ./internal/xdm/
 

@@ -149,8 +149,8 @@ func TestAllocBudget(t *testing.T) {
 	}{
 		{StackBIS, false, 441, 41100},    // 428 objects, 39 142 B measured (622, 42 430 while trees were built and copied node by node)
 		{StackBIS, true, 509, 49030},     // 494, 46 694 (688, 49 982)
-		{StackWF, false, 425, 34517},     // 413, 32 873 (436, 34 913 while every execution planned its SELECT)
-		{StackWF, true, 660, 51640},      // 641, 49 182 (664, 51 272)
+		{StackWF, false, 272, 21443},     // 264, 20 422 (413, 32 873 while named parameters went through maps and DataTable access copied its rows)
+		{StackWF, true, 498, 38638},      // 483, 36 798 (641, 49 182)
 		{StackOracle, false, 410, 38050}, // 398, 36 238 (730, 48 198)
 		{StackOracle, true, 497, 49240},  // 482, 46 894 (822, 59 238)
 	} {
@@ -202,7 +202,37 @@ func TestCursorLoopScalesLinearly(t *testing.T) {
 // once per text — nothing instance-unique (SR_ItemList_i<N>) enters the
 // shared plan cache, and no plan is compiled but the generated table's
 // (its SELECT * reads a table that did not exist before the instance).
+// Figure 6 on WF parses nothing either: its SQL activities run their
+// statements' own text, @name placeholders and all, so after the first
+// instance every statement is a plan-cache hit.
 func TestBISInstanceParsesNothing(t *testing.T) {
+	t.Run("WF", func(t *testing.T) {
+		env := NewEnvironment(figureScale)
+		p, err := StackWF.Prepare(env, ResilienceConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		var stats []sqldb.StmtStats
+		env.DB.SetStatsSink(func(st sqldb.StmtStats) { stats = append(stats, st) })
+		for instance := 2; instance <= 4; instance++ {
+			stats = stats[:0]
+			if err := p.Run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if len(stats) < 2 {
+				t.Fatalf("instance %d ran %d statements, want the SELECT and its INSERTs", instance, len(stats))
+			}
+			for _, st := range stats {
+				if st.Parse != 0 || st.Cache != sqldb.CacheHit {
+					t.Errorf("instance %d: %s on %q parsed for %v (cache %q)", instance, st.Kind, st.Table, st.Parse, st.Cache)
+				}
+			}
+		}
+	})
+
 	env := NewEnvironment(figureScale)
 	p, err := StackBIS.Prepare(env, ResilienceConfig{})
 	if err != nil {

@@ -495,9 +495,6 @@ func (f *Fleet) ShardRecorder(i int) *journal.Recorder {
 	return sh.rec
 }
 
-// ShardStandby returns shard i's warm standby.
-func (f *Fleet) ShardStandby(i int) *WarmStandby { return f.shards[i].ws }
-
 // ShardDead reports whether shard i's primary process has been marked
 // dead and not yet replaced by a promotion.
 func (f *Fleet) ShardDead(i int) bool {

@@ -87,16 +87,6 @@ func (l *Limiter) Limit() int {
 	return l.effectiveLocked()
 }
 
-// Inflight returns the number of currently held slots.
-func (l *Limiter) Inflight() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.inflight
-}
-
 func (l *Limiter) effectiveLocked() int {
 	eff := int(l.limit)
 	if eff < l.cfg.Min {

@@ -20,7 +20,7 @@ import (
 )
 
 // RowState tracks the change state of a DataRow.
-type RowState int
+type RowState uint8
 
 // Row states, mirroring ADO.NET's DataRowState.
 const (
@@ -51,6 +51,7 @@ type DataRow struct {
 	current  []sqldb.Value
 	original []sqldb.Value // nil until first modification
 	state    RowState
+	detached bool // no longer one of its table's rows
 }
 
 // State returns the row's change state.
@@ -95,14 +96,19 @@ func (r *DataRow) Set(column string, v sqldb.Value) error {
 // Delete marks the row deleted. Added rows are removed outright (they
 // never existed at the source).
 func (r *DataRow) Delete() {
-	if r.state == Added {
+	switch r.state {
+	case Added:
 		r.table.removeRow(r)
 		return
-	}
-	if r.state == Unchanged {
+	case Deleted:
+		return
+	case Unchanged:
 		r.original = append([]sqldb.Value(nil), r.current...)
 	}
 	r.state = Deleted
+	if !r.detached {
+		r.table.deleted++
+	}
 }
 
 // Values returns a copy of the row's current values.
@@ -128,6 +134,7 @@ type DataTable struct {
 	Columns    []string
 	PrimaryKey []string
 	rows       []*DataRow // includes Deleted rows until AcceptChanges
+	deleted    int        // how many of rows are Deleted: the live rows are the others
 }
 
 // NewDataTable creates an empty table with the given columns.
@@ -163,24 +170,25 @@ func (t *DataTable) loadRow(values []sqldb.Value) *DataRow {
 }
 
 func (t *DataTable) removeRow(r *DataRow) {
+	if r.detached {
+		return
+	}
 	for i, rr := range t.rows {
 		if rr == r {
 			t.rows = append(t.rows[:i], t.rows[i+1:]...)
-			return
+			break
 		}
 	}
+	if r.state == Deleted {
+		t.deleted--
+	}
+	r.detached = true
 }
 
 // Rows returns the live (non-deleted) rows in order — the sequential
 // access surface the WF while activity iterates over.
 func (t *DataTable) Rows() []*DataRow {
-	var out []*DataRow
-	for _, r := range t.rows {
-		if r.state != Deleted {
-			out = append(out, r)
-		}
-	}
-	return out
+	return t.Select(func(*DataRow) bool { return true })
 }
 
 // AllRows returns every tracked row including deleted ones.
@@ -189,23 +197,35 @@ func (t *DataTable) AllRows() []*DataRow {
 }
 
 // Count returns the number of live rows.
-func (t *DataTable) Count() int { return len(t.Rows()) }
+func (t *DataTable) Count() int { return len(t.rows) - t.deleted }
 
-// Row returns the i-th live row (random access), or an error.
+// Row returns the i-th live row (random access), or an error. With no
+// row deleted it is the i-th tracked row; otherwise the live rows are
+// counted off in place.
 func (t *DataTable) Row(i int) (*DataRow, error) {
-	rows := t.Rows()
-	if i < 0 || i >= len(rows) {
-		return nil, fmt.Errorf("dataset: row %d out of range (0..%d)", i, len(rows)-1)
+	if n := t.Count(); i < 0 || i >= n {
+		return nil, fmt.Errorf("dataset: row %d out of range (0..%d)", i, n-1)
 	}
-	return rows[i], nil
+	if t.deleted > 0 {
+		for _, r := range t.rows {
+			if r.state == Deleted {
+				continue
+			}
+			if i == 0 {
+				return r, nil
+			}
+			i--
+		}
+	}
+	return t.rows[i], nil
 }
 
 // Select returns live rows matching the predicate (ADO.NET's
 // DataTable.Select with a Go predicate instead of a filter string).
 func (t *DataTable) Select(pred func(*DataRow) bool) []*DataRow {
 	var out []*DataRow
-	for _, r := range t.Rows() {
-		if pred(r) {
+	for _, r := range t.rows {
+		if r.state != Deleted && pred(r) {
 			out = append(out, r)
 		}
 	}
@@ -228,7 +248,10 @@ func (t *DataTable) Find(keys ...sqldb.Value) (*DataRow, error) {
 		}
 		idx[i] = ci
 	}
-	for _, r := range t.Rows() {
+	for _, r := range t.rows {
+		if r.state == Deleted {
+			continue
+		}
 		match := true
 		for i, ci := range idx {
 			if !r.current[ci].Equal(keys[i]) {
@@ -267,25 +290,27 @@ func (t *DataTable) HasChanges() bool {
 // AcceptChanges commits all pending states: deleted rows vanish, added and
 // modified rows become Unchanged.
 func (t *DataTable) AcceptChanges() {
-	var kept []*DataRow
+	kept := t.rows[:0]
 	for _, r := range t.rows {
 		if r.state == Deleted {
+			r.detached = true
 			continue
 		}
 		r.state = Unchanged
 		r.original = nil
 		kept = append(kept, r)
 	}
-	t.rows = kept
+	t.keep(kept)
 }
 
 // RejectChanges rolls the cache back to the last accepted state.
 func (t *DataTable) RejectChanges() {
-	var kept []*DataRow
+	kept := t.rows[:0]
 	for _, r := range t.rows {
 		switch r.state {
 		case Added:
-			continue // never existed
+			r.detached = true // never existed
+			continue
 		case Modified, Deleted:
 			r.current = r.original
 			r.original = nil
@@ -293,7 +318,14 @@ func (t *DataTable) RejectChanges() {
 		}
 		kept = append(kept, r)
 	}
-	t.rows = kept
+	t.keep(kept)
+}
+
+// keep makes kept, filtered in place from rows, the table's rows: none
+// of them Deleted.
+func (t *DataTable) keep(kept []*DataRow) {
+	clear(t.rows[len(kept):])
+	t.rows, t.deleted = kept, 0
 }
 
 // DataSet is a named collection of cached tables.
@@ -307,7 +339,8 @@ func New() *DataSet { return &DataSet{tables: map[string]*DataTable{}} }
 
 // Table returns the named table, or nil.
 func (ds *DataSet) Table(name string) *DataTable {
-	return ds.tables[strings.ToLower(name)]
+	t, _ := sqldb.LookupFold(ds.tables, name)
+	return t
 }
 
 // AddTable installs a table (replacing any same-named one).

@@ -855,9 +855,11 @@ func (r *Recorder) RequeueDeadLetter(key string) error {
 // number (dense, strictly increasing); Session identifies the
 // originating database session (replicas keep a session map so
 // interleaved transactions replay on matching replica sessions); Kind
-// is the statement kind ("INSERT", "COMMIT", ...); Params and Named
-// carry the bind values, already encoded by sqldb.EncodeValue /
-// sqldb.EncodeNamed.
+// is the statement kind ("INSERT", "COMMIT", ...); Params carries the
+// parameter vector, each value encoded by sqldb.EncodeValue. Named is
+// read from records written by older builds only: "name=encoded" pairs
+// for the statement's named placeholders, which now travel as the tail
+// of Params. SQLEffect does not write it.
 type SQLEffectRecord struct {
 	Seq     int64
 	Session int64
@@ -878,13 +880,9 @@ func (r *Recorder) SQLEffect(e SQLEffectRecord) error {
 		"seq":  strconv.FormatInt(e.Seq, 10),
 		"sess": strconv.FormatInt(e.Session, 10),
 		"np":   strconv.Itoa(len(e.Params)),
-		"nn":   strconv.Itoa(len(e.Named)),
 	}
 	for i, p := range e.Params {
 		d["p"+strconv.Itoa(i)] = p
-	}
-	for i, n := range e.Named {
-		d["n"+strconv.Itoa(i)] = n
 	}
 	return r.Append(&Record{Kind: KindSQLEffect, EffectKind: EffectSQL, Data: d})
 }

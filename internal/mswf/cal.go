@@ -2,6 +2,7 @@ package mswf
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -54,12 +55,13 @@ type SQLDatabaseActivity struct {
 	// activity's span.
 	Retry *resilience.Policy
 
-	// The @name→:name statement rewrite depends only on Statement and
-	// Parameters, both frozen once the workflow is deployed, so it is
-	// computed once on first execution rather than per instance.
-	rewriteOnce sync.Once
-	rewritten   string
-	rewriteErr  error
+	// slots maps each parameter slot of Statement (sqldb.ParamNames) to
+	// its SQLParameter's index. Statement and Parameters are frozen once
+	// the workflow is deployed and the activity tree is shared by every
+	// instance, so it is computed once, on first execution.
+	bindOnce sync.Once
+	slots    []int
+	bindErr  error
 }
 
 // NewSQLDatabase builds a SQL database activity.
@@ -128,7 +130,7 @@ func (a *SQLDatabaseActivity) executeLive(c *Context) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", a.ActivityName, err)
 	}
-	sql, named, err := a.bindParameters(c)
+	vals, err := a.bindParameters(c)
 	if err != nil {
 		return fmt.Errorf("%s: %w", a.ActivityName, err)
 	}
@@ -140,7 +142,7 @@ func (a *SQLDatabaseActivity) executeLive(c *Context) error {
 	// minting a throwaway handle per attempt.
 	sess := c.SessionFor(db)
 	execOnce := func(int) (*sqldb.Result, error) {
-		return sess.ExecNamed(sql, named)
+		return sess.Exec(a.Statement, vals...)
 	}
 	var res *sqldb.Result
 	if a.Retry == nil {
@@ -166,8 +168,7 @@ func (a *SQLDatabaseActivity) executeLive(c *Context) error {
 		t.PrimaryKey = append([]string(nil), a.KeyColumns...)
 		ds.AddTable(t)
 		for _, row := range res.Rows {
-			vals := append([]sqldb.Value(nil), row...)
-			if _, err := t.AddRow(vals...); err != nil {
+			if _, err := t.AddRow(row...); err != nil {
 				return fmt.Errorf("%s: %w", a.ActivityName, err)
 			}
 		}
@@ -179,38 +180,58 @@ func (a *SQLDatabaseActivity) executeLive(c *Context) error {
 	return nil
 }
 
-// bindParameters rewrites @name parameters to the engine's :name form and
-// collects their values from host variables.
-func (a *SQLDatabaseActivity) bindParameters(c *Context) (string, map[string]sqldb.Value, error) {
-	a.rewriteOnce.Do(func() {
-		sql := a.Statement
-		for _, p := range a.Parameters {
-			bare := strings.TrimPrefix(p.Name, "@")
-			if !strings.Contains(sql, "@"+bare) {
-				a.rewriteErr = fmt.Errorf("parameter %s not present in statement", p.Name)
-				return
-			}
-			sql = strings.ReplaceAll(sql, "@"+bare, ":"+bare)
-		}
-		a.rewritten = sql
-	})
-	if a.rewriteErr != nil {
-		return "", nil, a.rewriteErr
+// bindParameters fills the statement's parameter vector, slot by slot,
+// from fixed values and host variables.
+func (a *SQLDatabaseActivity) bindParameters(c *Context) ([]sqldb.Value, error) {
+	a.bindOnce.Do(a.bindSlots)
+	if a.bindErr != nil || len(a.slots) == 0 {
+		return nil, a.bindErr
 	}
-	named := make(map[string]sqldb.Value, len(a.Parameters))
-	for _, p := range a.Parameters {
-		bare := strings.TrimPrefix(p.Name, "@")
+	vals := make([]sqldb.Value, len(a.slots))
+	for i, j := range a.slots {
+		p := &a.Parameters[j]
 		if p.Value != nil {
-			named[bare] = *p.Value
+			vals[i] = *p.Value
 			continue
 		}
 		v, ok := c.Get(p.Variable)
 		if !ok {
-			return "", nil, fmt.Errorf("parameter %s: no host variable %s", p.Name, p.Variable)
+			return nil, fmt.Errorf("parameter %s: no host variable %s", p.Name, p.Variable)
 		}
-		named[bare] = toSQLValue(v)
+		vals[i] = toSQLValue(v)
 	}
-	return a.rewritten, named, nil
+	return vals, nil
+}
+
+// bindSlots matches the statement's named placeholders, as the SQL lexer
+// finds them (never inside a string literal, never a prefix of a longer
+// name), with the activity's parameters by name, case-insensitively.
+// Each placeholder needs a parameter and each parameter a placeholder.
+func (a *SQLDatabaseActivity) bindSlots() {
+	names, err := sqldb.ParamNames(a.Statement)
+	if err != nil {
+		a.bindErr = err
+		return
+	}
+	for _, p := range a.Parameters {
+		if !slices.ContainsFunc(names, p.binds) {
+			a.bindErr = fmt.Errorf("parameter %s not present in statement", p.Name)
+			return
+		}
+	}
+	for _, n := range names {
+		j := slices.IndexFunc(a.Parameters, func(p SQLParameter) bool { return p.binds(n) })
+		if j < 0 {
+			a.bindErr = fmt.Errorf("placeholder @%s has no parameter", n)
+			return
+		}
+		a.slots = append(a.slots, j)
+	}
+}
+
+// binds reports whether the parameter binds the placeholder of that name.
+func (p SQLParameter) binds(placeholder string) bool {
+	return strings.EqualFold(strings.TrimPrefix(p.Name, "@"), placeholder)
 }
 
 // toSQLValue converts a host variable to a SQL value.

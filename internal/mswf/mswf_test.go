@@ -91,6 +91,62 @@ func TestSQLDatabaseActivityDMLAndParameters(t *testing.T) {
 	}
 }
 
+// TestSQLParametersAreTokens: @name placeholders are what the SQL lexer
+// finds, not substrings of the statement text. A parameter whose name is a
+// prefix of another's binds only its own placeholder, and an @ inside a
+// string literal is text.
+func TestSQLParametersAreTokens(t *testing.T) {
+	cases := []struct {
+		stmt     string
+		params   [][2]string
+		wantConf string
+	}{
+		{
+			stmt:     "INSERT INTO OrderConfirmations (ItemID, Quantity, Confirmation) VALUES (@c, @q, @conf)",
+			params:   [][2]string{{"@c", "item"}, {"@q", "qty"}, {"@conf", "conf"}},
+			wantConf: "C-1",
+		},
+		{
+			stmt:     "INSERT INTO OrderConfirmations (ItemID, Quantity, Confirmation) VALUES (@item, @q, 'mail to sales@item.example')",
+			params:   [][2]string{{"@item", "item"}, {"@q", "qty"}},
+			wantConf: "mail to sales@item.example",
+		},
+	}
+	for _, tc := range cases {
+		db := ordersDB()
+		rt := newRuntime(db)
+		act := NewSQLDatabase("confirm", conn, tc.stmt)
+		for _, p := range tc.params {
+			act.Param(p[0], p[1])
+		}
+		if _, err := rt.Run(act, map[string]any{"item": "bolt", "qty": 15, "conf": "C-1"}); err != nil {
+			t.Fatalf("%s: %v", tc.stmt, err)
+		}
+		res := db.MustExec("SELECT ItemID, Quantity, Confirmation FROM OrderConfirmations")
+		if len(res.Rows) != 1 {
+			t.Fatalf("%s: %d rows", tc.stmt, len(res.Rows))
+		}
+		if r := res.Rows[0]; r[0].S != "bolt" || r[1].I != 15 || r[2].S != tc.wantConf {
+			t.Fatalf("%s: stored %v, want bolt, 15, %q", tc.stmt, r, tc.wantConf)
+		}
+	}
+}
+
+// TestSQLParameterMismatchFailsAtDeploy: a placeholder without a
+// parameter, or a parameter without a placeholder, fails the activity's
+// first execution and names it.
+func TestSQLParameterMismatchFailsAtDeploy(t *testing.T) {
+	for _, tc := range []struct{ stmt, param, want string }{
+		{"DELETE FROM Orders WHERE ItemID = @item AND Quantity > @q", "@item", "placeholder @q has no parameter"},
+		{"DELETE FROM Orders WHERE ItemID = 'sales@item'", "@item", "parameter @item not present in statement"},
+	} {
+		_, err := newRuntime(ordersDB()).Run(NewSQLDatabase("del", conn, tc.stmt).Param(tc.param, "item"), map[string]any{"item": "bolt"})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err = %v, want %q", tc.stmt, err, tc.want)
+		}
+	}
+}
+
 func TestSQLDatabaseActivityDDLAndStoredProcedure(t *testing.T) {
 	db := ordersDB()
 	rt := newRuntime(db)
@@ -553,5 +609,27 @@ func TestExportBPELTerminateAndParallel(t *testing.T) {
 	rt := NewRuntime()
 	if _, err := rt.Run(imported, nil); err == nil || !strings.Contains(err.Error(), "because") {
 		t.Fatalf("imported terminate: %v", err)
+	}
+}
+
+// TestGetStringMatchesSprint: GetString formats the common host variable
+// kinds directly and everything else with fmt.Sprint; every kind reads as
+// fmt.Sprint reads it.
+func TestGetStringMatchesSprint(t *testing.T) {
+	vals := []any{
+		"", "bolt", 0, -7, 1 << 40, int64(0), int64(-1 << 62),
+		sqldb.Null(), sqldb.Int(-3), sqldb.Float(1.5), sqldb.Float(1e21), sqldb.Str("nut"), sqldb.Bool(true), sqldb.Bool(false),
+		1.25, true, int32(9), uint(4), []string{"a", "b"}, struct{ A int }{2},
+	}
+	c := &Context{vars: map[string]any{}}
+	for i, v := range vals {
+		name := fmt.Sprint("v", i)
+		c.Set(name, v)
+		if got, want := c.GetString(name), fmt.Sprint(v); got != want {
+			t.Errorf("GetString(%T %v) = %q, want %q", v, v, got, want)
+		}
+	}
+	if got := c.GetString("absent"); got != "" {
+		t.Errorf("absent host variable: %q", got)
 	}
 }

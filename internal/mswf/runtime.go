@@ -306,11 +306,22 @@ func (c *Context) Set(name string, v any) {
 	c.vars[name] = v
 }
 
-// GetString returns a host variable as a string ("" if absent).
+// GetString returns a host variable as a string ("" if absent), as
+// fmt.Sprint formats it; the common kinds are formatted directly.
 func (c *Context) GetString(name string) string {
 	v, ok := c.Get(name)
 	if !ok || v == nil {
 		return ""
+	}
+	switch t := v.(type) {
+	case string:
+		return t
+	case int:
+		return strconv.Itoa(t)
+	case int64:
+		return strconv.FormatInt(t, 10)
+	case sqldb.Value:
+		return t.String()
 	}
 	return fmt.Sprint(v)
 }

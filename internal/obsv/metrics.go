@@ -245,18 +245,3 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	return snap
 }
-
-// CounterNames returns the sorted names of all registered counters.
-func (r *Registry) CounterNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters))
-	for k := range r.counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}

@@ -2,6 +2,8 @@ package replica
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync/atomic"
 
 	"wfsql/internal/journal"
@@ -68,7 +70,6 @@ func CaptureSQL(db *sqldb.DB, rec *journal.Recorder) *CaptureStats {
 			Session: c.Session,
 			Kind:    c.Kind,
 			SQL:     c.SQL,
-			Named:   sqldb.EncodeNamed(c.Named),
 		}
 		if len(c.Params) > 0 {
 			e.Params = make([]string, len(c.Params))
@@ -137,13 +138,35 @@ func (r *SQLReplica) ApplyEffect(e journal.SQLEffectRecord) error {
 		}
 	}
 	if len(e.Named) > 0 {
-		named, err := sqldb.DecodeNamed(e.Named)
+		tail, err := namedTail(e.SQL, e.Named)
 		if err != nil {
 			return fmt.Errorf("replica: effect seq %d named params: %w", e.Seq, err)
 		}
-		c.Named = named
+		c.Params = append(c.Params, tail...)
 	}
 	return r.ap.Apply(c)
+}
+
+// namedTail turns the "name=encoded" pairs of a record written by an older
+// build into the values of the statement's named slots, in slot order:
+// the tail of its parameter vector.
+func namedTail(sql string, pairs []string) ([]sqldb.Value, error) {
+	names, err := sqldb.ParamNames(sql)
+	if err != nil {
+		return nil, err
+	}
+	tail := make([]sqldb.Value, len(names))
+	for i, n := range names {
+		j := slices.IndexFunc(pairs, func(p string) bool { k, _, _ := strings.Cut(p, "="); return strings.EqualFold(k, n) })
+		if j < 0 {
+			return nil, fmt.Errorf("unbound named parameter :%s", n)
+		}
+		_, enc, _ := strings.Cut(pairs[j], "=")
+		if tail[i], err = sqldb.DecodeValue(enc); err != nil {
+			return nil, err
+		}
+	}
+	return tail, nil
 }
 
 // DB returns the replica database (for read/reporting sessions).

@@ -72,21 +72,12 @@ type Breaker struct {
 	probes      int // in-flight half-open probes (admitted, not yet settled)
 	openedAt    time.Time
 	transitions []Transition
-	onChange    func(from, to BreakerState)
 }
 
 // NewBreaker builds a breaker opening after threshold consecutive
 // failures and probing again after the cooldown.
 func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
 	return &Breaker{FailureThreshold: threshold, Cooldown: cooldown}
-}
-
-// OnTransition installs a callback fired (outside the breaker lock is NOT
-// guaranteed; keep it fast) on every state change.
-func (b *Breaker) OnTransition(fn func(from, to BreakerState)) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.onChange = fn
 }
 
 func (b *Breaker) now() time.Time {
@@ -132,9 +123,6 @@ func (b *Breaker) transitionLocked(to BreakerState) {
 	}
 	b.state = to
 	b.transitions = append(b.transitions, Transition{From: from, To: to, At: b.now()})
-	if b.onChange != nil {
-		b.onChange(from, to)
-	}
 }
 
 // Allow reports whether a call may proceed. While open it fails fast until

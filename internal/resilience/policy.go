@@ -368,6 +368,9 @@ func runAttempt[T any](p *Policy, n int, op func(int) (T, error)) (T, error) {
 // Abandoned extracts the AbandonedError from an error chain (nil if the
 // error did not come from a give-up).
 func Abandoned(err error) *AbandonedError {
+	if err == nil {
+		return nil // before &a escapes into errors.As: no allocation on success
+	}
 	var a *AbandonedError
 	if errors.As(err, &a) {
 		return a

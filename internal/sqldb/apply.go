@@ -3,9 +3,7 @@ package sqldb
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
-	"strings"
 )
 
 // This file is the replica half of statement-based replication. The
@@ -89,7 +87,7 @@ func NewApplier(db *DB, floor int64) *Applier {
 func (a *Applier) Prime(pending []Change) error {
 	for _, c := range pending {
 		s := a.session(c.Session)
-		if _, err := s.execSQL(c.SQL, c.Params, c.Named); err != nil {
+		if _, err := s.Exec(c.SQL, c.Params...); err != nil {
 			return fmt.Errorf("sqldb: prime seq %d (%s): %w", c.Seq, c.Kind, err)
 		}
 		a.applied++
@@ -157,12 +155,12 @@ func (a *Applier) Apply(c Change) error {
 		return a.diverge(fmt.Sprintf(
 			"seq %d: BEGIN while origin session %d already holds an open transaction (rollback lost upstream)", c.Seq, c.Session))
 	}
-	// execSQL re-resolves the change text through the replica's own plan
+	// Exec re-resolves the change text through the replica's own plan
 	// cache: a PR 9 primary streams NORMALIZED text with merged
 	// parameters, which re-normalizes to itself (the rendering is
 	// idempotent, extracting nothing), while legacy journals with inline
 	// literals re-extract them here and merge identically.
-	if _, err := s.execSQL(c.SQL, c.Params, c.Named); err != nil {
+	if _, err := s.Exec(c.SQL, c.Params...); err != nil {
 		return fmt.Errorf("sqldb: apply seq %d (%s): %w", c.Seq, c.Kind, err)
 	}
 	a.applied++
@@ -264,42 +262,4 @@ func DecodeValue(s string) (Value, error) {
 		return Bool(body == "t"), nil
 	}
 	return Null(), fmt.Errorf("sqldb: unknown value tag %q", s)
-}
-
-// EncodeNamed flattens a named-parameter map into a deterministic
-// "k=enc" slice (sorted by key) for journal transport.
-func EncodeNamed(named map[string]Value) []string {
-	if len(named) == 0 {
-		return nil
-	}
-	keys := make([]string, 0, len(named))
-	for k := range named {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]string, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, k+"="+EncodeValue(named[k]))
-	}
-	return out
-}
-
-// DecodeNamed inverts EncodeNamed.
-func DecodeNamed(pairs []string) (map[string]Value, error) {
-	if len(pairs) == 0 {
-		return nil, nil
-	}
-	named := make(map[string]Value, len(pairs))
-	for _, p := range pairs {
-		eq := strings.IndexByte(p, '=')
-		if eq < 0 {
-			return nil, fmt.Errorf("sqldb: malformed named pair %q", p)
-		}
-		v, err := DecodeValue(p[eq+1:])
-		if err != nil {
-			return nil, err
-		}
-		named[p[:eq]] = v
-	}
-	return named, nil
 }

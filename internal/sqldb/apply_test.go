@@ -500,19 +500,6 @@ func TestValueCodecRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %v -> %v", v, got)
 		}
 	}
-	named := map[string]Value{"a": Int(1), "zz": Str("x=y"), "m": Null()}
-	back, err := DecodeNamed(EncodeNamed(named))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(named) {
-		t.Fatalf("named round trip size %d, want %d", len(back), len(named))
-	}
-	for k, v := range named {
-		if back[k] != v {
-			t.Fatalf("named[%q] = %v, want %v", k, back[k], v)
-		}
-	}
 	if _, err := DecodeValue("x:bogus"); err == nil {
 		t.Fatal("unknown tag decoded without error")
 	}

@@ -259,11 +259,10 @@ type ColumnRef struct {
 	Column string
 }
 
-// ParamRef is a parameter placeholder: a positional ? (Name empty,
-// 0-based Index) or a named :name parameter (Name set).
+// ParamRef is a parameter placeholder, ? or a named :name / @name, bound
+// by its 0-based slot in the parameter vector (the parser's numbering).
 type ParamRef struct {
 	Index int
-	Name  string
 }
 
 // BinaryExpr applies a binary operator. NOT LIKE is represented as a

@@ -85,17 +85,13 @@ func (c *compiler) constant(x Expr) (Value, bool) {
 	case *Literal:
 		return t.Val, true
 	case *ParamRef:
-		return paramValue(t, c.e.params, c.e.named)
+		return paramValue(t, c.e.params)
 	}
 	return Value{}, false
 }
 
 // paramValue reads a parameter's bound value.
-func paramValue(t *ParamRef, params []Value, named map[string]Value) (Value, bool) {
-	if t.Name != "" {
-		v, ok := named[strings.ToLower(t.Name)]
-		return v, ok
-	}
+func paramValue(t *ParamRef, params []Value) (Value, bool) {
 	if t.Index >= 0 && t.Index < len(params) {
 		return params[t.Index], true
 	}

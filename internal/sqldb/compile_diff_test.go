@@ -91,13 +91,13 @@ func (g *exprGen) leaf(k Kind) Expr {
 		return ref(diffBadRefs)
 	case n == 1:
 		if g.oneIn(2) {
-			return &ParamRef{Name: "missing"}
+			return &ParamRef{Index: 5} // an unbound named slot
 		}
-		return &ParamRef{Index: []int{-1, 3}[g.rng.Intn(2)]} // out of range
+		return &ParamRef{Index: []int{-1, 6}[g.rng.Intn(2)]} // out of range
 	case n < 8:
 		return &ParamRef{Index: g.rng.Intn(3)} // ?0 int, ?1 string, ?2 bool
 	case n < 12:
-		return &ParamRef{Name: []string{"n", "N", "m"}[g.rng.Intn(3)]} // :n int, :m bool
+		return &ParamRef{Index: []int{3, 3, 4}[g.rng.Intn(3)]} // named slots: :n int, :m bool
 	case n < 32:
 		return &Literal{Val: g.value(k)}
 	}
@@ -238,9 +238,6 @@ func exprText(x Expr) string {
 		}
 		return t.Column
 	case *ParamRef:
-		if t.Name != "" {
-			return ":" + t.Name
-		}
 		return fmt.Sprintf("?%d", t.Index)
 	case *BinaryExpr:
 		return "(" + exprText(t.L) + " " + t.Op + " " + exprText(t.R) + ")"
@@ -345,10 +342,10 @@ func TestCompiledAndInterpretedExpressionsAgree(t *testing.T) {
 		for i := 0; i < exprsPerSeed; i++ {
 			x := g.expr(4, g.anyKind())
 			params := g.row([]Kind{KindInt, KindString, KindBool})
-			named := map[string]Value{"n": g.value(KindInt), "m": g.value(KindBool)}
+			params = append(params, g.value(KindInt), g.value(KindBool)) // named slots :n, :m
 			// One compiled tree serves one statement execution: many rows,
 			// one column layout, one set of parameters.
-			scope := &env{cols: diffCols, params: params, named: named, outer: &env{cols: diffOuterCols}}
+			scope := &env{cols: diffCols, params: params, outer: &env{cols: diffOuterCols}}
 			c, pc := newCompiler(scope, nil), newCompiler(scope, nil)
 			fn, pred := c.compile(x), pc.pred(x)
 			if bad := hasBadRef(x); bad != (c.err != nil) || bad != (pc.err != nil) {
@@ -360,7 +357,7 @@ func TestCompiledAndInterpretedExpressionsAgree(t *testing.T) {
 			}
 			for r := 0; r < rowsPerExpr; r++ {
 				e := &env{
-					cols: diffCols, row: g.row(diffKinds), params: params, named: named,
+					cols: diffCols, row: g.row(diffKinds), params: params,
 					outer: &env{cols: diffOuterCols, row: g.row(diffOuterKind)},
 				}
 				if r == rowsPerExpr-1 {
@@ -370,15 +367,15 @@ func TestCompiledAndInterpretedExpressionsAgree(t *testing.T) {
 				got, gotErr := fn(e)
 				if errText(gotErr) != errText(wantErr) || (wantErr == nil && !sameValue(got, want)) {
 					t.Fatalf("seed %d expr %d row %d: evaluators disagree on %s\n"+
-						"  row      %v\n  outer    %v\n  params   %v named %v\n"+
+						"  row      %v\n  outer    %v\n  params   %v\n"+
 						"  eval     -> %s:%q, err %s\n  compiled -> %s:%q, err %s",
-						seed, i, r, exprText(x), e.row, e.outer.row, params, named,
+						seed, i, r, exprText(x), e.row, e.outer.row, params,
 						want.K, want.String(), errText(wantErr), got.K, got.String(), errText(gotErr))
 				}
 				if truth, err := pred(e); err != nil && wantErr == nil || err == nil && wantErr == nil && truth != want.Truth() {
-					t.Fatalf("seed %d expr %d row %d: predicate disagrees on %s\n  row %v outer %v params %v named %v\n"+
+					t.Fatalf("seed %d expr %d row %d: predicate disagrees on %s\n  row %v outer %v params %v\n"+
 						"  eval -> %s:%q, err %s\n  pred -> %v, err %s",
-						seed, i, r, exprText(x), e.row, e.outer.row, params, named,
+						seed, i, r, exprText(x), e.row, e.outer.row, params,
 						want.K, want.String(), errText(wantErr), truth, errText(err))
 				}
 				total++

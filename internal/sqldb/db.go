@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 )
 
 // DB is an embeddable in-memory relational database. All operations are
@@ -133,11 +134,12 @@ const rawCacheCap = 4096
 // while raw front-cache entries may still point at it; those drop
 // lazily (all under cacheMu).
 type cacheEntry struct {
-	sql  string
-	st   Stmt
-	slot stmtSlot // footprint and idle plan, filled by executions
-	el   *list.Element
-	dead bool
+	sql   string
+	st    Stmt
+	shape paramShape // the parse's slots: ExecNamed binds names after them
+	slot  stmtSlot   // footprint and idle plan, filled by executions
+	el    *list.Element
+	dead  bool
 }
 
 // rawEntry is one front-cache slot: the exact raw text, the plan entry
@@ -157,6 +159,7 @@ type rawEntry struct {
 // with their slot pattern, and the parse accounting for StmtStats.
 type parsedStmt struct {
 	st      Stmt
+	shape   paramShape
 	slot    *stmtSlot
 	norm    string
 	consts  []Value
@@ -288,7 +291,7 @@ func (db *DB) cachedParse(sql string) (parsedStmt, error) {
 			db.lruList.MoveToFront(re.ce.el)
 			// Read the entry under the lock: insertRawLocked refreshes
 			// these fields in place for a concurrent parser of this text.
-			ps := parsedStmt{st: re.ce.st, slot: &re.ce.slot, norm: re.ce.sql, consts: re.consts, pattern: re.pattern, hit: true}
+			ps := parsedStmt{st: re.ce.st, shape: re.ce.shape, slot: &re.ce.slot, norm: re.ce.sql, consts: re.consts, pattern: re.pattern, hit: true}
 			db.cacheMu.Unlock()
 			db.cacheHits.Add(1)
 			return ps, nil
@@ -311,16 +314,17 @@ func (db *DB) cachedParse(sql string) (parsedStmt, error) {
 		db.insertRawLocked(sql, ce, n.consts, n.pattern)
 		db.cacheMu.Unlock()
 		db.cacheHits.Add(1)
-		return parsedStmt{st: ce.st, slot: &ce.slot, norm: key, consts: n.consts, pattern: n.pattern, hit: true}, nil
+		return parsedStmt{st: ce.st, shape: ce.shape, slot: &ce.slot, norm: key, consts: n.consts, pattern: n.pattern, hit: true}, nil
 	}
 	db.cacheMu.Unlock()
 
 	var st Stmt
+	var shape paramShape
 	var err error
 	if normalized {
-		st, err = parseTokens(sql, n.toks)
+		st, shape, err = parseTokens(sql, n.toks)
 	} else {
-		st, err = Parse(sql)
+		st, shape, err = parseOne(sql)
 	}
 	parse := time.Since(start)
 	if err != nil {
@@ -351,7 +355,7 @@ func (db *DB) cachedParse(sql string) (parsedStmt, error) {
 			delete(db.stmtCache, dead.sql)
 			db.cacheEvictions.Add(1)
 		}
-		ce = &cacheEntry{sql: key, st: st}
+		ce = &cacheEntry{sql: key, st: st, shape: shape}
 		ce.el = db.lruList.PushFront(ce)
 		db.stmtCache[key] = ce.el
 		db.cacheSize.Store(int64(len(db.stmtCache)))
@@ -363,7 +367,7 @@ func (db *DB) cachedParse(sql string) (parsedStmt, error) {
 	} else {
 		db.cacheMisses.Add(1)
 	}
-	return parsedStmt{st: ce.st, slot: &ce.slot, norm: key, consts: n.consts, pattern: n.pattern, parse: parse, hit: hit}, nil
+	return parsedStmt{st: ce.st, shape: ce.shape, slot: &ce.slot, norm: key, consts: n.consts, pattern: n.pattern, parse: parse, hit: hit}, nil
 }
 
 // insertRawLocked records (or refreshes) the raw-text front-cache entry
@@ -421,11 +425,35 @@ func (db *DB) Schema(table string) ([]Column, error) {
 }
 
 func (db *DB) table(name string) (*Table, error) {
-	t, ok := db.tables[strings.ToLower(name)]
+	t, ok := LookupFold(db.tables, name)
 	if !ok {
 		return nil, fmt.Errorf("sqldb: no such table %s", name)
 	}
 	return t, nil
+}
+
+// LookupFold indexes a map keyed by lowercased names with a name in any
+// letter case. An ASCII name of up to 64 bytes is lowercased into a stack
+// buffer, and indexing with string(buf) does not allocate; other names
+// go through strings.ToLower.
+func LookupFold[V any](m map[string]V, name string) (V, bool) {
+	var buf [64]byte
+	if len(name) <= len(buf) {
+		ascii := true
+		for i := 0; i < len(name) && ascii; i++ {
+			c := name[i]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			buf[i], ascii = c, c < utf8.RuneSelf
+		}
+		if ascii {
+			v, ok := m[string(buf[:len(name)])]
+			return v, ok
+		}
+	}
+	v, ok := m[strings.ToLower(name)]
+	return v, ok
 }
 
 // RegisterProcedure installs a native (Go-implemented) stored procedure.
@@ -462,11 +490,10 @@ type Change struct {
 	Session int64
 	// Kind is the statement kind label (StmtKind).
 	Kind string
-	// SQL is the original statement text; Params/Named are its bind
-	// values.
+	// SQL is the statement text; Params is its parameter vector, named
+	// placeholders' values included (they are slots like any other).
 	SQL    string
 	Params []Value
-	Named  map[string]Value
 }
 
 // ChangeSink receives every change in execution order. It is called
@@ -512,14 +539,14 @@ func (db *DB) MustExec(sql string, params ...Value) *Result {
 // statement, without touching the plan cache — loading a dump cannot
 // evict hot entries.
 func (db *DB) ExecScript(script string) (*Result, error) {
-	stmts, err := parseScript(script)
+	stmts, _, err := parseScript(script)
 	if err != nil {
 		return nil, err
 	}
 	s := db.Session()
 	var last *Result
 	for _, st := range stmts {
-		last, err = s.execStmt(st.st, nil, nil, 0, "", st.text, nil, nil)
+		last, err = s.execStmt(st.st, nil, nil, 0, "", st.text, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -23,13 +23,12 @@ type env struct {
 	row     []Value
 	aggs    []aggState // the group being projected; nil outside one
 	params  []Value
-	named   map[string]Value
 	session *Session
 	outer   *env
 }
 
 func (e *env) child(cols []colMeta, row []Value) *env {
-	return &env{cols: cols, row: row, params: e.params, named: e.named, session: e.session, outer: e.outer}
+	return &env{cols: cols, row: row, params: e.params, session: e.session, outer: e.outer}
 }
 
 // aggregateNames are function names treated as aggregates.
@@ -59,12 +58,6 @@ func eval(x Expr, e *env) (Value, error) {
 		}
 		return e.row[idx], nil
 	case *ParamRef:
-		if t.Name != "" {
-			if v, ok := e.named[strings.ToLower(t.Name)]; ok {
-				return v, nil
-			}
-			return Null(), fmt.Errorf("sqldb: unbound named parameter :%s", t.Name)
-		}
 		if t.Index < 0 || t.Index >= len(e.params) {
 			return Null(), fmt.Errorf("sqldb: missing value for parameter %d", t.Index+1)
 		}

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -43,7 +44,7 @@ func FuzzParseScript(f *testing.F) {
 	f.Add("BEGIN; DELETE FROM t /* ; */ WHERE a IN (SELECT b FROM u); COMMIT")
 	f.Add("CREATE TABLE t (id INTEGER PRIMARY KEY, v VARCHAR DEFAULT 'x');DROP TABLE IF EXISTS t")
 	f.Fuzz(func(t *testing.T, sql string) {
-		parts, err := parseScript(sql)
+		parts, _, err := parseScript(sql)
 		if err != nil {
 			return
 		}
@@ -100,6 +101,97 @@ func FuzzNormalizeStmt(f *testing.F) {
 			t.Fatalf("rendering %q of %q has %d bind slots, want %d", n.text, sql, len(again.pattern), len(n.pattern))
 		}
 	})
+}
+
+// FuzzParamNames checks the parser's slot numbering: for any input that
+// parses, ParamNames of the raw text equals ParamNames of its normalized
+// rendering, the names are distinct in any letter case, and the slots the
+// parse's ParamRefs hold are exactly 0 .. positional + names - 1, where
+// positional counts the `?`s — the raw text's own, or the rendering's,
+// which include the extracted literals.
+func FuzzParamNames(f *testing.F) {
+	f.Add("SELECT a FROM t WHERE b = :x AND c = ? AND d = @X AND e = 'lit' AND f = :y")
+	f.Add("INSERT INTO t VALUES (@item, ?, 'mail to sales@item.example', @itemx, 3)")
+	f.Add("UPDATE t SET a = :Q + 1 WHERE b IN (SELECT c FROM u WHERE d = :q) AND e = ?")
+	f.Add("CREATE PROCEDURE p(x) AS 'UPDATE t SET a = :x'; CALL p(:y); DELETE FROM t WHERE a = ? OR b = :Y")
+	f.Fuzz(func(t *testing.T, sql string) {
+		stmts, shape, err := parseScript(sql)
+		if err != nil {
+			return
+		}
+		names, err := ParamNames(sql)
+		if err != nil || !reflect.DeepEqual(names, shape.names) {
+			t.Fatalf("ParamNames(%q) = %q, %v; the parse names %q", sql, names, err, shape.names)
+		}
+		for i, n := range names {
+			for _, m := range names[:i] {
+				if strings.EqualFold(n, m) {
+					t.Fatalf("%q: names %q repeat %q", sql, names, n)
+				}
+			}
+		}
+		checkSlots := func(text string, sts []scriptStmt) {
+			toks, err := lexNoSemis(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := len(names)
+			for _, tk := range toks {
+				if tk.kind == tokParam && tk.text == "?" {
+					want++
+				}
+			}
+			slots := map[int]bool{}
+			for _, st := range sts {
+				paramSlots(reflect.ValueOf(st.st), slots)
+			}
+			for i := 0; i < want; i++ {
+				if !slots[i] {
+					t.Fatalf("%q: no placeholder holds slot %d of %d (slots %v)", text, i, want, slots)
+				}
+			}
+			if len(slots) != want {
+				t.Fatalf("%q: %d slots %v, want %d", text, len(slots), slots, want)
+			}
+		}
+		checkSlots(sql, stmts)
+		n, ok := normalizeStmt(sql)
+		if !ok {
+			return
+		}
+		again, err := ParamNames(n.text)
+		if err != nil || !reflect.DeepEqual(again, names) {
+			t.Fatalf("ParamNames of the rendering %q = %q, %v; of %q: %q", n.text, again, err, sql, names)
+		}
+		st, _, err := parseTokens(sql, n.toks)
+		if err != nil {
+			t.Fatalf("slotted tokens of %q do not parse: %v", sql, err)
+		}
+		checkSlots(n.text, []scriptStmt{{st: st}})
+	})
+}
+
+// paramSlots collects the slot of every ParamRef reachable from v.
+func paramSlots(v reflect.Value, into map[int]bool) {
+	switch v.Kind() {
+	case reflect.Pointer, reflect.Interface:
+		if v.IsNil() {
+			return
+		}
+		if v.Type() == reflect.TypeOf((*ParamRef)(nil)) {
+			into[int(v.Elem().Field(0).Int())] = true
+			return
+		}
+		paramSlots(v.Elem(), into)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			paramSlots(v.Field(i), into)
+		}
+	case reflect.Slice, reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			paramSlots(v.Index(i), into)
+		}
+	}
 }
 
 // fuzzValue builds one Value from fuzzer-chosen primitives: kind picks

@@ -70,7 +70,7 @@ func (s *Session) execBuilt(name string, st Stmt, src string, slot *stmtSlot, ch
 	if !ok {
 		return nil, fmt.Errorf("sqldb: %q is not a plain identifier", name)
 	}
-	return s.execStmt(st, slot, charge, 0, "", src, params, nil)
+	return s.execStmt(st, slot, charge, 0, "", src, params)
 }
 
 // DropTable executes DROP TABLE [IF EXISTS] name.

@@ -16,7 +16,7 @@ const (
 	tokKeyword
 	tokNumber
 	tokString
-	tokParam  // ? placeholder
+	tokParam  // placeholder: text "?", or the bare name of :name / @name
 	tokSymbol // operators and punctuation
 )
 
@@ -102,7 +102,8 @@ func (l *lexer) next() (token, error) {
 	case c == '?':
 		l.pos++
 		return token{kind: tokParam, text: "?", pos: start}, nil
-	case c == ':' && l.pos+1 < len(l.src) && isIdentStart(rune(l.src[l.pos+1])):
+	case (c == ':' || c == '@') && l.pos+1 < len(l.src) && isIdentStart(rune(l.src[l.pos+1])):
+		// A named placeholder: :name, or @name as SQL Server writes it.
 		l.pos++
 		nameStart := l.pos
 		for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {

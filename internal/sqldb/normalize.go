@@ -111,7 +111,8 @@ func normalizeStmt(sql string) (normalized, bool) {
 			if t.text == "?" {
 				n.pattern = append(n.pattern, slotUser)
 			}
-			// :name parameters bind by name, not position — untouched.
+			// Named placeholders stay: the parser numbers them after
+			// every slot of the pattern.
 		case tokNumber:
 			if suppressAt >= 0 {
 				break
@@ -165,8 +166,8 @@ func renderTokens(src string, toks []token) string {
 // position among the caller's own placeholders, and that numbering is
 // unrecoverable once extracted literals shift the indexes — so callers
 // fall back to a plain parse of the raw text. Surplus caller values
-// were always legal (never referenced); they stay reachable at the end
-// of the merged vector.
+// were always legal; they stay reachable at the end of the merged
+// vector, which is where named placeholders' values travel.
 func mergeParams(user, consts []Value, pattern []uint8) ([]Value, bool) {
 	if len(consts) == 0 {
 		return user, true

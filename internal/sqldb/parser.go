@@ -2,40 +2,87 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
 // parser is a recursive-descent parser over the token stream.
+//
+// Every placeholder is a positional slot. A `?` takes the next slot as it
+// is met. A named placeholder (:name or @name) is numbered after every
+// `?` of the parse (numberNamed), in order of first appearance, and a
+// repeated name — compared case-insensitively — reuses its slot; so a
+// parameter vector carries the named values as its tail.
 type parser struct {
 	src    string
 	toks   []token
 	pos    int
-	params int // number of ? placeholders seen
+	params int         // positional slots seen: ? placeholders
+	names  []string    // named placeholders, in order of first appearance
+	named  []*ParamRef // their references; Index is the name's ordinal until numberNamed
 }
 
 // Parse parses a single SQL statement.
 func Parse(sql string) (Stmt, error) {
-	stmts, err := parseScript(sql)
-	if err != nil {
-		return nil, err
-	}
-	if len(stmts) != 1 {
-		return nil, fmt.Errorf("sqldb: expected exactly one statement, got %d", len(stmts))
-	}
-	return stmts[0].st, nil
+	st, _, err := parseOne(sql)
+	return st, err
 }
 
-// ParseScript parses a semicolon-separated sequence of SQL statements.
-func ParseScript(sql string) ([]Stmt, error) {
-	parts, err := parseScript(sql)
+// parseOne parses a single statement and reports its parameter shape.
+func parseOne(sql string) (Stmt, paramShape, error) {
+	stmts, shape, err := parseScript(sql)
 	if err != nil {
-		return nil, err
+		return nil, shape, err
 	}
-	stmts := make([]Stmt, len(parts))
-	for i, p := range parts {
-		stmts[i] = p.st
+	if len(stmts) != 1 {
+		return nil, shape, fmt.Errorf("sqldb: expected exactly one statement, got %d", len(stmts))
 	}
-	return stmts, nil
+	return stmts[0].st, shape, nil
+}
+
+// ParamNames returns the named placeholders of sql (:name or @name,
+// without the sigil) in slot order: named values bind, in this order,
+// after the statement's `?` values. A name repeated in any letter case
+// is one slot and is listed once, as first written.
+func ParamNames(sql string) ([]string, error) {
+	_, shape, err := parseScript(sql)
+	return shape.names, err
+}
+
+// paramShape is a parse's slots: its `?`s, then its names.
+type paramShape struct {
+	positional int
+	names      []string
+}
+
+// bindNamed builds a parse's parameter vector: its `?` values (surplus
+// ones are never referenced and are dropped), then each name's value
+// from the map, looked up case-insensitively.
+func (sh paramShape) bindNamed(params []Value, named map[string]Value) ([]Value, error) {
+	if len(params) < sh.positional {
+		return nil, fmt.Errorf("sqldb: missing value for parameter %d", len(params)+1)
+	}
+	vals := append(make([]Value, 0, sh.positional+len(sh.names)), params[:sh.positional]...)
+	for i, n := range sh.names {
+		for k, v := range named {
+			if strings.EqualFold(k, n) {
+				vals = append(vals, v)
+				break
+			}
+		}
+		if len(vals) == sh.positional+i {
+			return nil, fmt.Errorf("sqldb: unbound named parameter :%s", n)
+		}
+	}
+	return vals, nil
+}
+
+// numberNamed moves each named placeholder past the parse's `?`s.
+func (p *parser) numberNamed() paramShape {
+	for _, r := range p.named {
+		r.Index += p.params
+	}
+	return paramShape{positional: p.params, names: p.names}
 }
 
 // scriptStmt is one statement of a script with its source text: the
@@ -46,10 +93,12 @@ type scriptStmt struct {
 	text string
 }
 
-func parseScript(sql string) ([]scriptStmt, error) {
+// parseScript parses a script as one parse: its `?`s are numbered across
+// the statements, and its named placeholders after all of them.
+func parseScript(sql string) ([]scriptStmt, paramShape, error) {
 	toks, err := newLexer(sql).lexAll()
 	if err != nil {
-		return nil, err
+		return nil, paramShape{}, err
 	}
 	p := &parser{src: sql, toks: toks}
 	var stmts []scriptStmt
@@ -63,17 +112,17 @@ func parseScript(sql string) ([]scriptStmt, error) {
 		first := p.peek().pos
 		s, err := p.parseStmt()
 		if err != nil {
-			return nil, err
+			return nil, paramShape{}, err
 		}
 		stmts = append(stmts, scriptStmt{st: s, text: sql[first:p.toks[p.pos-1].end]})
 		if !p.peekSym(";") && p.peek().kind != tokEOF {
-			return nil, p.errorf("expected ';' or end of input")
+			return nil, paramShape{}, p.errorf("expected ';' or end of input")
 		}
 	}
 	if len(stmts) == 0 {
-		return nil, fmt.Errorf("sqldb: empty statement")
+		return nil, paramShape{}, fmt.Errorf("sqldb: empty statement")
 	}
-	return stmts, nil
+	return stmts, p.numberNamed(), nil
 }
 
 // parseTokens parses a single statement from a pre-lexed token stream —
@@ -81,20 +130,21 @@ func parseScript(sql string) ([]scriptStmt, error) {
 // original text, kept for error offsets. Positional placeholder indexes
 // are assigned in token order, so a stream whose literals were replaced
 // by `?` tokens parses into a plan whose parameter numbering matches
-// the normalizer's slot pattern exactly.
-func parseTokens(src string, toks []token) (Stmt, error) {
+// the normalizer's slot pattern exactly, and whose named placeholders
+// follow every slot of that pattern.
+func parseTokens(src string, toks []token) (Stmt, paramShape, error) {
 	p := &parser{src: src, toks: toks}
 	st, err := p.parseStmt()
 	if err != nil {
-		return nil, err
+		return nil, paramShape{}, err
 	}
 	for p.peekSym(";") {
 		p.pos++
 	}
 	if p.peek().kind != tokEOF {
-		return nil, p.errorf("expected ';' or end of input")
+		return nil, paramShape{}, p.errorf("expected ';' or end of input")
 	}
-	return st, nil
+	return st, p.numberNamed(), nil
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
@@ -1214,7 +1264,15 @@ func (p *parser) parsePrimary() (Expr, error) {
 	case tokParam:
 		p.pos++
 		if t.text != "?" {
-			return &ParamRef{Index: -1, Name: t.text}, nil
+			// A named placeholder: its name's ordinal, made a slot by
+			// numberNamed once the parse has counted its `?`s.
+			i := slices.IndexFunc(p.names, func(n string) bool { return strings.EqualFold(n, t.text) })
+			if i < 0 {
+				i, p.names = len(p.names), append(p.names, t.text)
+			}
+			ref := &ParamRef{Index: i}
+			p.named = append(p.named, ref)
+			return ref, nil
 		}
 		idx := p.params
 		p.params++

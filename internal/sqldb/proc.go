@@ -14,6 +14,7 @@ type Procedure struct {
 	Params []string
 	Body   []Stmt
 	Native NativeProc
+	shape  paramShape // the body's slots: CALL binds its names from Params
 	slots  []stmtSlot // one per Body statement
 	src    string     // original body text, for Dump
 }

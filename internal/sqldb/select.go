@@ -137,7 +137,7 @@ func (s *Session) execSelect(q *SelectStmt, outer *env, slot *stmtSlot) (*Result
 // planSelect plans q; with a tree, what an execution re-binds is recorded
 // in it.
 func (s *Session) planSelect(q *SelectStmt, outer *env, tree *planTree) (*selectPlan, error) {
-	p := &selectPlan{s: s, q: q, tree: tree, env: env{params: outer.params, named: outer.named, session: s, outer: outer}}
+	p := &selectPlan{s: s, q: q, tree: tree, env: env{params: outer.params, session: s, outer: outer}}
 	if tree != nil {
 		tree.plans = append(tree.plans, p)
 	}
@@ -195,7 +195,7 @@ func (p *selectPlan) addSource(from Source, kind JoinKind, on Expr, group int) e
 	} else if v, ok := s.db.views[strings.ToLower(from.Table)]; ok {
 		// Views see the database, not the referencing statement's rows.
 		src.name = v.Name
-		src.viewEnv = &env{session: s, params: p.env.params, named: p.env.named}
+		src.viewEnv = &env{session: s, params: p.env.params}
 		if p.tree != nil {
 			p.tree.views = append(p.tree.views, src.viewEnv)
 		}

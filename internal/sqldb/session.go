@@ -112,29 +112,45 @@ func (s *Session) ID() int64 { return s.id }
 // repeated executions that differ only in literal values reuse one
 // cached plan and report zero parse time (StmtStats.Cache records
 // "hit" vs "miss").
+//
+// Named placeholders (:name, @name) are slots too, numbered after the
+// text's `?`s in order of first appearance (ParamNames lists them), so
+// params may carry their values as its tail.
 func (s *Session) Exec(sql string, params ...Value) (*Result, error) {
-	return s.execSQL(sql, params, nil)
-}
-
-// ExecNamed parses and executes one SQL statement binding :name parameters
-// from the given map (keys are case-insensitive). Like Exec, it resolves
-// the SQL text through the statement cache.
-func (s *Session) ExecNamed(sql string, named map[string]Value) (*Result, error) {
-	return s.execSQL(sql, nil, named)
-}
-
-// execSQL is the shared text-execution path behind Exec, ExecNamed, and
-// the replication Applier: resolve through the plan cache, fold the
-// text's extracted literals into the positional vector, and execute.
-// The NORMALIZED text and the MERGED parameters are what flow to the
-// change stream — a replica re-normalizing that text extracts nothing
-// (the rendering is idempotent) and binds the same merged vector, so
-// primary and replica execute the identical plan with identical inputs.
-func (s *Session) execSQL(sql string, params []Value, named map[string]Value) (*Result, error) {
 	ps, err := s.db.cachedParse(sql)
 	if err != nil {
 		return nil, err
 	}
+	return s.execParsed(sql, &ps, params)
+}
+
+// ExecNamed is Exec with the named placeholders bound from a map (keys
+// are case-insensitive) after the `?` values in params. A name the map
+// lacks fails before anything executes.
+func (s *Session) ExecNamed(sql string, named map[string]Value, params ...Value) (*Result, error) {
+	ps, err := s.db.cachedParse(sql)
+	if err != nil {
+		return nil, err
+	}
+	// The caller's own `?`s are the cached parse's slots less the
+	// literals normalization extracted from this text.
+	shape := ps.shape
+	shape.positional -= len(ps.consts)
+	vals, err := shape.bindNamed(params, named)
+	if err != nil {
+		return nil, err
+	}
+	return s.execParsed(sql, &ps, vals)
+}
+
+// execParsed is the text-execution path behind Exec, ExecNamed and the
+// replication Applier, past the plan cache: fold the text's extracted
+// literals into the positional vector, and execute. The NORMALIZED text
+// and the MERGED parameters are what flow to the change stream — a
+// replica re-normalizing that text extracts nothing (the rendering is
+// idempotent) and binds the same merged vector, so primary and replica
+// execute the identical plan with identical inputs.
+func (s *Session) execParsed(sql string, ps *parsedStmt, params []Value) (*Result, error) {
 	merged, ok := mergeParams(params, ps.consts, ps.pattern)
 	if !ok {
 		// Fewer caller values than user slots: only an uncached parse of
@@ -146,9 +162,9 @@ func (s *Session) execSQL(sql string, params []Value, named map[string]Value) (*
 		if perr != nil {
 			return nil, perr
 		}
-		return s.execStmt(st, nil, nil, time.Since(start), CacheMiss, sql, params, named)
+		return s.execStmt(st, nil, nil, time.Since(start), CacheMiss, sql, params)
 	}
-	return s.execStmt(ps.st, ps.slot, nil, ps.parse, cacheLabel(ps.hit), ps.norm, merged, named)
+	return s.execStmt(ps.st, ps.slot, nil, ps.parse, cacheLabel(ps.hit), ps.norm, merged)
 }
 
 func cacheLabel(hit bool) string {
@@ -163,10 +179,11 @@ func cacheLabel(hit bool) string {
 // layers use for repeated statements. Prepare bypasses the statement
 // cache (the caller is doing its own statement reuse).
 type PreparedStmt struct {
-	s    *Session
-	stmt Stmt
-	src  string   // original SQL text, for the change stream
-	slot stmtSlot // footprint and idle plan (slot.go)
+	s     *Session
+	stmt  Stmt
+	src   string     // original SQL text, for the change stream
+	shape paramShape // its `?`s and names, for ExecNamed
+	slot  stmtSlot   // footprint and idle plan (slot.go)
 
 	// parse is the one-time parse cost in nanoseconds, zero once an
 	// execution has reported it. execStmt takes it (one swap) only after
@@ -178,23 +195,29 @@ type PreparedStmt struct {
 // Prepare parses a statement once for repeated execution.
 func (s *Session) Prepare(sql string) (*PreparedStmt, error) {
 	start := time.Now()
-	st, err := Parse(sql)
+	st, shape, err := parseOne(sql)
 	if err != nil {
 		return nil, err
 	}
-	p := &PreparedStmt{s: s, stmt: st, src: sql}
+	p := &PreparedStmt{s: s, stmt: st, src: sql, shape: shape}
 	p.parse.Store(int64(time.Since(start)))
 	return p, nil
 }
 
-// Exec runs the prepared statement with positional parameters.
-func (p *PreparedStmt) Exec(params ...Value) (*Result, error) { return p.exec(params, nil) }
+// Exec runs the prepared statement with positional parameters (named
+// placeholders bind from the tail, as for Session.Exec).
+func (p *PreparedStmt) Exec(params ...Value) (*Result, error) {
+	return p.s.execStmt(p.stmt, &p.slot, &p.parse, 0, "", p.src, params)
+}
 
-// ExecNamed runs the prepared statement with named parameters.
-func (p *PreparedStmt) ExecNamed(named map[string]Value) (*Result, error) { return p.exec(nil, named) }
-
-func (p *PreparedStmt) exec(params []Value, named map[string]Value) (*Result, error) {
-	return p.s.execStmt(p.stmt, &p.slot, &p.parse, 0, "", p.src, params, named)
+// ExecNamed runs the prepared statement with its named placeholders bound
+// from a map, as Session.ExecNamed does.
+func (p *PreparedStmt) ExecNamed(named map[string]Value, params ...Value) (*Result, error) {
+	vals, err := p.shape.bindNamed(params, named)
+	if err != nil {
+		return nil, err
+	}
+	return p.Exec(vals...)
 }
 
 // Query executes a statement and requires it to produce a result set.
@@ -251,12 +274,12 @@ func isDDL(st Stmt) bool {
 // Statements inside an explicit transaction are not retried — earlier
 // statements of the transaction saw older snapshots, so the decision
 // belongs to the caller.
-func (s *Session) execStmt(st Stmt, slot *stmtSlot, charge *atomic.Int64, parse time.Duration, cache string, src string, params []Value, named map[string]Value) (res *Result, err error) {
+func (s *Session) execStmt(st Stmt, slot *stmtSlot, charge *atomic.Int64, parse time.Duration, cache string, src string, params []Value) (res *Result, err error) {
 	if s.locked {
 		// Re-entrant execution (native procedure bodies running on a
 		// child session): no hook, no stats — the enclosing statement
 		// accounts for it.
-		return s.execStmtLocked(st, slot, params, named, nil)
+		return s.execStmtLocked(st, slot, params, nil)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -291,7 +314,7 @@ func (s *Session) execStmt(st Stmt, slot *stmtSlot, charge *atomic.Int64, parse 
 	var conflictTable string
 	canRetry := s.txn == nil
 	for attempt := 0; ; attempt++ {
-		stat, res, err = s.runStmt(st, slot, parse, cache, src, params, named, sink != nil)
+		stat, res, err = s.runStmt(st, slot, parse, cache, src, params, sink != nil)
 		if err == nil || !canRetry || attempt >= conflictRetryLimit {
 			break
 		}
@@ -337,7 +360,7 @@ func (s *Session) execStmt(st Stmt, slot *stmtSlot, charge *atomic.Int64, parse 
 //
 // Every attempt registers a snapshot for its lifetime (vacuum safety)
 // and fully releases locks before returning.
-func (s *Session) runStmt(st Stmt, slot *stmtSlot, parse time.Duration, cache, src string, params []Value, named map[string]Value, wantStats bool) (stat *StmtStats, res *Result, err error) {
+func (s *Session) runStmt(st Stmt, slot *stmtSlot, parse time.Duration, cache, src string, params []Value, wantStats bool) (stat *StmtStats, res *Result, err error) {
 	shared := readOnlyStmt(st)
 	exclusive := false
 	var fp []latchTarget
@@ -390,7 +413,7 @@ func (s *Session) runStmt(st Stmt, slot *stmtSlot, parse time.Duration, cache, s
 	}
 	// The shared dispatch with the change-stream record as its emit
 	// step, then an opportunistic vacuum while the latches are held.
-	res, err = s.execStmtLocked(st, slot, params, named, func() { s.emitChange(st, src, params, named) })
+	res, err = s.execStmtLocked(st, slot, params, func() { s.emitChange(st, src, params) })
 	if err == nil {
 		s.vacuumFootprint(fp)
 	}
@@ -463,7 +486,7 @@ func (s *Session) vacuumFootprint(fp []latchTarget) {
 //
 // Applier sessions are skipped — re-capturing the replication stream on
 // a replica would loop it.
-func (s *Session) emitChange(st Stmt, src string, params []Value, named map[string]Value) {
+func (s *Session) emitChange(st Stmt, src string, params []Value) {
 	if s.applier || readOnlyStmt(st) {
 		return
 	}
@@ -479,12 +502,6 @@ func (s *Session) emitChange(st Stmt, src string, params []Value, named map[stri
 	}
 	if len(params) > 0 {
 		c.Params = append([]Value(nil), params...)
-	}
-	if len(named) > 0 {
-		c.Named = make(map[string]Value, len(named))
-		for k, v := range named {
-			c.Named[k] = v
-		}
 	}
 	if s.txn != nil && s.txn.explicit && !s.txn.aborted && !isDDL(st) {
 		if s.db.openTxns == nil {
@@ -504,7 +521,7 @@ func (s *Session) emitChange(st Stmt, src string, params []Value, named map[stri
 // stream dense and exactly paired with BootstrapState floors;
 // re-entrant callers pass nil (the stream carries the enclosing
 // statement).
-func (s *Session) execStmtLocked(st Stmt, slot *stmtSlot, params []Value, named map[string]Value, emit func()) (*Result, error) {
+func (s *Session) execStmtLocked(st Stmt, slot *stmtSlot, params []Value, emit func()) (*Result, error) {
 	s.db.stmtCount.Add(1)
 	switch st.(type) {
 	case *BeginStmt, *CommitStmt, *RollbackStmt:
@@ -516,7 +533,7 @@ func (s *Session) execStmtLocked(st Stmt, slot *stmtSlot, params []Value, named 
 	if local {
 		s.txn = &txn{id: s.db.txnIDs.Add(1)}
 	}
-	res, err := s.dispatch(st, slot, params, lowerKeys(named))
+	res, err := s.dispatch(st, slot, params)
 	s.finishStmt(local, err, emit)
 	return res, err
 }
@@ -587,24 +604,13 @@ func (s *Session) finishStmt(local bool, err error, emit func()) {
 	}
 }
 
-func lowerKeys(m map[string]Value) map[string]Value {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]Value, len(m))
-	for k, v := range m {
-		out[strings.ToLower(k)] = v
-	}
-	return out
-}
-
 // dispatch executes one non-transaction-control statement inside the
 // session's open transaction. The slot's plan serves the statement's
 // SELECT (also under EXPLAIN, INSERT and CREATE TABLE … AS) or its
 // UPDATE/DELETE row filter.
-func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value, named map[string]Value) (res *Result, err error) {
+func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value) (res *Result, err error) {
 	// The statement's scope, built only by the statements that read it.
-	base := func() *env { return &env{params: params, named: named, session: s} }
+	base := func() *env { return &env{params: params, session: s} }
 	switch t := st.(type) {
 	case *SelectStmt:
 		res, err = s.execSelect(t, base(), slot)
@@ -625,10 +631,7 @@ func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value, named map[st
 		lc := strings.ToLower(t.Table)
 		tbl, ok := s.db.tables[lc]
 		if !ok {
-			if t.IfExists {
-				return &Result{}, nil
-			}
-			return nil, fmt.Errorf("sqldb: no such table %s", t.Table)
+			return absent(t.IfExists, "table", t.Table)
 		}
 		for in := range tbl.indexes {
 			delete(s.db.indexOwner, in)
@@ -659,10 +662,7 @@ func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value, named map[st
 		lc := strings.ToLower(t.Name)
 		tbl, ok := s.db.indexOwner[lc]
 		if !ok {
-			if t.IfExists {
-				return &Result{}, nil
-			}
-			return nil, fmt.Errorf("sqldb: no such index %s", t.Name)
+			return absent(t.IfExists, "index", t.Name)
 		}
 		delete(tbl.indexes, lc)
 		delete(s.db.indexOwner, lc)
@@ -678,15 +678,12 @@ func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value, named map[st
 	case *DropSequenceStmt:
 		lc := strings.ToLower(t.Name)
 		if _, ok := s.db.sequences[lc]; !ok {
-			if t.IfExists {
-				return &Result{}, nil
-			}
-			return nil, fmt.Errorf("sqldb: no such sequence %s", t.Name)
+			return absent(t.IfExists, "sequence", t.Name)
 		}
 		delete(s.db.sequences, lc)
 		return &Result{}, nil
 	case *CreateProcedureStmt:
-		body, err := ParseScript(t.Body)
+		body, shape, err := parseScript(t.Body)
 		if err != nil {
 			return nil, fmt.Errorf("sqldb: procedure %s body: %w", t.Name, err)
 		}
@@ -694,16 +691,17 @@ func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value, named map[st
 		if _, exists := s.db.procs[lc]; exists {
 			return nil, fmt.Errorf("sqldb: procedure %s already exists", t.Name)
 		}
-		s.db.procs[lc] = &Procedure{Name: t.Name, Params: t.Params, Body: body, slots: make([]stmtSlot, len(body)), src: t.Body}
+		proc := &Procedure{Name: t.Name, Params: t.Params, Body: make([]Stmt, len(body)), shape: shape, slots: make([]stmtSlot, len(body)), src: t.Body}
+		for i, b := range body {
+			proc.Body[i] = b.st
+		}
+		s.db.procs[lc] = proc
 		s.db.footGen.Add(1) // CALL footprints expand procedure bodies
 		return &Result{}, nil
 	case *DropProcedureStmt:
 		lc := strings.ToLower(t.Name)
 		if _, ok := s.db.procs[lc]; !ok {
-			if t.IfExists {
-				return &Result{}, nil
-			}
-			return nil, fmt.Errorf("sqldb: no such procedure %s", t.Name)
+			return absent(t.IfExists, "procedure", t.Name)
 		}
 		delete(s.db.procs, lc)
 		s.db.footGen.Add(1)
@@ -730,6 +728,15 @@ func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value, named map[st
 	return nil, fmt.Errorf("sqldb: unsupported statement %T", st)
 }
 
+// absent answers a DROP of an object that does not exist: nothing under
+// IF EXISTS, an error otherwise.
+func absent(ifExists bool, kind, name string) (*Result, error) {
+	if ifExists {
+		return &Result{}, nil
+	}
+	return nil, fmt.Errorf("sqldb: no such %s %s", kind, name)
+}
+
 // Rollback aborts any open explicit transaction (no-op otherwise). It is
 // used by the workflow layers when a fault aborts an atomic SQL sequence.
 //
@@ -745,7 +752,7 @@ func (s *Session) Rollback() {
 		// the stamps marks the shared transaction aborted, which the
 		// parent's finishStmt observes and skips committing.
 		if s.txn != nil && !s.txn.aborted {
-			s.txnControl(rollbackStmt, func() { s.emitChange(rollbackStmt, "ROLLBACK", nil, nil) })
+			s.txnControl(rollbackStmt, func() { s.emitChange(rollbackStmt, "ROLLBACK", nil) })
 		}
 		s.txn = nil
 		return
@@ -757,7 +764,7 @@ func (s *Session) Rollback() {
 		// latches the write set, but the ExecHook, the budget and
 		// read-only gates and stats emission (all in execStmt) are
 		// bypassed — an abort must always go through.
-		s.runStmt(rollbackStmt, nil, 0, "", "ROLLBACK", nil, nil, false)
+		s.runStmt(rollbackStmt, nil, 0, "", "ROLLBACK", nil, false)
 	}
 }
 
@@ -964,7 +971,7 @@ func (s *Session) planRows(table string, where Expr, sets []SetClause, outer *en
 	if err != nil {
 		return nil, err
 	}
-	p := &selectPlan{s: s, tree: tree, env: env{cols: tableColMeta(tbl, ""), params: outer.params, named: outer.named, session: s, outer: outer.outer}}
+	p := &selectPlan{s: s, tree: tree, env: env{cols: tableColMeta(tbl, ""), params: outer.params, session: s, outer: outer.outer}}
 	if tree != nil {
 		tree.plans = append(tree.plans, p)
 		tree.stamp(tbl)
@@ -1038,13 +1045,18 @@ func (s *Session) execCall(t *CallStmt, base *env) (*Result, error) {
 	if len(args) != len(proc.Params) {
 		return nil, fmt.Errorf("sqldb: procedure %s expects %d argument(s), got %d", proc.Name, len(proc.Params), len(args))
 	}
-	bound := map[string]Value{}
+	bound := make(map[string]Value, len(args))
 	for i, p := range proc.Params {
 		bound[strings.ToLower(p)] = args[i]
 	}
+	// The body is one parse: one vector binds every statement of it.
+	vals, err := proc.shape.bindNamed(nil, bound)
+	if err != nil {
+		return nil, fmt.Errorf("sqldb: procedure %s: %w", proc.Name, err)
+	}
 	var last *Result
 	for i, st := range proc.Body {
-		r, err := s.execStmtLocked(st, &proc.slots[i], nil, bound, nil)
+		r, err := s.execStmtLocked(st, &proc.slots[i], vals, nil)
 		if err != nil {
 			return nil, fmt.Errorf("sqldb: procedure %s: %w", proc.Name, err)
 		}

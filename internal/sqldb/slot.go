@@ -90,7 +90,7 @@ func (slot *stmtSlot) put(p *selectPlan) {
 		q.idle()
 	}
 	for _, v := range p.tree.views {
-		v.session, v.params, v.named = nil, nil, nil
+		v.session, v.params = nil, nil
 	}
 	slot.plan.Store(p)
 }
@@ -109,7 +109,7 @@ func (t *planTree) rebind(s *Session, outer *env) bool {
 		}
 	}
 	for _, b := range t.binds {
-		v, ok := paramValue(b.ref, outer.params, outer.named)
+		v, ok := paramValue(b.ref, outer.params)
 		if !ok {
 			return false
 		}
@@ -118,10 +118,10 @@ func (t *planTree) rebind(s *Session, outer *env) bool {
 		}
 	}
 	for _, v := range t.views {
-		v.session, v.params, v.named = s, outer.params, outer.named
+		v.session, v.params = s, outer.params
 	}
 	for _, p := range t.plans {
-		p.s, p.env.session, p.env.params, p.env.named = s, s, outer.params, outer.named
+		p.s, p.env.session, p.env.params = s, s, outer.params
 		if !p.joinsHold() {
 			return false
 		}
@@ -139,7 +139,7 @@ func (t *planTree) stamp(tbl *Table) {
 // idle drops the run state that references rows, and the execution's
 // session and parameters.
 func (p *selectPlan) idle() {
-	p.s, p.env.session, p.env.params, p.env.named = nil, nil, nil, nil
+	p.s, p.env.session, p.env.params = nil, nil, nil
 	p.env.row, p.env.outer, p.env.aggs = nil, nil, nil
 	p.rows, p.groups, p.groupIdx, p.seen = nil, nil, nil, nil
 	clear(p.keys)

@@ -114,7 +114,7 @@ func (s *Session) slowArm(q *SelectStmt, outer *env) ([]slowOut, []string, error
 		return nil, nil, err
 	}
 	makeEnv := func(row []Value) *env {
-		return &env{cols: rel.cols, row: row, params: outer.params, named: outer.named, session: s, outer: outer}
+		return &env{cols: rel.cols, row: row, params: outer.params, session: s, outer: outer}
 	}
 	if q.Where != nil {
 		filtered := rel.rows[:0:0]
@@ -278,7 +278,7 @@ func (s *Session) slowSource(from Source, outer *env) (*slowRel, error) {
 		if !ok {
 			return nil, err
 		}
-		sub, outer = v.Query, &env{session: s, params: outer.params, named: outer.named}
+		sub, outer = v.Query, &env{session: s, params: outer.params}
 		if alias == "" {
 			alias = v.Name
 		}
@@ -313,7 +313,7 @@ func (s *Session) slowJoin(l, r *slowRel, jc JoinClause, outer *env) (*slowRel, 
 		matched := false
 		for _, rr := range r.rows {
 			row := append(append([]Value{}, lr...), rr...)
-			e := &env{cols: out.cols, row: row, params: outer.params, named: outer.named, session: s, outer: outer}
+			e := &env{cols: out.cols, row: row, params: outer.params, session: s, outer: outer}
 			v, err := s.slowEval(jc.On, e, nil)
 			if err != nil {
 				return nil, err

@@ -34,10 +34,7 @@ func (s *Session) execCreateView(t *CreateViewStmt) (*Result, error) {
 func (s *Session) execDropView(t *DropViewStmt) (*Result, error) {
 	lc := strings.ToLower(t.Name)
 	if _, ok := s.db.views[lc]; !ok {
-		if t.IfExists {
-			return &Result{}, nil
-		}
-		return nil, fmt.Errorf("sqldb: no such view %s", t.Name)
+		return absent(t.IfExists, "view", t.Name)
 	}
 	delete(s.db.views, lc)
 	return &Result{}, nil

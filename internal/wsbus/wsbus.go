@@ -131,12 +131,6 @@ func (b *Bus) SetObservability(o *obsv.Observability) {
 	b.obs = o
 }
 
-func (b *Bus) observability() *obsv.Observability {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.obs
-}
-
 // New creates an empty bus.
 func New() *Bus {
 	return &Bus{services: map[string]Handler{}, counters: map[string]string{}}

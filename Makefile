@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race short soak cover bench bench-test fuzz smoke ci loc clean
+.PHONY: all build vet fmt test race short soak cover bench bench-test fuzz smoke ci loc reach clean
 
 all: build
 
@@ -59,7 +59,8 @@ bench-test:
 # (idempotent on its own rendering), the parser's slot numbering (named
 # placeholders after every `?`, the same names raw and normalized), the
 # index key encoder (same key
-# iff equal under compareValues) and xdm's block clone (equal to its
+# iff equal under compareValues), the LIKE matcher (equal to a regexp
+# oracle) and xdm's block clone (equal to its
 # source, and a write to it never reaches the source). CI-friendly; raise
 # -fuzztime manually for longer campaigns.
 fuzz:
@@ -69,6 +70,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzNormalizeStmt$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzParamNames$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzIndexKey$$' -fuzztime=15s ./internal/sqldb/
+	$(GO) test -fuzz='^FuzzLike$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzClone$$' -fuzztime=15s ./internal/xdm/
 
 # The CLIs end to end, writing into ARTIFACTS (a fresh temporary
@@ -106,6 +108,27 @@ ci: build vet fmt test bench-test smoke race fuzz
 loc:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' | xargs cat | wc -l
 
+# What the system's own suites reach of internal/: the root package's
+# tests and the pattern conformance cases (-short), one profile over
+# every internal package. A block counts once however many test binaries
+# report it; reached/total statements print overall, then per package and
+# per file, most unreached first.
+reach:
+	@$(GO) test -short -coverpkg=./internal/... -coverprofile=reach.out . ./internal/patterns > /dev/null
+	@awk 'NR > 1 { n[$$1] = $$2; if ($$3 > 0) hit[$$1] = 1 } \
+	function row(r, t, name) { printf "%6d  %5d / %5d  %5.1f %%  %s\n", t - r, r, t, 100 * r / t, name | "sort -rn" } \
+	END { \
+		for (k in n) { \
+			f = k; sub(/:.*/, "", f); p = f; sub(/\/[^\/]*$$/, "", p); \
+			tot += n[k]; ft[f] += n[k]; pt[p] += n[k]; \
+			if (k in hit) { r += n[k]; fr[f] += n[k]; pr[p] += n[k] } \
+		} \
+		printf "reached %d / %d statements (%.1f %%)\nunreached  reached / total  package\n", r, tot, 100 * r / tot; fflush(); \
+		for (p in pt) row(pr[p], pt[p], p); close("sort -rn"); \
+		print "unreached  reached / total  file"; fflush(); \
+		for (f in ft) row(fr[f], ft[f], f); close("sort -rn") \
+	}' reach.out
+
 clean:
 	$(GO) clean ./...
-	rm -rf coverage.out .bench_build
+	rm -rf coverage.out reach.out .bench_build

@@ -6,15 +6,15 @@ import (
 	"strings"
 )
 
-// Compiled expression execution: every per-row expression of a statement
-// is compiled into a closure tree when its plan is built — once per
-// statement slot (slot.go), or per execution without one — and run by
-// one execution at a time; the AST stays immutable and shared. Names
-// resolve when the tree is built, against the scope's layout and its
-// outer chain: an unknown or ambiguous column is an error whether or not
-// a row ever reaches it, and a column read is one index. A parameter
-// folded into a comparison or a probe key is a bind: its cell is re-filled
-// per execution, like every parameter the closures read through env.
+// Compiled expression execution: every expression a statement evaluates —
+// per row, or once, as a VALUES cell, DEFAULT, CALL argument or LIMIT — is
+// compiled into a closure tree when its plan is built, once per statement
+// slot (slot.go) or per execution without one, and run by one execution at
+// a time; the AST stays immutable and shared. Names resolve when the tree
+// is built, against the scope's layout and its outer chain: an unknown or
+// ambiguous column is an error whether or not a row ever reaches it, and a
+// column read is one index. A parameter folded into a comparison, a probe
+// key or a cell is a bind, re-filled per execution.
 
 // evalFn is one compiled expression: closed over its operator and
 // operands, open over the row environment.
@@ -249,11 +249,16 @@ func (c *compiler) compile(x Expr) evalFn {
 		if _, ok := c.constant(t); !ok {
 			c.unsafe = true
 			if c.tree != nil {
-				c.tree.unbound = true
+				c.tree.discard = true
 			}
 		}
 		c.need(t, nil)
-		return func(e *env) (Value, error) { return eval(t, e) }
+		return func(e *env) (Value, error) {
+			if v, ok := paramValue(t, e.params); ok {
+				return v, nil
+			}
+			return Null(), fmt.Errorf("sqldb: missing value for parameter %d", t.Index+1)
+		}
 	case *BinaryExpr:
 		return c.binary(t)
 	case *UnaryExpr:
@@ -309,10 +314,47 @@ func (c *compiler) compile(x Expr) evalFn {
 			}
 			return callScalarFunc(t.Name, vals, e.session)
 		}
+	case *NextValueExpr:
+		c.unsafe = true
+		return func(e *env) (Value, error) { return e.session.nextSequenceValue(t.Sequence) }
 	}
-	// NEXT VALUE FOR, and nodes only a hand-built tree can hold.
-	c.unsafe = true
-	return func(e *env) (Value, error) { return eval(x, e) }
+	return c.fail(fmt.Errorf("sqldb: cannot evaluate %T", x))
+}
+
+// cell is one value an INSERT row or a CALL writes, read like a getter:
+// a literal or a parameter in place — a parameter's value is a bind,
+// re-filled per execution — anything else through its closure.
+type cell struct {
+	pos int // the column it fills (a CALL's: the argument's position)
+	val Value
+	fn  evalFn // nil: val
+}
+
+// cell compiles x into dst.
+func (c *compiler) cell(dst *cell, x Expr) {
+	if v, ok := c.constant(x); ok {
+		dst.val = v
+		c.need(x, &dst.val)
+		return
+	}
+	dst.fn = c.compile(x)
+}
+
+// fill writes the cells' values into row, each at its position.
+func fill(row []Value, cells []cell, e *env) error {
+	for i := range cells {
+		c := &cells[i]
+		if c.fn == nil {
+			row[c.pos] = c.val
+			continue
+		}
+		v, err := c.fn(e)
+		if err != nil {
+			return err
+		}
+		row[c.pos] = v
+	}
+	return nil
 }
 
 func (c *compiler) compileAll(xs []Expr) []evalFn {

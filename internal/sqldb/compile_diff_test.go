@@ -8,12 +8,10 @@ import (
 	"testing"
 )
 
-// This file is the mechanical check that the two expression evaluators
-// agree: the closure compiler (compile.go) that every SELECT, UPDATE and
-// DELETE filter runs through and the tree-walking interpreter (expr.go)
-// that one-shot expressions go through. Both stay because each pays on
-// the traffic it serves (DESIGN.md, "measured and kept"), so their
-// agreement is asserted here instead of promised: seeded random
+// This file is the mechanical check of the closure compiler (compile.go),
+// the one evaluator the engine runs, against the tree-walking interpreter
+// it replaced, kept here as the slow obvious oracle (and, through slowEval,
+// as the materializing executor's in slowselect_test.go): seeded random
 // expression trees over random rows must produce the same value and the
 // same error text from compile(x)(e) and eval(x, e), and the same truth
 // from pred(x)(e). Two differences are the compiler's by design: it
@@ -147,7 +145,7 @@ func (g *exprGen) expr(depth int, k Kind) Expr {
 		}
 		return c
 	case 1:
-		// A scalar function: the compiler defers the whole subtree to eval.
+		// A scalar function, now and then unknown or of the wrong arity.
 		names := diffFuncs[k]
 		f := &FuncCall{Name: names[g.rng.Intn(len(names))]}
 		argKind, args := k, 1
@@ -393,4 +391,154 @@ func TestCompiledAndInterpretedExpressionsAgree(t *testing.T) {
 	if ok := total - errs - nulls; errs < total/10 || nulls < total/10 || ok < total/5 || unresolved == 0 {
 		t.Fatalf("degenerate generator: %d evaluations, %d errors, %d NULLs, %d values, %d unresolved trees", total, errs, nulls, ok, unresolved)
 	}
+}
+
+// --- the interpreter ---
+
+// eval evaluates an expression in the given environment by walking the
+// tree; names resolve as they are met. It applies the engine's
+// value-level operators (expr.go), as the compiled closures do.
+func eval(x Expr, e *env) (Value, error) {
+	switch t := x.(type) {
+	case *Literal:
+		return t.Val, nil
+	case *ColumnRef:
+		depth, idx, err := resolveColumn(e.cols, e.outer, t.Table, t.Column)
+		if err != nil {
+			return Null(), err
+		}
+		for ; depth > 0; depth-- {
+			e = e.outer
+		}
+		if e.row == nil {
+			return Null(), errRowContext(t)
+		}
+		return e.row[idx], nil
+	case *ParamRef:
+		if t.Index < 0 || t.Index >= len(e.params) {
+			return Null(), fmt.Errorf("sqldb: missing value for parameter %d", t.Index+1)
+		}
+		return e.params[t.Index], nil
+	case *BinaryExpr:
+		l, err := eval(t.L, e)
+		if err != nil || decides(t.Op, l) {
+			return l, err
+		}
+		r, err := eval(t.R, e)
+		if err != nil {
+			return Null(), err
+		}
+		return applyBinary(t.Op, l, r)
+	case *UnaryExpr:
+		v, err := eval(t.X, e)
+		if err != nil {
+			return Null(), err
+		}
+		return applyUnary(t.Op, v)
+	case *IsNullExpr:
+		v, err := eval(t.X, e)
+		if err != nil {
+			return Null(), err
+		}
+		return Bool(v.IsNull() != t.Not), nil
+	case *BetweenExpr:
+		v, err := eval(t.X, e)
+		if err != nil {
+			return Null(), err
+		}
+		lo, err := eval(t.Lo, e)
+		if err != nil {
+			return Null(), err
+		}
+		hi, err := eval(t.Hi, e)
+		if err != nil {
+			return Null(), err
+		}
+		return between(v, lo, hi, t.Not), nil
+	case *InExpr:
+		return evalIn(t, e)
+	case *ExistsExpr:
+		res, err := e.session.execSelect(t.Query, e, nil)
+		if err != nil {
+			return Null(), err
+		}
+		return Bool((len(res.Rows) > 0) != t.Not), nil
+	case *SubqueryExpr:
+		res, err := e.session.execSelect(t.Query, e, nil)
+		if err != nil {
+			return Null(), err
+		}
+		return scalarResult(res)
+	case *FuncCall:
+		if aggregateNames[t.Name] {
+			return Null(), errAggregateContext(t.Name)
+		}
+		args := make([]Value, len(t.Args))
+		for i, a := range t.Args {
+			v, err := eval(a, e)
+			if err != nil {
+				return Null(), err
+			}
+			args[i] = v
+		}
+		return callScalarFunc(t.Name, args, e.session)
+	case *CaseExpr:
+		return evalCase(t, e)
+	case *NextValueExpr:
+		return e.session.nextSequenceValue(t.Sequence)
+	}
+	return Null(), fmt.Errorf("sqldb: cannot evaluate %T", x)
+}
+
+func evalIn(t *InExpr, e *env) (Value, error) {
+	v, err := eval(t.X, e)
+	if err != nil {
+		return Null(), err
+	}
+	var candidates []Value
+	if t.Query != nil {
+		res, err := e.session.execSelect(t.Query, e, nil)
+		if err != nil {
+			return Null(), err
+		}
+		if candidates, err = inCandidates(res); err != nil {
+			return Null(), err
+		}
+	} else {
+		for _, le := range t.List {
+			lv, err := eval(le, e)
+			if err != nil {
+				return Null(), err
+			}
+			candidates = append(candidates, lv)
+		}
+	}
+	return inMatch(v, candidates, t.Not), nil
+}
+
+func evalCase(t *CaseExpr, e *env) (Value, error) {
+	op, err := Bool(true), error(nil) // a searched CASE compares each WHEN with TRUE
+	if t.Operand != nil {
+		if op, err = eval(t.Operand, e); err != nil {
+			return Null(), err
+		}
+	}
+	for _, w := range t.Whens {
+		wv, err := eval(w.When, e)
+		if err != nil {
+			return Null(), err
+		}
+		if c, ok := compareValues(op, wv); ok && c == 0 {
+			return eval(w.Then, e)
+		}
+	}
+	if t.Else != nil {
+		return eval(t.Else, e)
+	}
+	return Null(), nil
+}
+
+// evalNonNegInt evaluates an OFFSET or LIMIT count with the interpreter.
+func evalNonNegInt(x Expr, outer *env, what string) (int, error) {
+	return count(func(e *env) (Value, error) { return eval(x, e) }, outer, what, 0)
 }

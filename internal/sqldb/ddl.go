@@ -80,12 +80,11 @@ func (s *Session) execAlterTable(t *AlterTableStmt, base *env) (*Result, error) 
 		}
 		var def Value
 		if t.Column.Default != nil {
-			def, err = eval(t.Column.Default, base)
-			if err != nil {
+			c := newCompiler(base, nil)
+			if def, err = c.compile(t.Column.Default)(base); err != nil {
 				return nil, err
 			}
-			def, err = coerce(def, t.Column.Type)
-			if err != nil {
+			if def, err = coerce(def, t.Column.Type); err != nil {
 				return nil, err
 			}
 		}

@@ -310,8 +310,9 @@ func TestRollbackAPIBypassesStatementGates(t *testing.T) {
 }
 
 // TestCachedTextAcrossDDLMatchesUncachedPrepare: DDL invalidates nothing
-// in the statement cache, because a cached plan is a parse tree whose
-// names bind at execution. So the same cached text — re-executed
+// in the statement cache; a plan kept with a cached text is rebuilt when
+// what it read changed — an INSERT's row template, DEFAULTs included,
+// when its table is altered or re-created. So the same cached text — re-executed
 // byte-identically (raw front-cache hit) and with a fresh literal
 // (normalized-plan hit) — must, after any DDL on the objects it names,
 // return what an uncached Prepare of that text returns on a database
@@ -322,6 +323,8 @@ func TestCachedTextAcrossDDLMatchesUncachedPrepare(t *testing.T) {
 		"SELECT a, b FROM t WHERE b = %d ORDER BY a",
 		"INSERT INTO t VALUES (%d, 2)",
 		"INSERT INTO t (a, b) VALUES (%d, 2)",
+		"INSERT INTO t (a) VALUES (%d)",               // the other columns take their DEFAULTs
+		"INSERT INTO t (b, a) VALUES (%d, 5), (1, 6)", // multi-row, columns out of table order
 		"UPDATE t SET b = b + 1 WHERE a = %d",
 		"DELETE FROM t WHERE a = %d AND b > 100",
 		"SELECT * FROM v WHERE a >= %d ORDER BY 1",
@@ -339,11 +342,19 @@ func TestCachedTextAcrossDDLMatchesUncachedPrepare(t *testing.T) {
 		{"CREATE INDEX it ON t (b)"},
 		{"DROP INDEX it"},
 		{"ALTER TABLE t ADD COLUMN c INTEGER"},
+		{"ALTER TABLE t ADD COLUMN d INTEGER DEFAULT 9"},
 		{ // same name, other column order
 			"DROP VIEW v",
 			"DROP TABLE t",
 			"CREATE TABLE t (b INTEGER, a INTEGER)",
 			"INSERT INTO t VALUES (2, 1), (4, 3)",
+			"CREATE VIEW v AS SELECT a FROM t",
+		},
+		{ // same name, column order swapped back, a DEFAULT
+			"DROP VIEW v",
+			"DROP TABLE t",
+			"CREATE TABLE t (a INTEGER, b INTEGER DEFAULT 8)",
+			"INSERT INTO t VALUES (1, 2), (3, 4)",
 			"CREATE VIEW v AS SELECT a FROM t",
 		},
 		{ // view redefinition

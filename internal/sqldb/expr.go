@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unicode/utf8"
 )
 
 // colMeta identifies an output or intermediate column: the (aliased) table
@@ -13,11 +14,10 @@ type colMeta struct {
 	name  string // column name, original case
 }
 
-// env is the expression evaluation environment: the current row (if any),
-// the current group's aggregate slots (while a grouped SELECT projects),
-// statement parameters, and a link to the outer environment for
-// correlated subqueries. Its cols and outer chain are also the scope
-// compiled expressions resolve their column references against.
+// env is what a compiled expression runs in, and its cols and outer chain
+// the scope it resolves names against: the current row (if any), the
+// group's aggregate slots (while a grouped SELECT projects), the
+// statement's parameters, and the outer environment of a subquery.
 type env struct {
 	cols    []colMeta
 	row     []Value
@@ -27,113 +27,12 @@ type env struct {
 	outer   *env
 }
 
-func (e *env) child(cols []colMeta, row []Value) *env {
-	return &env{cols: cols, row: row, params: e.params, session: e.session, outer: e.outer}
-}
-
 // aggregateNames are function names treated as aggregates.
 var aggregateNames = map[string]bool{
 	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
 }
 
-// eval evaluates an expression in the given environment by walking the
-// tree: the evaluator of one-shot expressions (VALUES, SET, DEFAULT, CALL
-// arguments, LIMIT). Names resolve as they are met. Everything evaluated
-// once per row goes through the compiler (compile.go), which shares the
-// value-level operators below.
-func eval(x Expr, e *env) (Value, error) {
-	switch t := x.(type) {
-	case *Literal:
-		return t.Val, nil
-	case *ColumnRef:
-		depth, idx, err := resolveColumn(e.cols, e.outer, t.Table, t.Column)
-		if err != nil {
-			return Null(), err
-		}
-		for ; depth > 0; depth-- {
-			e = e.outer
-		}
-		if e.row == nil {
-			return Null(), errRowContext(t)
-		}
-		return e.row[idx], nil
-	case *ParamRef:
-		if t.Index < 0 || t.Index >= len(e.params) {
-			return Null(), fmt.Errorf("sqldb: missing value for parameter %d", t.Index+1)
-		}
-		return e.params[t.Index], nil
-	case *BinaryExpr:
-		l, err := eval(t.L, e)
-		if err != nil || decides(t.Op, l) {
-			return l, err
-		}
-		r, err := eval(t.R, e)
-		if err != nil {
-			return Null(), err
-		}
-		return applyBinary(t.Op, l, r)
-	case *UnaryExpr:
-		v, err := eval(t.X, e)
-		if err != nil {
-			return Null(), err
-		}
-		return applyUnary(t.Op, v)
-	case *IsNullExpr:
-		v, err := eval(t.X, e)
-		if err != nil {
-			return Null(), err
-		}
-		return Bool(v.IsNull() != t.Not), nil
-	case *BetweenExpr:
-		v, err := eval(t.X, e)
-		if err != nil {
-			return Null(), err
-		}
-		lo, err := eval(t.Lo, e)
-		if err != nil {
-			return Null(), err
-		}
-		hi, err := eval(t.Hi, e)
-		if err != nil {
-			return Null(), err
-		}
-		return between(v, lo, hi, t.Not), nil
-	case *InExpr:
-		return evalIn(t, e)
-	case *ExistsExpr:
-		res, err := e.session.execSelect(t.Query, e, nil)
-		if err != nil {
-			return Null(), err
-		}
-		return Bool((len(res.Rows) > 0) != t.Not), nil
-	case *SubqueryExpr:
-		res, err := e.session.execSelect(t.Query, e, nil)
-		if err != nil {
-			return Null(), err
-		}
-		return scalarResult(res)
-	case *FuncCall:
-		if aggregateNames[t.Name] {
-			return Null(), errAggregateContext(t.Name)
-		}
-		args := make([]Value, len(t.Args))
-		for i, a := range t.Args {
-			v, err := eval(a, e)
-			if err != nil {
-				return Null(), err
-			}
-			args[i] = v
-		}
-		return callScalarFunc(t.Name, args, e.session)
-	case *CaseExpr:
-		return evalCase(t, e)
-	case *NextValueExpr:
-		return e.session.nextSequenceValue(t.Sequence)
-	}
-	return Null(), fmt.Errorf("sqldb: cannot evaluate %T", x)
-}
-
-// Value-level operators, shared by eval and the compiled closures.
+// Value-level operators, applied by the compiled closures.
 
 // decides reports that AND / OR need not evaluate their right operand:
 // a FALSE left decides an AND, a TRUE left an OR (and is the result).
@@ -242,63 +141,33 @@ func evalArith(op string, l, r Value) (Value, error) {
 	return Null(), fmt.Errorf("sqldb: unknown arithmetic operator %s", op)
 }
 
-// likeMatch implements SQL LIKE with % (any run) and _ (any single char).
+// likeMatch implements SQL LIKE, case-insensitively: % matches any run of
+// characters, _ exactly one. It walks both strings once, rune by rune,
+// backtracking only to the last % seen — O(len(s)·len(p)).
 func likeMatch(s, p string) bool {
-	for len(p) > 0 {
-		switch p[0] {
-		case '%':
-			// Collapse consecutive %.
-			for len(p) > 0 && p[0] == '%' {
-				p = p[1:]
+	si, pi := 0, 0
+	star, resume := -1, 0 // just past the last % in p, and where s resumes after it
+	for si < len(s) {
+		sr, sn := utf8.DecodeRuneInString(s[si:])
+		if pi < len(p) {
+			pr, pn := utf8.DecodeRuneInString(p[pi:])
+			switch {
+			case pr == '%':
+				pi, star, resume = pi+pn, pi+pn, si
+				continue
+			case pr == '_' || sr == pr || strings.EqualFold(string(sr), string(pr)):
+				si, pi = si+sn, pi+pn
+				continue
 			}
-			if len(p) == 0 {
-				return true
-			}
-			for i := 0; i <= len(s); i++ {
-				if likeMatch(s[i:], p) {
-					return true
-				}
-			}
+		}
+		if star < 0 {
 			return false
-		case '_':
-			if len(s) == 0 {
-				return false
-			}
-			s, p = s[1:], p[1:]
-		default:
-			if len(s) == 0 || !strings.EqualFold(string(s[0]), string(p[0])) {
-				return false
-			}
-			s, p = s[1:], p[1:]
 		}
+		_, n := utf8.DecodeRuneInString(s[resume:])
+		resume += n // the last % absorbs one more rune
+		si, pi = resume, star
 	}
-	return len(s) == 0
-}
-
-func evalIn(t *InExpr, e *env) (Value, error) {
-	v, err := eval(t.X, e)
-	if err != nil {
-		return Null(), err
-	}
-	var candidates []Value
-	if t.Query != nil {
-		res, err := e.session.execSelect(t.Query, e, nil)
-		if err != nil {
-			return Null(), err
-		}
-		if candidates, err = inCandidates(res); err != nil {
-			return Null(), err
-		}
-	} else {
-		for _, le := range t.List {
-			lv, err := eval(le, e)
-			if err != nil {
-				return Null(), err
-			}
-			candidates = append(candidates, lv)
-		}
-	}
-	return inMatch(v, candidates, t.Not), nil
+	return strings.TrimLeft(p[pi:], "%") == ""
 }
 
 // scalarResult is the value of a scalar subquery: its single cell, NULL
@@ -348,28 +217,6 @@ func inMatch(v Value, candidates []Value, not bool) Value {
 		return Null()
 	}
 	return Bool(not)
-}
-
-func evalCase(t *CaseExpr, e *env) (Value, error) {
-	op, err := Bool(true), error(nil) // a searched CASE compares each WHEN with TRUE
-	if t.Operand != nil {
-		if op, err = eval(t.Operand, e); err != nil {
-			return Null(), err
-		}
-	}
-	for _, w := range t.Whens {
-		wv, err := eval(w.When, e)
-		if err != nil {
-			return Null(), err
-		}
-		if c, ok := compareValues(op, wv); ok && c == 0 {
-			return eval(w.Then, e)
-		}
-	}
-	if t.Else != nil {
-		return eval(t.Else, e)
-	}
-	return Null(), nil
 }
 
 // errAggregateContext is what an aggregate raises when it is evaluated
@@ -456,8 +303,7 @@ func clampLen(v Value, limit int) int {
 	return int(min(max(n, 0), int64(limit)))
 }
 
-// callScalarFunc applies a scalar function to its evaluated arguments;
-// both evaluators call it.
+// callScalarFunc applies a scalar function to its evaluated arguments.
 func callScalarFunc(name string, args []Value, s *Session) (Value, error) {
 	canon := name
 	switch name {

@@ -276,3 +276,18 @@ func FuzzIndexKey(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLike holds the LIKE matcher to the regexp oracle on any subject and
+// pattern, invalid UTF-8 included.
+func FuzzLike(f *testing.F) {
+	f.Add("abc", "a%c")
+	f.Add("é", "_")
+	f.Add("\u212A", "k")
+	f.Add(strings.Repeat("a", 40), strings.Repeat("%a", 8)+"%b")
+	f.Add("a\xffb", "a_b")
+	f.Fuzz(func(t *testing.T, s, p string) {
+		if got, want := likeMatch(s, p), likeReference(s, p); got != want {
+			t.Fatalf("likeMatch(%q, %q) = %v, reference = %v", s, p, got, want)
+		}
+	})
+}

@@ -4,70 +4,31 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
-	"time"
 )
 
-// TestBoundedPoolCheckoutDeadline proves that checkout starvation on a
-// bounded pool returns a timely error once checkout honors context
-// deadlines — not a hang.
-func TestBoundedPoolCheckoutDeadline(t *testing.T) {
-	db := Open("pool")
-	p := NewBoundedSessionPool(db, 1)
-
-	s1, err := p.AcquireCtx(context.Background())
-	if err != nil {
-		t.Fatalf("first acquire: %v", err)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err = p.AcquireCtx(ctx)
-	elapsed := time.Since(start)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("starved acquire = %v, want deadline exceeded", err)
-	}
-	if elapsed > time.Second {
-		t.Fatalf("starved acquire took %v — not timely", elapsed)
-	}
-	if p.Timeouts() != 1 {
-		t.Fatalf("timeouts = %d, want 1", p.Timeouts())
-	}
-
-	p.Release(s1)
-	s2, err := p.AcquireCtx(context.Background())
-	if err != nil {
-		t.Fatalf("acquire after release: %v", err)
-	}
-	p.Release(s2)
-}
-
-// TestBoundedPoolDirtyReleaseReturnsPermit proves a txn-holding session
-// that is rolled back and discarded still frees its permit.
-func TestBoundedPoolDirtyReleaseReturnsPermit(t *testing.T) {
+// TestPoolDiscardsDirtyRelease: a session released inside an open
+// transaction is rolled back and never handed out again.
+func TestPoolDiscardsDirtyRelease(t *testing.T) {
 	db := Open("pool")
 	db.MustExec("CREATE TABLE t (a INT)")
-	p := NewBoundedSessionPool(db, 1)
+	p := NewSessionPool(db)
 
-	s, err := p.AcquireCtx(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := p.Acquire()
 	if _, err := s.Exec("BEGIN"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Exec("INSERT INTO t VALUES (1)"); err != nil {
 		t.Fatal(err)
 	}
-	p.Release(s) // dirty: rolled back + discarded, permit must return
+	p.Release(s) // dirty: rolled back and discarded
+	if s.InTransaction() {
+		t.Fatal("released session still holds its transaction")
+	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	s2, err := p.AcquireCtx(ctx)
-	if err != nil {
-		t.Fatalf("permit leaked on dirty release: %v", err)
+	s2 := p.Acquire()
+	if s2 == s {
+		t.Fatal("a dirty session was handed out again")
 	}
 	r, err := s2.Query("SELECT COUNT(*) AS n FROM t")
 	if err != nil {
@@ -77,47 +38,8 @@ func TestBoundedPoolDirtyReleaseReturnsPermit(t *testing.T) {
 		t.Fatalf("dirty session's insert survived: %d rows", n)
 	}
 	p.Release(s2)
-}
-
-// TestBoundedPoolContention hammers a small pool from many goroutines:
-// every acquire either succeeds or fails timely, and the pool never
-// admits more than its bound concurrently.
-func TestBoundedPoolContention(t *testing.T) {
-	db := Open("pool")
-	const bound = 4
-	p := NewBoundedSessionPool(db, bound)
-
-	var mu sync.Mutex
-	inUse, maxInUse := 0, 0
-	var wg sync.WaitGroup
-	for g := 0; g < 32; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				s, err := p.AcquireCtx(ctx)
-				cancel()
-				if err != nil {
-					continue // timely failure is acceptable under contention
-				}
-				mu.Lock()
-				inUse++
-				if inUse > maxInUse {
-					maxInUse = inUse
-				}
-				mu.Unlock()
-				time.Sleep(100 * time.Microsecond)
-				mu.Lock()
-				inUse--
-				mu.Unlock()
-				p.Release(s)
-			}
-		}()
-	}
-	wg.Wait()
-	if maxInUse > bound {
-		t.Fatalf("observed %d concurrent checkouts, bound %d", maxInUse, bound)
+	if p.Acquire() != s2 {
+		t.Fatal("a clean session was not recycled")
 	}
 }
 

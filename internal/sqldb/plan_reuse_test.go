@@ -193,16 +193,33 @@ func TestReusedPlanMatchesFreshPlan(t *testing.T) {
 }
 
 // TestThousandRebindingsMatchFreshPrepare is the re-binding arm at the
-// benchmark's statement classes: 1 000 executions of cached SELECT,
-// UPDATE and DELETE texts with random parameters, each equal to a fresh
-// Prepare of its text (writes compared by their effect on the table,
-// inside a transaction rolled back after each side). A parameter the
-// caller leaves out is still reported by the caller's own number.
+// benchmark's statement classes and the one-shot expressions that compile
+// with their statement: 1 000 executions of cached SELECT, UPDATE, DELETE,
+// INSERT (with and without a column list, multi-row, DEFAULTs of a literal
+// and of NEXT VALUE FOR, a scalar subquery among the values), CALL (SQL
+// and native procedure) and LIMIT ? OFFSET ? texts with random parameters,
+// each equal to a fresh Prepare of its text (writes compared by their
+// effect on the tables, inside a transaction rolled back after each side,
+// from the same sequence state). A parameter the caller leaves out is
+// still reported by the caller's own number.
 func TestThousandRebindingsMatchFreshPrepare(t *testing.T) {
 	db := newReadDB(t, 256)
+	db.MustExec("CREATE SEQUENCE log_seq")
+	db.MustExec("CREATE TABLE Log (ID INTEGER, Note VARCHAR DEFAULT 'none', Qty INTEGER DEFAULT 7, Seq INTEGER DEFAULT NEXT VALUE FOR log_seq)")
+	db.MustExec("CREATE PROCEDURE add_log (id, qty) AS 'INSERT INTO Log (ID, Qty) VALUES (:id, :qty); SELECT ID, Qty, Seq FROM Log WHERE ID = :id ORDER BY Seq'")
+	db.RegisterProcedure("log_note", func(s *Session, args []Value) (*Result, error) {
+		return s.Exec("INSERT INTO Log (ID, Note) VALUES (?, ?)", args...)
+	})
 	s := db.Session()
 	rng := rand.New(rand.NewSource(7))
 	custs := func() Value { return Int(int64(rng.Intn(40))) }
+	qty := func() Value { // now and then one an INTEGER column refuses
+		if rng.Intn(8) == 0 {
+			return Str("many")
+		}
+		return Int(int64(rng.Intn(20)))
+	}
+	note := func() Value { return Str(fmt.Sprint("note", rng.Intn(3))) }
 	texts := []struct {
 		sql    string
 		params func() []Value
@@ -211,17 +228,32 @@ func TestThousandRebindingsMatchFreshPrepare(t *testing.T) {
 		{readPointSQL, func() []Value { return []Value{Int(int64(rng.Intn(300)))} }},
 		{readTopKSQL, func() []Value { return []Value{custs()} }},
 		{readJoinSQL, func() []Value { return []Value{Str(fmt.Sprint("region", rng.Intn(5)))} }},
+		{"SELECT OrderID FROM Orders WHERE CustID = ? ORDER BY OrderID LIMIT ? OFFSET ?", func() []Value {
+			return []Value{custs(), Int(int64(rng.Intn(6) - 1)), Int(int64(rng.Intn(4)))}
+		}},
 		{"UPDATE Orders SET Quantity = Quantity + ? WHERE CustID = ?", func() []Value { return []Value{Int(int64(rng.Intn(3))), custs()} }},
 		{"DELETE FROM Orders WHERE CustID = ? AND Quantity > ?", func() []Value { return []Value{custs(), Int(int64(rng.Intn(20)))} }},
+		{"INSERT INTO Log VALUES (?, ?, ?, ?)", func() []Value { return []Value{custs(), note(), qty(), qty()} }},
+		{"INSERT INTO Log (ID, Note) VALUES (?, ?), (?, 'x')", func() []Value { return []Value{custs(), note(), custs()} }},
+		{"INSERT INTO Log (Qty, ID) VALUES (?, ?)", func() []Value { return []Value{qty(), custs()} }},
+		{"INSERT INTO Log (ID, Qty) VALUES (?, (SELECT MAX(Quantity) FROM Orders WHERE CustID = ?))", func() []Value { return []Value{custs(), custs()} }},
+		{"CALL add_log(?, ?)", func() []Value { return []Value{custs(), qty()} }},
+		{"CALL log_note(?, ?)", func() []Value { return []Value{custs(), note()} }},
 	}
 	table := func() *Result {
-		res, err := s.Exec("SELECT OrderID, CustID, Quantity FROM Orders ORDER BY OrderID")
-		if err != nil {
-			t.Fatal(err)
+		all := &Result{}
+		for _, q := range []string{"SELECT OrderID, CustID, Quantity FROM Orders ORDER BY OrderID", "SELECT ID, Note, Qty, Seq FROM Log ORDER BY Seq, ID, Note, Qty"} {
+			res, err := s.Exec(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all.Rows = append(all.Rows, res.Rows...)
 		}
-		return res
+		return all
 	}
 	inTxn := func(run func() (*Result, error)) (*Result, error, *Result) {
+		s.Exec("DROP SEQUENCE log_seq")
+		s.Exec("CREATE SEQUENCE log_seq")
 		s.Exec("BEGIN")
 		defer s.Exec("ROLLBACK")
 		res, err := run()
@@ -246,24 +278,34 @@ func TestThousandRebindingsMatchFreshPrepare(t *testing.T) {
 	}
 
 	// Missing parameters, on a cached text with an extracted literal and
-	// on a prepared statement whose plan is kept.
+	// on a prepared statement whose plan is kept: the runs around the
+	// missing one still match a fresh Prepare, results and tables.
 	if _, err := s.Exec("SELECT ItemID FROM Orders WHERE CustID = ? AND Quantity > 3"); err == nil || !strings.Contains(err.Error(), "parameter 1") {
 		t.Fatalf("cached text run without its parameter: %v", err)
 	}
-	ps, err := s.Prepare(readPointSQL)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := s.Exec("INSERT INTO Log (ID, Qty) VALUES (7, ?)"); err == nil || !strings.Contains(err.Error(), "parameter 1") {
+		t.Fatalf("cached INSERT run without its parameter: %v", err)
 	}
-	for i, params := range [][]Value{{Int(5)}, {}, {Int(6)}} {
-		res, err := ps.Exec(params...)
-		if len(params) == 0 {
-			if err == nil || !strings.Contains(err.Error(), "missing value for parameter 1") {
-				t.Fatalf("prepared run %d without its parameter: %v", i, err)
-			}
-			continue
+	for _, text := range []string{readPointSQL, "INSERT INTO Log (ID, Qty) VALUES (?, 3)", "CALL log_note(?, 'n')", "SELECT OrderID FROM Orders ORDER BY OrderID LIMIT 2 OFFSET ?"} {
+		ps, err := s.Prepare(text)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err != nil || len(res.Rows) != 1 {
-			t.Fatalf("prepared run %d: %v, %v", i, res, err)
+		for i, params := range [][]Value{{Int(5)}, {}, {Int(6)}} {
+			got, gotErr, gotTable := inTxn(func() (*Result, error) { return ps.Exec(params...) })
+			if len(params) == 0 {
+				if gotErr == nil || !strings.Contains(gotErr.Error(), "missing value for parameter 1") {
+					t.Fatalf("prepared %q run %d without its parameter: %v", text, i, gotErr)
+				}
+				continue
+			}
+			if gotErr != nil || text == readPointSQL && len(got.Rows) != 1 {
+				t.Fatalf("prepared %q run %d: %v, %v", text, i, got, gotErr)
+			}
+			want, wantErr, wantTable := inTxn(func() (*Result, error) { return freshExec(s, text, params, nil) })
+			if d := sameRun(got, gotErr, want, wantErr) + diffResults(gotTable, wantTable, true); d != "" {
+				t.Fatalf("prepared %q run %d: %s", text, i, d)
+			}
 		}
 	}
 }
@@ -316,8 +358,8 @@ func TestStatementMixesCompileOncePerText(t *testing.T) {
 		exec("DELETE FROM Orders WHERE OrderID = ?", Int(id))
 		exec("COMMIT")
 	}
-	if got := db.StmtCacheStats().Compiles - before; got != 3 {
-		t.Errorf("write transaction planned %d times, want 3: two UPDATE texts and the DELETE", got)
+	if got := db.StmtCacheStats().Compiles - before; got != 4 {
+		t.Errorf("write transaction planned %d times, want 4: the INSERT, two UPDATE texts and the DELETE", got)
 	}
 	if got := db.Stats().Statements - stmts; got != 9000 {
 		t.Errorf("write transaction ran %d statements per op, want 9", got/1000)

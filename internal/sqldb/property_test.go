@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // TestUnion covers the UNION extension.
@@ -56,26 +57,38 @@ func likeReference(s, pattern string) bool {
 }
 
 // TestQuickLikeMatchesReference checks the LIKE matcher against the
-// regexp oracle on random ASCII strings and patterns.
+// regexp oracle on random strings and patterns over an alphabet with
+// multi-byte runes and case pairs that fold across byte lengths (é/É, and
+// the Kelvin sign, which folds to k), subjects up to 40 runes. Then the
+// worst case of a backtracking matcher: many %s before a miss.
 func TestQuickLikeMatchesReference(t *testing.T) {
-	alphabet := "ab%_c"
+	alphabet := []rune("ab%_céÉkK\u212A")
 	gen := func(rng *rand.Rand, n int) string {
 		var b strings.Builder
 		for i := 0; i < n; i++ {
-			b.WriteByte(alphabet[rng.Intn(len(alphabet))])
+			b.WriteRune(alphabet[rng.Intn(len(alphabet))])
 		}
 		return b.String()
 	}
 	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 3000; i++ {
-		s := gen(rng, rng.Intn(8))
+	for i := 0; i < 5000; i++ {
+		s := gen(rng, rng.Intn(41))
 		// Patterns must not contain % or _ as literals: draw from all.
-		p := gen(rng, rng.Intn(6))
+		p := gen(rng, rng.Intn(12))
 		got := likeMatch(s, p)
 		want := likeReference(s, p)
 		if got != want {
 			t.Fatalf("likeMatch(%q, %q) = %v, reference = %v", s, p, got, want)
 		}
+	}
+
+	s, p := strings.Repeat("a", 64), strings.Repeat("%a", 12)+"%b"
+	start := time.Now()
+	if likeMatch(s, p) {
+		t.Fatalf("likeMatch(%q, %q) = true", s, p)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("likeMatch(%q, %q) took %v", s, p, d)
 	}
 }
 

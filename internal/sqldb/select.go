@@ -100,7 +100,7 @@ type selectPlan struct {
 
 	where    []predFn // WHERE conjuncts not pushed down
 	items    []evalFn // select list; UPDATE's SET values
-	sets     []int    // UPDATE: the column each item assigns
+	sets     []int    // UPDATE: the column each item assigns; INSERT: each value fills
 	colNames []string
 	grouped  bool
 	groupBy  []getter
@@ -108,6 +108,10 @@ type selectPlan struct {
 	having   predFn
 	order    []orderKey
 	union    *selectPlan
+	offset   evalFn // OFFSET and LIMIT, read in the enclosing scope (nil: none)
+	limit    evalFn
+	cells    [][]cell // INSERT … VALUES: each row's cells; CALL: its arguments
+	defaults []cell   // INSERT: the DEFAULTs of the columns the rows leave out
 
 	level    int // deepest open source; levelNew, levelDone
 	rows     [][]Value
@@ -122,8 +126,7 @@ type selectPlan struct {
 const levelNew, levelDone = -1, -2
 
 // execSelect runs a SELECT (or UNION chain) on the slot's plan, or on
-// one planned for this execution; outer supplies parameters and, for a
-// subquery the interpreter runs, the outer row bindings.
+// one planned for this execution; outer supplies the parameters.
 func (s *Session) execSelect(q *SelectStmt, outer *env, slot *stmtSlot) (*Result, error) {
 	p, err := s.lend(slot, q, outer)
 	if err != nil {
@@ -176,7 +179,15 @@ func (s *Session) planSelect(q *SelectStmt, outer *env, tree *planTree) (*select
 		}
 		p.union = u
 	}
-	return p, nil
+	// OFFSET and LIMIT are counts in the enclosing scope, read once per run.
+	c = newCompiler(outer, tree)
+	if q.Offset != nil {
+		p.offset = c.compile(q.Offset)
+	}
+	if q.Limit != nil {
+		p.limit = c.compile(q.Limit)
+	}
+	return p, c.err
 }
 
 // addSource appends one FROM entry: a base table, or a view or derived
@@ -543,17 +554,13 @@ func itemName(it SelectItem) string {
 // ORDER BY, OFFSET and LIMIT written after a UNION chain belong to the
 // combined result; the chain is left-associative.
 func (p *selectPlan) run(outer *env) (*Result, error) {
-	offset, limit := 0, -1
-	var err error
-	if p.q.Offset != nil {
-		if offset, err = evalNonNegInt(p.q.Offset, outer, "OFFSET"); err != nil {
-			return nil, err
-		}
+	offset, err := count(p.offset, outer, "OFFSET", 0)
+	if err != nil {
+		return nil, err
 	}
-	if p.q.Limit != nil {
-		if limit, err = evalNonNegInt(p.q.Limit, outer, "LIMIT"); err != nil {
-			return nil, err
-		}
+	limit, err := count(p.limit, outer, "LIMIT", -1)
+	if err != nil {
+		return nil, err
 	}
 	stopAt := -1
 	if limit >= 0 && len(p.order) == 0 && p.union == nil {
@@ -611,8 +618,12 @@ func (p *selectPlan) run(outer *env) (*Result, error) {
 	return &Result{Columns: p.colNames, Rows: rows}, nil
 }
 
-func evalNonNegInt(x Expr, outer *env, what string) (int, error) {
-	v, err := eval(x, outer)
+// count reads an OFFSET or LIMIT count (def when there is none).
+func count(fn evalFn, outer *env, what string, def int) (int, error) {
+	if fn == nil {
+		return def, nil
+	}
+	v, err := fn(outer)
 	if err != nil {
 		return 0, err
 	}

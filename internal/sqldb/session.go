@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -606,8 +607,8 @@ func (s *Session) finishStmt(local bool, err error, emit func()) {
 
 // dispatch executes one non-transaction-control statement inside the
 // session's open transaction. The slot's plan serves the statement's
-// SELECT (also under EXPLAIN, INSERT and CREATE TABLE … AS) or its
-// UPDATE/DELETE row filter.
+// SELECT (also under EXPLAIN and CREATE TABLE … AS), its UPDATE/DELETE
+// row filter, its INSERT's rows or its CALL's arguments.
 func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value) (res *Result, err error) {
 	// The statement's scope, built only by the statements that read it.
 	base := func() *env { return &env{params: params, session: s} }
@@ -707,7 +708,7 @@ func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value) (res *Result
 		s.db.footGen.Add(1)
 		return &Result{}, nil
 	case *CallStmt:
-		return s.execCall(t, base())
+		return s.execCall(t, slot, base())
 	case *ExplainStmt:
 		return s.execExplain(t, slot, base())
 	case *AlterTableStmt:
@@ -779,98 +780,113 @@ func (s *Session) nextSequenceValue(name string) (Value, error) {
 }
 
 func (s *Session) execInsert(t *InsertStmt, slot *stmtSlot, base *env) (*Result, error) {
-	tbl, err := s.db.table(t.Table)
+	p, err := s.lend(slot, t, base)
 	if err != nil {
 		return nil, err
 	}
-	// Determine target column positions.
-	targets := make([]int, 0, len(tbl.Columns))
-	if len(t.Columns) == 0 {
-		for i := range tbl.Columns {
-			targets = append(targets, i)
-		}
-	} else {
-		for _, c := range t.Columns {
-			ci := tbl.ColumnIndex(c)
-			if ci < 0 {
-				return nil, fmt.Errorf("sqldb: no column %s in table %s", c, t.Table)
-			}
-			targets = append(targets, ci)
-		}
-	}
-	// assigned marks target positions once — it is identical for every
-	// row — and fullRow completes one source row into table order (the
-	// per-row slice lives on as the row's values, so it cannot be reused).
-	assigned := make([]bool, len(tbl.Columns))
-	for _, ci := range targets {
-		assigned[ci] = true
-	}
-	fullRow := func(src []Value) ([]Value, error) {
-		full := make([]Value, len(tbl.Columns))
-		for i, ci := range targets {
-			full[ci] = src[i]
-		}
-		for ci, col := range tbl.Columns {
-			if !assigned[ci] && col.Default != nil {
-				v, err := eval(col.Default, base)
-				if err != nil {
-					return nil, err
-				}
-				full[ci] = v
-			}
-		}
-		return full, nil
-	}
-	insertOne := func(src []Value) error {
-		full, err := fullRow(src)
-		if err != nil {
-			return err
-		}
-		r, err := tbl.insertVersion(full, s.txn.id)
-		if err != nil {
-			return err
-		}
-		s.txn.ws = append(s.txn.ws, wsEntry{t: tbl, r: r, kind: wsInsert})
-		return nil
-	}
-	n := 0
-	if t.Query != nil {
-		qres, err := s.execSelect(t.Query, base, slot)
+	defer slot.put(p)
+	tbl, n := p.srcs[0].tbl, len(p.cells)
+	var src [][]Value
+	if q := p.srcs[0].sub; q != nil {
+		res, err := q.run(base)
 		if err != nil {
 			return nil, err
 		}
-		if len(qres.Columns) != len(targets) {
-			return nil, fmt.Errorf("sqldb: INSERT ... SELECT column count mismatch: %d vs %d", len(targets), len(qres.Columns))
+		if len(res.Columns) != len(p.sets) {
+			return nil, fmt.Errorf("sqldb: INSERT ... SELECT column count mismatch: %d vs %d", len(p.sets), len(res.Columns))
 		}
-		for _, src := range qres.Rows {
-			if err := insertOne(src); err != nil {
-				return nil, err
+		src, n = res.Rows, len(res.Rows)
+	}
+	row := make([]Value, len(tbl.Columns)) // in table order; insertVersion copies it
+	for i := 0; i < n; i++ {
+		clear(row)
+		if src != nil {
+			for j, ci := range p.sets {
+				row[ci] = src[i][j]
 			}
-			n++
+		} else if err := fill(row, p.cells[i], &p.env); err != nil {
+			return nil, err
 		}
-	} else {
-		// Evaluate each VALUES row into one reusable scratch slice; the
-		// completed table-order row is the only per-row allocation.
-		vals := make([]Value, len(targets))
-		for _, rowExprs := range t.Rows {
-			if len(rowExprs) != len(targets) {
-				return nil, fmt.Errorf("sqldb: INSERT value count mismatch: %d vs %d", len(targets), len(rowExprs))
-			}
-			for i, e := range rowExprs {
-				v, err := eval(e, base)
-				if err != nil {
-					return nil, err
-				}
-				vals[i] = v
-			}
-			if err := insertOne(vals); err != nil {
-				return nil, err
-			}
-			n++
+		if err := fill(row, p.defaults, &p.env); err != nil {
+			return nil, err
 		}
+		r, err := tbl.insertVersion(row, s.txn.id)
+		if err != nil {
+			return nil, err
+		}
+		s.txn.ws = append(s.txn.ws, wsEntry{t: tbl, r: r, kind: wsInsert})
 	}
 	s.db.rowsWritten.Add(int64(n))
 	return &Result{RowsAffected: n}, nil
+}
+
+// planCells plans what an INSERT or a CALL evaluates once per row or
+// call, in the statement's own scope: a CALL's arguments, or an INSERT's
+// target columns (all, in order, without a column list), the DEFAULTs of
+// the others and its rows — the SELECT's plan, or per VALUES row one cell
+// per value, each filling its column in written order. A cell that does
+// not compile raises its error when an execution reaches it, as
+// evaluation in written order would, and the plan is not kept.
+func (s *Session) planCells(st Stmt, outer *env, tree *planTree) (*selectPlan, error) {
+	p := &selectPlan{s: s, tree: tree, env: env{params: outer.params, session: s, outer: outer.outer}}
+	c := newCompiler(&p.env, tree)
+	switch t := st.(type) {
+	case *CallStmt:
+		p.cells = [][]cell{make([]cell, len(t.Args))}
+		for i, x := range t.Args {
+			p.cells[0][i].pos = i
+			c.cell(&p.cells[0][i], x)
+		}
+	case *InsertStmt:
+		tbl, err := s.db.table(t.Table)
+		if err != nil {
+			return nil, err
+		}
+		tree.stamp(tbl)
+		p.srcs = []source{{name: tbl.Name, tbl: tbl}}
+		for i, name := range t.Columns {
+			if p.sets = append(p.sets, tbl.ColumnIndex(name)); p.sets[i] < 0 {
+				return nil, fmt.Errorf("sqldb: no column %s in table %s", name, t.Table)
+			}
+		}
+		// Without a column list every column is a target; with one, the
+		// columns it leaves out take their DEFAULTs.
+		for i := range tbl.Columns {
+			if len(t.Columns) == 0 {
+				p.sets = append(p.sets, i)
+			} else if tbl.Columns[i].Default != nil && !slices.Contains(p.sets, i) {
+				p.defaults = append(p.defaults, cell{pos: i})
+			}
+		}
+		if t.Query != nil {
+			if p.srcs[0].sub, err = s.planSelect(t.Query, outer, tree); err != nil {
+				return nil, err
+			}
+		}
+		n := len(p.sets)
+		flat := make([]cell, len(t.Rows)*n)
+		p.cells = make([][]cell, len(t.Rows))
+		for i, row := range t.Rows {
+			if len(row) != n {
+				err := fmt.Errorf("sqldb: INSERT value count mismatch: %d vs %d", n, len(row))
+				p.cells[i] = []cell{{fn: func(*env) (Value, error) { return Null(), err }}}
+				continue
+			}
+			p.cells[i] = flat[i*n : (i+1)*n]
+			for j, x := range row {
+				p.cells[i][j].pos = p.sets[j]
+				c.cell(&p.cells[i][j], x)
+			}
+		}
+		for i := range p.defaults {
+			c.cell(&p.defaults[i], tbl.Columns[p.defaults[i].pos].Default)
+		}
+	}
+	if tree != nil {
+		tree.plans = append(tree.plans, p)
+		tree.discard = tree.discard || c.err != nil
+	}
+	return p, nil
 }
 
 func (s *Session) execUpdate(t *UpdateStmt, slot *stmtSlot, base *env) (*Result, error) {
@@ -1014,18 +1030,21 @@ func (p *selectPlan) matchRows() ([]*Row, error) {
 	return matched, nil
 }
 
-func (s *Session) execCall(t *CallStmt, base *env) (*Result, error) {
+func (s *Session) execCall(t *CallStmt, slot *stmtSlot, base *env) (*Result, error) {
 	proc, ok := s.db.procs[strings.ToLower(t.Name)]
 	if !ok {
 		return nil, fmt.Errorf("sqldb: no such procedure %s", t.Name)
 	}
 	args := make([]Value, len(t.Args))
-	for i, a := range t.Args {
-		v, err := eval(a, base)
+	if len(args) > 0 {
+		p, err := s.lend(slot, t, base)
+		if err == nil {
+			err = fill(args, p.cells[0], &p.env)
+			slot.put(p)
+		}
 		if err != nil {
 			return nil, err
 		}
-		args[i] = v
 	}
 	if proc.Native != nil {
 		// Native procedures run on a child session: it shares this

@@ -1,124 +1,46 @@
 package sqldb
 
-import (
-	"context"
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
-// SessionPool is a small checkout pool of sessions on one database. The
-// workflow layers whose SQL surface is stateless-per-call (Oracle's XPath
-// extension functions, XSQL pages) used to mint a throwaway Session per
-// statement; under the concurrent instance scheduler that pattern both
-// churns allocations and — worse — silently drops any open-transaction
-// state a caller accumulated, because the next statement runs on a brand
-// new session. The pool gives each in-flight call a private session for
-// its whole duration and recycles only sessions proven clean (no open
-// transaction) on release.
+// SessionPool is a checkout pool of sessions on one database, for SQL
+// surfaces that are stateless per call (Oracle's XPath extension
+// functions, XSQL pages): each in-flight call gets a private session for
+// its whole duration, and only sessions proven clean (no open
+// transaction) are recycled on release.
 type SessionPool struct {
 	db *DB
 
 	mu   sync.Mutex
 	free []*Session
-
-	// permits, when non-nil, bounds the number of checked-out sessions
-	// (NewBoundedSessionPool). A buffered channel doubles as semaphore
-	// and wait queue, so AcquireCtx can select against the caller's
-	// deadline — checkout starvation becomes a timely error, not a hang.
-	permits chan struct{}
-
-	acquires atomic.Int64
-	reuses   atomic.Int64
-	timeouts atomic.Int64
 }
 
 // sessionPoolCap bounds how many idle sessions a pool retains.
 const sessionPoolCap = 32
 
-// NewSessionPool builds an unbounded pool over db (any number of
-// sessions may be checked out at once; the pool only recycles).
+// NewSessionPool builds a pool over db.
 func NewSessionPool(db *DB) *SessionPool {
 	return &SessionPool{db: db}
 }
 
-// NewBoundedSessionPool builds a pool that admits at most max
-// concurrently checked-out sessions — the connection-pool bound real
-// middleware enforces. Acquire blocks for a free permit; AcquireCtx
-// bounds that wait by the caller's context.
-func NewBoundedSessionPool(db *DB, max int) *SessionPool {
-	if max < 1 {
-		max = 1
-	}
-	p := &SessionPool{db: db, permits: make(chan struct{}, max)}
-	for i := 0; i < max; i++ {
-		p.permits <- struct{}{}
-	}
-	return p
-}
-
-// DB returns the pooled database.
-func (p *SessionPool) DB() *DB { return p.db }
-
-// Acquire checks out a session. The caller owns it until Release. On a
-// bounded pool this blocks until a permit frees up; use AcquireCtx to
-// bound the wait.
+// Acquire checks out a session. The caller owns it until Release.
 func (p *SessionPool) Acquire() *Session {
-	s, _ := p.AcquireCtx(context.Background())
-	return s
-}
-
-// AcquireCtx checks out a session, waiting at most until ctx is done
-// for a permit on a bounded pool. It returns a timely error — wrapping
-// ctx.Err() — when the pool is starved past the caller's deadline,
-// instead of hanging a worker on an exhausted pool.
-func (p *SessionPool) AcquireCtx(ctx context.Context) (*Session, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if p.permits != nil {
-		select {
-		case <-p.permits:
-		default:
-			// Slow path: wait for a release or the caller's deadline.
-			select {
-			case <-p.permits:
-			case <-ctx.Done():
-				p.timeouts.Add(1)
-				return nil, fmt.Errorf("sqldb: session pool checkout: %w", ctx.Err())
-			}
-		}
-	}
-	p.acquires.Add(1)
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {
 		s := p.free[n-1]
 		p.free = p.free[:n-1]
 		p.mu.Unlock()
-		p.reuses.Add(1)
-		return s, nil
+		return s
 	}
 	p.mu.Unlock()
-	return p.db.Session(), nil
+	return p.db.Session()
 }
 
-// Release returns a session to the pool. A session still holding an open
-// transaction is rolled back and discarded instead of being recycled —
-// pooled sessions are always transactionally clean. On a bounded pool
-// the permit is returned in every case (recycled or discarded), so a
-// discarded dirty session never leaks capacity. Any bound execution
-// context is detached before the session is recycled.
+// Release returns a session to the pool: one still holding an open
+// transaction is rolled back and discarded, any other has its execution
+// context detached and is recycled.
 func (p *SessionPool) Release(s *Session) {
 	if s == nil || s.db != p.db {
 		return
-	}
-	if p.permits != nil {
-		defer func() {
-			select {
-			case p.permits <- struct{}{}:
-			default: // over-release; drop rather than block
-			}
-		}()
 	}
 	if s.InTransaction() {
 		s.Rollback()
@@ -130,14 +52,4 @@ func (p *SessionPool) Release(s *Session) {
 		p.free = append(p.free, s)
 	}
 	p.mu.Unlock()
-}
-
-// Timeouts reports how many AcquireCtx calls gave up waiting for a
-// permit.
-func (p *SessionPool) Timeouts() int64 { return p.timeouts.Load() }
-
-// Stats reports pool activity: total checkouts and how many were served
-// by recycling an idle session.
-func (p *SessionPool) Stats() (acquires, reuses int64) {
-	return p.acquires.Load(), p.reuses.Load()
 }

@@ -24,7 +24,7 @@ type planTree struct {
 	plans   []*selectPlan // the root, its derived tables, views, UNION arms and subqueries
 	views   []*env        // view scopes
 	binds   []bind        // parameters the plan folded or relied on
-	unbound bool          // planned with a parameter missing: not kept
+	discard bool          // not kept: planned with a parameter missing, or a cell that failed to compile
 }
 
 type tableStamp struct {
@@ -33,7 +33,7 @@ type tableStamp struct {
 }
 
 // bind is a parameter read at planning: re-read per execution into dst,
-// the comparand or probe-key cell it was folded into (nil: the plan only
+// the comparand, probe key or cell it was folded into (nil: the plan only
 // relied on its being bound, which decided what may be pushed down).
 type bind struct {
 	ref *ParamRef
@@ -44,9 +44,10 @@ type bind struct {
 // (true) and gives back (false).
 var lendHook func(p *selectPlan, held bool)
 
-// lend returns a plan for st (a SELECT, or UPDATE/DELETE's row filter)
-// bound to this execution: the slot's idle plan if it still holds, else a
-// new one — kept for the slot when there is one.
+// lend returns a plan for st (a SELECT, UPDATE/DELETE's row filter, an
+// INSERT's rows, a CALL's arguments) bound to this execution: the slot's
+// idle plan if it still holds, else a new one — kept for the slot when
+// there is one.
 func (s *Session) lend(slot *stmtSlot, st Stmt, outer *env) (p *selectPlan, err error) {
 	if slot != nil {
 		if p = slot.plan.Swap(nil); p != nil && !p.tree.rebind(s, outer) {
@@ -66,6 +67,8 @@ func (s *Session) lend(slot *stmtSlot, st Stmt, outer *env) (p *selectPlan, err 
 			p, err = s.planRows(t.Table, t.Where, t.Sets, outer, tree)
 		case *DeleteStmt:
 			p, err = s.planRows(t.Table, t.Where, nil, outer, tree)
+		case *InsertStmt, *CallStmt:
+			p, err = s.planCells(st, outer, tree)
 		}
 		if err != nil {
 			return nil, err
@@ -78,16 +81,21 @@ func (s *Session) lend(slot *stmtSlot, st Stmt, outer *env) (p *selectPlan, err 
 }
 
 // put gives a plan back to its slot, holding nothing of the run: an idle
-// plan must not keep the last result or a heap snapshot alive.
+// plan must not keep the last result, heap snapshot or bound values alive.
 func (slot *stmtSlot) put(p *selectPlan) {
 	if lendHook != nil {
 		lendHook(p, false)
 	}
-	if slot == nil || p.tree.unbound {
+	if slot == nil || p.tree.discard {
 		return
 	}
 	for _, q := range p.tree.plans {
 		q.idle()
+	}
+	for _, b := range p.tree.binds {
+		if b.dst != nil {
+			*b.dst = Value{}
+		}
 	}
 	for _, v := range p.tree.views {
 		v.session, v.params = nil, nil

@@ -15,7 +15,8 @@ import (
 // oracle, and the differential test that runs both over seeded random
 // queries. The oracle scans heaps only (no index, no push-down, no hash
 // table), evaluates every expression with the tree-walking interpreter
-// (eval), and resolves names lazily, on the first row that reaches them.
+// (eval, compile_diff_test.go), and resolves names lazily, on the first
+// row that reaches them.
 // Aggregates and subqueries, which eval no longer reaches on its own, are
 // bound first: slowBind replaces each by the literal the oracle computed
 // for the current row or group — eagerly, so the oracle may raise an
@@ -537,6 +538,11 @@ func (s *Session) slowBind(x Expr, e *env, group [][]Value) (Expr, error) {
 		return &c, nil
 	}
 	return x, nil
+}
+
+// child is e's scope with another row, for an aggregate's argument.
+func (e *env) child(cols []colMeta, row []Value) *env {
+	return &env{cols: cols, row: row, params: e.params, session: e.session, outer: e.outer}
 }
 
 // slowAggregate re-walks the whole group for one aggregate call.

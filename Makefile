@@ -59,7 +59,9 @@ bench-test:
 # (idempotent on its own rendering), the parser's slot numbering (named
 # placeholders after every `?`, the same names raw and normalized), the
 # index key encoder (same key
-# iff equal under compareValues), the LIKE matcher (equal to a regexp
+# iff equal under compareValues), the Value layout (the 32-byte value
+# agrees with the 48-byte one on comparisons, coercions, keys and
+# encodings), the LIKE matcher (equal to a regexp
 # oracle) and xdm's block clone (equal to its
 # source, and a write to it never reaches the source). CI-friendly; raise
 # -fuzztime manually for longer campaigns.
@@ -70,6 +72,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzNormalizeStmt$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzParamNames$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzIndexKey$$' -fuzztime=15s ./internal/sqldb/
+	$(GO) test -fuzz='^FuzzValueLayout$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzLike$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzClone$$' -fuzztime=15s ./internal/xdm/
 

@@ -147,12 +147,12 @@ func TestAllocBudget(t *testing.T) {
 		objects float64
 		bytes   uint64
 	}{
-		{StackBIS, false, 407, 39346},    // 395 objects, 37 472 B measured (428, 39 142 while INSERT values and DEFAULTs were interpreted per row)
-		{StackBIS, true, 475, 47276},     // 461, 45 024 (494, 46 694)
-		{StackWF, false, 248, 19999},     // 240, 19 046 (264, 20 422)
-		{StackWF, true, 473, 36908},      // 459, 35 150 (483, 36 798)
-		{StackOracle, false, 377, 36256}, // 366, 34 529 (398, 36 238)
-		{StackOracle, true, 465, 47458},  // 451, 45 198 (482, 46 894)
+		{StackBIS, false, 381, 35096},    // 369 objects, 33 424 B measured (395, 37 472 with 48-byte values, an UPDATE row and an INSERT statement each allocating a version buffer, and count($set/Row) listing the set)
+		{StackBIS, true, 449, 43025},     // 435, 40 976 (461, 45 024)
+		{StackWF, false, 239, 17311},     // 232, 16 486 (240, 19 046)
+		{StackWF, true, 465, 33951},      // 451, 32 334 (459, 35 150)
+		{StackOracle, false, 351, 32627}, // 340, 31 073 (366, 34 529)
+		{StackOracle, true, 437, 43830},  // 424, 41 742 (451, 45 198)
 	} {
 		name := tc.stack.Name
 		if tc.durable {

@@ -43,8 +43,7 @@ func FuzzScan(f *testing.F) {
 	huge := append([]byte(nil), valid...)
 	huge = append(huge, 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0) // implausible length header
 	f.Add(huge)
-	// Checkpoints with the completed count in its current form, as the id
-	// list older journals hold, and corrupt.
+	// Checkpoints with the completed count, as an id list, and corrupt.
 	for _, cp := range []string{
 		`{"k":"checkpoint","s":{"completed":3}}`,
 		`{"k":"checkpoint","s":{"completed":[4,5]}}`,

@@ -856,17 +856,14 @@ func (r *Recorder) RequeueDeadLetter(key string) error {
 // originating database session (replicas keep a session map so
 // interleaved transactions replay on matching replica sessions); Kind
 // is the statement kind ("INSERT", "COMMIT", ...); Params carries the
-// parameter vector, each value encoded by sqldb.EncodeValue. Named is
-// read from records written by older builds only: "name=encoded" pairs
-// for the statement's named placeholders, which now travel as the tail
-// of Params. SQLEffect does not write it.
+// parameter vector, each value encoded by sqldb.EncodeValue; the values
+// of named placeholders are its tail.
 type SQLEffectRecord struct {
 	Seq     int64
 	Session int64
 	Kind    string
 	SQL     string
 	Params  []string
-	Named   []string
 }
 
 // SQLEffect journals one CDC record — the change-stream entry a sqldb
@@ -902,17 +899,10 @@ func DecodeSQLEffect(rec *Record) (e SQLEffectRecord, ok bool) {
 	e.Seq, _ = strconv.ParseInt(rec.Data["seq"], 10, 64) // absent or malformed: 0
 	e.Session, _ = strconv.ParseInt(rec.Data["sess"], 10, 64)
 	np, _ := strconv.Atoi(rec.Data["np"])
-	nn, _ := strconv.Atoi(rec.Data["nn"])
 	if np > 0 {
 		e.Params = make([]string, np)
 		for i := 0; i < np; i++ {
 			e.Params[i] = rec.Data["p"+strconv.Itoa(i)]
-		}
-	}
-	if nn > 0 {
-		e.Named = make([]string, nn)
-		for i := 0; i < nn; i++ {
-			e.Named[i] = rec.Data["n"+strconv.Itoa(i)]
 		}
 	}
 	return e, true

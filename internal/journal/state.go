@@ -40,15 +40,11 @@ func (c Completed) MarshalJSON() ([]byte, error) {
 	return strconv.AppendInt(nil, int64(len(c)), 10), nil
 }
 
-// UnmarshalJSON accepts the count, or the id list older checkpoints hold.
+// UnmarshalJSON reads the count.
 func (c *Completed) UnmarshalJSON(b []byte) error {
 	var n int
 	if err := json.Unmarshal(b, &n); err != nil {
-		var ids []int64
-		if err := json.Unmarshal(b, &ids); err != nil {
-			return err
-		}
-		n = len(ids)
+		return err
 	}
 	if n < 0 {
 		return fmt.Errorf("journal: completed count %d", n)

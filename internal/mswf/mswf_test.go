@@ -574,10 +574,10 @@ func TestPersistSQLValueKinds(t *testing.T) {
 	if v, _ := c2.Get("i"); v.(sqldb.Value).I != 4 {
 		t.Fatalf("int sql value: %v", v)
 	}
-	if v, _ := c2.Get("f"); v.(sqldb.Value).F != 2.5 {
+	if v, _ := c2.Get("f"); v.(sqldb.Value).F() != 2.5 {
 		t.Fatalf("float sql value: %v", v)
 	}
-	if v, _ := c2.Get("b"); !v.(sqldb.Value).B {
+	if v, _ := c2.Get("b"); !v.(sqldb.Value).B() {
 		t.Fatalf("bool sql value: %v", v)
 	}
 	if v, _ := c2.Get("n"); !v.(sqldb.Value).IsNull() {

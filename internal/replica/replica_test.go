@@ -554,45 +554,6 @@ func TestSQLReplicaEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSQLReplicaAppliesOldNamedRecord: a SQL-effect record written by an
-// older build carries the values of its named placeholders as "nn" /
-// "n<i>" name=value pairs (in the caller's letter case, sorted by name)
-// beside the normalized text's positional vector. Replayed today, the
-// pairs become the vector's tail in slot order, and the replica ends
-// where the primary did.
-func TestSQLReplicaAppliesOldNamedRecord(t *testing.T) {
-	const setup = "CREATE TABLE t (id INTEGER PRIMARY KEY, v VARCHAR, note VARCHAR)"
-	primary, replica := sqldb.Open("p"), sqldb.Open("r")
-	for _, db := range []*sqldb.DB{primary, replica} {
-		db.MustExec(setup)
-		db.MustExec("INSERT INTO t VALUES (3, 'old', 'x'), (4, 'old', 'x')")
-	}
-	if _, err := primary.Session().ExecNamed("UPDATE t SET v = :V WHERE id = :id AND note = 'x' AND v <> :v",
-		map[string]sqldb.Value{"V": sqldb.Str("patched"), "id": sqldb.Int(3)}); err != nil {
-		t.Fatal(err)
-	}
-	old := &journal.Record{Kind: journal.KindSQLEffect, EffectKind: journal.EffectSQL, Data: map[string]string{
-		"sql":  "UPDATE t SET v = :V WHERE id = :id AND note = ? AND v <> :v",
-		"kind": "UPDATE", "seq": "1", "sess": "1",
-		"np": "1", "p0": "s:x",
-		"nn": "2", "n0": "V=s:patched", "n1": "id=i:3",
-	}}
-	e, ok := journal.DecodeSQLEffect(old)
-	if !ok || len(e.Named) != 2 {
-		t.Fatalf("old record decoded as %+v, %v", e, ok)
-	}
-	rep := NewSQLReplica(replica, 0)
-	if err := rep.ApplyEffect(e); err != nil {
-		t.Fatal(err)
-	}
-	if pd, rd := primary.Dump(), replica.Dump(); pd != rd {
-		t.Fatalf("replica diverged:\nprimary:\n%s\nreplica:\n%s", pd, rd)
-	}
-	if n := replica.MustExec("SELECT COUNT(*) FROM t WHERE v = 'patched'").Rows[0][0].I; n != 1 {
-		t.Fatalf("patched rows on the replica: %d, want 1", n)
-	}
-}
-
 // TestSQLReplicaAbortsOrphanTxnOnPromote: a primary that dies inside an
 // explicit transaction leaves the replica's mirror session open; the
 // replica's promotion rolls it back before serving writes.

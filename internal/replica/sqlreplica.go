@@ -2,8 +2,6 @@ package replica
 
 import (
 	"fmt"
-	"slices"
-	"strings"
 	"sync/atomic"
 
 	"wfsql/internal/journal"
@@ -137,36 +135,7 @@ func (r *SQLReplica) ApplyEffect(e journal.SQLEffectRecord) error {
 			c.Params[i] = v
 		}
 	}
-	if len(e.Named) > 0 {
-		tail, err := namedTail(e.SQL, e.Named)
-		if err != nil {
-			return fmt.Errorf("replica: effect seq %d named params: %w", e.Seq, err)
-		}
-		c.Params = append(c.Params, tail...)
-	}
 	return r.ap.Apply(c)
-}
-
-// namedTail turns the "name=encoded" pairs of a record written by an older
-// build into the values of the statement's named slots, in slot order:
-// the tail of its parameter vector.
-func namedTail(sql string, pairs []string) ([]sqldb.Value, error) {
-	names, err := sqldb.ParamNames(sql)
-	if err != nil {
-		return nil, err
-	}
-	tail := make([]sqldb.Value, len(names))
-	for i, n := range names {
-		j := slices.IndexFunc(pairs, func(p string) bool { k, _, _ := strings.Cut(p, "="); return strings.EqualFold(k, n) })
-		if j < 0 {
-			return nil, fmt.Errorf("unbound named parameter :%s", n)
-		}
-		_, enc, _ := strings.Cut(pairs[j], "=")
-		if tail[i], err = sqldb.DecodeValue(enc); err != nil {
-			return nil, err
-		}
-	}
-	return tail, nil
 }
 
 // DB returns the replica database (for read/reporting sessions).

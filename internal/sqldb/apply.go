@@ -222,11 +222,11 @@ func EncodeValue(v Value) string {
 	case KindInt:
 		return "i:" + strconv.FormatInt(v.I, 10)
 	case KindFloat:
-		return "f:" + strconv.FormatFloat(v.F, 'g', -1, 64)
+		return "f:" + strconv.FormatFloat(v.F(), 'g', -1, 64)
 	case KindString:
 		return "s:" + v.S
 	case KindBool:
-		if v.B {
+		if v.B() {
 			return "b:t"
 		}
 		return "b:f"

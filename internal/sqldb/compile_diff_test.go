@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -316,9 +315,9 @@ func hasBadRef(x Expr) bool {
 	return bad
 }
 
+// sameValue is bit identity: a float's bits are its I.
 func sameValue(a, b Value) bool {
-	return a.K == b.K && a.I == b.I && a.S == b.S && a.B == b.B &&
-		math.Float64bits(a.F) == math.Float64bits(b.F)
+	return a == b
 }
 
 func errText(err error) string {

@@ -37,7 +37,7 @@ var aggregateNames = map[string]bool{
 // decides reports that AND / OR need not evaluate their right operand:
 // a FALSE left decides an AND, a TRUE left an OR (and is the result).
 func decides(op string, l Value) bool {
-	return l.K == KindBool && (op == "AND" && !l.B || op == "OR" && l.B)
+	return l.K == KindBool && (op == "AND" && !l.B() || op == "OR" && l.B())
 }
 
 // applyBinary applies a binary operator to its evaluated operands; for
@@ -80,13 +80,13 @@ func applyUnary(op string, v Value) (Value, error) {
 	case v.IsNull():
 		return Null(), nil
 	case op == "NOT" && v.K == KindBool:
-		return Bool(!v.B), nil
+		return Bool(!v.B()), nil
 	case op == "NOT":
 		return Null(), fmt.Errorf("sqldb: NOT requires a boolean")
 	case v.K == KindInt:
 		return Int(-v.I), nil
 	case v.K == KindFloat:
-		return Float(-v.F), nil
+		return Float(-v.F()), nil
 	}
 	return Null(), fmt.Errorf("sqldb: cannot negate %s", v.K)
 }

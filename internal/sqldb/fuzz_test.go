@@ -249,7 +249,7 @@ func FuzzIndexKey(f *testing.F) {
 		for i := range a {
 			x, y := a[i], b[i]
 			for _, v := range []Value{x, y} {
-				if v.K == KindFloat && v.F != v.F {
+				if v.K == KindFloat && v.F() != v.F() {
 					t.Skip("NaN")
 				}
 				if v.K == KindInt && int64(float64(v.I)) != v.I && x.K != y.K {

@@ -70,19 +70,19 @@ type keyBuf [64]byte
 // self-delimiting, so a composite key is injective. Integral floats
 // encode as integers so 1 and 1.0 collide, matching compareValues.
 func appendKey(b []byte, v Value) []byte {
-	if v.K == KindFloat && v.F == float64(int64(v.F)) {
-		v = Int(int64(v.F))
+	if f := v.F(); v.K == KindFloat && f == float64(int64(f)) {
+		v = Int(int64(f))
 	}
 	switch v.K {
 	case KindInt:
 		return append(strconv.AppendInt(append(b, 'i'), v.I, 10), 0)
 	case KindFloat:
-		return append(strconv.AppendFloat(append(b, 'f'), v.F, 'g', -1, 64), 0)
+		return append(strconv.AppendFloat(append(b, 'f'), v.F(), 'g', -1, 64), 0)
 	case KindString:
 		b = append(strconv.AppendInt(append(b, 's'), int64(len(v.S)), 10), ':')
 		return append(b, v.S...)
 	case KindBool:
-		if v.B {
+		if v.B() {
 			return append(b, 'T')
 		}
 		return append(b, 'F')

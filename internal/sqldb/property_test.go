@@ -312,7 +312,7 @@ func TestMiscCoverage(t *testing.T) {
 	// NOT operator, float arithmetic, string + concatenation.
 	r := db.MustExec("SELECT NOT (1 = 2), 1.5 * 2, 'a' + 'b', 2.5 + 1")
 	row := r.Rows[0]
-	if !row[0].B || row[1].F != 3.0 || row[2].S != "ab" || row[3].F != 3.5 {
+	if !row[0].B() || row[1].F() != 3.0 || row[2].S != "ab" || row[3].F() != 3.5 {
 		t.Fatalf("expr results: %v", row)
 	}
 

@@ -112,6 +112,7 @@ type selectPlan struct {
 	limit    evalFn
 	cells    [][]cell // INSERT … VALUES: each row's cells; CALL: its arguments
 	defaults []cell   // INSERT: the DEFAULTs of the columns the rows leave out
+	version  []Value  // INSERT, UPDATE: a new version's values, in table order
 
 	level    int // deepest open source; levelNew, levelDone
 	rows     [][]Value

@@ -797,7 +797,7 @@ func (s *Session) execInsert(t *InsertStmt, slot *stmtSlot, base *env) (*Result,
 		}
 		src, n = res.Rows, len(res.Rows)
 	}
-	row := make([]Value, len(tbl.Columns)) // in table order; insertVersion copies it
+	row := p.newVersion(tbl)
 	for i := 0; i < n; i++ {
 		clear(row)
 		if src != nil {
@@ -818,6 +818,15 @@ func (s *Session) execInsert(t *InsertStmt, slot *stmtSlot, base *env) (*Result,
 	}
 	s.db.rowsWritten.Add(int64(n))
 	return &Result{RowsAffected: n}, nil
+}
+
+// newVersion returns the plan's buffer for a new version of tbl's rows,
+// which insertVersion copies: one per plan, not one per row.
+func (p *selectPlan) newVersion(tbl *Table) []Value {
+	if len(p.version) != len(tbl.Columns) {
+		p.version = make([]Value, len(tbl.Columns))
+	}
+	return p.version
 }
 
 // planCells plans what an INSERT or a CALL evaluates once per row or
@@ -903,9 +912,9 @@ func (s *Session) execUpdate(t *UpdateStmt, slot *stmtSlot, base *env) (*Result,
 	tbl, e := p.srcs[0].tbl, &p.env
 	tid := s.txn.id
 	n := 0
+	newVals := p.newVersion(tbl)
 	for _, r := range matched {
 		e.row = r.Values
-		newVals := make([]Value, len(r.Values))
 		copy(newVals, r.Values)
 		for i, fn := range p.items {
 			v, err := fn(e)

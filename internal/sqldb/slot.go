@@ -152,6 +152,7 @@ func (p *selectPlan) idle() {
 	p.rows, p.groups, p.groupIdx, p.seen = nil, nil, nil, nil
 	clear(p.keys)
 	clear(p.buf)
+	clear(p.version)
 	for k := range p.srcs {
 		src := &p.srcs[k]
 		src.heap, src.vals = nil, nil

@@ -97,7 +97,7 @@ func TestAggregatesWithoutGroupBy(t *testing.T) {
 	if row[0].I != 6 || row[1].I != 36 || row[2].I != 2 || row[3].I != 10 {
 		t.Fatalf("unexpected aggregates: %v", row)
 	}
-	if row[4].F != 6.0 {
+	if row[4].F() != 6.0 {
 		t.Fatalf("AVG: got %v, want 6", row[4])
 	}
 }
@@ -192,7 +192,7 @@ func TestJoin(t *testing.T) {
 	db.MustExec("CREATE TABLE Items (ItemID VARCHAR PRIMARY KEY, Price FLOAT)")
 	db.MustExec("INSERT INTO Items VALUES ('bolt', 0.10), ('nut', 0.05), ('screw', 0.07)")
 	r := mustQuery(t, db, `SELECT o.OrderID, i.Price FROM Orders o JOIN Items i ON o.ItemID = i.ItemID WHERE o.OrderID = 1`)
-	if len(r.Rows) != 1 || r.Rows[0][1].F != 0.10 {
+	if len(r.Rows) != 1 || r.Rows[0][1].F() != 0.10 {
 		t.Fatalf("join result: %v", r.Rows)
 	}
 }
@@ -643,7 +643,7 @@ func TestDefaultValues(t *testing.T) {
 	db.MustExec("CREATE TABLE d (a INTEGER, b VARCHAR DEFAULT 'none', c BOOLEAN DEFAULT FALSE)")
 	db.MustExec("INSERT INTO d (a) VALUES (1)")
 	r := mustQuery(t, db, "SELECT b, c FROM d")
-	if r.Rows[0][0].S != "none" || r.Rows[0][1].B != false {
+	if r.Rows[0][0].S != "none" || r.Rows[0][1].B() != false {
 		t.Fatalf("defaults: %v", r.Rows[0])
 	}
 }
@@ -657,13 +657,13 @@ func TestTypeCoercion(t *testing.T) {
 	if row[0].K != KindInt || row[0].I != 42 {
 		t.Fatalf("string->int coercion: %v", row[0])
 	}
-	if row[1].K != KindFloat || row[1].F != 1.0 {
+	if row[1].K != KindFloat || row[1].F() != 1.0 {
 		t.Fatalf("int->float coercion: %v", row[1])
 	}
 	if row[2].K != KindString || row[2].S != "99" {
 		t.Fatalf("int->string coercion: %v", row[2])
 	}
-	if row[3].K != KindBool || !row[3].B {
+	if row[3].K != KindBool || !row[3].B() {
 		t.Fatalf("int->bool coercion: %v", row[3])
 	}
 }

@@ -12,13 +12,15 @@
 package sqldb
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
 
 // Kind enumerates the runtime types of SQL values.
-type Kind int
+type Kind uint8
 
 // Value kinds. KindNull is the zero value, so the zero Value is SQL NULL.
 const (
@@ -47,13 +49,14 @@ func (k Kind) String() string {
 }
 
 // Value is a SQL runtime value: NULL, integer, float, string, or boolean.
-// The zero Value is NULL.
+// The zero Value is NULL. One word holds every non-string payload: I is
+// the integer of a KindInt, the math.Float64bits of a KindFloat (read it
+// with F) and 0 or 1 for a KindBool (read it with B), so a Value is 32
+// bytes. I means nothing without a check of K.
 type Value struct {
-	K Kind
-	I int64
-	F float64
 	S string
-	B bool
+	I int64
+	K Kind
 }
 
 // Null returns the SQL NULL value.
@@ -63,13 +66,24 @@ func Null() Value { return Value{} }
 func Int(i int64) Value { return Value{K: KindInt, I: i} }
 
 // Float returns a float value.
-func Float(f float64) Value { return Value{K: KindFloat, F: f} }
+func Float(f float64) Value { return Value{K: KindFloat, I: int64(math.Float64bits(f))} }
 
 // Str returns a string value.
 func Str(s string) Value { return Value{K: KindString, S: s} }
 
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{K: KindBool, B: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{K: KindBool, I: 1}
+	}
+	return Value{K: KindBool}
+}
+
+// F returns a KindFloat's number.
+func (v Value) F() float64 { return math.Float64frombits(uint64(v.I)) }
+
+// B returns a KindBool's truth.
+func (v Value) B() bool { return v.I != 0 }
 
 // IsNull reports whether the value is SQL NULL.
 func (v Value) IsNull() bool { return v.K == KindNull }
@@ -82,11 +96,11 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.I, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.F(), 'g', -1, 64)
 	case KindString:
 		return v.S
 	case KindBool:
-		if v.B {
+		if v.B() {
 			return "TRUE"
 		}
 		return "FALSE"
@@ -108,7 +122,7 @@ func (v Value) AsFloat() (float64, bool) {
 	case KindInt:
 		return float64(v.I), true
 	case KindFloat:
-		return v.F, true
+		return v.F(), true
 	}
 	return 0, false
 }
@@ -119,14 +133,14 @@ func (v Value) AsInt() (int64, bool) {
 	case KindInt:
 		return v.I, true
 	case KindFloat:
-		return int64(v.F), true
+		return int64(v.F()), true
 	}
 	return 0, false
 }
 
 // Truth reports the SQL three-valued-logic truth of the value: a NULL or
 // non-boolean value is not true.
-func (v Value) Truth() bool { return v.K == KindBool && v.B }
+func (v Value) Truth() bool { return v.K == KindBool && v.B() }
 
 // Equal reports SQL equality between two non-NULL values; comparing NULL
 // with anything yields false (unknown).
@@ -141,72 +155,39 @@ func (v Value) Equal(o Value) bool {
 func compareValues(a, b Value) (int, bool) { return a.compare(&b) }
 
 // compare is compareValues on values in place: row loops compare a stored
-// value with a constant without copying either.
+// value with a constant without copying either. Two integers or two
+// booleans (0 < 1 in I) compare by I; any other pair of numbers as
+// floats, where NaN is neither below nor above anything.
 func (a *Value) compare(b *Value) (int, bool) {
-	if a.K == KindNull || b.K == KindNull {
+	switch {
+	case a.K == KindNull || b.K == KindNull:
 		return 0, false
-	}
-	// Numeric cross-kind comparison.
-	if (a.K == KindInt || a.K == KindFloat) && (b.K == KindInt || b.K == KindFloat) {
-		if a.K == KindInt && b.K == KindInt {
-			switch {
-			case a.I < b.I:
-				return -1, true
-			case a.I > b.I:
-				return 1, true
-			}
-			return 0, true
-		}
-		af, _ := a.AsFloat()
-		bf, _ := b.AsFloat()
-		switch {
-		case af < bf:
-			return -1, true
-		case af > bf:
-			return 1, true
-		}
-		return 0, true
-	}
-	if a.K != b.K {
-		return 0, false
-	}
-	switch a.K {
-	case KindString:
+	case a.K == b.K && (a.K == KindInt || a.K == KindBool):
+		return cmp.Compare(a.I, b.I), true
+	case a.K == KindString && b.K == KindString:
 		return strings.Compare(a.S, b.S), true
-	case KindBool:
-		switch {
-		case a.B == b.B:
-			return 0, true
-		case !a.B:
-			return -1, true
-		}
+	}
+	af, aok := a.AsFloat()
+	bf, bok := b.AsFloat()
+	switch {
+	case !aok || !bok:
+		return 0, false
+	case af < bf:
+		return -1, true
+	case af > bf:
 		return 1, true
 	}
-	return 0, false
+	return 0, true
 }
 
 // sortCompare orders values for ORDER BY and ordered indexes: NULLs sort
-// first, then by value; incomparable kinds order by kind.
+// first (KindNull is the least kind), then by value; incomparable kinds
+// order by kind.
 func sortCompare(a, b Value) int {
-	an, bn := a.IsNull(), b.IsNull()
-	switch {
-	case an && bn:
-		return 0
-	case an:
-		return -1
-	case bn:
-		return 1
-	}
 	if c, ok := compareValues(a, b); ok {
 		return c
 	}
-	switch {
-	case a.K < b.K:
-		return -1
-	case a.K > b.K:
-		return 1
-	}
-	return 0
+	return cmp.Compare(a.K, b.K)
 }
 
 // ColumnType is a declared SQL column type.
@@ -247,7 +228,7 @@ func coerce(v Value, t ColumnType) (Value, error) {
 		case KindInt:
 			return v, nil
 		case KindFloat:
-			return Int(int64(v.F)), nil
+			return Int(int64(v.F())), nil
 		case KindString:
 			i, err := strconv.ParseInt(strings.TrimSpace(v.S), 10, 64)
 			if err != nil {
@@ -255,10 +236,7 @@ func coerce(v Value, t ColumnType) (Value, error) {
 			}
 			return Int(i), nil
 		case KindBool:
-			if v.B {
-				return Int(1), nil
-			}
-			return Int(0), nil
+			return Int(v.I), nil
 		}
 	case TypeFloat:
 		switch v.K {

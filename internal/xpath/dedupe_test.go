@@ -2,7 +2,9 @@ package xpath
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -216,4 +218,99 @@ func TestStepsMatchAlwaysDedupe(t *testing.T) {
 		t.Fatalf("%d paths compared, %d non-empty, %d from a multi-node context: the generator lost its teeth",
 			compared, nonEmpty, multi)
 	}
+}
+
+// randomRowSet builds a RowSet of n children: mostly Row elements (some
+// prefixed, each with an ItemID), mixed with other elements and text.
+func randomRowSet(rng *rand.Rand, n int) *xdm.Node {
+	root := xdm.NewElement("RowSet")
+	for i := 0; i < n; i++ {
+		switch rng.Intn(6) {
+		case 0:
+			root.AppendChild(xdm.NewText("t"))
+		case 1:
+			root.Element("Other")
+		default:
+			row := root.Element([]string{"Row", "Row", "ns:Row"}[rng.Intn(3)])
+			row.ElementWithText("ItemID", fmt.Sprint(i))
+		}
+	}
+	return root
+}
+
+// TestPositionalAndCountedStepsMatchGeneral: a child step picked by a
+// constant position and a counted last child step, from one context node,
+// skip listing the siblings; on random RowSets and positions (0, 1, the
+// last, out of range, negative, non-integer, NaN, a string, a node-set,
+// last()) they select and count what the general step evaluator does.
+func TestPositionalAndCountedStepsMatchGeneral(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	paths := []string{"Row[$pos]", "Row[$pos]/ItemID", "*[$pos]", "Row[1]", "Row[3]", "Row[last()]",
+		"Row", "Row/ItemID", "Row[$pos]/ItemID[1]", "Other[$pos]", "Row[$str]", "Row[$set]"}
+	for i := 0; i < 2000; i++ {
+		set := randomRowSet(rng, rng.Intn(12))
+		rows := len(set.ChildElements())
+		pos := []Value{Number(0), Number(1), Number(float64(rows)), Number(float64(rows + 1)), Number(-1),
+			Number(1.5), Number(2), Number(math.NaN()), String("2")}[rng.Intn(9)]
+		many := []*xdm.Node{set, randomRowSet(rng, 3)}
+		for _, vars := range []VarMap{
+			{"set": NodeSet(set), "pos": pos, "str": String("1")},
+			{"set": NodeSet(many...), "pos": pos, "str": String("1")},
+		} {
+			ctx := &Context{Node: set, Position: 1, Size: 1, Vars: vars}
+			for _, path := range paths {
+				e, err := Compile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, werr := oracleEvalSteps(vars["set"].Nodes, e.root.(*pathExpr).steps, ctx)
+				got, gerr := MustCompile("$set/" + path).Eval(ctx)
+				n, nerr := MustCompile("count($set/" + path + ")").Eval(ctx)
+				if errText(gerr) != errText(werr) || errText(nerr) != errText(werr) {
+					t.Fatalf("%s with $pos=%v on %s: errors %v, %v, general %v", path, pos, set, gerr, nerr, werr)
+				}
+				if werr == nil && (!sameNodes(got.Nodes, want.Nodes) || n.Num != float64(len(want.Nodes))) {
+					t.Fatalf("%s with $pos=%v on %s:\n got %v (count %v)\nwant %v", path, pos, set, got.Nodes, n.Num, want.Nodes)
+				}
+			}
+		}
+	}
+}
+
+// TestCursorStepsAllocateIndependentlyOfTheSet: a cursor's per-row
+// expressions allocate the same bytes over 1 000 rows as over 10.
+func TestCursorStepsAllocateIndependentlyOfTheSet(t *testing.T) {
+	perEval := func(src string, rows int) uint64 {
+		set := xdm.NewElement("RowSet")
+		for i := 0; i < rows; i++ {
+			set.Element("Row").ElementWithText("ItemID", "x")
+		}
+		e, err := Compile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := &Context{Node: set, Position: 1, Size: 1, Vars: VarMap{"set": NodeSet(set), "pos": Number(5)}}
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := e.Eval(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	for _, src := range []string{"$pos <= count($set/Row)", "$set/Row[$pos]/ItemID"} {
+		if small, large := perEval(src, 10), perEval(src, 1000); large > small+64 {
+			t.Errorf("%s allocates %d B per evaluation over 1 000 rows, %d over 10", src, large, small)
+		}
+	}
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }

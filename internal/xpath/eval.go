@@ -28,27 +28,13 @@ func (n *negOp) evalNode(ctx *Context) (Value, error) {
 }
 
 func (b *binaryOp) evalNode(ctx *Context) (Value, error) {
-	switch b.op {
-	case "or":
+	if b.op == "or" || b.op == "and" {
 		l, err := b.l.evalNode(ctx)
 		if err != nil {
 			return Value{}, err
 		}
-		if l.AsBool() {
-			return Boolean(true), nil
-		}
-		r, err := b.r.evalNode(ctx)
-		if err != nil {
-			return Value{}, err
-		}
-		return Boolean(r.AsBool()), nil
-	case "and":
-		l, err := b.l.evalNode(ctx)
-		if err != nil {
-			return Value{}, err
-		}
-		if !l.AsBool() {
-			return Boolean(false), nil
+		if l.AsBool() == (b.op == "or") { // decided by the left operand
+			return Boolean(l.AsBool()), nil
 		}
 		r, err := b.r.evalNode(ctx)
 		if err != nil {
@@ -264,6 +250,13 @@ func (p *pathExpr) evalNode(ctx *Context) (Value, error) {
 
 func (p *pathExpr) evalSteps(current []*xdm.Node, steps []step, ctx *Context) (Value, error) {
 	for _, st := range steps {
+		if k, ok := childPosition(current, st, ctx); ok {
+			c, _ := nthChild(current[0], st.name, k)
+			if current = nil; c != nil {
+				current = []*xdm.Node{c}
+			}
+			continue
+		}
 		next, err := applyStepPredicates(stepNodes(current, st), st, ctx)
 		if err != nil {
 			return Value{}, err
@@ -271,6 +264,60 @@ func (p *pathExpr) evalSteps(current []*xdm.Node, steps []step, ctx *Context) (V
 		current = next
 	}
 	return NodeSet(current...), nil
+}
+
+// count is count(p). When p ends in a child step without predicates that
+// starts from one node, as a cursor's `$pos <= count($set/Row)` does per
+// row, it counts the matches instead of listing them.
+func (p *pathExpr) count(ctx *Context) (Value, error) {
+	n, prefix := len(p.steps), *p
+	whole := n == 0 || p.steps[n-1].axis != axisChild || len(p.steps[n-1].preds) > 0 || p.absolute && n == 1
+	if !whole {
+		prefix.steps = p.steps[:n-1]
+	}
+	v, err := prefix.evalNode(ctx)
+	switch {
+	case err != nil:
+		return Value{}, err
+	case whole:
+	case len(v.Nodes) == 1:
+		_, c := nthChild(v.Nodes[0], p.steps[n-1].name, 0)
+		return Number(float64(c)), nil
+	default:
+		v.Nodes = stepNodes(v.Nodes, p.steps[n-1])
+	}
+	return Number(float64(len(v.Nodes))), nil
+}
+
+// childPosition recognizes a child step from one node whose only
+// predicate is a literal or a variable that is a number k, such as a
+// cursor's $set/Row[$pos]: no context position changes it, so the step
+// selects the k-th match without listing its siblings. Anything else
+// takes the general path.
+func childPosition(current []*xdm.Node, st step, ctx *Context) (int, bool) {
+	if len(current) != 1 || st.axis != axisChild || len(st.preds) != 1 {
+		return 0, false
+	}
+	switch st.preds[0].(type) {
+	case *literalNum, *varRef:
+		pv, err := st.preds[0].evalNode(ctx)
+		return int(pv.Num), err == nil && pv.Kind == KindNumber
+	}
+	return 0, false
+}
+
+// nthChild returns n's k-th element child that passes the name test,
+// counting from 1, or nil and how many pass when fewer than k do.
+func nthChild(n *xdm.Node, name string, k int) (*xdm.Node, int) {
+	seen := 0
+	for _, c := range n.Children {
+		if c.Kind == xdm.ElementNode && nameMatches(c, name) {
+			if seen++; seen == k {
+				return c, seen
+			}
+		}
+	}
+	return nil, seen
 }
 
 // stepNodes applies one step's axis and name test to every context node,
@@ -427,6 +474,11 @@ func (f *funcCall) evalCore(ctx *Context) (Value, error) {
 			return fmt.Errorf("xpath: %s() expects %d argument(s), got %d", f.name, n, len(args))
 		}
 		return nil
+	}
+	if f.name == "count" && len(f.args) == 1 {
+		if p, ok := f.args[0].(*pathExpr); ok {
+			return p.count(ctx)
+		}
 	}
 	switch f.name {
 	case "position":

@@ -80,7 +80,9 @@ fuzz:
 # directory when unset), e.g.
 #   make smoke ARTIFACTS=artifacts
 # cmd/wfrun and cmd/bpelrun run on their testdata and write their span
-# traces (JSONL) and metrics snapshots; cmd/sqlsh runs a script whose
+# traces (JSONL) and metrics snapshots; each trace must hold exactly one
+# instance span, of the expected stack, with a non-zero instance id that
+# every activity span carries; cmd/sqlsh runs a script whose
 # cached SELECT and EXPLAIN must move onto an index created between two
 # executions; cmd/tables -verify and cmd/patterncheck execute every
 # conformance case.
@@ -92,6 +94,15 @@ smoke:
 	$(GO) run ./cmd/bpelrun -bpel cmd/bpelrun/testdata/figure4.bpel \
 		-seed cmd/bpelrun/testdata/seed.sql \
 		-trace "$$dir/bpelrun-trace.jsonl" -metrics "$$dir/bpelrun-metrics.json"; \
+	for t in wfrun:WF bpelrun:BIS; do \
+		f="$$dir/$${t%%:*}-trace.jsonl"; \
+		[ "$$(grep -c '"kind":"instance"' "$$f")" = 1 ] || \
+			{ echo "smoke: $$f: want exactly one instance span"; exit 1; }; \
+		id=$$(grep '"kind":"instance"' "$$f" | grep -F "\"stack\":\"$${t#*:}\"" | grep -o '"instance":[1-9][0-9]*') || \
+			{ echo "smoke: $$f: the instance span lacks stack $${t#*:} or an instance id"; exit 1; }; \
+		! grep '"kind":"activity"' "$$f" | grep -qvF "$$id," || \
+			{ echo "smoke: $$f: an activity span does not carry $$id"; exit 1; }; \
+	done; \
 	$(GO) run ./cmd/sqlsh -f cmd/sqlsh/testdata/replan.sql > "$$dir/sqlsh.txt"; \
 	grep -q "INDEX PROBE Orders USING orders_cust" "$$dir/sqlsh.txt" || \
 		{ echo "smoke: EXPLAIN did not move onto the new index (see $$dir/sqlsh.txt)"; exit 1; }; \

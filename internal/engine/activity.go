@@ -26,54 +26,23 @@ type Activity interface {
 	Execute(ctx *Ctx) error
 }
 
-// execChild runs an activity and, when an observability bundle is
-// attached, records it as an activity span parented under the enclosing
-// span — the instance's one history. While the activity runs, the
-// tracer's ambient parent is pointed at its span so context-free layers
-// (sqldb statement spans, the Oracle XPath extension functions) attach
-// underneath it.
+// execChild runs an activity inside the instance's activity boundary
+// (host.Instance.Enter/Exit): an expired budget refuses it, and when
+// observability is attached it runs as an activity span parented under
+// the enclosing span, the instance's one history. Scope fault handlers
+// cannot absorb a refusal: they run through execChild too, and the
+// budget stays expired.
 func execChild(ctx *Ctx, a Activity) error {
-	obs := ctx.Engine.Obs()
-	// Deadline propagation: an instance whose budget expired is stopped
-	// at the activity boundary — the cheapest cancellation point that
-	// still leaves every completed activity's effects intact. This is an
-	// ordinary fault (not a crash), so the instance's completion
-	// callbacks still run and product-layer transactions roll back in an
-	// orderly way. (Scope fault handlers cannot absorb it: they execute
-	// through execChild too, and the budget stays expired.)
-	if err := ctx.Context().Err(); err != nil {
-		obs.M().Counter("engine.deadline_expired").Inc()
-		return fmt.Errorf("%s: %w: %w", a.Name(), ErrBudgetExceeded, err)
-	}
-	if sp := obs.T().Start(ctx.span.SpanID(), obsv.KindActivity, a.Name()); sp != nil {
-		sp.Stack = ctx.Inst.Process.Stack
-		sp.Instance = ctx.Inst.ID
-		prev := obs.T().Ambient()
-		obs.T().SetAmbient(sp.SpanID())
-		defer obs.T().SetAmbient(prev)
-		c2 := *ctx
-		c2.span = sp
-		ctx = &c2
-		defer func() {
-			obs.M().Histogram("engine.activity_ms").ObserveDuration(sp.Duration())
-		}()
-	}
-	obs.M().Counter("engine.activities").Inc()
-
-	err := a.Execute(ctx)
+	act, err := ctx.Inst.Enter(ctx.span, a.Name())
 	if err != nil {
-		obs.M().Counter("engine.activity_faults").Inc()
-		if journal.IsCrash(err) {
-			ctx.span.End(obsv.OutcomeCrashed)
-		} else {
-			ctx.span.Set("fault", err.Error()).End(obsv.OutcomeFault)
-		}
 		return err
 	}
-	// End("") keeps an outcome set earlier by the replay or dead-letter
-	// paths (OutcomeReplayed / OutcomeDeadLettered), defaulting to OK.
-	ctx.span.End("")
-	return nil
+	if act.Span != nil {
+		c2 := *ctx
+		c2.span = act.Span
+		ctx = &c2
+	}
+	return ctx.Inst.Exit(act, a.Execute(ctx))
 }
 
 // --- Sequence ---
@@ -525,7 +494,7 @@ func (iv *Invoke) call(ctx *Ctx, req wsbus.Message) (wsbus.Message, error) {
 	// Breaker accounting and span notes both run in the observer — i.e.
 	// in this goroutine, never in the abandoned goroutine of a timed-out
 	// attempt.
-	m := ctx.Engine.Obs().M()
+	m := ctx.Inst.Obs().M()
 	notes := resilience.Notes(ctx.span)
 	account := func(err error) {
 		if iv.Breaker == nil {
@@ -682,7 +651,7 @@ func (s *Scope) Name() string { return s.ActivityName }
 
 // Execute implements Activity.
 func (s *Scope) Execute(ctx *Ctx) error {
-	sub := &Ctx{Inst: ctx.Inst, Engine: ctx.Engine, scope: &scopeFrame{parent: ctx.scope, name: s.ActivityName}, span: ctx.span, run: ctx.run}
+	sub := &Ctx{Inst: ctx.Inst, Engine: ctx.Engine, scope: &scopeFrame{parent: ctx.scope, name: s.ActivityName}, span: ctx.span}
 	err := execChild(sub, s.Body)
 	// A simulated crash is process death: a real crashed process runs
 	// neither fault handlers nor finally blocks, so the crash error

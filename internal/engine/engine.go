@@ -2,14 +2,11 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
+	"wfsql/internal/host"
 	"wfsql/internal/journal"
-	"wfsql/internal/obsv"
-	"wfsql/internal/resilience"
 	"wfsql/internal/sqldb"
 	"wfsql/internal/wsbus"
 	"wfsql/internal/xdm"
@@ -57,57 +54,23 @@ type Process struct {
 }
 
 // Engine executes deployed processes. It owns the service bus and the
-// registry of named data sources the product layers resolve against.
+// registry of named data sources the product layers resolve against; the
+// embedded host.Host holds its dead-letter log, journal and observability
+// (metrics "engine.…").
 type Engine struct {
+	host.Host
 	Bus *wsbus.Bus
-
-	// DeadLetters collects invocations whose retries were exhausted and
-	// that no fault handler absorbed — the engine-wide reliability audit
-	// trail complementing the per-instance span tree.
-	DeadLetters *resilience.DeadLetterLog
 
 	mu          sync.RWMutex
 	dataSources map[string]*sqldb.DB
-	nextID      atomic.Int64
-	jrec        *journal.Recorder
-	obs         *obsv.Observability
-}
-
-// SetObservability attaches (or with nil detaches) a tracing/metrics
-// bundle. The engine emits an instance span per execution and an
-// activity span per activity, and propagates the bundle to its
-// dead-letter log and journal recorder so their counters land in the
-// same registry.
-func (e *Engine) SetObservability(o *obsv.Observability) {
-	e.mu.Lock()
-	e.obs = o
-	jrec := e.jrec
-	e.mu.Unlock()
-	if e.DeadLetters != nil {
-		e.DeadLetters.SetObservability(o)
-	}
-	if jrec != nil {
-		jrec.SetObservability(o)
-	}
-}
-
-// Obs returns the attached observability bundle (nil if none). The
-// returned bundle's accessors are nil-safe, so call sites may use
-// e.Obs().T() / e.Obs().M() unconditionally.
-func (e *Engine) Obs() *obsv.Observability {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.obs
 }
 
 // New creates an engine with the given bus (nil is allowed for processes
 // that never invoke services).
 func New(bus *wsbus.Bus) *Engine {
-	return &Engine{
-		Bus:         bus,
-		DeadLetters: resilience.NewDeadLetterLog(),
-		dataSources: map[string]*sqldb.DB{},
-	}
+	e := &Engine{Bus: bus, dataSources: map[string]*sqldb.DB{}}
+	e.Init("engine")
+	return e
 }
 
 // RegisterDataSource makes a database available under a JNDI-like name.
@@ -179,29 +142,22 @@ func (e *Engine) Deploy(p *Process) (*Deployment, error) {
 // instance-created record (input message + transaction mode) is
 // journaled so a crashed instance can be re-instantiated on recovery.
 func (d *Deployment) NewInstance(input map[string]string) (*Instance, error) {
-	var id int64
-	if rec := d.Engine.Journal(); rec != nil {
-		id = rec.AllocateID()
-	} else {
-		id = d.Engine.nextID.Add(1)
-	}
-	return d.newInstance(id, input, true)
+	return d.newInstance(0, input)
 }
 
-// newInstance builds an instance with a fixed ID, under the recorder
-// attached to the engine now; journalCreate controls whether an
-// instance-created record is appended (false when resuming a recovered
-// instance whose creation is already journaled).
-func (d *Deployment) newInstance(id int64, input map[string]string, journalCreate bool) (*Instance, error) {
+// newInstance builds an instance under the recorder attached to the
+// engine now: a fresh one (id 0) journals its creation, a recovered one
+// keeps id, whose creation is already journaled.
+func (d *Deployment) newInstance(id int64, input map[string]string) (*Instance, error) {
 	in := &Instance{
-		ID:      id,
 		Process: d.Process,
 		Engine:  d.Engine,
-		jrec:    d.Engine.Journal(),
 		vars:    make(map[string]*Variable, len(d.Process.Variables)),
 		context: map[string]any{},
 		state:   StateReady,
 	}
+	fresh := id == 0
+	d.Engine.Open(&in.Instance, id)
 	for _, vd := range d.Process.Variables {
 		switch vd.Kind {
 		case XMLVar:
@@ -234,8 +190,8 @@ func (d *Deployment) newInstance(id int64, input map[string]string, journalCreat
 			pv.SetString(v)
 		}
 	}
-	if journalCreate && in.jrec != nil {
-		if err := in.jrec.InstanceCreated(in.ID, d.Process.Name, d.Process.Mode.String(), in.input); err != nil {
+	if rec := in.Journal(); fresh && rec != nil {
+		if err := rec.InstanceCreated(in.ID, d.Process.Name, d.Process.Mode.String(), in.input); err != nil {
 			return nil, err
 		}
 	}
@@ -297,7 +253,7 @@ func (d *Deployment) Run(input map[string]string) (*Instance, error) {
 // RunCtx is Run with an execution budget: when ctx carries a deadline
 // (or is cancelled), the instance is stopped at the next activity
 // boundary — and, through the product layers, at the next bus call or
-// SQL statement boundary — with ErrBudgetExceeded instead of burning a
+// SQL statement boundary — with host.ErrBudgetExceeded instead of burning a
 // worker until per-attempt timeouts fire. The budget is advisory
 // inside an activity (a single slow statement still completes or hits
 // its own timeout); it is authoritative between activities.
@@ -309,12 +265,6 @@ func (d *Deployment) RunCtx(ctx context.Context, input map[string]string) (*Inst
 	return in, d.Engine.executeCtx(ctx, in)
 }
 
-// ErrBudgetExceeded wraps the context error when an instance's
-// execution budget expires mid-run. The instance ends Faulted (its
-// completion callbacks run, so product-layer transactions roll back),
-// never Crashed — a deadline is an orderly cancellation, not a death.
-var ErrBudgetExceeded = errors.New("engine: instance budget exceeded")
-
 // executeCtx runs an instance's body under an execution budget.
 func (e *Engine) executeCtx(runCtx context.Context, in *Instance) error {
 	in.mu.Lock()
@@ -325,21 +275,9 @@ func (e *Engine) executeCtx(runCtx context.Context, in *Instance) error {
 	in.state = StateRunning
 	in.mu.Unlock()
 
-	obs := e.Obs()
-	span := obs.T().Start(0, obsv.KindInstance, in.Process.Name)
-	if span != nil {
-		span.Stack = in.Process.Stack
-		span.Instance = in.ID
-		span.Set("mode", in.Process.Mode.String())
-		obs.T().SetAmbient(span.SpanID())
-		defer obs.T().SetAmbient(0)
-	}
-	obs.M().Counter("engine.instances").Inc()
-
-	if runCtx == nil {
-		runCtx = context.Background()
-	}
-	ctx := &Ctx{Inst: in, Engine: e, span: span, run: runCtx}
+	span := e.Begin(&in.Instance, runCtx, in.Process.Name, in.Process.Stack)
+	span.Set("mode", in.Process.Mode.String())
+	ctx := &Ctx{Inst: in, Engine: e, span: span}
 	var err error
 	for _, hook := range in.Process.OnInstanceStart {
 		if err = hook(ctx); err != nil {
@@ -364,9 +302,7 @@ func (e *Engine) executeCtx(runCtx context.Context, in *Instance) error {
 		for i := len(hooks) - 1; i >= 0; i-- {
 			hooks[i]()
 		}
-		obs.M().Counter("engine.instances.crashed").Inc()
-		span.End(obsv.OutcomeCrashed)
-		return err
+		return in.End(err)
 	}
 
 	in.mu.Lock()
@@ -384,26 +320,7 @@ func (e *Engine) executeCtx(runCtx context.Context, in *Instance) error {
 		in.state = StateCompleted
 	}
 	in.mu.Unlock()
-	if err != nil {
-		obs.M().Counter("engine.instances.faulted").Inc()
-		if span != nil {
-			span.Set("fault", err.Error())
-		}
-		span.End(obsv.OutcomeFault)
-	} else {
-		obs.M().Counter("engine.instances.completed").Inc()
-		span.End(obsv.OutcomeOK)
-	}
-	if rec := in.jrec; rec != nil {
-		fault := ""
-		if err != nil {
-			fault = err.Error()
-		}
-		if jerr := rec.InstanceComplete(in.ID, fault); jerr != nil && err == nil {
-			err = jerr
-		}
-	}
-	return err
+	return in.End(err)
 }
 
 // Describe returns a structural one-line description of the process body

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"sync"
 
-	"wfsql/internal/journal"
+	"wfsql/internal/host"
 	"wfsql/internal/obsv"
 	"wfsql/internal/xdm"
 	"wfsql/internal/xpath"
@@ -43,9 +43,10 @@ func (s InstanceState) String() string {
 	return "unknown"
 }
 
-// Instance is one execution of a deployed process.
+// Instance is one execution of a deployed process. The embedded
+// host.Instance holds its ID, journal and observability record.
 type Instance struct {
-	ID      int64
+	host.Instance
 	Process *Process
 	Engine  *Engine
 
@@ -59,12 +60,8 @@ type Instance struct {
 	input   map[string]string
 	output  map[string]string
 
-	// Durable-execution state: the recorder the instance was created
-	// under (nil: none), the effect-then-memo protocol's replay queues and
-	// occurrence counters, and crash hooks (run on simulated process death
-	// to model server-side rollback of the instance's open transactions).
-	jrec       *journal.Recorder
-	effects    journal.Effects
+	// crashHooks run on simulated process death to model server-side
+	// rollback of the instance's open transactions.
 	crashHooks []func()
 
 	// xpctx is the instance's shared XPath evaluation context. Its
@@ -213,12 +210,6 @@ type Ctx struct {
 	// observability bundle is attached; all *obsv.Span methods are
 	// nil-safe, so activity code uses it unconditionally.
 	span *obsv.Span
-
-	// run is the instance's execution budget (deadline/cancellation),
-	// threaded from Deployment.RunCtx through every activity. The engine
-	// checks it at activity boundaries; the bus and sqldb sessions check
-	// it at call/statement boundaries. Never nil after executeCtx.
-	run context.Context
 }
 
 // Span returns the span enclosing the current activity (nil-safe to
@@ -227,14 +218,16 @@ type Ctx struct {
 // what happened inside (retry=suppressed, attempt, backoff).
 func (c *Ctx) Span() *obsv.Span { return c.span }
 
-// Context returns the instance's execution context (its deadline
-// budget). Never nil: instances started without a budget report
+// Context returns the instance's execution budget (deadline or
+// cancellation), threaded from Deployment.RunCtx: activity boundaries
+// check it, and so do the bus and sqldb sessions at call and statement
+// boundaries. Never nil: instances started without a budget report
 // context.Background().
 func (c *Ctx) Context() context.Context {
-	if c == nil || c.run == nil {
+	if c == nil {
 		return context.Background()
 	}
-	return c.run
+	return c.Inst.Budget()
 }
 
 type scopeFrame struct {

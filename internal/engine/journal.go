@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"wfsql/internal/journal"
-	"wfsql/internal/obsv"
 	"wfsql/internal/xdm"
 )
 
@@ -19,40 +18,11 @@ import (
 // duplicated side effects), and execution picks up live at the first
 // un-journaled activity.
 
-// AttachJournal connects a recorder to the engine. It restores the
-// persisted dead-letter log and installs persistence hooks so future
-// dead letters (and requeues) are journaled.
-func (e *Engine) AttachJournal(rec *journal.Recorder) {
-	e.mu.Lock()
-	e.jrec = rec
-	obs := e.obs
-	e.mu.Unlock()
-	if rec != nil {
-		rec.BindHost(obs, e.DeadLetters)
-	}
-}
-
-// Journal returns the attached recorder (nil when running purely in
-// memory).
-func (e *Engine) Journal() *journal.Recorder {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.jrec
-}
-
 // RunEffect routes an effectful activity (invoke, SQL) through the
-// effect-then-memo protocol (journal.Effects.Run) on the recorder the
-// instance was created under: a resumed instance restores the memoized
-// outcome instead of executing the effect, a live one journals what out
-// saves after it, and with no journal attached the effect runs bare.
+// instance's effect-then-memo protocol (host.Instance.Effect), noting a
+// replayed outcome on the activity's span.
 func (c *Ctx) RunEffect(activity, effectKind string, effect func() error, out journal.Outcome) error {
-	in := c.Inst
-	replayed, err := in.effects.Run(in.jrec, in.ID, activity, effectKind, effect, out)
-	if replayed && err == nil {
-		c.span.Set("effect", effectKind).SetOutcome(obsv.OutcomeReplayed)
-		c.Engine.Obs().M().Counter("journal.replays").Inc()
-	}
-	return err
+	return c.Inst.Effect(c.span, activity, effectKind, effect, out)
 }
 
 // variables is the engine's one memo dialect and the outcome of every
@@ -154,11 +124,11 @@ func (d *Deployment) Resume(ij *journal.InstanceJournal) (*Instance, error) {
 	if ij.Process != d.Process.Name {
 		return nil, fmt.Errorf("engine: instance %d belongs to process %s, not %s", ij.ID, ij.Process, d.Process.Name)
 	}
-	in, err := d.newInstance(ij.ID, ij.Input, false)
+	in, err := d.newInstance(ij.ID, ij.Input)
 	if err != nil {
 		return nil, err
 	}
-	in.effects.Load(ij)
+	in.Replay(ij)
 	return in, d.Engine.executeCtx(context.Background(), in)
 }
 

@@ -101,6 +101,9 @@ var ErrWriteFailed = errors.New("journal: WAL write failed")
 // process does, without fault handlers or cleanup, because the journal
 // still holds its instances in flight and recovery needs what they left.
 func IsCrash(err error) bool {
+	if err == nil {
+		return false // before errors.As, whose target escapes to the heap
+	}
 	var ce *CrashError
 	return errors.As(err, &ce) || errors.Is(err, ErrWriteFailed)
 }

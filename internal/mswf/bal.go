@@ -227,7 +227,7 @@ func (a *InvokeWebServiceActivity) Name() string { return a.ActivityName }
 // journaled — a service's side effects do not roll back with a transaction.
 func (a *InvokeWebServiceActivity) Execute(c *Context) error {
 	h := hostVars{c: c, outputs: a.Outputs}
-	return c.RunEffect(a.ActivityName, journal.EffectInvoke,
+	return c.Effect(c.Current(), a.ActivityName, journal.EffectInvoke,
 		func() error { return a.executeLive(c) }, journal.Outcome{Save: h.save, Restore: h.restore})
 }
 
@@ -258,7 +258,7 @@ func (a *InvokeWebServiceActivity) executeLive(c *Context) error {
 	if a.Retry == nil {
 		resp, err = call(0)
 	} else {
-		resp, err = resilience.Do(a.Retry, resilience.Notes(c.currentSpan()), call)
+		resp, err = resilience.Do(a.Retry, resilience.Notes(c.Current()), call)
 	}
 	if ab := resilience.Abandoned(err); ab != nil {
 		key := req[a.DeadLetterKeyPart]
@@ -270,7 +270,7 @@ func (a *InvokeWebServiceActivity) executeLive(c *Context) error {
 			Reason:   ab.Reason,
 			LastErr:  ab.Err.Error(),
 		})
-		c.currentSpan().Set("deadletter_key", key).SetOutcome(obsv.OutcomeDeadLettered)
+		c.Current().Set("deadletter_key", key).SetOutcome(obsv.OutcomeDeadLettered)
 		if a.AbsorbExhausted {
 			for _, hv := range a.Outputs {
 				c.Set(hv, "DEADLETTERED:"+key)

@@ -111,7 +111,7 @@ func (a *SQLDatabaseActivity) Execute(c *Context) error {
 		}
 	}
 	h := hostVars{c: c, dataSet: a.ResultSetVar, rows: a.RowsAffectedVar}
-	if err := c.RunEffect(a.ActivityName, journal.EffectSQL, func() error { return a.executeLive(c) },
+	if err := c.Effect(c.Current(), a.ActivityName, journal.EffectSQL, func() error { return a.executeLive(c) },
 		journal.Outcome{Save: h.save, Restore: h.restore}); err != nil {
 		return err
 	}
@@ -148,7 +148,7 @@ func (a *SQLDatabaseActivity) executeLive(c *Context) error {
 	if a.Retry == nil {
 		res, err = execOnce(0)
 	} else {
-		res, err = resilience.Do(a.Retry, resilience.Notes(c.currentSpan()), execOnce)
+		res, err = resilience.Do(a.Retry, resilience.Notes(c.Current()), execOnce)
 	}
 	if err != nil {
 		return fmt.Errorf("%s: %w", a.ActivityName, err)

@@ -1,13 +1,13 @@
 package mswf
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
 
 	"wfsql/internal/dataset"
 	"wfsql/internal/journal"
-	"wfsql/internal/obsv"
 	"wfsql/internal/xdm"
 )
 
@@ -19,38 +19,6 @@ import (
 // database activity, web-service invoke) journals its memoized result,
 // and Resume rebuilds the context from the snapshot and replays the
 // memos in order.
-
-// AttachJournal connects a recorder to the runtime, restoring the
-// persisted dead-letter log and installing persistence hooks for
-// future dead letters and requeues.
-func (rt *Runtime) AttachJournal(rec *journal.Recorder) {
-	rt.mu.Lock()
-	rt.jrec = rec
-	obs := rt.obs
-	rt.mu.Unlock()
-	if rec != nil {
-		rec.BindHost(obs, rt.DeadLetters)
-	}
-}
-
-// Journal returns the attached recorder (nil when in-memory only).
-func (rt *Runtime) Journal() *journal.Recorder {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.jrec
-}
-
-// RunEffect routes an effectful activity (SQL database activity,
-// web-service invoke) through the effect-then-memo protocol
-// (journal.Effects.Run), exactly as engine.Ctx.RunEffect does.
-func (c *Context) RunEffect(activity, effectKind string, effect func() error, out journal.Outcome) error {
-	replayed, err := c.effects.Run(c.jrec, c.instID, activity, effectKind, effect, out)
-	if replayed && err == nil {
-		c.currentSpan().Set("effect", effectKind).SetOutcome(obsv.OutcomeReplayed)
-		c.Runtime.Obs().M().Counter("journal.replays").Inc()
-	}
-	return err
-}
 
 // hostVars is the WF runtime's one memo dialect: the host variables an
 // effectful activity publishes. A web-service invoke publishes strings
@@ -121,22 +89,6 @@ func (rt *Runtime) Resume(root Activity, ij *journal.InstanceJournal) (*Context,
 	} else {
 		c = &Context{Runtime: rt, vars: map[string]any{}}
 	}
-	c.jrec = rt.Journal()
-	c.instID = ij.ID
-	err := rt.runRoot(c, root, c.effects.Load(ij))
-	c.finishJournal(err)
-	return c, err
-}
-
-// finishJournal appends the instance-complete record for non-crash
-// terminations.
-func (c *Context) finishJournal(err error) {
-	if c.jrec == nil || journal.IsCrash(err) {
-		return
-	}
-	fault := ""
-	if err != nil {
-		fault = err.Error()
-	}
-	_ = c.jrec.InstanceComplete(c.instID, fault)
+	rt.Open(&c.Instance, ij.ID)
+	return c, rt.run(context.Background(), c, root, c.Replay(ij))
 }

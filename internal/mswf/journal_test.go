@@ -24,7 +24,7 @@ func TestSaveRunsOnlyForAJournal(t *testing.T) {
 	o.Tracer.AddSink(col)
 	rt.SetObservability(o)
 	root := NewCode("step", func(c *Context) error {
-		return c.RunEffect("step", journal.EffectSQL, func() error { effects++; return nil }, out)
+		return c.Effect(c.Current(), "step", journal.EffectSQL, func() error { effects++; return nil }, out)
 	})
 	check := func(when string, wantEffects, wantSaves, wantRestores int) {
 		t.Helper()
@@ -51,7 +51,7 @@ func TestSaveRunsOnlyForAJournal(t *testing.T) {
 	}
 	check("journaled", 2, 1, 0)
 
-	if _, err := rt.Resume(root, &journal.InstanceJournal{ID: c.instID + 1, Process: "step",
+	if _, err := rt.Resume(root, &journal.InstanceJournal{ID: c.ID + 1, Process: "step",
 		Memos: map[string][]journal.Memo{"step": {{Occurrence: 1, Kind: journal.EffectSQL, Data: map[string]string{"k": "v"}}}}}); err != nil {
 		t.Fatal(err)
 	}

@@ -398,8 +398,14 @@ func TestIfElse(t *testing.T) {
 	}
 }
 
+// TestParallel runs two branches of one instance at once, traced, so the
+// race detector sees them share the instance's activity boundary.
 func TestParallel(t *testing.T) {
 	rt := NewRuntime()
+	col := obsv.NewCollector()
+	o := obsv.New()
+	o.Tracer.AddSink(col)
+	rt.SetObservability(o)
 	wf := &ParallelActivity{ActivityName: "par", Children: []Activity{
 		NewCode("a", func(c *Context) error { c.Set("a", 1); return nil }),
 		NewCode("b", func(c *Context) error { c.Set("b", 1); return nil }),
@@ -407,6 +413,9 @@ func TestParallel(t *testing.T) {
 	c, err := rt.Run(wf, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := len(col.ByKind(obsv.KindActivity)); n != 3 {
+		t.Fatalf("%d activity spans, want 3 (par, a, b)", n)
 	}
 	if _, ok := c.Get("a"); !ok {
 		t.Fatal("branch a missing")

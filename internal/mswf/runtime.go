@@ -15,16 +15,13 @@ package mswf
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
-	"wfsql/internal/journal"
-	"wfsql/internal/obsv"
-	"wfsql/internal/resilience"
+	"wfsql/internal/host"
 	"wfsql/internal/sqldb"
 )
 
@@ -41,12 +38,13 @@ const (
 
 // Runtime is the workflow runtime engine together with its host-level
 // configuration (registered databases, code handlers, rule conditions).
+// The embedded host.Host holds its dead-letter log (web-service
+// invocations whose retries were exhausted; WF would use a tracking or
+// persistence service for this role), journal and observability (metrics
+// "wf.…"; each run emits an instance span with stack "WF" and one
+// activity span per activity, WF's tracking service role).
 type Runtime struct {
-	// DeadLetters collects web-service invocations whose retries were
-	// exhausted and that the workflow absorbed instead of faulting — the
-	// host-level reliability audit trail (WF would use a tracking or
-	// persistence service for this role).
-	DeadLetters *resilience.DeadLetterLog
+	host.Host
 
 	mu        sync.RWMutex
 	databases map[string]registeredDB
@@ -54,33 +52,6 @@ type Runtime struct {
 	handlers  map[string]func(*Context) error
 	rules     map[string]func(*Context) (bool, error)
 	services  map[string]func(map[string]string) (map[string]string, error)
-	jrec      *journal.Recorder
-	obs       *obsv.Observability
-}
-
-// SetObservability attaches (or with nil detaches) a tracing/metrics
-// bundle: each Run then emits an instance span (stack "WF") with one
-// activity span per executed activity — WF's tracking service role —
-// and the bundle is propagated to the dead-letter log and any attached
-// journal recorder.
-func (rt *Runtime) SetObservability(o *obsv.Observability) {
-	rt.mu.Lock()
-	rt.obs = o
-	jrec := rt.jrec
-	rt.mu.Unlock()
-	if rt.DeadLetters != nil {
-		rt.DeadLetters.SetObservability(o)
-	}
-	if jrec != nil {
-		jrec.SetObservability(o)
-	}
-}
-
-// Obs returns the attached observability bundle (nil-safe to use).
-func (rt *Runtime) Obs() *obsv.Observability {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.obs
 }
 
 type registeredDB struct {
@@ -90,14 +61,15 @@ type registeredDB struct {
 
 // NewRuntime creates a workflow runtime.
 func NewRuntime() *Runtime {
-	return &Runtime{
-		DeadLetters: resilience.NewDeadLetterLog(),
-		databases:   map[string]registeredDB{},
-		connCache:   map[string]*sqldb.DB{},
-		handlers:    map[string]func(*Context) error{},
-		rules:       map[string]func(*Context) (bool, error){},
-		services:    map[string]func(map[string]string) (map[string]string, error){},
+	rt := &Runtime{
+		databases: map[string]registeredDB{},
+		connCache: map[string]*sqldb.DB{},
+		handlers:  map[string]func(*Context) error{},
+		rules:     map[string]func(*Context) (bool, error){},
+		services:  map[string]func(map[string]string) (map[string]string, error){},
 	}
+	rt.Init("wf")
+	return rt
 }
 
 // RegisterService installs a named external service for
@@ -215,53 +187,15 @@ func (rt *Runtime) openConnection(connStr string) (*sqldb.DB, error) {
 
 // Context is the execution context of a workflow instance: host variables
 // plus runtime access. WF host variables are fields of the workflow class;
-// here they are a typed map.
+// here they are a typed map. The embedded host.Instance holds the
+// instance's ID, journal, budget and spans.
 type Context struct {
+	host.Instance
 	Runtime *Runtime
 
 	mu       sync.Mutex
 	vars     map[string]any
 	sessions map[*sqldb.DB]*sqldb.Session // one session per DB per instance
-
-	// Durable-execution state (see journal.go): the durable instance
-	// ID, the attached recorder, and the effect-then-memo protocol's
-	// replay queues and occurrence counters.
-	instID  int64
-	jrec    *journal.Recorder
-	effects journal.Effects
-
-	// Observability spans: the instance span for the whole run and the
-	// innermost activity span currently executing (a serial
-	// approximation; parallel branches share it, mirroring the tracer's
-	// ambient fallback).
-	span    *obsv.Span
-	spanTop *obsv.Span
-
-	// runCtx is the instance's execution budget (RunCtx). Activities are
-	// refused at their boundary once it expires, and every SQL session the
-	// instance opens is bound to it so statements are refused at the next
-	// statement boundary. Nil when the instance runs without a budget.
-	runCtx context.Context
-}
-
-// Context returns the instance's execution-budget context (never nil).
-func (c *Context) Context() context.Context {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.runCtx == nil {
-		return context.Background()
-	}
-	return c.runCtx
-}
-
-// currentSpan returns the innermost open span (activity, else instance).
-func (c *Context) currentSpan() *obsv.Span {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.spanTop != nil {
-		return c.spanTop
-	}
-	return c.span
 }
 
 // SessionFor returns this instance's session on db, opening it on first
@@ -281,11 +215,9 @@ func (c *Context) SessionFor(db *sqldb.DB) *sqldb.Session {
 	s, ok := c.sessions[db]
 	if !ok {
 		s = db.Session()
-		if c.runCtx != nil {
-			// Deadline propagation: the instance budget gates every
-			// statement boundary of its sessions.
-			s.BindContext(c.runCtx)
-		}
+		// Deadline propagation: the instance budget gates every
+		// statement boundary of its sessions.
+		s.BindContext(c.Budget())
 		c.sessions[db] = s
 	}
 	return s
@@ -378,102 +310,42 @@ func (rt *Runtime) Run(root Activity, initial map[string]any) (*Context, error) 
 	return rt.RunCtx(context.Background(), root, initial)
 }
 
-// ErrBudgetExceeded is wrapped into the fault an activity returns when the
-// instance's execution budget (RunCtx) expired before the activity could
-// start.
-var ErrBudgetExceeded = errors.New("mswf: instance budget exceeded")
-
 // RunCtx executes a workflow under an execution budget: once ctx expires,
 // the next activity boundary refuses to start (the run faults with
-// ErrBudgetExceeded) and every SQL session of the instance refuses further
-// statements. Cancellation is cooperative — a running statement or handler
-// finishes; the budget is enforced at boundaries.
+// host.ErrBudgetExceeded) and every SQL session of the instance refuses
+// further statements. Cancellation is cooperative — a running statement or
+// handler finishes; the budget is enforced at boundaries.
 func (rt *Runtime) RunCtx(ctx context.Context, root Activity, initial map[string]any) (*Context, error) {
-	c := &Context{Runtime: rt, vars: map[string]any{}, runCtx: ctx}
+	c := &Context{Runtime: rt, vars: map[string]any{}}
 	for k, v := range initial {
 		c.vars[k] = v
 	}
-	if rec := rt.Journal(); rec != nil {
-		c.jrec = rec
-		c.instID = rec.AllocateID()
-		if err := rec.InstanceCreated(c.instID, root.Name(), "wf",
+	rt.Open(&c.Instance, 0)
+	if rec := c.Journal(); rec != nil {
+		if err := rec.InstanceCreated(c.ID, root.Name(), "wf",
 			map[string]string{"state": SaveState(c)}); err != nil {
 			return c, err
 		}
 	}
-	err := rt.runRoot(c, root, -1)
-	c.finishJournal(err)
-	return c, err
+	return c, rt.run(ctx, c, root, -1)
 }
 
-// runRoot executes the workflow root under an instance span (stack
-// "WF"), shared by Run and Resume; a resumed run (memos >= 0) notes on
-// it how many memoized effects it was handed.
-func (rt *Runtime) runRoot(c *Context, root Activity, memos int) error {
-	obs := rt.Obs()
-	span := obs.T().Start(0, obsv.KindInstance, root.Name())
-	if span != nil {
-		span.Stack = "WF"
-		span.Instance = c.instID
-		if memos >= 0 {
-			span.Set("memos", strconv.Itoa(memos))
-		}
-		c.mu.Lock()
-		c.span = span
-		c.mu.Unlock()
-		obs.T().SetAmbient(span.SpanID())
-		defer obs.T().SetAmbient(0)
+// run executes the workflow root between the instance's Begin and End,
+// shared by RunCtx and Resume; a resumed run (memos >= 0) notes on the
+// instance span how many memoized effects it was handed.
+func (rt *Runtime) run(ctx context.Context, c *Context, root Activity, memos int) error {
+	if span := rt.Begin(&c.Instance, ctx, root.Name(), "WF"); memos >= 0 {
+		span.Set("memos", strconv.Itoa(memos))
 	}
-	obs.M().Counter("wf.instances").Inc()
-	err := runActivity(c, root)
-	switch {
-	case journal.IsCrash(err):
-		span.End(obsv.OutcomeCrashed)
-	case err != nil:
-		span.Set("fault", err.Error()).End(obsv.OutcomeFault)
-	default:
-		span.End(obsv.OutcomeOK)
-	}
-	return err
+	return c.End(runActivity(c, root))
 }
 
+// runActivity runs an activity inside the instance's activity boundary
+// (host.Instance.Enter/Exit), under the innermost open activity.
 func runActivity(c *Context, a Activity) error {
-	obs := c.Runtime.Obs()
-	// Budget boundary: an expired instance budget refuses the activity
-	// before it starts (mirrors engine.execChild).
-	if err := c.Context().Err(); err != nil {
-		obs.M().Counter("wf.deadline_expired").Inc()
-		return fmt.Errorf("%s: %w: %w", a.Name(), ErrBudgetExceeded, err)
-	}
-	var sp *obsv.Span
-	if t := obs.T(); t != nil {
-		sp = t.Start(c.currentSpan().SpanID(), obsv.KindActivity, a.Name())
-		sp.Stack = "WF"
-		sp.Instance = c.instID
-		c.mu.Lock()
-		prev := c.spanTop
-		c.spanTop = sp
-		c.mu.Unlock()
-		prevAmb := t.Ambient()
-		t.SetAmbient(sp.SpanID())
-		defer func() {
-			t.SetAmbient(prevAmb)
-			c.mu.Lock()
-			c.spanTop = prev
-			c.mu.Unlock()
-		}()
-	}
-	obs.M().Counter("wf.activities").Inc()
-	if err := a.Execute(c); err != nil {
-		if journal.IsCrash(err) {
-			sp.End(obsv.OutcomeCrashed)
-		} else {
-			sp.Set("fault", err.Error()).End(obsv.OutcomeFault)
-		}
+	act, err := c.Enter(c.Current(), a.Name())
+	if err != nil {
 		return err
 	}
-	// End("") keeps an outcome recorded earlier (e.g. OutcomeReplayed
-	// from the journal replay path), defaulting to OK.
-	sp.End("")
-	return nil
+	return c.Exit(act, a.Execute(c))
 }

@@ -67,10 +67,11 @@ func TestObservabilityFigureTraces(t *testing.T) {
 		wantBus bool
 		instCtr string // counter that must read 1
 		actCtr  string // counter that must equal the activity-span count
+		doneCtr string // counter that must read 1
 	}{
-		{StackBIS, true, "engine.instances", "engine.activities"},
-		{StackWF, false, "wf.instances", "wf.activities"},
-		{StackOracle, true, "engine.instances", "engine.activities"},
+		{StackBIS, true, "engine.instances", "engine.activities", "engine.instances.completed"},
+		{StackWF, false, "wf.instances", "wf.activities", "wf.instances.completed"},
+		{StackOracle, true, "engine.instances", "engine.activities", "engine.instances.completed"},
 	}
 	for _, st := range stacks {
 		st := st
@@ -112,6 +113,9 @@ func TestObservabilityFigureTraces(t *testing.T) {
 			if root.EndTime.IsZero() {
 				t.Error("instance span never ended")
 			}
+			if root.Instance == 0 {
+				t.Error("instance span has no instance id")
+			}
 
 			// Activity spans exist, inherit the stack label, and agree
 			// with the activity counter.
@@ -123,12 +127,17 @@ func TestObservabilityFigureTraces(t *testing.T) {
 				if a.Stack != st.Name {
 					t.Errorf("activity %q stack = %q, want %q", a.Name, a.Stack, st.Name)
 				}
+				if a.Instance != root.Instance {
+					t.Errorf("activity %q instance = %d, want %d", a.Name, a.Instance, root.Instance)
+				}
 			}
 			if got := o.M().Counter(st.actCtr).Value(); got != int64(len(acts)) {
 				t.Errorf("%s = %d, want %d (one per activity span)", st.actCtr, got, len(acts))
 			}
-			if got := o.M().Counter(st.instCtr).Value(); got != 1 {
-				t.Errorf("%s = %d, want 1", st.instCtr, got)
+			for _, name := range []string{st.instCtr, st.doneCtr} {
+				if got := o.M().Counter(name).Value(); got != 1 {
+					t.Errorf("%s = %d, want 1", name, got)
+				}
 			}
 
 			// Every SQL statement is traced and parented under an

@@ -62,7 +62,8 @@ bench-test:
 # iff equal under compareValues), the Value layout (the 32-byte value
 # agrees with the 48-byte one on comparisons, coercions, keys and
 # encodings), the LIKE matcher (equal to a regexp
-# oracle) and xdm's block clone (equal to its
+# oracle), the GROUP BY group table (the same bins, in first-seen order,
+# as a map keyed on appendValueKey) and xdm's block clone (equal to its
 # source, and a write to it never reaches the source). CI-friendly; raise
 # -fuzztime manually for longer campaigns.
 fuzz:
@@ -74,6 +75,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzIndexKey$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzValueLayout$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzLike$$' -fuzztime=15s ./internal/sqldb/
+	$(GO) test -fuzz='^FuzzGroupKey$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzClone$$' -fuzztime=15s ./internal/xdm/
 
 # The CLIs end to end, writing into ARTIFACTS (a fresh temporary

@@ -102,7 +102,7 @@ func (a *SQLActivity) Execute(ctx *engine.Ctx) error {
 		st.mu.Unlock()
 		return nil
 	}
-	return ctx.RunEffect(a.ActivityName, journal.EffectSQL,
+	return ctx.Inst.Effect(ctx.Span(), a.ActivityName, journal.EffectSQL,
 		func() error { return a.executeLive(ctx, st) }, journal.Outcome{Save: save, Restore: restore})
 }
 

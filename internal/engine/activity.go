@@ -442,7 +442,7 @@ func (iv *Invoke) Name() string { return iv.ActivityName }
 // instance replays the response without re-invoking the service.
 func (iv *Invoke) Execute(ctx *Ctx) error {
 	v := variables{ctx: ctx, parts: iv.Outputs}
-	return ctx.RunEffect(iv.ActivityName, journal.EffectInvoke,
+	return ctx.Inst.Effect(ctx.span, iv.ActivityName, journal.EffectInvoke,
 		func() error { return iv.executeLive(ctx) }, journal.Outcome{Save: v.save, Restore: v.restore})
 }
 

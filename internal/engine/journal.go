@@ -18,13 +18,6 @@ import (
 // duplicated side effects), and execution picks up live at the first
 // un-journaled activity.
 
-// RunEffect routes an effectful activity (invoke, SQL) through the
-// instance's effect-then-memo protocol (host.Instance.Effect), noting a
-// replayed outcome on the activity's span.
-func (c *Ctx) RunEffect(activity, effectKind string, effect func() error, out journal.Outcome) error {
-	return c.Inst.Effect(c.span, activity, effectKind, effect, out)
-}
-
 // variables is the engine's one memo dialect and the outcome of every
 // effect whose visible result is process variables — Journaled's captures
 // (names), Invoke's outputs (the values of parts): an XML variable as
@@ -90,7 +83,7 @@ func (v variables) restore(memo map[string]string) error {
 // on completion the listed variables are captured into the memo, and on
 // replay they are restored without re-executing the inner activity.
 // This is how effects embedded in otherwise-generic activities (e.g.
-// Oracle's ora:processXSQL inside an Assign) get RunEffect's guarantee.
+// Oracle's ora:processXSQL inside an Assign) get the effect-then-memo guarantee.
 type JournaledActivity struct {
 	Inner      Activity
 	EffectKind string
@@ -110,7 +103,7 @@ func (j *JournaledActivity) Name() string { return j.Inner.Name() }
 // Execute implements Activity.
 func (j *JournaledActivity) Execute(ctx *Ctx) error {
 	v := variables{ctx: ctx, names: j.Captures}
-	return ctx.RunEffect(j.Inner.Name(), j.EffectKind,
+	return ctx.Inst.Effect(ctx.span, j.Inner.Name(), j.EffectKind,
 		func() error { return j.Inner.Execute(ctx) }, journal.Outcome{Save: v.save, Restore: v.restore})
 }
 

@@ -19,7 +19,7 @@ func TestSaveRunsOnlyForAJournal(t *testing.T) {
 	}
 	e := New(wsbus.New())
 	d, err := e.Deploy(&Process{Name: "P", Body: NewSnippet("step", func(ctx *Ctx) error {
-		return ctx.RunEffect("step", journal.EffectSQL, func() error { effects++; return nil }, out)
+		return ctx.Inst.Effect(ctx.Span(), "step", journal.EffectSQL, func() error { effects++; return nil }, out)
 	})})
 	if err != nil {
 		t.Fatal(err)

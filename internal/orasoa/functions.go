@@ -132,8 +132,10 @@ func (f *Functions) CallFunction(name string, args []xpath.Value) (xpath.Value, 
 	f.calls[local]++
 	obs := f.obs
 	f.mu.Unlock()
-	obs.M().Counter("ora.calls").Inc()
-	obs.M().Counter("ora.calls." + local).Inc()
+	if m := obs.M(); m != nil { // the name is built only for a registry to count it
+		m.Counter("ora.calls").Inc()
+		m.Counter("ora.calls." + local).Inc()
+	}
 	switch local {
 	case "query-database":
 		return f.queryDatabase(args)

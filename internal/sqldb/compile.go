@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -298,7 +299,7 @@ func (c *compiler) compile(x Expr) evalFn {
 	case *SubqueryExpr:
 		return c.subquery(t.Query, scalarResult)
 	case *FuncCall:
-		if aggregateNames[t.Name] {
+		if slices.Contains(aggregateNames, t.Name) {
 			return c.aggregate(t)
 		}
 		c.unsafe = true
@@ -495,11 +496,17 @@ func (c *compiler) caseExpr(t *CaseExpr) evalFn {
 
 // aggSpec is one aggregate call of a grouped SELECT.
 type aggSpec struct {
-	name     string
+	op       aggOp
 	star     bool
 	distinct bool
 	arg      getter
 }
+
+// aggOp is an aggregate's function, decided at planning: its name's
+// position in aggregateNames.
+type aggOp uint8
+
+const aggCount, aggSum, aggAvg, aggMin, aggMax aggOp = 0, 1, 2, 3, 4
 
 // aggState is one slot of one group.
 type aggState struct {
@@ -508,7 +515,7 @@ type aggState struct {
 	fi     int64
 	ff     float64
 	best   Value
-	seen   map[string]struct{}
+	seen   map[string]int
 	err    error // first argument error; raised when the slot is read
 	bad    bool  // a value SUM/AVG cannot add or MIN/MAX cannot compare
 }
@@ -520,7 +527,7 @@ func (c *compiler) aggregate(t *FuncCall) evalFn {
 	if c.aggs == nil {
 		return func(*env) (Value, error) { return Null(), errAggregateContext(t.Name) }
 	}
-	sp := aggSpec{name: t.Name, star: t.Name == "COUNT" && t.Star, distinct: t.Distinct}
+	sp := aggSpec{op: aggOp(slices.Index(aggregateNames, t.Name)), star: t.Name == "COUNT" && t.Star, distinct: t.Distinct}
 	if !sp.star {
 		if len(t.Args) != 1 {
 			return func(*env) (Value, error) {
@@ -538,7 +545,7 @@ func (c *compiler) aggregate(t *FuncCall) evalFn {
 	}
 	slot := len(*c.aggs)
 	*c.aggs = append(*c.aggs, sp)
-	return func(e *env) (Value, error) { return e.aggs[slot].result(t.Name) }
+	return func(e *env) (Value, error) { return e.aggs[slot].result(sp.op, t.Name) }
 }
 
 // add feeds the slot the row in e.
@@ -562,55 +569,49 @@ func (a *aggState) add(sp *aggSpec, e *env, kb *[]byte) {
 	}
 	if sp.distinct {
 		*kb = appendValueKey((*kb)[:0], *v)
-		if _, dup := a.seen[string(*kb)]; dup {
+		if n := len(a.seen); numberKey(&a.seen, *kb, n) < n {
 			return
 		}
-		if a.seen == nil {
-			a.seen = map[string]struct{}{}
-		}
-		a.seen[string(*kb)] = struct{}{}
 	}
 	a.n++
-	switch sp.name {
-	case "SUM", "AVG":
+	switch {
+	case sp.op == aggCount:
+	case sp.op <= aggAvg && v.K == KindInt:
+		a.fi += v.I
+		a.ff += float64(v.I)
+	case sp.op <= aggAvg:
 		f, ok := v.AsFloat()
 		a.bad = a.bad || !ok
 		a.ff += f
-		if v.K == KindInt {
-			a.fi += v.I
-		} else {
-			a.floats = true
-		}
-	case "MIN", "MAX":
-		if a.n == 1 {
-			a.best = *v
-			return
-		}
-		cmp, ok := v.compare(&a.best)
+		a.floats = true
+	case a.n == 1:
+		a.best = *v
+	default:
+		c, ok := v.compare(&a.best)
 		a.bad = a.bad || !ok
-		if (sp.name == "MIN" && cmp < 0) || (sp.name == "MAX" && cmp > 0) {
+		if (sp.op == aggMin && c < 0) || (sp.op == aggMax && c > 0) {
 			a.best = *v
 		}
 	}
 }
 
-func (a *aggState) result(name string) (Value, error) {
+func (a *aggState) result(op aggOp, name string) (Value, error) {
 	switch {
 	case a.err != nil:
 		return Null(), a.err
-	case name == "COUNT":
+	case op == aggCount:
 		return Int(a.n), nil
 	case a.n == 0:
 		return Null(), nil
-	case a.bad && name[0] == 'M':
+	case a.bad && op >= aggMin:
 		return Null(), fmt.Errorf("sqldb: %s over incomparable values", name)
 	case a.bad:
 		return Null(), fmt.Errorf("sqldb: %s over non-numeric value", name)
-	case name == "AVG":
+	case op == aggAvg:
 		return Float(a.ff / float64(a.n)), nil
-	case name == "SUM" && a.floats:
+	case op == aggSum && a.floats:
 		return Float(a.ff), nil
-	case name == "SUM":
+	case op == aggSum:
 		return Int(a.fi), nil
 	}
 	return a.best, nil

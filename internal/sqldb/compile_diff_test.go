@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -469,7 +470,7 @@ func eval(x Expr, e *env) (Value, error) {
 		}
 		return scalarResult(res)
 	case *FuncCall:
-		if aggregateNames[t.Name] {
+		if slices.Contains(aggregateNames, t.Name) {
 			return Null(), errAggregateContext(t.Name)
 		}
 		args := make([]Value, len(t.Args))

@@ -27,10 +27,9 @@ type env struct {
 	outer   *env
 }
 
-// aggregateNames are function names treated as aggregates.
-var aggregateNames = map[string]bool{
-	"COUNT": true, "SUM": true, "AVG": true, "MIN": true, "MAX": true,
-}
+// aggregateNames are function names treated as aggregates, in aggOp
+// order.
+var aggregateNames = []string{"COUNT", "SUM", "AVG", "MIN", "MAX"}
 
 // Value-level operators, applied by the compiled closures.
 

@@ -82,6 +82,7 @@ func FuzzNormalizeStmt(f *testing.F) {
 	f.Add("INSERT INTO t (a, b) VALUES (1, 'it''s'), (?, :n)")
 	f.Add("UPDATE t SET a = a + 1.5e3 WHERE b IN (SELECT c FROM u ORDER BY 2) ;")
 	f.Add("DELETE FROM \"my t\" WHERE a = -1 OR b = .5")
+	f.Add("SELECT Größe FROM Bestellung WHERE Straße = 'Ö' AND ß = :straße")
 	f.Fuzz(func(t *testing.T, sql string) {
 		n, ok := normalizeStmt(sql)
 		if !ok {

@@ -63,11 +63,11 @@ func createTableAsStmt(name string, q *ParsedQuery) (Stmt, string) {
 // execBuilt executes a constructor's statement. Names render unquoted, so
 // one the lexer would not read back as that identifier is refused.
 func (s *Session) execBuilt(name string, st Stmt, src string, slot *stmtSlot, charge *atomic.Int64, params []Value) (*Result, error) {
-	ok := name != "" && isIdentStart(rune(name[0])) && !keywords[strings.ToUpper(name)]
-	for i := 1; ok && i < len(name); i++ {
-		ok = isIdentPart(rune(name[i]))
+	l := lexer{src: name}
+	if name != "" && isIdentStart(firstRune(name)) {
+		l.skipIdentPart()
 	}
-	if !ok {
+	if l.pos == 0 || l.pos < len(name) || keywords[strings.ToUpper(name)] {
 		return nil, fmt.Errorf("sqldb: %q is not a plain identifier", name)
 	}
 	return s.execStmt(st, slot, charge, 0, "", src, params)

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind classifies lexical tokens of the SQL dialect.
@@ -97,18 +98,16 @@ func (l *lexer) next() (token, error) {
 		return l.lexQuotedIdent()
 	case c >= '0' && c <= '9', c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
 		return l.lexNumber()
-	case isIdentStart(rune(c)):
+	case isIdentStart(firstRune(l.src[l.pos:])):
 		return l.lexIdent()
 	case c == '?':
 		l.pos++
 		return token{kind: tokParam, text: "?", pos: start}, nil
-	case (c == ':' || c == '@') && l.pos+1 < len(l.src) && isIdentStart(rune(l.src[l.pos+1])):
+	case (c == ':' || c == '@') && l.pos+1 < len(l.src) && isIdentStart(firstRune(l.src[l.pos+1:])):
 		// A named placeholder: :name, or @name as SQL Server writes it.
 		l.pos++
 		nameStart := l.pos
-		for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-			l.pos++
-		}
+		l.skipIdentPart()
 		return token{kind: tokParam, text: l.src[nameStart:l.pos], pos: start}, nil
 	}
 	// Multi-char symbols first.
@@ -126,7 +125,24 @@ func (l *lexer) next() (token, error) {
 		l.pos++
 		return token{kind: tokSymbol, text: string(c), pos: start}, nil
 	}
-	return token{}, l.errorf(start, "unexpected character %q", string(c))
+	return token{}, l.errorf(start, "unexpected character %q", string(firstRune(l.src[start:])))
+}
+
+// firstRune decodes the character s starts with (utf8.RuneError for an
+// invalid sequence); an ASCII byte is its own character.
+func firstRune(s string) rune {
+	r := rune(s[0])
+	if r >= utf8.RuneSelf {
+		r, _ = utf8.DecodeRuneInString(s)
+	}
+	return r
+}
+
+// skipIdentPart advances past the identifier characters at l.pos.
+func (l *lexer) skipIdentPart() {
+	for l.pos < len(l.src) && isIdentPart(firstRune(l.src[l.pos:])) {
+		l.pos += utf8.RuneLen(firstRune(l.src[l.pos:])) // a valid character: RuneError is no letter
+	}
 }
 
 func (l *lexer) skipSpaceAndComments() {
@@ -228,9 +244,7 @@ done:
 
 func (l *lexer) lexIdent() (token, error) {
 	start := l.pos
-	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-		l.pos++
-	}
+	l.skipIdentPart()
 	text := l.src[start:l.pos]
 	up := strings.ToUpper(text)
 	if keywords[up] {

@@ -140,6 +140,14 @@ func TestSelectAllocsDoNotScaleWithRows(t *testing.T) {
 	if groups != 64 || a4096 > a512+8 {
 		t.Errorf("aggregate over 4096 rows: %.0f allocations for %d groups, %.0f over 512 rows", a4096, groups, a512)
 	}
+	// The groups: a group is an ordinal into the plan's slabs, and the
+	// output rows share one backing, so 64 groups allocate what 8 do.
+	const bySQL = "SELECT ItemID, COUNT(*), SUM(Quantity) FROM Orders WHERE OrderID <= ? GROUP BY ItemID"
+	g8, n8 := allocs(big, bySQL, Int(8))
+	g64, n64 := allocs(big, bySQL, Int(64))
+	if n8 != 8 || n64 != 64 || g64 > g8+2 || g64 < g8-2 {
+		t.Errorf("groups: %.0f allocations for %d groups, %.0f for %d", g64, n64, g8, n8)
+	}
 	// The join: 64 items × 32 suppliers, 16 rows out. (It was 2 155: one
 	// concatenated row per candidate pair.)
 	if n, rows := allocs(big, readJoinSQL, Str("region1")); rows != 16 || n > 60+4*float64(rows) {

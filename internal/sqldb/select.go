@@ -81,11 +81,57 @@ type orderKey struct {
 	desc bool
 }
 
-// group is one GROUP BY bin: its first row, for columns read outside an
-// aggregate, and one accumulator per aggregate call.
-type group struct {
-	row  []Value
-	aggs []aggState
+// groupTable numbers one run's GROUP BY bins in first-seen order. Bin g
+// is an ordinal into two slabs: first, its first row (for columns read
+// outside an aggregate), first[g*w:(g+1)*w] for rows w wide, and aggs,
+// its len(p.aggs) aggStates. A plan keeps the table for every run of its
+// slot: reset empties it, keeping its memory.
+type groupTable struct {
+	strs, keys map[string]int
+	n          int
+	first      []Value
+	aggs       []aggState
+}
+
+// idleGroups is the most bins an idle plan keeps the memory of; a run
+// that made more drops its table.
+const idleGroups = 1024
+
+func (t *groupTable) reset() {
+	clear(t.strs)
+	clear(t.keys)
+	clear(t.first)
+	clear(t.aggs)
+	t.n, t.first, t.aggs = 0, t.first[:0], t.aggs[:0]
+}
+
+// add starts bin t.n with a copy of its first row and na zeroed slots.
+func (t *groupTable) add(row []Value, na int) {
+	t.n++
+	t.first = append(t.first, row...)
+	t.aggs = slices.Grow(t.aggs, na)[:len(t.aggs)+na] // zero past len: reset cleared what a run used
+}
+
+// numberKey is number for a key encoded in kb (GROUP BY, DISTINCT, UNION
+// and hash-join keys). The lookup converts kb without a copy: only a new
+// key is copied.
+func numberKey(m *map[string]int, kb []byte, n int) int {
+	if g, ok := (*m)[string(kb)]; ok {
+		return g
+	}
+	return number(m, string(kb), n)
+}
+
+// number finds k in *m, or numbers it n.
+func number(m *map[string]int, k string, n int) int {
+	g, ok := (*m)[k]
+	if !ok {
+		if *m == nil {
+			*m = map[string]int{}
+		}
+		g, (*m)[k] = n, n
+	}
+	return g
 }
 
 // selectPlan is one SELECT (and, through union, the arms after it) ready
@@ -114,14 +160,14 @@ type selectPlan struct {
 	defaults []cell   // INSERT: the DEFAULTs of the columns the rows leave out
 	version  []Value  // INSERT, UPDATE: a new version's values, in table order
 
-	level    int // deepest open source; levelNew, levelDone
-	rows     [][]Value
-	keys     []Value // ORDER BY keys of rows, len(order) each
-	groups   []*group
-	groupIdx map[string]*group
-	seen     map[string]struct{} // DISTINCT
-	kb       []byte
-	nread    int64
+	level  int // deepest open source; levelNew, levelDone
+	rows   [][]Value
+	keys   []Value // ORDER BY keys of rows, len(order) each
+	groups groupTable
+	out    []Value        // backing the next output rows are cut from (a grouped run sizes it for all its groups)
+	seen   map[string]int // DISTINCT
+	kb     []byte
+	nread  int64
 }
 
 const levelNew, levelDone = -1, -2
@@ -580,8 +626,8 @@ func (p *selectPlan) run(outer *env) (*Result, error) {
 			}
 			rows = append(rows, more...)
 			if !arm.q.UnionAll {
-				seen := map[string]struct{}{}
-				rows = slices.DeleteFunc(rows, func(row []Value) bool { return p.duplicate(seen, row) })
+				var seen map[string]int
+				rows = slices.DeleteFunc(rows, func(row []Value) bool { return p.duplicate(&seen, row) })
 			}
 		}
 		keys = make([]Value, 0, len(rows)*len(p.order))
@@ -641,7 +687,9 @@ func count(fn evalFn, outer *env, what string, def int) (int, error) {
 func (p *selectPlan) runArm(outer *env, stopAt int) ([][]Value, error) {
 	e := &p.env
 	e.outer, e.row, e.aggs = outer, p.buf, nil
-	p.level, p.rows, p.keys, p.groups, p.groupIdx, p.seen = levelNew, nil, p.keys[:0], nil, nil, nil
+	p.level, p.rows, p.keys, p.seen = levelNew, nil, p.keys[:0], nil
+	t, na := &p.groups, len(p.aggs)
+	t.reset()
 	for k := range p.srcs {
 		if j := p.srcs[k].join; j != nil {
 			j.built = false
@@ -649,7 +697,7 @@ func (p *selectPlan) runArm(outer *env, stopAt int) ([][]Value, error) {
 	}
 	if p.grouped && len(p.groupBy) == 0 {
 		// No GROUP BY: one group, present even over no rows (COUNT(*) = 0).
-		p.groups = []*group{{aggs: make([]aggState, len(p.aggs))}}
+		t.add(nil, na)
 	}
 	defer p.countRows()
 	full := func() bool { return stopAt >= 0 && len(p.rows) >= stopAt }
@@ -674,15 +722,19 @@ func (p *selectPlan) runArm(outer *env, stopAt int) ([][]Value, error) {
 		if err != nil {
 			return nil, err
 		}
+		states := t.aggs[g*na:]
 		for i := range p.aggs {
-			g.aggs[i].add(&p.aggs[i], e, &p.kb)
+			states[i].add(&p.aggs[i], e, &p.kb)
 		}
 	}
-	for _, g := range p.groups {
-		if full() {
-			break
+	if p.grouped {
+		p.out, p.rows = make([]Value, t.n*len(p.items)), make([][]Value, 0, t.n)
+	}
+	for g, w := 0, len(e.cols); g < t.n && !full(); g++ {
+		e.row, e.aggs = nil, t.aggs[g*na:(g+1)*na]
+		if len(t.first) > 0 { // else no GROUP BY and no rows
+			e.row = t.first[g*w : (g+1)*w : (g+1)*w]
 		}
-		e.row, e.aggs = g.row, g.aggs
 		if p.having != nil {
 			if ok, err := p.having(e); err != nil {
 				return nil, err
@@ -865,13 +917,11 @@ rows:
 			kb = appendKey(kb, vals[ci])
 		}
 		p.kb = kb
-		i, ok := src.hash[string(kb)]
-		if !ok {
-			i = len(src.buckets)
-			src.hash[string(kb)] = i
-			src.buckets = append(src.buckets, nil)
+		if i := numberKey(&src.hash, kb, len(src.buckets)); i < len(src.buckets) {
+			src.buckets[i] = append(src.buckets[i], vals)
+		} else {
+			src.buckets = append(src.buckets, [][]Value{vals})
 		}
-		src.buckets[i] = append(src.buckets[i], vals)
 	}
 	return nil
 }
@@ -919,57 +969,50 @@ func (p *selectPlan) advance(k int) (bool, error) {
 	return false, nil
 }
 
-// groupOf finds or starts the current row's group.
-func (p *selectPlan) groupOf() (*group, error) {
-	e := &p.env
+// groupOf finds or starts the current row's group: its ordinal. One
+// VARCHAR key probes the table's strs, every other key its keys, encoded
+// with appendValueKey.
+func (p *selectPlan) groupOf() (int, error) {
+	e, t := &p.env, &p.groups
 	if len(p.groupBy) == 0 {
-		g := p.groups[0]
-		if g.row == nil {
-			g.row = p.stableRow()
+		if len(t.first) == 0 {
+			t.first = append(t.first, e.row...)
 		}
-		return g, nil
+		return 0, nil
 	}
-	kb := p.kb[:0]
+	var v Value
+	var err error
+	g, kb := -1, p.kb[:0]
 	for _, k := range p.groupBy {
 		if k.fn == nil {
-			kb = appendValueKey(kb, e.row[k.col])
-			continue
+			v = e.row[k.col]
+		} else if v, err = k.fn(e); err != nil {
+			return 0, err
 		}
-		v, err := k.fn(e)
-		if err != nil {
-			return nil, err
+		if len(p.groupBy) == 1 && v.K == KindString {
+			g = number(&t.strs, v.S, t.n)
+		} else {
+			kb = appendValueKey(kb, v)
 		}
-		kb = appendValueKey(kb, v)
 	}
-	p.kb = kb
-	// Lookups convert the scratch key with string(kb), which the compiler
-	// keeps off the heap — only a new group pays for a string copy.
-	g, ok := p.groupIdx[string(kb)]
-	if !ok {
-		if p.groupIdx == nil {
-			p.groupIdx = map[string]*group{}
-		}
-		g = &group{row: p.stableRow(), aggs: make([]aggState, len(p.aggs))}
-		p.groupIdx[string(kb)] = g
-		p.groups = append(p.groups, g)
+	if p.kb = kb; g < 0 {
+		g = numberKey(&t.keys, kb, t.n)
+	}
+	if g == t.n {
+		t.add(e.row, len(p.aggs))
 	}
 	return g, nil
 }
 
-// stableRow is the current row in a form that outlives the next one.
-func (p *selectPlan) stableRow() []Value {
-	if p.buf != nil {
-		return slices.Clone(p.buf)
-	}
-	return p.env.row // a stored row version or a subquery's result row: never overwritten
-}
-
 // emit projects the current row (or group) into the output, unless
 // DISTINCT has seen it, and computes its ORDER BY keys while the input
-// is at hand.
+// is at hand. A grouped run's rows are cut from one backing, p.out.
 func (p *selectPlan) emit() error {
-	e := &p.env
-	out := make([]Value, len(p.items))
+	e, w := &p.env, len(p.items)
+	if len(p.out) < w {
+		p.out = make([]Value, w) // one row; a grouped run sized it for all its groups
+	}
+	out := p.out[:w:w]
 	var err error
 	for i, fn := range p.items {
 		if out[i], err = fn(e); err != nil {
@@ -977,10 +1020,7 @@ func (p *selectPlan) emit() error {
 		}
 	}
 	if p.q.Distinct {
-		if p.seen == nil {
-			p.seen = map[string]struct{}{}
-		}
-		if p.duplicate(p.seen, out) {
+		if p.duplicate(&p.seen, out) {
 			return nil
 		}
 	}
@@ -996,23 +1036,20 @@ func (p *selectPlan) emit() error {
 		}
 		p.keys = append(p.keys, v)
 	}
-	p.rows = append(p.rows, out)
+	p.rows, p.out = append(p.rows, out), p.out[w:]
 	return nil
 }
 
 // duplicate reports, and remembers, whether seen holds an equal row
 // (DISTINCT, UNION).
-func (p *selectPlan) duplicate(seen map[string]struct{}, row []Value) bool {
+func (p *selectPlan) duplicate(seen *map[string]int, row []Value) bool {
 	kb := p.kb[:0]
 	for _, v := range row {
 		kb = appendValueKey(kb, v)
 	}
 	p.kb = kb
-	if _, dup := seen[string(kb)]; dup {
-		return true
-	}
-	seen[string(kb)] = struct{}{}
-	return false
+	n := len(*seen)
+	return numberKey(seen, kb, n) < n
 }
 
 // appendValueKey appends one value's self-delimiting key segment for

@@ -149,7 +149,11 @@ func (t *planTree) stamp(tbl *Table) {
 func (p *selectPlan) idle() {
 	p.s, p.env.session, p.env.params = nil, nil, nil
 	p.env.row, p.env.outer, p.env.aggs = nil, nil, nil
-	p.rows, p.groups, p.groupIdx, p.seen = nil, nil, nil, nil
+	p.rows, p.out, p.seen = nil, nil, nil
+	if p.groups.n > idleGroups {
+		p.groups = groupTable{}
+	}
+	p.groups.reset()
 	clear(p.keys)
 	clear(p.buf)
 	clear(p.version)

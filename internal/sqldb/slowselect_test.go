@@ -212,7 +212,7 @@ func selectHasAggregate(q *SelectStmt) bool {
 	found := false
 	find := func(x Expr) {
 		walkExpr(x, func(n Expr) {
-			if f, ok := n.(*FuncCall); ok && aggregateNames[f.Name] {
+			if f, ok := n.(*FuncCall); ok && slices.Contains(aggregateNames, f.Name) {
 				found = true
 			}
 		})
@@ -525,7 +525,7 @@ func (s *Session) slowBind(x Expr, e *env, group [][]Value) (Expr, error) {
 		}
 		return lit(scalarResult(res))
 	case *FuncCall:
-		if aggregateNames[t.Name] && group != nil {
+		if slices.Contains(aggregateNames, t.Name) && group != nil {
 			return lit(s.slowAggregate(t, e, group))
 		}
 		c := *t

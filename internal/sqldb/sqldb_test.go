@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -557,6 +558,30 @@ func TestParameters(t *testing.T) {
 	}
 	if res.Rows[0][0].I != 2 {
 		t.Fatalf("named params: %v", res.Rows[0][0])
+	}
+}
+
+// Identifiers and named placeholders may hold any Unicode letter: the
+// lexer decodes UTF-8, and an unexpected character is reported whole.
+func TestUnicodeIdentifiers(t *testing.T) {
+	db := Open("unicode")
+	db.MustExec("CREATE TABLE Bestellung (Größe INTEGER, Straße VARCHAR)")
+	db.MustExec("INSERT INTO Bestellung (Größe, Straße) VALUES (3, 'Hauptstraße'), (5, 'Ring')")
+	if got := queryRows(t, db, "SELECT straße, SUM(größe) FROM bestellung WHERE Größe > ? GROUP BY Straße", Int(4)); got != "[[Ring 5]]" {
+		t.Errorf("Unicode columns: %s", got)
+	}
+	res, err := db.Session().ExecNamed("SELECT Größe FROM Bestellung WHERE Straße = :straße", map[string]Value{"straße": Str("Ring")})
+	if err != nil || fmt.Sprint(res.Rows) != "[[5]]" {
+		t.Errorf("Unicode named placeholder: %v %v", res, err)
+	}
+	if _, err := db.Session().SelectAll("Bestellung"); err != nil {
+		t.Errorf("constructor over a Unicode-free name: %v", err)
+	}
+	if _, err := db.Session().SelectAll("Größe_tabelle"); err == nil || strings.Contains(err.Error(), "plain identifier") {
+		t.Errorf("constructor refused a Unicode identifier: %v", err)
+	}
+	if _, err := db.Exec("SELECT 1 € 2"); err == nil || !strings.Contains(err.Error(), `unexpected character "€"`) {
+		t.Errorf("unexpected character: %v", err)
 	}
 }
 

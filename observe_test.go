@@ -202,6 +202,16 @@ func TestObservabilityFigureTraces(t *testing.T) {
 				}
 			}
 
+			// Figure 8's extension functions: one ora:query-database per
+			// instance, one ora:processXSQL per approved item type.
+			if st.Stack.Name == StackOracle.Name {
+				for name, want := range map[string]int{"ora.calls.query-database": 1, "ora.calls.processXSQL": env.ApprovedItemTypes()} {
+					if got := o.M().Counter(name).Value(); got != int64(want) {
+						t.Errorf("%s = %d, want %d", name, got, want)
+					}
+				}
+			}
+
 			// Metrics snapshot agrees with the trace on row movement.
 			if got := o.M().Counter("sqldb.rows_returned").Value(); got == 0 {
 				t.Error("sqldb.rows_returned = 0, want > 0 (the figures all query Orders)")

@@ -63,9 +63,12 @@ bench-test:
 # agrees with the 48-byte one on comparisons, coercions, keys and
 # encodings), the LIKE matcher (equal to a regexp
 # oracle), the GROUP BY group table (the same bins, in first-seen order,
-# as a map keyed on appendValueKey) and xdm's block clone (equal to its
-# source, and a write to it never reaches the source). CI-friendly; raise
-# -fuzztime manually for longer campaigns.
+# as a map keyed on appendValueKey), session reuse (a seeded statement
+# mix on one long-lived session returns what it returns on a fresh
+# session per statement, and no result changes after it is returned) and
+# xdm's block clone (equal to its source, and a write to it never
+# reaches the source). CI-friendly; raise -fuzztime manually for longer
+# campaigns.
 fuzz:
 	$(GO) test -fuzz='^FuzzScan$$' -fuzztime=15s ./internal/journal/
 	$(GO) test -fuzz='^FuzzRecordCodec$$' -fuzztime=15s ./internal/journal/
@@ -76,6 +79,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzValueLayout$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzLike$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzGroupKey$$' -fuzztime=15s ./internal/sqldb/
+	$(GO) test -fuzz='^FuzzSessionReuse$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzClone$$' -fuzztime=15s ./internal/xdm/
 
 # The CLIs end to end, writing into ARTIFACTS (a fresh temporary

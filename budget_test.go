@@ -147,12 +147,12 @@ func TestAllocBudget(t *testing.T) {
 		objects float64
 		bytes   uint64
 	}{
-		{StackBIS, false, 338, 33273},    // 328 objects, 31 688 B measured (369, 33 424 with a heap object per GROUP BY group and per grouped output row)
-		{StackBIS, true, 406, 41202},     // 394, 39 240 (435, 40 976)
-		{StackWF, false, 197, 15404},     // 191, 14 670 (232, 16 486)
-		{StackWF, true, 422, 32036},      // 409, 30 510 (451, 32 334)
-		{StackOracle, false, 299, 30513}, // 290, 29 060 (340, 31 073)
-		{StackOracle, true, 386, 41713},  // 374, 39 726 (424, 41 742)
+		{StackBIS, false, 296, 31341},    // 287 objects, 29 848 B measured (328, 31 688 with a transaction, scope, probe copy, sort buffers and latch set per statement)
+		{StackBIS, true, 364, 39270},     // 353, 37 400 (394, 39 240)
+		{StackWF, false, 163, 13497},     // 158, 12 854 (191, 14 670)
+		{StackWF, true, 388, 30129},      // 376, 28 694 (409, 30 510)
+		{StackOracle, false, 262, 28262}, // 254, 26 916 (290, 29 060)
+		{StackOracle, true, 349, 39462},  // 338, 37 582 (374, 39 726)
 	} {
 		name := tc.stack.Name
 		if tc.durable {

@@ -153,10 +153,12 @@ type rawEntry struct {
 	pattern []uint8
 }
 
-// parsedStmt is a cachedParse resolution: the statement, its slot,
-// the normalized text it is cached under (== the input when the
-// normalizer declined), the constants extracted from this exact text
-// with their slot pattern, and the parse accounting for StmtStats.
+// parsedStmt is a statement resolved for execution: a cachedParse
+// resolution — the statement, its slot, the normalized text it is cached
+// under (== the input when the normalizer declined), the constants
+// extracted from this exact text with their slot pattern, and the parse
+// accounting for StmtStats — or what Prepare, ExecScript and the
+// constructors resolved themselves (no cache label, no constants).
 type parsedStmt struct {
 	st      Stmt
 	shape   paramShape
@@ -165,7 +167,7 @@ type parsedStmt struct {
 	consts  []Value
 	pattern []uint8
 	parse   time.Duration
-	hit     bool
+	cache   string // CacheHit, CacheMiss, or "" past the cache
 }
 
 // parseRaceHook, when set (tests only), runs after a cache-missed parse
@@ -291,7 +293,7 @@ func (db *DB) cachedParse(sql string) (parsedStmt, error) {
 			db.lruList.MoveToFront(re.ce.el)
 			// Read the entry under the lock: insertRawLocked refreshes
 			// these fields in place for a concurrent parser of this text.
-			ps := parsedStmt{st: re.ce.st, shape: re.ce.shape, slot: &re.ce.slot, norm: re.ce.sql, consts: re.consts, pattern: re.pattern, hit: true}
+			ps := parsedStmt{st: re.ce.st, shape: re.ce.shape, slot: &re.ce.slot, norm: re.ce.sql, consts: re.consts, pattern: re.pattern, cache: CacheHit}
 			db.cacheMu.Unlock()
 			db.cacheHits.Add(1)
 			return ps, nil
@@ -314,7 +316,7 @@ func (db *DB) cachedParse(sql string) (parsedStmt, error) {
 		db.insertRawLocked(sql, ce, n.consts, n.pattern)
 		db.cacheMu.Unlock()
 		db.cacheHits.Add(1)
-		return parsedStmt{st: ce.st, shape: ce.shape, slot: &ce.slot, norm: key, consts: n.consts, pattern: n.pattern, hit: true}, nil
+		return parsedStmt{st: ce.st, shape: ce.shape, slot: &ce.slot, norm: key, consts: n.consts, pattern: n.pattern, cache: CacheHit}, nil
 	}
 	db.cacheMu.Unlock()
 
@@ -335,14 +337,13 @@ func (db *DB) cachedParse(sql string) (parsedStmt, error) {
 	}
 	db.cacheMu.Lock()
 	var ce *cacheEntry
-	hit := false
+	cache := CacheMiss
 	if el, ok := db.stmtCache[key]; ok {
 		// Lost the race to another parser of the same plan: adopt the
 		// winner's entry, report a hit, charge no parse time.
 		db.lruList.MoveToFront(el)
 		ce = el.Value.(*cacheEntry)
-		hit = true
-		parse = 0
+		cache, parse = CacheHit, 0
 	} else {
 		for len(db.stmtCache) >= stmtCacheCap {
 			coldest := db.lruList.Back()
@@ -362,12 +363,12 @@ func (db *DB) cachedParse(sql string) (parsedStmt, error) {
 	}
 	db.insertRawLocked(sql, ce, n.consts, n.pattern)
 	db.cacheMu.Unlock()
-	if hit {
+	if cache == CacheHit {
 		db.cacheHits.Add(1)
 	} else {
 		db.cacheMisses.Add(1)
 	}
-	return parsedStmt{st: ce.st, shape: ce.shape, slot: &ce.slot, norm: key, consts: n.consts, pattern: n.pattern, parse: parse, hit: hit}, nil
+	return parsedStmt{st: ce.st, shape: ce.shape, slot: &ce.slot, norm: key, consts: n.consts, pattern: n.pattern, parse: parse, cache: cache}, nil
 }
 
 // insertRawLocked records (or refreshes) the raw-text front-cache entry
@@ -546,7 +547,7 @@ func (db *DB) ExecScript(script string) (*Result, error) {
 	s := db.Session()
 	var last *Result
 	for _, st := range stmts {
-		last, err = s.execStmt(st.st, nil, nil, 0, "", st.text, nil)
+		last, err = s.execStmt(&parsedStmt{st: st.st, norm: st.text}, nil, nil)
 		if err != nil {
 			return nil, err
 		}

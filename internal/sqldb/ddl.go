@@ -127,8 +127,8 @@ func (s *Session) execAlterTable(t *AlterTableStmt, base *env) (*Result, error) 
 		if _, exists := s.db.tables[newLC]; exists {
 			return nil, fmt.Errorf("sqldb: table %s already exists", t.Name)
 		}
-		delete(s.db.tables, strings.ToLower(tbl.Name))
-		tbl.Name = t.Name
+		delete(s.db.tables, tbl.key)
+		tbl.Name, tbl.key = t.Name, newLC
 		s.db.tables[newLC] = tbl
 		return &Result{}, nil
 	}

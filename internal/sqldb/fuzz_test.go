@@ -264,7 +264,7 @@ func FuzzIndexKey(f *testing.F) {
 		idx := &Index{Table: &Table{}, colIdx: []int{0, 1}, buckets: map[string][]*Row{}}
 		row := &Row{Values: a}
 		idx.insert(row)
-		if found := len(idx.lookup(b)) == 1; found != equal {
+		if found := len(idx.appendLookup(nil, b)) == 1; found != equal {
 			t.Fatalf("row %v, probe %v: found = %v, column-wise equal = %v", a, b, found, equal)
 		}
 		idx.insert(&Row{Values: b})
@@ -272,7 +272,7 @@ func FuzzIndexKey(f *testing.F) {
 			t.Fatalf("tuples %v and %v: one bucket = %v, want %v", a, b, one, sameBucket)
 		}
 		idx.remove([]*Row{row}, func(r *Row) bool { return r == row })
-		if found := len(idx.lookup(a)) == 1; len(idx.buckets) != 1 || found != equal {
+		if found := len(idx.appendLookup(nil, a)) == 1; len(idx.buckets) != 1 || found != equal {
 			t.Fatalf("after removing %v: %d buckets, probe for it finds %v = %v", a, len(idx.buckets), b, found)
 		}
 	})

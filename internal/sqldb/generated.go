@@ -70,7 +70,7 @@ func (s *Session) execBuilt(name string, st Stmt, src string, slot *stmtSlot, ch
 	if l.pos == 0 || l.pos < len(name) || keywords[strings.ToUpper(name)] {
 		return nil, fmt.Errorf("sqldb: %q is not a plain identifier", name)
 	}
-	return s.execStmt(st, slot, charge, 0, "", src, params)
+	return s.execStmt(&parsedStmt{st: st, slot: slot, norm: src}, charge, params)
 }
 
 // DropTable executes DROP TABLE [IF EXISTS] name.

@@ -164,13 +164,13 @@ func TestGroupTableLeavesNothingBetweenRuns(t *testing.T) {
 
 // TestIdlePlanDropsALargeGroupTable: a cached plan keeps its group
 // table's memory for the next run only while the last run made at most
-// idleGroups bins; after a run over more, the idle plan holds no slab and
+// idleCap bins; after a run over more, the idle plan holds no slab and
 // no map.
 func TestIdlePlanDropsALargeGroupTable(t *testing.T) {
 	db := Open("manygroups")
 	db.MustExec("CREATE TABLE m (id INTEGER PRIMARY KEY, s VARCHAR)")
 	s := db.Session()
-	for i := 0; i < idleGroups+100; i++ {
+	for i := 0; i < idleCap+100; i++ {
 		if _, err := s.Exec("INSERT INTO m VALUES (?, ?)", Int(int64(i)), Str(fmt.Sprint("k", i))); err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func TestIdlePlanDropsALargeGroupTable(t *testing.T) {
 	for _, c := range []struct {
 		bins int
 		kept bool
-	}{{10, true}, {idleGroups, true}, {idleGroups + 100, false}, {10, true}} {
+	}{{10, true}, {idleCap, true}, {idleCap + 100, false}, {10, true}} {
 		res, err := s.Exec(sql, Int(int64(c.bins)))
 		if err != nil || len(res.Rows) != c.bins {
 			t.Fatalf("%d groups: %v, %v", c.bins, res, err)

@@ -18,8 +18,8 @@ import (
 //
 // Structural access is guarded by the owning table's rowsMu: insert,
 // checkInsert and remove run under the write half (inside
-// insertVersion/maybeVacuum), lookup copies its bucket under the read
-// half so latch-free snapshot readers never alias a bucket being
+// insertVersion/maybeVacuum), appendLookup copies its bucket under the
+// read half so latch-free snapshot readers never alias a bucket being
 // filtered.
 type Index struct {
 	Name    string
@@ -179,17 +179,15 @@ func (idx *Index) remove(reclaimed []*Row, gone func(*Row) bool) {
 	}
 }
 
-// lookup returns the versions whose indexed columns equal the given
-// values, one per index column in order — a copy, safe to filter and
-// iterate after the structural lock is released. Callers apply
-// visibility.
-func (idx *Index) lookup(vals []Value) []*Row {
-	var out []*Row
-	idx.bucket(vals, func(b []*Row) { out = slices.Clone(b) })
-	return out
+// appendLookup appends to dst the versions whose indexed columns equal
+// vals, one per index column in order: a copy, safe to filter and iterate
+// after the structural lock is released. Callers apply visibility.
+func (idx *Index) appendLookup(dst []*Row, vals []Value) []*Row {
+	idx.bucket(vals, func(b []*Row) { dst = append(dst, b...) })
+	return dst
 }
 
-// count is len(lookup(vals)) without the copy.
+// count is the number of versions appendLookup would copy.
 func (idx *Index) count(vals []Value) (n int) {
 	idx.bucket(vals, func(b []*Row) { n = len(b) })
 	return n

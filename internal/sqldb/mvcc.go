@@ -3,7 +3,7 @@ package sqldb
 import (
 	"errors"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 )
@@ -154,9 +154,9 @@ func (db *DB) stampCommit(tx *txn) {
 	}
 	db.commitSeq.Store(c)
 	// A procedure body's COMMIT can resolve the write set mid-statement;
-	// clearing it makes the statement-finalize stamp a no-op instead of
-	// a re-stamp.
-	tx.ws = nil
+	// emptying it makes the statement-finalize stamp a no-op instead of
+	// a re-stamp, and leaves the session's reused txn holding no row.
+	tx.ws = idleBuf(tx.ws)
 }
 
 // rollbackStamps releases the write set: created versions become
@@ -182,7 +182,7 @@ func rollbackStamps(tx *txn) {
 			}
 		}
 	}
-	tx.aborted = true
+	tx.aborted, tx.ws = true, idleBuf(tx.ws)
 }
 
 // --- active-snapshot registry ---------------------------------------------
@@ -231,7 +231,6 @@ func (db *DB) minActiveSnapshot() int64 {
 // latchTarget is one table of a statement's static footprint, resolved
 // and ordered for acquisition.
 type latchTarget struct {
-	name  string // lowercased
 	t     *Table
 	write bool
 }
@@ -373,58 +372,60 @@ type fpEntry struct {
 	names []fpName
 }
 
-// resolveFootprint turns a footprint name list into latch targets
-// against the current table set. The caller holds db.mu.
-func (db *DB) resolveFootprint(names []fpName) []latchTarget {
-	fp := make([]latchTarget, 0, len(names))
+// resolveFootprint appends to fp the latch targets of a footprint name
+// list against the current table set. The caller holds db.mu.
+func (db *DB) resolveFootprint(fp []latchTarget, names []fpName) []latchTarget {
 	for _, n := range names {
 		if t := db.tables[n.name]; t != nil {
-			fp = append(fp, latchTarget{name: n.name, t: t, write: n.write})
+			fp = append(fp, latchTarget{t: t, write: n.write})
 		}
 	}
 	return fp
 }
 
-// stmtFootprint computes the latch set of a mutating statement: write
-// latches on the tables it mutates, read latches on every other table
-// it references (directly, through views, or through SQL procedure
-// bodies). ok is false when the footprint cannot be computed statically
-// — native procedures, DDL, and unknown statement shapes — and the
-// caller must fall back to the exclusive engine lock. COMMIT and
-// ROLLBACK latch the open transaction's write set; BEGIN latches
-// nothing. The caller holds db.mu (shared suffices: only schema
-// stability is needed).
+// stmtFootprint appends to fp (empty; the session's latch buffer) the
+// latch set of a mutating statement: write latches on the tables it
+// mutates, read latches on every other table it references (directly,
+// through views, or through SQL procedure bodies). ok is false when the
+// footprint cannot be computed statically — native procedures, DDL, and
+// unknown statement shapes — and the caller must fall back to the
+// exclusive engine lock. COMMIT and ROLLBACK latch the open
+// transaction's write set; BEGIN latches nothing. The caller holds db.mu
+// (shared suffices: only schema stability is needed).
 //
 // slot, when non-nil, caches the computed name list across executions of
 // the same AST; it is invalidated by footGen (bumped on view/procedure
 // changes — the only DDL that alters the expansion, since table names
 // re-resolve on every call). Racing recomputations are benign: all
 // compute the same value for a generation, and the last store wins.
-func (db *DB) stmtFootprint(st Stmt, tx *txn, slot *stmtSlot) (fp []latchTarget, ok bool) {
+func (db *DB) stmtFootprint(fp []latchTarget, st Stmt, tx *txn, slot *stmtSlot) ([]latchTarget, bool) {
 	switch st.(type) {
 	case *BeginStmt:
-		return nil, true
+		return fp, true
 	case *CommitStmt, *RollbackStmt:
-		// Transaction-dependent: latch the tables of the open write set
-		// (tx is nil when the statement is about to fail); never cached.
-		write := map[string]bool{}
+		// Transaction-dependent, never cached: the distinct tables of the
+		// open write set still in the database (tx is nil when the
+		// statement is about to fail), in lowercased-name order.
 		if tx != nil {
 			for _, w := range tx.ws {
-				write[strings.ToLower(w.t.Name)] = true
+				if !slices.ContainsFunc(fp, func(lt latchTarget) bool { return lt.t == w.t }) && db.tables[w.t.key] == w.t {
+					fp = append(fp, latchTarget{t: w.t, write: true})
+				}
 			}
 		}
-		return db.resolveFootprint(footprintNames(write, nil)), true
+		slices.SortFunc(fp, func(a, b latchTarget) int { return strings.Compare(a.t.key, b.t.key) })
+		return fp, true
 	case *InsertStmt, *UpdateStmt, *DeleteStmt, *TruncateStmt, *CallStmt:
 	default:
-		return nil, false // DDL and unknown shapes: exclusive lock
+		return fp, false // DDL and unknown shapes: exclusive lock
 	}
 	gen := db.footGen.Load()
 	if slot != nil {
 		if e := slot.fp.Load(); e != nil && e.gen == gen {
 			if !e.ok {
-				return nil, false
+				return fp, false
 			}
-			return db.resolveFootprint(e.names), true
+			return db.resolveFootprint(fp, e.names), true
 		}
 	}
 	write := map[string]bool{}
@@ -445,9 +446,9 @@ func (db *DB) stmtFootprint(st Stmt, tx *txn, slot *stmtSlot) (fp []latchTarget,
 		slot.fp.Store(&fpEntry{gen: gen, ok: computed, names: names})
 	}
 	if !computed {
-		return nil, false
+		return fp, false
 	}
-	return db.resolveFootprint(names), true
+	return db.resolveFootprint(fp, names), true
 }
 
 // footprintNames flattens the write/read sets into the sorted name list
@@ -462,7 +463,7 @@ func footprintNames(write, read map[string]bool) []fpName {
 			names = append(names, fpName{name: n})
 		}
 	}
-	sort.Slice(names, func(i, j int) bool { return names[i].name < names[j].name })
+	slices.SortFunc(names, func(a, b fpName) int { return strings.Compare(a.name, b.name) })
 	return names
 }
 

@@ -159,33 +159,28 @@ func renderTokens(src string, toks []token) string {
 	return b.String()
 }
 
-// mergeParams interleaves the caller's positional values with the
-// literals extracted at normalization time, per the slot pattern. ok is
-// false when the caller supplied fewer values than the statement's user
-// slots: the unparameterized path reports a missing parameter by its
-// position among the caller's own placeholders, and that numbering is
-// unrecoverable once extracted literals shift the indexes — so callers
-// fall back to a plain parse of the raw text. Surplus caller values
-// were always legal; they stay reachable at the end of the merged
-// vector, which is where named placeholders' values travel.
-func mergeParams(user, consts []Value, pattern []uint8) ([]Value, bool) {
+// mergeParams appends to dst the caller's positional values interleaved
+// with the literals extracted at normalization time, per the slot
+// pattern. The caller must supply at least the statement's user slots
+// (userSlots): the unparameterized path reports a missing parameter by
+// its position among the caller's own placeholders, and that numbering
+// is unrecoverable once extracted literals shift the indexes — so
+// callers with fewer fall back to a plain parse of the raw text. Surplus
+// caller values were always legal; they stay reachable at the end of the
+// merged vector, which is where named placeholders' values travel.
+func mergeParams(dst, user, consts []Value, pattern []uint8) []Value {
 	if len(consts) == 0 {
-		return user, true
+		return append(dst, user...)
 	}
-	if len(user) < userSlots(pattern) {
-		return nil, false
-	}
-	out := make([]Value, len(pattern), len(pattern)+len(user))
 	ui, ci := 0, 0
-	for i, p := range pattern {
+	for _, p := range pattern {
 		if p == slotConst {
-			out[i] = consts[ci]
+			dst = append(dst, consts[ci])
 			ci++
 		} else {
-			out[i] = user[ui]
+			dst = append(dst, user[ui])
 			ui++
 		}
 	}
-	out = append(out, user[ui:]...)
-	return out, true
+	return append(dst, user[ui:]...)
 }

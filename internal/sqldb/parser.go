@@ -528,17 +528,7 @@ func (p *parser) parseInsert() (Stmt, error) {
 	}
 	ins := &InsertStmt{Table: table}
 	if p.acceptSym("(") {
-		for {
-			c, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			ins.Columns = append(ins.Columns, c)
-			if !p.acceptSym(",") {
-				break
-			}
-		}
-		if err := p.expectSym(")"); err != nil {
+		if ins.Columns, err = p.identList(); err != nil {
 			return nil, err
 		}
 	}
@@ -825,21 +815,11 @@ func (p *parser) parseCreateIndex(unique bool) (Stmt, error) {
 	if err := p.expectSym("("); err != nil {
 		return nil, err
 	}
-	ci := &CreateIndexStmt{Name: name, Table: table, Unique: unique}
-	for {
-		c, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		ci.Columns = append(ci.Columns, c)
-		if !p.acceptSym(",") {
-			break
-		}
-	}
-	if err := p.expectSym(")"); err != nil {
+	cols, err := p.identList()
+	if err != nil {
 		return nil, err
 	}
-	return ci, nil
+	return &CreateIndexStmt{Name: name, Table: table, Columns: cols, Unique: unique}, nil
 }
 
 func (p *parser) parseCreateSequence() (Stmt, error) {
@@ -892,20 +872,8 @@ func (p *parser) parseCreateProcedure() (Stmt, error) {
 		return nil, err
 	}
 	cp := &CreateProcedureStmt{Name: name}
-	if p.acceptSym("(") {
-		if !p.peekSym(")") {
-			for {
-				pn, err := p.ident()
-				if err != nil {
-					return nil, err
-				}
-				cp.Params = append(cp.Params, pn)
-				if !p.acceptSym(",") {
-					break
-				}
-			}
-		}
-		if err := p.expectSym(")"); err != nil {
+	if p.acceptSym("(") && !p.acceptSym(")") {
+		if cp.Params, err = p.identList(); err != nil {
 			return nil, err
 		}
 	}
@@ -924,22 +892,10 @@ func (p *parser) parseDrop() (Stmt, error) {
 	if err := p.expectKw("DROP"); err != nil {
 		return nil, err
 	}
-	switch {
-	case p.acceptKw("TABLE"):
-		d := &DropTableStmt{}
-		if p.acceptKw("IF") {
-			if err := p.expectKw("EXISTS"); err != nil {
-				return nil, err
-			}
-			d.IfExists = true
+	for _, kind := range []string{"TABLE", "INDEX", "SEQUENCE", "PROCEDURE", "VIEW"} {
+		if !p.acceptKw(kind) {
+			continue
 		}
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		d.Table = name
-		return d, nil
-	case p.acceptKw("INDEX"):
 		ifExists, err := p.parseIfExists()
 		if err != nil {
 			return nil, err
@@ -948,39 +904,19 @@ func (p *parser) parseDrop() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &DropIndexStmt{Name: name, IfExists: ifExists}, nil
-	case p.acceptKw("SEQUENCE"):
-		ifExists, err := p.parseIfExists()
-		if err != nil {
-			return nil, err
-		}
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		return &DropSequenceStmt{Name: name, IfExists: ifExists}, nil
-	case p.acceptKw("PROCEDURE"):
-		ifExists, err := p.parseIfExists()
-		if err != nil {
-			return nil, err
-		}
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		return &DropProcedureStmt{Name: name, IfExists: ifExists}, nil
-	case p.acceptKw("VIEW"):
-		ifExists, err := p.parseIfExists()
-		if err != nil {
-			return nil, err
-		}
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
+		switch kind {
+		case "TABLE":
+			return &DropTableStmt{Table: name, IfExists: ifExists}, nil
+		case "INDEX":
+			return &DropIndexStmt{Name: name, IfExists: ifExists}, nil
+		case "SEQUENCE":
+			return &DropSequenceStmt{Name: name, IfExists: ifExists}, nil
+		case "PROCEDURE":
+			return &DropProcedureStmt{Name: name, IfExists: ifExists}, nil
 		}
 		return &DropViewStmt{Name: name, IfExists: ifExists}, nil
 	}
-	return nil, p.errorf("expected TABLE, INDEX, SEQUENCE, or PROCEDURE after DROP")
+	return nil, p.errorf("expected TABLE, INDEX, SEQUENCE, PROCEDURE, or VIEW after DROP")
 }
 
 func (p *parser) parseAlter() (Stmt, error) {
@@ -1020,6 +956,22 @@ func (p *parser) parseAlter() (Stmt, error) {
 		return &AlterTableStmt{Table: table, Kind: AlterRenameTable, Name: name}, nil
 	}
 	return nil, p.errorf("expected ADD, DROP, or RENAME after ALTER TABLE")
+}
+
+// identList parses a non-empty comma-separated identifier list and its
+// closing parenthesis: INSERT columns, index columns, procedure
+// parameters.
+func (p *parser) identList() ([]string, error) {
+	var names []string
+	for {
+		name, err := p.ident()
+		if err != nil {
+			return nil, err
+		}
+		if names = append(names, name); !p.acceptSym(",") {
+			return names, p.expectSym(")")
+		}
+	}
 }
 
 // parseIfExists consumes an optional IF EXISTS clause.

@@ -16,7 +16,7 @@ func directExec(t *testing.T, s *Session, sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.execStmt(st, nil, nil, 0, CacheMiss, sql, nil)
+	return s.execStmt(&parsedStmt{st: st, norm: sql, cache: CacheMiss}, nil, nil)
 }
 
 func seedFigureTables(t *testing.T, db *DB) {

@@ -47,6 +47,7 @@ type source struct {
 	// walk the rows that passed both when the source was materialized.
 	stream  bool
 	heap    []*Row
+	probe   []*Row // the source's copy of its index bucket, reused by every probe
 	vals    [][]Value
 	pos     int
 	matched bool
@@ -93,9 +94,10 @@ type groupTable struct {
 	aggs       []aggState
 }
 
-// idleGroups is the most bins an idle plan keeps the memory of; a run
-// that made more drops its table.
-const idleGroups = 1024
+// idleCap is the most entries an idle plan or session keeps a buffer's
+// memory for — group bins, probe copies, sort permutations, write sets,
+// latch sets, parameters; a statement that used more drops the buffer.
+const idleCap = 1024
 
 func (t *groupTable) reset() {
 	clear(t.strs)
@@ -163,6 +165,7 @@ type selectPlan struct {
 	level  int // deepest open source; levelNew, levelDone
 	rows   [][]Value
 	keys   []Value // ORDER BY keys of rows, len(order) each
+	perm   []int   // ORDER BY: the sorted order of rows
 	groups groupTable
 	out    []Value        // backing the next output rows are cut from (a grouped run sizes it for all its groups)
 	seen   map[string]int // DISTINCT
@@ -630,19 +633,20 @@ func (p *selectPlan) run(outer *env) (*Result, error) {
 				rows = slices.DeleteFunc(rows, func(row []Value) bool { return p.duplicate(&seen, row) })
 			}
 		}
-		keys = make([]Value, 0, len(rows)*len(p.order))
+		keys = p.keys[:0]
 		for _, row := range rows {
 			for _, k := range p.order {
 				keys = append(keys, row[k.col])
 			}
 		}
+		p.keys = keys
 	}
 	if nk := len(p.order); nk > 0 {
-		perm := make([]int, len(rows))
-		for i := range perm {
-			perm[i] = i
+		p.perm = p.perm[:0]
+		for i := range rows {
+			p.perm = append(p.perm, i)
 		}
-		slices.SortStableFunc(perm, func(a, b int) int {
+		slices.SortStableFunc(p.perm, func(a, b int) int {
 			for j, k := range p.order {
 				if c := sortCompare(keys[a*nk+j], keys[b*nk+j]); c != 0 && k.desc {
 					return -c
@@ -652,17 +656,27 @@ func (p *selectPlan) run(outer *env) (*Result, error) {
 			}
 			return 0
 		})
-		sorted := make([][]Value, len(rows))
-		for i, j := range perm {
-			sorted[i] = rows[j]
-		}
-		rows = sorted
+		permute(rows, p.perm)
 	}
 	rows = rows[min(offset, len(rows)):]
 	if limit >= 0 && limit < len(rows) {
 		rows = rows[:limit]
 	}
 	return &Result{Columns: p.colNames, Rows: rows}, nil
+}
+
+// permute reorders rows in place so that row i is the one perm[i] named,
+// following each cycle of perm once; it spends perm.
+func permute(rows [][]Value, perm []int) {
+	for i := range perm {
+		first, j := rows[i], i
+		for k := perm[j]; k >= 0; k = perm[j] {
+			if rows[j], perm[j] = rows[k], -1; k == i {
+				rows[j] = first
+			}
+			j = k
+		}
+	}
 }
 
 // count reads an OFFSET or LIMIT count (def when there is none).
@@ -687,7 +701,7 @@ func count(fn evalFn, outer *env, what string, def int) (int, error) {
 func (p *selectPlan) runArm(outer *env, stopAt int) ([][]Value, error) {
 	e := &p.env
 	e.outer, e.row, e.aggs = outer, p.buf, nil
-	p.level, p.rows, p.keys, p.seen = levelNew, nil, p.keys[:0], nil
+	p.level, p.rows, p.out, p.keys, p.seen = levelNew, nil, nil, p.keys[:0], nil
 	t, na := &p.groups, len(p.aggs)
 	t.reset()
 	for k := range p.srcs {
@@ -837,7 +851,8 @@ func (p *selectPlan) open(k int) error {
 		}
 	}
 	if p.kb = kb; src.strategy == joinIndex {
-		src.heap = src.jidx.lookup(src.key)
+		src.probe = src.jidx.appendLookup(src.probe[:0], src.key)
+		src.heap = src.probe
 	} else if i, ok := src.hash[string(kb)]; ok {
 		src.vals = src.buckets[i]
 	}
@@ -845,12 +860,13 @@ func (p *selectPlan) open(k int) error {
 }
 
 // candidates fetches a base table's row versions: the probed index
-// bucket or the heap snapshot (latch-free; versions are filtered through
-// the statement's snapshot as they are read).
+// bucket, copied into src.probe, or the heap snapshot (latch-free;
+// versions are filtered through the statement's snapshot as read).
 func (p *selectPlan) candidates(src *source) []*Row {
 	p.s.notePlan(src.tbl, src.idx)
 	if src.idx != nil {
-		return src.idx.lookup(src.key)
+		src.probe = src.idx.appendLookup(src.probe[:0], src.key)
+		return src.probe
 	}
 	return src.tbl.snapshotRows()
 }
@@ -1006,11 +1022,12 @@ func (p *selectPlan) groupOf() (int, error) {
 
 // emit projects the current row (or group) into the output, unless
 // DISTINCT has seen it, and computes its ORDER BY keys while the input
-// is at hand. A grouped run's rows are cut from one backing, p.out.
+// is at hand. Rows are cut from a backing, p.out, which a grouped run
+// sizes for all its groups and any other run doubles as it runs out.
 func (p *selectPlan) emit() error {
 	e, w := &p.env, len(p.items)
 	if len(p.out) < w {
-		p.out = make([]Value, w) // one row; a grouped run sized it for all its groups
+		p.out = make([]Value, w*max(len(p.rows), 1))
 	}
 	out := p.out[:w:w]
 	var err error

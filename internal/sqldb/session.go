@@ -40,7 +40,15 @@ type Session struct {
 	// session. Re-entrant execution (child sessions, below) runs inside
 	// the owner's critical section and bypasses it.
 	mu  sync.Mutex
-	txn *txn
+	txn *txn // the open transaction: &tx, or a parent's for a child session
+
+	// What a statement reuses instead of allocating, only under mu (a
+	// child session has its own); between statements none holds a row or
+	// more than idleCap entries.
+	tx      txn
+	scope   env
+	latches []latchTarget
+	params  []Value
 
 	// snap is the executing statement's snapshot: the highest commit
 	// sequence whose effects the statement sees (plus its own
@@ -145,15 +153,14 @@ func (s *Session) ExecNamed(sql string, named map[string]Value, params ...Value)
 }
 
 // execParsed is the text-execution path behind Exec, ExecNamed and the
-// replication Applier, past the plan cache: fold the text's extracted
-// literals into the positional vector, and execute. The NORMALIZED text
-// and the MERGED parameters are what flow to the change stream — a
+// replication Applier, past the plan cache: execute with the text's
+// extracted literals folded into the positional vector. The NORMALIZED
+// text and the MERGED parameters are what flow to the change stream — a
 // replica re-normalizing that text extracts nothing (the rendering is
 // idempotent) and binds the same merged vector, so primary and replica
 // execute the identical plan with identical inputs.
 func (s *Session) execParsed(sql string, ps *parsedStmt, params []Value) (*Result, error) {
-	merged, ok := mergeParams(params, ps.consts, ps.pattern)
-	if !ok {
+	if len(ps.consts) > 0 && len(params) < userSlots(ps.pattern) {
 		// Fewer caller values than user slots: only an uncached parse of
 		// the raw text can report the missing parameter by the caller's
 		// own placeholder numbering (the error is raised lazily, and only
@@ -163,16 +170,9 @@ func (s *Session) execParsed(sql string, ps *parsedStmt, params []Value) (*Resul
 		if perr != nil {
 			return nil, perr
 		}
-		return s.execStmt(st, nil, nil, time.Since(start), CacheMiss, sql, params)
+		return s.execStmt(&parsedStmt{st: st, norm: sql, parse: time.Since(start), cache: CacheMiss}, nil, params)
 	}
-	return s.execStmt(ps.st, ps.slot, nil, ps.parse, cacheLabel(ps.hit), ps.norm, merged)
-}
-
-func cacheLabel(hit bool) string {
-	if hit {
-		return CacheHit
-	}
-	return CacheMiss
+	return s.execStmt(ps, nil, params)
 }
 
 // PreparedStmt is a parsed statement bound to a session, reusable with
@@ -208,7 +208,7 @@ func (s *Session) Prepare(sql string) (*PreparedStmt, error) {
 // Exec runs the prepared statement with positional parameters (named
 // placeholders bind from the tail, as for Session.Exec).
 func (p *PreparedStmt) Exec(params ...Value) (*Result, error) {
-	return p.s.execStmt(p.stmt, &p.slot, &p.parse, 0, "", p.src, params)
+	return p.s.execStmt(&parsedStmt{st: p.stmt, slot: &p.slot, norm: p.src}, &p.parse, params)
 }
 
 // ExecNamed runs the prepared statement with its named placeholders bound
@@ -262,12 +262,13 @@ func isDDL(st Stmt) bool {
 // execStmt is the top-level execution path: session mutex, ExecHook,
 // then one of three locking regimes chosen by runStmt (latch-free
 // shared read, per-table latches, or the exclusive engine lock),
-// statement execution, then stats emission. parse and cache describe
-// how the statement text was resolved (see Exec/cachedParse) and flow
-// into the emitted StmtStats; a pre-parsed statement passes its one-time
-// parse cost as charge (nil on the text path), and it is taken here, past
-// the gates that can refuse the statement. src is the statement's SQL
-// text, which every caller has (change-stream capture needs it).
+// statement execution, then stats emission. ps's parse and cache
+// describe how the statement text was resolved (see Exec/cachedParse)
+// and flow into the emitted StmtStats; a pre-parsed statement passes its
+// one-time parse cost as charge (nil on the text path), and it is taken
+// here, past the gates that can refuse the statement. ps.norm is the
+// text change-stream capture needs. user and ps's literals are merged
+// into the session's vector under the lock: no caller's slice is kept.
 //
 // Autocommit statements that lose a first-writer-wins race are retried
 // here against a fresh snapshot with exponential backoff before the
@@ -275,15 +276,19 @@ func isDDL(st Stmt) bool {
 // Statements inside an explicit transaction are not retried — earlier
 // statements of the transaction saw older snapshots, so the decision
 // belongs to the caller.
-func (s *Session) execStmt(st Stmt, slot *stmtSlot, charge *atomic.Int64, parse time.Duration, cache string, src string, params []Value) (res *Result, err error) {
+func (s *Session) execStmt(ps *parsedStmt, charge *atomic.Int64, user []Value) (res *Result, err error) {
+	st := ps.st
 	if s.locked {
 		// Re-entrant execution (native procedure bodies running on a
 		// child session): no hook, no stats — the enclosing statement
 		// accounts for it.
-		return s.execStmtLocked(st, slot, params, nil)
+		s.params = mergeParams(s.params[:0], user, ps.consts, ps.pattern)
+		return s.execStmtLocked(st, ps.slot, s.params, nil)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	params := mergeParams(s.params[:0], user, ps.consts, ps.pattern)
+	defer func() { s.params = idleBuf(params) }()
 	// Deadline propagation: a session whose bound budget has expired
 	// refuses the statement at the boundary, before anything executes.
 	if s.runCtx != nil {
@@ -303,6 +308,7 @@ func (s *Session) execStmt(st Stmt, slot *stmtSlot, charge *atomic.Int64, parse 
 			return nil, err
 		}
 	}
+	parse := ps.parse
 	if charge != nil {
 		parse = time.Duration(charge.Swap(0))
 	}
@@ -315,7 +321,7 @@ func (s *Session) execStmt(st Stmt, slot *stmtSlot, charge *atomic.Int64, parse 
 	var conflictTable string
 	canRetry := s.txn == nil
 	for attempt := 0; ; attempt++ {
-		stat, res, err = s.runStmt(st, slot, parse, cache, src, params, sink != nil)
+		stat, res, err = s.runStmt(ps, parse, params, sink != nil)
 		if err == nil || !canRetry || attempt >= conflictRetryLimit {
 			break
 		}
@@ -361,10 +367,11 @@ func (s *Session) execStmt(st Stmt, slot *stmtSlot, charge *atomic.Int64, parse 
 //
 // Every attempt registers a snapshot for its lifetime (vacuum safety)
 // and fully releases locks before returning.
-func (s *Session) runStmt(st Stmt, slot *stmtSlot, parse time.Duration, cache, src string, params []Value, wantStats bool) (stat *StmtStats, res *Result, err error) {
+func (s *Session) runStmt(ps *parsedStmt, parse time.Duration, params []Value, wantStats bool) (stat *StmtStats, res *Result, err error) {
+	st, slot, src := ps.st, ps.slot, ps.norm
 	shared := readOnlyStmt(st)
 	exclusive := false
-	var fp []latchTarget
+	fp := s.latches[:0]
 	// lockWait accumulates only time spent blocked on lock/latch
 	// acquisition — the footprint computation between the engine lock and
 	// the latches is CPU work, not waiting, and is deliberately untimed.
@@ -378,7 +385,7 @@ func (s *Session) runStmt(st Stmt, slot *stmtSlot, parse time.Duration, cache, s
 	}
 	if !shared {
 		var ok bool
-		fp, ok = s.db.stmtFootprint(st, s.txn, slot)
+		fp, ok = s.db.stmtFootprint(fp, st, s.txn, slot)
 		if !ok {
 			s.db.mu.RUnlock()
 			if !s.db.mu.TryLock() {
@@ -401,6 +408,7 @@ func (s *Session) runStmt(st Stmt, slot *stmtSlot, parse time.Duration, cache, s
 	defer func() {
 		s.db.releaseSnapshot(snap)
 		releaseLatches(fp)
+		s.latches = idleBuf(fp)
 		if exclusive {
 			s.db.mu.Unlock()
 		} else {
@@ -431,7 +439,7 @@ func (s *Session) runStmt(st Stmt, slot *stmtSlot, parse time.Duration, cache, s
 		Exec:            time.Since(start),
 		LockWait:        lockWait,
 		LockWaitByTable: waits,
-		Cache:           cache,
+		Cache:           ps.cache,
 		RowsScanned:     s.rowsScanned,
 	}
 	if s.planTable != "" {
@@ -532,7 +540,7 @@ func (s *Session) execStmtLocked(st Stmt, slot *stmtSlot, params []Value, emit f
 	// in a local one, resolved by finishStmt.
 	local := s.txn == nil
 	if local {
-		s.txn = &txn{id: s.db.txnIDs.Add(1)}
+		s.begin(false)
 	}
 	res, err := s.dispatch(st, slot, params)
 	s.finishStmt(local, err, emit)
@@ -554,7 +562,7 @@ func (s *Session) txnControl(st Stmt, emit func()) (*Result, error) {
 	case !begin && tx == nil:
 		return nil, fmt.Errorf("sqldb: no transaction open")
 	case begin:
-		s.txn = &txn{id: s.db.txnIDs.Add(1), explicit: true}
+		s.begin(true)
 	default:
 		s.txn = nil
 		if !commit {
@@ -573,6 +581,12 @@ func (s *Session) txnControl(st Stmt, emit func()) (*Result, error) {
 	}
 	s.db.commitMu.Unlock()
 	return &Result{}, nil
+}
+
+// begin opens a transaction on the session's own txn and write set.
+func (s *Session) begin(explicit bool) {
+	s.tx = txn{id: s.db.txnIDs.Add(1), ws: s.tx.ws[:0], explicit: explicit}
+	s.txn = &s.tx
 }
 
 // finishStmt resolves a statement once its dispatch returned. A local
@@ -610,24 +624,31 @@ func (s *Session) finishStmt(local bool, err error, emit func()) {
 // SELECT (also under EXPLAIN and CREATE TABLE … AS), its UPDATE/DELETE
 // row filter, its INSERT's rows or its CALL's arguments.
 func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value) (res *Result, err error) {
-	// The statement's scope, built only by the statements that read it.
-	base := func() *env { return &env{params: params, session: s} }
+	// The statement's scope: the session's own, unless an enclosing
+	// statement still holds it (a CALL running its body).
+	scope := &s.scope
+	if scope.session != nil {
+		scope = new(env)
+	} else {
+		defer func() { s.scope = env{} }()
+	}
+	*scope = env{params: params, session: s}
 	switch t := st.(type) {
 	case *SelectStmt:
-		res, err = s.execSelect(t, base(), slot)
+		res, err = s.execSelect(t, scope, slot)
 		if err == nil {
 			b := res.approxBytes()
 			s.db.bytesReturned.Add(b)
 		}
 		return res, err
 	case *InsertStmt:
-		return s.execInsert(t, slot, base())
+		return s.execInsert(t, slot, scope)
 	case *UpdateStmt:
-		return s.execUpdate(t, slot, base())
+		return s.execUpdate(t, slot, scope)
 	case *DeleteStmt:
-		return s.execDelete(t, slot, base())
+		return s.execDelete(t, slot, scope)
 	case *CreateTableStmt:
-		return s.execCreateTable(t, slot, base())
+		return s.execCreateTable(t, slot, scope)
 	case *DropTableStmt:
 		lc := strings.ToLower(t.Table)
 		tbl, ok := s.db.tables[lc]
@@ -708,11 +729,11 @@ func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value) (res *Result
 		s.db.footGen.Add(1)
 		return &Result{}, nil
 	case *CallStmt:
-		return s.execCall(t, slot, base())
+		return s.execCall(t, slot, scope)
 	case *ExplainStmt:
-		return s.execExplain(t, slot, base())
+		return s.execExplain(t, slot, scope)
 	case *AlterTableStmt:
-		return s.execAlterTable(t, base())
+		return s.execAlterTable(t, scope)
 	case *CreateViewStmt:
 		res, err = s.execCreateView(t)
 		if err == nil {
@@ -765,7 +786,7 @@ func (s *Session) Rollback() {
 		// latches the write set, but the ExecHook, the budget and
 		// read-only gates and stats emission (all in execStmt) are
 		// bypassed — an abort must always go through.
-		s.runStmt(rollbackStmt, nil, 0, "", "ROLLBACK", nil, false)
+		s.runStmt(&parsedStmt{st: rollbackStmt, norm: "ROLLBACK"}, 0, nil, false)
 	}
 }
 
@@ -1019,12 +1040,14 @@ func (s *Session) planRows(table string, where Expr, sets []SetClause, outer *en
 }
 
 // matchRows returns the visible row versions of a planRows plan's table
-// that pass its WHERE: UPDATE and DELETE want versions, not values.
+// that pass its WHERE: UPDATE and DELETE want versions, not values. They
+// are collected in the source's probe buffer (in place, after a probe).
 func (p *selectPlan) matchRows() ([]*Row, error) {
 	src, e := &p.srcs[0], &p.env
 	defer p.countRows()
-	var matched []*Row
-	for _, r := range p.candidates(src) {
+	cands := p.candidates(src)
+	matched := src.probe[:0]
+	for _, r := range cands {
 		if !p.s.rowVisible(r) {
 			continue
 		}
@@ -1036,6 +1059,7 @@ func (p *selectPlan) matchRows() ([]*Row, error) {
 			matched = append(matched, r)
 		}
 	}
+	src.probe = matched
 	return matched, nil
 }
 

@@ -145,21 +145,21 @@ func (t *planTree) stamp(tbl *Table) {
 }
 
 // idle drops the run state that references rows, and the execution's
-// session and parameters.
+// session and parameters, and any buffer past idleCap entries.
 func (p *selectPlan) idle() {
 	p.s, p.env.session, p.env.params = nil, nil, nil
 	p.env.row, p.env.outer, p.env.aggs = nil, nil, nil
 	p.rows, p.out, p.seen = nil, nil, nil
-	if p.groups.n > idleGroups {
+	if p.groups.n > idleCap {
 		p.groups = groupTable{}
 	}
 	p.groups.reset()
-	clear(p.keys)
+	p.keys, p.perm = idleBuf(p.keys), idleBuf(p.perm)
 	clear(p.buf)
 	clear(p.version)
 	for k := range p.srcs {
 		src := &p.srcs[k]
-		src.heap, src.vals = nil, nil
+		src.heap, src.vals, src.probe = nil, nil, idleBuf(src.probe)
 		if src.join == nil {
 			continue
 		}
@@ -168,4 +168,14 @@ func (p *selectPlan) idle() {
 			clear(src.key) // the last outer row's probe
 		}
 	}
+}
+
+// idleBuf empties a buffer for an idle plan or session: its memory is
+// kept, cleared, unless it held more than idleCap entries.
+func idleBuf[T any](b []T) []T {
+	if cap(b) > idleCap {
+		return nil
+	}
+	clear(b[:cap(b)])
+	return b[:0]
 }

@@ -663,6 +663,20 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestDropErrorNamesEveryKind: an unknown DROP names all five kinds the
+// parser accepts.
+func TestDropErrorNamesEveryKind(t *testing.T) {
+	_, err := Parse("DROP TRIGGER x")
+	if err == nil {
+		t.Fatal("DROP TRIGGER parsed")
+	}
+	for _, kind := range []string{"TABLE", "INDEX", "SEQUENCE", "PROCEDURE", "VIEW"} {
+		if !strings.Contains(err.Error(), kind) {
+			t.Errorf("%q does not name %s", err, kind)
+		}
+	}
+}
+
 func TestDefaultValues(t *testing.T) {
 	db := Open("t")
 	db.MustExec("CREATE TABLE d (a INTEGER, b VARCHAR DEFAULT 'none', c BOOLEAN DEFAULT FALSE)")

@@ -42,6 +42,7 @@ type Row struct {
 // only under the exclusive engine lock.
 type Table struct {
 	Name    string
+	key     string // Name lowercased: the table's key in DB.tables
 	Columns []Column
 	rows    []*Row
 	indexes map[string]*Index // by lowercased index name
@@ -69,7 +70,7 @@ func newTable(name string, cols []Column) (*Table, error) {
 		}
 		seen[lc] = true
 	}
-	t := &Table{Name: name, Columns: cols, indexes: map[string]*Index{}}
+	t := &Table{Name: name, key: strings.ToLower(name), Columns: cols, indexes: map[string]*Index{}}
 	var pkCols []string
 	for _, c := range cols {
 		if c.PrimaryKey {

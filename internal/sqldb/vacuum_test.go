@@ -80,7 +80,7 @@ func checkIndexes(t testing.TB, tbl *Table, snaps ...int64) {
 						scan = append(scan, r)
 					}
 				}
-				for _, r := range idx.lookup(key) {
+				for _, r := range idx.appendLookup(nil, key) {
 					if visibleAt(r, snap, 0) {
 						probe = append(probe, r)
 					}

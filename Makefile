@@ -64,8 +64,11 @@ bench-test:
 # encodings), the LIKE matcher (equal to a regexp
 # oracle), the GROUP BY group table (the same bins, in first-seen order,
 # as a map keyed on appendValueKey), session reuse (a seeded statement
-# mix on one long-lived session returns what it returns on a fresh
-# session per statement, and no result changes after it is returned) and
+# mix — writes, rollbacks, transactions, and reads through a hash join
+# and an index probe with ORDER BY … LIMIT, whose plans keep their build
+# and sort buffers — on one long-lived session returns what it returns
+# on a fresh session per statement, and no result changes after it is
+# returned) and
 # xdm's block clone (equal to its source, and a write to it never
 # reaches the source). CI-friendly; raise -fuzztime manually for longer
 # campaigns.

@@ -17,49 +17,40 @@ func (s *Session) execCreateTable(t *CreateTableStmt, slot *stmtSlot, base *env)
 	if _, exists := s.db.views[lc]; exists {
 		return nil, fmt.Errorf("sqldb: a view named %s already exists", t.Table)
 	}
+	cols := make([]Column, len(t.Columns))
+	for i, cd := range t.Columns {
+		cols[i] = Column{Name: cd.Name, Type: cd.Type, NotNull: cd.NotNull, PrimaryKey: cd.PrimaryKey, Default: cd.Default}
+	}
+	var rows [][]Value // AS SELECT: the rows, whose columns are the table's
 	if t.AsQuery != nil {
 		qres, err := s.execSelect(t.AsQuery, base, slot)
 		if err != nil {
 			return nil, err
 		}
-		cols := make([]Column, len(qres.Columns))
+		cols, rows = make([]Column, len(qres.Columns)), qres.Rows
 		for i, name := range qres.Columns {
-			cols[i] = Column{Name: name, Type: inferColumnType(qres.Rows, i)}
+			cols[i] = Column{Name: name, Type: inferColumnType(rows, i)}
 		}
-		tbl, err := newTable(t.Table, cols)
-		if err != nil {
-			return nil, err
-		}
-		for _, row := range qres.Rows {
-			r, err := tbl.insertVersion(row, s.txn.id)
-			if err != nil {
-				return nil, err
-			}
-			s.txn.ws = append(s.txn.ws, wsEntry{t: tbl, r: r, kind: wsInsert})
-		}
-		s.db.tables[lc] = tbl
-		if tbl.pkIndex != nil {
-			s.db.indexOwner[strings.ToLower(tbl.pkIndex.Name)] = tbl
-		}
-		s.db.rowsWritten.Add(int64(len(qres.Rows)))
-		return &Result{RowsAffected: len(qres.Rows)}, nil
-	}
-	if len(t.Columns) == 0 {
+	} else if len(cols) == 0 {
 		return nil, fmt.Errorf("sqldb: table %s must have at least one column", t.Table)
-	}
-	cols := make([]Column, len(t.Columns))
-	for i, cd := range t.Columns {
-		cols[i] = Column{Name: cd.Name, Type: cd.Type, NotNull: cd.NotNull, PrimaryKey: cd.PrimaryKey, Default: cd.Default}
 	}
 	tbl, err := newTable(t.Table, cols)
 	if err != nil {
 		return nil, err
 	}
+	for _, row := range rows {
+		r, err := tbl.insertVersion(row, s.txn.id)
+		if err != nil {
+			return nil, err
+		}
+		s.txn.ws = append(s.txn.ws, wsEntry{t: tbl, r: r, kind: wsInsert})
+	}
 	s.db.tables[lc] = tbl
 	if tbl.pkIndex != nil {
 		s.db.indexOwner[strings.ToLower(tbl.pkIndex.Name)] = tbl
 	}
-	return &Result{}, nil
+	s.db.rowsWritten.Add(int64(len(rows)))
+	return &Result{RowsAffected: len(rows)}, nil
 }
 
 // execAlterTable handles ALTER TABLE ADD COLUMN / DROP COLUMN / RENAME TO.

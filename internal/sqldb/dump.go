@@ -51,12 +51,7 @@ func (db *DB) dumpLocked() string {
 	snap := db.commitSeq.Load()
 	var b strings.Builder
 
-	tableNames := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		tableNames = append(tableNames, n)
-	}
-	sort.Strings(tableNames)
-	for _, tn := range tableNames {
+	for _, tn := range sortedKeys(db.tables) {
 		t := db.tables[tn]
 		var cols []string
 		for _, c := range t.Columns {
@@ -79,12 +74,7 @@ func (db *DB) dumpLocked() string {
 			}
 			fmt.Fprintf(&b, "INSERT INTO %s VALUES (%s);\n", t.Name, strings.Join(vals, ", "))
 		}
-		idxNames := make([]string, 0, len(t.indexes))
-		for n := range t.indexes {
-			idxNames = append(idxNames, n)
-		}
-		sort.Strings(idxNames)
-		for _, in := range idxNames {
+		for _, in := range sortedKeys(t.indexes) {
 			idx := t.indexes[in]
 			if idx == t.pkIndex {
 				continue // implied by PRIMARY KEY
@@ -98,12 +88,7 @@ func (db *DB) dumpLocked() string {
 		}
 	}
 
-	viewNames := make([]string, 0, len(db.views))
-	for n := range db.views {
-		viewNames = append(viewNames, n)
-	}
-	sort.Strings(viewNames)
-	for _, vn := range viewNames {
+	for _, vn := range sortedKeys(db.views) {
 		v := db.views[vn]
 		if v.src == "" {
 			fmt.Fprintf(&b, "-- view %s has no recorded definition\n", v.Name)
@@ -112,24 +97,14 @@ func (db *DB) dumpLocked() string {
 		fmt.Fprintf(&b, "CREATE VIEW %s AS %s;\n", v.Name, v.src)
 	}
 
-	seqNames := make([]string, 0, len(db.sequences))
-	for n := range db.sequences {
-		seqNames = append(seqNames, n)
-	}
-	sort.Strings(seqNames)
-	for _, sn := range seqNames {
+	for _, sn := range sortedKeys(db.sequences) {
 		s := db.sequences[sn]
 		next, inc := s.state()
 		fmt.Fprintf(&b, "CREATE SEQUENCE %s START WITH %d INCREMENT BY %d;\n",
 			s.Name, next, inc)
 	}
 
-	procNames := make([]string, 0, len(db.procs))
-	for n := range db.procs {
-		procNames = append(procNames, n)
-	}
-	sort.Strings(procNames)
-	for _, pn := range procNames {
+	for _, pn := range sortedKeys(db.procs) {
 		p := db.procs[pn]
 		if p.Native != nil {
 			fmt.Fprintf(&b, "-- native procedure %s cannot be dumped\n", p.Name)
@@ -143,4 +118,14 @@ func (db *DB) dumpLocked() string {
 			p.Name, params, strings.ReplaceAll(p.src, "'", "''"))
 	}
 	return b.String()
+}
+
+// sortedKeys lists a catalog map's keys in order: the dump's order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

@@ -26,9 +26,10 @@ type equivStep struct {
 }
 
 // equivMix generates a seeded mix over orders/audit: DDL, literal and
-// bound IUD, explicit transactions ended by COMMIT, ROLLBACK, or a native
-// procedure rolling back its child session, a SQL-bodied CALL, a native
-// CALL that issues SQL, and statements that fail without effect
+// bound IUD, bound reads (a scan, a hash join, an index probe with ORDER
+// BY … LIMIT), explicit transactions ended by COMMIT, ROLLBACK, or a
+// native procedure rolling back its child session, a SQL-bodied CALL, a
+// native CALL that issues SQL, and statements that fail without effect
 // (duplicate key, transaction control out of place).
 func equivMix(seed int64) []equivStep {
 	rng := rand.New(rand.NewSource(seed))
@@ -60,12 +61,24 @@ func equivMix(seed int64) []equivStep {
 			return step(fmt.Sprintf("CALL note(%d, 'seen')", id))
 		}
 	}
+	// Bound reads on the plans that reuse their buffers across runs: a
+	// hash join (audit has no index) and an index probe sorted and cut.
+	read := func() equivStep {
+		if rng.Intn(2) == 0 {
+			return step("SELECT o.id, o.item, a.note FROM orders o JOIN audit a ON a.id = o.id WHERE o.qty >= ? ORDER BY o.id, a.note", Int(int64(rng.Intn(30))))
+		}
+		return step("SELECT id, qty FROM orders WHERE item = ? ORDER BY qty DESC, id LIMIT 3", Str(items[rng.Intn(len(items))]))
+	}
 	for i := 0; i < 60; i++ {
 		switch rng.Intn(6) {
 		case 0: // explicit transaction
 			mix = append(mix, step("BEGIN"))
 			for n := 1 + rng.Intn(4); n > 0; n-- {
-				mix = append(mix, iud())
+				if rng.Intn(3) == 0 {
+					mix = append(mix, read())
+				} else {
+					mix = append(mix, iud())
+				}
 			}
 			switch rng.Intn(4) {
 			case 0:
@@ -81,6 +94,8 @@ func equivMix(seed int64) []equivStep {
 			mix = append(mix, step([]string{"COMMIT", "ROLLBACK"}[rng.Intn(2)]))
 		case 2:
 			mix = append(mix, step("SELECT id, item, qty FROM orders WHERE qty >= ? ORDER BY id", Int(int64(rng.Intn(30)))))
+		case 3:
+			mix = append(mix, read())
 		default:
 			mix = append(mix, iud())
 		}

@@ -315,9 +315,7 @@ func TestThousandRebindingsMatchFreshPrepare(t *testing.T) {
 // text plans once — the procedure's body once, however it is called, and
 // a text once whether its key arrives as a literal or a parameter.
 func TestStatementMixesCompileOncePerText(t *testing.T) {
-	db := newReadDB(t, 512)
-	db.MustExec(`CREATE PROCEDURE approved_totals () AS
-		'SELECT ItemID, SUM(Quantity) AS Quantity FROM Orders WHERE Approved = TRUE GROUP BY ItemID ORDER BY ItemID'`)
+	db := newReadDB(t, 512) // with the approved_totals procedure
 	s := db.Session()
 	exec := func(sql string, params ...Value) *Result {
 		t.Helper()

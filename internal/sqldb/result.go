@@ -107,12 +107,10 @@ func (r *Result) approxBytes() int64 {
 	for _, row := range r.Rows {
 		for _, v := range row {
 			switch v.K {
-			case KindNull:
+			case KindNull, KindBool:
 				n += 1
 			case KindInt, KindFloat:
 				n += 8
-			case KindBool:
-				n += 1
 			case KindString:
 				n += int64(len(v.S))
 			}

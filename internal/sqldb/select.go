@@ -23,7 +23,7 @@ type joinStrategy uint8
 
 const (
 	joinLoop  joinStrategy = iota // rescan the filtered inner rows: CROSS/comma, or no usable equality in ON
-	joinHash                      // probe a hash table built once over the filtered inner rows
+	joinHash                      // probe a hash table built per run over the filtered inner rows
 	joinIndex                     // probe the inner table's index per outer row
 )
 
@@ -55,7 +55,7 @@ type source struct {
 }
 
 // join is how a source after the first finds its matches, and the rows
-// of a source that is read once.
+// of a source that is read once per run (materialize).
 type join struct {
 	strategy joinStrategy
 	keys     []evalFn // hash/index: key expressions over the sources before
@@ -65,7 +65,7 @@ type join struct {
 	fewer    bool     // hash/index: planned while fewer rows reached the join than the inner holds
 	built    bool
 	all      [][]Value
-	hash     map[string]int // join key → its bucket
+	hash     map[string]int // every join key seen → its bucket; an empty bucket is a miss
 	buckets  [][][]Value
 }
 
@@ -164,10 +164,11 @@ type selectPlan struct {
 
 	level  int // deepest open source; levelNew, levelDone
 	rows   [][]Value
+	last   int     // rows the last run emitted: the next run's size hint
 	keys   []Value // ORDER BY keys of rows, len(order) each
 	perm   []int   // ORDER BY: the sorted order of rows
 	groups groupTable
-	out    []Value        // backing the next output rows are cut from (a grouped run sizes it for all its groups)
+	out    []Value        // backing the next output rows are cut from
 	seen   map[string]int // DISTINCT
 	kb     []byte
 	nread  int64
@@ -662,7 +663,28 @@ func (p *selectPlan) run(outer *env) (*Result, error) {
 	if limit >= 0 && limit < len(rows) {
 		rows = rows[:limit]
 	}
-	return &Result{Columns: p.colNames, Rows: rows}, nil
+	return &Result{Columns: p.colNames, Rows: p.fit(rows)}, nil
+}
+
+// fit returns rows as they are if their slice and every arm's backings
+// hold at most twice as many, else copied exact: a Result never holds
+// more than twice its rows, whatever the size hint, filter or cut.
+func (p *selectPlan) fit(rows [][]Value) [][]Value {
+	room, n := 0, len(rows)
+	for arm := p; arm != nil; arm = arm.union {
+		room += cap(arm.rows)
+	}
+	if n == 0 {
+		return nil
+	} else if 2*n >= max(room, cap(rows)) {
+		return rows
+	}
+	w := len(rows[0])
+	out, fit := make([]Value, n*w), make([][]Value, n)
+	for i, row := range rows {
+		fit[i] = append(out[i*w:i*w:(i+1)*w], row...)
+	}
+	return fit
 }
 
 // permute reorders rows in place so that row i is the one perm[i] named,
@@ -712,6 +734,8 @@ func (p *selectPlan) runArm(outer *env, stopAt int) ([][]Value, error) {
 	if p.grouped && len(p.groupBy) == 0 {
 		// No GROUP BY: one group, present even over no rows (COUNT(*) = 0).
 		t.add(nil, na)
+	} else if hint := int(min(uint(p.last), idleCap, uint(stopAt))); !p.grouped && hint > 0 {
+		p.grow(hint) // as many rows as the last run emitted, within stopAt (< 0: none) and idleCap
 	}
 	defer p.countRows()
 	full := func() bool { return stopAt >= 0 && len(p.rows) >= stopAt }
@@ -742,7 +766,7 @@ func (p *selectPlan) runArm(outer *env, stopAt int) ([][]Value, error) {
 		}
 	}
 	if p.grouped {
-		p.out, p.rows = make([]Value, t.n*len(p.items)), make([][]Value, 0, t.n)
+		p.grow(t.n)
 	}
 	for g, w := 0, len(e.cols); g < t.n && !full(); g++ {
 		e.row, e.aggs = nil, t.aggs[g*na:(g+1)*na]
@@ -760,6 +784,7 @@ func (p *selectPlan) runArm(outer *env, stopAt int) ([][]Value, error) {
 			return nil, err
 		}
 	}
+	p.last = len(p.rows)
 	return p.rows, nil
 }
 
@@ -880,12 +905,14 @@ func (p *selectPlan) place(src *source, vals []Value) {
 	}
 }
 
-// materialize reads a source that is rescanned or hashed once: its
-// visible rows that pass its pushed-down filter, and for a hash join the
-// table from key to rows.
+// materialize reads a source that is rescanned or hashed once per run:
+// its visible rows that pass its pushed-down filter into src.all, and for
+// a hash join each into its key's bucket. The list, the buckets and the
+// key dictionary are the plan's: every run truncates and refills them.
 func (p *selectPlan) materialize(src *source) error {
 	src.built = true
 	var rows [][]Value
+	var heap []*Row
 	if src.sub != nil {
 		outer := p.env.outer
 		if src.viewEnv != nil {
@@ -900,31 +927,37 @@ func (p *selectPlan) materialize(src *source) error {
 		}
 		rows = res.Rows
 	} else {
-		for _, r := range p.candidates(src) {
-			if p.s.rowVisible(r) {
-				rows = append(rows, r.Values)
-			}
-		}
-		p.nread += int64(len(rows))
+		heap = p.candidates(src)
 	}
-	if len(src.filter) > 0 {
-		kept := rows[:0]
-		for _, vals := range rows {
+	src.all = src.all[:0]
+	for i := range max(len(rows), len(heap)) {
+		var vals []Value
+		if rows != nil {
+			vals = rows[i]
+		} else if r := heap[i]; p.s.rowVisible(r) {
+			p.nread++
+			vals = r.Values
+		} else {
+			continue
+		}
+		if len(src.filter) > 0 {
 			p.place(src, vals)
 			if ok, err := allTrue(src.filter, &p.env); err != nil {
 				return err
-			} else if ok {
-				kept = append(kept, vals)
+			} else if !ok {
+				continue
 			}
 		}
-		rows = kept
+		src.all = append(src.all, vals)
 	}
-	if src.all = rows; src.strategy != joinHash {
+	if src.strategy != joinHash {
 		return nil
 	}
-	src.hash, src.buckets = make(map[string]int, len(rows)), nil
+	for i := range src.buckets {
+		src.buckets[i] = src.buckets[i][:0]
+	}
 rows:
-	for _, vals := range rows {
+	for _, vals := range src.all {
 		kb := p.kb[:0]
 		for _, ci := range src.keyCols {
 			if vals[ci].IsNull() {
@@ -1020,14 +1053,23 @@ func (p *selectPlan) groupOf() (int, error) {
 	return g, nil
 }
 
+// grow gives the run room for n more output rows: a backing for them and
+// as much capacity in p.rows, exactly (fit reads the backings' size off it).
+func (p *selectPlan) grow(n int) {
+	rows := make([][]Value, len(p.rows), len(p.rows)+n)
+	copy(rows, p.rows)
+	p.out, p.rows = make([]Value, n*len(p.items)), rows
+}
+
 // emit projects the current row (or group) into the output, unless
 // DISTINCT has seen it, and computes its ORDER BY keys while the input
 // is at hand. Rows are cut from a backing, p.out, which a grouped run
-// sizes for all its groups and any other run doubles as it runs out.
+// sizes for all its groups and any other run for the rows its plan
+// emitted last time, doubling it past them.
 func (p *selectPlan) emit() error {
 	e, w := &p.env, len(p.items)
 	if len(p.out) < w {
-		p.out = make([]Value, w*max(len(p.rows), 1))
+		p.grow(max(len(p.rows), 1))
 	}
 	out := p.out[:w:w]
 	var err error

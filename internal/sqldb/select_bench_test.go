@@ -5,22 +5,31 @@ import (
 	"testing"
 )
 
-// The four statement classes of the repo benchmark's sql-read workload
+// The five statement classes of the repo benchmark's sql-read workload
 // (bench/workloads.go), over the same tables, so each can be timed and
 // profiled without the harness. Each runs one cached text, so after the
 // first iteration it times a re-bound plan (slot.go), not planning:
 //
 //	go test -run '^$' -bench Select -benchmem ./internal/sqldb/
+//
+// Objects per op: Agg, Join, Point and IndexTopK 3 each — the Result, its
+// Rows and the row backing, sized from the plan's last run — and Call 4.
+// A sql-read op runs one Agg or Call, 64 Point, 32 IndexTopK and one Join.
 const (
 	readAggSQL   = "SELECT ItemID, SUM(Quantity) AS Quantity FROM Orders WHERE Approved = TRUE AND Quantity >= ? GROUP BY ItemID ORDER BY ItemID"
 	readPointSQL = "SELECT ItemID, Quantity FROM Orders WHERE OrderID = ?"
 	readTopKSQL  = "SELECT OrderID, Quantity FROM Orders WHERE CustID = ? ORDER BY Quantity DESC, OrderID LIMIT 5"
 	readJoinSQL  = "SELECT i.ItemID, s.Name FROM Items i JOIN Suppliers s ON i.SupplierID = s.SupplierID WHERE s.Region = ? ORDER BY i.ItemID"
+	readCallBody = "SELECT ItemID, SUM(Quantity) AS Quantity FROM Orders WHERE Approved = TRUE GROUP BY ItemID ORDER BY ItemID"
 )
+
+// readRegions are the join's parameters, built once: a run counts the
+// statement's objects only.
+var readRegions = [...]Value{Str("region0"), Str("region1"), Str("region2"), Str("region3")}
 
 // newReadDB builds the sql-read schema with the given number of orders:
 // 64 items, 32 suppliers in 4 regions, 8 orders per customer, quantities
-// 1..20, four orders in five approved.
+// 1..20, four orders in five approved, and the approved_totals procedure.
 func newReadDB(tb testing.TB, orders int) *DB {
 	tb.Helper()
 	db := Open("readbench")
@@ -29,6 +38,7 @@ func newReadDB(tb testing.TB, orders int) *DB {
 	db.MustExec("CREATE INDEX orders_cust ON Orders (CustID)")
 	db.MustExec("CREATE TABLE Items (ItemID VARCHAR PRIMARY KEY, SupplierID INTEGER NOT NULL, Price INTEGER NOT NULL)")
 	db.MustExec("CREATE TABLE Suppliers (SupplierID INTEGER PRIMARY KEY, Name VARCHAR NOT NULL, Region VARCHAR NOT NULL)")
+	db.MustExec("CREATE PROCEDURE approved_totals () AS '" + readCallBody + "'")
 	s := db.Session()
 	exec := func(sql string, params ...Value) {
 		if _, err := s.Exec(sql, params...); err != nil {
@@ -53,7 +63,13 @@ func benchSelect(b *testing.B, sql string, param func(i int) Value) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Exec(sql, param(i)); err != nil {
+		var err error
+		if param == nil {
+			_, err = s.Exec(sql)
+		} else {
+			_, err = s.Exec(sql, param(i))
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -64,7 +80,7 @@ func BenchmarkSelectAgg(b *testing.B) {
 }
 
 func BenchmarkSelectJoin(b *testing.B) {
-	benchSelect(b, readJoinSQL, func(i int) Value { return Str(fmt.Sprint("region", i%4)) })
+	benchSelect(b, readJoinSQL, func(i int) Value { return readRegions[i%4] })
 }
 
 func BenchmarkSelectPoint(b *testing.B) {
@@ -73,4 +89,8 @@ func BenchmarkSelectPoint(b *testing.B) {
 
 func BenchmarkSelectIndexTopK(b *testing.B) {
 	benchSelect(b, readTopKSQL, func(i int) Value { return Int(int64(i * 7 % 512)) })
+}
+
+func BenchmarkSelectCall(b *testing.B) {
+	benchSelect(b, "CALL approved_totals()", nil)
 }

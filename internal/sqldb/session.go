@@ -735,17 +735,9 @@ func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value) (res *Result
 	case *AlterTableStmt:
 		return s.execAlterTable(t, scope)
 	case *CreateViewStmt:
-		res, err = s.execCreateView(t)
-		if err == nil {
-			s.db.footGen.Add(1) // footprints expand view references
-		}
-		return res, err
+		return s.execCreateView(t)
 	case *DropViewStmt:
-		res, err = s.execDropView(t)
-		if err == nil {
-			s.db.footGen.Add(1)
-		}
-		return res, err
+		return s.execDropView(t)
 	}
 	return nil, fmt.Errorf("sqldb: unsupported statement %T", st)
 }

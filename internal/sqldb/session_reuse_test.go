@@ -3,10 +3,12 @@ package sqldb
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"strconv"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // A session reuses its transaction, scope, latch set and parameter
@@ -170,7 +172,9 @@ func TestStatementAllocs(t *testing.T) {
 			_, err := s.Exec("SELECT ItemID, Quantity FROM Orders WHERE OrderID = 77")
 			return err
 		}},
-		{"index-top5", 9, func() error { _, err := s.Exec(readTopKSQL, Int(7)); return err }},
+		{"index-top5", 3, func() error { _, err := s.Exec(readTopKSQL, Int(7)); return err }},
+		{"join", 3, func() error { _, err := s.Exec(readJoinSQL, readRegions[next%4]); next++; return err }},
+		{"call", 4, func() error { _, err := s.Exec("CALL approved_totals()"); return err }},
 		{"update-pk", 5, func() error {
 			_, err := s.Exec("UPDATE Orders SET Quantity = Quantity + 1 WHERE OrderID = ?", Int(77))
 			return err
@@ -205,10 +209,57 @@ func TestStatementAllocs(t *testing.T) {
 	}
 }
 
+// TestResultBackingFollowsItsRows: a slotted SELECT sizes its output
+// from the rows its last run emitted, yet every Result holds at most
+// twice its rows — in its Rows slice and in the backing its rows are cut
+// from — after a larger run as after a smaller one. The backing is
+// measured as the live heap a Result keeps.
+func TestResultBackingFollowsItsRows(t *testing.T) {
+	const width = 4 // Values per row
+	db := Open("backing")
+	db.MustExec("CREATE TABLE r (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, c INTEGER)")
+	s := db.Session()
+	for i := 0; i < 1000; i++ {
+		if _, err := s.Exec("INSERT INTO r VALUES (?, ?, ?, ?)", Int(int64(i)), Int(1), Int(2), Int(3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const sql = "SELECT id, a, b, c FROM r WHERE id < ?"
+	run := func(rows int) (*Result, int) {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		before := int(m.HeapAlloc)
+		res, err := s.Exec(sql, Int(int64(rows)))
+		if err != nil || len(res.Rows) != rows {
+			t.Fatalf("%d rows: %v, %v", rows, res, err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		runtime.KeepAlive(res)
+		return res, int(m.HeapAlloc) - before
+	}
+	run(1000) // plans the text, and grows what the table and plan keep for a scan
+	for _, rows := range []int{1000, 1, 1000, 3} {
+		res, held := run(rows)
+		if n := len(res.Rows); cap(res.Rows) > 2*n+1 {
+			t.Errorf("%d rows in a Rows slice of %d", n, cap(res.Rows))
+		}
+		// Twice the rows' values and slice headers, the Result, and a
+		// margin for what the runtime itself allocated meanwhile.
+		limit := 2*rows*width*int(unsafe.Sizeof(Value{})) + (2*rows+1)*int(unsafe.Sizeof([]Value{})) + 8<<10
+		if held > limit {
+			t.Errorf("a %d-row Result holds %d bytes, more than %d", rows, held, limit)
+		}
+		t.Logf("%d rows: %d bytes held", rows, held)
+	}
+}
+
 // TestIdleStateHoldsNoRows: after a probe of a 10 000-version bucket with
-// an ORDER BY, a 10 000-row INSERT and a statement bound with 2 000
-// values, neither the idle plans nor the session reference a row
-// version, and none keeps a buffer past idleCap entries.
+// an ORDER BY, a 10 000-row INSERT, a statement bound with 2 000 values
+// and a hash join over 10 000 keys, neither the idle plans nor the
+// session reference a row version, and none keeps a buffer — a join's
+// row list, key dictionary or buckets among them — past idleCap entries.
 func TestIdleStateHoldsNoRows(t *testing.T) {
 	const n = 10000
 	db := Open("idle")
@@ -237,11 +288,19 @@ func TestIdleStateHoldsNoRows(t *testing.T) {
 	if _, err := s.Exec("UPDATE big SET v = ? WHERE id = ?", make([]Value, 2000)...); err != nil {
 		t.Fatal(err)
 	}
-	if len(idle) != 3 {
-		t.Fatalf("%d plans given back, want 3", len(idle))
+	// A hash join whose inner, copy, holds 10 000 distinct keys.
+	if res, err := s.Exec("SELECT b.id, c.v FROM big b JOIN copy c ON c.id = b.id WHERE b.k = ?", Int(1)); err != nil || len(res.Rows) != n {
+		t.Fatalf("join: %v", err)
 	}
-	for _, p := range slices.Concat(idle[0].tree.plans, idle[1].tree.plans, idle[2].tree.plans) {
+	if len(idle) != 4 {
+		t.Fatalf("%d plans given back, want 4", len(idle))
+	}
+	if src := &idle[3].srcs[1]; src.strategy != joinHash {
+		t.Fatalf("the join's strategy is %d, want a hash join", src.strategy)
+	}
+	for _, p := range slices.Concat(idle[0].tree.plans, idle[1].tree.plans, idle[2].tree.plans, idle[3].tree.plans) {
 		checkIdleGroups(t, p)
+		checkIdleJoins(t, p)
 		if p.rows != nil || p.env.row != nil {
 			t.Errorf("idle plan holds %d output rows, row %v", len(p.rows), p.env.row)
 		}

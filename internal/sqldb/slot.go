@@ -145,7 +145,8 @@ func (t *planTree) stamp(tbl *Table) {
 }
 
 // idle drops the run state that references rows, and the execution's
-// session and parameters, and any buffer past idleCap entries.
+// session and parameters, and any buffer past idleCap entries (a hash
+// join's buckets count as one, and its key dictionary goes with them).
 func (p *selectPlan) idle() {
 	p.s, p.env.session, p.env.params = nil, nil, nil
 	p.env.row, p.env.outer, p.env.aggs = nil, nil, nil
@@ -163,7 +164,13 @@ func (p *selectPlan) idle() {
 		if src.join == nil {
 			continue
 		}
-		src.all, src.hash, src.buckets = nil, nil, nil
+		n := 0 // the buckets' room: one row or more per key
+		for i, b := range src.buckets {
+			src.buckets[i], n = idleBuf(b), n+cap(b)
+		}
+		if src.all = idleBuf(src.all); n > idleCap {
+			src.hash, src.buckets = nil, nil
+		}
 		if src.strategy == joinIndex {
 			clear(src.key) // the last outer row's probe
 		}

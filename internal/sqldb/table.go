@@ -63,20 +63,17 @@ type Table struct {
 
 func newTable(name string, cols []Column) (*Table, error) {
 	seen := map[string]bool{}
+	var pkCols []string
 	for _, c := range cols {
 		lc := strings.ToLower(c.Name)
 		if seen[lc] {
 			return nil, fmt.Errorf("sqldb: duplicate column %s in table %s", c.Name, name)
 		}
-		seen[lc] = true
-	}
-	t := &Table{Name: name, key: strings.ToLower(name), Columns: cols, indexes: map[string]*Index{}}
-	var pkCols []string
-	for _, c := range cols {
-		if c.PrimaryKey {
+		if seen[lc] = true; c.PrimaryKey {
 			pkCols = append(pkCols, c.Name)
 		}
 	}
+	t := &Table{Name: name, key: strings.ToLower(name), Columns: cols, indexes: map[string]*Index{}}
 	if len(pkCols) > 0 {
 		idx, err := newIndex(t.Name+"_pk", t, pkCols, true)
 		if err != nil {

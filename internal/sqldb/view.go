@@ -28,6 +28,7 @@ func (s *Session) execCreateView(t *CreateViewStmt) (*Result, error) {
 		return nil, fmt.Errorf("sqldb: view %s definition: %w", t.Name, err)
 	}
 	s.db.views[lc] = &view{Name: t.Name, Query: t.Query, src: t.Src}
+	s.db.footGen.Add(1) // footprints expand view references
 	return &Result{}, nil
 }
 
@@ -37,5 +38,6 @@ func (s *Session) execDropView(t *DropViewStmt) (*Result, error) {
 		return absent(t.IfExists, "view", t.Name)
 	}
 	delete(s.db.views, lc)
+	s.db.footGen.Add(1)
 	return &Result{}, nil
 }

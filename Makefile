@@ -68,10 +68,12 @@ bench-test:
 # and an index probe with ORDER BY … LIMIT, whose plans keep their build
 # and sort buffers — on one long-lived session returns what it returns
 # on a fresh session per statement, and no result changes after it is
-# returned) and
+# returned),
 # xdm's block clone (equal to its source, and a write to it never
-# reaches the source). CI-friendly; raise -fuzztime manually for longer
-# campaigns.
+# reaches the source) and the WF persistence service's streamed XML (the
+# state snapshot and DataSet memo equal, byte for byte, what the xdm tree
+# they no longer build prints). CI-friendly; raise -fuzztime manually for
+# longer campaigns.
 fuzz:
 	$(GO) test -fuzz='^FuzzScan$$' -fuzztime=15s ./internal/journal/
 	$(GO) test -fuzz='^FuzzRecordCodec$$' -fuzztime=15s ./internal/journal/
@@ -84,6 +86,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzGroupKey$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzSessionReuse$$' -fuzztime=15s ./internal/sqldb/
 	$(GO) test -fuzz='^FuzzClone$$' -fuzztime=15s ./internal/xdm/
+	$(GO) test -fuzz='^FuzzPersistenceStream$$' -fuzztime=15s ./internal/mswf/
 
 # The CLIs end to end, writing into ARTIFACTS (a fresh temporary
 # directory when unset), e.g.

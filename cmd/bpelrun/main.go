@@ -49,18 +49,6 @@ import (
 	"wfsql/internal/wsbus"
 )
 
-// openSink opens path for writing ("-" = stdout).
-func openSink(path string) (*os.File, func(), error) {
-	if path == "-" {
-		return os.Stdout, func() {}, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, func() { f.Close() }, nil
-}
-
 type varFlags map[string]string
 
 func (v varFlags) String() string { return fmt.Sprint(map[string]string(v)) }
@@ -131,29 +119,23 @@ func main() {
 	e := engine.New(bus)
 	e.RegisterDataSource(*dsName, db)
 
-	var (
-		obs    *obsv.Observability
-		traceW *obsv.JSONLWriter
-	)
-	if *tracePath != "" || *metricsPath != "" || *instances <= 1 {
-		obs = obsv.New()
-		if *instances <= 1 {
-			// Per-activity lines are single-instance chrome; a
-			// multi-instance run would interleave them beyond usefulness.
-			obs.Tracer.AddSink(obsv.NewActivityLog(os.Stdout))
-		}
-		if *tracePath != "" {
-			f, closeF, terr := openSink(*tracePath)
-			if terr != nil {
-				fatal(terr)
-			}
-			defer closeF()
-			traceW = obsv.NewJSONLWriter(f)
-			obs.Tracer.AddSink(traceW)
-		}
+	// Per-activity lines are single-instance chrome; a multi-instance run
+	// would interleave them beyond usefulness.
+	obs, flush, err := obsv.OpenRunner(*tracePath, *metricsPath, *instances <= 1)
+	if err != nil {
+		fatal(err)
+	}
+	if obs != nil {
 		e.SetObservability(obs)
 		bus.SetObservability(obs)
 		db.SetObservability(obs)
+	}
+	// flushObs closes the trace and dumps the metrics snapshot; called on
+	// every successful exit path.
+	flushObs := func() {
+		if err := flush(); err != nil {
+			fatal(err)
+		}
 	}
 
 	var rec *journal.Recorder
@@ -164,24 +146,6 @@ func main() {
 		}
 		defer rec.Close()
 		e.AttachJournal(rec)
-	}
-
-	// flushObs reports trace write errors and dumps the metrics
-	// snapshot; called on every successful exit path.
-	flushObs := func() {
-		if traceW != nil && traceW.Err() != nil {
-			fatal(fmt.Errorf("trace: %w", traceW.Err()))
-		}
-		if *metricsPath != "" {
-			f, closeF, merr := openSink(*metricsPath)
-			if merr != nil {
-				fatal(merr)
-			}
-			if merr := obsv.WriteMetricsJSON(f, obs.M()); merr != nil {
-				fatal(fmt.Errorf("metrics: %w", merr))
-			}
-			closeF()
-		}
 	}
 
 	d, err := e.Deploy(builder.Build())

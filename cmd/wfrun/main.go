@@ -49,18 +49,6 @@ import (
 	"wfsql/internal/sqldb"
 )
 
-// openSink opens path for writing ("-" = stdout).
-func openSink(path string) (*os.File, func(), error) {
-	if path == "-" {
-		return os.Stdout, func() {}, nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	return f, func() { f.Close() }, nil
-}
-
 type varFlags map[string]any
 
 func (v varFlags) String() string { return fmt.Sprint(map[string]any(v)) }
@@ -132,26 +120,20 @@ func main() {
 	rt := mswf.NewRuntime()
 	rt.RegisterDatabase(*dsName, mswf.SQLServer, db)
 
-	var (
-		obs    *obsv.Observability
-		traceW *obsv.JSONLWriter
-	)
-	if *tracePath != "" || *metricsPath != "" || *instances <= 1 {
-		obs = obsv.New()
-		if *instances <= 1 {
-			obs.Tracer.AddSink(obsv.NewActivityLog(os.Stdout))
-		}
-		if *tracePath != "" {
-			f, closeF, err := openSink(*tracePath)
-			if err != nil {
-				fatal(err)
-			}
-			defer closeF()
-			traceW = obsv.NewJSONLWriter(f)
-			obs.Tracer.AddSink(traceW)
-		}
+	obs, flush, err := obsv.OpenRunner(*tracePath, *metricsPath, *instances <= 1)
+	if err != nil {
+		fatal(err)
+	}
+	if obs != nil {
 		rt.SetObservability(obs)
 		db.SetObservability(obs)
+	}
+	// flushObs closes the trace and dumps the metrics snapshot; called on
+	// every successful exit path.
+	flushObs := func() {
+		if err := flush(); err != nil {
+			fatal(err)
+		}
 	}
 
 	var rec *journal.Recorder
@@ -184,19 +166,7 @@ func main() {
 		rep := s.Run(jobs)
 		fmt.Printf("%d instances on %d workers in %s: %.1f instances/sec (%d failed)\n",
 			rep.Jobs, rep.Workers, rep.Elapsed.Round(0), rep.Throughput, rep.Failed)
-		if traceW != nil && traceW.Err() != nil {
-			fatal(fmt.Errorf("trace: %w", traceW.Err()))
-		}
-		if *metricsPath != "" {
-			f, closeF, merr := openSink(*metricsPath)
-			if merr != nil {
-				fatal(merr)
-			}
-			if merr := obsv.WriteMetricsJSON(f, obs.M()); merr != nil {
-				fatal(fmt.Errorf("metrics: %w", merr))
-			}
-			closeF()
-		}
+		flushObs()
 		if err := rep.FirstError(); err != nil {
 			fatal(err)
 		}
@@ -229,19 +199,7 @@ func main() {
 		v, _ := ctx.Get(name)
 		fmt.Printf("  %s = %v\n", name, v)
 	}
-	if traceW != nil && traceW.Err() != nil {
-		fatal(fmt.Errorf("trace: %w", traceW.Err()))
-	}
-	if *metricsPath != "" {
-		f, closeF, merr := openSink(*metricsPath)
-		if merr != nil {
-			fatal(merr)
-		}
-		if merr := obsv.WriteMetricsJSON(f, obs.M()); merr != nil {
-			fatal(fmt.Errorf("metrics: %w", merr))
-		}
-		closeF()
-	}
+	flushObs()
 	if err != nil {
 		fatal(err)
 	}

@@ -76,15 +76,16 @@ func (a *SQLActivity) Execute(ctx *engine.Ctx) error {
 		return err
 	}
 	save := func() (map[string]string, error) {
-		memo := map[string]string{}
-		if a.ResultRef != "" {
-			if ref, err := SetReference(ctx, a.ResultRef); err == nil {
-				st.mu.Lock()
-				memo["table"] = ref.Table
-				st.mu.Unlock()
-			}
+		if a.ResultRef == "" {
+			return nil, nil // nothing to publish; a nil memo frames as an empty one
 		}
-		return memo, nil
+		ref, err := SetReference(ctx, a.ResultRef)
+		if err != nil {
+			return nil, nil
+		}
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return map[string]string{"table": ref.Table}, nil
 	}
 	restore := func(memo map[string]string) error {
 		if a.ResultRef == "" || memo["table"] == "" {

@@ -88,14 +88,7 @@ func (st *state) journalTxn(kind journal.Kind, label string) {
 	if st.jrec == nil {
 		return
 	}
-	switch kind {
-	case journal.KindTxnBegin:
-		_ = st.jrec.TxnBegin(st.instID, label)
-	case journal.KindTxnCommit:
-		_ = st.jrec.TxnCommit(st.instID, label)
-	case journal.KindTxnRollback:
-		_ = st.jrec.TxnRollback(st.instID, label)
-	}
+	_ = st.jrec.Txn(st.instID, kind, label)
 }
 
 func getState(ctx *engine.Ctx) (*state, error) {
@@ -242,6 +235,20 @@ func (st *state) exitAtomic(fault error) error {
 	if st.mode == engine.ShortRunning || st.atomic > 0 {
 		return nil
 	}
+	return st.endTxnsLocked(fault, "atomic-sequence")
+}
+
+// finish ends all open process-wide transactions at instance completion.
+func (st *state) finish(fault error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	_ = st.endTxnsLocked(fault, "short-running")
+}
+
+// endTxnsLocked commits (on fault, rolls back) every open transaction and
+// journals how each ended, under label; it reports the first failed
+// COMMIT. Caller holds st.mu.
+func (st *state) endTxnsLocked(fault error, label string) error {
 	var firstErr error
 	for db, s := range st.sessions {
 		if !st.inTxn[db] {
@@ -249,43 +256,22 @@ func (st *state) exitAtomic(fault error) error {
 		}
 		if fault != nil {
 			s.Rollback()
-			st.journalTxn(journal.KindTxnRollback, "atomic-sequence")
+			st.journalTxn(journal.KindTxnRollback, label)
 		} else if _, err := s.Exec("COMMIT"); err != nil {
 			// A failed commit leaves the transaction in doubt; resolve
 			// it by rolling back so a unit-of-work retry starts from a
 			// clean state instead of replaying on top of live changes.
 			s.Rollback()
-			st.journalTxn(journal.KindTxnRollback, "atomic-sequence")
+			st.journalTxn(journal.KindTxnRollback, label)
 			if firstErr == nil {
 				firstErr = err
 			}
 		} else {
-			st.journalTxn(journal.KindTxnCommit, "atomic-sequence")
+			st.journalTxn(journal.KindTxnCommit, label)
 		}
 		st.inTxn[db] = false
 	}
 	return firstErr
-}
-
-// finish ends all open process-wide transactions at instance completion.
-func (st *state) finish(fault error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for db, s := range st.sessions {
-		if !st.inTxn[db] {
-			continue
-		}
-		if fault != nil {
-			s.Rollback()
-			st.journalTxn(journal.KindTxnRollback, "short-running")
-		} else if _, err := s.Exec("COMMIT"); err != nil {
-			s.Rollback() // resolve the in-doubt transaction
-			st.journalTxn(journal.KindTxnRollback, "short-running")
-		} else {
-			st.journalTxn(journal.KindTxnCommit, "short-running")
-		}
-		st.inTxn[db] = false
-	}
 }
 
 // abort models what the database does when the process dies: every open
@@ -358,20 +344,13 @@ func numericLead(s string) bool {
 }
 
 func scalarValue(s string) sqldb.Value {
-	if !numericLead(s) {
-		switch s {
-		case "true", "TRUE":
-			return sqldb.Bool(true)
-		case "false", "FALSE":
-			return sqldb.Bool(false)
+	if numericLead(s) {
+		if i, err := strconv.ParseInt(s, 10, 64); err == nil {
+			return sqldb.Int(i)
 		}
-		return sqldb.Str(s)
-	}
-	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return sqldb.Int(i)
-	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return sqldb.Float(f)
+		if f, err := strconv.ParseFloat(s, 64); err == nil {
+			return sqldb.Float(f)
+		}
 	}
 	switch s {
 	case "true", "TRUE":

@@ -16,6 +16,7 @@ package bpelxml
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -62,11 +63,9 @@ func MarshalProcess(p *engine.Process) (string, error) {
 			}
 		}
 	}
-	body, err := marshalActivity(p.Body)
-	if err != nil {
+	if err := marshalInto(root, p.Body); err != nil {
 		return "", err
 	}
-	root.AppendChild(body)
 	return root.Indent(), nil
 }
 
@@ -160,11 +159,9 @@ func marshalActivity(a engine.Activity) (*xdm.Node, error) {
 		if err := marshalCondition(el, t.Condition); err != nil {
 			return nil, fmt.Errorf("while %s: %w", t.ActivityName, err)
 		}
-		body, err := marshalActivity(t.Body)
-		if err != nil {
+		if err := marshalInto(el, t.Body); err != nil {
 			return nil, err
 		}
-		el.AppendChild(body)
 		return el, nil
 	case *engine.If:
 		el := xdm.NewElement("if")
@@ -177,19 +174,14 @@ func marshalActivity(a engine.Activity) (*xdm.Node, error) {
 			if err := marshalCondition(wrap, b.Condition); err != nil {
 				return nil, fmt.Errorf("if %s: %w", t.ActivityName, err)
 			}
-			body, err := marshalActivity(b.Body)
-			if err != nil {
+			if err := marshalInto(wrap, b.Body); err != nil {
 				return nil, err
 			}
-			wrap.AppendChild(body)
 		}
 		if t.Else != nil {
-			we := el.Element("else")
-			body, err := marshalActivity(t.Else)
-			if err != nil {
+			if err := marshalInto(el.Element("else"), t.Else); err != nil {
 				return nil, err
 			}
-			we.AppendChild(body)
 		}
 		return el, nil
 	case *engine.Assign:
@@ -245,31 +237,23 @@ func marshalActivity(a engine.Activity) (*xdm.Node, error) {
 		el := xdm.NewElement("scope")
 		el.SetAttr("name", t.ActivityName)
 		if t.FaultHandler != nil {
-			h, err := marshalActivity(t.FaultHandler)
-			if err != nil {
+			if err := marshalInto(el.Element("faultHandlers").Element("catchAll"), t.FaultHandler); err != nil {
 				return nil, err
 			}
-			el.Element("faultHandlers").Element("catchAll").AppendChild(h)
 		}
 		if t.Compensation != nil {
-			h, err := marshalActivity(t.Compensation)
-			if err != nil {
+			if err := marshalInto(el.Element("compensationHandler"), t.Compensation); err != nil {
 				return nil, err
 			}
-			el.Element("compensationHandler").AppendChild(h)
 		}
 		if t.Finally != nil {
-			h, err := marshalActivity(t.Finally)
-			if err != nil {
+			if err := marshalInto(el.Element("wid:finally"), t.Finally); err != nil {
 				return nil, err
 			}
-			el.Element("wid:finally").AppendChild(h)
 		}
-		body, err := marshalActivity(t.Body)
-		if err != nil {
+		if err := marshalInto(el, t.Body); err != nil {
 			return nil, err
 		}
-		el.AppendChild(body)
 		return el, nil
 	case *engine.Snippet:
 		el := xdm.NewElement("extensionActivity")
@@ -299,11 +283,9 @@ func marshalActivity(a engine.Activity) (*xdm.Node, error) {
 		s := el.Element("wid:atomicSQLSequence")
 		s.SetAttr("name", t.ActivityName)
 		for _, c := range t.Children {
-			ce, err := marshalActivity(c)
-			if err != nil {
+			if err := marshalInto(s, c); err != nil {
 				return nil, err
 			}
-			s.AppendChild(ce)
 		}
 		return el, nil
 	case *orasoa.BpelxAssign:
@@ -335,15 +317,22 @@ func marshalActivity(a engine.Activity) (*xdm.Node, error) {
 	return nil, fmt.Errorf("bpelxml: activity %T cannot be serialized", a)
 }
 
+// marshalInto marshals a as parent's last child.
+func marshalInto(parent *xdm.Node, a engine.Activity) error {
+	el, err := marshalActivity(a)
+	if err == nil {
+		parent.AppendChild(el)
+	}
+	return err
+}
+
 func marshalChildren(elem, name string, children []engine.Activity) (*xdm.Node, error) {
 	el := xdm.NewElement(elem)
 	el.SetAttr("name", name)
 	for _, c := range children {
-		ce, err := marshalActivity(c)
-		if err != nil {
+		if err := marshalInto(el, c); err != nil {
 			return nil, err
 		}
-		el.AppendChild(ce)
 	}
 	return el, nil
 }
@@ -362,18 +351,15 @@ func marshalCondition(parent *xdm.Node, c engine.Condition) error {
 func unmarshalActivity(el *xdm.Node, r *Resolver) (engine.Activity, error) {
 	name, _ := el.Attr("name")
 	switch localName(el.Name) {
-	case "sequence":
+	case "sequence", "flow":
 		children, err := unmarshalChildren(el, r, nil)
 		if err != nil {
 			return nil, err
+		}
+		if localName(el.Name) == "flow" {
+			return &engine.Flow{ActivityName: name, Children: children}, nil
 		}
 		return &engine.Sequence{ActivityName: name, Children: children}, nil
-	case "flow":
-		children, err := unmarshalChildren(el, r, nil)
-		if err != nil {
-			return nil, err
-		}
-		return &engine.Flow{ActivityName: name, Children: children}, nil
 	case "empty":
 		return &engine.Empty{ActivityName: name}, nil
 	case "wait":
@@ -566,13 +552,9 @@ func unmarshalExtension(inner *xdm.Node, r *Resolver) (engine.Activity, error) {
 		sv, _ := inner.Attr("setVariable")
 		return bis.NewRetrieveSet(name, ds, ref, sv), nil
 	case "atomicSQLSequence":
-		var children []engine.Activity
-		for _, c := range inner.ChildElements() {
-			ca, err := unmarshalActivity(c, r)
-			if err != nil {
-				return nil, err
-			}
-			children = append(children, ca)
+		children, err := unmarshalChildren(inner, r, nil)
+		if err != nil {
+			return nil, err
 		}
 		return bis.NewAtomicSequence(name, children...), nil
 	}
@@ -620,7 +602,7 @@ func unmarshalCondition(el *xdm.Node) (engine.Condition, error) {
 func unmarshalChildren(el *xdm.Node, r *Resolver, skip []string) ([]engine.Activity, error) {
 	var out []engine.Activity
 	for _, c := range el.ChildElements() {
-		if contains(skip, localName(c.Name)) {
+		if slices.Contains(skip, localName(c.Name)) {
 			continue
 		}
 		a, err := unmarshalActivity(c, r)
@@ -641,15 +623,6 @@ func singleBody(el *xdm.Node, r *Resolver, skip ...string) (engine.Activity, err
 		return nil, fmt.Errorf("expected exactly one body activity, got %d", len(children))
 	}
 	return children[0], nil
-}
-
-func contains(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }
 
 func localName(n string) string {

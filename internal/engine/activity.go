@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -392,6 +391,8 @@ type Invoke struct {
 	// faulting: a dead letter is recorded, every output variable is set to
 	// "DEADLETTERED:<key>", and the process continues.
 	AbsorbExhausted bool
+
+	keys []varKey // the output variables' memo keys, kept by Out
 }
 
 // NewInvoke builds an invoke activity.
@@ -409,6 +410,11 @@ func (iv *Invoke) In(part, expr string) *Invoke {
 // Out maps a response part to a variable.
 func (iv *Invoke) Out(part, variable string) *Invoke {
 	iv.Outputs[part] = variable
+	vars := make([]string, 0, len(iv.Outputs))
+	for _, v := range iv.Outputs {
+		vars = append(vars, v)
+	}
+	iv.keys = varKeys(vars)
 	return iv
 }
 
@@ -441,7 +447,7 @@ func (iv *Invoke) Name() string { return iv.ActivityName }
 // variables (including degraded DEADLETTERED markers), so a recovered
 // instance replays the response without re-invoking the service.
 func (iv *Invoke) Execute(ctx *Ctx) error {
-	v := variables{ctx: ctx, parts: iv.Outputs}
+	v := variables{ctx: ctx, keys: iv.keys}
 	return ctx.Inst.Effect(ctx.span, iv.ActivityName, journal.EffectInvoke,
 		func() error { return iv.executeLive(ctx) }, journal.Outcome{Save: v.save, Restore: v.restore})
 }
@@ -815,45 +821,38 @@ func (w *Wait) Execute(ctx *Ctx) error {
 
 // ActivityNames flattens the structural activity names of a tree (used by
 // deployment validation and tests).
-func ActivityNames(a Activity) []string {
-	var out []string
-	var walk func(Activity)
-	walk = func(x Activity) {
-		if x == nil {
-			return
-		}
-		out = append(out, x.Name())
-		switch t := x.(type) {
-		case *Sequence:
-			for _, c := range t.Children {
-				walk(c)
-			}
-		case *Flow:
-			for _, c := range t.Children {
-				walk(c)
-			}
-		case *While:
-			walk(t.Body)
-		case *If:
-			for _, b := range t.Branches {
-				walk(b.Body)
-			}
-			walk(t.Else)
-		case *Scope:
-			walk(t.Body)
-			walk(t.FaultHandler)
-			walk(t.Compensation)
-			walk(t.Finally)
-		}
-	}
-	walk(a)
+func ActivityNames(a Activity) (out []string) {
+	walkActivities(a, func(x Activity) { out = append(out, x.Name()) })
 	return out
 }
 
-// describeActivity returns a short structural description for monitoring.
-func describeActivity(a Activity) string {
-	names := ActivityNames(a)
-	return strings.Join(names, " > ")
+// walkActivities calls visit on every activity of the tree, parents first.
+func walkActivities(x Activity, visit func(Activity)) {
+	if x == nil {
+		return
+	}
+	visit(x)
+	switch t := x.(type) {
+	case *Sequence:
+		for _, c := range t.Children {
+			walkActivities(c, visit)
+		}
+	case *Flow:
+		for _, c := range t.Children {
+			walkActivities(c, visit)
+		}
+	case *While:
+		walkActivities(t.Body, visit)
+	case *If:
+		for _, b := range t.Branches {
+			walkActivities(b.Body, visit)
+		}
+		walkActivities(t.Else, visit)
+	case *Scope:
+		for _, c := range []Activity{t.Body, t.FaultHandler, t.Compensation, t.Finally} {
+			walkActivities(c, visit)
+		}
+	}
 }
 
 // CursorLoop is the one implementation behind bis.CursorLoop and

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 
 	"wfsql/internal/host"
@@ -199,41 +200,11 @@ func (d *Deployment) newInstance(id int64, input map[string]string) (*Instance, 
 }
 
 // containsReceive reports whether the activity tree contains a Receive.
-func containsReceive(a Activity) bool {
-	found := false
-	var walk func(Activity)
-	walk = func(x Activity) {
-		if found || x == nil {
-			return
-		}
-		if _, ok := x.(*Receive); ok {
-			found = true
-			return
-		}
-		switch t := x.(type) {
-		case *Sequence:
-			for _, c := range t.Children {
-				walk(c)
-			}
-		case *Flow:
-			for _, c := range t.Children {
-				walk(c)
-			}
-		case *While:
-			walk(t.Body)
-		case *If:
-			for _, b := range t.Branches {
-				walk(b.Body)
-			}
-			walk(t.Else)
-		case *Scope:
-			walk(t.Body)
-			walk(t.FaultHandler)
-			walk(t.Compensation)
-			walk(t.Finally)
-		}
-	}
-	walk(a)
+func containsReceive(a Activity) (found bool) {
+	walkActivities(a, func(x Activity) {
+		_, ok := x.(*Receive)
+		found = found || ok
+	})
 	return found
 }
 
@@ -326,5 +297,5 @@ func (e *Engine) executeCtx(runCtx context.Context, in *Instance) error {
 // Describe returns a structural one-line description of the process body
 // (monitoring/tooling support).
 func (d *Deployment) Describe() string {
-	return fmt.Sprintf("%s [%s]: %s", d.Process.Name, d.Process.Mode, describeActivity(d.Process.Body))
+	return fmt.Sprintf("%s [%s]: %s", d.Process.Name, d.Process.Mode, strings.Join(ActivityNames(d.Process.Body), " > "))
 }

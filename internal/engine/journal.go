@@ -19,40 +19,40 @@ import (
 // un-journaled activity.
 
 // variables is the engine's one memo dialect and the outcome of every
-// effect whose visible result is process variables — Journaled's captures
-// (names), Invoke's outputs (the values of parts): an XML variable as
+// effect whose visible result is process variables — Journaled's captures,
+// Invoke's outputs (the variables of parts): an XML variable as
 // "x:<name>" (its serialized document, "" when unset), a scalar as
-// "s:<name>".
+// "s:<name>". Both keys of every variable are built with the activity.
 type variables struct {
-	ctx   *Ctx
-	names []string
-	parts map[string]string
+	ctx  *Ctx
+	keys []varKey
+}
+
+// varKey is a variable's name and its two possible memo keys.
+type varKey struct{ name, s, x string }
+
+// varKeys builds the memo keys of the named variables.
+func varKeys(names []string) []varKey {
+	keys := make([]varKey, len(names))
+	for i, name := range names {
+		keys[i] = varKey{name, "s:" + name, "x:" + name}
+	}
+	return keys
 }
 
 func (v variables) save() (map[string]string, error) {
-	memo := make(map[string]string, len(v.names)+len(v.parts))
-	put := func(name string) error {
-		pv, err := v.ctx.Variable(name)
+	memo := make(map[string]string, len(v.keys))
+	for _, k := range v.keys {
+		pv, err := v.ctx.Variable(k.name)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if pv.Kind() != XMLVar {
-			memo["s:"+name] = pv.String()
+			memo[k.s] = pv.String()
 		} else if n := pv.Node(); n != nil {
-			memo["x:"+name] = n.String()
+			memo[k.x] = n.String()
 		} else {
-			memo["x:"+name] = ""
-		}
-		return nil
-	}
-	for _, name := range v.names {
-		if err := put(name); err != nil {
-			return nil, err
-		}
-	}
-	for _, name := range v.parts {
-		if err := put(name); err != nil {
-			return nil, err
+			memo[k.x] = ""
 		}
 	}
 	return memo, nil
@@ -88,12 +88,14 @@ type JournaledActivity struct {
 	Inner      Activity
 	EffectKind string
 	Captures   []string
+
+	keys []varKey // the captures' memo keys
 }
 
 // Journaled wraps inner as a journaled effect capturing the named
 // variables.
 func Journaled(inner Activity, effectKind string, captures ...string) *JournaledActivity {
-	return &JournaledActivity{Inner: inner, EffectKind: effectKind, Captures: captures}
+	return &JournaledActivity{Inner: inner, EffectKind: effectKind, Captures: captures, keys: varKeys(captures)}
 }
 
 // Name implements Activity (transparent: the wrapper keeps the inner
@@ -102,7 +104,7 @@ func (j *JournaledActivity) Name() string { return j.Inner.Name() }
 
 // Execute implements Activity.
 func (j *JournaledActivity) Execute(ctx *Ctx) error {
-	v := variables{ctx: ctx, names: j.Captures}
+	v := variables{ctx: ctx, keys: j.keys}
 	return ctx.Inst.Effect(ctx.span, j.Inner.Name(), j.EffectKind,
 		func() error { return j.Inner.Execute(ctx) }, journal.Outcome{Save: v.save, Restore: v.restore})
 }

@@ -134,6 +134,10 @@ var kindCodes = [...]Kind{"", KindDeploy, KindInstanceCreated, KindActivityStart
 	KindTxnBegin, KindTxnCommit, KindTxnRollback, KindCompensation, KindDeadLetter, KindDeadLetterRequeue,
 	KindInstanceComplete, KindCheckpoint, KindSQLEffect}
 
+// kindCode is k's number in kindCodes, 0 for a kind this writer does not
+// know.
+func kindCode(k Kind) int { return slices.Index(kindCodes[1:], k) + 1 }
+
 // frameEncoder frames records in a buffer it keeps, so a writer that
 // holds one allocates nothing per record. The zero value is ready.
 type frameEncoder struct {
@@ -152,7 +156,7 @@ func (e *frameEncoder) frame(r *Record) ([]byte, error) {
 		}
 		b = append(b, payload...)
 	} else {
-		code := slices.Index(kindCodes[1:], r.Kind) + 1
+		code := kindCode(r.Kind)
 		b = append(b, binaryRecord, byte(code))
 		if code == 0 {
 			b = appendString(b, string(r.Kind))

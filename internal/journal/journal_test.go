@@ -102,9 +102,9 @@ func TestTransactionScopedMemos(t *testing.T) {
 		r, _ := Open(dir)
 		id := r.AllocateID()
 		must(t, r.InstanceCreated(id, "P", "short-running", nil))
-		must(t, r.TxnBegin(id, "uow"))
+		must(t, r.Txn(id, KindTxnBegin, "uow"))
 		must(t, r.ActivityComplete(id, "SQL2", 1, EffectSQL, map[string]string{"rows": "1"}))
-		must(t, r.TxnCommit(id, "uow"))
+		must(t, r.Txn(id, KindTxnCommit, "uow"))
 		must(t, r.Close())
 		r2, _ := Open(dir)
 		defer r2.Close()
@@ -118,9 +118,9 @@ func TestTransactionScopedMemos(t *testing.T) {
 		r, _ := Open(dir)
 		id := r.AllocateID()
 		must(t, r.InstanceCreated(id, "P", "short-running", nil))
-		must(t, r.TxnBegin(id, "uow"))
+		must(t, r.Txn(id, KindTxnBegin, "uow"))
 		must(t, r.ActivityComplete(id, "SQL2", 1, EffectSQL, map[string]string{"rows": "1"}))
-		must(t, r.TxnRollback(id, "uow"))
+		must(t, r.Txn(id, KindTxnRollback, "uow"))
 		must(t, r.Close())
 		r2, _ := Open(dir)
 		defer r2.Close()
@@ -134,7 +134,7 @@ func TestTransactionScopedMemos(t *testing.T) {
 		r, _ := Open(dir)
 		id := r.AllocateID()
 		must(t, r.InstanceCreated(id, "P", "short-running", nil))
-		must(t, r.TxnBegin(id, "uow"))
+		must(t, r.Txn(id, KindTxnBegin, "uow"))
 		must(t, r.ActivityComplete(id, "SQL2", 1, EffectSQL, map[string]string{"rows": "1"}))
 		// Invoke memos are NOT transaction-scoped: external effects
 		// survive the database rollback.

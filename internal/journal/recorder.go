@@ -6,9 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -29,7 +28,8 @@ func IsFenced(err error) bool { return errors.Is(err, ErrFenced) }
 // the recorder mutex, so a guard that checks a fencing lease gives the
 // classic lease guarantee: no record is written after the guard
 // observes a newer epoch. Return an error wrapping ErrFenced to fence
-// the writer; any other error also refuses the append.
+// the writer; any other error also refuses the append. The record, stamped,
+// may be the recorder's own (typed appends refill it): a guard must not keep it.
 type AppendGuard func(rec *Record) error
 
 // CrashPoint identifies where in the effect-then-memo protocol
@@ -205,9 +205,15 @@ type Recorder struct {
 	fencedWrites    int64       // appends refused by the guard
 	syncCount       int64       // fsyncs issued (tests, metrics)
 	obs             *obsv.Observability
-	kindAppends     map[Kind]*obsv.Counter // journal.appends.<kind>, as obs resolved them
-	enc             frameEncoder           // Append's frames; checkpoints do not go through it
-	writeErr        error                  // the first failed write, wrapping ErrWriteFailed; latched
+	enc             frameEncoder // Append's frames; checkpoints do not go through it
+	rec             Record       // the typed appends' record, filled and cleared under mu
+	writeErr        error        // the first failed write, wrapping ErrWriteFailed; latched
+
+	// obs's per-append handles, looked up at the first append after SetObservability
+	// so the registry lists only what happened; per kind by code (0, unnumbered: per append).
+	appends     *obsv.Counter
+	appendMs    *obsv.Histogram
+	kindAppends [len(kindCodes)]*obsv.Counter
 
 	// rotate, when set, makes every checkpoint rewrite the WAL as a
 	// fresh segment that starts at the checkpoint (SetRotateAtCheckpoint);
@@ -313,7 +319,7 @@ func (r *Recorder) SetObservability(o *obsv.Observability) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.obs = o
-	r.kindAppends = map[Kind]*obsv.Counter{}
+	r.appends, r.appendMs, r.kindAppends = nil, nil, [len(kindCodes)]*obsv.Counter{}
 	if o != nil {
 		o.M().Counter("journal.recover.records").Add(int64(r.RecoveredRecords))
 		o.M().Histogram("journal.recover_ms").ObserveDuration(r.RecoverDuration)
@@ -420,6 +426,25 @@ func (r *Recorder) Append(rec *Record) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.appendLocked(rec, start)
+}
+
+// appendOwned is the typed helpers' Append: rec is copied into the recorder's
+// own record under the mutex and cleared once written, so no Record is allocated.
+func (r *Recorder) appendOwned(rec Record) error {
+	start := time.Now()
+	rec.Time = start.UTC()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.rec = rec
+	err := r.appendLocked(&r.rec, start)
+	r.rec = Record{}
+	return err
+}
+
+// appendLocked is Append once rec is stamped with its time (at start).
+// Caller holds r.mu.
+func (r *Recorder) appendLocked(rec *Record, start time.Time) error {
 	if r.closed {
 		return fmt.Errorf("journal: append on closed recorder")
 	}
@@ -447,14 +472,17 @@ func (r *Recorder) Append(rec *Record) error {
 		return err
 	}
 	if r.obs != nil {
-		byKind := r.kindAppends[rec.Kind]
-		if byKind == nil {
-			byKind = r.obs.M().Counter("journal.appends." + string(rec.Kind))
-			r.kindAppends[rec.Kind] = byKind
+		m := r.obs.M()
+		if r.appends == nil {
+			r.appends, r.appendMs = m.Counter("journal.appends"), m.Histogram("journal.append_ms")
 		}
-		byKind.Inc()
-		r.obs.M().Counter("journal.appends").Inc()
-		r.obs.M().Histogram("journal.append_ms").ObserveDuration(time.Since(start))
+		byKind := &r.kindAppends[kindCode(rec.Kind)]
+		if *byKind == nil || byKind == &r.kindAppends[0] {
+			*byKind = m.Counter("journal.appends." + string(rec.Kind))
+		}
+		(*byKind).Inc()
+		r.appends.Inc()
+		r.appendMs.ObserveDuration(time.Since(start))
 	}
 	if r.checkpointEvery > 0 && r.appended >= r.checkpointEvery && rec.Kind != KindCheckpoint {
 		// The record is written, folded and synced, and that is all Append
@@ -508,6 +536,20 @@ const rotateSuffix = ".new"
 // rotation generation g is archived as WALName + ".seg" + g.
 const archiveSuffix = ".seg"
 
+// archiveGens lists the generations of the archives retained next to
+// walPath, oldest first (a foreign file sharing the prefix is skipped).
+func archiveGens(walPath string) []int64 {
+	matches, _ := filepath.Glob(walPath + archiveSuffix + "*")
+	var gens []int64
+	for _, m := range matches {
+		if g, err := strconv.ParseInt(m[len(walPath+archiveSuffix):], 10, 64); err == nil {
+			gens = append(gens, g)
+		}
+	}
+	slices.Sort(gens)
+	return gens
+}
+
 // archivePath names the retained archive of the segment with rotation
 // generation gen (the initial, pre-rotation segment is generation 0).
 func archivePath(walPath string, gen int64) string {
@@ -551,30 +593,19 @@ func (r *Recorder) SetRotateKeepBytes(max int64) {
 // first, and refreshes the journal.archive_bytes gauge. Caller holds
 // r.mu.
 func (r *Recorder) pruneArchivesLocked() {
-	matches, err := filepath.Glob(r.path + archiveSuffix + "*")
-	if err != nil {
-		return
-	}
 	type arch struct {
-		gen  int64
 		size int64
 		path string
 	}
 	var archives []arch
 	var total int64
-	for _, p := range matches {
-		gen, err := strconv.ParseInt(strings.TrimPrefix(p, r.path+archiveSuffix), 10, 64)
-		if err != nil {
-			continue
+	for _, gen := range archiveGens(r.path) {
+		p := archivePath(r.path, gen)
+		if fi, err := os.Stat(p); err == nil {
+			archives = append(archives, arch{size: fi.Size(), path: p})
+			total += fi.Size()
 		}
-		fi, err := os.Stat(p)
-		if err != nil {
-			continue
-		}
-		archives = append(archives, arch{gen: gen, size: fi.Size(), path: p})
-		total += fi.Size()
 	}
-	sort.Slice(archives, func(i, j int) bool { return archives[i].gen < archives[j].gen })
 	evict := func() {
 		os.Remove(archives[0].path)
 		total -= archives[0].size
@@ -794,13 +825,13 @@ func (r *Recorder) DeadLetters() []DeadLetterRecord {
 
 // Deploy appends a record the state does not fold: the fenced-append probe of fleet.go and the failover tests.
 func (r *Recorder) Deploy(process string) error {
-	return r.Append(&Record{Kind: KindDeploy, Process: process})
+	return r.appendOwned(Record{Kind: KindDeploy, Process: process})
 }
 
 // InstanceCreated journals instance birth with its input message and
 // product transaction-mode label.
 func (r *Recorder) InstanceCreated(id int64, process, mode string, input map[string]string) error {
-	return r.Append(&Record{Kind: KindInstanceCreated, Instance: id, Process: process, EffectKind: mode, Data: input})
+	return r.appendOwned(Record{Kind: KindInstanceCreated, Instance: id, Process: process, EffectKind: mode, Data: input})
 }
 
 // ActivityStart journals intent to execute an effectful activity.
@@ -808,34 +839,25 @@ func (r *Recorder) InstanceCreated(id int64, process, mode string, input map[str
 // record. It remains because older journals hold the record and
 // bench/ times this append.
 func (r *Recorder) ActivityStart(id int64, activity string, occurrence int, effectKind string) error {
-	return r.Append(&Record{Kind: KindActivityStart, Instance: id, Activity: activity, Occurrence: occurrence, EffectKind: effectKind})
+	return r.appendOwned(Record{Kind: KindActivityStart, Instance: id, Activity: activity, Occurrence: occurrence, EffectKind: effectKind})
 }
 
 // ActivityComplete journals an effectful activity's memoized result.
 // The journal keeps memo (see Append): the caller must not write to it again.
 func (r *Recorder) ActivityComplete(id int64, activity string, occurrence int, effectKind string, memo map[string]string) error {
-	return r.Append(&Record{Kind: KindActivityComplete, Instance: id, Activity: activity, Occurrence: occurrence, EffectKind: effectKind, Data: memo})
+	return r.appendOwned(Record{Kind: KindActivityComplete, Instance: id, Activity: activity, Occurrence: occurrence, EffectKind: effectKind, Data: memo})
 }
 
-// TxnBegin journals the opening of a product-layer transaction.
-func (r *Recorder) TxnBegin(id int64, label string) error {
-	return r.Append(&Record{Kind: KindTxnBegin, Instance: id, Activity: label})
-}
-
-// TxnCommit journals a successful COMMIT; pending SQL memos become
-// durable.
-func (r *Recorder) TxnCommit(id int64, label string) error {
-	return r.Append(&Record{Kind: KindTxnCommit, Instance: id, Activity: label})
-}
-
-// TxnRollback journals a ROLLBACK; pending SQL memos are discarded.
-func (r *Recorder) TxnRollback(id int64, label string) error {
-	return r.Append(&Record{Kind: KindTxnRollback, Instance: id, Activity: label})
+// Txn journals a product-layer transaction boundary, labelled with its
+// mode: kind is KindTxnBegin, KindTxnCommit (the pending SQL memos become
+// durable) or KindTxnRollback (they are discarded).
+func (r *Recorder) Txn(id int64, kind Kind, label string) error {
+	return r.appendOwned(Record{Kind: kind, Instance: id, Activity: label})
 }
 
 // DeadLetter journals a dead-lettered unit of work.
 func (r *Recorder) DeadLetter(id int64, rec DeadLetterRecord) error {
-	return r.Append(&Record{Kind: KindDeadLetter, Instance: id, Activity: rec.Activity, Data: map[string]string{
+	return r.appendOwned(Record{Kind: KindDeadLetter, Instance: id, Activity: rec.Activity, Data: map[string]string{
 		"seq":      strconv.FormatInt(rec.Seq, 10),
 		"time":     rec.Time,
 		"activity": rec.Activity,
@@ -849,7 +871,7 @@ func (r *Recorder) DeadLetter(id int64, rec DeadLetterRecord) error {
 
 // RequeueDeadLetter journals removal of a dead letter for re-driving.
 func (r *Recorder) RequeueDeadLetter(key string) error {
-	return r.Append(&Record{Kind: KindDeadLetterRequeue, Data: map[string]string{"key": key}})
+	return r.appendOwned(Record{Kind: KindDeadLetterRequeue, Data: map[string]string{"key": key}})
 }
 
 // SQLEffectRecord is the decoded form of a KindSQLEffect journal
@@ -884,7 +906,7 @@ func (r *Recorder) SQLEffect(e SQLEffectRecord) error {
 	for i, p := range e.Params {
 		d["p"+strconv.Itoa(i)] = p
 	}
-	return r.Append(&Record{Kind: KindSQLEffect, EffectKind: EffectSQL, Data: d})
+	return r.appendOwned(Record{Kind: KindSQLEffect, EffectKind: EffectSQL, Data: d})
 }
 
 // DecodeSQLEffect unpacks a KindSQLEffect record. ok is false when rec
@@ -918,5 +940,5 @@ func (r *Recorder) InstanceComplete(id int64, fault string) error {
 	if fault != "" {
 		data = map[string]string{"fault": fault}
 	}
-	return r.Append(&Record{Kind: KindInstanceComplete, Instance: id, Data: data})
+	return r.appendOwned(Record{Kind: KindInstanceComplete, Instance: id, Data: data})
 }

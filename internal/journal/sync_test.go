@@ -3,6 +3,9 @@ package journal
 import (
 	"bytes"
 	"fmt"
+	"maps"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"wfsql/internal/obsv"
@@ -76,13 +79,13 @@ func TestAppendSyncsCommitCriticalRecords(t *testing.T) {
 	}
 
 	// txn-commit and instance-complete are also commit-critical.
-	if err := r.TxnBegin(1, "uow"); err != nil {
+	if err := r.Txn(1, KindTxnBegin, "uow"); err != nil {
 		t.Fatal(err)
 	}
 	if f.syncs != 1 {
 		t.Fatalf("txn-begin should not sync, got %d", f.syncs)
 	}
-	if err := r.TxnCommit(1, "uow"); err != nil {
+	if err := r.Txn(1, KindTxnCommit, "uow"); err != nil {
 		t.Fatal(err)
 	}
 	if f.syncs != 2 {
@@ -132,7 +135,7 @@ func TestSyncModes(t *testing.T) {
 	f2 := &fakeWAL{}
 	r2 := newFakeRecorder(f2)
 	r2.SetSyncPolicy(SyncPolicy{Mode: SyncNever})
-	if err := r2.TxnCommit(1, "uow"); err != nil {
+	if err := r2.Txn(1, KindTxnCommit, "uow"); err != nil {
 		t.Fatal(err)
 	}
 	if f2.syncs != 0 {
@@ -170,6 +173,113 @@ func TestSyncMetricsCounted(t *testing.T) {
 	}
 	if m.Histogram("journal.append_ms").Count() != 2 {
 		t.Fatalf("append_ms observations = %d", m.Histogram("journal.append_ms").Count())
+	}
+}
+
+// TestMetricsMatchTheJournal: after a seeded mix of typed and raw appends
+// (of kinds the codec numbers and of two it does not), fenced refusals of
+// appends and checkpoints, explicit and automatic checkpoints, explicit
+// syncs and every sync mode, the registry holds what the journal itself
+// accounts for, and nothing else: journal.appends.<kind> per record of
+// that kind in the WAL, journal.appends their sum, journal.checkpoints
+// per checkpoint frame, journal.syncs as the file saw them, the refusals
+// as replica.fenced_writes, one latency observation per count — and no
+// metric the mix never touched.
+func TestMetricsMatchTheJournal(t *testing.T) {
+	for seed := int64(1); seed <= 25; seed++ {
+		f := &fakeWAL{}
+		r := newFakeRecorder(f)
+		o := obsv.New()
+		r.SetObservability(o)
+		rng := rand.New(rand.NewSource(seed))
+		fence := false
+		r.SetAppendGuard(func(*Record) error {
+			if fence {
+				return fmt.Errorf("seeded: %w", ErrFenced)
+			}
+			return nil
+		})
+		for i := 0; i < 200; i++ {
+			fence = rng.Intn(8) == 0
+			id := int64(rng.Intn(4) + 1)
+			var err error
+			switch rng.Intn(14) {
+			case 0:
+				err = r.InstanceCreated(id, "P", "wf", map[string]string{"state": "<s/>"})
+			case 1, 2:
+				err = r.ActivityComplete(id, "A", i, EffectSQL, map[string]string{"s:x": "1"})
+			case 3:
+				err = r.InstanceComplete(id, "")
+			case 4:
+				err = r.InstanceComplete(id, "boom")
+			case 5:
+				err = r.Txn(id, KindTxnBegin, "t")
+			case 6:
+				err = r.Txn(id, KindTxnCommit, "t")
+			case 7:
+				err = r.SQLEffect(SQLEffectRecord{Seq: int64(i), Kind: "INSERT", SQL: "INSERT INTO t VALUES (?)", Params: []string{"i1"}})
+			case 8:
+				err = r.Append(&Record{Kind: Kind("custom-kind-" + string(rune('a'+rng.Intn(2)))), Instance: id})
+			case 9:
+				err = r.DeadLetter(id, DeadLetterRecord{Seq: int64(i), Activity: "A", Key: "k"})
+			case 10:
+				err = r.Checkpoint()
+			case 11:
+				err = r.Sync()
+			case 12:
+				err = r.Deploy("P")
+			case 13:
+				r.SetSyncPolicy(SyncPolicy{Mode: SyncMode(rng.Intn(3))})
+				r.SetCheckpointEvery(rng.Intn(3) * 9)
+			}
+			if err != nil && !IsFenced(err) {
+				t.Fatalf("seed %d, step %d: %v", seed, i, err)
+			}
+		}
+		res, err := Scan(bytes.NewReader(f.buf.Bytes()))
+		if err != nil || res.Torn {
+			t.Fatalf("seed %d: scan: %v, torn %v", seed, err, res.Torn)
+		}
+		want := map[string]int64{"journal.recover.records": 0}
+		for _, rec := range res.Records {
+			if rec.Kind == KindCheckpoint {
+				want["journal.checkpoints"]++
+				continue
+			}
+			want["journal.appends."+string(rec.Kind)]++
+			want["journal.appends"]++
+		}
+		if f.syncs > 0 {
+			want["journal.syncs"] = int64(f.syncs)
+		}
+		if n := r.FencedWrites(); n > 0 {
+			want["replica.fenced_writes"] = n
+		}
+		wantObs := map[string]int64{"journal.recover_ms": 1}
+		for h, c := range map[string]string{"journal.append_ms": "journal.appends", "journal.sync_ms": "journal.syncs", "journal.checkpoint_ms": "journal.checkpoints"} {
+			if want[c] > 0 {
+				wantObs[h] = want[c]
+			}
+		}
+		snap := o.M().Snapshot()
+		got := map[string]int64{}
+		for k, v := range snap.Counters {
+			if strings.HasPrefix(k, "journal.") || strings.HasPrefix(k, "replica.") {
+				got[k] = v
+			}
+		}
+		gotObs := map[string]int64{}
+		for k, h := range snap.Histograms {
+			if strings.HasPrefix(k, "journal.") {
+				gotObs[k] = h.Count
+			}
+		}
+		if !maps.Equal(got, want) || !maps.Equal(gotObs, wantObs) {
+			t.Fatalf("seed %d: counters %v, histogram counts %v\nwant %v, %v", seed, got, gotObs, want, wantObs)
+		}
+		if want["replica.fenced_writes"] == 0 || want["journal.checkpoints"] == 0 || want["journal.syncs"] == 0 || want["journal.appends.custom-kind-a"] == 0 || want["journal.appends.custom-kind-b"] == 0 {
+			t.Fatalf("seed %d covers too little: %v", seed, want)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"time"
 )
 
@@ -168,22 +167,11 @@ func (t *Tailer) Poll(emit func(*Record) error) (int, error) {
 // earliestArchive returns the lowest retained archive generation next
 // to walPath, ok=false when no archives exist.
 func earliestArchive(walPath string) (int64, bool) {
-	matches, err := filepath.Glob(walPath + archiveSuffix + "*")
-	if err != nil || len(matches) == 0 {
+	gens := archiveGens(walPath)
+	if len(gens) == 0 {
 		return 0, false
 	}
-	prefix := walPath + archiveSuffix
-	min, found := int64(0), false
-	for _, m := range matches {
-		g, err := strconv.ParseInt(m[len(prefix):], 10, 64)
-		if err != nil {
-			continue // foreign file sharing the prefix
-		}
-		if !found || g < min {
-			min, found = g, true
-		}
-	}
-	return min, found
+	return gens[0], true
 }
 
 // openIfExists opens path read-only, returning ok=false if it does not

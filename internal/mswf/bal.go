@@ -202,6 +202,12 @@ type InvokeWebServiceActivity struct {
 	// of faulting: output host variables receive "DEADLETTERED:<key>" and
 	// the workflow continues (the dead-letter log holds the evidence).
 	AbsorbExhausted bool
+
+	// outKeys are the output host variables' memo keys. The activity
+	// tree is frozen once deployed and shared by every instance, so they
+	// are built once, on first execution.
+	keysOnce sync.Once
+	outKeys  []string
 }
 
 // WithRetry attaches a retry policy.
@@ -226,7 +232,12 @@ func (a *InvokeWebServiceActivity) Name() string { return a.ActivityName }
 // re-invoking the service. Invoke memos are durable as soon as they are
 // journaled — a service's side effects do not roll back with a transaction.
 func (a *InvokeWebServiceActivity) Execute(c *Context) error {
-	h := hostVars{c: c, outputs: a.Outputs}
+	a.keysOnce.Do(func() {
+		for _, hv := range a.Outputs {
+			a.outKeys = append(a.outKeys, "out:"+hv)
+		}
+	})
+	h := hostVars{c: c, outputs: a.outKeys}
 	return c.Effect(c.Current(), a.ActivityName, journal.EffectInvoke,
 		func() error { return a.executeLive(c) }, journal.Outcome{Save: h.save, Restore: h.restore})
 }

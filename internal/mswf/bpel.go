@@ -38,27 +38,9 @@ func ExportBPEL(processName string, a Activity) (string, error) {
 func exportActivity(a Activity) (*xdm.Node, error) {
 	switch t := a.(type) {
 	case *SequenceActivity:
-		el := xdm.NewElement("sequence")
-		el.SetAttr("name", t.ActivityName)
-		for _, c := range t.Children {
-			ce, err := exportActivity(c)
-			if err != nil {
-				return nil, err
-			}
-			el.AppendChild(ce)
-		}
-		return el, nil
+		return exportComposite("sequence", t.ActivityName, t.Children)
 	case *ParallelActivity:
-		el := xdm.NewElement("flow")
-		el.SetAttr("name", t.ActivityName)
-		for _, c := range t.Children {
-			ce, err := exportActivity(c)
-			if err != nil {
-				return nil, err
-			}
-			el.AppendChild(ce)
-		}
-		return el, nil
+		return exportComposite("flow", t.ActivityName, t.Children)
 	case *WhileActivity:
 		if t.ConditionName == "" {
 			return nil, fmt.Errorf("mswf: while %s has a code-only condition and cannot be exported to BPEL", t.ActivityName)
@@ -185,29 +167,36 @@ func ImportBPEL(doc string) (Activity, error) {
 	return importActivity(children[0])
 }
 
+// exportComposite exports a sequence or flow: its children in order.
+func exportComposite(elem, name string, children []Activity) (*xdm.Node, error) {
+	el := xdm.NewElement(elem)
+	el.SetAttr("name", name)
+	for _, c := range children {
+		ce, err := exportActivity(c)
+		if err != nil {
+			return nil, err
+		}
+		el.AppendChild(ce)
+	}
+	return el, nil
+}
+
 func importActivity(el *xdm.Node) (Activity, error) {
 	name, _ := el.Attr("name")
 	switch localName(el.Name) {
-	case "sequence":
-		act := &SequenceActivity{ActivityName: defaulted(name, "sequence")}
+	case "sequence", "flow":
+		var children []Activity
 		for _, c := range el.ChildElements() {
 			ca, err := importActivity(c)
 			if err != nil {
 				return nil, err
 			}
-			act.Children = append(act.Children, ca)
+			children = append(children, ca)
 		}
-		return act, nil
-	case "flow":
-		act := &ParallelActivity{ActivityName: defaulted(name, "flow")}
-		for _, c := range el.ChildElements() {
-			ca, err := importActivity(c)
-			if err != nil {
-				return nil, err
-			}
-			act.Children = append(act.Children, ca)
+		if localName(el.Name) == "flow" {
+			return &ParallelActivity{ActivityName: defaulted(name, "flow"), Children: children}, nil
 		}
-		return act, nil
+		return &SequenceActivity{ActivityName: defaulted(name, "sequence"), Children: children}, nil
 	case "empty":
 		return &CodeActivity{ActivityName: defaulted(name, "empty"),
 			Handler: func(*Context) error { return nil }}, nil
@@ -220,19 +209,9 @@ func importActivity(el *xdm.Node) (Activity, error) {
 			return nil, fmt.Errorf("mswf: bpel: while %s has no condition", name)
 		}
 		ruleName := strings.TrimSpace(condEl.TextContent())
-		var body Activity
-		for _, c := range el.ChildElements() {
-			if localName(c.Name) == "condition" {
-				continue
-			}
-			ca, err := importActivity(c)
-			if err != nil {
-				return nil, err
-			}
-			body = ca
-		}
-		if body == nil {
-			return nil, fmt.Errorf("mswf: bpel: while %s has no body", name)
+		body, err := importBranchBody(el, "while "+name)
+		if err != nil {
+			return nil, err
 		}
 		return &WhileActivity{
 			ActivityName:  defaulted(name, "while"),
@@ -255,14 +234,14 @@ func importActivity(el *xdm.Node) (Activity, error) {
 					return nil, fmt.Errorf("mswf: bpel: elseif without condition in %s", name)
 				}
 				rn := strings.TrimSpace(condEl.TextContent())
-				body, err := importBranchBody(c)
+				body, err := importBranchBody(c, "branch")
 				if err != nil {
 					return nil, err
 				}
 				act.Branches = append(act.Branches, IfElseBranch{
 					Condition: ruleByName(rn), ConditionName: rn, Body: body})
 			case "else":
-				body, err := importBranchBody(c)
+				body, err := importBranchBody(c, "branch")
 				if err != nil {
 					return nil, err
 				}
@@ -321,20 +300,7 @@ func importActivity(el *xdm.Node) (Activity, error) {
 				return nil, fmt.Errorf("mswf: bpel: wf:sqlDatabase missing connectionString or statement")
 			}
 			act := NewSQLDatabase(defaulted(iname, "sqlDatabase"), conn, stmt)
-			if v, ok := inner.Attr("resultSet"); ok {
-				act.ResultSetVar = v
-			}
-			if v, ok := inner.Attr("resultTable"); ok {
-				act.ResultTable = v
-			}
-			if v, ok := inner.Attr("rowsAffected"); ok {
-				act.RowsAffectedVar = v
-			}
-			if v, ok := inner.Attr("keys"); ok {
-				for _, k := range strings.Split(v, ",") {
-					act.KeyColumns = append(act.KeyColumns, strings.TrimSpace(k))
-				}
-			}
+			act.readResultAttrs(inner, "resultSet", "resultTable", "rowsAffected", "keys")
 			for _, pe := range inner.ChildElements() {
 				pn, _ := pe.Attr("name")
 				pv, _ := pe.Attr("variable")
@@ -347,7 +313,9 @@ func importActivity(el *xdm.Node) (Activity, error) {
 	return nil, fmt.Errorf("mswf: bpel: unsupported BPEL element %s", el.Name)
 }
 
-func importBranchBody(el *xdm.Node) (Activity, error) {
+// importBranchBody imports the one activity beside el's condition; what
+// names el in the error when there is none.
+func importBranchBody(el *xdm.Node, what string) (Activity, error) {
 	var body Activity
 	for _, c := range el.ChildElements() {
 		if localName(c.Name) == "condition" {
@@ -360,7 +328,7 @@ func importBranchBody(el *xdm.Node) (Activity, error) {
 		body = ca
 	}
 	if body == nil {
-		return nil, fmt.Errorf("mswf: bpel: branch has no body")
+		return nil, fmt.Errorf("mswf: bpel: %s has no body", what)
 	}
 	return body, nil
 }

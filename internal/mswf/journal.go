@@ -22,25 +22,25 @@ import (
 
 // hostVars is the WF runtime's one memo dialect: the host variables an
 // effectful activity publishes. A web-service invoke publishes strings
-// (outputs, part -> variable) as "out:<name>"; the SQL database activity
-// the DataSet a query materialized (in the persistence service's XML) as
-// "dataset", or a DML row count as "rows" — two keys that carry no name,
-// since the restoring activity knows it.
+// as "out:<name>" (outputs: those keys, fixed once per activity); the SQL
+// database activity the DataSet a query materialized (in the persistence
+// service's XML) as "dataset", or a DML row count as "rows" — two keys
+// that carry no name, since the restoring activity knows it.
 type hostVars struct {
 	c       *Context
-	outputs map[string]string
+	outputs []string
 	dataSet string
 	rows    string
 }
 
 func (h hostVars) save() (map[string]string, error) {
 	memo := make(map[string]string, len(h.outputs)+1)
-	for _, hv := range h.outputs {
-		memo["out:"+hv] = h.c.GetString(hv)
+	for _, k := range h.outputs {
+		memo[k] = h.c.GetString(k[len("out:"):])
 	}
 	v, _ := h.c.Get(h.dataSet)
 	if ds, ok := v.(*dataset.DataSet); ok {
-		memo["dataset"] = persistDataSet(ds).String()
+		memo["dataset"] = persistDataSet(ds)
 	}
 	v, _ = h.c.Get(h.rows)
 	if n, ok := v.(int64); ok {

@@ -1,6 +1,7 @@
 package mswf
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -18,43 +19,49 @@ import (
 // ones WF workflows in this reproduction use: strings, integers, floats,
 // booleans, and DataSet objects (persisted with their change tracking).
 
-// SaveState serializes the context's host variables to an XML document.
+// SaveState serializes the context's host variables to an XML document,
+// streamed as it goes: no tree is built to hold it.
 func SaveState(c *Context) string {
-	root := xdm.NewElement("workflowState")
-	for _, name := range c.VarNames() {
+	names := c.VarNames()
+	var w xdm.Writer
+	w.Grow(32 + 48*len(names))
+	w.Start("workflowState")
+	for _, name := range names {
 		v, _ := c.Get(name)
-		el := root.Element("variable")
-		el.SetAttr("name", name)
+		w.Start("variable")
+		w.Attr("name", name)
 		switch t := v.(type) {
 		case nil:
-			el.SetAttr("type", "null")
+			w.Attr("type", "null")
 		case string:
-			el.SetAttr("type", "string")
-			el.SetText(t)
+			w.Attr("type", "string")
+			w.Text(t)
 		case int:
-			el.SetAttr("type", "int")
-			el.SetText(strconv.Itoa(t))
+			w.Attr("type", "int")
+			w.Int(int64(t))
 		case int64:
-			el.SetAttr("type", "int")
-			el.SetText(strconv.FormatInt(t, 10))
+			w.Attr("type", "int")
+			w.Int(t)
 		case float64:
-			el.SetAttr("type", "float")
-			el.SetText(strconv.FormatFloat(t, 'g', -1, 64))
+			w.Attr("type", "float")
+			w.Text(strconv.FormatFloat(t, 'g', -1, 64))
 		case bool:
-			el.SetAttr("type", "bool")
-			el.SetText(strconv.FormatBool(t))
+			w.Attr("type", "bool")
+			w.Text(strconv.FormatBool(t))
 		case sqldb.Value:
-			el.SetAttr("type", "sql:"+strings.ToLower(t.K.String()))
-			el.SetText(t.String())
+			w.Attr("type", "sql:"+sqlType(t.K))
+			w.Text(t.String())
 		case *dataset.DataSet:
-			el.SetAttr("type", "dataset")
-			el.AppendChild(persistDataSet(t))
+			w.Attr("type", "dataset")
+			writeDataSet(&w, t)
 		default:
-			el.SetAttr("type", "string")
-			el.SetText(fmt.Sprint(t))
+			w.Attr("type", "string")
+			w.Text(fmt.Sprint(t))
 		}
+		w.End("variable")
 	}
-	return root.String()
+	w.End("workflowState")
+	return w.String()
 }
 
 // LoadState restores host variables from a SaveState document into a
@@ -72,44 +79,32 @@ func (rt *Runtime) LoadState(state string) (*Context, error) {
 		name, _ := el.Attr("name")
 		typ, _ := el.Attr("type")
 		text := el.TextContent()
+		var v any
 		switch {
 		case typ == "null":
-			c.vars[name] = nil
 		case typ == "string":
-			c.vars[name] = text
+			v = text
 		case typ == "int":
-			i, err := strconv.ParseInt(text, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("mswf: persistence: variable %s: %w", name, err)
-			}
-			c.vars[name] = i
+			v, err = strconv.ParseInt(text, 10, 64)
 		case typ == "float":
-			f, err := strconv.ParseFloat(text, 64)
-			if err != nil {
-				return nil, fmt.Errorf("mswf: persistence: variable %s: %w", name, err)
-			}
-			c.vars[name] = f
+			v, err = strconv.ParseFloat(text, 64)
 		case typ == "bool":
-			b, err := strconv.ParseBool(text)
-			if err != nil {
-				return nil, fmt.Errorf("mswf: persistence: variable %s: %w", name, err)
-			}
-			c.vars[name] = b
+			v, err = strconv.ParseBool(text)
 		case strings.HasPrefix(typ, "sql:"):
-			c.vars[name] = parseSQLValue(strings.TrimPrefix(typ, "sql:"), text)
+			v = parseSQLValue(strings.TrimPrefix(typ, "sql:"), text)
 		case typ == "dataset":
-			inner := el.FirstChildElement("dataSet")
-			if inner == nil {
-				return nil, fmt.Errorf("mswf: persistence: variable %s: missing dataSet element", name)
+			if inner := el.FirstChildElement("dataSet"); inner != nil {
+				v, err = restoreDataSet(inner)
+			} else {
+				err = errors.New("missing dataSet element")
 			}
-			ds, err := restoreDataSet(inner)
-			if err != nil {
-				return nil, fmt.Errorf("mswf: persistence: variable %s: %w", name, err)
-			}
-			c.vars[name] = ds
 		default:
 			return nil, fmt.Errorf("mswf: persistence: variable %s has unknown type %q", name, typ)
 		}
+		if err != nil {
+			return nil, fmt.Errorf("mswf: persistence: variable %s: %w", name, err)
+		}
+		c.vars[name] = v
 	}
 	return c, nil
 }
@@ -130,29 +125,63 @@ func parseSQLValue(kind, text string) sqldb.Value {
 	return sqldb.Str(text)
 }
 
-func persistDataSet(ds *dataset.DataSet) *xdm.Node {
-	root := xdm.NewElement("dataSet")
+// sqlTypes holds each value kind's lower-cased SQL type name: the type a
+// persisted value or DataSet cell is written with.
+var sqlTypes = func() (out [sqldb.KindBool + 1]string) {
+	for k := range out {
+		out[k] = strings.ToLower(sqldb.Kind(k).String())
+	}
+	return out
+}()
+
+func sqlType(k sqldb.Kind) string {
+	if int(k) < len(sqlTypes) {
+		return sqlTypes[k]
+	}
+	return strings.ToLower(k.String())
+}
+
+// persistDataSet serializes a DataSet with its change tracking: the
+// "dataset" memo of a SQL database activity.
+func persistDataSet(ds *dataset.DataSet) string {
+	var w xdm.Writer
+	writeDataSet(&w, ds)
+	return w.String()
+}
+
+// writeDataSet streams a DataSet's dataSet element into w.
+func writeDataSet(w *xdm.Writer, ds *dataset.DataSet) {
+	w.Start("dataSet")
 	for _, tn := range ds.TableNames() {
 		t := ds.Table(tn)
-		te := root.Element("table")
-		te.SetAttr("name", t.Name)
-		te.SetAttr("columns", strings.Join(t.Columns, ","))
+		rows := t.AllRows()
+		w.Grow(64 + len(rows)*(32+40*len(t.Columns)))
+		w.Start("table")
+		w.Attr("name", t.Name)
+		w.Attr("columns", strings.Join(t.Columns, ","))
 		if len(t.PrimaryKey) > 0 {
-			te.SetAttr("keys", strings.Join(t.PrimaryKey, ","))
+			w.Attr("keys", strings.Join(t.PrimaryKey, ","))
 		}
-		for _, r := range t.AllRows() {
-			re := te.Element("row")
-			re.SetAttr("state", r.State().String())
+		for _, r := range rows {
+			w.Start("row")
+			w.Attr("state", r.State().String())
 			for _, v := range r.Values() {
-				ce := re.Element("c")
-				ce.SetAttr("type", strings.ToLower(v.K.String()))
-				if !v.IsNull() {
-					ce.SetText(v.String())
+				w.Start("c")
+				w.Attr("type", sqlType(v.K))
+				switch v.K {
+				case sqldb.KindNull:
+				case sqldb.KindInt:
+					w.Int(v.I)
+				default:
+					w.Text(v.String())
 				}
+				w.End("c")
 			}
+			w.End("row")
 		}
+		w.End("table")
 	}
-	return root
+	w.End("dataSet")
 }
 
 func restoreDataSet(el *xdm.Node) (*dataset.DataSet, error) {
@@ -198,23 +227,19 @@ func applyRowState(t *dataset.DataTable, row *dataset.DataRow, state string) err
 	case dataset.Added.String():
 		return nil
 	case dataset.Unchanged.String(), "":
-		acceptSingle(row)
+		row.AcceptRow() // this row only: AcceptChanges is table-wide
 		return nil
 	case dataset.Modified.String():
-		acceptSingle(row)
+		row.AcceptRow()
 		// Re-mark as modified by rewriting the first column with itself.
 		if len(t.Columns) > 0 {
 			return row.Set(t.Columns[0], row.Values()[0])
 		}
 		return nil
 	case dataset.Deleted.String():
-		acceptSingle(row)
+		row.AcceptRow()
 		row.Delete()
 		return nil
 	}
 	return fmt.Errorf("unknown row state %q", state)
 }
-
-// acceptSingle flips one Added row to Unchanged without touching the rest
-// of the table (AcceptChanges is table-wide; AcceptRow is per-row).
-func acceptSingle(row *dataset.DataRow) { row.AcceptRow() }

@@ -66,18 +66,15 @@ func activityName(el *xdm.Node) string {
 func buildActivity(el *xdm.Node) (Activity, error) {
 	name := activityName(el)
 	switch localName(el.Name) {
-	case "SequenceActivity":
+	case "SequenceActivity", "ParallelActivity":
 		children, err := buildChildren(el)
 		if err != nil {
 			return nil, err
+		}
+		if localName(el.Name) == "ParallelActivity" {
+			return &ParallelActivity{ActivityName: name, Children: children}, nil
 		}
 		return &SequenceActivity{ActivityName: name, Children: children}, nil
-	case "ParallelActivity":
-		children, err := buildChildren(el)
-		if err != nil {
-			return nil, err
-		}
-		return &ParallelActivity{ActivityName: name, Children: children}, nil
 	case "WhileActivity":
 		cond, condName, err := buildCondition(el)
 		if err != nil {
@@ -154,20 +151,7 @@ func buildActivity(el *xdm.Node) (Activity, error) {
 			return nil, fmt.Errorf("mswf: xoml: SQLDatabaseActivity %s needs a Statement", name)
 		}
 		act := NewSQLDatabase(name, conn, stmt)
-		if v, ok := el.Attr("ResultSet"); ok {
-			act.ResultSetVar = v
-		}
-		if v, ok := el.Attr("ResultTable"); ok {
-			act.ResultTable = v
-		}
-		if v, ok := el.Attr("RowsAffected"); ok {
-			act.RowsAffectedVar = v
-		}
-		if v, ok := el.Attr("Keys"); ok {
-			for _, k := range strings.Split(v, ",") {
-				act.KeyColumns = append(act.KeyColumns, strings.TrimSpace(k))
-			}
-		}
+		act.readResultAttrs(el, "ResultSet", "ResultTable", "RowsAffected", "Keys")
 		for _, pe := range el.ChildElements() {
 			if localName(pe.Name) != "Parameter" {
 				return nil, fmt.Errorf("mswf: xoml: unexpected %s in %s", pe.Name, name)
@@ -182,6 +166,21 @@ func buildActivity(el *xdm.Node) (Activity, error) {
 		return act, nil
 	}
 	return nil, fmt.Errorf("mswf: xoml: unknown activity element %s", el.Name)
+}
+
+// readResultAttrs sets the activity's optional result settings from
+// el's attributes, named as the markup spells them.
+func (a *SQLDatabaseActivity) readResultAttrs(el *xdm.Node, resultSet, resultTable, rowsAffected, keys string) {
+	for attr, field := range map[string]*string{resultSet: &a.ResultSetVar, resultTable: &a.ResultTable, rowsAffected: &a.RowsAffectedVar} {
+		if v, ok := el.Attr(attr); ok {
+			*field = v
+		}
+	}
+	if v, ok := el.Attr(keys); ok {
+		for _, k := range strings.Split(v, ",") {
+			a.KeyColumns = append(a.KeyColumns, strings.TrimSpace(k))
+		}
+	}
 }
 
 func buildChildren(el *xdm.Node) ([]Activity, error) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 )
@@ -193,4 +194,57 @@ func WriteMetricsJSON(w io.Writer, r *Registry) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
+}
+
+// OpenRunner wires the observability of a one-shot command-line runner:
+// nil when it asks for no trace, no metrics and no activity log; else a
+// bundle that prints the activity log to stdout (activityLog) and appends
+// every finished span to tracePath as a JSON line. flush, once the run is
+// over, reports a failed trace write, closes the trace and writes the
+// metrics snapshot to metricsPath. A path is "-" for stdout, "" for none.
+func OpenRunner(tracePath, metricsPath string, activityLog bool) (o *Observability, flush func() error, err error) {
+	if tracePath == "" && metricsPath == "" && !activityLog {
+		return nil, func() error { return nil }, nil
+	}
+	o = New()
+	if activityLog {
+		o.Tracer.AddSink(NewActivityLog(os.Stdout))
+	}
+	var trace *JSONLWriter
+	closeTrace := func() error { return nil }
+	if tracePath != "" {
+		f, err := createSink(tracePath)
+		if err != nil {
+			return nil, nil, err
+		}
+		trace, closeTrace = NewJSONLWriter(f), f.Close
+		o.Tracer.AddSink(trace)
+	}
+	return o, func() error {
+		if trace != nil && trace.Err() != nil {
+			return fmt.Errorf("trace: %w", trace.Err())
+		}
+		if err := closeTrace(); err != nil || metricsPath == "" {
+			return err
+		}
+		f, err := createSink(metricsPath)
+		if err != nil {
+			return err
+		}
+		if err := WriteMetricsJSON(f, o.M()); err != nil {
+			return fmt.Errorf("metrics: %w", err)
+		}
+		return f.Close()
+	}, nil
+}
+
+// createSink opens path for writing; "-" is stdout, which Close leaves open.
+func createSink(path string) (io.WriteCloser, error) {
+	if path == "-" {
+		return struct {
+			io.Writer
+			io.Closer
+		}{os.Stdout, io.NopCloser(nil)}, nil
+	}
+	return os.Create(path)
 }

@@ -12,8 +12,9 @@ import (
 //
 //	go test -run '^$' -bench Select -benchmem ./internal/sqldb/
 //
-// Objects per op: Agg, Join, Point and IndexTopK 3 each — the Result, its
-// Rows and the row backing, sized from the plan's last run — and Call 4.
+// Objects per op: 3 for every class — the Result, its Rows and the row
+// backing, sized from the plan's last run; a CALL's body statement runs in
+// a scope its session keeps.
 // A sql-read op runs one Agg or Call, 64 Point, 32 IndexTopK and one Join.
 const (
 	readAggSQL   = "SELECT ItemID, SUM(Quantity) AS Quantity FROM Orders WHERE Approved = TRUE AND Quantity >= ? GROUP BY ItemID ORDER BY ItemID"

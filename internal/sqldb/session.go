@@ -36,6 +36,14 @@ type Session struct {
 	// replication stream — and are never re-captured by the change sink.
 	applier bool
 
+	// locked marks a child session minted by execCall for native
+	// procedures: the enclosing statement already holds the engine lock
+	// and the session mutex, so the child's statements take the
+	// re-entrant path. It is set at construction and never mutated, which
+	// keeps the flag data-race-free even when the parent session is
+	// shared across goroutines.
+	locked bool
+
 	// mu serializes top-level statement execution and Rollback on this
 	// session. Re-entrant execution (child sessions, below) runs inside
 	// the owner's critical section and bypasses it.
@@ -47,6 +55,7 @@ type Session struct {
 	// more than idleCap entries.
 	tx      txn
 	scope   env
+	inner   *innerScope // a CALL body's statement scopes by depth; a pointer, so Session stays 320 B
 	latches []latchTarget
 	params  []Value
 
@@ -54,14 +63,6 @@ type Session struct {
 	// sequence whose effects the statement sees (plus its own
 	// transaction's pending versions). Taken at statement start.
 	snap int64
-
-	// locked marks a child session minted by execCall for native
-	// procedures: the enclosing statement already holds the engine lock
-	// and the session mutex, so the child's statements take the
-	// re-entrant path. It is set at construction and never mutated, which
-	// keeps the flag data-race-free even when the parent session is
-	// shared across goroutines.
-	locked bool
 
 	// per-statement stats plumbing (see stats.go)
 	sink        StatsSink // session-level override of the DB sink
@@ -73,6 +74,13 @@ type Session struct {
 	// workflow instance's deadline). Guarded by mu; checked at every
 	// top-level statement boundary.
 	runCtx context.Context
+}
+
+// innerScope is the scope a session keeps for the statements of a CALL's
+// body at one nesting depth, linked to the next depth's.
+type innerScope struct {
+	env
+	next *innerScope
 }
 
 // ErrBudgetExhausted is wrapped by the error a statement boundary
@@ -624,14 +632,16 @@ func (s *Session) finishStmt(local bool, err error, emit func()) {
 // SELECT (also under EXPLAIN and CREATE TABLE … AS), its UPDATE/DELETE
 // row filter, its INSERT's rows or its CALL's arguments.
 func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value) (res *Result, err error) {
-	// The statement's scope: the session's own, unless an enclosing
-	// statement still holds it (a CALL running its body).
+	// The statement's scope: the session's own, or, while enclosing CALLs
+	// hold it, the one kept for this depth of procedure bodies.
 	scope := &s.scope
-	if scope.session != nil {
-		scope = new(env)
-	} else {
-		defer func() { s.scope = env{} }()
+	for in := &s.inner; scope.session != nil; in = &(*in).next {
+		if *in == nil {
+			*in = new(innerScope)
+		}
+		scope = &(*in).env
 	}
+	defer func() { *scope = env{} }()
 	*scope = env{params: params, session: s}
 	switch t := st.(type) {
 	case *SelectStmt:

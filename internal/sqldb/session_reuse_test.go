@@ -174,7 +174,7 @@ func TestStatementAllocs(t *testing.T) {
 		}},
 		{"index-top5", 3, func() error { _, err := s.Exec(readTopKSQL, Int(7)); return err }},
 		{"join", 3, func() error { _, err := s.Exec(readJoinSQL, readRegions[next%4]); next++; return err }},
-		{"call", 4, func() error { _, err := s.Exec("CALL approved_totals()"); return err }},
+		{"call", 3, func() error { _, err := s.Exec("CALL approved_totals()"); return err }},
 		{"update-pk", 5, func() error {
 			_, err := s.Exec("UPDATE Orders SET Quantity = Quantity + 1 WHERE OrderID = ?", Int(77))
 			return err
@@ -376,7 +376,8 @@ func TestCommitLatchesInNameOrder(t *testing.T) {
 
 // TestProcedureBodyKeepsTheCallScope: a CALL's body runs its statements
 // in scopes of their own; the session's scope still holds the CALL's
-// parameters while they run.
+// parameters while they run, and a CALL nested in a body runs its own
+// body one kept scope further in.
 func TestProcedureBodyKeepsTheCallScope(t *testing.T) {
 	db, _ := equivDB()
 	s := db.Session()
@@ -404,5 +405,33 @@ func TestProcedureBodyKeepsTheCallScope(t *testing.T) {
 	}
 	if bodyPlans == 0 {
 		t.Fatal("no body statement was planned; the test proves nothing")
+	}
+
+	// A CALL inside a body holds that body's scope in turn: the nested
+	// body runs one depth further in, and every scope is free afterwards.
+	if _, err := s.Exec("CREATE PROCEDURE restock_twice(p, n) AS 'CALL restock(:p, :n); CALL restock(:p, :n)'"); err != nil {
+		t.Fatal(err)
+	}
+	call = []Value{Int(1), Int(4)}
+	bodyPlans = 0
+	lendHook = func(p *selectPlan, held bool) {
+		if held && p.q != nil && p.q.From[0].Source.Table == "orders" {
+			bodyPlans++
+			if !slices.Equal(s.scope.params, call) {
+				t.Errorf("the CALL's scope holds %v while its nested body runs, want %v", s.scope.params, call)
+			}
+			if in := s.inner; in == nil || in.session != s || in.next == nil || in.next.session != s || in.next.next != nil {
+				t.Error("a nested body statement does not run two kept scopes deep")
+			}
+		}
+	}
+	if res, err := s.Exec("CALL restock_twice(?, ?)", call...); err != nil || len(res.Rows) != 1 || res.Rows[0][0].I != 20 {
+		t.Fatalf("CALL restock_twice: %v, %v", res, err)
+	}
+	if bodyPlans == 0 {
+		t.Fatal("no nested body statement was planned; the test proves nothing")
+	}
+	if s.scope.session != nil || s.inner.session != nil || s.inner.next.session != nil {
+		t.Fatal("a scope is still held after the CALL returned")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -183,4 +184,74 @@ func FuzzClone(f *testing.F) {
 			t.Fatalf("mutating the clone changed the source:\n%s\n%s", before, src)
 		}
 	})
+}
+
+// writeTree is the recursive serializer Node.write replaced when it moved
+// onto Writer: the reference String and Indent are checked against.
+func writeTree(b *strings.Builder, n *Node, indent, depth int) {
+	pad := func(d int) {
+		if indent >= 0 {
+			if b.Len() > 0 {
+				b.WriteByte('\n')
+			}
+			b.WriteString(strings.Repeat("  ", d))
+		}
+	}
+	if n.Kind == TextNode {
+		xmlEscape(b, n.Text)
+		return
+	}
+	pad(depth)
+	b.WriteByte('<')
+	b.WriteString(n.Name)
+	for _, a := range n.Attrs {
+		b.WriteString(" " + a.Name + `="`)
+		xmlEscape(b, a.Value)
+		b.WriteByte('"')
+	}
+	if len(n.Children) == 0 {
+		b.WriteString("/>")
+		return
+	}
+	b.WriteByte('>')
+	onlyText := true
+	for _, c := range n.Children {
+		onlyText = onlyText && c.Kind == TextNode
+	}
+	for _, c := range n.Children {
+		if onlyText {
+			writeTree(b, c, -1, depth+1)
+		} else {
+			writeTree(b, c, indent, depth+1)
+		}
+	}
+	if !onlyText {
+		pad(depth)
+	}
+	b.WriteString("</" + n.Name + ">")
+}
+
+// TestWriterMatchesTreeWrite: String and Indent, which walk a tree through
+// Writer, write what the recursive serializer wrote — compact and
+// indented, for empty, text-only and mixed-content elements, escaped
+// text and attributes and an empty text node.
+func TestWriterMatchesTreeWrite(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 300; i++ {
+		n := randomTree(rng, 4)
+		if i%3 == 0 {
+			n.SetAttr("q", `<"&'>`)
+			n.AppendChild(NewText(""))
+			n.Element("z").SetText("é & <x>")
+		}
+		var compact, indented strings.Builder
+		writeTree(&compact, n, -1, 0)
+		writeTree(&indented, n, 0, 0)
+		if got, want := n.String(), compact.String(); got != want {
+			t.Fatalf("tree %d: String\n got %s\nwant %s", i, got, want)
+		}
+		if got, want := n.Indent(), indented.String()+"\n"; got != want {
+			t.Fatalf("tree %d: Indent\n got %q\nwant %q", i, got, want)
+		}
+	}
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -335,10 +336,10 @@ func (n *Node) significantChildren() []*Node {
 
 // String serializes the node as compact XML.
 func (n *Node) String() string {
-	var b strings.Builder
-	b.Grow(n.sizeHint())
-	n.write(&b, -1, 0)
-	return b.String()
+	var w Writer
+	w.Grow(n.sizeHint())
+	n.write(&w)
+	return w.String()
 }
 
 // sizeHint estimates the serialized length so String can allocate its
@@ -359,59 +360,115 @@ func (n *Node) sizeHint() int {
 
 // Indent serializes the node as indented XML.
 func (n *Node) Indent() string {
-	var b strings.Builder
-	n.write(&b, 0, 0)
-	b.WriteByte('\n')
-	return b.String()
+	w := Writer{indent: true}
+	n.write(&w)
+	w.WriteByte('\n')
+	return w.String()
 }
 
-func (n *Node) write(b *strings.Builder, indent, depth int) {
-	pad := func(d int) {
-		if indent >= 0 {
-			if b.Len() > 0 {
-				b.WriteByte('\n')
-			}
-			b.WriteString(strings.Repeat("  ", d))
-		}
-	}
+func (n *Node) write(w *Writer) {
 	if n.Kind == TextNode {
-		xmlEscape(b, n.Text)
+		w.Text(n.Text)
 		return
 	}
-	pad(depth)
-	b.WriteByte('<')
-	b.WriteString(n.Name)
+	w.Start(n.Name)
 	for _, a := range n.Attrs {
-		b.WriteByte(' ')
-		b.WriteString(a.Name)
-		b.WriteString(`="`)
-		xmlEscape(b, a.Value)
-		b.WriteByte('"')
+		w.Attr(a.Name, a.Value)
 	}
-	if len(n.Children) == 0 {
-		b.WriteString("/>")
+	for _, c := range n.Children {
+		c.write(w)
+	}
+	w.End(n.Name)
+}
+
+// Writer streams XML into a buffer without building a tree: Start opens
+// an element, Attr adds an attribute to the element just opened, Text
+// and Int append character data, and End closes the innermost element —
+// as "<name/>" when nothing was written into it. A Node serializes
+// through the same calls, so a document streamed as its tree would be
+// walked reads byte for byte like the tree's String. The zero value
+// writes compact XML into the embedded Builder (Grow, String).
+type Writer struct {
+	strings.Builder
+	open   bool   // a start tag awaits its '>' or "/>"
+	indent bool   // Indent's layout: each element on its own line unless its parent holds only text
+	elems  []bool // indented only: per open element, whether it holds an element
+}
+
+// Start opens an element.
+func (w *Writer) Start(name string) {
+	w.content()
+	if w.indent {
+		if d := len(w.elems); d > 0 {
+			w.elems[d-1] = true
+		}
+		w.pad(len(w.elems))
+		w.elems = append(w.elems, false)
+	}
+	w.WriteByte('<')
+	w.WriteString(name)
+	w.open = true
+}
+
+// Attr adds an attribute to the element Start just opened.
+func (w *Writer) Attr(name, value string) {
+	w.WriteByte(' ')
+	w.WriteString(name)
+	w.WriteString(`="`)
+	xmlEscape(&w.Builder, value)
+	w.WriteByte('"')
+}
+
+// Text appends escaped character data to the open element. Even empty
+// text gives the element content: it closes as "<name></name>".
+func (w *Writer) Text(s string) {
+	w.content()
+	xmlEscape(&w.Builder, s)
+}
+
+// Int appends i in decimal as character data, as Text(strconv.FormatInt(i,
+// 10)) would, without building the string.
+func (w *Writer) Int(i int64) {
+	w.content()
+	var digits [20]byte
+	w.Write(strconv.AppendInt(digits[:0], i, 10))
+}
+
+// End closes the innermost open element, whose name is name.
+func (w *Writer) End(name string) {
+	var elems bool
+	if w.indent {
+		elems = w.elems[len(w.elems)-1]
+		w.elems = w.elems[:len(w.elems)-1]
+	}
+	if w.open {
+		w.WriteString("/>")
+		w.open = false
 		return
 	}
-	b.WriteByte('>')
-	onlyText := true
-	for _, c := range n.Children {
-		if c.Kind != TextNode {
-			onlyText = false
-		}
+	if elems {
+		w.pad(len(w.elems))
 	}
-	for _, c := range n.Children {
-		if onlyText {
-			c.write(b, -1, depth+1)
-		} else {
-			c.write(b, indent, depth+1)
-		}
+	w.WriteString("</")
+	w.WriteString(name)
+	w.WriteByte('>')
+}
+
+// content ends an open start tag before what goes inside the element.
+func (w *Writer) content() {
+	if w.open {
+		w.WriteByte('>')
+		w.open = false
 	}
-	if !onlyText {
-		pad(depth)
+}
+
+func (w *Writer) pad(depth int) {
+	if w.Len() > 0 {
+		w.WriteByte('\n')
 	}
-	b.WriteString("</")
-	b.WriteString(n.Name)
-	b.WriteByte('>')
+	for ; depth > 0; depth-- {
+		w.WriteString("  ")
+	}
 }
 
 func xmlEscape(b *strings.Builder, s string) {

@@ -123,6 +123,10 @@ func instanceAllocs(t *testing.T, stack Stack, w Workload, durable bool) (object
 		}
 	}
 	run() // the first instance sizes the deployment's buffers and parses its query
+	// Collect before measuring, so that no cycle starts inside the window:
+	// the process's first one starts the runtime's mark workers, and their
+	// allocations are not the instance's.
+	runtime.GC()
 	const runs = 5
 	objects = testing.AllocsPerRun(runs, run)
 	var before, after runtime.MemStats
@@ -149,10 +153,10 @@ func TestAllocBudget(t *testing.T) {
 		objects float64
 		bytes   uint64
 	}{
-		{StackBIS, false, 287, 31341},    // 29 848 B measured
-		{StackBIS, true, 318, 36112},     // 34 392 B (353 objects, 37 400 B with a memo key built per save, an empty memo map per INSERT and a heap Record per typed append)
-		{StackWF, false, 158, 13497},     // 12 854 B
-		{StackWF, true, 215, 21152},      // 20 144 B (376, 28 694 with an xdm tree per DataSet memo and state snapshot)
+		{StackBIS, false, 266, 29493},    // 28 088 B measured (287 objects, 29 848 B with a session and its two maps minted per instance)
+		{StackBIS, true, 297, 34264},     // 32 632 B (318, 34 392; 353, 37 400 with a memo key built per save, an empty memo map per INSERT and a heap Record per typed append)
+		{StackWF, false, 143, 12397},     // 11 806 B (158, 12 854 with a session and its map minted per instance)
+		{StackWF, true, 200, 20051},      // 19 096 B (215, 20 144; 376, 28 694 with an xdm tree per DataSet memo and state snapshot)
 		{StackOracle, false, 254, 28262}, // 26 916 B
 		{StackOracle, true, 302, 36595},  // 34 852 B (338, 37 582)
 	} {

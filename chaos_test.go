@@ -159,26 +159,31 @@ func TestChaosSQLFaultLongRunningRetries(t *testing.T) {
 // retry policy is installed on the environment-wide extension-function
 // library, so a zero-config Figure 8 prepared after a resilient one must
 // clear it — a plain run faults on an injected SQL error exactly as it
-// does on a fresh environment, instead of silently retrying.
+// does on a fresh environment, instead of silently retrying. Retries are
+// read from the sql.retries counter.
 func TestChaosSQLRetryPolicyDoesNotOutliveItsRun(t *testing.T) {
 	w := Workload{Orders: 18, Items: 4, ApprovalPercent: 100, Seed: 3}
-	plainRunUnderFault := func(env *Environment) (retries int, err error) {
+	plainRunUnderFault := func(env *Environment) (retries int64, err error) {
 		plan := &chaos.SQLFaultPlan{Kinds: []string{"INSERT"}, FailNth: []int{1}}
 		chaos.InstallSQL(env.DB, plan)
 		defer chaos.InstallSQL(env.DB, nil)
-		before := env.Funcs.Retries()
+		ctr := env.Observability().M().Counter("sql.retries")
+		before := ctr.Value()
 		err = env.Run(StackOracle, ResilienceConfig{})
 		if plan.Injected() != 1 {
 			t.Fatalf("injected = %d, want 1", plan.Injected())
 		}
-		return env.Funcs.Retries() - before, err
+		return ctr.Value() - before, err
 	}
 
-	if _, err := plainRunUnderFault(NewEnvironment(w)); err == nil {
+	fresh := NewEnvironment(w)
+	fresh.EnableObservability(nil)
+	if _, err := plainRunUnderFault(fresh); err == nil {
 		t.Fatal("fresh environment: a plain run must fault on the injected INSERT error")
 	}
 
 	env := NewEnvironment(w)
+	env.EnableObservability(nil)
 	if err := env.Run(StackOracle, ResilienceConfig{SQL: quickPolicy(4)}); err != nil {
 		t.Fatalf("resilient run: %v", err)
 	}

@@ -107,7 +107,9 @@ func (a *SQLActivity) Execute(ctx *engine.Ctx) error {
 		func() error { return a.executeLive(ctx, st) }, journal.Outcome{Save: save, Restore: restore})
 }
 
-// executeLive performs the statement with retry handling (no journaling).
+// executeLive performs the statement on the instance's session, under
+// the retry policy unless a surrounding transaction suppresses it (no
+// journaling).
 func (a *SQLActivity) executeLive(ctx *engine.Ctx, st *state) error {
 	db, err := st.resolveDB(ctx, a.DataSource)
 	if err != nil {
@@ -117,22 +119,19 @@ func (a *SQLActivity) executeLive(ctx *engine.Ctx, st *state) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", a.ActivityName, err)
 	}
-	sess := st.sessionFor(db)
-
-	run := func() error { return a.runOnce(ctx, st, sess, sql, params) }
-
-	if a.Retry == nil {
-		return run()
-	}
-	if st.transactional() {
+	p := a.Retry
+	if p != nil && st.transactional() {
 		// Inside a transaction a retry of the single statement is not
 		// legal: the statement's effects (and the fault) belong to the
 		// enclosing unit of work, which must roll back first. Defer to
 		// the transaction boundary (atomic sequence or process end).
 		ctx.Span().Set("retry", "suppressed")
-		return run()
+		p = nil
 	}
-	err = a.Retry.DoErr(resilience.Notes(ctx.Span()), func(attempt int) error { return run() })
+	err = ctx.Inst.SQL(db, p, func(s *sqldb.Session) error {
+		st.begin(s)
+		return a.runOnce(ctx, st, s, sql, params)
+	})
 	if ab := resilience.Abandoned(err); ab != nil {
 		return &engine.Fault{Name: engine.FaultRetryExhausted, Activity: a.ActivityName, Wrapped: ab}
 	}
@@ -297,7 +296,12 @@ func (a *RetrieveSetActivity) Execute(ctx *engine.Ctx) error {
 	}
 	// The bound table is usually instance-unique (see runOnce): built
 	// from its name, the retrieval is neither parsed nor plan-cached.
-	res, err := st.sessionFor(db).SelectAll(ref.Table)
+	var res *sqldb.Result
+	err = ctx.Inst.SQL(db, nil, func(s *sqldb.Session) (err error) {
+		st.begin(s)
+		res, err = s.SelectAll(ref.Table)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("%s: %w", a.ActivityName, err)
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"wfsql/internal/engine"
-	"wfsql/internal/sqldb"
 )
 
 // ProcessBuilder plays the WebSphere Integration Developer role: it
@@ -168,11 +167,9 @@ func (b *ProcessBuilder) Build() *engine.Process {
 	prep, clean := b.preparation, b.cleanup
 	p.OnInstanceStart = append(p.OnInstanceStart, func(ctx *engine.Ctx) error {
 		st := &state{
-			refs:     map[string]*SetRef{},
-			dsvars:   map[string]string{},
-			sessions: map[*sqldb.DB]*sqldb.Session{},
-			inTxn:    map[*sqldb.DB]bool{},
-			mode:     p.Mode,
+			refs:   map[string]*SetRef{},
+			dsvars: map[string]string{},
+			mode:   p.Mode,
 		}
 		for _, r := range refs {
 			cp := *r // per-instance copy
@@ -183,12 +180,7 @@ func (b *ProcessBuilder) Build() *engine.Process {
 		}
 		st.jrec = ctx.Engine.Journal()
 		st.instID = ctx.Inst.ID
-		st.runCtx = ctx.Context()
 		ctx.Inst.SetContext(stateKey, st)
-		// On simulated process death the database rolls back whatever
-		// transactions the instance still had open (connection loss),
-		// mirroring what recovery assumes about un-journaled COMMITs.
-		ctx.Inst.OnCrash(st.abort)
 
 		// Preparation statements run before the body, outside the process
 		// transaction (they manage database entities, not business data).
@@ -243,8 +235,8 @@ func runLifecycleStatement(ctx *engine.Ctx, st *state, stmt dsStatement, ref *Se
 	if ref != nil {
 		sql = strings.ReplaceAll(sql, "{TABLE}", ref.Table)
 	}
-	// Lifecycle statements deliberately bypass the per-instance session
-	// (state.sessionFor): entity management must be independent of the
+	// Lifecycle statements deliberately bypass the instance's session
+	// (host.Instance.SQL): entity management must be independent of the
 	// process transaction, so each runs on a fresh single-statement
 	// session that never holds transaction state. Everything else the
 	// stack executes goes through the instance session. They also bypass

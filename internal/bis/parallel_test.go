@@ -10,7 +10,7 @@ import (
 
 // TestParallelFlowBranchesShareInstanceSession pins the
 // one-session-per-instance contract under BPEL Flow concurrency: all SQL
-// activities of one instance route through state.sessionFor, so parallel
+// activities of one instance route through host.Instance.SQL, so parallel
 // Flow branches issue their statements on the *same* session from
 // different goroutines. The session's internal mutex must serialize them
 // without losing statements or corrupting transaction state — this test

@@ -12,7 +12,6 @@
 package bis
 
 import (
-	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -59,15 +58,16 @@ type SetRef struct {
 	dataSource string
 }
 
-// state is the per-instance BIS runtime state.
+// state is the per-instance BIS runtime state. Its SQL runs on the
+// instance's session per database (host.Instance.SQL); txns lists those
+// sessions in a transaction the state opened.
 type state struct {
-	mu       sync.Mutex
-	refs     map[string]*SetRef
-	dsvars   map[string]string // data source variable -> data source name
-	sessions map[*sqldb.DB]*sqldb.Session
-	inTxn    map[*sqldb.DB]bool
-	atomic   int // depth of atomic SQL sequences
-	mode     engine.TransactionMode
+	mu     sync.Mutex
+	refs   map[string]*SetRef
+	dsvars map[string]string // data source variable -> data source name
+	txns   []*sqldb.Session
+	atomic int // depth of atomic SQL sequences
+	mode   engine.TransactionMode
 
 	// Durability wiring: with a journal attached, transaction
 	// boundaries (BEGIN/COMMIT/ROLLBACK) are written ahead so recovery
@@ -75,12 +75,6 @@ type state struct {
 	// to a unit of work that must re-run as a whole.
 	jrec   *journal.Recorder
 	instID int64
-
-	// runCtx is the owning instance's execution budget, bound to every
-	// session the instance opens so an expired deadline stops SQL work
-	// at the next statement boundary. Nil when the instance runs without
-	// a budget.
-	runCtx context.Context
 }
 
 // journalTxn appends a transaction-boundary record (best effort).
@@ -159,8 +153,8 @@ func (st *state) resolveDB(ctx *engine.Ctx, dsVar string) (*sqldb.DB, error) {
 	return ctx.Engine.DataSource(dsName)
 }
 
-// sessionFor returns the session to use for db under the current
-// transaction policy:
+// begin opens a transaction on s, the instance's session on a database,
+// when the transaction policy asks for one and s has none open:
 //
 //   - short-running process: all SQL and retrieve-set activities share one
 //     transaction per data source, opened on first use and ended when the
@@ -168,27 +162,16 @@ func (st *state) resolveDB(ctx *engine.Ctx, dsVar string) (*sqldb.DB, error) {
 //   - long-running process: autocommit per activity, unless inside an
 //     atomic SQL sequence, which opens a transaction that the sequence
 //     commits (or rolls back on fault).
-func (st *state) sessionFor(db *sqldb.DB) *sqldb.Session {
+func (st *state) begin(s *sqldb.Session) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	s, ok := st.sessions[db]
-	if !ok {
-		s = db.Session()
-		if st.runCtx != nil {
-			// Deadline propagation: the instance's budget gates every
-			// statement boundary of its sessions.
-			s.BindContext(st.runCtx)
-		}
-		st.sessions[db] = s
-	}
 	needTxn := st.mode == engine.ShortRunning || st.atomic > 0
-	if needTxn && !st.inTxn[db] {
+	if needTxn && !s.InTransaction() {
 		if _, err := s.Exec("BEGIN"); err == nil {
-			st.inTxn[db] = true
+			st.txns = append(st.txns, s)
 			st.journalTxn(journal.KindTxnBegin, st.modeLabel())
 		}
 	}
-	return s
 }
 
 // transactional reports whether SQL activities currently participate in a
@@ -223,8 +206,8 @@ func (st *state) enterAtomic() {
 // transaction opened inside it. Short-running processes already run in a
 // single process-wide transaction, so nothing is ended early. A
 // simulated crash skips the boundary entirely: a dead process commits
-// nothing, journals nothing, and the crash hook (abort) models the
-// server-side rollback of its dangling connections.
+// nothing and journals nothing, and the instance's end rolls back its
+// sessions' open transactions, as the server would for dead connections.
 func (st *state) exitAtomic(fault error) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -250,10 +233,7 @@ func (st *state) finish(fault error) {
 // COMMIT. Caller holds st.mu.
 func (st *state) endTxnsLocked(fault error, label string) error {
 	var firstErr error
-	for db, s := range st.sessions {
-		if !st.inTxn[db] {
-			continue
-		}
+	for _, s := range st.txns {
 		if fault != nil {
 			s.Rollback()
 			st.journalTxn(journal.KindTxnRollback, label)
@@ -269,26 +249,10 @@ func (st *state) endTxnsLocked(fault error, label string) error {
 		} else {
 			st.journalTxn(journal.KindTxnCommit, label)
 		}
-		st.inTxn[db] = false
 	}
+	clear(st.txns)
+	st.txns = st.txns[:0]
 	return firstErr
-}
-
-// abort models what the database does when the process dies: every open
-// transaction's connection is gone, so the server rolls the work back.
-// Nothing is journaled — a crashed process cannot write — which is
-// exactly why the journal scan treats an open transaction at the end of
-// history as rolled back (its pending SQL memos are dropped and the
-// unit of work re-runs on recovery).
-func (st *state) abort() {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for db, s := range st.sessions {
-		if st.inTxn[db] {
-			s.Rollback()
-			st.inTxn[db] = false
-		}
-	}
 }
 
 // substituteSQL renders a statement split at its #name# markers (even

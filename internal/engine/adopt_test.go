@@ -14,12 +14,12 @@ import (
 // lastResult passes extension calls through and remembers the document
 // the last one returned, so a test can tell an adopted tree from a copy.
 type lastResult struct {
-	next xpath.FunctionResolver
+	next engine.Functions
 	doc  *xdm.Node
 }
 
-func (r *lastResult) CallFunction(name string, args []xpath.Value) (xpath.Value, error) {
-	v, err := r.next.CallFunction(name, args)
+func (r *lastResult) CallFunction(in *engine.Instance, name string, args []xpath.Value) (xpath.Value, error) {
+	v, err := r.next.CallFunction(in, name, args)
 	r.doc = v.FirstNode()
 	return v, err
 }

@@ -41,7 +41,7 @@ type Process struct {
 	Name      string
 	Variables []VarDecl
 	Body      Activity
-	Funcs     xpath.FunctionResolver // extension functions (e.g. ora:*)
+	Funcs     Functions // extension functions (e.g. ora:*)
 	Mode      TransactionMode
 
 	// Stack names the product architecture the process models ("BIS",
@@ -103,10 +103,21 @@ func (e *Engine) DataSourceNames() []string {
 	return names
 }
 
+// Functions resolves a process's extension functions for the instance
+// whose expression calls them, so what a function runs (Oracle's SQL)
+// runs as part of that instance.
+type Functions interface {
+	CallFunction(in *Instance, name string, args []xpath.Value) (xpath.Value, error)
+}
+
 // Deployment is a validated process installed on the engine.
 type Deployment struct {
 	Process *Process
 	Engine  *Engine
+
+	// receives records that the body contains a Receive, which binds the
+	// input message; otherwise NewInstance binds inputs to variables.
+	receives bool
 }
 
 // Deploy validates a process model and installs it. Validation mirrors
@@ -129,12 +140,17 @@ func (e *Engine) Deploy(p *Process) (*Deployment, error) {
 		}
 		seen[vd.Name] = true
 	}
-	for _, n := range ActivityNames(p.Body) {
-		if n == "" {
-			return nil, fmt.Errorf("engine: process %s contains an unnamed activity", p.Name)
-		}
+	d := &Deployment{Process: p, Engine: e}
+	unnamed := false
+	walkActivities(p.Body, func(x Activity) {
+		_, ok := x.(*Receive)
+		d.receives = d.receives || ok
+		unnamed = unnamed || x.Name() == ""
+	})
+	if unnamed {
+		return nil, fmt.Errorf("engine: process %s contains an unnamed activity", p.Name)
 	}
-	return &Deployment{Process: p, Engine: e}, nil
+	return d, nil
 }
 
 // NewInstance instantiates the deployment, initializing declared
@@ -182,7 +198,7 @@ func (d *Deployment) newInstance(id int64, input map[string]string) (*Instance, 
 	// When the process starts with an explicit Receive, binding is the
 	// Receive's job; otherwise inputs bind directly to declared scalar
 	// variables (the convenience mode most tests and examples use).
-	if !containsReceive(d.Process.Body) {
+	if !d.receives {
 		for k, v := range input {
 			pv, ok := in.vars[k]
 			if !ok {
@@ -197,15 +213,6 @@ func (d *Deployment) newInstance(id int64, input map[string]string) (*Instance, 
 		}
 	}
 	return in, nil
-}
-
-// containsReceive reports whether the activity tree contains a Receive.
-func containsReceive(a Activity) (found bool) {
-	walkActivities(a, func(x Activity) {
-		_, ok := x.(*Receive)
-		found = found || ok
-	})
-	return found
 }
 
 // Run instantiates and executes the process to completion.
@@ -260,19 +267,15 @@ func (e *Engine) executeCtx(runCtx context.Context, in *Instance) error {
 	}
 
 	// A simulated crash is process death, not a fault: no completion
-	// callbacks run (their cleanup would destroy state recovery needs),
-	// nothing more is journaled, and only the OnCrash hooks fire to
-	// model what the *database* does when the process's connections die
-	// (open transactions roll back server-side).
+	// callbacks run (their cleanup would destroy state recovery needs)
+	// and nothing more is journaled. End hands the instance's sessions
+	// back, which rolls back what the database would when the process's
+	// connections die: its open transactions.
 	if journal.IsCrash(err) {
 		in.mu.Lock()
-		hooks := append([]func(){}, in.crashHooks...)
 		in.state = StateCrashed
 		in.fault = err
 		in.mu.Unlock()
-		for i := len(hooks) - 1; i >= 0; i-- {
-			hooks[i]()
-		}
 		return in.End(err)
 	}
 

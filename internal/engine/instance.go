@@ -54,15 +54,11 @@ type Instance struct {
 	vars    map[string]*Variable // the declared variables, fixed at creation
 	state   InstanceState
 	fault   error
-	context map[string]any // product-layer state (set references, sessions, ...)
+	context map[string]any // product-layer state (set references, ...)
 	done    []func(err error)
 	comp    []compensation // completed scopes' compensation handlers (LIFO)
 	input   map[string]string
 	output  map[string]string
-
-	// crashHooks run on simulated process death to model server-side
-	// rollback of the instance's open transactions.
-	crashHooks []func()
 
 	// xpctx is the instance's shared XPath evaluation context. Its
 	// resolver/function hooks only reference the instance, and
@@ -187,18 +183,6 @@ func (in *Instance) OnComplete(fn func(err error)) {
 	in.done = append(in.done, fn)
 }
 
-// OnCrash registers a hook invoked (in reverse registration order) when
-// the instance dies at a simulated crash point. Unlike OnComplete
-// callbacks, crash hooks must only model what happens server-side when
-// the process vanishes — e.g. the database rolling back transactions
-// whose connections died — never cleanup that a real crashed process
-// could not have performed.
-func (in *Instance) OnCrash(fn func()) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.crashHooks = append(in.crashHooks, fn)
-}
-
 // Ctx is the execution context passed to activities.
 type Ctx struct {
 	Inst   *Instance
@@ -280,10 +264,11 @@ func (c *Ctx) XPathContext() *xpath.Context {
 }
 
 // instanceFuncs provides BPEL built-in extension functions that need
-// instance access, chaining to the process's own extension functions.
+// instance access, chaining to the process's own extension functions
+// with the instance.
 type instanceFuncs struct {
 	inst *Instance
-	next xpath.FunctionResolver
+	next Functions
 }
 
 // CallFunction implements xpath.FunctionResolver. bpel:getVariableData
@@ -319,7 +304,7 @@ func (f *instanceFuncs) CallFunction(name string, args []xpath.Value) (xpath.Val
 	if f.next == nil {
 		return xpath.Value{}, fmt.Errorf("engine: unknown extension function %s()", name)
 	}
-	return f.next.CallFunction(name, args)
+	return f.next.CallFunction(f.inst, name, args)
 }
 
 // EvalXPath evaluates a compiled XPath expression against the instance.

@@ -4,8 +4,10 @@
 // their activity models apart, but what happens at an activity's boundary
 // is the same on both: the instance and activity spans, the execution
 // budget check, the effect-then-memo call into the journal, the instance's
-// completion record and the counters that go with them. Both hosts embed
-// Host, and each instance embeds Instance, by value.
+// completion record and the counters that go with them. So is a SQL
+// statement inside an activity: it runs on the instance's session on its
+// database, under the activity's retry policy (Instance.SQL). Both hosts
+// embed Host, and each instance embeds Instance, by value.
 package host
 
 import (
@@ -18,6 +20,7 @@ import (
 	"wfsql/internal/journal"
 	"wfsql/internal/obsv"
 	"wfsql/internal/resilience"
+	"wfsql/internal/sqldb"
 )
 
 // ErrBudgetExceeded wraps the context error when an instance's execution
@@ -49,8 +52,8 @@ type Host struct {
 // SetObservability under the host's prefix. They are all nil (and their
 // methods no-ops) while no bundle is attached.
 type counters struct {
-	instances, completed, faulted, crashed *obsv.Counter
-	activities, deadlineExpired, replays   *obsv.Counter
+	instances, completed, faulted, crashed           *obsv.Counter
+	activities, deadlineExpired, replays, sqlRetries *obsv.Counter
 }
 
 func newCounters(m *obsv.Registry, prefix string) *counters {
@@ -62,6 +65,7 @@ func newCounters(m *obsv.Registry, prefix string) *counters {
 		activities:      m.Counter(prefix + ".activities"),
 		deadlineExpired: m.Counter(prefix + ".deadline_expired"),
 		replays:         m.Counter("journal.replays"),
+		sqlRetries:      m.Counter("sql.retries"),
 	}
 }
 
@@ -119,8 +123,8 @@ func (h *Host) Journal() *journal.Recorder {
 }
 
 // Instance is the host's record of one instance run: its id, the recorder
-// it was opened under, the effect-then-memo state, its budget, and what
-// observability was attached when it began.
+// it was opened under, the effect-then-memo state, its budget, what
+// observability was attached when it began, and its database sessions.
 type Instance struct {
 	ID int64
 
@@ -131,6 +135,13 @@ type Instance struct {
 	ctr     *counters
 	span    *obsv.Span // the instance span (nil: untraced)
 	current atomic.Pointer[obsv.Span]
+
+	// sessions holds one leased session per database the instance has
+	// run a statement on, in sessBuf while there is one; End releases
+	// them.
+	smu      sync.Mutex
+	sessions []*sqldb.Session
+	sessBuf  [1]*sqldb.Session
 }
 
 // Open gives r the recorder attached now and an id: id itself when it is
@@ -221,13 +232,21 @@ func (r *Instance) Exit(a Activity, err error) error {
 	return err
 }
 
-// End finishes r's run with its result: it closes the instance span,
+// End finishes r's run with its result: it releases the instance's
+// sessions (sqldb.Session.Release), closes the instance span,
 // counts the instance completed, faulted or crashed, and, unless the
 // instance crashed, appends its completion record. A refused completion
 // append fails an otherwise successful run: the journal still lists the
 // instance in flight, and recovery would run it again.
 func (r *Instance) End(err error) error {
 	r.obs.T().SetAmbient(0)
+	r.smu.Lock()
+	for _, s := range r.sessions {
+		s.Release()
+	}
+	clear(r.sessions)
+	r.sessions = r.sessions[:0]
+	r.smu.Unlock()
 	switch {
 	case journal.IsCrash(err):
 		r.ctr.crashed.Inc()
@@ -266,6 +285,55 @@ func (r *Instance) Effect(span *obsv.Span, activity, effectKind string, effect f
 		r.ctr.replays.Inc()
 	}
 	return err
+}
+
+// SQL runs op, one statement's work, on the instance's session on db. The
+// first statement on a database leases the session (sqldb.DB.Lease) and
+// binds the instance budget to it, so an expired budget stops the next
+// statement; End hands it back, rolling back a transaction still open
+// (the database's view of a process that died mid-transaction). Every
+// statement of the instance on db runs on that session, parallel branches
+// included: the session runs one statement at a time.
+//
+// With a policy, a failed op re-runs under it on the same session, noting
+// attempts and backoff on the current activity span; each re-run counts in
+// sql.retries. A statement refused for the budget fails wrapping
+// ErrBudgetExceeded.
+func (r *Instance) SQL(db *sqldb.DB, p *resilience.Policy, op func(*sqldb.Session) error) error {
+	s := r.session(db)
+	var err error
+	if p == nil {
+		err = op(s)
+	} else {
+		err = p.DoInline(resilience.Notes(r.Current()), func(n int) error {
+			if n > 1 {
+				r.ctr.sqlRetries.Inc()
+			}
+			return op(s)
+		})
+	}
+	if errors.Is(err, sqldb.ErrBudgetExhausted) {
+		return fmt.Errorf("%w: %w", ErrBudgetExceeded, err)
+	}
+	return err
+}
+
+// session returns the instance's session on db, leasing it on first use.
+func (r *Instance) session(db *sqldb.DB) *sqldb.Session {
+	r.smu.Lock()
+	defer r.smu.Unlock()
+	for _, s := range r.sessions {
+		if s.DB() == db {
+			return s
+		}
+	}
+	s := db.Lease()
+	s.BindContext(r.budget)
+	if r.sessions == nil {
+		r.sessions = r.sessBuf[:0]
+	}
+	r.sessions = append(r.sessions, s)
+	return s
 }
 
 // Replay queues a recorded instance's memoized effects for Effect to

@@ -33,7 +33,7 @@ type SQLParameter struct {
 // is aligned with a consecutive materialization step.
 type SQLDatabaseActivity struct {
 	ActivityName     string
-	ConnectionString string // static; opened per execution, closed after
+	ConnectionString string // static, resolved per execution
 	Statement        string // SQL text with @name parameters
 	Parameters       []SQLParameter
 	ResultSetVar     string // host variable receiving the *dataset.DataSet
@@ -49,10 +49,9 @@ type SQLDatabaseActivity struct {
 	RowsAffectedVar string
 
 	// Retry re-executes the statement on transient database errors. WF's
-	// SQL database activity opens and closes its own connection per
-	// execution (autocommit), so a retried attempt never replays inside a
-	// wider transaction. Attempts and backoff waits are noted on the
-	// activity's span.
+	// SQL database activity runs in autocommit, so a retried attempt never
+	// replays inside a wider transaction. Attempts and backoff waits are
+	// noted on the activity's span.
 	Retry *resilience.Policy
 
 	// slots maps each parameter slot of Statement (sqldb.ParamNames) to
@@ -135,25 +134,15 @@ func (a *SQLDatabaseActivity) executeLive(c *Context) error {
 		return fmt.Errorf("%s: %w", a.ActivityName, err)
 	}
 
-	// Statements run in autocommit on the instance's session (one session
-	// per instance per data source — see Context.SessionFor), so
-	// re-execution after a transient fault never replays work inside a
-	// wider transaction, and a retry reuses the same session instead of
-	// minting a throwaway handle per attempt.
-	sess := c.SessionFor(db)
-	execOnce := func(int) (*sqldb.Result, error) {
-		return sess.Exec(a.Statement, vals...)
-	}
+	// The statement autocommits on the instance's session on db.
 	var res *sqldb.Result
-	if a.Retry == nil {
-		res, err = execOnce(0)
-	} else {
-		res, err = resilience.Do(a.Retry, resilience.Notes(c.Current()), execOnce)
-	}
+	err = c.SQL(db, a.Retry, func(s *sqldb.Session) (err error) {
+		res, err = s.Exec(a.Statement, vals...)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("%s: %w", a.ActivityName, err)
 	}
-	// (The connection closes here: each activity opens and closes its own.)
 
 	if res.IsQuery() {
 		if a.ResultSetVar == "" {

@@ -141,9 +141,9 @@ func (rt *Runtime) rule(name string) (func(*Context) (bool, error), error) {
 
 // openConnection parses an ADO-style connection string and returns the
 // database, enforcing the provider restriction. Successful resolutions
-// are memoized per raw string: every SQL activity execution opens its
-// own connection, and re-parsing the same few strings per statement is
-// pure overhead.
+// are memoized per raw string: every SQL activity execution resolves its
+// connection string, and re-parsing the same few strings per statement
+// is pure overhead.
 func (rt *Runtime) openConnection(connStr string) (*sqldb.DB, error) {
 	rt.mu.RLock()
 	cached, ok := rt.connCache[connStr]
@@ -188,39 +188,13 @@ func (rt *Runtime) openConnection(connStr string) (*sqldb.DB, error) {
 // Context is the execution context of a workflow instance: host variables
 // plus runtime access. WF host variables are fields of the workflow class;
 // here they are a typed map. The embedded host.Instance holds the
-// instance's ID, journal, budget and spans.
+// instance's ID, journal, budget, spans and database sessions.
 type Context struct {
 	host.Instance
 	Runtime *Runtime
 
-	mu       sync.Mutex
-	vars     map[string]any
-	sessions map[*sqldb.DB]*sqldb.Session // one session per DB per instance
-}
-
-// SessionFor returns this instance's session on db, opening it on first
-// use — the one-session-per-instance contract. WF's SQL activities run in
-// autocommit (the session never holds an open transaction across
-// activities), but routing every statement of an instance through one
-// session means a future transaction bracket would survive across
-// activities instead of being silently dropped with a throwaway session,
-// and the session's internal mutex keeps parallel branches of the same
-// instance safe.
-func (c *Context) SessionFor(db *sqldb.DB) *sqldb.Session {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.sessions == nil {
-		c.sessions = map[*sqldb.DB]*sqldb.Session{}
-	}
-	s, ok := c.sessions[db]
-	if !ok {
-		s = db.Session()
-		// Deadline propagation: the instance budget gates every
-		// statement boundary of its sessions.
-		s.BindContext(c.Budget())
-		c.sessions[db] = s
-	}
-	return s
+	mu   sync.Mutex
+	vars map[string]any
 }
 
 // Get returns a host variable.

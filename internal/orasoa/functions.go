@@ -17,7 +17,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
+	"wfsql/internal/engine"
 	"wfsql/internal/obsv"
 	"wfsql/internal/resilience"
 	"wfsql/internal/rowset"
@@ -26,19 +28,18 @@ import (
 	"wfsql/internal/xpath"
 )
 
-// Functions implements xpath.FunctionResolver with Oracle's extension
+// Functions implements engine.Functions with Oracle's extension
 // functions. The database connection is static (fixed at construction),
 // matching the paper's comparison: "one has to provide a static connection
-// string for each XPath Extension Function".
+// string for each XPath Extension Function". Their statements run as part
+// of the calling instance, on its session (host.Instance.SQL).
 type Functions struct {
-	db      *sqldb.DB
-	pool    *sqldb.SessionPool
-	xsql    *XSQLFramework
-	mu      sync.Mutex
-	calls   map[string]int // per-function call counters (monitoring)
-	retry   *resilience.Policy
-	retries int // statement re-executions caused by the retry policy
-	obs     *obsv.Observability
+	db    *sqldb.DB
+	xsql  *XSQLFramework
+	retry atomic.Pointer[resilience.Policy]
+	mu    sync.Mutex
+	calls map[string]int // per-function call counters (monitoring)
+	obs   *obsv.Observability
 }
 
 // SetObservability attaches (or with nil detaches) a tracing/metrics
@@ -56,8 +57,7 @@ func (f *Functions) SetObservability(o *obsv.Observability) {
 // NewFunctions creates the extension function library over a statically
 // bound database, with an XSQL framework for processXSQL.
 func NewFunctions(db *sqldb.DB) *Functions {
-	pool := sqldb.NewSessionPool(db)
-	return &Functions{db: db, pool: pool, xsql: newXSQLFramework(db, pool), calls: map[string]int{}}
+	return &Functions{db: db, xsql: &XSQLFramework{pages: map[string][]xsqlStmt{}}, calls: map[string]int{}}
 }
 
 // XSQL exposes the framework for page registration.
@@ -77,50 +77,22 @@ func (f *Functions) Calls(name string) int {
 // autocommits — so per-statement re-execution after a transient fault is
 // always legal here (query-database and lookup-table are pure reads;
 // sequence-next-val may skip values on retry, which sequences permit).
-func (f *Functions) SetRetryPolicy(p *resilience.Policy) {
-	f.mu.Lock()
-	f.retry = p
-	f.mu.Unlock()
-	f.xsql.SetRetryPolicy(p)
-}
+// A page's statements retry one by one, never the whole page.
+func (f *Functions) SetRetryPolicy(p *resilience.Policy) { f.retry.Store(p) }
 
-// Retries returns how many statement re-executions the retry policy has
-// performed (monitoring).
-func (f *Functions) Retries() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.retries + f.xsql.Retries()
-}
-
-// query runs one statement through the configured retry policy. The
-// whole operation — every retry attempt included — executes on one
-// session checked out of the pool, instead of the former throwaway
-// session per attempt (which discarded any session state between
-// attempts and churned handles under the concurrent scheduler).
-func (f *Functions) query(sql string, params ...sqldb.Value) (*sqldb.Result, error) {
-	f.mu.Lock()
-	p := f.retry
-	f.mu.Unlock()
-	sess := f.pool.Acquire()
-	defer f.pool.Release(sess)
-	if p == nil {
-		return sess.Query(sql, params...)
-	}
-	obs := resilience.Observer{OnAttempt: func(n, _ int) {
-		if n > 1 {
-			f.mu.Lock()
-			f.retries++
-			f.mu.Unlock()
-		}
-	}}
-	return resilience.Do(p, obs, func(int) (*sqldb.Result, error) {
-		return sess.Query(sql, params...)
+// query runs one query on the calling instance's session under the
+// library's retry policy.
+func (f *Functions) query(in *engine.Instance, sql string, params ...sqldb.Value) (res *sqldb.Result, err error) {
+	err = in.SQL(f.db, f.retry.Load(), func(s *sqldb.Session) (err error) {
+		res, err = s.Query(sql, params...)
+		return err
 	})
+	return res, err
 }
 
-// CallFunction implements xpath.FunctionResolver. Functions are accepted
-// under both the ora and orcl prefixes.
-func (f *Functions) CallFunction(name string, args []xpath.Value) (xpath.Value, error) {
+// CallFunction implements engine.Functions for the instance in. Functions
+// are accepted under both the ora and orcl prefixes.
+func (f *Functions) CallFunction(in *engine.Instance, name string, args []xpath.Value) (xpath.Value, error) {
 	prefix, local := "", name
 	if i := strings.LastIndex(name, ":"); i >= 0 {
 		prefix, local = name[:i], name[i+1:]
@@ -138,24 +110,24 @@ func (f *Functions) CallFunction(name string, args []xpath.Value) (xpath.Value, 
 	}
 	switch local {
 	case "query-database":
-		return f.queryDatabase(args)
+		return f.queryDatabase(in, args)
 	case "sequence-next-val":
-		return f.sequenceNextVal(args)
+		return f.sequenceNextVal(in, args)
 	case "lookup-table":
-		return f.lookupTable(args)
+		return f.lookupTable(in, args)
 	case "processXSQL":
-		return f.processXSQL(args)
+		return f.processXSQL(in, args)
 	}
 	return xpath.Value{}, fmt.Errorf("orasoa: unknown extension function %s()", name)
 }
 
 // queryDatabase executes any valid SQL query provided as a string
 // parameter and returns its result set as an XML RowSet node-set.
-func (f *Functions) queryDatabase(args []xpath.Value) (xpath.Value, error) {
+func (f *Functions) queryDatabase(in *engine.Instance, args []xpath.Value) (xpath.Value, error) {
 	if len(args) != 1 {
 		return xpath.Value{}, fmt.Errorf("orasoa: query-database expects 1 argument")
 	}
-	res, err := f.query(args[0].AsString())
+	res, err := f.query(in, args[0].AsString())
 	if err != nil {
 		return xpath.Value{}, fmt.Errorf("orasoa: query-database: %w", err)
 	}
@@ -168,11 +140,11 @@ func (f *Functions) queryDatabase(args []xpath.Value) (xpath.Value, error) {
 
 // sequenceNextVal returns the next value of a predefined sequence of
 // integers (useful e.g. when creating a unique number as a primary key).
-func (f *Functions) sequenceNextVal(args []xpath.Value) (xpath.Value, error) {
+func (f *Functions) sequenceNextVal(in *engine.Instance, args []xpath.Value) (xpath.Value, error) {
 	if len(args) != 1 {
 		return xpath.Value{}, fmt.Errorf("orasoa: sequence-next-val expects 1 argument")
 	}
-	res, err := f.query("SELECT NEXTVAL(?)", sqldb.Str(args[0].AsString()))
+	res, err := f.query(in, "SELECT NEXTVAL(?)", sqldb.Str(args[0].AsString()))
 	if err != nil {
 		return xpath.Value{}, fmt.Errorf("orasoa: sequence-next-val: %w", err)
 	}
@@ -187,7 +159,7 @@ func (f *Functions) sequenceNextVal(args []xpath.Value) (xpath.Value, error) {
 // key, generated from its parameters (outputColumn, table, inputColumn,
 // key), and returns exactly one column value of the tuple identified by
 // its key.
-func (f *Functions) lookupTable(args []xpath.Value) (xpath.Value, error) {
+func (f *Functions) lookupTable(in *engine.Instance, args []xpath.Value) (xpath.Value, error) {
 	if len(args) != 4 {
 		return xpath.Value{}, fmt.Errorf("orasoa: lookup-table expects 4 arguments (outputColumn, table, inputColumn, key)")
 	}
@@ -196,7 +168,7 @@ func (f *Functions) lookupTable(args []xpath.Value) (xpath.Value, error) {
 		return xpath.Value{}, fmt.Errorf("orasoa: lookup-table: invalid identifier")
 	}
 	sql := fmt.Sprintf("SELECT %s FROM %s WHERE %s = ?", outCol, table, inCol)
-	res, err := f.query(sql, xpathToSQL(args[3]))
+	res, err := f.query(in, sql, xpathToSQL(args[3]))
 	if err != nil {
 		return xpath.Value{}, fmt.Errorf("orasoa: lookup-table: %w", err)
 	}
@@ -212,7 +184,7 @@ func (f *Functions) lookupTable(args []xpath.Value) (xpath.Value, error) {
 // processXSQL accesses a registered XSQL page, executes it in the XSQL
 // framework, and returns its result in XML. Arguments after the page name
 // are name/value pairs bound to the page's {@name} parameters.
-func (f *Functions) processXSQL(args []xpath.Value) (xpath.Value, error) {
+func (f *Functions) processXSQL(in *engine.Instance, args []xpath.Value) (xpath.Value, error) {
 	if len(args) == 0 {
 		return xpath.Value{}, fmt.Errorf("orasoa: processXSQL expects a page name")
 	}
@@ -223,7 +195,7 @@ func (f *Functions) processXSQL(args []xpath.Value) (xpath.Value, error) {
 	for i := 1; i < len(args); i += 2 {
 		params[args[i].AsString()] = args[i+1].AsString()
 	}
-	doc, err := f.xsql.Execute(args[0].AsString(), params)
+	doc, err := f.xsql.execute(in, f.db, f.retry.Load(), args[0].AsString(), params)
 	if err != nil {
 		return xpath.Value{}, err
 	}
@@ -267,12 +239,8 @@ func xpathToSQL(v xpath.Value) sqldb.Value {
 // stored procedures. Pages are XML documents of xsql:query and xsql:dml
 // elements with {@param} placeholders.
 type XSQLFramework struct {
-	db      *sqldb.DB
-	pool    *sqldb.SessionPool
-	mu      sync.RWMutex
-	pages   map[string][]xsqlStmt
-	retry   *resilience.Policy
-	retries int
+	mu    sync.RWMutex
+	pages map[string][]xsqlStmt
 }
 
 // xsqlStmt is one xsql:query or xsql:dml element of a registered page,
@@ -285,48 +253,6 @@ type xsqlStmt struct {
 	result string // a query's wrapper element in the result document
 	sql    string
 	params []string
-}
-
-// newXSQLFramework creates an empty framework bound to a database,
-// sharing a session pool with the owning function library.
-func newXSQLFramework(db *sqldb.DB, pool *sqldb.SessionPool) *XSQLFramework {
-	return &XSQLFramework{db: db, pool: pool, pages: map[string][]xsqlStmt{}}
-}
-
-// SetRetryPolicy applies a retry policy to every statement executed by a
-// page. Pages run statement-by-statement in autocommit mode; a retried
-// statement re-executes alone, never a whole page.
-func (x *XSQLFramework) SetRetryPolicy(p *resilience.Policy) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.retry = p
-}
-
-// Retries returns how many statement re-executions the policy performed.
-func (x *XSQLFramework) Retries() int {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return x.retries
-}
-
-// exec runs one page statement through the configured retry policy.
-func (x *XSQLFramework) exec(sess *sqldb.Session, sql string, params ...sqldb.Value) (*sqldb.Result, error) {
-	x.mu.RLock()
-	p := x.retry
-	x.mu.RUnlock()
-	if p == nil {
-		return sess.Exec(sql, params...)
-	}
-	obs := resilience.Observer{OnAttempt: func(n, _ int) {
-		if n > 1 {
-			x.mu.Lock()
-			x.retries++
-			x.mu.Unlock()
-		}
-	}}
-	return resilience.Do(p, obs, func(int) (*sqldb.Result, error) {
-		return sess.Exec(sql, params...)
-	})
 }
 
 // RegisterPage parses a page, splits each of its statements into SQL
@@ -367,10 +293,11 @@ func (x *XSQLFramework) RegisterPage(name, pageXML string) error {
 	return nil
 }
 
-// Execute runs a page with the given parameters and returns the XML
-// result document: one child element per xsql:query (an XML RowSet) or
-// xsql:dml (a rowsAffected element).
-func (x *XSQLFramework) Execute(page string, params map[string]string) (*xdm.Node, error) {
+// execute runs a page with the given parameters on the calling instance's
+// session on db, each statement under p, and returns the XML result
+// document: one child element per xsql:query (an XML RowSet) or xsql:dml
+// (a rowsAffected element).
+func (x *XSQLFramework) execute(in *engine.Instance, db *sqldb.DB, p *resilience.Policy, page string, params map[string]string) (*xdm.Node, error) {
 	x.mu.RLock()
 	stmts, ok := x.pages[page]
 	x.mu.RUnlock()
@@ -379,10 +306,6 @@ func (x *XSQLFramework) Execute(page string, params map[string]string) (*xdm.Nod
 	}
 	out := xdm.NewElement("xsql-result")
 	out.SetAttr("page", page)
-	// One pooled session per page execution: the page's statements share
-	// it, and it returns to the pool (transactionally clean) afterwards.
-	sess := x.pool.Acquire()
-	defer x.pool.Release(sess)
 	for _, st := range stmts {
 		binds := make([]sqldb.Value, len(st.params))
 		for i, name := range st.params {
@@ -392,29 +315,30 @@ func (x *XSQLFramework) Execute(page string, params map[string]string) (*xdm.Nod
 			}
 			binds[i] = pageValue(v)
 		}
-		switch localName(st.elem) {
-		case "query":
-			res, err := x.exec(sess, st.sql, binds...)
-			if err != nil {
-				return nil, fmt.Errorf("orasoa: xsql page %s: %w", page, err)
-			}
-			if !res.IsQuery() {
-				return nil, fmt.Errorf("orasoa: xsql page %s: xsql:query did not return rows", page)
-			}
-			rs, err := rowset.FromResult(res)
-			if err != nil {
-				return nil, err
-			}
-			out.Element(st.result).AppendChild(rs)
-		case "dml":
-			res, err := x.exec(sess, st.sql, binds...)
-			if err != nil {
-				return nil, fmt.Errorf("orasoa: xsql page %s: %w", page, err)
-			}
-			out.ElementWithText("rowsAffected", strconv.Itoa(res.RowsAffected))
-		default:
+		kind := localName(st.elem)
+		if kind != "query" && kind != "dml" {
 			return nil, fmt.Errorf("orasoa: xsql page %s: unknown element %s", page, st.elem)
 		}
+		var res *sqldb.Result
+		err := in.SQL(db, p, func(s *sqldb.Session) (err error) {
+			res, err = s.Exec(st.sql, binds...)
+			return err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("orasoa: xsql page %s: %w", page, err)
+		}
+		if kind == "dml" {
+			out.ElementWithText("rowsAffected", strconv.Itoa(res.RowsAffected))
+			continue
+		}
+		if !res.IsQuery() {
+			return nil, fmt.Errorf("orasoa: xsql page %s: xsql:query did not return rows", page)
+		}
+		rs, err := rowset.FromResult(res)
+		if err != nil {
+			return nil, err
+		}
+		out.Element(st.result).AppendChild(rs)
 	}
 	return out, nil
 }

@@ -26,9 +26,24 @@ func ordersDB() *sqldb.DB {
 	return db
 }
 
+// instance is an instance of an empty process over f, not yet run: what
+// an extension function call runs its SQL as part of.
+func instance(t *testing.T, f *Functions) *engine.Instance {
+	t.Helper()
+	d, err := engine.New(nil).Deploy(&engine.Process{Name: "calls", Body: &engine.Empty{ActivityName: "empty"}, Funcs: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := d.NewInstance(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
 func callFn(t *testing.T, f *Functions, name string, args ...xpath.Value) xpath.Value {
 	t.Helper()
-	v, err := f.CallFunction(name, args)
+	v, err := f.CallFunction(instance(t, f), name, args)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -81,12 +96,12 @@ func TestLookupTable(t *testing.T) {
 		t.Fatalf("missing key: %q", v.AsString())
 	}
 	// Non-unique key -> error.
-	if _, err := f.CallFunction("orcl:lookup-table", []xpath.Value{
+	if _, err := f.CallFunction(instance(t, f), "orcl:lookup-table", []xpath.Value{
 		xpath.String("OrderID"), xpath.String("Orders"), xpath.String("ItemID"), xpath.String("bolt")}); err == nil {
 		t.Fatal("expected non-unique error")
 	}
 	// SQL injection via identifiers is rejected.
-	if _, err := f.CallFunction("orcl:lookup-table", []xpath.Value{
+	if _, err := f.CallFunction(instance(t, f), "orcl:lookup-table", []xpath.Value{
 		xpath.String("ItemID; DROP TABLE Orders"), xpath.String("Orders"),
 		xpath.String("OrderID"), xpath.Number(1)}); err == nil {
 		t.Fatal("expected invalid identifier error")
@@ -145,13 +160,13 @@ func TestProcessXSQLStoredProcedureAndDDL(t *testing.T) {
 func TestXSQLErrors(t *testing.T) {
 	db := ordersDB()
 	f := NewFunctions(db)
-	if _, err := f.CallFunction("ora:processXSQL", []xpath.Value{xpath.String("missing")}); err == nil {
+	if _, err := f.CallFunction(instance(t, f), "ora:processXSQL", []xpath.Value{xpath.String("missing")}); err == nil {
 		t.Fatal("expected missing page error")
 	}
 	if err := f.XSQL().RegisterPage("badparam", `<xsql:page><xsql:dml>DELETE FROM Orders WHERE ItemID = {@x}</xsql:dml></xsql:page>`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.CallFunction("ora:processXSQL", []xpath.Value{xpath.String("badparam")}); err == nil ||
+	if _, err := f.CallFunction(instance(t, f), "ora:processXSQL", []xpath.Value{xpath.String("badparam")}); err == nil ||
 		!strings.Contains(err.Error(), "badparam") || !strings.Contains(err.Error(), `"x"`) {
 		t.Fatalf("want an unbound parameter error naming the page, got %v", err)
 	}
@@ -162,10 +177,10 @@ func TestXSQLErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "open") {
 		t.Fatalf("want an unterminated parameter to fail registration naming the page, got %v", err)
 	}
-	if _, err := f.CallFunction("ora:processXSQL", []xpath.Value{xpath.String("open")}); err == nil {
+	if _, err := f.CallFunction(instance(t, f), "ora:processXSQL", []xpath.Value{xpath.String("open")}); err == nil {
 		t.Fatal("a page that failed to register must not run")
 	}
-	if _, err := f.CallFunction("ora:processXSQL", []xpath.Value{
+	if _, err := f.CallFunction(instance(t, f), "ora:processXSQL", []xpath.Value{
 		xpath.String("confirmations"), xpath.String("odd")}); err == nil {
 		t.Fatal("expected pairing error")
 	}
@@ -173,10 +188,10 @@ func TestXSQLErrors(t *testing.T) {
 
 func TestUnknownFunctionAndNamespace(t *testing.T) {
 	f := NewFunctions(ordersDB())
-	if _, err := f.CallFunction("ora:no-such", nil); err == nil {
+	if _, err := f.CallFunction(instance(t, f), "ora:no-such", nil); err == nil {
 		t.Fatal("expected unknown function error")
 	}
-	if _, err := f.CallFunction("foo:query-database", nil); err == nil {
+	if _, err := f.CallFunction(instance(t, f), "foo:query-database", nil); err == nil {
 		t.Fatal("expected unknown namespace error")
 	}
 }
@@ -439,23 +454,23 @@ func TestFunctionErrorArities(t *testing.T) {
 		{xpath.String("SELECT 1"), xpath.String("extra")},
 	}
 	for _, args := range cases {
-		if _, err := f.CallFunction("ora:query-database", args); err == nil {
+		if _, err := f.CallFunction(instance(t, f), "ora:query-database", args); err == nil {
 			t.Errorf("query-database with %d args must fail", len(args))
 		}
-		if _, err := f.CallFunction("ora:sequence-next-val", args); err == nil {
+		if _, err := f.CallFunction(instance(t, f), "ora:sequence-next-val", args); err == nil {
 			t.Errorf("sequence-next-val with %d args must fail", len(args))
 		}
 	}
 	// Bad SQL propagates.
-	if _, err := f.CallFunction("ora:query-database", []xpath.Value{xpath.String("SELEC")}); err == nil {
+	if _, err := f.CallFunction(instance(t, f), "ora:query-database", []xpath.Value{xpath.String("SELEC")}); err == nil {
 		t.Error("bad SQL must fail")
 	}
 	// Missing sequence propagates.
-	if _, err := f.CallFunction("ora:sequence-next-val", []xpath.Value{xpath.String("nope")}); err == nil {
+	if _, err := f.CallFunction(instance(t, f), "ora:sequence-next-val", []xpath.Value{xpath.String("nope")}); err == nil {
 		t.Error("missing sequence must fail")
 	}
 	// DML via query-database is rejected (it must be a query).
-	if _, err := f.CallFunction("ora:query-database", []xpath.Value{xpath.String("DELETE FROM Orders")}); err == nil {
+	if _, err := f.CallFunction(instance(t, f), "ora:query-database", []xpath.Value{xpath.String("DELETE FROM Orders")}); err == nil {
 		t.Error("DML via query-database must fail")
 	}
 }

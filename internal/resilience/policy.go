@@ -293,17 +293,43 @@ func (e *TimeoutError) Temporary() bool { return true }
 // process analog of a network call whose response arrives after the client
 // gave up).
 func Do[T any](p *Policy, obs Observer, op func(attempt int) (T, error)) (T, error) {
-	var zero T
 	if p == nil {
 		p = &Policy{}
 	}
+	return retry(p, obs, func(n int) (T, error) { return runAttempt(p, n, op) })
+}
+
+// DoErr is the result-less convenience form of Do.
+func (p *Policy) DoErr(obs Observer, op func(attempt int) error) error {
+	_, err := Do(p, obs, func(n int) (struct{}, error) {
+		return struct{}{}, op(n)
+	})
+	return err
+}
+
+// DoInline is DoErr with every attempt on the calling goroutine:
+// PerAttemptTimeout does not apply, and op stays on its caller's stack.
+// It is for work that an abandoned attempt would go on holding, like a
+// statement on a session: the session runs one statement at a time, so
+// the retry would wait for the abandoned attempt anyway, which could
+// still commit behind it.
+func (p *Policy) DoInline(obs Observer, op func(attempt int) error) error {
+	_, err := retry(p, obs, func(n int) (struct{}, error) {
+		return struct{}{}, op(n)
+	})
+	return err
+}
+
+// retry is the loop of Do and DoInline around one attempt, run.
+func retry[T any](p *Policy, obs Observer, run func(attempt int) (T, error)) (T, error) {
+	var zero T
 	start := p.now()
 	max := p.Attempts()
 	rng := p.jitterRand()
 	var lastErr error
 	for n := 1; n <= max; n++ {
 		obs.attempt(n, max)
-		v, err := runAttempt(p, n, op)
+		v, err := run(n)
 		if err == nil {
 			obs.success(n)
 			return v, nil
@@ -329,14 +355,6 @@ func Do[T any](p *Policy, obs Observer, op func(attempt int) (T, error)) (T, err
 	}
 	obs.giveUp(max, lastErr, ReasonExhausted)
 	return zero, &AbandonedError{Reason: ReasonExhausted, Attempts: max, Err: lastErr}
-}
-
-// DoErr is the result-less convenience form of Do.
-func (p *Policy) DoErr(obs Observer, op func(attempt int) error) error {
-	_, err := Do(p, obs, func(n int) (struct{}, error) {
-		return struct{}{}, op(n)
-	})
-	return err
 }
 
 // runAttempt executes one attempt, honoring the per-attempt timeout.

@@ -249,7 +249,7 @@ func TestRollbackAPICapturedInChangeStream(t *testing.T) {
 	s := primary.Session()
 	s.Exec("BEGIN")
 	s.Exec("INSERT INTO t VALUES (1)")
-	s.Rollback() // API rollback, the path bis/state.go and SessionPool use
+	s.Rollback() // API rollback, the path bis/state.go and Session.Release use
 
 	// A no-op rollback (no open transaction) must not emit anything.
 	s.Rollback()

@@ -115,7 +115,14 @@ type DB struct {
 	footGen atomic.Int64
 
 	compiles atomic.Int64 // plans built (StmtCacheStats.Compiles)
+
+	// idle holds released clean sessions for Lease, at most idleSessions.
+	idleMu sync.Mutex
+	idle   []*Session
 }
+
+// idleSessions bounds how many released sessions a database keeps.
+const idleSessions = 32
 
 // stmtCacheCap bounds the parsed-statement cache. When an insert would
 // exceed it the least-recently-used entry is evicted, so hot statements
@@ -471,6 +478,39 @@ func (db *DB) RegisterProcedure(name string, fn NativeProc) {
 // workflow instance (or activity execution) typically uses its own.
 func (db *DB) Session() *Session {
 	return &Session{db: db, id: db.sessionIDs.Add(1)}
+}
+
+// Lease hands out a session released earlier, else a new one: the session
+// a workflow instance holds for its run, returned by Release. A leased
+// session keeps its reusable buffers, so a run pays no session of its own.
+func (db *DB) Lease() *Session {
+	db.idleMu.Lock()
+	defer db.idleMu.Unlock()
+	n := len(db.idle)
+	if n == 0 {
+		return db.Session()
+	}
+	s := db.idle[n-1]
+	db.idle[n-1] = nil
+	db.idle = db.idle[:n-1]
+	return s
+}
+
+// Release ends a lease. A session still in an explicit transaction is
+// rolled back and dropped; any other has its budget unbound and is kept
+// for the next Lease (up to idleSessions per database).
+func (s *Session) Release() {
+	if s.InTransaction() {
+		s.Rollback()
+		return
+	}
+	s.BindContext(nil)
+	db := s.db
+	db.idleMu.Lock()
+	if len(db.idle) < idleSessions {
+		db.idle = append(db.idle, s)
+	}
+	db.idleMu.Unlock()
 }
 
 // Change is one entry of the database's change stream: a successfully

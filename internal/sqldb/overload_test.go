@@ -7,28 +7,27 @@ import (
 	"testing"
 )
 
-// TestPoolDiscardsDirtyRelease: a session released inside an open
-// transaction is rolled back and never handed out again.
+// TestPoolDiscardsDirtyRelease: a leased session released inside an
+// open transaction is rolled back and never leased again; a clean one is.
 func TestPoolDiscardsDirtyRelease(t *testing.T) {
 	db := Open("pool")
 	db.MustExec("CREATE TABLE t (a INT)")
-	p := NewSessionPool(db)
 
-	s := p.Acquire()
+	s := db.Lease()
 	if _, err := s.Exec("BEGIN"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Exec("INSERT INTO t VALUES (1)"); err != nil {
 		t.Fatal(err)
 	}
-	p.Release(s) // dirty: rolled back and discarded
+	s.Release() // dirty: rolled back and discarded
 	if s.InTransaction() {
 		t.Fatal("released session still holds its transaction")
 	}
 
-	s2 := p.Acquire()
+	s2 := db.Lease()
 	if s2 == s {
-		t.Fatal("a dirty session was handed out again")
+		t.Fatal("a dirty session was leased again")
 	}
 	r, err := s2.Query("SELECT COUNT(*) AS n FROM t")
 	if err != nil {
@@ -37,9 +36,15 @@ func TestPoolDiscardsDirtyRelease(t *testing.T) {
 	if n, _ := r.Rows[0][0].AsInt(); n != 0 {
 		t.Fatalf("dirty session's insert survived: %d rows", n)
 	}
-	p.Release(s2)
-	if p.Acquire() != s2 {
-		t.Fatal("a clean session was not recycled")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s2.BindContext(ctx)
+	s2.Release()
+	if db.Lease() != s2 {
+		t.Fatal("a clean session was not leased again")
+	}
+	if _, err := s2.Query("SELECT COUNT(*) AS n FROM t"); err != nil {
+		t.Fatalf("a released session kept its budget: %v", err)
 	}
 }
 

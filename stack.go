@@ -73,7 +73,7 @@ var (
 		}}
 
 	// StackOracle runs Figure 8 on the BPEL engine with Oracle's XPath
-	// extension functions, which lease pooled sqldb sessions per call.
+	// extension functions, which run on the calling instance's session.
 	StackOracle = Stack{Name: "Oracle", Figure: "Figure8",
 		Prepare: func(env *Environment, cfg ResilienceConfig) (*Prepared, error) {
 			p, err := env.BuildFigure8OracleResilient(cfg)

@@ -51,42 +51,23 @@ bench:
 bench-test:
 	cd bench && $(GO) test ./...
 
-# Fuzz smoke: bounded runs of the WAL-scanner fuzzer (recovery must
-# survive arbitrary bytes), the record codec behind it (any payload in a
-# valid frame decodes or reads as torn, within its size, and what decodes
-# survives the live encoder), the script splitter behind ExecScript
-# (statement texts re-parse alone and cover the input), normalizeStmt
-# (idempotent on its own rendering), the parser's slot numbering (named
-# placeholders after every `?`, the same names raw and normalized), the
-# index key encoder (same key
-# iff equal under compareValues), the Value layout (the 32-byte value
-# agrees with the 48-byte one on comparisons, coercions, keys and
-# encodings), the LIKE matcher (equal to a regexp
-# oracle), the GROUP BY group table (the same bins, in first-seen order,
-# as a map keyed on appendValueKey), session reuse (a seeded statement
-# mix — writes, rollbacks, transactions, and reads through a hash join
-# and an index probe with ORDER BY … LIMIT, whose plans keep their build
-# and sort buffers — on one long-lived session returns what it returns
-# on a fresh session per statement, and no result changes after it is
-# returned),
-# xdm's block clone (equal to its source, and a write to it never
-# reaches the source) and the WF persistence service's streamed XML (the
-# state snapshot and DataSet memo equal, byte for byte, what the xdm tree
-# they no longer build prints). CI-friendly; raise -fuzztime manually for
-# longer campaigns.
+# Fuzz smoke: a bounded run of every Fuzz target, per package, as
+# `go test -list` finds them (FUZZTIME each, 15s unless set). What each
+# holds to: the WAL scanner survives arbitrary bytes and the record codec
+# decodes or tears within a frame; script splitting, normalization and
+# slot numbering are stable on their own output; index, group and value
+# keys agree with compareValues; a string literal matches by equality
+# only; a long-lived session returns what fresh ones do; a block clone
+# equals its source; and the streamed WF persistence XML equals its xdm
+# tree. Raise FUZZTIME for longer campaigns.
+FUZZTIME ?= 15s
 fuzz:
-	$(GO) test -fuzz='^FuzzScan$$' -fuzztime=15s ./internal/journal/
-	$(GO) test -fuzz='^FuzzRecordCodec$$' -fuzztime=15s ./internal/journal/
-	$(GO) test -fuzz='^FuzzParseScript$$' -fuzztime=15s ./internal/sqldb/
-	$(GO) test -fuzz='^FuzzNormalizeStmt$$' -fuzztime=15s ./internal/sqldb/
-	$(GO) test -fuzz='^FuzzParamNames$$' -fuzztime=15s ./internal/sqldb/
-	$(GO) test -fuzz='^FuzzIndexKey$$' -fuzztime=15s ./internal/sqldb/
-	$(GO) test -fuzz='^FuzzValueLayout$$' -fuzztime=15s ./internal/sqldb/
-	$(GO) test -fuzz='^FuzzLike$$' -fuzztime=15s ./internal/sqldb/
-	$(GO) test -fuzz='^FuzzGroupKey$$' -fuzztime=15s ./internal/sqldb/
-	$(GO) test -fuzz='^FuzzSessionReuse$$' -fuzztime=15s ./internal/sqldb/
-	$(GO) test -fuzz='^FuzzClone$$' -fuzztime=15s ./internal/xdm/
-	$(GO) test -fuzz='^FuzzPersistenceStream$$' -fuzztime=15s ./internal/mswf/
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); do \
+			echo "fuzz $$pkg $$f"; \
+			$(GO) test -run '^$$' -fuzz="^$$f\$$" -fuzztime=$(FUZZTIME) $$pkg; \
+		done; \
+	done
 
 # The CLIs end to end, writing into ARTIFACTS (a fresh temporary
 # directory when unset), e.g.
@@ -135,26 +116,44 @@ loc:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' | xargs cat | wc -l
 
 # What the system's own suites reach of internal/: the root package's
-# tests and the pattern conformance cases (-short), one profile over
-# every internal package. A block counts once however many test binaries
-# report it; reached/total statements print overall, then per package and
-# per file, most unreached first.
+# tests and the pattern conformance cases (-short), plus the examples and
+# the smoke runners (cmd/wfrun, cmd/bpelrun, cmd/sqlsh, cmd/tables,
+# cmd/patterncheck) built with -cover and run on their testdata. A block
+# counts once however many runs report it; reached/total statements
+# print overall, then per package and per file, most unreached first,
+# each beside the root+patterns figure alone.
+REACH_RUNNERS = $(wildcard examples/*) cmd/wfrun cmd/bpelrun cmd/sqlsh cmd/tables cmd/patterncheck
 reach:
 	@$(GO) test -short -coverpkg=./internal/... -coverprofile=reach.out . ./internal/patterns > /dev/null
-	@awk 'NR > 1 { n[$$1] = $$2; if ($$3 > 0) hit[$$1] = 1 } \
-	function row(r, t, name) { printf "%6d  %5d / %5d  %5.1f %%  %s\n", t - r, r, t, 100 * r / t, name | "sort -rn" } \
+	@rm -rf .reach && mkdir -p .reach/cov
+	@set -e; for p in $(REACH_RUNNERS); do \
+		$(GO) build -cover -coverpkg=./internal/...,./$$p -o .reach/$$(basename $$p) ./$$p; done; \
+	export GOCOVERDIR=$$PWD/.reach/cov; \
+	for p in $(wildcard examples/*); do .reach/$$(basename $$p) > /dev/null; done; \
+	.reach/wfrun -xoml cmd/wfrun/testdata/sample.xoml -seed cmd/wfrun/testdata/seed.sql -var minTotal=5 > /dev/null; \
+	.reach/bpelrun -bpel cmd/bpelrun/testdata/figure4.bpel -seed cmd/bpelrun/testdata/seed.sql > /dev/null; \
+	.reach/sqlsh -f cmd/sqlsh/testdata/replan.sql > /dev/null; \
+	.reach/tables -verify > /dev/null; \
+	.reach/patterncheck > /dev/null
+	@$(GO) tool covdata textfmt -i=.reach/cov -o .reach/runners.out
+	@awk 'FNR > 1 && $$1 ~ /^wfsql\/internal\// { n[$$1] = $$2; if ($$3 > 0) hit[$$1] = 1; \
+		if (FILENAME == "reach.out") { in1[$$1] = 1; if ($$3 > 0) hit1[$$1] = 1 } } \
+	function pct(a, b) { return b ? sprintf("%5.1f %%", 100 * a / b) : "    - " } \
+	function row(r, t, r1, t1, name) { printf "%6d  %5d / %5d  %s  (root+patterns %s)  %s\n", t - r, r, t, pct(r, t), pct(r1, t1), name | "sort -rn" } \
 	END { \
 		for (k in n) { \
 			f = k; sub(/:.*/, "", f); p = f; sub(/\/[^\/]*$$/, "", p); \
 			tot += n[k]; ft[f] += n[k]; pt[p] += n[k]; \
 			if (k in hit) { r += n[k]; fr[f] += n[k]; pr[p] += n[k] } \
+			if (k in in1) { tot1 += n[k]; ft1[f] += n[k]; pt1[p] += n[k] } \
+			if (k in hit1) { r1 += n[k]; fr1[f] += n[k]; pr1[p] += n[k] } \
 		} \
-		printf "reached %d / %d statements (%.1f %%)\nunreached  reached / total  package\n", r, tot, 100 * r / tot; fflush(); \
-		for (p in pt) row(pr[p], pt[p], p); close("sort -rn"); \
+		printf "reached %d / %d statements (%s); root+patterns alone %d / %d (%s)\nunreached  reached / total  package\n", r, tot, pct(r, tot), r1, tot1, pct(r1, tot1); fflush(); \
+		for (p in pt) row(pr[p], pt[p], pr1[p], pt1[p], p); close("sort -rn"); \
 		print "unreached  reached / total  file"; fflush(); \
-		for (f in ft) row(fr[f], ft[f], f); close("sort -rn") \
-	}' reach.out
+		for (f in ft) row(fr[f], ft[f], fr1[f], ft1[f], f); close("sort -rn") \
+	}' reach.out .reach/runners.out
 
 clean:
 	$(GO) clean ./...
-	rm -rf coverage.out reach.out .bench_build
+	rm -rf coverage.out reach.out .reach .bench_build

@@ -156,7 +156,7 @@ func TestAllocBudget(t *testing.T) {
 		{StackBIS, false, 266, 29493},    // 28 088 B measured (287 objects, 29 848 B with a session and its two maps minted per instance)
 		{StackBIS, true, 297, 34264},     // 32 632 B (318, 34 392; 353, 37 400 with a memo key built per save, an empty memo map per INSERT and a heap Record per typed append)
 		{StackWF, false, 143, 12397},     // 11 806 B (158, 12 854 with a session and its map minted per instance)
-		{StackWF, true, 200, 20051},      // 19 096 B (215, 20 144; 376, 28 694 with an xdm tree per DataSet memo and state snapshot)
+		{StackWF, true, 189, 19419},      // 18 494 B (200, 19 096 with copies of the DataSet memo's rows and table names; 376, 28 694 with an xdm tree per DataSet memo and state snapshot)
 		{StackOracle, false, 254, 28262}, // 26 916 B
 		{StackOracle, true, 302, 36595},  // 34 852 B (338, 37 582)
 	} {

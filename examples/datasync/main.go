@@ -49,10 +49,9 @@ func main() {
 			washer.Delete()
 
 			fmt.Println("cache after edits (change tracking):")
-			for _, row := range tab.AllRows() {
-				fmt.Printf("  %-8s stock=%-4s state=%s\n",
-					row.MustGet("ItemID").S, row.MustGet("Stock").String(), row.State())
-			}
+			tab.EachRow(func(state dataset.RowState, vals []sqldb.Value) {
+				fmt.Printf("  %-8s stock=%-4s state=%s\n", vals[0].S, vals[1].String(), state)
+			})
 			return nil
 		}),
 

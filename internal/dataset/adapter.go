@@ -17,16 +17,34 @@ type DataAdapter struct {
 	SelectSQL  string   // query used by Fill
 	Table      string   // source table targeted by Update
 	KeyColumns []string // key columns for UPDATE/DELETE predicates
+
+	// Run, when set, runs one unit of the adapter's work — Fill's query,
+	// Update's whole transaction — on the caller's session: a workflow
+	// instance's (mswf.NewDataAdapter), under its budget. A unit Run
+	// re-runs, it re-runs whole. Without Run, each unit runs on a fresh
+	// session of DB.
+	Run func(op func(*sqldb.Session) error) error
+}
+
+// run runs op through Run, or on a fresh session of DB.
+func (a *DataAdapter) run(op func(*sqldb.Session) error) error {
+	if a.Run != nil {
+		return a.Run(op)
+	}
+	if a.DB == nil {
+		return fmt.Errorf("dataset: adapter has no database")
+	}
+	return op(a.DB.Session())
 }
 
 // Fill executes SelectSQL and loads the result into the named DataSet
 // table (created if absent). It returns the number of rows loaded.
 func (a *DataAdapter) Fill(ds *DataSet, tableName string, params ...sqldb.Value) (int, error) {
-	if a.DB == nil {
-		return 0, fmt.Errorf("dataset: adapter has no database")
-	}
-	res, err := a.DB.Session().Query(a.SelectSQL, params...)
-	if err != nil {
+	var res *sqldb.Result
+	if err := a.run(func(s *sqldb.Session) (err error) {
+		res, err = s.Query(a.SelectSQL, params...)
+		return err
+	}); err != nil {
 		return 0, fmt.Errorf("dataset: fill: %w", err)
 	}
 	t := ds.Table(tableName)
@@ -46,9 +64,6 @@ func (a *DataAdapter) Fill(ds *DataSet, tableName string, params ...sqldb.Value)
 // written. Statement generation follows ADO.NET's command builders:
 // deleted and modified rows are located by the adapter's key columns.
 func (a *DataAdapter) Update(ds *DataSet, tableName string) (int, error) {
-	if a.DB == nil {
-		return 0, fmt.Errorf("dataset: adapter has no database")
-	}
 	if a.Table == "" {
 		return 0, fmt.Errorf("dataset: adapter has no target table for update generation")
 	}
@@ -65,16 +80,21 @@ func (a *DataAdapter) Update(ds *DataSet, tableName string) (int, error) {
 		return 0, err
 	}
 
-	s := a.DB.Session()
-	if _, err := s.Exec("BEGIN"); err != nil {
-		return 0, err
-	}
-	n, err := a.applyChanges(s, t, added, modified, deleted, keyIdx)
-	if err != nil {
-		s.Rollback()
-		return 0, fmt.Errorf("dataset: update: %w", err)
-	}
-	if _, err := s.Exec("COMMIT"); err != nil {
+	var n int
+	if err := a.run(func(s *sqldb.Session) error {
+		if _, err := s.Exec("BEGIN"); err != nil {
+			return err
+		}
+		var err error
+		if n, err = a.applyChanges(s, t, added, modified, deleted, keyIdx); err != nil {
+			s.Rollback()
+			return fmt.Errorf("dataset: update: %w", err)
+		}
+		if _, err = s.Exec("COMMIT"); err != nil {
+			s.Rollback() // the session may be an instance's: leave no transaction open on it
+		}
+		return err
+	}); err != nil {
 		return 0, err
 	}
 	t.AcceptChanges()

@@ -111,11 +111,6 @@ func (r *DataRow) Delete() {
 	}
 }
 
-// Values returns a copy of the row's current values.
-func (r *DataRow) Values() []sqldb.Value {
-	return append([]sqldb.Value(nil), r.current...)
-}
-
 // AcceptRow commits this row's pending state (the per-row counterpart of
 // DataTable.AcceptChanges): a Deleted row is removed from its table,
 // Added and Modified rows become Unchanged.
@@ -191,9 +186,12 @@ func (t *DataTable) Rows() []*DataRow {
 	return t.Select(func(*DataRow) bool { return true })
 }
 
-// AllRows returns every tracked row including deleted ones.
-func (t *DataTable) AllRows() []*DataRow {
-	return append([]*DataRow(nil), t.rows...)
+// EachRow calls f on every tracked row, Deleted ones included, in order:
+// its state and its current values — the row's own, to read and not keep.
+func (t *DataTable) EachRow(f func(state RowState, vals []sqldb.Value)) {
+	for _, r := range t.rows {
+		f(r.state, r.current)
+	}
 }
 
 // Count returns the number of live rows.
@@ -352,25 +350,23 @@ func (ds *DataSet) AddTable(t *DataTable) {
 	ds.tables[key] = t
 }
 
-// TableNames lists tables in insertion order.
-func (ds *DataSet) TableNames() []string {
-	out := make([]string, 0, len(ds.order))
+// EachTable calls f on every table, in the order they were added.
+func (ds *DataSet) EachTable(f func(*DataTable)) {
 	for _, k := range ds.order {
-		out = append(out, ds.tables[k].Name)
+		f(ds.tables[k])
 	}
-	return out
 }
 
 // String renders the DataSet compactly: each table with its rows and
 // change states.
 func (ds *DataSet) String() string {
 	var b strings.Builder
-	for i, tn := range ds.TableNames() {
-		if i > 0 {
+	ds.EachTable(func(t *DataTable) {
+		if b.Len() > 0 {
 			b.WriteString("; ")
 		}
-		b.WriteString(ds.Table(tn).String())
-	}
+		b.WriteString(t.String())
+	})
 	return b.String()
 }
 

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -250,7 +251,8 @@ func TestDataSetTables(t *testing.T) {
 	if ds.Table("a") == nil || ds.Table("B") == nil {
 		t.Fatal("case-insensitive table lookup failed")
 	}
-	names := ds.TableNames()
+	var names []string
+	ds.EachTable(func(t *DataTable) { names = append(names, t.Name) })
 	if len(names) != 2 || names[0] != "A" {
 		t.Fatalf("table names: %v", names)
 	}
@@ -341,17 +343,21 @@ func TestRowStateStrings(t *testing.T) {
 	}
 }
 
+// TestValuesAndAllRows: EachRow walks every tracked row, Deleted ones
+// included, with its state and current values; a removed row is gone.
 func TestValuesAndAllRows(t *testing.T) {
+	rows := func(tab *DataTable) (out []string) {
+		tab.EachRow(func(s RowState, vals []sqldb.Value) { out = append(out, fmt.Sprint(s, vals)) })
+		return out
+	}
 	tab := NewDataTable("t", "a", "b")
 	r, _ := tab.AddRow(sqldb.Int(1), sqldb.Str("x"))
-	vals := r.Values()
-	vals[0] = sqldb.Int(99) // mutation of the copy must not leak
-	if r.MustGet("a").I != 1 {
-		t.Fatal("Values returned a live slice")
+	if got := fmt.Sprint(rows(tab)); got != "[Added [1 x]]" {
+		t.Fatalf("EachRow: %s", got)
 	}
 	r.Delete() // Added row removed outright
-	if len(tab.AllRows()) != 0 {
-		t.Fatal("AllRows after removing added row")
+	if got := rows(tab); len(got) != 0 {
+		t.Fatalf("EachRow after removing added row: %v", got)
 	}
 	tab2 := NewDataTable("t2", "a")
 	r2, _ := tab2.AddRow(sqldb.Int(1))
@@ -360,9 +366,12 @@ func TestValuesAndAllRows(t *testing.T) {
 		t.Fatal("AcceptRow on added row")
 	}
 	r2.Delete()
+	if got := fmt.Sprint(rows(tab2)); got != "[Deleted [1]]" {
+		t.Fatalf("EachRow over a deleted row: %s", got)
+	}
 	r2.AcceptRow()
-	if len(tab2.AllRows()) != 0 {
-		t.Fatal("AcceptRow on deleted row should remove it")
+	if got := rows(tab2); len(got) != 0 {
+		t.Fatalf("AcceptRow on deleted row should remove it: %v", got)
 	}
 }
 

@@ -63,11 +63,11 @@ func TestDataTableMatchesFilteredRows(t *testing.T) {
 	}
 }
 
-// liveRowsDiffer compares the table's answers with AllRows filtered by
-// state.
+// liveRowsDiffer compares the table's answers with its tracked rows
+// filtered by state.
 func liveRowsDiffer(tab *DataTable, rng *rand.Rand) string {
 	var live []*DataRow
-	for _, r := range tab.AllRows() {
+	for _, r := range tab.rows {
 		if r.State() != Deleted {
 			live = append(live, r)
 		}

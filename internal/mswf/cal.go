@@ -246,10 +246,13 @@ func toSQLValue(v any) sqldb.Value {
 
 // NewDataAdapter builds a dataset adapter over a WF connection string —
 // the ADO.NET surface code activities use for the Synchronization Pattern.
+// Its Fill and Update run on the calling instance's session, under the
+// instance's budget, as every SQL activity's statement does.
 func NewDataAdapter(c *Context, connectionString, selectSQL, table string, keys ...string) (*dataset.DataAdapter, error) {
 	db, err := c.Runtime.openConnection(connectionString)
 	if err != nil {
 		return nil, err
 	}
-	return &dataset.DataAdapter{DB: db, SelectSQL: selectSQL, Table: table, KeyColumns: keys}, nil
+	return &dataset.DataAdapter{DB: db, SelectSQL: selectSQL, Table: table, KeyColumns: keys,
+		Run: func(op func(*sqldb.Session) error) error { return c.SQL(db, nil, op) }}, nil
 }

@@ -149,23 +149,24 @@ func persistDataSet(ds *dataset.DataSet) string {
 	return w.String()
 }
 
-// writeDataSet streams a DataSet's dataSet element into w.
+// writeDataSet streams a DataSet's dataSet element into w, sized once
+// for all its tables.
 func writeDataSet(w *xdm.Writer, ds *dataset.DataSet) {
+	n := 32
+	ds.EachTable(func(t *dataset.DataTable) { n += 64 + t.Count()*(32+40*len(t.Columns)) })
+	w.Grow(n)
 	w.Start("dataSet")
-	for _, tn := range ds.TableNames() {
-		t := ds.Table(tn)
-		rows := t.AllRows()
-		w.Grow(64 + len(rows)*(32+40*len(t.Columns)))
+	ds.EachTable(func(t *dataset.DataTable) {
 		w.Start("table")
 		w.Attr("name", t.Name)
 		w.Attr("columns", strings.Join(t.Columns, ","))
 		if len(t.PrimaryKey) > 0 {
 			w.Attr("keys", strings.Join(t.PrimaryKey, ","))
 		}
-		for _, r := range rows {
+		t.EachRow(func(state dataset.RowState, vals []sqldb.Value) {
 			w.Start("row")
-			w.Attr("state", r.State().String())
-			for _, v := range r.Values() {
+			w.Attr("state", state.String())
+			for _, v := range vals {
 				w.Start("c")
 				w.Attr("type", sqlType(v.K))
 				switch v.K {
@@ -178,9 +179,9 @@ func writeDataSet(w *xdm.Writer, ds *dataset.DataSet) {
 				w.End("c")
 			}
 			w.End("row")
-		}
+		})
 		w.End("table")
-	}
+	})
 	w.End("dataSet")
 }
 
@@ -233,7 +234,7 @@ func applyRowState(t *dataset.DataTable, row *dataset.DataRow, state string) err
 		row.AcceptRow()
 		// Re-mark as modified by rewriting the first column with itself.
 		if len(t.Columns) > 0 {
-			return row.Set(t.Columns[0], row.Values()[0])
+			return row.Set(t.Columns[0], row.MustGet(t.Columns[0]))
 		}
 		return nil
 	case dataset.Deleted.String():

@@ -57,26 +57,25 @@ func saveStateTree(c *Context) string {
 
 func persistDataSetTree(ds *dataset.DataSet) *xdm.Node {
 	root := xdm.NewElement("dataSet")
-	for _, tn := range ds.TableNames() {
-		t := ds.Table(tn)
+	ds.EachTable(func(t *dataset.DataTable) {
 		te := root.Element("table")
 		te.SetAttr("name", t.Name)
 		te.SetAttr("columns", strings.Join(t.Columns, ","))
 		if len(t.PrimaryKey) > 0 {
 			te.SetAttr("keys", strings.Join(t.PrimaryKey, ","))
 		}
-		for _, r := range t.AllRows() {
+		t.EachRow(func(state dataset.RowState, vals []sqldb.Value) {
 			re := te.Element("row")
-			re.SetAttr("state", r.State().String())
-			for _, v := range r.Values() {
+			re.SetAttr("state", state.String())
+			for _, v := range vals {
 				ce := re.Element("c")
 				ce.SetAttr("type", strings.ToLower(v.K.String()))
 				if !v.IsNull() {
 					ce.SetText(v.String())
 				}
 			}
-		}
-	}
+		})
+	})
 	return root
 }
 
@@ -215,4 +214,25 @@ func FuzzPersistenceStream(f *testing.F) {
 			t.Fatalf("SaveState\n got %q\nwant %q", got, want)
 		}
 	})
+}
+
+// TestWriteDataSetAllocates: the running example's DataSet memo — eight
+// item totals, two columns — streams in at most three objects: the
+// writer's buffer, sized once, and the joined column list.
+func TestWriteDataSetAllocates(t *testing.T) {
+	ds := dataset.New()
+	tab := dataset.NewDataTable("Result", "ItemID", "Quantity")
+	ds.AddTable(tab)
+	for i := range 8 {
+		tab.AddRow(sqldb.Str(fmt.Sprintf("item%03d", i)), sqldb.Int(int64(10*i)))
+	}
+	tab.AcceptChanges()
+	n := testing.AllocsPerRun(100, func() {
+		var w xdm.Writer
+		writeDataSet(&w, ds)
+	})
+	t.Logf("%.0f objects", n)
+	if n > 3 {
+		t.Errorf("writeDataSet: %.0f objects, want at most 3", n)
+	}
 }

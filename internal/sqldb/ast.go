@@ -11,26 +11,16 @@ type Expr interface{ exprNode() }
 
 // --- Statements ---
 
-// SelectStmt is a SELECT query, possibly the first arm of a UNION chain.
+// SelectStmt is a SELECT query.
 type SelectStmt struct {
 	Distinct bool
 	Items    []SelectItem
 	From     []TableRef // empty means a FROM-less SELECT (e.g. SELECT 1+1)
 	Where    Expr
 	GroupBy  []Expr
-	Having   Expr
 	OrderBy  []OrderItem
 	Limit    Expr // nil if absent
 	Offset   Expr // nil if absent
-
-	// Union chains another SELECT after this one; UnionAll says the
-	// operator between the two keeps duplicates. The chain is
-	// left-associative — each plain UNION removes duplicates from
-	// everything combined so far — and preserves arm order. On the first
-	// arm of a chain, OrderBy, Limit and Offset apply to the combined
-	// result; the later arms have none.
-	Union    *SelectStmt
-	UnionAll bool
 }
 
 // SelectItem is one projection item of a SELECT list.
@@ -41,12 +31,10 @@ type SelectItem struct {
 	Alias     string
 }
 
-// Source is what FROM and JOIN range over: a base table or view by name,
-// or a derived table (subquery).
+// Source is what FROM and JOIN range over: a base table by name.
 type Source struct {
-	Table    string
-	Subquery *SelectStmt // derived table; requires Alias
-	Alias    string
+	Table string
+	Alias string
 }
 
 // TableRef is an entry of a FROM clause: a source with optional joins.
@@ -61,7 +49,6 @@ type JoinKind int
 // Supported join kinds.
 const (
 	JoinInner JoinKind = iota
-	JoinLeft
 	JoinCross
 )
 
@@ -122,47 +109,10 @@ type CreateTableStmt struct {
 	AsQuery     *SelectStmt // CREATE TABLE t AS SELECT ...
 }
 
-// CreateViewStmt is CREATE VIEW v AS SELECT ... . Views are named queries
-// re-executed on every reference. Src preserves the definition text for
-// dumps.
-type CreateViewStmt struct {
-	Name  string
-	Query *SelectStmt
-	Src   string
-}
-
-// DropViewStmt is DROP VIEW [IF EXISTS] v.
-type DropViewStmt struct {
-	Name     string
-	IfExists bool
-}
-
 // DropTableStmt is DROP TABLE [IF EXISTS] t.
 type DropTableStmt struct {
 	Table    string
 	IfExists bool
-}
-
-// TruncateStmt is TRUNCATE TABLE t.
-type TruncateStmt struct{ Table string }
-
-// AlterKind discriminates ALTER TABLE forms.
-type AlterKind int
-
-// ALTER TABLE forms.
-const (
-	AlterAddColumn AlterKind = iota
-	AlterDropColumn
-	AlterRenameTable
-)
-
-// AlterTableStmt is ALTER TABLE t ADD COLUMN def | DROP COLUMN c |
-// RENAME TO name.
-type AlterTableStmt struct {
-	Table  string
-	Kind   AlterKind
-	Column ColumnDef // for ADD COLUMN
-	Name   string    // column for DROP COLUMN, new table name for RENAME
 }
 
 // CreateIndexStmt is CREATE [UNIQUE] INDEX i ON t (cols).
@@ -173,23 +123,11 @@ type CreateIndexStmt struct {
 	Unique  bool
 }
 
-// DropIndexStmt is DROP INDEX [IF EXISTS] i.
-type DropIndexStmt struct {
-	Name     string
-	IfExists bool
-}
-
 // CreateSequenceStmt is CREATE SEQUENCE s [START WITH n] [INCREMENT BY n].
 type CreateSequenceStmt struct {
 	Name      string
 	Start     int64
 	Increment int64
-}
-
-// DropSequenceStmt is DROP SEQUENCE [IF EXISTS] s.
-type DropSequenceStmt struct {
-	Name     string
-	IfExists bool
 }
 
 // CreateProcedureStmt is CREATE PROCEDURE p (params) AS 'sql; sql; ...'.
@@ -232,14 +170,8 @@ func (*UpdateStmt) stmtNode()          {}
 func (*DeleteStmt) stmtNode()          {}
 func (*CreateTableStmt) stmtNode()     {}
 func (*DropTableStmt) stmtNode()       {}
-func (*TruncateStmt) stmtNode()        {}
-func (*AlterTableStmt) stmtNode()      {}
-func (*CreateViewStmt) stmtNode()      {}
-func (*DropViewStmt) stmtNode()        {}
 func (*CreateIndexStmt) stmtNode()     {}
-func (*DropIndexStmt) stmtNode()       {}
 func (*CreateSequenceStmt) stmtNode()  {}
-func (*DropSequenceStmt) stmtNode()    {}
 func (*CreateProcedureStmt) stmtNode() {}
 func (*DropProcedureStmt) stmtNode()   {}
 func (*CallStmt) stmtNode()            {}
@@ -265,10 +197,9 @@ type ParamRef struct {
 	Index int
 }
 
-// BinaryExpr applies a binary operator. NOT LIKE is represented as a
-// UnaryExpr NOT wrapping a LIKE BinaryExpr.
+// BinaryExpr applies a binary operator.
 type BinaryExpr struct {
-	Op   string // =, <>, <, <=, >, >=, +, -, *, /, %, AND, OR, ||, LIKE
+	Op   string // =, <>, <, <=, >, >=, +, -, *, /, %, AND, OR, ||
 	L, R Expr
 }
 
@@ -284,28 +215,12 @@ type IsNullExpr struct {
 	Not bool
 }
 
-// BetweenExpr is x [NOT] BETWEEN lo AND hi.
-type BetweenExpr struct {
-	X, Lo, Hi Expr
-	Not       bool
-}
-
-// InExpr is x [NOT] IN (list) or x [NOT] IN (subquery).
+// InExpr is x [NOT] IN (list).
 type InExpr struct {
-	X     Expr
-	List  []Expr
-	Query *SelectStmt
-	Not   bool
+	X    Expr
+	List []Expr
+	Not  bool
 }
-
-// ExistsExpr is [NOT] EXISTS (subquery).
-type ExistsExpr struct {
-	Query *SelectStmt
-	Not   bool
-}
-
-// SubqueryExpr is a scalar subquery.
-type SubqueryExpr struct{ Query *SelectStmt }
 
 // FuncCall is a scalar or aggregate function call.
 type FuncCall struct {
@@ -315,43 +230,21 @@ type FuncCall struct {
 	Distinct bool // COUNT(DISTINCT x), SUM(DISTINCT x), ...
 }
 
-// CaseExpr is CASE [operand] WHEN ... THEN ... [ELSE ...] END.
-type CaseExpr struct {
-	Operand Expr // nil for searched CASE
-	Whens   []CaseWhen
-	Else    Expr
-}
-
-// CaseWhen is one WHEN/THEN arm of a CASE expression.
-type CaseWhen struct {
-	When Expr
-	Then Expr
-}
-
-// NextValueExpr is NEXT VALUE FOR seq.
-type NextValueExpr struct{ Sequence string }
-
-func (*Literal) exprNode()       {}
-func (*ColumnRef) exprNode()     {}
-func (*ParamRef) exprNode()      {}
-func (*BinaryExpr) exprNode()    {}
-func (*UnaryExpr) exprNode()     {}
-func (*IsNullExpr) exprNode()    {}
-func (*BetweenExpr) exprNode()   {}
-func (*InExpr) exprNode()        {}
-func (*ExistsExpr) exprNode()    {}
-func (*SubqueryExpr) exprNode()  {}
-func (*FuncCall) exprNode()      {}
-func (*CaseExpr) exprNode()      {}
-func (*NextValueExpr) exprNode() {}
+func (*Literal) exprNode()    {}
+func (*ColumnRef) exprNode()  {}
+func (*ParamRef) exprNode()   {}
+func (*BinaryExpr) exprNode() {}
+func (*UnaryExpr) exprNode()  {}
+func (*IsNullExpr) exprNode() {}
+func (*InExpr) exprNode()     {}
+func (*FuncCall) exprNode()   {}
 
 // stmtKinds is the closed set of labels StmtKind can return (plus
 // "OTHER"), so metric sinks can precompute per-kind metric names.
 var stmtKinds = []string{
 	"SELECT", "INSERT", "UPDATE", "DELETE",
-	"CREATE TABLE", "CREATE VIEW", "DROP VIEW", "DROP TABLE",
-	"TRUNCATE", "ALTER TABLE", "CREATE INDEX", "DROP INDEX",
-	"CREATE SEQUENCE", "DROP SEQUENCE", "CREATE PROCEDURE", "DROP PROCEDURE",
+	"CREATE TABLE", "DROP TABLE", "CREATE INDEX", "CREATE SEQUENCE",
+	"CREATE PROCEDURE", "DROP PROCEDURE",
 	"CALL", "EXPLAIN", "BEGIN", "COMMIT", "ROLLBACK", "OTHER",
 }
 
@@ -369,24 +262,12 @@ func StmtKind(st Stmt) string {
 		return "DELETE"
 	case *CreateTableStmt:
 		return "CREATE TABLE"
-	case *CreateViewStmt:
-		return "CREATE VIEW"
-	case *DropViewStmt:
-		return "DROP VIEW"
 	case *DropTableStmt:
 		return "DROP TABLE"
-	case *TruncateStmt:
-		return "TRUNCATE"
-	case *AlterTableStmt:
-		return "ALTER TABLE"
 	case *CreateIndexStmt:
 		return "CREATE INDEX"
-	case *DropIndexStmt:
-		return "DROP INDEX"
 	case *CreateSequenceStmt:
 		return "CREATE SEQUENCE"
-	case *DropSequenceStmt:
-		return "DROP SEQUENCE"
 	case *CreateProcedureStmt:
 		return "CREATE PROCEDURE"
 	case *DropProcedureStmt:

@@ -12,24 +12,24 @@ import (
 // compiled into a closure tree when its plan is built, once per statement
 // slot (slot.go) or per execution without one, and run by one execution at
 // a time; the AST stays immutable and shared. Names resolve when the tree
-// is built, against the scope's layout and its outer chain: an unknown or
-// ambiguous column is an error whether or not a row ever reaches it, and a
-// column read is one index. A parameter folded into a comparison, a probe
+// is built, against the scope's layout: an unknown or ambiguous column is
+// an error whether or not a row ever reaches it, and a column read is one
+// index. A parameter folded into a comparison, a probe
 // key or a cell is a bind, re-filled per execution.
 
 // evalFn is one compiled expression: closed over its operator and
 // operands, open over the row environment.
 type evalFn func(*env) (Value, error)
 
-// predFn is an expression compiled for its truth only (WHERE, ON,
-// HAVING): NULL and non-boolean results are false.
+// predFn is an expression compiled for its truth only (WHERE, ON): NULL
+// and non-boolean results are false.
 type predFn func(*env) (bool, error)
 
 // compiler compiles the expressions of one scope. The first resolution
 // error sticks in err (the closures built after it are never run); lo,
 // hi and unsafe describe what has been compiled since the last reset.
 type compiler struct {
-	e     *env       // scope: layout, outer chain, and the parameters constants fold from
+	e     *env       // scope: layout, and the parameters constants fold from
 	cols  []colMeta  // the part of the layout names resolve against (a join's ON sees only its own FROM entry)
 	shift int        // row position of cols[0]
 	srcs  []source   // FROM entries, to attribute a column to its source
@@ -38,7 +38,7 @@ type compiler struct {
 	err   error
 
 	lo, hi int  // lowest and highest source referenced at depth 0 (hi < 0: none)
-	unsafe bool // may raise a data-dependent error, or runs a subquery: evaluate it no earlier than written
+	unsafe bool // may raise a data-dependent error: evaluate it no earlier than written
 	sawAgg bool // an aggregate call was compiled
 }
 
@@ -55,11 +55,11 @@ func (c *compiler) fail(err error) evalFn {
 	return func(*env) (Value, error) { return Null(), err }
 }
 
-// resolve finds a reference's scope depth and row position, booking a
-// depth-0 column to its source.
-func (c *compiler) resolve(t *ColumnRef) (depth, idx int, err error) {
-	if depth, idx, err = resolveColumn(c.cols, c.e.outer, t.Table, t.Column); err != nil || depth > 0 {
-		return depth, idx, err
+// resolve finds a reference's row position, booking the column to its
+// source.
+func (c *compiler) resolve(t *ColumnRef) (idx int, err error) {
+	if idx, err = resolveColumn(c.cols, t.Table, t.Column); err != nil {
+		return 0, err
 	}
 	idx += c.shift
 	k := 0
@@ -67,15 +67,14 @@ func (c *compiler) resolve(t *ColumnRef) (depth, idx int, err error) {
 		k++
 	}
 	c.lo, c.hi = min(c.lo, k), max(c.hi, k)
-	return 0, idx, nil
+	return idx, nil
 }
 
-// column matches a plain reference to a column of this scope's own row
-// (not a correlated one) and returns its position.
+// column matches a plain column reference and returns its position.
 func (c *compiler) column(x Expr) (int, bool) {
 	if t, isRef := x.(*ColumnRef); isRef {
-		depth, idx, err := c.resolve(t)
-		return idx, err == nil && depth == 0
+		idx, err := c.resolve(t)
+		return idx, err == nil
 	}
 	return 0, false
 }
@@ -124,36 +123,26 @@ func errRowContext(t *ColumnRef) error {
 	return fmt.Errorf("sqldb: column %s referenced outside row context", t.Column)
 }
 
-// resolveColumn finds a reference's (scope depth, column index):
-// innermost scope first, ambiguity within a scope is an error.
-func resolveColumn(cols []colMeta, outer *env, table, name string) (depth, idx int, err error) {
-	for {
-		found := -1
-		for i, c := range cols {
-			if !strings.EqualFold(c.name, name) {
-				continue
-			}
-			if table != "" && !strings.EqualFold(c.table, table) {
-				continue
-			}
-			if found >= 0 {
-				return 0, 0, fmt.Errorf("sqldb: ambiguous column %s", name)
-			}
-			found = i
+// resolveColumn finds a reference's column index; an ambiguous name is an
+// error.
+func resolveColumn(cols []colMeta, table, name string) (int, error) {
+	found := -1
+	for i, c := range cols {
+		if !strings.EqualFold(c.name, name) || table != "" && !strings.EqualFold(c.table, table) {
+			continue
 		}
 		if found >= 0 {
-			return depth, found, nil
+			return 0, fmt.Errorf("sqldb: ambiguous column %s", name)
 		}
-		if outer == nil {
-			break
-		}
-		cols, outer = outer.cols, outer.outer
-		depth++
+		found = i
 	}
-	if table != "" {
-		return 0, 0, fmt.Errorf("sqldb: unknown column %s.%s", table, name)
+	switch {
+	case found >= 0:
+		return found, nil
+	case table != "":
+		return 0, fmt.Errorf("sqldb: unknown column %s.%s", table, name)
 	}
-	return 0, 0, fmt.Errorf("sqldb: unknown column %s", name)
+	return 0, fmt.Errorf("sqldb: unknown column %s", name)
 }
 
 // cmpMask encodes a comparison operator as the set of compareValues
@@ -233,14 +222,11 @@ func (c *compiler) compile(x Expr) evalFn {
 		v := t.Val
 		return func(*env) (Value, error) { return v, nil }
 	case *ColumnRef:
-		depth, idx, err := c.resolve(t)
+		idx, err := c.resolve(t)
 		if err != nil {
 			return c.fail(err)
 		}
 		return func(e *env) (Value, error) {
-			for d := depth; d > 0; d-- {
-				e = e.outer
-			}
 			if e.row == nil {
 				return Null(), errRowContext(t)
 			}
@@ -273,31 +259,8 @@ func (c *compiler) compile(x Expr) evalFn {
 			}
 			return Bool(v.IsNull() != t.Not), nil
 		}
-	case *BetweenExpr:
-		xf, lof, hif := c.compile(t.X), c.compile(t.Lo), c.compile(t.Hi)
-		return func(e *env) (Value, error) {
-			v, err := xf(e)
-			if err != nil {
-				return Null(), err
-			}
-			lo, err := lof(e)
-			if err != nil {
-				return Null(), err
-			}
-			hi, err := hif(e)
-			if err != nil {
-				return Null(), err
-			}
-			return between(v, lo, hi, t.Not), nil
-		}
 	case *InExpr:
 		return c.in(t)
-	case *CaseExpr:
-		return c.caseExpr(t)
-	case *ExistsExpr:
-		return c.subquery(t.Query, func(res *Result) (Value, error) { return Bool((len(res.Rows) > 0) != t.Not), nil })
-	case *SubqueryExpr:
-		return c.subquery(t.Query, scalarResult)
 	case *FuncCall:
 		if slices.Contains(aggregateNames, t.Name) {
 			return c.aggregate(t)
@@ -315,9 +278,6 @@ func (c *compiler) compile(x Expr) evalFn {
 			}
 			return callScalarFunc(t.Name, vals, e.session)
 		}
-	case *NextValueExpr:
-		c.unsafe = true
-		return func(e *env) (Value, error) { return e.session.nextSequenceValue(t.Sequence) }
 	}
 	return c.fail(fmt.Errorf("sqldb: cannot evaluate %T", x))
 }
@@ -366,32 +326,10 @@ func (c *compiler) compileAll(xs []Expr) []evalFn {
 	return fns
 }
 
-// plan plans a subquery once, with this scope as its outer; the closure
-// around it runs the plan per evaluation.
-func (c *compiler) plan(q *SelectStmt) (*selectPlan, error) {
-	c.unsafe = true
-	return c.e.session.planSelect(q, c.e, c.tree)
-}
-
-// subquery is an expression computed from a subquery's result.
-func (c *compiler) subquery(q *SelectStmt, use func(*Result) (Value, error)) evalFn {
-	sub, err := c.plan(q)
-	if err != nil {
-		return c.fail(err)
-	}
-	return func(e *env) (Value, error) {
-		res, err := sub.run(e)
-		if err != nil {
-			return Null(), err
-		}
-		return use(res)
-	}
-}
-
 func (c *compiler) binary(t *BinaryExpr) evalFn {
 	l, r, op := c.compile(t.L), c.compile(t.R), t.Op
 	switch op {
-	case "AND", "OR", "=", "<>", "<", "<=", ">", ">=", "||", "LIKE":
+	case "AND", "OR", "=", "<>", "<", "<=", ">", ">=", "||":
 	default: // arithmetic, or an operator only a hand-built tree can hold
 		c.unsafe = true
 	}
@@ -421,26 +359,7 @@ func (c *compiler) unary(t *UnaryExpr) evalFn {
 }
 
 func (c *compiler) in(t *InExpr) evalFn {
-	xf := c.compile(t.X)
-	if t.Query != nil {
-		sub, err := c.plan(t.Query)
-		if err != nil {
-			return c.fail(err)
-		}
-		return func(e *env) (Value, error) {
-			v, err := xf(e)
-			if err != nil {
-				return Null(), err
-			}
-			res, err := sub.run(e)
-			if err != nil {
-				return Null(), err
-			}
-			candidates, err := inCandidates(res)
-			return inMatch(v, candidates, t.Not), err
-		}
-	}
-	list := c.compileAll(t.List)
+	xf, list := c.compile(t.X), c.compileAll(t.List)
 	return func(e *env) (Value, error) {
 		v, err := xf(e)
 		if err != nil {
@@ -457,42 +376,10 @@ func (c *compiler) in(t *InExpr) evalFn {
 	}
 }
 
-func (c *compiler) caseExpr(t *CaseExpr) evalFn {
-	type arm struct{ when, then evalFn }
-	arms := make([]arm, len(t.Whens))
-	for i, w := range t.Whens {
-		arms[i] = arm{when: c.compile(w.When), then: c.compile(w.Then)}
-	}
-	elsef := func(*env) (Value, error) { return Null(), nil }
-	if t.Else != nil {
-		elsef = c.compile(t.Else)
-	}
-	opf := func(*env) (Value, error) { return Bool(true), nil } // a searched CASE compares each WHEN with TRUE
-	if t.Operand != nil {
-		opf = c.compile(t.Operand)
-	}
-	return func(e *env) (Value, error) {
-		op, err := opf(e)
-		if err != nil {
-			return Null(), err
-		}
-		for _, a := range arms {
-			wv, err := a.when(e)
-			if err != nil {
-				return Null(), err
-			}
-			if cmp, ok := compareValues(op, wv); ok && cmp == 0 {
-				return a.then(e)
-			}
-		}
-		return elsef(e)
-	}
-}
-
 // Aggregates. Every aggregate call of a grouped SELECT's output clauses
 // gets an accumulator slot; each group carries one aggState per slot, fed
-// as rows stream past and read through the group's env by HAVING, the
-// projection and ORDER BY.
+// as rows stream past and read through the group's env by the projection
+// and ORDER BY.
 
 // aggSpec is one aggregate call of a grouped SELECT.
 type aggSpec struct {

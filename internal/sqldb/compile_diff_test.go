@@ -29,17 +29,14 @@ import (
 type exprGen struct{ rng *rand.Rand }
 
 // The layout: a is ambiguous unqualified (in both t and u), b, c and d
-// are unique, and o is visible only in the outer scope, so compiled
-// references resolve at depth 1 too. Columns are typed (with NULLs):
-// a and o integers, b strings, c booleans, d floats.
+// are unique. Columns are typed (with NULLs): a integers, b strings, c
+// booleans, d floats.
 var (
-	diffCols      = []colMeta{{"t", "a"}, {"t", "b"}, {"u", "a"}, {"u", "c"}, {"", "d"}}
-	diffKinds     = []Kind{KindInt, KindString, KindInt, KindBool, KindFloat}
-	diffOuterCols = []colMeta{{"x", "o"}, {"x", "b"}}
-	diffOuterKind = []Kind{KindInt, KindString}
+	diffCols  = []colMeta{{"t", "a"}, {"t", "b"}, {"u", "a"}, {"u", "c"}, {"", "d"}}
+	diffKinds = []Kind{KindInt, KindString, KindInt, KindBool, KindFloat}
 
-	diffNumRefs  = []ColumnRef{{"t", "a"}, {"u", "a"}, {"T", "A"}, {"", "d"}, {"", "D"}, {"", "o"}, {"x", "o"}}
-	diffStrRefs  = []ColumnRef{{"", "b"}, {"t", "b"}, {"x", "b"}}
+	diffNumRefs  = []ColumnRef{{"t", "a"}, {"u", "a"}, {"T", "A"}, {"", "d"}, {"", "D"}}
+	diffStrRefs  = []ColumnRef{{"", "b"}, {"t", "b"}}
 	diffBoolRefs = []ColumnRef{{"", "c"}, {"u", "c"}}
 	// Ambiguous, unknown column, unknown column in a known table, unknown table.
 	diffBadRefs = []ColumnRef{{"", "a"}, {"", "zz"}, {"t", "zz"}, {"q", "a"}}
@@ -111,12 +108,6 @@ func (g *exprGen) leaf(k Kind) Expr {
 var (
 	diffCompareOps = []string{"=", "<>", "<", "<=", ">", ">="}
 	diffArithOps   = []string{"+", "-", "*", "/", "%"}
-	diffFuncs      = map[Kind][]string{
-		KindInt:    {"LENGTH", "ABS", "COALESCE", "NULLIF"},
-		KindFloat:  {"ABS", "COALESCE"},
-		KindString: {"UPPER", "COALESCE", "NULLIF"},
-		KindBool:   {"COALESCE"},
-	}
 )
 
 // expr draws an expression that usually evaluates to the wanted kind.
@@ -129,47 +120,18 @@ func (g *exprGen) expr(depth int, k Kind) Expr {
 	}
 	sub := func(k Kind) Expr { return g.expr(depth-1, k) }
 	not := g.oneIn(2)
-	switch g.rng.Intn(10) {
-	case 0:
-		c := &CaseExpr{}
-		whenKind := KindBool // searched CASE
+	if g.oneIn(40) {
+		// An unknown function (its error after its argument's), or
+		// NEXTVAL of a non-name.
 		if g.oneIn(2) {
-			whenKind = g.anyKind()
-			c.Operand = sub(whenKind)
+			return &FuncCall{Name: "NOSUCHFN", Args: []Expr{sub(k)}}
 		}
-		for i := 1 + g.rng.Intn(3); i > 0; i-- {
-			c.Whens = append(c.Whens, CaseWhen{When: sub(whenKind), Then: sub(k)})
-		}
-		if g.oneIn(2) {
-			c.Else = sub(k)
-		}
-		return c
-	case 1:
-		// A scalar function, now and then unknown or of the wrong arity.
-		names := diffFuncs[k]
-		f := &FuncCall{Name: names[g.rng.Intn(len(names))]}
-		argKind, args := k, 1
-		switch f.Name {
-		case "LENGTH":
-			argKind = KindString
-		case "COALESCE", "NULLIF":
-			args = 2
-		}
-		if g.oneIn(15) {
-			f.Name = "NOSUCHFN"
-		}
-		if g.oneIn(15) {
-			args = 3 - args // an arity error, except for COALESCE
-		}
-		for ; args > 0; args-- {
-			f.Args = append(f.Args, sub(argKind))
-		}
-		return f
+		return &FuncCall{Name: "NEXTVAL", Args: []Expr{&Literal{Val: g.value(KindInt)}}}
 	}
 	switch k {
 	case KindBool:
 		operand := g.anyKind()
-		switch g.rng.Intn(9) {
+		switch g.rng.Intn(7) {
 		case 0, 1:
 			return &BinaryExpr{Op: []string{"AND", "OR"}[g.rng.Intn(2)], L: sub(KindBool), R: sub(KindBool)}
 		case 2:
@@ -178,20 +140,12 @@ func (g *exprGen) expr(depth int, k Kind) Expr {
 			return &BinaryExpr{Op: diffCompareOps[g.rng.Intn(len(diffCompareOps))], L: sub(operand), R: sub(operand)}
 		case 5:
 			return &IsNullExpr{X: sub(operand), Not: not}
-		case 6:
-			return &BetweenExpr{X: sub(operand), Lo: sub(operand), Hi: sub(operand), Not: not}
-		case 7:
-			in := &InExpr{X: sub(operand), Not: not}
-			for i := g.rng.Intn(4); i > 0; i-- { // an empty list is legal in the AST
-				in.List = append(in.List, sub(operand))
-			}
-			return in
 		}
-		like := &BinaryExpr{Op: "LIKE", L: sub(KindString), R: sub(KindString)}
-		if not { // how the parser represents NOT LIKE
-			return &UnaryExpr{Op: "NOT", X: like}
+		in := &InExpr{X: sub(operand), Not: not}
+		for i := g.rng.Intn(4); i > 0; i-- { // an empty list is legal in the AST
+			in.List = append(in.List, sub(operand))
 		}
-		return like
+		return in
 	case KindString:
 		return &BinaryExpr{Op: []string{"||", "+"}[g.rng.Intn(2)], L: sub(KindString), R: sub(g.anyKind())}
 	}
@@ -243,30 +197,15 @@ func exprText(x Expr) string {
 		return "(" + t.Op + " " + exprText(t.X) + ")"
 	case *IsNullExpr:
 		return "(" + exprText(t.X) + " IS " + not(t.Not) + "NULL)"
-	case *BetweenExpr:
-		return "(" + exprText(t.X) + " " + not(t.Not) + "BETWEEN " + exprText(t.Lo) + " AND " + exprText(t.Hi) + ")"
 	case *InExpr:
 		return "(" + exprText(t.X) + " " + not(t.Not) + "IN (" + join(t.List) + "))"
-	case *CaseExpr:
-		s := "CASE"
-		if t.Operand != nil {
-			s += " " + exprText(t.Operand)
-		}
-		for _, w := range t.Whens {
-			s += " WHEN " + exprText(w.When) + " THEN " + exprText(w.Then)
-		}
-		if t.Else != nil {
-			s += " ELSE " + exprText(t.Else)
-		}
-		return s + " END"
 	case *FuncCall:
 		return t.Name + "(" + join(t.Args) + ")"
 	}
 	return fmt.Sprintf("%T", x)
 }
 
-// walkExpr calls f on x and every expression below it (not into
-// subqueries).
+// walkExpr calls f on x and every expression below it.
 func walkExpr(x Expr, f func(Expr)) {
 	if x == nil {
 		return
@@ -280,22 +219,11 @@ func walkExpr(x Expr, f func(Expr)) {
 		walkExpr(t.X, f)
 	case *IsNullExpr:
 		walkExpr(t.X, f)
-	case *BetweenExpr:
-		walkExpr(t.X, f)
-		walkExpr(t.Lo, f)
-		walkExpr(t.Hi, f)
 	case *InExpr:
 		walkExpr(t.X, f)
 		for _, a := range t.List {
 			walkExpr(a, f)
 		}
-	case *CaseExpr:
-		walkExpr(t.Operand, f)
-		for _, w := range t.Whens {
-			walkExpr(w.When, f)
-			walkExpr(w.Then, f)
-		}
-		walkExpr(t.Else, f)
 	case *FuncCall:
 		for _, a := range t.Args {
 			walkExpr(a, f)
@@ -343,7 +271,7 @@ func TestCompiledAndInterpretedExpressionsAgree(t *testing.T) {
 			params = append(params, g.value(KindInt), g.value(KindBool)) // named slots :n, :m
 			// One compiled tree serves one statement execution: many rows,
 			// one column layout, one set of parameters.
-			scope := &env{cols: diffCols, params: params, outer: &env{cols: diffOuterCols}}
+			scope := &env{cols: diffCols, params: params}
 			c, pc := newCompiler(scope, nil), newCompiler(scope, nil)
 			fn, pred := c.compile(x), pc.pred(x)
 			if bad := hasBadRef(x); bad != (c.err != nil) || bad != (pc.err != nil) {
@@ -354,10 +282,7 @@ func TestCompiledAndInterpretedExpressionsAgree(t *testing.T) {
 				continue
 			}
 			for r := 0; r < rowsPerExpr; r++ {
-				e := &env{
-					cols: diffCols, row: g.row(diffKinds), params: params,
-					outer: &env{cols: diffOuterCols, row: g.row(diffOuterKind)},
-				}
+				e := &env{cols: diffCols, row: g.row(diffKinds), params: params}
 				if r == rowsPerExpr-1 {
 					e.row = nil // same layout, no current row
 				}
@@ -365,15 +290,15 @@ func TestCompiledAndInterpretedExpressionsAgree(t *testing.T) {
 				got, gotErr := fn(e)
 				if errText(gotErr) != errText(wantErr) || (wantErr == nil && !sameValue(got, want)) {
 					t.Fatalf("seed %d expr %d row %d: evaluators disagree on %s\n"+
-						"  row      %v\n  outer    %v\n  params   %v\n"+
+						"  row      %v\n  params   %v\n"+
 						"  eval     -> %s:%q, err %s\n  compiled -> %s:%q, err %s",
-						seed, i, r, exprText(x), e.row, e.outer.row, params,
+						seed, i, r, exprText(x), e.row, params,
 						want.K, want.String(), errText(wantErr), got.K, got.String(), errText(gotErr))
 				}
 				if truth, err := pred(e); err != nil && wantErr == nil || err == nil && wantErr == nil && truth != want.Truth() {
-					t.Fatalf("seed %d expr %d row %d: predicate disagrees on %s\n  row %v outer %v params %v\n"+
+					t.Fatalf("seed %d expr %d row %d: predicate disagrees on %s\n  row %v params %v\n"+
 						"  eval -> %s:%q, err %s\n  pred -> %v, err %s",
-						seed, i, r, exprText(x), e.row, e.outer.row, params,
+						seed, i, r, exprText(x), e.row, params,
 						want.K, want.String(), errText(wantErr), truth, errText(err))
 				}
 				total++
@@ -403,12 +328,9 @@ func eval(x Expr, e *env) (Value, error) {
 	case *Literal:
 		return t.Val, nil
 	case *ColumnRef:
-		depth, idx, err := resolveColumn(e.cols, e.outer, t.Table, t.Column)
+		idx, err := resolveColumn(e.cols, t.Table, t.Column)
 		if err != nil {
 			return Null(), err
-		}
-		for ; depth > 0; depth-- {
-			e = e.outer
 		}
 		if e.row == nil {
 			return Null(), errRowContext(t)
@@ -441,34 +363,8 @@ func eval(x Expr, e *env) (Value, error) {
 			return Null(), err
 		}
 		return Bool(v.IsNull() != t.Not), nil
-	case *BetweenExpr:
-		v, err := eval(t.X, e)
-		if err != nil {
-			return Null(), err
-		}
-		lo, err := eval(t.Lo, e)
-		if err != nil {
-			return Null(), err
-		}
-		hi, err := eval(t.Hi, e)
-		if err != nil {
-			return Null(), err
-		}
-		return between(v, lo, hi, t.Not), nil
 	case *InExpr:
 		return evalIn(t, e)
-	case *ExistsExpr:
-		res, err := e.session.execSelect(t.Query, e, nil)
-		if err != nil {
-			return Null(), err
-		}
-		return Bool((len(res.Rows) > 0) != t.Not), nil
-	case *SubqueryExpr:
-		res, err := e.session.execSelect(t.Query, e, nil)
-		if err != nil {
-			return Null(), err
-		}
-		return scalarResult(res)
 	case *FuncCall:
 		if slices.Contains(aggregateNames, t.Name) {
 			return Null(), errAggregateContext(t.Name)
@@ -482,10 +378,6 @@ func eval(x Expr, e *env) (Value, error) {
 			args[i] = v
 		}
 		return callScalarFunc(t.Name, args, e.session)
-	case *CaseExpr:
-		return evalCase(t, e)
-	case *NextValueExpr:
-		return e.session.nextSequenceValue(t.Sequence)
 	}
 	return Null(), fmt.Errorf("sqldb: cannot evaluate %T", x)
 }
@@ -496,46 +388,14 @@ func evalIn(t *InExpr, e *env) (Value, error) {
 		return Null(), err
 	}
 	var candidates []Value
-	if t.Query != nil {
-		res, err := e.session.execSelect(t.Query, e, nil)
+	for _, le := range t.List {
+		lv, err := eval(le, e)
 		if err != nil {
 			return Null(), err
 		}
-		if candidates, err = inCandidates(res); err != nil {
-			return Null(), err
-		}
-	} else {
-		for _, le := range t.List {
-			lv, err := eval(le, e)
-			if err != nil {
-				return Null(), err
-			}
-			candidates = append(candidates, lv)
-		}
+		candidates = append(candidates, lv)
 	}
 	return inMatch(v, candidates, t.Not), nil
-}
-
-func evalCase(t *CaseExpr, e *env) (Value, error) {
-	op, err := Bool(true), error(nil) // a searched CASE compares each WHEN with TRUE
-	if t.Operand != nil {
-		if op, err = eval(t.Operand, e); err != nil {
-			return Null(), err
-		}
-	}
-	for _, w := range t.Whens {
-		wv, err := eval(w.When, e)
-		if err != nil {
-			return Null(), err
-		}
-		if c, ok := compareValues(op, wv); ok && c == 0 {
-			return eval(w.Then, e)
-		}
-	}
-	if t.Else != nil {
-		return eval(t.Else, e)
-	}
-	return Null(), nil
 }
 
 // evalNonNegInt evaluates an OFFSET or LIMIT count with the interpreter.

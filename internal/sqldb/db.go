@@ -32,7 +32,6 @@ type DB struct {
 	mu         sync.RWMutex
 	name       string
 	tables     map[string]*Table
-	views      map[string]*view
 	sequences  map[string]*Sequence
 	procs      map[string]*Procedure
 	indexOwner map[string]*Table // index name -> owning table
@@ -108,10 +107,10 @@ type DB struct {
 	readOnly   atomic.Bool
 
 	// footGen versions what a statement slot caches (slot.go): footprints
-	// and plans. Only view and procedure changes bump it: table names
-	// re-resolve against db.tables on every execution and a plan checks
-	// each table's schemaVer, but view/procedure bodies are expanded
-	// *into* the cached name list and plan.
+	// and plans. Only procedure changes bump it: table names re-resolve
+	// against db.tables on every execution and a plan checks each table's
+	// schemaVer, but a procedure body is expanded *into* a CALL's cached
+	// name list.
 	footGen atomic.Int64
 
 	compiles atomic.Int64 // plans built (StmtCacheStats.Compiles)
@@ -217,7 +216,6 @@ func Open(name string) *DB {
 	return &DB{
 		name:       name,
 		tables:     map[string]*Table{},
-		views:      map[string]*view{},
 		sequences:  map[string]*Sequence{},
 		procs:      map[string]*Procedure{},
 		indexOwner: map[string]*Table{},

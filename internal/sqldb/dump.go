@@ -88,15 +88,6 @@ func (db *DB) dumpLocked() string {
 		}
 	}
 
-	for _, vn := range sortedKeys(db.views) {
-		v := db.views[vn]
-		if v.src == "" {
-			fmt.Fprintf(&b, "-- view %s has no recorded definition\n", v.Name)
-			continue
-		}
-		fmt.Fprintf(&b, "CREATE VIEW %s AS %s;\n", v.Name, v.src)
-	}
-
 	for _, sn := range sortedKeys(db.sequences) {
 		s := db.sequences[sn]
 		next, inc := s.state()

@@ -117,155 +117,14 @@ func TestExplain(t *testing.T) {
 		}
 	}
 
-	p = plan("EXPLAIN SELECT ItemID, SUM(Quantity) FROM Orders GROUP BY ItemID HAVING SUM(Quantity) > 3")
-	for _, want := range []string{"GROUP BY (1 keys)", "HAVING FILTER"} {
-		if !strings.Contains(p, want) {
-			t.Fatalf("group plan missing %q: %s", want, p)
-		}
+	p = plan("EXPLAIN SELECT ItemID, SUM(Quantity) FROM Orders GROUP BY ItemID")
+	if !strings.Contains(p, "GROUP BY (1 keys)") {
+		t.Fatalf("group plan: %s", p)
 	}
 
-	p = plan("EXPLAIN SELECT 1 UNION SELECT 2")
-	if !strings.Contains(p, "UNION") || !strings.Contains(p, "CONSTANT ROW") {
-		t.Fatalf("union plan: %s", p)
-	}
-}
-
-func TestAlterTable(t *testing.T) {
-	db := newOrdersDB(t)
-
-	// ADD COLUMN with default backfills existing rows.
-	db.MustExec("ALTER TABLE Orders ADD COLUMN Priority INTEGER DEFAULT 5")
-	r := mustQuery(t, db, "SELECT Priority FROM Orders WHERE OrderID = 1")
-	if r.Rows[0][0].I != 5 {
-		t.Fatalf("backfilled default: %v", r.Rows[0][0])
-	}
-	db.MustExec("INSERT INTO Orders (OrderID, ItemID, Quantity, Approved) VALUES (7, 'x', 1, TRUE)")
-	r = mustQuery(t, db, "SELECT Priority FROM Orders WHERE OrderID = 7")
-	if r.Rows[0][0].I != 5 {
-		t.Fatalf("default on new row: %v", r.Rows[0][0])
-	}
-
-	// ADD duplicate / NOT NULL without default on non-empty table fail.
-	if _, err := db.Exec("ALTER TABLE Orders ADD COLUMN Priority INTEGER"); err == nil {
-		t.Fatal("duplicate column must fail")
-	}
-	if _, err := db.Exec("ALTER TABLE Orders ADD COLUMN Req VARCHAR NOT NULL"); err == nil {
-		t.Fatal("NOT NULL without default must fail on non-empty table")
-	}
-
-	// DROP COLUMN.
-	db.MustExec("ALTER TABLE Orders DROP COLUMN Priority")
-	if _, err := db.Exec("SELECT Priority FROM Orders"); err == nil {
-		t.Fatal("dropped column still selectable")
-	}
-	// Queries on remaining columns still work and indexes survive.
-	r = mustQuery(t, db, "SELECT ItemID FROM Orders WHERE OrderID = 7")
-	if r.Rows[0][0].S != "x" {
-		t.Fatalf("post-drop index probe: %v", r.Rows[0][0])
-	}
-	// Dropping an indexed column is refused.
-	if _, err := db.Exec("ALTER TABLE Orders DROP COLUMN OrderID"); err == nil {
-		t.Fatal("dropping PK column must fail")
-	}
-
-	// Dropping a column that precedes indexed columns keeps probes sound.
-	db.MustExec("CREATE TABLE wide (a INTEGER, b INTEGER, c INTEGER)")
-	db.MustExec("INSERT INTO wide VALUES (1, 2, 3), (4, 5, 6)")
-	db.MustExec("CREATE INDEX wide_c ON wide (c)")
-	db.MustExec("ALTER TABLE wide DROP COLUMN a")
-	r = mustQuery(t, db, "SELECT b FROM wide WHERE c = 6")
-	if len(r.Rows) != 1 || r.Rows[0][0].I != 5 {
-		t.Fatalf("index after preceding-column drop: %v", r.Rows)
-	}
-
-	// RENAME TO.
-	db.MustExec("ALTER TABLE wide RENAME TO narrow")
-	if db.HasTable("wide") || !db.HasTable("narrow") {
-		t.Fatal("rename failed")
-	}
-	if _, err := db.Exec("ALTER TABLE narrow RENAME TO Orders"); err == nil {
-		t.Fatal("rename onto existing table must fail")
-	}
-	if _, err := db.Exec("ALTER TABLE missing ADD COLUMN x INTEGER"); err == nil {
-		t.Fatal("alter on missing table must fail")
-	}
-}
-
-func TestViews(t *testing.T) {
-	db := newOrdersDB(t)
-	db.MustExec(`CREATE VIEW ApprovedTotals AS
-		SELECT ItemID, SUM(Quantity) AS Total FROM Orders
-		WHERE Approved = TRUE GROUP BY ItemID`)
-
-	// Views are queryable like tables, including with predicates/joins.
-	r := mustQuery(t, db, "SELECT Total FROM ApprovedTotals WHERE ItemID = 'bolt'")
-	if r.Rows[0][0].I != 15 {
-		t.Fatalf("view query: %v", r.Rows[0][0])
-	}
-	r = mustQuery(t, db, "SELECT COUNT(*) FROM ApprovedTotals v JOIN Orders o ON v.ItemID = o.ItemID")
-	if r.Rows[0][0].I != 6 {
-		t.Fatalf("view join: %v", r.Rows[0][0])
-	}
-
-	// Views see current data (re-executed per reference).
-	db.MustExec("UPDATE Orders SET Approved = TRUE WHERE Approved = FALSE")
-	r = mustQuery(t, db, "SELECT SUM(Total) FROM ApprovedTotals")
-	if r.Rows[0][0].I != 36 {
-		t.Fatalf("view freshness: %v", r.Rows[0][0])
-	}
-
-	// Name collisions both ways; invalid definitions rejected eagerly.
-	if _, err := db.Exec("CREATE TABLE ApprovedTotals (x INTEGER)"); err == nil {
-		t.Fatal("table over view must fail")
-	}
-	if _, err := db.Exec("CREATE VIEW Orders AS SELECT 1"); err == nil {
-		t.Fatal("view over table must fail")
-	}
-	if _, err := db.Exec("CREATE VIEW bad AS SELECT nope FROM Orders"); err == nil {
-		t.Fatal("invalid view definition must fail eagerly")
-	}
-	if _, err := db.Exec("CREATE VIEW ApprovedTotals AS SELECT 1"); err == nil {
-		t.Fatal("duplicate view must fail")
-	}
-
-	// DML against a view fails (no such table).
-	if _, err := db.Exec("DELETE FROM ApprovedTotals"); err == nil {
-		t.Fatal("DML on view must fail")
-	}
-
-	// EXPLAIN expands views.
-	r = mustQuery(t, db, "EXPLAIN SELECT * FROM ApprovedTotals WHERE ItemID = 'x'")
-	var plan strings.Builder
-	for _, row := range r.Rows {
-		plan.WriteString(row[0].S + "\n")
-	}
-	if !strings.Contains(plan.String(), "VIEW ApprovedTotals (expanded)") ||
-		!strings.Contains(plan.String(), "GROUP BY") {
-		t.Fatalf("view plan: %s", plan.String())
-	}
-
-	// Dump includes the definition; restore works.
-	dump := db.Dump()
-	if !strings.Contains(dump, "CREATE VIEW ApprovedTotals AS") {
-		t.Fatalf("dump missing view: %s", dump)
-	}
-	db2 := Open("restored")
-	if _, err := db2.ExecScript(dump); err != nil {
-		t.Fatal(err)
-	}
-	r2, err := db2.Session().Query("SELECT SUM(Total) FROM ApprovedTotals")
-	if err != nil || r2.Rows[0][0].I != 36 {
-		t.Fatalf("restored view: %v %v", r2, err)
-	}
-
-	// DROP VIEW.
-	db.MustExec("DROP VIEW ApprovedTotals")
-	if _, err := db.Exec("SELECT * FROM ApprovedTotals"); err == nil {
-		t.Fatal("dropped view still queryable")
-	}
-	db.MustExec("DROP VIEW IF EXISTS ApprovedTotals")
-	if _, err := db.Exec("DROP VIEW ApprovedTotals"); err == nil {
-		t.Fatal("double drop must fail")
+	p = plan("EXPLAIN SELECT NEXTVAL('s')")
+	if !strings.Contains(p, "CONSTANT ROW") {
+		t.Fatalf("constant plan: %s", p)
 	}
 }
 

@@ -41,7 +41,7 @@ func FuzzParseScript(f *testing.F) {
 	f.Add("SELECT 1")
 	f.Add("INSERT INTO t VALUES (1, 'a;b'); ; UPDATE t SET a = ? WHERE b = :n -- tail\n;")
 	f.Add("CREATE PROCEDURE p(x) AS 'UPDATE t SET a = :x; SELECT a FROM t'; CALL p(1)")
-	f.Add("BEGIN; DELETE FROM t /* ; */ WHERE a IN (SELECT b FROM u); COMMIT")
+	f.Add("BEGIN; DELETE FROM t /* ; */ WHERE a IN (1, 'b'); COMMIT")
 	f.Add("CREATE TABLE t (id INTEGER PRIMARY KEY, v VARCHAR DEFAULT 'x');DROP TABLE IF EXISTS t")
 	f.Fuzz(func(t *testing.T, sql string) {
 		parts, _, err := parseScript(sql)
@@ -80,7 +80,7 @@ func FuzzParseScript(f *testing.F) {
 func FuzzNormalizeStmt(f *testing.F) {
 	f.Add("SELECT a, 2 FROM t WHERE b = 'x' AND c < ? ORDER BY 1, a LIMIT 10")
 	f.Add("INSERT INTO t (a, b) VALUES (1, 'it''s'), (?, :n)")
-	f.Add("UPDATE t SET a = a + 1.5e3 WHERE b IN (SELECT c FROM u ORDER BY 2) ;")
+	f.Add("SELECT a + 1.5e3 FROM t WHERE b IN (2, 'c') GROUP BY a ORDER BY 2 LIMIT 3 ;")
 	f.Add("DELETE FROM \"my t\" WHERE a = -1 OR b = .5")
 	f.Add("SELECT Größe FROM Bestellung WHERE Straße = 'Ö' AND ß = :straße")
 	f.Fuzz(func(t *testing.T, sql string) {
@@ -113,7 +113,7 @@ func FuzzNormalizeStmt(f *testing.F) {
 func FuzzParamNames(f *testing.F) {
 	f.Add("SELECT a FROM t WHERE b = :x AND c = ? AND d = @X AND e = 'lit' AND f = :y")
 	f.Add("INSERT INTO t VALUES (@item, ?, 'mail to sales@item.example', @itemx, 3)")
-	f.Add("UPDATE t SET a = :Q + 1 WHERE b IN (SELECT c FROM u WHERE d = :q) AND e = ?")
+	f.Add("UPDATE t SET a = :Q + 1 WHERE b IN (:q, 2) AND e = ?")
 	f.Add("CREATE PROCEDURE p(x) AS 'UPDATE t SET a = :x'; CALL p(:y); DELETE FROM t WHERE a = ? OR b = :Y")
 	f.Fuzz(func(t *testing.T, sql string) {
 		stmts, shape, err := parseScript(sql)
@@ -274,21 +274,6 @@ func FuzzIndexKey(f *testing.F) {
 		idx.remove([]*Row{row}, func(r *Row) bool { return r == row })
 		if found := len(idx.appendLookup(nil, a)) == 1; len(idx.buckets) != 1 || found != equal {
 			t.Fatalf("after removing %v: %d buckets, probe for it finds %v = %v", a, len(idx.buckets), b, found)
-		}
-	})
-}
-
-// FuzzLike holds the LIKE matcher to the regexp oracle on any subject and
-// pattern, invalid UTF-8 included.
-func FuzzLike(f *testing.F) {
-	f.Add("abc", "a%c")
-	f.Add("é", "_")
-	f.Add("\u212A", "k")
-	f.Add(strings.Repeat("a", 40), strings.Repeat("%a", 8)+"%b")
-	f.Add("a\xffb", "a_b")
-	f.Fuzz(func(t *testing.T, s, p string) {
-		if got, want := likeMatch(s, p), likeReference(s, p); got != want {
-			t.Fatalf("likeMatch(%q, %q) = %v, reference = %v", s, p, got, want)
 		}
 	})
 }

@@ -41,7 +41,7 @@ func TestConstructorsMatchParse(t *testing.T) {
 		"SELECT * FROM Orders",
 		"SELECT ItemID, SUM(Quantity) AS Quantity FROM Orders\n\t WHERE Approved = TRUE GROUP BY ItemID ORDER BY ItemID",
 		"SELECT a, ? AS p FROM t WHERE b > ? AND c = 'x''y' LIMIT 3",
-		"SELECT 1 UNION ALL SELECT 2;",
+		"SELECT 1, 2;",
 	} {
 		q, err := ParseQuery(sql)
 		if err != nil {

@@ -79,12 +79,12 @@ var groupQueries = []struct {
 	{"SELECT f, k, COUNT(*) FROM g WHERE k > ? GROUP BY f, k", []Value{Int(0)}},
 	{"SELECT s, b, f, COUNT(*) FROM g GROUP BY 1, 2, 3", nil},
 	{"SELECT k + 0.5, COUNT(*) FROM g GROUP BY 1", nil},
-	{"SELECT CASE WHEN id % 2 = 0 THEN k ELSE f END, COUNT(*), SUM(f), MAX(q) FROM g GROUP BY 1", nil},
-	{"SELECT CASE WHEN k > 1 THEN s WHEN k = 1 THEN f ELSE k END AS mixed, COUNT(*), SUM(q) FROM g GROUP BY 1", nil},
+	{"SELECT f + k, COUNT(*), SUM(f), MAX(q) FROM g GROUP BY 1", nil},
+	{"SELECT s || k AS mixed, COUNT(*), SUM(q) FROM g GROUP BY 1", nil},
 	{"SELECT q % ?, COUNT(*), MIN(s) FROM g GROUP BY 1", []Value{Int(3)}},
 	{"SELECT COUNT(*), SUM(q), MIN(f), MAX(s) FROM g WHERE k > ?", []Value{Int(1)}},
 	{"SELECT COUNT(*), SUM(q), k FROM g WHERE k > ?", []Value{Int(9)}},
-	{"SELECT k, COUNT(*) FROM g GROUP BY k HAVING SUM(q) > ?", []Value{Int(5)}},
+	{"SELECT k, COUNT(*) FROM g WHERE q > ? GROUP BY k", []Value{Int(5)}},
 	{"SELECT DISTINCT COUNT(*) FROM g GROUP BY s", nil},
 	{"SELECT s, SUM(s) FROM g GROUP BY s", nil},
 	{"SELECT a.k, b.s, COUNT(*), SUM(b.q) FROM g a JOIN g b ON a.k = b.k WHERE a.s = ? GROUP BY a.k, b.s", []Value{Str("a")}},

@@ -33,25 +33,19 @@ type token struct {
 // insensitively) become tokKeyword with uppercased text.
 var keywords = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"HAVING": true, "ORDER": true, "ASC": true, "DESC": true, "LIMIT": true,
-	"OFFSET": true, "DISTINCT": true, "ALL": true, "AS": true, "AND": true,
-	"OR": true, "NOT": true, "IN": true, "EXISTS": true, "BETWEEN": true,
-	"LIKE": true, "IS": true, "NULL": true, "TRUE": true, "FALSE": true,
-	"CASE": true, "WHEN": true, "THEN": true, "ELSE": true, "END": true,
-	"JOIN": true, "INNER": true, "LEFT": true, "OUTER": true, "CROSS": true,
-	"ON": true, "INSERT": true, "INTO": true, "VALUES": true, "UPDATE": true,
-	"SET": true, "DELETE": true, "CREATE": true, "DROP": true, "TABLE": true,
-	"INDEX": true, "UNIQUE": true, "SEQUENCE": true, "PROCEDURE": true,
-	"CALL": true, "BEGIN": true, "COMMIT": true, "ROLLBACK": true,
-	"PRIMARY": true, "KEY": true, "DEFAULT": true, "INTEGER": true,
-	"INT": true, "BIGINT": true, "FLOAT": true, "REAL": true, "DOUBLE": true,
-	"VARCHAR": true, "TEXT": true, "CHAR": true, "BOOLEAN": true, "BOOL": true,
-	"START": true, "WITH": true, "INCREMENT": true, "IF": true, "UNION": true,
-	"EXPLAIN": true, "ALTER": true, "ADD": true, "COLUMN": true,
-	"RENAME": true, "TO": true, "VIEW": true,
-	"TRUNCATE": true, "COUNT": true, "SUM": true, "AVG": true, "MIN": true,
-	"MAX": true, "NEXT": true, "VALUE": true, "FOR": true, "LANGUAGE": true,
-	"RETURNS": true, "TRANSACTION": true, "WORK": true,
+	"ORDER": true, "DESC": true, "LIMIT": true, "OFFSET": true,
+	"DISTINCT": true, "AS": true, "AND": true, "OR": true, "NOT": true,
+	"IN": true, "IS": true, "NULL": true, "TRUE": true, "FALSE": true,
+	"EXISTS": true, "JOIN": true, "CROSS": true, "ON": true, "INSERT": true,
+	"INTO": true, "VALUES": true, "UPDATE": true, "SET": true, "DELETE": true,
+	"CREATE": true, "DROP": true, "TABLE": true, "INDEX": true, "UNIQUE": true,
+	"SEQUENCE": true, "PROCEDURE": true, "CALL": true, "BEGIN": true,
+	"COMMIT": true, "ROLLBACK": true, "PRIMARY": true, "KEY": true,
+	"DEFAULT": true, "INTEGER": true, "INT": true, "FLOAT": true,
+	"VARCHAR": true, "TEXT": true, "BOOLEAN": true, "BOOL": true,
+	"START": true, "WITH": true, "INCREMENT": true, "IF": true,
+	"EXPLAIN": true, "COUNT": true, "SUM": true, "AVG": true, "MIN": true,
+	"MAX": true,
 }
 
 // lexer tokenizes a SQL string.
@@ -94,8 +88,6 @@ func (l *lexer) next() (token, error) {
 	switch {
 	case c == '\'':
 		return l.lexString()
-	case c == '"':
-		return l.lexQuotedIdent()
 	case c >= '0' && c <= '9', c == '.' && l.pos+1 < len(l.src) && isDigit(l.src[l.pos+1]):
 		return l.lexNumber()
 	case isIdentStart(firstRune(l.src[l.pos:])):
@@ -187,22 +179,6 @@ func (l *lexer) lexString() (token, error) {
 		l.pos++
 	}
 	return token{}, l.errorf(start, "unterminated string literal")
-}
-
-func (l *lexer) lexQuotedIdent() (token, error) {
-	start := l.pos
-	l.pos++
-	var b strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '"' {
-			l.pos++
-			return token{kind: tokIdent, text: b.String(), pos: start}, nil
-		}
-		b.WriteByte(c)
-		l.pos++
-	}
-	return token{}, l.errorf(start, "unterminated quoted identifier")
 }
 
 func (l *lexer) lexNumber() (token, error) {

@@ -236,7 +236,7 @@ type latchTarget struct {
 }
 
 // stmtRefs walks a query or DML statement syntactically and records
-// every table or view name it references, split into mutation targets
+// every table name it references, split into mutation targets
 // (write) and everything else (read). It needs no database state, so the
 // result is cacheable alongside the parsed AST: the executor derives its
 // latch footprint from it (stmtFootprint, which routes CALL through
@@ -257,109 +257,29 @@ func stmtRefs(st Stmt, write, read map[string]bool) {
 		if t.Query != nil {
 			selectRefs(t.Query, read)
 		}
-		for _, row := range t.Rows {
-			for _, e := range row {
-				exprRefs(e, read)
-			}
-		}
 	case *UpdateStmt:
 		name(write, t.Table)
-		for _, sc := range t.Sets {
-			exprRefs(sc.Value, read)
-		}
-		exprRefs(t.Where, read)
 	case *DeleteStmt:
 		name(write, t.Table)
-		exprRefs(t.Where, read)
-	case *TruncateStmt:
-		name(write, t.Table)
 	}
 }
 
+// selectRefs records the tables of a query's FROM entries and joins:
+// expressions name no table.
 func selectRefs(q *SelectStmt, read map[string]bool) {
-	for ; q != nil; q = q.Union {
-		for _, it := range q.Items {
-			exprRefs(it.Expr, read)
+	for _, tr := range q.From {
+		read[strings.ToLower(tr.Table)] = true
+		for _, jc := range tr.Joins {
+			read[strings.ToLower(jc.Table)] = true
 		}
-		for _, tr := range q.From {
-			if tr.Table != "" {
-				read[strings.ToLower(tr.Table)] = true
-			}
-			if tr.Subquery != nil {
-				selectRefs(tr.Subquery, read)
-			}
-			for _, jc := range tr.Joins {
-				if jc.Table != "" {
-					read[strings.ToLower(jc.Table)] = true
-				}
-				if jc.Subquery != nil {
-					selectRefs(jc.Subquery, read)
-				}
-				exprRefs(jc.On, read)
-			}
-		}
-		exprRefs(q.Where, read)
-		for _, g := range q.GroupBy {
-			exprRefs(g, read)
-		}
-		exprRefs(q.Having, read)
-		for _, o := range q.OrderBy {
-			exprRefs(o.Expr, read)
-		}
-		exprRefs(q.Limit, read)
-		exprRefs(q.Offset, read)
-	}
-}
-
-func exprRefs(x Expr, read map[string]bool) {
-	switch t := x.(type) {
-	case nil:
-	case *BinaryExpr:
-		exprRefs(t.L, read)
-		exprRefs(t.R, read)
-	case *UnaryExpr:
-		exprRefs(t.X, read)
-	case *IsNullExpr:
-		exprRefs(t.X, read)
-	case *BetweenExpr:
-		exprRefs(t.X, read)
-		exprRefs(t.Lo, read)
-		exprRefs(t.Hi, read)
-	case *InExpr:
-		exprRefs(t.X, read)
-		for _, e := range t.List {
-			exprRefs(e, read)
-		}
-		if t.Query != nil {
-			selectRefs(t.Query, read)
-		}
-	case *ExistsExpr:
-		if t.Query != nil {
-			selectRefs(t.Query, read)
-		}
-	case *SubqueryExpr:
-		if t.Query != nil {
-			selectRefs(t.Query, read)
-		}
-	case *FuncCall:
-		for _, e := range t.Args {
-			exprRefs(e, read)
-		}
-	case *CaseExpr:
-		exprRefs(t.Operand, read)
-		for _, w := range t.Whens {
-			exprRefs(w.When, read)
-			exprRefs(w.Then, read)
-		}
-		exprRefs(t.Else, read)
 	}
 }
 
 // fpName is one entry of a cached statement footprint: a lowercased
 // object name and whether the statement mutates it. Names are resolved
 // against db.tables at every execution (tables come and go), so the
-// cached list stays valid across table DDL; only view and procedure
-// changes alter the *expansion* and therefore invalidate the cache.
+// cached list stays valid across table DDL; only procedure changes alter
+// the *expansion* and therefore invalidate the cache.
 type fpName struct {
 	name  string
 	write bool
@@ -385,8 +305,8 @@ func (db *DB) resolveFootprint(fp []latchTarget, names []fpName) []latchTarget {
 
 // stmtFootprint appends to fp (empty; the session's latch buffer) the
 // latch set of a mutating statement: write latches on the tables it
-// mutates, read latches on every other table it references (directly,
-// through views, or through SQL procedure bodies). ok is false when the
+// mutates, read latches on every other table it references (directly or
+// through SQL procedure bodies). ok is false when the
 // footprint cannot be computed statically — native procedures, DDL, and
 // unknown statement shapes — and the caller must fall back to the
 // exclusive engine lock. COMMIT and ROLLBACK latch the open
@@ -394,7 +314,7 @@ func (db *DB) resolveFootprint(fp []latchTarget, names []fpName) []latchTarget {
 // (shared suffices: only schema stability is needed).
 //
 // slot, when non-nil, caches the computed name list across executions of
-// the same AST; it is invalidated by footGen (bumped on view/procedure
+// the same AST; it is invalidated by footGen (bumped on procedure
 // changes — the only DDL that alters the expansion, since table names
 // re-resolve on every call). Racing recomputations are benign: all
 // compute the same value for a generation, and the last store wins.
@@ -415,7 +335,7 @@ func (db *DB) stmtFootprint(fp []latchTarget, st Stmt, tx *txn, slot *stmtSlot) 
 		}
 		slices.SortFunc(fp, func(a, b latchTarget) int { return strings.Compare(a.t.key, b.t.key) })
 		return fp, true
-	case *InsertStmt, *UpdateStmt, *DeleteStmt, *TruncateStmt, *CallStmt:
+	case *InsertStmt, *UpdateStmt, *DeleteStmt, *CallStmt:
 	default:
 		return fp, false // DDL and unknown shapes: exclusive lock
 	}
@@ -438,8 +358,6 @@ func (db *DB) stmtFootprint(fp []latchTarget, st Stmt, tx *txn, slot *stmtSlot) 
 	}
 	var names []fpName
 	if computed {
-		// Expand views (recursively) into the base tables they scan.
-		db.expandViewRefs(read)
 		names = footprintNames(write, read)
 	}
 	if slot != nil {
@@ -467,13 +385,10 @@ func footprintNames(write, read map[string]bool) []fpName {
 	return names
 }
 
-// callFootprint folds a CALL's footprint: argument subqueries plus the
-// procedure body (SQL procedures only — native bodies are opaque, so
-// the CALL falls back to the exclusive lock). seen breaks CALL cycles.
+// callFootprint folds a CALL's footprint: the procedure body (SQL
+// procedures only — native bodies are opaque, so the CALL falls back to
+// the exclusive lock). seen breaks CALL cycles.
 func (db *DB) callFootprint(c *CallStmt, write, read map[string]bool, seen map[string]bool) bool {
-	for _, a := range c.Args {
-		exprRefs(a, read)
-	}
 	lc := strings.ToLower(c.Name)
 	if seen[lc] {
 		return true
@@ -492,7 +407,7 @@ func (db *DB) callFootprint(c *CallStmt, write, read map[string]bool, seen map[s
 			if !db.callFootprint(b, write, read, seen) {
 				return false
 			}
-		case *SelectStmt, *ExplainStmt, *InsertStmt, *UpdateStmt, *DeleteStmt, *TruncateStmt:
+		case *SelectStmt, *ExplainStmt, *InsertStmt, *UpdateStmt, *DeleteStmt:
 			stmtRefs(st, write, read)
 		case *BeginStmt, *CommitStmt, *RollbackStmt:
 			// Body transaction statements fail inside a CALL; no footprint.
@@ -501,33 +416,6 @@ func (db *DB) callFootprint(c *CallStmt, write, read map[string]bool, seen map[s
 		}
 	}
 	return true
-}
-
-// expandViewRefs replaces-in-place: for every referenced name that is a
-// view, the base tables its query (transitively) scans are added to the
-// read set. View names themselves stay in the set; they resolve to no
-// table and latch nothing.
-func (db *DB) expandViewRefs(read map[string]bool) {
-	queue := make([]string, 0, len(read))
-	for n := range read {
-		queue = append(queue, n)
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		v, ok := db.views[n]
-		if !ok {
-			continue
-		}
-		sub := map[string]bool{}
-		selectRefs(v.Query, sub)
-		for s := range sub {
-			if !read[s] {
-				read[s] = true
-				queue = append(queue, s)
-			}
-		}
-	}
 }
 
 // latchWaitFloor separates blocking (the holder made us park) from the

@@ -82,30 +82,16 @@ func normalizeStmt(sql string) (normalized, bool) {
 		}
 	}
 
-	depth := 0
-	suppressAt := -1 // paren depth of the active ORDER BY or GROUP BY clause; -1 = none
+	suppress := false // inside a GROUP BY or ORDER BY clause
 	for i := range toks {
 		t := &toks[i]
 		switch t.kind {
-		case tokSymbol:
-			switch t.text {
-			case "(":
-				depth++
-			case ")":
-				if depth--; suppressAt >= 0 && depth < suppressAt {
-					suppressAt = -1
-				}
-			}
 		case tokKeyword:
 			switch t.text {
 			case "ORDER", "GROUP":
-				if suppressAt < 0 && i+1 < len(toks) && toks[i+1].kind == tokKeyword && toks[i+1].text == "BY" {
-					suppressAt = depth
-				}
-			case "HAVING", "LIMIT", "OFFSET", "UNION":
-				if suppressAt >= 0 && depth == suppressAt {
-					suppressAt = -1
-				}
+				suppress = suppress || i+1 < len(toks) && toks[i+1].kind == tokKeyword && toks[i+1].text == "BY"
+			case "LIMIT", "OFFSET":
+				suppress = false
 			}
 		case tokParam:
 			if t.text == "?" {
@@ -114,14 +100,14 @@ func normalizeStmt(sql string) (normalized, bool) {
 			// Named placeholders stay: the parser numbers them after
 			// every slot of the pattern.
 		case tokNumber:
-			if suppressAt >= 0 {
+			if suppress {
 				break
 			}
 			n.consts = append(n.consts, t.num)
 			n.pattern = append(n.pattern, slotConst)
 			*t = token{kind: tokParam, text: "?", pos: t.pos, end: t.end}
 		case tokString:
-			if suppressAt >= 0 {
+			if suppress {
 				break
 			}
 			n.consts = append(n.consts, Str(t.text))

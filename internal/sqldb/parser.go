@@ -227,7 +227,7 @@ func (p *parser) ident() (string, error) {
 	// named "value" or "key").
 	if t.kind == tokKeyword {
 		switch t.text {
-		case "VALUE", "KEY", "START", "WORK", "TEXT", "LANGUAGE":
+		case "KEY", "START", "TEXT":
 			p.pos++
 			return t.text, nil
 		}
@@ -260,97 +260,29 @@ func (p *parser) parseStmt() (Stmt, error) {
 		return p.parseCreate()
 	case "DROP":
 		return p.parseDrop()
-	case "TRUNCATE":
-		p.pos++
-		p.acceptKw("TABLE")
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		return &TruncateStmt{Table: name}, nil
-	case "ALTER":
-		return p.parseAlter()
 	case "CALL":
 		return p.parseCall()
 	case "BEGIN":
 		p.pos++
-		p.acceptKw("TRANSACTION")
-		p.acceptKw("WORK")
 		return &BeginStmt{}, nil
 	case "COMMIT":
 		p.pos++
-		p.acceptKw("TRANSACTION")
-		p.acceptKw("WORK")
 		return &CommitStmt{}, nil
 	case "ROLLBACK":
 		p.pos++
-		p.acceptKw("TRANSACTION")
-		p.acceptKw("WORK")
 		return &RollbackStmt{}, nil
 	}
 	return nil, p.errorf("unsupported statement %s", t.text)
 }
 
-// parseSelect parses a SELECT or a UNION chain of them. ORDER BY, LIMIT
-// and OFFSET come once, after the last arm, and belong to the combined
-// result: they are recorded on the first arm, the head of the chain.
+// parseSelect parses a SELECT, with its ORDER BY, LIMIT and OFFSET.
 func (p *parser) parseSelect() (*SelectStmt, error) {
-	s, err := p.parseSelectArm()
-	if err != nil {
-		return nil, err
-	}
-	for arm := s; p.acceptKw("UNION"); arm = arm.Union {
-		arm.UnionAll = p.acceptKw("ALL")
-		if arm.Union, err = p.parseSelectArm(); err != nil {
-			return nil, err
-		}
-	}
-	if p.acceptKw("ORDER") {
-		if err := p.expectKw("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			oi := OrderItem{Expr: e}
-			if p.acceptKw("DESC") {
-				oi.Desc = true
-			} else {
-				p.acceptKw("ASC")
-			}
-			s.OrderBy = append(s.OrderBy, oi)
-			if !p.acceptSym(",") {
-				break
-			}
-		}
-	}
-	if p.acceptKw("LIMIT") {
-		if s.Limit, err = p.parseExpr(); err != nil {
-			return nil, err
-		}
-	}
-	if p.acceptKw("OFFSET") {
-		if s.Offset, err = p.parseExpr(); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// parseSelectArm parses one SELECT up to and including HAVING.
-func (p *parser) parseSelectArm() (*SelectStmt, error) {
 	if err := p.expectKw("SELECT"); err != nil {
 		return nil, err
 	}
 	s := &SelectStmt{}
-	if p.acceptKw("DISTINCT") {
-		s.Distinct = true
-	} else {
-		p.acceptKw("ALL")
-	}
-	// Select list.
+	var err error
+	s.Distinct = p.acceptKw("DISTINCT")
 	for {
 		item, err := p.parseSelectItem()
 		if err != nil {
@@ -374,27 +306,42 @@ func (p *parser) parseSelectArm() (*SelectStmt, error) {
 		}
 	}
 	if p.acceptKw("WHERE") {
-		e, err := p.parseExpr()
-		if err != nil {
+		if s.Where, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		s.Where = e
 	}
 	if p.acceptKw("GROUP") {
 		if err := p.expectKw("BY"); err != nil {
 			return nil, err
 		}
-		var err error
 		if s.GroupBy, err = p.parseExprList(); err != nil {
 			return nil, err
 		}
 	}
-	if p.acceptKw("HAVING") {
-		e, err := p.parseExpr()
-		if err != nil {
+	if p.acceptKw("ORDER") {
+		if err := p.expectKw("BY"); err != nil {
 			return nil, err
 		}
-		s.Having = e
+		for {
+			e, err := p.parseExpr()
+			if err != nil {
+				return nil, err
+			}
+			s.OrderBy = append(s.OrderBy, OrderItem{Expr: e, Desc: p.acceptKw("DESC")})
+			if !p.acceptSym(",") {
+				break
+			}
+		}
+	}
+	if p.acceptKw("LIMIT") {
+		if s.Limit, err = p.parseExpr(); err != nil {
+			return nil, err
+		}
+	}
+	if p.acceptKw("OFFSET") {
+		if s.Offset, err = p.parseExpr(); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
@@ -442,19 +389,12 @@ func (p *parser) parseExprList() ([]Expr, error) {
 	}
 }
 
-// parseSource parses what FROM and JOIN range over: a table (or view)
-// name or a parenthesized subquery, and its alias.
+// parseSource parses what FROM and JOIN range over: a table name and its
+// alias.
 func (p *parser) parseSource() (Source, error) {
 	var src Source
 	var err error
-	if p.acceptSym("(") {
-		if src.Subquery, err = p.parseSelect(); err == nil {
-			err = p.expectSym(")")
-		}
-	} else {
-		src.Table, err = p.ident()
-	}
-	if err != nil {
+	if src.Table, err = p.ident(); err != nil {
 		return Source{}, err
 	}
 	if p.acceptKw("AS") {
@@ -463,9 +403,6 @@ func (p *parser) parseSource() (Source, error) {
 		}
 	} else if p.peek().kind == tokIdent {
 		src.Alias = p.next().text
-	}
-	if src.Subquery != nil && src.Alias == "" {
-		return Source{}, p.errorf("derived table requires an alias")
 	}
 	return src, nil
 }
@@ -479,17 +416,8 @@ func (p *parser) parseTableRef() (TableRef, error) {
 	for {
 		var kind JoinKind
 		switch {
-		case p.peekKw("JOIN") || (p.peekKw("INNER") && p.peekAt(1).text == "JOIN"):
-			p.acceptKw("INNER")
-			p.acceptKw("JOIN")
+		case p.acceptKw("JOIN"):
 			kind = JoinInner
-		case p.peekKw("LEFT"):
-			p.acceptKw("LEFT")
-			p.acceptKw("OUTER")
-			if err := p.expectKw("JOIN"); err != nil {
-				return TableRef{}, err
-			}
-			kind = JoinLeft
 		case p.peekKw("CROSS"):
 			p.acceptKw("CROSS")
 			if err := p.expectKw("JOIN"); err != nil {
@@ -643,27 +571,8 @@ func (p *parser) parseCreate() (Stmt, error) {
 	case p.peekKw("PROCEDURE"):
 		p.pos++
 		return p.parseCreateProcedure()
-	case p.peekKw("VIEW"):
-		p.pos++
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKw("AS"); err != nil {
-			return nil, err
-		}
-		start := p.peek().pos
-		q, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		end := len(p.src)
-		if t := p.peek(); t.kind != tokEOF {
-			end = t.pos
-		}
-		return &CreateViewStmt{Name: name, Query: q, Src: strings.TrimSpace(p.src[start:end])}, nil
 	}
-	return nil, p.errorf("expected TABLE, INDEX, SEQUENCE, PROCEDURE, or VIEW after CREATE")
+	return nil, p.errorf("expected TABLE, INDEX, SEQUENCE or PROCEDURE after CREATE")
 }
 
 func (p *parser) parseCreateTable() (Stmt, error) {
@@ -754,11 +663,11 @@ func (p *parser) parseColumnDef() (ColumnDef, error) {
 		return ColumnDef{}, p.errorf("expected column type for %s", name)
 	}
 	switch t.text {
-	case "INTEGER", "INT", "BIGINT":
+	case "INTEGER", "INT":
 		cd.Type = TypeInteger
-	case "FLOAT", "REAL", "DOUBLE":
+	case "FLOAT":
 		cd.Type = TypeFloat
-	case "VARCHAR", "TEXT", "CHAR":
+	case "VARCHAR", "TEXT":
 		cd.Type = TypeVarchar
 		// Optional length: VARCHAR(100)
 		if p.acceptSym("(") {
@@ -892,70 +801,24 @@ func (p *parser) parseDrop() (Stmt, error) {
 	if err := p.expectKw("DROP"); err != nil {
 		return nil, err
 	}
-	for _, kind := range []string{"TABLE", "INDEX", "SEQUENCE", "PROCEDURE", "VIEW"} {
-		if !p.acceptKw(kind) {
-			continue
+	proc := p.acceptKw("PROCEDURE")
+	if !proc {
+		if err := p.expectKw("TABLE"); err != nil {
+			return nil, p.errorf("expected TABLE or PROCEDURE after DROP")
 		}
-		ifExists, err := p.parseIfExists()
-		if err != nil {
-			return nil, err
-		}
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		switch kind {
-		case "TABLE":
-			return &DropTableStmt{Table: name, IfExists: ifExists}, nil
-		case "INDEX":
-			return &DropIndexStmt{Name: name, IfExists: ifExists}, nil
-		case "SEQUENCE":
-			return &DropSequenceStmt{Name: name, IfExists: ifExists}, nil
-		case "PROCEDURE":
-			return &DropProcedureStmt{Name: name, IfExists: ifExists}, nil
-		}
-		return &DropViewStmt{Name: name, IfExists: ifExists}, nil
 	}
-	return nil, p.errorf("expected TABLE, INDEX, SEQUENCE, PROCEDURE, or VIEW after DROP")
-}
-
-func (p *parser) parseAlter() (Stmt, error) {
-	if err := p.expectKw("ALTER"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKw("TABLE"); err != nil {
-		return nil, err
-	}
-	table, err := p.ident()
+	ifExists, err := p.parseIfExists()
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case p.acceptKw("ADD"):
-		p.acceptKw("COLUMN")
-		cd, err := p.parseColumnDef()
-		if err != nil {
-			return nil, err
-		}
-		return &AlterTableStmt{Table: table, Kind: AlterAddColumn, Column: cd}, nil
-	case p.acceptKw("DROP"):
-		p.acceptKw("COLUMN")
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		return &AlterTableStmt{Table: table, Kind: AlterDropColumn, Name: name}, nil
-	case p.acceptKw("RENAME"):
-		if err := p.expectKw("TO"); err != nil {
-			return nil, err
-		}
-		name, err := p.ident()
-		if err != nil {
-			return nil, err
-		}
-		return &AlterTableStmt{Table: table, Kind: AlterRenameTable, Name: name}, nil
+	name, err := p.ident()
+	if err != nil {
+		return nil, err
 	}
-	return nil, p.errorf("expected ADD, DROP, or RENAME after ALTER TABLE")
+	if proc {
+		return &DropProcedureStmt{Name: name, IfExists: ifExists}, nil
+	}
+	return &DropTableStmt{Table: name, IfExists: ifExists}, nil
 }
 
 // identList parses a non-empty comma-separated identifier list and its
@@ -1054,20 +917,29 @@ func (p *parser) parseNot() (Expr, error) {
 	return p.parsePredicate()
 }
 
-// parsePredicate handles comparison operators and SQL predicates
-// (IS NULL, BETWEEN, IN, LIKE).
+// The operator tables the expression parser reads: each holds the
+// operator tokens of one precedence level (!= is written for <>).
+var (
+	compareOps        = []string{"=", "<>", "!=", "<", "<=", ">", ">="}
+	additiveOps       = []string{"+", "-", "||"}
+	multiplicativeOps = []string{"*", "/", "%"}
+)
+
+// peekOp matches the next token against an operator table.
+func (p *parser) peekOp(ops []string) (string, bool) {
+	t := p.peek()
+	return t.text, t.kind == tokSymbol && slices.Contains(ops, t.text)
+}
+
+// parsePredicate handles comparisons, IS [NOT] NULL and [NOT] IN (list).
 func (p *parser) parsePredicate() (Expr, error) {
 	l, err := p.parseAdditive()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		t := p.peek()
-		switch {
-		case t.kind == tokSymbol && (t.text == "=" || t.text == "<" || t.text == "<=" ||
-			t.text == ">" || t.text == ">=" || t.text == "<>" || t.text == "!="):
+		if op, ok := p.peekOp(compareOps); ok {
 			p.pos++
-			op := t.text
 			if op == "!=" {
 				op = "<>"
 			}
@@ -1076,74 +948,28 @@ func (p *parser) parsePredicate() (Expr, error) {
 				return nil, err
 			}
 			l = &BinaryExpr{Op: op, L: l, R: r}
-		case t.kind == tokKeyword && t.text == "IS":
-			p.pos++
+			continue
+		}
+		switch {
+		case p.acceptKw("IS"):
 			not := p.acceptKw("NOT")
 			if err := p.expectKw("NULL"); err != nil {
 				return nil, err
 			}
 			l = &IsNullExpr{X: l, Not: not}
-		case t.kind == tokKeyword && (t.text == "BETWEEN" || t.text == "IN" || t.text == "LIKE" || t.text == "NOT"):
-			not := false
-			if t.text == "NOT" {
-				// NOT BETWEEN / NOT IN / NOT LIKE
-				nt := p.peekAt(1)
-				if nt.kind != tokKeyword || (nt.text != "BETWEEN" && nt.text != "IN" && nt.text != "LIKE") {
-					return l, nil
-				}
-				p.pos++
-				not = true
-				t = p.peek()
+		case p.peekKw("IN") || p.peekKw("NOT") && p.peekAt(1).kind == tokKeyword && p.peekAt(1).text == "IN":
+			ie := &InExpr{X: l, Not: p.acceptKw("NOT")}
+			p.pos++
+			if err := p.expectSym("("); err != nil {
+				return nil, err
 			}
-			switch t.text {
-			case "BETWEEN":
-				p.pos++
-				lo, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				if err := p.expectKw("AND"); err != nil {
-					return nil, err
-				}
-				hi, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				l = &BetweenExpr{X: l, Lo: lo, Hi: hi, Not: not}
-			case "IN":
-				p.pos++
-				if err := p.expectSym("("); err != nil {
-					return nil, err
-				}
-				ie := &InExpr{X: l, Not: not}
-				if p.peekKw("SELECT") {
-					q, err := p.parseSelect()
-					if err != nil {
-						return nil, err
-					}
-					ie.Query = q
-				} else {
-					var err error
-					if ie.List, err = p.parseExprList(); err != nil {
-						return nil, err
-					}
-				}
-				if err := p.expectSym(")"); err != nil {
-					return nil, err
-				}
-				l = ie
-			case "LIKE":
-				p.pos++
-				r, err := p.parseAdditive()
-				if err != nil {
-					return nil, err
-				}
-				var e Expr = &BinaryExpr{Op: "LIKE", L: l, R: r}
-				if not {
-					e = &UnaryExpr{Op: "NOT", X: e}
-				}
-				l = e
+			if ie.List, err = p.parseExprList(); err != nil {
+				return nil, err
 			}
+			if err := p.expectSym(")"); err != nil {
+				return nil, err
+			}
+			l = ie
 		default:
 			return l, nil
 		}
@@ -1151,42 +977,31 @@ func (p *parser) parsePredicate() (Expr, error) {
 }
 
 func (p *parser) parseAdditive() (Expr, error) {
-	l, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		if t.kind == tokSymbol && (t.text == "+" || t.text == "-" || t.text == "||") {
-			p.pos++
-			r, err := p.parseMultiplicative()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinaryExpr{Op: t.text, L: l, R: r}
-			continue
-		}
-		return l, nil
-	}
+	return p.parseLevel(additiveOps, p.parseMultiplicative)
 }
 
 func (p *parser) parseMultiplicative() (Expr, error) {
-	l, err := p.parseUnary()
+	return p.parseLevel(multiplicativeOps, p.parseUnary)
+}
+
+// parseLevel parses one left-associative precedence level: operands
+// joined by the operators of ops.
+func (p *parser) parseLevel(ops []string, operand func() (Expr, error)) (Expr, error) {
+	l, err := operand()
 	if err != nil {
 		return nil, err
 	}
 	for {
-		t := p.peek()
-		if t.kind == tokSymbol && (t.text == "*" || t.text == "/" || t.text == "%") {
-			p.pos++
-			r, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinaryExpr{Op: t.text, L: l, R: r}
-			continue
+		op, ok := p.peekOp(ops)
+		if !ok {
+			return l, nil
 		}
-		return l, nil
+		p.pos++
+		r, err := operand()
+		if err != nil {
+			return nil, err
+		}
+		l = &BinaryExpr{Op: op, L: l, R: r}
 	}
 }
 
@@ -1230,77 +1045,25 @@ func (p *parser) parsePrimary() (Expr, error) {
 		p.params++
 		return &ParamRef{Index: idx}, nil
 	case tokSymbol:
-		if t.text == "(" {
-			p.pos++
-			if p.peekKw("SELECT") {
-				q, err := p.parseSelect()
-				if err != nil {
-					return nil, err
-				}
-				if err := p.expectSym(")"); err != nil {
-					return nil, err
-				}
-				return &SubqueryExpr{Query: q}, nil
-			}
+		if p.acceptSym("(") {
 			e, err := p.parseExpr()
 			if err != nil {
 				return nil, err
 			}
-			if err := p.expectSym(")"); err != nil {
-				return nil, err
-			}
-			return e, nil
+			return e, p.expectSym(")")
 		}
 	case tokKeyword:
 		switch t.text {
 		case "NULL":
 			p.pos++
 			return &Literal{Val: Null()}, nil
-		case "TRUE":
+		case "TRUE", "FALSE":
 			p.pos++
-			return &Literal{Val: Bool(true)}, nil
-		case "FALSE":
-			p.pos++
-			return &Literal{Val: Bool(false)}, nil
-		case "EXISTS":
-			p.pos++
-			if err := p.expectSym("("); err != nil {
-				return nil, err
-			}
-			q, err := p.parseSelect()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectSym(")"); err != nil {
-				return nil, err
-			}
-			return &ExistsExpr{Query: q}, nil
-		case "CASE":
-			return p.parseCase()
-		case "NEXT":
-			// NEXT VALUE FOR seq
-			p.pos++
-			if err := p.expectKw("VALUE"); err != nil {
-				return nil, err
-			}
-			if err := p.expectKw("FOR"); err != nil {
-				return nil, err
-			}
-			name, err := p.ident()
-			if err != nil {
-				return nil, err
-			}
-			return &NextValueExpr{Sequence: name}, nil
+			return &Literal{Val: Bool(t.text == "TRUE")}, nil
 		case "COUNT", "SUM", "AVG", "MIN", "MAX":
 			p.pos++
 			return p.parseFuncCall(t.text)
-		case "LEFT":
-			// LEFT is a join keyword but also a string function.
-			if p.peekAt(1).kind == tokSymbol && p.peekAt(1).text == "(" {
-				p.pos++
-				return p.parseFuncCall(t.text)
-			}
-		case "VALUE", "KEY", "START", "WORK", "TEXT", "LANGUAGE":
+		case "KEY", "START", "TEXT":
 			// keywords usable as identifiers
 			return p.parseIdentExpr()
 		}
@@ -1340,10 +1103,7 @@ func (p *parser) parseFuncCall(name string) (Expr, error) {
 	fc := &FuncCall{Name: name}
 	if p.acceptSym("*") {
 		fc.Star = true
-		if err := p.expectSym(")"); err != nil {
-			return nil, err
-		}
-		return fc, nil
+		return fc, p.expectSym(")")
 	}
 	if p.acceptKw("DISTINCT") {
 		fc.Distinct = true
@@ -1354,50 +1114,5 @@ func (p *parser) parseFuncCall(name string) (Expr, error) {
 			return nil, err
 		}
 	}
-	if err := p.expectSym(")"); err != nil {
-		return nil, err
-	}
-	return fc, nil
-}
-
-func (p *parser) parseCase() (Expr, error) {
-	if err := p.expectKw("CASE"); err != nil {
-		return nil, err
-	}
-	ce := &CaseExpr{}
-	if !p.peekKw("WHEN") {
-		op, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		ce.Operand = op
-	}
-	for p.acceptKw("WHEN") {
-		w, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKw("THEN"); err != nil {
-			return nil, err
-		}
-		th, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		ce.Whens = append(ce.Whens, CaseWhen{When: w, Then: th})
-	}
-	if len(ce.Whens) == 0 {
-		return nil, p.errorf("CASE requires at least one WHEN")
-	}
-	if p.acceptKw("ELSE") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		ce.Else = e
-	}
-	if err := p.expectKw("END"); err != nil {
-		return nil, err
-	}
-	return ce, nil
+	return fc, p.expectSym(")")
 }

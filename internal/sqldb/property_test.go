@@ -3,94 +3,12 @@ package sqldb
 import (
 	"fmt"
 	"math/rand"
-	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 )
-
-// TestUnion covers the UNION extension.
-func TestUnion(t *testing.T) {
-	db := Open("u")
-	db.MustExec("CREATE TABLE a (x INTEGER)")
-	db.MustExec("CREATE TABLE b (x INTEGER)")
-	db.MustExec("INSERT INTO a VALUES (1), (2), (3)")
-	db.MustExec("INSERT INTO b VALUES (3), (4)")
-	r := db.MustExec("SELECT x FROM a UNION SELECT x FROM b")
-	if len(r.Rows) != 4 {
-		t.Fatalf("UNION rows: %d, want 4", len(r.Rows))
-	}
-	r = db.MustExec("SELECT x FROM a UNION ALL SELECT x FROM b")
-	if len(r.Rows) != 5 {
-		t.Fatalf("UNION ALL rows: %d, want 5", len(r.Rows))
-	}
-	// Three-arm chain.
-	r = db.MustExec("SELECT 1 UNION SELECT 2 UNION SELECT 1")
-	if len(r.Rows) != 2 {
-		t.Fatalf("chained UNION rows: %d, want 2", len(r.Rows))
-	}
-	if _, err := db.Exec("SELECT x FROM a UNION SELECT x, x FROM b"); err == nil {
-		t.Fatal("column count mismatch must error")
-	}
-}
-
-// likeReference translates a LIKE pattern to a regexp — an independent
-// oracle for the hand-written matcher.
-func likeReference(s, pattern string) bool {
-	var re strings.Builder
-	re.WriteString("(?is)^")
-	for _, r := range pattern {
-		switch r {
-		case '%':
-			re.WriteString(".*")
-		case '_':
-			re.WriteString(".")
-		default:
-			re.WriteString(regexp.QuoteMeta(string(r)))
-		}
-	}
-	re.WriteString("$")
-	return regexp.MustCompile(re.String()).MatchString(s)
-}
-
-// TestQuickLikeMatchesReference checks the LIKE matcher against the
-// regexp oracle on random strings and patterns over an alphabet with
-// multi-byte runes and case pairs that fold across byte lengths (é/É, and
-// the Kelvin sign, which folds to k), subjects up to 40 runes. Then the
-// worst case of a backtracking matcher: many %s before a miss.
-func TestQuickLikeMatchesReference(t *testing.T) {
-	alphabet := []rune("ab%_céÉkK\u212A")
-	gen := func(rng *rand.Rand, n int) string {
-		var b strings.Builder
-		for i := 0; i < n; i++ {
-			b.WriteRune(alphabet[rng.Intn(len(alphabet))])
-		}
-		return b.String()
-	}
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 5000; i++ {
-		s := gen(rng, rng.Intn(41))
-		// Patterns must not contain % or _ as literals: draw from all.
-		p := gen(rng, rng.Intn(12))
-		got := likeMatch(s, p)
-		want := likeReference(s, p)
-		if got != want {
-			t.Fatalf("likeMatch(%q, %q) = %v, reference = %v", s, p, got, want)
-		}
-	}
-
-	s, p := strings.Repeat("a", 64), strings.Repeat("%a", 12)+"%b"
-	start := time.Now()
-	if likeMatch(s, p) {
-		t.Fatalf("likeMatch(%q, %q) = true", s, p)
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("likeMatch(%q, %q) took %v", s, p, d)
-	}
-}
 
 // TestQuickCompareValuesIsAntisymmetric checks compareValues(a,b) ==
 // -compareValues(b,a) and reflexivity for random numeric/string values.
@@ -407,73 +325,6 @@ func TestVarcharLengthAndColumnHelpers(t *testing.T) {
 	}
 	if _, err := db.Schema("nope"); err == nil {
 		t.Fatal("Schema on missing table")
-	}
-}
-
-func TestDerivedTables(t *testing.T) {
-	db := Open("dt")
-	db.MustExec("CREATE TABLE Orders (ItemID VARCHAR, Quantity INTEGER, Approved BOOLEAN)")
-	db.MustExec(`INSERT INTO Orders VALUES
-		('bolt', 10, TRUE), ('bolt', 5, TRUE), ('nut', 3, TRUE), ('nut', 7, FALSE)`)
-
-	// Derived table in FROM.
-	r := db.MustExec(`SELECT t.ItemID, t.Total
-		FROM (SELECT ItemID, SUM(Quantity) AS Total FROM Orders WHERE Approved = TRUE GROUP BY ItemID) t
-		WHERE t.Total > 5 ORDER BY t.ItemID`)
-	if len(r.Rows) != 1 || r.Rows[0][0].S != "bolt" || r.Rows[0][1].I != 15 {
-		t.Fatalf("derived table: %v", r.Rows)
-	}
-
-	// Derived table on the right side of a JOIN: every order row pairs
-	// with its item's total.
-	r = db.MustExec(`SELECT o.ItemID, o.Quantity, t.Total
-		FROM Orders o
-		JOIN (SELECT ItemID, SUM(Quantity) AS Total FROM Orders GROUP BY ItemID) t
-		ON o.ItemID = t.ItemID ORDER BY o.ItemID, o.Quantity`)
-	if len(r.Rows) != 4 {
-		t.Fatalf("join to derived table: %v", r.Rows)
-	}
-	for _, row := range r.Rows {
-		want := int64(15)
-		if row[0].S == "nut" {
-			want = 10
-		}
-		if row[2].I != want {
-			t.Fatalf("total for %s: %v", row[0].S, row[2])
-		}
-	}
-
-	// Aggregation over a derived table.
-	r = db.MustExec(`SELECT COUNT(*), SUM(Total)
-		FROM (SELECT ItemID, SUM(Quantity) AS Total FROM Orders GROUP BY ItemID) x`)
-	if r.Rows[0][0].I != 2 || r.Rows[0][1].I != 25 {
-		t.Fatalf("aggregate over derived: %v", r.Rows[0])
-	}
-
-	// Missing alias is a parse error.
-	if _, err := db.Exec("SELECT * FROM (SELECT 1)"); err == nil {
-		t.Fatal("derived table without alias must fail")
-	}
-	if _, err := db.Exec("SELECT * FROM Orders o JOIN (SELECT 1) ON 1 = 1"); err == nil {
-		t.Fatal("joined derived table without alias must fail")
-	}
-
-	// EXPLAIN renders the derived-table plan.
-	r = db.MustExec("EXPLAIN SELECT * FROM (SELECT ItemID FROM Orders) d WHERE ItemID = 'x'")
-	var plan strings.Builder
-	for _, row := range r.Rows {
-		plan.WriteString(row[0].S + "\n")
-	}
-	if !strings.Contains(plan.String(), "DERIVED TABLE d") {
-		t.Fatalf("derived plan: %s", plan.String())
-	}
-	r = db.MustExec("EXPLAIN SELECT * FROM Orders o JOIN (SELECT ItemID FROM Orders) d ON o.ItemID = d.ItemID")
-	plan.Reset()
-	for _, row := range r.Rows {
-		plan.WriteString(row[0].S + "\n")
-	}
-	if !strings.Contains(plan.String(), "derived table d") {
-		t.Fatalf("derived join plan: %s", plan.String())
 	}
 }
 

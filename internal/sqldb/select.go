@@ -29,12 +29,10 @@ const (
 
 // source is one FROM entry, in join order.
 type source struct {
-	name       string // table or view name, or the derived table's alias
+	name       string // table name
 	tbl        *Table
-	sub        *selectPlan // derived table or view body
-	viewEnv    *env        // a view runs in its own scope, not the statement's
-	off, width int         // its columns' span in the joined row
-	group      int         // first source of its comma-separated FROM entry: the scope its ON resolves in
+	off, width int // its columns' span in the joined row
+	group      int // first source of its comma-separated FROM entry: the scope its ON resolves in
 
 	filter []predFn // WHERE conjuncts pushed down to this source
 	idx    *Index   // the index their equalities probe (nil: heap scan) ...
@@ -45,13 +43,12 @@ type source struct {
 	// Run state. A streamed source (first base table, index join) walks
 	// row versions, checking visibility and filter as it goes; the others
 	// walk the rows that passed both when the source was materialized.
-	stream  bool
-	heap    []*Row
-	probe   []*Row // the source's copy of its index bucket, reused by every probe
-	vals    [][]Value
-	pos     int
-	matched bool
-	*join   // nil for a first source that is a base table
+	stream bool
+	heap   []*Row
+	probe  []*Row // the source's copy of its index bucket, reused by every probe
+	vals   [][]Value
+	pos    int
+	*join  // nil for the first source
 }
 
 // join is how a source after the first finds its matches, and the rows
@@ -114,8 +111,8 @@ func (t *groupTable) add(row []Value, na int) {
 	t.aggs = slices.Grow(t.aggs, na)[:len(t.aggs)+na] // zero past len: reset cleared what a run used
 }
 
-// numberKey is number for a key encoded in kb (GROUP BY, DISTINCT, UNION
-// and hash-join keys). The lookup converts kb without a copy: only a new
+// numberKey is number for a key encoded in kb (GROUP BY, DISTINCT and
+// hash-join keys). The lookup converts kb without a copy: only a new
 // key is copied.
 func numberKey(m *map[string]int, kb []byte, n int) int {
 	if g, ok := (*m)[string(kb)]; ok {
@@ -136,8 +133,8 @@ func number(m *map[string]int, k string, n int) int {
 	return g
 }
 
-// selectPlan is one SELECT (and, through union, the arms after it) ready
-// to run — again and again, for a correlated subquery.
+// selectPlan is one SELECT ready to run — or the row filter of an
+// UPDATE/DELETE, the rows of an INSERT, the arguments of a CALL.
 type selectPlan struct {
 	s    *Session
 	q    *SelectStmt
@@ -153,14 +150,13 @@ type selectPlan struct {
 	grouped  bool
 	groupBy  []getter
 	aggs     []aggSpec
-	having   predFn
 	order    []orderKey
-	union    *selectPlan
 	offset   evalFn // OFFSET and LIMIT, read in the enclosing scope (nil: none)
 	limit    evalFn
-	cells    [][]cell // INSERT … VALUES: each row's cells; CALL: its arguments
-	defaults []cell   // INSERT: the DEFAULTs of the columns the rows leave out
-	version  []Value  // INSERT, UPDATE: a new version's values, in table order
+	query    *selectPlan // INSERT … SELECT: the rows
+	cells    [][]cell    // INSERT … VALUES: each row's cells; CALL: its arguments
+	defaults []cell      // INSERT: the DEFAULTs of the columns the rows leave out
+	version  []Value     // INSERT, UPDATE: a new version's values, in table order
 
 	level  int // deepest open source; levelNew, levelDone
 	rows   [][]Value
@@ -176,7 +172,7 @@ type selectPlan struct {
 
 const levelNew, levelDone = -1, -2
 
-// execSelect runs a SELECT (or UNION chain) on the slot's plan, or on
+// execSelect runs a SELECT on the slot's plan, or on
 // one planned for this execution; outer supplies the parameters.
 func (s *Session) execSelect(q *SelectStmt, outer *env, slot *stmtSlot) (*Result, error) {
 	p, err := s.lend(slot, q, outer)
@@ -191,7 +187,7 @@ func (s *Session) execSelect(q *SelectStmt, outer *env, slot *stmtSlot) (*Result
 // planSelect plans q; with a tree, what an execution re-binds is recorded
 // in it.
 func (s *Session) planSelect(q *SelectStmt, outer *env, tree *planTree) (*selectPlan, error) {
-	p := &selectPlan{s: s, q: q, tree: tree, env: env{params: outer.params, session: s, outer: outer}}
+	p := &selectPlan{s: s, q: q, tree: tree, env: env{params: outer.params, session: s}}
 	if tree != nil {
 		tree.plans = append(tree.plans, p)
 	}
@@ -220,16 +216,6 @@ func (s *Session) planSelect(q *SelectStmt, outer *env, tree *planTree) (*select
 	if c.err != nil {
 		return nil, c.err
 	}
-	if q.Union != nil {
-		u, err := s.planSelect(q.Union, outer, tree)
-		if err != nil {
-			return nil, err
-		}
-		if len(u.colNames) != len(p.colNames) {
-			return nil, fmt.Errorf("sqldb: UNION arms have %d and %d columns", len(p.colNames), len(u.colNames))
-		}
-		p.union = u
-	}
 	// OFFSET and LIMIT are counts in the enclosing scope, read once per run.
 	c = newCompiler(outer, tree)
 	if q.Offset != nil {
@@ -241,46 +227,17 @@ func (s *Session) planSelect(q *SelectStmt, outer *env, tree *planTree) (*select
 	return p, c.err
 }
 
-// addSource appends one FROM entry: a base table, or a view or derived
-// table, whose body is planned here and run when the source is opened.
+// addSource appends one FROM entry, a base table. The first is streamed:
+// its row versions are read, checked and filtered as the pipeline pulls.
 func (p *selectPlan) addSource(from Source, kind JoinKind, on Expr, group int) error {
-	s, alias := p.s, from.Alias
-	src := source{name: alias, kind: kind, on: on, group: group}
-	var cols []colMeta
-	var err error
-	if from.Subquery != nil {
-		src.sub, err = s.planSelect(from.Subquery, p.env.outer, p.tree)
-	} else if src.tbl, err = s.db.table(from.Table); err == nil {
-		src.name = src.tbl.Name
-		cols = tableColMeta(src.tbl, alias)
-		p.tree.stamp(src.tbl)
-	} else if v, ok := s.db.views[strings.ToLower(from.Table)]; ok {
-		// Views see the database, not the referencing statement's rows.
-		src.name = v.Name
-		src.viewEnv = &env{session: s, params: p.env.params}
-		if p.tree != nil {
-			p.tree.views = append(p.tree.views, src.viewEnv)
-		}
-		if src.sub, err = s.planSelect(v.Query, src.viewEnv, p.tree); err != nil {
-			err = fmt.Errorf("sqldb: view %s: %w", v.Name, err)
-		}
-		if alias == "" {
-			alias = v.Name
-		}
-	}
+	tbl, err := p.s.db.table(from.Table)
 	if err != nil {
 		return err
 	}
-	if src.sub != nil {
-		qual := strings.ToLower(alias)
-		for _, n := range src.sub.colNames {
-			cols = append(cols, colMeta{table: qual, name: n})
-		}
-	}
-	// The first base table is streamed: its row versions are read,
-	// checked and filtered as the pipeline pulls.
-	src.off, src.width = len(p.env.cols), len(cols)
-	if src.stream = src.tbl != nil && len(p.srcs) == 0; !src.stream {
+	p.tree.stamp(tbl)
+	cols := tableColMeta(tbl, from.Alias)
+	src := source{name: tbl.Name, tbl: tbl, kind: kind, on: on, group: group, off: len(p.env.cols), width: len(cols)}
+	if src.stream = len(p.srcs) == 0; !src.stream {
 		src.join = new(join)
 	}
 	if len(p.srcs) == 0 {
@@ -305,9 +262,8 @@ func splitAnd(x Expr, out []Expr) []Expr {
 
 // planWhere compiles WHERE conjunct by conjunct. One that reads a single
 // source and cannot fail is pushed down to it — one that can (arithmetic,
-// a function, a subquery) must not meet rows the written order would
-// have kept from it, and a filter below a LEFT JOIN's inner side would
-// turn its misses into NULL rows. With one source everything is its filter.
+// a function) must not meet rows the written order would have kept from
+// it. With one source everything is its filter.
 func (p *selectPlan) planWhere(c *compiler, where Expr) {
 	var stack [8]Expr
 	var eqStack [4]equalities
@@ -320,7 +276,7 @@ func (p *selectPlan) planWhere(c *compiler, where Expr) {
 		fn := c.pred(cj)
 		k := 0
 		if len(p.srcs) != 1 {
-			if k = c.lo; c.lo != c.hi || c.unsafe || p.srcs[k].kind == JoinLeft {
+			if k = c.lo; c.lo != c.hi || c.unsafe {
 				p.where = append(p.where, fn)
 				continue
 			}
@@ -330,9 +286,8 @@ func (p *selectPlan) planWhere(c *compiler, where Expr) {
 		eqs[k].note(c, cj, src.off)
 	}
 	for k := range p.srcs {
-		if src := &p.srcs[k]; src.tbl != nil {
-			src.idx, src.key = eqs[k].probe(c, src.tbl)
-		}
+		src := &p.srcs[k]
+		src.idx, src.key = eqs[k].probe(c, src.tbl)
 	}
 }
 
@@ -411,7 +366,7 @@ func (p *selectPlan) planJoins(c *compiler) {
 				}
 			}
 		}
-		if src.fewer = src.tbl != nil && estimate < src.tbl.RowCount(); src.fewer && len(src.keys) > 0 {
+		if src.fewer = estimate < src.tbl.RowCount(); src.fewer && len(src.keys) > 0 {
 			src.jidx = chooseIndex(src.tbl, src.keyCols)
 		}
 		switch {
@@ -456,7 +411,7 @@ func (p *selectPlan) joinsHold() bool {
 		src := &p.srcs[k]
 		if src.strategy == joinLoop {
 			estimate *= max(src.rowEstimate(), 1)
-		} else if src.fewer != (src.tbl != nil && estimate < src.tbl.RowCount()) {
+		} else if src.fewer != (estimate < src.tbl.RowCount()) {
 			return false
 		}
 	}
@@ -464,13 +419,9 @@ func (p *selectPlan) joinsHold() bool {
 }
 
 // rowEstimate bounds how many rows a source yields before its filter:
-// the probed bucket's versions, a table's live rows, and for a derived
-// table — unknown until it runs — more than any table holds.
+// the probed bucket's versions, else the table's live rows.
 func (src *source) rowEstimate() int {
-	switch {
-	case src.tbl == nil:
-		return 1 << 30
-	case src.idx != nil:
+	if src.idx != nil {
 		return src.idx.count(src.key)
 	}
 	return src.tbl.RowCount()
@@ -496,7 +447,7 @@ func chooseIndex(tbl *Table, bound []int) *Index {
 	return best
 }
 
-// planOutput compiles the select list, GROUP BY, HAVING and ORDER BY.
+// planOutput compiles the select list, GROUP BY and ORDER BY.
 func (p *selectPlan) planOutput(c *compiler) error {
 	q := p.q
 	c.aggs = &p.aggs
@@ -530,17 +481,14 @@ func (p *selectPlan) planOutput(c *compiler) error {
 			return fmt.Errorf("sqldb: unknown table %s in %s.*", it.StarTable, it.StarTable)
 		}
 	}
-	if q.Having != nil {
-		p.having = c.pred(q.Having)
-	}
-	// An aggregate in the select list or HAVING makes the SELECT grouped
-	// (one group, without GROUP BY); only then are there slots to read.
-	if p.grouped = len(q.GroupBy) > 0 || q.Having != nil || c.sawAgg; !p.grouped {
+	// An aggregate in the select list makes the SELECT grouped (one group,
+	// without GROUP BY); only then are there slots to read.
+	if p.grouped = len(q.GroupBy) > 0 || c.sawAgg; !p.grouped {
 		c.aggs = nil
 	}
 	// ORDER BY <n> and a bare name matching an output column sort by that
 	// output column; anything else is evaluated over the input row (the
-	// group's, in a grouped SELECT). Over a UNION only the former exist.
+	// group's, in a grouped SELECT).
 	for _, oi := range q.OrderBy {
 		k := orderKey{col: -1, desc: oi.Desc}
 		if n, ok := ordinal(oi.Expr); ok {
@@ -550,9 +498,7 @@ func (p *selectPlan) planOutput(c *compiler) error {
 		} else if cr, ok := oi.Expr.(*ColumnRef); ok && cr.Table == "" {
 			k.col = slices.IndexFunc(p.colNames, func(n string) bool { return strings.EqualFold(n, cr.Column) })
 		}
-		if k.col < 0 && q.Union != nil {
-			return fmt.Errorf("sqldb: ORDER BY over a UNION must name an output column")
-		} else if k.col < 0 {
+		if k.col < 0 {
 			k.fn = c.compile(oi.Expr)
 		}
 		p.order = append(p.order, k)
@@ -601,9 +547,8 @@ func itemName(it SelectItem) string {
 
 // --- running the plan ---
 
-// run executes the plan with outer as the enclosing row environment.
-// ORDER BY, OFFSET and LIMIT written after a UNION chain belong to the
-// combined result; the chain is left-associative.
+// run executes the plan; outer is the statement's scope, which OFFSET and
+// LIMIT are read in.
 func (p *selectPlan) run(outer *env) (*Result, error) {
 	offset, err := count(p.offset, outer, "OFFSET", 0)
 	if err != nil {
@@ -614,34 +559,14 @@ func (p *selectPlan) run(outer *env) (*Result, error) {
 		return nil, err
 	}
 	stopAt := -1
-	if limit >= 0 && len(p.order) == 0 && p.union == nil {
+	if limit >= 0 && len(p.order) == 0 {
 		stopAt = offset + limit // nothing downstream needs the rows past it
 	}
-	rows, err := p.runArm(outer, stopAt)
+	rows, err := p.runRows(stopAt)
 	if err != nil {
 		return nil, err
 	}
 	keys := p.keys
-	if p.union != nil {
-		for arm := p; arm.union != nil; arm = arm.union {
-			more, err := arm.union.runArm(outer, -1)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, more...)
-			if !arm.q.UnionAll {
-				var seen map[string]int
-				rows = slices.DeleteFunc(rows, func(row []Value) bool { return p.duplicate(&seen, row) })
-			}
-		}
-		keys = p.keys[:0]
-		for _, row := range rows {
-			for _, k := range p.order {
-				keys = append(keys, row[k.col])
-			}
-		}
-		p.keys = keys
-	}
 	if nk := len(p.order); nk > 0 {
 		p.perm = p.perm[:0]
 		for i := range rows {
@@ -666,17 +591,14 @@ func (p *selectPlan) run(outer *env) (*Result, error) {
 	return &Result{Columns: p.colNames, Rows: p.fit(rows)}, nil
 }
 
-// fit returns rows as they are if their slice and every arm's backings
-// hold at most twice as many, else copied exact: a Result never holds
-// more than twice its rows, whatever the size hint, filter or cut.
+// fit returns rows as they are if their slice and backing hold at most
+// twice as many, else copied exact: a Result never holds more than twice
+// its rows, whatever the size hint, filter or cut.
 func (p *selectPlan) fit(rows [][]Value) [][]Value {
-	room, n := 0, len(rows)
-	for arm := p; arm != nil; arm = arm.union {
-		room += cap(arm.rows)
-	}
+	n := len(rows)
 	if n == 0 {
 		return nil
-	} else if 2*n >= max(room, cap(rows)) {
+	} else if 2*n >= cap(rows) {
 		return rows
 	}
 	w := len(rows[0])
@@ -717,12 +639,12 @@ func count(fn evalFn, outer *env, what string, def int) (int, error) {
 	return int(n), nil
 }
 
-// runArm runs this SELECT alone, up to and including DISTINCT, leaving
-// the ORDER BY keys of its rows in p.keys. stopAt >= 0 ends it once that
-// many rows are out.
-func (p *selectPlan) runArm(outer *env, stopAt int) ([][]Value, error) {
+// runRows runs the SELECT up to and including DISTINCT, leaving the ORDER
+// BY keys of its rows in p.keys. stopAt >= 0 ends it once that many rows
+// are out.
+func (p *selectPlan) runRows(stopAt int) ([][]Value, error) {
 	e := &p.env
-	e.outer, e.row, e.aggs = outer, p.buf, nil
+	e.row, e.aggs = p.buf, nil
 	p.level, p.rows, p.out, p.keys, p.seen = levelNew, nil, nil, p.keys[:0], nil
 	t, na := &p.groups, len(p.aggs)
 	t.reset()
@@ -772,13 +694,6 @@ func (p *selectPlan) runArm(outer *env, stopAt int) ([][]Value, error) {
 		e.row, e.aggs = nil, t.aggs[g*na:(g+1)*na]
 		if len(t.first) > 0 { // else no GROUP BY and no rows
 			e.row = t.first[g*w : (g+1)*w : (g+1)*w]
-		}
-		if p.having != nil {
-			if ok, err := p.having(e); err != nil {
-				return nil, err
-			} else if !ok {
-				continue
-			}
 		}
 		if err := p.emit(); err != nil {
 			return nil, err
@@ -849,7 +764,7 @@ func (p *selectPlan) next() (bool, error) {
 // sources before it currently hold.
 func (p *selectPlan) open(k int) error {
 	src := &p.srcs[k]
-	src.pos, src.matched, src.heap, src.vals = 0, false, nil, nil
+	src.pos, src.heap, src.vals = 0, nil, nil
 	if src.join == nil {
 		src.heap = p.candidates(src)
 		return nil
@@ -911,35 +826,13 @@ func (p *selectPlan) place(src *source, vals []Value) {
 // key dictionary are the plan's: every run truncates and refills them.
 func (p *selectPlan) materialize(src *source) error {
 	src.built = true
-	var rows [][]Value
-	var heap []*Row
-	if src.sub != nil {
-		outer := p.env.outer
-		if src.viewEnv != nil {
-			outer = src.viewEnv
-		}
-		res, err := src.sub.run(outer)
-		if err != nil && src.viewEnv != nil {
-			err = fmt.Errorf("sqldb: view %s: %w", src.name, err)
-		}
-		if err != nil {
-			return err
-		}
-		rows = res.Rows
-	} else {
-		heap = p.candidates(src)
-	}
 	src.all = src.all[:0]
-	for i := range max(len(rows), len(heap)) {
-		var vals []Value
-		if rows != nil {
-			vals = rows[i]
-		} else if r := heap[i]; p.s.rowVisible(r) {
-			p.nread++
-			vals = r.Values
-		} else {
+	for _, r := range p.candidates(src) {
+		if !p.s.rowVisible(r) {
 			continue
 		}
+		p.nread++
+		vals := r.Values
 		if len(src.filter) > 0 {
 			p.place(src, vals)
 			if ok, err := allTrue(src.filter, &p.env); err != nil {
@@ -977,7 +870,7 @@ rows:
 
 // advance moves source k to its next candidate that is visible and
 // passes its filter and join condition, and makes it part of the current
-// row. A LEFT JOIN's inner side that had none yields NULLs once.
+// row.
 func (p *selectPlan) advance(k int) (bool, error) {
 	src, e := &p.srcs[k], &p.env
 	for src.pos < max(len(src.heap), len(src.vals)) {
@@ -1007,12 +900,6 @@ func (p *selectPlan) advance(k int) (bool, error) {
 				continue
 			}
 		}
-		src.matched = true
-		return true, nil
-	}
-	if src.kind == JoinLeft && !src.matched {
-		src.matched = true
-		clear(p.buf[src.off : src.off+src.width])
 		return true, nil
 	}
 	return false, nil
@@ -1084,9 +971,6 @@ func (p *selectPlan) emit() error {
 		}
 	}
 	for _, k := range p.order {
-		if p.union != nil {
-			break // a UNION's keys are read off the combined rows
-		}
 		v := Value{}
 		if k.fn == nil {
 			v = out[k.col]
@@ -1100,7 +984,7 @@ func (p *selectPlan) emit() error {
 }
 
 // duplicate reports, and remembers, whether seen holds an equal row
-// (DISTINCT, UNION).
+// (DISTINCT).
 func (p *selectPlan) duplicate(seen *map[string]int, row []Value) bool {
 	kb := p.kb[:0]
 	for _, v := range row {
@@ -1112,7 +996,7 @@ func (p *selectPlan) duplicate(seen *map[string]int, row []Value) bool {
 }
 
 // appendValueKey appends one value's self-delimiting key segment for
-// GROUP BY, DISTINCT and UNION, which — unlike an index probe — keep 1
+// GROUP BY and DISTINCT, which — unlike an index probe — keep 1
 // and 1.0 apart: the kind, then the index key encoding.
 func appendValueKey(b []byte, v Value) []byte {
 	return appendKey(append(b, '0'+byte(v.K)), v)

@@ -254,14 +254,11 @@ func readOnlyStmt(st Stmt) bool {
 }
 
 // isDDL reports whether a statement changes schema objects (tables,
-// indexes, views, sequences, procedures).
+// indexes, sequences, procedures).
 func isDDL(st Stmt) bool {
 	switch st.(type) {
-	case *CreateTableStmt, *DropTableStmt, *AlterTableStmt,
-		*CreateIndexStmt, *DropIndexStmt,
-		*CreateViewStmt, *DropViewStmt,
-		*CreateSequenceStmt, *DropSequenceStmt,
-		*CreateProcedureStmt, *DropProcedureStmt:
+	case *CreateTableStmt, *DropTableStmt, *CreateIndexStmt,
+		*CreateSequenceStmt, *CreateProcedureStmt, *DropProcedureStmt:
 		return true
 	}
 	return false
@@ -671,8 +668,6 @@ func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value) (res *Result
 		delete(s.db.tables, lc)
 		tbl.schemaVer++
 		return &Result{}, nil
-	case *TruncateStmt:
-		return s.execTruncate(t)
 	case *CreateIndexStmt:
 		tbl, err := s.db.table(t.Table)
 		if err != nil {
@@ -690,29 +685,12 @@ func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value) (res *Result
 		s.db.indexOwner[lc] = tbl
 		tbl.schemaVer++
 		return &Result{}, nil
-	case *DropIndexStmt:
-		lc := strings.ToLower(t.Name)
-		tbl, ok := s.db.indexOwner[lc]
-		if !ok {
-			return absent(t.IfExists, "index", t.Name)
-		}
-		delete(tbl.indexes, lc)
-		delete(s.db.indexOwner, lc)
-		tbl.schemaVer++
-		return &Result{}, nil
 	case *CreateSequenceStmt:
 		lc := strings.ToLower(t.Name)
 		if _, exists := s.db.sequences[lc]; exists {
 			return nil, fmt.Errorf("sqldb: sequence %s already exists", t.Name)
 		}
 		s.db.sequences[lc] = &Sequence{Name: t.Name, next: t.Start, increment: t.Increment}
-		return &Result{}, nil
-	case *DropSequenceStmt:
-		lc := strings.ToLower(t.Name)
-		if _, ok := s.db.sequences[lc]; !ok {
-			return absent(t.IfExists, "sequence", t.Name)
-		}
-		delete(s.db.sequences, lc)
 		return &Result{}, nil
 	case *CreateProcedureStmt:
 		body, shape, err := parseScript(t.Body)
@@ -742,12 +720,6 @@ func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value) (res *Result
 		return s.execCall(t, slot, scope)
 	case *ExplainStmt:
 		return s.execExplain(t, slot, scope)
-	case *AlterTableStmt:
-		return s.execAlterTable(t, scope)
-	case *CreateViewStmt:
-		return s.execCreateView(t)
-	case *DropViewStmt:
-		return s.execDropView(t)
 	}
 	return nil, fmt.Errorf("sqldb: unsupported statement %T", st)
 }
@@ -810,7 +782,7 @@ func (s *Session) execInsert(t *InsertStmt, slot *stmtSlot, base *env) (*Result,
 	defer slot.put(p)
 	tbl, n := p.srcs[0].tbl, len(p.cells)
 	var src [][]Value
-	if q := p.srcs[0].sub; q != nil {
+	if q := p.query; q != nil {
 		res, err := q.run(base)
 		if err != nil {
 			return nil, err
@@ -860,7 +832,7 @@ func (p *selectPlan) newVersion(tbl *Table) []Value {
 // not compile raises its error when an execution reaches it, as
 // evaluation in written order would, and the plan is not kept.
 func (s *Session) planCells(st Stmt, outer *env, tree *planTree) (*selectPlan, error) {
-	p := &selectPlan{s: s, tree: tree, env: env{params: outer.params, session: s, outer: outer.outer}}
+	p := &selectPlan{s: s, tree: tree, env: env{params: outer.params, session: s}}
 	c := newCompiler(&p.env, tree)
 	switch t := st.(type) {
 	case *CallStmt:
@@ -891,7 +863,7 @@ func (s *Session) planCells(st Stmt, outer *env, tree *planTree) (*selectPlan, e
 			}
 		}
 		if t.Query != nil {
-			if p.srcs[0].sub, err = s.planSelect(t.Query, outer, tree); err != nil {
+			if p.query, err = s.planSelect(t.Query, outer, tree); err != nil {
 				return nil, err
 			}
 		}
@@ -989,27 +961,6 @@ func (s *Session) execDelete(t *DeleteStmt, slot *stmtSlot, base *env) (*Result,
 	return &Result{RowsAffected: len(matched)}, nil
 }
 
-func (s *Session) execTruncate(t *TruncateStmt) (*Result, error) {
-	tbl, err := s.db.table(t.Table)
-	if err != nil {
-		return nil, err
-	}
-	tid := s.txn.id
-	n := 0
-	for _, r := range tbl.snapshotRows() {
-		if !s.rowVisible(r) {
-			continue
-		}
-		if err := tbl.claimRow(r, tid); err != nil {
-			return nil, err
-		}
-		s.txn.ws = append(s.txn.ws, wsEntry{t: tbl, r: r, kind: wsClaim})
-		n++
-	}
-	s.db.rowsWritten.Add(int64(n))
-	return &Result{RowsAffected: n}, nil
-}
-
 // planRows plans UPDATE/DELETE's read of one table as a one-source
 // plan: the SELECT pipeline's conjunct split, compiled predicates and
 // index choice, with UPDATE's SET values compiled over the table's row as
@@ -1019,7 +970,7 @@ func (s *Session) planRows(table string, where Expr, sets []SetClause, outer *en
 	if err != nil {
 		return nil, err
 	}
-	p := &selectPlan{s: s, tree: tree, env: env{cols: tableColMeta(tbl, ""), params: outer.params, session: s, outer: outer.outer}}
+	p := &selectPlan{s: s, tree: tree, env: env{cols: tableColMeta(tbl, ""), params: outer.params, session: s}}
 	if tree != nil {
 		tree.plans = append(tree.plans, p)
 		tree.stamp(tbl)

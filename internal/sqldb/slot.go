@@ -19,10 +19,9 @@ type stmtSlot struct {
 // slotted plan again (DESIGN.md §14).
 type planTree struct {
 	db      *DB
-	gen     int64         // db.footGen at planning: views and procedures
+	gen     int64         // db.footGen at planning: procedures
 	tables  []tableStamp  // every table resolved, at its schema version
-	plans   []*selectPlan // the root, its derived tables, views, UNION arms and subqueries
-	views   []*env        // view scopes
+	plans   []*selectPlan // the root and, for INSERT … SELECT, its query
 	binds   []bind        // parameters the plan folded or relied on
 	discard bool          // not kept: planned with a parameter missing, or a cell that failed to compile
 }
@@ -97,15 +96,12 @@ func (slot *stmtSlot) put(p *selectPlan) {
 			*b.dst = Value{}
 		}
 	}
-	for _, v := range p.tree.views {
-		v.session, v.params = nil, nil
-	}
 	slot.plan.Store(p)
 }
 
 // rebind points the tree at this execution's session and parameters and
 // reports whether it is still the plan a fresh planning would build: same
-// database, no table, view or procedure it read changed, every parameter
+// database, no table or procedure it read changed, every parameter
 // it read bound, and each join's choice still what the row counts say.
 func (t *planTree) rebind(s *Session, outer *env) bool {
 	if t.db != s.db || t.gen != s.db.footGen.Load() {
@@ -124,9 +120,6 @@ func (t *planTree) rebind(s *Session, outer *env) bool {
 		if b.dst != nil {
 			*b.dst = v
 		}
-	}
-	for _, v := range t.views {
-		v.session, v.params = s, outer.params
 	}
 	for _, p := range t.plans {
 		p.s, p.env.session, p.env.params = s, s, outer.params
@@ -149,7 +142,7 @@ func (t *planTree) stamp(tbl *Table) {
 // join's buckets count as one, and its key dictionary goes with them).
 func (p *selectPlan) idle() {
 	p.s, p.env.session, p.env.params = nil, nil, nil
-	p.env.row, p.env.outer, p.env.aggs = nil, nil, nil
+	p.env.row, p.env.aggs = nil, nil
 	p.rows, p.out, p.seen = nil, nil, nil
 	if p.groups.n > idleCap {
 		p.groups = groupTable{}

@@ -67,8 +67,8 @@ func planLabel(tbl *Table, idx *Index) string {
 }
 
 // notePlan records the primary access path chosen while executing the
-// current statement. First write wins: subqueries must not overwrite the
-// outer statement's access path.
+// current statement. First write wins: a join's later sources must not
+// overwrite its first source's access path.
 func (s *Session) notePlan(tbl *Table, idx *Index) {
 	if s.planTable != "" {
 		return

@@ -18,9 +18,8 @@ type Column struct {
 
 // Row is one stored version of a tuple. Row identity (the pointer) is
 // stable for the life of the version, which indexes and transaction
-// write sets rely on. Values is immutable after insert except under the
-// exclusive engine lock (ALTER TABLE); concurrent statements never
-// mutate it — an UPDATE claims the old version and inserts a new one.
+// write sets rely on. Values is immutable after insert: an UPDATE claims
+// the old version and inserts a new one.
 // xmin/xmax carry the MVCC stamps documented in mvcc.go.
 type Row struct {
 	Values []Value
@@ -49,7 +48,7 @@ type Table struct {
 	pkIndex *Index            // non-nil if the table has a primary key
 
 	// schemaVer counts the changes a slotted plan that resolved the table
-	// must not outlive: CREATE/DROP INDEX, ALTER TABLE, DROP TABLE. Under
+	// must not outlive: CREATE INDEX, DROP TABLE. Under
 	// the exclusive engine lock, like the fields it versions.
 	schemaVer int64
 

@@ -6,9 +6,10 @@
 //
 // The engine is in-memory and transactional. It supports a SQL subset that
 // covers everything the surveyed products' SQL-inline mechanisms need:
-// SELECT with joins, grouping, aggregation, ordering, subqueries; INSERT,
-// UPDATE, DELETE; CREATE/DROP TABLE, INDEX, SEQUENCE, PROCEDURE; CALL;
-// and explicit transactions.
+// SELECT with joins, grouping, aggregation and ordering; INSERT, UPDATE,
+// DELETE; CREATE TABLE [AS], CREATE INDEX, SEQUENCE and PROCEDURE, DROP
+// TABLE and PROCEDURE; CALL; EXPLAIN; and explicit transactions.
+// dialect_test.go lists every form with the code that issues it.
 package sqldb
 
 import (

@@ -4,11 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"wfsql/internal/bis"
+	"wfsql/internal/dataset"
 	"wfsql/internal/engine"
 	"wfsql/internal/host"
 	"wfsql/internal/mswf"
@@ -22,18 +30,24 @@ import (
 // statement on its own session per database, and that session carries
 // the instance's budget.
 
-// twoStatementRun deploys, on stack s, a process whose one activity runs
-// two statements: BIS fills a result set reference (DROP, then CREATE …
-// AS SELECT), WF runs a code activity with two INSERTs on the instance
-// session, Oracle calls an XSQL page of two INSERTs.
-func twoStatementRun(t *testing.T, env *Environment, s Stack) func(ctx context.Context) error {
+// statementRuns are the runs the statement-boundary tests drive: one per
+// stack, and WF's Synchronization pattern — a code activity whose dataset
+// adapter Fills and Updates.
+var statementRuns = []string{StackBIS.Name, StackWF.Name, StackOracle.Name, "WF adapter"}
+
+// twoStatementRun deploys, for run name, a process whose one activity
+// runs two statements: BIS fills a result set reference (DROP, then
+// CREATE … AS SELECT), WF runs a code activity with two INSERTs on the
+// instance session, Oracle calls an XSQL page of two INSERTs, and WF's
+// adapter Fills, then Updates a row it changed.
+func twoStatementRun(t *testing.T, env *Environment, name string) func(ctx context.Context) error {
 	t.Helper()
 	env.DB.MustExec("CREATE TABLE BudgetProbe (n INTEGER)")
 	insert := func(sess *sqldb.Session, n int64) error {
 		_, err := sess.Exec("INSERT INTO BudgetProbe VALUES (?)", sqldb.Int(n))
 		return err
 	}
-	switch s.Name {
+	switch name {
 	case "BIS":
 		d, err := env.Engine.Deploy(bis.NewProcess("TwoStatements").
 			DataSourceVariable("DS", DataSourceName).
@@ -52,6 +66,27 @@ func twoStatementRun(t *testing.T, env *Environment, s Stack) func(ctx context.C
 				}
 			}
 			return nil
+		})
+		return func(ctx context.Context) error { _, err := env.Runtime.RunCtx(ctx, root, nil); return err }
+	case "WF adapter":
+		root := mswf.NewCode("FillAndUpdate", func(c *mswf.Context) error {
+			a, err := mswf.NewDataAdapter(c, ConnString, "SELECT OrderID, Quantity FROM Orders", "Orders", "OrderID")
+			if err != nil {
+				return err
+			}
+			ds := dataset.New()
+			if _, err := a.Fill(ds, "Orders"); err != nil {
+				return err
+			}
+			row, err := ds.Table("Orders").Row(0)
+			if err != nil {
+				return err
+			}
+			if err := row.Set("Quantity", sqldb.Int(99)); err != nil {
+				return err
+			}
+			_, err = a.Update(ds, "Orders")
+			return err
 		})
 		return func(ctx context.Context) error { _, err := env.Runtime.RunCtx(ctx, root, nil); return err }
 	default:
@@ -77,10 +112,10 @@ func twoStatementRun(t *testing.T, env *Environment, s Stack) func(ctx context.C
 // statement, inside the activity, on every stack: the run fails with
 // host.ErrBudgetExceeded and the database refused exactly one statement.
 func TestBudgetStopsTheNextStatement(t *testing.T) {
-	for _, s := range Stacks() {
-		t.Run(s.Name, func(t *testing.T) {
+	for _, name := range statementRuns {
+		t.Run(name, func(t *testing.T) {
 			env := NewEnvironment(Workload{Orders: 12, Items: 3, ApprovalPercent: 100, Seed: 5})
-			run := twoStatementRun(t, env, s)
+			run := twoStatementRun(t, env, name)
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var once sync.Once
@@ -98,15 +133,16 @@ func TestBudgetStopsTheNextStatement(t *testing.T) {
 	}
 }
 
-// sessionProbeRun deploys, on stack s, a process that issues eight INSERTs
-// into SessionProbe, each carrying the instance's label: BIS and WF as
-// eight SQL activities, Oracle as four ora:processXSQL calls of a
-// two-statement page. A pause follows each activity, so the instances on
-// the pool's workers overlap.
-func sessionProbeRun(t *testing.T, env *Environment, s Stack) func(ctx context.Context, label string) error {
+// sessionProbeRun deploys, for run name, a process that issues eight
+// INSERTs into SessionProbe, each carrying the instance's label: BIS and
+// WF as eight SQL activities, Oracle as four ora:processXSQL calls of a
+// two-statement page, WF's adapter as two Updates of four added rows
+// each. A pause follows each activity, so the instances on the pool's
+// workers overlap.
+func sessionProbeRun(t *testing.T, env *Environment, name string) func(ctx context.Context, label string) error {
 	t.Helper()
 	env.DB.MustExec("CREATE TABLE SessionProbe (inst VARCHAR, n INTEGER)")
-	switch s.Name {
+	switch name {
 	case "BIS":
 		var acts []engine.Activity
 		for n := 1; n <= 8; n++ {
@@ -131,6 +167,33 @@ func sessionProbeRun(t *testing.T, env *Environment, s Stack) func(ctx context.C
 			acts = append(acts, mswf.NewSQLDatabase(fmt.Sprintf("SQL%d", n), ConnString,
 				fmt.Sprintf("INSERT INTO SessionProbe VALUES (@inst, %d)", n)).Param("@inst", "inst"),
 				mswf.NewCode(fmt.Sprintf("pause%d", n), func(*mswf.Context) error { time.Sleep(probePause); return nil }))
+		}
+		root := mswf.NewSequence("main", acts...)
+		return func(ctx context.Context, label string) error {
+			_, err := env.Runtime.RunCtx(ctx, root, map[string]any{"inst": label})
+			return err
+		}
+	case "WF adapter":
+		var acts []mswf.Activity
+		for half := 0; half < 2; half++ {
+			acts = append(acts, mswf.NewCode(fmt.Sprintf("sync%d", half), func(c *mswf.Context) error {
+				a, err := mswf.NewDataAdapter(c, ConnString, "SELECT inst, n FROM SessionProbe WHERE inst = ?", "SessionProbe", "inst", "n")
+				if err != nil {
+					return err
+				}
+				label := sqldb.Str(c.GetString("inst"))
+				ds := dataset.New()
+				if _, err := a.Fill(ds, "Probe", label); err != nil {
+					return err
+				}
+				for n := 1; n <= 4; n++ {
+					if _, err := ds.Table("Probe").AddRow(label, sqldb.Int(int64(4*half+n))); err != nil {
+						return err
+					}
+				}
+				_, err = a.Update(ds, "Probe")
+				return err
+			}), mswf.NewCode(fmt.Sprintf("pause%d", half), func(*mswf.Context) error { time.Sleep(probePause); return nil }))
 		}
 		root := mswf.NewSequence("main", acts...)
 		return func(ctx context.Context, label string) error {
@@ -178,10 +241,10 @@ func bpelPause(n int) engine.Activity {
 // never interleave two instances, so no session was held by two live
 // instances at once (a session may serve several instances in turn).
 func TestStatementsRunOnTheInstanceSession(t *testing.T) {
-	for _, s := range Stacks() {
-		t.Run(s.Name, func(t *testing.T) {
+	for _, name := range statementRuns {
+		t.Run(name, func(t *testing.T) {
 			env := NewEnvironment(Workload{Orders: 12, Items: 3, ApprovalPercent: 100, Seed: 5})
-			run := sessionProbeRun(t, env, s)
+			run := sessionProbeRun(t, env, name)
 			type stmt struct {
 				session int64
 				inst    string
@@ -208,7 +271,7 @@ func TestStatementsRunOnTheInstanceSession(t *testing.T) {
 			pool := sched.NewPool(sched.PoolConfig{Workers: 4, QueueBound: instances})
 			for i := 0; i < instances; i++ {
 				label := fmt.Sprintf("inst%d", i)
-				job := sched.CtxJob{Stack: s.Name, Name: label,
+				job := sched.CtxJob{Stack: name, Name: label,
 					Run: func(ctx context.Context) error { return run(ctx, label) }}
 				if err := pool.Submit(context.Background(), job); err != nil {
 					t.Fatal(err)
@@ -238,5 +301,78 @@ func TestStatementsRunOnTheInstanceSession(t *testing.T) {
 				last[st.session] = st.inst
 			}
 		})
+	}
+}
+
+// bypassSites are the calls of (*sqldb.DB).Session, Exec, MustExec or
+// ExecScript the product layers may make outside host.Instance.SQL —
+// statements that are not an instance's — as file:function:method.
+var bypassSites = map[string]string{
+	"internal/bis/builder.go:runLifecycleStatement:Session": "BIS preparation and cleanup statements manage entities outside the process transaction, one fresh session each",
+	"internal/dataset/adapter.go:run:Session":               "an adapter built without a runner (outside a workflow instance) runs each unit on a fresh session",
+}
+
+// TestOnlyDeploySitesBypassTheInstanceSession type-checks the non-test
+// files of the packages that run instance statements and fails on any
+// call of (*sqldb.DB).Session, Exec, MustExec or ExecScript that is not a
+// site of bypassSites: every other statement runs on the instance's
+// session, through host.Instance.SQL.
+func TestOnlyDeploySitesBypassTheInstanceSession(t *testing.T) {
+	fset := token.NewFileSet()
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	seen := map[string]bool{}
+	for _, pkg := range []string{"bis", "mswf", "orasoa", "engine", "host", "dataset"} {
+		dir := filepath.Join("internal", pkg)
+		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var files []*ast.File
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{Selections: map[*ast.SelectorExpr]*types.Selection{}}
+		if _, err := conf.Check("wfsql/"+dir, fset, files, info); err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				ast.Inspect(fn, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok || info.Selections[sel] == nil {
+						return true
+					}
+					recv, ok := info.Selections[sel].Recv().(*types.Pointer)
+					if !ok || recv.Elem().String() != "wfsql/internal/sqldb.DB" {
+						return true
+					}
+					switch sel.Sel.Name {
+					case "Session", "Exec", "MustExec", "ExecScript":
+						site := fmt.Sprintf("%s:%s:%s", filepath.ToSlash(fset.File(fn.Pos()).Name()), fn.Name.Name, sel.Sel.Name)
+						if _, ok := bypassSites[site]; !ok {
+							t.Errorf("%s: %s calls (*sqldb.DB).%s outside host.Instance.SQL", fset.Position(sel.Pos()), fn.Name.Name, sel.Sel.Name)
+						}
+						seen[site] = true
+					}
+					return true
+				})
+			}
+		}
+	}
+	for site := range bypassSites {
+		if !seen[site] {
+			t.Errorf("allowed site %s is gone: take it off the list", site)
+		}
 	}
 }

@@ -142,6 +142,10 @@ type Instance struct {
 	smu      sync.Mutex
 	sessions []*sqldb.Session
 	sessBuf  [1]*sqldb.Session
+
+	// opmu is held while an op of SQL runs, so one op at a time runs on
+	// the instance's sessions.
+	opmu sync.Mutex
 }
 
 // Open gives r the recorder attached now and an id: id itself when it is
@@ -293,7 +297,8 @@ func (r *Instance) Effect(span *obsv.Span, activity, effectKind string, effect f
 // statement; End hands it back, rolling back a transaction still open
 // (the database's view of a process that died mid-transaction). Every
 // statement of the instance on db runs on that session, parallel branches
-// included: the session runs one statement at a time.
+// included, and one op at a time: a branch's op never runs inside
+// another branch's transaction (a dataset adapter's Update).
 //
 // With a policy, a failed op re-runs under it on the same session, noting
 // attempts and backoff on the current activity span; each re-run counts in
@@ -303,19 +308,26 @@ func (r *Instance) SQL(db *sqldb.DB, p *resilience.Policy, op func(*sqldb.Sessio
 	s := r.session(db)
 	var err error
 	if p == nil {
-		err = op(s)
+		err = r.exclusive(s, op)
 	} else {
 		err = p.DoInline(resilience.Notes(r.Current()), func(n int) error {
 			if n > 1 {
 				r.ctr.sqlRetries.Inc()
 			}
-			return op(s)
+			return r.exclusive(s, op)
 		})
 	}
 	if errors.Is(err, sqldb.ErrBudgetExhausted) {
 		return fmt.Errorf("%w: %w", ErrBudgetExceeded, err)
 	}
 	return err
+}
+
+// exclusive runs op on s under opmu: a retry's backoff holds nothing.
+func (r *Instance) exclusive(s *sqldb.Session, op func(*sqldb.Session) error) error {
+	r.opmu.Lock()
+	defer r.opmu.Unlock()
+	return op(s)
 }
 
 // session returns the instance's session on db, leasing it on first use.

@@ -150,10 +150,13 @@ func persistDataSet(ds *dataset.DataSet) string {
 }
 
 // writeDataSet streams a DataSet's dataSet element into w, sized once
-// for all its tables.
+// for all its tables' tracked rows, Deleted ones included.
 func writeDataSet(w *xdm.Writer, ds *dataset.DataSet) {
 	n := 32
-	ds.EachTable(func(t *dataset.DataTable) { n += 64 + t.Count()*(32+40*len(t.Columns)) })
+	ds.EachTable(func(t *dataset.DataTable) {
+		n += 64
+		t.EachRow(func(_ dataset.RowState, vals []sqldb.Value) { n += 32 + 40*len(vals) })
+	})
 	w.Grow(n)
 	w.Start("dataSet")
 	ds.EachTable(func(t *dataset.DataTable) {

@@ -363,16 +363,32 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 		return SelectItem{}, err
 	}
 	item := SelectItem{Expr: e}
-	if p.acceptKw("AS") {
-		a, err := p.ident()
-		if err != nil {
-			return SelectItem{}, err
-		}
-		item.Alias = a
-	} else if p.peek().kind == tokIdent {
-		item.Alias = p.next().text
+	if item.Alias, err = p.alias(); err != nil {
+		return SelectItem{}, err
 	}
 	return item, nil
+}
+
+// notAliases are the words that begin a join or set operation the dialect
+// refuses, and HAVING. None is an alias: taken as one, `FROM a LEFT JOIN
+// b ON …` would run as an inner join of a aliased LEFT.
+var notAliases = map[string]bool{
+	"LEFT": true, "RIGHT": true, "FULL": true, "INNER": true, "OUTER": true,
+	"NATURAL": true, "UNION": true, "INTERSECT": true, "EXCEPT": true,
+	"ALL": true, "HAVING": true,
+}
+
+// alias parses an optional alias, with or without AS.
+func (p *parser) alias() (string, error) {
+	as := p.acceptKw("AS")
+	t := p.peek()
+	if t.kind == tokIdent && notAliases[strings.ToUpper(t.text)] {
+		return "", p.errorf("%s is not in the dialect", strings.ToUpper(t.text))
+	}
+	if !as && t.kind != tokIdent {
+		return "", nil
+	}
+	return p.ident()
 }
 
 // parseExprList parses one or more comma-separated expressions.
@@ -397,12 +413,8 @@ func (p *parser) parseSource() (Source, error) {
 	if src.Table, err = p.ident(); err != nil {
 		return Source{}, err
 	}
-	if p.acceptKw("AS") {
-		if src.Alias, err = p.ident(); err != nil {
-			return Source{}, err
-		}
-	} else if p.peek().kind == tokIdent {
-		src.Alias = p.next().text
+	if src.Alias, err = p.alias(); err != nil {
+		return Source{}, err
 	}
 	return src, nil
 }

@@ -10,8 +10,10 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -301,6 +303,68 @@ func TestStatementsRunOnTheInstanceSession(t *testing.T) {
 				last[st.session] = st.inst
 			}
 		})
+	}
+}
+
+// TestAdapterUpdateExcludesParallelBranches runs WF's Synchronization
+// pattern beside an INSERT in a ParallelActivity: both branches share the
+// instance's session. The INSERT branch waits until the adapter's Update
+// has begun its transaction; the Update then writes 2 000 rows and fails on
+// a duplicate key at the last, and rolls back. The INSERT runs after the
+// rollback, not inside the adapter's transaction, so its row stays.
+func TestAdapterUpdateExcludesParallelBranches(t *testing.T) {
+	env := NewEnvironment(Workload{Orders: 12, Items: 3, ApprovalPercent: 100, Seed: 5})
+	const added = 2000
+	env.DB.MustExec("CREATE TABLE SyncProbe (k INTEGER PRIMARY KEY)")
+	env.DB.MustExec("INSERT INTO SyncProbe VALUES (?)", sqldb.Int(added)) // the key the last added row repeats
+	env.DB.MustExec("CREATE TABLE Beside (n INTEGER)")
+	var began, synced atomic.Bool
+	env.DB.SetStatsSink(func(st sqldb.StmtStats) {
+		if st.Kind == "BEGIN" {
+			began.Store(true)
+		}
+	})
+	defer env.DB.SetStatsSink(nil)
+
+	update := mswf.NewCode("Update", func(c *mswf.Context) error {
+		defer synced.Store(true)
+		a, err := mswf.NewDataAdapter(c, ConnString, "SELECT k FROM SyncProbe WHERE k < 0", "SyncProbe", "k")
+		if err != nil {
+			return err
+		}
+		ds := dataset.New()
+		if _, err := a.Fill(ds, "Probe"); err != nil {
+			return err
+		}
+		for k := 0; k <= added; k++ {
+			if _, err := ds.Table("Probe").AddRow(sqldb.Int(int64(k))); err != nil {
+				return err
+			}
+		}
+		_, err = a.Update(ds, "Probe")
+		return err
+	})
+	awaitBegin := mswf.NewCode("AwaitBegin", func(*mswf.Context) error {
+		for !began.Load() && !synced.Load() {
+			runtime.Gosched()
+		}
+		return nil
+	})
+	root := &mswf.ParallelActivity{ActivityName: "par", Children: []mswf.Activity{
+		update,
+		mswf.NewSequence("beside", awaitBegin, mswf.NewSQLDatabase("Insert", ConnString, "INSERT INTO Beside VALUES (1)")),
+	}}
+	_, err := env.Runtime.RunCtx(context.Background(), root, nil)
+	if err == nil || !strings.Contains(err.Error(), "unique constraint") {
+		t.Fatalf("run = %v, want the Update's duplicate key", err)
+	}
+	if !began.Load() {
+		t.Fatal("the Update began no transaction")
+	}
+	for table, want := range map[string]int64{"SyncProbe": 1, "Beside": 1} {
+		if n := env.DB.MustExec("SELECT COUNT(*) FROM " + table).Rows[0][0].I; n != want {
+			t.Errorf("%s holds %d rows, want %d", table, n, want)
+		}
 	}
 }
 

@@ -57,8 +57,9 @@ bench-test:
 # normalization and slot numbering are stable on their own output; index,
 # group and value keys agree with compareValues; LIKE is refused whatever
 # its operands; a long-lived session returns what fresh ones do; a block
-# clone equals its source; and the streamed WF persistence XML equals its
-# xdm tree.
+# clone equals its source; the streamed WF persistence XML equals its
+# xdm tree; and an XPath expression Compile accepts keeps its source and
+# evaluates without a panic.
 fuzz:
 	@set -e; for pkg in $$($(GO) list ./...); do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); do \

@@ -211,8 +211,8 @@ func TestBpelxAssignRoundTrip(t *testing.T) {
 			orasoa.NewBpelxAssign("ops").
 				Copy("'5'", "rs", "Row[1]/Q").
 				InsertAfter("$newRow", "rs", "Row[1]").
-				Append("$newRow", "rs", ".").
-				Remove("rs", "Row[3]"),
+				Append("$newRow", "rs", "Row[2]").
+				Remove("rs", "Row[2]/Row"),
 		),
 	}
 	doc, err := MarshalProcess(p)

@@ -144,8 +144,8 @@ func TestReceiveAndReply(t *testing.T) {
 				Part("Quantity", "qty").
 				OptionalPart("Note", "note"),
 			NewReply("reply").
-				Part("Echo", "concat($item, ':', $qty)").
-				Part("Doubled", "$qty * 2"),
+				Part("Echo", "$item").
+				Part("Doubled", "$qty + $qty"),
 		),
 	}
 	d, err := New(nil).Deploy(p)
@@ -157,7 +157,7 @@ func TestReceiveAndReply(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := in.Output()
-	if out["Echo"] != "bolt:7" || out["Doubled"] != "14" {
+	if out["Echo"] != "bolt" || out["Doubled"] != "14" {
 		t.Fatalf("output message: %v", out)
 	}
 	if in.MustVariable("note").String() != "unset" {

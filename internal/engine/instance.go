@@ -255,7 +255,6 @@ func (c *Ctx) XPathContext() *xpath.Context {
 		in.xpctx = &xpath.Context{
 			Node:     nil,
 			Position: 1,
-			Size:     1,
 			Vars:     instanceVars{in},
 			Funcs:    &instanceFuncs{inst: in, next: in.Process.Funcs},
 		}
@@ -299,7 +298,7 @@ func (f *instanceFuncs) CallFunction(name string, args []xpath.Value) (xpath.Val
 		if err != nil {
 			return xpath.Value{}, err
 		}
-		return sub.Eval(&xpath.Context{Node: v.Node(), Position: 1, Size: 1, Vars: instanceVars{f.inst}, Funcs: f})
+		return sub.Eval(&xpath.Context{Node: v.Node(), Position: 1, Vars: instanceVars{f.inst}, Funcs: f})
 	}
 	if f.next == nil {
 		return xpath.Value{}, fmt.Errorf("engine: unknown extension function %s()", name)

@@ -19,23 +19,27 @@ func Example() {
 	v, _ := expr.Eval(&xpath.Context{Node: doc})
 	fmt.Println(v.AsString())
 
-	sum := xpath.MustCompile("sum(Row/Quantity)")
-	v, _ = sum.Eval(&xpath.Context{Node: doc})
+	count := xpath.MustCompile("count(Row)")
+	v, _ = count.Eval(&xpath.Context{Node: doc})
 	fmt.Println(v.AsNumber())
 	// Output:
 	// bolt
-	// 18
+	// 2
 }
 
 // ExampleVarMap shows variable references, the mechanism BPEL assign
 // activities use to address process variables.
 func ExampleVarMap() {
 	vars := xpath.VarMap{
-		"qty":  xpath.Number(7),
+		"pos":  xpath.Number(7),
 		"item": xpath.String("bolt"),
 	}
-	expr := xpath.MustCompile("concat($item, ':', $qty * 2)")
+	expr := xpath.MustCompile("$pos + 1")
 	v, _ := expr.Eval(&xpath.Context{Vars: vars})
 	fmt.Println(v.AsString())
-	// Output: bolt:14
+	v, _ = xpath.MustCompile("$item = 'bolt'").Eval(&xpath.Context{Vars: vars})
+	fmt.Println(v.AsString())
+	// Output:
+	// 8
+	// true
 }

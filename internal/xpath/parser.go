@@ -75,13 +75,10 @@ func lex(src string) ([]tok, error) {
 			i = j
 		default:
 			switch {
-			case strings.HasPrefix(src[i:], "//"):
-				toks = append(toks, tok{kind: tSym, text: "//"})
+			case strings.HasPrefix(src[i:], "<="):
+				toks = append(toks, tok{kind: tSym, text: "<="})
 				i += 2
-			case strings.HasPrefix(src[i:], "!="), strings.HasPrefix(src[i:], "<="), strings.HasPrefix(src[i:], ">="):
-				toks = append(toks, tok{kind: tSym, text: src[i : i+2]})
-				i += 2
-			case strings.ContainsRune("/[]()@,|+-*=<>.", rune(c)):
+			case strings.ContainsRune("/[](),+=<>", rune(c)):
 				toks = append(toks, tok{kind: tSym, text: string(c)})
 				i++
 			default:
@@ -110,8 +107,6 @@ type binaryOp struct {
 	l, r node
 }
 
-type negOp struct{ x node }
-
 type literalStr struct{ s string }
 
 type literalNum struct{ f float64 }
@@ -123,34 +118,17 @@ type funcCall struct {
 	args []node
 }
 
-// pathExpr is a location path, optionally rooted at a filter expression
-// (e.g. $var/a/b or (expr)[1]/c).
+// pathExpr is a relative location path, optionally continuing a primary
+// expression (e.g. $var/a/b or ora:processXSQL('p')/rowsAffected).
 type pathExpr struct {
-	base     node // nil for plain location paths
-	absolute bool // starts with /
-	steps    []step
+	base  node // nil for plain location paths
+	steps []step
 }
 
-type axisKind int
-
-const (
-	axisChild axisKind = iota
-	axisDescendant
-	axisSelf
-	axisParent
-	axisAttribute
-	axisText
-)
-
+// step is a child step: the element children named name that pass every
+// predicate.
 type step struct {
-	axis  axisKind
-	name  string // element/attribute name test; "*" matches any
-	preds []node
-}
-
-// filterExpr is a primary expression with predicates: (expr)[pred].
-type filterExpr struct {
-	base  node
+	name  string
 	preds []node
 }
 
@@ -224,14 +202,6 @@ func (p *xparser) acceptSym(s string) bool {
 	return false
 }
 
-func (p *xparser) acceptName(s string) bool {
-	if t := p.peek(); t.kind == tName && t.text == s {
-		p.pos++
-		return true
-	}
-	return false
-}
-
 func (p *xparser) expectSym(s string) error {
 	if !p.acceptSym(s) {
 		return fmt.Errorf("xpath: expected %q near token %d", s, p.pos)
@@ -239,46 +209,16 @@ func (p *xparser) expectSym(s string) error {
 	return nil
 }
 
-func (p *xparser) parseExpr() (node, error) { return p.parseOr() }
-
-func (p *xparser) parseOr() (node, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptName("or") {
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &binaryOp{op: "or", l: l, r: r}
-	}
-	return l, nil
-}
-
-func (p *xparser) parseAnd() (node, error) {
-	l, err := p.parseEquality()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptName("and") {
-		r, err := p.parseEquality()
-		if err != nil {
-			return nil, err
-		}
-		l = &binaryOp{op: "and", l: l, r: r}
-	}
-	return l, nil
-}
-
-func (p *xparser) parseEquality() (node, error) {
+// parseExpr parses an equality expression, the lowest precedence level
+// the language has.
+func (p *xparser) parseExpr() (node, error) {
 	l, err := p.parseRelational()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		t := p.peek()
-		if t.kind == tSym && (t.text == "=" || t.text == "!=") {
+		if t.kind == tSym && t.text == "=" {
 			p.pos++
 			r, err := p.parseRelational()
 			if err != nil {
@@ -298,7 +238,7 @@ func (p *xparser) parseRelational() (node, error) {
 	}
 	for {
 		t := p.peek()
-		if t.kind == tSym && (t.text == "<" || t.text == "<=" || t.text == ">" || t.text == ">=") {
+		if t.kind == tSym && (t.text == "<" || t.text == "<=" || t.text == ">") {
 			p.pos++
 			r, err := p.parseAdditive()
 			if err != nil {
@@ -312,15 +252,15 @@ func (p *xparser) parseRelational() (node, error) {
 }
 
 func (p *xparser) parseAdditive() (node, error) {
-	l, err := p.parseMultiplicative()
+	l, err := p.parsePath()
 	if err != nil {
 		return nil, err
 	}
 	for {
 		t := p.peek()
-		if t.kind == tSym && (t.text == "+" || t.text == "-") {
+		if t.kind == tSym && t.text == "+" {
 			p.pos++
-			r, err := p.parseMultiplicative()
+			r, err := p.parsePath()
 			if err != nil {
 				return nil, err
 			}
@@ -331,122 +271,27 @@ func (p *xparser) parseAdditive() (node, error) {
 	}
 }
 
-func (p *xparser) parseMultiplicative() (node, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t := p.peek()
-		op := ""
-		if t.kind == tSym && t.text == "*" {
-			op = "*"
-		} else if t.kind == tName && (t.text == "div" || t.text == "mod") {
-			op = t.text
-		}
-		if op == "" {
-			return l, nil
-		}
-		p.pos++
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		l = &binaryOp{op: op, l: l, r: r}
-	}
-}
-
-func (p *xparser) parseUnary() (node, error) {
-	if p.acceptSym("-") {
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &negOp{x: x}, nil
-	}
-	return p.parseUnion()
-}
-
-func (p *xparser) parseUnion() (node, error) {
-	l, err := p.parsePath()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptSym("|") {
-		r, err := p.parsePath()
-		if err != nil {
-			return nil, err
-		}
-		l = &binaryOp{op: "|", l: l, r: r}
-	}
-	return l, nil
-}
-
-// parsePath parses a PathExpr: a location path, or a filter expression
-// optionally continued with /steps.
+// parsePath parses a PathExpr: a relative location path, or a primary
+// expression optionally continued with /steps.
 func (p *xparser) parsePath() (node, error) {
 	t := p.peek()
-	// Absolute location path.
-	if t.kind == tSym && (t.text == "/" || t.text == "//") {
-		pe := &pathExpr{absolute: true}
-		if t.text == "//" {
-			p.pos++
-			st, err := p.parseStep()
-			if err != nil {
-				return nil, err
-			}
-			st.axis = descendantize(st.axis)
-			pe.steps = append(pe.steps, st)
-		} else {
-			p.pos++
-			if p.isStepStart() {
-				st, err := p.parseStep()
-				if err != nil {
-					return nil, err
-				}
-				pe.steps = append(pe.steps, st)
-			}
-		}
-		if err := p.parseMoreSteps(pe); err != nil {
-			return nil, err
-		}
-		return pe, nil
-	}
-	// Filter expression start? ( literal, number, var, '(' , or function call )
 	if t.kind == tString || t.kind == tNumber || t.kind == tVar ||
-		(t.kind == tSym && t.text == "(") ||
-		(t.kind == tName && p.peekAt(1).kind == tSym && p.peekAt(1).text == "(" && !isNodeTypeTest(t.text)) {
+		(t.kind == tName && p.peekAt(1).kind == tSym && p.peekAt(1).text == "(") {
 		base, err := p.parsePrimary()
 		if err != nil {
 			return nil, err
 		}
-		fe := &filterExpr{base: base}
-		for p.acceptSym("[") {
-			pred, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectSym("]"); err != nil {
-				return nil, err
-			}
-			fe.preds = append(fe.preds, pred)
-		}
-		var b node = fe
-		if len(fe.preds) == 0 {
-			b = base
-		}
 		// Continued path: $var/a/b
-		if ts := p.peek(); ts.kind == tSym && (ts.text == "/" || ts.text == "//") {
-			pe := &pathExpr{base: b}
+		if ts := p.peek(); ts.kind == tSym && ts.text == "/" {
+			pe := &pathExpr{base: base}
 			if err := p.parseMoreSteps(pe); err != nil {
 				return nil, err
 			}
 			return pe, nil
 		}
-		return b, nil
+		return base, nil
 	}
-	// Relative location path.
-	if p.isStepStart() {
+	if t.kind == tName {
 		pe := &pathExpr{}
 		st, err := p.parseStep()
 		if err != nil {
@@ -462,89 +307,22 @@ func (p *xparser) parsePath() (node, error) {
 }
 
 func (p *xparser) parseMoreSteps(pe *pathExpr) error {
-	for {
-		t := p.peek()
-		if t.kind != tSym || (t.text != "/" && t.text != "//") {
-			return nil
-		}
-		p.pos++
+	for p.acceptSym("/") {
 		st, err := p.parseStep()
 		if err != nil {
 			return err
 		}
-		if t.text == "//" {
-			st.axis = descendantize(st.axis)
-		}
 		pe.steps = append(pe.steps, st)
 	}
-}
-
-func descendantize(a axisKind) axisKind {
-	if a == axisChild {
-		return axisDescendant
-	}
-	return a
-}
-
-func (p *xparser) isStepStart() bool {
-	t := p.peek()
-	if t.kind == tName {
-		return true
-	}
-	if t.kind == tSym && (t.text == "@" || t.text == "*" || t.text == "." || t.text == "..") {
-		return true
-	}
-	// ".." arrives as two "." tokens.
-	return false
-}
-
-func isNodeTypeTest(name string) bool {
-	return name == "text" || name == "node"
+	return nil
 }
 
 func (p *xparser) parseStep() (step, error) {
-	st := step{axis: axisChild}
-	t := p.peek()
-	switch {
-	case t.kind == tSym && t.text == ".":
-		p.pos++
-		if p.acceptSym(".") {
-			st.axis = axisParent
-		} else {
-			st.axis = axisSelf
-		}
-		return st, nil
-	case t.kind == tSym && t.text == "@":
-		p.pos++
-		st.axis = axisAttribute
-		nt := p.next()
-		if nt.kind == tName {
-			st.name = nt.text
-		} else if nt.kind == tSym && nt.text == "*" {
-			st.name = "*"
-		} else {
-			return st, fmt.Errorf("xpath: expected attribute name after @")
-		}
-	case t.kind == tSym && t.text == "*":
-		p.pos++
-		st.name = "*"
-	case t.kind == tName:
-		p.pos++
-		if isNodeTypeTest(t.text) && p.acceptSym("(") {
-			if err := p.expectSym(")"); err != nil {
-				return st, err
-			}
-			if t.text == "text" {
-				st.axis = axisText
-			} else {
-				st.name = "*" // node() — treat as any element child
-			}
-		} else {
-			st.name = t.text
-		}
-	default:
-		return st, fmt.Errorf("xpath: expected step")
+	t := p.next()
+	if t.kind != tName {
+		return step{}, fmt.Errorf("xpath: expected step")
 	}
+	st := step{name: t.text}
 	for p.acceptSym("[") {
 		pred, err := p.parseExpr()
 		if err != nil {
@@ -567,17 +345,6 @@ func (p *xparser) parsePrimary() (node, error) {
 		return &literalNum{f: t.num}, nil
 	case tVar:
 		return &varRef{name: t.text}, nil
-	case tSym:
-		if t.text == "(" {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectSym(")"); err != nil {
-				return nil, err
-			}
-			return e, nil
-		}
 	case tName:
 		if p.acceptSym("(") {
 			fc := &funcCall{name: t.text}
@@ -596,7 +363,17 @@ func (p *xparser) parsePrimary() (node, error) {
 					return nil, err
 				}
 			}
-			return fc, nil
+			// A prefixed function is resolved at evaluation; an unprefixed
+			// one is a core function, position() or count(path).
+			if strings.Contains(fc.name, ":") || fc.name == "position" && len(fc.args) == 0 {
+				return fc, nil
+			}
+			if fc.name == "count" && len(fc.args) == 1 {
+				if _, ok := fc.args[0].(*pathExpr); ok {
+					return fc, nil
+				}
+			}
+			return nil, fmt.Errorf("xpath: unknown function %s() of %d argument(s): the core functions are position() and count(path)", fc.name, len(fc.args))
 		}
 	}
 	return nil, fmt.Errorf("xpath: unexpected token in primary expression")

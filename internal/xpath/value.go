@@ -1,13 +1,16 @@
-// Package xpath implements an XPath 1.0 subset over the xdm node model.
+// Package xpath implements the XPath 1.0 forms the three products'
+// processes use, over the xdm node model.
 //
 // BPEL mandates XPath as the expression language of assign activities; the
 // paper's Random Set Access and Tuple IUD patterns for IBM BIS and Oracle
 // SOA Suite are realized through XPath expressions over XML RowSets, and
 // Oracle's SQL inline support consists of XPath *extension functions*
 // (ora:query-database and friends). This engine therefore supports
-// variables ($var), location paths with predicates, the XPath 1.0 core
-// function library, and prefixed extension functions resolved through a
-// caller-supplied FunctionResolver.
+// literals, variables ($var), relative child paths with predicates, a
+// primary expression continued by a path, =, <, <=, > and +, the core
+// functions count(path) and position(), and prefixed extension functions
+// resolved through a caller-supplied FunctionResolver. xpath_dialect_test.go
+// lists each form with the code that issues it; Compile refuses the rest.
 package xpath
 
 import (
@@ -41,7 +44,7 @@ type Value struct {
 	// Fresh marks a node-set whose trees the call that returned it built,
 	// and that nothing else references, so a consumer may keep them
 	// without copying. Extension functions that build results set it;
-	// path steps, filters, unions and variable references never do.
+	// path steps and variable references never do.
 	Fresh bool
 }
 
@@ -151,7 +154,6 @@ type FunctionResolver interface {
 type Context struct {
 	Node     *xdm.Node // context node (may be nil for variable-only exprs)
 	Position int       // 1-based context position
-	Size     int       // context size
 	Vars     VariableResolver
 	Funcs    FunctionResolver
 }

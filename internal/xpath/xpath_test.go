@@ -30,7 +30,7 @@ func evalOn(t *testing.T, doc *xdm.Node, expr string) Value {
 	if err != nil {
 		t.Fatalf("compile %q: %v", expr, err)
 	}
-	v, err := e.Eval(&Context{Node: doc, Position: 1, Size: 1})
+	v, err := e.Eval(&Context{Node: doc, Position: 1})
 	if err != nil {
 		t.Fatalf("eval %q: %v", expr, err)
 	}
@@ -49,32 +49,26 @@ func TestChildSteps(t *testing.T) {
 	}
 }
 
-func TestAbsolutePath(t *testing.T) {
-	doc := rowSetDoc()
-	inner := doc.ChildElements()[1] // a Row; absolute paths start from root
-	e := MustCompile("/RowSet/Row/ItemID")
-	v, err := e.Eval(&Context{Node: inner})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v.Nodes) != 3 {
-		t.Fatalf("absolute path from inner node: %d", len(v.Nodes))
-	}
-}
-
 func TestPositionalPredicate(t *testing.T) {
 	doc := rowSetDoc()
 	v := evalOn(t, doc, "Row[2]/ItemID")
 	if v.AsString() != "nut" {
 		t.Fatalf("Row[2]: %q", v.AsString())
 	}
-	v = evalOn(t, doc, "Row[last()]/ItemID")
-	if v.AsString() != "screw" {
-		t.Fatalf("Row[last()]: %q", v.AsString())
-	}
 	v = evalOn(t, doc, "Row[position() > 1]")
 	if len(v.Nodes) != 2 {
 		t.Fatalf("position()>1: %d", len(v.Nodes))
+	}
+	// A number keeps a node only when it equals its position, so no node
+	// is at 1.5: on the shortcut (one context node, a literal or a
+	// variable) and on the general path alike.
+	ctx := &Context{Node: doc, Position: 1, Vars: VarMap{"set": NodeSet(doc), "p": Number(1.5)}}
+	for _, src := range []string{"Row[1.5]/ItemID", "$set/Row[1.5]/ItemID", "$set/Row[$p]/ItemID",
+		"Row[ItemID][1.5]", "count($set/Row[$p])"} {
+		v, err := MustCompile(src).Eval(ctx)
+		if err != nil || len(v.Nodes) != 0 || v.Kind == KindNumber && v.Num != 0 {
+			t.Errorf("%s selected %v (%v, count %v)", src, v.Nodes, err, v.Num)
+		}
 	}
 }
 
@@ -87,46 +81,6 @@ func TestValuePredicate(t *testing.T) {
 	v = evalOn(t, doc, "Row[Quantity > 2]")
 	if len(v.Nodes) != 2 {
 		t.Fatalf("numeric predicate: %d", len(v.Nodes))
-	}
-	v = evalOn(t, doc, "Row[@num = '3']/ItemID")
-	if v.AsString() != "screw" {
-		t.Fatalf("attribute predicate: %q", v.AsString())
-	}
-}
-
-func TestDescendant(t *testing.T) {
-	doc := rowSetDoc()
-	e := MustCompile("//Quantity")
-	v, err := e.Eval(&Context{Node: doc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v.Nodes) != 3 {
-		t.Fatalf("//Quantity: %d", len(v.Nodes))
-	}
-}
-
-func TestParentAndSelf(t *testing.T) {
-	doc := rowSetDoc()
-	v := evalOn(t, doc, "Row[1]/ItemID/..")
-	if len(v.Nodes) != 1 || v.Nodes[0].Name != "Row" {
-		t.Fatalf("parent step: %v", v.Nodes)
-	}
-	v = evalOn(t, doc, "./Row[1]")
-	if len(v.Nodes) != 1 {
-		t.Fatalf("self step: %v", v.Nodes)
-	}
-}
-
-func TestWildcardAndText(t *testing.T) {
-	doc := rowSetDoc()
-	v := evalOn(t, doc, "Row[1]/*")
-	if len(v.Nodes) != 2 {
-		t.Fatalf("wildcard: %d", len(v.Nodes))
-	}
-	v = evalOn(t, doc, "Row[1]/ItemID/text()")
-	if len(v.Nodes) != 1 || v.Nodes[0].Text != "bolt" {
-		t.Fatalf("text(): %v", v.Nodes)
 	}
 }
 
@@ -145,7 +99,7 @@ func TestVariables(t *testing.T) {
 	if v.AsNumber() != 15 {
 		t.Fatalf("variable path: %v", v.AsNumber())
 	}
-	e = MustCompile("$limit * 2 + 1")
+	e = MustCompile("$limit + $limit + 1")
 	v, err = e.Eval(&Context{Vars: vars})
 	if err != nil {
 		t.Fatal(err)
@@ -163,11 +117,8 @@ func TestArithmeticAndLogic(t *testing.T) {
 		expr string
 		num  float64
 	}{
-		{"1 + 2 * 3", 7},
-		{"(1 + 2) * 3", 9},
-		{"10 div 4", 2.5},
-		{"10 mod 3", 1},
-		{"-5 + 2", -3},
+		{"1 + 2 + 3", 6},
+		{"2.5 + '1.5'", 4},
 	}
 	for _, c := range cases {
 		v := evalOn(t, rowSetDoc(), c.expr)
@@ -179,14 +130,13 @@ func TestArithmeticAndLogic(t *testing.T) {
 		expr string
 		b    bool
 	}{
-		{"1 < 2 and 2 < 3", true},
-		{"1 > 2 or 3 > 2", true},
-		{"not(1 = 1)", false},
-		{"true()", true},
-		{"false()", false},
+		{"1 < 2", true},
+		{"2 < 2", false},
+		{"2 <= 2", true},
+		{"3 > 2", true},
 		{"'a' = 'a'", true},
-		{"'a' != 'a'", false},
-		{"3 >= 3", true},
+		{"'a' = 'b'", false},
+		{"1 + 1 = 2", true},
 	}
 	for _, c := range boolCases {
 		v := evalOn(t, rowSetDoc(), c.expr)
@@ -194,64 +144,8 @@ func TestArithmeticAndLogic(t *testing.T) {
 			t.Errorf("%s: got %v, want %v", c.expr, v.AsBool(), c.b)
 		}
 	}
-}
-
-func TestCoreFunctions(t *testing.T) {
-	doc := rowSetDoc()
-	if v := evalOn(t, doc, "count(Row)"); v.AsNumber() != 3 {
-		t.Errorf("count: %v", v.AsNumber())
-	}
-	if v := evalOn(t, doc, "sum(Row/Quantity)"); v.AsNumber() != 20 {
-		t.Errorf("sum: %v", v.AsNumber())
-	}
-	if v := evalOn(t, doc, "concat('a', 'b', 'c')"); v.AsString() != "abc" {
-		t.Errorf("concat: %v", v.AsString())
-	}
-	if v := evalOn(t, doc, "contains('workflow', 'flow')"); !v.AsBool() {
-		t.Error("contains")
-	}
-	if v := evalOn(t, doc, "starts-with('workflow', 'work')"); !v.AsBool() {
-		t.Error("starts-with")
-	}
-	if v := evalOn(t, doc, "substring('workflow', 5)"); v.AsString() != "flow" {
-		t.Errorf("substring: %v", v.AsString())
-	}
-	if v := evalOn(t, doc, "substring('workflow', 1, 4)"); v.AsString() != "work" {
-		t.Errorf("substring 3-arg: %v", v.AsString())
-	}
-	if v := evalOn(t, doc, "substring-before('a=b', '=')"); v.AsString() != "a" {
-		t.Errorf("substring-before: %v", v.AsString())
-	}
-	if v := evalOn(t, doc, "substring-after('a=b', '=')"); v.AsString() != "b" {
-		t.Errorf("substring-after: %v", v.AsString())
-	}
-	if v := evalOn(t, doc, "string-length('four')"); v.AsNumber() != 4 {
-		t.Errorf("string-length: %v", v.AsNumber())
-	}
-	if v := evalOn(t, doc, "normalize-space('  a   b ')"); v.AsString() != "a b" {
-		t.Errorf("normalize-space: %q", v.AsString())
-	}
-	if v := evalOn(t, doc, "translate('abc', 'abc', 'xyz')"); v.AsString() != "xyz" {
-		t.Errorf("translate: %v", v.AsString())
-	}
-	if v := evalOn(t, doc, "floor(2.7)"); v.AsNumber() != 2 {
-		t.Errorf("floor: %v", v.AsNumber())
-	}
-	if v := evalOn(t, doc, "ceiling(2.1)"); v.AsNumber() != 3 {
-		t.Errorf("ceiling: %v", v.AsNumber())
-	}
-	if v := evalOn(t, doc, "round(2.5)"); v.AsNumber() != 3 {
-		t.Errorf("round: %v", v.AsNumber())
-	}
-	if v := evalOn(t, doc, "string(12)"); v.AsString() != "12" {
-		t.Errorf("string: %v", v.AsString())
-	}
-	if v := evalOn(t, doc, "number('3.5')"); v.AsNumber() != 3.5 {
-		t.Errorf("number: %v", v.AsNumber())
-	}
-	if v := evalOn(t, doc, "name(Row[1])"); v.AsString() != "Row" {
-		t.Errorf("name: %v", v.AsString())
-	}
+	refused(t, "1 + 2 * 3", "(1 + 2) * 3", "-5 + 2", "5 - 2", "1 < 2 and 2 < 3", "1 > 2 or 3 > 2",
+		"not(1 = 1)", "true()", "'a' != 'a'", "3 >= 3")
 }
 
 func TestNodeSetComparison(t *testing.T) {
@@ -265,14 +159,6 @@ func TestNodeSetComparison(t *testing.T) {
 	}
 	if v := evalOn(t, doc, "Row/ItemID = 'nut'"); !v.AsBool() {
 		t.Error("nodeset = string")
-	}
-}
-
-func TestUnion(t *testing.T) {
-	doc := rowSetDoc()
-	v := evalOn(t, doc, "Row[1]/ItemID | Row[2]/ItemID")
-	if len(v.Nodes) != 2 {
-		t.Fatalf("union: %d", len(v.Nodes))
 	}
 }
 
@@ -332,7 +218,7 @@ func TestExtensionFunctions(t *testing.T) {
 	if v.AsNumber() != 42 {
 		t.Fatalf("extension result: %v", v.AsNumber())
 	}
-	e = MustCompile("test:join('a', 'b', string(3))")
+	e = MustCompile("test:join('a', 'b', 3)")
 	v, err = e.Eval(&Context{Funcs: fr})
 	if err != nil {
 		t.Fatal(err)
@@ -369,8 +255,12 @@ func TestCompileErrors(t *testing.T) {
 }
 
 func TestUnknownFunction(t *testing.T) {
-	if _, err := MustCompile("no-such-fn(1)").Eval(&Context{Node: rowSetDoc()}); err == nil {
-		t.Fatal("expected unknown function error")
+	refused(t, "no-such-fn(1)", "count()", "count(Row, Row)", "position(1)")
+	if v := evalOn(t, rowSetDoc(), "count(Row) + count(Row/ItemID)"); v.AsNumber() != 6 {
+		t.Fatalf("count: %v", v.AsNumber())
+	}
+	if _, err := MustCompile("count('a'/b)").Eval(&Context{}); err == nil {
+		t.Fatal("count of a path over a string must error")
 	}
 }
 
@@ -387,60 +277,15 @@ func TestPathFromVariableWithPredicates(t *testing.T) {
 	}
 }
 
+// TestPrefixedElementMatching: a name test matches the element's whole
+// name, prefix included; no issuer's documents carry prefixes.
 func TestPrefixedElementMatching(t *testing.T) {
 	doc := xdm.MustParse(`<ns1:RowSet><ns1:Row><ns1:Q>5</ns1:Q></ns1:Row></ns1:RowSet>`)
-	e := MustCompile("Row/Q")
-	v, err := e.Eval(&Context{Node: doc})
-	if err != nil {
-		t.Fatal(err)
+	if v := evalOn(t, doc, "ns1:Row/ns1:Q"); v.AsNumber() != 5 {
+		t.Fatalf("prefixed names: %v", v)
 	}
-	if v.AsNumber() != 5 {
-		t.Fatalf("prefix-insensitive match: %v", v)
-	}
-}
-
-func TestFilterExpressionPredicates(t *testing.T) {
-	doc := rowSetDoc()
-	vars := VarMap{"rs": NodeSet(doc.ChildElements()...)} // three Row nodes
-	// Predicate applied directly to a variable's node-set.
-	e := MustCompile("$rs[2]/ItemID")
-	v, err := e.Eval(&Context{Vars: vars})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.AsString() != "nut" {
-		t.Fatalf("$rs[2]: %q", v.AsString())
-	}
-	// Boolean predicate on a filter expression.
-	e = MustCompile("$rs[Quantity > 2][last()]/ItemID")
-	v, err = e.Eval(&Context{Vars: vars})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.AsString() != "nut" {
-		t.Fatalf("chained filter predicates: %q", v.AsString())
-	}
-	// Parenthesized expression with predicate and trailing path.
-	e = MustCompile("($rs)[1]/ItemID")
-	v, err = e.Eval(&Context{Vars: vars})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.AsString() != "bolt" {
-		t.Fatalf("(expr)[1]: %q", v.AsString())
-	}
-	// Descendant step from a variable.
-	e = MustCompile("$rs//Quantity")
-	v, err = e.Eval(&Context{Vars: vars})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v.Nodes) != 3 {
-		t.Fatalf("$rs//Quantity: %d", len(v.Nodes))
-	}
-	// Predicate on a non-node-set is an error.
-	if _, err := MustCompile("$n[1]").Eval(&Context{Vars: VarMap{"n": Number(3)}}); err == nil {
-		t.Fatal("predicate on number must error")
+	if v := evalOn(t, doc, "Row/Q"); len(v.Nodes) != 0 {
+		t.Fatalf("unprefixed test matched prefixed elements: %v", v.Nodes)
 	}
 }
 
@@ -451,15 +296,18 @@ func TestMixedTypeComparisons(t *testing.T) {
 		want bool
 	}{
 		// nodeset vs boolean: nodeset converts to boolean.
-		{"Row = true()", true},
-		{"Row[99] = true()", false},
-		{"Row != 'bolt15'", true}, // some row's string-value differs
+		{"Row = 1 < 2", true},
+		{"Row[99] = 1 < 2", false},
+		{"Row[99] = 2 < 1", true},
+		{"1 < 2 > Row[99]", true},
+		{"1 < 2 > Row", false},
+		{"1 < 2 > 0.5", true}, // no node-set: booleans compare as numbers
 		// number vs string.
 		{"3 = '3'", true},
-		{"3 != '4'", true},
+		{"3 = '4'", false},
 		// boolean vs number.
-		{"true() = 1", true},
-		{"false() = 0", true},
+		{"1 < 2 = 1", true},
+		{"2 < 1 = 0", true},
 		// relational with nodesets on the right.
 		{"2 < Row/Quantity", true},
 		{"100 < Row/Quantity", false},
@@ -488,74 +336,5 @@ func TestFirstNode(t *testing.T) {
 	}
 	if NodeSet().FirstNode() != nil || String("x").FirstNode() != nil {
 		t.Fatal("FirstNode on empty/non-nodeset")
-	}
-}
-
-func TestNameFunctions(t *testing.T) {
-	doc := xdm.MustParse("<ns:a><ns:b>x</ns:b></ns:a>")
-	if v := evalOn(t, doc, "name(b)"); v.AsString() != "ns:b" {
-		t.Errorf("name(): %q", v.AsString())
-	}
-	if v := evalOn(t, doc, "local-name(b)"); v.AsString() != "b" {
-		t.Errorf("local-name(): %q", v.AsString())
-	}
-	if v := evalOn(t, doc, "local-name(b[99])"); v.AsString() != "" {
-		t.Errorf("local-name of empty set: %q", v.AsString())
-	}
-}
-
-func TestStringLengthAndStringOfContext(t *testing.T) {
-	doc := xdm.MustParse("<a>hello</a>")
-	e := MustCompile("string-length()")
-	v, err := e.Eval(&Context{Node: doc})
-	if err != nil || v.AsNumber() != 5 {
-		t.Fatalf("string-length(): %v %v", v.AsNumber(), err)
-	}
-	e = MustCompile("string()")
-	v, err = e.Eval(&Context{Node: doc})
-	if err != nil || v.AsString() != "hello" {
-		t.Fatalf("string(): %q %v", v.AsString(), err)
-	}
-	e = MustCompile("normalize-space()")
-	doc2 := xdm.MustParse("<a>  a  b </a>")
-	v, err = e.Eval(&Context{Node: doc2})
-	if err != nil || v.AsString() != "a b" {
-		t.Fatalf("normalize-space(): %q %v", v.AsString(), err)
-	}
-}
-
-func TestAttributeWildcard(t *testing.T) {
-	doc := xdm.MustParse(`<a x="1" y="2"/>`)
-	v := evalOn(t, doc, "@*")
-	if len(v.Nodes) != 2 {
-		t.Fatalf("@*: %d", len(v.Nodes))
-	}
-	v = evalOn(t, doc, "@missing")
-	if len(v.Nodes) != 0 {
-		t.Fatalf("@missing: %d", len(v.Nodes))
-	}
-}
-
-func TestNodeTest(t *testing.T) {
-	doc := xdm.MustParse("<a><b/>text<c/></a>")
-	v := evalOn(t, doc, "node()")
-	if len(v.Nodes) != 2 { // node() maps to element children in this subset
-		t.Fatalf("node(): %d", len(v.Nodes))
-	}
-}
-
-func TestUnionRequiresNodeSets(t *testing.T) {
-	if _, err := MustCompile("1 | 2").Eval(&Context{Node: rowSetDoc()}); err == nil {
-		t.Fatal("union of numbers must error")
-	}
-}
-
-func TestNegationAndDiv(t *testing.T) {
-	doc := rowSetDoc()
-	if v := evalOn(t, doc, "-(3 + 4)"); v.AsNumber() != -7 {
-		t.Errorf("negation: %v", v.AsNumber())
-	}
-	if v := evalOn(t, doc, "1 div 0"); !math.IsInf(v.AsNumber(), 1) {
-		t.Errorf("div by zero should be +Inf: %v", v.AsNumber())
 	}
 }

@@ -18,8 +18,9 @@ fmt:
 test:
 	$(GO) test ./...
 
-# Race-enabled run of everything; the flow/variable concurrency tests and
-# the chaos matrix are only meaningful with the race detector on.
+# Race-enabled run of everything; the concurrent variable and session
+# tests (TestFlowConcurrentVariableAccess, TestAdapterUpdateExcludesParallelBranches)
+# and the chaos matrix are only meaningful with the race detector on.
 race:
 	$(GO) test -race ./...
 
@@ -109,8 +110,8 @@ smoke:
 # race-enabled suite (soak included), then the fuzz smoke.
 ci: build vet fmt test bench-test smoke race fuzz
 
-# Non-test Go lines outside bench/: the size ROADMAP item 2 tracks and
-# every PR reports before/after.
+# Non-test Go lines outside bench/: the size ROADMAP's north star 2 and
+# item 10 track, and every PR reports before/after.
 loc:
 	@git ls-files '*.go' | grep -v -e '_test\.go$$' -e '^bench/' | xargs cat | wc -l
 

@@ -153,12 +153,12 @@ func TestAllocBudget(t *testing.T) {
 		objects float64
 		bytes   uint64
 	}{
-		{StackBIS, false, 266, 29493},    // 28 088 B measured (287 objects, 29 848 B with a session and its two maps minted per instance)
-		{StackBIS, true, 297, 34264},     // 32 632 B (318, 34 392; 353, 37 400 with a memo key built per save, an empty memo map per INSERT and a heap Record per typed append)
+		{StackBIS, false, 265, 29299},    // 27 904 B measured (266, 28 088 with a copy of the input map per instance; 287 objects, 29 848 B with a session and its two maps minted per instance)
+		{StackBIS, true, 295, 34020},     // 32 400 B (297, 32 632 with the input map copied; 318, 34 392; 353, 37 400 with a memo key built per save, an empty memo map per INSERT and a heap Record per typed append)
 		{StackWF, false, 143, 12397},     // 11 806 B (158, 12 854 with a session and its map minted per instance)
 		{StackWF, true, 189, 19419},      // 18 494 B (200, 19 096 with copies of the DataSet memo's rows and table names; 376, 28 694 with an xdm tree per DataSet memo and state snapshot)
-		{StackOracle, false, 254, 28262}, // 26 916 B
-		{StackOracle, true, 302, 36595},  // 34 852 B (338, 37 582)
+		{StackOracle, false, 253, 28169}, // 26 828 B (254, 26 916 with the input map copied)
+		{StackOracle, true, 300, 36452},  // 34 716 B (302, 34 852 with the input map copied; 338, 37 582)
 	} {
 		name := tc.stack.Name
 		if tc.durable {

@@ -297,6 +297,13 @@ func TestPreparationAndCleanup(t *testing.T) {
 	}
 }
 
+// fault is a snippet raising the named process fault.
+func fault(name, faultName string) engine.Activity {
+	return engine.NewSnippet(name, func(ctx *engine.Ctx) error {
+		return &engine.Fault{Name: faultName, Activity: name}
+	})
+}
+
 func TestCleanupRunsOnFault(t *testing.T) {
 	db := ordersDB()
 	e, _ := newEngine(db)
@@ -304,7 +311,7 @@ func TestCleanupRunsOnFault(t *testing.T) {
 		DataSourceVariable("DS", "orderdb").
 		Preparation("DS", "CREATE TABLE Temp1 (x INTEGER)").
 		Cleanup("DS", "DROP TABLE IF EXISTS Temp1").
-		Body(&engine.Throw{ActivityName: "boom", FaultName: "err"}).
+		Body(fault("boom", "err")).
 		Build()
 	d, _ := e.Deploy(p)
 	if _, err := d.Run(nil); err == nil {
@@ -368,7 +375,7 @@ func TestShortRunningProcessIsSingleTransaction(t *testing.T) {
 		InputSetReference("SR_Orders", "Orders").
 		Body(engine.NewSequence("main",
 			NewSQL("del", "DS", "DELETE FROM #SR_Orders#"),
-			&engine.Throw{ActivityName: "boom", FaultName: "late"},
+			fault("boom", "late"),
 		)).
 		Build()
 	d, _ := e.Deploy(p)
@@ -389,7 +396,7 @@ func TestLongRunningCommitsPerActivity(t *testing.T) {
 		InputSetReference("SR_Orders", "Orders").
 		Body(engine.NewSequence("main",
 			NewSQL("del", "DS", "DELETE FROM #SR_Orders# WHERE OrderID = 1"),
-			&engine.Throw{ActivityName: "boom", FaultName: "late"},
+			fault("boom", "late"),
 		)).
 		Build()
 	d, _ := e.Deploy(p)

@@ -8,48 +8,6 @@ import (
 	"wfsql/internal/engine"
 )
 
-// TestParallelFlowBranchesShareInstanceSession pins the
-// one-session-per-instance contract under BPEL Flow concurrency: all SQL
-// activities of one instance route through host.Instance.SQL, so parallel
-// Flow branches issue their statements on the *same* session from
-// different goroutines. The session's internal mutex must serialize them
-// without losing statements or corrupting transaction state — this test
-// is only meaningful under -race.
-func TestParallelFlowBranchesShareInstanceSession(t *testing.T) {
-	const branches = 8
-	for _, mode := range []engine.TransactionMode{engine.LongRunning, engine.ShortRunning} {
-		mode := mode
-		t.Run(fmt.Sprint(mode), func(t *testing.T) {
-			db := ordersDB()
-			e, _ := newEngine(db)
-
-			var children []engine.Activity
-			for i := 0; i < branches; i++ {
-				children = append(children, NewSQL(fmt.Sprintf("ins%d", i), "DS", fmt.Sprintf(
-					"INSERT INTO OrderConfirmations VALUES ('branch%d', %d, 'ok')", i, i)))
-				children = append(children, NewSQL(fmt.Sprintf("sel%d", i), "DS",
-					"SELECT COUNT(*) FROM Orders WHERE Approved = TRUE"))
-			}
-			p := NewProcess("parflow").
-				Mode(mode).
-				DataSourceVariable("DS", "orderdb").
-				Body(engine.NewFlow("fanout", children...)).
-				Build()
-			d, err := e.Deploy(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := d.Run(nil); err != nil {
-				t.Fatal(err)
-			}
-			r := db.MustExec("SELECT COUNT(*) FROM OrderConfirmations")
-			if got := r.Rows[0][0].I; got != branches {
-				t.Fatalf("%v: %d confirmations, want %d (parallel branches lost statements)", mode, got, branches)
-			}
-		})
-	}
-}
-
 // TestParallelInstancesDistinctSessions runs many BIS instances of the
 // same deployed process concurrently — the scheduler's execution shape.
 // Each instance gets its own state (and thus its own sessions), and the

@@ -23,11 +23,7 @@ func MarshalBISProcess(b *bis.ProcessBuilder) (string, error) {
 		Body:      b.BodyActivity(),
 		Mode:      b.TransactionMode(),
 	}
-	doc, err := MarshalProcess(p)
-	if err != nil {
-		return "", err
-	}
-	root, err := xdm.Parse(doc)
+	root, err := marshalProcess(p)
 	if err != nil {
 		return "", err
 	}
@@ -77,11 +73,16 @@ func UnmarshalBISProcess(doc string, r *Resolver) (*bis.ProcessBuilder, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bpelxml: %w", err)
 	}
+	if root.Name != "process" {
+		return nil, fmt.Errorf("bpelxml: root element %s, want process", root.Name)
+	}
+	for _, a := range root.Attrs {
+		if a.Name != "name" && a.Name != "xmlns" {
+			return nil, fmt.Errorf("bpelxml: unsupported process attribute %s", a.Name)
+		}
+	}
 	name, _ := root.Attr("name")
 	b := bis.NewProcess(name)
-	if m, ok := root.Attr("wid:executionMode"); ok && m == "microflow" {
-		b.Mode(engine.ShortRunning)
-	}
 	var bodyEl *xdm.Node
 	for _, el := range root.ChildElements() {
 		switch localName(el.Name) {

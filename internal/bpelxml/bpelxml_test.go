@@ -3,7 +3,6 @@ package bpelxml
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"wfsql/internal/bis"
 	"wfsql/internal/engine"
@@ -121,42 +120,37 @@ func TestBISDocumentRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPlainProcessRoundTrip: the standard BPEL activities — sequence,
+// assign with a whole-variable copy and a to-query, a scalar variable's
+// initial value — survive a round trip and run.
 func TestPlainProcessRoundTrip(t *testing.T) {
-	p := &engine.Process{
-		Name: "plain",
-		Mode: engine.ShortRunning,
-		Variables: []engine.VarDecl{
-			{Name: "x", Kind: engine.ScalarVar, Init: "5"},
-			{Name: "doc", Kind: engine.XMLVar, InitXML: "<d><v>1</v></d>"},
-			{Name: "out", Kind: engine.ScalarVar},
-		},
-		Body: engine.NewSequence("main",
-			&engine.Empty{ActivityName: "e"},
-			&engine.Wait{ActivityName: "w", Duration: time.Millisecond},
-			engine.NewIf("branch", engine.Cond("$x > 3"),
-				engine.NewAssign("then").Copy("'big'", "out")).
-				SetElse(engine.NewAssign("else").Copy("'small'", "out")),
-			&engine.Scope{
-				ActivityName: "sc",
-				Body:         &engine.Throw{ActivityName: "boom", FaultName: "f"},
-				FaultHandler: engine.NewAssign("handle").CopyTo("'9'", "doc", "v"),
-				Finally:      &engine.Empty{ActivityName: "fin"},
-			},
-		),
-	}
-	doc, err := MarshalProcess(p)
+	b := bis.NewProcess("plain").
+		DataSourceVariable("DS", "orderdb").
+		InputSetReference("SR_Orders", "Orders").
+		ResultSetReference("SR_R").
+		XMLVariable("SV", "").
+		Variable("x", "5").
+		Variable("out", "").
+		Body(engine.NewSequence("main",
+			bis.NewSQL("q", "DS", "SELECT ItemID, Quantity FROM #SR_Orders# ORDER BY OrderID").Into("SR_R"),
+			bis.NewRetrieveSet("r", "DS", "SR_R", "SV"),
+			engine.NewAssign("set").CopyTo("$x + 37", "SV", "Row[1]/Quantity"),
+			engine.NewAssign("get").Copy("$SV/Row[1]/Quantity", "out"),
+		))
+	doc, err := MarshalBISProcess(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := UnmarshalProcess(doc, nil)
+	if !strings.Contains(doc, `query="Row[1]/Quantity"`) || !strings.Contains(doc, `init="5"`) {
+		t.Fatalf("to-query or init missing:\n%s", doc)
+	}
+	b2, err := UnmarshalBISProcess(doc, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if p2.Mode != engine.ShortRunning || len(p2.Variables) != 3 {
-		t.Fatalf("process attrs: mode=%v vars=%d", p2.Mode, len(p2.Variables))
 	}
 	e := engine.New(nil)
-	d, err := e.Deploy(p2)
+	e.RegisterDataSource("orderdb", ordersDB())
+	d, err := e.Deploy(b2.Build())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,34 +158,31 @@ func TestPlainProcessRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.MustVariable("out").String() != "big" {
-		t.Fatalf("out: %q", in.MustVariable("out").String())
-	}
-	if in.MustVariable("doc").Node().ChildText("v") != "9" {
-		t.Fatal("fault handler assign lost")
+	if got := in.MustVariable("out").String(); got != "42" {
+		t.Fatalf("out: %q", got)
 	}
 }
 
 func TestSnippetRoundTripNeedsResolver(t *testing.T) {
-	p := &engine.Process{Name: "s", Body: engine.NewSnippet("mySnippet", func(ctx *engine.Ctx) error { return nil })}
-	doc, err := MarshalProcess(p)
+	b := bis.NewProcess("s").Body(engine.NewSnippet("mySnippet", func(ctx *engine.Ctx) error { return nil }))
+	doc, err := MarshalBISProcess(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(doc, "wid:javaSnippet") {
 		t.Fatalf("snippet element missing: %s", doc)
 	}
-	if _, err := UnmarshalProcess(doc, nil); err == nil {
+	if _, err := UnmarshalBISProcess(doc, nil); err == nil {
 		t.Fatal("expected missing-resolver error")
 	}
 	ran := false
-	p2, err := UnmarshalProcess(doc, &Resolver{Snippets: map[string]func(ctx *engine.Ctx) error{
+	b2, err := UnmarshalBISProcess(doc, &Resolver{Snippets: map[string]func(ctx *engine.Ctx) error{
 		"mySnippet": func(ctx *engine.Ctx) error { ran = true; return nil },
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _ := engine.New(nil).Deploy(p2)
+	d, _ := engine.New(nil).Deploy(b2.Build())
 	if _, err := d.Run(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -200,46 +191,26 @@ func TestSnippetRoundTripNeedsResolver(t *testing.T) {
 	}
 }
 
+// TestBpelxAssignRoundTrip: no document form holds Oracle's bpelx assign
+// (Oracle processes are built in code), so marshalling refuses it, and
+// the bpelx operations are refused on load; so is every other model
+// without an element: an empty activity, a short-running mode, an XML
+// variable's initial document.
 func TestBpelxAssignRoundTrip(t *testing.T) {
-	p := &engine.Process{
-		Name: "ora",
-		Variables: []engine.VarDecl{
-			{Name: "rs", Kind: engine.XMLVar, InitXML: "<RowSet><Row><Q>1</Q></Row></RowSet>"},
-			{Name: "newRow", Kind: engine.XMLVar, InitXML: "<Row><Q>2</Q></Row>"},
-		},
-		Body: engine.NewSequence("main",
-			orasoa.NewBpelxAssign("ops").
-				Copy("'5'", "rs", "Row[1]/Q").
-				InsertAfter("$newRow", "rs", "Row[1]").
-				Append("$newRow", "rs", "Row[2]").
-				Remove("rs", "Row[2]/Row"),
-		),
-	}
-	doc, err := MarshalProcess(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"bpelx:insertAfter", "bpelx:append", "bpelx:remove"} {
-		if !strings.Contains(doc, want) {
-			t.Errorf("missing %q in:\n%s", want, doc)
+	for _, b := range []*bis.ProcessBuilder{
+		bis.NewProcess("ora").Body(orasoa.NewBpelxAssign("ops").Append("$newRow", "rs", "Row[2]")),
+		bis.NewProcess("empty").Body(&engine.Empty{ActivityName: "e"}),
+		bis.NewProcess("short").Mode(engine.ShortRunning).Body(engine.NewAssign("a").Copy("1", "x")).Variable("x", ""),
+		bis.NewProcess("init").XMLVariable("doc", "<d/>").Body(engine.NewAssign("a").Copy("1", "x")).Variable("x", ""),
+	} {
+		if doc, err := MarshalBISProcess(b); err == nil {
+			t.Errorf("%s marshalled:\n%s", b.ProcessName(), doc)
 		}
 	}
-	p2, err := UnmarshalProcess(doc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, _ := engine.New(nil).Deploy(p2)
-	in, err := d.Run(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := in.MustVariable("rs").Node().ChildElements()
-	if len(rows) != 2 {
-		t.Fatalf("rows after round-tripped bpelx ops: %d", len(rows))
-	}
-	if rows[0].ChildText("Q") != "5" || rows[1].ChildText("Q") != "2" {
-		t.Fatalf("row content: %s", in.MustVariable("rs").Node())
-	}
+	refused(t, "bpelx:copy", `<assign name="a"><bpelx:copy><from>1</from><to variable="x"/></bpelx:copy></assign>`)
+	refused(t, "bpelx:insertAfter", `<assign name="a"><bpelx:insertAfter><from>$r</from><to variable="rs" query="Row[1]"/></bpelx:insertAfter></assign>`)
+	refused(t, "bpelx:append", `<assign name="a"><bpelx:append><from>$r</from><to variable="rs" query="Row[1]"/></bpelx:append></assign>`)
+	refused(t, "bpelx:remove", `<assign name="a"><bpelx:remove><to variable="rs" query="Row[1]"/></bpelx:remove></assign>`)
 }
 
 func TestAtomicSequenceRoundTrip(t *testing.T) {
@@ -279,61 +250,40 @@ func TestUnmarshalErrors(t *testing.T) {
 		"nope",
 		"<notprocess/>",
 		"<process name='p'/>",
-		"<process name='p'><empty/><empty/></process>",
-		"<process name='p'><while name='w'><empty/></while></process>",
-		"<process name='p'><wait name='w' for='xyz'/></process>",
+		"<process name='p' wid:executionMode='microflow'><sequence name='s'/></process>",
+		"<process name='p'><variables><variable name='d' type='xml'><from><d/></from></variable></variables><sequence name='s'/></process>",
+		"<process name='p'><sequence name='a'/><sequence name='b'/></process>",
+		"<process name='p'><while name='w'><sequence name='s'/></while></process>",
+		"<process name='p'><while name='w'><condition>1</condition><sequence name='a'/><sequence name='b'/></while></process>",
+		"<process name='p'><invoke name='i' operation='o'><correlations/></invoke></process>",
 		"<process name='p'><unknown/></process>",
 		"<process name='p'><extensionActivity/></process>",
 		"<process name='p'><extensionActivity><wid:unknown/></extensionActivity></process>",
-		"<process name='p'><scope name='s'></scope></process>",
+		"<process name='p'><wid:artifacts><wid:unknown/></wid:artifacts><sequence name='s'/></process>",
 	}
 	for _, doc := range bad {
-		if _, err := UnmarshalProcess(doc, nil); err == nil {
-			t.Errorf("UnmarshalProcess(%q): expected error", doc)
+		if _, err := UnmarshalBISProcess(doc, nil); err == nil {
+			t.Errorf("UnmarshalBISProcess(%q): expected error", doc)
 		}
 	}
+	refused(t, "empty", `<empty name="e"/>`)
+	refused(t, "throw", `<throw name="t" faultName="f"/>`)
+	refused(t, "scope", `<scope name="s"><wid:finally><sequence name="f"/></wid:finally><sequence name="b"/></scope>`)
 }
 
-func TestMarshalRejectsGoConditions(t *testing.T) {
-	p := &engine.Process{Name: "p", Body: engine.NewWhile("w",
-		engine.FuncCondition(func(ctx *engine.Ctx) (bool, error) { return false, nil }),
-		&engine.Empty{ActivityName: "e"})}
-	if _, err := MarshalProcess(p); err == nil {
-		t.Fatal("Go-coded condition must not marshal")
+// refused checks that a document whose body is body does not load, and
+// that the error names elem: a BPEL document comes from outside the
+// program, so an element no process issues is an error, not ignored.
+func refused(t *testing.T, elem, body string) {
+	t.Helper()
+	doc := `<process name="p"><variables/>` + body + `</process>`
+	_, err := UnmarshalBISProcess(doc, nil)
+	if err == nil || !strings.Contains(err.Error(), elem) {
+		t.Errorf("%s: loading %s: %v, want an error naming it", elem, body, err)
 	}
 }
 
 func TestReceiveReplyRoundTrip(t *testing.T) {
-	p := &engine.Process{
-		Name: "rr",
-		Variables: []engine.VarDecl{
-			{Name: "item", Kind: engine.ScalarVar},
-			{Name: "note", Kind: engine.ScalarVar, Init: "none"},
-		},
-		Body: engine.NewSequence("main",
-			engine.NewReceive("in").Part("ItemID", "item").OptionalPart("Note", "note"),
-			engine.NewReply("out").Part("Echo", "$item"),
-		),
-	}
-	doc, err := MarshalProcess(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"<receive", "<reply", `optional="true"`} {
-		if !strings.Contains(doc, want) {
-			t.Fatalf("missing %q:\n%s", want, doc)
-		}
-	}
-	p2, err := UnmarshalProcess(doc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, _ := engine.New(nil).Deploy(p2)
-	in, err := d.Run(map[string]string{"ItemID": "bolt"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.Output()["Echo"] != "bolt" {
-		t.Fatalf("round-tripped reply: %v", in.Output())
-	}
+	refused(t, "receive", `<receive name="in"><fromPart part="ItemID" toVariable="item"/></receive>`)
+	refused(t, "reply", `<reply name="out"><toPart part="Echo" expression="$item"/></reply>`)
 }

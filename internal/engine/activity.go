@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"wfsql/internal/journal"
@@ -28,9 +27,7 @@ type Activity interface {
 // execChild runs an activity inside the instance's activity boundary
 // (host.Instance.Enter/Exit): an expired budget refuses it, and when
 // observability is attached it runs as an activity span parented under
-// the enclosing span, the instance's one history. Scope fault handlers
-// cannot absorb a refusal: they run through execChild too, and the
-// budget stays expired.
+// the enclosing span, the instance's one history.
 func execChild(ctx *Ctx, a Activity) error {
 	act, err := ctx.Inst.Enter(ctx.span, a.Name())
 	if err != nil {
@@ -60,12 +57,6 @@ func NewSequence(name string, children ...Activity) *Sequence {
 // Name implements Activity.
 func (s *Sequence) Name() string { return s.ActivityName }
 
-// Append adds a child and returns the sequence.
-func (s *Sequence) Append(a ...Activity) *Sequence {
-	s.Children = append(s.Children, a...)
-	return s
-}
-
 // Execute implements Activity.
 func (s *Sequence) Execute(ctx *Ctx) error {
 	for _, c := range s.Children {
@@ -76,69 +67,17 @@ func (s *Sequence) Execute(ctx *Ctx) error {
 	return nil
 }
 
-// --- Flow ---
-
-// Flow executes its children concurrently and waits for all of them
-// (BPEL's parallel construct). The first fault, if any, is returned after
-// all branches finish.
-type Flow struct {
-	ActivityName string
-	Children     []Activity
-}
-
-// NewFlow builds a flow activity.
-func NewFlow(name string, children ...Activity) *Flow {
-	return &Flow{ActivityName: name, Children: children}
-}
-
-// Name implements Activity.
-func (f *Flow) Name() string { return f.ActivityName }
-
-// Execute implements Activity.
-func (f *Flow) Execute(ctx *Ctx) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(f.Children))
-	for i, c := range f.Children {
-		wg.Add(1)
-		go func(i int, c Activity) {
-			defer wg.Done()
-			errs[i] = execChild(ctx, c)
-		}(i, c)
-	}
-	wg.Wait()
-	// A simulated crash in any branch takes precedence over ordinary
-	// branch faults: the whole process died, so fault handling must not
-	// run for the sibling errors.
-	for _, err := range errs {
-		if journal.IsCrash(err) {
-			return err
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // --- Condition ---
 
-// Condition gates while loops and if branches. Either an XPath boolean
-// expression or a Go predicate.
-type Condition interface {
-	Test(ctx *Ctx) (bool, error)
-}
-
-// XPathCondition evaluates a compiled XPath expression as a boolean.
-type XPathCondition struct{ Expr *xpath.Expr }
+// Condition gates a while loop: an XPath expression read as a boolean.
+type Condition struct{ Expr *xpath.Expr }
 
 // Cond compiles an XPath condition, panicking on syntax errors (process
 // models are built at program start).
-func Cond(src string) Condition { return &XPathCondition{Expr: xpath.MustCompile(src)} }
+func Cond(src string) *Condition { return &Condition{Expr: xpath.MustCompile(src)} }
 
-// Test implements Condition.
-func (c *XPathCondition) Test(ctx *Ctx) (bool, error) {
+// Test evaluates the condition over the instance's variables.
+func (c *Condition) Test(ctx *Ctx) (bool, error) {
 	v, err := ctx.EvalXPath(c.Expr)
 	if err != nil {
 		return false, err
@@ -146,23 +85,17 @@ func (c *XPathCondition) Test(ctx *Ctx) (bool, error) {
 	return v.AsBool(), nil
 }
 
-// FuncCondition adapts a Go predicate to Condition.
-type FuncCondition func(ctx *Ctx) (bool, error)
-
-// Test implements Condition.
-func (f FuncCondition) Test(ctx *Ctx) (bool, error) { return f(ctx) }
-
 // --- While ---
 
 // While repeats its body while the condition holds.
 type While struct {
 	ActivityName string
-	Condition    Condition
+	Condition    *Condition
 	Body         Activity
 }
 
 // NewWhile builds a while activity.
-func NewWhile(name string, cond Condition, body Activity) *While {
+func NewWhile(name string, cond *Condition, body Activity) *While {
 	return &While{ActivityName: name, Condition: cond, Body: body}
 }
 
@@ -185,62 +118,10 @@ func (w *While) Execute(ctx *Ctx) error {
 	}
 }
 
-// --- If ---
-
-// IfBranch is one condition/body arm of an If activity.
-type IfBranch struct {
-	Condition Condition
-	Body      Activity
-}
-
-// If selects the first branch whose condition holds; Else (optional) runs
-// when none do.
-type If struct {
-	ActivityName string
-	Branches     []IfBranch
-	Else         Activity
-}
-
-// NewIf builds an if activity with one branch.
-func NewIf(name string, cond Condition, then Activity) *If {
-	return &If{ActivityName: name, Branches: []IfBranch{{Condition: cond, Body: then}}}
-}
-
-// ElseIf appends a branch.
-func (i *If) ElseIf(cond Condition, body Activity) *If {
-	i.Branches = append(i.Branches, IfBranch{Condition: cond, Body: body})
-	return i
-}
-
-// SetElse sets the else body.
-func (i *If) SetElse(body Activity) *If {
-	i.Else = body
-	return i
-}
-
-// Name implements Activity.
-func (i *If) Name() string { return i.ActivityName }
-
-// Execute implements Activity.
-func (i *If) Execute(ctx *Ctx) error {
-	for _, b := range i.Branches {
-		ok, err := b.Condition.Test(ctx)
-		if err != nil {
-			return fmt.Errorf("%s: condition: %w", i.ActivityName, err)
-		}
-		if ok {
-			return execChild(ctx, b.Body)
-		}
-	}
-	if i.Else != nil {
-		return execChild(ctx, i.Else)
-	}
-	return nil
-}
-
 // --- Empty ---
 
-// Empty does nothing (BPEL empty activity).
+// Empty does nothing (BPEL empty activity): the benchmark's probes time
+// the engine's per-instance cost around one.
 type Empty struct{ ActivityName string }
 
 // Name implements Activity.
@@ -359,8 +240,7 @@ func ReplaceContent(target *xdm.Node, from xpath.Value) {
 // --- Invoke ---
 
 // FaultRetryExhausted is the BPEL-style fault name raised when an
-// invoke's retry policy gives up; scope fault handlers can match it, and
-// the dead-letter log records it.
+// invoke's retry policy gives up; the dead-letter log records it.
 const FaultRetryExhausted = "retryExhausted"
 
 // Invoke calls a service on the engine's bus. Input parts are XPath
@@ -602,21 +482,7 @@ func (s *Snippet) Name() string { return s.ActivityName }
 // Execute implements Activity.
 func (s *Snippet) Execute(ctx *Ctx) error { return s.Fn(ctx) }
 
-// --- Throw ---
-
-// Throw raises a named fault.
-type Throw struct {
-	ActivityName string
-	FaultName    string
-}
-
-// Name implements Activity.
-func (t *Throw) Name() string { return t.ActivityName }
-
-// Execute implements Activity.
-func (t *Throw) Execute(ctx *Ctx) error {
-	return &Fault{Name: t.FaultName, Activity: t.ActivityName}
-}
+// --- Fault ---
 
 // Fault is a named process fault.
 type Fault struct {
@@ -637,188 +503,6 @@ func (f *Fault) Error() string {
 // Unwrap exposes the wrapped cause.
 func (f *Fault) Unwrap() error { return f.Wrapped }
 
-// --- Scope ---
-
-// Scope groups a body with an optional fault handler, an optional
-// compensation handler (registered when the scope completes successfully,
-// runnable later via a Compensate activity), and an optional finally
-// activity that always runs (the hook the BIS layer uses for cleanup
-// statements).
-type Scope struct {
-	ActivityName string
-	Body         Activity
-	FaultHandler Activity // runs if Body faults; fault is absorbed unless the handler faults
-	Compensation Activity // registered on successful completion
-	Finally      Activity // always runs after body/handler
-}
-
-// Name implements Activity.
-func (s *Scope) Name() string { return s.ActivityName }
-
-// Execute implements Activity.
-func (s *Scope) Execute(ctx *Ctx) error {
-	sub := &Ctx{Inst: ctx.Inst, Engine: ctx.Engine, scope: &scopeFrame{parent: ctx.scope, name: s.ActivityName}, span: ctx.span}
-	err := execChild(sub, s.Body)
-	// A simulated crash is process death: a real crashed process runs
-	// neither fault handlers nor finally blocks, so the crash error
-	// propagates untouched and recovery handles the aftermath.
-	if journal.IsCrash(err) {
-		return err
-	}
-	faulted := err != nil
-	if err != nil && s.FaultHandler != nil {
-		err = execChild(sub, s.FaultHandler)
-	}
-	if s.Finally != nil {
-		if ferr := execChild(sub, s.Finally); ferr != nil && err == nil {
-			err = ferr
-		}
-	}
-	// Only scopes that completed without faulting install their
-	// compensation handler; a handled fault still counts as not
-	// successfully completed (BPEL compensation semantics).
-	if err == nil && !faulted && s.Compensation != nil {
-		ctx.Inst.pushCompensation(s.ActivityName, s.Compensation)
-	}
-	return err
-}
-
-// Compensate runs the compensation handlers of all successfully completed
-// scopes in reverse completion order (BPEL's compensate activity).
-// Handlers run at most once; a handler fault aborts the remaining
-// compensations.
-type Compensate struct{ ActivityName string }
-
-// Name implements Activity.
-func (c *Compensate) Name() string { return c.ActivityName }
-
-// Execute implements Activity.
-func (c *Compensate) Execute(ctx *Ctx) error {
-	for {
-		scopeName, handler, ok := ctx.Inst.popCompensation()
-		if !ok {
-			return nil
-		}
-		if err := execChild(ctx, handler); err != nil {
-			if journal.IsCrash(err) {
-				return err
-			}
-			return fmt.Errorf("%s: compensating %s: %w", c.ActivityName, scopeName, err)
-		}
-	}
-}
-
-// Receive binds parts of the instance's input message to process
-// variables (BPEL's instantiating receive). Parts not present in the
-// input are an error unless marked optional.
-type Receive struct {
-	ActivityName string
-	Parts        map[string]string // message part -> variable name
-	Optional     map[string]bool   // parts that may be absent
-}
-
-// NewReceive builds a receive activity.
-func NewReceive(name string) *Receive {
-	return &Receive{ActivityName: name, Parts: map[string]string{}, Optional: map[string]bool{}}
-}
-
-// Part maps an input message part to a variable.
-func (r *Receive) Part(part, variable string) *Receive {
-	r.Parts[part] = variable
-	return r
-}
-
-// OptionalPart maps a part that may be absent from the input.
-func (r *Receive) OptionalPart(part, variable string) *Receive {
-	r.Parts[part] = variable
-	r.Optional[part] = true
-	return r
-}
-
-// Name implements Activity.
-func (r *Receive) Name() string { return r.ActivityName }
-
-// Execute implements Activity.
-func (r *Receive) Execute(ctx *Ctx) error {
-	msg := ctx.Inst.InputMessage()
-	for part, varName := range r.Parts {
-		v, ok := msg[part]
-		if !ok {
-			if r.Optional[part] {
-				continue
-			}
-			return fmt.Errorf("%s: input message missing part %s", r.ActivityName, part)
-		}
-		if err := ctx.SetScalar(varName, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Reply assembles the instance's output message from XPath expressions
-// over the process variables (BPEL's reply).
-type Reply struct {
-	ActivityName string
-	Parts        map[string]*xpath.Expr
-}
-
-// NewReply builds a reply activity.
-func NewReply(name string) *Reply {
-	return &Reply{ActivityName: name, Parts: map[string]*xpath.Expr{}}
-}
-
-// Part maps an output message part to an expression.
-func (r *Reply) Part(part, expr string) *Reply {
-	r.Parts[part] = xpath.MustCompile(expr)
-	return r
-}
-
-// Name implements Activity.
-func (r *Reply) Name() string { return r.ActivityName }
-
-// Execute implements Activity.
-func (r *Reply) Execute(ctx *Ctx) error {
-	out := map[string]string{}
-	for part, e := range r.Parts {
-		v, err := ctx.EvalXPath(e)
-		if err != nil {
-			return fmt.Errorf("%s: part %s: %w", r.ActivityName, part, err)
-		}
-		out[part] = v.AsString()
-	}
-	ctx.Inst.setOutputMessage(out)
-	return nil
-}
-
-// Wait pauses the process for a fixed duration (BPEL's wait activity with
-// a "for" duration).
-type Wait struct {
-	ActivityName string
-	Duration     time.Duration
-}
-
-// Name implements Activity.
-func (w *Wait) Name() string { return w.ActivityName }
-
-// Execute implements Activity. The wait is budget-aware: an instance
-// deadline expiring mid-wait ends the pause immediately (the
-// boundary check in execChild then stops the instance).
-func (w *Wait) Execute(ctx *Ctx) error {
-	done := ctx.Context().Done()
-	if done == nil {
-		time.Sleep(w.Duration)
-		return nil
-	}
-	t := time.NewTimer(w.Duration)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-done:
-	}
-	return nil
-}
-
 // ActivityNames flattens the structural activity names of a tree (used by
 // deployment validation and tests).
 func ActivityNames(a Activity) (out []string) {
@@ -837,21 +521,8 @@ func walkActivities(x Activity, visit func(Activity)) {
 		for _, c := range t.Children {
 			walkActivities(c, visit)
 		}
-	case *Flow:
-		for _, c := range t.Children {
-			walkActivities(c, visit)
-		}
 	case *While:
 		walkActivities(t.Body, visit)
-	case *If:
-		for _, b := range t.Branches {
-			walkActivities(b.Body, visit)
-		}
-		walkActivities(t.Else, visit)
-	case *Scope:
-		for _, c := range []Activity{t.Body, t.FaultHandler, t.Compensation, t.Finally} {
-			walkActivities(c, visit)
-		}
 	}
 }
 

@@ -92,17 +92,6 @@ func (e *Engine) DataSource(name string) (*sqldb.DB, error) {
 	return db, nil
 }
 
-// DataSourceNames lists registered data source names.
-func (e *Engine) DataSourceNames() []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	names := make([]string, 0, len(e.dataSources))
-	for n := range e.dataSources {
-		names = append(names, n)
-	}
-	return names
-}
-
 // Functions resolves a process's extension functions for the instance
 // whose expression calls them, so what a function runs (Oracle's SQL)
 // runs as part of that instance.
@@ -114,10 +103,6 @@ type Functions interface {
 type Deployment struct {
 	Process *Process
 	Engine  *Engine
-
-	// receives records that the body contains a Receive, which binds the
-	// input message; otherwise NewInstance binds inputs to variables.
-	receives bool
 }
 
 // Deploy validates a process model and installs it. Validation mirrors
@@ -142,11 +127,7 @@ func (e *Engine) Deploy(p *Process) (*Deployment, error) {
 	}
 	d := &Deployment{Process: p, Engine: e}
 	unnamed := false
-	walkActivities(p.Body, func(x Activity) {
-		_, ok := x.(*Receive)
-		d.receives = d.receives || ok
-		unnamed = unnamed || x.Name() == ""
-	})
+	walkActivities(p.Body, func(x Activity) { unnamed = unnamed || x.Name() == "" })
 	if unnamed {
 		return nil, fmt.Errorf("engine: process %s contains an unnamed activity", p.Name)
 	}
@@ -191,24 +172,15 @@ func (d *Deployment) newInstance(id int64, input map[string]string) (*Instance, 
 			in.vars[vd.Name] = NewScalarVariable(vd.Name, vd.Init)
 		}
 	}
-	in.input = make(map[string]string, len(input))
 	for k, v := range input {
-		in.input[k] = v
-	}
-	// When the process starts with an explicit Receive, binding is the
-	// Receive's job; otherwise inputs bind directly to declared scalar
-	// variables (the convenience mode most tests and examples use).
-	if !d.receives {
-		for k, v := range input {
-			pv, ok := in.vars[k]
-			if !ok {
-				return nil, fmt.Errorf("engine: input %s does not match a declared variable", k)
-			}
-			pv.SetString(v)
+		pv, ok := in.vars[k]
+		if !ok {
+			return nil, fmt.Errorf("engine: input %s does not match a declared variable", k)
 		}
+		pv.SetString(v)
 	}
 	if rec := in.Journal(); fresh && rec != nil {
-		if err := rec.InstanceCreated(in.ID, d.Process.Name, d.Process.Mode.String(), in.input); err != nil {
+		if err := rec.InstanceCreated(in.ID, d.Process.Name, d.Process.Mode.String(), input); err != nil {
 			return nil, err
 		}
 	}

@@ -15,7 +15,7 @@ func Example() {
 			{Name: "i", Kind: engine.ScalarVar, Init: "0"},
 			{Name: "total", Kind: engine.ScalarVar, Init: "0"},
 		},
-		Body: engine.NewWhile("loop", engine.Cond("$i < 4"),
+		Body: engine.NewWhile("loop", engine.Cond("$i <= 3"),
 			engine.NewAssign("step").
 				Copy("$total + $i", "total").
 				Copy("$i + 1", "i")),
@@ -25,42 +25,4 @@ func Example() {
 	in, _ := d.Run(nil)
 	fmt.Println(in.MustVariable("total").String())
 	// Output: 6
-}
-
-// ExampleScope demonstrates fault handling with compensation: completed
-// scopes register compensation handlers that a fault handler replays in
-// reverse order.
-func ExampleScope() {
-	step := func(n string) *engine.Scope {
-		return &engine.Scope{
-			ActivityName: n,
-			Body: engine.NewSnippet(n+"_do", func(ctx *engine.Ctx) error {
-				fmt.Println("do", n)
-				return nil
-			}),
-			Compensation: engine.NewSnippet(n+"_undo", func(ctx *engine.Ctx) error {
-				fmt.Println("undo", n)
-				return nil
-			}),
-		}
-	}
-	p := &engine.Process{
-		Name: "saga",
-		Body: &engine.Scope{
-			ActivityName: "outer",
-			Body: engine.NewSequence("main",
-				step("reserve"),
-				step("charge"),
-				&engine.Throw{ActivityName: "boom", FaultName: "shippingFailed"},
-			),
-			FaultHandler: &engine.Compensate{ActivityName: "undoAll"},
-		},
-	}
-	d, _ := engine.New(nil).Deploy(p)
-	d.Run(nil)
-	// Output:
-	// do reserve
-	// do charge
-	// undo charge
-	// undo reserve
 }

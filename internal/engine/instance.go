@@ -56,9 +56,6 @@ type Instance struct {
 	fault   error
 	context map[string]any // product-layer state (set references, ...)
 	done    []func(err error)
-	comp    []compensation // completed scopes' compensation handlers (LIFO)
-	input   map[string]string
-	output  map[string]string
 
 	// xpctx is the instance's shared XPath evaluation context. Its
 	// resolver/function hooks only reference the instance, and
@@ -66,63 +63,6 @@ type Instance struct {
 	// every expression the instance ever evaluates (built lazily,
 	// guarded by mu).
 	xpctx *xpath.Context
-}
-
-// InputMessage returns the message the instance was started with.
-func (in *Instance) InputMessage() map[string]string {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make(map[string]string, len(in.input))
-	for k, v := range in.input {
-		out[k] = v
-	}
-	return out
-}
-
-// Output returns the message assembled by a Reply activity (nil if the
-// process never replied).
-func (in *Instance) Output() map[string]string {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.output == nil {
-		return nil
-	}
-	out := make(map[string]string, len(in.output))
-	for k, v := range in.output {
-		out[k] = v
-	}
-	return out
-}
-
-func (in *Instance) setOutputMessage(m map[string]string) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.output = m
-}
-
-type compensation struct {
-	scope   string
-	handler Activity
-}
-
-// pushCompensation registers a completed scope's compensation handler.
-func (in *Instance) pushCompensation(scope string, handler Activity) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.comp = append(in.comp, compensation{scope: scope, handler: handler})
-}
-
-// popCompensation removes and returns the most recently registered
-// compensation handler.
-func (in *Instance) popCompensation() (string, Activity, bool) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if len(in.comp) == 0 {
-		return "", nil, false
-	}
-	c := in.comp[len(in.comp)-1]
-	in.comp = in.comp[:len(in.comp)-1]
-	return c.scope, c.handler, true
 }
 
 // State returns the instance state.
@@ -187,7 +127,6 @@ func (in *Instance) OnComplete(fn func(err error)) {
 type Ctx struct {
 	Inst   *Instance
 	Engine *Engine
-	scope  *scopeFrame
 
 	// span is the observability span enclosing the current activity
 	// (the instance span at the top level). It is nil when no
@@ -212,11 +151,6 @@ func (c *Ctx) Context() context.Context {
 		return context.Background()
 	}
 	return c.Inst.Budget()
-}
-
-type scopeFrame struct {
-	parent *scopeFrame
-	name   string
 }
 
 // Variable resolves a process variable.

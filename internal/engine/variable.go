@@ -6,10 +6,11 @@
 // has its own runtime in internal/mswf.
 //
 // The engine supports the activity types the paper's examples rely on —
-// sequence, flow, while, if, assign (with XPath expressions), invoke,
-// scope with fault handling, and code snippets (the Java-snippet analog) —
-// plus process variables holding XML documents or scalars, deployment
-// with validation, and execution tracing.
+// sequence, while, assign (with XPath expressions), invoke and code
+// snippets (the Java-snippet analog) — plus process variables holding XML
+// documents or scalars, deployment with validation, and execution
+// tracing. The product layers add their own activities (BIS's SQL,
+// retrieve set and atomic SQL sequence, Oracle's bpelx assign).
 package engine
 
 import (
@@ -31,10 +32,9 @@ const (
 	ScalarVar
 )
 
-// Variable is a process variable instance. All accessors are safe for
-// concurrent use: BPEL flow activities execute children in parallel, and
-// two branches may read and write the same variable (last-writer-wins,
-// which is all BPEL promises without explicit isolation scopes).
+// Variable is a process variable instance. All accessors lock the
+// variable, so a reader on another goroutine than the instance's never
+// sees a torn value (last-writer-wins).
 type Variable struct {
 	Name string
 

@@ -70,7 +70,7 @@ func randomPath(rng *rand.Rand) string {
 		}
 		b.WriteString(pick("a", "a", "a", "a", "b", "Row", "ns:a"))
 		if rng.Intn(3) == 0 {
-			b.WriteString(pick("[1]", "[2]", "[1.5]", "[$pos]", "[a]", "[position() < 3]", "[b = 1]", "[count(a) > 1]"))
+			b.WriteString(pick("[1]", "[2]", "[1.5]", "[$pos]", "[a]", "[position() <= 2]", "[b = 1]", "[2 <= count(a)]"))
 		}
 	}
 	return b.String()

@@ -30,8 +30,8 @@ func (b *binaryOp) evalNode(ctx *Context) (Value, error) {
 	switch b.op {
 	case "=":
 		return Boolean(equalityCompare(l, r)), nil
-	case "<", "<=", ">":
-		return Boolean(relationalCompare(l, r, b.op)), nil
+	case "<=":
+		return Boolean(lessOrEqual(l, r)), nil
 	case "+":
 		return Number(l.AsNumber() + r.AsNumber()), nil
 	}
@@ -82,31 +82,22 @@ func equalityCompare(l, r Value) bool {
 	return eq(l, r)
 }
 
-func relationalCompare(l, r Value, op string) bool {
+// lessOrEqual implements XPath 1.0 <= semantics including node-set
+// existential comparison.
+func lessOrEqual(l, r Value) bool {
 	// A node-set compared with a boolean converts to whether it is empty.
 	if l.Kind == KindNodeSet && r.Kind == KindBoolean || l.Kind == KindBoolean && r.Kind == KindNodeSet {
 		l, r = Boolean(l.AsBool()), Boolean(r.AsBool())
-	}
-	cmp := func(a, b float64) bool {
-		switch op {
-		case "<":
-			return a < b
-		case "<=":
-			return a <= b
-		case ">":
-			return a > b
-		}
-		return false
 	}
 	if l.Kind == KindNodeSet {
 		for _, ln := range l.Nodes {
 			if r.Kind == KindNodeSet {
 				for _, rn := range r.Nodes {
-					if cmp(String(ln.TextContent()).AsNumber(), String(rn.TextContent()).AsNumber()) {
+					if String(ln.TextContent()).AsNumber() <= String(rn.TextContent()).AsNumber() {
 						return true
 					}
 				}
-			} else if cmp(String(ln.TextContent()).AsNumber(), r.AsNumber()) {
+			} else if String(ln.TextContent()).AsNumber() <= r.AsNumber() {
 				return true
 			}
 		}
@@ -114,13 +105,13 @@ func relationalCompare(l, r Value, op string) bool {
 	}
 	if r.Kind == KindNodeSet {
 		for _, rn := range r.Nodes {
-			if cmp(l.AsNumber(), String(rn.TextContent()).AsNumber()) {
+			if l.AsNumber() <= String(rn.TextContent()).AsNumber() {
 				return true
 			}
 		}
 		return false
 	}
-	return cmp(l.AsNumber(), r.AsNumber())
+	return l.AsNumber() <= r.AsNumber()
 }
 
 func applyPredicate(nodes []*xdm.Node, pred node, ctx *Context) ([]*xdm.Node, error) {

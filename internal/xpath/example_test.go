@@ -15,7 +15,7 @@ func Example() {
 		<Row><ItemID>nut</ItemID><Quantity>3</Quantity></Row>
 	</RowSet>`)
 
-	expr := xpath.MustCompile("Row[Quantity > 10]/ItemID")
+	expr := xpath.MustCompile("Row[10 <= Quantity]/ItemID")
 	v, _ := expr.Eval(&xpath.Context{Node: doc})
 	fmt.Println(v.AsString())
 

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // --- Lexer ---
@@ -57,20 +58,14 @@ func lex(src string) ([]tok, error) {
 			toks = append(toks, tok{kind: tNumber, num: f})
 			i = j
 		case c == '$':
-			j := i + 1
-			for j < len(src) && isNameChar(rune(src[j])) {
-				j++
-			}
+			j := nameEnd(src, i+1)
 			if j == i+1 {
 				return nil, fmt.Errorf("xpath: expected variable name after $")
 			}
 			toks = append(toks, tok{kind: tVar, text: src[i+1 : j]})
 			i = j
-		case isNameStart(rune(c)):
-			j := i
-			for j < len(src) && isNameChar(rune(src[j])) {
-				j++
-			}
+		case isNameStart(firstRune(src[i:])):
+			j := nameEnd(src, i)
 			toks = append(toks, tok{kind: tName, text: src[i:j]})
 			i = j
 		default:
@@ -78,16 +73,41 @@ func lex(src string) ([]tok, error) {
 			case strings.HasPrefix(src[i:], "<="):
 				toks = append(toks, tok{kind: tSym, text: "<="})
 				i += 2
-			case strings.ContainsRune("/[](),+=<>", rune(c)):
+			case strings.ContainsRune("/[](),+=", rune(c)):
 				toks = append(toks, tok{kind: tSym, text: string(c)})
 				i++
 			default:
-				return nil, fmt.Errorf("xpath: unexpected character %q", string(c))
+				return nil, fmt.Errorf("xpath: unexpected character %q", string(firstRune(src[i:])))
 			}
 		}
 	}
 	toks = append(toks, tok{kind: tEOF})
 	return toks, nil
+}
+
+// firstRune decodes the character s starts with (utf8.RuneError for an
+// invalid sequence); an ASCII byte is its own character.
+func firstRune(s string) rune {
+	r := rune(s[0])
+	if r >= utf8.RuneSelf {
+		r, _ = utf8.DecodeRuneInString(s)
+	}
+	return r
+}
+
+// nameEnd returns the end of the run of name characters at src[i:].
+func nameEnd(src string, i int) int {
+	for i < len(src) {
+		r, n := rune(src[i]), 1
+		if r >= utf8.RuneSelf {
+			r, n = utf8.DecodeRuneInString(src[i:])
+		}
+		if !isNameChar(r) {
+			break
+		}
+		i += n
+	}
+	return i
 }
 
 func isNameStart(r rune) bool { return r == '_' || unicode.IsLetter(r) }
@@ -238,7 +258,7 @@ func (p *xparser) parseRelational() (node, error) {
 	}
 	for {
 		t := p.peek()
-		if t.kind == tSym && (t.text == "<" || t.text == "<=" || t.text == ">") {
+		if t.kind == tSym && t.text == "<=" {
 			p.pos++
 			r, err := p.parseAdditive()
 			if err != nil {

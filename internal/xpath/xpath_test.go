@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"wfsql/internal/rowset"
+	"wfsql/internal/sqldb"
 	"wfsql/internal/xdm"
 )
 
@@ -55,9 +57,9 @@ func TestPositionalPredicate(t *testing.T) {
 	if v.AsString() != "nut" {
 		t.Fatalf("Row[2]: %q", v.AsString())
 	}
-	v = evalOn(t, doc, "Row[position() > 1]")
+	v = evalOn(t, doc, "Row[2 <= position()]")
 	if len(v.Nodes) != 2 {
-		t.Fatalf("position()>1: %d", len(v.Nodes))
+		t.Fatalf("2<=position(): %d", len(v.Nodes))
 	}
 	// A number keeps a node only when it equals its position, so no node
 	// is at 1.5: on the shortcut (one context node, a literal or a
@@ -78,9 +80,38 @@ func TestValuePredicate(t *testing.T) {
 	if v.AsNumber() != 3 {
 		t.Fatalf("value predicate: %v", v.AsNumber())
 	}
-	v = evalOn(t, doc, "Row[Quantity > 2]")
+	v = evalOn(t, doc, "Row[3 <= Quantity]")
 	if len(v.Nodes) != 2 {
 		t.Fatalf("numeric predicate: %d", len(v.Nodes))
+	}
+}
+
+// TestNonASCIINames: a name is read character by character, not byte by
+// byte, so a column sqldb accepts and a RowSet holds — Größe — is
+// addressable, as a step and as a variable.
+func TestNonASCIINames(t *testing.T) {
+	db := sqldb.Open("names")
+	db.MustExec("CREATE TABLE Maße (ItemID VARCHAR, Größe INTEGER)")
+	db.MustExec("INSERT INTO Maße VALUES ('bolt', 12), ('nut', 7)")
+	set, err := rowset.FromResult(db.MustExec("SELECT ItemID, Größe FROM Maße ORDER BY ItemID"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &Context{Node: set, Position: 1, Vars: VarMap{"Größe": NodeSet(set), "ß": Number(2)}}
+	for src, want := range map[string]string{
+		"Row[1]/Größe": "12", "$Größe/Row[2]/Größe": "7", "$Größe/Row[$ß]/ItemID": "nut",
+	} {
+		e, err := Compile(src)
+		if err != nil {
+			t.Errorf("%s: %v", src, err)
+			continue
+		}
+		if v, err := e.Eval(ctx); err != nil || v.AsString() != want {
+			t.Errorf("%s = %q (%v), want %q", src, v.AsString(), err, want)
+		}
+	}
+	if _, err := Compile("Row/Größe ¶"); err == nil || !strings.Contains(err.Error(), `"¶"`) {
+		t.Errorf("a stray character: %v, want it named whole", err)
 	}
 }
 
@@ -130,10 +161,9 @@ func TestArithmeticAndLogic(t *testing.T) {
 		expr string
 		b    bool
 	}{
-		{"1 < 2", true},
-		{"2 < 2", false},
+		{"3 <= 2", false},
 		{"2 <= 2", true},
-		{"3 > 2", true},
+		{"2 <= 3", true},
 		{"'a' = 'a'", true},
 		{"'a' = 'b'", false},
 		{"1 + 1 = 2", true},
@@ -145,7 +175,7 @@ func TestArithmeticAndLogic(t *testing.T) {
 		}
 	}
 	refused(t, "1 + 2 * 3", "(1 + 2) * 3", "-5 + 2", "5 - 2", "1 < 2 and 2 < 3", "1 > 2 or 3 > 2",
-		"not(1 = 1)", "true()", "'a' != 'a'", "3 >= 3")
+		"not(1 = 1)", "true()", "'a' != 'a'", "3 >= 3", "1 < 2", "3 > 2")
 }
 
 func TestNodeSetComparison(t *testing.T) {
@@ -296,23 +326,25 @@ func TestMixedTypeComparisons(t *testing.T) {
 		want bool
 	}{
 		// nodeset vs boolean: nodeset converts to boolean.
-		{"Row = 1 < 2", true},
-		{"Row[99] = 1 < 2", false},
-		{"Row[99] = 2 < 1", true},
-		{"1 < 2 > Row[99]", true},
-		{"1 < 2 > Row", false},
-		{"1 < 2 > 0.5", true}, // no node-set: booleans compare as numbers
+		{"Row = 1 <= 2", true},
+		{"Row[99] = 1 <= 2", false},
+		{"Row[99] = 2 <= 1", true},
+		{"1 <= 2 <= Row[99]", false},
+		{"2 <= 1 <= Row[99]", true},
+		{"1 <= 2 <= Row", true},
+		{"1 <= 2 <= 0.5", false}, // no node-set: booleans compare as numbers
 		// number vs string.
 		{"3 = '3'", true},
 		{"3 = '4'", false},
 		// boolean vs number.
-		{"1 < 2 = 1", true},
-		{"2 < 1 = 0", true},
+		{"1 <= 2 = 1", true},
+		{"2 <= 1 = 0", true},
 		// relational with nodesets on the right.
-		{"2 < Row/Quantity", true},
-		{"100 < Row/Quantity", false},
+		{"3 <= Row/Quantity", true},
+		{"100 <= Row/Quantity", false},
 		// nodeset vs nodeset relational.
-		{"Row[1]/Quantity > Row[2]/Quantity", true},
+		{"Row[2]/Quantity <= Row[1]/Quantity", true},
+		{"Row[1]/Quantity <= Row[2]/Quantity", false},
 	}
 	for _, c := range cases {
 		v := evalOn(t, doc, c.expr)

@@ -55,7 +55,8 @@ bench-test:
 # Fuzz smoke: every Fuzz target `go test -list` finds, per package, for
 # 15s each. What each holds to: the WAL scanner survives arbitrary bytes
 # and the record codec decodes or tears within a frame; script splitting,
-# normalization and slot numbering are stable on their own output; index,
+# normalization and slot numbering are stable on their own output (seeded
+# with statements the SQL dialect accepts, and one it refuses each); index,
 # group and value keys agree with compareValues; LIKE is refused whatever
 # its operands; a long-lived session returns what fresh ones do; a block
 # clone equals its source; the streamed WF persistence XML equals its

@@ -344,6 +344,9 @@ func (a *AtomicSQLSequence) WithRetry(p *resilience.Policy) *AtomicSQLSequence {
 // Name implements engine.Activity.
 func (a *AtomicSQLSequence) Name() string { return a.ActivityName }
 
+// Nested lists the children, which the engine's deployment checks walk.
+func (a *AtomicSQLSequence) Nested() []engine.Activity { return a.Children }
+
 // Execute implements engine.Activity.
 func (a *AtomicSQLSequence) Execute(ctx *engine.Ctx) error {
 	st, err := getState(ctx)

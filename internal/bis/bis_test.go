@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wfsql/internal/engine"
+	"wfsql/internal/journal"
 	"wfsql/internal/rowset"
 	"wfsql/internal/sqldb"
 	"wfsql/internal/wsbus"
@@ -491,7 +492,7 @@ func TestSetRefLifecycleStatements(t *testing.T) {
 		DataSourceVariable("DS", "orderdb").
 		InputSetReference("SR_Stage", "StageTable").
 		SetRefLifecycle("SR_Stage",
-			"CREATE TABLE IF NOT EXISTS {TABLE} (x INTEGER)",
+			"CREATE TABLE {TABLE} (x INTEGER)",
 			"DROP TABLE IF EXISTS {TABLE}").
 		Body(NewSQL("fill", "DS", "INSERT INTO #SR_Stage# VALUES (1)")).
 		Build()
@@ -681,6 +682,24 @@ func TestGeneratedTableCleanupFollowsItsDataSource(t *testing.T) {
 					t.Fatalf("run %d left %s behind in data source %s", i, name, db.Name())
 				}
 			}
+		}
+	}
+}
+
+// TestDeployRefusesUnnamedActivityInAtomicSequence: Deploy's
+// unnamed-activity check walks into an atomic SQL sequence and into the
+// activity a journaled one wraps, as it does into a Sequence.
+func TestDeployRefusesUnnamedActivityInAtomicSequence(t *testing.T) {
+	e, _ := newEngine(ordersDB())
+	for _, body := range []engine.Activity{
+		NewAtomicSequence("a", NewSQL("", "DS", "DELETE FROM Orders")),
+		engine.NewSequence("m", NewAtomicSequence("a", NewSQL("ok", "DS", "DELETE FROM Orders"),
+			NewSQL("", "DS", "DELETE FROM Orders"))),
+		engine.NewSequence("m", engine.Journaled(engine.NewSequence("j", NewSQL("", "DS", "DELETE FROM Orders")), journal.EffectSQL)),
+	} {
+		p := NewProcess("unnamed").DataSourceVariable("DS", "orderdb").Body(body).Build()
+		if _, err := e.Deploy(p); err == nil || !strings.Contains(err.Error(), "unnamed activity") {
+			t.Errorf("%v: Deploy returned %v, want the unnamed-activity error", engine.ActivityNames(body), err)
 		}
 	}
 }

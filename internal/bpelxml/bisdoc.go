@@ -76,10 +76,8 @@ func UnmarshalBISProcess(doc string, r *Resolver) (*bis.ProcessBuilder, error) {
 	if root.Name != "process" {
 		return nil, fmt.Errorf("bpelxml: root element %s, want process", root.Name)
 	}
-	for _, a := range root.Attrs {
-		if a.Name != "name" && a.Name != "xmlns" {
-			return nil, fmt.Errorf("bpelxml: unsupported process attribute %s", a.Name)
-		}
+	if err := checkAttrs(root, acceptedAttrs["process"]); err != nil {
+		return nil, err
 	}
 	name, _ := root.Attr("name")
 	b := bis.NewProcess(name)

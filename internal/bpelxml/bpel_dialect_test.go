@@ -117,7 +117,7 @@ const ledgerDocument = `<process name="Ledger" xmlns="http://docs.oasis-open.org
     <wid:setReference name="SR_ItemList" kind="result">
       <wid:cleanup>DROP TABLE IF EXISTS {TABLE}</wid:cleanup>
     </wid:setReference>
-    <wid:preparation dataSource="DS">CREATE TABLE IF NOT EXISTS RunLog (msg VARCHAR)</wid:preparation>
+    <wid:preparation dataSource="DS">CREATE TABLE RunLog (msg VARCHAR)</wid:preparation>
     <wid:cleanup dataSource="DS">INSERT INTO RunLog VALUES ('done')</wid:cleanup>
   </wid:artifacts>
   <variables>
@@ -460,6 +460,27 @@ func TestBPELDialectNamesEveryForm(t *testing.T) {
 	for _, n := range found {
 		if !named[n] {
 			t.Errorf("bpelxml writes or reads %q, which no row names", n)
+		}
+	}
+	// The reader accepts on each element exactly the attributes its rows
+	// name, and refuses every other (acceptedAttrs).
+	attrs := map[string][]string{}
+	for _, r := range elementRows {
+		f := strings.Fields(r.form)
+		el := localName(f[0])
+		attrs[el] = append(attrs[el], f[1:]...)
+	}
+	for el, want := range attrs {
+		slices.Sort(want)
+		got, ok := acceptedAttrs[el]
+		got = slices.Clone(got)
+		if slices.Sort(got); !ok || !slices.Equal(slices.Compact(want), got) {
+			t.Errorf("the reader accepts %v on %s, its rows name %v", got, el, slices.Compact(want))
+		}
+	}
+	for el := range acceptedAttrs {
+		if _, ok := attrs[el]; !ok {
+			t.Errorf("the reader accepts element %s, which no row names", el)
 		}
 	}
 }

@@ -17,6 +17,7 @@ package bpelxml
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -30,6 +31,49 @@ import (
 // name.
 type Resolver struct {
 	Snippets map[string]func(ctx *engine.Ctx) error
+}
+
+// acceptedAttrs is every element the reader accepts, by local name, with
+// the attributes it reads. Any other attribute is refused (checkAttrs):
+// dropped without a word, a misspelt resultSetReference would lose a
+// query's result. bpel_dialect_test.go checks each set against the
+// element's ledger rows.
+var acceptedAttrs = map[string][]string{
+	"process": {"name", "xmlns"}, "variables": nil, "variable": {"name", "type", "init"},
+	"sequence": {"name"}, "while": {"name"}, "condition": nil,
+	"assign": {"name"}, "copy": nil, "from": nil, "to": {"variable", "query"},
+	"invoke": {"name", "operation"}, "toPart": {"part", "expression"}, "fromPart": {"part", "toVariable"},
+	"extensionActivity": nil,
+	"sql":               {"name", "dataSource", "resultSetReference"},
+	"retrieveSet":       {"name", "dataSource", "setReference", "setVariable"},
+	"atomicSQLSequence": {"name"}, "javaSnippet": {"name"},
+	"artifacts": nil, "dataSourceVariable": {"name", "dataSource"}, "setReference": {"name", "kind", "table"},
+	"preparation": {"dataSource"}, "cleanup": {"dataSource"},
+}
+
+// checkAttrs refuses, in the tree under el, an attribute its element
+// does not accept; allowed is el's own. The statements inside a set
+// reference accept none, and an element the reader does not know is
+// refused where it is read.
+func checkAttrs(el *xdm.Node, allowed []string) error {
+	for _, a := range el.Attrs {
+		if !slices.Contains(allowed, a.Name) {
+			return fmt.Errorf("bpelxml: %s: unsupported attribute %s", el.Name, a.Name)
+		}
+	}
+	for _, c := range el.ChildElements() {
+		next, known := acceptedAttrs[localName(c.Name)]
+		if localName(el.Name) == "setReference" {
+			next = nil
+		}
+		if !known {
+			continue
+		}
+		if err := checkAttrs(c, next); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // marshalProcess serializes a plain engine process (variables + body).

@@ -54,7 +54,7 @@ func declarativeFigure4() *bis.ProcessBuilder {
 		InputSetReference("SR_OrderConfirmations", "OrderConfirmations").
 		ResultSetReference("SR_ItemList").
 		SetRefLifecycle("SR_ItemList", "", "DROP TABLE IF EXISTS {TABLE}").
-		Preparation("DS", "CREATE TABLE IF NOT EXISTS RunLog (msg VARCHAR)").
+		Preparation("DS", "CREATE TABLE RunLog (msg VARCHAR)").
 		Cleanup("DS", "INSERT INTO RunLog VALUES ('done')").
 		XMLVariable("SV_ItemList", "").
 		Variable("CurrentItemID", "").
@@ -286,4 +286,31 @@ func refused(t *testing.T, elem, body string) {
 func TestReceiveReplyRoundTrip(t *testing.T) {
 	refused(t, "receive", `<receive name="in"><fromPart part="ItemID" toVariable="item"/></receive>`)
 	refused(t, "reply", `<reply name="out"><toPart part="Echo" expression="$item"/></reply>`)
+}
+
+// TestMisspeltAttributeIsRefused: an attribute the reader does not read
+// is an error, not dropped — a misspelt resultSetReference would load a
+// SQL activity whose result is lost.
+func TestMisspeltAttributeIsRefused(t *testing.T) {
+	for _, body := range []string{
+		`<extensionActivity><wid:sql name="q" dataSource="DS" resultSetRef="SR">SELECT * FROM Orders</wid:sql></extensionActivity>`,
+		`<sequence name="s" mode="x"/>`,
+		`<assign name="a"><copy><from>1</from><to variable="v" qury="Row[1]"/></copy></assign>`,
+		`<invoke name="i" operation="o"><toPart part="p" expr="1"/></invoke>`,
+		`<while name="w"><condition lang="x">1</condition><sequence name="s"/></while>`,
+	} {
+		doc := `<process name="p"><variables><variable name="v" type="string"/></variables>` + body + `</process>`
+		if _, err := UnmarshalBISProcess(doc, nil); err == nil || !strings.Contains(err.Error(), "unsupported attribute") {
+			t.Errorf("loading %s: %v, want the unsupported-attribute error", body, err)
+		}
+	}
+	for _, doc := range []string{
+		`<process name="p"><variables><variable name="v" typ="xml"/></variables><sequence name="s"/></process>`,
+		`<process name="p"><wid:artifacts><wid:setReference name="SR" kind="result"><wid:cleanup dataSource="DS">DROP TABLE {TABLE}</wid:cleanup></wid:setReference></wid:artifacts><sequence name="s"/></process>`,
+		`<process name="p"><wid:artifacts><wid:dataSourceVariable name="DS" source="orderdb"/></wid:artifacts><sequence name="s"/></process>`,
+	} {
+		if _, err := UnmarshalBISProcess(doc, nil); err == nil || !strings.Contains(err.Error(), "attribute") {
+			t.Errorf("loading %s: %v, want an attribute error", doc, err)
+		}
+	}
 }

@@ -503,12 +503,26 @@ func (f *Fault) Error() string {
 // Unwrap exposes the wrapped cause.
 func (f *Fault) Unwrap() error { return f.Wrapped }
 
-// ActivityNames flattens the structural activity names of a tree (used by
-// deployment validation and tests).
+// ActivityNames flattens the names of every activity of a tree, parents
+// first (Describe); a JournaledActivity and the activity it wraps share
+// one name.
 func ActivityNames(a Activity) (out []string) {
 	walkActivities(a, func(x Activity) { out = append(out, x.Name()) })
 	return out
 }
+
+// composite is an activity that holds others: Sequence, While,
+// JournaledActivity, and bis's AtomicSQLSequence, which this package
+// cannot name.
+type composite interface {
+	Nested() []Activity
+}
+
+// Nested implements composite.
+func (s *Sequence) Nested() []Activity { return s.Children }
+
+// Nested implements composite.
+func (w *While) Nested() []Activity { return []Activity{w.Body} }
 
 // walkActivities calls visit on every activity of the tree, parents first.
 func walkActivities(x Activity, visit func(Activity)) {
@@ -516,13 +530,10 @@ func walkActivities(x Activity, visit func(Activity)) {
 		return
 	}
 	visit(x)
-	switch t := x.(type) {
-	case *Sequence:
-		for _, c := range t.Children {
-			walkActivities(c, visit)
+	if c, ok := x.(composite); ok {
+		for _, n := range c.Nested() {
+			walkActivities(n, visit)
 		}
-	case *While:
-		walkActivities(t.Body, visit)
 	}
 }
 

@@ -102,6 +102,9 @@ func Journaled(inner Activity, effectKind string, captures ...string) *Journaled
 // activity's name so journal records and traces line up).
 func (j *JournaledActivity) Name() string { return j.Inner.Name() }
 
+// Nested implements composite: deployment checks the inner activity too.
+func (j *JournaledActivity) Nested() []Activity { return []Activity{j.Inner} }
+
 // Execute implements Activity.
 func (j *JournaledActivity) Execute(ctx *Ctx) error {
 	v := variables{ctx: ctx, keys: j.keys}

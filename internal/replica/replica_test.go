@@ -499,7 +499,7 @@ func TestSQLReplicaEndToEnd(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		mustExec("INSERT INTO t VALUES (NEXTVAL('ids'), ?)", sqldb.Str(fmt.Sprintf("row%d", i)))
 	}
-	if _, err := s.ExecNamed("UPDATE t SET v = :v WHERE id = :id",
+	if _, err := s.ExecNamed("UPDATE t SET v = @v WHERE id = @id",
 		map[string]sqldb.Value{"v": sqldb.Str("patched"), "id": sqldb.Int(3)}); err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func TestChangeStreamReplaysOnReplica(t *testing.T) {
 	mustExec("INSERT INTO t VALUES (NEXTVAL('ids'), ?)", Str("a"))
 	mustExec("INSERT INTO t VALUES (NEXTVAL('ids'), ?)", Str("b"))
 	mustExec("UPDATE t SET name = ? WHERE id = ?", Str("a2"), Int(10))
-	if _, err := s.ExecNamed("DELETE FROM t WHERE id = :id", map[string]Value{"id": Int(11)}); err != nil {
+	if _, err := s.ExecNamed("DELETE FROM t WHERE id = @id", map[string]Value{"id": Int(11)}); err != nil {
 		t.Fatal(err)
 	}
 	// SELECTs must not appear in the stream.
@@ -209,7 +209,7 @@ func TestChangeStreamCapturesPreparedAndCall(t *testing.T) {
 	changes := captureChanges(primary)
 	s := primary.Session()
 	s.Exec("CREATE TABLE t (id INTEGER, v VARCHAR)")
-	s.Exec(`CREATE PROCEDURE bump (pid) AS 'UPDATE t SET v = ''bumped'' WHERE id = :pid'`)
+	s.Exec(`CREATE PROCEDURE bump () AS 'UPDATE t SET v = ''bumped'' WHERE id = 1'`)
 	ps, err := s.Prepare("INSERT INTO t VALUES (?, ?)")
 	if err != nil {
 		t.Fatal(err)
@@ -219,7 +219,7 @@ func TestChangeStreamCapturesPreparedAndCall(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Exec("CALL bump(1)"); err != nil {
+	if _, err := s.Exec("CALL bump()"); err != nil {
 		t.Fatal(err)
 	}
 

@@ -13,50 +13,27 @@ type Expr interface{ exprNode() }
 
 // SelectStmt is a SELECT query.
 type SelectStmt struct {
-	Distinct bool
-	Items    []SelectItem
-	From     []TableRef // empty means a FROM-less SELECT (e.g. SELECT 1+1)
-	Where    Expr
-	GroupBy  []Expr
-	OrderBy  []OrderItem
-	Limit    Expr // nil if absent
-	Offset   Expr // nil if absent
+	Items   []SelectItem
+	From    []Source // FROM's table, then each JOIN's; empty means a FROM-less SELECT
+	Where   Expr
+	GroupBy []Expr
+	OrderBy []OrderItem
+	Limit   Expr // nil if absent
 }
 
 // SelectItem is one projection item of a SELECT list.
 type SelectItem struct {
-	Star      bool   // SELECT * or t.*
-	StarTable string // qualifier for t.*; empty for bare *
-	Expr      Expr
-	Alias     string
-}
-
-// Source is what FROM and JOIN range over: a base table by name.
-type Source struct {
-	Table string
+	Star  bool // SELECT *
+	Expr  Expr
 	Alias string
 }
 
-// TableRef is an entry of a FROM clause: a source with optional joins.
-type TableRef struct {
-	Source
-	Joins []JoinClause
-}
-
-// JoinKind distinguishes join types.
-type JoinKind int
-
-// Supported join kinds.
-const (
-	JoinInner JoinKind = iota
-	JoinCross
-)
-
-// JoinClause is one JOIN ... ON ... attached to a TableRef.
-type JoinClause struct {
-	Kind JoinKind
-	Source
-	On Expr // nil for CROSS JOIN
+// Source is what FROM and JOIN range over: a base table by name, and for
+// a JOIN its ON condition.
+type Source struct {
+	Table string
+	Alias string
+	On    Expr // nil for FROM's table
 }
 
 // OrderItem is one ORDER BY key.
@@ -98,15 +75,13 @@ type ColumnDef struct {
 	Type       ColumnType
 	NotNull    bool
 	PrimaryKey bool
-	Default    Expr
 }
 
-// CreateTableStmt is CREATE TABLE [IF NOT EXISTS] t (...).
+// CreateTableStmt is CREATE TABLE t (...).
 type CreateTableStmt struct {
-	Table       string
-	IfNotExists bool
-	Columns     []ColumnDef
-	AsQuery     *SelectStmt // CREATE TABLE t AS SELECT ...
+	Table   string
+	Columns []ColumnDef
+	AsQuery *SelectStmt // CREATE TABLE t AS SELECT ...
 }
 
 // DropTableStmt is DROP TABLE [IF EXISTS] t.
@@ -115,12 +90,11 @@ type DropTableStmt struct {
 	IfExists bool
 }
 
-// CreateIndexStmt is CREATE [UNIQUE] INDEX i ON t (cols).
+// CreateIndexStmt is CREATE INDEX i ON t (cols).
 type CreateIndexStmt struct {
 	Name    string
 	Table   string
 	Columns []string
-	Unique  bool
 }
 
 // CreateSequenceStmt is CREATE SEQUENCE s [START WITH n] [INCREMENT BY n].
@@ -130,13 +104,12 @@ type CreateSequenceStmt struct {
 	Increment int64
 }
 
-// CreateProcedureStmt is CREATE PROCEDURE p (params) AS 'sql; sql; ...'.
-// The body is a string literal of semicolon-separated statements, parsed
-// at creation time. Parameters are referenced in the body as :name.
+// CreateProcedureStmt is CREATE PROCEDURE p () AS 'sql; sql; ...'. The
+// body is a string literal of semicolon-separated statements, parsed at
+// creation time; a procedure takes no parameters.
 type CreateProcedureStmt struct {
-	Name   string
-	Params []string
-	Body   string
+	Name string
+	Body string
 }
 
 // DropProcedureStmt is DROP PROCEDURE [IF EXISTS] p.
@@ -145,11 +118,8 @@ type DropProcedureStmt struct {
 	IfExists bool
 }
 
-// CallStmt is CALL p(args...).
-type CallStmt struct {
-	Name string
-	Args []Expr
-}
+// CallStmt is CALL p().
+type CallStmt struct{ Name string }
 
 // ExplainStmt is EXPLAIN <select>: it returns the access plan the
 // executor would use instead of running the query.
@@ -191,7 +161,7 @@ type ColumnRef struct {
 	Column string
 }
 
-// ParamRef is a parameter placeholder, ? or a named :name / @name, bound
+// ParamRef is a parameter placeholder, ? or a named @name, bound
 // by its 0-based slot in the parameter vector (the parser's numbering).
 type ParamRef struct {
 	Index int
@@ -199,27 +169,14 @@ type ParamRef struct {
 
 // BinaryExpr applies a binary operator.
 type BinaryExpr struct {
-	Op   string // =, <>, <, <=, >, >=, +, -, *, /, %, AND, OR, ||
+	Op   string // =, <>, <, <=, >, >=, +, AND, OR
 	L, R Expr
 }
 
-// UnaryExpr applies a unary operator: - or NOT.
+// UnaryExpr applies a unary operator: -.
 type UnaryExpr struct {
 	Op string
 	X  Expr
-}
-
-// IsNullExpr is x IS [NOT] NULL.
-type IsNullExpr struct {
-	X   Expr
-	Not bool
-}
-
-// InExpr is x [NOT] IN (list).
-type InExpr struct {
-	X    Expr
-	List []Expr
-	Not  bool
 }
 
 // FuncCall is a scalar or aggregate function call.
@@ -227,7 +184,7 @@ type FuncCall struct {
 	Name     string // uppercased
 	Args     []Expr
 	Star     bool // COUNT(*)
-	Distinct bool // COUNT(DISTINCT x), SUM(DISTINCT x), ...
+	Distinct bool // COUNT(DISTINCT x)
 }
 
 func (*Literal) exprNode()    {}
@@ -235,8 +192,6 @@ func (*ColumnRef) exprNode()  {}
 func (*ParamRef) exprNode()   {}
 func (*BinaryExpr) exprNode() {}
 func (*UnaryExpr) exprNode()  {}
-func (*IsNullExpr) exprNode() {}
-func (*InExpr) exprNode()     {}
 func (*FuncCall) exprNode()   {}
 
 // stmtKinds is the closed set of labels StmtKind can return (plus

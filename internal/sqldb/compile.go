@@ -8,7 +8,7 @@ import (
 )
 
 // Compiled expression execution: every expression a statement evaluates —
-// per row, or once, as a VALUES cell, DEFAULT, CALL argument or LIMIT — is
+// per row, or once, as a VALUES cell or LIMIT — is
 // compiled into a closure tree when its plan is built, once per statement
 // slot (slot.go) or per execution without one, and run by one execution at
 // a time; the AST stays immutable and shared. Names resolve when the tree
@@ -29,13 +29,12 @@ type predFn func(*env) (bool, error)
 // error sticks in err (the closures built after it are never run); lo,
 // hi and unsafe describe what has been compiled since the last reset.
 type compiler struct {
-	e     *env       // scope: layout, and the parameters constants fold from
-	cols  []colMeta  // the part of the layout names resolve against (a join's ON sees only its own FROM entry)
-	shift int        // row position of cols[0]
-	srcs  []source   // FROM entries, to attribute a column to its source
-	aggs  *[]aggSpec // set while compiling a grouped SELECT's output: aggregates become slots
-	tree  *planTree  // a slotted plan's binds (nil: planned for one execution)
-	err   error
+	e    *env       // scope: layout, and the parameters constants fold from
+	cols []colMeta  // the part of the layout names resolve against (a join's ON sees the tables up to its own)
+	srcs []source   // FROM's tables, to attribute a column to its source
+	aggs *[]aggSpec // set while compiling a grouped SELECT's output: aggregates become slots
+	tree *planTree  // a slotted plan's binds (nil: planned for one execution)
+	err  error
 
 	lo, hi int  // lowest and highest source referenced at depth 0 (hi < 0: none)
 	unsafe bool // may raise a data-dependent error: evaluate it no earlier than written
@@ -61,7 +60,6 @@ func (c *compiler) resolve(t *ColumnRef) (idx int, err error) {
 	if idx, err = resolveColumn(c.cols, t.Table, t.Column); err != nil {
 		return 0, err
 	}
-	idx += c.shift
 	k := 0
 	for k+1 < len(c.srcs) && c.srcs[k+1].off <= idx {
 		k++
@@ -250,17 +248,6 @@ func (c *compiler) compile(x Expr) evalFn {
 		return c.binary(t)
 	case *UnaryExpr:
 		return c.unary(t)
-	case *IsNullExpr:
-		xf := c.compile(t.X)
-		return func(e *env) (Value, error) {
-			v, err := xf(e)
-			if err != nil {
-				return Null(), err
-			}
-			return Bool(v.IsNull() != t.Not), nil
-		}
-	case *InExpr:
-		return c.in(t)
 	case *FuncCall:
 		if slices.Contains(aggregateNames, t.Name) {
 			return c.aggregate(t)
@@ -282,11 +269,11 @@ func (c *compiler) compile(x Expr) evalFn {
 	return c.fail(fmt.Errorf("sqldb: cannot evaluate %T", x))
 }
 
-// cell is one value an INSERT row or a CALL writes, read like a getter:
-// a literal or a parameter in place — a parameter's value is a bind,
-// re-filled per execution — anything else through its closure.
+// cell is one value an INSERT row writes, read like a getter: a literal
+// or a parameter in place — a parameter's value is a bind, re-filled per
+// execution — anything else through its closure.
 type cell struct {
-	pos int // the column it fills (a CALL's: the argument's position)
+	pos int // the column it fills
 	val Value
 	fn  evalFn // nil: val
 }
@@ -329,8 +316,8 @@ func (c *compiler) compileAll(xs []Expr) []evalFn {
 func (c *compiler) binary(t *BinaryExpr) evalFn {
 	l, r, op := c.compile(t.L), c.compile(t.R), t.Op
 	switch op {
-	case "AND", "OR", "=", "<>", "<", "<=", ">", ">=", "||":
-	default: // arithmetic, or an operator only a hand-built tree can hold
+	case "AND", "OR", "=", "<>", "<", "<=", ">", ">=":
+	default: // +, or an operator only a hand-built tree can hold
 		c.unsafe = true
 	}
 	return func(e *env) (Value, error) {
@@ -348,31 +335,13 @@ func (c *compiler) binary(t *BinaryExpr) evalFn {
 
 func (c *compiler) unary(t *UnaryExpr) evalFn {
 	xf, op := c.compile(t.X), t.Op
-	c.unsafe = true // a NOT over a non-boolean, a minus over a string
+	c.unsafe = true // a minus over a string
 	return func(e *env) (Value, error) {
 		v, err := xf(e)
 		if err != nil {
 			return Null(), err
 		}
 		return applyUnary(op, v)
-	}
-}
-
-func (c *compiler) in(t *InExpr) evalFn {
-	xf, list := c.compile(t.X), c.compileAll(t.List)
-	return func(e *env) (Value, error) {
-		v, err := xf(e)
-		if err != nil {
-			return Null(), err
-		}
-		// As in evalIn, a candidate's error surfaces even for a NULL probe.
-		candidates := make([]Value, len(list))
-		for i, lf := range list {
-			if candidates[i], err = lf(e); err != nil {
-				return Null(), err
-			}
-		}
-		return inMatch(v, candidates, t.Not), nil
 	}
 }
 
@@ -393,7 +362,7 @@ type aggSpec struct {
 // position in aggregateNames.
 type aggOp uint8
 
-const aggCount, aggSum, aggAvg, aggMin, aggMax aggOp = 0, 1, 2, 3, 4
+const aggCount, aggSum aggOp = 0, 1
 
 // aggState is one slot of one group.
 type aggState struct {
@@ -401,10 +370,9 @@ type aggState struct {
 	floats bool  // SUM met a non-integer
 	fi     int64
 	ff     float64
-	best   Value
 	seen   map[string]int
 	err    error // first argument error; raised when the slot is read
-	bad    bool  // a value SUM/AVG cannot add or MIN/MAX cannot compare
+	bad    bool  // a value SUM cannot add
 }
 
 // aggregate compiles an aggregate call: a slot read in group context, the
@@ -463,22 +431,14 @@ func (a *aggState) add(sp *aggSpec, e *env, kb *[]byte) {
 	a.n++
 	switch {
 	case sp.op == aggCount:
-	case sp.op <= aggAvg && v.K == KindInt:
+	case v.K == KindInt:
 		a.fi += v.I
 		a.ff += float64(v.I)
-	case sp.op <= aggAvg:
+	default:
 		f, ok := v.AsFloat()
 		a.bad = a.bad || !ok
 		a.ff += f
 		a.floats = true
-	case a.n == 1:
-		a.best = *v
-	default:
-		c, ok := v.compare(&a.best)
-		a.bad = a.bad || !ok
-		if (sp.op == aggMin && c < 0) || (sp.op == aggMax && c > 0) {
-			a.best = *v
-		}
 	}
 }
 
@@ -490,16 +450,10 @@ func (a *aggState) result(op aggOp, name string) (Value, error) {
 		return Int(a.n), nil
 	case a.n == 0:
 		return Null(), nil
-	case a.bad && op >= aggMin:
-		return Null(), fmt.Errorf("sqldb: %s over incomparable values", name)
 	case a.bad:
 		return Null(), fmt.Errorf("sqldb: %s over non-numeric value", name)
-	case op == aggAvg:
-		return Float(a.ff / float64(a.n)), nil
-	case op == aggSum && a.floats:
+	case a.floats:
 		return Float(a.ff), nil
-	case op == aggSum:
-		return Int(a.fi), nil
 	}
-	return a.best, nil
+	return Int(a.fi), nil
 }

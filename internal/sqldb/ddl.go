@@ -9,14 +9,11 @@ import (
 func (s *Session) execCreateTable(t *CreateTableStmt, slot *stmtSlot, base *env) (*Result, error) {
 	lc := strings.ToLower(t.Table)
 	if _, exists := s.db.tables[lc]; exists {
-		if t.IfNotExists {
-			return &Result{}, nil
-		}
 		return nil, fmt.Errorf("sqldb: table %s already exists", t.Table)
 	}
 	cols := make([]Column, len(t.Columns))
 	for i, cd := range t.Columns {
-		cols[i] = Column{Name: cd.Name, Type: cd.Type, NotNull: cd.NotNull, PrimaryKey: cd.PrimaryKey, Default: cd.Default}
+		cols[i] = Column(cd)
 	}
 	var rows [][]Value // AS SELECT: the rows, whose columns are the table's
 	if t.AsQuery != nil {

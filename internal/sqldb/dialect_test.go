@@ -21,8 +21,12 @@ import (
 // scripts, the benchmark's workloads and probes (bench/), and the
 // dump/replica path (dump.go, BootstrapState, the change stream).
 //
-// keptForms are the forms no issuer uses that the engine's own suite
-// still pins (its issuer is that test file): they are the next cut.
+// keptForms are the forms no program issues that sqldb keeps: <>, <, <=,
+// > and OR, the predicate alphabet of the differential oracles — the
+// expression generator of compile_diff_test.go and the queries of
+// slowselect_test.go, each row's issuer. Each row says why it stays
+// (why); every other form keptForms once held is refused
+// (TestUnissuedFormsAreRefused).
 //
 // TestDialectRowsParseAndRun is the forward check: every row parses and
 // runs, and its issuer holds its marker. TestDialectNamesEveryForm is the
@@ -35,6 +39,13 @@ type dialectRow struct {
 	params []Value
 	issuer string // a file of the module ...
 	marker string // ... holding this text
+}
+
+// keptRow is a row of keptForms: a form no program issues, and why it
+// stays.
+type keptRow struct {
+	dialectRow
+	why string
 }
 
 var issuedForms = []dialectRow{
@@ -102,30 +113,32 @@ var issuedForms = []dialectRow{
 		"internal/sqldb/dump.go", "v.SQLLiteral()"},
 }
 
-var keptForms = []dialectRow{
-	{"OR", "SELECT * FROM Orders WHERE OrderID = ? OR ItemID = ?", []Value{Int(1), Str("bolt")},
-		"internal/sqldb/stats_test.go", "WHERE OrderID = ? OR ItemID = ?"},
-	{"NOT, [NOT] IN (list)", "SELECT COUNT(*) FROM Orders WHERE NOT Approved AND ItemID NOT IN ('bolt', 'nut') AND ItemID IN ('screw')", nil,
-		"internal/sqldb/compile_diff_test.go", "&InExpr{X: sub(operand), Not: not}"},
-	{"IS [NOT] NULL", "SELECT COUNT(*) FROM Orders WHERE CustID IS NULL OR CustID IS NOT NULL", nil,
-		"internal/sqldb/slowselect_test.go", `"%s IS %sNULL"`},
-	{"<>, !=, <, <=, >", "SELECT COUNT(*) FROM Orders WHERE OrderID <> 1 AND OrderID != 2 AND OrderID < 9 AND OrderID <= 8 AND OrderID > 0", nil,
-		"internal/sqldb/compile_diff_test.go", `diffCompareOps = []string{"=", "<>", "<", "<=", ">", ">="}`},
-	{"-, *, /, %", "SELECT Quantity - 1, Quantity * 2, Quantity / 2, Quantity % 2 FROM Orders", nil,
-		"internal/sqldb/compile_diff_test.go", `diffArithOps   = []string{"+", "-", "*", "/", "%"}`},
-	{"||", "SELECT ItemID || '-x' FROM Orders", nil, "internal/sqldb/slowselect_test.go", `"%s || 'z'"`},
-	{"SELECT DISTINCT", "SELECT DISTINCT ItemID FROM Orders", nil, "internal/sqldb/sqldb_test.go", "SELECT DISTINCT ItemID FROM Orders"},
-	{"OFFSET", "SELECT OrderID FROM Orders ORDER BY OrderID LIMIT 2 OFFSET 3", nil, "internal/sqldb/sqldb_test.go", "LIMIT 2 OFFSET 3"},
-	{"CROSS JOIN, comma join, t.*", "SELECT o.* FROM Orders o, Items CROSS JOIN Audit", nil, "internal/sqldb/sqldb_test.go", "SELECT x, y FROM a CROSS JOIN b"},
-	{"AVG, MIN, MAX, SUM(DISTINCT …)", "SELECT AVG(Quantity), MIN(ItemID), MAX(Quantity), SUM(DISTINCT Quantity) FROM Orders", nil,
-		"internal/sqldb/grouptable_test.go", "SUM(DISTINCT q)"},
-	{"GROUP BY <n>, ORDER BY <n>", "SELECT ItemID, COUNT(*) FROM Orders GROUP BY 1 ORDER BY 2", nil, "internal/sqldb/sqldb_test.go", "ORDER BY 2 DESC LIMIT 1"},
-	{":name parameters, CALL arguments, procedure parameters", "CREATE PROCEDURE by_item (item) AS 'SELECT COUNT(*) FROM Orders WHERE ItemID = :item'; CALL by_item('nut')", nil,
-		"internal/sqldb/sqldb_test.go", "CREATE PROCEDURE approve_all (item) AS"},
-	{"CREATE TABLE IF NOT EXISTS, DEFAULT, INT, TEXT, BOOL, VARCHAR(n), PRIMARY KEY (…)",
-		"CREATE TABLE IF NOT EXISTS Notes (ID INT, Seq INT, Body TEXT DEFAULT 'none', Done BOOL, Tag VARCHAR(8), PRIMARY KEY (ID, Seq))", nil,
-		"internal/sqldb/property_test.go", "PRIMARY KEY ("},
-	{"CREATE UNIQUE INDEX", "CREATE UNIQUE INDEX orders_item ON Orders (OrderID, ItemID)", nil, "internal/sqldb/sqldb_test.go", "CREATE UNIQUE INDEX u_a ON u (a)"},
+// oracleAlphabet is why each of keptForms stays.
+const oracleAlphabet = "the predicate alphabet of the differential oracles; together these forms cost the parser's operator list, three cmpMask cases and pred's shared AND/OR arm"
+
+var keptForms = []keptRow{
+	{dialectRow{"<>", "SELECT COUNT(*) FROM Orders WHERE OrderID <> 1", nil,
+		"internal/sqldb/compile_diff_test.go", `diffCompareOps = []string{"=", "<>", "<", "<=", ">", ">="}`}, oracleAlphabet},
+	{dialectRow{"<", "SELECT COUNT(*) FROM Orders WHERE OrderID < 9", nil,
+		"internal/sqldb/compile_diff_test.go", `diffCompareOps = []string{"=", "<>", "<", "<=", ">", ">="}`}, oracleAlphabet},
+	{dialectRow{"<=", "SELECT COUNT(*) FROM Orders WHERE OrderID <= 8", nil,
+		"internal/sqldb/compile_diff_test.go", `diffCompareOps = []string{"=", "<>", "<", "<=", ">", ">="}`}, oracleAlphabet},
+	{dialectRow{">", "SELECT COUNT(*) FROM Orders WHERE OrderID > 0", nil,
+		"internal/sqldb/compile_diff_test.go", `diffCompareOps = []string{"=", "<>", "<", "<=", ">", ">="}`}, oracleAlphabet},
+	{dialectRow{"OR", "SELECT * FROM Orders WHERE OrderID = ? OR ItemID = ?", []Value{Int(1), Str("bolt")},
+		"internal/sqldb/slowselect_test.go", `g.pick("OR", "OR", "AND")`}, oracleAlphabet},
+}
+
+// ledger is every row: the issued forms, then the kept ones.
+func ledger(t *testing.T) []dialectRow {
+	rows := slices.Clone(issuedForms)
+	for _, k := range keptForms {
+		if k.why == "" {
+			t.Errorf("kept form %s does not say why it stays", k.form)
+		}
+		rows = append(rows, k.dialectRow)
+	}
+	return rows
 }
 
 // dialectDB is the database every row runs on: the running example's
@@ -149,7 +162,7 @@ func dialectDB(t *testing.T) *DB {
 
 func TestDialectRowsParseAndRun(t *testing.T) {
 	files := map[string]string{}
-	for _, r := range slices.Concat(issuedForms, keptForms) {
+	for _, r := range ledger(t) {
 		stmts, _, err := parseScript(r.sql)
 		if err != nil {
 			t.Errorf("%s: %s: %v", r.form, r.sql, err)
@@ -226,7 +239,7 @@ func grammar(t *testing.T) (leads, kws []string) {
 }
 
 func TestDialectNamesEveryForm(t *testing.T) {
-	rows := slices.Concat(issuedForms, keptForms)
+	rows := ledger(t)
 	used := map[string]bool{} // every token text of every row's example
 	kinds := map[string]bool{}
 	var leads []string
@@ -271,7 +284,7 @@ func TestDialectNamesEveryForm(t *testing.T) {
 			t.Errorf("keyword %s is lexed but the parser never accepts it", kw)
 		}
 	}
-	for _, op := range slices.Concat(compareOps, additiveOps, multiplicativeOps) {
+	for _, op := range slices.Concat(compareOps, additiveOps) {
 		if !used[op] {
 			t.Errorf("the parser accepts operator %s, which no row uses", op)
 		}
@@ -304,15 +317,15 @@ func TestDropErrorNamesEveryKind(t *testing.T) {
 }
 
 // TestScalarFunctions: the scalar-function library is NEXTVAL; every
-// function it once held is unknown, and the operators compute what they
-// stood in for.
+// function it once held is unknown, and + computes what CONCAT stood in
+// for.
 func TestScalarFunctions(t *testing.T) {
 	db := dialectDB(t)
 	for sql, want := range map[string]string{
 		"SELECT NEXTVAL('ids'), NEXTVAL('IDS')": "[[1 2]]",
-		"SELECT 'a' || 'b' || 'c'":              "[[abc]]",
-		"SELECT 2 + 3 * 4, (2 + 3) * 4":         "[[14 20]]",
-		"SELECT 7 / 2, 7.0 / 2, 10 % 3, -4":     "[[3 3.5 1 -4]]",
+		"SELECT 'a' + 'b' + 1":                  "[[ab1]]",
+		"SELECT 2 + 3 + 4, 2 + (3 + 0.5)":       "[[9 5.5]]",
+		"SELECT -4, -1.5, -(2 + 1)":             "[[-4 -1.5 -3]]",
 	} {
 		if got := queryRows(t, db, sql); got != want {
 			t.Errorf("%s: %s, want %s", sql, got, want)
@@ -330,6 +343,29 @@ func TestScalarFunctions(t *testing.T) {
 	if _, err := db.Exec("SELECT NEXTVAL(1)"); err == nil {
 		t.Error("NEXTVAL of a number")
 	}
+}
+
+// TestUnissuedFormsAreRefused: every form keptForms held that no program
+// issues and no differential oracle stands on is cut; its ledger example
+// no longer parses, one form a line.
+func TestUnissuedFormsAreRefused(t *testing.T) {
+	refused(t,
+		"SELECT COUNT(*) FROM Orders WHERE NOT Approved",
+		"SELECT COUNT(*) FROM Orders WHERE ItemID NOT IN ('bolt', 'nut') AND ItemID IN ('screw')",
+		"SELECT COUNT(*) FROM Orders WHERE CustID IS NULL OR CustID IS NOT NULL",
+		"SELECT COUNT(*) FROM Orders WHERE OrderID != 2",
+		"SELECT Quantity - 1 FROM Orders", "SELECT Quantity * 2 FROM Orders", "SELECT Quantity / 2 FROM Orders", "SELECT Quantity % 2 FROM Orders",
+		"SELECT ItemID || '-x' FROM Orders",
+		"SELECT DISTINCT ItemID FROM Orders",
+		"SELECT OrderID FROM Orders ORDER BY OrderID LIMIT 2 OFFSET 3",
+		"SELECT o.* FROM Orders o JOIN Items i ON o.ItemID = i.ItemID", "SELECT * FROM Orders o, Items", "SELECT * FROM Orders CROSS JOIN Audit",
+		"SELECT AVG(Quantity) FROM Orders", "SELECT MIN(ItemID) FROM Orders", "SELECT MAX(Quantity) FROM Orders", "SELECT SUM(DISTINCT Quantity) FROM Orders",
+		"SELECT ItemID, COUNT(*) FROM Orders GROUP BY 1", "SELECT ItemID FROM Orders ORDER BY 2",
+		"SELECT COUNT(*) FROM Orders WHERE ItemID = :item", "CREATE PROCEDURE by_item (item) AS 'SELECT COUNT(*) FROM Orders'", "CALL by_item('nut')",
+		"CREATE TABLE IF NOT EXISTS Notes (ID INTEGER)", "CREATE TABLE Notes (Body VARCHAR DEFAULT 'none')",
+		"CREATE TABLE Notes (ID INT)", "CREATE TABLE Notes (Body TEXT)", "CREATE TABLE Notes (Done BOOL)", "CREATE TABLE Notes (Tag VARCHAR(8))",
+		"CREATE TABLE Notes (ID INTEGER, Seq INTEGER, PRIMARY KEY (ID, Seq))",
+		"CREATE UNIQUE INDEX orders_item ON Orders (OrderID, ItemID)")
 }
 
 // --- Forms the dialect refuses ---
@@ -434,4 +470,37 @@ func FuzzLike(f *testing.F) {
 		quote := func(v string) string { return "'" + strings.ReplaceAll(v, "'", "''") + "'" }
 		refused(t, "SELECT COUNT(*) FROM t WHERE "+quote(s)+" LIKE "+quote(p))
 	})
+}
+
+func TestDistinct(t *testing.T) {
+	refused(t, "SELECT DISTINCT ItemID FROM Orders ORDER BY ItemID")
+}
+
+func TestOrderByPosition(t *testing.T) {
+	refused(t, "SELECT OrderID, Quantity FROM Orders ORDER BY 2 DESC LIMIT 1")
+}
+
+func TestCrossJoinComma(t *testing.T) {
+	refused(t, "SELECT x, y FROM a, b", "SELECT x, y FROM a CROSS JOIN b")
+}
+
+func TestQualifiedStar(t *testing.T) {
+	refused(t, "SELECT o.* FROM Orders o JOIN Items i ON o.ItemID = i.ItemID")
+}
+
+func TestInList(t *testing.T) {
+	refused(t, "SELECT COUNT(*) FROM Orders WHERE ItemID IN ('bolt', 'screw')",
+		"SELECT COUNT(*) FROM Orders WHERE ItemID NOT IN ('bolt')", "SELECT COUNT(*) FROM Orders WHERE NOT Approved")
+}
+
+func TestDivisionByZero(t *testing.T) {
+	refused(t, "SELECT 1 / 0", "SELECT 7 % 2", "SELECT 2 * 3", "SELECT 3 - 1", "SELECT 'a' || 'b'", "SELECT 1 != 2")
+}
+
+func TestUniqueIndex(t *testing.T) {
+	refused(t, "CREATE UNIQUE INDEX u_a ON u (a)")
+}
+
+func TestDefaultValues(t *testing.T) {
+	refused(t, "CREATE TABLE d (a INTEGER, b VARCHAR DEFAULT 'none', c BOOLEAN DEFAULT FALSE)")
 }

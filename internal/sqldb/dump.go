@@ -79,12 +79,7 @@ func (db *DB) dumpLocked() string {
 			if idx == t.pkIndex {
 				continue // implied by PRIMARY KEY
 			}
-			unique := ""
-			if idx.Unique {
-				unique = "UNIQUE "
-			}
-			fmt.Fprintf(&b, "CREATE %sINDEX %s ON %s (%s);\n",
-				unique, idx.Name, t.Name, strings.Join(idx.Columns, ", "))
+			fmt.Fprintf(&b, "CREATE INDEX %s ON %s (%s);\n", idx.Name, t.Name, strings.Join(idx.Columns, ", "))
 		}
 	}
 
@@ -104,9 +99,7 @@ func (db *DB) dumpLocked() string {
 		if p.src == "" {
 			continue
 		}
-		params := strings.Join(p.Params, ", ")
-		fmt.Fprintf(&b, "CREATE PROCEDURE %s (%s) AS '%s';\n",
-			p.Name, params, strings.ReplaceAll(p.src, "'", "''"))
+		fmt.Fprintf(&b, "CREATE PROCEDURE %s () AS '%s';\n", p.Name, strings.ReplaceAll(p.src, "'", "''"))
 	}
 	return b.String()
 }

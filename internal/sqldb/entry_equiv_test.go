@@ -38,7 +38,9 @@ func equivMix(seed int64) []equivStep {
 		step("CREATE TABLE orders (id INTEGER PRIMARY KEY, item VARCHAR, qty INTEGER)"),
 		step("CREATE TABLE audit (id INTEGER, note VARCHAR)"),
 		step("CREATE INDEX orders_item ON orders (item)"),
-		step("CREATE PROCEDURE restock(p, n) AS 'UPDATE orders SET qty = qty + :n WHERE id = :p; INSERT INTO audit VALUES (:p, ''restock''); SELECT qty FROM orders WHERE id = :p'"),
+	}
+	for id := range 12 {
+		mix = append(mix, step(fmt.Sprintf("CREATE PROCEDURE restock%[1]d () AS 'UPDATE orders SET qty = qty + %[2]d WHERE id = %[1]d; INSERT INTO audit VALUES (%[1]d, ''restock''); SELECT qty FROM orders WHERE id = %[1]d'", id, 3+id%5)))
 	}
 	items := []string{"bolt", "nut", "it's", "washer; x"}
 	iud := func() equivStep {
@@ -56,9 +58,9 @@ func equivMix(seed int64) []equivStep {
 		case 4:
 			return step("DELETE FROM orders WHERE id = ? AND qty < 25", Int(id))
 		case 5:
-			return step(fmt.Sprintf("CALL restock(%d, %d)", id, qty))
+			return step(fmt.Sprintf("CALL restock%d()", id))
 		default:
-			return step(fmt.Sprintf("CALL note(%d, 'seen')", id))
+			return step("CALL note()")
 		}
 	}
 	// Bound reads on the plans that reuse their buffers across runs: a
@@ -110,10 +112,10 @@ func equivMix(seed int64) []equivStep {
 // change capture installed.
 func equivDB() (*DB, *[]Change) {
 	db := Open("equiv")
-	db.RegisterProcedure("note", func(s *Session, args []Value) (*Result, error) {
-		return s.Exec("INSERT INTO audit VALUES (?, ?)", args...)
+	db.RegisterProcedure("note", func(s *Session) (*Result, error) {
+		return s.Exec("INSERT INTO audit SELECT id, 'seen' FROM orders WHERE qty < ?", Int(10))
 	})
-	db.RegisterProcedure("abort", func(s *Session, _ []Value) (*Result, error) {
+	db.RegisterProcedure("abort", func(s *Session) (*Result, error) {
 		s.Rollback()
 		return &Result{}, nil
 	})
@@ -325,23 +327,23 @@ func TestRollbackAPIBypassesStatementGates(t *testing.T) {
 
 // TestCachedTextAcrossDDLMatchesUncachedPrepare: DDL invalidates nothing
 // in the statement cache; a plan kept with a cached text is rebuilt when
-// what it read changed — an INSERT's row template, DEFAULTs included,
-// when its table is re-created. So the same cached text — re-executed
+// what it read changed — an INSERT's row template, NOT NULL columns
+// included, when its table is re-created. So the same cached text — re-executed
 // byte-identically (raw front-cache hit) and with a fresh literal
 // (normalized-plan hit) — must, after any DDL on the objects it names,
 // return what an uncached Prepare of that text returns on a database
 // that went through the same history: results, error text, contents.
 func TestCachedTextAcrossDDLMatchesUncachedPrepare(t *testing.T) {
 	probes := []string{ // one literal slot each
-		"SELECT * FROM t WHERE a >= %d ORDER BY 1, 2",
+		"SELECT * FROM t WHERE a >= %d ORDER BY a, b",
 		"SELECT a, b FROM t WHERE b = %d ORDER BY a",
 		"INSERT INTO t VALUES (%d, 2)",
 		"INSERT INTO t (a, b) VALUES (%d, 2)",
-		"INSERT INTO t (a) VALUES (%d)",               // the other columns take their DEFAULTs
+		"INSERT INTO t (a) VALUES (%d)",               // the other columns are NULL, or refuse it
 		"INSERT INTO t (b, a) VALUES (%d, 5), (1, 6)", // multi-row, columns out of table order
 		"UPDATE t SET b = b + 1 WHERE a = %d",
 		"DELETE FROM t WHERE a = %d AND b > 100",
-		"SELECT * FROM x WHERE n >= %d ORDER BY 1",
+		"SELECT * FROM x WHERE n >= %d ORDER BY n",
 		"INSERT INTO x VALUES (%d)",
 	}
 	rounds := [][]string{
@@ -357,9 +359,9 @@ func TestCachedTextAcrossDDLMatchesUncachedPrepare(t *testing.T) {
 			"CREATE TABLE t (b INTEGER, a INTEGER)",
 			"INSERT INTO t VALUES (2, 1), (4, 3)",
 		},
-		{ // same name, column order swapped back, a DEFAULT and an index
+		{ // same name, column order swapped back, a NOT NULL column and an index
 			"DROP TABLE t",
-			"CREATE TABLE t (a INTEGER, b INTEGER DEFAULT 8)",
+			"CREATE TABLE t (a INTEGER, b INTEGER NOT NULL)",
 			"INSERT INTO t VALUES (1, 2), (3, 4)",
 			"CREATE INDEX it ON t (b)",
 		},

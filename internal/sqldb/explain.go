@@ -34,9 +34,7 @@ func (p *selectPlan) explain(emit func(string)) {
 		}
 		if k > 0 {
 			label = strings.TrimPrefix(strings.TrimPrefix(label, "SCAN "), "INDEX PROBE ")
-			label = [...]string{JoinInner: "INNER ", JoinCross: "CROSS "}[src.kind] +
-				[...]string{joinLoop: "NESTED LOOP", joinHash: "HASH", joinIndex: "INDEX NESTED LOOP"}[src.strategy] +
-				" JOIN " + label
+			label = "INNER " + [...]string{joinHash: "HASH", joinIndex: "INDEX NESTED LOOP"}[src.strategy] + " JOIN " + label
 		}
 		add("%s", label)
 		if len(src.filter) > 0 && len(p.srcs) > 1 {
@@ -53,13 +51,10 @@ func (p *selectPlan) explain(emit func(string)) {
 	} else if p.grouped {
 		add("STREAM AGGREGATE")
 	}
-	if p.q.Distinct {
-		add("DISTINCT")
-	}
 	if len(p.order) > 0 {
 		add("SORT (%d keys)", len(p.order))
 	}
-	if p.q.Limit != nil || p.q.Offset != nil {
-		add("LIMIT/OFFSET")
+	if p.q.Limit != nil {
+		add("LIMIT")
 	}
 }

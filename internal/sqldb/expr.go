@@ -1,9 +1,6 @@
 package sqldb
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // colMeta identifies an output or intermediate column: the (aliased) table
 // qualifier it came from and its name.
@@ -25,7 +22,7 @@ type env struct {
 
 // aggregateNames are function names treated as aggregates, in aggOp
 // order.
-var aggregateNames = []string{"COUNT", "SUM", "AVG", "MIN", "MAX"}
+var aggregateNames = []string{"COUNT", "SUM"}
 
 // Value-level operators, applied by the compiled closures.
 
@@ -54,27 +51,19 @@ func applyBinary(op string, l, r Value) (Value, error) {
 			return Null(), nil
 		}
 		return Bool(cmpMask(op)&(1<<(c+1)) != 0), nil
-	case "||":
-		if l.IsNull() || r.IsNull() {
-			return Null(), nil
-		}
-		return Str(l.String() + r.String()), nil
-	case "+", "-", "*", "/", "%":
-		return evalArith(op, l, r)
+	case "+":
+		return add(l, r)
 	}
 	return Null(), fmt.Errorf("sqldb: unknown operator %s", op)
 }
 
+// applyUnary applies unary minus, the sign of a negative literal.
 func applyUnary(op string, v Value) (Value, error) {
 	switch {
-	case op != "-" && op != "NOT":
+	case op != "-":
 		return Null(), fmt.Errorf("sqldb: unknown unary operator %s", op)
 	case v.IsNull():
 		return Null(), nil
-	case op == "NOT" && v.K == KindBool:
-		return Bool(!v.B()), nil
-	case op == "NOT":
-		return Null(), fmt.Errorf("sqldb: NOT requires a boolean")
 	case v.K == KindInt:
 		return Int(-v.I), nil
 	case v.K == KindFloat:
@@ -83,67 +72,23 @@ func applyUnary(op string, v Value) (Value, error) {
 	return Null(), fmt.Errorf("sqldb: cannot negate %s", v.K)
 }
 
-func evalArith(op string, l, r Value) (Value, error) {
-	if l.IsNull() || r.IsNull() {
+// add is +: a sum of numbers, or the concatenation of a string with
+// anything.
+func add(l, r Value) (Value, error) {
+	switch {
+	case l.IsNull() || r.IsNull():
 		return Null(), nil
-	}
-	if op == "+" && (l.K == KindString || r.K == KindString) {
+	case l.K == KindString || r.K == KindString:
 		return Str(l.String() + r.String()), nil
+	case l.K == KindInt && r.K == KindInt:
+		return Int(l.I + r.I), nil
 	}
 	lf, ok1 := l.AsFloat()
 	rf, ok2 := r.AsFloat()
 	if !ok1 || !ok2 {
-		return Null(), fmt.Errorf("sqldb: arithmetic on non-numeric values (%s %s %s)", l.K, op, r.K)
+		return Null(), fmt.Errorf("sqldb: arithmetic on non-numeric values (%s + %s)", l.K, r.K)
 	}
-	if (op == "/" || op == "%") && rf == 0 {
-		return Null(), fmt.Errorf("sqldb: division by zero")
-	}
-	ints := l.K == KindInt && r.K == KindInt
-	switch {
-	case op == "+" && ints:
-		return Int(l.I + r.I), nil
-	case op == "-" && ints:
-		return Int(l.I - r.I), nil
-	case op == "*" && ints:
-		return Int(l.I * r.I), nil
-	case op == "/" && ints:
-		return Int(l.I / r.I), nil
-	case op == "%" && ints:
-		return Int(l.I % r.I), nil
-	case op == "+":
-		return Float(lf + rf), nil
-	case op == "-":
-		return Float(lf - rf), nil
-	case op == "*":
-		return Float(lf * rf), nil
-	case op == "/":
-		return Float(lf / rf), nil
-	case op == "%":
-		return Float(math.Mod(lf, rf)), nil
-	}
-	return Null(), fmt.Errorf("sqldb: unknown arithmetic operator %s", op)
-}
-
-// inMatch is x [NOT] IN (candidates) in three-valued logic: NULL when x
-// is NULL, or when nothing matched and a candidate was NULL.
-func inMatch(v Value, candidates []Value, not bool) Value {
-	if v.IsNull() {
-		return Null()
-	}
-	sawNull := false
-	for _, c := range candidates {
-		if c.IsNull() {
-			sawNull = true
-			continue
-		}
-		if cmp, ok := compareValues(v, c); ok && cmp == 0 {
-			return Bool(!not)
-		}
-	}
-	if sawNull {
-		return Null()
-	}
-	return Bool(not)
+	return Float(lf + rf), nil
 }
 
 // errAggregateContext is what an aggregate raises when it is evaluated

@@ -36,12 +36,13 @@ func lexNoSemis(sql string) ([]lexed, error) {
 // any input parseScript accepts, each statement's text re-parsed alone
 // is one statement of the same kind, and the texts cover the input in
 // order — their tokens, concatenated, are the input's tokens minus the
-// separators.
+// separators. The seeds are scripts the dialect accepts, and one it
+// refuses (DEFAULT).
 func FuzzParseScript(f *testing.F) {
 	f.Add("SELECT 1")
-	f.Add("INSERT INTO t VALUES (1, 'a;b'); ; UPDATE t SET a = ? WHERE b = :n -- tail\n;")
-	f.Add("CREATE PROCEDURE p(x) AS 'UPDATE t SET a = :x; SELECT a FROM t'; CALL p(1)")
-	f.Add("BEGIN; DELETE FROM t /* ; */ WHERE a IN (1, 'b'); COMMIT")
+	f.Add("INSERT INTO t VALUES (1, 'a;b'); ; UPDATE t SET a = ? WHERE b = @n -- tail\n;")
+	f.Add("CREATE PROCEDURE p () AS 'UPDATE t SET a = 1; SELECT a FROM t'; CALL p()")
+	f.Add("BEGIN; DELETE FROM t /* ; */ WHERE a = 1 OR a = 'b'; COMMIT")
 	f.Add("CREATE TABLE t (id INTEGER PRIMARY KEY, v VARCHAR DEFAULT 'x');DROP TABLE IF EXISTS t")
 	f.Fuzz(func(t *testing.T, sql string) {
 		parts, _, err := parseScript(sql)
@@ -76,13 +77,14 @@ func FuzzParseScript(f *testing.F) {
 // FuzzNormalizeStmt checks that normalization is idempotent on its own
 // rendering: the rendered text normalizes to itself, extracts nothing,
 // and keeps every bind slot — what lets a replica re-resolve
-// change-stream text through the same path.
+// change-stream text through the same path. The seeds are statements the
+// dialect accepts, and one it refuses (a quoted identifier).
 func FuzzNormalizeStmt(f *testing.F) {
-	f.Add("SELECT a, 2 FROM t WHERE b = 'x' AND c < ? ORDER BY 1, a LIMIT 10")
-	f.Add("INSERT INTO t (a, b) VALUES (1, 'it''s'), (?, :n)")
-	f.Add("SELECT a + 1.5e3 FROM t WHERE b IN (2, 'c') GROUP BY a ORDER BY 2 LIMIT 3 ;")
+	f.Add("SELECT a, 2 FROM t WHERE b = 'x' AND c < ? ORDER BY a LIMIT 10")
+	f.Add("INSERT INTO t (a, b) VALUES (1, 'it''s'), (?, @n)")
+	f.Add("SELECT a + 1.5e3 FROM t WHERE b = 2 OR b = 'c' GROUP BY a ORDER BY a LIMIT 3 ;")
 	f.Add("DELETE FROM \"my t\" WHERE a = -1 OR b = .5")
-	f.Add("SELECT Größe FROM Bestellung WHERE Straße = 'Ö' AND ß = :straße")
+	f.Add("SELECT Größe FROM Bestellung WHERE Straße = 'Ö' AND ß = @straße")
 	f.Fuzz(func(t *testing.T, sql string) {
 		n, ok := normalizeStmt(sql)
 		if !ok {
@@ -109,11 +111,12 @@ func FuzzNormalizeStmt(f *testing.F) {
 // rendering, the names are distinct in any letter case, and the slots the
 // parse's ParamRefs hold are exactly 0 .. positional + names - 1, where
 // positional counts the `?`s — the raw text's own, or the rendering's,
-// which include the extracted literals.
+// which include the extracted literals. The seeds are statements the
+// dialect accepts, and one it refuses (:name, procedure parameters).
 func FuzzParamNames(f *testing.F) {
-	f.Add("SELECT a FROM t WHERE b = :x AND c = ? AND d = @X AND e = 'lit' AND f = :y")
+	f.Add("SELECT a FROM t WHERE b = @x AND c = ? AND d = @X AND e = 'lit' AND f = @y")
 	f.Add("INSERT INTO t VALUES (@item, ?, 'mail to sales@item.example', @itemx, 3)")
-	f.Add("UPDATE t SET a = :Q + 1 WHERE b IN (:q, 2) AND e = ?")
+	f.Add("UPDATE t SET a = @Q + 1 WHERE b = @q OR b = 2 AND e = ?")
 	f.Add("CREATE PROCEDURE p(x) AS 'UPDATE t SET a = :x'; CALL p(:y); DELETE FROM t WHERE a = ? OR b = :Y")
 	f.Fuzz(func(t *testing.T, sql string) {
 		stmts, shape, err := parseScript(sql)

@@ -52,7 +52,7 @@ func dropTableStmt(name string, ifExists bool) (Stmt, string) {
 }
 
 func selectAllStmt(name string) (Stmt, string) {
-	return &SelectStmt{Items: []SelectItem{{Star: true}}, From: []TableRef{{Source: Source{Table: name}}}},
+	return &SelectStmt{Items: []SelectItem{{Star: true}}, From: []Source{{Table: name}}},
 		"SELECT * FROM " + name
 }
 

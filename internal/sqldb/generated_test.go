@@ -22,7 +22,7 @@ func TestConstructorsMatchParse(t *testing.T) {
 	names := []string{
 		"SR_ItemList_i7", "t", "T$1", "_x", "sr_r_i1234567890123", // accepted
 		"", "Ünïcode", "1abc", "a b", " a", "a ", "a-b", "a.b", "a;b", "a--c", "a/*c*/", `"q"`, "a'b", "é",
-		"TABLE", "select", "value", "Key", // keywords, also the ones ident() lets through (upper-cased)
+		"TABLE", "select", "value", "Key", // keywords and names that are not
 	}
 	rng := rand.New(rand.NewSource(18))
 	alphabet := []byte("abzAZ_$09 .-\"';*#\xe9\xaa\xc3")

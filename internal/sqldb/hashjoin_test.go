@@ -55,7 +55,7 @@ var joinQueries = []struct {
 		func(run int) Value { return Float(float64(run%4) + 0.5) }},
 	{"SELECT o.id, i.id, i.s FROM o JOIN i ON i.s = o.s AND i.f = o.a WHERE o.f <> ? ORDER BY o.id, i.id",
 		func(run int) Value { return Int(int64(run % 3)) }},
-	{"SELECT o.s, COUNT(i.id) FROM o JOIN i ON i.s = o.s WHERE i.a IS NULL OR i.a <> ? GROUP BY o.s",
+	{"SELECT o.s, COUNT(i.id) FROM o JOIN i ON i.s = o.s WHERE i.a < 1 OR i.a <> ? GROUP BY o.s",
 		func(run int) Value { return Int(int64(run % 5)) }},
 }
 

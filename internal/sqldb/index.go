@@ -6,8 +6,9 @@ import (
 	"strconv"
 )
 
-// Index is a hash index over one or more columns. Unique indexes enforce
-// key uniqueness (NULL keys are exempt, as in standard SQL). A bucket
+// Index is a hash index over one or more columns. A primary key's index
+// is unique: it enforces key uniqueness over columns that are NOT NULL;
+// CREATE INDEX makes one that is not. A bucket
 // holds, in heap order, every version of its key still in the heap —
 // visibility filtering happens at scan time — so the structure needs no
 // maintenance on commit or rollback, only on vacuum, which takes the
@@ -39,25 +40,14 @@ func newIndex(name string, t *Table, cols []string, unique bool) (*Index, error)
 		}
 		idx.colIdx = append(idx.colIdx, ci)
 	}
-	// Build over existing versions. CREATE INDEX runs under the
-	// exclusive engine lock, but other sessions' open transactions may
-	// have pending versions in the heap; uniqueness is enforced among
-	// versions not already dead or dying, each checked as its own
-	// creator would be.
+	// Build over existing versions (a unique index is built with its
+	// table, over none). CREATE INDEX runs under the exclusive engine
+	// lock, but other sessions' open transactions may have pending
+	// versions in the heap: every version not aborted goes in.
 	for _, r := range t.rows {
-		if r.xmin.Load() == abortedStamp {
-			continue
+		if r.xmin.Load() != abortedStamp {
+			idx.insert(r)
 		}
-		if unique && r.xmax.Load() == 0 {
-			tid := int64(0)
-			if x := r.xmin.Load(); x < 0 {
-				tid = -x
-			}
-			if err := idx.checkInsert(r, tid); err != nil {
-				return nil, err
-			}
-		}
-		idx.insert(r)
 	}
 	return idx, nil
 }
@@ -90,14 +80,12 @@ func appendKey(b []byte, v Value) []byte {
 	return append(b, 'n')
 }
 
-// rowKey encodes the indexed column values of a row into b. hasNull
-// reports a NULL key column (such keys never violate uniqueness).
-func (idx *Index) rowKey(b []byte, vals []Value) (key []byte, hasNull bool) {
+// rowKey encodes the indexed column values of a row into b.
+func (idx *Index) rowKey(b []byte, vals []Value) []byte {
 	for _, ci := range idx.colIdx {
-		hasNull = hasNull || vals[ci].IsNull()
 		b = appendKey(b, vals[ci])
 	}
-	return b, hasNull
+	return b
 }
 
 // checkInsert decides whether txnID may add a version with r's key.
@@ -113,10 +101,7 @@ func (idx *Index) checkInsert(r *Row, txnID int64) error {
 		return nil
 	}
 	var buf keyBuf
-	k, hasNull := idx.rowKey(buf[:0], r.Values)
-	if hasNull {
-		return nil
-	}
+	k := idx.rowKey(buf[:0], r.Values)
 	for _, o := range idx.buckets[string(k)] {
 		if o == r {
 			continue
@@ -144,7 +129,7 @@ func (idx *Index) checkInsert(r *Row, txnID int64) error {
 
 func (idx *Index) insert(r *Row) {
 	var buf keyBuf
-	k, _ := idx.rowKey(buf[:0], r.Values)
+	k := idx.rowKey(buf[:0], r.Values)
 	idx.buckets[string(k)] = append(idx.buckets[string(k)], r)
 }
 
@@ -159,7 +144,7 @@ func (idx *Index) remove(reclaimed []*Row, gone func(*Row) bool) {
 	var swept map[*Row]bool
 	var buf keyBuf
 	for _, r := range reclaimed {
-		k, _ := idx.rowKey(buf[:0], r.Values)
+		k := idx.rowKey(buf[:0], r.Values)
 		b := idx.buckets[string(k)]
 		if len(b) == 0 || swept[b[0]] {
 			continue

@@ -17,7 +17,7 @@ const (
 	tokKeyword
 	tokNumber
 	tokString
-	tokParam  // placeholder: text "?", or the bare name of :name / @name
+	tokParam  // placeholder: text "?", or the bare name of @name
 	tokSymbol // operators and punctuation
 )
 
@@ -33,19 +33,16 @@ type token struct {
 // insensitively) become tokKeyword with uppercased text.
 var keywords = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "GROUP": true, "BY": true,
-	"ORDER": true, "DESC": true, "LIMIT": true, "OFFSET": true,
-	"DISTINCT": true, "AS": true, "AND": true, "OR": true, "NOT": true,
-	"IN": true, "IS": true, "NULL": true, "TRUE": true, "FALSE": true,
-	"EXISTS": true, "JOIN": true, "CROSS": true, "ON": true, "INSERT": true,
+	"ORDER": true, "DESC": true, "LIMIT": true, "DISTINCT": true, "AS": true,
+	"AND": true, "OR": true, "NOT": true, "NULL": true, "TRUE": true,
+	"FALSE": true, "EXISTS": true, "JOIN": true, "ON": true, "INSERT": true,
 	"INTO": true, "VALUES": true, "UPDATE": true, "SET": true, "DELETE": true,
-	"CREATE": true, "DROP": true, "TABLE": true, "INDEX": true, "UNIQUE": true,
+	"CREATE": true, "DROP": true, "TABLE": true, "INDEX": true,
 	"SEQUENCE": true, "PROCEDURE": true, "CALL": true, "BEGIN": true,
 	"COMMIT": true, "ROLLBACK": true, "PRIMARY": true, "KEY": true,
-	"DEFAULT": true, "INTEGER": true, "INT": true, "FLOAT": true,
-	"VARCHAR": true, "TEXT": true, "BOOLEAN": true, "BOOL": true,
+	"INTEGER": true, "FLOAT": true, "VARCHAR": true, "BOOLEAN": true,
 	"START": true, "WITH": true, "INCREMENT": true, "IF": true,
-	"EXPLAIN": true, "COUNT": true, "SUM": true, "AVG": true, "MIN": true,
-	"MAX": true,
+	"EXPLAIN": true, "COUNT": true, "SUM": true,
 }
 
 // lexer tokenizes a SQL string.
@@ -95,8 +92,8 @@ func (l *lexer) next() (token, error) {
 	case c == '?':
 		l.pos++
 		return token{kind: tokParam, text: "?", pos: start}, nil
-	case (c == ':' || c == '@') && l.pos+1 < len(l.src) && isIdentStart(firstRune(l.src[l.pos+1:])):
-		// A named placeholder: :name, or @name as SQL Server writes it.
+	case c == '@' && l.pos+1 < len(l.src) && isIdentStart(firstRune(l.src[l.pos+1:])):
+		// A named placeholder, @name as SQL Server writes it.
 		l.pos++
 		nameStart := l.pos
 		l.skipIdentPart()
@@ -108,12 +105,12 @@ func (l *lexer) next() (token, error) {
 		two = l.src[l.pos : l.pos+2]
 	}
 	switch two {
-	case "<=", ">=", "<>", "!=", "||":
+	case "<=", ">=", "<>":
 		l.pos += 2
 		return token{kind: tokSymbol, text: two, pos: start}, nil
 	}
 	switch c {
-	case '=', '<', '>', '+', '-', '*', '/', '%', '(', ')', ',', ';', '.':
+	case '=', '<', '>', '+', '-', '*', '(', ')', ',', ';', '.':
 		l.pos++
 		return token{kind: tokSymbol, text: string(c), pos: start}, nil
 	}

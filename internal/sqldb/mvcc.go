@@ -264,14 +264,11 @@ func stmtRefs(st Stmt, write, read map[string]bool) {
 	}
 }
 
-// selectRefs records the tables of a query's FROM entries and joins:
-// expressions name no table.
+// selectRefs records the tables of a query's FROM and joins: expressions
+// name no table.
 func selectRefs(q *SelectStmt, read map[string]bool) {
-	for _, tr := range q.From {
-		read[strings.ToLower(tr.Table)] = true
-		for _, jc := range tr.Joins {
-			read[strings.ToLower(jc.Table)] = true
-		}
+	for _, from := range q.From {
+		read[strings.ToLower(from.Table)] = true
 	}
 }
 

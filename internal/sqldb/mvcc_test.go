@@ -120,7 +120,7 @@ func TestAutocommitConflictRetryBothSucceed(t *testing.T) {
 	}
 	wg.Wait()
 
-	res := db.MustExec("SELECT COUNT(*), MAX(v) FROM t")
+	res := db.MustExec("SELECT COUNT(*), SUM(v) FROM t")
 	if n, _ := res.Rows[0][0].AsInt(); n != 1 {
 		t.Fatalf("visible rows = %d, want 1", n)
 	}

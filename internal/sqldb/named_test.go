@@ -22,7 +22,7 @@ type namedHole struct {
 }
 
 // namedGen draws statements over t (id, k, s) whose operands are named
-// placeholders (:name or @name, any letter case, names repeating), `?`s,
+// placeholders (@name, any letter case, names repeating), `?`s,
 // and literals that normalization extracts. Names n and m carry integers,
 // w strings.
 type namedGen struct{ rng *rand.Rand }
@@ -38,7 +38,7 @@ func (g *namedGen) hole(str bool) namedHole {
 		if g.rng.Intn(3) == 0 {
 			spelled = strings.ToUpper(name)
 		}
-		return namedHole{kind: "named", name: name, text: []string{":", "@"}[g.rng.Intn(2)] + spelled}
+		return namedHole{kind: "named", name: name, text: "@" + spelled}
 	case 2:
 		return namedHole{kind: "?"}
 	}
@@ -193,7 +193,7 @@ func TestExecNamedFailsAtEntry(t *testing.T) {
 	db := Open("entry")
 	db.MustExec("CREATE TABLE t (a INTEGER, b INTEGER)")
 	s := db.Session()
-	ps, err := s.Prepare("INSERT INTO t VALUES (:a, ?)")
+	ps, err := s.Prepare("INSERT INTO t VALUES (@a, ?)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,10 +202,10 @@ func TestExecNamedFailsAtEntry(t *testing.T) {
 		q     []Value
 		want  string
 	}{
-		{map[string]Value{"b": Int(1)}, []Value{Int(2)}, "sqldb: unbound named parameter :a"},
+		{map[string]Value{"b": Int(1)}, []Value{Int(2)}, "sqldb: unbound named parameter @a"},
 		{map[string]Value{"A": Int(1)}, nil, "sqldb: missing value for parameter 1"},
 	} {
-		if _, err := s.ExecNamed("INSERT INTO t VALUES (:a, ?)", tc.named, tc.q...); errText(err) != tc.want {
+		if _, err := s.ExecNamed("INSERT INTO t VALUES (@a, ?)", tc.named, tc.q...); errText(err) != tc.want {
 			t.Fatalf("ExecNamed(%v, %v): %v, want %q", tc.named, tc.q, err, tc.want)
 		}
 		if _, err := ps.ExecNamed(tc.named, tc.q...); errText(err) != tc.want {

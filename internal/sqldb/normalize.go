@@ -44,12 +44,8 @@ func userSlots(pattern []uint8) int {
 // normalizeStmt lexes sql and extracts its literals into bind slots.
 // ok == false means the statement is not eligible (not a single
 // SELECT/INSERT/UPDATE/DELETE, or it does not lex) and the caller must
-// fall back to an ordinary parse of the raw text.
-//
-// Literals inside an ORDER BY clause are deliberately left in place: a
-// bare integer there is a positional select-list reference
-// (evalOrderKey), so turning it into a parameter would change meaning.
-// TRUE/FALSE/NULL are keywords, never slotted.
+// fall back to an ordinary parse of the raw text. TRUE/FALSE/NULL are
+// keywords, never slotted.
 //
 // The rendered text is idempotent: normalizing it again yields the
 // identical text with zero extracted constants — which is what lets a
@@ -82,35 +78,21 @@ func normalizeStmt(sql string) (normalized, bool) {
 		}
 	}
 
-	suppress := false // inside a GROUP BY or ORDER BY clause
 	for i := range toks {
 		t := &toks[i]
 		switch t.kind {
-		case tokKeyword:
-			switch t.text {
-			case "ORDER", "GROUP":
-				suppress = suppress || i+1 < len(toks) && toks[i+1].kind == tokKeyword && toks[i+1].text == "BY"
-			case "LIMIT", "OFFSET":
-				suppress = false
-			}
 		case tokParam:
 			if t.text == "?" {
 				n.pattern = append(n.pattern, slotUser)
 			}
 			// Named placeholders stay: the parser numbers them after
 			// every slot of the pattern.
-		case tokNumber:
-			if suppress {
-				break
+		case tokNumber, tokString:
+			v := t.num
+			if t.kind == tokString {
+				v = Str(t.text)
 			}
-			n.consts = append(n.consts, t.num)
-			n.pattern = append(n.pattern, slotConst)
-			*t = token{kind: tokParam, text: "?", pos: t.pos, end: t.end}
-		case tokString:
-			if suppress {
-				break
-			}
-			n.consts = append(n.consts, Str(t.text))
+			n.consts = append(n.consts, v)
 			n.pattern = append(n.pattern, slotConst)
 			*t = token{kind: tokParam, text: "?", pos: t.pos, end: t.end}
 		}

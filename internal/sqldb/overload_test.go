@@ -11,7 +11,7 @@ import (
 // open transaction is rolled back and never leased again; a clean one is.
 func TestPoolDiscardsDirtyRelease(t *testing.T) {
 	db := Open("pool")
-	db.MustExec("CREATE TABLE t (a INT)")
+	db.MustExec("CREATE TABLE t (a INTEGER)")
 
 	s := db.Lease()
 	if _, err := s.Exec("BEGIN"); err != nil {
@@ -52,7 +52,7 @@ func TestPoolDiscardsDirtyRelease(t *testing.T) {
 // context refuses statements at the boundary with a permanent error.
 func TestSessionBudgetRefusesAtBoundary(t *testing.T) {
 	db := Open("budget")
-	db.MustExec("CREATE TABLE t (a INT)")
+	db.MustExec("CREATE TABLE t (a INTEGER)")
 	s := db.Session()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -89,7 +89,7 @@ func TestSessionBudgetRefusesAtBoundary(t *testing.T) {
 // parse charge, exactly like an ExecHook refusal.
 func TestSessionBudgetPreparedStmtRearmsParse(t *testing.T) {
 	db := Open("budget")
-	db.MustExec("CREATE TABLE t (a INT)")
+	db.MustExec("CREATE TABLE t (a INTEGER)")
 	s := db.Session()
 	var stats []StmtStats
 	s.sink = func(st StmtStats) { stats = append(stats, st) }
@@ -121,7 +121,7 @@ func TestSessionBudgetPreparedStmtRearmsParse(t *testing.T) {
 // eviction) instead of being lost to a full flush.
 func TestStmtCacheLRUHotStatementSurvives(t *testing.T) {
 	db := Open("lru")
-	db.MustExec("CREATE TABLE t (a INT, b INT)")
+	db.MustExec("CREATE TABLE t (a INTEGER, b INTEGER)")
 	s := db.Session()
 
 	hot := "SELECT a FROM t WHERE b = ?"

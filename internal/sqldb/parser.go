@@ -9,7 +9,7 @@ import (
 // parser is a recursive-descent parser over the token stream.
 //
 // Every placeholder is a positional slot. A `?` takes the next slot as it
-// is met. A named placeholder (:name or @name) is numbered after every
+// is met. A named placeholder (@name) is numbered after every
 // `?` of the parse (numberNamed), in order of first appearance, and a
 // repeated name — compared case-insensitively — reuses its slot; so a
 // parameter vector carries the named values as its tail.
@@ -40,8 +40,8 @@ func parseOne(sql string) (Stmt, paramShape, error) {
 	return stmts[0].st, shape, nil
 }
 
-// ParamNames returns the named placeholders of sql (:name or @name,
-// without the sigil) in slot order: named values bind, in this order,
+// ParamNames returns the named placeholders of sql (@name, without the
+// sigil) in slot order: named values bind, in this order,
 // after the statement's `?` values. A name repeated in any letter case
 // is one slot and is listed once, as first written.
 func ParamNames(sql string) ([]string, error) {
@@ -71,7 +71,7 @@ func (sh paramShape) bindNamed(params []Value, named map[string]Value) ([]Value,
 			}
 		}
 		if len(vals) == sh.positional+i {
-			return nil, fmt.Errorf("sqldb: unbound named parameter :%s", n)
+			return nil, fmt.Errorf("sqldb: unbound named parameter @%s", n)
 		}
 	}
 	return vals, nil
@@ -149,13 +149,6 @@ func parseTokens(src string, toks []token) (Stmt, paramShape, error) {
 
 func (p *parser) peek() token { return p.toks[p.pos] }
 
-func (p *parser) peekAt(n int) token {
-	if p.pos+n >= len(p.toks) {
-		return p.toks[len(p.toks)-1]
-	}
-	return p.toks[p.pos+n]
-}
-
 func (p *parser) next() token {
 	t := p.toks[p.pos]
 	if t.kind != tokEOF {
@@ -216,21 +209,12 @@ func (p *parser) errorf(format string, args ...any) error {
 	return fmt.Errorf("sqldb: parse error near %s (offset %d): %s", what, t.pos, fmt.Sprintf(format, args...))
 }
 
-// ident consumes an identifier (or unreserved keyword used as a name).
+// ident consumes an identifier; no keyword is one.
 func (p *parser) ident() (string, error) {
 	t := p.peek()
 	if t.kind == tokIdent {
 		p.pos++
 		return t.text, nil
-	}
-	// Allow a few keywords as identifiers in name position (e.g. a column
-	// named "value" or "key").
-	if t.kind == tokKeyword {
-		switch t.text {
-		case "KEY", "START", "TEXT":
-			p.pos++
-			return t.text, nil
-		}
 	}
 	return "", p.errorf("expected identifier")
 }
@@ -275,14 +259,13 @@ func (p *parser) parseStmt() (Stmt, error) {
 	return nil, p.errorf("unsupported statement %s", t.text)
 }
 
-// parseSelect parses a SELECT, with its ORDER BY, LIMIT and OFFSET.
+// parseSelect parses a SELECT, with its ORDER BY and LIMIT.
 func (p *parser) parseSelect() (*SelectStmt, error) {
 	if err := p.expectKw("SELECT"); err != nil {
 		return nil, err
 	}
 	s := &SelectStmt{}
 	var err error
-	s.Distinct = p.acceptKw("DISTINCT")
 	for {
 		item, err := p.parseSelectItem()
 		if err != nil {
@@ -294,15 +277,8 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		}
 	}
 	if p.acceptKw("FROM") {
-		for {
-			tr, err := p.parseTableRef()
-			if err != nil {
-				return nil, err
-			}
-			s.From = append(s.From, tr)
-			if !p.acceptSym(",") {
-				break
-			}
+		if s.From, err = p.parseFrom(); err != nil {
+			return nil, err
 		}
 	}
 	if p.acceptKw("WHERE") {
@@ -314,8 +290,14 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 		if err := p.expectKw("BY"); err != nil {
 			return nil, err
 		}
-		if s.GroupBy, err = p.parseExprList(); err != nil {
-			return nil, err
+		for {
+			e, err := p.parseKey()
+			if err != nil {
+				return nil, err
+			}
+			if s.GroupBy = append(s.GroupBy, e); !p.acceptSym(",") {
+				break
+			}
 		}
 	}
 	if p.acceptKw("ORDER") {
@@ -323,7 +305,7 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			return nil, err
 		}
 		for {
-			e, err := p.parseExpr()
+			e, err := p.parseKey()
 			if err != nil {
 				return nil, err
 			}
@@ -338,25 +320,23 @@ func (p *parser) parseSelect() (*SelectStmt, error) {
 			return nil, err
 		}
 	}
-	if p.acceptKw("OFFSET") {
-		if s.Offset, err = p.parseExpr(); err != nil {
-			return nil, err
-		}
-	}
 	return s, nil
+}
+
+// parseKey parses a GROUP BY or ORDER BY key, which does not begin with a
+// literal or a parameter: a number there is no position in the select
+// list. The normalizer makes every literal a parameter, so the error
+// names the offset only, as both paths see it.
+func (p *parser) parseKey() (Expr, error) {
+	if t := p.peek(); t.kind == tokNumber || t.kind == tokString || t.kind == tokParam {
+		return nil, fmt.Errorf("sqldb: parse error at offset %d: a GROUP BY or ORDER BY key is no constant", t.pos)
+	}
+	return p.parseExpr()
 }
 
 func (p *parser) parseSelectItem() (SelectItem, error) {
 	if p.acceptSym("*") {
 		return SelectItem{Star: true}, nil
-	}
-	// Qualified star: t.*
-	if p.peek().kind == tokIdent &&
-		p.peekAt(1).kind == tokSymbol && p.peekAt(1).text == "." &&
-		p.peekAt(2).kind == tokSymbol && p.peekAt(2).text == "*" {
-		tbl := p.next().text
-		p.pos += 2
-		return SelectItem{Star: true, StarTable: tbl}, nil
 	}
 	e, err := p.parseExpr()
 	if err != nil {
@@ -370,12 +350,12 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 }
 
 // notAliases are the words that begin a join or set operation the dialect
-// refuses, and HAVING. None is an alias: taken as one, `FROM a LEFT JOIN
-// b ON …` would run as an inner join of a aliased LEFT.
+// refuses, and HAVING and OFFSET. None is an alias: taken as one, `FROM a
+// LEFT JOIN b ON …` would run as an inner join of a aliased LEFT.
 var notAliases = map[string]bool{
 	"LEFT": true, "RIGHT": true, "FULL": true, "INNER": true, "OUTER": true,
-	"NATURAL": true, "UNION": true, "INTERSECT": true, "EXCEPT": true,
-	"ALL": true, "HAVING": true,
+	"NATURAL": true, "CROSS": true, "UNION": true, "INTERSECT": true,
+	"EXCEPT": true, "ALL": true, "HAVING": true, "OFFSET": true,
 }
 
 // alias parses an optional alias, with or without AS.
@@ -405,53 +385,30 @@ func (p *parser) parseExprList() ([]Expr, error) {
 	}
 }
 
-// parseSource parses what FROM and JOIN range over: a table name and its
-// alias.
-func (p *parser) parseSource() (Source, error) {
-	var src Source
-	var err error
-	if src.Table, err = p.ident(); err != nil {
-		return Source{}, err
-	}
-	if src.Alias, err = p.alias(); err != nil {
-		return Source{}, err
-	}
-	return src, nil
-}
-
-func (p *parser) parseTableRef() (TableRef, error) {
-	src, err := p.parseSource()
-	if err != nil {
-		return TableRef{}, err
-	}
-	tr := TableRef{Source: src}
+// parseFrom parses what FROM ranges over: a table and its alias, then
+// each JOIN's table, alias and ON condition.
+func (p *parser) parseFrom() ([]Source, error) {
+	var from []Source
 	for {
-		var kind JoinKind
-		switch {
-		case p.acceptKw("JOIN"):
-			kind = JoinInner
-		case p.peekKw("CROSS"):
-			p.acceptKw("CROSS")
-			if err := p.expectKw("JOIN"); err != nil {
-				return TableRef{}, err
-			}
-			kind = JoinCross
-		default:
-			return tr, nil
+		var src Source
+		var err error
+		if src.Table, err = p.ident(); err != nil {
+			return nil, err
 		}
-		jc := JoinClause{Kind: kind}
-		if jc.Source, err = p.parseSource(); err != nil {
-			return TableRef{}, err
+		if src.Alias, err = p.alias(); err != nil {
+			return nil, err
 		}
-		if kind != JoinCross {
+		if len(from) > 0 {
 			if err := p.expectKw("ON"); err != nil {
-				return TableRef{}, err
+				return nil, err
 			}
-			if jc.On, err = p.parseExpr(); err != nil {
-				return TableRef{}, err
+			if src.On, err = p.parseExpr(); err != nil {
+				return nil, err
 			}
 		}
-		tr.Joins = append(tr.Joins, jc)
+		if from = append(from, src); !p.acceptKw("JOIN") {
+			return from, nil
+		}
 	}
 }
 
@@ -571,12 +528,9 @@ func (p *parser) parseCreate() (Stmt, error) {
 	case p.peekKw("TABLE"):
 		p.pos++
 		return p.parseCreateTable()
-	case p.peekKw("UNIQUE") || p.peekKw("INDEX"):
-		unique := p.acceptKw("UNIQUE")
-		if err := p.expectKw("INDEX"); err != nil {
-			return nil, err
-		}
-		return p.parseCreateIndex(unique)
+	case p.peekKw("INDEX"):
+		p.pos++
+		return p.parseCreateIndex()
 	case p.peekKw("SEQUENCE"):
 		p.pos++
 		return p.parseCreateSequence()
@@ -589,15 +543,6 @@ func (p *parser) parseCreate() (Stmt, error) {
 
 func (p *parser) parseCreateTable() (Stmt, error) {
 	ct := &CreateTableStmt{}
-	if p.acceptKw("IF") {
-		if err := p.expectKw("NOT"); err != nil {
-			return nil, err
-		}
-		if err := p.expectKw("EXISTS"); err != nil {
-			return nil, err
-		}
-		ct.IfNotExists = true
-	}
 	name, err := p.ident()
 	if err != nil {
 		return nil, err
@@ -615,46 +560,11 @@ func (p *parser) parseCreateTable() (Stmt, error) {
 		return nil, err
 	}
 	for {
-		// Table-level PRIMARY KEY (col, ...) constraint.
-		if p.peekKw("PRIMARY") {
-			p.pos++
-			if err := p.expectKw("KEY"); err != nil {
-				return nil, err
-			}
-			if err := p.expectSym("("); err != nil {
-				return nil, err
-			}
-			for {
-				c, err := p.ident()
-				if err != nil {
-					return nil, err
-				}
-				found := false
-				for i := range ct.Columns {
-					if strings.EqualFold(ct.Columns[i].Name, c) {
-						ct.Columns[i].PrimaryKey = true
-						ct.Columns[i].NotNull = true
-						found = true
-					}
-				}
-				if !found {
-					return nil, p.errorf("PRIMARY KEY references unknown column %s", c)
-				}
-				if !p.acceptSym(",") {
-					break
-				}
-			}
-			if err := p.expectSym(")"); err != nil {
-				return nil, err
-			}
-		} else {
-			cd, err := p.parseColumnDef()
-			if err != nil {
-				return nil, err
-			}
-			ct.Columns = append(ct.Columns, cd)
+		cd, err := p.parseColumnDef()
+		if err != nil {
+			return nil, err
 		}
-		if !p.acceptSym(",") {
+		if ct.Columns = append(ct.Columns, cd); !p.acceptSym(",") {
 			break
 		}
 	}
@@ -675,23 +585,13 @@ func (p *parser) parseColumnDef() (ColumnDef, error) {
 		return ColumnDef{}, p.errorf("expected column type for %s", name)
 	}
 	switch t.text {
-	case "INTEGER", "INT":
+	case "INTEGER":
 		cd.Type = TypeInteger
 	case "FLOAT":
 		cd.Type = TypeFloat
-	case "VARCHAR", "TEXT":
+	case "VARCHAR":
 		cd.Type = TypeVarchar
-		// Optional length: VARCHAR(100)
-		if p.acceptSym("(") {
-			if p.peek().kind != tokNumber {
-				return ColumnDef{}, p.errorf("expected length")
-			}
-			p.pos++
-			if err := p.expectSym(")"); err != nil {
-				return ColumnDef{}, err
-			}
-		}
-	case "BOOLEAN", "BOOL":
+	case "BOOLEAN":
 		cd.Type = TypeBoolean
 	default:
 		return ColumnDef{}, p.errorf("unsupported column type %s", t.text)
@@ -709,19 +609,13 @@ func (p *parser) parseColumnDef() (ColumnDef, error) {
 			}
 			cd.PrimaryKey = true
 			cd.NotNull = true
-		case p.acceptKw("DEFAULT"):
-			e, err := p.parseExpr()
-			if err != nil {
-				return ColumnDef{}, err
-			}
-			cd.Default = e
 		default:
 			return cd, nil
 		}
 	}
 }
 
-func (p *parser) parseCreateIndex(unique bool) (Stmt, error) {
+func (p *parser) parseCreateIndex() (Stmt, error) {
 	name, err := p.ident()
 	if err != nil {
 		return nil, err
@@ -740,7 +634,7 @@ func (p *parser) parseCreateIndex(unique bool) (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CreateIndexStmt{Name: name, Table: table, Columns: cols, Unique: unique}, nil
+	return &CreateIndexStmt{Name: name, Table: table, Columns: cols}, nil
 }
 
 func (p *parser) parseCreateSequence() (Stmt, error) {
@@ -793,10 +687,8 @@ func (p *parser) parseCreateProcedure() (Stmt, error) {
 		return nil, err
 	}
 	cp := &CreateProcedureStmt{Name: name}
-	if p.acceptSym("(") && !p.acceptSym(")") {
-		if cp.Params, err = p.identList(); err != nil {
-			return nil, err
-		}
+	if err := p.parens(); err != nil {
+		return nil, err
 	}
 	if err := p.expectKw("AS"); err != nil {
 		return nil, err
@@ -834,8 +726,7 @@ func (p *parser) parseDrop() (Stmt, error) {
 }
 
 // identList parses a non-empty comma-separated identifier list and its
-// closing parenthesis: INSERT columns, index columns, procedure
-// parameters.
+// closing parenthesis: INSERT columns, index columns.
 func (p *parser) identList() ([]string, error) {
 	var names []string
 	for {
@@ -868,19 +759,16 @@ func (p *parser) parseCall() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &CallStmt{Name: name}
-	if p.acceptSym("(") {
-		if !p.peekSym(")") {
-			var err error
-			if c.Args, err = p.parseExprList(); err != nil {
-				return nil, err
-			}
-		}
-		if err := p.expectSym(")"); err != nil {
-			return nil, err
-		}
+	return &CallStmt{Name: name}, p.parens()
+}
+
+// parens parses the empty argument list of a procedure: (). A procedure
+// takes no parameters.
+func (p *parser) parens() error {
+	if err := p.expectSym("("); err != nil {
+		return err
 	}
-	return c, nil
+	return p.expectSym(")")
 }
 
 // --- Expression parsing (precedence climbing) ---
@@ -903,13 +791,12 @@ func (p *parser) parseOr() (Expr, error) {
 }
 
 func (p *parser) parseAnd() (Expr, error) {
-	l, err := p.parseNot()
+	l, err := p.parseCompare()
 	if err != nil {
 		return nil, err
 	}
-	for p.peekKw("AND") {
-		p.pos++
-		r, err := p.parseNot()
+	for p.acceptKw("AND") {
+		r, err := p.parseCompare()
 		if err != nil {
 			return nil, err
 		}
@@ -918,82 +805,19 @@ func (p *parser) parseAnd() (Expr, error) {
 	return l, nil
 }
 
-func (p *parser) parseNot() (Expr, error) {
-	if p.acceptKw("NOT") {
-		x, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: "NOT", X: x}, nil
-	}
-	return p.parsePredicate()
-}
-
 // The operator tables the expression parser reads: each holds the
-// operator tokens of one precedence level (!= is written for <>).
+// operator tokens of one precedence level.
 var (
-	compareOps        = []string{"=", "<>", "!=", "<", "<=", ">", ">="}
-	additiveOps       = []string{"+", "-", "||"}
-	multiplicativeOps = []string{"*", "/", "%"}
+	compareOps  = []string{"=", "<>", "<", "<=", ">", ">="}
+	additiveOps = []string{"+"}
 )
 
-// peekOp matches the next token against an operator table.
-func (p *parser) peekOp(ops []string) (string, bool) {
-	t := p.peek()
-	return t.text, t.kind == tokSymbol && slices.Contains(ops, t.text)
-}
-
-// parsePredicate handles comparisons, IS [NOT] NULL and [NOT] IN (list).
-func (p *parser) parsePredicate() (Expr, error) {
-	l, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		if op, ok := p.peekOp(compareOps); ok {
-			p.pos++
-			if op == "!=" {
-				op = "<>"
-			}
-			r, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			l = &BinaryExpr{Op: op, L: l, R: r}
-			continue
-		}
-		switch {
-		case p.acceptKw("IS"):
-			not := p.acceptKw("NOT")
-			if err := p.expectKw("NULL"); err != nil {
-				return nil, err
-			}
-			l = &IsNullExpr{X: l, Not: not}
-		case p.peekKw("IN") || p.peekKw("NOT") && p.peekAt(1).kind == tokKeyword && p.peekAt(1).text == "IN":
-			ie := &InExpr{X: l, Not: p.acceptKw("NOT")}
-			p.pos++
-			if err := p.expectSym("("); err != nil {
-				return nil, err
-			}
-			if ie.List, err = p.parseExprList(); err != nil {
-				return nil, err
-			}
-			if err := p.expectSym(")"); err != nil {
-				return nil, err
-			}
-			l = ie
-		default:
-			return l, nil
-		}
-	}
+func (p *parser) parseCompare() (Expr, error) {
+	return p.parseLevel(compareOps, p.parseAdditive)
 }
 
 func (p *parser) parseAdditive() (Expr, error) {
-	return p.parseLevel(additiveOps, p.parseMultiplicative)
-}
-
-func (p *parser) parseMultiplicative() (Expr, error) {
-	return p.parseLevel(multiplicativeOps, p.parseUnary)
+	return p.parseLevel(additiveOps, p.parseUnary)
 }
 
 // parseLevel parses one left-associative precedence level: operands
@@ -1004,8 +828,8 @@ func (p *parser) parseLevel(ops []string, operand func() (Expr, error)) (Expr, e
 		return nil, err
 	}
 	for {
-		op, ok := p.peekOp(ops)
-		if !ok {
+		t := p.peek()
+		if t.kind != tokSymbol || !slices.Contains(ops, t.text) {
 			return l, nil
 		}
 		p.pos++
@@ -1013,7 +837,7 @@ func (p *parser) parseLevel(ops []string, operand func() (Expr, error)) (Expr, e
 		if err != nil {
 			return nil, err
 		}
-		l = &BinaryExpr{Op: op, L: l, R: r}
+		l = &BinaryExpr{Op: t.text, L: l, R: r}
 	}
 }
 
@@ -1024,9 +848,6 @@ func (p *parser) parseUnary() (Expr, error) {
 			return nil, err
 		}
 		return &UnaryExpr{Op: "-", X: x}, nil
-	}
-	if p.acceptSym("+") {
-		return p.parseUnary()
 	}
 	return p.parsePrimary()
 }
@@ -1072,12 +893,9 @@ func (p *parser) parsePrimary() (Expr, error) {
 		case "TRUE", "FALSE":
 			p.pos++
 			return &Literal{Val: Bool(t.text == "TRUE")}, nil
-		case "COUNT", "SUM", "AVG", "MIN", "MAX":
+		case "COUNT", "SUM":
 			p.pos++
 			return p.parseFuncCall(t.text)
-		case "KEY", "START", "TEXT":
-			// keywords usable as identifiers
-			return p.parseIdentExpr()
 		}
 	case tokIdent:
 		return p.parseIdentExpr()
@@ -1092,9 +910,13 @@ func (p *parser) parseIdentExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Function call?
+	// A call of a scalar function; the parser knows no other.
 	if p.peekSym("(") {
-		return p.parseFuncCall(strings.ToUpper(name))
+		up := strings.ToUpper(name)
+		if _, ok := scalarFuncs[up]; !ok {
+			return nil, p.errorf("unknown function %s", up)
+		}
+		return p.parseFuncCall(up)
 	}
 	// Qualified reference "t.c".
 	if p.acceptSym(".") {
@@ -1117,7 +939,7 @@ func (p *parser) parseFuncCall(name string) (Expr, error) {
 		fc.Star = true
 		return fc, p.expectSym(")")
 	}
-	if p.acceptKw("DISTINCT") {
+	if name == "COUNT" && p.acceptKw("DISTINCT") {
 		fc.Distinct = true
 	}
 	if !p.peekSym(")") {

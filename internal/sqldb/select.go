@@ -8,9 +8,9 @@ import (
 
 // A SELECT runs as one pull pipeline:
 //
-//	scan → filter → join → group/accumulate → project → distinct → sort → offset/limit
+//	scan → filter → join → group/accumulate → project → sort → limit
 //
-// next() pulls the next joined row out of the FROM entries (sources) by
+// next() pulls the next joined row out of FROM's tables (sources) by
 // backtracking over them left to right; no intermediate relation is built
 // and a row is copied only into the joined-row buffer and, once, into the
 // output. A plan is built once per statement slot and re-bound per
@@ -22,22 +22,19 @@ import (
 type joinStrategy uint8
 
 const (
-	joinLoop  joinStrategy = iota // rescan the filtered inner rows: CROSS/comma, or no usable equality in ON
-	joinHash                      // probe a hash table built per run over the filtered inner rows
+	joinHash  joinStrategy = iota // probe a hash table built per run over the filtered inner rows
 	joinIndex                     // probe the inner table's index per outer row
 )
 
-// source is one FROM entry, in join order.
+// source is one table of FROM, in join order.
 type source struct {
 	name       string // table name
 	tbl        *Table
 	off, width int // its columns' span in the joined row
-	group      int // first source of its comma-separated FROM entry: the scope its ON resolves in
 
 	filter []predFn // WHERE conjuncts pushed down to this source
 	idx    *Index   // the index their equalities probe (nil: heap scan) ...
 	key    []Value  // ... and the key; for an index join, the scratch key
-	kind   JoinKind
 	on     Expr
 
 	// Run state. A streamed source (first base table, index join) walks
@@ -52,7 +49,7 @@ type source struct {
 }
 
 // join is how a source after the first finds its matches, and the rows
-// of a source that is read once per run (materialize).
+// of a source that is hashed once per run (materialize).
 type join struct {
 	strategy joinStrategy
 	keys     []evalFn // hash/index: key expressions over the sources before
@@ -111,8 +108,8 @@ func (t *groupTable) add(row []Value, na int) {
 	t.aggs = slices.Grow(t.aggs, na)[:len(t.aggs)+na] // zero past len: reset cleared what a run used
 }
 
-// numberKey is number for a key encoded in kb (GROUP BY, DISTINCT and
-// hash-join keys). The lookup converts kb without a copy: only a new
+// numberKey is number for a key encoded in kb (GROUP BY, COUNT(DISTINCT)
+// and hash-join keys). The lookup converts kb without a copy: only a new
 // key is copied.
 func numberKey(m *map[string]int, kb []byte, n int) int {
 	if g, ok := (*m)[string(kb)]; ok {
@@ -134,7 +131,7 @@ func number(m *map[string]int, k string, n int) int {
 }
 
 // selectPlan is one SELECT ready to run — or the row filter of an
-// UPDATE/DELETE, the rows of an INSERT, the arguments of a CALL.
+// UPDATE/DELETE, the rows of an INSERT.
 type selectPlan struct {
 	s    *Session
 	q    *SelectStmt
@@ -151,11 +148,9 @@ type selectPlan struct {
 	groupBy  []getter
 	aggs     []aggSpec
 	order    []orderKey
-	offset   evalFn // OFFSET and LIMIT, read in the enclosing scope (nil: none)
-	limit    evalFn
+	limit    evalFn      // LIMIT, read in the enclosing scope (nil: none)
 	query    *selectPlan // INSERT … SELECT: the rows
-	cells    [][]cell    // INSERT … VALUES: each row's cells; CALL: its arguments
-	defaults []cell      // INSERT: the DEFAULTs of the columns the rows leave out
+	cells    [][]cell    // INSERT … VALUES: each row's cells
 	version  []Value     // INSERT, UPDATE: a new version's values, in table order
 
 	level  int // deepest open source; levelNew, levelDone
@@ -164,8 +159,7 @@ type selectPlan struct {
 	keys   []Value // ORDER BY keys of rows, len(order) each
 	perm   []int   // ORDER BY: the sorted order of rows
 	groups groupTable
-	out    []Value        // backing the next output rows are cut from
-	seen   map[string]int // DISTINCT
+	out    []Value // backing the next output rows are cut from
 	kb     []byte
 	nread  int64
 }
@@ -191,15 +185,9 @@ func (s *Session) planSelect(q *SelectStmt, outer *env, tree *planTree) (*select
 	if tree != nil {
 		tree.plans = append(tree.plans, p)
 	}
-	for _, tr := range q.From {
-		g := len(p.srcs)
-		if err := p.addSource(tr.Source, JoinCross, nil, g); err != nil {
+	for _, from := range q.From {
+		if err := p.addSource(from); err != nil {
 			return nil, err
-		}
-		for _, jc := range tr.Joins {
-			if err := p.addSource(jc.Source, jc.Kind, jc.On, g); err != nil {
-				return nil, err
-			}
 		}
 	}
 	if len(p.srcs) > 1 {
@@ -208,35 +196,34 @@ func (s *Session) planSelect(q *SelectStmt, outer *env, tree *planTree) (*select
 	c := newCompiler(&p.env, tree)
 	c.srcs = p.srcs
 	p.planWhere(&c, q.Where)
-	p.planJoins(&c)
-	c.cols, c.shift = p.env.cols, 0
+	if err := p.planJoins(&c); err != nil {
+		return nil, err
+	}
+	c.cols = p.env.cols
 	if err := p.planOutput(&c); err != nil {
 		return nil, err
 	}
 	if c.err != nil {
 		return nil, c.err
 	}
-	// OFFSET and LIMIT are counts in the enclosing scope, read once per run.
+	// LIMIT is a count in the enclosing scope, read once per run.
 	c = newCompiler(outer, tree)
-	if q.Offset != nil {
-		p.offset = c.compile(q.Offset)
-	}
 	if q.Limit != nil {
 		p.limit = c.compile(q.Limit)
 	}
 	return p, c.err
 }
 
-// addSource appends one FROM entry, a base table. The first is streamed:
-// its row versions are read, checked and filtered as the pipeline pulls.
-func (p *selectPlan) addSource(from Source, kind JoinKind, on Expr, group int) error {
+// addSource appends one table of FROM. The first is streamed: its row
+// versions are read, checked and filtered as the pipeline pulls.
+func (p *selectPlan) addSource(from Source) error {
 	tbl, err := p.s.db.table(from.Table)
 	if err != nil {
 		return err
 	}
 	p.tree.stamp(tbl)
 	cols := tableColMeta(tbl, from.Alias)
-	src := source{name: tbl.Name, tbl: tbl, kind: kind, on: on, group: group, off: len(p.env.cols), width: len(cols)}
+	src := source{name: tbl.Name, tbl: tbl, on: from.On, off: len(p.env.cols), width: len(cols)}
 	if src.stream = len(p.srcs) == 0; !src.stream {
 		src.join = new(join)
 	}
@@ -330,19 +317,20 @@ func (q *equalities) probe(c *compiler, tbl *Table) (*Index, []Value) {
 	return idx, key
 }
 
-// planJoins picks each join's strategy. estimate is the planner's guess
-// at how many rows reach the join from the sources before it.
-func (p *selectPlan) planJoins(c *compiler) {
+// planJoins picks each join's strategy: an ON without a key, an equality
+// of an inner column and the sources before it, is refused. estimate is
+// the planner's guess at how many rows reach each join: the first
+// source's.
+func (p *selectPlan) planJoins(c *compiler) error {
 	if len(p.srcs) < 2 {
-		return
+		return nil
 	}
 	estimate := p.srcs[0].rowEstimate()
 	for k := 1; k < len(p.srcs); k++ {
 		src := &p.srcs[k]
 		var stack [8]Expr
 		conjuncts := splitAnd(src.on, stack[:0])
-		c.shift = p.srcs[src.group].off
-		c.cols = p.env.cols[c.shift : src.off+src.width]
+		c.cols = p.env.cols[:src.off+src.width]
 		// An equality between an inner column and an error-free expression
 		// over the sources before can serve as a join key.
 		keyOf := make([]int, len(conjuncts)) // conjunct → its position in keys, or -1
@@ -371,7 +359,7 @@ func (p *selectPlan) planJoins(c *compiler) {
 		}
 		switch {
 		case len(src.keys) == 0:
-			estimate *= max(src.rowEstimate(), 1)
+			return fmt.Errorf("sqldb: JOIN %s ON needs an equality of a column of %s and the tables before it", src.name, src.name)
 		case src.jidx != nil:
 			// Probing per outer row reads less than scanning the inner once.
 			// Keys follow the index's columns; an equality it does not use
@@ -398,20 +386,18 @@ func (p *selectPlan) planJoins(c *compiler) {
 			}
 		}
 	}
+	return nil
 }
 
 // joinsHold re-checks, for a re-bound plan, the comparison planJoins
-// based each keyed join's choice on.
+// based each join's choice on.
 func (p *selectPlan) joinsHold() bool {
 	if len(p.srcs) < 2 {
 		return true
 	}
 	estimate := p.srcs[0].rowEstimate()
 	for k := 1; k < len(p.srcs); k++ {
-		src := &p.srcs[k]
-		if src.strategy == joinLoop {
-			estimate *= max(src.rowEstimate(), 1)
-		} else if src.fewer != (estimate < src.tbl.RowCount()) {
+		if src := &p.srcs[k]; src.fewer != (estimate < src.tbl.RowCount()) {
 			return false
 		}
 	}
@@ -451,7 +437,7 @@ func chooseIndex(tbl *Table, bound []int) *Index {
 func (p *selectPlan) planOutput(c *compiler) error {
 	q := p.q
 	c.aggs = &p.aggs
-	// Expand * and t.* by position.
+	// Expand * by position.
 	p.items = make([]evalFn, 0, len(q.Items)+len(p.env.cols))
 	p.colNames = make([]string, 0, cap(p.items))
 	for _, it := range q.Items {
@@ -460,13 +446,10 @@ func (p *selectPlan) planOutput(c *compiler) error {
 			p.colNames = append(p.colNames, itemName(it))
 			continue
 		}
-		qual := strings.ToLower(it.StarTable)
-		matched := false
+		if len(p.env.cols) == 0 {
+			return fmt.Errorf("sqldb: SELECT * with no FROM clause")
+		}
 		for i, col := range p.env.cols {
-			if qual != "" && col.table != qual {
-				continue
-			}
-			matched = true
 			p.items = append(p.items, func(e *env) (Value, error) {
 				if e.row == nil {
 					return Null(), fmt.Errorf("sqldb: column referenced outside row context")
@@ -475,27 +458,18 @@ func (p *selectPlan) planOutput(c *compiler) error {
 			})
 			p.colNames = append(p.colNames, col.name)
 		}
-		if !matched && qual == "" {
-			return fmt.Errorf("sqldb: SELECT * with no FROM clause")
-		} else if !matched {
-			return fmt.Errorf("sqldb: unknown table %s in %s.*", it.StarTable, it.StarTable)
-		}
 	}
 	// An aggregate in the select list makes the SELECT grouped (one group,
 	// without GROUP BY); only then are there slots to read.
 	if p.grouped = len(q.GroupBy) > 0 || c.sawAgg; !p.grouped {
 		c.aggs = nil
 	}
-	// ORDER BY <n> and a bare name matching an output column sort by that
-	// output column; anything else is evaluated over the input row (the
-	// group's, in a grouped SELECT).
+	// A bare name matching an output column sorts by that output column;
+	// anything else is evaluated over the input row (the group's, in a
+	// grouped SELECT).
 	for _, oi := range q.OrderBy {
 		k := orderKey{col: -1, desc: oi.Desc}
-		if n, ok := ordinal(oi.Expr); ok {
-			if k.col = n - 1; n < 1 || n > len(p.items) {
-				return fmt.Errorf("sqldb: ORDER BY position %d out of range", n)
-			}
-		} else if cr, ok := oi.Expr.(*ColumnRef); ok && cr.Table == "" {
+		if cr, ok := oi.Expr.(*ColumnRef); ok && cr.Table == "" {
 			k.col = slices.IndexFunc(p.colNames, func(n string) bool { return strings.EqualFold(n, cr.Column) })
 		}
 		if k.col < 0 {
@@ -503,16 +477,9 @@ func (p *selectPlan) planOutput(c *compiler) error {
 		}
 		p.order = append(p.order, k)
 	}
-	// GROUP BY keys are read per input row; <n> names a select-list item
-	// (not one a star expands to, or one after a star).
+	// GROUP BY keys are read per input row.
 	c.aggs = nil
 	for _, x := range q.GroupBy {
-		if n, ok := ordinal(x); ok {
-			if n < 1 || n > len(q.Items) || slices.ContainsFunc(q.Items[:n], func(it SelectItem) bool { return it.Star }) {
-				return fmt.Errorf("sqldb: GROUP BY position %d out of range", n)
-			}
-			x = q.Items[n-1].Expr
-		}
 		col, ok := c.column(x)
 		if !ok {
 			p.groupBy = append(p.groupBy, getter{fn: c.compile(x)})
@@ -521,15 +488,6 @@ func (p *selectPlan) planOutput(c *compiler) error {
 		p.groupBy = append(p.groupBy, getter{col: col})
 	}
 	return nil
-}
-
-// ordinal matches the integer literal of ORDER BY <n> / GROUP BY <n>.
-func ordinal(x Expr) (int, bool) {
-	lit, ok := x.(*Literal)
-	if !ok || lit.Val.K != KindInt {
-		return 0, false
-	}
-	return int(lit.Val.I), true
 }
 
 func itemName(it SelectItem) string {
@@ -547,20 +505,16 @@ func itemName(it SelectItem) string {
 
 // --- running the plan ---
 
-// run executes the plan; outer is the statement's scope, which OFFSET and
-// LIMIT are read in.
+// run executes the plan; outer is the statement's scope, which LIMIT is
+// read in.
 func (p *selectPlan) run(outer *env) (*Result, error) {
-	offset, err := count(p.offset, outer, "OFFSET", 0)
-	if err != nil {
-		return nil, err
-	}
-	limit, err := count(p.limit, outer, "LIMIT", -1)
+	limit, err := count(p.limit, outer)
 	if err != nil {
 		return nil, err
 	}
 	stopAt := -1
-	if limit >= 0 && len(p.order) == 0 {
-		stopAt = offset + limit // nothing downstream needs the rows past it
+	if len(p.order) == 0 {
+		stopAt = limit // nothing downstream needs the rows past it
 	}
 	rows, err := p.runRows(stopAt)
 	if err != nil {
@@ -584,7 +538,6 @@ func (p *selectPlan) run(outer *env) (*Result, error) {
 		})
 		permute(rows, p.perm)
 	}
-	rows = rows[min(offset, len(rows)):]
 	if limit >= 0 && limit < len(rows) {
 		rows = rows[:limit]
 	}
@@ -623,10 +576,10 @@ func permute(rows [][]Value, perm []int) {
 	}
 }
 
-// count reads an OFFSET or LIMIT count (def when there is none).
-func count(fn evalFn, outer *env, what string, def int) (int, error) {
+// count reads a LIMIT count (-1 when there is none).
+func count(fn evalFn, outer *env) (int, error) {
 	if fn == nil {
-		return def, nil
+		return -1, nil
 	}
 	v, err := fn(outer)
 	if err != nil {
@@ -634,18 +587,17 @@ func count(fn evalFn, outer *env, what string, def int) (int, error) {
 	}
 	n, ok := v.AsInt()
 	if !ok || n < 0 {
-		return 0, fmt.Errorf("sqldb: %s must be a non-negative integer", what)
+		return 0, fmt.Errorf("sqldb: LIMIT must be a non-negative integer")
 	}
 	return int(n), nil
 }
 
-// runRows runs the SELECT up to and including DISTINCT, leaving the ORDER
-// BY keys of its rows in p.keys. stopAt >= 0 ends it once that many rows
-// are out.
+// runRows runs the SELECT up to its sort, leaving the ORDER BY keys of its
+// rows in p.keys. stopAt >= 0 ends it once that many rows are out.
 func (p *selectPlan) runRows(stopAt int) ([][]Value, error) {
 	e := &p.env
 	e.row, e.aggs = p.buf, nil
-	p.level, p.rows, p.out, p.keys, p.seen = levelNew, nil, nil, p.keys[:0], nil
+	p.level, p.rows, p.out, p.keys = levelNew, nil, nil, p.keys[:0]
 	t, na := &p.groups, len(p.aggs)
 	t.reset()
 	for k := range p.srcs {
@@ -774,10 +726,6 @@ func (p *selectPlan) open(k int) error {
 			return err
 		}
 	}
-	if src.strategy == joinLoop {
-		src.vals = src.all
-		return nil
-	}
 	kb := p.kb[:0]
 	for i, fn := range src.keys {
 		v, err := fn(&p.env)
@@ -820,10 +768,10 @@ func (p *selectPlan) place(src *source, vals []Value) {
 	}
 }
 
-// materialize reads a source that is rescanned or hashed once per run:
-// its visible rows that pass its pushed-down filter into src.all, and for
-// a hash join each into its key's bucket. The list, the buckets and the
-// key dictionary are the plan's: every run truncates and refills them.
+// materialize reads a hash join's inner once per run: its visible rows
+// that pass its pushed-down filter into src.all, and each into its key's
+// bucket. The list, the buckets and the key dictionary are the plan's:
+// every run truncates and refills them.
 func (p *selectPlan) materialize(src *source) error {
 	src.built = true
 	src.all = src.all[:0]
@@ -842,9 +790,6 @@ func (p *selectPlan) materialize(src *source) error {
 			}
 		}
 		src.all = append(src.all, vals)
-	}
-	if src.strategy != joinHash {
-		return nil
 	}
 	for i := range src.buckets {
 		src.buckets[i] = src.buckets[i][:0]
@@ -948,9 +893,8 @@ func (p *selectPlan) grow(n int) {
 	p.out, p.rows = make([]Value, n*len(p.items)), rows
 }
 
-// emit projects the current row (or group) into the output, unless
-// DISTINCT has seen it, and computes its ORDER BY keys while the input
-// is at hand. Rows are cut from a backing, p.out, which a grouped run
+// emit projects the current row (or group) into the output and computes
+// its ORDER BY keys while the input is at hand. Rows are cut from a backing, p.out, which a grouped run
 // sizes for all its groups and any other run for the rows its plan
 // emitted last time, doubling it past them.
 func (p *selectPlan) emit() error {
@@ -963,11 +907,6 @@ func (p *selectPlan) emit() error {
 	for i, fn := range p.items {
 		if out[i], err = fn(e); err != nil {
 			return err
-		}
-	}
-	if p.q.Distinct {
-		if p.duplicate(&p.seen, out) {
-			return nil
 		}
 	}
 	for _, k := range p.order {
@@ -983,20 +922,8 @@ func (p *selectPlan) emit() error {
 	return nil
 }
 
-// duplicate reports, and remembers, whether seen holds an equal row
-// (DISTINCT).
-func (p *selectPlan) duplicate(seen *map[string]int, row []Value) bool {
-	kb := p.kb[:0]
-	for _, v := range row {
-		kb = appendValueKey(kb, v)
-	}
-	p.kb = kb
-	n := len(*seen)
-	return numberKey(seen, kb, n) < n
-}
-
 // appendValueKey appends one value's self-delimiting key segment for
-// GROUP BY and DISTINCT, which — unlike an index probe — keep 1
+// GROUP BY and COUNT(DISTINCT), which — unlike an index probe — keep 1
 // and 1.0 apart: the kind, then the index key encoding.
 func appendValueKey(b []byte, v Value) []byte {
 	return appendKey(append(b, '0'+byte(v.K)), v)

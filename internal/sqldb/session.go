@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -130,7 +129,7 @@ func (s *Session) ID() int64 { return s.id }
 // cached plan and report zero parse time (StmtStats.Cache records
 // "hit" vs "miss").
 //
-// Named placeholders (:name, @name) are slots too, numbered after the
+// Named placeholders (@name) are slots too, numbered after the
 // text's `?`s in order of first appearance (ParamNames lists them), so
 // params may carry their values as its tail.
 func (s *Session) Exec(sql string, params ...Value) (*Result, error) {
@@ -627,7 +626,7 @@ func (s *Session) finishStmt(local bool, err error, emit func()) {
 // dispatch executes one non-transaction-control statement inside the
 // session's open transaction. The slot's plan serves the statement's
 // SELECT (also under EXPLAIN and CREATE TABLE … AS), its UPDATE/DELETE
-// row filter, its INSERT's rows or its CALL's arguments.
+// row filter or its INSERT's rows.
 func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value) (res *Result, err error) {
 	// The statement's scope: the session's own, or, while enclosing CALLs
 	// hold it, the one kept for this depth of procedure bodies.
@@ -677,7 +676,7 @@ func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value) (res *Result
 		if _, exists := s.db.indexOwner[lc]; exists {
 			return nil, fmt.Errorf("sqldb: index %s already exists", t.Name)
 		}
-		idx, err := newIndex(t.Name, tbl, t.Columns, t.Unique)
+		idx, err := newIndex(t.Name, tbl, t.Columns, false)
 		if err != nil {
 			return nil, err
 		}
@@ -694,6 +693,9 @@ func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value) (res *Result
 		return &Result{}, nil
 	case *CreateProcedureStmt:
 		body, shape, err := parseScript(t.Body)
+		if err == nil && (shape.positional > 0 || len(shape.names) > 0) {
+			err = fmt.Errorf("a procedure takes no parameters")
+		}
 		if err != nil {
 			return nil, fmt.Errorf("sqldb: procedure %s body: %w", t.Name, err)
 		}
@@ -701,7 +703,7 @@ func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value) (res *Result
 		if _, exists := s.db.procs[lc]; exists {
 			return nil, fmt.Errorf("sqldb: procedure %s already exists", t.Name)
 		}
-		proc := &Procedure{Name: t.Name, Params: t.Params, Body: make([]Stmt, len(body)), shape: shape, slots: make([]stmtSlot, len(body)), src: t.Body}
+		proc := &Procedure{Name: t.Name, Body: make([]Stmt, len(body)), slots: make([]stmtSlot, len(body)), src: t.Body}
 		for i, b := range body {
 			proc.Body[i] = b.st
 		}
@@ -717,7 +719,7 @@ func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value) (res *Result
 		s.db.footGen.Add(1)
 		return &Result{}, nil
 	case *CallStmt:
-		return s.execCall(t, slot, scope)
+		return s.execCall(t)
 	case *ExplainStmt:
 		return s.execExplain(t, slot, scope)
 	}
@@ -802,9 +804,6 @@ func (s *Session) execInsert(t *InsertStmt, slot *stmtSlot, base *env) (*Result,
 		} else if err := fill(row, p.cells[i], &p.env); err != nil {
 			return nil, err
 		}
-		if err := fill(row, p.defaults, &p.env); err != nil {
-			return nil, err
-		}
 		r, err := tbl.insertVersion(row, s.txn.id)
 		if err != nil {
 			return nil, err
@@ -824,66 +823,50 @@ func (p *selectPlan) newVersion(tbl *Table) []Value {
 	return p.version
 }
 
-// planCells plans what an INSERT or a CALL evaluates once per row or
-// call, in the statement's own scope: a CALL's arguments, or an INSERT's
-// target columns (all, in order, without a column list), the DEFAULTs of
-// the others and its rows — the SELECT's plan, or per VALUES row one cell
-// per value, each filling its column in written order. A cell that does
-// not compile raises its error when an execution reaches it, as
-// evaluation in written order would, and the plan is not kept.
-func (s *Session) planCells(st Stmt, outer *env, tree *planTree) (*selectPlan, error) {
+// planInsert plans what an INSERT evaluates once per row, in the
+// statement's own scope: its target columns (all, in order, without a
+// column list; the others stay NULL) and its rows — the SELECT's plan, or
+// per VALUES row one cell per value, each filling its column in written
+// order. A cell that does not compile raises its error when an execution
+// reaches it, as evaluation in written order would, and the plan is not
+// kept.
+func (s *Session) planInsert(t *InsertStmt, outer *env, tree *planTree) (*selectPlan, error) {
 	p := &selectPlan{s: s, tree: tree, env: env{params: outer.params, session: s}}
 	c := newCompiler(&p.env, tree)
-	switch t := st.(type) {
-	case *CallStmt:
-		p.cells = [][]cell{make([]cell, len(t.Args))}
-		for i, x := range t.Args {
-			p.cells[0][i].pos = i
-			c.cell(&p.cells[0][i], x)
+	tbl, err := s.db.table(t.Table)
+	if err != nil {
+		return nil, err
+	}
+	tree.stamp(tbl)
+	p.srcs = []source{{name: tbl.Name, tbl: tbl}}
+	for i, name := range t.Columns {
+		if p.sets = append(p.sets, tbl.ColumnIndex(name)); p.sets[i] < 0 {
+			return nil, fmt.Errorf("sqldb: no column %s in table %s", name, t.Table)
 		}
-	case *InsertStmt:
-		tbl, err := s.db.table(t.Table)
-		if err != nil {
+	}
+	if len(t.Columns) == 0 {
+		for i := range tbl.Columns {
+			p.sets = append(p.sets, i)
+		}
+	}
+	if t.Query != nil {
+		if p.query, err = s.planSelect(t.Query, outer, tree); err != nil {
 			return nil, err
 		}
-		tree.stamp(tbl)
-		p.srcs = []source{{name: tbl.Name, tbl: tbl}}
-		for i, name := range t.Columns {
-			if p.sets = append(p.sets, tbl.ColumnIndex(name)); p.sets[i] < 0 {
-				return nil, fmt.Errorf("sqldb: no column %s in table %s", name, t.Table)
-			}
+	}
+	n := len(p.sets)
+	flat := make([]cell, len(t.Rows)*n)
+	p.cells = make([][]cell, len(t.Rows))
+	for i, row := range t.Rows {
+		if len(row) != n {
+			err := fmt.Errorf("sqldb: INSERT value count mismatch: %d vs %d", n, len(row))
+			p.cells[i] = []cell{{fn: func(*env) (Value, error) { return Null(), err }}}
+			continue
 		}
-		// Without a column list every column is a target; with one, the
-		// columns it leaves out take their DEFAULTs.
-		for i := range tbl.Columns {
-			if len(t.Columns) == 0 {
-				p.sets = append(p.sets, i)
-			} else if tbl.Columns[i].Default != nil && !slices.Contains(p.sets, i) {
-				p.defaults = append(p.defaults, cell{pos: i})
-			}
-		}
-		if t.Query != nil {
-			if p.query, err = s.planSelect(t.Query, outer, tree); err != nil {
-				return nil, err
-			}
-		}
-		n := len(p.sets)
-		flat := make([]cell, len(t.Rows)*n)
-		p.cells = make([][]cell, len(t.Rows))
-		for i, row := range t.Rows {
-			if len(row) != n {
-				err := fmt.Errorf("sqldb: INSERT value count mismatch: %d vs %d", n, len(row))
-				p.cells[i] = []cell{{fn: func(*env) (Value, error) { return Null(), err }}}
-				continue
-			}
-			p.cells[i] = flat[i*n : (i+1)*n]
-			for j, x := range row {
-				p.cells[i][j].pos = p.sets[j]
-				c.cell(&p.cells[i][j], x)
-			}
-		}
-		for i := range p.defaults {
-			c.cell(&p.defaults[i], tbl.Columns[p.defaults[i].pos].Default)
+		p.cells[i] = flat[i*n : (i+1)*n]
+		for j, x := range row {
+			p.cells[i][j].pos = p.sets[j]
+			c.cell(&p.cells[i][j], x)
 		}
 	}
 	if tree != nil {
@@ -1016,21 +999,10 @@ func (p *selectPlan) matchRows() ([]*Row, error) {
 	return matched, nil
 }
 
-func (s *Session) execCall(t *CallStmt, slot *stmtSlot, base *env) (*Result, error) {
+func (s *Session) execCall(t *CallStmt) (*Result, error) {
 	proc, ok := s.db.procs[strings.ToLower(t.Name)]
 	if !ok {
 		return nil, fmt.Errorf("sqldb: no such procedure %s", t.Name)
-	}
-	args := make([]Value, len(t.Args))
-	if len(args) > 0 {
-		p, err := s.lend(slot, t, base)
-		if err == nil {
-			err = fill(args, p.cells[0], &p.env)
-			slot.put(p)
-		}
-		if err != nil {
-			return nil, err
-		}
 	}
 	if proc.Native != nil {
 		// Native procedures run on a child session: it shares this
@@ -1039,7 +1011,7 @@ func (s *Session) execCall(t *CallStmt, slot *stmtSlot, base *env) (*Result, err
 		// any SQL the procedure issues through the nested path instead
 		// of deadlocking on the session/engine locks.
 		child := &Session{db: s.db, id: s.id, applier: s.applier, txn: s.txn, snap: s.snap, locked: true, sink: s.sink}
-		res, err := proc.Native(child, args)
+		res, err := proc.Native(child)
 		// Fold the child's accounting into the enclosing CALL statement.
 		s.rowsScanned += child.rowsScanned
 		if s.planTable == "" {
@@ -1047,21 +1019,9 @@ func (s *Session) execCall(t *CallStmt, slot *stmtSlot, base *env) (*Result, err
 		}
 		return res, err
 	}
-	if len(args) != len(proc.Params) {
-		return nil, fmt.Errorf("sqldb: procedure %s expects %d argument(s), got %d", proc.Name, len(proc.Params), len(args))
-	}
-	bound := make(map[string]Value, len(args))
-	for i, p := range proc.Params {
-		bound[strings.ToLower(p)] = args[i]
-	}
-	// The body is one parse: one vector binds every statement of it.
-	vals, err := proc.shape.bindNamed(nil, bound)
-	if err != nil {
-		return nil, fmt.Errorf("sqldb: procedure %s: %w", proc.Name, err)
-	}
 	var last *Result
 	for i, st := range proc.Body {
-		r, err := s.execStmtLocked(st, &proc.slots[i], vals, nil)
+		r, err := s.execStmtLocked(st, &proc.slots[i], nil, nil)
 		if err != nil {
 			return nil, fmt.Errorf("sqldb: procedure %s: %w", proc.Name, err)
 		}

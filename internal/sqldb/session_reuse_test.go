@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -375,13 +376,16 @@ func TestCommitLatchesInNameOrder(t *testing.T) {
 }
 
 // TestProcedureBodyKeepsTheCallScope: a CALL's body runs its statements
-// in scopes of their own; the session's scope still holds the CALL's
-// parameters while they run, and a CALL nested in a body runs its own
-// body one kept scope further in.
+// in scopes of their own; the session's scope is still the CALL's while
+// they run, and a CALL nested in a body runs its own body one kept scope
+// further in.
 func TestProcedureBodyKeepsTheCallScope(t *testing.T) {
 	db, _ := equivDB()
 	s := db.Session()
-	for _, st := range equivMix(1)[:4] {
+	for _, st := range equivMix(1) {
+		if !strings.HasPrefix(st.sql, "CREATE") {
+			break
+		}
 		if _, err := s.Exec(st.sql, st.params...); err != nil {
 			t.Fatal(err)
 		}
@@ -389,19 +393,18 @@ func TestProcedureBodyKeepsTheCallScope(t *testing.T) {
 	if _, err := s.Exec("INSERT INTO orders VALUES (1, 'bolt', 5)"); err != nil {
 		t.Fatal(err)
 	}
-	call := []Value{Int(1), Int(7)}
 	bodyPlans := 0
 	lendHook = func(p *selectPlan, held bool) {
-		if held && p.q != nil && p.q.From[0].Source.Table == "orders" {
+		if held && p.q != nil && p.q.From[0].Table == "orders" {
 			bodyPlans++
-			if !slices.Equal(s.scope.params, call) {
-				t.Errorf("the CALL's scope holds %v while its body runs, want %v", s.scope.params, call)
+			if s.scope.session != s || s.inner == nil || s.inner.session != s {
+				t.Error("the CALL's scope is not held while its body runs one kept scope further in")
 			}
 		}
 	}
 	defer func() { lendHook = nil }()
-	if res, err := s.Exec("CALL restock(?, ?)", call...); err != nil || len(res.Rows) != 1 || res.Rows[0][0].I != 12 {
-		t.Fatalf("CALL restock: %v, %v", res, err)
+	if res, err := s.Exec("CALL restock1()"); err != nil || len(res.Rows) != 1 || res.Rows[0][0].I != 9 {
+		t.Fatalf("CALL restock1: %v, %v", res, err)
 	}
 	if bodyPlans == 0 {
 		t.Fatal("no body statement was planned; the test proves nothing")
@@ -409,23 +412,22 @@ func TestProcedureBodyKeepsTheCallScope(t *testing.T) {
 
 	// A CALL inside a body holds that body's scope in turn: the nested
 	// body runs one depth further in, and every scope is free afterwards.
-	if _, err := s.Exec("CREATE PROCEDURE restock_twice(p, n) AS 'CALL restock(:p, :n); CALL restock(:p, :n)'"); err != nil {
+	if _, err := s.Exec("CREATE PROCEDURE restock_twice () AS 'CALL restock1(); CALL restock1()'"); err != nil {
 		t.Fatal(err)
 	}
-	call = []Value{Int(1), Int(4)}
 	bodyPlans = 0
 	lendHook = func(p *selectPlan, held bool) {
-		if held && p.q != nil && p.q.From[0].Source.Table == "orders" {
+		if held && p.q != nil && p.q.From[0].Table == "orders" {
 			bodyPlans++
-			if !slices.Equal(s.scope.params, call) {
-				t.Errorf("the CALL's scope holds %v while its nested body runs, want %v", s.scope.params, call)
+			if s.scope.session != s {
+				t.Error("the CALL's scope is not held while its nested body runs")
 			}
 			if in := s.inner; in == nil || in.session != s || in.next == nil || in.next.session != s || in.next.next != nil {
 				t.Error("a nested body statement does not run two kept scopes deep")
 			}
 		}
 	}
-	if res, err := s.Exec("CALL restock_twice(?, ?)", call...); err != nil || len(res.Rows) != 1 || res.Rows[0][0].I != 20 {
+	if res, err := s.Exec("CALL restock_twice()"); err != nil || len(res.Rows) != 1 || res.Rows[0][0].I != 17 {
 		t.Fatalf("CALL restock_twice: %v, %v", res, err)
 	}
 	if bodyPlans == 0 {

@@ -44,7 +44,7 @@ type bind struct {
 var lendHook func(p *selectPlan, held bool)
 
 // lend returns a plan for st (a SELECT, UPDATE/DELETE's row filter, an
-// INSERT's rows, a CALL's arguments) bound to this execution: the slot's
+// INSERT's rows) bound to this execution: the slot's
 // idle plan if it still holds, else a new one — kept for the slot when
 // there is one.
 func (s *Session) lend(slot *stmtSlot, st Stmt, outer *env) (p *selectPlan, err error) {
@@ -66,8 +66,8 @@ func (s *Session) lend(slot *stmtSlot, st Stmt, outer *env) (p *selectPlan, err 
 			p, err = s.planRows(t.Table, t.Where, t.Sets, outer, tree)
 		case *DeleteStmt:
 			p, err = s.planRows(t.Table, t.Where, nil, outer, tree)
-		case *InsertStmt, *CallStmt:
-			p, err = s.planCells(st, outer, tree)
+		case *InsertStmt:
+			p, err = s.planInsert(t, outer, tree)
 		}
 		if err != nil {
 			return nil, err
@@ -143,7 +143,7 @@ func (t *planTree) stamp(tbl *Table) {
 func (p *selectPlan) idle() {
 	p.s, p.env.session, p.env.params = nil, nil, nil
 	p.env.row, p.env.aggs = nil, nil
-	p.rows, p.out, p.seen = nil, nil, nil
+	p.rows, p.out = nil, nil
 	if p.groups.n > idleCap {
 		p.groups = groupTable{}
 	}

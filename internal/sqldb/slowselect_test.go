@@ -9,7 +9,7 @@ import (
 )
 
 // This file holds the executor the pull pipeline (select.go) replaced —
-// materialize every FROM entry, cross or nested-loop join them into one
+// materialize every table of FROM, nested-loop join them into one
 // relation, filter it, bin it into groups, re-walk each bin per
 // aggregate, project, sort — kept in the test tree as the slow obvious
 // oracle, and the differential test that runs both over seeded random
@@ -36,8 +36,7 @@ type slowOut struct {
 	group [][]Value
 }
 
-// slowSelect executes a SELECT: its rows up to and including DISTINCT,
-// then its ORDER BY / OFFSET / LIMIT.
+// slowSelect executes a SELECT: its rows, then its ORDER BY and LIMIT.
 func (s *Session) slowSelect(q *SelectStmt, outer *env) (*Result, error) {
 	outs, cols, err := s.slowRows(q, outer)
 	if err != nil {
@@ -50,22 +49,12 @@ func (s *Session) slowSelect(q *SelectStmt, outer *env) (*Result, error) {
 	for _, o := range outs {
 		res.Rows = append(res.Rows, o.row)
 	}
-	for _, c := range []struct {
-		x    Expr
-		what string
-	}{{q.Offset, "OFFSET"}, {q.Limit, "LIMIT"}} {
-		if c.x == nil {
-			continue
-		}
-		n, err := evalNonNegInt(c.x, outer, c.what)
+	if q.Limit != nil {
+		n, err := evalLimit(q.Limit, outer)
 		if err != nil {
 			return nil, err
 		}
-		if n = min(n, len(res.Rows)); c.what == "OFFSET" {
-			res.Rows = res.Rows[n:]
-		} else {
-			res.Rows = res.Rows[:n]
-		}
+		res.Rows = res.Rows[:min(n, len(res.Rows))]
 	}
 	return res, nil
 }
@@ -77,19 +66,7 @@ func appendRowKey(b []byte, row []Value) []byte {
 	return b
 }
 
-func slowDistinct(outs []slowOut) []slowOut {
-	seen := map[string]bool{}
-	var kept []slowOut
-	for _, o := range outs {
-		if k := string(appendRowKey(nil, o.row)); !seen[k] {
-			seen[k] = true
-			kept = append(kept, o)
-		}
-	}
-	return kept
-}
-
-// slowRows executes a SELECT up to and including DISTINCT.
+// slowRows executes a SELECT up to its ORDER BY.
 func (s *Session) slowRows(q *SelectStmt, outer *env) ([]slowOut, []string, error) {
 	rel, err := s.slowFrom(q, outer.params)
 	if err != nil {
@@ -121,19 +98,12 @@ func (s *Session) slowRows(q *SelectStmt, outer *env) ([]slowOut, []string, erro
 			colNames = append(colNames, itemName(it))
 			continue
 		}
-		qual := strings.ToLower(it.StarTable)
-		matched := false
-		for i, c := range rel.cols {
-			if qual == "" || c.table == qual {
-				matched = true
-				items = append(items, slowCol(i))
-				colNames = append(colNames, c.name)
-			}
-		}
-		if !matched && qual == "" {
+		if len(rel.cols) == 0 {
 			return nil, nil, fmt.Errorf("sqldb: SELECT * with no FROM clause")
-		} else if !matched {
-			return nil, nil, fmt.Errorf("sqldb: unknown table %s in %s.*", it.StarTable, it.StarTable)
+		}
+		for i, c := range rel.cols {
+			items = append(items, slowCol(i))
+			colNames = append(colNames, c.name)
 		}
 	}
 
@@ -171,9 +141,6 @@ func (s *Session) slowRows(q *SelectStmt, outer *env) ([]slowOut, []string, erro
 			}
 		}
 	}
-	if q.Distinct {
-		outs = slowDistinct(outs)
-	}
 	return outs, colNames, nil
 }
 
@@ -199,38 +166,26 @@ type slowCol int
 
 func (slowCol) exprNode() {}
 
-// slowFrom assembles the working relation: every FROM entry scanned whole
-// (each with its joins applied), then their cross product.
+// slowFrom assembles the working relation: every table of FROM scanned
+// whole, each JOIN applied to the relation before it.
 func (s *Session) slowFrom(q *SelectStmt, params []Value) (*slowRel, error) {
-	if len(q.From) == 0 {
-		return &slowRel{rows: [][]Value{nil}}, nil
-	}
-	var rel *slowRel
-	for _, tr := range q.From {
-		r, err := s.slowSource(tr.Source)
+	rel := &slowRel{rows: [][]Value{nil}}
+	for i, from := range q.From {
+		r, err := s.slowSource(from)
 		if err != nil {
 			return nil, err
 		}
-		for _, jc := range tr.Joins {
-			right, err := s.slowSource(jc.Source)
-			if err != nil {
-				return nil, err
-			}
-			if r, err = s.slowJoin(r, right, jc, params); err != nil {
-				return nil, err
-			}
-		}
-		if rel == nil {
+		if i == 0 {
 			rel = r
-		} else {
-			rel = slowCross(rel, r)
+		} else if rel, err = s.slowJoin(rel, r, from.On, params); err != nil {
+			return nil, err
 		}
 	}
 	return rel, nil
 }
 
-// slowSource produces the relation for one FROM entry: a base table's
-// visible rows.
+// slowSource produces the relation for one table of FROM: its visible
+// rows.
 func (s *Session) slowSource(from Source) (*slowRel, error) {
 	tbl, err := s.db.table(from.Table)
 	if err != nil {
@@ -245,25 +200,12 @@ func (s *Session) slowSource(from Source) (*slowRel, error) {
 	return rel, nil
 }
 
-func slowCross(l, r *slowRel) *slowRel {
-	out := &slowRel{cols: append(append([]colMeta{}, l.cols...), r.cols...)}
-	for _, lr := range l.rows {
-		for _, rr := range r.rows {
-			out.rows = append(out.rows, append(append([]Value{}, lr...), rr...))
-		}
-	}
-	return out
-}
-
-func (s *Session) slowJoin(l, r *slowRel, jc JoinClause, params []Value) (*slowRel, error) {
-	if jc.Kind == JoinCross {
-		return slowCross(l, r), nil
-	}
+func (s *Session) slowJoin(l, r *slowRel, on Expr, params []Value) (*slowRel, error) {
 	out := &slowRel{cols: append(append([]colMeta{}, l.cols...), r.cols...)}
 	for _, lr := range l.rows {
 		for _, rr := range r.rows {
 			row := append(append([]Value{}, lr...), rr...)
-			v, err := s.slowEval(jc.On, &env{cols: out.cols, row: row, params: params, session: s}, nil)
+			v, err := s.slowEval(on, &env{cols: out.cols, row: row, params: params, session: s}, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -275,9 +217,9 @@ func (s *Session) slowJoin(l, r *slowRel, jc JoinClause, params []Value) (*slowR
 	return out, nil
 }
 
-// slowGroups partitions the relation by the GROUP BY key (GROUP BY <n>
-// names the n-th select-list item). With no GROUP BY all rows form one
-// group — including the empty one, so that COUNT(*) over nothing is 0.
+// slowGroups partitions the relation by the GROUP BY key. With no GROUP
+// BY all rows form one group — including the empty one, so that COUNT(*)
+// over nothing is 0.
 func (s *Session) slowGroups(q *SelectStmt, rel *slowRel, makeEnv func([]Value) *env) ([][][]Value, error) {
 	if len(q.GroupBy) == 0 {
 		return [][][]Value{rel.rows}, nil
@@ -287,12 +229,6 @@ func (s *Session) slowGroups(q *SelectStmt, rel *slowRel, makeEnv func([]Value) 
 	for _, row := range rel.rows {
 		var kb []byte
 		for _, x := range q.GroupBy {
-			if n, ok := ordinal(x); ok {
-				if n < 1 || n > len(q.Items) || slices.ContainsFunc(q.Items[:n], func(it SelectItem) bool { return it.Star }) {
-					return nil, fmt.Errorf("sqldb: GROUP BY position %d out of range", n)
-				}
-				x = q.Items[n-1].Expr
-			}
 			v, err := s.slowEval(x, makeEnv(row), nil)
 			if err != nil {
 				return nil, err
@@ -310,28 +246,22 @@ func (s *Session) slowGroups(q *SelectStmt, rel *slowRel, makeEnv func([]Value) 
 	return bins, nil
 }
 
-// slowOrder stably sorts outs by the ORDER BY keys: <n> and a bare name
-// matching an output column sort by that column, anything else is
-// evaluated in the row's input environment.
+// slowOrder stably sorts outs by the ORDER BY keys: a bare name matching
+// an output column sorts by that column, anything else is evaluated in
+// the row's input environment.
 func (s *Session) slowOrder(q *SelectStmt, colNames []string, outs []slowOut) error {
 	keys := make([][]Value, len(outs))
 	for i, o := range outs {
 		for _, oi := range q.OrderBy {
 			var v Value
-			n, isOrd := ordinal(oi.Expr)
 			cr, isRef := oi.Expr.(*ColumnRef)
 			col := -1
 			if isRef && cr.Table == "" {
 				col = slices.IndexFunc(colNames, func(n string) bool { return strings.EqualFold(n, cr.Column) })
 			}
-			switch {
-			case isOrd && (n < 1 || n > len(o.row)):
-				return fmt.Errorf("sqldb: ORDER BY position %d out of range", n)
-			case isOrd:
-				v = o.row[n-1]
-			case col >= 0:
+			if col >= 0 {
 				v = o.row[col]
-			default:
+			} else {
 				var err error
 				if v, err = s.slowEval(oi.Expr, o.e, o.group); err != nil {
 					return err
@@ -397,23 +327,6 @@ func (s *Session) slowBind(x Expr, e *env, group [][]Value) (Expr, error) {
 		c := *t
 		c.X, err = bind(t.X)
 		return &c, err
-	case *IsNullExpr:
-		c := *t
-		c.X, err = bind(t.X)
-		return &c, err
-	case *InExpr:
-		c := InExpr{Not: t.Not}
-		if c.X, err = bind(t.X); err != nil {
-			return nil, err
-		}
-		for _, a := range t.List {
-			b, err := bind(a)
-			if err != nil {
-				return nil, err
-			}
-			c.List = append(c.List, b)
-		}
-		return &c, nil
 	case *FuncCall:
 		if slices.Contains(aggregateNames, t.Name) && group != nil {
 			v, err := s.slowAggregate(t, e, group)
@@ -465,38 +378,23 @@ func (s *Session) slowAggregate(t *FuncCall, e *env, group [][]Value) (Value, er
 		return Int(int64(len(vals))), nil
 	case len(vals) == 0:
 		return Null(), nil
-	case t.Name == "SUM" || t.Name == "AVG":
-		allInt := true
-		var fi int64
-		var ff float64
-		for _, v := range vals {
-			f, ok := v.AsFloat()
-			if !ok {
-				return Null(), fmt.Errorf("sqldb: %s over non-numeric value", t.Name)
-			}
-			ff += f
-			fi += v.I
-			allInt = allInt && v.K == KindInt
-		}
-		if t.Name == "AVG" {
-			return Float(ff / float64(len(vals))), nil
-		}
-		if allInt {
-			return Int(fi), nil
-		}
-		return Float(ff), nil
 	}
-	best := vals[0]
-	for _, v := range vals[1:] {
-		c, ok := compareValues(v, best)
+	allInt := true
+	var fi int64
+	var ff float64
+	for _, v := range vals {
+		f, ok := v.AsFloat()
 		if !ok {
-			return Null(), fmt.Errorf("sqldb: %s over incomparable values", t.Name)
+			return Null(), fmt.Errorf("sqldb: %s over non-numeric value", t.Name)
 		}
-		if (t.Name == "MIN" && c < 0) || (t.Name == "MAX" && c > 0) {
-			best = v
-		}
+		ff += f
+		fi += v.I
+		allInt = allInt && v.K == KindInt
 	}
-	return best, nil
+	if allInt {
+		return Int(fi), nil
+	}
+	return Float(ff), nil
 }
 
 // --- the differential test ---
@@ -551,29 +449,22 @@ func (g *exprGen) ref(refs []slowRef, kinds string) slowRef {
 }
 
 // slowCond draws one boolean conjunct over refs. Most shapes cannot
-// fail; a division (by a column that holds zeros) can.
+// fail; a negated string, or a number plus a boolean, can.
 func (g *exprGen) slowCond(refs []slowRef, depth int) string {
 	num := func() slowRef { return g.ref(refs, "if") }
 	cmp := func() string { return g.pick("=", "<>", "<", "<=", ">", ">=") }
-	switch n := g.rng.Intn(15); {
-	case n < 5:
+	switch n := g.rng.Intn(24); {
+	case n < 10:
 		r := g.ref(refs, "ifsb")
 		return fmt.Sprintf("%s %s %s", r.text, g.pick("=", "=", "<>", "<", ">="), g.slowLit(r.kind, true))
-	case n < 7:
+	case n < 14:
 		return fmt.Sprintf("%s %s %s", num().text, cmp(), num().text)
-	case n < 9:
-		return fmt.Sprintf("%s IS %sNULL", g.ref(refs, "ifsb").text, g.pick("", "NOT "))
-	case n < 11 && depth > 0:
+	case n < 18 && depth > 0:
 		return fmt.Sprintf("(%s %s %s)", g.slowCond(refs, depth-1), g.pick("OR", "OR", "AND"), g.slowCond(refs, depth-1))
-	case n == 11 && depth > 0:
-		return "NOT " + "(" + g.slowCond(refs, depth-1) + ")"
-	case n == 12:
-		r := g.ref(refs, "is")
-		return fmt.Sprintf("%s %sIN (%s, %s)", r.text, g.pick("", "NOT "), g.slowLit(r.kind, true), g.slowLit(r.kind, true))
-	case n == 13:
-		return fmt.Sprintf("6 / %s %s 2", num().text, cmp()) // division by zero on some rows
-	case n == 14:
-		return fmt.Sprintf("%s + %s %s 2", num().text, g.ref(refs, "ifs").text, cmp()) // non-numeric on some
+	case n == 18:
+		return fmt.Sprintf("-%s %s 2", g.ref(refs, "s").text, cmp()) // an error on a row whose string is not NULL
+	case n == 19:
+		return fmt.Sprintf("%s + %s %s 2", num().text, g.ref(refs, "ifsb").text, cmp()) // a string concatenates, a boolean fails
 	}
 	return fmt.Sprintf("%s = %s", g.ref(refs, "i").text, g.slowLit("i", false))
 }
@@ -583,7 +474,7 @@ func (g *exprGen) slowCond(refs []slowRef, depth int) string {
 // whether its ORDER BY is total (results compare as lists).
 func (g *exprGen) slowQuery() (sql string, badName, total bool) {
 	var b strings.Builder
-	var refs, entry []slowRef // columns in scope: of the statement, of the FROM entry being built
+	var refs []slowRef // columns in scope
 	var from []string
 	aliases := []string{"a", "b", "c"}
 	addTable := func(alias string) (string, []slowRef) {
@@ -601,39 +492,32 @@ func (g *exprGen) slowQuery() (sql string, badName, total bool) {
 	}
 	for i := 0; i < n; i++ {
 		text, rs := addTable(aliases[i])
-		if i == 0 || g.oneIn(8) { // the first, or a comma join: a new FROM entry
-			from, refs, entry = append(from, text), append(refs, rs...), rs
+		if i == 0 {
+			from, refs = append(from, text), rs
 			continue
 		}
-		// ON sees its own FROM entry only.
-		all := append(append([]slowRef{}, entry...), rs...)
+		// ON sees the tables up to its own, and holds a key: an equality of
+		// an inner column and an error-free expression over the tables before.
+		all := append(append([]slowRef{}, refs...), rs...)
 		inner := func(kinds string) slowRef { return g.ref(rs, kinds) }
-		outer := func(kinds string) slowRef { return g.ref(entry, kinds) }
-		var on string
-		switch g.rng.Intn(10) {
-		case 0, 1, 2:
-			on = fmt.Sprintf("%s = %s", outer("if").text, inner("if").text) // int/float keys, either side
-		case 3:
+		outer := func(kinds string) slowRef { return g.ref(refs, kinds) }
+		on := fmt.Sprintf("%s = %s", outer("if").text, inner("if").text) // int/float keys, either side
+		switch g.rng.Intn(8) {
+		case 0:
 			on = fmt.Sprintf("%s = %s", inner("ifs").text, outer("ifs").text) // may be int = string: never equal
+		case 1:
+			on += " AND " + g.slowCond(all, 1)
+		case 2:
+			on += fmt.Sprintf(" AND %s = %s", outer("s").text, inner("s").text)
+		case 3:
+			on = fmt.Sprintf("%s + 1 = %s AND %s", outer("if").text, inner("if").text, on) // a key expression that can fail is no key
 		case 4:
-			on = fmt.Sprintf("%s = %s AND %s", outer("if").text, inner("if").text, g.slowCond(all, 1))
+			on += fmt.Sprintf(" AND %s %s %s", outer("if").text, g.pick("<", ">=", "<>"), inner("if").text)
 		case 5:
-			on = fmt.Sprintf("%s = %s AND %s = %s", outer("if").text, inner("if").text, outer("s").text, inner("s").text)
-		case 6:
-			on = fmt.Sprintf("%s + 1 = %s", outer("if").text, inner("if").text) // a key expression that can fail is no key
-		case 7:
-			on = fmt.Sprintf("%s %s %s", outer("if").text, g.pick("<", ">=", "<>"), inner("if").text)
-		case 8:
-			on = fmt.Sprintf("%s = %s OR %s", outer("if").text, inner("if").text, g.slowCond(all, 0))
-		default:
-			on = g.slowCond(all, 1)
+			on += fmt.Sprintf(" AND (%s = %s OR %s)", outer("if").text, inner("if").text, g.slowCond(all, 0))
 		}
-		if g.oneIn(4) {
-			from[len(from)-1] += " CROSS JOIN " + text
-		} else {
-			from[len(from)-1] += " JOIN " + text + " ON " + on
-		}
-		refs, entry = append(refs, rs...), all
+		from = append(from, "JOIN "+text+" ON "+on)
+		refs = all
 	}
 
 	var where []string
@@ -645,31 +529,34 @@ func (g *exprGen) slowQuery() (sql string, badName, total bool) {
 		badName = true
 	}
 
-	var items, order []string
-	grouped := g.oneIn(3)
+	// names are the output columns' names when every item is named: then
+	// the items as trailing keys make the order total, and only then may
+	// LIMIT cut it.
+	var items, names, order []string
+	name := func(item, alias string) {
+		items, names = append(items, item+" AS "+alias), append(names, alias)
+	}
+	star := g.oneIn(6)
+	total = !star && g.oneIn(2)
 	switch {
-	case grouped:
+	case g.oneIn(3): // grouped
 		var groupBy []string
 		for i := g.rng.Intn(3); i > 0; i-- {
 			r := g.ref(refs, "ifsb")
-			items = append(items, r.text)
-			groupBy = append(groupBy, g.pick(r.text, fmt.Sprint(len(items))))
-		}
-		aggs := g.rng.Intn(3) + 1
-		if len(groupBy) == 0 && aggs == 0 {
-			aggs = 1
+			name(r.text, fmt.Sprintf("g%d", len(items)))
+			groupBy = append(groupBy, r.text)
 		}
 		var aggTexts []string
-		for i := 0; i < aggs; i++ {
+		for i := g.rng.Intn(3) + 1; i > 0; i-- {
 			r := g.ref(refs, "ifs")
-			agg := g.pick("COUNT(*)", "COUNT(%s)", "COUNT(DISTINCT %s)", "SUM(%s)", "SUM(DISTINCT %s)", "AVG(%s)", "MIN(%s)", "MAX(%s)", "MAX(DISTINCT %s)", "SUM(%s + 1)")
+			agg := g.pick("COUNT(*)", "COUNT(%s)", "COUNT(DISTINCT %s)", "SUM(%s)", "SUM(%s + 1)")
 			if strings.Contains(agg, "%s") {
 				agg = fmt.Sprintf(agg, r.text)
 			}
 			aggTexts = append(aggTexts, agg)
-			items = append(items, agg+fmt.Sprintf(" AS agg%d", i))
+			name(agg, fmt.Sprintf("agg%d", len(aggTexts)-1))
 		}
-		b.WriteString("SELECT " + strings.Join(items, ", ") + " FROM " + strings.Join(from, ", "))
+		b.WriteString("SELECT " + strings.Join(items, ", ") + " FROM " + strings.Join(from, " "))
 		if len(where) > 0 {
 			b.WriteString(" WHERE " + strings.Join(where, " AND "))
 		}
@@ -680,36 +567,37 @@ func (g *exprGen) slowQuery() (sql string, badName, total bool) {
 			order = append(order, g.pick(g.pick(aggTexts...), "agg0")+g.pick("", " DESC"))
 		}
 	default:
-		star := g.oneIn(6)
 		if star {
-			items = append(items, g.pick("*", "a.*"))
+			items = append(items, "*")
 		}
 		for i := g.rng.Intn(3) + 1; i > 0 && !(star && i == 1); i-- {
 			r := g.ref(refs, "ifsb")
-			items = append(items, g.pick(r.text, r.text, r.text+fmt.Sprintf(" AS c%d", i),
-				fmt.Sprintf("%s || 'z'", r.text), fmt.Sprintf("%s IS NULL", r.text)))
+			item := g.pick(r.text, r.text, fmt.Sprintf("%s + 1", g.ref(refs, "ifs").text), fmt.Sprintf("%s = %s", r.text, g.slowLit(r.kind, false)))
+			if total || g.oneIn(2) {
+				name(item, fmt.Sprintf("c%d", i))
+			} else {
+				items = append(items, item)
+			}
 		}
 		if g.oneIn(20) {
 			items = append(items, "b.nosuch")
-			badName = true
+			badName, total = true, false
 		}
-		b.WriteString("SELECT " + g.pick("", "", "DISTINCT ") + strings.Join(items, ", ") + " FROM " + strings.Join(from, ", "))
+		b.WriteString("SELECT " + strings.Join(items, ", ") + " FROM " + strings.Join(from, " "))
 		if len(where) > 0 {
 			b.WriteString(" WHERE " + strings.Join(where, " AND "))
 		}
 		if g.oneIn(2) { // an input column or expression the output may not hold as a leading key
 			r := g.ref(refs, "ifsb")
-			order = append(order, g.pick(r.text, r.text, "c1", fmt.Sprintf("%s IS NULL", r.text))+g.pick("", " DESC"))
-			if strings.HasPrefix(order[0], "c1") && !strings.Contains(b.String(), " AS c1") {
+			order = append(order, g.pick(r.text, r.text, "c1", fmt.Sprintf("%s = %s", r.text, g.slowLit(r.kind, false)))+g.pick("", " DESC"))
+			if strings.HasPrefix(order[0], "c1") && !slices.Contains(names, "c1") {
 				order = nil
 			}
 		}
 	}
-	// Every output column as a trailing key makes the order total; only
-	// then may OFFSET/LIMIT cut it. A star's width is not known here.
-	if total = !strings.Contains(items[0], "*") && g.oneIn(2); total {
-		for i := range items {
-			order = append(order, fmt.Sprint(i+1)+g.pick("", " DESC"))
+	if total {
+		for _, n := range names {
+			order = append(order, n+g.pick("", " DESC"))
 		}
 	}
 	if len(order) > 0 {
@@ -717,23 +605,20 @@ func (g *exprGen) slowQuery() (sql string, badName, total bool) {
 	}
 	if total && g.oneIn(2) {
 		b.WriteString(" LIMIT " + g.pick("0", "1", "3", "10"))
-		if g.oneIn(2) {
-			b.WriteString(" OFFSET " + g.pick("0", "1", "4"))
-		}
 	}
 	return b.String(), badName, total
 }
 
 // TestPipelineMatchesMaterializingExecutor runs seeded random SELECTs —
-// one to three tables, every join form, pushable and non-pushable WHERE
-// conjuncts, NULL and mixed-kind join keys, grouping and every aggregate,
-// DISTINCT, ORDER BY / LIMIT / OFFSET, indexed and unindexed inners —
+// one to three tables, hash and index joins, pushable and non-pushable
+// WHERE conjuncts, NULL and mixed-kind join keys, grouping and every
+// aggregate, ORDER BY / LIMIT, indexed and unindexed inners —
 // through the pipeline and through the materializing executor
 // above, from a session holding uncommitted changes and from one that
 // cannot see them. Results must be equal, as lists when the ORDER BY is
 // total and as multisets otherwise. The pipeline evaluates no more than
 // the oracle, so it may succeed where the oracle raises a data error
-// (a division on a row push-down removed), never the reverse; the one
+// (a negation on a row push-down removed), never the reverse; the one
 // exception is a name that does not resolve, which the pipeline rejects
 // when it plans and the oracle only when a row reaches it.
 func TestPipelineMatchesMaterializingExecutor(t *testing.T) {
@@ -781,7 +666,7 @@ func TestPipelineMatchesMaterializingExecutor(t *testing.T) {
 		// The oracle runs as a native procedure: inside the calling
 		// session's statement, under its snapshot and open transaction.
 		var q *SelectStmt
-		db.RegisterProcedure("slow_oracle", func(s *Session, _ []Value) (*Result, error) {
+		db.RegisterProcedure("slow_oracle", func(s *Session) (*Result, error) {
 			return s.slowSelect(q, &env{session: s})
 		})
 		for i := 0; i < queriesPerSeed; i++ {

@@ -93,14 +93,12 @@ func TestGroupByAggregate(t *testing.T) {
 
 func TestAggregatesWithoutGroupBy(t *testing.T) {
 	db := newOrdersDB(t)
-	r := mustQuery(t, db, "SELECT COUNT(*), SUM(Quantity), MIN(Quantity), MAX(Quantity), AVG(Quantity) FROM Orders")
-	row := r.Rows[0]
-	if row[0].I != 6 || row[1].I != 36 || row[2].I != 2 || row[3].I != 10 {
+	r := mustQuery(t, db, "SELECT COUNT(*), SUM(Quantity) FROM Orders")
+	if row := r.Rows[0]; row[0].I != 6 || row[1].I != 36 {
 		t.Fatalf("unexpected aggregates: %v", row)
 	}
-	if row[4].F() != 6.0 {
-		t.Fatalf("AVG: got %v, want 6", row[4])
-	}
+	refused(t, "SELECT MIN(Quantity) FROM Orders", "SELECT MAX(Quantity) FROM Orders", "SELECT AVG(Quantity) FROM Orders",
+		"SELECT SUM(DISTINCT Quantity) FROM Orders")
 }
 
 func TestCountOnEmptyTable(t *testing.T) {
@@ -113,14 +111,6 @@ func TestCountOnEmptyTable(t *testing.T) {
 	r = mustQuery(t, db, "SELECT SUM(x) FROM e")
 	if !r.Rows[0][0].IsNull() {
 		t.Fatalf("SUM on empty table should be NULL, got %v", r.Rows[0][0])
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	db := newOrdersDB(t)
-	r := mustQuery(t, db, "SELECT DISTINCT ItemID FROM Orders ORDER BY ItemID")
-	if len(r.Rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(r.Rows))
 	}
 }
 
@@ -140,20 +130,13 @@ func TestOrderByDescAndLimit(t *testing.T) {
 	}
 }
 
-func TestOrderByPosition(t *testing.T) {
-	db := newOrdersDB(t)
-	r := mustQuery(t, db, "SELECT OrderID, Quantity FROM Orders ORDER BY 2 DESC LIMIT 1")
-	if r.Rows[0][1].I != 10 {
-		t.Fatalf("ORDER BY 2: %v", r.Rows)
-	}
-}
-
 func TestLimitOffset(t *testing.T) {
 	db := newOrdersDB(t)
-	r := mustQuery(t, db, "SELECT OrderID FROM Orders ORDER BY OrderID LIMIT 2 OFFSET 3")
-	if len(r.Rows) != 2 || r.Rows[0][0].I != 4 || r.Rows[1][0].I != 5 {
+	r := mustQuery(t, db, "SELECT OrderID FROM Orders ORDER BY OrderID LIMIT 2")
+	if len(r.Rows) != 2 || r.Rows[0][0].I != 1 || r.Rows[1][0].I != 2 {
 		t.Fatalf("unexpected rows: %v", r.Rows)
 	}
+	refused(t, "SELECT OrderID FROM Orders ORDER BY OrderID LIMIT 2 OFFSET 3", "SELECT OrderID FROM Orders OFFSET 3")
 }
 
 func TestUpdate(t *testing.T) {
@@ -190,30 +173,6 @@ func TestJoin(t *testing.T) {
 	}
 }
 
-func TestCrossJoinComma(t *testing.T) {
-	db := Open("t")
-	db.MustExec("CREATE TABLE a (x INTEGER)")
-	db.MustExec("CREATE TABLE b (y INTEGER)")
-	db.MustExec("INSERT INTO a VALUES (1), (2)")
-	db.MustExec("INSERT INTO b VALUES (10), (20), (30)")
-	r := mustQuery(t, db, "SELECT x, y FROM a, b")
-	if len(r.Rows) != 6 {
-		t.Fatalf("cross product rows: %d, want 6", len(r.Rows))
-	}
-	r = mustQuery(t, db, "SELECT x, y FROM a CROSS JOIN b")
-	if len(r.Rows) != 6 {
-		t.Fatalf("CROSS JOIN rows: %d, want 6", len(r.Rows))
-	}
-}
-
-func TestInList(t *testing.T) {
-	db := newOrdersDB(t)
-	r := mustQuery(t, db, "SELECT COUNT(*) FROM Orders WHERE ItemID IN ('bolt', 'screw')")
-	if r.Rows[0][0].I != 4 {
-		t.Fatalf("IN list: %v", r.Rows[0][0])
-	}
-}
-
 func TestNullSemantics(t *testing.T) {
 	db := Open("t")
 	db.MustExec("CREATE TABLE n (x INTEGER)")
@@ -222,18 +181,15 @@ func TestNullSemantics(t *testing.T) {
 	if r.Rows[0][0].I != 0 {
 		t.Fatalf("= NULL must match nothing: %v", r.Rows[0][0])
 	}
-	r = mustQuery(t, db, "SELECT COUNT(*) FROM n WHERE x IS NULL")
+	r = mustQuery(t, db, "SELECT COUNT(*) FROM n WHERE x <> NULL OR x < 2")
 	if r.Rows[0][0].I != 1 {
-		t.Fatalf("IS NULL: %v", r.Rows[0][0])
+		t.Fatalf("<> NULL must match nothing: %v", r.Rows[0][0])
 	}
-	r = mustQuery(t, db, "SELECT COUNT(x) FROM n")
-	if r.Rows[0][0].I != 2 {
-		t.Fatalf("COUNT(col) skips NULL: %v", r.Rows[0][0])
+	r = mustQuery(t, db, "SELECT COUNT(x), SUM(x), COUNT(*) FROM n")
+	if fmt.Sprint(r.Rows) != "[[2 4 3]]" {
+		t.Fatalf("COUNT(col) and SUM skip NULL: %v", r.Rows)
 	}
-	r = mustQuery(t, db, "SELECT x FROM n WHERE x IS NOT NULL AND x IN (1, NULL, 3)")
-	if len(r.Rows) != 2 {
-		t.Fatalf("IN list with a NULL candidate: %v", r.Rows)
-	}
+	refused(t, "SELECT COUNT(*) FROM n WHERE x IS NULL", "SELECT x FROM n WHERE x IS NOT NULL AND x IN (1, NULL, 3)")
 }
 
 func TestNotNullConstraint(t *testing.T) {
@@ -250,20 +206,6 @@ func TestPrimaryKeyUnique(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unique") {
 		t.Fatalf("expected unique violation, got %v", err)
 	}
-}
-
-func TestUniqueIndex(t *testing.T) {
-	db := Open("t")
-	db.MustExec("CREATE TABLE u (a INTEGER, b VARCHAR)")
-	db.MustExec("INSERT INTO u VALUES (1, 'x')")
-	db.MustExec("CREATE UNIQUE INDEX u_a ON u (a)")
-	_, err := db.Exec("INSERT INTO u VALUES (1, 'y')")
-	if err == nil {
-		t.Fatal("expected unique index violation")
-	}
-	// NULL keys are exempt from uniqueness.
-	db.MustExec("INSERT INTO u VALUES (NULL, 'y')")
-	db.MustExec("INSERT INTO u VALUES (NULL, 'z')")
 }
 
 func TestIndexLookupCorrectness(t *testing.T) {
@@ -362,21 +304,27 @@ func TestSequences(t *testing.T) {
 
 func TestSQLProcedure(t *testing.T) {
 	db := newOrdersDB(t)
-	db.MustExec(`CREATE PROCEDURE approve_all (item) AS
-		'UPDATE Orders SET Approved = TRUE WHERE ItemID = :item;
-		 SELECT COUNT(*) FROM Orders WHERE ItemID = :item AND Approved = TRUE'`)
-	r, err := db.Exec("CALL approve_all('nut')")
+	db.MustExec(`CREATE PROCEDURE approve_nuts () AS
+		'UPDATE Orders SET Approved = TRUE WHERE ItemID = ''nut'';
+		 SELECT COUNT(*) FROM Orders WHERE ItemID = ''nut'' AND Approved = TRUE'`)
+	r, err := db.Exec("CALL approve_nuts()")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Rows[0][0].I != 2 {
 		t.Fatalf("procedure result: %v", r.Rows[0][0])
 	}
+	refused(t, "CREATE PROCEDURE approve_all (item) AS 'UPDATE Orders SET Approved = TRUE WHERE ItemID = @item'",
+		"CALL approve_all('nut')", "CALL approve_nuts")
+	if _, err := db.Exec("CREATE PROCEDURE approve_item () AS 'UPDATE Orders SET Approved = TRUE WHERE ItemID = @item'"); err == nil ||
+		!strings.Contains(err.Error(), "no parameters") {
+		t.Fatalf("a procedure body with a parameter: %v", err)
+	}
 }
 
 func TestNativeProcedure(t *testing.T) {
 	db := newOrdersDB(t)
-	db.RegisterProcedure("order_stats", func(s *Session, args []Value) (*Result, error) {
+	db.RegisterProcedure("order_stats", func(s *Session) (*Result, error) {
 		return s.Query("SELECT COUNT(*) AS n, SUM(Quantity) AS total FROM Orders")
 	})
 	r, err := db.Exec("CALL order_stats()")
@@ -408,7 +356,10 @@ func TestDDLStatements(t *testing.T) {
 	if !db.HasTable("x") {
 		t.Fatal("table x should exist")
 	}
-	db.MustExec("CREATE TABLE IF NOT EXISTS x (a INTEGER)") // no error
+	if _, err := db.Exec("CREATE TABLE x (a INTEGER)"); err == nil || !strings.Contains(err.Error(), "already exists") {
+		t.Fatalf("creating an existing table: %v", err)
+	}
+	refused(t, "CREATE TABLE IF NOT EXISTS x (a INTEGER)")
 	db.MustExec("DROP TABLE x")
 	if db.HasTable("x") {
 		t.Fatal("table x should be gone")
@@ -452,13 +403,14 @@ func TestParameters(t *testing.T) {
 		t.Fatalf("positional params: %v", r.Rows[0][0])
 	}
 	s := db.Session()
-	res, err := s.ExecNamed("SELECT COUNT(*) FROM Orders WHERE ItemID = :item", map[string]Value{"item": Str("nut")})
+	res, err := s.ExecNamed("SELECT COUNT(*) FROM Orders WHERE ItemID = @item", map[string]Value{"item": Str("nut")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Rows[0][0].I != 2 {
 		t.Fatalf("named params: %v", res.Rows[0][0])
 	}
+	refused(t, "SELECT COUNT(*) FROM Orders WHERE ItemID = :item")
 }
 
 // Identifiers and named placeholders may hold any Unicode letter: the
@@ -470,7 +422,7 @@ func TestUnicodeIdentifiers(t *testing.T) {
 	if got := queryRows(t, db, "SELECT straße, SUM(größe) FROM bestellung WHERE Größe > ? GROUP BY Straße", Int(4)); got != "[[Ring 5]]" {
 		t.Errorf("Unicode columns: %s", got)
 	}
-	res, err := db.Session().ExecNamed("SELECT Größe FROM Bestellung WHERE Straße = :straße", map[string]Value{"straße": Str("Ring")})
+	res, err := db.Session().ExecNamed("SELECT Größe FROM Bestellung WHERE Straße = @straße", map[string]Value{"straße": Str("Ring")})
 	if err != nil || fmt.Sprint(res.Rows) != "[[5]]" {
 		t.Errorf("Unicode named placeholder: %v %v", res, err)
 	}
@@ -482,13 +434,6 @@ func TestUnicodeIdentifiers(t *testing.T) {
 	}
 	if _, err := db.Exec("SELECT 1 € 2"); err == nil || !strings.Contains(err.Error(), `unexpected character "€"`) {
 		t.Errorf("unexpected character: %v", err)
-	}
-}
-
-func TestDivisionByZero(t *testing.T) {
-	db := Open("t")
-	if _, err := db.Exec("SELECT 1 / 0"); err == nil {
-		t.Fatal("expected division-by-zero error")
 	}
 }
 
@@ -509,16 +454,6 @@ func TestParseErrors(t *testing.T) {
 		if _, err := db.Exec(sql); err == nil {
 			t.Errorf("%q: expected error", sql)
 		}
-	}
-}
-
-func TestDefaultValues(t *testing.T) {
-	db := Open("t")
-	db.MustExec("CREATE TABLE d (a INTEGER, b VARCHAR DEFAULT 'none', c BOOLEAN DEFAULT FALSE)")
-	db.MustExec("INSERT INTO d (a) VALUES (1)")
-	r := mustQuery(t, db, "SELECT b, c FROM d")
-	if r.Rows[0][0].S != "none" || r.Rows[0][1].B() != false {
-		t.Fatalf("defaults: %v", r.Rows[0])
 	}
 }
 
@@ -555,16 +490,6 @@ func TestStatsCounters(t *testing.T) {
 	}
 	if st.BytesReturned == 0 {
 		t.Fatal("bytes returned should be nonzero")
-	}
-}
-
-func TestQualifiedStar(t *testing.T) {
-	db := newOrdersDB(t)
-	db.MustExec("CREATE TABLE Items (ItemID VARCHAR, Price FLOAT)")
-	db.MustExec("INSERT INTO Items VALUES ('bolt', 0.1)")
-	r := mustQuery(t, db, "SELECT o.* FROM Orders o JOIN Items i ON o.ItemID = i.ItemID")
-	if len(r.Columns) != 4 {
-		t.Fatalf("qualified star columns: %v", r.Columns)
 	}
 }
 

@@ -13,7 +13,6 @@ type Column struct {
 	Type       ColumnType
 	NotNull    bool
 	PrimaryKey bool
-	Default    Expr // nil if no default
 }
 
 // Row is one stored version of a tuple. Row identity (the pointer) is

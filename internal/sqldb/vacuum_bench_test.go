@@ -30,7 +30,7 @@ func BenchmarkIndexKey(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var buf keyBuf
-				k, _ := idx.rowKey(buf[:0], c.vals)
+				k := idx.rowKey(buf[:0], c.vals)
 				keySink += len(idx.buckets[string(k)])
 			}
 		})

@@ -60,8 +60,9 @@ bench-test:
 # group and value keys agree with compareValues; LIKE is refused whatever
 # its operands; a long-lived session returns what fresh ones do; a block
 # clone equals its source; the streamed WF persistence XML equals its
-# xdm tree; and an XPath expression Compile accepts keeps its source and
-# evaluates without a panic.
+# xdm tree; an XPath expression Compile accepts keeps its source and
+# evaluates without a panic; and a cursor's borrowed binds leave every
+# variable as binds that copy the row do, whatever is written between.
 fuzz:
 	@set -e; for pkg in $$($(GO) list ./...); do \
 		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); do \

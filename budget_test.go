@@ -5,11 +5,16 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
+	"wfsql/internal/bis"
+	"wfsql/internal/engine"
 	"wfsql/internal/journal"
 	"wfsql/internal/obsv"
+	"wfsql/internal/orasoa"
+	"wfsql/internal/rowset"
 	"wfsql/internal/sqldb"
 )
 
@@ -117,11 +122,16 @@ func instanceAllocs(t *testing.T, stack Stack, w Workload, durable bool) (object
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() {
+	return measureAllocs(func() {
 		if err := p.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-	}
+	})
+}
+
+// measureAllocs returns what one warmed call of run allocates: objects
+// and bytes.
+func measureAllocs(run func()) (objects float64, bytes uint64) {
 	run() // the first instance sizes the deployment's buffers and parses its query
 	// Collect before measuring, so that no cycle starts inside the window:
 	// the process's first one starts the runtime's mark workers, and their
@@ -153,12 +163,12 @@ func TestAllocBudget(t *testing.T) {
 		objects float64
 		bytes   uint64
 	}{
-		{StackBIS, false, 265, 29299},    // 27 904 B measured (266, 28 088 with a copy of the input map per instance; 287 objects, 29 848 B with a session and its two maps minted per instance)
-		{StackBIS, true, 295, 34020},     // 32 400 B (297, 32 632 with the input map copied; 318, 34 392; 353, 37 400 with a memo key built per save, an empty memo map per INSERT and a heap Record per typed append)
+		{StackBIS, false, 240, 24746},    // 23 568 B measured (265, 27 904 with the row copied per cursor bind; 266, 28 088 with a copy of the input map per instance; 287 objects, 29 848 B with a session and its two maps minted per instance)
+		{StackBIS, true, 270, 29467},     // 28 064 B (295, 32 400 with the row copied per bind; 297, 32 632 with the input map copied; 318, 34 392; 353, 37 400 with a memo key built per save, an empty memo map per INSERT and a heap Record per typed append)
 		{StackWF, false, 143, 12397},     // 11 806 B (158, 12 854 with a session and its map minted per instance)
 		{StackWF, true, 189, 19419},      // 18 494 B (200, 19 096 with copies of the DataSet memo's rows and table names; 376, 28 694 with an xdm tree per DataSet memo and state snapshot)
-		{StackOracle, false, 253, 28169}, // 26 828 B (254, 26 916 with the input map copied)
-		{StackOracle, true, 300, 36452},  // 34 716 B (302, 34 852 with the input map copied; 338, 37 582)
+		{StackOracle, false, 228, 23856}, // 22 720 B (253, 26 828 with the row copied per bind; 254, 26 916 with the input map copied)
+		{StackOracle, true, 275, 32134},  // 30 604 B (300, 34 716 with the row copied per bind; 302, 34 852 with the input map copied; 338, 37 582)
 	} {
 		name := tc.stack.Name
 		if tc.durable {
@@ -199,6 +209,73 @@ func TestCursorLoopScalesLinearly(t *testing.T) {
 				t.Errorf("1 000 orders allocate %d bytes, %.1f× the %d of 100 orders (limit 12×)", bytes1000, float64(bytes1000)/float64(bytes100), bytes100)
 			}
 		})
+	}
+}
+
+// TestWriteHeavyCursorStaysLinear: a cursor over the figures' SQL1 result
+// whose body writes its own set variable at every step — a Tuple IUD: the
+// bound row's quantity updated in the set, a tuple inserted and the last
+// one deleted — stays within TestCursorLoopScalesLinearly's bounds on its
+// workloads. Each write makes the bound row copy itself before the set
+// changes, O(row), never the set.
+func TestWriteHeavyCursorStaysLinear(t *testing.T) {
+	allocs := func(orders int) (float64, uint64) {
+		env := NewEnvironment(Workload{Orders: orders, Items: orders / 5, ApprovalPercent: 60, Seed: 1})
+		want := env.DB.MustExec(aggregationSQL).Rows
+		iud := engine.NewSnippet("iud", func(ctx *engine.Ctx) error {
+			pos, err := ctx.Inst.MustVariable("pos").Int()
+			if err != nil {
+				return err
+			}
+			row := rowset.Row(ctx.Inst.MustVariable("rs").Node(), int(pos)-1)
+			q, err := strconv.Atoi(rowset.Field(row, "Quantity"))
+			if err != nil {
+				return err
+			}
+			rowset.SetField(row, "Quantity", strconv.Itoa(q+1))
+			if err := bis.InsertTuple(ctx, "rs", []string{"ItemID", "Quantity"}, []string{"none", "0"}); err != nil {
+				return err
+			}
+			return bis.DeleteTuple(ctx, "rs", len(want))
+		})
+		p := orasoa.NewProcess("iud", env.Funcs).
+			XMLVariable("rs", "").XMLVariable("Cur", "").Variable("pos", "1").
+			Body(engine.NewSequence("m",
+				engine.NewAssign("q").Copy(`ora:query-database("`+aggregationSQL+`")`, "rs"),
+				orasoa.CursorLoop("c", "rs", "Cur", "pos", iud))).
+			Build()
+		d, err := env.Engine.Deploy(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return measureAllocs(func() {
+			in, err := d.Run(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rs := in.MustVariable("rs").Node()
+			if n := rowset.Count(rs); n != len(want) {
+				t.Fatalf("%d rows after the loop, want %d", n, len(want))
+			}
+			for _, i := range []int{0, len(want) - 1} {
+				if got, was := rowset.Field(rowset.Row(rs, i), "Quantity"), want[i][1].I; got != strconv.FormatInt(was+1, 10) {
+					t.Fatalf("row %d: quantity %s, want %d + 1", i+1, got, was)
+				}
+			}
+		})
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	objects100, bytes100 := allocs(100)
+	objects1000, bytes1000 := allocs(1000)
+	t.Logf("objects %.0f → %.0f (×%.1f), bytes %d → %d (×%.1f)", objects100, objects1000, objects1000/objects100,
+		bytes100, bytes1000, float64(bytes1000)/float64(bytes100))
+	if objects1000 > 10.5*objects100 {
+		t.Errorf("1 000 orders allocate %.0f objects, %.1f× the %.0f of 100 orders (limit 10.5×)", objects1000, objects1000/objects100, objects100)
+	}
+	if float64(bytes1000) > 12*float64(bytes100) {
+		t.Errorf("1 000 orders allocate %d bytes, %.1f× the %d of 100 orders (limit 12×)", bytes1000, float64(bytes1000)/float64(bytes100), bytes100)
 	}
 }
 

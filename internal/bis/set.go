@@ -49,14 +49,17 @@ func DeleteTuple(ctx *engine.Ctx, setVar string, i int) error {
 	return rowset.DeleteRow(sv.Node(), i)
 }
 
-// TupleCount returns the number of tuples in a set variable.
+// TupleCount returns the number of tuples in a set variable. It reads
+// the set through XPathValue, not Node, so a cursor's borrowed row is not
+// copied by a count.
 func TupleCount(ctx *engine.Ctx, setVar string) (int, error) {
 	sv, err := ctx.Variable(setVar)
 	if err != nil {
 		return 0, err
 	}
-	if sv.Node() == nil {
+	n := sv.XPathValue().FirstNode()
+	if n == nil {
 		return 0, nil
 	}
-	return rowset.Count(sv.Node()), nil
+	return rowset.Count(n), nil
 }

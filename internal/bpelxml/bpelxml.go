@@ -249,12 +249,18 @@ func unmarshalActivity(el *xdm.Node, r *Resolver) (engine.Activity, error) {
 			if from == "" || to == nil {
 				return nil, fmt.Errorf("bpelxml: assign %s: copy needs from and to", name)
 			}
-			v, _ := to.Attr("variable")
-			if q, ok := to.Attr("query"); ok {
-				act.CopyTo(from, v, q)
-			} else {
-				act.Copy(from, v)
+			cp := engine.CopySpec{}
+			cp.ToVar, _ = to.Attr("variable")
+			var err error
+			if cp.From, err = compileIn("assign", name, from); err != nil {
+				return nil, err
 			}
+			if q, ok := to.Attr("query"); ok {
+				if cp.ToPath, err = compileIn("assign", name, q); err != nil {
+					return nil, err
+				}
+			}
+			act.Copies = append(act.Copies, cp)
 		}
 		return act, nil
 	case "invoke":
@@ -265,7 +271,11 @@ func unmarshalActivity(el *xdm.Node, r *Resolver) (engine.Activity, error) {
 			switch localName(c.Name) {
 			case "toPart":
 				expr, _ := c.Attr("expression")
-				act.In(part, expr)
+				e, err := compileIn("invoke", name, expr)
+				if err != nil {
+					return nil, err
+				}
+				act.Inputs[part] = e
 			case "fromPart":
 				v, _ := c.Attr("toVariable")
 				act.Out(part, v)
@@ -282,6 +292,16 @@ func unmarshalActivity(el *xdm.Node, r *Resolver) (engine.Activity, error) {
 		return unmarshalExtension(inner, r)
 	}
 	return nil, fmt.Errorf("bpelxml: unsupported element %s", el.Name)
+}
+
+// compileIn compiles an expression of a loaded document, naming the
+// activity and the expression when it does not compile.
+func compileIn(kind, name, src string) (*xpath.Expr, error) {
+	e, err := xpath.Compile(src)
+	if err != nil {
+		return nil, fmt.Errorf("bpelxml: %s %s: expression %q: %w", kind, name, src, err)
+	}
+	return e, nil
 }
 
 func unmarshalExtension(inner *xdm.Node, r *Resolver) (engine.Activity, error) {

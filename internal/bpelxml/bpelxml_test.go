@@ -314,3 +314,27 @@ func TestMisspeltAttributeIsRefused(t *testing.T) {
 		}
 	}
 }
+
+// TestBadExpressionIsAnError: an expression that does not compile, at
+// each place a document holds one an activity builder would compile, is
+// an error naming the activity and the expression, not a panic.
+func TestBadExpressionIsAnError(t *testing.T) {
+	for _, tc := range []struct{ activity, body string }{
+		{"invoke i", `<invoke name="i" operation="o"><toPart part="p" expression="$$"/></invoke>`},
+		{"assign a", `<assign name="a"><copy><from>$$</from><to variable="v"/></copy></assign>`},
+		{"assign a", `<assign name="a"><copy><from>1</from><to variable="v" query="$$"/></copy></assign>`},
+	} {
+		doc := `<process name="p"><variables><variable name="v" type="string"/></variables>` + tc.body + `</process>`
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("loading %s panicked: %v", tc.body, r)
+				}
+			}()
+			_, err := UnmarshalBISProcess(doc, nil)
+			if err == nil || !strings.Contains(err.Error(), tc.activity) || !strings.Contains(err.Error(), `"$$"`) {
+				t.Errorf("loading %s: %v, want an error naming %s and the expression", tc.body, err, tc.activity)
+			}
+		}()
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"wfsql/internal/journal"
 	"wfsql/internal/obsv"
 	"wfsql/internal/resilience"
-	"wfsql/internal/rowset"
 	"wfsql/internal/wsbus"
 	"wfsql/internal/xdm"
 	"wfsql/internal/xpath"
@@ -541,9 +540,14 @@ func walkActivities(x Activity, visit func(Activity)) {
 // orasoa.CursorLoop: a while activity whose body first binds the Row of
 // the XML RowSet in setVar at the 1-based position in posVar to
 // currentVar, then runs body. product prefixes the out-of-range error.
+// The bind lends the row to currentVar without copying it (bindRow).
 func CursorLoop(product, name, setVar, currentVar, posVar string, body Activity) Activity {
 	bind := NewSnippet(name+"_bind", func(ctx *Ctx) error {
 		sv, err := ctx.Variable(setVar)
+		if err != nil {
+			return err
+		}
+		cv, err := ctx.Variable(currentVar)
 		if err != nil {
 			return err
 		}
@@ -551,11 +555,10 @@ func CursorLoop(product, name, setVar, currentVar, posVar string, body Activity)
 		if err != nil {
 			return err
 		}
-		row := rowset.Row(sv.Node(), int(pos)-1)
-		if row == nil {
+		if !bindRow(sv, cv, int(pos)-1) {
 			return fmt.Errorf("%s: cursor position %d out of range in %s", product, pos, setVar)
 		}
-		return ctx.SetNode(currentVar, row.Clone())
+		return nil
 	})
 	advance := NewSnippet(name+"_advance", func(ctx *Ctx) error {
 		pos, err := ctx.Inst.MustVariable(posVar).Int()

@@ -154,6 +154,8 @@ func (d *Deployment) newInstance(id int64, input map[string]string) (*Instance, 
 		context: map[string]any{},
 		state:   StateReady,
 	}
+	in.funcs = instanceFuncs{inst: in, next: d.Process.Funcs}
+	in.xpctx = xpath.Context{Position: 1, Vars: instanceVars{in}, Funcs: &in.funcs}
 	fresh := id == 0
 	d.Engine.Open(&in.Instance, id)
 	for _, vd := range d.Process.Variables {

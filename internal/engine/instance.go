@@ -50,19 +50,22 @@ type Instance struct {
 	Process *Process
 	Engine  *Engine
 
+	// vars is fixed by newInstance and only read after, so lookups take
+	// no lock; each Variable keeps its own.
+	vars map[string]*Variable
+
 	mu      sync.Mutex
-	vars    map[string]*Variable // the declared variables, fixed at creation
 	state   InstanceState
 	fault   error
 	context map[string]any // product-layer state (set references, ...)
 	done    []func(err error)
 
-	// xpctx is the instance's shared XPath evaluation context. Its
-	// resolver/function hooks only reference the instance, and
-	// evaluation never mutates the context, so one allocation serves
-	// every expression the instance ever evaluates (built lazily,
-	// guarded by mu).
-	xpctx *xpath.Context
+	// xpctx is the instance's shared XPath evaluation context, built by
+	// newInstance: its resolver/function hooks only reference the
+	// instance, and evaluation never mutates the context, so it serves
+	// every expression the instance ever evaluates.
+	xpctx xpath.Context
+	funcs instanceFuncs
 }
 
 // State returns the instance state.
@@ -81,8 +84,6 @@ func (in *Instance) Fault() error {
 
 // Variable returns the named process variable.
 func (in *Instance) Variable(name string) (*Variable, error) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	v, ok := in.vars[name]
 	if !ok {
 		return nil, fmt.Errorf("engine: undeclared variable %s", name)
@@ -178,23 +179,10 @@ func (c *Ctx) SetNode(name string, n *xdm.Node) error {
 	return nil
 }
 
-// XPathContext builds an XPath evaluation context over the instance's
+// XPathContext returns the XPath evaluation context over the instance's
 // variables, with the BPEL built-in functions (bpel:getVariableData) and
 // the process's extension functions installed.
-func (c *Ctx) XPathContext() *xpath.Context {
-	in := c.Inst
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.xpctx == nil {
-		in.xpctx = &xpath.Context{
-			Node:     nil,
-			Position: 1,
-			Vars:     instanceVars{in},
-			Funcs:    &instanceFuncs{inst: in, next: in.Process.Funcs},
-		}
-	}
-	return in.xpctx
-}
+func (c *Ctx) XPathContext() *xpath.Context { return &c.Inst.xpctx }
 
 // instanceFuncs provides BPEL built-in extension functions that need
 // instance access, chaining to the process's own extension functions
@@ -225,14 +213,17 @@ func (f *instanceFuncs) CallFunction(name string, args []xpath.Value) (xpath.Val
 		if len(args) == 1 {
 			return val, nil
 		}
-		if v.Kind() != XMLVar || v.Node() == nil {
+		doc := v.doc()
+		if doc == nil {
 			return xpath.Value{}, fmt.Errorf("engine: getVariableData path on non-XML variable %s", v.Name)
 		}
 		sub, err := xpath.Compile(args[1].AsString())
 		if err != nil {
 			return xpath.Value{}, err
 		}
-		return sub.Eval(&xpath.Context{Node: v.Node(), Position: 1, Vars: instanceVars{f.inst}, Funcs: f})
+		sctx := f.inst.xpctx
+		sctx.Node = doc
+		return sub.Eval(&sctx)
 	}
 	if f.next == nil {
 		return xpath.Value{}, fmt.Errorf("engine: unknown extension function %s()", name)

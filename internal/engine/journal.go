@@ -49,7 +49,7 @@ func (v variables) save() (map[string]string, error) {
 		}
 		if pv.Kind() != XMLVar {
 			memo[k.s] = pv.String()
-		} else if n := pv.Node(); n != nil {
+		} else if n := pv.doc(); n != nil {
 			memo[k.x] = n.String()
 		} else {
 			memo[k.x] = ""

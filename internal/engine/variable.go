@@ -15,9 +15,11 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
+	"wfsql/internal/rowset"
 	"wfsql/internal/xdm"
 	"wfsql/internal/xpath"
 )
@@ -35,6 +37,14 @@ const (
 // Variable is a process variable instance. All accessors lock the
 // variable, so a reader on another goroutine than the instance's never
 // sees a torn value (last-writer-wins).
+//
+// A cursor's bind (CursorLoop) stores a row of the set variable's
+// document without copying it: the current variable borrows the row and
+// the set variable lends it. Node, the accessor writers use, is the one
+// place a copy happens: a borrower copies its row before handing it out,
+// and a lender has every borrower copy its row first. Replacing content
+// (SetNode, SetString, the next bind) copies nothing. A writer calls Node
+// for each write rather than keeping the document across activities.
 type Variable struct {
 	Name string
 
@@ -48,14 +58,18 @@ type Variable struct {
 	// one-element slice. Maintained wherever node changes; evaluation
 	// never mutates a node-set slice, so sharing it is safe.
 	nodeSet []*xdm.Node
+
+	// lender is set while node belongs to another variable's document
+	// (or to a document that variable has since replaced): Node copies
+	// it first. borrowers are the variables holding a row of node.
+	lender    *Variable
+	borrowers []*Variable
 }
 
 // NewXMLVariable creates an XML variable holding the given document.
 func NewXMLVariable(name string, doc *xdm.Node) *Variable {
-	v := &Variable{Name: name, kind: XMLVar, node: doc}
-	if doc != nil {
-		v.nodeSet = []*xdm.Node{doc}
-	}
+	v := &Variable{Name: name}
+	v.setNode(doc)
 	return v
 }
 
@@ -71,8 +85,40 @@ func (v *Variable) Kind() VarKind {
 	return v.kind
 }
 
-// Node returns the XML document of an XML variable (nil for scalars).
+// Node returns the XML document of an XML variable (nil for scalars),
+// which the caller may write: a borrowed row is copied first and the
+// variable owns the copy, so later calls return it; the borrowers of a
+// lent document copy their rows first.
 func (v *Variable) Node() *xdm.Node {
+	v.mu.Lock()
+	n, lender := v.node, v.lender
+	if lender != nil {
+		n = n.Clone()
+		v.setNode(n)
+		v.lender = nil
+	}
+	v.mu.Unlock()
+	if lender != nil {
+		lender.release(v)
+	}
+	for {
+		v.mu.Lock()
+		k := len(v.borrowers)
+		if k == 0 {
+			v.mu.Unlock()
+			return n
+		}
+		b := v.borrowers[k-1]
+		v.borrowers = v.borrowers[:k-1]
+		v.mu.Unlock()
+		b.own(v)
+	}
+}
+
+// doc returns the XML document without copying anything: the engine's
+// own readers (the cursor's read of its set, journal saves,
+// getVariableData), which never write through it.
+func (v *Variable) doc() *xdm.Node {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return v.node
@@ -80,16 +126,7 @@ func (v *Variable) Node() *xdm.Node {
 
 // SetNode replaces the variable's content with an XML document.
 func (v *Variable) SetNode(n *xdm.Node) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.kind = XMLVar
-	v.node = n
-	v.scalar = ""
-	if n != nil {
-		v.nodeSet = []*xdm.Node{n}
-	} else {
-		v.nodeSet = nil
-	}
+	v.replace(func() { v.setNode(n) })
 }
 
 // String returns the variable's string value (text content for XML).
@@ -107,12 +144,94 @@ func (v *Variable) String() string {
 
 // SetString replaces the variable's content with a scalar string.
 func (v *Variable) SetString(s string) {
+	v.replace(func() {
+		v.kind = ScalarVar
+		v.scalar = s
+		v.node = nil
+		v.nodeSet = nil
+	})
+}
+
+// replace runs set under the lock and drops every borrow of the old
+// content without copying: a borrower keeps its lender, so it still
+// copies before a write, and the old document has no other writer.
+func (v *Variable) replace(set func()) {
+	v.mu.Lock()
+	lender := v.lender
+	v.lender = nil
+	clear(v.borrowers)
+	v.borrowers = v.borrowers[:0]
+	set()
+	v.mu.Unlock()
+	if lender != nil {
+		lender.release(v)
+	}
+}
+
+// setNode stores an owned document; v.mu is held or v is unshared.
+func (v *Variable) setNode(n *xdm.Node) {
+	v.kind = XMLVar
+	v.node = n
+	v.scalar = ""
+	if n != nil {
+		v.nodeSet = []*xdm.Node{n}
+	} else {
+		v.nodeSet = nil
+	}
+}
+
+// bindRow makes cur hold the i-th (0-based) Row of set's RowSet,
+// borrowed, and reports whether there is one. A set that is itself
+// borrowed, or a cursor bound into its own set, gets a copy.
+func bindRow(set, cur *Variable, i int) bool {
+	set.mu.Lock()
+	var row *xdm.Node
+	if set.node != nil {
+		row = rowset.Row(set.node, i)
+	}
+	lend := row != nil && set.lender == nil && set != cur
+	if lend && !slices.Contains(set.borrowers, cur) {
+		set.borrowers = append(set.borrowers, cur)
+	}
+	set.mu.Unlock()
+	switch {
+	case row == nil:
+		return false
+	case !lend:
+		cur.SetNode(row.Clone())
+		return true
+	}
+	cur.mu.Lock()
+	old := cur.lender
+	clear(cur.borrowers)
+	cur.borrowers = cur.borrowers[:0]
+	cur.setNode(row)
+	cur.lender = set
+	cur.mu.Unlock()
+	if old != nil && old != set {
+		old.release(cur)
+	}
+	return true
+}
+
+// own makes v copy the row it borrows from lender, unless it has
+// rebound since.
+func (v *Variable) own(lender *Variable) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.kind = ScalarVar
-	v.scalar = s
-	v.node = nil
-	v.nodeSet = nil
+	if v.lender == lender {
+		v.setNode(v.node.Clone())
+		v.lender = nil
+	}
+}
+
+// release forgets borrower b.
+func (v *Variable) release(b *Variable) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if i := slices.Index(v.borrowers, b); i >= 0 {
+		v.borrowers = slices.Delete(v.borrowers, i, i+1)
+	}
 }
 
 // Int returns the variable's value as an integer.

@@ -191,11 +191,7 @@ func (f *Functions) processXSQL(in *engine.Instance, args []xpath.Value) (xpath.
 	if (len(args)-1)%2 != 0 {
 		return xpath.Value{}, fmt.Errorf("orasoa: processXSQL parameters must be name/value pairs")
 	}
-	params := map[string]string{}
-	for i := 1; i < len(args); i += 2 {
-		params[args[i].AsString()] = args[i+1].AsString()
-	}
-	doc, err := f.xsql.execute(in, f.db, f.retry.Load(), args[0].AsString(), params)
+	doc, err := f.xsql.execute(in, f.db, f.retry.Load(), args[0].AsString(), args[1:])
 	if err != nil {
 		return xpath.Value{}, err
 	}
@@ -293,11 +289,11 @@ func (x *XSQLFramework) RegisterPage(name, pageXML string) error {
 	return nil
 }
 
-// execute runs a page with the given parameters on the calling instance's
-// session on db, each statement under p, and returns the XML result
-// document: one child element per xsql:query (an XML RowSet) or xsql:dml
-// (a rowsAffected element).
-func (x *XSQLFramework) execute(in *engine.Instance, db *sqldb.DB, p *resilience.Policy, page string, params map[string]string) (*xdm.Node, error) {
+// execute runs a page with the given name/value pairs on the calling
+// instance's session on db, each statement under p, and returns the XML
+// result document: one child element per xsql:query (an XML RowSet) or
+// xsql:dml (a rowsAffected element).
+func (x *XSQLFramework) execute(in *engine.Instance, db *sqldb.DB, p *resilience.Policy, page string, pairs []xpath.Value) (*xdm.Node, error) {
 	x.mu.RLock()
 	stmts, ok := x.pages[page]
 	x.mu.RUnlock()
@@ -309,7 +305,7 @@ func (x *XSQLFramework) execute(in *engine.Instance, db *sqldb.DB, p *resilience
 	for _, st := range stmts {
 		binds := make([]sqldb.Value, len(st.params))
 		for i, name := range st.params {
-			v, ok := params[name]
+			v, ok := pageParam(pairs, name)
 			if !ok {
 				return nil, fmt.Errorf("orasoa: xsql page %s: unbound page parameter %q", page, name)
 			}
@@ -341,6 +337,17 @@ func (x *XSQLFramework) execute(in *engine.Instance, db *sqldb.DB, p *resilience
 		out.Element(st.result).AppendChild(rs)
 	}
 	return out, nil
+}
+
+// pageParam returns the value of the last name/value pair named name: a
+// name given twice takes its last value.
+func pageParam(pairs []xpath.Value, name string) (string, bool) {
+	for i := len(pairs) - 2; i >= 0; i -= 2 {
+		if pairs[i].AsString() == name {
+			return pairs[i+1].AsString(), true
+		}
+	}
+	return "", false
 }
 
 // pageValue binds a page parameter: numeric-looking values as numbers, so

@@ -186,6 +186,23 @@ func TestXSQLErrors(t *testing.T) {
 	}
 }
 
+// TestXSQLRepeatedParameterTakesItsLastValue: a page parameter named
+// twice in the call binds the later value, as a map filled in argument
+// order did.
+func TestXSQLRepeatedParameterTakesItsLastValue(t *testing.T) {
+	db := ordersDB()
+	f := NewFunctions(db)
+	if err := f.XSQL().RegisterPage("one", `<xsql:page><xsql:query>SELECT ItemID FROM Orders WHERE Quantity = {@q}</xsql:query></xsql:page>`); err != nil {
+		t.Fatal(err)
+	}
+	v := callFn(t, f, "ora:processXSQL", xpath.String("one"),
+		xpath.String("q"), xpath.String("-1"), xpath.String("q"), xpath.String("10"))
+	rs := v.Nodes[0].FirstChildElement("result").FirstChildElement("RowSet")
+	if got := rowset.Count(rs); got != 1 || rowset.Field(rowset.Row(rs, 0), "ItemID") != "bolt" {
+		t.Fatalf("want the one row of quantity 10, got %s", v.Nodes[0])
+	}
+}
+
 func TestUnknownFunctionAndNamespace(t *testing.T) {
 	f := NewFunctions(ordersDB())
 	if _, err := f.CallFunction(instance(t, f), "ora:no-such", nil); err == nil {

@@ -167,9 +167,20 @@ func DeleteRow(root *xdm.Node, i int) error {
 	return nil
 }
 
-// Renumber rewrites the num attributes to match document order.
+// Renumber rewrites the num attributes to match document order. It walks
+// the children in place and writes only a number that changed, so
+// appending or deleting the last tuple allocates nothing for the others.
 func Renumber(root *xdm.Node) {
-	for i, r := range Rows(root) {
-		r.SetAttr(NumAttr, strconv.Itoa(i+1))
+	var buf [20]byte
+	i := int64(0)
+	for _, r := range root.Children {
+		if r.Kind != xdm.ElementNode || r.Name != RowElement {
+			continue
+		}
+		i++
+		num := strconv.AppendInt(buf[:0], i, 10)
+		if v, ok := r.Attr(NumAttr); !ok || v != string(num) {
+			r.SetAttr(NumAttr, string(num))
+		}
 	}
 }

@@ -18,9 +18,9 @@ fmt:
 test:
 	$(GO) test ./...
 
-# Race-enabled run of everything; the concurrent variable and session
-# tests (TestFlowConcurrentVariableAccess, TestAdapterUpdateExcludesParallelBranches)
-# and the chaos matrix are only meaningful with the race detector on.
+# Race-enabled run of everything; the concurrent variable test
+# (TestFlowConcurrentVariableAccess) and the chaos matrix are only
+# meaningful with the race detector on.
 race:
 	$(GO) test -race ./...
 

@@ -50,7 +50,8 @@ func BenchmarkTableI_Generate(b *testing.B) {
 }
 
 // BenchmarkTableII_Conformance executes the full conformance suite (29
-// cases, each against a fresh database) that backs Table II.
+// cases backing Table II and WF's 2 Table I cases, each against a fresh
+// database).
 func BenchmarkTableII_Conformance(b *testing.B) {
 	prods := patterns.Products()
 	b.ReportAllocs()

@@ -32,7 +32,7 @@ func main() {
 		fmt.Printf("conformance: %d cases executed, %d failed\n\n", len(results), len(failures))
 		if len(failures) > 0 {
 			for _, f := range failures {
-				fmt.Fprintf(os.Stderr, "FAIL %s %s / %s: %v\n", f.Product, f.Mechanism, f.Pattern, f.Err)
+				fmt.Fprintf(os.Stderr, "FAIL %s %s: %v\n", f.Product, f.Label(), f.Err)
 			}
 			os.Exit(1)
 		}

@@ -111,7 +111,7 @@ func (a *DataAdapter) keyIndexes(t *DataTable) ([]int, error) {
 	}
 	idx := make([]int, len(keys))
 	for i, k := range keys {
-		ci := t.ColumnIndex(k)
+		ci := t.columnIndex(k)
 		if ci < 0 {
 			return nil, fmt.Errorf("dataset: key column %s not in cached table %s", k, t.Name)
 		}

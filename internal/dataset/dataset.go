@@ -59,7 +59,7 @@ func (r *DataRow) State() RowState { return r.state }
 
 // Get returns the value of the named column.
 func (r *DataRow) Get(column string) (sqldb.Value, error) {
-	ci := r.table.ColumnIndex(column)
+	ci := r.table.columnIndex(column)
 	if ci < 0 {
 		return sqldb.Null(), fmt.Errorf("dataset: no column %s in table %s", column, r.table.Name)
 	}
@@ -81,7 +81,7 @@ func (r *DataRow) Set(column string, v sqldb.Value) error {
 	if r.state == Deleted {
 		return fmt.Errorf("dataset: cannot modify a deleted row")
 	}
-	ci := r.table.ColumnIndex(column)
+	ci := r.table.columnIndex(column)
 	if ci < 0 {
 		return fmt.Errorf("dataset: no column %s in table %s", column, r.table.Name)
 	}
@@ -137,8 +137,8 @@ func NewDataTable(name string, columns ...string) *DataTable {
 	return &DataTable{Name: name, Columns: columns}
 }
 
-// ColumnIndex returns the position of the named column, or -1.
-func (t *DataTable) ColumnIndex(name string) int {
+// columnIndex returns the position of the named column, or -1.
+func (t *DataTable) columnIndex(name string) int {
 	for i, c := range t.Columns {
 		if strings.EqualFold(c, name) {
 			return i
@@ -183,7 +183,13 @@ func (t *DataTable) removeRow(r *DataRow) {
 // Rows returns the live (non-deleted) rows in order — the sequential
 // access surface the WF while activity iterates over.
 func (t *DataTable) Rows() []*DataRow {
-	return t.Select(func(*DataRow) bool { return true })
+	var out []*DataRow
+	for _, r := range t.rows {
+		if r.state != Deleted {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // EachRow calls f on every tracked row, Deleted ones included, in order:
@@ -218,18 +224,6 @@ func (t *DataTable) Row(i int) (*DataRow, error) {
 	return t.rows[i], nil
 }
 
-// Select returns live rows matching the predicate (ADO.NET's
-// DataTable.Select with a Go predicate instead of a filter string).
-func (t *DataTable) Select(pred func(*DataRow) bool) []*DataRow {
-	var out []*DataRow
-	for _, r := range t.rows {
-		if r.state != Deleted && pred(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Find locates a live row by primary key values.
 func (t *DataTable) Find(keys ...sqldb.Value) (*DataRow, error) {
 	if len(t.PrimaryKey) == 0 {
@@ -240,7 +234,7 @@ func (t *DataTable) Find(keys ...sqldb.Value) (*DataRow, error) {
 	}
 	idx := make([]int, len(t.PrimaryKey))
 	for i, k := range t.PrimaryKey {
-		ci := t.ColumnIndex(k)
+		ci := t.columnIndex(k)
 		if ci < 0 {
 			return nil, fmt.Errorf("dataset: key column %s missing", k)
 		}
@@ -279,12 +273,6 @@ func (t *DataTable) Changes() (added, modified, deleted []*DataRow) {
 	return
 }
 
-// HasChanges reports whether any row is in a changed state.
-func (t *DataTable) HasChanges() bool {
-	a, m, d := t.Changes()
-	return len(a)+len(m)+len(d) > 0
-}
-
 // AcceptChanges commits all pending states: deleted rows vanish, added and
 // modified rows become Unchanged.
 func (t *DataTable) AcceptChanges() {
@@ -298,30 +286,6 @@ func (t *DataTable) AcceptChanges() {
 		r.original = nil
 		kept = append(kept, r)
 	}
-	t.keep(kept)
-}
-
-// RejectChanges rolls the cache back to the last accepted state.
-func (t *DataTable) RejectChanges() {
-	kept := t.rows[:0]
-	for _, r := range t.rows {
-		switch r.state {
-		case Added:
-			r.detached = true // never existed
-			continue
-		case Modified, Deleted:
-			r.current = r.original
-			r.original = nil
-			r.state = Unchanged
-		}
-		kept = append(kept, r)
-	}
-	t.keep(kept)
-}
-
-// keep makes kept, filtered in place from rows, the table's rows: none
-// of them Deleted.
-func (t *DataTable) keep(kept []*DataRow) {
 	clear(t.rows[len(kept):])
 	t.rows, t.deleted = kept, 0
 }

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -94,7 +95,22 @@ func TestRowStateTransitions(t *testing.T) {
 	}
 }
 
+// pending reports whether any row of the table is in a changed state.
+func pending(tab *DataTable) bool {
+	a, m, d := tab.Changes()
+	return len(a)+len(m)+len(d) > 0
+}
+
+// TestRejectChanges: no workflow rolls a cache back, so DataTable has no
+// RejectChanges (nor HasChanges or Select, which only tests and Rows
+// called). A cache whose changes are not to be kept is refilled: a fresh
+// Fill reads the source as it was, with no change pending.
 func TestRejectChanges(t *testing.T) {
+	for _, m := range []string{"RejectChanges", "HasChanges", "Select"} {
+		if _, ok := reflect.TypeOf(&DataTable{}).MethodByName(m); ok {
+			t.Errorf("DataTable.%s is back", m)
+		}
+	}
 	db := seedDB(t)
 	ds := New()
 	adapter(db).Fill(ds, "Items")
@@ -104,17 +120,22 @@ func TestRejectChanges(t *testing.T) {
 	tab.AddRow(sqldb.Str("new"), sqldb.Int(1))
 	victim, _ := tab.Find(sqldb.Str("nut"))
 	victim.Delete()
+	if !pending(tab) {
+		t.Fatal("edits left no pending change")
+	}
 
-	tab.RejectChanges()
+	fresh := New()
+	adapter(db).Fill(fresh, "Items")
+	tab = fresh.Table("Items")
 	if tab.Count() != 3 {
-		t.Fatalf("count after reject: %d", tab.Count())
+		t.Fatalf("count after refill: %d", tab.Count())
 	}
 	r, _ = tab.Find(sqldb.Str("bolt"))
 	if r.MustGet("Quantity").I != 15 {
-		t.Fatalf("value after reject: %v", r.MustGet("Quantity"))
+		t.Fatalf("value after refill: %v", r.MustGet("Quantity"))
 	}
-	if tab.HasChanges() {
-		t.Fatal("changes should be gone after reject")
+	if pending(tab) {
+		t.Fatal("a refilled cache has pending changes")
 	}
 }
 
@@ -152,7 +173,7 @@ func TestSynchronization(t *testing.T) {
 	}
 
 	// Cache states are accepted.
-	if tab.HasChanges() {
+	if pending(tab) {
 		t.Fatal("changes should be accepted after update")
 	}
 	if tab.Count() != 3 {
@@ -192,7 +213,7 @@ func TestConcurrencyViolation(t *testing.T) {
 		t.Fatalf("source mutated by failed sync: %v", res.Rows[0][0])
 	}
 	// The cache still has its pending change for retry.
-	if !tab.HasChanges() {
+	if !pending(tab) {
 		t.Fatal("pending change lost")
 	}
 }
@@ -223,7 +244,12 @@ func TestSelectAndFindAndRandomAccess(t *testing.T) {
 	adapter(db).Fill(ds, "Items")
 	tab := ds.Table("Items")
 
-	big := tab.Select(func(r *DataRow) bool { return r.MustGet("Quantity").I > 2 })
+	var big []*DataRow
+	for _, r := range tab.Rows() {
+		if r.MustGet("Quantity").I > 2 {
+			big = append(big, r)
+		}
+	}
 	if len(big) != 2 {
 		t.Fatalf("select: %d", len(big))
 	}

@@ -125,6 +125,11 @@ func (h *Host) Journal() *journal.Recorder {
 // Instance is the host's record of one instance run: its id, the recorder
 // it was opened under, the effect-then-memo state, its budget, what
 // observability was attached when it began, and its database sessions.
+//
+// An instance runs on one goroutine, from Open to End, and nothing else
+// touches it meanwhile: no field is locked. Code elsewhere reads its
+// state only after End (DESIGN.md, "One goroutine and one session per
+// instance").
 type Instance struct {
 	ID int64
 
@@ -134,18 +139,13 @@ type Instance struct {
 	obs     *obsv.Observability
 	ctr     *counters
 	span    *obsv.Span // the instance span (nil: untraced)
-	current atomic.Pointer[obsv.Span]
+	current *obsv.Span // the innermost open activity span (nil: none)
 
 	// sessions holds one leased session per database the instance has
 	// run a statement on, in sessBuf while there is one; End releases
 	// them.
-	smu      sync.Mutex
 	sessions []*sqldb.Session
 	sessBuf  [1]*sqldb.Session
-
-	// opmu is held while an op of SQL runs, so one op at a time runs on
-	// the instance's sessions.
-	opmu sync.Mutex
 }
 
 // Open gives r the recorder attached now and an id: id itself when it is
@@ -211,7 +211,7 @@ func (r *Instance) Enter(parent *obsv.Span, name string) (Activity, error) {
 	sp.Stack = r.span.Stack
 	sp.Instance = r.ID
 	t.SetAmbient(sp.ID)
-	r.current.Store(sp)
+	r.current = sp
 	return Activity{Span: sp, parent: parent}, nil
 }
 
@@ -224,7 +224,7 @@ func (r *Instance) Exit(a Activity, err error) error {
 		return err
 	}
 	r.obs.T().SetAmbient(a.parent.SpanID())
-	r.current.Store(a.parent)
+	r.current = a.parent
 	switch {
 	case err == nil:
 		a.Span.End("")
@@ -244,13 +244,11 @@ func (r *Instance) Exit(a Activity, err error) error {
 // instance in flight, and recovery would run it again.
 func (r *Instance) End(err error) error {
 	r.obs.T().SetAmbient(0)
-	r.smu.Lock()
 	for _, s := range r.sessions {
 		s.Release()
 	}
 	clear(r.sessions)
 	r.sessions = r.sessions[:0]
-	r.smu.Unlock()
 	switch {
 	case journal.IsCrash(err):
 		r.ctr.crashed.Inc()
@@ -296,9 +294,8 @@ func (r *Instance) Effect(span *obsv.Span, activity, effectKind string, effect f
 // binds the instance budget to it, so an expired budget stops the next
 // statement; End hands it back, rolling back a transaction still open
 // (the database's view of a process that died mid-transaction). Every
-// statement of the instance on db runs on that session, parallel branches
-// included, and one op at a time: a branch's op never runs inside
-// another branch's transaction (a dataset adapter's Update).
+// statement of the instance on db runs on that session, on the
+// instance's goroutine.
 //
 // With a policy, a failed op re-runs under it on the same session, noting
 // attempts and backoff on the current activity span; each re-run counts in
@@ -308,13 +305,13 @@ func (r *Instance) SQL(db *sqldb.DB, p *resilience.Policy, op func(*sqldb.Sessio
 	s := r.session(db)
 	var err error
 	if p == nil {
-		err = r.exclusive(s, op)
+		err = op(s)
 	} else {
 		err = p.DoInline(resilience.Notes(r.Current()), func(n int) error {
 			if n > 1 {
 				r.ctr.sqlRetries.Inc()
 			}
-			return r.exclusive(s, op)
+			return op(s)
 		})
 	}
 	if errors.Is(err, sqldb.ErrBudgetExhausted) {
@@ -323,17 +320,8 @@ func (r *Instance) SQL(db *sqldb.DB, p *resilience.Policy, op func(*sqldb.Sessio
 	return err
 }
 
-// exclusive runs op on s under opmu: a retry's backoff holds nothing.
-func (r *Instance) exclusive(s *sqldb.Session, op func(*sqldb.Session) error) error {
-	r.opmu.Lock()
-	defer r.opmu.Unlock()
-	return op(s)
-}
-
 // session returns the instance's session on db, leasing it on first use.
 func (r *Instance) session(db *sqldb.DB) *sqldb.Session {
-	r.smu.Lock()
-	defer r.smu.Unlock()
 	for _, s := range r.sessions {
 		if s.DB() == db {
 			return s
@@ -369,11 +357,10 @@ func (r *Instance) Budget() context.Context {
 
 // Current returns the innermost open activity span, else the instance
 // span (nil when untraced): the parent for code that has no span of its
-// own to hand. Concurrent branches of one instance share it, so under
-// them it is a serial approximation, like the tracer's ambient parent.
+// own to hand.
 func (r *Instance) Current() *obsv.Span {
-	if sp := r.current.Load(); sp != nil {
-		return sp
+	if r.current != nil {
+		return r.current
 	}
 	return r.span
 }

@@ -2,7 +2,6 @@ package journal
 
 import (
 	"fmt"
-	"sync"
 
 	"wfsql/internal/obsv"
 	"wfsql/internal/resilience"
@@ -11,12 +10,12 @@ import (
 // Effects is one workflow instance's side of the effect-then-memo
 // protocol: the per-activity occurrence counters that label journal
 // records across loop iterations, and the queues of memoized effect
-// results a resumed instance replays instead of re-executing. Both
-// workflow hosts (engine.Instance, mswf.Context) embed one by value, so
+// results a resumed instance replays instead of re-executing.
+// host.Instance, which both workflow hosts embed, holds one by value, so
 // the ordering recovery depends on is written once, in Run. The zero
-// value is ready to use.
+// value is ready to use. Like the instance it belongs to, it is used from
+// one goroutine and holds no lock.
 type Effects struct {
-	mu     sync.Mutex
 	replay map[string][]Memo
 	occs   map[string]int
 }
@@ -25,8 +24,6 @@ type Effects struct {
 // (FIFO per activity name, so loop iterations line up in execution
 // order) and returns how many there are.
 func (p *Effects) Load(ij *InstanceJournal) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.replay = cloneMemos(ij.Memos)
 	return ij.MemoCount()
 }
@@ -34,8 +31,6 @@ func (p *Effects) Load(ij *InstanceJournal) int {
 // next advances the activity's occurrence counter (1-based) and pops
 // its next queued memo, if any remain from a Load.
 func (p *Effects) next(activity string) (occ int, m Memo, ok bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.occs == nil {
 		p.occs = map[string]int{}
 	}

@@ -39,54 +39,16 @@ func (s *SequenceActivity) Execute(c *Context) error {
 	return nil
 }
 
-// ParallelActivity executes children concurrently (BAL's Parallel).
-type ParallelActivity struct {
-	ActivityName string
-	Children     []Activity
-}
-
-// Name implements Activity.
-func (p *ParallelActivity) Name() string { return p.ActivityName }
-
-// Execute implements Activity.
-func (p *ParallelActivity) Execute(c *Context) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(p.Children))
-	for i, ch := range p.Children {
-		wg.Add(1)
-		go func(i int, ch Activity) {
-			defer wg.Done()
-			errs[i] = runActivity(c, ch)
-		}(i, ch)
-	}
-	wg.Wait()
-	// A simulated crash in any branch wins over ordinary faults: the
-	// whole host died, so fault semantics must not engage.
-	for _, err := range errs {
-		if journal.IsCrash(err) {
-			return err
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RuleCondition gates while loops and if/else branches. WF conditions are
-// code (C#/VB) or declarative rules; here they are Go predicates, possibly
-// resolved by name from the runtime (code-separation).
+// RuleCondition gates while loops. WF conditions are code (C#/VB) or
+// declarative rules; here they are Go predicates, possibly resolved by
+// name from the runtime (code-separation).
 type RuleCondition func(c *Context) (bool, error)
 
 // WhileActivity repeats its body while the condition holds.
-// ConditionName records the declarative rule name when the condition came
-// from markup (it makes the activity exportable to BPEL).
 type WhileActivity struct {
 	ActivityName  string
 	Condition     RuleCondition
-	ConditionName string
+	ConditionName string // resolved from the runtime when Condition is nil
 	Body          Activity
 }
 
@@ -100,8 +62,15 @@ func (w *WhileActivity) Name() string { return w.ActivityName }
 
 // Execute implements Activity.
 func (w *WhileActivity) Execute(c *Context) error {
+	cond := w.Condition
+	if cond == nil {
+		var err error
+		if cond, err = c.Runtime.rule(w.ConditionName); err != nil {
+			return fmt.Errorf("%s: %w", w.ActivityName, err)
+		}
+	}
 	for {
-		ok, err := w.Condition(c)
+		ok, err := cond(c)
 		if err != nil {
 			return fmt.Errorf("%s: condition: %w", w.ActivityName, err)
 		}
@@ -112,40 +81,6 @@ func (w *WhileActivity) Execute(c *Context) error {
 			return err
 		}
 	}
-}
-
-// IfElseBranch is one branch of an IfElseActivity. ConditionName records
-// the declarative rule name for markup-authored branches.
-type IfElseBranch struct {
-	Condition     RuleCondition // nil = else branch
-	ConditionName string
-	Body          Activity
-}
-
-// IfElseActivity runs the first branch whose condition holds.
-type IfElseActivity struct {
-	ActivityName string
-	Branches     []IfElseBranch
-}
-
-// Name implements Activity.
-func (i *IfElseActivity) Name() string { return i.ActivityName }
-
-// Execute implements Activity.
-func (i *IfElseActivity) Execute(c *Context) error {
-	for _, b := range i.Branches {
-		if b.Condition == nil {
-			return runActivity(c, b.Body)
-		}
-		ok, err := b.Condition(c)
-		if err != nil {
-			return fmt.Errorf("%s: condition: %w", i.ActivityName, err)
-		}
-		if ok {
-			return runActivity(c, b.Body)
-		}
-	}
-	return nil
 }
 
 // CodeActivity executes arbitrary code in the workflow — the mechanism the
@@ -318,18 +253,4 @@ func (a *InvokeWebServiceActivity) serviceLabel() string {
 		return a.ServiceName
 	}
 	return "(bound service)"
-}
-
-// TerminateActivity aborts the workflow with an error.
-type TerminateActivity struct {
-	ActivityName string
-	Reason       string
-}
-
-// Name implements Activity.
-func (t *TerminateActivity) Name() string { return t.ActivityName }
-
-// Execute implements Activity.
-func (t *TerminateActivity) Execute(c *Context) error {
-	return fmt.Errorf("workflow terminated: %s", t.Reason)
 }

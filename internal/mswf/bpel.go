@@ -13,14 +13,17 @@ import (
 // an activity library representing BPEL are available. This way, one may
 // also model workflows conforming to the BPEL specification."
 //
-// ExportBPEL maps a WF activity tree onto BPEL elements (sequence, while,
-// if, invoke, empty); WF-specific activities that have no BPEL equivalent
-// (code, SQL database) are emitted as BPEL extensionActivity elements in
-// the wf: namespace, which ImportBPEL maps back. Conditions and code
-// handlers travel by *name* (the code-separation style), so only
-// markup-authored or name-carrying workflows are exportable — inline Go
-// closures cannot be serialized, mirroring how real WF workflows with
-// inline C# conditions could not round-trip to portable BPEL either.
+// ExportBPEL maps a WF activity tree onto BPEL's sequence, while and
+// invoke; the activities that have no BPEL equivalent (code, SQL
+// database) become extensionActivity elements in the wf: namespace,
+// which ImportBPEL maps back. Every other BPEL element is refused on
+// import. Conditions and code handlers travel by *name* (the
+// code-separation style), so only markup-authored or name-carrying
+// workflows are exportable — inline Go closures cannot be serialized,
+// mirroring how real WF workflows with inline C# conditions could not
+// round-trip to portable BPEL either. Figure 6's markup round trip
+// (internal/patterns/microsoft.go) issues every form, as the ledger
+// (wf_dialect_test.go) records.
 
 // ExportBPEL serializes a WF activity tree as a BPEL process document.
 func ExportBPEL(processName string, a Activity) (string, error) {
@@ -38,9 +41,16 @@ func ExportBPEL(processName string, a Activity) (string, error) {
 func exportActivity(a Activity) (*xdm.Node, error) {
 	switch t := a.(type) {
 	case *SequenceActivity:
-		return exportComposite("sequence", t.ActivityName, t.Children)
-	case *ParallelActivity:
-		return exportComposite("flow", t.ActivityName, t.Children)
+		el := xdm.NewElement("sequence")
+		el.SetAttr("name", t.ActivityName)
+		for _, c := range t.Children {
+			ce, err := exportActivity(c)
+			if err != nil {
+				return nil, err
+			}
+			el.AppendChild(ce)
+		}
+		return el, nil
 	case *WhileActivity:
 		if t.ConditionName == "" {
 			return nil, fmt.Errorf("mswf: while %s has a code-only condition and cannot be exported to BPEL", t.ActivityName)
@@ -55,34 +65,6 @@ func exportActivity(a Activity) (*xdm.Node, error) {
 			return nil, err
 		}
 		el.AppendChild(body)
-		return el, nil
-	case *IfElseActivity:
-		el := xdm.NewElement("if")
-		el.SetAttr("name", t.ActivityName)
-		for i, b := range t.Branches {
-			var wrap *xdm.Node
-			switch {
-			case i == 0:
-				wrap = el
-			case b.Condition != nil:
-				wrap = el.Element("elseif")
-			default:
-				wrap = el.Element("else")
-			}
-			if b.Condition != nil {
-				if b.ConditionName == "" {
-					return nil, fmt.Errorf("mswf: if %s has a code-only condition and cannot be exported to BPEL", t.ActivityName)
-				}
-				cond := wrap.Element("condition")
-				cond.SetAttr("expressionLanguage", "urn:wfsql:rule")
-				cond.SetText(b.ConditionName)
-			}
-			body, err := exportActivity(b.Body)
-			if err != nil {
-				return nil, err
-			}
-			wrap.AppendChild(body)
-		}
 		return el, nil
 	case *InvokeWebServiceActivity:
 		if t.ServiceName == "" {
@@ -120,9 +102,6 @@ func exportActivity(a Activity) (*xdm.Node, error) {
 		if t.ResultSetVar != "" {
 			c.SetAttr("resultSet", t.ResultSetVar)
 		}
-		if t.ResultTable != "" {
-			c.SetAttr("resultTable", t.ResultTable)
-		}
 		if t.RowsAffectedVar != "" {
 			c.SetAttr("rowsAffected", t.RowsAffectedVar)
 		}
@@ -130,23 +109,24 @@ func exportActivity(a Activity) (*xdm.Node, error) {
 			c.SetAttr("keys", strings.Join(t.KeyColumns, ","))
 		}
 		for _, p := range t.Parameters {
-			if p.Variable == "" {
-				return nil, fmt.Errorf("mswf: sql activity %s has a literal parameter and cannot be exported", t.ActivityName)
-			}
 			pe := c.Element("wf:parameter")
 			pe.SetAttr("name", p.Name)
 			pe.SetAttr("variable", p.Variable)
 		}
 		return el, nil
-	case *TerminateActivity:
-		el := xdm.NewElement("exit")
-		el.SetAttr("name", t.ActivityName)
-		if t.Reason != "" {
-			el.SetAttr("wf:reason", t.Reason)
-		}
-		return el, nil
 	}
 	return nil, fmt.Errorf("mswf: activity %T cannot be exported to BPEL", a)
+}
+
+// bpelAttrs is every element ImportBPEL reads, with the attributes it
+// takes.
+var bpelAttrs = map[string][]string{
+	"process": {"name", "xmlns"}, "sequence": {"name"}, "while": {"name"},
+	"condition": {"expressionLanguage"}, "invoke": {"name", "operation"},
+	"toPart": {"part", "fromVariable"}, "fromPart": {"part", "toVariable"}, "extensionActivity": nil,
+	"wf:code":        {"name", "handler"},
+	"wf:sqlDatabase": {"name", "connectionString", "statement", "resultSet", "keys", "rowsAffected"},
+	"wf:parameter":   {"name", "variable"},
 }
 
 // ImportBPEL parses a BPEL process document into a WF activity tree using
@@ -157,8 +137,11 @@ func ImportBPEL(doc string) (Activity, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mswf: bpel: %w", err)
 	}
-	if localName(root.Name) != "process" {
+	if root.Name != "process" {
 		return nil, fmt.Errorf("mswf: bpel: root element is %s, want process", root.Name)
+	}
+	if err := refuseAttrs(root, bpelAttrs); err != nil {
+		return nil, fmt.Errorf("mswf: bpel: %w", err)
 	}
 	children := root.ChildElements()
 	if len(children) != 1 {
@@ -167,24 +150,18 @@ func ImportBPEL(doc string) (Activity, error) {
 	return importActivity(children[0])
 }
 
-// exportComposite exports a sequence or flow: its children in order.
-func exportComposite(elem, name string, children []Activity) (*xdm.Node, error) {
-	el := xdm.NewElement(elem)
-	el.SetAttr("name", name)
-	for _, c := range children {
-		ce, err := exportActivity(c)
-		if err != nil {
-			return nil, err
-		}
-		el.AppendChild(ce)
-	}
-	return el, nil
-}
-
+// importActivity maps one BPEL activity element onto a WF activity. Every
+// activity names itself, as ExportBPEL writes it.
 func importActivity(el *xdm.Node) (Activity, error) {
-	name, _ := el.Attr("name")
-	switch localName(el.Name) {
-	case "sequence", "flow":
+	if el.Name == "extensionActivity" {
+		return importExtension(el.FirstChildElement(""))
+	}
+	name, err := activityName(el)
+	if err != nil {
+		return nil, err
+	}
+	switch el.Name {
+	case "sequence":
 		var children []Activity
 		for _, c := range el.ChildElements() {
 			ca, err := importActivity(c)
@@ -193,162 +170,87 @@ func importActivity(el *xdm.Node) (Activity, error) {
 			}
 			children = append(children, ca)
 		}
-		if localName(el.Name) == "flow" {
-			return &ParallelActivity{ActivityName: defaulted(name, "flow"), Children: children}, nil
-		}
-		return &SequenceActivity{ActivityName: defaulted(name, "sequence"), Children: children}, nil
-	case "empty":
-		return &CodeActivity{ActivityName: defaulted(name, "empty"),
-			Handler: func(*Context) error { return nil }}, nil
-	case "exit":
-		reason, _ := el.Attr("wf:reason")
-		return &TerminateActivity{ActivityName: defaulted(name, "exit"), Reason: reason}, nil
+		return &SequenceActivity{ActivityName: name, Children: children}, nil
 	case "while":
-		condEl := el.FirstChildElement("condition")
-		if condEl == nil {
-			return nil, fmt.Errorf("mswf: bpel: while %s has no condition", name)
-		}
-		ruleName := strings.TrimSpace(condEl.TextContent())
-		body, err := importBranchBody(el, "while "+name)
-		if err != nil {
-			return nil, err
-		}
-		return &WhileActivity{
-			ActivityName:  defaulted(name, "while"),
-			ConditionName: ruleName,
-			Condition:     ruleByName(ruleName),
-			Body:          body,
-		}, nil
-	case "if":
-		act := &IfElseActivity{ActivityName: defaulted(name, "if")}
-		// First branch: condition + activity directly under <if>.
-		var firstCondName string
-		var firstBody Activity
+		var rule string
+		var body []Activity
 		for _, c := range el.ChildElements() {
-			switch localName(c.Name) {
-			case "condition":
-				firstCondName = strings.TrimSpace(c.TextContent())
-			case "elseif":
-				condEl := c.FirstChildElement("condition")
-				if condEl == nil {
-					return nil, fmt.Errorf("mswf: bpel: elseif without condition in %s", name)
-				}
-				rn := strings.TrimSpace(condEl.TextContent())
-				body, err := importBranchBody(c, "branch")
-				if err != nil {
-					return nil, err
-				}
-				act.Branches = append(act.Branches, IfElseBranch{
-					Condition: ruleByName(rn), ConditionName: rn, Body: body})
-			case "else":
-				body, err := importBranchBody(c, "branch")
-				if err != nil {
-					return nil, err
-				}
-				act.Branches = append(act.Branches, IfElseBranch{Body: body})
-			default:
-				ca, err := importActivity(c)
-				if err != nil {
-					return nil, err
-				}
-				firstBody = ca
+			if c.Name == "condition" {
+				rule = strings.TrimSpace(c.TextContent())
+				continue
 			}
+			ca, err := importActivity(c)
+			if err != nil {
+				return nil, err
+			}
+			body = append(body, ca)
 		}
-		if firstBody == nil || firstCondName == "" {
-			return nil, fmt.Errorf("mswf: bpel: if %s missing first branch", name)
+		if rule == "" || len(body) != 1 {
+			return nil, fmt.Errorf("mswf: bpel: while %s needs a condition and one body activity", name)
 		}
-		act.Branches = append([]IfElseBranch{{
-			Condition: ruleByName(firstCondName), ConditionName: firstCondName, Body: firstBody,
-		}}, act.Branches...)
-		return act, nil
+		return &WhileActivity{ActivityName: name, ConditionName: rule, Body: body[0]}, nil
 	case "invoke":
 		op, _ := el.Attr("operation")
 		if op == "" {
 			return nil, fmt.Errorf("mswf: bpel: invoke %s has no operation", name)
 		}
-		act := &InvokeWebServiceActivity{ActivityName: defaulted(name, "invoke"),
+		act := &InvokeWebServiceActivity{ActivityName: name,
 			ServiceName: op, Inputs: map[string]string{}, Outputs: map[string]string{}}
 		for _, c := range el.ChildElements() {
 			part, _ := c.Attr("part")
-			switch localName(c.Name) {
+			switch c.Name {
 			case "toPart":
-				v, _ := c.Attr("fromVariable")
-				act.Inputs[part] = v
+				act.Inputs[part], _ = c.Attr("fromVariable")
 			case "fromPart":
-				v, _ := c.Attr("toVariable")
-				act.Outputs[part] = v
+				act.Outputs[part], _ = c.Attr("toVariable")
 			}
 		}
 		return act, nil
-	case "extensionActivity":
-		inner := el.FirstChildElement("")
-		if inner == nil {
-			return nil, fmt.Errorf("mswf: bpel: empty extensionActivity")
-		}
-		iname, _ := inner.Attr("name")
-		switch localName(inner.Name) {
-		case "code":
-			handler, _ := inner.Attr("handler")
-			if handler == "" {
-				return nil, fmt.Errorf("mswf: bpel: wf:code without handler")
-			}
-			return &CodeActivity{ActivityName: defaulted(iname, "code"), HandlerName: handler}, nil
-		case "sqlDatabase":
-			conn, _ := inner.Attr("connectionString")
-			stmt, _ := inner.Attr("statement")
-			if conn == "" || stmt == "" {
-				return nil, fmt.Errorf("mswf: bpel: wf:sqlDatabase missing connectionString or statement")
-			}
-			act := NewSQLDatabase(defaulted(iname, "sqlDatabase"), conn, stmt)
-			act.readResultAttrs(inner, "resultSet", "resultTable", "rowsAffected", "keys")
-			for _, pe := range inner.ChildElements() {
-				pn, _ := pe.Attr("name")
-				pv, _ := pe.Attr("variable")
-				act.Param(pn, pv)
-			}
-			return act, nil
-		}
-		return nil, fmt.Errorf("mswf: bpel: unknown extension activity %s", inner.Name)
 	}
 	return nil, fmt.Errorf("mswf: bpel: unsupported BPEL element %s", el.Name)
 }
 
-// importBranchBody imports the one activity beside el's condition; what
-// names el in the error when there is none.
-func importBranchBody(el *xdm.Node, what string) (Activity, error) {
-	var body Activity
-	for _, c := range el.ChildElements() {
-		if localName(c.Name) == "condition" {
-			continue
-		}
-		ca, err := importActivity(c)
-		if err != nil {
-			return nil, err
-		}
-		body = ca
+// importExtension maps the wf: element of an extensionActivity (nil when
+// it is empty) onto a WF activity.
+func importExtension(el *xdm.Node) (Activity, error) {
+	if el == nil {
+		return nil, fmt.Errorf("mswf: bpel: empty extensionActivity")
 	}
-	if body == nil {
-		return nil, fmt.Errorf("mswf: bpel: %s has no body", what)
+	name, err := activityName(el)
+	if err != nil {
+		return nil, err
 	}
-	return body, nil
+	switch el.Name {
+	case "wf:code":
+		handler, _ := el.Attr("handler")
+		if handler == "" {
+			return nil, fmt.Errorf("mswf: bpel: wf:code %s has no handler", name)
+		}
+		return &CodeActivity{ActivityName: name, HandlerName: handler}, nil
+	case "wf:sqlDatabase":
+		conn, _ := el.Attr("connectionString")
+		stmt, _ := el.Attr("statement")
+		if conn == "" || stmt == "" {
+			return nil, fmt.Errorf("mswf: bpel: wf:sqlDatabase %s needs a connectionString and a statement", name)
+		}
+		act := NewSQLDatabase(name, conn, stmt)
+		act.readResultAttrs(el, "resultSet", "rowsAffected", "keys")
+		for _, pe := range el.ChildElements() {
+			pn, _ := pe.Attr("name")
+			pv, _ := pe.Attr("variable")
+			act.Param(pn, pv)
+		}
+		return act, nil
+	}
+	return nil, fmt.Errorf("mswf: bpel: unknown extension activity %s", el.Name)
 }
 
-// ruleByName builds a condition resolving the named rule at run time.
-func ruleByName(name string) RuleCondition {
-	return func(c *Context) (bool, error) {
-		r, err := c.Runtime.rule(name)
-		if err != nil {
-			return false, err
-		}
-		return r(c)
+// activityName returns the name el's activity takes, which it must have.
+func activityName(el *xdm.Node) (string, error) {
+	if name, _ := el.Attr("name"); name != "" {
+		return name, nil
 	}
-}
-
-func defaulted(s, d string) string {
-	if s == "" {
-		return d
-	}
-	return s
+	return "", fmt.Errorf("mswf: bpel: %s has no name", el.Name)
 }
 
 // sortedPairs returns map entries as sorted [key, value] pairs for

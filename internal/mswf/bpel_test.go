@@ -83,41 +83,53 @@ func TestBPELExportRejectsInlineCode(t *testing.T) {
 		t.Fatal("inline handler must not be exportable")
 	}
 	codeCond := NewWhile("w", func(*Context) (bool, error) { return false, nil },
-		&TerminateActivity{ActivityName: "t"})
+		&CodeActivity{ActivityName: "t", HandlerName: "H"})
 	if _, err := ExportBPEL("p", codeCond); err == nil {
 		t.Fatal("code-only condition must not be exportable")
 	}
 }
 
+// TestBPELImportPlainBPEL: BPEL produced by another tool imports when it
+// keeps to the elements ExportBPEL writes; empty, if and exit, which once
+// imported as an inline code activity, branches and a terminate, are
+// refused.
 func TestBPELImportPlainBPEL(t *testing.T) {
-	// BPEL produced by another tool: plain elements, no wf: extensions.
-	doc := `
+	plain := `
 	<process name="other">
 	  <sequence name="main">
-	    <empty name="noop"/>
-	    <if name="check">
-	      <condition expressionLanguage="urn:wfsql:rule">IsHigh</condition>
-	      <exit name="stop" wf:reason="too high"/>
-	      <else>
-	        <empty name="ok"/>
-	      </else>
-	    </if>
+	    <while name="loop">
+	      <condition expressionLanguage="urn:wfsql:rule">IsLow</condition>
+	      <invoke name="order" operation="Order">
+	        <toPart part="x" fromVariable="x"/>
+	        <fromPart part="x" toVariable="x"/>
+	      </invoke>
+	    </while>
 	  </sequence>
 	</process>`
-	wf, err := ImportBPEL(doc)
+	wf, err := ImportBPEL(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rt := NewRuntime()
-	rt.RegisterRule("IsHigh", func(c *Context) (bool, error) {
-		i, _ := c.GetInt("x")
-		return i > 10, nil
+	rt.RegisterRule("IsLow", func(c *Context) (bool, error) {
+		return len(c.GetString("x")) < 3, nil
 	})
-	if _, err := rt.Run(wf, map[string]any{"x": 1}); err != nil {
-		t.Fatalf("low path: %v", err)
+	rt.RegisterService("Order", func(req map[string]string) (map[string]string, error) {
+		return map[string]string{"x": req["x"] + "1"}, nil
+	})
+	c, err := rt.Run(wf, map[string]any{"x": "0"})
+	if err != nil || c.GetString("x") != "011" {
+		t.Fatalf("imported loop: x = %q, %v", c.GetString("x"), err)
 	}
-	if _, err := rt.Run(wf, map[string]any{"x": 99}); err == nil || !strings.Contains(err.Error(), "too high") {
-		t.Fatalf("high path: %v", err)
+	for _, elem := range []string{
+		`<empty name="noop"/>`,
+		`<if name="check"><condition>IsHigh</condition><empty/></if>`,
+		`<exit name="stop" wf:reason="too high"/>`,
+	} {
+		doc := strings.Replace(plain, "<while", elem+"<while", 1)
+		if _, err := ImportBPEL(doc); err == nil || !strings.Contains(err.Error(), "unsupported BPEL element") {
+			t.Errorf("ImportBPEL with %s = %v, want it refused", elem, err)
+		}
 	}
 }
 
@@ -134,6 +146,9 @@ func TestBPELImportErrors(t *testing.T) {
 		"<process><extensionActivity><wf:code/></extensionActivity></process>",
 		"<process><extensionActivity><wf:sqlDatabase name='s'/></extensionActivity></process>",
 		"<process><if name='i'><empty/></if></process>",
+		"<process><sequence/></process>",
+		"<process><extensionActivity><wf:code handler='H'/></extensionActivity></process>",
+		"<process><extensionActivity><wf:sqlDatabase name='s' connectionString='c' statement='SELECT 1' resultTable='t'/></extensionActivity></process>",
 	}
 	for _, doc := range bad {
 		if _, err := ImportBPEL(doc); err == nil {

@@ -17,12 +17,11 @@ import (
 // dataset package. It provides SQL inline support on a higher level of
 // abstraction than raw code activities.
 
-// SQLParameter binds one @name host variable of a statement: either from
-// a host variable (Variable) or a fixed value (Value).
+// SQLParameter binds one @name placeholder of a statement to a host
+// variable.
 type SQLParameter struct {
 	Name     string // parameter name as written in the SQL, e.g. "@item"
 	Variable string // host variable supplying the value
-	Value    *sqldb.Value
 }
 
 // SQLDatabaseActivity executes one SQL statement — queries, DML, DDL, and
@@ -36,8 +35,7 @@ type SQLDatabaseActivity struct {
 	ConnectionString string // static, resolved per execution
 	Statement        string // SQL text with @name parameters
 	Parameters       []SQLParameter
-	ResultSetVar     string // host variable receiving the *dataset.DataSet
-	ResultTable      string // table name inside the DataSet (default "Result")
+	ResultSetVar     string // host variable receiving the *dataset.DataSet, in its table "Result"
 	KeyColumns       []string
 
 	// Event handlers, executable before/after the SQL statement (e.g. to
@@ -148,12 +146,8 @@ func (a *SQLDatabaseActivity) executeLive(c *Context) error {
 		if a.ResultSetVar == "" {
 			return fmt.Errorf("%s: query result requires a result host variable", a.ActivityName)
 		}
-		tableName := a.ResultTable
-		if tableName == "" {
-			tableName = "Result"
-		}
 		ds := dataset.New()
-		t := dataset.NewDataTable(tableName, res.Columns...)
+		t := dataset.NewDataTable("Result", res.Columns...)
 		t.PrimaryKey = append([]string(nil), a.KeyColumns...)
 		ds.AddTable(t)
 		for _, row := range res.Rows {
@@ -170,7 +164,7 @@ func (a *SQLDatabaseActivity) executeLive(c *Context) error {
 }
 
 // bindParameters fills the statement's parameter vector, slot by slot,
-// from fixed values and host variables.
+// from host variables.
 func (a *SQLDatabaseActivity) bindParameters(c *Context) ([]sqldb.Value, error) {
 	a.bindOnce.Do(a.bindSlots)
 	if a.bindErr != nil || len(a.slots) == 0 {
@@ -179,10 +173,6 @@ func (a *SQLDatabaseActivity) bindParameters(c *Context) ([]sqldb.Value, error) 
 	vals := make([]sqldb.Value, len(a.slots))
 	for i, j := range a.slots {
 		p := &a.Parameters[j]
-		if p.Value != nil {
-			vals[i] = *p.Value
-			continue
-		}
 		v, ok := c.Get(p.Variable)
 		if !ok {
 			return nil, fmt.Errorf("parameter %s: no host variable %s", p.Name, p.Variable)

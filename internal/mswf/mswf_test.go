@@ -381,56 +381,51 @@ func TestCodeActivityADOWorkarounds(t *testing.T) {
 	}
 }
 
+// refused checks that LoadXOML refuses markup and ImportBPEL refuses a
+// process holding bpel, each naming the element it does not know.
+func refused(t *testing.T, markup, elem, bpel string) {
+	t.Helper()
+	if _, err := LoadXOML(markup); err == nil || !strings.Contains(err.Error(), "unknown activity element "+elem) {
+		t.Errorf("LoadXOML(%q) = %v, want it refused", markup, err)
+	}
+	doc := `<process name="p"><sequence name="main">` + bpel + `</sequence></process>`
+	if _, err := ImportBPEL(doc); err == nil || !strings.Contains(err.Error(), "unsupported BPEL element") {
+		t.Errorf("ImportBPEL(%q) = %v, want it refused", doc, err)
+	}
+}
+
+// TestIfElse: no figure, example or testdata branches, so IfElseActivity
+// is gone; its markup and BPEL's if are refused.
 func TestIfElse(t *testing.T) {
-	rt := NewRuntime()
-	wf := &IfElseActivity{ActivityName: "if", Branches: []IfElseBranch{
-		{Condition: func(c *Context) (bool, error) { return c.GetString("x") == "a", nil },
-			Body: NewCode("then", func(c *Context) error { c.Set("out", "A"); return nil })},
-		{Body: NewCode("else", func(c *Context) error { c.Set("out", "other"); return nil })},
-	}}
-	c, _ := rt.Run(wf, map[string]any{"x": "a"})
-	if c.GetString("out") != "A" {
-		t.Fatal("then branch not taken")
-	}
-	c, _ = rt.Run(wf, map[string]any{"x": "z"})
-	if c.GetString("out") != "other" {
-		t.Fatal("else branch not taken")
-	}
+	refused(t, `<IfElseActivity x:Name="if">
+	  <IfElseBranch Condition="rule:IsA"><CodeActivity x:Name="then" Handler="A"/></IfElseBranch>
+	  <IfElseBranch><CodeActivity x:Name="else" Handler="B"/></IfElseBranch>
+	</IfElseActivity>`, "IfElseActivity", `<if name="check">
+	  <condition expressionLanguage="urn:wfsql:rule">IsA</condition>
+	  <extensionActivity><wf:code name="then" handler="A"/></extensionActivity>
+	  <elseif><condition>IsB</condition><extensionActivity><wf:code name="b" handler="B"/></extensionActivity></elseif>
+	  <else><extensionActivity><wf:code name="else" handler="C"/></extensionActivity></else>
+	</if>`)
 }
 
-// TestParallel runs two branches of one instance at once, traced, so the
-// race detector sees them share the instance's activity boundary.
+// TestParallel: no figure, example or testdata forks an instance, so
+// ParallelActivity is gone (an instance runs on one goroutine); its
+// markup and BPEL's flow are refused.
 func TestParallel(t *testing.T) {
-	rt := NewRuntime()
-	col := obsv.NewCollector()
-	o := obsv.New()
-	o.Tracer.AddSink(col)
-	rt.SetObservability(o)
-	wf := &ParallelActivity{ActivityName: "par", Children: []Activity{
-		NewCode("a", func(c *Context) error { c.Set("a", 1); return nil }),
-		NewCode("b", func(c *Context) error { c.Set("b", 1); return nil }),
-	}}
-	c, err := rt.Run(wf, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(col.ByKind(obsv.KindActivity)); n != 3 {
-		t.Fatalf("%d activity spans, want 3 (par, a, b)", n)
-	}
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("branch a missing")
-	}
-	if _, ok := c.Get("b"); !ok {
-		t.Fatal("branch b missing")
-	}
+	refused(t, `<ParallelActivity x:Name="par">
+	  <CodeActivity x:Name="a" Handler="A"/>
+	  <CodeActivity x:Name="b" Handler="B"/>
+	</ParallelActivity>`, "ParallelActivity", `<flow name="par">
+	  <extensionActivity><wf:code name="a" handler="A"/></extensionActivity>
+	  <extensionActivity><wf:code name="b" handler="B"/></extensionActivity>
+	</flow>`)
 }
 
+// TestTerminate: TerminateActivity had no issuer and is gone; its markup
+// and BPEL's exit are refused.
 func TestTerminate(t *testing.T) {
-	rt := NewRuntime()
-	_, err := rt.Run(&TerminateActivity{ActivityName: "stop", Reason: "bad input"}, nil)
-	if err == nil || !strings.Contains(err.Error(), "bad input") {
-		t.Fatalf("terminate: %v", err)
-	}
+	refused(t, `<TerminateActivity x:Name="stop" Reason="bad input"/>`, "TerminateActivity",
+		`<exit name="stop" wf:reason="bad input"/>`)
 }
 
 const figure6XOML = `
@@ -511,6 +506,10 @@ func TestXOMLErrors(t *testing.T) {
 		`<IfElseActivity x:Name="i"/>`,
 		`<InvokeWebServiceActivity x:Name="v"/>`,
 		`not xml at all`,
+		`<CodeActivity Handler="h"/>`,
+		`<SQLDatabaseActivity x:Name="s" ConnectionString="Data Source=orderdb" Statement="SELECT 1" ResultSet="r" ResultTable="t"/>`,
+		`<SequenceActivity x:Name="m"><SQLDatabaseActivity x:Name="s" ConnectionString="Data Source=orderdb" Statement="SELECT 1" ResultSett="r"/></SequenceActivity>`,
+		`<WhileActivity x:Name="w" Condition="rule:R"><CodeActivity x:Name="a" Handler="h"/><CodeActivity x:Name="b" Handler="h"/></WhileActivity>`,
 	}
 	for _, m := range bad {
 		if _, err := LoadXOML(m); err == nil {
@@ -597,27 +596,24 @@ func TestPersistSQLValueKinds(t *testing.T) {
 	}
 }
 
+// TestExportBPELTerminateAndParallel: the document the exporter wrote for
+// a ParallelActivity holding a TerminateActivity — flow, and exit with
+// wf:reason — is refused on import, as both activities are gone.
 func TestExportBPELTerminateAndParallel(t *testing.T) {
-	wf := &ParallelActivity{ActivityName: "par", Children: []Activity{
-		&TerminateActivity{ActivityName: "stop", Reason: "because"},
-		&CodeActivity{ActivityName: "c", HandlerName: "H"},
-	}}
-	doc, err := ExportBPEL("p", wf)
-	if err != nil {
-		t.Fatal(err)
+	doc := `<process name="p" xmlns="http://docs.oasis-open.org/wsbpel/2.0/process/executable">
+  <flow name="par">
+    <exit name="stop" wf:reason="because"/>
+    <extensionActivity>
+      <wf:code name="c" handler="H"/>
+    </extensionActivity>
+  </flow>
+</process>`
+	if _, err := ImportBPEL(doc); err == nil || !strings.Contains(err.Error(), "unsupported BPEL element flow") {
+		t.Fatalf("ImportBPEL = %v, want flow refused", err)
 	}
-	for _, want := range []string{"<flow", "<exit", `wf:reason="because"`, "wf:code"} {
-		if !strings.Contains(doc, want) {
-			t.Errorf("missing %q:\n%s", want, doc)
-		}
-	}
-	imported, err := ImportBPEL(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := NewRuntime()
-	if _, err := rt.Run(imported, nil); err == nil || !strings.Contains(err.Error(), "because") {
-		t.Fatalf("imported terminate: %v", err)
+	if _, err := ImportBPEL(strings.NewReplacer("<flow", "<sequence", "</flow", "</sequence").Replace(doc)); err == nil ||
+		!strings.Contains(err.Error(), "unsupported BPEL element exit") {
+		t.Fatalf("ImportBPEL = %v, want exit refused", err)
 	}
 }
 

@@ -111,7 +111,7 @@ func (rt *Runtime) RegisterHandler(name string, fn func(*Context) error) {
 	rt.handlers[name] = fn
 }
 
-// RegisterRule installs a named rule condition for markup while/if
+// RegisterRule installs a named rule condition for markup while
 // activities.
 func (rt *Runtime) RegisterRule(name string, fn func(*Context) (bool, error)) {
 	rt.mu.Lock()
@@ -188,27 +188,24 @@ func (rt *Runtime) openConnection(connStr string) (*sqldb.DB, error) {
 // Context is the execution context of a workflow instance: host variables
 // plus runtime access. WF host variables are fields of the workflow class;
 // here they are a typed map. The embedded host.Instance holds the
-// instance's ID, journal, budget, spans and database sessions.
+// instance's ID, journal, budget, spans and database sessions. Like the
+// instance, a Context belongs to the one goroutine that runs it
+// (DESIGN.md, "One goroutine and one session per instance").
 type Context struct {
 	host.Instance
 	Runtime *Runtime
 
-	mu   sync.Mutex
 	vars map[string]any
 }
 
 // Get returns a host variable.
 func (c *Context) Get(name string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	v, ok := c.vars[name]
 	return v, ok
 }
 
 // Set assigns a host variable.
 func (c *Context) Set(name string, v any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.vars[name] = v
 }
 
@@ -259,8 +256,6 @@ func (c *Context) GetInt(name string) (int64, error) {
 
 // VarNames lists host variable names, sorted (for persistence snapshots).
 func (c *Context) VarNames() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	names := make([]string, 0, len(c.vars))
 	for k := range c.vars {
 		names = append(names, k)

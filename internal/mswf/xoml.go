@@ -2,6 +2,7 @@ package mswf
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"wfsql/internal/xdm"
@@ -14,26 +15,32 @@ import (
 // combination of markup structure plus code implementations is the
 // code-separation authoring style.
 //
-// Supported elements:
+// The elements and attributes, each issued by Figure 6's markup
+// (internal/patterns/microsoft.go) or cmd/wfrun's sample, as the ledger
+// (wf_dialect_test.go) records; every other element and attribute is
+// refused:
 //
 //	<SequenceActivity x:Name="...">children</SequenceActivity>
-//	<ParallelActivity x:Name="...">children</ParallelActivity>
 //	<WhileActivity x:Name="..." Condition="rule:Name">body</WhileActivity>
-//	<IfElseActivity x:Name="...">
-//	    <IfElseBranch Condition="rule:Name">body</IfElseBranch>
-//	    <IfElseBranch>else-body</IfElseBranch>
-//	</IfElseActivity>
 //	<CodeActivity x:Name="..." Handler="Name"/>
-//	<TerminateActivity x:Name="..." Reason="..."/>
 //	<InvokeWebServiceActivity x:Name="..." Service="Name">
 //	    <Input Part="..." Variable="..."/>
 //	    <Output Part="..." Variable="..."/>
 //	</InvokeWebServiceActivity>
 //	<SQLDatabaseActivity x:Name="..." ConnectionString="..."
-//	        Statement="..." ResultSet="var" ResultTable="t"
-//	        Keys="a,b" RowsAffected="var">
+//	        Statement="..." ResultSet="var" Keys="a,b" RowsAffected="var">
 //	    <Parameter Name="@p" Variable="hostVar"/>
 //	</SQLDatabaseActivity>
+
+// xomlAttrs is every element LoadXOML reads, with the attributes it
+// takes.
+var xomlAttrs = map[string][]string{
+	"SequenceActivity": {"x:Name"}, "WhileActivity": {"x:Name", "Condition"},
+	"CodeActivity": {"x:Name", "Handler"}, "InvokeWebServiceActivity": {"x:Name", "Service"},
+	"Input": {"Part", "Variable"}, "Output": {"Part", "Variable"},
+	"SQLDatabaseActivity": {"x:Name", "ConnectionString", "Statement", "ResultSet", "Keys", "RowsAffected"},
+	"Parameter":           {"Name", "Variable"},
+}
 
 // LoadXOML parses a XOML document into an executable activity tree.
 func LoadXOML(markup string) (Activity, error) {
@@ -41,7 +48,30 @@ func LoadXOML(markup string) (Activity, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mswf: xoml: %w", err)
 	}
+	if err := refuseAttrs(root, xomlAttrs); err != nil {
+		return nil, fmt.Errorf("mswf: xoml: %w", err)
+	}
 	return buildActivity(root)
+}
+
+// refuseAttrs fails on an attribute, anywhere under el, that accepted
+// does not list for its element, so a misspelt or cut attribute is not
+// dropped without a word. An element accepted does not list is left to
+// the loader to refuse.
+func refuseAttrs(el *xdm.Node, accepted map[string][]string) error {
+	if names, ok := accepted[el.Name]; ok {
+		for _, a := range el.Attrs {
+			if !slices.Contains(names, a.Name) {
+				return fmt.Errorf("%s does not take attribute %s", el.Name, a.Name)
+			}
+		}
+	}
+	for _, c := range el.ChildElements() {
+		if err := refuseAttrs(c, accepted); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // MustLoadXOML parses markup, panicking on error (for fixtures).
@@ -53,71 +83,38 @@ func MustLoadXOML(markup string) Activity {
 	return a
 }
 
-func activityName(el *xdm.Node) string {
-	if v, ok := el.Attr("x:Name"); ok {
-		return v
-	}
-	if v, ok := el.Attr("Name"); ok {
-		return v
-	}
-	return strings.TrimSuffix(el.Name, "Activity")
-}
-
 func buildActivity(el *xdm.Node) (Activity, error) {
-	name := activityName(el)
-	switch localName(el.Name) {
-	case "SequenceActivity", "ParallelActivity":
+	name, ok := el.Attr("x:Name")
+	if !ok {
+		return nil, fmt.Errorf("mswf: xoml: %s needs an x:Name", el.Name)
+	}
+	switch el.Name {
+	case "SequenceActivity":
 		children, err := buildChildren(el)
 		if err != nil {
 			return nil, err
 		}
-		if localName(el.Name) == "ParallelActivity" {
-			return &ParallelActivity{ActivityName: name, Children: children}, nil
-		}
 		return &SequenceActivity{ActivityName: name, Children: children}, nil
 	case "WhileActivity":
-		cond, condName, err := buildCondition(el)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", name, err)
+		spec, _ := el.Attr("Condition")
+		rule, ok := strings.CutPrefix(spec, "rule:")
+		if !ok {
+			return nil, fmt.Errorf("mswf: xoml: WhileActivity %s needs a Condition of the form rule:Name", name)
 		}
-		body, err := buildSingleChild(el, name)
+		body, err := buildChildren(el)
 		if err != nil {
 			return nil, err
 		}
-		return &WhileActivity{ActivityName: name, Condition: cond, ConditionName: condName, Body: body}, nil
-	case "IfElseActivity":
-		act := &IfElseActivity{ActivityName: name}
-		for _, branchEl := range el.ChildElements() {
-			if localName(branchEl.Name) != "IfElseBranch" {
-				return nil, fmt.Errorf("mswf: xoml: %s may only contain IfElseBranch, got %s", name, branchEl.Name)
-			}
-			body, err := buildSingleChild(branchEl, name)
-			if err != nil {
-				return nil, err
-			}
-			var cond RuleCondition
-			var condName string
-			if _, ok := branchEl.Attr("Condition"); ok {
-				cond, condName, err = buildCondition(branchEl)
-				if err != nil {
-					return nil, fmt.Errorf("%s: %w", name, err)
-				}
-			}
-			act.Branches = append(act.Branches, IfElseBranch{Condition: cond, ConditionName: condName, Body: body})
+		if len(body) != 1 {
+			return nil, fmt.Errorf("mswf: xoml: WhileActivity %s needs one body activity, has %d", name, len(body))
 		}
-		if len(act.Branches) == 0 {
-			return nil, fmt.Errorf("mswf: xoml: %s has no branches", name)
-		}
-		return act, nil
+		return &WhileActivity{ActivityName: name, ConditionName: rule, Body: body[0]}, nil
 	case "CodeActivity":
 		handler, ok := el.Attr("Handler")
 		if !ok {
 			return nil, fmt.Errorf("mswf: xoml: CodeActivity %s needs a Handler attribute", name)
 		}
 		return &CodeActivity{ActivityName: name, HandlerName: handler}, nil
-	case "TerminateActivity":
-		reason, _ := el.Attr("Reason")
-		return &TerminateActivity{ActivityName: name, Reason: reason}, nil
 	case "InvokeWebServiceActivity":
 		svc, ok := el.Attr("Service")
 		if !ok {
@@ -131,7 +128,7 @@ func buildActivity(el *xdm.Node) (Activity, error) {
 			if part == "" || variable == "" {
 				return nil, fmt.Errorf("mswf: xoml: %s: Input/Output needs Part and Variable", name)
 			}
-			switch localName(io.Name) {
+			switch io.Name {
 			case "Input":
 				act.Inputs[part] = variable
 			case "Output":
@@ -151,9 +148,9 @@ func buildActivity(el *xdm.Node) (Activity, error) {
 			return nil, fmt.Errorf("mswf: xoml: SQLDatabaseActivity %s needs a Statement", name)
 		}
 		act := NewSQLDatabase(name, conn, stmt)
-		act.readResultAttrs(el, "ResultSet", "ResultTable", "RowsAffected", "Keys")
+		act.readResultAttrs(el, "ResultSet", "RowsAffected", "Keys")
 		for _, pe := range el.ChildElements() {
-			if localName(pe.Name) != "Parameter" {
+			if pe.Name != "Parameter" {
 				return nil, fmt.Errorf("mswf: xoml: unexpected %s in %s", pe.Name, name)
 			}
 			pn, _ := pe.Attr("Name")
@@ -170,8 +167,8 @@ func buildActivity(el *xdm.Node) (Activity, error) {
 
 // readResultAttrs sets the activity's optional result settings from
 // el's attributes, named as the markup spells them.
-func (a *SQLDatabaseActivity) readResultAttrs(el *xdm.Node, resultSet, resultTable, rowsAffected, keys string) {
-	for attr, field := range map[string]*string{resultSet: &a.ResultSetVar, resultTable: &a.ResultTable, rowsAffected: &a.RowsAffectedVar} {
+func (a *SQLDatabaseActivity) readResultAttrs(el *xdm.Node, resultSet, rowsAffected, keys string) {
+	for attr, field := range map[string]*string{resultSet: &a.ResultSetVar, rowsAffected: &a.RowsAffectedVar} {
 		if v, ok := el.Attr(attr); ok {
 			*field = v
 		}
@@ -193,47 +190,4 @@ func buildChildren(el *xdm.Node) ([]Activity, error) {
 		out = append(out, a)
 	}
 	return out, nil
-}
-
-func buildSingleChild(el *xdm.Node, name string) (Activity, error) {
-	children, err := buildChildren(el)
-	if err != nil {
-		return nil, err
-	}
-	switch len(children) {
-	case 0:
-		return nil, fmt.Errorf("mswf: xoml: %s has no body", name)
-	case 1:
-		return children[0], nil
-	default:
-		return &SequenceActivity{ActivityName: name + "_body", Children: children}, nil
-	}
-}
-
-// buildCondition resolves a Condition attribute: "rule:Name" defers to a
-// runtime-registered rule (code-separation). It returns the rule name for
-// export round-tripping.
-func buildCondition(el *xdm.Node) (RuleCondition, string, error) {
-	spec, ok := el.Attr("Condition")
-	if !ok {
-		return nil, "", fmt.Errorf("missing Condition attribute")
-	}
-	ruleName, ok := strings.CutPrefix(spec, "rule:")
-	if !ok {
-		return nil, "", fmt.Errorf("condition %q must use the rule:Name form", spec)
-	}
-	return func(c *Context) (bool, error) {
-		r, err := c.Runtime.rule(ruleName)
-		if err != nil {
-			return false, err
-		}
-		return r(c)
-	}, ruleName, nil
-}
-
-func localName(n string) string {
-	if i := strings.LastIndex(n, ":"); i >= 0 {
-		return n[i+1:]
-	}
-	return n
 }

@@ -90,18 +90,29 @@ func (env *Env) expectInt(sql string, want int64) error {
 	return nil
 }
 
-// CaseResult is the outcome of one executed conformance case.
+// CaseResult is the outcome of one executed conformance case, or of one
+// InfoCase (Claim set, "<row>: <claim>"; no pattern or mechanism).
 type CaseResult struct {
 	Product   string
 	Pattern   Pattern
 	Mechanism Mechanism
 	Support   Support
 	Footnote  string
+	Claim     string
 	Err       error
 }
 
-// RunConformance executes every conformance case of every product, each in
-// a fresh environment, and returns the results.
+// Label names what the case proves: "<mechanism> / <pattern>", or
+// "Table I <claim>".
+func (r CaseResult) Label() string {
+	if r.Claim != "" {
+		return "Table I " + r.Claim
+	}
+	return fmt.Sprintf("%s / %s", r.Mechanism, r.Pattern)
+}
+
+// RunConformance executes every conformance case of every product, then
+// its InfoCases, each in a fresh environment, and returns the results.
 func RunConformance(products []Product) []CaseResult {
 	var out []CaseResult
 	for _, p := range products {
@@ -117,6 +128,11 @@ func RunConformance(products []Product) []CaseResult {
 				Footnote:  c.Footnote,
 				Err:       err,
 			})
+		}
+		if ip, ok := p.(InfoProver); ok {
+			for _, c := range ip.InfoCases() {
+				out = append(out, CaseResult{Product: info.ShortName, Claim: c.Row + ": " + c.Claim, Err: c.Run(NewEnv())})
+			}
 		}
 	}
 	return out

@@ -49,6 +49,117 @@ func (p *MicrosoftWF) Cells() []Cell {
 	}
 }
 
+// figure6XOML is the paper's Figure 6 workflow in XOML markup, as
+// Figure 5's code-separation authoring mode writes it: the structure in
+// markup, and the code it names — the BindNext handler, the HasMoreItems
+// rule, the OrderFromSupplier service — registered on the runtime by
+// name. resilient.go's code-only Figure 6 builds the same tree in Go,
+// around the same two functions.
+const figure6XOML = `<SequenceActivity x:Name="main">
+  <SQLDatabaseActivity x:Name="SQLDatabase1" ConnectionString="Provider=SqlServer;Data Source=orderdb"
+      Statement="SELECT ItemID, SUM(Quantity) AS Quantity FROM Orders WHERE Approved = TRUE GROUP BY ItemID ORDER BY ItemID"
+      ResultSet="SV_ItemList" Keys="ItemID"/>
+  <WhileActivity x:Name="while" Condition="rule:HasMoreItems">
+    <SequenceActivity x:Name="loopBody">
+      <CodeActivity x:Name="bindNext" Handler="BindNext"/>
+      <InvokeWebServiceActivity x:Name="invoke" Service="OrderFromSupplier">
+        <Input Part="ItemID" Variable="CurrentItemID"/>
+        <Input Part="Quantity" Variable="CurrentItemQuantity"/>
+        <Output Part="OrderConfirmation" Variable="OrderConfirmation"/>
+      </InvokeWebServiceActivity>
+      <SQLDatabaseActivity x:Name="SQLDatabase2" ConnectionString="Provider=SqlServer;Data Source=orderdb"
+          Statement="INSERT INTO OrderConfirmations (ItemID, Quantity, Confirmation) VALUES (@item, @qty, @conf)">
+        <Parameter Name="@item" Variable="CurrentItemID"/>
+        <Parameter Name="@qty" Variable="CurrentItemQuantity"/>
+        <Parameter Name="@conf" Variable="OrderConfirmation"/>
+      </SQLDatabaseActivity>
+    </SequenceActivity>
+  </WhileActivity>
+</SequenceActivity>`
+
+// Figure6BindNext is Figure 6's code activity: it binds row Index of the
+// SV_ItemList DataSet (ADO.NET's CurrentItem["ItemID"] and
+// CurrentItem["Quantity"]) to host variables and advances Index.
+func Figure6BindNext(c *mswf.Context) error {
+	v, _ := c.Get("SV_ItemList")
+	i, err := c.GetInt("Index")
+	if err != nil {
+		return err
+	}
+	row, err := v.(*dataset.DataSet).Table("Result").Row(int(i))
+	if err != nil {
+		return err
+	}
+	c.Set("CurrentItemID", row.MustGet("ItemID").S)
+	c.Set("CurrentItemQuantity", row.MustGet("Quantity").I)
+	c.Set("Index", i+1)
+	return nil
+}
+
+// Figure6HasMoreItems is Figure 6's while condition: SV_ItemList holds a
+// row at Index.
+func Figure6HasMoreItems(c *mswf.Context) (bool, error) {
+	v, ok := c.Get("SV_ItemList")
+	if !ok {
+		return false, nil
+	}
+	i, _ := c.GetInt("Index")
+	return int(i) < v.(*dataset.DataSet).Table("Result").Count(), nil
+}
+
+// Figure6Authorings registers on rt, by name, the code Figure 6's markup
+// names, and returns the workflow loaded from that markup and the same
+// workflow exported to BPEL and imported back. Both run with Index=0, on
+// a runtime that offers the OrderFromSupplier service.
+func Figure6Authorings(rt *mswf.Runtime) (markup, imported mswf.Activity, err error) {
+	rt.RegisterHandler("BindNext", Figure6BindNext)
+	rt.RegisterRule("HasMoreItems", Figure6HasMoreItems)
+	if markup, err = mswf.LoadXOML(figure6XOML); err != nil {
+		return nil, nil, err
+	}
+	doc, err := mswf.ExportBPEL("Figure6", markup)
+	if err != nil {
+		return nil, nil, err
+	}
+	imported, err = mswf.ImportBPEL(doc)
+	return markup, imported, err
+}
+
+// InfoCases implements InfoProver: Table I's WF modeling level "markup"
+// and workflow language "XOML (BPEL)", run as Figure 6 authored in
+// markup and as that markup after a BPEL round trip. Each confirms every
+// approved item type's total, as the code-only Figure 6 does.
+func (p *MicrosoftWF) InfoCases() []InfoCase {
+	run := func(bpel bool) func(env *Env) error {
+		return func(env *Env) error {
+			markup, imported, err := Figure6Authorings(env.Runtime)
+			if err != nil {
+				return err
+			}
+			wf := markup
+			if bpel {
+				wf = imported
+			}
+			if _, err := env.Runtime.Run(wf, map[string]any{"Index": 0}); err != nil {
+				return err
+			}
+			res, err := env.DB.Session().Query("SELECT ItemID, Quantity, Confirmation FROM OrderConfirmations ORDER BY ItemID")
+			if err != nil {
+				return err
+			}
+			const want = "[[bolt 15 CONFIRMED:bolt:15] [nut 3 CONFIRMED:nut:3] [screw 2 CONFIRMED:screw:2]]"
+			if got := fmt.Sprint(res.Rows); got != want {
+				return fmt.Errorf("confirmations %s, want %s", got, want)
+			}
+			return nil
+		}
+	}
+	return []InfoCase{
+		{"Modeling Level", "markup", run(false)},
+		{"Workflow Language", "XOML (BPEL)", run(true)},
+	}
+}
+
 // fillCache is the common Fill step used by the internal-data cases.
 func wfFillCache() *mswf.SQLDatabaseActivity {
 	return mswf.NewSQLDatabase("fill", ConnString,

@@ -199,6 +199,20 @@ type ConformanceCase struct {
 	Run       func(env *Env) error
 }
 
+// InfoCase is an executable proof of a Table I claim: Run drives the
+// product reproduction against a fresh environment and returns an error
+// if the claim's observable effect is not achieved.
+type InfoCase struct {
+	Row   string // the Table I row, e.g. "Workflow Language"
+	Claim string // the part of the row's text the case proves
+	Run   func(env *Env) error
+}
+
+// InfoProver is a Product some of whose Table I claims run as cases.
+type InfoProver interface {
+	InfoCases() []InfoCase
+}
+
 // Product is one surveyed workflow product reproduction.
 type Product interface {
 	// Info returns the Table I column for the product.

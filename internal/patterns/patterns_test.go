@@ -94,6 +94,26 @@ func TestConformanceExecutes(t *testing.T) {
 	}
 }
 
+// TestInfoCasesExecute runs the Table I claims WF proves by execution:
+// Figure 6 from markup, and after a BPEL export and import.
+func TestInfoCasesExecute(t *testing.T) {
+	cases := NewMicrosoftWF().InfoCases()
+	if len(cases) != 2 {
+		t.Fatalf("%d WF Table I cases, want 2", len(cases))
+	}
+	info := NewMicrosoftWF().Info()
+	for _, c := range cases {
+		if text := map[string]string{"Modeling Level": info.ModelingLevel, "Workflow Language": info.WorkflowLanguage}[c.Row]; !strings.Contains(text, c.Claim) {
+			t.Errorf("Table I %s reads %q, which does not claim %q", c.Row, text, c.Claim)
+		}
+		t.Run(c.Claim, func(t *testing.T) {
+			if err := c.Run(NewEnv()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestEveryPatternCoveredByEveryProduct checks the paper's expectation
 // that all nine patterns are realizable (abstractly or via workarounds) in
 // every product.
@@ -207,7 +227,7 @@ func TestVerifiedTableII(t *testing.T) {
 	text, failures := VerifiedTableII(Products())
 	if len(failures) != 0 {
 		for _, f := range failures {
-			t.Errorf("%s %s/%s: %v", f.Product, f.Mechanism, f.Pattern, f.Err)
+			t.Errorf("%s %s: %v", f.Product, f.Label(), f.Err)
 		}
 	}
 	if !strings.Contains(text, "TABLE II") {

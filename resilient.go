@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"wfsql/internal/bis"
-	"wfsql/internal/dataset"
 	"wfsql/internal/engine"
 	"wfsql/internal/mswf"
 	"wfsql/internal/orasoa"
+	"wfsql/internal/patterns"
 	"wfsql/internal/resilience"
 )
 
@@ -89,23 +89,6 @@ func (env *Environment) BuildFigure6WFResilient(cfg ResilienceConfig) mswf.Activ
 	sqlDatabase1 := mswf.NewSQLDatabase("SQLDatabase1", ConnString, aggregationSQL).
 		Into("SV_ItemList").Keys("ItemID").WithRetry(cfg.SQL)
 
-	bindNext := mswf.NewCode("bindNext", func(c *mswf.Context) error {
-		v, _ := c.Get("SV_ItemList")
-		ds := v.(*dataset.DataSet)
-		i, err := c.GetInt("Index")
-		if err != nil {
-			return err
-		}
-		row, err := ds.Table("Result").Row(int(i))
-		if err != nil {
-			return err
-		}
-		c.Set("CurrentItemID", row.MustGet("ItemID").S)
-		c.Set("CurrentItemQuantity", row.MustGet("Quantity").I)
-		c.Set("Index", i+1)
-		return nil
-	})
-
 	invoke := &mswf.InvokeWebServiceActivity{
 		ActivityName: "invoke",
 		ServiceName:  "OrderFromSupplier",
@@ -125,19 +108,10 @@ func (env *Environment) BuildFigure6WFResilient(cfg ResilienceConfig) mswf.Activ
 		Param("@conf", "OrderConfirmation").
 		WithRetry(cfg.SQL)
 
-	hasMore := func(c *mswf.Context) (bool, error) {
-		v, ok := c.Get("SV_ItemList")
-		if !ok {
-			return false, nil
-		}
-		i, _ := c.GetInt("Index")
-		return int(i) < v.(*dataset.DataSet).Table("Result").Count(), nil
-	}
-
 	return mswf.NewSequence("main",
 		sqlDatabase1,
-		mswf.NewWhile("while", hasMore,
-			mswf.NewSequence("loopBody", bindNext, invoke, sqlDatabase2)),
+		mswf.NewWhile("while", patterns.Figure6HasMoreItems,
+			mswf.NewSequence("loopBody", mswf.NewCode("bindNext", patterns.Figure6BindNext), invoke, sqlDatabase2)),
 	)
 }
 

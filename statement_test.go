@@ -10,10 +10,8 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -307,27 +305,27 @@ func TestStatementsRunOnTheInstanceSession(t *testing.T) {
 }
 
 // TestAdapterUpdateExcludesParallelBranches runs WF's Synchronization
-// pattern beside an INSERT in a ParallelActivity: both branches share the
-// instance's session. The INSERT branch waits until the adapter's Update
-// has begun its transaction; the Update then writes 2 000 rows and fails on
-// a duplicate key at the last, and rolls back. The INSERT runs after the
-// rollback, not inside the adapter's transaction, so its row stays.
+// pattern and then an INSERT, in sequence, in one instance: both run on
+// the instance's session. The adapter's Update writes 2 000 rows in its
+// transaction and fails on a duplicate key at the last, and rolls back;
+// the handler notes the failure and the workflow goes on. The INSERT then
+// commits on the same session, outside the rolled-back transaction, so
+// its row stays and none of the Update's does.
 func TestAdapterUpdateExcludesParallelBranches(t *testing.T) {
 	env := NewEnvironment(Workload{Orders: 12, Items: 3, ApprovalPercent: 100, Seed: 5})
 	const added = 2000
 	env.DB.MustExec("CREATE TABLE SyncProbe (k INTEGER PRIMARY KEY)")
 	env.DB.MustExec("INSERT INTO SyncProbe VALUES (?)", sqldb.Int(added)) // the key the last added row repeats
 	env.DB.MustExec("CREATE TABLE Beside (n INTEGER)")
-	var began, synced atomic.Bool
-	env.DB.SetStatsSink(func(st sqldb.StmtStats) {
-		if st.Kind == "BEGIN" {
-			began.Store(true)
+	var updateSession, insertSession int64
+	env.DB.SetChangeSink(func(c sqldb.Change) {
+		if strings.Contains(c.SQL, "Beside") {
+			insertSession = c.Session
 		}
 	})
-	defer env.DB.SetStatsSink(nil)
+	defer env.DB.SetChangeSink(nil)
 
 	update := mswf.NewCode("Update", func(c *mswf.Context) error {
-		defer synced.Store(true)
 		a, err := mswf.NewDataAdapter(c, ConnString, "SELECT k FROM SyncProbe WHERE k < 0", "SyncProbe", "k")
 		if err != nil {
 			return err
@@ -341,25 +339,24 @@ func TestAdapterUpdateExcludesParallelBranches(t *testing.T) {
 				return err
 			}
 		}
-		_, err = a.Update(ds, "Probe")
-		return err
-	})
-	awaitBegin := mswf.NewCode("AwaitBegin", func(*mswf.Context) error {
-		for !began.Load() && !synced.Load() {
-			runtime.Gosched()
+		run := a.Run
+		a.Run = func(op func(*sqldb.Session) error) error {
+			return run(func(s *sqldb.Session) error { updateSession = s.ID(); return op(s) })
 		}
+		_, err = a.Update(ds, "Probe")
+		c.Set("updateErr", fmt.Sprint(err))
 		return nil
 	})
-	root := &mswf.ParallelActivity{ActivityName: "par", Children: []mswf.Activity{
-		update,
-		mswf.NewSequence("beside", awaitBegin, mswf.NewSQLDatabase("Insert", ConnString, "INSERT INTO Beside VALUES (1)")),
-	}}
-	_, err := env.Runtime.RunCtx(context.Background(), root, nil)
-	if err == nil || !strings.Contains(err.Error(), "unique constraint") {
-		t.Fatalf("run = %v, want the Update's duplicate key", err)
+	root := mswf.NewSequence("seq", update, mswf.NewSQLDatabase("Insert", ConnString, "INSERT INTO Beside VALUES (1)"))
+	c, err := env.Runtime.RunCtx(context.Background(), root, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !began.Load() {
-		t.Fatal("the Update began no transaction")
+	if got := c.GetString("updateErr"); !strings.Contains(got, "unique constraint") {
+		t.Fatalf("Update = %s, want the duplicate key", got)
+	}
+	if updateSession == 0 || insertSession != updateSession {
+		t.Fatalf("the Update ran on session %d, the INSERT on %d: want one instance session", updateSession, insertSession)
 	}
 	for table, want := range map[string]int64{"SyncProbe": 1, "Beside": 1} {
 		if n := env.DB.MustExec("SELECT COUNT(*) FROM " + table).Rows[0][0].I; n != want {

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"wfsql/internal/mswf"
+	"wfsql/internal/patterns"
 )
 
 // TestRunningExampleEquivalence executes the paper's running example on
@@ -44,6 +47,41 @@ func TestRunningExampleEquivalence(t *testing.T) {
 					strings.Join(reference, "\n"), strings.Join(rows, "\n"))
 			}
 		})
+	}
+}
+
+// TestFigure6AuthoringsMatchCodeOnly runs Figure 6 as resilient.go builds
+// it in code, as internal/patterns loads it from markup, and as that
+// markup after a BPEL export and import, each on a fresh environment of
+// one workload: all three leave the same OrderConfirmations.
+func TestFigure6AuthoringsMatchCodeOnly(t *testing.T) {
+	w := Workload{Orders: 40, Items: 7, ApprovalPercent: 60, Seed: 42}
+	confirmations := func(build func(env *Environment) (mswf.Activity, error)) string {
+		t.Helper()
+		env := NewEnvironment(w)
+		wf, err := build(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := env.Runtime.Run(wf, map[string]any{"Index": 0}); err != nil {
+			t.Fatal(err)
+		}
+		if n := env.ConfirmationCount(); n != env.ApprovedItemTypes() || n == 0 {
+			t.Fatalf("%d confirmations for %d approved item types", n, env.ApprovedItemTypes())
+		}
+		return fmt.Sprint(env.DB.MustExec("SELECT ItemID, Quantity, Confirmation FROM OrderConfirmations ORDER BY ItemID").Rows)
+	}
+	code := confirmations(func(env *Environment) (mswf.Activity, error) { return env.BuildFigure6WF(), nil })
+	markup := confirmations(func(env *Environment) (mswf.Activity, error) {
+		wf, _, err := patterns.Figure6Authorings(env.Runtime)
+		return wf, err
+	})
+	imported := confirmations(func(env *Environment) (mswf.Activity, error) {
+		_, wf, err := patterns.Figure6Authorings(env.Runtime)
+		return wf, err
+	})
+	if markup != code || imported != code {
+		t.Fatalf("code-only %s\nmarkup    %s\nvia BPEL  %s", code, markup, imported)
 	}
 }
 

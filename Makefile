@@ -18,9 +18,10 @@ fmt:
 test:
 	$(GO) test ./...
 
-# Race-enabled run of everything; the concurrent variable test
-# (TestFlowConcurrentVariableAccess) and the chaos matrix are only
-# meaningful with the race detector on.
+# Race-enabled run of everything; the one-goroutine-per-instance tests
+# (TestFlowConcurrentVariableAccess: two instances' variables, no lock;
+# TestParallelSpanTreesMatchSerial: span parents under concurrency) and
+# the chaos matrix are only meaningful with the race detector on.
 race:
 	$(GO) test -race ./...
 
@@ -77,7 +78,10 @@ fuzz:
 # cmd/wfrun and cmd/bpelrun run on their testdata and write their span
 # traces (JSONL) and metrics snapshots; each trace must hold exactly one
 # instance span, of the expected stack, with a non-zero instance id that
-# every activity span carries; cmd/sqlsh runs a script whose
+# every activity span carries, and no other root span (a line without
+# "parent":, which JSONL omits when 0); a traced bpelrun of 8 instances
+# on 4 workers must have its 8 instance spans as its only roots;
+# cmd/sqlsh runs a script whose
 # cached SELECT and EXPLAIN must move onto an index created between two
 # executions; cmd/tables -verify and cmd/patterncheck execute every
 # conformance case.
@@ -89,6 +93,12 @@ smoke:
 	$(GO) run ./cmd/bpelrun -bpel cmd/bpelrun/testdata/figure4.bpel \
 		-seed cmd/bpelrun/testdata/seed.sql \
 		-trace "$$dir/bpelrun-trace.jsonl" -metrics "$$dir/bpelrun-metrics.json"; \
+	$(GO) run ./cmd/bpelrun -bpel cmd/bpelrun/testdata/figure4.bpel \
+		-seed cmd/bpelrun/testdata/seed.sql -instances 8 -parallel 4 \
+		-trace "$$dir/bpelrun-parallel-trace.jsonl"; \
+	f="$$dir/bpelrun-parallel-trace.jsonl"; \
+	[ "$$(grep -vc '"parent":' "$$f")" = 8 ] && [ "$$(grep -v '"parent":' "$$f" | grep -c '"kind":"instance"')" = 8 ] || \
+		{ echo "smoke: $$f: want the 8 instance spans as the only roots"; exit 1; }; \
 	for t in wfrun:WF bpelrun:BIS; do \
 		f="$$dir/$${t%%:*}-trace.jsonl"; \
 		[ "$$(grep -c '"kind":"instance"' "$$f")" = 1 ] || \
@@ -97,6 +107,8 @@ smoke:
 			{ echo "smoke: $$f: the instance span lacks stack $${t#*:} or an instance id"; exit 1; }; \
 		! grep '"kind":"activity"' "$$f" | grep -qvF "$$id," || \
 			{ echo "smoke: $$f: an activity span does not carry $$id"; exit 1; }; \
+		[ "$$(grep -vc '"parent":' "$$f")" = 1 ] || \
+			{ echo "smoke: $$f: want the instance span as the only root"; exit 1; }; \
 	done; \
 	$(GO) run ./cmd/sqlsh -f cmd/sqlsh/testdata/replan.sql > "$$dir/sqlsh.txt"; \
 	grep -q "INDEX PROBE Orders USING orders_cust" "$$dir/sqlsh.txt" || \

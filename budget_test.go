@@ -163,12 +163,12 @@ func TestAllocBudget(t *testing.T) {
 		objects float64
 		bytes   uint64
 	}{
-		{StackBIS, false, 240, 24746},    // 23 568 B measured (265, 27 904 with the row copied per cursor bind; 266, 28 088 with a copy of the input map per instance; 287 objects, 29 848 B with a session and its two maps minted per instance)
-		{StackBIS, true, 270, 29467},     // 28 064 B (295, 32 400 with the row copied per bind; 297, 32 632 with the input map copied; 318, 34 392; 353, 37 400 with a memo key built per save, an empty memo map per INSERT and a heap Record per typed append)
+		{StackBIS, false, 239, 24746},    // 23 656 B measured (240, 23 536 with the completion callbacks copied per instance and no parent span id in the invoke attempt closure; 265, 27 904 with the row copied per cursor bind; 266, 28 088 with a copy of the input map per instance; 287 objects, 29 848 B with a session and its two maps minted per instance)
+		{StackBIS, true, 269, 29467},     // 28 155 B (270, 28 032 with the callbacks copied; 295, 32 400 with the row copied per bind; 297, 32 632 with the input map copied; 318, 34 392; 353, 37 400 with a memo key built per save, an empty memo map per INSERT and a heap Record per typed append)
 		{StackWF, false, 143, 12397},     // 11 806 B (158, 12 854 with a session and its map minted per instance)
 		{StackWF, true, 189, 19419},      // 18 494 B (200, 19 096 with copies of the DataSet memo's rows and table names; 376, 28 694 with an xdm tree per DataSet memo and state snapshot)
-		{StackOracle, false, 228, 23856}, // 22 720 B (253, 26 828 with the row copied per bind; 254, 26 916 with the input map copied)
-		{StackOracle, true, 275, 32134},  // 30 604 B (300, 34 716 with the row copied per bind; 302, 34 852 with the input map copied; 338, 37 582)
+		{StackOracle, false, 228, 23856}, // 22 812 B (22 684 with no parent span id in the invoke attempt closure; 253, 26 828 with the row copied per bind; 254, 26 916 with the input map copied)
+		{StackOracle, true, 275, 32134},  // 30 700 B (30 576; 300, 34 716 with the row copied per bind; 302, 34 852 with the input map copied; 338, 37 582)
 	} {
 		name := tc.stack.Name
 		if tc.durable {

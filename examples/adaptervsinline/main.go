@@ -27,7 +27,7 @@ func main() {
 		log.Fatal(err)
 	}
 	adapterStats := env.DB.Stats()
-	adapterCalls := env.Bus.Calls()
+	adapterCalls := env.Bus.Attempts()
 
 	// SQL inline support: the same aggregation through a BIS SQL activity
 	// into a result set reference (no retrieve set — the process passes

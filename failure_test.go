@@ -213,8 +213,8 @@ func TestBusLatencyAffectsInvokeOnly(t *testing.T) {
 	if err := env.Run(StackBIS, ResilienceConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	if env.Bus.Calls() != int64(env.ApprovedItemTypes()) {
-		t.Fatalf("bus calls: %d, want %d", env.Bus.Calls(), env.ApprovedItemTypes())
+	if env.Bus.Attempts() != int64(env.ApprovedItemTypes()) {
+		t.Fatalf("bus calls: %d, want %d", env.Bus.Attempts(), env.ApprovedItemTypes())
 	}
 }
 

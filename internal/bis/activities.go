@@ -83,8 +83,6 @@ func (a *SQLActivity) Execute(ctx *engine.Ctx) error {
 		if err != nil {
 			return nil, nil
 		}
-		st.mu.Lock()
-		defer st.mu.Unlock()
 		return map[string]string{"table": ref.Table}, nil
 	}
 	restore := func(memo map[string]string) error {
@@ -98,9 +96,7 @@ func (a *SQLActivity) Execute(ctx *engine.Ctx) error {
 		if err != nil {
 			return err
 		}
-		st.mu.Lock()
 		ref.Table, ref.generated, ref.dataSource = memo["table"], true, st.dsvars[a.DataSource]
-		st.mu.Unlock()
 		return nil
 	}
 	return ctx.Inst.Effect(ctx.Span(), a.ActivityName, journal.EffectSQL,
@@ -188,9 +184,7 @@ func (a *SQLActivity) runOnce(ctx *engine.Ctx, st *state, sess *sqldb.Session, s
 	if err != nil {
 		return fmt.Errorf("%s: %w", a.ActivityName, err)
 	}
-	st.mu.Lock()
 	ref.Table, ref.generated, ref.dataSource = gen, true, st.dsvars[a.DataSource]
-	st.mu.Unlock()
 	return nil
 }
 

@@ -179,7 +179,7 @@ func (b *ProcessBuilder) Build() *engine.Process {
 			st.dsvars[k] = v
 		}
 		st.jrec = ctx.Engine.Journal()
-		st.instID = ctx.Inst.ID
+		st.inst = ctx.Inst
 		ctx.Inst.SetContext(stateKey, st)
 
 		// Preparation statements run before the body, outside the process
@@ -227,23 +227,27 @@ func runLifecycleStatement(ctx *engine.Ctx, st *state, stmt dsStatement, ref *Se
 	if err != nil {
 		return err
 	}
+	// Lifecycle statements deliberately bypass the instance's session
+	// (host.Instance.SQL): entity management must be independent of the
+	// process transaction, so each runs on a fresh single-statement
+	// session that never holds transaction state, its span parented at
+	// the instance span. Everything else the stack executes goes through
+	// the instance session.
+	sess := db.Session()
+	sess.SetSpanParent(ctx.Span().SpanID())
 	if ref != nil && stmt.sql == "" {
-		_, err = db.Session().DropTable(ref.Table, true)
+		_, err = sess.DropTable(ref.Table, true)
 		return err
 	}
 	sql := stmt.sql
 	if ref != nil {
 		sql = strings.ReplaceAll(sql, "{TABLE}", ref.Table)
 	}
-	// Lifecycle statements deliberately bypass the instance's session
-	// (host.Instance.SQL): entity management must be independent of the
-	// process transaction, so each runs on a fresh single-statement
-	// session that never holds transaction state. Everything else the
-	// stack executes goes through the instance session. They also bypass
-	// the shared plan cache: the substituted {TABLE} name is unique to
-	// this instance, so the text can never hit — a one-shot prepared
-	// statement avoids churning the LRU with dead entries.
-	ps, err := db.Session().Prepare(sql)
+	// They also bypass the shared plan cache: the substituted {TABLE}
+	// name is unique to this instance, so the text can never hit — a
+	// one-shot prepared statement avoids churning the LRU with dead
+	// entries.
+	ps, err := sess.Prepare(sql)
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"wfsql/internal/engine"
 	"wfsql/internal/journal"
@@ -60,9 +59,9 @@ type SetRef struct {
 
 // state is the per-instance BIS runtime state. Its SQL runs on the
 // instance's session per database (host.Instance.SQL); txns lists those
-// sessions in a transaction the state opened.
+// sessions in a transaction the state opened. Like its instance, it is
+// touched only on the instance's goroutine and holds no lock.
 type state struct {
-	mu     sync.Mutex
 	refs   map[string]*SetRef
 	dsvars map[string]string // data source variable -> data source name
 	txns   []*sqldb.Session
@@ -73,8 +72,8 @@ type state struct {
 	// boundaries (BEGIN/COMMIT/ROLLBACK) are written ahead so recovery
 	// knows which SQL memos are durable (committed) and which belong
 	// to a unit of work that must re-run as a whole.
-	jrec   *journal.Recorder
-	instID int64
+	jrec *journal.Recorder
+	inst *engine.Instance // its ID keys the records; its SQL runs the COMMITs
 }
 
 // journalTxn appends a transaction-boundary record (best effort).
@@ -82,7 +81,7 @@ func (st *state) journalTxn(kind journal.Kind, label string) {
 	if st.jrec == nil {
 		return
 	}
-	_ = st.jrec.Txn(st.instID, kind, label)
+	_ = st.jrec.Txn(st.inst.ID, kind, label)
 }
 
 func getState(ctx *engine.Ctx) (*state, error) {
@@ -99,8 +98,6 @@ func SetReference(ctx *engine.Ctx, name string) (*SetRef, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	r, ok := st.refs[name]
 	if !ok {
 		return nil, fmt.Errorf("bis: no set reference %s", name)
@@ -115,9 +112,6 @@ func BindSetReference(ctx *engine.Ctx, name, table string) error {
 	if err != nil {
 		return err
 	}
-	st, _ := getState(ctx)
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	r.Table = table
 	return nil
 }
@@ -133,8 +127,6 @@ func RebindDataSource(ctx *engine.Ctx, dsVar, dataSource string) error {
 	if _, err := ctx.Engine.DataSource(dataSource); err != nil {
 		return err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	if _, ok := st.dsvars[dsVar]; !ok {
 		return fmt.Errorf("bis: no data source variable %s", dsVar)
 	}
@@ -144,9 +136,7 @@ func RebindDataSource(ctx *engine.Ctx, dsVar, dataSource string) error {
 
 // resolveDB resolves a data source variable to its database.
 func (st *state) resolveDB(ctx *engine.Ctx, dsVar string) (*sqldb.DB, error) {
-	st.mu.Lock()
 	dsName, ok := st.dsvars[dsVar]
-	st.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("bis: no data source variable %s", dsVar)
 	}
@@ -163,8 +153,6 @@ func (st *state) resolveDB(ctx *engine.Ctx, dsVar string) (*sqldb.DB, error) {
 //     atomic SQL sequence, which opens a transaction that the sequence
 //     commits (or rolls back on fault).
 func (st *state) begin(s *sqldb.Session) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	needTxn := st.mode == engine.ShortRunning || st.atomic > 0
 	if needTxn && !s.InTransaction() {
 		if _, err := s.Exec("BEGIN"); err == nil {
@@ -178,13 +166,11 @@ func (st *state) begin(s *sqldb.Session) {
 // surrounding transaction (short-running process or open atomic region) —
 // the condition under which per-statement retries are suppressed.
 func (st *state) transactional() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	return st.mode == engine.ShortRunning || st.atomic > 0
 }
 
 // modeLabel describes the reason SQL statements are transactional right
-// now (caller holds st.mu).
+// now.
 func (st *state) modeLabel() string {
 	if st.mode == engine.ShortRunning {
 		return "short-running"
@@ -197,8 +183,6 @@ func (st *state) modeLabel() string {
 
 // enterAtomic begins an atomic SQL sequence region.
 func (st *state) enterAtomic() {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	st.atomic++
 }
 
@@ -209,8 +193,6 @@ func (st *state) enterAtomic() {
 // nothing and journals nothing, and the instance's end rolls back its
 // sessions' open transactions, as the server would for dead connections.
 func (st *state) exitAtomic(fault error) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	st.atomic--
 	if journal.IsCrash(fault) {
 		return nil
@@ -218,26 +200,26 @@ func (st *state) exitAtomic(fault error) error {
 	if st.mode == engine.ShortRunning || st.atomic > 0 {
 		return nil
 	}
-	return st.endTxnsLocked(fault, "atomic-sequence")
+	return st.endTxns(fault, "atomic-sequence")
 }
 
 // finish ends all open process-wide transactions at instance completion.
 func (st *state) finish(fault error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	_ = st.endTxnsLocked(fault, "short-running")
+	_ = st.endTxns(fault, "short-running")
 }
 
-// endTxnsLocked commits (on fault, rolls back) every open transaction and
+// endTxns commits (on fault, rolls back) every open transaction and
 // journals how each ended, under label; it reports the first failed
-// COMMIT. Caller holds st.mu.
-func (st *state) endTxnsLocked(fault error, label string) error {
+// COMMIT. A COMMIT is an instance statement (host.Instance.SQL), so its
+// span is parented at the activity that ends the transaction, or at the
+// instance span at completion.
+func (st *state) endTxns(fault error, label string) error {
 	var firstErr error
 	for _, s := range st.txns {
 		if fault != nil {
 			s.Rollback()
 			st.journalTxn(journal.KindTxnRollback, label)
-		} else if _, err := s.Exec("COMMIT"); err != nil {
+		} else if err := st.inst.SQL(s.DB(), nil, commit); err != nil {
 			// A failed commit leaves the transaction in doubt; resolve
 			// it by rolling back so a unit-of-work retry starts from a
 			// clean state instead of replaying on top of live changes.
@@ -253,6 +235,12 @@ func (st *state) endTxnsLocked(fault error, label string) error {
 	clear(st.txns)
 	st.txns = st.txns[:0]
 	return firstErr
+}
+
+// commit is endTxns' statement on an instance session.
+func commit(s *sqldb.Session) error {
+	_, err := s.Exec("COMMIT")
+	return err
 }
 
 // substituteSQL renders a statement split at its #name# markers (even
@@ -274,9 +262,7 @@ func substituteSQL(ctx *engine.Ctx, st *state, sql string, parts []string) (stri
 			out.WriteString(name)
 			continue
 		}
-		st.mu.Lock()
 		ref, isRef := st.refs[name]
-		st.mu.Unlock()
 		if isRef {
 			if ref.Table == "" {
 				return "", nil, fmt.Errorf("bis: set reference %s is not bound to a table", name)

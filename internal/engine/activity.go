@@ -365,12 +365,16 @@ func (iv *Invoke) executeLive(ctx *Ctx) error {
 }
 
 // call performs the bus invocation under the configured policy/breaker.
+// An attempt may run on a helper goroutine (PerAttemptTimeout), so it
+// reads no instance state but what was fixed before it started: the
+// budget, the bus and the id of the span its bus span is parented at.
 func (iv *Invoke) call(ctx *Ctx, req wsbus.Message) (wsbus.Message, error) {
+	parent := ctx.span.SpanID()
 	attempt := func(n int) (wsbus.Message, error) {
 		if iv.Breaker != nil && !iv.Breaker.Allow() {
 			return nil, resilience.RefusedError(iv.Service)
 		}
-		return ctx.Engine.Bus.InvokeCtx(ctx.Context(), iv.Service, req)
+		return ctx.Engine.Bus.InvokeCtx(ctx.Context(), parent, iv.Service, req)
 	}
 	if iv.Retry == nil && iv.Breaker == nil {
 		return attempt(1)

@@ -219,13 +219,10 @@ func (d *Deployment) RunCtx(ctx context.Context, input map[string]string) (*Inst
 
 // executeCtx runs an instance's body under an execution budget.
 func (e *Engine) executeCtx(runCtx context.Context, in *Instance) error {
-	in.mu.Lock()
 	if in.state != StateReady {
-		in.mu.Unlock()
 		return fmt.Errorf("engine: instance %d already %s", in.ID, in.state)
 	}
 	in.state = StateRunning
-	in.mu.Unlock()
 
 	span := e.Begin(&in.Instance, runCtx, in.Process.Name, in.Process.Stack)
 	span.Set("mode", in.Process.Mode.String())
@@ -246,28 +243,17 @@ func (e *Engine) executeCtx(runCtx context.Context, in *Instance) error {
 	// back, which rolls back what the database would when the process's
 	// connections die: its open transactions.
 	if journal.IsCrash(err) {
-		in.mu.Lock()
-		in.state = StateCrashed
-		in.fault = err
-		in.mu.Unlock()
+		in.state, in.fault = StateCrashed, err
 		return in.End(err)
 	}
-
-	in.mu.Lock()
-	callbacks := append([]func(error){}, in.done...)
-	in.mu.Unlock()
-	for i := len(callbacks) - 1; i >= 0; i-- {
-		callbacks[i](err)
+	for i := len(in.done) - 1; i >= 0; i-- {
+		in.done[i](err)
 	}
-
-	in.mu.Lock()
 	if err != nil {
-		in.state = StateFaulted
-		in.fault = err
+		in.state, in.fault = StateFaulted, err
 	} else {
 		in.state = StateCompleted
 	}
-	in.mu.Unlock()
 	return in.End(err)
 }
 

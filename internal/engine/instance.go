@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 
 	"wfsql/internal/host"
 	"wfsql/internal/obsv"
@@ -44,17 +43,16 @@ func (s InstanceState) String() string {
 }
 
 // Instance is one execution of a deployed process. The embedded
-// host.Instance holds its ID, journal and observability record.
+// host.Instance holds its ID, journal and observability record. Like it,
+// an Instance runs on one goroutine and holds no lock: its state, fault,
+// context and variables are read elsewhere only after its run returns.
 type Instance struct {
 	host.Instance
 	Process *Process
 	Engine  *Engine
 
-	// vars is fixed by newInstance and only read after, so lookups take
-	// no lock; each Variable keeps its own.
-	vars map[string]*Variable
+	vars map[string]*Variable // fixed by newInstance
 
-	mu      sync.Mutex
 	state   InstanceState
 	fault   error
 	context map[string]any // product-layer state (set references, ...)
@@ -69,18 +67,10 @@ type Instance struct {
 }
 
 // State returns the instance state.
-func (in *Instance) State() InstanceState {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.state
-}
+func (in *Instance) State() InstanceState { return in.state }
 
 // Fault returns the fault that terminated the instance, if any.
-func (in *Instance) Fault() error {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.fault
-}
+func (in *Instance) Fault() error { return in.fault }
 
 // Variable returns the named process variable.
 func (in *Instance) Variable(name string) (*Variable, error) {
@@ -101,16 +91,10 @@ func (in *Instance) MustVariable(name string) *Variable {
 }
 
 // SetContext stores product-layer state under a key.
-func (in *Instance) SetContext(key string, value any) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.context[key] = value
-}
+func (in *Instance) SetContext(key string, value any) { in.context[key] = value }
 
 // Context retrieves product-layer state.
 func (in *Instance) Context(key string) (any, bool) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	v, ok := in.context[key]
 	return v, ok
 }
@@ -118,11 +102,7 @@ func (in *Instance) Context(key string) (any, bool) {
 // OnComplete registers a callback invoked when the instance finishes
 // (err is the fault, or nil). Product layers use this for end-of-process
 // transaction handling and cleanup statements.
-func (in *Instance) OnComplete(fn func(err error)) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.done = append(in.done, fn)
-}
+func (in *Instance) OnComplete(fn func(err error)) { in.done = append(in.done, fn) }
 
 // Ctx is the execution context passed to activities.
 type Ctx struct {

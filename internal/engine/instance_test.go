@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"wfsql/internal/xdm"
+	"wfsql/internal/xpath"
 )
 
 func TestCtxHelpersAndContextStore(t *testing.T) {
@@ -78,46 +79,60 @@ func TestGetVariableDataBuiltin(t *testing.T) {
 	}
 }
 
-// TestFlowConcurrentVariableAccess: a variable read and written from
-// many goroutines at once — lookups, scalar and document writes, string
-// and XPath reads — never yields a torn value. Meaningful under -race,
-// where it fails without Variable's lock.
+// TestFlowConcurrentVariableAccess: two instances of one deployment run
+// at once, each on its own goroutine, writing and reading their own
+// variables — lookups, scalar and document writes, string, Node and
+// XPath reads — and each reads back only what it wrote. Variables hold
+// no lock (an instance runs on one goroutine), so under -race this fails
+// if two instances share a variable or anything a variable reaches.
 func TestFlowConcurrentVariableAccess(t *testing.T) {
-	d, err := New(nil).Deploy(&Process{Name: "conc", Body: &Empty{ActivityName: "e"},
-		Variables: []VarDecl{{Name: "shared", Kind: ScalarVar, Init: "0"}}})
+	n := xpath.MustCompile("$doc/n")
+	d, err := New(nil).Deploy(&Process{Name: "conc",
+		Variables: []VarDecl{{Name: "id", Kind: ScalarVar}, {Name: "s", Kind: ScalarVar}, {Name: "doc", Kind: XMLVar, InitXML: "<v/>"}},
+		Body: NewSnippet("rw", func(ctx *Ctx) error {
+			id := ctx.Inst.MustVariable("id").String()
+			for j := 0; j < 200; j++ {
+				want := id + strconv.Itoa(j)
+				if err := ctx.SetScalar("s", want); err != nil {
+					return err
+				}
+				if got := ctx.Inst.MustVariable("s").String(); got != want {
+					return fmt.Errorf("scalar read %q, wrote %q", got, want)
+				}
+				doc := ctx.Inst.MustVariable("doc")
+				if j%2 == 0 {
+					doc.SetNode(xdm.MustParse("<v><n>" + want + "</n></v>"))
+				} else {
+					doc.Node().FirstChildElement("n").SetText(want)
+				}
+				if x, err := ctx.EvalXPath(n); err != nil || x.AsString() != want {
+					return fmt.Errorf("XPath read %q (%v), wrote %q", x.AsString(), err, want)
+				}
+			}
+			return nil
+		})})
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := d.NewInstance(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := xdm.MustParse("<v>doc</v>")
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	ins := make([]*Instance, 2)
+	errs := make([]error, 2)
+	for g, id := range []string{"a", "b"} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := 0; j < 200; j++ {
-				v := in.MustVariable("shared")
-				if g%2 == 0 {
-					v.SetString(fmt.Sprint(j))
-				} else {
-					v.SetNode(doc)
-				}
-				s := v.String()
-				if _, err := strconv.Atoi(s); err != nil && s != "doc" {
-					t.Errorf("torn read %q", s)
-					return
-				}
-				if x := v.XPathValue(); x.AsString() == "" {
-					t.Error("empty XPath read")
-					return
-				}
-			}
+			ins[g], errs[g] = d.Run(map[string]string{"id": id})
 		}()
 	}
 	wg.Wait()
+	for g, id := range []string{"a", "b"} {
+		if errs[g] != nil {
+			t.Fatalf("instance %s: %v", id, errs[g])
+		}
+		if got := ins[g].MustVariable("s").String(); got != id+"199" {
+			t.Errorf("instance %s ends with s = %q", id, got)
+		}
+	}
 }
 
 func TestFaultUnwrap(t *testing.T) {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
-	"sync"
 
 	"wfsql/internal/rowset"
 	"wfsql/internal/xdm"
@@ -34,9 +33,8 @@ const (
 	ScalarVar
 )
 
-// Variable is a process variable instance. All accessors lock the
-// variable, so a reader on another goroutine than the instance's never
-// sees a torn value (last-writer-wins).
+// Variable is a process variable instance. It belongs to its instance,
+// which runs on one goroutine, and holds no lock.
 //
 // A cursor's bind (CursorLoop) stores a row of the set variable's
 // document without copying it: the current variable borrows the row and
@@ -48,7 +46,6 @@ const (
 type Variable struct {
 	Name string
 
-	mu     sync.Mutex
 	kind   VarKind
 	node   *xdm.Node
 	scalar string
@@ -79,60 +76,39 @@ func NewScalarVariable(name, value string) *Variable {
 }
 
 // Kind returns the variable's current kind.
-func (v *Variable) Kind() VarKind {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.kind
-}
+func (v *Variable) Kind() VarKind { return v.kind }
 
 // Node returns the XML document of an XML variable (nil for scalars),
 // which the caller may write: a borrowed row is copied first and the
 // variable owns the copy, so later calls return it; the borrowers of a
 // lent document copy their rows first.
 func (v *Variable) Node() *xdm.Node {
-	v.mu.Lock()
-	n, lender := v.node, v.lender
-	if lender != nil {
-		n = n.Clone()
-		v.setNode(n)
+	if lender := v.lender; lender != nil {
+		v.setNode(v.node.Clone())
 		v.lender = nil
-	}
-	v.mu.Unlock()
-	if lender != nil {
 		lender.release(v)
 	}
-	for {
-		v.mu.Lock()
-		k := len(v.borrowers)
-		if k == 0 {
-			v.mu.Unlock()
-			return n
-		}
-		b := v.borrowers[k-1]
-		v.borrowers = v.borrowers[:k-1]
-		v.mu.Unlock()
+	for _, b := range v.borrowers {
 		b.own(v)
 	}
+	clear(v.borrowers)
+	v.borrowers = v.borrowers[:0]
+	return v.node
 }
 
 // doc returns the XML document without copying anything: the engine's
 // own readers (the cursor's read of its set, journal saves,
 // getVariableData), which never write through it.
-func (v *Variable) doc() *xdm.Node {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.node
-}
+func (v *Variable) doc() *xdm.Node { return v.node }
 
 // SetNode replaces the variable's content with an XML document.
 func (v *Variable) SetNode(n *xdm.Node) {
-	v.replace(func() { v.setNode(n) })
+	v.drop()
+	v.setNode(n)
 }
 
 // String returns the variable's string value (text content for XML).
 func (v *Variable) String() string {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if v.kind == XMLVar {
 		if v.node == nil {
 			return ""
@@ -144,31 +120,26 @@ func (v *Variable) String() string {
 
 // SetString replaces the variable's content with a scalar string.
 func (v *Variable) SetString(s string) {
-	v.replace(func() {
-		v.kind = ScalarVar
-		v.scalar = s
-		v.node = nil
-		v.nodeSet = nil
-	})
+	v.drop()
+	v.kind = ScalarVar
+	v.scalar = s
+	v.node = nil
+	v.nodeSet = nil
 }
 
-// replace runs set under the lock and drops every borrow of the old
-// content without copying: a borrower keeps its lender, so it still
-// copies before a write, and the old document has no other writer.
-func (v *Variable) replace(set func()) {
-	v.mu.Lock()
-	lender := v.lender
-	v.lender = nil
+// drop forgets every borrow of the content about to be replaced, copying
+// nothing: a borrower keeps its lender, so it still copies before a
+// write, and the old document has no other writer.
+func (v *Variable) drop() {
+	if v.lender != nil {
+		v.lender.release(v)
+		v.lender = nil
+	}
 	clear(v.borrowers)
 	v.borrowers = v.borrowers[:0]
-	set()
-	v.mu.Unlock()
-	if lender != nil {
-		lender.release(v)
-	}
 }
 
-// setNode stores an owned document; v.mu is held or v is unshared.
+// setNode stores an owned document.
 func (v *Variable) setNode(n *xdm.Node) {
 	v.kind = XMLVar
 	v.node = n
@@ -184,41 +155,27 @@ func (v *Variable) setNode(n *xdm.Node) {
 // borrowed, and reports whether there is one. A set that is itself
 // borrowed, or a cursor bound into its own set, gets a copy.
 func bindRow(set, cur *Variable, i int) bool {
-	set.mu.Lock()
 	var row *xdm.Node
 	if set.node != nil {
 		row = rowset.Row(set.node, i)
 	}
-	lend := row != nil && set.lender == nil && set != cur
-	if lend && !slices.Contains(set.borrowers, cur) {
-		set.borrowers = append(set.borrowers, cur)
-	}
-	set.mu.Unlock()
 	switch {
 	case row == nil:
 		return false
-	case !lend:
+	case set.lender != nil || set == cur:
 		cur.SetNode(row.Clone())
 		return true
 	}
-	cur.mu.Lock()
-	old := cur.lender
-	clear(cur.borrowers)
-	cur.borrowers = cur.borrowers[:0]
+	cur.drop()
 	cur.setNode(row)
 	cur.lender = set
-	cur.mu.Unlock()
-	if old != nil && old != set {
-		old.release(cur)
-	}
+	set.borrowers = append(set.borrowers, cur)
 	return true
 }
 
 // own makes v copy the row it borrows from lender, unless it has
 // rebound since.
 func (v *Variable) own(lender *Variable) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if v.lender == lender {
 		v.setNode(v.node.Clone())
 		v.lender = nil
@@ -227,8 +184,6 @@ func (v *Variable) own(lender *Variable) {
 
 // release forgets borrower b.
 func (v *Variable) release(b *Variable) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if i := slices.Index(v.borrowers, b); i >= 0 {
 		v.borrowers = slices.Delete(v.borrowers, i, i+1)
 	}
@@ -247,8 +202,6 @@ func (v *Variable) Int() (int64, error) {
 // XPathValue exposes the variable to XPath: XML variables become
 // single-node node-sets, scalars become strings.
 func (v *Variable) XPathValue() xpath.Value {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if v.kind == XMLVar {
 		return xpath.Value{Kind: xpath.KindNodeSet, Nodes: v.nodeSet}
 	}

@@ -178,7 +178,6 @@ func (h *Host) Begin(r *Instance, budget context.Context, name, stack string) *o
 	if r.span = t.Start(0, obsv.KindInstance, name); r.span != nil {
 		r.span.Stack = stack
 		r.span.Instance = r.ID
-		t.SetAmbient(r.span.ID)
 	}
 	return r.span
 }
@@ -195,8 +194,8 @@ type Activity struct {
 // Enter opens the boundary of activity name under parent. An expired
 // budget refuses the activity before it starts: the error wraps
 // ErrBudgetExceeded and the context's error, and no span is opened.
-// While the activity runs, its span is the tracer's ambient parent and
-// the instance's Current span; Exit hands both back to parent.
+// While the activity runs, its span is the instance's Current span; Exit
+// hands that back to parent.
 func (r *Instance) Enter(parent *obsv.Span, name string) (Activity, error) {
 	if err := r.Budget().Err(); err != nil {
 		r.ctr.deadlineExpired.Inc()
@@ -210,7 +209,6 @@ func (r *Instance) Enter(parent *obsv.Span, name string) (Activity, error) {
 	}
 	sp.Stack = r.span.Stack
 	sp.Instance = r.ID
-	t.SetAmbient(sp.ID)
 	r.current = sp
 	return Activity{Span: sp, parent: parent}, nil
 }
@@ -223,7 +221,6 @@ func (r *Instance) Exit(a Activity, err error) error {
 	if a.Span == nil {
 		return err
 	}
-	r.obs.T().SetAmbient(a.parent.SpanID())
 	r.current = a.parent
 	switch {
 	case err == nil:
@@ -243,7 +240,6 @@ func (r *Instance) Exit(a Activity, err error) error {
 // append fails an otherwise successful run: the journal still lists the
 // instance in flight, and recovery would run it again.
 func (r *Instance) End(err error) error {
-	r.obs.T().SetAmbient(0)
 	for _, s := range r.sessions {
 		s.Release()
 	}
@@ -295,7 +291,7 @@ func (r *Instance) Effect(span *obsv.Span, activity, effectKind string, effect f
 // statement; End hands it back, rolling back a transaction still open
 // (the database's view of a process that died mid-transaction). Every
 // statement of the instance on db runs on that session, on the
-// instance's goroutine.
+// instance's goroutine, and its span is parented at the Current span.
 //
 // With a policy, a failed op re-runs under it on the same session, noting
 // attempts and backoff on the current activity span; each re-run counts in
@@ -303,6 +299,7 @@ func (r *Instance) Effect(span *obsv.Span, activity, effectKind string, effect f
 // ErrBudgetExceeded.
 func (r *Instance) SQL(db *sqldb.DB, p *resilience.Policy, op func(*sqldb.Session) error) error {
 	s := r.session(db)
+	s.SetSpanParent(r.Current().SpanID())
 	var err error
 	if p == nil {
 		err = op(s)

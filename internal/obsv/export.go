@@ -139,12 +139,7 @@ func (j *JSONLWriter) ExportSpan(s *Span) {
 	if j.err != nil {
 		return
 	}
-	// Encode under the span mutex so concurrent Set calls cannot race
-	// the serialization of Attrs.
-	s.mu.Lock()
-	err := j.enc.Encode(s)
-	s.mu.Unlock()
-	if err != nil {
+	if err := j.enc.Encode(s); err != nil {
 		j.err = err
 	}
 }
@@ -172,7 +167,6 @@ func (l *ActivityLog) ExportSpan(s *Span) {
 	if s.Kind != KindActivity {
 		return
 	}
-	s.mu.Lock()
 	line := fmt.Sprintf("  [%d] %-30s %s", s.Instance, s.Name, s.Outcome)
 	keys := make([]string, 0, len(s.Attrs))
 	for k := range s.Attrs {
@@ -182,7 +176,6 @@ func (l *ActivityLog) ExportSpan(s *Span) {
 	for _, k := range keys {
 		line += " " + k + "=" + s.Attrs[k]
 	}
-	s.mu.Unlock()
 	l.mu.Lock()
 	fmt.Fprintln(l.w, line)
 	l.mu.Unlock()

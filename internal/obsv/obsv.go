@@ -48,9 +48,9 @@ const (
 
 // Span is one timed node in the trace tree. Spans are created by
 // Tracer.Start and closed by (*Span).End; between those calls attributes
-// may be attached with Set. A Span's fields are owned by the goroutine
-// that runs the spanned work — concurrent Set calls on the same span are
-// guarded by the span's own mutex so Flow branches can annotate safely.
+// may be attached with Set. A Span is owned by the goroutine that runs
+// the spanned work and holds no lock: only that goroutine writes it, and
+// nothing writes it once End has handed it to the sinks.
 type Span struct {
 	ID       uint64            `json:"id"`
 	Parent   uint64            `json:"parent,omitempty"`
@@ -64,7 +64,6 @@ type Span struct {
 	Attrs    map[string]string `json:"attrs,omitempty"`
 
 	tracer *Tracer
-	mu     sync.Mutex
 	ended  bool
 }
 
@@ -73,14 +72,12 @@ func (s *Span) Set(key, value string) *Span {
 	if s == nil {
 		return s
 	}
-	s.mu.Lock()
 	if s.Attrs == nil {
 		// Pre-size for the typical attribute count (the sqldb statement
 		// spans set up to seven) so the map never rehashes mid-span.
 		s.Attrs = make(map[string]string, 8)
 	}
 	s.Attrs[key] = value
-	s.mu.Unlock()
 	return s
 }
 
@@ -89,9 +86,7 @@ func (s *Span) SetOutcome(o Outcome) *Span {
 	if s == nil {
 		return s
 	}
-	s.mu.Lock()
 	s.Outcome = o
-	s.mu.Unlock()
 	return s
 }
 
@@ -118,9 +113,7 @@ func (s *Span) End(o Outcome) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
 	if s.ended {
-		s.mu.Unlock()
 		return
 	}
 	s.ended = true
@@ -130,15 +123,14 @@ func (s *Span) End(o Outcome) {
 	} else if s.Outcome == "" {
 		s.Outcome = OutcomeOK
 	}
-	t := s.tracer
-	s.mu.Unlock()
-	if t != nil {
-		t.export(s)
+	if s.tracer != nil {
+		s.tracer.export(s)
 	}
 }
 
 // SpanSink receives finished spans. Implementations must be safe for
-// concurrent use; Flow branches end spans from multiple goroutines.
+// concurrent use: instances on different goroutines end spans into one
+// sink.
 type SpanSink interface {
 	ExportSpan(*Span)
 }
@@ -149,10 +141,9 @@ type SpanSink interface {
 // Start returns a nil span and every Span method no-ops — so call sites
 // never need to guard on whether observability is attached.
 type Tracer struct {
-	mu      sync.Mutex                 // serializes sink-list writers
-	sinks   atomic.Pointer[[]SpanSink] // copy-on-write: export reads lock- and alloc-free
-	nextID  atomic.Uint64
-	ambient atomic.Uint64 // fallback parent for context-free layers (orasoa)
+	mu     sync.Mutex                 // serializes sink-list writers
+	sinks  atomic.Pointer[[]SpanSink] // copy-on-write: export reads lock- and alloc-free
+	nextID atomic.Uint64
 }
 
 // NewTracer returns a tracer exporting to the given sinks.
@@ -203,28 +194,6 @@ func (t *Tracer) StartAt(parent uint64, kind SpanKind, name string, start time.T
 		s.Start = start
 	}
 	return s
-}
-
-// SetAmbient records a fallback parent span id for layers that have no
-// context threading (the Oracle extension functions are invoked from
-// inside XPath evaluation, far from any engine Ctx). The engine sets the
-// ambient id to the current activity span while executing it; Start sites
-// without an explicit parent use Ambient(). Exact for the sequential
-// figure runs; concurrent Flow branches may interleave, which is
-// acceptable for a fallback.
-func (t *Tracer) SetAmbient(id uint64) {
-	if t == nil {
-		return
-	}
-	t.ambient.Store(id)
-}
-
-// Ambient returns the current fallback parent id.
-func (t *Tracer) Ambient() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.ambient.Load()
 }
 
 func (t *Tracer) export(s *Span) {

@@ -71,21 +71,6 @@ func TestSpanEndIdempotentAndNilSafety(t *testing.T) {
 	if ns.SpanID() != 0 || ns.Duration() != 0 {
 		t.Fatal("nil span methods should no-op")
 	}
-	nt.SetAmbient(7)
-	if nt.Ambient() != 0 {
-		t.Fatal("nil tracer ambient should be 0")
-	}
-}
-
-func TestTracerAmbient(t *testing.T) {
-	tr := NewTracer()
-	if tr.Ambient() != 0 {
-		t.Fatal("fresh tracer ambient must be 0")
-	}
-	tr.SetAmbient(42)
-	if tr.Ambient() != 42 {
-		t.Fatalf("ambient = %d", tr.Ambient())
-	}
 }
 
 func TestCountersAndHistograms(t *testing.T) {

@@ -45,9 +45,10 @@ type Functions struct {
 // SetObservability attaches (or with nil detaches) a tracing/metrics
 // bundle: every extension-function call then increments ora.calls and
 // ora.calls.<function>. The SQL statements the functions execute are
-// traced by the database itself (sqldb.DB.SetObservability), with their
-// spans parented under the tracer's ambient span — the assign activity
-// whose XPath expression invoked the function.
+// traced by the database itself (sqldb.DB.SetObservability) and run on
+// the calling instance's session (host.Instance.SQL), so their spans are
+// parented at the assign activity whose XPath expression invoked the
+// function.
 func (f *Functions) SetObservability(o *obsv.Observability) {
 	f.mu.Lock()
 	f.obs = o

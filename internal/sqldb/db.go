@@ -495,14 +495,16 @@ func (db *DB) Lease() *Session {
 }
 
 // Release ends a lease. A session still in an explicit transaction is
-// rolled back and dropped; any other has its budget unbound and is kept
-// for the next Lease (up to idleSessions per database).
+// rolled back and dropped; any other has its budget unbound and its span
+// parent cleared, and is kept for the next Lease (up to idleSessions per
+// database).
 func (s *Session) Release() {
 	if s.InTransaction() {
 		s.Rollback()
 		return
 	}
 	s.BindContext(nil)
+	s.spanParent = 0
 	db := s.db
 	db.idleMu.Lock()
 	if len(db.idle) < idleSessions {

@@ -16,10 +16,10 @@ import (
 //
 // The workflow layers follow a one-session-per-instance contract; a
 // session serializes its own top-level statements with an internal mutex,
-// so parallel Flow branches of one instance sharing the instance session
-// are safe (their statements interleave, they do not corrupt session
-// state). Distinct instances must still use distinct sessions — an open
-// transaction belongs to the whole session, not to a goroutine.
+// so goroutines sharing a session are safe (their statements interleave,
+// they do not corrupt session state). Distinct instances must still use
+// distinct sessions — an open transaction belongs to the whole session,
+// not to a goroutine.
 type Session struct {
 	db *DB
 
@@ -73,6 +73,8 @@ type Session struct {
 	// workflow instance's deadline). Guarded by mu; checked at every
 	// top-level statement boundary.
 	runCtx context.Context
+
+	spanParent uint64 // StmtStats.Parent of the next statements (SetSpanParent)
 }
 
 // innerScope is the scope a session keeps for the statements of a CALL's
@@ -445,6 +447,7 @@ func (s *Session) runStmt(ps *parsedStmt, parse time.Duration, params []Value, w
 		LockWaitByTable: waits,
 		Cache:           ps.cache,
 		RowsScanned:     s.rowsScanned,
+		Parent:          s.spanParent,
 	}
 	if s.planTable != "" {
 		if tbl, terr := s.db.table(s.planTable); terr == nil {

@@ -27,6 +27,7 @@ type StmtStats struct {
 	RowsReturned int64         // result-set rows
 	RowsAffected int           // DML rows affected
 	Err          string        // non-empty if the statement failed
+	Parent       uint64        // span id the statement's span is parented at (0: a root); Session.SetSpanParent
 
 	// LockWaitByTable attributes the latch-wait portion of LockWait to
 	// the tables whose latches the statement contended on (plus
@@ -45,6 +46,13 @@ const (
 // lock is released, so a sink may safely read DB state — but it runs on
 // the statement's goroutine, so it should be fast.
 type StatsSink func(StmtStats)
+
+// SetSpanParent sets the span the session's next statements are
+// parented at in a trace (StmtStats.Parent; 0, the default, makes each a
+// root span). The session's owner sets it between statements: a workflow
+// instance stamps its open activity's span before each statement it runs
+// (host.Instance.SQL), and Release clears it.
+func (s *Session) SetSpanParent(id uint64) { s.spanParent = id }
 
 // SetStatsSink installs a per-session stats sink, overriding the
 // database-level sink for statements on this session. Nil reverts to the
@@ -80,9 +88,9 @@ func (s *Session) notePlan(tbl *Table, idx *Index) {
 }
 
 // SetObservability wires the database into a tracing/metrics bundle:
-// every top-level statement emits a KindSQL span (parented at the
-// tracer's ambient span, i.e. the activity currently executing) and
-// feeds the sqldb.* counters and latency histograms. Nil detaches.
+// every top-level statement emits a KindSQL span, parented at its
+// session's span parent (SetSpanParent), and feeds the sqldb.* counters
+// and latency histograms. Nil detaches.
 func (db *DB) SetObservability(o *obsv.Observability) {
 	if o == nil {
 		db.SetStatsSink(nil)
@@ -133,8 +141,7 @@ func (db *DB) SetObservability(o *obsv.Observability) {
 			m.Counter("sqldb.errors").Inc()
 		}
 
-		tr := o.T()
-		sp := tr.StartAt(tr.Ambient(), obsv.KindSQL, st.Kind, st.Start)
+		sp := o.T().StartAt(st.Parent, obsv.KindSQL, st.Kind, st.Start)
 		if sp == nil {
 			return
 		}

@@ -122,9 +122,9 @@ type Bus struct {
 }
 
 // SetObservability attaches (or with nil detaches) a tracing/metrics
-// bundle: every Invoke then emits a bus span (parented under the
-// tracer's ambient span — the activity currently executing) and feeds
-// the bus.calls / bus.errors counters and the bus.latency_ms histogram.
+// bundle: every call then emits a bus span, parented at the span its
+// caller passes (InvokeCtx), and feeds the bus.calls / bus.errors
+// counters and the bus.latency_ms histogram.
 func (b *Bus) SetObservability(o *obsv.Observability) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -191,21 +191,16 @@ func (b *Bus) Panics() int64 {
 	return b.panics
 }
 
-// Calls returns the number of invocations served.
-//
-// Deprecated-style alias retained for existing monitoring code: Calls
-// equals Attempts (an invocation is counted even when it then sleeps the
-// injected latency and the handler fails).
-func (b *Bus) Calls() int64 { return b.Attempts() }
-
 // Invoke calls the named service. An unknown service is a permanent error
 // (retries cannot register it); handler panics are recovered into
 // transient errors so one crashing service cannot take down the engine.
+// Its bus span is a root.
 func (b *Bus) Invoke(service string, req Message) (Message, error) {
-	return b.InvokeCtx(context.Background(), service, req)
+	return b.InvokeCtx(context.Background(), 0, service, req)
 }
 
-// InvokeCtx is Invoke with a caller budget. A context that is already
+// InvokeCtx is Invoke with a caller budget and the span the call's bus
+// span is parented at (0: a root). A context that is already
 // done refuses the call before the attempt is counted; a context that
 // expires during the injected latency abandons the wait immediately
 // (the stand-in for tearing down a socket mid-call). Context errors
@@ -213,7 +208,7 @@ func (b *Bus) Invoke(service string, req Message) (Message, error) {
 // nothing from retrying, even though context.DeadlineExceeded itself
 // reports Temporary() true — so retry policies stop instead of burning
 // the remaining budget on attempts that cannot be awaited.
-func (b *Bus) InvokeCtx(ctx context.Context, service string, req Message) (Message, error) {
+func (b *Bus) InvokeCtx(ctx context.Context, parent uint64, service string, req Message) (Message, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -226,7 +221,7 @@ func (b *Bus) InvokeCtx(ctx context.Context, service string, req Message) (Messa
 	if callCounter == "" { // unregistered service: still counted, off the cached path
 		callCounter = "bus.calls." + service
 	}
-	span := obs.T().Start(obs.T().Ambient(), obsv.KindBus, service)
+	span := obs.T().Start(parent, obsv.KindBus, service)
 	obs.M().Counter("bus.calls").Inc()
 	obs.M().Counter(callCounter).Inc()
 	if !ok {

@@ -24,8 +24,8 @@ func TestRegisterInvoke(t *testing.T) {
 	if resp["out"] != "hi" {
 		t.Fatalf("response: %v", resp)
 	}
-	if b.Calls() != 1 {
-		t.Fatalf("calls: %d", b.Calls())
+	if b.Attempts() != 1 {
+		t.Fatalf("calls: %d", b.Attempts())
 	}
 }
 

@@ -153,7 +153,7 @@ func (p *pathExpr) evalNode(ctx *Context) (Value, error) {
 		current = []*xdm.Node{ctx.Node}
 	}
 	for _, st := range p.steps {
-		if k, ok := childPosition(current, st, ctx); ok {
+		if k, ok := childPosition(current, st); ok {
 			c, _ := nthChild(current[0], st.name, k)
 			if current = nil; c != nil {
 				current = []*xdm.Node{c}
@@ -193,24 +193,21 @@ func (p *pathExpr) count(ctx *Context) (Value, error) {
 }
 
 // childPosition recognizes a child step from one node whose only
-// predicate is a literal or a variable that is a number k, such as a
-// cursor's $set/Row[$pos]: no context position changes it, so the step
-// selects the k-th match without listing its siblings. Anything else
-// takes the general path.
-func childPosition(current []*xdm.Node, st step, ctx *Context) (int, bool) {
+// predicate is a number literal k, such as Row[4]: no context position
+// changes it, so the step selects the k-th match without listing its
+// siblings. Anything else takes the general path.
+func childPosition(current []*xdm.Node, st step) (int, bool) {
 	if len(current) != 1 || len(st.preds) != 1 {
 		return 0, false
 	}
-	switch st.preds[0].(type) {
-	case *literalNum, *varRef:
-		pv, err := st.preds[0].evalNode(ctx)
-		k := int(pv.Num)
-		if float64(k) != pv.Num {
-			k = 0 // no position equals a fraction: select nothing
-		}
-		return k, err == nil && pv.Kind == KindNumber
+	lit, ok := st.preds[0].(*literalNum)
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	if k := int(lit.f); float64(k) == lit.f {
+		return k, true
+	}
+	return 0, true // no position equals a fraction: select nothing
 }
 
 // nthChild returns n's k-th element child that passes the name test,

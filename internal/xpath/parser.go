@@ -351,6 +351,11 @@ func (p *xparser) parseStep() (step, error) {
 		if err := p.expectSym("]"); err != nil {
 			return st, err
 		}
+		// A variable's value is a string in the engine, which as a
+		// predicate keeps every node; a position is [position() = $v].
+		if v, ok := pred.(*varRef); ok {
+			return st, fmt.Errorf("xpath: predicate [$%s] is a bare variable; write [position() = $%s]", v.name, v.name)
+		}
 		st.preds = append(st.preds, pred)
 	}
 	return st, nil

@@ -368,6 +368,7 @@ var refusedForms = []string{
 	"$rs[2]/ItemID", "($rs)[1]/ItemID", "(1 + 2)", "-(3 + 4)", "1 div 0", "10 mod 3", "2 * 3", "5 - 2",
 	"1 < 2 and 2 < 3", "1 > 2 or 3 > 2", "'a' != 'a'", "3 >= 3", "last()", "count()", "count(1)",
 	"position(1)", "sum(Row/Quantity)", "concat('a', 'b')", "not(true())", "$i < 5", "$x > 3",
+	"$SV/Row[$pos]/ItemID",
 }
 
 func TestAbsolutePath(t *testing.T) { refused(t, "/RowSet/Row/ItemID", "/", "/Row[1]") }
@@ -388,6 +389,13 @@ func TestUnionRequiresNodeSets(t *testing.T) { refused(t, "1 | 2") }
 
 func TestFilterExpressionPredicates(t *testing.T) {
 	refused(t, "$rs[2]/ItemID", "$rs[Quantity > 2][2]/ItemID", "($rs)[1]/ItemID", "$n[1]", "ora:f()[1]", "(1 + 2)")
+}
+
+// TestBareVariablePredicate: an engine scalar reaches XPath as a string,
+// which as a predicate keeps every node, so [$pos] would select every
+// row; a position is spelled [position() = $pos].
+func TestBareVariablePredicate(t *testing.T) {
+	refused(t, "$SV/Row[$pos]/ItemID", "Row[$pos]", "Row[1][$pos]", "count($set/Row[$pos])")
 }
 
 func TestNegationAndDiv(t *testing.T) { refused(t, "-(3 + 4)", "-1", "1 div 0", "10 mod 3") }

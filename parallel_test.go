@@ -77,6 +77,82 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestParallelSpanTreesMatchSerial traces N instances of each figure on
+// a 4-worker pool: the only root spans are the N instance spans, every
+// other span roots at one of them inside its parent's time, and each
+// instance owns exactly the SQL and bus spans one instance owns when run
+// alone. A statement or call parented at whichever instance touched a
+// shared tracer last fails the last check; one parented at none fails
+// the first.
+func TestParallelSpanTreesMatchSerial(t *testing.T) {
+	w := Workload{Orders: 18, Items: 4, ApprovalPercent: 100, Seed: 3}
+	serial := map[string]struct{ sql, bus int }{
+		StackBIS.Name:    {sql: 8, bus: 4},
+		StackWF.Name:     {sql: 5},
+		StackOracle.Name: {sql: 5, bus: 4},
+	}
+	for _, stack := range Stacks() {
+		stack := stack
+		t.Run(stack.Name, func(t *testing.T) {
+			env := NewEnvironment(w)
+			col := obsv.NewCollector()
+			env.EnableObservability(nil).T().AddSink(col)
+			if _, err := env.RunParallel(stack, ParallelConfig{Instances: parInstances, Workers: parWorkers}); err != nil {
+				t.Fatalf("parallel run: %v", err)
+			}
+			env.DisableObservability()
+
+			spans := col.Spans()
+			idx := spanIndex(spans)
+			type owned struct{ sql, bus int }
+			per := map[uint64]*owned{}
+			for _, s := range spans {
+				if s.Parent == 0 {
+					if s.Kind != obsv.KindInstance {
+						t.Errorf("root span %d is %s %q, not an instance span", s.ID, s.Kind, s.Name)
+					} else if per[s.ID] == nil {
+						per[s.ID] = &owned{}
+					}
+					continue
+				}
+				root := s
+				for hops := 0; root.Parent != 0; hops++ {
+					p, ok := idx[root.Parent]
+					if !ok || hops > len(spans) {
+						t.Fatalf("span %d (%s %q): parent chain breaks at %d", s.ID, s.Kind, s.Name, root.Parent)
+					}
+					if root == s && (s.Start.Before(p.Start) || s.EndTime.After(p.EndTime)) {
+						t.Errorf("span %d (%s %q) runs outside its parent %d (%s %q)", s.ID, s.Kind, s.Name, p.ID, p.Kind, p.Name)
+					}
+					root = p
+				}
+				if root.Kind != obsv.KindInstance {
+					t.Errorf("span %d (%s %q) roots at %s %q", s.ID, s.Kind, s.Name, root.Kind, root.Name)
+					continue
+				}
+				if per[root.ID] == nil {
+					per[root.ID] = &owned{}
+				}
+				switch s.Kind {
+				case obsv.KindSQL:
+					per[root.ID].sql++
+				case obsv.KindBus:
+					per[root.ID].bus++
+				}
+			}
+			if len(per) != parInstances {
+				t.Fatalf("%d instance trees, want %d", len(per), parInstances)
+			}
+			want := serial[stack.Name]
+			for id, got := range per {
+				if got.sql != want.sql || got.bus != want.bus {
+					t.Errorf("instance span %d owns %d SQL and %d bus spans, want %d and %d", id, got.sql, got.bus, want.sql, want.bus)
+				}
+			}
+		})
+	}
+}
+
 // TestParallelUnderChaos replays the chaos matrix's transient fault
 // window with the scheduler enabled: N instances per stack race through
 // a faulting supplier, each healing via its invoke retry policy, and the

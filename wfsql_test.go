@@ -126,7 +126,7 @@ func TestAdapterVariant(t *testing.T) {
 	if err := env.RunAdapterVariant(); err != nil {
 		t.Fatal(err)
 	}
-	if env.Bus.Calls() == 0 {
+	if env.Bus.Attempts() == 0 {
 		t.Fatal("adapter variant made no bus calls")
 	}
 }

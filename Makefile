@@ -20,8 +20,10 @@ test:
 
 # Race-enabled run of everything; the one-goroutine-per-instance tests
 # (TestFlowConcurrentVariableAccess: two instances' variables, no lock;
-# TestParallelSpanTreesMatchSerial: span parents under concurrency) and
-# the chaos matrix are only meaningful with the race detector on.
+# TestParallelSpanTreesMatchSerial: span parents under concurrency),
+# sqldb's TestConcurrentWritersReplayOnReplica (the change stream of
+# concurrent writers under the one writer lock) and the chaos matrix are
+# only meaningful with the race detector on.
 race:
 	$(GO) test -race ./...
 

@@ -276,6 +276,28 @@ func BenchmarkFigureInstance(b *testing.B) {
 	}
 }
 
+// BenchmarkParallelFigures times RunParallel at the benchmark's scale,
+// b.N instances of one stack on one or two workers against one shared
+// database, and reports instances/s: the figure-scaling measurement a
+// change to sqldb's locking is checked against.
+//
+//	go test -run '^$' -bench ParallelFigures -benchtime 6000x -cpu 2 .
+func BenchmarkParallelFigures(b *testing.B) {
+	for _, stack := range Stacks() {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", stack.Name, workers), func(b *testing.B) {
+				env := NewEnvironment(figureScale)
+				b.ResetTimer()
+				start := time.Now()
+				if _, err := env.RunParallel(stack, ParallelConfig{Instances: b.N, Workers: workers}); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "instances/s")
+			})
+		}
+	}
+}
+
 // BenchmarkDurableRound times the shape of the benchmark's mix-durable
 // workload without the harness: one instance each of BIS, WF and Oracle on
 // one environment with the WAL attached to both hosts, unsynced; every 40

@@ -413,7 +413,9 @@ func TestPausedPrimaryCannotSplitBrain(t *testing.T) {
 	// And its writes cannot reach the authoritative WAL even physically:
 	// the promoted standby rotated, so the path names a new inode while
 	// the old primary's descriptor holds the orphan.
-	if err := newRec.InstanceCreated(1000, "P", "", nil); err != nil {
+	// An id past any the old primary's writer can have reached (it counts
+	// up from 1 until fenced), so the append is a new instance.
+	if err := newRec.InstanceCreated(1<<40, "P", "", nil); err != nil {
 		t.Fatalf("new primary append: %v", err)
 	}
 	if n := len(newRec.State().Instances); n != len(ackedIDs)+1 {
@@ -499,10 +501,7 @@ func TestSQLReplicaEndToEnd(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		mustExec("INSERT INTO t VALUES (NEXTVAL('ids'), ?)", sqldb.Str(fmt.Sprintf("row%d", i)))
 	}
-	if _, err := s.ExecNamed("UPDATE t SET v = @v WHERE id = @id",
-		map[string]sqldb.Value{"v": sqldb.Str("patched"), "id": sqldb.Int(3)}); err != nil {
-		t.Fatal(err)
-	}
+	mustExec("UPDATE t SET v = @v WHERE id = @id", sqldb.Str("patched"), sqldb.Int(3))
 	mustExec("DELETE FROM t WHERE id = ?", sqldb.Int(5))
 
 	if _, err := sb.CatchUp(); err != nil {

@@ -33,7 +33,7 @@ func TestChangeStreamReplaysOnReplica(t *testing.T) {
 	mustExec("INSERT INTO t VALUES (NEXTVAL('ids'), ?)", Str("a"))
 	mustExec("INSERT INTO t VALUES (NEXTVAL('ids'), ?)", Str("b"))
 	mustExec("UPDATE t SET name = ? WHERE id = ?", Str("a2"), Int(10))
-	if _, err := s.ExecNamed("DELETE FROM t WHERE id = @id", map[string]Value{"id": Int(11)}); err != nil {
+	if _, err := s.Exec("DELETE FROM t WHERE id = @id", Int(11)); err != nil {
 		t.Fatal(err)
 	}
 	// SELECTs must not appear in the stream.

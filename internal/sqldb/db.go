@@ -12,22 +12,24 @@ import (
 )
 
 // DB is an embeddable in-memory relational database. All operations are
-// safe for concurrent use. Concurrency control is multi-version with
-// per-table latches:
+// safe for concurrent use. Concurrency control is multi-version with one
+// writer lock:
 //
 //   - SELECT and EXPLAIN read a consistent snapshot taken at statement
 //     start and never block on (or are blocked by) writers.
-//   - INSERT/UPDATE/DELETE and transaction control take per-table
-//     latches over their static footprint, so writers of disjoint
-//     tables run in parallel; DDL and native procedures fall back to
-//     the exclusive engine lock.
-//   - Two writers of the same row resolve first-writer-wins: the loser
-//     fails with a retryable error wrapping ErrWriteConflict.
+//   - INSERT/UPDATE/DELETE and transaction control hold the writer lock
+//     (writeMu) under the shared engine lock, one statement at a time;
+//     DDL and CALL take the exclusive engine lock.
+//   - Two transactions claiming the same row resolve first-writer-wins:
+//     the loser fails with a retryable error wrapping ErrWriteConflict.
 //
 // The resulting isolation level is snapshot (per statement): a reader
 // never observes another transaction's uncommitted or rolled-back
 // rows, and a scan never observes a concurrent commit part-way
 // through.
+//
+// Lock order: Session.mu → mu → writeMu. rowsMu (per table), snapMu,
+// cacheMu, idleMu and a Sequence's mu are leaves.
 type DB struct {
 	mu         sync.RWMutex
 	name       string
@@ -36,16 +38,15 @@ type DB struct {
 	procs      map[string]*Procedure
 	indexOwner map[string]*Table // index name -> owning table
 
-	// MVCC state. commitMu is the commit critical section: stamping a
-	// transaction's versions, advancing commitSeq, assigning change
-	// sequence numbers, delivering to the change sink, and maintaining
-	// the openTxns bootstrap buffers all happen under one hold — which
-	// is what keeps BootstrapState floors exactly paired with the
-	// committed state of a dump. txnIDs mints transaction ids; the
-	// snapshot registry (snapMu/snapActive) tracks in-flight statement
-	// snapshots so vacuum never removes a version a reader can still
-	// see. Lock order: mu → table latches → commitMu; snapMu is a leaf.
-	commitMu   sync.Mutex
+	// writeMu is the writer lock. Every statement that stamps versions,
+	// advances commitSeq or changeSeq, delivers to the change sink or
+	// touches the openTxns bootstrap buffers holds it or the exclusive
+	// engine lock — which is what keeps BootstrapState floors exactly
+	// paired with the committed state of a dump. txnIDs mints
+	// transaction ids; the snapshot registry (snapMu/snapActive) tracks
+	// in-flight statement snapshots so vacuum never removes a version a
+	// reader can still see.
+	writeMu    sync.Mutex
 	commitSeq  atomic.Int64
 	txnIDs     atomic.Int64
 	snapMu     sync.Mutex
@@ -97,20 +98,17 @@ type DB struct {
 
 	// Change-data-capture plumbing (see SetChangeSink): sessionIDs mints
 	// the per-session origin ids the stream is keyed by, changeSeq is the
-	// global change sequence (advanced under commitMu while the emitting
-	// statement still holds its table latches, so it orders exactly like
-	// execution on every table), and readOnly puts the database in
-	// replica mode (only applier sessions may write).
+	// global change sequence (advanced under the writer lock or the
+	// exclusive engine lock, so it orders exactly like execution), and
+	// readOnly puts the database in replica mode (only applier sessions
+	// may write).
 	changeSink atomic.Pointer[ChangeSink]
 	sessionIDs atomic.Int64
 	changeSeq  atomic.Int64
 	readOnly   atomic.Bool
 
-	// footGen versions what a statement slot caches (slot.go): footprints
-	// and plans. Only procedure changes bump it: table names re-resolve
-	// against db.tables on every execution and a plan checks each table's
-	// schemaVer, but a procedure body is expanded *into* a CALL's cached
-	// name list.
+	// footGen versions slotted plans (slot.go) against procedure changes;
+	// a table change shows in the table's schemaVer instead.
 	footGen atomic.Int64
 
 	compiles atomic.Int64 // plans built (StmtCacheStats.Compiles)
@@ -140,12 +138,11 @@ const rawCacheCap = 4096
 // while raw front-cache entries may still point at it; those drop
 // lazily (all under cacheMu).
 type cacheEntry struct {
-	sql   string
-	st    Stmt
-	shape paramShape // the parse's slots: ExecNamed binds names after them
-	slot  stmtSlot   // footprint and idle plan, filled by executions
-	el    *list.Element
-	dead  bool
+	sql  string
+	st   Stmt
+	slot stmtSlot // idle plan, filled by executions
+	el   *list.Element
+	dead bool
 }
 
 // rawEntry is one front-cache slot: the exact raw text, the plan entry
@@ -167,7 +164,6 @@ type rawEntry struct {
 // constructors resolved themselves (no cache label, no constants).
 type parsedStmt struct {
 	st      Stmt
-	shape   paramShape
 	slot    *stmtSlot
 	norm    string
 	consts  []Value
@@ -254,7 +250,7 @@ func (db *DB) ResetStats() {
 // StmtCacheStats is a snapshot of the parsed-statement cache counters.
 type StmtCacheStats struct {
 	Size      int   // statements currently cached
-	Hits      int64 // Exec/ExecNamed calls served from the cache
+	Hits      int64 // Exec calls served from the cache
 	Misses    int64 // calls that had to parse
 	Evictions int64 // single LRU evictions (capacity pressure)
 	Compiles  int64 // plans built: SELECTs and UPDATE/DELETE row filters, slotted or not
@@ -298,7 +294,7 @@ func (db *DB) cachedParse(sql string) (parsedStmt, error) {
 			db.lruList.MoveToFront(re.ce.el)
 			// Read the entry under the lock: insertRawLocked refreshes
 			// these fields in place for a concurrent parser of this text.
-			ps := parsedStmt{st: re.ce.st, shape: re.ce.shape, slot: &re.ce.slot, norm: re.ce.sql, consts: re.consts, pattern: re.pattern, cache: CacheHit}
+			ps := parsedStmt{st: re.ce.st, slot: &re.ce.slot, norm: re.ce.sql, consts: re.consts, pattern: re.pattern, cache: CacheHit}
 			db.cacheMu.Unlock()
 			db.cacheHits.Add(1)
 			return ps, nil
@@ -321,17 +317,16 @@ func (db *DB) cachedParse(sql string) (parsedStmt, error) {
 		db.insertRawLocked(sql, ce, n.consts, n.pattern)
 		db.cacheMu.Unlock()
 		db.cacheHits.Add(1)
-		return parsedStmt{st: ce.st, shape: ce.shape, slot: &ce.slot, norm: key, consts: n.consts, pattern: n.pattern, cache: CacheHit}, nil
+		return parsedStmt{st: ce.st, slot: &ce.slot, norm: key, consts: n.consts, pattern: n.pattern, cache: CacheHit}, nil
 	}
 	db.cacheMu.Unlock()
 
 	var st Stmt
-	var shape paramShape
 	var err error
 	if normalized {
-		st, shape, err = parseTokens(sql, n.toks)
+		st, err = parseTokens(sql, n.toks)
 	} else {
-		st, shape, err = parseOne(sql)
+		st, err = Parse(sql)
 	}
 	parse := time.Since(start)
 	if err != nil {
@@ -361,7 +356,7 @@ func (db *DB) cachedParse(sql string) (parsedStmt, error) {
 			delete(db.stmtCache, dead.sql)
 			db.cacheEvictions.Add(1)
 		}
-		ce = &cacheEntry{sql: key, st: st, shape: shape}
+		ce = &cacheEntry{sql: key, st: st}
 		ce.el = db.lruList.PushFront(ce)
 		db.stmtCache[key] = ce.el
 		db.cacheSize.Store(int64(len(db.stmtCache)))
@@ -373,7 +368,7 @@ func (db *DB) cachedParse(sql string) (parsedStmt, error) {
 	} else {
 		db.cacheMisses.Add(1)
 	}
-	return parsedStmt{st: ce.st, shape: ce.shape, slot: &ce.slot, norm: key, consts: n.consts, pattern: n.pattern, parse: parse, cache: cache}, nil
+	return parsedStmt{st: ce.st, slot: &ce.slot, norm: key, consts: n.consts, pattern: n.pattern, parse: parse, cache: cache}, nil
 }
 
 // insertRawLocked records (or refreshes) the raw-text front-cache entry
@@ -469,7 +464,7 @@ func (db *DB) RegisterProcedure(name string, fn NativeProc) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.procs[strings.ToLower(name)] = &Procedure{Name: name, Native: fn}
-	db.footGen.Add(1) // CALL footprints may now resolve differently
+	db.footGen.Add(1)
 }
 
 // Session opens a new session on the database. Sessions are cheap; each
@@ -538,17 +533,15 @@ type Change struct {
 }
 
 // ChangeSink receives every change in execution order. It is called
-// under the engine's commit critical section while the emitting
-// statement still holds its table latches — that is what makes the
-// order authoritative per table — so implementations must be fast and
-// must not call back into the database.
+// while the emitting statement holds the writer lock or the exclusive
+// engine lock — that is what makes the order authoritative — so
+// implementations must be fast and must not call back into the database.
 type ChangeSink func(Change)
 
 // SetChangeSink installs (or with nil removes) the change-stream
-// capture hook. Every entry point — Exec, ExecNamed, prepared
-// statements, ExecScript and Session.Rollback — executes with its
-// statement text attached, so every mutating top-level statement is
-// captured.
+// capture hook. Every entry point — Exec, prepared statements,
+// ExecScript and Session.Rollback — executes with its statement text
+// attached, so every mutating top-level statement is captured.
 func (db *DB) SetChangeSink(fn ChangeSink) { db.changeSink.Store(&fn) }
 
 // SetReadOnly switches the database in or out of replica mode: when

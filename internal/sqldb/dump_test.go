@@ -211,7 +211,7 @@ func TestPreparedStatements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := psn.ExecNamed(map[string]Value{"q": Int(99), "id": Int(1)}); err != nil {
+	if _, err := psn.Exec(Int(99), Int(1)); err != nil {
 		t.Fatal(err)
 	}
 	if db.MustExec("SELECT Quantity FROM Orders WHERE OrderID = 1").Rows[0][0].I != 99 {

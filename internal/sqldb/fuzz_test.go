@@ -167,7 +167,7 @@ func FuzzParamNames(f *testing.F) {
 		if err != nil || !reflect.DeepEqual(again, names) {
 			t.Fatalf("ParamNames of the rendering %q = %q, %v; of %q: %q", n.text, again, err, sql, names)
 		}
-		st, _, err := parseTokens(sql, n.toks)
+		st, err := parseTokens(sql, n.toks)
 		if err != nil {
 			t.Fatalf("slotted tokens of %q do not parse: %v", sql, err)
 		}

@@ -13,7 +13,7 @@ import (
 // is lexed and the change stream cannot carry a text that disagrees with
 // what ran (TestConstructorsMatchParse: Parse(text) is DeepEqual to the
 // node). They go through execStmt like a prepared statement: same gates,
-// latches, stats and change record, Cache == "".
+// locks, stats and change record, Cache == "".
 
 // ParsedQuery is a SELECT parsed once and shared, like a plan-cache AST,
 // by every CreateTableAs around it — and so is its slot (slot.go).

@@ -20,8 +20,7 @@ import (
 // Structural access is guarded by the owning table's rowsMu: insert,
 // checkInsert and remove run under the write half (inside
 // insertVersion/maybeVacuum), appendLookup copies its bucket under the
-// read half so latch-free snapshot readers never alias a bucket being
-// filtered.
+// read half so snapshot readers never alias a bucket being filtered.
 type Index struct {
 	Name    string
 	Table   *Table

@@ -3,14 +3,11 @@ package sqldb
 import (
 	"errors"
 	"math"
-	"slices"
-	"strings"
 	"time"
 )
 
 // This file is the multi-version concurrency-control core: version
-// stamps and visibility, the write-conflict error, the statement
-// footprint walker that drives per-table latching, commit/rollback
+// stamps and visibility, the write-conflict error, commit/rollback
 // stamping, and the active-snapshot registry that gates vacuum.
 //
 // Version-stamp format (Row.xmin / Row.xmax, both atomic):
@@ -30,7 +27,7 @@ import (
 //	                     committed at
 //
 // A claim doubles as the row-level write lock: writers set xmax to
-// -txnID under the table's exclusive latch, so at most one transaction
+// -txnID under the writer lock (or the exclusive engine lock), so at most one transaction
 // ever holds a claim, and a second writer hitting a claimed (or
 // committed-after-snapshot) version fails first-writer-wins with
 // ErrWriteConflict.
@@ -133,8 +130,8 @@ type txn struct {
 }
 
 // stampCommit resolves the write set as committed at the next commit
-// sequence and publishes that sequence. The caller holds commitMu and
-// the write set's table latches; readers that observe the new commit
+// sequence and publishes that sequence. The caller holds the writer
+// lock or the exclusive engine lock; readers that observe the new commit
 // sequence are guaranteed (sequentially consistent atomics) to observe
 // every stamp stored before it.
 func (db *DB) stampCommit(tx *txn) {
@@ -161,8 +158,8 @@ func (db *DB) stampCommit(tx *txn) {
 
 // rollbackStamps releases the write set: created versions become
 // aborted (dead, awaiting vacuum), claims are released so the claimed
-// rows are writable again. The caller holds the write set's table
-// latches (or the exclusive engine lock).
+// rows are writable again. The caller holds the writer lock or the
+// exclusive engine lock.
 func rollbackStamps(tx *txn) {
 	if tx == nil || tx.aborted {
 		return
@@ -226,245 +223,6 @@ func (db *DB) minActiveSnapshot() int64 {
 	return min
 }
 
-// --- statement footprint ---------------------------------------------------
-
-// latchTarget is one table of a statement's static footprint, resolved
-// and ordered for acquisition.
-type latchTarget struct {
-	t     *Table
-	write bool
-}
-
-// stmtRefs walks a query or DML statement syntactically and records
-// every table name it references, split into mutation targets
-// (write) and everything else (read). It needs no database state, so the
-// result is cacheable alongside the parsed AST: the executor derives its
-// latch footprint from it (stmtFootprint, which routes CALL through
-// callFootprint and gives DDL the exclusive lock instead).
-func stmtRefs(st Stmt, write, read map[string]bool) {
-	name := func(m map[string]bool, n string) {
-		if n != "" {
-			m[strings.ToLower(n)] = true
-		}
-	}
-	switch t := st.(type) {
-	case *SelectStmt:
-		selectRefs(t, read)
-	case *ExplainStmt:
-		selectRefs(t.Query, read)
-	case *InsertStmt:
-		name(write, t.Table)
-		if t.Query != nil {
-			selectRefs(t.Query, read)
-		}
-	case *UpdateStmt:
-		name(write, t.Table)
-	case *DeleteStmt:
-		name(write, t.Table)
-	}
-}
-
-// selectRefs records the tables of a query's FROM and joins: expressions
-// name no table.
-func selectRefs(q *SelectStmt, read map[string]bool) {
-	for _, from := range q.From {
-		read[strings.ToLower(from.Table)] = true
-	}
-}
-
-// fpName is one entry of a cached statement footprint: a lowercased
-// object name and whether the statement mutates it. Names are resolved
-// against db.tables at every execution (tables come and go), so the
-// cached list stays valid across table DDL; only procedure changes alter
-// the *expansion* and therefore invalidate the cache.
-type fpName struct {
-	name  string
-	write bool
-}
-
-// fpEntry is one generation of a statement's computed footprint.
-type fpEntry struct {
-	gen   int64 // db.footGen value the expansion was computed under
-	ok    bool  // false: statement needs the exclusive engine lock
-	names []fpName
-}
-
-// resolveFootprint appends to fp the latch targets of a footprint name
-// list against the current table set. The caller holds db.mu.
-func (db *DB) resolveFootprint(fp []latchTarget, names []fpName) []latchTarget {
-	for _, n := range names {
-		if t := db.tables[n.name]; t != nil {
-			fp = append(fp, latchTarget{t: t, write: n.write})
-		}
-	}
-	return fp
-}
-
-// stmtFootprint appends to fp (empty; the session's latch buffer) the
-// latch set of a mutating statement: write latches on the tables it
-// mutates, read latches on every other table it references (directly or
-// through SQL procedure bodies). ok is false when the
-// footprint cannot be computed statically — native procedures, DDL, and
-// unknown statement shapes — and the caller must fall back to the
-// exclusive engine lock. COMMIT and ROLLBACK latch the open
-// transaction's write set; BEGIN latches nothing. The caller holds db.mu
-// (shared suffices: only schema stability is needed).
-//
-// slot, when non-nil, caches the computed name list across executions of
-// the same AST; it is invalidated by footGen (bumped on procedure
-// changes — the only DDL that alters the expansion, since table names
-// re-resolve on every call). Racing recomputations are benign: all
-// compute the same value for a generation, and the last store wins.
-func (db *DB) stmtFootprint(fp []latchTarget, st Stmt, tx *txn, slot *stmtSlot) ([]latchTarget, bool) {
-	switch st.(type) {
-	case *BeginStmt:
-		return fp, true
-	case *CommitStmt, *RollbackStmt:
-		// Transaction-dependent, never cached: the distinct tables of the
-		// open write set still in the database (tx is nil when the
-		// statement is about to fail), in lowercased-name order.
-		if tx != nil {
-			for _, w := range tx.ws {
-				if !slices.ContainsFunc(fp, func(lt latchTarget) bool { return lt.t == w.t }) && db.tables[w.t.key] == w.t {
-					fp = append(fp, latchTarget{t: w.t, write: true})
-				}
-			}
-		}
-		slices.SortFunc(fp, func(a, b latchTarget) int { return strings.Compare(a.t.key, b.t.key) })
-		return fp, true
-	case *InsertStmt, *UpdateStmt, *DeleteStmt, *CallStmt:
-	default:
-		return fp, false // DDL and unknown shapes: exclusive lock
-	}
-	gen := db.footGen.Load()
-	if slot != nil {
-		if e := slot.fp.Load(); e != nil && e.gen == gen {
-			if !e.ok {
-				return fp, false
-			}
-			return db.resolveFootprint(fp, e.names), true
-		}
-	}
-	write := map[string]bool{}
-	read := map[string]bool{}
-	computed := true
-	if c, isCall := st.(*CallStmt); isCall {
-		computed = db.callFootprint(c, write, read, map[string]bool{})
-	} else {
-		stmtRefs(st, write, read)
-	}
-	var names []fpName
-	if computed {
-		names = footprintNames(write, read)
-	}
-	if slot != nil {
-		slot.fp.Store(&fpEntry{gen: gen, ok: computed, names: names})
-	}
-	if !computed {
-		return fp, false
-	}
-	return db.resolveFootprint(fp, names), true
-}
-
-// footprintNames flattens the write/read sets into the sorted name list
-// latches are acquired in — the single global ordering rule.
-func footprintNames(write, read map[string]bool) []fpName {
-	names := make([]fpName, 0, len(write)+len(read))
-	for n := range write {
-		names = append(names, fpName{name: n, write: true})
-	}
-	for n := range read {
-		if !write[n] {
-			names = append(names, fpName{name: n})
-		}
-	}
-	slices.SortFunc(names, func(a, b fpName) int { return strings.Compare(a.name, b.name) })
-	return names
-}
-
-// callFootprint folds a CALL's footprint: the procedure body (SQL
-// procedures only — native bodies are opaque, so the CALL falls back to
-// the exclusive lock). seen breaks CALL cycles.
-func (db *DB) callFootprint(c *CallStmt, write, read map[string]bool, seen map[string]bool) bool {
-	lc := strings.ToLower(c.Name)
-	if seen[lc] {
-		return true
-	}
-	seen[lc] = true
-	proc, ok := db.procs[lc]
-	if !ok {
-		return true // missing procedure: the statement will fail cleanly
-	}
-	if proc.Native != nil {
-		return false
-	}
-	for _, st := range proc.Body {
-		switch b := st.(type) {
-		case *CallStmt:
-			if !db.callFootprint(b, write, read, seen) {
-				return false
-			}
-		case *SelectStmt, *ExplainStmt, *InsertStmt, *UpdateStmt, *DeleteStmt:
-			stmtRefs(st, write, read)
-		case *BeginStmt, *CommitStmt, *RollbackStmt:
-			// Body transaction statements fail inside a CALL; no footprint.
-		default:
-			return false // DDL inside a procedure body: exclusive lock
-		}
-	}
-	return true
-}
-
-// latchWaitFloor separates blocking (the holder made us park) from the
-// bare cost of an uncontended mutex acquisition (tens of ns). Waits
-// under the floor are not attributed — they are acquisition overhead,
-// not contention — which keeps the per-table lock-wait histograms
-// silent on uncontended workloads.
-const latchWaitFloor = time.Microsecond
-
-// acquireLatches locks the footprint's tables in sorted-name order —
-// the single global ordering rule that makes per-table latching
-// deadlock-free. When record is set, per-table waits at or above
-// latchWaitFloor are returned (nil when nothing blocked — the common,
-// allocation-free case).
-func acquireLatches(fp []latchTarget, record bool) map[string]time.Duration {
-	var waits map[string]time.Duration
-	for _, lt := range fp {
-		// Uncontended fast path: TryLock succeeds without blocking, so
-		// there is no wait to attribute and no clock to read.
-		if lt.write {
-			if lt.t.latch.TryLock() {
-				continue
-			}
-		} else if lt.t.latch.TryRLock() {
-			continue
-		}
-		start := time.Now()
-		if lt.write {
-			lt.t.latch.Lock()
-		} else {
-			lt.t.latch.RLock()
-		}
-		if w := time.Since(start); w >= latchWaitFloor && record {
-			if waits == nil {
-				waits = make(map[string]time.Duration, len(fp))
-			}
-			waits[lt.t.Name] += w
-		}
-	}
-	return waits
-}
-
-func releaseLatches(fp []latchTarget) {
-	for i := len(fp) - 1; i >= 0; i-- {
-		if fp[i].write {
-			fp[i].t.latch.Unlock()
-		} else {
-			fp[i].t.latch.RUnlock()
-		}
-	}
-}
-
 // --- conflict retry --------------------------------------------------------
 
 // Conflict-retry policy for autocommit statements: a statement that
@@ -485,14 +243,4 @@ func conflictBackoff(attempt int) time.Duration {
 		d = conflictBackoffLimit
 	}
 	return d
-}
-
-// isWriteConflict reports whether err is (or wraps) a first-writer-wins
-// conflict, returning the contended table when known.
-func isWriteConflict(err error) (string, bool) {
-	var wc *writeConflictError
-	if errors.As(err, &wc) {
-		return wc.table, true
-	}
-	return "", errors.Is(err, ErrWriteConflict)
 }

@@ -130,25 +130,17 @@ func TestAutocommitConflictRetryBothSucceed(t *testing.T) {
 	checkDBIndexes(t, db)
 }
 
-// TestDisjointTableWritersDoNotBlock: holding table a's write latch
-// must not stall a writer on table b, nor a latch-free snapshot SELECT
-// on a itself. (Before per-table latches, one global write lock
-// serialized all three.)
-func TestDisjointTableWritersDoNotBlock(t *testing.T) {
-	db := Open("disjoint")
+// TestSnapshotReadNotBlockedByWriteLock: a snapshot SELECT takes the
+// shared engine lock alone, so a held writer lock does not stall it.
+func TestSnapshotReadNotBlockedByWriteLock(t *testing.T) {
+	db := Open("snapread")
 	db.MustExec("CREATE TABLE a (x INTEGER)")
-	db.MustExec("CREATE TABLE b (x INTEGER)")
 	db.MustExec("INSERT INTO a VALUES (1)")
 
-	ta := db.tables["a"]
-	ta.latch.Lock()
-	defer ta.latch.Unlock()
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
 
-	done := make(chan error, 2)
-	go func() {
-		_, err := db.Session().Exec("INSERT INTO b VALUES (1)")
-		done <- err
-	}()
+	done := make(chan error, 1)
 	go func() {
 		res, err := db.Session().Exec("SELECT COUNT(*) FROM a")
 		if err == nil {
@@ -158,15 +150,13 @@ func TestDisjointTableWritersDoNotBlock(t *testing.T) {
 		}
 		done <- err
 	}()
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("statement on a disjoint path blocked behind a's write latch")
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("snapshot SELECT blocked behind the writer lock")
 	}
 }
 
@@ -307,18 +297,16 @@ func TestExplainExecutorAgreementUnderContention(t *testing.T) {
 	checkDBIndexes(t, db)
 }
 
-// TestLockWaitAttributedToTable: time a statement spends blocked on a
-// table's write latch surfaces in StmtStats.LockWait and is attributed
-// to that table in LockWaitByTable.
-func TestLockWaitAttributedToTable(t *testing.T) {
+// TestWriterLockWaitCountsInLockWait: time a statement spends blocked on
+// the writer lock surfaces in StmtStats.LockWait.
+func TestWriterLockWaitCountsInLockWait(t *testing.T) {
 	db := Open("lockwait")
 	db.MustExec("CREATE TABLE t (x INTEGER)")
 	s := db.Session()
 	var stats []StmtStats
 	s.SetStatsSink(func(st StmtStats) { stats = append(stats, st) })
 
-	tt := db.tables["t"]
-	tt.latch.Lock()
+	db.writeMu.Lock()
 	started := make(chan struct{})
 	done := make(chan error)
 	go func() {
@@ -328,16 +316,12 @@ func TestLockWaitAttributedToTable(t *testing.T) {
 	}()
 	<-started
 	time.Sleep(100 * time.Millisecond)
-	tt.latch.Unlock()
+	db.writeMu.Unlock()
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 
-	st := stats[len(stats)-1]
-	if st.LockWait <= 0 {
-		t.Fatalf("LockWait = %v, want > 0 (statement waited on t's latch)", st.LockWait)
-	}
-	if st.LockWaitByTable["t"] <= 0 {
-		t.Fatalf("LockWaitByTable = %v, want wait attributed to t", st.LockWaitByTable)
+	if st := stats[len(stats)-1]; st.LockWait <= 0 {
+		t.Fatalf("LockWait = %v, want > 0 (statement waited on the writer lock)", st.LockWait)
 	}
 }

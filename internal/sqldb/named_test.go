@@ -8,11 +8,11 @@ import (
 )
 
 // Named placeholders are positional slots numbered by the parser after
-// every `?` and extracted literal; ExecNamed and PreparedStmt.ExecNamed
-// only build that vector. TestNamedBindsLikePositional checks the
-// numbering against the two obvious bindings of the same statement: the
-// vector built from ParamNames by hand, and the text with every named
-// placeholder rewritten to `?` and its value put in place.
+// every `?` and extracted literal: a caller binds them by position, after
+// its `?` values, in ParamNames order. TestNamedBindsLikePositional checks
+// the numbering against the obvious binding of the same statement: the
+// text with every named placeholder rewritten to `?` and its value put in
+// place.
 
 // namedHole is one placeholder or literal of a generated statement.
 type namedHole struct {
@@ -70,7 +70,7 @@ func (g *namedGen) statement() (string, []bool) {
 
 func TestNamedBindsLikePositional(t *testing.T) {
 	const seeds, stmtsPerSeed, rounds = 60, 6, 3
-	arms := []string{"ExecNamed", "Exec(ParamNames vector)", "Exec(rewritten to ?)", "PreparedStmt.ExecNamed"}
+	arms := []string{"Exec(ParamNames vector)", "Exec(rewritten to ?)", "PreparedStmt.Exec(ParamNames vector)"}
 	var hits, misses int
 	for seed := int64(1); seed <= seeds; seed++ {
 		g := &namedGen{rng: rand.New(rand.NewSource(seed))}
@@ -94,19 +94,12 @@ func TestNamedBindsLikePositional(t *testing.T) {
 				// Fresh values every round; round 1 keeps round 0's literals
 				// (a raw-text hit), round 2 draws new ones (a normalized hit).
 				named := map[string]Value{"n": g.value(false), "m": g.value(false), "w": g.value(true)}
-				if g.rng.Intn(2) == 0 {
-					named["N"], named["W"] = named["n"], named["w"]
-					delete(named, "n")
-					delete(named, "w")
-				}
 				lookup := func(name string) Value {
-					for k, v := range named {
-						if strings.EqualFold(k, name) {
-							return v
-						}
+					v, ok := named[strings.ToLower(name)]
+					if !ok {
+						t.Fatalf("no value for %s", name)
 					}
-					t.Fatalf("no value for %s", name)
-					return Value{}
+					return v
 				}
 				var written, rewritten []any
 				var qvals, inOrder []Value
@@ -143,13 +136,12 @@ func TestNamedBindsLikePositional(t *testing.T) {
 					err error
 				}
 				out := make([]outcome, len(arms))
-				out[0].res, out[0].err = dbs[0].Session().ExecNamed(text, named, qvals...)
-				out[1].res, out[1].err = dbs[1].Session().Exec(text, vector...)
-				out[2].res, out[2].err = dbs[2].Session().Exec(fmt.Sprintf(tmpl, rewritten...), inOrder...)
-				if ps, err := dbs[3].Session().Prepare(text); err != nil {
-					out[3].err = err
+				out[0].res, out[0].err = dbs[0].Session().Exec(text, vector...)
+				out[1].res, out[1].err = dbs[1].Session().Exec(fmt.Sprintf(tmpl, rewritten...), inOrder...)
+				if ps, err := dbs[2].Session().Prepare(text); err != nil {
+					out[2].err = err
 				} else {
-					out[3].res, out[3].err = ps.ExecNamed(named, qvals...)
+					out[2].res, out[2].err = ps.Exec(vector...)
 				}
 				if dbs[0].StmtCacheStats().Hits > before {
 					hits++
@@ -187,8 +179,11 @@ func TestNamedBindsLikePositional(t *testing.T) {
 	}
 }
 
-// TestExecNamedFailsAtEntry: a name the map lacks, or a `?` without its
-// value, fails before the statement runs.
+// TestExecNamedFailsAtEntry: a statement bound short of its slots fails
+// before it writes a row, on the text path and a prepared statement
+// alike; @a, slot 2 after the `?`, is the first it evaluates. (The name
+// is that of the map-binding entry point, gone with its missing-name
+// case; positional binding has no map to miss a name in.)
 func TestExecNamedFailsAtEntry(t *testing.T) {
 	db := Open("entry")
 	db.MustExec("CREATE TABLE t (a INTEGER, b INTEGER)")
@@ -197,20 +192,12 @@ func TestExecNamedFailsAtEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		named map[string]Value
-		q     []Value
-		want  string
-	}{
-		{map[string]Value{"b": Int(1)}, []Value{Int(2)}, "sqldb: unbound named parameter @a"},
-		{map[string]Value{"A": Int(1)}, nil, "sqldb: missing value for parameter 1"},
-	} {
-		if _, err := s.ExecNamed("INSERT INTO t VALUES (@a, ?)", tc.named, tc.q...); errText(err) != tc.want {
-			t.Fatalf("ExecNamed(%v, %v): %v, want %q", tc.named, tc.q, err, tc.want)
-		}
-		if _, err := ps.ExecNamed(tc.named, tc.q...); errText(err) != tc.want {
-			t.Fatalf("PreparedStmt.ExecNamed(%v, %v): %v, want %q", tc.named, tc.q, err, tc.want)
-		}
+	const want = "sqldb: missing value for parameter 2"
+	if _, err := s.Exec("INSERT INTO t VALUES (@a, ?)"); errText(err) != want {
+		t.Fatalf("Exec: %v, want %q", err, want)
+	}
+	if _, err := ps.Exec(); errText(err) != want {
+		t.Fatalf("PreparedStmt.Exec: %v, want %q", err, want)
 	}
 	if n := db.MustExec("SELECT COUNT(*) FROM t").Rows[0][0].I; n != 0 {
 		t.Fatalf("%d rows inserted by failed calls", n)

@@ -24,20 +24,14 @@ type parser struct {
 
 // Parse parses a single SQL statement.
 func Parse(sql string) (Stmt, error) {
-	st, _, err := parseOne(sql)
-	return st, err
-}
-
-// parseOne parses a single statement and reports its parameter shape.
-func parseOne(sql string) (Stmt, paramShape, error) {
-	stmts, shape, err := parseScript(sql)
+	stmts, _, err := parseScript(sql)
 	if err != nil {
-		return nil, shape, err
+		return nil, err
 	}
 	if len(stmts) != 1 {
-		return nil, shape, fmt.Errorf("sqldb: expected exactly one statement, got %d", len(stmts))
+		return nil, fmt.Errorf("sqldb: expected exactly one statement, got %d", len(stmts))
 	}
-	return stmts[0].st, shape, nil
+	return stmts[0].st, nil
 }
 
 // ParamNames returns the named placeholders of sql (@name, without the
@@ -53,28 +47,6 @@ func ParamNames(sql string) ([]string, error) {
 type paramShape struct {
 	positional int
 	names      []string
-}
-
-// bindNamed builds a parse's parameter vector: its `?` values (surplus
-// ones are never referenced and are dropped), then each name's value
-// from the map, looked up case-insensitively.
-func (sh paramShape) bindNamed(params []Value, named map[string]Value) ([]Value, error) {
-	if len(params) < sh.positional {
-		return nil, fmt.Errorf("sqldb: missing value for parameter %d", len(params)+1)
-	}
-	vals := append(make([]Value, 0, sh.positional+len(sh.names)), params[:sh.positional]...)
-	for i, n := range sh.names {
-		for k, v := range named {
-			if strings.EqualFold(k, n) {
-				vals = append(vals, v)
-				break
-			}
-		}
-		if len(vals) == sh.positional+i {
-			return nil, fmt.Errorf("sqldb: unbound named parameter @%s", n)
-		}
-	}
-	return vals, nil
 }
 
 // numberNamed moves each named placeholder past the parse's `?`s.
@@ -132,19 +104,20 @@ func parseScript(sql string) ([]scriptStmt, paramShape, error) {
 // by `?` tokens parses into a plan whose parameter numbering matches
 // the normalizer's slot pattern exactly, and whose named placeholders
 // follow every slot of that pattern.
-func parseTokens(src string, toks []token) (Stmt, paramShape, error) {
+func parseTokens(src string, toks []token) (Stmt, error) {
 	p := &parser{src: src, toks: toks}
 	st, err := p.parseStmt()
 	if err != nil {
-		return nil, paramShape{}, err
+		return nil, err
 	}
 	for p.peekSym(";") {
 		p.pos++
 	}
 	if p.peek().kind != tokEOF {
-		return nil, paramShape{}, p.errorf("expected ';' or end of input")
+		return nil, p.errorf("expected ';' or end of input")
 	}
-	return st, p.numberNamed(), nil
+	p.numberNamed()
+	return st, nil
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }

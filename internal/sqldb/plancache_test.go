@@ -94,7 +94,7 @@ func TestNamedVsPositionalBindingAgree(t *testing.T) {
 	for i := 1; i <= 8; i++ {
 		db.MustExec(fmt.Sprintf("INSERT INTO orders VALUES (%d, 'x', %d, 1.0)", i, i*10))
 	}
-	named, err := s.ExecNamed("SELECT id FROM orders WHERE qty > @q ORDER BY id", map[string]Value{"q": Int(40)})
+	named, err := s.Exec("SELECT id FROM orders WHERE qty > @q ORDER BY id", Int(40))
 	if err != nil {
 		t.Fatal(err)
 	}

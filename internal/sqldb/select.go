@@ -90,7 +90,7 @@ type groupTable struct {
 
 // idleCap is the most entries an idle plan or session keeps a buffer's
 // memory for — group bins, probe copies, sort permutations, write sets,
-// latch sets, parameters; a statement that used more drops the buffer.
+// written tables, parameters; a statement that used more drops the buffer.
 const idleCap = 1024
 
 func (t *groupTable) reset() {
@@ -748,7 +748,7 @@ func (p *selectPlan) open(k int) error {
 }
 
 // candidates fetches a base table's row versions: the probed index
-// bucket, copied into src.probe, or the heap snapshot (latch-free;
+// bucket, copied into src.probe, or the heap snapshot (lock-free;
 // versions are filtered through the statement's snapshot as read).
 func (p *selectPlan) candidates(src *source) []*Row {
 	p.s.notePlan(src.tbl, src.idx)

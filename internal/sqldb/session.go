@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -55,7 +56,7 @@ type Session struct {
 	tx      txn
 	scope   env
 	inner   *innerScope // a CALL body's statement scopes by depth; a pointer, so Session stays 320 B
-	latches []latchTarget
+	written []*Table    // the tables a writer statement vacuums (runStmt)
 	params  []Value
 
 	// snap is the executing statement's snapshot: the highest commit
@@ -142,26 +143,7 @@ func (s *Session) Exec(sql string, params ...Value) (*Result, error) {
 	return s.execParsed(sql, &ps, params)
 }
 
-// ExecNamed is Exec with the named placeholders bound from a map (keys
-// are case-insensitive) after the `?` values in params. A name the map
-// lacks fails before anything executes.
-func (s *Session) ExecNamed(sql string, named map[string]Value, params ...Value) (*Result, error) {
-	ps, err := s.db.cachedParse(sql)
-	if err != nil {
-		return nil, err
-	}
-	// The caller's own `?`s are the cached parse's slots less the
-	// literals normalization extracted from this text.
-	shape := ps.shape
-	shape.positional -= len(ps.consts)
-	vals, err := shape.bindNamed(params, named)
-	if err != nil {
-		return nil, err
-	}
-	return s.execParsed(sql, &ps, vals)
-}
-
-// execParsed is the text-execution path behind Exec, ExecNamed and the
+// execParsed is the text-execution path behind Exec and the
 // replication Applier, past the plan cache: execute with the text's
 // extracted literals folded into the positional vector. The NORMALIZED
 // text and the MERGED parameters are what flow to the change stream — a
@@ -189,11 +171,10 @@ func (s *Session) execParsed(sql string, ps *parsedStmt, params []Value) (*Resul
 // layers use for repeated statements. Prepare bypasses the statement
 // cache (the caller is doing its own statement reuse).
 type PreparedStmt struct {
-	s     *Session
-	stmt  Stmt
-	src   string     // original SQL text, for the change stream
-	shape paramShape // its `?`s and names, for ExecNamed
-	slot  stmtSlot   // footprint and idle plan (slot.go)
+	s    *Session
+	stmt Stmt
+	src  string   // original SQL text, for the change stream
+	slot stmtSlot // idle plan (slot.go)
 
 	// parse is the one-time parse cost in nanoseconds, zero once an
 	// execution has reported it. execStmt takes it (one swap) only after
@@ -205,11 +186,11 @@ type PreparedStmt struct {
 // Prepare parses a statement once for repeated execution.
 func (s *Session) Prepare(sql string) (*PreparedStmt, error) {
 	start := time.Now()
-	st, shape, err := parseOne(sql)
+	st, err := Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	p := &PreparedStmt{s: s, stmt: st, src: sql, shape: shape}
+	p := &PreparedStmt{s: s, stmt: st, src: sql}
 	p.parse.Store(int64(time.Since(start)))
 	return p, nil
 }
@@ -218,16 +199,6 @@ func (s *Session) Prepare(sql string) (*PreparedStmt, error) {
 // placeholders bind from the tail, as for Session.Exec).
 func (p *PreparedStmt) Exec(params ...Value) (*Result, error) {
 	return p.s.execStmt(&parsedStmt{st: p.stmt, slot: &p.slot, norm: p.src}, &p.parse, params)
-}
-
-// ExecNamed runs the prepared statement with its named placeholders bound
-// from a map, as Session.ExecNamed does.
-func (p *PreparedStmt) ExecNamed(named map[string]Value, params ...Value) (*Result, error) {
-	vals, err := p.shape.bindNamed(params, named)
-	if err != nil {
-		return nil, err
-	}
-	return p.Exec(vals...)
 }
 
 // Query executes a statement and requires it to produce a result set.
@@ -243,7 +214,7 @@ func (s *Session) Query(sql string, params ...Value) (*Result, error) {
 }
 
 // readOnlyStmt reports whether a statement only reads database state and
-// can therefore execute latch-free under the shared engine lock. SELECT
+// can therefore execute under the shared engine lock alone. SELECT
 // may still advance sequences via NEXTVAL; Sequence is internally
 // synchronized for exactly that reason.
 func readOnlyStmt(st Stmt) bool {
@@ -266,13 +237,12 @@ func isDDL(st Stmt) bool {
 }
 
 // execStmt is the top-level execution path: session mutex, ExecHook,
-// then one of three locking regimes chosen by runStmt (latch-free
-// shared read, per-table latches, or the exclusive engine lock),
-// statement execution, then stats emission. ps's parse and cache
-// describe how the statement text was resolved (see Exec/cachedParse)
-// and flow into the emitted StmtStats; a pre-parsed statement passes its
-// one-time parse cost as charge (nil on the text path), and it is taken
-// here, past the gates that can refuse the statement. ps.norm is the
+// then one of three locking regimes chosen by runStmt (shared read,
+// writer lock, or the exclusive engine lock), statement execution, then
+// stats emission. ps's parse and cache describe how the statement text
+// was resolved (see Exec/cachedParse) and flow into the emitted
+// StmtStats; a pre-parsed statement passes its one-time parse cost as
+// charge (nil on the text path), and it is taken here, past the gates that can refuse the statement. ps.norm is the
 // text change-stream capture needs. user and ps's literals are merged
 // into the session's vector under the lock: no caller's slice is kept.
 //
@@ -324,34 +294,20 @@ func (s *Session) execStmt(ps *parsedStmt, charge *atomic.Int64, user []Value) (
 	}
 	var stat *StmtStats
 	var backoff time.Duration
-	var conflictTable string
 	canRetry := s.txn == nil
 	for attempt := 0; ; attempt++ {
 		stat, res, err = s.runStmt(ps, parse, params, sink != nil)
-		if err == nil || !canRetry || attempt >= conflictRetryLimit {
-			break
-		}
-		table, conflict := isWriteConflict(err)
-		if !conflict {
+		if err == nil || !canRetry || attempt >= conflictRetryLimit || !errors.Is(err, ErrWriteConflict) {
 			break
 		}
 		// All locks are released here (runStmt unwound fully); sleep,
 		// then re-run against a fresh snapshot.
 		d := conflictBackoff(attempt)
 		backoff += d
-		conflictTable = table
 		time.Sleep(d)
 	}
 	if stat != nil {
-		if backoff > 0 {
-			stat.LockWait += backoff
-			if conflictTable != "" {
-				if stat.LockWaitByTable == nil {
-					stat.LockWaitByTable = map[string]time.Duration{}
-				}
-				stat.LockWaitByTable[conflictTable] += backoff
-			}
-		}
+		stat.LockWait += backoff
 		sink(*stat)
 	}
 	return res, err
@@ -360,61 +316,47 @@ func (s *Session) execStmt(ps *parsedStmt, charge *atomic.Int64, user []Value) (
 // runStmt executes one attempt of a statement under the locking regime
 // its shape requires:
 //
-//   - SELECT/EXPLAIN: shared engine lock only — snapshot reads, no
-//     latches, never blocked by writers.
-//   - DML, transaction control, and CALLs of SQL procedures: shared
-//     engine lock plus per-table latches over the statement's static
-//     footprint (exclusive on mutated tables, shared on read tables),
-//     acquired in globally sorted name order — the deadlock-avoidance
-//     rule.
-//   - DDL, native procedures, and statements whose footprint cannot be
-//     computed statically: the exclusive engine lock, which excludes
-//     every other statement.
+//   - SELECT/EXPLAIN: the shared engine lock only — snapshot reads,
+//     never blocked by writers.
+//   - INSERT/UPDATE/DELETE and BEGIN/COMMIT/ROLLBACK: the shared engine
+//     lock, then the writer lock (writeMu), so one writer statement runs
+//     at a time beside any number of readers.
+//   - DDL, CALL (a SQL procedure body may hold DDL) and any other
+//     shape: the exclusive engine lock, which excludes every other
+//     statement.
 //
-// Every attempt registers a snapshot for its lifetime (vacuum safety)
-// and fully releases locks before returning.
+// Each lock is tried first and timed only when it blocks. Every attempt
+// registers a snapshot for its lifetime (vacuum safety) and fully
+// releases locks before returning.
 func (s *Session) runStmt(ps *parsedStmt, parse time.Duration, params []Value, wantStats bool) (stat *StmtStats, res *Result, err error) {
 	st, slot, src := ps.st, ps.slot, ps.norm
-	shared := readOnlyStmt(st)
-	exclusive := false
-	fp := s.latches[:0]
-	// lockWait accumulates only time spent blocked on lock/latch
-	// acquisition — the footprint computation between the engine lock and
-	// the latches is CPU work, not waiting, and is deliberately untimed.
-	// A successful TryLock is by definition a zero wait, so the common
-	// uncontended case records an honest 0 instead of clock-read noise.
+	writer, exclusive := false, false
+	switch st.(type) {
+	case *SelectStmt, *ExplainStmt:
+	case *InsertStmt, *UpdateStmt, *DeleteStmt, *BeginStmt, *CommitStmt, *RollbackStmt:
+		writer = true
+	default:
+		exclusive = true
+	}
 	var lockWait time.Duration
-	if !s.db.mu.TryRLock() {
-		lockStart := time.Now()
-		s.db.mu.RLock()
-		lockWait = time.Since(lockStart)
+	if exclusive {
+		lockWait = acquire(s.db.mu.TryLock, s.db.mu.Lock)
+	} else {
+		lockWait = acquire(s.db.mu.TryRLock, s.db.mu.RLock)
 	}
-	if !shared {
-		var ok bool
-		fp, ok = s.db.stmtFootprint(fp, st, s.txn, slot)
-		if !ok {
-			s.db.mu.RUnlock()
-			if !s.db.mu.TryLock() {
-				lockStart := time.Now()
-				s.db.mu.Lock()
-				lockWait += time.Since(lockStart)
-			}
-			exclusive = true
-		}
-	}
-	var waits map[string]time.Duration
-	if len(fp) > 0 {
-		waits = acquireLatches(fp, true)
-		for _, d := range waits {
-			lockWait += d
-		}
+	var written []*Table
+	if writer {
+		lockWait += acquire(s.db.writeMu.TryLock, s.db.writeMu.Lock)
+		written = s.writtenTables(s.written[:0], st)
 	}
 	snap := s.db.acquireSnapshot()
 	s.snap = snap
 	defer func() {
 		s.db.releaseSnapshot(snap)
-		releaseLatches(fp)
-		s.latches = idleBuf(fp)
+		if writer {
+			s.written = idleBuf(written)
+			s.db.writeMu.Unlock()
+		}
 		if exclusive {
 			s.db.mu.Unlock()
 		} else {
@@ -427,27 +369,26 @@ func (s *Session) runStmt(ps *parsedStmt, parse time.Duration, params []Value, w
 		start = time.Now()
 	}
 	// The shared dispatch with the change-stream record as its emit
-	// step, then an opportunistic vacuum while the latches are held.
+	// step, then an opportunistic vacuum while the writer lock is held.
 	res, err = s.execStmtLocked(st, slot, params, func() { s.emitChange(st, src, params) })
 	if err == nil {
-		s.vacuumFootprint(fp)
+		s.vacuum(written)
 	}
 	if !wantStats {
 		return nil, res, err
 	}
 	stat = &StmtStats{
-		Start:           start,
-		Kind:            StmtKind(st),
-		Table:           s.planTable,
-		Index:           s.planIndex,
-		Plan:            "",
-		Parse:           parse,
-		Exec:            time.Since(start),
-		LockWait:        lockWait,
-		LockWaitByTable: waits,
-		Cache:           ps.cache,
-		RowsScanned:     s.rowsScanned,
-		Parent:          s.spanParent,
+		Start:       start,
+		Kind:        StmtKind(st),
+		Table:       s.planTable,
+		Index:       s.planIndex,
+		Plan:        "",
+		Parse:       parse,
+		Exec:        time.Since(start),
+		LockWait:    lockWait,
+		Cache:       ps.cache,
+		RowsScanned: s.rowsScanned,
+		Parent:      s.spanParent,
 	}
 	if s.planTable != "" {
 		if tbl, terr := s.db.table(s.planTable); terr == nil {
@@ -468,31 +409,71 @@ func (s *Session) runStmt(ps *parsedStmt, parse time.Duration, params []Value, w
 	return stat, res, err
 }
 
-// vacuumFootprint opportunistically vacuums the statement's
-// write-latched tables while the latches are still held.
-func (s *Session) vacuumFootprint(fp []latchTarget) {
+// acquire takes a lock by its try and blocking forms and returns the
+// wait, timed only when the try fails: a free lock costs no clock read,
+// and its wait is an honest 0.
+func acquire(try func() bool, lock func()) time.Duration {
+	if try() {
+		return 0
+	}
+	start := time.Now()
+	lock()
+	return time.Since(start)
+}
+
+// writtenTables appends to buf the tables a writer statement writes: a
+// DML statement's target, or the distinct tables of the write set a
+// transaction-control statement resolves. The caller holds the writer
+// lock.
+func (s *Session) writtenTables(buf []*Table, st Stmt) []*Table {
+	var name string
+	switch t := st.(type) {
+	case *InsertStmt:
+		name = t.Table
+	case *UpdateStmt:
+		name = t.Table
+	case *DeleteStmt:
+		name = t.Table
+	default:
+		if s.txn != nil {
+			for _, w := range s.txn.ws {
+				if !slices.Contains(buf, w.t) {
+					buf = append(buf, w.t)
+				}
+			}
+		}
+		return buf
+	}
+	if t, ok := LookupFold(s.db.tables, name); ok {
+		buf = append(buf, t)
+	}
+	return buf
+}
+
+// vacuum opportunistically vacuums the tables a writer statement wrote
+// while the writer lock is still held.
+func (s *Session) vacuum(tables []*Table) {
 	var minSnap int64
 	computed := false
-	for _, lt := range fp {
-		if !lt.write || !lt.t.vacuumDue() {
+	for _, t := range tables {
+		if !t.vacuumDue() {
 			continue
 		}
 		if !computed {
 			minSnap = s.db.minActiveSnapshot()
 			computed = true
 		}
-		lt.t.maybeVacuum(minSnap, minSnap < s.snap)
+		t.maybeVacuum(minSnap, minSnap < s.snap)
 	}
 }
 
 // emitChange hands a successfully executed statement to the change
 // sink, stamped with the next change sequence number. The caller holds
-// commitMu: sequence assignment, commit stamping, and sink delivery are
-// one critical section, so the stream stays dense and every
-// BootstrapState floor cuts it exactly at a committed boundary. The
-// statement also still holds its table latches (or the exclusive engine
-// lock), so sink order equals execution order on every table — the
-// property the replica applier relies on.
+// the writer lock or the exclusive engine lock: sequence assignment,
+// commit stamping, and sink delivery are one critical section, so the
+// stream stays dense, sink order equals execution order — the property
+// the replica applier relies on — and every BootstrapState floor cuts it
+// exactly at a committed boundary.
 //
 // Statements of an open explicit transaction are additionally buffered
 // in db.openTxns: a committed-only bootstrap dump excludes their
@@ -532,11 +513,10 @@ func (s *Session) emitChange(st Stmt, src string, params []Value) {
 // held — the one path shared by top-level execution (runStmt) and
 // re-entrant execution (native-procedure child sessions, SQL procedure
 // bodies); slot is the statement's, nil for one planned per execution.
-// emit is the change-stream step: the top-level caller's runs
-// inside the same commitMu hold as the commit stamp, which keeps the
-// stream dense and exactly paired with BootstrapState floors;
-// re-entrant callers pass nil (the stream carries the enclosing
-// statement).
+// emit is the change-stream step: the top-level caller's runs right
+// after the commit stamp under the same lock, which keeps the stream
+// dense and exactly paired with BootstrapState floors; re-entrant
+// callers pass nil (the stream carries the enclosing statement).
 func (s *Session) execStmtLocked(st Stmt, slot *stmtSlot, params []Value, emit func()) (*Result, error) {
 	s.db.stmtCount.Add(1)
 	switch st.(type) {
@@ -554,11 +534,11 @@ func (s *Session) execStmtLocked(st Stmt, slot *stmtSlot, params []Value, emit f
 	return res, err
 }
 
-// txnControl performs BEGIN, COMMIT or ROLLBACK on the session. Commit
-// stamping, the emit step and the open-transaction bookkeeping share
-// one commitMu critical section. BEGIN emits with the new transaction
-// already set (which registers its bootstrap buffer); COMMIT and
-// ROLLBACK emit with it already cleared.
+// txnControl performs BEGIN, COMMIT or ROLLBACK on the session: commit
+// stamping, the emit step and the open-transaction bookkeeping, under
+// the caller's writer lock or exclusive engine lock. BEGIN emits with
+// the new transaction already set (which registers its bootstrap
+// buffer); COMMIT and ROLLBACK emit with it already cleared.
 func (s *Session) txnControl(st Stmt, emit func()) (*Result, error) {
 	_, begin := st.(*BeginStmt)
 	_, commit := st.(*CommitStmt)
@@ -576,7 +556,6 @@ func (s *Session) txnControl(st Stmt, emit func()) (*Result, error) {
 			rollbackStamps(tx)
 		}
 	}
-	s.db.commitMu.Lock()
 	if commit {
 		s.db.stampCommit(tx)
 	}
@@ -586,7 +565,6 @@ func (s *Session) txnControl(st Stmt, emit func()) (*Result, error) {
 	if !begin {
 		delete(s.db.openTxns, s.id)
 	}
-	s.db.commitMu.Unlock()
 	return &Result{}, nil
 }
 
@@ -600,7 +578,7 @@ func (s *Session) begin(explicit bool) {
 // transaction still open is rolled back on error and stamp-committed on
 // success (a no-op if a child session rolled it back); inside an
 // explicit transaction the effects stay pending. A successful statement
-// is handed to emit in the same commitMu hold as its commit stamp.
+// is handed to emit right after its commit stamp.
 func (s *Session) finishStmt(local bool, err error, emit func()) {
 	tx := s.txn
 	own := local && tx != nil // false when a procedure body closed it
@@ -611,15 +589,11 @@ func (s *Session) finishStmt(local bool, err error, emit func()) {
 		}
 		return
 	}
-	if own || emit != nil {
-		s.db.commitMu.Lock()
-		if own {
-			s.db.stampCommit(tx)
-		}
-		if emit != nil {
-			emit()
-		}
-		s.db.commitMu.Unlock()
+	if own {
+		s.db.stampCommit(tx)
+	}
+	if emit != nil {
+		emit()
 	}
 	if own || (tx != nil && tx.aborted) {
 		s.txn = nil // resolved here, or closed by a child session's Rollback
@@ -711,7 +685,7 @@ func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value) (res *Result
 			proc.Body[i] = b.st
 		}
 		s.db.procs[lc] = proc
-		s.db.footGen.Add(1) // CALL footprints expand procedure bodies
+		s.db.footGen.Add(1)
 		return &Result{}, nil
 	case *DropProcedureStmt:
 		lc := strings.ToLower(t.Name)
@@ -748,8 +722,8 @@ func absent(ifExists bool, kind, name string) (*Result, error) {
 // would then fail on the replica and wedge replication.
 func (s *Session) Rollback() {
 	if s.locked {
-		// Re-entrant (child session): the enclosing statement already
-		// holds the engine lock and the write set's latches. Flipping
+		// Re-entrant (child session): the enclosing CALL already holds
+		// the exclusive engine lock. Flipping
 		// the stamps marks the shared transaction aborted, which the
 		// parent's finishStmt observes and skips committing.
 		if s.txn != nil && !s.txn.aborted {
@@ -762,7 +736,7 @@ func (s *Session) Rollback() {
 	defer s.mu.Unlock()
 	if s.txn != nil {
 		// A ROLLBACK statement run below the statement boundary: runStmt
-		// latches the write set, but the ExecHook, the budget and
+		// takes the writer lock, but the ExecHook, the budget and
 		// read-only gates and stats emission (all in execStmt) are
 		// bypassed — an abort must always go through.
 		s.runStmt(&parsedStmt{st: rollbackStmt, norm: "ROLLBACK"}, 0, nil, false)

@@ -12,7 +12,7 @@ import (
 	"unsafe"
 )
 
-// A session reuses its transaction, scope, latch set and parameter
+// A session reuses its transaction, scope, written tables and parameter
 // vector, and a slotted plan its probe and sort buffers, from statement
 // to statement. What a statement returns must still be its own: these
 // tests run statements on one long-lived session against the same
@@ -319,7 +319,7 @@ func TestIdleStateHoldsNoRows(t *testing.T) {
 		t.Fatal("a transaction is still open")
 	}
 	checkIdleBuf(t, "session write set", s.tx.ws)
-	checkIdleBuf(t, "session latch set", s.latches)
+	checkIdleBuf(t, "session written tables", s.written)
 	checkIdleBuf(t, "session parameters", s.params)
 	if !reflect.ValueOf(s.scope).IsZero() {
 		t.Errorf("session scope holds %+v", s.scope)
@@ -339,39 +339,6 @@ func checkIdleBuf[T comparable](t *testing.T, what string, b []T) {
 			t.Errorf("%s holds %+v at %d of %d", what, v, i, len(b))
 			return
 		}
-	}
-}
-
-// TestCommitLatchesInNameOrder: COMMIT latches its write set's tables in
-// the order a DML footprint over the same tables does — by lowercased
-// name, the deadlock-avoidance rule — however their names are cased.
-func TestCommitLatchesInNameOrder(t *testing.T) {
-	db := Open("order")
-	db.MustExec("CREATE TABLE Zeta (id INTEGER)")
-	db.MustExec("CREATE TABLE alpha (id INTEGER)")
-	db.MustExec("CREATE PROCEDURE fill_both () AS 'INSERT INTO Zeta VALUES (1); INSERT INTO alpha VALUES (1)'")
-	s := db.Session()
-	names := func(fp []latchTarget) (out []string) {
-		for _, lt := range fp {
-			out = append(out, lt.t.Name)
-		}
-		return out
-	}
-	dml, ok := db.stmtFootprint(nil, &CallStmt{Name: "fill_both"}, nil, nil)
-	if !ok {
-		t.Fatal("the CALL's footprint is not static")
-	}
-	for _, sql := range []string{"BEGIN", "INSERT INTO Zeta VALUES (2)", "INSERT INTO alpha VALUES (2)", "INSERT INTO Zeta VALUES (3)"} {
-		if _, err := s.Exec(sql); err != nil {
-			t.Fatal(err)
-		}
-	}
-	commit, _ := db.stmtFootprint(nil, &CommitStmt{}, s.txn, nil)
-	if got, want := names(commit), names(dml); !slices.Equal(got, want) || !slices.Equal(want, []string{"alpha", "Zeta"}) {
-		t.Fatalf("COMMIT latches %v, the DML footprint %v; want [alpha Zeta] for both", got, want)
-	}
-	if _, err := s.Exec("COMMIT"); err != nil {
-		t.Fatal(err)
 	}
 }
 

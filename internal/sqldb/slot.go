@@ -4,14 +4,13 @@ import "sync/atomic"
 
 // A parsed statement owns one stmtSlot wherever it is kept: the plan
 // cache entry, a PreparedStmt, a ParsedQuery, a procedure body. The slot
-// holds the statement's latch footprint (mvcc.go) and one idle compiled
-// plan. An execution takes the plan with one swap, re-binds it to its
-// session and parameters, runs it and puts it back; an execution that
+// holds one idle compiled plan. An execution takes the plan with one
+// swap, re-binds it to its session and parameters, runs it and puts it
+// back; an execution that
 // finds the slot empty — the first, or one beside a concurrent execution
 // of the same text — plans afresh on the same path, and its plan is the
 // one put back. A plan is therefore run by one goroutine at a time.
 type stmtSlot struct {
-	fp   atomic.Pointer[fpEntry]
 	plan atomic.Pointer[selectPlan]
 }
 

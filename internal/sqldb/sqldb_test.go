@@ -403,7 +403,7 @@ func TestParameters(t *testing.T) {
 		t.Fatalf("positional params: %v", r.Rows[0][0])
 	}
 	s := db.Session()
-	res, err := s.ExecNamed("SELECT COUNT(*) FROM Orders WHERE ItemID = @item", map[string]Value{"item": Str("nut")})
+	res, err := s.Exec("SELECT COUNT(*) FROM Orders WHERE ItemID = @item", Str("nut"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestUnicodeIdentifiers(t *testing.T) {
 	if got := queryRows(t, db, "SELECT straße, SUM(größe) FROM bestellung WHERE Größe > ? GROUP BY Straße", Int(4)); got != "[[Ring 5]]" {
 		t.Errorf("Unicode columns: %s", got)
 	}
-	res, err := db.Session().ExecNamed("SELECT Größe FROM Bestellung WHERE Straße = @straße", map[string]Value{"straße": Str("Ring")})
+	res, err := db.Session().Exec("SELECT Größe FROM Bestellung WHERE Straße = @straße", Str("Ring"))
 	if err != nil || fmt.Sprint(res.Rows) != "[[5]]" {
 		t.Errorf("Unicode named placeholder: %v %v", res, err)
 	}

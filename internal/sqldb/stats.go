@@ -21,19 +21,13 @@ type StmtStats struct {
 	Plan         string        // EXPLAIN-aligned access-path label
 	Parse        time.Duration // time spent in Parse (0 for cache hits and re-used prepared statements)
 	Exec         time.Duration // time spent executing
-	LockWait     time.Duration // engine lock + table latches + conflict backoff
+	LockWait     time.Duration // engine lock + writer lock + conflict backoff
 	Cache        string        // statement-cache outcome: CacheHit, CacheMiss, or "" (pre-parsed)
 	RowsScanned  int64         // candidate rows read by this statement
 	RowsReturned int64         // result-set rows
 	RowsAffected int           // DML rows affected
 	Err          string        // non-empty if the statement failed
 	Parent       uint64        // span id the statement's span is parented at (0: a root); Session.SetSpanParent
-
-	// LockWaitByTable attributes the latch-wait portion of LockWait to
-	// the tables whose latches the statement contended on (plus
-	// write-conflict backoff charged to the conflicted table). Nil when
-	// the statement waited on no table latch.
-	LockWaitByTable map[string]time.Duration
 }
 
 // Statement-cache outcomes recorded in StmtStats.Cache.
@@ -116,9 +110,6 @@ func (db *DB) SetObservability(o *obsv.Observability) {
 		m.Histogram("sqldb.exec_ms").ObserveDuration(st.Exec)
 		m.Histogram(kn[1]).ObserveDuration(st.Exec)
 		m.Histogram("sqldb.lock_wait_ms").ObserveDuration(st.LockWait)
-		for tbl, d := range st.LockWaitByTable {
-			m.Histogram("sqldb.lock_wait_ms." + tbl).ObserveDuration(d)
-		}
 		m.Counter("sqldb.rows_scanned").Add(st.RowsScanned)
 		m.Counter("sqldb.rows_returned").Add(st.RowsReturned)
 		switch st.Cache {

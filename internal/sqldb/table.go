@@ -30,12 +30,11 @@ type Row struct {
 // Table is an in-memory heap of row versions plus its schema and
 // secondary indexes.
 //
-// Concurrency: `latch` is the per-table statement latch — mutating
-// statements hold it exclusively for their whole execution, readers of
-// a mutating statement's footprint hold it shared, and snapshot SELECTs
-// do not take it at all. `rowsMu` is a short-hold structural lock
-// guarding the rows slice header and the index buckets so those
-// latch-free readers can copy them safely; writers hold it only for the
+// Concurrency: a statement that changes versions holds the database's
+// writer lock (or the exclusive engine lock) for its whole execution;
+// snapshot SELECTs hold neither. `rowsMu` is a short-hold structural
+// lock guarding the rows slice header and the index buckets so those
+// readers can copy them safely; writers hold it only for the
 // append/vacuum itself. Schema fields (Name, Columns, indexes) change
 // only under the exclusive engine lock.
 type Table struct {
@@ -51,12 +50,11 @@ type Table struct {
 	// the exclusive engine lock, like the fields it versions.
 	schemaVer int64
 
-	latch  sync.RWMutex
 	rowsMu sync.RWMutex
 	live   atomic.Int64 // versions visible to at least their creator
 	dead   atomic.Int64 // aborted or committed-deleted versions awaiting vacuum
 
-	vacuumFloor int64 // dead the last vacuum left to an older snapshot; under the exclusive latch
+	vacuumFloor int64 // dead the last vacuum left to an older snapshot; under the writer lock
 }
 
 func newTable(name string, cols []Column) (*Table, error) {
@@ -110,9 +108,9 @@ func (t *Table) snapshotRows() []*Row {
 }
 
 // insertVersion validates constraints and appends a new version stamped
-// as created by txnID (uncommitted). The caller holds the table's
-// exclusive latch; the structural lock is taken only around the
-// append so latch-free readers stay safe.
+// as created by txnID (uncommitted). The caller holds the writer lock;
+// the structural lock is taken only around the append so snapshot
+// readers stay safe.
 func (t *Table) insertVersion(vals []Value, txnID int64) (*Row, error) {
 	if len(vals) != len(t.Columns) {
 		return nil, fmt.Errorf("sqldb: table %s expects %d values, got %d", t.Name, len(t.Columns), len(vals))
@@ -146,10 +144,9 @@ func (t *Table) insertVersion(vals []Value, txnID int64) (*Row, error) {
 }
 
 // claimRow marks the version as deleted (or superseded) by txnID — the
-// row-level write lock. The caller holds the table's exclusive latch
-// and only ever claims versions visible to its snapshot, so any
-// existing death stamp means another transaction got there first:
-// first writer wins.
+// row-level write lock. The caller holds the writer lock and only ever
+// claims versions visible to its snapshot, so any existing death stamp
+// means another transaction got there first: first writer wins.
 func (t *Table) claimRow(r *Row, txnID int64) error {
 	switch x := r.xmax.Load(); {
 	case x == 0:
@@ -180,16 +177,16 @@ const vacuumDeadThreshold = 64
 // vacuumDue reports whether a threshold's worth of versions has died
 // since the last vacuum; counting from what that one had to leave
 // behind keeps a table whose dead an older snapshot pins from being
-// re-scanned on every statement. The caller holds the exclusive latch.
+// re-scanned on every statement. The caller holds the writer lock.
 func (t *Table) vacuumDue() bool {
 	return t.dead.Load() >= t.vacuumFloor+vacuumDeadThreshold
 }
 
 // maybeVacuum drops versions no present or future snapshot can see:
 // aborted inserts and deletes committed at or before the oldest active
-// snapshot. The caller holds the table's exclusive latch, so stamps on
-// its versions do not change underneath. The heap is copied without
-// them — latch-free readers keep scanning the slice they hold — and
+// snapshot. The caller holds the writer lock, so stamps on its
+// versions do not change underneath. The heap is copied without
+// them — snapshot readers keep scanning the slice they hold — and
 // each index filters them out of the buckets they sat in: keys are
 // encoded for the reclaimed versions only, never for the survivors.
 // pinned says a snapshot older than the caller's own set minSnap; if

@@ -392,7 +392,7 @@ func TestVacuumIndexHeapOracle(t *testing.T) {
 	}
 }
 
-// TestVacuumSpliceUnderConcurrentProbes: latch-free index probes run
+// TestVacuumSpliceUnderConcurrentProbes: snapshot index probes run
 // while a writer keeps vacuum splicing versions out of the very buckets
 // they read. A probe copies its bucket under rowsMu's read half, so it
 // must find its key's one visible row every time (and -race must stay

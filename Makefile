@@ -22,8 +22,10 @@ test:
 # (TestFlowConcurrentVariableAccess: two instances' variables, no lock;
 # TestParallelSpanTreesMatchSerial: span parents under concurrency),
 # sqldb's TestConcurrentWritersReplayOnReplica (the change stream of
-# concurrent writers under the one writer lock) and the chaos matrix are
-# only meaningful with the race detector on.
+# concurrent writers under the one writer lock),
+# TestPerAttemptTimeoutDropsLateReplies (an abandoned attempt still reads
+# its request vector after the caller has moved on) and the chaos matrix
+# are only meaningful with the race detector on.
 race:
 	$(GO) test -race ./...
 

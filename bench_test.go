@@ -10,6 +10,7 @@ package wfsql
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -250,7 +251,10 @@ var figureScale = Workload{Orders: 120, Items: 8, ApprovalPercent: 80, Seed: 42}
 // observability) — the shape `bench/run.sh` measures, profilable without
 // the harness:
 //
-//	go test -run '^$' -bench FigureInstance/bis -cpu 1 -cpuprofile /root/scratch/cpu.out .
+//	go test -run '^$' -bench FigureInstance/bis -cpu 1 -cpuprofile cpu.out .
+//
+// gc/kop is the garbage collections per thousand instances, the rate
+// whose step the bytes per instance decide (EXPERIMENTS.md, "the GC step").
 func BenchmarkFigureInstance(b *testing.B) {
 	for _, stack := range Stacks() {
 		b.Run(strings.ToLower(stack.Name), func(b *testing.B) {
@@ -260,6 +264,8 @@ func BenchmarkFigureInstance(b *testing.B) {
 				b.Fatal(err)
 			}
 			ctx := context.Background()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -272,6 +278,9 @@ func BenchmarkFigureInstance(b *testing.B) {
 					b.StartTimer()
 				}
 			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.NumGC-before.NumGC)*1000/float64(b.N), "gc/kop")
 		})
 	}
 }

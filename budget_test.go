@@ -12,6 +12,7 @@ import (
 	"wfsql/internal/bis"
 	"wfsql/internal/engine"
 	"wfsql/internal/journal"
+	"wfsql/internal/mswf"
 	"wfsql/internal/obsv"
 	"wfsql/internal/orasoa"
 	"wfsql/internal/rowset"
@@ -163,12 +164,12 @@ func TestAllocBudget(t *testing.T) {
 		objects float64
 		bytes   uint64
 	}{
-		{StackBIS, false, 239, 24746},    // 23 656 B measured (240, 23 536 with the completion callbacks copied per instance and no parent span id in the invoke attempt closure; 265, 27 904 with the row copied per cursor bind; 266, 28 088 with a copy of the input map per instance; 287 objects, 29 848 B with a session and its two maps minted per instance)
-		{StackBIS, true, 269, 29467},     // 28 155 B (270, 28 032 with the callbacks copied; 295, 32 400 with the row copied per bind; 297, 32 632 with the input map copied; 318, 34 392; 353, 37 400 with a memo key built per save, an empty memo map per INSERT and a heap Record per typed append)
-		{StackWF, false, 143, 12397},     // 11 806 B (158, 12 854 with a session and its map minted per instance)
-		{StackWF, true, 189, 19419},      // 18 494 B (200, 19 096 with copies of the DataSet memo's rows and table names; 376, 28 694 with an xdm tree per DataSet memo and state snapshot)
-		{StackOracle, false, 228, 23856}, // 22 812 B (22 684 with no parent span id in the invoke attempt closure; 253, 26 828 with the row copied per bind; 254, 26 916 with the input map copied)
-		{StackOracle, true, 275, 32134},  // 30 700 B (30 576; 300, 34 716 with the row copied per bind; 302, 34 852 with the input map copied; 338, 37 582)
+		{StackBIS, false, 206, 19102},    // 18 192 B measured (239, 23 656 with a request and a reply map and an attempt closure per supplier call and a node-set slice per cursor bind; 240, 23 536 with the completion callbacks copied per instance and no parent span id in the invoke attempt closure; 265, 27 904 with the row copied per cursor bind; 266, 28 088 with a copy of the input map per instance; 287 objects, 29 848 B with a session and its two maps minted per instance)
+		{StackBIS, true, 236, 23822},     // 22 688 B (269, 28 155 with the supplier's maps and the node-set per bind; 270, 28 032 with the callbacks copied; 295, 32 400 with the row copied per bind; 297, 32 632 with the input map copied; 318, 34 392; 353, 37 400 with a memo key built per save, an empty memo map per INSERT and a heap Record per typed append)
+		{StackWF, false, 95, 5982},       // 5 694 B (143, 11 806 with a request and a reply map and a call closure per supplier call, a parameter vector per statement and each string and int64 host variable boxed; 158, 12 854 with a session and its map minted per instance)
+		{StackWF, true, 141, 13004},      // 12 385 B (189, 18 494 with the supplier's maps, the parameter vectors and the boxed host variables; 200, 19 096 with copies of the DataSet memo's rows and table names; 376, 28 694 with an xdm tree per DataSet memo and state snapshot)
+		{StackOracle, false, 195, 18232}, // 17 364 B (228, 22 812 with the supplier's maps and the node-set per bind; 22 684 with no parent span id in the invoke attempt closure; 253, 26 828 with the row copied per bind; 254, 26 916 with the input map copied)
+		{StackOracle, true, 242, 26515},  // 25 252 B (275, 30 700 with the supplier's maps and the node-set per bind; 30 576; 300, 34 716 with the row copied per bind; 302, 34 852 with the input map copied; 338, 37 582)
 	} {
 		name := tc.stack.Name
 		if tc.durable {
@@ -182,6 +183,66 @@ func TestAllocBudget(t *testing.T) {
 			}
 			if bytes > tc.bytes {
 				t.Errorf("%d bytes per instance, budget %d", bytes, tc.bytes)
+			}
+		})
+	}
+}
+
+// TestSupplierCallAllocs pins the objects one supplier call allocates on
+// each stack, exactly: an instance whose body is the figures' invoke less
+// one whose body is empty, the invoke's input row and host variables set
+// up alike in both. The BPEL stacks (BIS, Oracle) share the engine's
+// invoke and the bus; WF calls the runtime's operation.
+func TestSupplierCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	env := NewEnvironment(figureScale)
+	bpel := func(body engine.Activity) func() {
+		d, err := env.Engine.Deploy(&engine.Process{Name: "supplierCall", Body: body, Variables: []engine.VarDecl{
+			{Name: "CurrentItem", Kind: engine.XMLVar, InitXML: "<Row><ItemID>item000</ItemID><Quantity>3</Quantity></Row>"},
+			{Name: "OrderConfirmation", Kind: engine.ScalarVar},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() {
+			if _, err := d.Run(nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	wf := func(body mswf.Activity) func() {
+		return func() {
+			if _, err := env.Runtime.Run(body, map[string]any{"CurrentItemID": "item000", "CurrentItemQuantity": int64(3)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		stacks      string
+		call, empty func()
+		objects     float64
+	}{
+		// 3 of them the request vector, the reply vector and the
+		// confirmation (10 with a request and a reply map and the attempt
+		// closure built per call).
+		{"BIS,Oracle", bpel(engine.NewInvoke("invoke", "OrderFromSupplier").
+			In("ItemID", "$CurrentItem/ItemID").
+			In("Quantity", "$CurrentItem/Quantity").
+			Out("OrderConfirmation", "OrderConfirmation")), bpel(&engine.Empty{ActivityName: "invoke"}), 7},
+		// 9 with a request and a reply map, the call closure and the
+		// confirmation boxed into its host variable.
+		{"WF", wf(&mswf.InvokeWebServiceActivity{ActivityName: "invoke", ServiceName: "OrderFromSupplier",
+			Inputs:  map[string]string{"ItemID": "CurrentItemID", "Quantity": "CurrentItemQuantity"},
+			Outputs: map[string]string{"OrderConfirmation": "OrderConfirmation"}}), wf(mswf.NewSequence("invoke")), 5},
+	} {
+		t.Run(tc.stacks, func(t *testing.T) {
+			call, _ := measureAllocs(tc.call)
+			empty, _ := measureAllocs(tc.empty)
+			t.Logf("%.0f objects per supplier call", call-empty)
+			if call-empty != tc.objects {
+				t.Errorf("%.0f objects per supplier call, want %.0f", call-empty, tc.objects)
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -58,10 +59,7 @@ func baselineRows(t *testing.T, w Workload, s Stack) []string {
 func injectSupplierFaults(t *testing.T, env *Environment, s Stack, plan *chaos.FaultPlan) {
 	t.Helper()
 	if s.Name == "WF" {
-		env.Runtime.RegisterService("OrderFromSupplier", plan.WrapService(
-			func(req map[string]string) (map[string]string, error) {
-				return env.Supplier.Handle(req)
-			}))
+		env.Runtime.RegisterService("OrderFromSupplier", plan.Wrap(env.Supplier.Operation()))
 		return
 	}
 	if err := chaos.Inject(env.Bus, "OrderFromSupplier", plan); err != nil {
@@ -246,6 +244,61 @@ func TestChaosLatencyPerAttemptTimeout(t *testing.T) {
 	}
 	if got := confirmationRows(t, env); !sameRows(got, want) {
 		t.Fatalf("rows diverged from baseline:\n got %v\nwant %v", got, want)
+	}
+}
+
+// TestPerAttemptTimeoutDropsLateReplies: on every stack, the first call
+// per item hangs past the per-attempt timeout and then replies, reading
+// its request vector while the instance goes on with its next items. The
+// abandoned attempt's late reply reaches neither the caller nor the
+// attempt that retried it: the confirmations and the supplier ledger are
+// the fault-free baseline's. Under -race, a request vector the caller
+// reuses while an abandoned attempt still reads it fails the test.
+func TestPerAttemptTimeoutDropsLateReplies(t *testing.T) {
+	w := Workload{Orders: 12, Items: 3, ApprovalPercent: 100, Seed: 1}
+	for _, s := range Stacks() {
+		t.Run(s.Name, func(t *testing.T) {
+			want := baselineRows(t, w, s)
+			env := NewEnvironment(w)
+			late := make(chan struct{}, w.Items)
+			var mu sync.Mutex
+			seen := map[string]bool{}
+			op := env.Supplier.Operation()
+			op.Handler = func(in []string) ([]string, error) {
+				mu.Lock()
+				first := !seen[in[0]]
+				seen[in[0]] = true
+				mu.Unlock()
+				if !first {
+					return env.Supplier.Order(in)
+				}
+				time.Sleep(20 * time.Millisecond)
+				reply := []string{"LATE:" + in[0] + ":" + in[1]}
+				late <- struct{}{}
+				return reply, nil
+			}
+			env.Bus.Register("OrderFromSupplier", op)
+			env.Runtime.RegisterService("OrderFromSupplier", op)
+			pol := quickPolicy(3)
+			pol.PerAttemptTimeout = 5 * time.Millisecond
+			err := env.Run(s, ResilienceConfig{Invoke: pol})
+			mu.Lock()
+			hung := len(seen)
+			mu.Unlock()
+			for range hung {
+				<-late
+			}
+			if err != nil {
+				t.Fatalf("run with hung first attempts: %v", err)
+			}
+			if hung == 0 {
+				t.Fatal("the supplier was never called")
+			}
+			if got := confirmationRows(t, env); !sameRows(got, want) {
+				t.Fatalf("rows diverged from baseline:\n got %v\nwant %v", got, want)
+			}
+			ledgerMatches(t, env, want)
+		})
 	}
 }
 

@@ -113,7 +113,7 @@ func main() {
 
 	bus := wsbus.New()
 	supplier := wsbus.NewOrderFromSupplier(0)
-	bus.Register("OrderFromSupplier", supplier.Handle)
+	bus.Register("OrderFromSupplier", supplier.Operation())
 	wsbus.RegisterSQLAdapter(bus, "SQLAdapter", db)
 
 	e := engine.New(bus)

@@ -75,7 +75,7 @@ func main() {
 
 	bus := wsbus.New()
 	supplier := wsbus.NewOrderFromSupplier(0)
-	bus.Register("OrderFromSupplier", supplier.Handle)
+	bus.Register("OrderFromSupplier", supplier.Operation())
 	e := engine.New(bus)
 	e.RegisterDataSource("orderdb", db)
 

@@ -20,7 +20,7 @@ func TestSupplierRejectionPath(t *testing.T) {
 	env := NewEnvironment(Workload{Orders: 40, Items: 4, ApprovalPercent: 100, Seed: 5})
 	// Replace the unlimited supplier with a capacity-limited one.
 	limited := wsbus.NewOrderFromSupplier(50)
-	env.Bus.Register("OrderFromSupplier", limited.Handle)
+	env.Bus.Register("OrderFromSupplier", limited.Operation())
 
 	if err := env.Run(StackBIS, ResilienceConfig{}); err != nil {
 		t.Fatal(err)
@@ -60,13 +60,15 @@ func TestSupplierRejectionPath(t *testing.T) {
 func TestServiceFaultRollsBackShortRunningProcess(t *testing.T) {
 	env := NewEnvironment(Workload{Orders: 30, Items: 6, ApprovalPercent: 100, Seed: 9})
 	calls := 0
-	env.Bus.Register("OrderFromSupplier", func(req wsbus.Message) (wsbus.Message, error) {
+	op := env.Supplier.Operation()
+	op.Handler = func(in []string) ([]string, error) {
 		calls++
 		if calls == 3 {
 			return nil, &engine.Fault{Name: "supplierDown"}
 		}
-		return wsbus.Message{"OrderConfirmation": "CONFIRMED:" + req["ItemID"] + ":" + req["Quantity"]}, nil
-	})
+		return []string{"CONFIRMED:" + in[0] + ":" + in[1]}, nil
+	}
+	env.Bus.Register("OrderFromSupplier", op)
 
 	// The Figure 4 body, but in a short-running process: all SQL work of
 	// the instance shares one transaction.
@@ -124,13 +126,15 @@ func TestServiceFaultRollsBackShortRunningProcess(t *testing.T) {
 func TestServiceFaultKeepsCommittedWorkInLongRunningProcess(t *testing.T) {
 	env := NewEnvironment(Workload{Orders: 30, Items: 6, ApprovalPercent: 100, Seed: 9})
 	calls := 0
-	env.Bus.Register("OrderFromSupplier", func(req wsbus.Message) (wsbus.Message, error) {
+	op := env.Supplier.Operation()
+	op.Handler = func([]string) ([]string, error) {
 		calls++
 		if calls == 3 {
 			return nil, &engine.Fault{Name: "supplierDown"}
 		}
-		return wsbus.Message{"OrderConfirmation": "CONFIRMED"}, nil
-	})
+		return []string{"CONFIRMED"}, nil
+	}
+	env.Bus.Register("OrderFromSupplier", op)
 	if err := env.Run(StackBIS, ResilienceConfig{}); err == nil {
 		t.Fatal("expected service fault to propagate")
 	}

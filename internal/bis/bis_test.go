@@ -28,7 +28,7 @@ func ordersDB() *sqldb.DB {
 func newEngine(db *sqldb.DB) (*engine.Engine, *wsbus.OrderFromSupplierService) {
 	bus := wsbus.New()
 	svc := wsbus.NewOrderFromSupplier(0)
-	bus.Register("OrderFromSupplier", svc.Handle)
+	bus.Register("OrderFromSupplier", svc.Operation())
 	e := engine.New(bus)
 	e.RegisterDataSource("orderdb", db)
 	return e, svc

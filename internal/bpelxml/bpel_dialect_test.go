@@ -243,7 +243,7 @@ func TestBPELDialectRowsBuildAndRun(t *testing.T) {
 		))
 	db := ordersDB()
 	bus := wsbus.New()
-	bus.Register("OrderFromSupplier", wsbus.NewOrderFromSupplier(0).Handle)
+	bus.Register("OrderFromSupplier", wsbus.NewOrderFromSupplier(0).Operation())
 	e := engine.New(bus)
 	e.RegisterDataSource("orderdb", db)
 	col := obsv.NewCollector()

@@ -90,7 +90,7 @@ func TestBISDocumentRoundTrip(t *testing.T) {
 	db := ordersDB()
 	bus := wsbus.New()
 	svc := wsbus.NewOrderFromSupplier(0)
-	bus.Register("OrderFromSupplier", svc.Handle)
+	bus.Register("OrderFromSupplier", svc.Operation())
 	e := engine.New(bus)
 	e.RegisterDataSource("orderdb", db)
 

@@ -133,11 +133,13 @@ func (p *FaultPlan) err(mode string) error {
 	return wsbus.Transient(e)
 }
 
-// WrapHandler decorates a wsbus handler with the plan.
-func (p *FaultPlan) WrapHandler(h wsbus.Handler) wsbus.Handler {
-	return func(req wsbus.Message) (wsbus.Message, error) {
-		if p.Match != nil && !p.Match(req) {
-			return h(req)
+// Wrap returns the operation with its handler behind the plan. Match,
+// when set, sees the request by part name.
+func (p *FaultPlan) Wrap(op wsbus.Operation) wsbus.Operation {
+	h := op.Handler
+	op.Handler = func(in []string) ([]string, error) {
+		if p.Match != nil && !p.Match(wsbus.Named(op.In, in)) {
+			return h(in)
 		}
 		switch p.decide() {
 		case panicNow:
@@ -148,18 +150,12 @@ func (p *FaultPlan) WrapHandler(h wsbus.Handler) wsbus.Handler {
 		case failFast:
 			return nil, p.err("fast")
 		}
-		return h(req)
+		return h(in)
 	}
-}
-
-// WrapService decorates a plain map-based service function (the mswf
-// runtime's service shape) with the plan.
-func (p *FaultPlan) WrapService(fn func(map[string]string) (map[string]string, error)) func(map[string]string) (map[string]string, error) {
-	wrapped := p.WrapHandler(func(req wsbus.Message) (wsbus.Message, error) { return fn(req) })
-	return func(req map[string]string) (map[string]string, error) { return wrapped(req) }
+	return op
 }
 
 // Inject decorates a registered bus service in place.
 func Inject(bus *wsbus.Bus, service string, p *FaultPlan) error {
-	return bus.Decorate(service, p.WrapHandler)
+	return bus.Decorate(service, func(op wsbus.Operation) wsbus.Handler { return p.Wrap(op).Handler })
 }

@@ -13,15 +13,14 @@ import (
 	"wfsql/internal/wsbus"
 )
 
-func echoHandler(req wsbus.Message) (wsbus.Message, error) {
-	return wsbus.Message{"echo": req["x"]}, nil
-}
+var echo = wsbus.Operation{In: []string{"x"}, Out: []string{"echo"},
+	Handler: func(in []string) ([]string, error) { return []string{in[0]}, nil }}
 
 // TestFaultPlanWindows: panic window, slow window, fail window, then
 // pass-through — in that deterministic order.
 func TestFaultPlanWindows(t *testing.T) {
 	bus := wsbus.New()
-	bus.Register("svc", echoHandler)
+	bus.Register("svc", echo)
 	p := NewFaultPlan(1)
 	p.PanicFirst, p.SlowFirst, p.FailFirst = 1, 1, 1
 	p.Delay = time.Millisecond
@@ -64,7 +63,7 @@ func TestFaultPlanWindows(t *testing.T) {
 // TestFaultPlanMatch: non-matching requests bypass injection entirely.
 func TestFaultPlanMatch(t *testing.T) {
 	bus := wsbus.New()
-	bus.Register("svc", echoHandler)
+	bus.Register("svc", echo)
 	p := NewFaultPlan(1)
 	p.FailFirst = 1000
 	p.Permanent = true
@@ -92,10 +91,10 @@ func TestFaultRateDeterminism(t *testing.T) {
 	run := func(seed int64) []bool {
 		p := NewFaultPlan(seed)
 		p.FailRate = 0.5
-		h := p.WrapHandler(echoHandler)
+		h := p.Wrap(echo).Handler
 		outcome := make([]bool, 20)
 		for i := range outcome {
-			_, err := h(wsbus.Message{"x": "v"})
+			_, err := h([]string{"v"})
 			outcome[i] = err == nil
 		}
 		return outcome
@@ -215,7 +214,7 @@ func TestFaultySessionWrapper(t *testing.T) {
 // retry policy — the end-to-end contract the product layers rely on.
 func TestPlanWithRetryPolicy(t *testing.T) {
 	bus := wsbus.New()
-	bus.Register("svc", echoHandler)
+	bus.Register("svc", echo)
 	p := NewFaultPlan(1)
 	p.PanicFirst, p.FailFirst = 1, 2
 	if err := Inject(bus, "svc", p); err != nil {
@@ -242,7 +241,7 @@ func TestFaultPlanConcurrentUse(t *testing.T) {
 	p := NewFaultPlan(42)
 	p.FailFirst = 5
 	p.FailRate = 0.25 // force the rng path on every later call
-	h := p.WrapHandler(echoHandler)
+	h := p.Wrap(echo).Handler
 
 	const workers, perWorker = 8, 200
 	var wg sync.WaitGroup
@@ -251,7 +250,7 @@ func TestFaultPlanConcurrentUse(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				_, _ = h(wsbus.Message{"x": "y"})
+				_, _ = h([]string{"y"})
 				_ = p.Calls()
 				_ = p.Injected()
 			}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"wfsql/internal/journal"
@@ -271,7 +272,17 @@ type Invoke struct {
 	// "DEADLETTERED:<key>", and the process continues.
 	AbsorbExhausted bool
 
-	keys []varKey // the output variables' memo keys, kept by Out
+	keys  []varKey                    // the output variables' memo keys, kept by Out
+	parts atomic.Pointer[invokeParts] // resolved against the service's operation on first run
+}
+
+// invokeParts is an invoke laid out by its service's operation: the
+// expression of each request part and the variable of each reply part
+// (nil and "": the invoke leaves the part empty, or does not read it).
+type invokeParts struct {
+	names []string
+	in    []*xpath.Expr
+	out   []string
 }
 
 // NewInvoke builds an invoke activity.
@@ -336,13 +347,23 @@ func (iv *Invoke) executeLive(ctx *Ctx) error {
 	if ctx.Engine.Bus == nil {
 		return fmt.Errorf("%s: engine has no service bus", iv.ActivityName)
 	}
-	req := wsbus.Message{}
-	for part, e := range iv.Inputs {
-		v, err := ctx.EvalXPath(e)
-		if err != nil {
-			return fmt.Errorf("%s: input %s: %w", iv.ActivityName, part, err)
+	parts, err := iv.resolve(ctx.Engine.Bus)
+	if err != nil {
+		return fmt.Errorf("%s: %w", iv.ActivityName, err)
+	}
+	var req []string // an unregistered service gets none, and the bus refuses the call
+	if parts != nil {
+		req = make([]string, len(parts.in))
+		for i, e := range parts.in {
+			if e == nil {
+				continue
+			}
+			v, err := ctx.EvalXPath(e)
+			if err != nil {
+				return fmt.Errorf("%s: input %s: %w", iv.ActivityName, parts.names[i], err)
+			}
+			req[i] = v.AsString()
 		}
-		req[part] = v.AsString()
 	}
 
 	resp, err := iv.call(ctx, req)
@@ -352,32 +373,58 @@ func (iv *Invoke) executeLive(ctx *Ctx) error {
 		}
 		return fmt.Errorf("%s: %w", iv.ActivityName, err)
 	}
-	for part, varName := range iv.Outputs {
-		pv, ok := resp[part]
-		if !ok {
-			return fmt.Errorf("%s: response missing part %s", iv.ActivityName, part)
+	if parts == nil || len(resp) != len(parts.out) {
+		return fmt.Errorf("%s: service %s changed its parts during the call", iv.ActivityName, iv.Service)
+	}
+	for i, v := range parts.out {
+		if v == "" {
+			continue
 		}
-		if err := ctx.SetScalar(varName, pv); err != nil {
+		if err := ctx.SetScalar(v, resp[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// resolve returns the invoke laid out by its service's operation, on the
+// first run that finds the service registered (nil before).
+func (iv *Invoke) resolve(bus *wsbus.Bus) (*invokeParts, error) {
+	if p := iv.parts.Load(); p != nil {
+		return p, nil
+	}
+	op, ok := bus.Operation(iv.Service)
+	if !ok {
+		return nil, nil
+	}
+	in, err := wsbus.Layout(op.In, iv.Inputs)
+	if err != nil {
+		return nil, fmt.Errorf("service %s: %w", iv.Service, err)
+	}
+	out, err := wsbus.Layout(op.Out, iv.Outputs)
+	if err != nil {
+		return nil, fmt.Errorf("service %s: %w", iv.Service, err)
+	}
+	p := &invokeParts{names: op.In, in: in, out: out}
+	iv.parts.Store(p)
+	return p, nil
+}
+
 // call performs the bus invocation under the configured policy/breaker.
 // An attempt may run on a helper goroutine (PerAttemptTimeout), so it
 // reads no instance state but what was fixed before it started: the
-// budget, the bus and the id of the span its bus span is parented at.
-func (iv *Invoke) call(ctx *Ctx, req wsbus.Message) (wsbus.Message, error) {
+// budget, the bus, the request and the id of the span its bus span is
+// parented at.
+func (iv *Invoke) call(ctx *Ctx, req []string) ([]string, error) {
 	parent := ctx.span.SpanID()
-	attempt := func(n int) (wsbus.Message, error) {
+	if iv.Retry == nil && iv.Breaker == nil {
+		return ctx.Engine.Bus.InvokeCtx(ctx.Context(), parent, iv.Service, req)
+	}
+	attempt := func(n int) ([]string, error) {
 		if iv.Breaker != nil && !iv.Breaker.Allow() {
 			return nil, resilience.RefusedError(iv.Service)
 		}
 		return ctx.Engine.Bus.InvokeCtx(ctx.Context(), parent, iv.Service, req)
-	}
-	if iv.Retry == nil && iv.Breaker == nil {
-		return attempt(1)
 	}
 
 	// Breaker accounting and span notes both run in the observer — i.e.

@@ -222,6 +222,42 @@ func TestNodeCopiesABorrowedRowOnce(t *testing.T) {
 	}
 }
 
+// TestHandedOutNodeSetsKeepTheirBind: a node-set XPathValue handed out
+// before a bind or a replacement still holds the node it was handed out
+// with, and a bind allocates nothing.
+func TestHandedOutNodeSetsKeepTheirBind(t *testing.T) {
+	p := newBorrowPair(t)
+	ctx := p.real
+	cur, set := ctx.Inst.MustVariable("cur"), ctx.Inst.MustVariable("set")
+	type handed struct {
+		got  []*xdm.Node
+		want *xdm.Node
+	}
+	var kept []handed
+	for i := range 12 {
+		if i%4 == 3 {
+			doc := xdm.MustParse(fmt.Sprintf("<Row><F1>n%d</F1></Row>", i))
+			cur.SetNode(doc)
+			kept = append(kept, handed{cur.XPathValue().Nodes, doc})
+			continue
+		}
+		ctx.SetScalar("pos", fmt.Sprint(i%4+1))
+		if err := p.bind.Execute(ctx); err != nil {
+			t.Fatal(err)
+		}
+		row := rowset.Row(set.XPathValue().FirstNode(), i%4)
+		if got := testing.AllocsPerRun(1, func() { _ = p.bind.Execute(ctx) }); got != 0 {
+			t.Fatalf("rebinding row %d allocated %v objects", i%4, got)
+		}
+		kept = append(kept, handed{cur.XPathValue().Nodes, row})
+	}
+	for i, h := range kept {
+		if len(h.got) != 1 || h.got[0] != h.want {
+			t.Errorf("node-set %d handed out as %v now holds %v", i, h.want, h.got)
+		}
+	}
+}
+
 // FuzzVariableBorrow runs arbitrary step sequences, two bytes a step, on
 // borrowed binds and on the clone-on-bind model.
 func FuzzVariableBorrow(f *testing.F) {

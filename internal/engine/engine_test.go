@@ -126,7 +126,7 @@ func TestAssignToMissingNodeFails(t *testing.T) {
 func TestInvoke(t *testing.T) {
 	bus := wsbus.New()
 	svc := wsbus.NewOrderFromSupplier(0)
-	bus.Register("OrderFromSupplier", svc.Handle)
+	bus.Register("OrderFromSupplier", svc.Operation())
 	e := New(bus)
 	p := &Process{
 		Name: "call",

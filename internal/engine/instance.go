@@ -227,3 +227,12 @@ func (r instanceVars) ResolveVariable(name string) (xpath.Value, error) {
 	}
 	return v.XPathValue(), nil
 }
+
+// ResolveNode implements xpath.NodeResolver: an XML variable's document.
+func (r instanceVars) ResolveNode(name string) (*xdm.Node, error) {
+	v, err := r.in.Variable(name)
+	if err != nil || v.kind != XMLVar {
+		return nil, err
+	}
+	return v.node, nil
+}

@@ -50,12 +50,6 @@ type Variable struct {
 	node   *xdm.Node
 	scalar string
 
-	// nodeSet caches the single-node node-set XPathValue hands out, so
-	// every XPath read of an XML variable does not allocate a fresh
-	// one-element slice. Maintained wherever node changes; evaluation
-	// never mutates a node-set slice, so sharing it is safe.
-	nodeSet []*xdm.Node
-
 	// lender is set while node belongs to another variable's document
 	// (or to a document that variable has since replaced): Node copies
 	// it first. borrowers are the variables holding a row of node.
@@ -124,7 +118,6 @@ func (v *Variable) SetString(s string) {
 	v.kind = ScalarVar
 	v.scalar = s
 	v.node = nil
-	v.nodeSet = nil
 }
 
 // drop forgets every borrow of the content about to be replaced, copying
@@ -144,11 +137,6 @@ func (v *Variable) setNode(n *xdm.Node) {
 	v.kind = XMLVar
 	v.node = n
 	v.scalar = ""
-	if n != nil {
-		v.nodeSet = []*xdm.Node{n}
-	} else {
-		v.nodeSet = nil
-	}
 }
 
 // bindRow makes cur hold the i-th (0-based) Row of set's RowSet,
@@ -200,10 +188,14 @@ func (v *Variable) Int() (int64, error) {
 }
 
 // XPathValue exposes the variable to XPath: XML variables become
-// single-node node-sets, scalars become strings.
+// single-node node-sets, scalars become strings. A path from the
+// variable starts at its document without one (ResolveNode).
 func (v *Variable) XPathValue() xpath.Value {
 	if v.kind == XMLVar {
-		return xpath.Value{Kind: xpath.KindNodeSet, Nodes: v.nodeSet}
+		if v.node == nil {
+			return xpath.Value{Kind: xpath.KindNodeSet}
+		}
+		return xpath.NodeSet(v.node)
 	}
 	return xpath.String(v.scalar)
 }

@@ -2,6 +2,7 @@ package mswf
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"wfsql/internal/journal"
@@ -121,8 +122,8 @@ func (a *CodeActivity) Execute(c *Context) error {
 // parts and writes response parts back to host variables.
 type InvokeWebServiceActivity struct {
 	ActivityName string
-	Service      func(map[string]string) (map[string]string, error)
-	ServiceName  string            // resolved from the runtime when Service is nil
+	Service      wsbus.Operation   // bound service; resolved by ServiceName when its Handler is nil
+	ServiceName  string            // resolved from the runtime when Service is unbound
 	Inputs       map[string]string // message part -> host variable name
 	Outputs      map[string]string // message part -> host variable name
 
@@ -138,11 +139,19 @@ type InvokeWebServiceActivity struct {
 	// the workflow continues (the dead-letter log holds the evidence).
 	AbsorbExhausted bool
 
-	// outKeys are the output host variables' memo keys. The activity
-	// tree is frozen once deployed and shared by every instance, so they
-	// are built once, on first execution.
+	// The output host variables' memo keys and the parts resolved against
+	// the operation's declaration: the input host variable of each
+	// request part ("": left empty), the output host variable of each
+	// reply part ("": not read) and the index of the dead-letter key part
+	// (-1: none). The activity tree is frozen once deployed and shared by
+	// every instance, and a service's parts are declared once, so they are
+	// resolved once, on first execution.
 	keysOnce sync.Once
 	outKeys  []string
+	inVars   []string
+	outVars  []string
+	keyPart  int
+	partsErr error
 }
 
 // WithRetry attaches a retry policy.
@@ -167,47 +176,61 @@ func (a *InvokeWebServiceActivity) Name() string { return a.ActivityName }
 // re-invoking the service. Invoke memos are durable as soon as they are
 // journaled — a service's side effects do not roll back with a transaction.
 func (a *InvokeWebServiceActivity) Execute(c *Context) error {
-	a.keysOnce.Do(func() {
-		for _, hv := range a.Outputs {
-			a.outKeys = append(a.outKeys, "out:"+hv)
-		}
-	})
-	h := hostVars{c: c, outputs: a.outKeys}
-	return c.Effect(c.Current(), a.ActivityName, journal.EffectInvoke,
-		func() error { return a.executeLive(c) }, journal.Outcome{Save: h.save, Restore: h.restore})
-}
-
-// executeLive performs the actual invocation (no journaling).
-func (a *InvokeWebServiceActivity) executeLive(c *Context) error {
 	// Resolved per execution, never stored: the activity tree is shared
 	// by every concurrent instance of the workflow and must stay
 	// read-only.
-	svc := a.Service
-	if svc == nil && a.ServiceName != "" {
+	op := a.Service
+	if op.Handler == nil && a.ServiceName != "" {
 		var err error
-		svc, err = c.Runtime.service(a.ServiceName)
-		if err != nil {
+		if op, err = c.Runtime.service(a.ServiceName); err != nil {
 			return fmt.Errorf("%s: %w", a.ActivityName, err)
 		}
 	}
-	if svc == nil {
+	if op.Handler == nil {
 		return fmt.Errorf("%s: no service bound", a.ActivityName)
 	}
-	req := map[string]string{}
-	for part, hv := range a.Inputs {
-		req[part] = c.GetString(hv)
+	a.keysOnce.Do(func() { a.resolve(op) })
+	if a.partsErr != nil {
+		return fmt.Errorf("%s: service %s: %w", a.ActivityName, a.serviceLabel(), a.partsErr)
+	}
+	svc, h := op.Handler, hostVars{c: c, outputs: a.outKeys}
+	return c.Effect(c.Current(), a.ActivityName, journal.EffectInvoke,
+		func() error { return a.executeLive(c, svc) }, journal.Outcome{Save: h.save, Restore: h.restore})
+}
+
+// resolve lays the activity's parts out by the operation's declaration.
+func (a *InvokeWebServiceActivity) resolve(op wsbus.Operation) {
+	a.keyPart = slices.Index(op.In, a.DeadLetterKeyPart)
+	if a.inVars, a.partsErr = wsbus.Layout(op.In, a.Inputs); a.partsErr == nil {
+		a.outVars, a.partsErr = wsbus.Layout(op.Out, a.Outputs)
+	}
+	for _, hv := range a.Outputs {
+		a.outKeys = append(a.outKeys, "out:"+hv)
+	}
+}
+
+// executeLive performs the actual invocation (no journaling).
+func (a *InvokeWebServiceActivity) executeLive(c *Context, svc wsbus.Handler) error {
+	req := make([]string, len(a.inVars))
+	for i, hv := range a.inVars {
+		if hv != "" {
+			req[i] = c.GetString(hv)
+		}
 	}
 
-	call := func(int) (map[string]string, error) { return safeCall(svc, req) }
-	var resp map[string]string
+	var resp []string
 	var err error
 	if a.Retry == nil {
-		resp, err = call(0)
+		resp, err = safeCall(svc, req)
 	} else {
-		resp, err = resilience.Do(a.Retry, resilience.Notes(c.Current()), call)
+		resp, err = resilience.Do(a.Retry, resilience.Notes(c.Current()),
+			func(int) ([]string, error) { return safeCall(svc, req) })
 	}
 	if ab := resilience.Abandoned(err); ab != nil {
-		key := req[a.DeadLetterKeyPart]
+		var key string
+		if a.keyPart >= 0 {
+			key = req[a.keyPart]
+		}
 		c.Runtime.DeadLetters.Add(resilience.DeadLetter{
 			Activity: a.ActivityName,
 			Target:   a.serviceLabel(),
@@ -219,7 +242,7 @@ func (a *InvokeWebServiceActivity) executeLive(c *Context) error {
 		c.Current().Set("deadletter_key", key).SetOutcome(obsv.OutcomeDeadLettered)
 		if a.AbsorbExhausted {
 			for _, hv := range a.Outputs {
-				c.Set(hv, "DEADLETTERED:"+key)
+				c.SetString(hv, "DEADLETTERED:"+key)
 			}
 			return nil
 		}
@@ -227,19 +250,20 @@ func (a *InvokeWebServiceActivity) executeLive(c *Context) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", a.ActivityName, err)
 	}
-	for part, hv := range a.Outputs {
-		v, ok := resp[part]
-		if !ok {
-			return fmt.Errorf("%s: response missing part %s", a.ActivityName, part)
+	if len(resp) != len(a.outVars) {
+		return fmt.Errorf("%s: reply of %d parts, operation declares %d", a.ActivityName, len(resp), len(a.outVars))
+	}
+	for i, hv := range a.outVars {
+		if hv != "" {
+			c.SetString(hv, resp[i])
 		}
-		c.Set(hv, v)
 	}
 	return nil
 }
 
 // safeCall invokes the service, converting a panic into a transient
 // error (the WF host must survive a misbehaving proxy).
-func safeCall(svc func(map[string]string) (map[string]string, error), req map[string]string) (resp map[string]string, err error) {
+func safeCall(svc wsbus.Handler, req []string) (resp []string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			resp, err = nil, wsbus.Transient(fmt.Errorf("service panicked: %v", r))

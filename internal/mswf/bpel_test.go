@@ -37,11 +37,10 @@ func TestBPELExportImportRoundTrip(t *testing.T) {
 	db := ordersDB()
 	rt := newRuntime(db)
 	svc := wsbus.NewOrderFromSupplier(0)
-	rt.RegisterService("OrderFromSupplier", func(req map[string]string) (map[string]string, error) {
-		return svc.Handle(req)
-	})
+	rt.RegisterService("OrderFromSupplier", svc.Operation())
 	rt.RegisterHandler("BindNext", func(c *Context) error {
-		ds := c.vars["SV_ItemList"].(*dataset.DataSet)
+		v, _ := c.Get("SV_ItemList")
+		ds := v.(*dataset.DataSet)
 		i, _ := c.GetInt("Index")
 		row, err := ds.Table("Result").Row(int(i))
 		if err != nil {
@@ -114,9 +113,8 @@ func TestBPELImportPlainBPEL(t *testing.T) {
 	rt.RegisterRule("IsLow", func(c *Context) (bool, error) {
 		return len(c.GetString("x")) < 3, nil
 	})
-	rt.RegisterService("Order", func(req map[string]string) (map[string]string, error) {
-		return map[string]string{"x": req["x"] + "1"}, nil
-	})
+	rt.RegisterService("Order", wsbus.Operation{In: []string{"x"}, Out: []string{"x"},
+		Handler: func(in []string) ([]string, error) { return []string{in[0] + "1"}, nil }})
 	c, err := rt.Run(wf, map[string]any{"x": "0"})
 	if err != nil || c.GetString("x") != "011" {
 		t.Fatalf("imported loop: x = %q, %v", c.GetString("x"), err)
@@ -170,7 +168,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mutate the cache so change tracking must survive persistence.
-	ds := c1.vars["cache"].(*dataset.DataSet)
+	ds := c1.slot("cache").v.(*dataset.DataSet)
 	row, _ := ds.Table("Result").Find(sqldb.Int(1))
 	row.Set("Quantity", sqldb.Int(42))
 	victim, _ := ds.Table("Result").Find(sqldb.Int(2))
@@ -198,7 +196,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if v, _ := c2.Get("flag"); v.(bool) != true {
 		t.Fatalf("bool var: %v", v)
 	}
-	ds2 := c2.vars["cache"].(*dataset.DataSet)
+	ds2 := c2.slot("cache").v.(*dataset.DataSet)
 	tab := ds2.Table("Result")
 	if tab.Count() != 6 { // 6 live rows: 5 original (one deleted) + 1 added
 		t.Fatalf("live rows after restore: %d", tab.Count())

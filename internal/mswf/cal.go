@@ -158,26 +158,28 @@ func (a *SQLDatabaseActivity) executeLive(c *Context) error {
 		t.AcceptChanges() // materialized rows are Unchanged
 		c.Set(a.ResultSetVar, ds)
 	} else if a.RowsAffectedVar != "" {
-		c.Set(a.RowsAffectedVar, int64(res.RowsAffected))
+		c.SetInt(a.RowsAffectedVar, int64(res.RowsAffected))
 	}
 	return nil
 }
 
 // bindParameters fills the statement's parameter vector, slot by slot,
-// from host variables.
+// from host variables, in the vector the instance reuses for every
+// statement it runs.
 func (a *SQLDatabaseActivity) bindParameters(c *Context) ([]sqldb.Value, error) {
 	a.bindOnce.Do(a.bindSlots)
 	if a.bindErr != nil || len(a.slots) == 0 {
 		return nil, a.bindErr
 	}
-	vals := make([]sqldb.Value, len(a.slots))
+	vals := slices.Grow(c.params[:0], len(a.slots))[:len(a.slots)]
+	c.params = vals
 	for i, j := range a.slots {
 		p := &a.Parameters[j]
-		v, ok := c.Get(p.Variable)
-		if !ok {
+		v := c.slot(p.Variable)
+		if v == nil {
 			return nil, fmt.Errorf("parameter %s: no host variable %s", p.Name, p.Variable)
 		}
-		vals[i] = toSQLValue(v)
+		vals[i] = v.sqlValue()
 	}
 	return vals, nil
 }
@@ -213,25 +215,27 @@ func (p SQLParameter) binds(placeholder string) bool {
 	return strings.EqualFold(strings.TrimPrefix(p.Name, "@"), placeholder)
 }
 
-// toSQLValue converts a host variable to a SQL value.
-func toSQLValue(v any) sqldb.Value {
-	switch t := v.(type) {
+// sqlValue converts a host variable to a SQL value.
+func (v *slot) sqlValue() sqldb.Value {
+	switch v.kind {
+	case slotString:
+		return sqldb.Str(v.s)
+	case slotInt:
+		return sqldb.Int(v.i)
+	}
+	switch t := v.v.(type) {
 	case nil:
 		return sqldb.Null()
 	case sqldb.Value:
 		return t
 	case int:
 		return sqldb.Int(int64(t))
-	case int64:
-		return sqldb.Int(t)
 	case float64:
 		return sqldb.Float(t)
 	case bool:
 		return sqldb.Bool(t)
-	case string:
-		return sqldb.Str(t)
 	}
-	return sqldb.Str(fmt.Sprint(v))
+	return sqldb.Str(fmt.Sprint(v.v))
 }
 
 // NewDataAdapter builds a dataset adapter over a WF connection string —

@@ -38,13 +38,13 @@ func (h hostVars) save() (map[string]string, error) {
 	for _, k := range h.outputs {
 		memo[k] = h.c.GetString(k[len("out:"):])
 	}
-	v, _ := h.c.Get(h.dataSet)
-	if ds, ok := v.(*dataset.DataSet); ok {
-		memo["dataset"] = persistDataSet(ds)
+	if v := h.c.slot(h.dataSet); v != nil {
+		if ds, ok := v.v.(*dataset.DataSet); ok {
+			memo["dataset"] = persistDataSet(ds)
+		}
 	}
-	v, _ = h.c.Get(h.rows)
-	if n, ok := v.(int64); ok {
-		memo["rows"] = strconv.FormatInt(n, 10)
+	if v := h.c.slot(h.rows); v != nil && v.kind == slotInt {
+		memo["rows"] = strconv.FormatInt(v.i, 10)
 	}
 	return memo, nil
 }
@@ -53,7 +53,7 @@ func (h hostVars) restore(memo map[string]string) error {
 	for k, v := range memo {
 		switch {
 		case strings.HasPrefix(k, "out:"):
-			h.c.Set(k[4:], v)
+			h.c.SetString(k[4:], v)
 		case k == "dataset" && h.dataSet != "":
 			el, err := xdm.Parse(v)
 			if err != nil {
@@ -69,7 +69,7 @@ func (h hostVars) restore(memo map[string]string) error {
 			if err != nil {
 				return fmt.Errorf("memoized row count: %w", err)
 			}
-			h.c.Set(h.rows, n)
+			h.c.SetInt(h.rows, n)
 		}
 	}
 	return nil
@@ -87,7 +87,7 @@ func (rt *Runtime) Resume(root Activity, ij *journal.InstanceJournal) (*Context,
 			return nil, fmt.Errorf("mswf: resume instance %d: %w", ij.ID, err)
 		}
 	} else {
-		c = &Context{Runtime: rt, vars: map[string]any{}}
+		c = &Context{Runtime: rt}
 	}
 	rt.Open(&c.Instance, ij.ID)
 	return c, rt.run(context.Background(), c, root, c.Replay(ij))

@@ -165,7 +165,7 @@ func TestSQLDatabaseActivityDDLAndStoredProcedure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := c.vars["out"].(*dataset.DataSet)
+	ds := c.slot("out").v.(*dataset.DataSet)
 	if ds.Table("Result").Count() != 3 {
 		t.Fatalf("procedure result rows: %d", ds.Table("Result").Count())
 	}
@@ -235,7 +235,8 @@ func figure6Workflow(svc *wsbus.OrderFromSupplierService) Activity {
 		Into("SV_ItemList").Keys("ItemID")
 
 	bindNext := NewCode("bindNext", func(c *Context) error {
-		ds := c.vars["SV_ItemList"].(*dataset.DataSet)
+		v, _ := c.Get("SV_ItemList")
+		ds := v.(*dataset.DataSet)
 		i, _ := c.GetInt("Index")
 		row, err := ds.Table("Result").Row(int(i))
 		if err != nil {
@@ -250,7 +251,7 @@ func figure6Workflow(svc *wsbus.OrderFromSupplierService) Activity {
 
 	invoke := &InvokeWebServiceActivity{
 		ActivityName: "invoke",
-		Service:      func(req map[string]string) (map[string]string, error) { return svc.Handle(req) },
+		Service:      svc.Operation(),
 		Inputs:       map[string]string{"ItemID": "CurrentItemID", "Quantity": "CurrentItemQuantity"},
 		Outputs:      map[string]string{"OrderConfirmation": "OrderConfirmation"},
 	}
@@ -335,7 +336,7 @@ func TestCodeActivityADOWorkarounds(t *testing.T) {
 			"SELECT OrderID, ItemID, Quantity, Approved FROM Orders ORDER BY OrderID").
 			Into("cache").Keys("OrderID"),
 		NewCode("mutate", func(c *Context) error {
-			tab := c.vars["cache"].(*dataset.DataSet).Table("Result")
+			tab := c.slot("cache").v.(*dataset.DataSet).Table("Result")
 			// Random access by key.
 			row, err := tab.Find(sqldb.Int(4))
 			if err != nil || row == nil {
@@ -349,7 +350,7 @@ func TestCodeActivityADOWorkarounds(t *testing.T) {
 			return nil
 		}),
 		NewCode("synchronize", func(c *Context) error {
-			ds := c.vars["cache"].(*dataset.DataSet)
+			ds := c.slot("cache").v.(*dataset.DataSet)
 			adapter, err := NewDataAdapter(c, conn,
 				"SELECT OrderID, ItemID, Quantity, Approved FROM Orders", "Orders", "OrderID")
 			if err != nil {
@@ -459,11 +460,10 @@ func TestFigure6XOML(t *testing.T) {
 	db := ordersDB()
 	rt := newRuntime(db)
 	svc := wsbus.NewOrderFromSupplier(0)
-	rt.RegisterService("OrderFromSupplier", func(req map[string]string) (map[string]string, error) {
-		return svc.Handle(req)
-	})
+	rt.RegisterService("OrderFromSupplier", svc.Operation())
 	rt.RegisterHandler("BindNext", func(c *Context) error {
-		ds := c.vars["SV_ItemList"].(*dataset.DataSet)
+		v, _ := c.Get("SV_ItemList")
+		ds := v.(*dataset.DataSet)
 		i, _ := c.GetInt("Index")
 		row, err := ds.Table("Result").Row(int(i))
 		if err != nil {
@@ -541,16 +541,25 @@ func TestToSQLValueKinds(t *testing.T) {
 		{struct{ X int }{1}, sqldb.KindString}, // fallback formatting
 	}
 	for _, c := range cases {
-		if got := toSQLValue(c.in).K; got != c.kind {
-			t.Errorf("toSQLValue(%v) kind = %v, want %v", c.in, got, c.kind)
+		if got := withVars(nil, map[string]any{"v": c.in}).slot("v").sqlValue().K; got != c.kind {
+			t.Errorf("sqlValue(%v) kind = %v, want %v", c.in, got, c.kind)
 		}
 	}
 }
 
+// withVars returns a context on rt holding the host variables.
+func withVars(rt *Runtime, vars map[string]any) *Context {
+	c := &Context{Runtime: rt}
+	for k, v := range vars {
+		c.Set(k, v)
+	}
+	return c
+}
+
 func TestGetIntForms(t *testing.T) {
-	c := &Context{Runtime: NewRuntime(), vars: map[string]any{
+	c := withVars(NewRuntime(), map[string]any{
 		"i": 7, "i64": int64(8), "sql": sqldb.Int(9), "str": "10", "bad": "xyz",
-	}}
+	})
 	for name, want := range map[string]int64{"i": 7, "i64": 8, "sql": 9, "str": 10} {
 		if got, err := c.GetInt(name); err != nil || got != want {
 			t.Errorf("GetInt(%s) = %d, %v", name, got, err)
@@ -566,14 +575,14 @@ func TestGetIntForms(t *testing.T) {
 
 func TestPersistSQLValueKinds(t *testing.T) {
 	rt := NewRuntime()
-	c := &Context{Runtime: rt, vars: map[string]any{
+	c := withVars(rt, map[string]any{
 		"n":  sqldb.Null(),
 		"i":  sqldb.Int(4),
 		"f":  sqldb.Float(2.5),
 		"b":  sqldb.Bool(true),
 		"s":  sqldb.Str("x"),
 		"fl": 1.25,
-	}}
+	})
 	state := SaveState(c)
 	c2, err := rt.LoadState(state)
 	if err != nil {
@@ -626,7 +635,7 @@ func TestGetStringMatchesSprint(t *testing.T) {
 		sqldb.Null(), sqldb.Int(-3), sqldb.Float(1.5), sqldb.Float(1e21), sqldb.Str("nut"), sqldb.Bool(true), sqldb.Bool(false),
 		1.25, true, int32(9), uint(4), []string{"a", "b"}, struct{ A int }{2},
 	}
-	c := &Context{vars: map[string]any{}}
+	c := &Context{}
 	for i, v := range vals {
 		name := fmt.Sprint("v", i)
 		c.Set(name, v)

@@ -74,7 +74,7 @@ func (rt *Runtime) LoadState(state string) (*Context, error) {
 	if root.Name != "workflowState" {
 		return nil, fmt.Errorf("mswf: persistence: unexpected root %s", root.Name)
 	}
-	c := &Context{Runtime: rt, vars: map[string]any{}}
+	c := &Context{Runtime: rt}
 	for _, el := range root.ChildElements() {
 		name, _ := el.Attr("name")
 		typ, _ := el.Attr("type")
@@ -104,7 +104,7 @@ func (rt *Runtime) LoadState(state string) (*Context, error) {
 		if err != nil {
 			return nil, fmt.Errorf("mswf: persistence: variable %s: %w", name, err)
 		}
-		c.vars[name] = v
+		c.Set(name, v)
 	}
 	return c, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -166,13 +167,13 @@ func TestPersistenceStreamMatchesTree(t *testing.T) {
 			t.Fatalf("seed %d: restored dataset saves as\n%s\nwant\n%s", seed, got, want)
 		}
 
-		c := &Context{Runtime: rt, vars: map[string]any{
+		c := withVars(rt, map[string]any{
 			"nil": nil, "str": text(), "int": rng.Intn(500) - 250, "int64": rng.Int63(),
 			"float": rng.NormFloat64(), "bool": rng.Intn(2) == 0, "ds": ds,
 			"default": struct{ A, B int }{rng.Intn(9), 7}, "slice": []string{text()},
 			"sqlNull": sqldb.Null(), "sqlInt": sqldb.Int(rng.Int63n(99)), "sqlFloat": sqldb.Float(2.5),
 			"sqlStr": sqldb.Str(text()), "sqlBool": sqldb.Bool(true), "sqlAny": seededValue(rng, text()),
-		}}
+		})
 		state := SaveState(c)
 		if want := saveStateTree(c); state != want {
 			t.Fatalf("seed %d: SaveState\n got %s\nwant %s", seed, state, want)
@@ -209,7 +210,7 @@ func FuzzPersistenceStream(f *testing.F) {
 		if got, want := persistDataSet(ds), persistDataSetTree(ds).String(); got != want {
 			t.Fatalf("dataset memo\n got %q\nwant %q", got, want)
 		}
-		c := &Context{vars: map[string]any{text(): text(), s: ds, "v": seededValue(rng, s)}}
+		c := withVars(nil, map[string]any{text(): text(), s: ds, "v": seededValue(rng, s)})
 		if got, want := SaveState(c), saveStateTree(c); got != want {
 			t.Fatalf("SaveState\n got %q\nwant %q", got, want)
 		}
@@ -238,5 +239,64 @@ func TestWriteDataSetAllocates(t *testing.T) {
 	t.Logf("%.0f objects", n)
 	if n > 2 {
 		t.Errorf("writeDataSet: %.0f objects, want at most 2", n)
+	}
+}
+
+// hostVarKinds is one host variable of every kind the persistence
+// service writes, by name.
+func hostVarKinds() map[string]any {
+	ds := dataset.New()
+	tab := dataset.NewDataTable("Result", "ItemID", "Quantity")
+	tab.PrimaryKey = []string{"ItemID"}
+	ds.AddTable(tab)
+	if _, err := tab.AddRow(sqldb.Str("bolt"), sqldb.Int(15)); err != nil {
+		panic(err)
+	}
+	tab.AcceptChanges()
+	if _, err := tab.AddRow(sqldb.Str("nut <&>"), sqldb.Null()); err != nil {
+		panic(err)
+	}
+	return map[string]any{
+		"nil": nil, "str": "a <b> & \"c\"", "empty": "", "int": -7, "int64": int64(1) << 40,
+		"float": 2.5, "bool": true, "sqlNull": sqldb.Null(), "sqlInt": sqldb.Int(-3),
+		"sqlFloat": sqldb.Float(1e21), "sqlStr": sqldb.Str("nut"), "sqlBool": sqldb.Bool(false),
+		"ds": ds, "other": struct{ A, B int }{1, 2}, "slice": []string{"x", "y"},
+	}
+}
+
+// savedKinds is SaveState of hostVarKinds as the map-held host variables
+// of the previous build wrote it.
+const savedKinds = "<workflowState><variable name=\"bool\" type=\"bool\">true</variable><variable name=\"ds\" type=\"dataset\"><dataSet><table name=\"Result\" columns=\"ItemID,Quantity\" keys=\"ItemID\"><row state=\"Unchanged\"><c type=\"varchar\">bolt</c><c type=\"integer\">15</c></row><row state=\"Added\"><c type=\"varchar\">nut &lt;&amp;&gt;</c><c type=\"null\"/></row></table></dataSet></variable><variable name=\"empty\" type=\"string\"></variable><variable name=\"float\" type=\"float\">2.5</variable><variable name=\"int\" type=\"int\">-7</variable><variable name=\"int64\" type=\"int\">1099511627776</variable><variable name=\"nil\" type=\"null\"/><variable name=\"other\" type=\"string\">{1 2}</variable><variable name=\"slice\" type=\"string\">[x y]</variable><variable name=\"sqlBool\" type=\"sql:boolean\">FALSE</variable><variable name=\"sqlFloat\" type=\"sql:float\">1e+21</variable><variable name=\"sqlInt\" type=\"sql:integer\">-3</variable><variable name=\"sqlNull\" type=\"sql:null\">NULL</variable><variable name=\"sqlStr\" type=\"sql:varchar\">nut</variable><variable name=\"str\" type=\"string\">a &lt;b&gt; &amp; &quot;c&quot;</variable></workflowState>"
+
+// TestHostVariableSlotsKeepTypesAndState: whatever kind a host variable
+// holds, Get returns the dynamic type and value Set was given, and
+// SaveState writes the bytes the map-held host variables wrote, whether
+// a string or int64 was set through Set or through its typed setter, and
+// after a slot changed kind.
+func TestHostVariableSlotsKeepTypesAndState(t *testing.T) {
+	kinds := hostVarKinds()
+	c := &Context{}
+	for name := range kinds {
+		c.Set(name, "first a string")
+		c.SetInt(name, 1)
+	}
+	for name, v := range kinds {
+		c.Set(name, v)
+	}
+	for name, want := range kinds {
+		got, ok := c.Get(name)
+		if !ok || reflect.TypeOf(got) != reflect.TypeOf(want) || !reflect.DeepEqual(got, want) {
+			t.Errorf("Get(%s) = %T %v, %v; Set was given %T %v", name, got, got, ok, want, want)
+		}
+	}
+	if got := SaveState(c); got != savedKinds {
+		t.Errorf("SaveState\n got %q\nwant %q", got, savedKinds)
+	}
+	typed := withVars(nil, kinds)
+	typed.SetString("str", kinds["str"].(string))
+	typed.SetString("empty", "")
+	typed.SetInt("int64", kinds["int64"].(int64))
+	if got := SaveState(typed); got != savedKinds {
+		t.Errorf("SaveState after the typed setters\n got %q\nwant %q", got, savedKinds)
 	}
 }

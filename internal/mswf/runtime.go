@@ -23,6 +23,7 @@ import (
 
 	"wfsql/internal/host"
 	"wfsql/internal/sqldb"
+	"wfsql/internal/wsbus"
 )
 
 // Provider identifies a database provider in a connection string. The SQL
@@ -51,7 +52,7 @@ type Runtime struct {
 	connCache map[string]*sqldb.DB // memoized openConnection results, keyed by raw connection string
 	handlers  map[string]func(*Context) error
 	rules     map[string]func(*Context) (bool, error)
-	services  map[string]func(map[string]string) (map[string]string, error)
+	services  map[string]wsbus.Operation
 }
 
 type registeredDB struct {
@@ -66,7 +67,7 @@ func NewRuntime() *Runtime {
 		connCache: map[string]*sqldb.DB{},
 		handlers:  map[string]func(*Context) error{},
 		rules:     map[string]func(*Context) (bool, error){},
-		services:  map[string]func(map[string]string) (map[string]string, error){},
+		services:  map[string]wsbus.Operation{},
 	}
 	rt.Init("wf")
 	return rt
@@ -74,20 +75,20 @@ func NewRuntime() *Runtime {
 
 // RegisterService installs a named external service for
 // InvokeWebServiceActivity resolution from markup.
-func (rt *Runtime) RegisterService(name string, fn func(map[string]string) (map[string]string, error)) {
+func (rt *Runtime) RegisterService(name string, op wsbus.Operation) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	rt.services[name] = fn
+	rt.services[name] = op
 }
 
-func (rt *Runtime) service(name string) (func(map[string]string) (map[string]string, error), error) {
+func (rt *Runtime) service(name string) (wsbus.Operation, error) {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
-	s, ok := rt.services[name]
+	op, ok := rt.services[name]
 	if !ok {
-		return nil, fmt.Errorf("mswf: no service %q registered", name)
+		return op, fmt.Errorf("mswf: no service %q registered", name)
 	}
-	return s, nil
+	return op, nil
 }
 
 // RegisterDatabase makes a database reachable from connection strings as
@@ -187,50 +188,117 @@ func (rt *Runtime) openConnection(connStr string) (*sqldb.DB, error) {
 
 // Context is the execution context of a workflow instance: host variables
 // plus runtime access. WF host variables are fields of the workflow class;
-// here they are a typed map. The embedded host.Instance holds the
-// instance's ID, journal, budget, spans and database sessions. Like the
-// instance, a Context belongs to the one goroutine that runs it
-// (DESIGN.md, "One goroutine and one session per instance").
+// here they are typed slots, found by name: a string or an int64 is held
+// unboxed (SetString, SetInt, and Set given one), any other value as an
+// any. The embedded host.Instance holds the instance's ID, journal,
+// budget, spans and database sessions. Like the instance, a Context
+// belongs to the one goroutine that runs it (DESIGN.md, "One goroutine
+// and one session per instance").
 type Context struct {
 	host.Instance
 	Runtime *Runtime
 
-	vars map[string]any
+	vars   []slot
+	params []sqldb.Value // the SQL activities' parameter vector, reused
 }
 
-// Get returns a host variable.
+// slot is one host variable: its value is s, i or v, as kind says.
+type slot struct {
+	name string
+	kind slotKind
+	s    string
+	i    int64
+	v    any
+}
+
+type slotKind uint8
+
+const (
+	slotAny slotKind = iota
+	slotString
+	slotInt
+)
+
+// slot returns the named host variable's slot (nil if absent).
+func (c *Context) slot(name string) *slot {
+	for i := range c.vars {
+		if c.vars[i].name == name {
+			return &c.vars[i]
+		}
+	}
+	return nil
+}
+
+// set assigns a host variable its slot.
+func (c *Context) set(v slot) {
+	if p := c.slot(v.name); p != nil {
+		*p = v
+	} else {
+		c.vars = append(c.vars, v)
+	}
+}
+
+// Get returns a host variable with the dynamic type Set was given.
 func (c *Context) Get(name string) (any, bool) {
-	v, ok := c.vars[name]
-	return v, ok
+	switch v := c.slot(name); {
+	case v == nil:
+		return nil, false
+	case v.kind == slotString:
+		return v.s, true
+	case v.kind == slotInt:
+		return v.i, true
+	default:
+		return v.v, true
+	}
 }
 
 // Set assigns a host variable.
 func (c *Context) Set(name string, v any) {
-	c.vars[name] = v
+	switch t := v.(type) {
+	case string:
+		c.SetString(name, t)
+	case int64:
+		c.SetInt(name, t)
+	default:
+		c.set(slot{name: name, v: v})
+	}
 }
+
+// SetString assigns a string host variable.
+func (c *Context) SetString(name, v string) { c.set(slot{name: name, kind: slotString, s: v}) }
+
+// SetInt assigns an int64 host variable.
+func (c *Context) SetInt(name string, v int64) { c.set(slot{name: name, kind: slotInt, i: v}) }
 
 // GetString returns a host variable as a string ("" if absent), as
 // fmt.Sprint formats it; the common kinds are formatted directly.
 func (c *Context) GetString(name string) string {
-	v, ok := c.Get(name)
-	if !ok || v == nil {
+	v := c.slot(name)
+	if v == nil {
 		return ""
 	}
-	switch t := v.(type) {
-	case string:
-		return t
+	switch v.kind {
+	case slotString:
+		return v.s
+	case slotInt:
+		return strconv.FormatInt(v.i, 10)
+	}
+	switch t := v.v.(type) {
+	case nil:
+		return ""
 	case int:
 		return strconv.Itoa(t)
-	case int64:
-		return strconv.FormatInt(t, 10)
 	case sqldb.Value:
 		return t.String()
 	}
-	return fmt.Sprint(v)
+	return fmt.Sprint(v.v)
 }
 
 // GetInt returns a host variable as an int64.
 func (c *Context) GetInt(name string) (int64, error) {
+	if v := c.slot(name); v != nil && v.kind == slotInt {
+		return v.i, nil
+	}
 	v, ok := c.Get(name)
 	if !ok {
 		return 0, fmt.Errorf("mswf: no host variable %s", name)
@@ -238,8 +306,6 @@ func (c *Context) GetInt(name string) (int64, error) {
 	switch t := v.(type) {
 	case int:
 		return int64(t), nil
-	case int64:
-		return t, nil
 	case sqldb.Value:
 		if i, ok := t.AsInt(); ok {
 			return i, nil
@@ -256,9 +322,9 @@ func (c *Context) GetInt(name string) (int64, error) {
 
 // VarNames lists host variable names, sorted (for persistence snapshots).
 func (c *Context) VarNames() []string {
-	names := make([]string, 0, len(c.vars))
-	for k := range c.vars {
-		names = append(names, k)
+	names := make([]string, len(c.vars))
+	for i := range c.vars {
+		names[i] = c.vars[i].name
 	}
 	sort.Strings(names)
 	return names
@@ -285,9 +351,10 @@ func (rt *Runtime) Run(root Activity, initial map[string]any) (*Context, error) 
 // further statements. Cancellation is cooperative — a running statement or
 // handler finishes; the budget is enforced at boundaries.
 func (rt *Runtime) RunCtx(ctx context.Context, root Activity, initial map[string]any) (*Context, error) {
-	c := &Context{Runtime: rt, vars: map[string]any{}}
+	// Room for the four host variables Figure 6 sets beyond its input.
+	c := &Context{Runtime: rt, vars: make([]slot, 0, len(initial)+4)}
 	for k, v := range initial {
-		c.vars[k] = v
+		c.Set(k, v)
 	}
 	rt.Open(&c.Instance, 0)
 	if rec := c.Journal(); rec != nil {

@@ -190,10 +190,10 @@ func figure6Runtime() (*Runtime, *sqldb.DB) {
 	db := ordersDB()
 	rt := newRuntime(db)
 	svc := wsbus.NewOrderFromSupplier(0)
-	rt.RegisterService("OrderFromSupplier", func(req map[string]string) (map[string]string, error) { return svc.Handle(req) })
+	rt.RegisterService("OrderFromSupplier", svc.Operation())
 	rt.RegisterHandler("BindNext", func(c *Context) error {
 		i, _ := c.GetInt("Index")
-		row, err := c.vars["SV_ItemList"].(*dataset.DataSet).Table("Result").Row(int(i))
+		row, err := c.slot("SV_ItemList").v.(*dataset.DataSet).Table("Result").Row(int(i))
 		if err != nil {
 			return err
 		}
@@ -204,7 +204,7 @@ func figure6Runtime() (*Runtime, *sqldb.DB) {
 	})
 	rt.RegisterRule("HasMoreItems", func(c *Context) (bool, error) {
 		i, _ := c.GetInt("Index")
-		return int(i) < c.vars["SV_ItemList"].(*dataset.DataSet).Table("Result").Count(), nil
+		return int(i) < c.slot("SV_ItemList").v.(*dataset.DataSet).Table("Result").Count(), nil
 	})
 	return rt, db
 }

@@ -230,7 +230,7 @@ func TestFigure8Workflow(t *testing.T) {
 
 	bus := wsbus.New()
 	svc := wsbus.NewOrderFromSupplier(0)
-	bus.Register("OrderFromSupplier", svc.Handle)
+	bus.Register("OrderFromSupplier", svc.Operation())
 	e := engine.New(bus)
 
 	assign1 := engine.NewAssign("Assign1").Copy(

@@ -46,7 +46,7 @@ func NewEnv() *Env {
 
 	bus := wsbus.New()
 	supplier := wsbus.NewOrderFromSupplier(0)
-	bus.Register("OrderFromSupplier", supplier.Handle)
+	bus.Register("OrderFromSupplier", supplier.Operation())
 	wsbus.RegisterSQLAdapter(bus, "SQLAdapter", db)
 
 	e := engine.New(bus)
@@ -54,9 +54,7 @@ func NewEnv() *Env {
 
 	rt := mswf.NewRuntime()
 	rt.RegisterDatabase(DataSourceName, mswf.SQLServer, db)
-	rt.RegisterService("OrderFromSupplier", func(req map[string]string) (map[string]string, error) {
-		return supplier.Handle(req)
-	})
+	rt.RegisterService("OrderFromSupplier", supplier.Operation())
 
 	return &Env{
 		DB:       db,

@@ -90,9 +90,9 @@ func Figure6BindNext(c *mswf.Context) error {
 	if err != nil {
 		return err
 	}
-	c.Set("CurrentItemID", row.MustGet("ItemID").S)
-	c.Set("CurrentItemQuantity", row.MustGet("Quantity").I)
-	c.Set("Index", i+1)
+	c.SetString("CurrentItemID", row.MustGet("ItemID").S)
+	c.SetInt("CurrentItemQuantity", row.MustGet("Quantity").I)
+	c.SetInt("Index", i+1)
 	return nil
 }
 

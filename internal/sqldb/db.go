@@ -107,10 +107,6 @@ type DB struct {
 	changeSeq  atomic.Int64
 	readOnly   atomic.Bool
 
-	// footGen versions slotted plans (slot.go) against procedure changes;
-	// a table change shows in the table's schemaVer instead.
-	footGen atomic.Int64
-
 	compiles atomic.Int64 // plans built (StmtCacheStats.Compiles)
 
 	// idle holds released clean sessions for Lease, at most idleSessions.
@@ -464,7 +460,6 @@ func (db *DB) RegisterProcedure(name string, fn NativeProc) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.procs[strings.ToLower(name)] = &Procedure{Name: name, Native: fn}
-	db.footGen.Add(1)
 }
 
 // Session opens a new session on the database. Sessions are cheap; each

@@ -43,6 +43,13 @@ func ParamNames(sql string) ([]string, error) {
 	return shape.names, err
 }
 
+// ParamSlots returns how many values sql binds: its `?`s and its named
+// placeholders.
+func ParamSlots(sql string) (int, error) {
+	_, shape, err := parseScript(sql)
+	return shape.positional + len(shape.names), err
+}
+
 // paramShape is a parse's slots: its `?`s, then its names.
 type paramShape struct {
 	positional int

@@ -685,7 +685,6 @@ func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value) (res *Result
 			proc.Body[i] = b.st
 		}
 		s.db.procs[lc] = proc
-		s.db.footGen.Add(1)
 		return &Result{}, nil
 	case *DropProcedureStmt:
 		lc := strings.ToLower(t.Name)
@@ -693,7 +692,6 @@ func (s *Session) dispatch(st Stmt, slot *stmtSlot, params []Value) (res *Result
 			return absent(t.IfExists, "procedure", t.Name)
 		}
 		delete(s.db.procs, lc)
-		s.db.footGen.Add(1)
 		return &Result{}, nil
 	case *CallStmt:
 		return s.execCall(t)

@@ -18,7 +18,6 @@ type stmtSlot struct {
 // slotted plan again (DESIGN.md §14).
 type planTree struct {
 	db      *DB
-	gen     int64         // db.footGen at planning: procedures
 	tables  []tableStamp  // every table resolved, at its schema version
 	plans   []*selectPlan // the root and, for INSERT … SELECT, its query
 	binds   []bind        // parameters the plan folded or relied on
@@ -55,7 +54,7 @@ func (s *Session) lend(slot *stmtSlot, st Stmt, outer *env) (p *selectPlan, err 
 	if p == nil {
 		var tree *planTree
 		if slot != nil {
-			tree = &planTree{db: s.db, gen: s.db.footGen.Load()}
+			tree = &planTree{db: s.db}
 		}
 		s.db.compiles.Add(1)
 		switch t := st.(type) {
@@ -100,10 +99,10 @@ func (slot *stmtSlot) put(p *selectPlan) {
 
 // rebind points the tree at this execution's session and parameters and
 // reports whether it is still the plan a fresh planning would build: same
-// database, no table or procedure it read changed, every parameter
+// database, no table it read changed, every parameter
 // it read bound, and each join's choice still what the row counts say.
 func (t *planTree) rebind(s *Session, outer *env) bool {
-	if t.db != s.db || t.gen != s.db.footGen.Load() {
+	if t.db != s.db {
 		return false
 	}
 	for _, ts := range t.tables {

@@ -24,24 +24,42 @@ func NewOrderFromSupplier(capacity int64) *OrderFromSupplierService {
 	return &OrderFromSupplierService{Capacity: capacity, ordered: map[string]int64{}}
 }
 
-// Handle implements the service operation. Request parts: ItemID,
-// Quantity. Response part: OrderConfirmation.
-func (s *OrderFromSupplierService) Handle(req Message) (Message, error) {
-	item := req["ItemID"]
+// Operation declares the supplier's one operation: request parts
+// ItemID and Quantity, reply part OrderConfirmation.
+func (s *OrderFromSupplierService) Operation() Operation {
+	return Operation{In: orderIn, Out: orderOut, Handler: s.Order}
+}
+
+var orderIn, orderOut = []string{"ItemID", "Quantity"}, []string{"OrderConfirmation"}
+
+// Order implements the operation: [ItemID, Quantity] → [OrderConfirmation].
+func (s *OrderFromSupplierService) Order(in []string) ([]string, error) {
+	item := in[0]
 	if item == "" {
 		return nil, fmt.Errorf("OrderFromSupplier: missing ItemID")
 	}
-	qty, err := strconv.ParseInt(req["Quantity"], 10, 64)
+	qty, err := strconv.ParseInt(in[1], 10, 64)
 	if err != nil || qty <= 0 {
-		return nil, fmt.Errorf("OrderFromSupplier: bad Quantity %q", req["Quantity"])
+		return nil, fmt.Errorf("OrderFromSupplier: bad Quantity %q", in[1])
 	}
+	verdict := "CONFIRMED:"
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.Capacity > 0 && qty > s.Capacity {
-		return Message{"OrderConfirmation": "REJECTED:" + item + ":" + strconv.FormatInt(qty, 10)}, nil
+		verdict = "REJECTED:"
+	} else {
+		s.ordered[item] += qty
 	}
-	s.ordered[item] += qty
-	return Message{"OrderConfirmation": "CONFIRMED:" + item + ":" + strconv.FormatInt(qty, 10)}, nil
+	s.mu.Unlock()
+	return []string{verdict + item + ":" + strconv.FormatInt(qty, 10)}, nil
+}
+
+// Handle is Order on a request by part name.
+func (s *OrderFromSupplierService) Handle(req Message) (Message, error) {
+	out, err := s.Order(s.Operation().Pack(req))
+	if err != nil {
+		return nil, err
+	}
+	return Named(orderOut, out), nil
 }
 
 // Ordered returns the total quantity ordered for an item so far.
@@ -50,6 +68,9 @@ func (s *OrderFromSupplierService) Ordered(item string) int64 {
 	defer s.mu.Unlock()
 	return s.ordered[item]
 }
+
+// sqlAdapterParams is how many parameter parts the SQL adapter declares.
+const sqlAdapterParams = 8
 
 // RegisterSQLAdapter registers the *adapter technology* of the paper's
 // Figure 1: a service that encapsulates SQL-specific functionality and
@@ -60,41 +81,46 @@ func (s *OrderFromSupplierService) Ordered(item string) int64 {
 // Request parts:
 //
 //	statement — the SQL text to execute
-//	p1..pN    — optional positional parameter values (bound as strings)
+//	p1..p8    — positional parameter values (bound as strings), as many
+//	            as the statement has placeholders
 //
-// Response parts:
+// Reply parts:
 //
 //	rowsAffected — for DML
 //	rowset       — serialized XML RowSet, for queries
 //	rows         — row count, for queries
 func RegisterSQLAdapter(b *Bus, name string, db *sqldb.DB) {
-	b.Register(name, func(req Message) (Message, error) {
-		stmt := req["statement"]
+	in := []string{"statement"}
+	for i := 1; i <= sqlAdapterParams; i++ {
+		in = append(in, "p"+strconv.Itoa(i))
+	}
+	b.Register(name, Operation{In: in, Out: []string{"rowsAffected", "rowset", "rows"}, Handler: func(in []string) ([]string, error) {
+		stmt := in[0]
 		if stmt == "" {
 			return nil, fmt.Errorf("sql adapter: missing statement")
 		}
-		var params []sqldb.Value
-		for i := 1; ; i++ {
-			v, ok := req[fmt.Sprintf("p%d", i)]
-			if !ok {
-				break
-			}
-			params = append(params, sqldb.Str(v))
+		n, err := sqldb.ParamSlots(stmt)
+		if err != nil {
+			return nil, err
+		}
+		if n > sqlAdapterParams {
+			return nil, fmt.Errorf("sql adapter: statement has %d placeholders, the adapter binds %d", n, sqlAdapterParams)
+		}
+		params := make([]sqldb.Value, n)
+		for i := range params {
+			params[i] = sqldb.Str(in[1+i])
 		}
 		res, err := db.Exec(stmt, params...)
 		if err != nil {
 			return nil, err
 		}
 		if !res.IsQuery() {
-			return Message{"rowsAffected": strconv.Itoa(res.RowsAffected)}, nil
+			return []string{strconv.Itoa(res.RowsAffected), "", ""}, nil
 		}
 		rs, err := rowset.FromResult(res)
 		if err != nil {
 			return nil, err
 		}
-		return Message{
-			"rowset": rs.String(),
-			"rows":   strconv.Itoa(len(res.Rows)),
-		}, nil
-	})
+		return []string{"", rs.String(), strconv.Itoa(len(res.Rows))}, nil
+	}})
 }

@@ -1,7 +1,9 @@
 package wsbus
 
 import (
+	"context"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,9 +13,8 @@ import (
 
 func TestRegisterInvoke(t *testing.T) {
 	b := New()
-	b.Register("echo", func(req Message) (Message, error) {
-		return Message{"out": req["in"]}, nil
-	})
+	b.Register("echo", Operation{In: []string{"in"}, Out: []string{"out"},
+		Handler: func(in []string) ([]string, error) { return []string{in[0]}, nil }})
 	if !b.Has("echo") {
 		t.Fatal("Has")
 	}
@@ -34,9 +35,9 @@ func TestInvokeErrors(t *testing.T) {
 	if _, err := b.Invoke("missing", nil); err == nil {
 		t.Fatal("unknown service must error")
 	}
-	b.Register("fail", func(req Message) (Message, error) {
+	b.Register("fail", Operation{Handler: func([]string) ([]string, error) {
 		return nil, fmt.Errorf("boom")
-	})
+	}})
 	if _, err := b.Invoke("fail", nil); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("error propagation: %v", err)
 	}
@@ -44,7 +45,7 @@ func TestInvokeErrors(t *testing.T) {
 
 func TestLatencyInjection(t *testing.T) {
 	b := New()
-	b.Register("fast", func(req Message) (Message, error) { return Message{}, nil })
+	b.Register("fast", Operation{Handler: func([]string) ([]string, error) { return nil, nil }})
 	b.SetLatency(20 * time.Millisecond)
 	start := time.Now()
 	if _, err := b.Invoke("fast", nil); err != nil {
@@ -118,5 +119,54 @@ func TestSQLAdapterQueryAndDML(t *testing.T) {
 	}
 	if _, err := b.Invoke("sql", Message{"statement": "SELEC"}); err == nil {
 		t.Fatal("bad SQL must error")
+	}
+}
+
+// TestOperationVectorShape: a request vector must have one value per
+// declared request part and a reply one per declared reply part; a
+// request by name drops undeclared parts and leaves missing ones empty.
+func TestOperationVectorShape(t *testing.T) {
+	b := New()
+	var got []string
+	b.Register("pair", Operation{In: []string{"a", "b"}, Out: []string{"ab"},
+		Handler: func(in []string) ([]string, error) { got = in; return []string{in[0] + in[1]}, nil }})
+	b.Register("short", Operation{In: []string{"a"}, Out: []string{"x", "y"},
+		Handler: func(in []string) ([]string, error) { return []string{in[0]}, nil }})
+	if _, err := b.InvokeCtx(context.Background(), 0, "pair", []string{"1"}); err == nil || IsTransient(err) {
+		t.Fatalf("a request of one part to a two-part operation: %v, want a permanent error", err)
+	}
+	if b.Attempts() != 0 {
+		t.Fatalf("a malformed request was dispatched: %d attempts", b.Attempts())
+	}
+	if _, err := b.Invoke("short", Message{"a": "1"}); err == nil || !strings.Contains(err.Error(), "reply of 1 parts") {
+		t.Fatalf("a reply missing a declared part: %v", err)
+	}
+	reply, err := b.Invoke("pair", Message{"b": "2", "c": "ignored"})
+	if err != nil || !reflect.DeepEqual(reply, Message{"ab": "2"}) || !reflect.DeepEqual(got, []string{"", "2"}) {
+		t.Fatalf("by name: request %q, reply %v, %v", got, reply, err)
+	}
+	if b.Attempts() != 2 || b.Successes() != 1 {
+		t.Fatalf("attempts %d, successes %d, want 2 and 1", b.Attempts(), b.Successes())
+	}
+}
+
+// TestSQLAdapterBindsItsPlaceholders: the adapter binds as many p<i> as
+// its statement has placeholders, `?` and named, and refuses a statement
+// with more than it declares.
+func TestSQLAdapterBindsItsPlaceholders(t *testing.T) {
+	db := sqldb.Open("a")
+	db.MustExec("CREATE TABLE t (x INTEGER, s VARCHAR)")
+	b := New()
+	RegisterSQLAdapter(b, "sql", db)
+	if _, err := b.Invoke("sql", Message{"statement": "INSERT INTO t VALUES (?, @s)", "p1": "1", "p2": "one", "p3": "unbound"}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := b.Invoke("sql", Message{"statement": "SELECT s FROM t WHERE s = ?", "p1": "one"})
+	if err != nil || resp["rows"] != "1" || !strings.Contains(resp["rowset"], "<s>one</s>") {
+		t.Fatalf("query response: %v, %v", resp, err)
+	}
+	nine := "SELECT x FROM t WHERE x = ? OR x = ? OR x = ? OR x = ? OR x = ? OR x = ? OR x = ? OR x = ? OR x = ?"
+	if _, err := b.Invoke("sql", Message{"statement": nine}); err == nil || !strings.Contains(err.Error(), "9 placeholders") {
+		t.Fatalf("nine placeholders: %v", err)
 	}
 }

@@ -136,78 +136,101 @@ func applyPredicate(nodes []*xdm.Node, pred node, ctx *Context) ([]*xdm.Node, er
 }
 
 func (p *pathExpr) evalNode(ctx *Context) (Value, error) {
-	var current []*xdm.Node
-	if p.base != nil {
+	one, set, err := p.walk(ctx, p.steps)
+	if one != nil {
+		return NodeSet(one), err
+	}
+	return NodeSet(set...), err
+}
+
+// walk applies steps to the path's start. A step from one context node
+// (the context node, a variable's document, a positional step's match)
+// starts from that node alone; a walk that takes no step from one
+// returns it as one, with no set.
+func (p *pathExpr) walk(ctx *Context, steps []step) (one *xdm.Node, set []*xdm.Node, err error) {
+	switch r, isVar := p.base.(*varRef); {
+	case p.base == nil:
+		if one = ctx.Node; one == nil {
+			return nil, nil, fmt.Errorf("xpath: relative path with no context node")
+		}
+	case isVar && ctx.Vars != nil:
+		if nr, ok := ctx.Vars.(NodeResolver); ok {
+			if one, err = nr.ResolveNode(r.name); err != nil {
+				return nil, nil, err
+			}
+		}
+	}
+	if one == nil && p.base != nil {
 		bv, err := p.base.evalNode(ctx)
 		if err != nil {
-			return Value{}, err
+			return nil, nil, err
 		}
 		if bv.Kind != KindNodeSet {
-			return Value{}, fmt.Errorf("xpath: path applied to non-node-set value")
+			return nil, nil, fmt.Errorf("xpath: path applied to non-node-set value")
 		}
-		current = bv.Nodes
-	} else {
-		if ctx.Node == nil {
-			return Value{}, fmt.Errorf("xpath: relative path with no context node")
-		}
-		current = []*xdm.Node{ctx.Node}
+		set = bv.Nodes
 	}
-	for _, st := range p.steps {
-		if k, ok := childPosition(current, st); ok {
-			c, _ := nthChild(current[0], st.name, k)
-			if current = nil; c != nil {
-				current = []*xdm.Node{c}
-			}
-			continue
+	for _, st := range steps {
+		if one == nil && len(set) == 1 {
+			one = set[0]
 		}
-		next, err := applyStepPredicates(stepNodes(current, st), st, ctx)
+		if one == nil {
+			set, err = applyStepPredicates(stepNodes(set, st), st, ctx)
+		} else {
+			set, err = stepFrom(one, st, ctx)
+			one = nil
+		}
 		if err != nil {
-			return Value{}, err
+			return nil, nil, err
 		}
-		current = next
 	}
-	return NodeSet(current...), nil
+	return one, set, nil
+}
+
+// stepFrom applies a step to one context node. A child step whose only
+// predicate is a number literal k, such as Row[4], selects the k-th match
+// without listing its siblings: no context position changes it.
+func stepFrom(n *xdm.Node, st step, ctx *Context) ([]*xdm.Node, error) {
+	if len(st.preds) == 1 {
+		if lit, ok := st.preds[0].(*literalNum); ok {
+			k := int(lit.f)
+			if float64(k) != lit.f { // no position equals a fraction
+				return nil, nil
+			}
+			if c, _ := nthChild(n, st.name, k); c != nil {
+				return []*xdm.Node{c}, nil
+			}
+			return nil, nil
+		}
+	}
+	return applyStepPredicates(appendChildren(make([]*xdm.Node, 0, len(n.Children)), n, st.name), st, ctx)
 }
 
 // count is count(p). When p ends in a child step without predicates that
 // starts from one node, as a cursor's `$pos <= count($set/Row)` does per
 // row, it counts the matches instead of listing them.
 func (p *pathExpr) count(ctx *Context) (Value, error) {
-	n, prefix := len(p.steps), *p
-	whole := len(p.steps[n-1].preds) > 0
+	n := len(p.steps)
+	last := p.steps[n-1]
+	whole := len(last.preds) > 0
+	steps := p.steps
 	if !whole {
-		prefix.steps = p.steps[:n-1]
+		steps = steps[:n-1]
 	}
-	v, err := prefix.evalNode(ctx)
+	one, set, err := p.walk(ctx, steps)
 	switch {
 	case err != nil:
 		return Value{}, err
-	case whole:
-	case len(v.Nodes) == 1:
-		_, c := nthChild(v.Nodes[0], p.steps[n-1].name, 0)
+	case whole: // walk took a step, so the count is the set's
+		return Number(float64(len(set))), nil
+	case one == nil && len(set) == 1:
+		one = set[0]
+	}
+	if one != nil {
+		_, c := nthChild(one, last.name, 0)
 		return Number(float64(c)), nil
-	default:
-		v.Nodes = stepNodes(v.Nodes, p.steps[n-1])
 	}
-	return Number(float64(len(v.Nodes))), nil
-}
-
-// childPosition recognizes a child step from one node whose only
-// predicate is a number literal k, such as Row[4]: no context position
-// changes it, so the step selects the k-th match without listing its
-// siblings. Anything else takes the general path.
-func childPosition(current []*xdm.Node, st step) (int, bool) {
-	if len(current) != 1 || len(st.preds) != 1 {
-		return 0, false
-	}
-	lit, ok := st.preds[0].(*literalNum)
-	if !ok {
-		return 0, false
-	}
-	if k := int(lit.f); float64(k) == lit.f {
-		return k, true
-	}
-	return 0, true // no position equals a fraction: select nothing
+	return Number(float64(len(stepNodes(set, last)))), nil
 }
 
 // nthChild returns n's k-th element child that passes the name test,
@@ -228,12 +251,6 @@ func nthChild(n *xdm.Node, name string, k int) (*xdm.Node, int) {
 // step's name test, in order. A node-set holds each node once, so no two
 // context nodes share a child and no node is reached twice.
 func stepNodes(current []*xdm.Node, st step) []*xdm.Node {
-	switch len(current) {
-	case 0:
-		return nil
-	case 1:
-		return appendChildren(make([]*xdm.Node, 0, len(current[0].Children)), current[0], st.name)
-	}
 	var next []*xdm.Node
 	for _, n := range current {
 		next = appendChildren(next, n, st.name)

@@ -143,6 +143,14 @@ type VariableResolver interface {
 	ResolveVariable(name string) (Value, error)
 }
 
+// NodeResolver is a VariableResolver that can hand out the one document
+// an XML variable holds, without the node-set ResolveVariable returns: a
+// path from $name starts at that node. A nil node (a scalar variable)
+// sends the path through ResolveVariable.
+type NodeResolver interface {
+	ResolveNode(name string) (*xdm.Node, error)
+}
+
 // FunctionResolver supplies implementations for extension functions
 // (any function whose name contains a namespace prefix, e.g.
 // "ora:query-database"). Core XPath functions are built in.

@@ -191,10 +191,12 @@ func TestOverloadBudgetCancelsAtBoundaries(t *testing.T) {
 func slowSupplier(env *Environment, s Stack, d time.Duration) {
 	env.Bus.SetLatency(d)
 	if s.Name == "WF" {
-		env.Runtime.RegisterService("OrderFromSupplier", func(req map[string]string) (map[string]string, error) {
+		op := env.Supplier.Operation()
+		op.Handler = func(in []string) ([]string, error) {
 			time.Sleep(d)
-			return env.Supplier.Handle(req)
-		})
+			return env.Supplier.Order(in)
+		}
+		env.Runtime.RegisterService("OrderFromSupplier", op)
 	}
 }
 

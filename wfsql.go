@@ -94,7 +94,7 @@ func NewEnvironment(w Workload) *Environment {
 
 	bus := wsbus.New()
 	supplier := wsbus.NewOrderFromSupplier(0)
-	bus.Register("OrderFromSupplier", supplier.Handle)
+	bus.Register("OrderFromSupplier", supplier.Operation())
 	wsbus.RegisterSQLAdapter(bus, "SQLAdapter", db)
 	return newHosts(db, bus, supplier, w)
 }
@@ -108,9 +108,7 @@ func newHosts(db *sqldb.DB, bus *wsbus.Bus, supplier *wsbus.OrderFromSupplierSer
 
 	rt := mswf.NewRuntime()
 	rt.RegisterDatabase(DataSourceName, mswf.SQLServer, db)
-	rt.RegisterService("OrderFromSupplier", func(req map[string]string) (map[string]string, error) {
-		return supplier.Handle(req)
-	})
+	rt.RegisterService("OrderFromSupplier", supplier.Operation())
 
 	return &Environment{
 		DB: db, Bus: bus, Engine: e, Runtime: rt,
